@@ -39,9 +39,9 @@ from conftest import FIJI, run, write_bench_results
 
 
 def percentile(samples, p):
-    """Linear-interpolated percentile of a non-empty sample list."""
+    """Linear-interpolated percentile; None (JSON null) if empty."""
     if not samples:
-        return float("nan")
+        return None
     ordered = sorted(samples)
     k = (len(ordered) - 1) * (p / 100.0)
     lo = int(k)

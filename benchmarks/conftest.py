@@ -111,7 +111,10 @@ def write_bench_results(bench_name, section, payload, wall_s=None, vs_baseline=N
     if vs_baseline is not None:
         results["vs_baseline"] = _jsonable(vs_baseline)
     results.setdefault("sections", {})[section] = _jsonable(payload)
-    path.write_text(json.dumps(results, indent=2, sort_keys=True) + "\n")
+    # Strict JSON: a NaN metric fails the bench instead of the artifact.
+    path.write_text(
+        json.dumps(results, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    )
 
 
 @pytest.fixture

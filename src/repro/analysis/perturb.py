@@ -6,15 +6,15 @@ never depends on that tie-break — but code that *does* is exactly the
 code one latency-constant tweak away from a trajectory change.  The
 racer flips :data:`repro.sim.kernel.DEFAULT_PERTURB_SEED` so every
 ``Environment`` built inside the context draws a
-:class:`~repro.sim.wheel.PerturbedHeapQueue`, which permutes the order
+:class:`~repro.sim.queue.PerturbedHeapQueue`, which permutes the order
 of same-timestamp cohorts deterministically per seed.  Event *times*
 are untouched: a perturbed run is a legal schedule the kernel could
 have produced under a different arrival order, not a different
 workload.
 
 The helpers here mirror how the determinism checker flips
-:data:`repro.sim.kernel.DEFAULT_KERNEL_IMPL` — module-global defaults
-swapped around a builder call and restored in a ``finally``.
+:attr:`repro.obs.span.Observability.default_enabled` — module-global
+defaults swapped around a builder call and restored in a ``finally``.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import contextlib
 import typing
 
 from repro.sim import kernel as _kernel
-from repro.sim.wheel import _mix64
+from repro.sim.queue import _mix64
 
 #: splitmix64 increment — the same constant the queue salt uses, so the
 #: derived-seed stream is a textbook splitmix64 sequence.

@@ -318,9 +318,10 @@ STAT_PREFIXES = frozenset(
         "nsm",
         "portmapper",
         "rexec",
-        # "sim" hosts the kernel's own families: sim.kernel.* (queue
-        # back-end counters published via publish_kernel_stats()) and
-        # sim.mclient.* (the million-client scenario)
+        # "sim" hosts the kernel's own families: sim.kernel.*
+        # (events_scheduled / events_processed, published via
+        # publish_kernel_stats()) and sim.mclient.* (the million-client
+        # scenario)
         "sim",
         "yp",
     }

@@ -9,8 +9,8 @@ AE-Scientist's ``stage4_ablation`` and the aumai-ablation API:
 
 - a **knob registry** (:class:`Knob`): named axes with a baseline
   variant and ablation variants — the frozen
-  :class:`~repro.resolution.PolicySet` axes, ``kernel_impl``, and
-  scenario parameters (TTLs, churn, stall probability) all fit;
+  :class:`~repro.resolution.PolicySet` axes and scenario parameters
+  (TTLs, churn, stall probability) all fit;
 - **grid expansion** (:meth:`AblationStudy.expand`): one baseline run,
   one run per non-baseline variant of each knob (the one-offs), any
   named extra combinations, and optionally the full cartesian grid;
@@ -75,7 +75,7 @@ class Knob:
 
     Variants are plain strings; the grid's runner maps them to concrete
     objects (a :class:`~repro.resolution.FastPathPolicy`, a TTL, a
-    ``kernel_impl`` name).  Keeping the registry stringly keeps every
+    churn rate).  Keeping the registry stringly keeps every
     spec picklable and every artifact JSON-stable.
     """
 
@@ -451,8 +451,12 @@ def strip_wall_clock(value: object) -> object:
 
 
 def dump_payload(payload: typing.Mapping[str, object]) -> str:
-    """Canonical JSON serialization for BENCH artifacts."""
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    """Canonical JSON serialization for BENCH artifacts.
+
+    Strict JSON: a ``NaN`` or infinite metric raises ``ValueError``
+    here rather than landing in an artifact no other parser accepts.
+    """
+    return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def write_payload(path: str, payload: typing.Mapping[str, object]) -> None:

@@ -12,7 +12,9 @@ fails (exit 1) when the fresh run regressed:
 - any **availability** metric dropped beyond the same tolerance;
 - a run present in the baseline is **missing** (or now errors) in the
   fresh artifact, or the smoke flags disagree (full-size numbers are
-  never compared against smoke numbers).
+  never compared against smoke numbers);
+- an artifact is not strict JSON: a bare ``NaN`` or ``Infinity`` is a
+  schema violation, not a number to compare.
 
 Wall-clock fields (:data:`~repro.harness.ablation.WALL_CLOCK_FIELDS`)
 never participate: they measure the runner host, not the system.
@@ -47,9 +49,19 @@ class Violation:
         return f"{self.artifact}: [{self.kind}] {self.path}: {self.message}"
 
 
+def _reject_constant(token: str) -> typing.NoReturn:
+    raise ValueError(f"non-finite value {token} (artifacts must be strict JSON)")
+
+
 def load_artifact(path: pathlib.Path) -> typing.Dict[str, object]:
-    """Read one BENCH JSON file; raises ValueError on schema mismatch."""
-    data = json.loads(path.read_text(encoding="utf-8"))
+    """Read one BENCH JSON file; raises ValueError on schema mismatch
+    or on a ``NaN``/``Infinity`` constant."""
+    try:
+        data = json.loads(
+            path.read_text(encoding="utf-8"), parse_constant=_reject_constant
+        )
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     if not isinstance(data, dict):
         raise ValueError(f"{path}: artifact is not a JSON object")
     version = data.get("schema_version")

@@ -5,46 +5,32 @@ repository — network messages, RPC calls, disk reads, cache probes — is
 expressed as processes and events scheduled here.  Time is in simulated
 milliseconds, matching the units of every number in the paper.
 
-The event queue has two back ends (:mod:`repro.sim.wheel`): the seed
-kernel's binary heap and a hierarchical timer wheel.  Both process
-events in identical ``(time, eid)`` order, so every scenario digest is
-bit-identical across back ends — the determinism checker
-(:mod:`repro.analysis.determinism`) verifies exactly that.  The wheel
-is the default; pass ``kernel_impl="heap"`` (or flip
-:data:`DEFAULT_KERNEL_IMPL`) for A/B comparison.
+The event queue is one binary heap (:mod:`repro.sim.queue`) processed
+in ``(time, eid)`` order; ``eid`` is assigned in scheduling order, so
+simultaneous events fire FIFO.
 """
 
 from __future__ import annotations
 
 import typing
+from heapq import heappop
 
 from repro.obs.span import Observability
 from repro.sim.events import AllOf, AnyOf, Event, Timeout
 from repro.sim.process import Process, ProcessGenerator
+from repro.sim.queue import HeapQueue, PerturbedHeapQueue
 from repro.sim.rng import RngRegistry
 from repro.sim.stats import StatsRegistry
 from repro.sim.trace import Tracer
-from repro.sim.wheel import (
-    QUEUE_IMPLS,
-    HeapQueue,
-    PerturbedHeapQueue,
-    TimerWheel,
-)
-
-#: Queue back end used when ``Environment(kernel_impl=None)``.  The
-#: cross-back-end determinism check flips this module global the same
-#: way :attr:`~repro.obs.span.Observability.default_enabled` is flipped
-#: for the traced determinism run.
-DEFAULT_KERNEL_IMPL = "wheel"
 
 #: Schedule-perturbation seed used when ``Environment(perturb_seed=None)``.
 #: ``None`` (always, outside the racer) means no perturbation: the FIFO
 #: ``(time, eid)`` tie-break, digest-identical behaviour.  The hnsracer
 #: confirmation mode (:mod:`repro.analysis.perturb`) flips this module
 #: global around a scenario builder the same way the determinism
-#: checker flips :data:`DEFAULT_KERNEL_IMPL`, so every environment the
-#: builder constructs drains same-timestamp cohorts in a seeded
-#: shuffled order.
+#: checker flips :attr:`~repro.obs.span.Observability.default_enabled`,
+#: so every environment the builder constructs drains same-timestamp
+#: cohorts in a seeded shuffled order.
 DEFAULT_PERTURB_SEED: typing.Optional[int] = None
 
 #: Optional factory consulted at :class:`Environment` construction: when
@@ -57,43 +43,6 @@ DEFAULT_PERTURB_SEED: typing.Optional[int] = None
 DEFAULT_MONITOR_FACTORY: typing.Optional[
     typing.Callable[["Environment"], "KernelMonitor"]
 ] = None
-
-#: Measured back-end guidance, by workload shape (the dispatch sweeps
-#: in ``BENCH_kernel.json``; see docs/architecture.md §14).  The wheel
-#: wins when most events are timers that fire or cancel in bulk
-#: (>=2.5x on the pure-timeout sweep); the heap's cheaper push/pop wins
-#: when events are mostly immediate and processes are short-lived
-#: (~3% on process churn, ~20% on the mixed-conditions sweep).
-KERNEL_IMPL_RECOMMENDATIONS: typing.Dict[str, str] = {
-    "standing_timers": "wheel",
-    "pure_timeout": "wheel",
-    "mixed_conditions": "heap",
-    "process_churn": "heap",
-}
-
-
-def resolve_kernel_impl(
-    kernel_impl: typing.Optional[str],
-    workload: typing.Optional[str] = None,
-) -> str:
-    """Resolve a requested back end to a concrete ``QUEUE_IMPLS`` key.
-
-    ``None`` means :data:`DEFAULT_KERNEL_IMPL`; ``"auto"`` consults
-    :data:`KERNEL_IMPL_RECOMMENDATIONS` for the given ``workload``
-    shape and falls back to the default when the shape is unknown (the
-    back ends are digest-identical by contract, so the fallback is a
-    performance choice, never a correctness one).
-    """
-    if kernel_impl is None:
-        kernel_impl = DEFAULT_KERNEL_IMPL
-    if kernel_impl == "auto":
-        kernel_impl = KERNEL_IMPL_RECOMMENDATIONS.get(
-            workload or "", DEFAULT_KERNEL_IMPL
-        )
-    if kernel_impl not in QUEUE_IMPLS:
-        known = ", ".join(sorted(QUEUE_IMPLS) + ["auto"])
-        raise ValueError(f"unknown kernel_impl {kernel_impl!r}; known: {known}")
-    return kernel_impl
 
 
 class SimulationError(RuntimeError):
@@ -144,42 +93,26 @@ class Environment:
         Master seed for the per-purpose random streams handed out by
         :attr:`rng`.  Two environments with the same seed replay the
         same simulation exactly.
-    kernel_impl:
-        Event-queue back end: ``"wheel"`` (hierarchical timer wheel,
-        the default via :data:`DEFAULT_KERNEL_IMPL`), ``"heap"`` (the
-        seed kernel's binary heap), or ``"auto"`` (pick from
-        :data:`KERNEL_IMPL_RECOMMENDATIONS` by the ``workload`` hint).
-        Digest-identical by contract.
-    workload:
-        Optional workload-shape hint (``"standing_timers"``,
-        ``"process_churn"``, ...) consulted only by
-        ``kernel_impl="auto"``.
+    perturb_seed:
+        When set, same-timestamp events drain in a seeded shuffled
+        order instead of FIFO (hnsracer confirmation runs only).
+        ``None`` means :data:`DEFAULT_PERTURB_SEED`.
     """
 
     def __init__(
         self,
         seed: int = 0,
-        kernel_impl: typing.Optional[str] = None,
-        workload: typing.Optional[str] = None,
         perturb_seed: typing.Optional[int] = None,
     ):
-        kernel_impl = resolve_kernel_impl(kernel_impl, workload)
-        self.kernel_impl = kernel_impl
         self._now: float = 0.0
         if perturb_seed is None:
             perturb_seed = DEFAULT_PERTURB_SEED
-        #: When set, same-timestamp events drain in a seeded shuffled
-        #: order instead of FIFO (hnsracer confirmation runs only).
         self.perturb_seed = perturb_seed
-        if perturb_seed is not None:
-            # The shuffled tie-break breaks the wheel's deque-sortedness
-            # invariant and the batched drain's ordering argument, so a
-            # perturbed environment runs the plain heap through step().
-            self._queue: typing.Union[HeapQueue, TimerWheel] = (
-                PerturbedHeapQueue(0.0, perturb_seed)
-            )
-        else:
-            self._queue = QUEUE_IMPLS[kernel_impl](0.0)  # type: ignore[assignment]
+        self._queue: HeapQueue = (
+            HeapQueue()
+            if perturb_seed is None
+            else PerturbedHeapQueue(perturb_seed)
+        )
         #: Next event id; assigned in scheduling order so simultaneous
         #: events fire FIFO.  Doubles as the events-scheduled count.
         self._eid = 0
@@ -276,133 +209,67 @@ class Environment:
         - ``until=<Event>``: run until that event has been processed and
           return its value (raising its exception if it failed).
 
-        The inner loops are specialised: with no monitor attached the
-        kernel drains detached batches of ready entries (same-timestamp
-        cohorts and sorted bucket runs) with events' callbacks inlined —
-        no ``step()`` call, no per-event hook checks, no per-event queue
-        method call.  A push counter guards the batch: the moment a
-        callback schedules anything that could precede the batch's
-        unprocessed suffix, the suffix goes back to the queue and the
-        drain re-synchronises.
+        With no monitor attached the kernel pops the heap directly with
+        events' callbacks inlined (:meth:`_drain`); with one, every
+        event goes through :meth:`step` and its hooks.
         """
-        queue = self._queue
-        # The batched drain's ordering argument assumes the FIFO eid
-        # tie-break ("time ties break toward the batch, whose eids are
-        # smaller"), which a perturbed queue deliberately violates — so
-        # perturbed runs take the step() loops even without a monitor.
-        batched = self.monitor is None and self.perturb_seed is None
-        if until is None:
-            if batched:
-                self._drain(queue, None)
-                return None
-            while len(queue):
-                self.step()
-            return None
+        target: typing.Optional[Event] = None
+        horizon = float("inf")
         if isinstance(until, Event):
             target = until
             # Defuse so the kernel does not double-report a failure we are
             # about to raise from .value below.
             target._add_callback(lambda e: e.defuse() if not e.ok else None)
-            if batched:
-                if not target.processed:
-                    self._drain(queue, target)
-                if not target.processed:
-                    raise SimulationError(
-                        "event queue drained before the awaited event "
-                        "triggered (deadlock?)"
-                    )
-            else:
-                while not target.processed:
-                    if not len(queue):
-                        raise SimulationError(
-                            "event queue drained before the awaited event "
-                            "triggered (deadlock?)"
-                        )
-                    self.step()
-            return target.value
-        horizon = float(until)
-        if horizon < self._now:
-            raise SimulationError(
-                f"run(until={horizon}) is in the past (now={self._now})"
-            )
+            if target.processed:
+                return target.value
+        elif until is not None:
+            horizon = float(until)
+            if horizon < self._now:
+                raise SimulationError(
+                    f"run(until={horizon}) is in the past (now={self._now})"
+                )
         if self.monitor is None:
-            pop = queue.pop
-            peek = queue.peek
-            while peek() <= horizon:
-                entry = pop()
-                self._now = entry[0]  # type: ignore[index]
-                entry[2]._process()  # type: ignore[index]
+            self._drain(target, horizon)
         else:
-            while queue.peek() <= horizon:
+            queue = self._queue
+            while len(queue) and queue.peek() <= horizon:
                 self.step()
-        self._now = horizon
+                if target is not None and target.processed:
+                    break
+        if target is not None:
+            if not target.processed:
+                raise SimulationError(
+                    "event queue drained before the awaited event "
+                    "triggered (deadlock?)"
+                )
+            return target.value
+        if until is not None:
+            self._now = horizon
         return None
 
-    def _drain(
-        self,
-        queue: typing.Union[HeapQueue, TimerWheel],
-        target: typing.Optional[Event],
-    ) -> None:
-        """Monitor-free batched inner loop (see :meth:`run`).
+    def _drain(self, target: typing.Optional[Event], horizon: float) -> None:
+        """Monitor-free inner loop: pop the heap, run callbacks inline.
 
-        Processes detached batches with :meth:`Event._process` inlined.
-        Ordering argument: a batch is in global (time, eid) order when
-        detached, and everything still *in* the queue is strictly later
-        than every batch entry (later time, or same time with a larger
-        eid) — so only a *push* can introduce an entry that belongs
-        before the batch's unprocessed suffix.  The queue keeps a
-        running minimum of times pushed since the batch was detached
-        (``queue.low_push``, reset by ``take_batch``), and only
-        callbacks push — so events with no callbacks are drained with
-        zero checks, and a push check is one attribute compare, never a
-        ``peek()``.  When a callback pushed, either ``low_push`` is at
-        or past the batch's *last* entry (time ties break toward the
-        batch, whose eids are smaller) and the whole suffix is still
-        safe at full speed, or the drain drops to a *careful* gait:
-        before each remaining entry, compare ``low_push`` against its
-        time and hand the suffix back via ``requeue`` the moment a
-        pushed entry could come first.  Careful mode ends with the
-        batch.
-
-        Stops when the queue drains, or — with ``target`` — as soon as
-        ``target`` has been processed (remaining suffix requeued).
+        The heap is globally ordered, so anything a callback schedules
+        simply sorts into place before the next pop.  Stops when the
+        queue drains, when the next entry lies past ``horizon``, or —
+        with ``target`` — as soon as ``target`` has been processed.  An
+        unhandled failed event raises from here (the inlined equivalent
+        of :meth:`Event._process`'s re-raise).  ``_now`` is left at the
+        last processed entry.
         """
-        take_batch = queue.take_batch
-        while True:
-            batch = take_batch()
-            if batch is None:
-                return
-            tail = batch[-1][0]
-            careful = False
-            # ``_now`` is written lazily: only callbacks (and a raised
-            # unhandled failure) can observe the clock mid-drain, so
-            # events nobody waits on skip the store and the batch's
-            # final time is written once in the ``else`` arm.  A
-            # careful-mode break leaves ``_now`` at the last observed
-            # point, which is fine — the next observation re-syncs it.
-            for index, entry in enumerate(batch):
-                if careful and queue.low_push < entry[0]:
-                    queue.requeue(batch, index)
-                    break
-                event = entry[2]
-                callbacks = event.callbacks
-                event.callbacks = None
-                if callbacks:
-                    self._now = entry[0]
-                    for callback in callbacks:
-                        callback(event)
-                    if target is not None and target.callbacks is None:
-                        queue.requeue(batch, index + 1)
-                        return
-                    if not careful and queue.low_push < tail:
-                        careful = True
-                elif event._exception is not None and not event._defused:
-                    # Nobody was listening; surface the failure (the
-                    # inlined equivalent of Event._process's re-raise).
-                    self._now = entry[0]
-                    raise event._exception
-            else:
-                self._now = tail
+        heap = self._queue.heap
+        while heap and heap[0][0] <= horizon:
+            self._now, _, event = heappop(heap)
+            callbacks = event.callbacks
+            event.callbacks = None
+            if callbacks:
+                for callback in callbacks:
+                    callback(event)
+                if target is not None and target.callbacks is None:
+                    return
+            elif event._exception is not None and not event._defused:
+                raise event._exception
 
     # ------------------------------------------------------------------
     # Kernel self-instrumentation
@@ -410,19 +277,14 @@ class Environment:
     def kernel_counters(self) -> typing.Dict[str, int]:
         """The kernel's own performance counters, as plain data.
 
-        Deliberately *not* recorded in :attr:`stats` during the run:
-        ``wheel_rotations`` and ``fastpath_schedules`` are back-end
-        implementation details, and folding them into the stats
-        registry would make scenario digests differ between the heap
-        and wheel back ends.  Call :meth:`publish_kernel_stats` (once,
-        after a run) when a benchmark wants them in the registry.
+        Deliberately *not* recorded in :attr:`stats` during the run, so
+        scenario digests do not depend on how many events a run took.
+        Call :meth:`publish_kernel_stats` (once, after a run) when a
+        benchmark wants them in the registry.
         """
-        queue = self._queue
         return {
             "sim.kernel.events_scheduled": self._eid,
-            "sim.kernel.events_processed": self._eid - len(queue),
-            "sim.kernel.fastpath_schedules": queue.fastpath_schedules,
-            "sim.kernel.wheel_rotations": queue.rotations,
+            "sim.kernel.events_processed": self._eid - len(self._queue),
         }
 
     def publish_kernel_stats(self) -> None:
@@ -430,20 +292,7 @@ class Environment:
 
         Opt-in and additive: call it once at the end of a run (the
         benchmark harness does) — never from inside a registered
-        scenario, where back-end-specific counts would break the
-        cross-back-end digest contract.
+        scenario, whose digest covers every counter.
         """
-        counters = self.kernel_counters()
-        stats = self.stats
-        stats.counter("sim.kernel.events_scheduled").increment(
-            counters["sim.kernel.events_scheduled"]
-        )
-        stats.counter("sim.kernel.events_processed").increment(
-            counters["sim.kernel.events_processed"]
-        )
-        stats.counter("sim.kernel.fastpath_schedules").increment(
-            counters["sim.kernel.fastpath_schedules"]
-        )
-        stats.counter("sim.kernel.wheel_rotations").increment(
-            counters["sim.kernel.wheel_rotations"]
-        )
+        for name, value in self.kernel_counters().items():
+            self.stats.counter(name).increment(value)

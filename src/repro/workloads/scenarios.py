@@ -914,12 +914,11 @@ def build_million_client_zipf(
     a very large client population resolving names Zipf-distributed
     over contexts, against a shared TTL cache.  It deliberately skips
     the full testbed (no sockets, no servers): the point is the
-    *kernel*, and the event mix is exactly the one the timer wheel is
-    shaped for — ``delay == 0`` cache hits (immediate deque),
-    millisecond-scale lookups (fine wheel), and multi-second TTL sweeps
-    (coarse epochs).  ``benchmarks/bench_kernel.py`` runs it at full
-    size on both queue back ends; the registered scenario below runs a
-    sampled size so determinism quad-runs stay fast.
+    *kernel*, and the event mix spans the queue's whole range —
+    ``delay == 0`` cache hits, millisecond-scale lookups, and
+    minute-scale TTL sweeps.  ``benchmarks/bench_kernel.py`` runs it at
+    full size; the registered scenario below runs a sampled size so the
+    determinism checker's three runs stay fast.
 
     Clients arrive at exponential interarrivals and live only as long
     as their one request, so the live-process count stays bounded by
@@ -957,7 +956,7 @@ def build_million_client_zipf(
         expiry = cache.get(context_id)
         if expiry is not None and expiry > env.now:
             hits.increment()
-            # Cache hit: zero-delay turnaround (the immediate fast path).
+            # Cache hit: zero-delay turnaround.
             yield env.timeout(0.0)
             latency.record(0.0)
         else:
@@ -971,8 +970,7 @@ def build_million_client_zipf(
             done.succeed(None)
 
     def sweeper():
-        # Periodic TTL sweep: the far-future timeouts land in the
-        # wheel's coarse epochs.
+        # Periodic TTL sweep: the far-future end of the event mix.
         try:
             while True:
                 yield env.timeout(sweep_interval_ms)

@@ -137,6 +137,26 @@ def test_load_artifact_rejects_other_schema_versions(tmp_path):
         load_artifact(path)
 
 
+def test_non_finite_values_fail_the_gate(tmp_path):
+    # json.dumps writes a bare NaN/Infinity by default; no strict
+    # parser reads that back, so the gate refuses the file outright.
+    for bad in (float("nan"), float("inf"), float("-inf")):
+        doctored = artifact()
+        doctored["runs"][0]["metrics"]["p50_ms"] = bad
+        path = tmp_path / "BENCH_ablation_bad.json"
+        path.write_text(json.dumps(doctored))
+        with pytest.raises(ValueError, match="non-finite"):
+            load_artifact(path)
+    fresh_dir, base_dir = _write_dirs(tmp_path, doctored, artifact())
+    violations, compared = run_gate(
+        fresh_dir, base_dir, pattern="BENCH_ablation_*.json"
+    )
+    assert compared == []
+    assert [v.kind for v in violations] == ["schema"]
+    assert "non-finite" in violations[0].message
+    assert main(["--fresh", str(fresh_dir), "--baseline", str(base_dir)]) == 1
+
+
 def _write_dirs(tmp_path, fresh, baseline, name="BENCH_ablation_toy.json"):
     fresh_dir = tmp_path / "fresh"
     base_dir = tmp_path / "base"

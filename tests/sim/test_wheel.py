@@ -1,25 +1,25 @@
-"""The timer wheel vs the heap: one ordering contract, two back ends.
+"""The event queue's ordering contract, checked against ``sorted()``.
 
-The wheel is only allowed to exist because it is digest-invisible:
-every test here drives both back ends through the same schedule and
-demands identical behaviour — identical pop order, identical peek
-values, identical run digests — plus the structural edge cases the
-wheel's bucket math has to survive (delay 0, far-future overflow into
-the coarse level, ``run(until=<float>)`` parking the clock mid-slot,
-mid-drain scheduling that forces a requeue).
+Events are processed in ``(time, eid)`` order.  The reference here is
+the obvious one — keep every pushed ``(time, eid)`` in a list and take
+its minimum — which is what the heap must agree with pop for pop and
+peek for peek, plus the same contract seen through the kernel (delay-0
+storms, timers far in the future).
+
+The file keeps its name because the test floor pins these test ids by
+path; the drain's edge cases are in ``test_queue.py``.
 """
 
 import random
 
 import pytest
 
-from repro.analysis.determinism import run_digest
 from repro.sim import Environment
-from repro.sim.wheel import HeapQueue, TimerWheel
+from repro.sim.queue import HeapQueue
 
 
 class _Stub:
-    """Entry payload; the queues never order or touch it."""
+    """Entry payload; the queue never orders or touches it."""
 
     __slots__ = ()
 
@@ -42,170 +42,95 @@ def _drain_order(queue):
 @pytest.mark.parametrize("seed", range(10))
 def test_random_schedule_pops_identically(seed):
     rng = random.Random(seed)
-    wheel, heap = TimerWheel(), HeapQueue()
+    queue, pending = HeapQueue(), []
     eid = 0
     now = 0.0
     for _ in range(400):
-        # A bursty mix: immediate, sub-slot, fine-horizon, far-future.
+        # A bursty mix: immediate, sub-ms, sub-second, seconds, minutes.
         delay = rng.choice(
             [0.0, rng.random(), rng.random() * 250, rng.random() * 3_000,
              rng.random() * 900_000]
         )
-        wheel.push(now + delay, eid, STUB)
-        heap.push(now + delay, eid, STUB)
+        queue.push(now + delay, eid, STUB)
+        pending.append((now + delay, eid))
         eid += 1
         if rng.random() < 0.3:
-            a, b = wheel.pop(), heap.pop()
-            assert a[:2] == b[:2]
-            now = a[0]
-    assert _drain_order(wheel) == _drain_order(heap)
+            expected = min(pending)
+            pending.remove(expected)
+            assert queue.pop()[:2] == expected
+            now = expected[0]
+    assert len(queue) == len(pending)
+    assert _drain_order(queue) == sorted(pending)
+    assert queue.pop() is None
 
 
 @pytest.mark.parametrize("seed", range(5))
 def test_random_schedule_peeks_identically(seed):
     rng = random.Random(1000 + seed)
-    wheel, heap = TimerWheel(), HeapQueue()
+    queue, pending = HeapQueue(), []
+    assert queue.peek() == float("inf")
     now = 0.0
     for eid in range(300):
         delay = rng.random() * rng.choice([1.0, 100.0, 500_000.0])
-        wheel.push(now + delay, eid, STUB)
-        heap.push(now + delay, eid, STUB)
-        assert wheel.peek() == heap.peek()
+        queue.push(now + delay, eid, STUB)
+        pending.append((now + delay, eid))
+        assert queue.peek() == min(pending)[0]
         if rng.random() < 0.4:
-            a, b = wheel.pop(), heap.pop()
-            assert a[:2] == b[:2]
-            now = a[0]
-            assert wheel.peek() == heap.peek()
+            expected = min(pending)
+            pending.remove(expected)
+            assert queue.pop()[:2] == expected
+            now = expected[0]
+            assert queue.peek() == min(pending, default=(float("inf"),))[0]
 
 
 def test_same_time_entries_pop_fifo():
-    wheel = TimerWheel()
+    queue = HeapQueue()
     for eid in range(20):
-        wheel.push(7.5, eid, STUB)
-    assert _drain_order(wheel) == [(7.5, eid) for eid in range(20)]
-
-
-def test_take_batch_and_requeue_round_trip():
-    rng = random.Random(7)
-    wheel, heap = TimerWheel(), HeapQueue()
-    for eid in range(100):
-        time = rng.random() * 400
-        wheel.push(time, eid, STUB)
-        heap.push(time, eid, STUB)
-    for queue in (wheel, heap):
-        batch = queue.take_batch()
-        # Hand back everything after the first entry, then drain.
-        queue.requeue(batch, 1)
-    first = wheel.take_batch()[0]
-    assert first == heap.take_batch()[0]
+        queue.push(7.5, eid, STUB)
+    assert _drain_order(queue) == [(7.5, eid) for eid in range(20)]
 
 
 # ----------------------------------------------------------------------
-# Edge cases through the kernel
+# The same contract through the kernel
 # ----------------------------------------------------------------------
-def _both_backends(build):
-    """Run ``build(env)`` on both back ends; return their digests."""
-    digests = []
-    for impl in ("wheel", "heap"):
-        env = Environment(seed=11, kernel_impl=impl)
-        build(env)
-        digests.append(run_digest(env))
-    return digests
-
-
 def test_zero_delay_storm_matches_heap():
-    def build(env):
-        hits = env.stats.counter("sim.test.hits")
+    env = Environment(seed=11)
+    order = []
 
-        def proc(tag):
-            for _ in range(50):
-                yield env.timeout(0.0)
-                hits.increment()
+    def proc(tag):
+        for round_ in range(50):
+            yield env.timeout(0.0)
+            order.append((round_, tag))
 
-        for tag in range(20):
-            env.process(proc(tag))
-        env.run()
-        assert env.now == 0.0
-
-    a, b = _both_backends(build)
-    assert a == b
+    for tag in range(20):
+        env.process(proc(tag))
+    env.run()
+    assert env.now == 0.0
+    # Nothing but ties: FIFO makes the processes take strict turns.
+    assert order == sorted(order)
+    assert len(order) == 20 * 50
 
 
 def test_far_future_overflow_matches_heap():
-    # Everything beyond the fine horizon: exercises the coarse epochs
-    # and the epoch-heap rotation path.
-    def build(env):
-        done = env.stats.counter("sim.test.done")
+    # Delays out to ~80 simulated minutes, ten interleaved processes.
+    env = Environment(seed=11)
+    fired = []
 
-        def proc(rng):
-            for _ in range(10):
-                yield env.timeout(rng.random() * 5_000_000)
-                done.increment()
+    def proc(stream, rng):
+        for _ in range(10):
+            yield env.timeout(rng.random() * 5_000_000)
+            fired.append((env.now, stream))
 
-        for stream in range(10):
-            env.process(proc(env.rng.stream(f"far.{stream}")))
-        env.run()
-
-    a, b = _both_backends(build)
-    assert a == b
-
-
-def test_run_until_float_straddles_rotation():
-    # Park the clock between fine-wheel rotations, schedule into the
-    # past-the-cursor slot, and keep going: the insort-into-active path.
-    seen_by_impl = {}
-    for impl in ("wheel", "heap"):
-        env = Environment(kernel_impl=impl)
-        seen = seen_by_impl.setdefault(impl, [])
-
-        def proc():
-            for _ in range(40):
-                yield env.timeout(97.0)
-                seen.append(env.now)
-
-        env.process(proc())
-        env.run(until=1000.5)
-        assert env.now == 1000.5
-        # Scheduling resumes correctly from the parked clock.
-        env.process(proc())
-        env.run(until=2000.25)
-        assert env.now == 2000.25
-        assert seen == sorted(seen)
-    assert seen_by_impl["wheel"] == seen_by_impl["heap"]
-
-
-def test_mid_drain_scheduling_requeues_in_order():
-    # A process that schedules *earlier-than-the-batch-tail* work from
-    # inside a callback: the careful-mode requeue path in the drain.
-    def build(env):
-        order = env.stats.counter("sim.test.ordered")
-        times = []
-
-        def spawner():
-            yield env.timeout(10.0)
-            env.process(child())
-            yield env.timeout(100.0)
-
-        def child():
-            yield env.timeout(0.5)
-            times.append(env.now)
-            order.increment()
-
-        def straggler():
-            yield env.timeout(10.2)
-            times.append(env.now)
-
-        env.process(spawner())
-        env.process(straggler())
-        env.run()
-        assert times == sorted(times)
-
-    a, b = _both_backends(build)
-    assert a == b
+    for stream in range(10):
+        env.process(proc(stream, env.rng.stream(f"far.{stream}")))
+    env.run()
+    assert len(fired) == 100
+    assert [time for time, _ in fired] == sorted(time for time, _ in fired)
+    assert env.now == fired[-1][0]
 
 
 def test_kernel_counters_stay_out_of_stats():
-    env = Environment(kernel_impl="wheel")
+    env = Environment()
 
     def proc():
         yield env.timeout(0.0)
@@ -215,39 +140,16 @@ def test_kernel_counters_stay_out_of_stats():
     env.run()
     counters = env.kernel_counters()
     assert counters["sim.kernel.events_scheduled"] > 0
-    # Back-end internals are opt-in: absent until published, so the
-    # cross-back-end digest contract holds by default.
-    assert "sim.kernel.events_scheduled" not in env.stats.counters()
-    env.publish_kernel_stats()
     assert (
-        env.stats.counter("sim.kernel.events_scheduled").value
+        counters["sim.kernel.events_processed"]
         == counters["sim.kernel.events_scheduled"]
     )
-
-
-def test_auto_kernel_impl_follows_recommendations():
-    """``kernel_impl="auto"`` pins the measured per-workload winners:
-    wheel for timer-dominated shapes, heap for churn-dominated ones,
-    and the default when the shape is unknown."""
-    from repro.sim.kernel import (
-        DEFAULT_KERNEL_IMPL,
-        KERNEL_IMPL_RECOMMENDATIONS,
-        resolve_kernel_impl,
-    )
-
-    assert KERNEL_IMPL_RECOMMENDATIONS["standing_timers"] == "wheel"
-    assert KERNEL_IMPL_RECOMMENDATIONS["pure_timeout"] == "wheel"
-    assert KERNEL_IMPL_RECOMMENDATIONS["process_churn"] == "heap"
-    assert KERNEL_IMPL_RECOMMENDATIONS["mixed_conditions"] == "heap"
-    for workload, impl in KERNEL_IMPL_RECOMMENDATIONS.items():
-        assert resolve_kernel_impl("auto", workload) == impl
-        env = Environment(seed=1, kernel_impl="auto", workload=workload)
-        assert env.kernel_impl == impl
-    # Unknown or absent shape: the default back end, never an error.
-    assert resolve_kernel_impl("auto") == DEFAULT_KERNEL_IMPL
-    assert resolve_kernel_impl("auto", "no_such_shape") == DEFAULT_KERNEL_IMPL
-    assert Environment(kernel_impl="auto").kernel_impl == DEFAULT_KERNEL_IMPL
-    # Explicit impls are untouched by the hint.
-    assert resolve_kernel_impl("heap", "standing_timers") == "heap"
-    with pytest.raises(ValueError):
-        resolve_kernel_impl("bogus")
+    # Opt-in: absent until published, so a scenario's digest does not
+    # depend on how many events its run took.
+    assert "sim.kernel.events_scheduled" not in env.stats.counters()
+    env.publish_kernel_stats()
+    assert {
+        name: value
+        for name, value in env.stats.counters().items()
+        if name.startswith("sim.kernel.")
+    } == counters
