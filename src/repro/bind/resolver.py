@@ -396,26 +396,15 @@ class BindResolver:
         """Charge ``cost_ms`` of client CPU, optionally at low priority.
 
         Foreground work takes the host CPU FIFO as usual.  Background
-        work (refresh-ahead renewals) models a low-priority thread: it
-        backs off while anything else holds or waits for the CPU and
-        charges its cost in small slices, so a renewal's call overhead
-        never head-of-line-blocks a foreground cache hit.  Politeness is
-        bounded — on a saturated CPU the renewal stops yielding after a
-        while rather than starving past its entry's expiry.
+        work (refresh-ahead renewals, NOTIFY-pushed installs) rides the
+        CPU's idle-time lane (:meth:`repro.sim.resources.Resource.use`):
+        it runs only when nothing else wants the CPU, in small slices,
+        so it never head-of-line-blocks a foreground cache hit — and
+        turns foreground after a bounded wait rather than starving on a
+        saturated CPU.
         """
-        if not background or cost_ms <= 0:
-            if cost_ms > 0:
-                yield from self.host.cpu.compute(cost_ms)
-            return
-        cpu = self.host.cpu
-        give_up_at = self.env.now + 40.0 * max(cost_ms, 1.0)
-        remaining = cost_ms
-        while remaining > 0:
-            while (cpu.in_use or cpu.queue_length) and self.env.now < give_up_at:
-                yield self.env.timeout(1.0)
-            step = min(4.0, remaining)
-            yield from cpu.compute(step)
-            remaining -= step
+        if cost_ms > 0:
+            yield from self.host.cpu.compute(cost_ms, background)
 
     # --- the remote call ----------------------------------------------
     def _fetch(
@@ -1018,8 +1007,12 @@ class BindResolver:
     ) -> typing.Generator:
         """A push landed: pull the delta since our serial into the cache.
 
-        Pushes at or behind our serial, or racing an in-flight pull,
-        are dropped — the next real bump pushes again.
+        Nobody waits for a push, so the install runs at background
+        priority, one record set at a time: readers on this host keep
+        hitting the cache throughout, and each changed binding is
+        served from the moment its own install is paid for.  Pushes at
+        or behind our serial, or racing an in-flight pull, are dropped
+        — the next real bump pushes again.
         """
         key = str(origin)
         have = self._notify_serials.get(key)
@@ -1034,9 +1027,9 @@ class BindResolver:
                 yield from self.incremental_zone_transfer(origin, have)
             )
             if full:
-                yield from self._install_zone(records)
+                yield from self._install_zone(records, background=True)
             else:
-                yield from self._install_deltas(deltas)
+                yield from self._install_deltas(deltas, background=True)
             self._notify_serials[key] = new_serial
             if key in self._preload_serials:
                 self._preload_serials[key] = new_serial
@@ -1131,46 +1124,58 @@ class BindResolver:
         return len(records)
 
     def _install_zone(
-        self, records: typing.List[ResourceRecord]
+        self, records: typing.List[ResourceRecord], background: bool = False
     ) -> typing.Generator:
         """Install a full transfer's records into the cache."""
-        assert self.cache is not None
         groups: typing.Dict[typing.Tuple[str, int], typing.List[ResourceRecord]] = {}
         for record in records:
             groups.setdefault((str(record.name), record.rtype.value), []).append(record)
-        # Installing each entry pays the per-record install cost (the
-        # dominant term of the paper's 390 ms preload).
-        install_cost = self.calibration.xfer_install_per_record_ms * len(records)
-        yield from self.host.cpu.compute(install_cost)
-        for key, group in groups.items():
-            ttl = min(r.ttl for r in group)
-            if self.cache.format is CacheFormat.MARSHALLED:
-                payload_bytes, _ = HandcodedMarshaller(QUERY_RESPONSE_IDL).encode(
-                    QueryResponse(STATUS_OK, group).to_idl()
-                )
-                self.cache.insert(key, payload_bytes, len(group), ttl)
-            else:
-                self.cache.insert(key, list(group), len(group), ttl)
+        yield from self._install(list(groups.items()), background)
 
     def _install_deltas(
-        self, deltas: typing.List[ZoneDelta]
+        self, deltas: typing.List[ZoneDelta], background: bool = False
     ) -> typing.Generator:
         """Install journal deltas into the cache; returns records loaded.
 
         The install cost covers only the delta's records — this is what
-        makes an IXFR re-preload cheap at low churn.
+        makes an IXFR re-preload cheap at low churn.  A delta without
+        records is a deletion and invalidates its key.
+        """
+        loaded = yield from self._install(
+            [
+                ((str(delta.name), delta.rtype.value), list(delta.records))
+                for delta in deltas
+            ],
+            background,
+        )
+        return loaded
+
+    def _install(
+        self,
+        groups: typing.List[
+            typing.Tuple[typing.Tuple[str, int], typing.List[ResourceRecord]]
+        ],
+        background: bool,
+    ) -> typing.Generator:
+        """Pay for and insert ``(key, record set)`` groups; returns records loaded.
+
+        Each record pays the per-record install cost (the dominant term
+        of the paper's 390 ms preload).  In the foreground the caller is
+        waiting for the whole install, so it is one charge up front;
+        in the background each record set is paid for and inserted in
+        turn, so it is visible as soon as its own cost is paid.
         """
         assert self.cache is not None
-        loaded = sum(len(d.records) for d in deltas)
-        install_cost = self.calibration.xfer_install_per_record_ms * loaded
-        if install_cost > 0:
-            yield from self.host.cpu.compute(install_cost)
-        for delta in deltas:
-            key = (str(delta.name), delta.rtype.value)
-            if not delta.records:
+        per_record = self.calibration.xfer_install_per_record_ms
+        loaded = sum(len(group) for _, group in groups)
+        if not background:
+            yield from self._compute(per_record * loaded)
+        for key, group in groups:
+            if background:
+                yield from self._compute(per_record * len(group), background=True)
+            if not group:
                 self.cache.invalidate(key)
                 continue
-            group = list(delta.records)
             ttl = min(r.ttl for r in group)
             if self.cache.format is CacheFormat.MARSHALLED:
                 payload_bytes, _ = HandcodedMarshaller(QUERY_RESPONSE_IDL).encode(

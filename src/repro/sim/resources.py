@@ -12,37 +12,62 @@ from __future__ import annotations
 import collections
 import typing
 
-from repro.sim.events import Event
+from repro.sim.events import Event, Timeout
 
 if typing.TYPE_CHECKING:  # pragma: no cover
     from repro.sim.kernel import Environment
 
 
+#: A background hold is charged in slices of at most this many ms, so a
+#: foreground request that arrives mid-hold waits at most one slice.
+BACKGROUND_SLICE_MS = 4.0
+
+#: A background request that has waited this many times its own cost
+#: (at least this many ms) joins the foreground FIFO: politeness is
+#: bounded, so a saturated unit cannot starve background work forever.
+BACKGROUND_PATIENCE = 40.0
+
+
 class Request(Event):
     """Pending claim on a :class:`Resource`; triggers when granted."""
 
-    __slots__ = ("resource",)
+    __slots__ = ("resource", "held", "deadline")
 
-    def __init__(self, resource: "Resource"):
+    def __init__(self, resource: "Resource", deadline: float = float("inf")):
         super().__init__(resource.env)
         self.resource = resource
-        resource._admit(self)
+        self.held = False
+        #: Background lane only: when the request turns foreground.
+        self.deadline = deadline
 
     def release(self) -> None:
+        """Give the unit back — or, if still queued, leave the queue."""
         self.resource._release(self)
 
 
 class Resource:
-    """A FIFO resource with fixed capacity.
+    """A fixed-capacity resource with a FIFO lane and an idle-time lane.
 
     Usage inside a process::
 
         req = resource.request()
-        yield req
         try:
+            yield req
             yield env.timeout(service_time)
         finally:
             req.release()
+
+    or, equivalently, ``yield from resource.use(service_time)``.
+
+    **Foreground** requests are served FIFO.  **Background** requests
+    (``use(..., background=True)``) model a low-priority thread: one is
+    granted only when a unit is free *and still free* once everything
+    else scheduled for that instant has run (a zero-delay idle check, so
+    a foreground operation's back-to-back charges are never split); it
+    holds in slices of :data:`BACKGROUND_SLICE_MS` and, between slices,
+    gives the unit up if a foreground request is waiting.  Background
+    requests are FIFO among themselves, and one that has waited
+    :data:`BACKGROUND_PATIENCE` times its cost joins the foreground FIFO.
     """
 
     def __init__(self, env: "Environment", capacity: int = 1, name: str = ""):
@@ -51,47 +76,134 @@ class Resource:
         self.env = env
         self.capacity = capacity
         self.name = name
-        self._users: typing.Set[Request] = set()
+        self._in_use = 0
         self._waiting: typing.Deque[Request] = collections.deque()
+        self._background: typing.Deque[Request] = collections.deque()
+        self._idle_check_pending = False
 
     @property
     def in_use(self) -> int:
-        return len(self._users)
+        return self._in_use
 
     @property
     def queue_length(self) -> int:
-        return len(self._waiting)
+        """Requests waiting, both lanes."""
+        return len(self._waiting) + len(self._background)
 
     def request(self) -> Request:
-        return Request(self)
-
-    def _admit(self, req: Request) -> None:
-        if len(self._users) < self.capacity:
-            self._users.add(req)
-            req.succeed(None)
+        """A foreground claim: granted now if a unit is free, else queued."""
+        req = Request(self)
+        if self._in_use < self.capacity:
+            self._grant(req)
         else:
             self._waiting.append(req)
+        return req
+
+    def _grant(self, req: Request) -> None:
+        self._in_use += 1
+        req.held = True
+        req.succeed(None)
 
     def _release(self, req: Request) -> None:
-        if req not in self._users:
-            raise RuntimeError("release() of a request that does not hold the resource")
-        self._users.remove(req)
-        if self._waiting:
-            nxt = self._waiting.popleft()
-            self._users.add(nxt)
-            nxt.succeed(None)
+        if req.held:
+            req.held = False
+            self._free()
+            return
+        for lane in (self._waiting, self._background):
+            if req in lane:
+                lane.remove(req)
+                return
+        raise RuntimeError(
+            "release() of a request that neither holds nor waits for the resource"
+        )
 
-    def use(self, service_ms: float) -> typing.Generator[Event, object, None]:
-        """Convenience process fragment: acquire, hold ``service_ms``, release."""
+    def _free(self) -> None:
+        """A unit came free: hand it on, foreground first."""
+        self._in_use -= 1
+        background = self._background
+        if background:
+            now = self.env.now
+            for req in [r for r in background if r.deadline <= now]:
+                background.remove(req)
+                self._waiting.append(req)
+        if self._waiting:
+            self._grant(self._waiting.popleft())
+        elif background:
+            self._schedule_idle_check()
+
+    def _schedule_idle_check(self) -> None:
+        if not self._idle_check_pending:
+            self._idle_check_pending = True
+            check = self.env.event()
+            check._add_callback(self._on_idle_check)
+            check.succeed(None)
+
+    def _on_idle_check(self, _check: Event) -> None:
+        self._idle_check_pending = False
+        while self._background and self._in_use < self.capacity:
+            self._grant(self._background.popleft())
+
+    def use(
+        self, service_ms: float, background: bool = False
+    ) -> typing.Generator[Event, object, None]:
+        """Process fragment: acquire, hold ``service_ms``, release.
+
+        An interrupt (or any exception thrown in) while queued leaves
+        the queue; while holding, releases the unit.
+        """
         if service_ms < 0:
             raise ValueError(f"negative service time: {service_ms}")
-        req = self.request()
-        yield req
-        try:
-            if service_ms > 0:
-                yield self.env.timeout(service_ms)
-        finally:
-            req.release()
+        if background and service_ms > 0:
+            yield from self._use_background(service_ms)
+        elif self._in_use < self.capacity:
+            # Uncontended: take the unit on the spot, so the hold is the
+            # charge's only kernel event.
+            self._in_use += 1
+            try:
+                if service_ms > 0:
+                    yield Timeout(self.env, service_ms)
+            finally:
+                self._free()
+        else:
+            req = Request(self)
+            self._waiting.append(req)
+            try:
+                yield req
+                if service_ms > 0:
+                    yield Timeout(self.env, service_ms)
+            finally:
+                req.release()
+
+    def _use_background(
+        self, service_ms: float
+    ) -> typing.Generator[Event, object, None]:
+        env = self.env
+        deadline = env.now + BACKGROUND_PATIENCE * max(service_ms, 1.0)
+        remaining = service_ms
+        req = Request(self, deadline)
+        self._background.append(req)
+        if self._in_use < self.capacity:
+            self._schedule_idle_check()
+        while True:
+            try:
+                yield req
+                while remaining > 0:
+                    step = min(BACKGROUND_SLICE_MS, remaining)
+                    yield Timeout(env, step)
+                    remaining -= step
+                    if self._waiting:
+                        break
+            finally:
+                req.release()
+            if remaining <= 0:
+                return
+            # Gave way: the release handed the unit to the foreground
+            # waiter.  Queue again, ahead of later background arrivals.
+            req = Request(self, deadline)
+            if env.now < deadline:
+                self._background.appendleft(req)
+            else:
+                self._waiting.append(req)
 
 
 class CPU(Resource):
@@ -108,9 +220,11 @@ class CPU(Resource):
         super().__init__(env, capacity=1, name=name)
         self.speed_factor = speed_factor
 
-    def compute(self, cost_ms: float) -> typing.Generator[Event, object, None]:
+    def compute(
+        self, cost_ms: float, background: bool = False
+    ) -> typing.Generator[Event, object, None]:
         """Charge ``cost_ms`` of compute, scaled by the host's speed."""
-        yield from self.use(cost_ms / self.speed_factor)
+        yield from self.use(cost_ms / self.speed_factor, background)
 
 
 class Disk(Resource):

@@ -1,0 +1,160 @@
+"""NOTIFY-pushed installs ride the CPU's background lane.
+
+A subscribed resolver's host keeps answering cache hits while a pushed
+delta is installed: no hit waits behind the install for longer than one
+background slice, the changed record sets appear one by one, and the
+cache ends up exactly as the single-charge foreground install leaves it.
+"""
+
+import pytest
+
+from repro.bind import (
+    BindResolver,
+    BindServer,
+    DomainName,
+    ResolverCache,
+    ResourceRecord,
+    RRType,
+    UpdateMode,
+    UpdateOp,
+    Zone,
+)
+from repro.harness.calibration import DEFAULT_CALIBRATION
+from repro.net import DatagramTransport, Internetwork
+from repro.resolution import UpdatePolicy
+from repro.sim import ConstantLatency, Environment
+from repro.sim.resources import BACKGROUND_SLICE_MS
+
+CAL = DEFAULT_CALIBRATION
+WAVE = 16
+TTL = 3_600_000.0
+
+
+def owner(i):
+    return f"c{i}.ctx.hns"
+
+
+def rec(i, version):
+    return ResourceRecord.text_record(
+        owner(i), f"ns=v{version}", rtype=RRType.UNSPEC, ttl=TTL
+    )
+
+
+def run(env, gen):
+    return env.run(until=env.process(gen))
+
+
+def build(journal_limit):
+    env = Environment(seed=5)
+    net = Internetwork(env)
+    segment = net.add_segment(
+        latency=ConstantLatency(CAL.wire_base_ms, CAL.wire_per_byte_ms)
+    )
+    udp = DatagramTransport(net)
+    zone = Zone("hns", journal_limit=journal_limit)
+    zone.add(
+        ResourceRecord.text_record("hot.ctx.hns", "ns=hot", rtype=RRType.UNSPEC, ttl=TTL)
+    )
+    for i in range(WAVE):
+        zone.add(rec(i, 0))
+    meta = BindServer(
+        net.add_host("ns", segment),
+        zones=[zone],
+        allow_dynamic_update=True,
+        name="meta",
+        update_policy=UpdatePolicy(invalidation="notify"),
+        transport=udp,
+    )
+    endpoint = meta.listen(5353)
+
+    def resolver(host_name):
+        return BindResolver(
+            net.add_host(host_name, segment),
+            udp,
+            endpoint,
+            cache=ResolverCache(env, name=host_name),
+            name=host_name,
+        )
+
+    return env, zone, resolver("client"), resolver("writer"), resolver("reference")
+
+
+@pytest.mark.parametrize(
+    "journal_limit, fallback",
+    [(512, False), (2, True)],
+    ids=["ixfr", "axfr_fallback"],
+)
+def test_pushed_install_never_blocks_cache_hits(journal_limit, fallback):
+    env, zone, subscriber, writer, reference = build(journal_limit)
+    run(env, subscriber.lookup("hot.ctx.hns", RRType.UNSPEC))  # warm the hit
+    start_serial = run(env, subscriber.subscribe_notify("hns"))
+
+    waits = []  # each hit's latency
+    seen = []  # how many of the wave's new versions were cached at each hit
+
+    def new_versions_cached():
+        return sum(
+            1
+            for _, entry in subscriber.cache.entries()
+            if any(r.text == "ns=v1" for r in entry.payload)
+        )
+
+    def reader():
+        while env.now < 1_000.0:
+            asked = env.now
+            yield from subscriber.lookup("hot.ctx.hns", RRType.UNSPEC)
+            waits.append(env.now - asked)
+            seen.append(new_versions_cached())
+            yield env.timeout(1.0)
+
+    def write_wave():
+        yield env.timeout(20.0)
+        yield from writer.update_batch(
+            [
+                UpdateOp(
+                    UpdateMode.REPLACE,
+                    DomainName(owner(i)),
+                    RRType.UNSPEC,
+                    (rec(i, 1),),
+                )
+                for i in range(WAVE)
+            ]
+        )
+
+    env.process(write_wave())
+    run(env, reader())
+
+    counters = env.stats.counters()
+    assert counters[f"bind.{subscriber.name}.notify_pulls"] == 1
+    assert counters.get("bind.meta.ixfr_fallbacks", 0) == (1 if fallback else 0)
+
+    # The install is WAVE records' worth of CPU (the fallback snapshot
+    # carries the whole zone); in the foreground it would have parked
+    # that in front of one unlucky hit.
+    install_ms = CAL.xfer_install_per_record_ms * WAVE
+    assert install_ms > 20 * BACKGROUND_SLICE_MS
+    hit_cost = waits[0]  # measured before the write, on an idle CPU
+    assert max(waits) <= BACKGROUND_SLICE_MS + hit_cost + 1e-9
+
+    # Record sets became visible one by one, not all at the end.
+    assert seen[0] == 0 and seen[-1] == WAVE
+    assert len(set(seen)) > WAVE // 2
+    assert seen == sorted(seen)
+
+    # Same final cache as the single-charge foreground install.
+    if fallback:
+        run(env, reference.preload_cache("hns"))
+    else:
+        run(env, reference._install_deltas(zone.delta_since(start_serial)))
+    changed = {(owner(i), RRType.UNSPEC.value) for i in range(WAVE)}
+
+    def changed_entries(resolver):
+        return {
+            key: (entry.payload, entry.record_count)
+            for key, entry in resolver.cache.entries()
+            if key in changed
+        }
+
+    pushed = changed_entries(subscriber)
+    assert set(pushed) == changed
+    assert pushed == changed_entries(reference)

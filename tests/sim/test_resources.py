@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.sim import CPU, Disk, Environment, Resource
+from repro.sim import CPU, Disk, Environment, Interrupt, Resource
+from repro.sim.resources import BACKGROUND_PATIENCE, BACKGROUND_SLICE_MS
 
 
 def test_resource_capacity_validation():
@@ -152,3 +153,186 @@ def test_negative_sizes_rejected():
     res = Resource(env)
     with pytest.raises(ValueError):
         list(res.use(-1))
+
+
+# ----------------------------------------------------------------------
+# One kernel event per uncontended charge
+# ----------------------------------------------------------------------
+def test_uncontended_use_schedules_exactly_one_kernel_event():
+    env = Environment()
+    res = Resource(env)
+    scheduled = []
+
+    def user():
+        before = env.kernel_counters()["sim.kernel.events_scheduled"]
+        yield from res.use(5)
+        after = env.kernel_counters()["sim.kernel.events_scheduled"]
+        scheduled.append(after - before)
+
+    env.process(user())
+    env.run()
+    assert scheduled == [1]  # the hold; no grant event on a free unit
+    assert env.now == 5.0
+
+
+# ----------------------------------------------------------------------
+# Interrupts must not leak the unit
+# ----------------------------------------------------------------------
+def _interrupt_scenario(background, interrupt_at):
+    """A holds [0, 10]; B queues behind it and is interrupted; C comes last."""
+    env = Environment()
+    res = Resource(env)
+    outcome = {}
+
+    def holder():
+        yield from res.use(10)
+
+    def victim():
+        try:
+            yield from res.use(5, background=background)
+        except Interrupt:
+            outcome["victim"] = env.now
+
+    def interrupter(target):
+        yield env.timeout(interrupt_at)
+        target.interrupt("stop")
+
+    def latecomer():
+        yield env.timeout(11)
+        yield from res.use(5)
+        outcome["latecomer"] = env.now
+
+    env.process(holder())
+    target = env.process(victim())
+    env.process(interrupter(target))
+    env.process(latecomer())
+    env.run()
+    return res, outcome
+
+
+@pytest.mark.parametrize("background", [False, True])
+def test_interrupted_waiter_leaves_the_queue(background):
+    res, outcome = _interrupt_scenario(background, interrupt_at=2)
+    assert outcome == {"victim": 2.0, "latecomer": 16.0}
+    assert res.in_use == 0 and res.queue_length == 0
+
+
+@pytest.mark.parametrize("background", [False, True])
+def test_interrupted_just_granted_holder_releases(background):
+    # The interrupt lands at t=10, after the holder's release granted
+    # the victim the unit but before the victim resumed to use it.
+    res, outcome = _interrupt_scenario(background, interrupt_at=10)
+    assert outcome == {"victim": 10.0, "latecomer": 16.0}
+    assert res.in_use == 0 and res.queue_length == 0
+
+
+def test_interrupted_uncontended_holder_releases():
+    env = Environment()
+    res = Resource(env)
+
+    def holder():
+        try:
+            yield from res.use(10)
+        except Interrupt:
+            pass
+
+    def interrupter(target):
+        yield env.timeout(3)
+        target.interrupt()
+        assert res.in_use == 1
+        yield env.timeout(0)
+        assert res.in_use == 0
+
+    env.process(interrupter(env.process(holder())))
+    env.run()
+
+
+# ----------------------------------------------------------------------
+# The background lane
+# ----------------------------------------------------------------------
+def test_background_never_splits_back_to_back_foreground_charges():
+    env = Environment()
+    cpu = CPU(env)
+    log = []
+
+    def foreground():
+        for _ in range(3):
+            yield from cpu.compute(1)
+        log.append(("fg", env.now))
+
+    def background():
+        yield env.timeout(0.5)  # arrives while the first charge holds
+        yield from cpu.compute(2, background=True)
+        log.append(("bg", env.now))
+
+    env.process(foreground())
+    env.process(background())
+    env.run()
+    assert log == [("fg", 3.0), ("bg", 5.0)]
+
+
+def test_foreground_arriving_mid_slice_waits_at_most_one_slice():
+    env = Environment()
+    cpu = CPU(env)
+    log = []
+
+    def background(tag, cost):
+        yield from cpu.compute(cost, background=True)
+        log.append((tag, env.now))
+
+    def foreground():
+        yield env.timeout(5)  # mid-way through the slice [4, 8]
+        asked = env.now
+        yield from cpu.compute(1)
+        log.append(("fg", env.now))
+        assert env.now - asked <= BACKGROUND_SLICE_MS + 1
+
+    env.process(background("first", 20))
+    env.process(background("second", 2))
+    env.process(foreground())
+    env.run()
+    # The preempted job resumes ahead of the one queued behind it.
+    assert log == [("fg", 9.0), ("first", 21.0), ("second", 23.0)]
+
+
+def test_background_requests_are_fifo_among_themselves():
+    env = Environment()
+    res = Resource(env)
+    log = []
+
+    def holder():
+        yield from res.use(10)
+
+    def background(tag, arrive):
+        yield env.timeout(arrive)
+        yield from res.use(2, background=True)
+        log.append((tag, env.now))
+
+    env.process(holder())
+    for tag, arrive in (("a", 1), ("b", 2), ("c", 3)):
+        env.process(background(tag, arrive))
+    env.run()
+    assert log == [("a", 12.0), ("b", 14.0), ("c", 16.0)]
+
+
+def test_background_job_on_a_saturated_unit_completes_by_the_patience_bound():
+    env = Environment()
+    res = Resource(env)
+    hold, cost, arrive = 5.0, 2.0, 1.0
+
+    def looper():
+        while True:  # two of these: one always holds, one always waits
+            yield from res.use(hold)
+
+    def background():
+        yield env.timeout(arrive)
+        yield from res.use(cost, background=True)
+        return env.now
+
+    env.process(looper())
+    env.process(looper())
+    done = env.run(until=env.process(background()))
+    # Turned foreground at the first release past the deadline, behind
+    # the one waiter already queued.
+    assert done <= arrive + BACKGROUND_PATIENCE * cost + 2 * hold + cost
+    assert done > arrive + BACKGROUND_PATIENCE * cost
