@@ -17,6 +17,7 @@ import pytest
 
 from repro.core import Arrangement, HNSName
 from repro.harness import DEFAULT_CALIBRATION
+from repro.resolution import PolicySet, ResolutionPolicy
 from repro.workloads import QueryWorkload, build_stack, build_testbed
 
 from conftest import FIJI, run, timed
@@ -328,7 +329,12 @@ def test_negative_caching_ablation(benchmark):
                 testbed.udp,
                 testbed.public_endpoint,
                 cache=ResolverCache(env, calibration=testbed.calibration),
-                negative_ttl_ms=negative_ttl,
+                policies=PolicySet(
+                    resolution=dataclasses.replace(
+                        ResolutionPolicy.disabled(),
+                        negative_ttl_ms=negative_ttl,
+                    )
+                ),
                 calibration=testbed.calibration,
             )
 

@@ -17,7 +17,13 @@ from __future__ import annotations
 
 import typing
 
-from repro.bind import BindResolver, NameNotFound, ResourceRecord, RRType
+from repro.bind import (
+    BindResolver,
+    NameNotFound,
+    ResourceRecord,
+    RRType,
+    UpdateMode,
+)
 from repro.clearinghouse import CHName, ClearinghouseClient, NoSuchObject
 from repro.core.metastore import decode_fields, encode_fields
 from repro.harness.calibration import Calibration, DEFAULT_CALIBRATION
@@ -80,8 +86,8 @@ class ReregistrationBinder:
                 self.calibration.meta_ttl_ms,
                 data,
             )
-            yield from typing.cast(BindResolver, self.store).replace_records(
-                f"{key}.{self.domain}", RRType.UNSPEC, [record]
+            yield from typing.cast(BindResolver, self.store).primary.update(
+                UpdateMode.REPLACE, f"{key}.{self.domain}", RRType.UNSPEC, [record]
             )
 
     def import_binding(

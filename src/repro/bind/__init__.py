@@ -41,6 +41,7 @@ from repro.bind.messages import (
     XferRequest,
     XferResponse,
 )
+from repro.bind.primary import PrimaryClient
 from repro.bind.replica import ReplicaScheduler, ReplicaState
 from repro.bind.server import BindServer
 from repro.bind.secondary import SecondaryBindServer
@@ -67,6 +68,7 @@ __all__ = [
     "NotifyResponse",
     "NotifySubscribeRequest",
     "NotifySubscribeResponse",
+    "PrimaryClient",
     "QueryRequest",
     "QueryResponse",
     "ReplicaScheduler",

@@ -12,6 +12,11 @@ Either style can run with no cache, a marshalled cache, or a
 demarshalled cache — the three columns of Table 3.2 — and can preload
 its cache with a zone transfer, the mechanism the paper borrowed for
 HNS cache preloading.
+
+The read path is cache probe → coalesce (:mod:`repro.singleflight`) →
+retry rounds over a per-round replica exchange → serve-stale.  Writes
+and transfers are not here: they go to the primary alone, through
+:class:`~repro.bind.primary.PrimaryClient` (``resolver.primary``).
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ from __future__ import annotations
 import typing
 
 from repro.bind.cache import CacheEntry, CacheFormat, ResolverCache
-from repro.bind.errors import BindError, NameNotFound, UpdateRefused, ZoneNotFound
+from repro.bind.errors import BindError, NameNotFound
 from repro.bind.messages import (
     BATCH_QUERY_REQUEST_IDL,
     BATCH_QUERY_RESPONSE_IDL,
@@ -27,27 +32,17 @@ from repro.bind.messages import (
     QUERY_RESPONSE_IDL,
     STATUS_NXDOMAIN,
     STATUS_OK,
-    STATUS_REFUSED,
     BatchQueryRequest,
     BatchQueryResponse,
     BatchQuestion,
-    IxfrRequest,
-    IxfrResponse,
     NotifyRequest,
-    NotifySubscribeRequest,
-    NotifySubscribeResponse,
     QueryRequest,
     QueryResponse,
-    UpdateBatchRequest,
-    UpdateBatchResponse,
-    UpdateMode,
-    UpdateOp,
-    UpdateRequest,
-    UpdateResponse,
-    XferRequest,
-    XferResponse,
+    meta_field,
+    substitute_label,
 )
 from repro.bind.names import DomainName
+from repro.bind.primary import PrimaryClient
 from repro.bind.replica import ReplicaScheduler, ReplicaState
 from repro.bind.rr import ResourceRecord, RRType
 from repro.bind.zone import ZoneDelta
@@ -57,16 +52,9 @@ from repro.net.errors import NetworkError, is_transient
 from repro.net.host import Host, Service
 from repro.net.transport import Transport
 from repro.obs.span import NULL_SPAN
-from repro.resolution import (
-    _UNSET,
-    FastPathPolicy,
-    PolicySet,
-    ReplicaPolicy,
-    ResolutionPolicy,
-    merge_policies,
-)
+from repro.resolution import PolicySet
 from repro.serial import HandcodedMarshaller, StubCompiler
-from repro.sim.events import Event
+from repro.singleflight import SingleFlight
 
 if typing.TYPE_CHECKING:  # pragma: no cover
     from repro.obs.span import SpanLike
@@ -77,7 +65,7 @@ _NEGATIVE = object()
 
 
 class BindResolver:
-    """Client-side lookup/update/transfer against one BIND server."""
+    """Client-side cached lookup against one BIND server and its replicas."""
 
     def __init__(
         self,
@@ -90,31 +78,13 @@ class BindResolver:
         calibration: Calibration = DEFAULT_CALIBRATION,
         name: str = "resolver",
         secondaries: typing.Sequence[Endpoint] = (),
-        negative_ttl_ms: float = 0.0,
-        policy: typing.Any = _UNSET,
-        fast_path: typing.Any = _UNSET,
-        replica_policy: typing.Any = _UNSET,
-        policies: typing.Optional[PolicySet] = None,
+        policies: PolicySet = PolicySet(),
     ):
         if marshalling not in ("handcoded", "generated"):
             raise ValueError(f"unknown marshalling style {marshalling!r}")
-        if negative_ttl_ms < 0:
-            raise ValueError("negative-cache TTL must be >= 0")
-        # Resolve the policy bundle once: a PolicySet base (all-None
-        # matches the historical kwarg defaults) with any legacy kwargs
-        # folded over it.  ``None`` uniformly means "that mechanism at
-        # its prototype .disabled() behaviour".
-        resolved = merge_policies(
-            policies if policies is not None else PolicySet(),
-            policy=policy,
-            fast_path=fast_path,
-            replica_policy=replica_policy,
-            caller="BindResolver",
-        )
-        self.policies = resolved
-        policy = resolved.resolution
-        fast_path = resolved.fast_path
-        replica_policy = resolved.replica
+        #: the policy bundle; ``None`` in a slot uniformly means "that
+        #: mechanism at its prototype .disabled() behaviour"
+        self.policies = policies
         self.host = host
         self.env = host.env
         self.transport = transport
@@ -129,21 +99,20 @@ class BindResolver:
         self.marshalling = marshalling
         #: fault-tolerance knobs: None reproduces the prototype's
         #: single-pass behaviour (one try per replica, no serve-stale)
-        self.policy = policy
+        self.policy = policy = policies.resolution
         #: >0 enables caching of NXDOMAIN answers for that many ms — an
         #: extension of the TTL scheme that spares repeated misses for
-        #: absent names (disabled by default, as in the prototype).  An
-        #: explicit value wins over the policy's.
-        if negative_ttl_ms <= 0 and policy is not None:
-            negative_ttl_ms = policy.negative_ttl_ms
-        self.negative_ttl_ms = negative_ttl_ms
+        #: absent names (disabled by default, as in the prototype)
+        self.negative_ttl_ms = policy.negative_ttl_ms if policy is not None else 0.0
         #: performance knobs (coalescing, refresh-ahead, batching);
         #: None keeps the paper-faithful one-call-per-miss behaviour
-        self.fast_path = fast_path
+        self.fast_path = policies.fast_path
         #: replica-aware read knobs (adaptive selection, hedging, IXFR);
         #: None keeps the static primary-then-secondaries failover
-        self.replica_policy = replica_policy
+        self.replica_policy = replica_policy = policies.replica
         self._scheduler: typing.Optional[ReplicaScheduler] = None
+        #: what one retry round does against the replica set
+        self._exchange = self._ordered_exchange
         if replica_policy is not None and replica_policy.scheduling:
             self._scheduler = ReplicaScheduler(
                 self.env,
@@ -151,6 +120,9 @@ class BindResolver:
                 replica_policy,
                 name=self.name,
             )
+            self._exchange = self._hedged_exchange
+        #: the primary-only calls (update, NOTIFY subscribe, AXFR, IXFR)
+        self.primary = PrimaryClient(host, transport, server, name=name)
         #: origin -> serial of the last cache preload, for IXFR re-preload
         self._preload_serials: typing.Dict[str, int] = {}
         #: where the primary's NOTIFY pushes land (bound on first use)
@@ -159,19 +131,31 @@ class BindResolver:
         self._notify_serials: typing.Dict[str, int] = {}
         #: origins with a NOTIFY-triggered delta pull in flight
         self._notify_inflight: typing.Set[str] = set()
-        #: in-flight single-flight fetches: cache key -> leader's event,
-        #: carrying ``(result, record_count)`` when it resolves
-        self._flights: typing.Dict[object, Event] = {}
-        if marshalling == "generated":
-            compiler = StubCompiler()
-            self._request_m = compiler.marshaller(QUERY_REQUEST_IDL)
-            self._response_m = compiler.marshaller(QUERY_RESPONSE_IDL)
-        else:
-            self._request_m = HandcodedMarshaller(QUERY_REQUEST_IDL)
-            self._response_m = HandcodedMarshaller(QUERY_RESPONSE_IDL)
+        #: in-flight fetches by cache key, each carrying ``(result,
+        #: record_count)``; a follower pays to copy that many records
+        self._flights = SingleFlight(
+            host,
+            "bind",
+            name,
+            copy_cost=lambda flown: calibration.cache_copy_base_ms
+            + calibration.cache_copy_per_record_ms * flown[1],
+            cache=cache,
+        )
+        # Requests are fixed-shape; both client styles use the cheap path
+        # (the paper's generated-marshalling pain was on responses).
         self._hand_request = HandcodedMarshaller(QUERY_REQUEST_IDL)
-        # Batch-response marshaller, built on first batched lookup.
-        self._batch_response_m: typing.Optional[object] = None
+        self._response_m = self._styled(QUERY_RESPONSE_IDL)
+        # What a response looks like on the wire, whatever this client's
+        # style: demarshal costs are charged against these bytes, and a
+        # marshalled cache stores them.
+        self._wire_response = HandcodedMarshaller(QUERY_RESPONSE_IDL)
+        self._batch_response_m = self._styled(BATCH_QUERY_RESPONSE_IDL)
+
+    def _styled(self, idl_type: typing.Any) -> typing.Any:
+        """A marshaller for ``idl_type`` in this client's style."""
+        if self.marshalling == "generated":
+            return StubCompiler().marshaller(idl_type)
+        return HandcodedMarshaller(idl_type)
 
     # ------------------------------------------------------------------
     def lookup(
@@ -192,32 +176,20 @@ class BindResolver:
             owner=str(name),
             rtype=rtype.name,
         ) as span:
-            # --- cache probe ----------------------------------------------
             if self.cache is not None:
                 records = yield from self._probe_cache(key, name, rtype, span)
                 if records is not None:
                     span.set(outcome="hit")
                     return records
-            # --- single-flight coalescing ---------------------------------
-            fast = self.fast_path
-            if fast is not None and fast.coalesce:
-                flight = self._flights.get(key)
-                if flight is not None:
-                    span.set(outcome="coalesced")
-                    records = yield from self._follow(flight)
-                    return records
-                span.set(outcome="miss", role="leader")
-                records = yield from self._lead(
-                    key, self._fetch_counted(name, rtype, key)
-                )
-                return records
             span.set(outcome="miss")
-            records = yield from self._fetch(name, rtype, key)
+            records = yield from self._coalesce_or_fetch(
+                key, span, lambda: self._fetch(name, rtype, key)
+            )
             return records
 
     def _probe_cache(
         self,
-        key: object,
+        key: typing.Tuple[str, int],
         name: DomainName,
         rtype: RRType,
         span: "SpanLike" = NULL_SPAN,
@@ -238,20 +210,65 @@ class BindResolver:
             span.set(outcome="negative")
             env.stats.counter(f"bind.{self.name}.negative_hits").increment()
             raise NameNotFound(f"{name} {rtype} (negatively cached)")
-        if self.cache.format is CacheFormat.MARSHALLED:
+        records, hit_cost = self._read_entry(entry)
+        yield from self.host.cpu.compute(hit_cost)
+        env.stats.counter(f"bind.{self.name}.cache_hits").increment()
+        fast = self.fast_path
+        if fast is not None and self.cache.needs_refresh(
+            entry, fast.refresh_ahead_fraction
+        ):
+            self._flights.refresh_ahead(
+                key,
+                entry,
+                lambda: self._fetch(name, rtype, key, background=True),
+                resolver=self.name,
+                owner=key[0],
+            )
+        return records
+
+    def _read_entry(
+        self, entry: CacheEntry
+    ) -> typing.Tuple[typing.List[ResourceRecord], float]:
+        """Materialise a cached record set for a caller.
+
+        Returns ``(records, cost_ms)``: a private copy of the records
+        (demarshalled with this client's style when the cache holds wire
+        bytes) and what the caller must charge for it.
+        """
+        cache = self.cache
+        assert cache is not None
+        if cache.format is CacheFormat.MARSHALLED:
             value, demarshal_cost = self._response_m.decode(
                 typing.cast(bytes, entry.payload)
             )
-            records = QueryResponse.from_idl(value).records
-            yield from self.host.cpu.compute(
-                self.cache.hit_cost(entry, demarshal_cost)
+            return (
+                QueryResponse.from_idl(value).records,
+                cache.hit_cost(entry, demarshal_cost),
+            )
+        return list(typing.cast(list, entry.payload)), cache.hit_cost(entry)
+
+    def _store(
+        self,
+        key: typing.Tuple[str, int],
+        records: typing.Sequence[ResourceRecord],
+    ) -> float:
+        """Insert a record set under ``key`` in the cache's format.
+
+        Returns the insert cost; whether it is charged is the caller's
+        call (a zone install has already paid per record).
+        """
+        cache = self.cache
+        assert cache is not None
+        payload: object
+        if cache.format is CacheFormat.MARSHALLED:
+            payload, _ = self._wire_response.encode(
+                QueryResponse(STATUS_OK, list(records)).to_idl()
             )
         else:
-            records = list(typing.cast(list, entry.payload))
-            yield from self.host.cpu.compute(self.cache.hit_cost(entry))
-        env.stats.counter(f"bind.{self.name}.cache_hits").increment()
-        self._maybe_refresh(key, name, rtype, entry)
-        return records
+            payload = list(records)
+        return cache.insert(
+            key, payload, len(records), min(r.ttl for r in records)
+        )
 
     def cached_records(
         self,
@@ -271,124 +288,31 @@ class BindResolver:
         records = yield from self._probe_cache(key, name, rtype)
         return records
 
-    # --- single-flight machinery --------------------------------------
-    def _lead(self, key: object, work: typing.Generator) -> typing.Generator:
-        """Run ``work`` as the single-flight leader for ``key``.
-
-        ``work`` must return ``(result, record_count)``.  Followers that
-        joined while it ran receive the result (or, defused, the same
-        exception — one classified error propagates to everyone).
-        """
-        event = self.env.event()
-        # A failure must reach followers but never the kernel: there may
-        # legitimately be nobody parked on the flight.
-        event.defuse()
-        self._flights[key] = event
-        try:
-            result, record_count = yield from work
-        except BaseException as err:
-            self._flights.pop(key, None)
-            event.fail(err)
-            raise
-        self._flights.pop(key, None)
-        event.succeed((result, record_count))
-        return result
-
-    def _follow(self, flight: Event) -> typing.Generator:
-        """Park on a leader's in-flight fetch; pay only the copy cost."""
-        if self.cache is not None:
-            self.cache.record_coalesced()
-        else:
-            self.env.stats.counter(f"bind.{self.name}.coalesced").increment()
-        result, record_count = yield flight
-        yield from self.host.cpu.compute(
-            self.calibration.cache_copy_base_ms
-            + self.calibration.cache_copy_per_record_ms * record_count
-        )
-        return list(result)
-
-    def _fetch_counted(
-        self, name: DomainName, rtype: RRType, key: object
-    ) -> typing.Generator:
-        records = yield from self._fetch(name, rtype, key)
-        return records, len(records)
-
-    # --- refresh-ahead ------------------------------------------------
-    def _maybe_refresh(
-        self, key: object, name: DomainName, rtype: RRType, entry: CacheEntry
-    ) -> None:
-        """Spawn a background renewal if ``entry`` is near expiry."""
-        fast = self.fast_path
-        if fast is None or fast.refresh_ahead_fraction <= 0:
-            return
-        assert self.cache is not None
-        if not self.cache.needs_refresh(entry, fast.refresh_ahead_fraction):
-            return
-        if key in self._flights:
-            return  # a renewal (or a coalesced miss) is already underway
-        # Register the flight synchronously so every later probe — and
-        # any miss arriving before the renewal lands — sees it.
-        event = self.env.event()
-        event.defuse()
-        self._flights[key] = event
-        self.cache.record_refresh()
-        # Defer the renewal by a jittered slice of the remaining TTL:
-        # the triggering hit keeps its hit latency (the host CPU is a
-        # FIFO device, so an immediate renewal's call overhead would
-        # head-of-line-block it), and entries inserted together do not
-        # renew in one synchronized burst.  At most half the remaining
-        # window is spent deferring, leaving the other half for the
-        # fetch itself to land before expiry.
-        defer_ms = self.env.rng.stream("bind.refresh_jitter").uniform(
-            0.0, max(0.0, entry.expires_at - self.env.now) / 2.0
-        )
-        # Causal link: the renewal runs as its own process, so the span
-        # context of the triggering hit must travel explicitly.
-        parent = self.env.obs.current()
-        self.env.process(
-            self._refresh(event, key, name, rtype, defer_ms, parent=parent)
-        )
-
-    def _refresh(
+    def _coalesce_or_fetch(
         self,
-        event: Event,
         key: object,
-        name: DomainName,
-        rtype: RRType,
-        defer_ms: float = 0.0,
-        parent: typing.Optional["SpanLike"] = None,
+        span: "SpanLike",
+        fetch: typing.Callable[[], typing.Generator],
     ) -> typing.Generator:
-        """The background renewal process for one cache entry.
+        """The miss step shared by :meth:`lookup` and :meth:`lookup_batch`.
 
-        Failures are deliberately silent: the requesting client already
-        has a fresh answer, and the still-resident entry remains
-        available to the serve-stale ladder.  Coalesced followers (cold
-        misses that joined this flight) do see the failure — for them it
-        is a real lookup failure.
+        ``fetch()`` returns ``(result, record_count)``.  With coalescing
+        on, the first miss on ``key`` runs it as the flight's leader and
+        concurrent misses park on that flight for a copy of its result;
+        otherwise every miss fetches for itself.
         """
-        if defer_ms > 0:
-            yield self.env.timeout(defer_ms)
-        with self.env.obs.span(
-            "bind.refresh",
-            parent=parent,
-            resolver=self.name,
-            owner=str(name),
-        ) as span:
-            try:
-                records = yield from self._fetch(
-                    name, rtype, key, background=True
-                )
-            except Exception as err:
-                span.set(outcome="failed")
-                self._flights.pop(key, None)
-                event.fail(err)
-                self.env.stats.counter(
-                    f"bind.{self.name}.refresh_failures"
-                ).increment()
-                return
-            span.set(outcome="renewed")
-            self._flights.pop(key, None)
-            event.succeed((records, len(records)))
+        fast = self.fast_path
+        if fast is None or not fast.coalesce:
+            result, _count = yield from fetch()
+            return result
+        flight = self._flights.get(key)
+        if flight is not None:
+            span.set(outcome="coalesced")
+            result, _count = yield from self._flights.follow(flight)
+            return list(result)
+        span.set(outcome="miss", role="leader")
+        result, _count = yield from self._flights.lead(key, fetch())
+        return result
 
     def _compute(
         self, cost_ms: float, background: bool = False
@@ -411,85 +335,55 @@ class BindResolver:
         self,
         name: DomainName,
         rtype: RRType,
-        key: object,
+        key: typing.Tuple[str, int],
         background: bool = False,
     ) -> typing.Generator:
         """The full remote-call path: request, failover, serve-stale,
-        negative caching, cache insert.  Returns the record list."""
-        with self.env.obs.span(
+        negative caching, cache insert.  Returns ``(records, count)``."""
+        env = self.env
+        with env.obs.span(
             "bind.fetch",
             resolver=self.name,
             owner=str(name),
             background=background,
         ) as span:
-            records = yield from self._fetch_inner(
-                name, rtype, key, background, span
-            )
-            return records
-
-    def _fetch_inner(
-        self,
-        name: DomainName,
-        rtype: RRType,
-        key: object,
-        background: bool,
-        span: "SpanLike",
-    ) -> typing.Generator:
-        env = self.env
-        env.stats.counter(f"bind.{self.name}.remote_lookups").increment()
-        if self.per_call_overhead_ms:
-            yield from self._compute(self.per_call_overhead_ms, background)
-        request = QueryRequest(name, rtype)
-        # Requests are fixed-shape; both client styles use the cheap path
-        # (the paper's generated-marshalling pain was on responses).
-        request_bytes, marshal_cost = self._hand_request.encode(request.to_idl())
-        yield from self._compute(
-            max(marshal_cost, self.calibration.request_marshal_ms), background
-        )
-        try:
-            reply = yield from self._request_with_failover(
-                request, len(request_bytes)
-            )
-        except NetworkError as err:
-            # Degradation ladder, rung 3: every replica unreachable and
-            # retries exhausted — serve an expired entry if one is still
-            # within the stale window.
-            stale = yield from self._serve_stale(key, err)
-            if stale is not None:
-                span.set(served_stale=True)
-                return stale
-            raise
-        if not isinstance(reply, QueryResponse):
-            raise BindError(f"unexpected reply {reply!r}")
-        # Demarshal the response with this client's style.
-        response_bytes, _ = HandcodedMarshaller(QUERY_RESPONSE_IDL).encode(
-            reply.to_idl()
-        )
-        _, demarshal_cost = self._response_m.decode(response_bytes)
-        yield from self._compute(demarshal_cost, background)
-        if reply.status == STATUS_NXDOMAIN:
-            if self.cache is not None and self.negative_ttl_ms > 0:
-                insert_cost = self.cache.insert(
-                    key, _NEGATIVE, 0, self.negative_ttl_ms
+            env.stats.counter(f"bind.{self.name}.remote_lookups").increment()
+            try:
+                reply = yield from self._request(
+                    QueryRequest(name, rtype), self._hand_request, background
                 )
-                yield from self._compute(insert_cost, background)
-            raise NameNotFound(f"{name} {rtype}")
-        if reply.status != STATUS_OK:
-            raise BindError(f"status {reply.status} for {name} {rtype}")
-        # --- cache insert -------------------------------------------------
-        if self.cache is not None and reply.records:
-            ttl = min(r.ttl for r in reply.records)
-            payload: object
-            if self.cache.format is CacheFormat.MARSHALLED:
-                payload = response_bytes
-            else:
-                payload = list(reply.records)
-            insert_cost = self.cache.insert(key, payload, len(reply.records), ttl)
-            yield from self._compute(insert_cost, background)
-        return list(reply.records)
+            except NetworkError as err:
+                # Degradation ladder, rung 3: every replica unreachable and
+                # retries exhausted — serve an expired entry if one is still
+                # within the stale window.
+                stale = yield from self._serve_stale(key, err)
+                if stale is None:
+                    raise
+                span.set(served_stale=True)
+                return stale, len(stale)
+            if not isinstance(reply, QueryResponse):
+                raise BindError(f"unexpected reply {reply!r}")
+            # Demarshal the response with this client's style.
+            response_bytes, _ = self._wire_response.encode(reply.to_idl())
+            _, demarshal_cost = self._response_m.decode(response_bytes)
+            yield from self._compute(demarshal_cost, background)
+            if reply.status == STATUS_NXDOMAIN:
+                if self.cache is not None and self.negative_ttl_ms > 0:
+                    insert_cost = self.cache.insert(
+                        key, _NEGATIVE, 0, self.negative_ttl_ms
+                    )
+                    yield from self._compute(insert_cost, background)
+                raise NameNotFound(f"{name} {rtype}")
+            if reply.status != STATUS_OK:
+                raise BindError(f"status {reply.status} for {name} {rtype}")
+            if self.cache is not None and reply.records:
+                yield from self._compute(
+                    self._store(key, reply.records), background
+                )
+            return list(reply.records), len(reply.records)
 
     def _serve_stale(
-        self, key: object, err: Exception
+        self, key: typing.Tuple[str, int], err: Exception
     ) -> typing.Generator:
         """Return expired-but-retained records for ``key``, or None.
 
@@ -509,17 +403,8 @@ class BindResolver:
         entry = cache.stale_entry(key, policy.stale_window_ms)
         if entry is None or entry.payload is _NEGATIVE:
             return None
-        if cache.format is CacheFormat.MARSHALLED:
-            value, demarshal_cost = self._response_m.decode(
-                typing.cast(bytes, entry.payload)
-            )
-            records = QueryResponse.from_idl(value).records
-            yield from self.host.cpu.compute(
-                cache.hit_cost(entry, demarshal_cost)
-            )
-        else:
-            records = list(typing.cast(list, entry.payload))
-            yield from self.host.cpu.compute(cache.hit_cost(entry))
+        records, hit_cost = self._read_entry(entry)
+        yield from self.host.cpu.compute(hit_cost)
         self.env.stats.counter(f"bind.{self.name}.stale_hits").increment()
         self.env.trace.emit(
             "bind",
@@ -527,86 +412,27 @@ class BindResolver:
         )
         return records
 
-    def _request_with_failover(
-        self, payload: object, size_bytes: int
+    def _request(
+        self, request: typing.Any, marshaller: typing.Any, background: bool = False
     ) -> typing.Generator:
-        """One read request against the replica set.
+        """One read request against the replica set, with retry rounds.
 
-        With a :class:`~repro.resolution.ReplicaPolicy` whose scheduling
-        is enabled, the exchange is replica-aware (adaptive ordering,
-        breaker skip, hedging); otherwise it is the prototype's static
-        primary-then-secondaries failover.  Both honour the
-        :class:`ResolutionPolicy` retry rounds.
+        The per-call control overhead and the request marshalling are
+        paid once, before the first round.  One *round* is one exchange with the replica set — the
+        prototype's static primary-then-secondaries walk, or, with a
+        :class:`~repro.resolution.ReplicaPolicy` whose scheduling is on,
+        the replica-aware hedged exchange (picked once, in the
+        constructor).  With a :class:`~repro.resolution.ResolutionPolicy`,
+        transiently failed rounds repeat up to ``attempts`` times with
+        jittered exponential backoff between rounds.  Raises the last
+        network error if all rounds fail.
         """
-        if self._scheduler is not None:
-            reply = yield from self._request_adaptive(payload, size_bytes)
-            return reply
-        reply = yield from self._request_ordered(payload, size_bytes)
-        return reply
-
-    def _request_ordered(
-        self, payload: object, size_bytes: int
-    ) -> typing.Generator:
-        """Read-request fan-out: primary, then each secondary, with
-        policy-driven retry rounds.
-
-        One *round* tries every replica once; with a
-        :class:`ResolutionPolicy`, transiently failed rounds repeat up
-        to ``attempts`` times with jittered exponential backoff between
-        rounds.  Raises the last network error if all rounds fail.
-        """
-        policy = self.policy
-        rounds = policy.attempts if policy is not None else 1
-        timeout_ms = policy.call_timeout_ms if policy is not None else None
-        last_error: typing.Optional[Exception] = None
-        for round_index in range(rounds):
-            if round_index:
-                self.env.stats.counter(f"bind.{self.name}.retries").increment()
-                assert policy is not None
-                delay = policy.backoff_ms(
-                    round_index - 1,
-                    self.env.rng.stream(f"bind.backoff:{self.name}"),
-                )
-                if delay > 0:
-                    yield self.env.timeout(delay)
-            with self.env.obs.span("bind.round", round=round_index):
-                for endpoint in [self.server] + self.secondaries:
-                    with self.env.obs.span(
-                        "bind.leg", endpoint=str(endpoint)
-                    ) as leg:
-                        try:
-                            reply = yield from self.transport.request(
-                                self.host,
-                                endpoint,
-                                payload,
-                                size_bytes,
-                                timeout_ms=timeout_ms,
-                            )
-                        except NetworkError as err:
-                            leg.set(
-                                outcome="error",
-                                error_type=type(err).__name__,
-                            )
-                            last_error = err
-                            self.env.stats.counter(
-                                f"bind.{self.name}.failovers"
-                            ).increment()
-                            continue
-                        leg.set(outcome="won")
-                        return reply
-                assert last_error is not None
-                if not is_transient(last_error):
-                    raise last_error
-        assert last_error is not None
-        raise last_error
-
-    def _request_adaptive(
-        self, payload: object, size_bytes: int
-    ) -> typing.Generator:
-        """Replica-aware read: same retry-round structure as
-        :meth:`_request_ordered`, but each round is one
-        :meth:`_hedged_exchange` over the scheduler's plan instead of a
-        static walk of the replica list."""
+        if self.per_call_overhead_ms:
+            yield from self._compute(self.per_call_overhead_ms, background)
+        request_bytes, marshal_cost = marshaller.encode(request.to_idl())
+        yield from self._compute(
+            max(marshal_cost, self.calibration.request_marshal_ms), background
+        )
         policy = self.policy
         rounds = policy.attempts if policy is not None else 1
         timeout_ms = policy.call_timeout_ms if policy is not None else None
@@ -623,8 +449,8 @@ class BindResolver:
                     yield self.env.timeout(delay)
             with self.env.obs.span("bind.round", round=round_index) as rspan:
                 try:
-                    reply = yield from self._hedged_exchange(
-                        payload, size_bytes, timeout_ms
+                    reply = yield from self._exchange(
+                        request, len(request_bytes), timeout_ms
                     )
                     return reply
                 except NetworkError as err:
@@ -632,6 +458,38 @@ class BindResolver:
                     last_error = err
                     if not is_transient(err):
                         raise
+        assert last_error is not None
+        raise last_error
+
+    def _ordered_exchange(
+        self, payload: object, size_bytes: int, timeout_ms: typing.Optional[float]
+    ) -> typing.Generator:
+        """One round of static failover: the primary, then each secondary.
+
+        A plain in-process walk — unlike the hedged exchange it spawns
+        no leg processes.  Raises the last leg's network error when
+        every replica failed.
+        """
+        last_error: typing.Optional[Exception] = None
+        for endpoint in [self.server] + self.secondaries:
+            with self.env.obs.span("bind.leg", endpoint=str(endpoint)) as leg:
+                try:
+                    reply = yield from self.transport.request(
+                        self.host,
+                        endpoint,
+                        payload,
+                        size_bytes,
+                        timeout_ms=timeout_ms,
+                    )
+                except NetworkError as err:
+                    leg.set(outcome="error", error_type=type(err).__name__)
+                    last_error = err
+                    self.env.stats.counter(
+                        f"bind.{self.name}.failovers"
+                    ).increment()
+                    continue
+                leg.set(outcome="won")
+                return reply
         assert last_error is not None
         raise last_error
 
@@ -768,19 +626,9 @@ class BindResolver:
         with self.env.obs.span(
             "bind.batch", resolver=self.name, questions=len(questions)
         ) as span:
-            fast = self.fast_path
-            if fast is not None and fast.coalesce:
-                flight = self._flights.get(key)
-                if flight is not None:
-                    span.set(outcome="coalesced")
-                    answers = yield from self._follow(flight)
-                    return answers
-                span.set(outcome="miss", role="leader")
-                answers = yield from self._lead(
-                    key, self._fetch_batch(questions)
-                )
-                return answers
-            answers, _count = yield from self._fetch_batch(questions)
+            answers = yield from self._coalesce_or_fetch(
+                key, span, lambda: self._fetch_batch(questions)
+            )
             return answers
 
     def _fetch_batch(
@@ -789,35 +637,25 @@ class BindResolver:
         """One batched exchange; returns ``(answers, total_records)``."""
         env = self.env
         env.stats.counter(f"bind.{self.name}.batch_lookups").increment()
-        # One per-call overhead for the whole batch: with six sequential
-        # mappings this control cost is paid six times; here, once.
-        if self.per_call_overhead_ms:
-            yield from self.host.cpu.compute(self.per_call_overhead_ms)
-        request = BatchQueryRequest(questions)
-        request_bytes, marshal_cost = HandcodedMarshaller(
-            BATCH_QUERY_REQUEST_IDL
-        ).encode(request.to_idl())
-        yield from self.host.cpu.compute(
-            max(marshal_cost, self.calibration.request_marshal_ms)
-        )
-        reply = yield from self._request_with_failover(
-            request, len(request_bytes)
-        )
+        try:
+            # One per-call overhead for the whole batch: with six sequential
+            # mappings this control cost is paid six times; here, once.
+            reply = yield from self._request(
+                BatchQueryRequest(questions),
+                HandcodedMarshaller(BATCH_QUERY_REQUEST_IDL),
+            )
+        except NetworkError as err:
+            # The same rung 3 as a single lookup, one question at a time.
+            answers = yield from self._stale_answers(questions, err)
+            if answers is None:
+                raise
+            return answers, sum(len(a.records) for a in answers)
         if not isinstance(reply, BatchQueryResponse):
             raise BindError(f"unexpected reply {reply!r}")
         # Demarshal the whole response with this client's style.
         response_bytes, _ = HandcodedMarshaller(BATCH_QUERY_RESPONSE_IDL).encode(
             reply.to_idl()
         )
-        if self._batch_response_m is None:
-            if self.marshalling == "generated":
-                self._batch_response_m = StubCompiler().marshaller(
-                    BATCH_QUERY_RESPONSE_IDL
-                )
-            else:
-                self._batch_response_m = HandcodedMarshaller(
-                    BATCH_QUERY_RESPONSE_IDL
-                )
         _, demarshal_cost = self._batch_response_m.decode(response_bytes)
         yield from self.host.cpu.compute(demarshal_cost)
         total_records = 0
@@ -831,18 +669,9 @@ class BindResolver:
                     str(answer.records[0].name),
                     question.rtype.value,
                 )
-                ttl = min(r.ttl for r in answer.records)
-                payload: object
-                if cache.format is CacheFormat.MARSHALLED:
-                    payload, _cost = HandcodedMarshaller(
-                        QUERY_RESPONSE_IDL
-                    ).encode(answer.to_idl())
-                else:
-                    payload = list(answer.records)
-                insert_cost = cache.insert(
-                    owner_key, payload, len(answer.records), ttl
+                yield from self.host.cpu.compute(
+                    self._store(owner_key, answer.records)
                 )
-                yield from self.host.cpu.compute(insert_cost)
             elif (
                 answer.status == STATUS_NXDOMAIN
                 and question.chain_from < 0
@@ -859,101 +688,41 @@ class BindResolver:
                 yield from self.host.cpu.compute(insert_cost)
         return reply.answers, total_records
 
+    def _stale_answers(
+        self, questions: typing.List[BatchQuestion], err: Exception
+    ) -> typing.Generator:
+        """Answer a whole batch from stale entries, or None.
+
+        The chain is walked client-side the way the server walks it:
+        a chained question's owner comes from the (stale) answer it
+        depends on.  All or nothing — a batch with one question left
+        unanswered fails like the exchange did.
+        """
+        answers: typing.List[QueryResponse] = []
+        for question in questions:
+            owner = question.name
+            if question.chain_from >= 0:
+                if question.chain_from >= len(answers):
+                    return None  # forward reference: the server SERVFAILs it
+                value = meta_field(
+                    answers[question.chain_from].records[0].data,
+                    question.chain_field,
+                )
+                if value is None:
+                    return None
+                owner = substitute_label(owner, value)
+            records = yield from self._serve_stale(
+                (str(DomainName(owner)), question.rtype.value), err
+            )
+            if not records:
+                return None
+            answers.append(QueryResponse(STATUS_OK, records))
+        return answers
+
     def lookup_address(self, name: typing.Union[str, DomainName]) -> typing.Generator:
         """Name-to-address convenience: returns a dotted-quad string."""
         records = yield from self.lookup(name, RRType.A)
         return records[0].address
-
-    # ------------------------------------------------------------------
-    def update(
-        self,
-        mode: int,
-        name: typing.Union[str, DomainName],
-        rtype: RRType,
-        records: typing.Sequence[ResourceRecord] = (),
-    ) -> typing.Generator:
-        """Dynamic update (requires the modified BIND); returns new serial."""
-        name = DomainName(name)
-        request = UpdateRequest(mode, name, rtype, list(records))
-        request_bytes, marshal_cost = HandcodedMarshaller(request.idl_type).encode(
-            request.to_idl()
-        )
-        yield from self.host.cpu.compute(marshal_cost)
-        reply = yield from self.transport.request(
-            self.host, self.server, request, len(request_bytes)
-        )
-        if not isinstance(reply, UpdateResponse):
-            raise BindError(f"unexpected reply {reply!r}")
-        if reply.status == STATUS_REFUSED:
-            raise UpdateRefused(
-                f"server at {self.server} does not accept dynamic updates"
-            )
-        if reply.status == STATUS_NXDOMAIN:
-            raise NameNotFound(f"no zone for {name}")
-        if reply.status != STATUS_OK:
-            raise BindError(f"update failed with status {reply.status}")
-        return reply.serial
-
-    def add_record(self, record: ResourceRecord) -> typing.Generator:
-        result = yield from self.update(
-            UpdateMode.ADD, record.name, record.rtype, [record]
-        )
-        return result
-
-    def remove_records(
-        self, name: typing.Union[str, DomainName], rtype: RRType
-    ) -> typing.Generator:
-        result = yield from self.update(UpdateMode.DELETE, name, rtype)
-        return result
-
-    def replace_records(
-        self,
-        name: typing.Union[str, DomainName],
-        rtype: RRType,
-        records: typing.Sequence[ResourceRecord],
-    ) -> typing.Generator:
-        result = yield from self.update(UpdateMode.REPLACE, name, rtype, records)
-        return result
-
-    def update_batch(
-        self, ops: typing.Sequence[UpdateOp]
-    ) -> typing.Generator:
-        """Send several dynamic-update operations in one datagram.
-
-        Returns ``(serial, statuses)`` — the zone's serial after the
-        batch and one status per operation.  Raises on the first failed
-        operation, like the single-op :meth:`update` would have.
-        """
-        ops = list(ops)
-        if not ops:
-            raise ValueError("empty update batch")
-        request = UpdateBatchRequest(ops)
-        request_bytes, marshal_cost = HandcodedMarshaller(
-            request.idl_type
-        ).encode(request.to_idl())
-        yield from self.host.cpu.compute(marshal_cost)
-        self.env.stats.counter(
-            f"bind.{self.name}.update_batches"
-        ).increment()
-        reply = yield from self.transport.request(
-            self.host, self.server, request, len(request_bytes)
-        )
-        if not isinstance(reply, UpdateBatchResponse):
-            raise BindError(f"unexpected reply {reply!r}")
-        if reply.status == STATUS_REFUSED:
-            raise UpdateRefused(
-                f"server at {self.server} does not accept dynamic updates"
-            )
-        for op, status in zip(ops, reply.statuses):
-            if status == STATUS_NXDOMAIN:
-                raise NameNotFound(f"no zone for {op.name}")
-            if status != STATUS_OK:
-                raise BindError(
-                    f"batched update of {op.name} failed with status {status}"
-                )
-        if reply.status != STATUS_OK:
-            raise BindError(f"update batch failed with status {reply.status}")
-        return reply.serial, list(reply.statuses)
 
     # ------------------------------------------------------------------
     # NOTIFY subscription: invalidation beyond TTL for this cache
@@ -979,28 +748,14 @@ class BindResolver:
             self._notify_endpoint = self.host.bind(
                 port, _NotifyListener(self)
             )
-        request = NotifySubscribeRequest(
-            origin,
-            str(self._notify_endpoint.address),
-            self._notify_endpoint.port,
+        serial = yield from self.primary.subscribe_notify(
+            origin, self._notify_endpoint
         )
-        request_bytes, marshal_cost = HandcodedMarshaller(
-            request.idl_type
-        ).encode(request.to_idl())
-        yield from self.host.cpu.compute(marshal_cost)
-        reply = yield from self.transport.request(
-            self.host, self.server, request, len(request_bytes)
-        )
-        if (
-            not isinstance(reply, NotifySubscribeResponse)
-            or reply.status != STATUS_OK
-        ):
-            raise BindError(f"NOTIFY subscription for {origin} refused")
         key = str(origin)
         self._notify_serials[key] = max(
-            reply.serial, self._notify_serials.get(key, 0)
+            serial, self._notify_serials.get(key, 0)
         )
-        return reply.serial
+        return serial
 
     def _on_notify(
         self, origin: DomainName, serial: int
@@ -1024,7 +779,7 @@ class BindResolver:
                 f"bind.{self.name}.notify_pulls"
             ).increment()
             new_serial, full, deltas, records = (
-                yield from self.incremental_zone_transfer(origin, have)
+                yield from self.primary.incremental_zone_transfer(origin, have)
             )
             if full:
                 yield from self._install_zone(records, background=True)
@@ -1042,47 +797,6 @@ class BindResolver:
             self._notify_inflight.discard(key)
 
     # ------------------------------------------------------------------
-    def zone_transfer(self, origin: typing.Union[str, DomainName]) -> typing.Generator:
-        """AXFR: fetch every record of a zone; returns (serial, records)."""
-        origin = DomainName(origin)
-        request = XferRequest(origin)
-        request_bytes, marshal_cost = HandcodedMarshaller(request.idl_type).encode(
-            request.to_idl()
-        )
-        yield from self.host.cpu.compute(marshal_cost)
-        reply = yield from self.transport.request(
-            self.host, self.server, request, len(request_bytes), timeout_ms=10_000
-        )
-        if not isinstance(reply, XferResponse):
-            raise BindError(f"unexpected reply {reply!r}")
-        if reply.status != STATUS_OK:
-            raise ZoneNotFound(f"zone transfer of {origin} refused/unknown")
-        return reply.serial, list(reply.records)
-
-    def incremental_zone_transfer(
-        self, origin: typing.Union[str, DomainName], serial: int
-    ) -> typing.Generator:
-        """IXFR: fetch the zone's dynamic updates past ``serial``.
-
-        Returns ``(serial, full, deltas, records)``; ``full`` is true
-        when the primary's journal no longer covered ``serial`` and the
-        reply is a whole-zone snapshot in ``records`` instead.
-        """
-        origin = DomainName(origin)
-        request = IxfrRequest(origin, serial)
-        request_bytes, marshal_cost = HandcodedMarshaller(request.idl_type).encode(
-            request.to_idl()
-        )
-        yield from self.host.cpu.compute(marshal_cost)
-        reply = yield from self.transport.request(
-            self.host, self.server, request, len(request_bytes), timeout_ms=10_000
-        )
-        if not isinstance(reply, IxfrResponse):
-            raise BindError(f"unexpected reply {reply!r}")
-        if reply.status != STATUS_OK:
-            raise ZoneNotFound(f"incremental transfer of {origin} refused/unknown")
-        return reply.serial, bool(reply.full), list(reply.deltas), list(reply.records)
-
     def preload_cache(self, origin: typing.Union[str, DomainName]) -> typing.Generator:
         """Preload the cache from a zone transfer; returns records loaded.
 
@@ -1104,7 +818,7 @@ class BindResolver:
         replica_policy = self.replica_policy
         if replica_policy is not None and replica_policy.ixfr and have is not None:
             serial, full, deltas, records = (
-                yield from self.incremental_zone_transfer(origin, have)
+                yield from self.primary.incremental_zone_transfer(origin, have)
             )
             if not full:
                 loaded = yield from self._install_deltas(deltas)
@@ -1118,7 +832,7 @@ class BindResolver:
                 f"bind.{self.name}.preload_fallbacks"
             ).increment()
         else:
-            serial, records = yield from self.zone_transfer(origin)
+            serial, records = yield from self.primary.zone_transfer(origin)
         yield from self._install_zone(records)
         self._preload_serials[str(origin)] = serial
         return len(records)
@@ -1173,17 +887,10 @@ class BindResolver:
         for key, group in groups:
             if background:
                 yield from self._compute(per_record * len(group), background=True)
-            if not group:
-                self.cache.invalidate(key)
-                continue
-            ttl = min(r.ttl for r in group)
-            if self.cache.format is CacheFormat.MARSHALLED:
-                payload_bytes, _ = HandcodedMarshaller(QUERY_RESPONSE_IDL).encode(
-                    QueryResponse(STATUS_OK, group).to_idl()
-                )
-                self.cache.insert(key, payload_bytes, len(group), ttl)
+            if group:
+                self._store(key, group)
             else:
-                self.cache.insert(key, group, len(group), ttl)
+                self.cache.invalidate(key)
         return loaded
 
 

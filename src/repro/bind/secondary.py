@@ -32,7 +32,7 @@ from repro.bind.messages import (
     SerialResponse,
 )
 from repro.bind.names import DomainName
-from repro.bind.resolver import BindResolver
+from repro.bind.primary import PrimaryClient
 from repro.bind.server import BindServer
 from repro.bind.zone import Zone
 from repro.harness.calibration import Calibration, DEFAULT_CALIBRATION
@@ -76,9 +76,8 @@ class SecondaryBindServer(BindServer):
         self.replica_serials: typing.Dict[DomainName, int] = {
             zone.origin: 0 for zone in self.zones
         }
-        self._resolver = BindResolver(
-            host, transport, primary, calibration=calibration,
-            name=f"{self.name}.xfer",
+        self._xfer = PrimaryClient(
+            host, transport, primary, name=f"{self.name}.xfer"
         )
         self._refresh_process = None
         #: origins with a NOTIFY-triggered pull already in flight
@@ -136,7 +135,7 @@ class SecondaryBindServer(BindServer):
         policy = self.replica_policy
         if force_ixfr or (policy is not None and policy.ixfr):
             serial, full, deltas, records = (
-                yield from self._resolver.incremental_zone_transfer(
+                yield from self._xfer.incremental_zone_transfer(
                     zone.origin, self.replica_serials[zone.origin]
                 )
             )
@@ -162,7 +161,7 @@ class SecondaryBindServer(BindServer):
             # Journal truncated: the reply already carries the snapshot.
             self.env.stats.counter(f"bind.{self.name}.axfr_fallbacks").increment()
         else:
-            serial, records = yield from self._resolver.zone_transfer(zone.origin)
+            serial, records = yield from self._xfer.zone_transfer(zone.origin)
         # Install the fresh copy atomically.  The replica adopts the
         # primary's serial but discards its (rebuilt, fabricated-serial)
         # journal, so downstream IXFR against this replica falls back to

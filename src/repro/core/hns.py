@@ -38,11 +38,9 @@ from repro.hrpc.server import HrpcServer
 from repro.net.addresses import Endpoint, NetworkAddress
 from repro.bind.errors import NameNotFound
 from repro.resolution import (
-    _UNSET,
     CircuitBreakerRegistry,
     PolicySet,
     ResolutionPolicy,
-    merge_policies,
     retrying,
 )
 from repro.sim.events import Event
@@ -74,47 +72,34 @@ class HNS:
         self,
         metastore: MetaStore,
         calibration: Calibration = DEFAULT_CALIBRATION,
-        policy: typing.Any = _UNSET,
-        fast_path: typing.Any = _UNSET,
-        replica_policy: typing.Any = _UNSET,
         policies: typing.Optional[PolicySet] = None,
     ):
         self.metastore = metastore
         self.host = metastore.host
         self.env = metastore.env
         self.calibration = calibration
-        # One resolution point for the whole bundle: inherit the
-        # metastore's PolicySet so one flag configures the whole stack
-        # (None anywhere = paper-faithful behaviour), then fold any
-        # explicit overrides — a PolicySet or legacy kwargs — over it.
-        # This replaces the old per-field fallback rules, under which
-        # ``policy`` defaulted independently of the metastore while
-        # ``fast_path``/``replica_policy`` inherited from it but could
-        # not be explicitly cleared back to None.
-        resolved = merge_policies(
-            policies if policies is not None else metastore.policies,
-            policy=policy,
-            fast_path=fast_path,
-            replica_policy=replica_policy,
-            caller="HNS",
-        )
-        self.policies = resolved
+        # Inherit the metastore's PolicySet unless given one, so one
+        # bundle configures the whole stack (None in a slot =
+        # paper-faithful behaviour).
+        if policies is None:
+            policies = metastore.policies
+        self.policies = policies
         #: performance policy (None = paper-faithful behaviour)
-        self.fast_path = resolved.fast_path
+        self.fast_path = policies.fast_path
         #: replica-aware read policy; the scheduling itself lives in the
         #: metastore's resolver — this mirror keeps the whole-stack
         #: configuration inspectable from one place, like ``fast_path``
-        self.replica_policy = resolved.replica
+        self.replica_policy = policies.replica
         #: fault-tolerance policy for FindNSM itself (host resolution
         #: retries, per-NSM circuit breaking); the meta lookups carry
         #: the metastore's own policy
-        self.policy = resolved.resolution
+        self.policy = policies.resolution
         #: one circuit breaker per NSM name, fed by callers reporting
         #: call outcomes via :meth:`report_nsm_outcome`
         self.nsm_breakers = CircuitBreakerRegistry(
             self.env,
-            resolved.resolution
-            if resolved.resolution is not None
+            self.policy
+            if self.policy is not None
             else ResolutionPolicy.disabled(),
         )
         # Statically linked HostAddress NSMs, one per name service:

@@ -52,15 +52,7 @@ from repro.net.addresses import Endpoint
 from repro.net.host import Host
 from repro.net.transport import Transport
 from repro.bind.messages import STATUS_OK, BatchQuestion
-from repro.resolution import (
-    _UNSET,
-    DEFAULT_RESOLUTION_POLICY,
-    FastPathPolicy,
-    PolicySet,
-    ReplicaPolicy,
-    ResolutionPolicy,
-    merge_policies,
-)
+from repro.resolution import PolicySet
 
 META_ORIGIN = "hns"
 
@@ -215,40 +207,27 @@ class MetaStore:
         cache_format: CacheFormat = CacheFormat.DEMARSHALLED,
         cache: typing.Optional[ResolverCache] = None,
         secondaries: typing.Sequence[Endpoint] = (),
-        policy: typing.Any = _UNSET,
-        fast_path: typing.Any = _UNSET,
-        replica_policy: typing.Any = _UNSET,
-        update_policy: typing.Any = _UNSET,
-        policies: typing.Optional[PolicySet] = None,
+        policies: PolicySet = PolicySet.default(),
     ):
         self.host = host
         self.env = host.env
         self.calibration = calibration
-        # One resolution point for the whole bundle: the PolicySet base
-        # (PolicySet.default() matches the historical kwarg defaults)
-        # with any legacy per-policy kwargs folded over it.
-        resolved = merge_policies(
-            policies if policies is not None else PolicySet.default(),
-            policy=policy,
-            fast_path=fast_path,
-            replica_policy=replica_policy,
-            update_policy=update_policy,
-            caller="MetaStore",
-        )
-        self.policies = resolved
+        #: the one policy bundle of this store and its resolver; the
+        #: four attributes below are its slots, read where they apply
+        self.policies = policies
         #: fault-tolerance policy for every meta lookup (retry/backoff
         #: across replicas, negative caching, serve-stale); None gives
         #: the prototype's die-on-first-error behaviour
-        self.policy = policy = resolved.resolution
+        self.policy = policy = policies.resolution
         #: performance policy (coalescing, refresh-ahead, batching);
         #: None keeps the paper-faithful sequential behaviour
-        self.fast_path = resolved.fast_path
+        self.fast_path = policies.fast_path
         #: replica-aware read policy (adaptive selection, hedging,
         #: incremental transfer); None keeps static ordered failover
-        self.replica_policy = resolved.replica
+        self.replica_policy = policies.replica
         #: write-path policy (batched registration, leases, NOTIFY);
         #: None keeps the one-record-per-round-trip prototype writes
-        self.update_policy = resolved.update
+        self.update_policy = policies.update
         #: the coalescing window currently open on this store, if any
         self._open_batch: typing.Optional[_OpenBatch] = None
         #: client-side renewal agent for leased registrations
@@ -279,8 +258,10 @@ class MetaStore:
             calibration=calibration,
             name=f"meta@{host.name}",
             secondaries=secondaries,
-            policies=resolved,
+            policies=policies,
         )
+        #: writes, NOTIFY subscription and transfers go to the primary alone
+        self.primary = self.resolver.primary
 
     # ------------------------------------------------------------------
     # Mapping lookups (each is "one data mapping" in the paper's terms)
@@ -484,8 +465,8 @@ class MetaStore:
             policy = self.update_policy
             if policy is None or not policy.active:
                 # The prototype write path: one record, one round trip.
-                serial = yield from self.resolver.replace_records(
-                    owner, rtype, [record]
+                serial = yield from self.primary.update(
+                    UpdateMode.REPLACE, owner, rtype, [record]
                 )
                 # Registration supersedes whatever the cache held for this
                 # owner (cache keys are canonical lowercase domain names).
@@ -519,7 +500,7 @@ class MetaStore:
         if not policy.batch:
             # No coalescing, but leases/NOTIFY still need the batch
             # message (it is the one that carries the lease field).
-            serial, _ = yield from self.resolver.update_batch([op])
+            serial, _ = yield from self.primary.update_batch([op])
             self._invalidate_for(op)
             return serial
         key = (str(op.name), op.rtype.value)
@@ -545,7 +526,7 @@ class MetaStore:
             serial = 0
             for start in range(0, len(ops), policy.max_batch_ops):
                 chunk = ops[start:start + policy.max_batch_ops]
-                serial, _ = yield from self.resolver.update_batch(chunk)
+                serial, _ = yield from self.primary.update_batch(chunk)
         except BaseException as err:
             batch.done.fail(err)
             raise
@@ -584,7 +565,7 @@ class MetaStore:
         policy = self.update_policy
         assert policy is not None
         for start in range(0, len(ops), policy.max_batch_ops):
-            yield from self.resolver.update_batch(
+            yield from self.primary.update_batch(
                 ops[start:start + policy.max_batch_ops]
             )
 
@@ -637,7 +618,7 @@ class MetaStore:
             if self._lease_keeper is not None:
                 self._lease_keeper.release((str(op.name), rtype.value))
             return
-        yield from self.resolver.remove_records(owner, rtype)
+        yield from self.primary.update(UpdateMode.DELETE, owner, rtype)
         self.cache.invalidate((str(DomainName(owner)), rtype.value))
 
     # ------------------------------------------------------------------
@@ -648,7 +629,7 @@ class MetaStore:
         name service, query mapping, and NSM — the administrator's view
         of the global name space.
         """
-        serial, records = yield from self.resolver.zone_transfer(META_ORIGIN)
+        serial, records = yield from self.primary.zone_transfer(META_ORIGIN)
         listing = DirectoryListing(serial=serial)
         suffixes = {
             "ctx": 2,  # <context>.ctx.hns

@@ -32,10 +32,7 @@ from repro.hrpc.runtime import HrpcRuntime
 from repro.hrpc.server import HrpcServer
 from repro.net.host import Host
 from repro.resolution import FastPathPolicy
-from repro.sim.events import Event
-
-if typing.TYPE_CHECKING:  # pragma: no cover
-    from repro.obs.span import SpanLike
+from repro.singleflight import SingleFlight
 
 
 @dataclasses.dataclass
@@ -99,7 +96,16 @@ class NamingSemanticsManager:
         #: the one-native-call-per-miss behaviour.  Also settable after
         #: construction, since concrete NSMs have their own signatures.
         self.fast_path = fast_path
-        self._flights: typing.Dict[object, Event] = {}
+        #: in-flight native queries by cache key, each carrying the
+        #: leader's :class:`NsmResult`; a follower copies one record
+        self._flights = SingleFlight(
+            host,
+            "nsm",
+            self.name,
+            copy_cost=lambda _result: calibration.cache_copy_base_ms
+            + calibration.cache_copy_per_record_ms,
+            cache=self.cache,
+        )
 
     # ------------------------------------------------------------------
     def resolve(
@@ -140,70 +146,52 @@ class NamingSemanticsManager:
             query_class=self.query_class,
             name=str(hns_name),
         ) as span:
-            result = yield from self._query(hns_name, params, span)
-            return result
-
-    def _query(
-        self,
-        hns_name: HNSName,
-        params: typing.Mapping[str, object],
-        span: "SpanLike",
-    ) -> typing.Generator:
-        cache = self.cache
-        if cache is not None:
+            cache = self.cache
+            if cache is None:
+                span.set(outcome="native")
+                result = yield from self._native_query(hns_name, params, None)
+                return result
             key = self._cache_key(hns_name, params)
             entry, probe_cost = cache.probe(key)
             yield from self.host.cpu.compute(probe_cost)
+            fast = self.fast_path
             if entry is not None:
                 span.set(outcome="hit")
                 yield from self.host.cpu.compute(
                     cache.hit_cost(entry) + self.cache_hit_extra_ms
                 )
                 self.env.stats.counter(f"nsm.{self.name}.cache_hits").increment()
-                self._maybe_refresh(key, hns_name, dict(params), entry)
+                if fast is not None and cache.needs_refresh(
+                    entry, fast.refresh_ahead_fraction
+                ):
+                    self._flights.refresh_ahead(
+                        key,
+                        entry,
+                        lambda: self._native_query(hns_name, params, key),
+                        nsm=self.name,
+                    )
                 return NsmResult(
                     self.query_class,
                     dict(typing.cast(dict, entry.payload)),
                     from_cache=True,
                 )
-            fast = self.fast_path
             if fast is not None and fast.coalesce:
                 flight = self._flights.get(key)
                 if flight is not None:
                     # Park on the leader's native call; pay the copy.
                     span.set(outcome="coalesced")
-                    cache.record_coalesced()
-                    value = yield flight
-                    yield from self.host.cpu.compute(
-                        self.calibration.cache_copy_base_ms
-                        + self.calibration.cache_copy_per_record_ms
-                    )
+                    result = yield from self._flights.follow(flight)
                     return NsmResult(
-                        self.query_class,
-                        dict(typing.cast(dict, value)),
-                        from_cache=True,
+                        self.query_class, dict(result.value), from_cache=True
                     )
                 span.set(outcome="native", role="leader")
-                event = self.env.event()
-                event.defuse()  # followers may be zero
-                self._flights[key] = event
-                try:
-                    result = yield from self._native_query(
-                        hns_name, params, key
-                    )
-                except BaseException as err:
-                    self._flights.pop(key, None)
-                    event.fail(err)
-                    raise
-                self._flights.pop(key, None)
-                event.succeed(result.value)
+                result = yield from self._flights.lead(
+                    key, self._native_query(hns_name, params, key)
+                )
                 return result
             span.set(outcome="native")
             result = yield from self._native_query(hns_name, params, key)
             return result
-        span.set(outcome="native")
-        result = yield from self._native_query(hns_name, params, None)
-        return result
 
     def _native_query(
         self,
@@ -229,69 +217,6 @@ class NamingSemanticsManager:
                 "nsm", f"{self.name}: resolved {hns_name}", params=dict(params)
             )
             return result
-
-    def _maybe_refresh(
-        self,
-        key: object,
-        hns_name: HNSName,
-        params: typing.Dict[str, object],
-        entry,
-    ) -> None:
-        """Spawn a background renewal if ``entry`` is near expiry."""
-        fast = self.fast_path
-        if fast is None or fast.refresh_ahead_fraction <= 0:
-            return
-        assert self.cache is not None
-        if not self.cache.needs_refresh(entry, fast.refresh_ahead_fraction):
-            return
-        if key in self._flights:
-            return
-        event = self.env.event()
-        event.defuse()
-        self._flights[key] = event
-        self.cache.record_refresh()
-        # Jittered deferral, as in the resolver: keep the triggering
-        # hit's latency intact and spread renewals over the window.
-        defer_ms = self.env.rng.stream("nsm.refresh_jitter").uniform(
-            0.0, max(0.0, entry.expires_at - self.env.now) / 2.0
-        )
-        # Causal link: the renewal runs as its own process, so the span
-        # context of the triggering hit must travel explicitly.
-        parent = self.env.obs.current()
-        self.env.process(
-            self._refresh(event, key, hns_name, params, defer_ms, parent)
-        )
-
-    def _refresh(
-        self,
-        event: Event,
-        key: object,
-        hns_name: HNSName,
-        params: typing.Dict[str, object],
-        defer_ms: float = 0.0,
-        parent: typing.Optional["SpanLike"] = None,
-    ) -> typing.Generator:
-        """Background renewal: silent on failure (the entry simply ages
-        out and serve-stale takes over); coalesced followers do see the
-        failure, as for them it is a real lookup."""
-        if defer_ms > 0:
-            yield self.env.timeout(defer_ms)
-        with self.env.obs.span(
-            "nsm.refresh", parent=parent, nsm=self.name
-        ) as span:
-            try:
-                result = yield from self._native_query(hns_name, params, key)
-            except Exception as err:
-                span.set(outcome="failed")
-                self._flights.pop(key, None)
-                event.fail(err)
-                self.env.stats.counter(
-                    f"nsm.{self.name}.refresh_failures"
-                ).increment()
-                return
-            span.set(outcome="renewed")
-            self._flights.pop(key, None)
-            event.succeed(result.value)
 
 
 # ----------------------------------------------------------------------

@@ -155,7 +155,12 @@ def run_fast_path(
     calibration = dataclasses.replace(DEFAULT_CALIBRATION, meta_ttl_ms=ttl_ms)
     testbed = build_testbed(seed=seed, calibration=calibration)
     env = testbed.env
-    hns = testbed.make_hns(testbed.client, fast_path=fast_path)
+    hns = testbed.make_hns(
+        testbed.client,
+        policies=PolicySet(
+            resolution=DEFAULT_RESOLUTION_POLICY, fast_path=fast_path
+        ),
+    )
     admin = HnsAdministrator(testbed.make_metastore(testbed.meta_host))
 
     def register_contexts() -> "ProcessGenerator":

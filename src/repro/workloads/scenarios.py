@@ -65,7 +65,6 @@ from repro.resolution import (
     FastPathPolicy,
     PolicySet,
     ReplicaPolicy,
-    ResolutionPolicy,
     UpdatePolicy,
 )
 from repro.sim import ConstantLatency, Environment, Interrupt
@@ -214,20 +213,9 @@ class HcsTestbed:
     def make_metastore(
         self,
         host: Host,
-        policy: typing.Optional[ResolutionPolicy] = DEFAULT_RESOLUTION_POLICY,
-        fast_path: typing.Optional[FastPathPolicy] = None,
-        replica_policy: typing.Optional[ReplicaPolicy] = None,
         secondaries: typing.Sequence[Endpoint] = (),
-        update_policy: typing.Optional[UpdatePolicy] = None,
-        policies: typing.Optional[PolicySet] = None,
+        policies: PolicySet = PolicySet.default(),
     ) -> MetaStore:
-        if policies is None:
-            policies = PolicySet(
-                resolution=policy,
-                fast_path=fast_path,
-                replica=replica_policy,
-                update=update_policy,
-            )
         return MetaStore(
             host,
             self.udp,
@@ -240,21 +228,10 @@ class HcsTestbed:
     def make_hns(
         self,
         host: Host,
-        policy: typing.Optional[ResolutionPolicy] = DEFAULT_RESOLUTION_POLICY,
-        fast_path: typing.Optional[FastPathPolicy] = None,
-        replica_policy: typing.Optional[ReplicaPolicy] = None,
         secondaries: typing.Sequence[Endpoint] = (),
-        update_policy: typing.Optional[UpdatePolicy] = None,
-        policies: typing.Optional[PolicySet] = None,
+        policies: PolicySet = PolicySet.default(),
     ) -> HNS:
         """An HNS library instance with its statically linked NSMs."""
-        if policies is None:
-            policies = PolicySet(
-                resolution=policy,
-                fast_path=fast_path,
-                replica=replica_policy,
-                update=update_policy,
-            )
         hns = HNS(
             self.make_metastore(
                 host, secondaries=secondaries, policies=policies
@@ -466,39 +443,24 @@ def build_stack(
     testbed: HcsTestbed,
     arrangement: Arrangement,
     name_service: str = BIND_NS,
-    policy: typing.Optional[ResolutionPolicy] = DEFAULT_RESOLUTION_POLICY,
-    fast_path: typing.Optional[FastPathPolicy] = None,
-    replica_policy: typing.Optional[ReplicaPolicy] = None,
-    update_policy: typing.Optional[UpdatePolicy] = None,
-    policies: typing.Optional[PolicySet] = None,
+    policies: PolicySet = PolicySet.default(),
 ) -> ColocationStack:
     """Wire the client side for one Table 3.1 arrangement.
 
-    ``policies`` bundles the whole policy surface as one
+    ``policies`` is the whole policy surface as one
     :class:`~repro.resolution.PolicySet`
     (``PolicySet.paper_prototype()`` reproduces the prototype
-    everywhere).  The individual kwargs remain for convenience and are
-    folded into a PolicySet when ``policies`` is not given:
-    ``policy`` configures the fault-tolerance layer of every stage
-    (meta resolver, HNS, importer); pass
-    ``ResolutionPolicy.disabled()`` for the prototype's die-on-error
-    behaviour (the benchmarks' ablation baseline).  ``fast_path``
-    likewise configures the performance layer (coalescing,
-    refresh-ahead, batched meta lookups) of the HNS in the stack; the
-    default ``None`` keeps the paper-faithful sequential behaviour.
-    ``replica_policy`` configures replica-aware meta reads (adaptive
-    selection, hedging, incremental transfer); ``None`` keeps the
-    static primary-then-secondaries failover.  ``update_policy``
-    configures the write pipeline (batched registration, leases,
-    NOTIFY-driven invalidation); ``None`` keeps prototype writes.
+    everywhere).  Its ``resolution`` slot configures the
+    fault-tolerance layer of every stage (meta resolver, HNS,
+    importer); ``ResolutionPolicy.disabled()`` there gives the
+    prototype's die-on-error behaviour (the benchmarks' ablation
+    baseline).  ``fast_path`` configures the performance layer
+    (coalescing, refresh-ahead, batched meta lookups) of the HNS in the
+    stack, ``replica`` the replica-aware meta reads (adaptive selection,
+    hedging, incremental transfer), ``update`` the write pipeline
+    (batched registration, leases, NOTIFY-driven invalidation).  A
+    ``None`` slot keeps that layer paper-faithful.
     """
-    if policies is None:
-        policies = PolicySet(
-            resolution=policy,
-            fast_path=fast_path,
-            replica=replica_policy,
-            update=update_policy,
-        )
     policy = policies.resolution
     env = testbed.env
     client = testbed.client
@@ -668,7 +630,11 @@ def _fast_path_scenario(seed: int) -> Environment:
 
     testbed = build_testbed(seed=seed)
     stack = build_stack(
-        testbed, Arrangement.ALL_LOCAL, fast_path=FastPathPolicy()
+        testbed,
+        Arrangement.ALL_LOCAL,
+        policies=PolicySet(
+            resolution=DEFAULT_RESOLUTION_POLICY, fast_path=FastPathPolicy()
+        ),
     )
     env = testbed.env
     env.trace.enabled = True
@@ -692,7 +658,11 @@ def _replica_scenario(seed: int) -> Environment:
 
     testbed = build_testbed(seed=seed)
     stack = build_stack(
-        testbed, Arrangement.ALL_LOCAL, replica_policy=ReplicaPolicy()
+        testbed,
+        Arrangement.ALL_LOCAL,
+        policies=PolicySet(
+            resolution=DEFAULT_RESOLUTION_POLICY, replica=ReplicaPolicy()
+        ),
     )
     env = testbed.env
     env.trace.enabled = True

@@ -67,7 +67,7 @@ def test_update_batch_applies_every_op_in_one_exchange(deployment):
     meta, resolver = _meta_server(deployment)
 
     ops = [_replace_op(f"svc{i}.hns", f"v={i}".encode()) for i in range(5)]
-    serial, statuses = run(env, resolver.update_batch(ops))
+    serial, statuses = run(env, resolver.primary.update_batch(ops))
 
     assert statuses == [STATUS_OK] * 5
     assert serial == meta.zones[0].serial
@@ -84,7 +84,7 @@ def test_update_batch_refused_without_dynamic_update(deployment):
 
     def scenario():
         with pytest.raises(UpdateRefused):
-            yield from resolver.update_batch([_replace_op("x.gw.net", b"v=1")])
+            yield from resolver.primary.update_batch([_replace_op("x.gw.net", b"v=1")])
         return "done"
 
     assert run(env, scenario()) == "done"
@@ -126,7 +126,7 @@ def test_lease_lapses_and_the_server_retracts_the_binding(deployment):
     env = deployment[0]
     meta, resolver = _meta_server(deployment)
 
-    run(env, resolver.update_batch([_replace_op("box.hns", b"v=1", lease_ms=500.0)]))
+    run(env, resolver.primary.update_batch([_replace_op("box.hns", b"v=1", lease_ms=500.0)]))
     assert run(env, resolver.lookup("box.hns", RRType.UNSPEC))
 
     idle(env, 1_000.0)
@@ -238,7 +238,10 @@ def test_disabled_update_policy_reproduces_the_prototype_bit_for_bit():
         env = testbed.env
         env.trace.enabled = True
         store = testbed.make_metastore(
-            testbed.client, update_policy=update_policy
+            testbed.client,
+            policies=PolicySet(
+                resolution=DEFAULT_RESOLUTION_POLICY, update=update_policy
+            ),
         )
 
         def drive():

@@ -19,13 +19,18 @@ from repro.bind.messages import (
 )
 from repro.bind.names import DomainName
 from repro.bind import ResolverCache
-from repro.resolution import FastPathPolicy
+from repro.resolution import FastPathPolicy, PolicySet
 
 
-def make_resolver(env, client, transport, endpoint, **kwargs):
+def make_resolver(env, client, transport, endpoint, fast_path):
     """A resolver with a cache, as every caching client configures it."""
-    kwargs.setdefault("cache", ResolverCache(env, name="test-cache"))
-    return BindResolver(client, transport, endpoint, **kwargs)
+    return BindResolver(
+        client,
+        transport,
+        endpoint,
+        cache=ResolverCache(env, name="test-cache"),
+        policies=PolicySet(fast_path=fast_path),
+    )
 
 
 def run(env, gen):
@@ -98,7 +103,7 @@ def test_leader_failure_propagates_to_followers(deployment):
     every parked follower — nobody hangs, nobody retries separately."""
     env, net, transport, client, server, endpoint = deployment
     resolver = BindResolver(
-        client, transport, endpoint, fast_path=FastPathPolicy()
+        client, transport, endpoint, policies=PolicySet(fast_path=FastPathPolicy())
     )
     K = 5
     outcomes = []

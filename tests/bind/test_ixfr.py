@@ -16,7 +16,7 @@ from repro.bind import (
 from repro.bind.messages import delta_from_idl, delta_to_idl
 from repro.harness.calibration import DEFAULT_CALIBRATION
 from repro.net import DatagramTransport, Internetwork
-from repro.resolution import ReplicaPolicy
+from repro.resolution import PolicySet, ReplicaPolicy
 from repro.sim import ConstantLatency, Environment
 
 CAL = DEFAULT_CALIBRATION
@@ -133,7 +133,7 @@ def test_ixfr_exchange_returns_delta(wired):
     synced_at = zone.serial
     zone.add(rec("b.ctx.hns", "ns=two"))
     serial, full, deltas, records = run(
-        env, resolver.incremental_zone_transfer("hns", synced_at)
+        env, resolver.primary.incremental_zone_transfer("hns", synced_at)
     )
     assert serial == zone.serial
     assert not full
@@ -145,7 +145,7 @@ def test_ixfr_exchange_returns_delta(wired):
 def test_ixfr_exchange_falls_back_to_snapshot(wired):
     env, zone, server, resolver, udp, client, endpoint = wired
     serial, full, deltas, records = run(
-        env, resolver.incremental_zone_transfer("hns", 0)
+        env, resolver.primary.incremental_zone_transfer("hns", 0)
     )
     assert full
     assert deltas == []
@@ -162,11 +162,11 @@ def test_ixfr_delta_is_cheaper_than_snapshot(wired):
     zone.add(rec("fresh.ctx.hns", "ns=fresh"))
 
     start = env.now
-    run(env, resolver.incremental_zone_transfer("hns", synced_at))
+    run(env, resolver.primary.incremental_zone_transfer("hns", synced_at))
     delta_ms = env.now - start
 
     start = env.now
-    run(env, resolver.zone_transfer("hns"))
+    run(env, resolver.primary.zone_transfer("hns"))
     full_ms = env.now - start
     assert delta_ms < full_ms / 3
 
@@ -289,7 +289,7 @@ def test_preload_cache_incremental(wired):
         udp,
         endpoint,
         cache=cache,
-        replica_policy=ReplicaPolicy(),
+        policies=PolicySet(replica=ReplicaPolicy()),
     )
     start = env.now
     loaded = run(env, preloader.preload_cache("hns"))

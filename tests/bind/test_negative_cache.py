@@ -1,12 +1,24 @@
 """Negative caching of NXDOMAIN answers."""
 
+import dataclasses
+
 import pytest
 
 from repro.bind import BindResolver, NameNotFound, ResolverCache, ResourceRecord
+from repro.resolution import PolicySet, ResolutionPolicy
 
 
 def run(env, gen):
     return env.run(until=env.process(gen))
+
+
+def _negative_only(negative_ttl_ms):
+    """The prototype's resolution policy plus a negative-cache TTL."""
+    return PolicySet(
+        resolution=dataclasses.replace(
+            ResolutionPolicy.disabled(), negative_ttl_ms=negative_ttl_ms
+        )
+    )
 
 
 def make_resolver(deployment, negative_ttl_ms):
@@ -20,7 +32,7 @@ def make_resolver(deployment, negative_ttl_ms):
             transport,
             endpoint,
             cache=cache,
-            negative_ttl_ms=negative_ttl_ms,
+            policies=_negative_only(negative_ttl_ms),
         ),
     )
 
@@ -85,4 +97,4 @@ def test_negative_and_positive_entries_coexist(deployment):
 def test_negative_ttl_validation(deployment):
     env, net, transport, client, server, endpoint = deployment
     with pytest.raises(ValueError):
-        BindResolver(client, transport, endpoint, negative_ttl_ms=-1)
+        BindResolver(client, transport, endpoint, policies=_negative_only(-1))

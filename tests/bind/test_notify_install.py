@@ -109,7 +109,7 @@ def test_pushed_install_never_blocks_cache_hits(journal_limit, fallback):
 
     def write_wave():
         yield env.timeout(20.0)
-        yield from writer.update_batch(
+        yield from writer.primary.update_batch(
             [
                 UpdateOp(
                     UpdateMode.REPLACE,

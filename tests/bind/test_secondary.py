@@ -8,6 +8,7 @@ from repro.bind import (
     ResourceRecord,
     RRType,
     SecondaryBindServer,
+    UpdateMode,
     UpdateRefused,
     Zone,
 )
@@ -119,8 +120,11 @@ def test_secondary_refuses_updates(replicated):
 
     def scenario():
         with pytest.raises(UpdateRefused):
-            yield from client_resolver.add_record(
-                ResourceRecord.text_record("x.ctx.hns", "ns=evil", rtype=RRType.UNSPEC)
+            record = ResourceRecord.text_record(
+                "x.ctx.hns", "ns=evil", rtype=RRType.UNSPEC
+            )
+            yield from client_resolver.primary.update(
+                UpdateMode.ADD, record.name, record.rtype, [record]
             )
         return "done"
 

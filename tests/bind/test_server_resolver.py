@@ -8,6 +8,7 @@ from repro.bind import (
     NameNotFound,
     ResourceRecord,
     RRType,
+    UpdateMode,
     UpdateRefused,
     Zone,
     ZoneNotFound,
@@ -16,6 +17,12 @@ from repro.bind import (
 
 def run(env, gen):
     return env.run(until=env.process(gen))
+
+
+def add_record(resolver, record):
+    return resolver.primary.update(
+        UpdateMode.ADD, record.name, record.rtype, [record]
+    )
 
 
 def test_lookup_returns_records(deployment):
@@ -96,7 +103,8 @@ def test_dynamic_update_refused_by_public_server(deployment):
 
     def scenario():
         with pytest.raises(UpdateRefused):
-            yield from resolver.add_record(
+            yield from add_record(
+                resolver,
                 ResourceRecord.a_record("new.cs.washington.edu", "1.2.3.4")
             )
         return "done"
@@ -116,7 +124,8 @@ def test_dynamic_update_on_modified_server(deployment):
 
     serial = run(
         env,
-        resolver.add_record(
+        add_record(
+            resolver,
             ResourceRecord.text_record("ctx.context.hns", "BIND-cs", ttl=1000)
         ),
     )
@@ -127,7 +136,8 @@ def test_dynamic_update_on_modified_server(deployment):
     # Replace and delete round out the update modes.
     run(
         env,
-        resolver.replace_records(
+        resolver.primary.update(
+            UpdateMode.REPLACE,
             "ctx.context.hns",
             RRType.TXT,
             [ResourceRecord.text_record("ctx.context.hns", "BIND-ee", ttl=1000)],
@@ -136,7 +146,7 @@ def test_dynamic_update_on_modified_server(deployment):
     assert (
         run(env, resolver.lookup("ctx.context.hns", RRType.TXT))[0].text == "BIND-ee"
     )
-    run(env, resolver.remove_records("ctx.context.hns", RRType.TXT))
+    run(env, resolver.primary.update(UpdateMode.DELETE, "ctx.context.hns", RRType.TXT))
 
     def scenario():
         with pytest.raises(NameNotFound):
@@ -155,7 +165,8 @@ def test_update_to_unknown_zone(deployment):
 
     def scenario():
         with pytest.raises(NameNotFound):
-            yield from resolver.add_record(
+            yield from add_record(
+                resolver,
                 ResourceRecord.a_record("x.other", "1.2.3.4")
             )
         return "done"
@@ -166,7 +177,7 @@ def test_update_to_unknown_zone(deployment):
 def test_zone_transfer_returns_all_records(deployment):
     env, net, transport, client, server, endpoint = deployment
     resolver = BindResolver(client, transport, endpoint)
-    serial, records = run(env, resolver.zone_transfer("cs.washington.edu"))
+    serial, records = run(env, resolver.primary.zone_transfer("cs.washington.edu"))
     assert serial > 0
     assert {str(r.name) for r in records} == {
         "fiji.cs.washington.edu",
@@ -183,7 +194,7 @@ def test_zone_transfer_refused_when_disabled(deployment):
 
     def scenario():
         with pytest.raises(ZoneNotFound):
-            yield from resolver.zone_transfer("secret")
+            yield from resolver.primary.zone_transfer("secret")
         return "done"
 
     assert run(env, scenario()) == "done"
@@ -195,7 +206,7 @@ def test_zone_transfer_of_unknown_zone(deployment):
 
     def scenario():
         with pytest.raises(ZoneNotFound):
-            yield from resolver.zone_transfer("nope")
+            yield from resolver.primary.zone_transfer("nope")
         return "done"
 
     assert run(env, scenario()) == "done"

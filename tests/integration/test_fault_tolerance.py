@@ -18,7 +18,12 @@ from repro.core import (
 )
 from repro.harness.calibration import DEFAULT_CALIBRATION
 from repro.net import TransportTimeout
-from repro.resolution import ResolutionPolicy
+from repro.resolution import (
+    DEFAULT_RESOLUTION_POLICY,
+    FastPathPolicy,
+    PolicySet,
+    ResolutionPolicy,
+)
 from repro.workloads import build_stack, build_testbed
 from repro.workloads.scenarios import BIND_CONTEXT, BIND_NS
 
@@ -134,15 +139,31 @@ def test_negative_caching_spares_repeated_misses():
 # Serve-stale
 # ----------------------------------------------------------------------
 def test_serve_stale_masks_meta_outage():
+    """A meta outage past the TTL is masked end to end at FindNSM —
+    whether the mappings are fetched one by one or as a chained batch."""
     calibration = dataclasses.replace(DEFAULT_CALIBRATION, meta_ttl_ms=5_000)
-    testbed = build_testbed(seed=14, calibration=calibration)
-    env = testbed.env
-    metastore = testbed.make_metastore(testbed.client)
-    assert run(env, metastore.context_to_name_service(BIND_CONTEXT)) == BIND_NS
-    testbed.meta_host.crash()
-    sleep(env, 6_000)  # past the TTL but within the stale window
-    assert run(env, metastore.context_to_name_service(BIND_CONTEXT)) == BIND_NS
-    assert env.stats.counter("bind.meta@client.stale_hits").value == 1
+    served = {}
+    for fast_path, stale_hits in ((None, 5), (FastPathPolicy(), 4)):
+        testbed = build_testbed(seed=14, calibration=calibration)
+        env = testbed.env
+        hns = testbed.make_hns(
+            testbed.client,
+            policies=PolicySet(
+                resolution=DEFAULT_RESOLUTION_POLICY, fast_path=fast_path
+            ),
+        )
+        fresh = run(env, hns.find_nsm(FIJI, "HRPCBinding"))
+        testbed.meta_host.crash()
+        sleep(env, 6_000)  # past the TTL but within the stale window
+        served[fast_path] = run(env, hns.find_nsm(FIJI, "HRPCBinding"))
+        assert served[fast_path] == fresh
+        # One stale hit per meta mapping the outage touched: five
+        # lookups sequentially, a three-question batch plus the
+        # NSM-host address on the fast path.
+        assert (
+            env.stats.counter("bind.meta@client.stale_hits").value == stale_hits
+        )
+    assert served[None] == served[FastPathPolicy()]
 
 
 def test_no_stale_serving_without_policy():
@@ -150,7 +171,7 @@ def test_no_stale_serving_without_policy():
     testbed = build_testbed(seed=14, calibration=calibration)
     env = testbed.env
     metastore = testbed.make_metastore(
-        testbed.client, policy=ResolutionPolicy.disabled()
+        testbed.client, policies=PolicySet(resolution=ResolutionPolicy.disabled())
     )
     assert run(env, metastore.context_to_name_service(BIND_CONTEXT)) == BIND_NS
     testbed.meta_host.crash()

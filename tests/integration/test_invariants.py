@@ -44,7 +44,7 @@ def test_zone_transfer_is_complete_and_exact(names):
     server = BindServer(server_host, zones=[zone])
     ep = server.listen()
     resolver = BindResolver(client, DatagramTransport(net), ep)
-    serial, records = run(env, resolver.zone_transfer("z"))
+    serial, records = run(env, resolver.primary.zone_transfer("z"))
     assert serial == zone.serial
     assert sorted(str(r.name) for r in records) == sorted(
         f"{n}.z" for n in names

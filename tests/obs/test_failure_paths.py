@@ -12,7 +12,7 @@ from repro.bind import BindResolver, BindServer, ResourceRecord, RRType, Zone
 from repro.core import HNSName
 from repro.harness.calibration import DEFAULT_CALIBRATION
 from repro.net import DatagramTransport, Internetwork
-from repro.resolution import ReplicaPolicy
+from repro.resolution import PolicySet, ReplicaPolicy
 from repro.sim import ConstantLatency, Environment
 from repro.workloads import build_testbed
 from repro.workloads.scenarios import BIND_CONTEXT, BIND_NS
@@ -150,7 +150,7 @@ def make_cluster(replica_policy, seed=41):
         udp,
         primary_ep,
         secondaries=[secondary_ep],
-        replica_policy=replica_policy,
+        policies=PolicySet(replica=replica_policy),
         name="r",
     )
     return env, resolver, primary
