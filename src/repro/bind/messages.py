@@ -205,8 +205,18 @@ def rr_from_idl(value: typing.Mapping[str, object]) -> ResourceRecord:
 # ----------------------------------------------------------------------
 # Message dataclasses
 # ----------------------------------------------------------------------
+class Message:
+    """What every BIND protocol message has besides its fields."""
+
+    idl_type: typing.ClassVar[StructType]
+    #: The bytes a server marshalled this message to when it sent it.
+    #: They ride with the message, so a receiver prices its demarshal
+    #: against them and never re-encodes what it received.
+    wire: typing.Optional[bytes] = None
+
+
 @dataclasses.dataclass
-class QueryRequest:
+class QueryRequest(Message):
     """A lookup for (name, record type)."""
     name: DomainName
     rtype: RRType
@@ -218,7 +228,7 @@ class QueryRequest:
 
 
 @dataclasses.dataclass
-class QueryResponse:
+class QueryResponse(Message):
     """Status plus the matching resource records."""
     status: int
     records: typing.List[ResourceRecord]
@@ -277,7 +287,7 @@ class BatchQuestion:
 
 
 @dataclasses.dataclass
-class BatchQueryRequest:
+class BatchQueryRequest(Message):
     """Several (possibly chained) questions in one datagram."""
 
     questions: typing.List[BatchQuestion]
@@ -298,7 +308,7 @@ class BatchQueryRequest:
 
 
 @dataclasses.dataclass
-class BatchQueryResponse:
+class BatchQueryResponse(Message):
     """One :class:`QueryResponse` per question, in question order."""
 
     answers: typing.List[QueryResponse]
@@ -361,7 +371,7 @@ class UpdateMode:
 
 
 @dataclasses.dataclass
-class UpdateRequest:
+class UpdateRequest(Message):
     """A dynamic update (requires the modified BIND)."""
     mode: int
     name: DomainName
@@ -380,7 +390,7 @@ class UpdateRequest:
 
 
 @dataclasses.dataclass
-class UpdateResponse:
+class UpdateResponse(Message):
     """Update outcome plus the zone's new serial."""
     status: int
     serial: int
@@ -431,7 +441,7 @@ class UpdateOp:
 
 
 @dataclasses.dataclass
-class UpdateBatchRequest:
+class UpdateBatchRequest(Message):
     """Several coalesced update operations in one datagram."""
 
     ops: typing.List[UpdateOp]
@@ -449,7 +459,7 @@ class UpdateBatchRequest:
 
 
 @dataclasses.dataclass
-class UpdateBatchResponse:
+class UpdateBatchResponse(Message):
     """Batch outcome: overall status, final serial, per-op statuses."""
 
     status: int
@@ -467,7 +477,7 @@ class UpdateBatchResponse:
 
 
 @dataclasses.dataclass
-class NotifyRequest:
+class NotifyRequest(Message):
     """Primary -> subscriber push: ``origin`` moved to ``serial``.
 
     One-way; the subscriber pulls the delta through IXFR at its own
@@ -484,7 +494,7 @@ class NotifyRequest:
 
 
 @dataclasses.dataclass
-class NotifyResponse:
+class NotifyResponse(Message):
     """Acknowledgement of a NOTIFY push (rarely waited on)."""
 
     status: int
@@ -496,7 +506,7 @@ class NotifyResponse:
 
 
 @dataclasses.dataclass
-class NotifySubscribeRequest:
+class NotifySubscribeRequest(Message):
     """Ask the primary to push serial bumps for ``origin`` to us."""
 
     origin: DomainName
@@ -514,7 +524,7 @@ class NotifySubscribeRequest:
 
 
 @dataclasses.dataclass
-class NotifySubscribeResponse:
+class NotifySubscribeResponse(Message):
     """Subscription outcome plus the zone's current serial.
 
     The serial seeds the subscriber's IXFR baseline, so the first push
@@ -531,7 +541,7 @@ class NotifySubscribeResponse:
 
 
 @dataclasses.dataclass
-class XferRequest:
+class XferRequest(Message):
     """AXFR: ask for the whole zone."""
     origin: DomainName
 
@@ -542,7 +552,7 @@ class XferRequest:
 
 
 @dataclasses.dataclass
-class SerialRequest:
+class SerialRequest(Message):
     """SOA-style probe: what is the zone's current serial?
 
     Secondaries use this to skip the full transfer when nothing changed.
@@ -557,7 +567,7 @@ class SerialRequest:
 
 
 @dataclasses.dataclass
-class SerialResponse:
+class SerialResponse(Message):
     """The zone's current SOA serial."""
     status: int
     serial: int
@@ -569,7 +579,7 @@ class SerialResponse:
 
 
 @dataclasses.dataclass
-class XferResponse:
+class XferResponse(Message):
     """AXFR answer: serial plus every record of the zone."""
     status: int
     serial: int
@@ -608,7 +618,7 @@ def delta_from_idl(value: typing.Mapping[str, object]) -> ZoneDelta:
 
 
 @dataclasses.dataclass
-class IxfrRequest:
+class IxfrRequest(Message):
     """IXFR: ask for the dynamic updates past ``serial``."""
 
     origin: DomainName
@@ -621,7 +631,7 @@ class IxfrRequest:
 
 
 @dataclasses.dataclass
-class IxfrResponse:
+class IxfrResponse(Message):
     """IXFR answer: either the journal delta past the requested serial
     (``full == 0``, entries in ``deltas``) or — when the journal was
     truncated — a full AXFR-style snapshot (``full == 1``, records in

@@ -2,10 +2,34 @@
 
 from __future__ import annotations
 
+import functools
 import typing
 
 MAX_LABEL = 63
 MAX_NAME = 255
+
+
+def _checked(labels: typing.Tuple[str, ...], text: object) -> typing.Tuple[str, ...]:
+    """``labels`` lower-cased, or ValueError naming ``text``."""
+    for label in labels:
+        if not label:
+            raise ValueError(f"empty label in domain name {text!r}")
+        if len(label) > MAX_LABEL:
+            raise ValueError(f"label too long ({len(label)} > {MAX_LABEL}): {label!r}")
+        if any(c in ". \t\n" for c in label):
+            raise ValueError(f"invalid character in label {label!r}")
+    if sum(len(l) + 1 for l in labels) > MAX_NAME:
+        raise ValueError(f"domain name too long: {text!r}")
+    return tuple(label.lower() for label in labels)
+
+
+@functools.lru_cache(maxsize=4096)
+def _parse(text: str) -> typing.Tuple[str, ...]:
+    """Text -> validated labels.  A resolver sees the same few hundred
+    strings all day; an invalid one raises every time (errors are not
+    cached)."""
+    stripped = text.strip().rstrip(".")
+    return _checked(tuple(stripped.split(".")) if stripped else (), text)
 
 
 class DomainName:
@@ -18,24 +42,13 @@ class DomainName:
     __slots__ = ("labels",)
 
     def __init__(self, text: typing.Union[str, "DomainName", typing.Sequence[str]]):
+        self.labels: typing.Tuple[str, ...]
         if isinstance(text, DomainName):
-            self.labels: typing.Tuple[str, ...] = text.labels
-            return
-        if isinstance(text, str):
-            stripped = text.strip().rstrip(".")
-            labels = tuple(part for part in stripped.split(".")) if stripped else ()
+            self.labels = text.labels
+        elif isinstance(text, str):
+            self.labels = _parse(text)
         else:
-            labels = tuple(text)
-        for label in labels:
-            if not label:
-                raise ValueError(f"empty label in domain name {text!r}")
-            if len(label) > MAX_LABEL:
-                raise ValueError(f"label too long ({len(label)} > {MAX_LABEL}): {label!r}")
-            if any(c in ". \t\n" for c in label):
-                raise ValueError(f"invalid character in label {label!r}")
-        if sum(len(l) + 1 for l in labels) > MAX_NAME:
-            raise ValueError(f"domain name too long: {text!r}")
-        self.labels = tuple(label.lower() for label in labels)
+            self.labels = _checked(tuple(text), text)
 
     @property
     def is_root(self) -> bool:

@@ -144,18 +144,20 @@ class BindResolver:
         # Requests are fixed-shape; both client styles use the cheap path
         # (the paper's generated-marshalling pain was on responses).
         self._hand_request = HandcodedMarshaller(QUERY_REQUEST_IDL)
-        self._response_m = self._styled(QUERY_RESPONSE_IDL)
-        # What a response looks like on the wire, whatever this client's
-        # style: demarshal costs are charged against these bytes, and a
-        # marshalled cache stores them.
+        self._hand_batch_request = HandcodedMarshaller(BATCH_QUERY_REQUEST_IDL)
+        # Responses are demarshalled in this client's style, from the
+        # bytes the server sent (``reply.wire``) or a marshalled cache
+        # holds; a reply is never encoded on this side.
+        styled = (
+            StubCompiler().marshaller
+            if marshalling == "generated"
+            else HandcodedMarshaller
+        )
+        self._response_m = styled(QUERY_RESPONSE_IDL)
+        self._batch_response_m = styled(BATCH_QUERY_RESPONSE_IDL)
+        # What a marshalled cache stores for a record set: the bytes a
+        # server would have sent for it, whatever this client's style.
         self._wire_response = HandcodedMarshaller(QUERY_RESPONSE_IDL)
-        self._batch_response_m = self._styled(BATCH_QUERY_RESPONSE_IDL)
-
-    def _styled(self, idl_type: typing.Any) -> typing.Any:
-        """A marshaller for ``idl_type`` in this client's style."""
-        if self.marshalling == "generated":
-            return StubCompiler().marshaller(idl_type)
-        return HandcodedMarshaller(idl_type)
 
     # ------------------------------------------------------------------
     def lookup(
@@ -364,8 +366,7 @@ class BindResolver:
             if not isinstance(reply, QueryResponse):
                 raise BindError(f"unexpected reply {reply!r}")
             # Demarshal the response with this client's style.
-            response_bytes, _ = self._wire_response.encode(reply.to_idl())
-            _, demarshal_cost = self._response_m.decode(response_bytes)
+            _, demarshal_cost = self._response_m.decode(reply.wire)
             yield from self._compute(demarshal_cost, background)
             if reply.status == STATUS_NXDOMAIN:
                 if self.cache is not None and self.negative_ttl_ms > 0:
@@ -641,8 +642,7 @@ class BindResolver:
             # One per-call overhead for the whole batch: with six sequential
             # mappings this control cost is paid six times; here, once.
             reply = yield from self._request(
-                BatchQueryRequest(questions),
-                HandcodedMarshaller(BATCH_QUERY_REQUEST_IDL),
+                BatchQueryRequest(questions), self._hand_batch_request
             )
         except NetworkError as err:
             # The same rung 3 as a single lookup, one question at a time.
@@ -653,10 +653,7 @@ class BindResolver:
         if not isinstance(reply, BatchQueryResponse):
             raise BindError(f"unexpected reply {reply!r}")
         # Demarshal the whole response with this client's style.
-        response_bytes, _ = HandcodedMarshaller(BATCH_QUERY_RESPONSE_IDL).encode(
-            reply.to_idl()
-        )
-        _, demarshal_cost = self._batch_response_m.decode(response_bytes)
+        _, demarshal_cost = self._batch_response_m.decode(reply.wire)
         yield from self.host.cpu.compute(demarshal_cost)
         total_records = 0
         cache = self.cache

@@ -95,7 +95,7 @@ class BindServer(Service):
         self.transport = transport
         # Server-side marshalling uses the standard (hand-coded) BIND
         # routines regardless of what the client uses.
-        self._marshallers: typing.Dict[int, HandcodedMarshaller] = {}
+        self._marshallers: typing.Dict[IdlType, HandcodedMarshaller] = {}
         self.endpoint: typing.Optional[Endpoint] = None
         #: (name, rtype) -> absolute expiry of the granted lease
         self._leases: typing.Dict[
@@ -136,15 +136,15 @@ class BindServer(Service):
         return None
 
     # ------------------------------------------------------------------
-    def _marshaller(self, idl_type: IdlType) -> HandcodedMarshaller:
-        key = id(idl_type)
-        if key not in self._marshallers:
-            self._marshallers[key] = HandcodedMarshaller(idl_type)
-        return self._marshallers[key]
-
     def _encode_reply(self, message) -> typing.Tuple[object, int, float]:
-        data = self._marshaller(message.idl_type).encode(message.to_idl())
-        return message, len(data[0]), data[1]
+        """Marshal ``message`` — the one time its bytes are produced;
+        they ride with it (``message.wire``) for whoever receives it."""
+        marshaller = self._marshallers.get(message.idl_type)
+        if marshaller is None:
+            marshaller = HandcodedMarshaller(message.idl_type)
+            self._marshallers[message.idl_type] = marshaller
+        message.wire, cost = marshaller.encode(message.to_idl())
+        return message, len(message.wire), cost
 
     # ------------------------------------------------------------------
     # Service interface

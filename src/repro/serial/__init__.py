@@ -3,20 +3,20 @@
 The paper's Table 3.2 hinges on a distinction this package makes
 concrete:
 
-- **Hand-coded marshallers** (:mod:`repro.serial.handcoded`) do one pass
-  over a buffer with no temporary allocation — the "standard BIND
+- **Hand-coded marshallers** (:mod:`repro.serial.handcoded`) model one
+  pass over a buffer with no temporary allocation — the "standard BIND
   library routines" that cost 0.65/2.6 ms for 1/6 resource records.
-- **Generated marshallers** (:mod:`repro.serial.compiler` +
-  :mod:`repro.serial.generated`) are produced by a stub compiler from an
-  IDL description.  They are *correct* but pay for "procedure calls,
-  indirect calls to marshalling routines, unnecessary dynamic memory
-  allocation, and unnecessary levels of marshalling" — the cost
-  accounting counts exactly those operations.
+- **Generated marshallers** (:mod:`repro.serial.generated`) model the
+  code a stub compiler produces from an IDL description: *correct*, but
+  paying for "procedure calls, indirect calls to marshalling routines,
+  unnecessary dynamic memory allocation, and unnecessary levels of
+  marshalling" — the cost accounting counts exactly those operations.
 
-Both produce identical wire bytes for a given representation
-(:mod:`repro.serial.xdr` Sun-style or :mod:`repro.serial.courier`
-Xerox-style); only the simulated CPU cost differs, which is the whole
-point of the paper's cache-format experiment.
+Both run the one codec :mod:`repro.serial.compiler` compiles per (IDL
+type, representation) — Sun XDR or Xerox Courier, which are parameters
+of the compiler, not implementations — so they produce identical wire
+bytes; only the simulated CPU cost differs, which is the whole point of
+the paper's cache-format experiment.
 """
 
 from repro.serial.idl import (
@@ -30,11 +30,13 @@ from repro.serial.idl import (
     StructType,
     U32Type,
 )
-from repro.serial.wire import WireReader, WireWriter
-from repro.serial.xdr import XdrRepresentation
-from repro.serial.courier import CourierRepresentation
+from repro.serial.compiler import (
+    CourierRepresentation,
+    StubCompiler,
+    WireError,
+    XdrRepresentation,
+)
 from repro.serial.handcoded import HandcodedMarshaller
-from repro.serial.compiler import StubCompiler
 from repro.serial.generated import GeneratedMarshaller, MarshalCost
 
 __all__ = [
@@ -52,7 +54,6 @@ __all__ = [
     "StructType",
     "StubCompiler",
     "U32Type",
-    "WireReader",
-    "WireWriter",
+    "WireError",
     "XdrRepresentation",
 ]

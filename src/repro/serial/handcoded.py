@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import typing
 
+from repro.serial.compiler import Representation, StubCompiler
 from repro.serial.idl import IdlType
-from repro.serial.xdr import XdrRepresentation
 
 #: Fixed cost of one hand-coded marshal/demarshal pass (ms).
 HANDCODED_BASE_MS = 0.195
@@ -29,14 +29,14 @@ class HandcodedMarshaller:
     def __init__(
         self,
         idl_type: IdlType,
-        representation=None,
+        representation: typing.Optional[Representation] = None,
         base_ms: float = HANDCODED_BASE_MS,
         per_byte_ms: float = HANDCODED_PER_BYTE_MS,
     ):
         if base_ms < 0 or per_byte_ms < 0:
             raise ValueError("costs must be non-negative")
         self.idl_type = idl_type
-        self.representation = representation or XdrRepresentation()
+        self.codec = StubCompiler(representation).compile(idl_type)
         self.base_ms = base_ms
         self.per_byte_ms = per_byte_ms
 
@@ -45,10 +45,10 @@ class HandcodedMarshaller:
 
     def encode(self, value: object) -> typing.Tuple[bytes, float]:
         """Marshal ``value``; returns (wire bytes, simulated cost ms)."""
-        data = self.representation.encode(self.idl_type, value)
+        data = self.codec.encode(value)
         return data, self._cost(len(data))
 
-    def decode(self, data: bytes) -> typing.Tuple[object, float]:
+    def decode(self, data: bytes) -> typing.Tuple[typing.Any, float]:
         """Demarshal ``data``; returns (value, simulated cost ms)."""
-        value = self.representation.decode(self.idl_type, data)
+        value = self.codec.decode(data)
         return value, self._cost(len(data))

@@ -61,6 +61,18 @@ def test_trailing_dot_tolerated():
     assert DomainName("a.b.") == DomainName("a.b")
 
 
+def test_parsing_is_memoised_and_errors_are_not():
+    # same text, one validated label tuple shared by both instances
+    assert DomainName("Fiji.CS.washington.edu").labels is DomainName(
+        "Fiji.CS.washington.edu"
+    ).labels
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            DomainName("a..b")
+        with pytest.raises(ValueError):
+            DomainName(("a", ""))
+
+
 @given(
     st.lists(
         st.text(

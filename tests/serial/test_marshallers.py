@@ -10,13 +10,16 @@ from hypothesis import given, settings, strategies as st
 
 from repro.serial import (
     ArrayType,
+    BoolType,
     CourierRepresentation,
     HandcodedMarshaller,
     OpaqueType,
+    OptionalType,
     StringType,
     StructType,
     StubCompiler,
     U32Type,
+    XdrRepresentation,
 )
 from repro.serial.generated import OpCosts
 
@@ -165,3 +168,79 @@ def test_marshaller_roundtrip_property(n, name, blob):
     assert gen_bytes == hc_bytes
     assert gen.decode(gen_bytes)[0] == value
     assert hc.decode(hc_bytes)[0] == value
+
+
+# ----------------------------------------------------------------------
+# Random IDL types: every path agrees, and the compile-time sums match
+# a walk that counts one node at a time.
+# ----------------------------------------------------------------------
+_text = st.text(alphabet=st.characters(min_codepoint=32, max_codepoint=0x2FF), max_size=12)
+
+
+def _typed(children):
+    """Strategies for (IDL type, strategy for its values) pairs."""
+    array = children.flatmap(
+        lambda tv: st.integers(0, 4).map(
+            lambda n: (ArrayType(tv[0], n), st.lists(tv[1], max_size=n))
+        )
+    )
+    optional = children.map(lambda tv: (OptionalType(tv[0]), st.none() | tv[1]))
+    struct = st.lists(children, min_size=1, max_size=4).map(
+        lambda tvs: (
+            StructType("S", [(f"f{i}", t) for i, (t, _) in enumerate(tvs)]),
+            st.fixed_dictionaries({f"f{i}": v for i, (_, v) in enumerate(tvs)}),
+        )
+    )
+    return array | optional | struct
+
+
+typed_values = st.recursive(
+    st.sampled_from([
+        (U32Type(), st.integers(0, 2**32 - 1)),
+        (BoolType(), st.booleans()),
+        (StringType(12), _text),
+        (OpaqueType(12), st.binary(max_size=12)),
+    ]),
+    _typed,
+    max_leaves=8,
+).flatmap(lambda tv: st.tuples(st.just(tv[0]), tv[1]))
+
+
+def reference_ops(t, value):
+    """The counting rules of ``repro.serial.compiler``, one node at a time."""
+    ops = [1, 0, 0]
+    children = []
+    if isinstance(t, (StringType, OpaqueType)):
+        ops[2] += 1
+    elif isinstance(t, ArrayType):
+        ops[2] += 1
+        children = [(t.element, item) for item in value]
+    elif isinstance(t, StructType):
+        ops[2] += 1
+        children = [(ft, value[name]) for name, ft in t.fields]
+    elif isinstance(t, OptionalType) and value is not None:
+        children = [(t.inner, value)]
+    for child_type, child_value in children:
+        ops[1] += 1
+        ops = [a + b for a, b in zip(ops, reference_ops(child_type, child_value))]
+    return ops
+
+
+@given(typed_values)
+@settings(max_examples=150, deadline=None)
+def test_random_types_roundtrip_and_count_like_the_reference(typed):
+    idl_type, value = typed
+    idl_type.validate(value)
+    for rep in (XdrRepresentation(), CourierRepresentation()):
+        gen = StubCompiler(rep).marshaller(idl_type)
+        hc = HandcodedMarshaller(idl_type, representation=rep)
+        data, encode_ms = gen.encode(value)
+        assert hc.encode(value)[0] == data == rep.encode(idl_type, value)
+        assert len(data) % rep.alignment == 0
+        assert gen.decode(data) == (value, encode_ms)
+        assert hc.decode(data)[0] == value
+        counts = gen.measure_decode(data)
+        assert [
+            counts.proc_calls, counts.indirect_calls, counts.allocations
+        ] == reference_ops(idl_type, value)
+        assert counts.bytes_processed == len(data)
