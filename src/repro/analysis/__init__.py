@@ -6,9 +6,8 @@ Two halves, one gate:
   ``atomicity``): an AST lint pass encoding this repository's
   invariants — SIM001 no wall-clock/ambient randomness, SIM002 no
   blocking calls in process generators, SIM003 no stale reads across
-  yields, HNS001 TTL-tagged cache inserts, HNS002 IDL-registered wire
-  messages, HNS003 dotted stats names, HNS004 registered wire-message
-  field types, and (with ``--interprocedural``, backed by the may-yield
+  yields, HNS001 TTL-tagged cache inserts, HNS003 dotted stats names,
+  and (with ``--interprocedural``, backed by the may-yield
   call graph in :mod:`~repro.analysis.callgraph`) SIM004
   check-then-act and SIM005 await-gap captures.  Inline
   ``# hnslint: disable=CODE`` comments and the reviewed

@@ -1,10 +1,11 @@
-"""Name-service rules: HNS001, HNS002, HNS003, HNS004.
+"""Name-service rules: HNS001, HNS003.
 
 Where the SIM rules guard the kernel, these guard the conventions the
 name-service layers above it rely on: TTL-tagged cache entries (the
-paper's own invalidation mechanism), IDL-registered wire messages (so
-message sizes are grounded in real bytes), and the dotted stats
-namespace the benchmark harness reads.
+paper's own invalidation mechanism) and the dotted stats namespace the
+benchmark harness reads.  (Wire messages need no rule: a message class
+that does not match its IDL cannot be created, see
+:mod:`repro.serial.message`.)
 """
 
 from __future__ import annotations
@@ -74,218 +75,6 @@ class Hns001CacheInsertTtl(Rule):
         if len(node.args) >= 4:
             return node.args[3]
         return None
-
-
-#: Wire-message dataclass names that must carry an IDL registration.
-#: Query/Answer are the broadcast locator pair; Beacon is the ad-hoc
-#: discovery tier's presence announcement.
-_WIRE_SUFFIXES = ("Request", "Response", "Question", "Delta", "Query", "Answer", "Beacon")
-
-
-class Hns002WireMessageIdl(Rule):
-    """Wire-message dataclasses must be registered with the serializer."""
-
-    code = "HNS002"
-    name = "wire-message-idl"
-    rationale = (
-        "Messages travel the simulated transports as Python objects but "
-        "their sizes (and thus wire and marshalling costs) come from the "
-        "IDL description; a message dataclass without an idl_type ships "
-        "with a guessed size and skews every latency number."
-    )
-
-    def check(self, module: ModuleSource) -> typing.Iterator[Finding]:
-        if not module.path.replace("\\", "/").endswith("messages.py"):
-            return
-        for node in module.tree.body:
-            if not isinstance(node, ast.ClassDef):
-                continue
-            if not node.name.endswith(_WIRE_SUFFIXES):
-                continue
-            if not any(self._is_dataclass_decorator(d) for d in node.decorator_list):
-                continue
-            if not self._defines_idl_type(node):
-                yield module.finding(
-                    self, node,
-                    f"wire-message dataclass {node.name!r} has no idl_type; "
-                    "register a StructType so marshalled sizes are real",
-                )
-
-    @staticmethod
-    def _is_dataclass_decorator(node: ast.AST) -> bool:
-        if isinstance(node, ast.Call):
-            node = node.func
-        chain = attribute_chain(node)
-        return bool(chain) and chain[-1] == "dataclass"
-
-    @staticmethod
-    def _defines_idl_type(node: ast.ClassDef) -> bool:
-        for stmt in node.body:
-            if isinstance(stmt, ast.Assign):
-                for target in stmt.targets:
-                    if isinstance(target, ast.Name) and target.id == "idl_type":
-                        return True
-            elif isinstance(stmt, ast.AnnAssign):
-                if (
-                    isinstance(stmt.target, ast.Name)
-                    and stmt.target.id == "idl_type"
-                ):
-                    return True
-        return False
-
-
-#: Field types wire-message dataclasses may carry: Python primitives
-#: the serializer maps directly, plus the IDL-described record types.
-#: A new field type means a new StructType (and an entry here) —
-#: deliberately, in review — or the message ships with a guessed size
-#: and every latency number drifts (HNS004).
-WIRE_FIELD_TYPES = frozenset(
-    {
-        "bool",
-        "bytes",
-        "float",
-        "int",
-        "str",
-        # IDL-described record types that travel inside messages.
-        "DomainName",
-        "RRType",
-        "ResourceRecord",
-        "ZoneDelta",
-    }
-)
-
-#: Generic containers allowed around registered field types.
-_WIRE_CONTAINERS = frozenset(
-    {
-        "Dict",
-        "FrozenSet",
-        "List",
-        "Optional",
-        "Sequence",
-        "Set",
-        "Tuple",
-        "dict",
-        "frozenset",
-        "list",
-        "set",
-        "tuple",
-    }
-)
-
-
-class Hns004WireMessageFieldTypes(Rule):
-    """Wire-message fields carry only registered serializable types."""
-
-    code = "HNS004"
-    name = "wire-message-field-types"
-    rationale = (
-        "The IDL sizes a message from its field types; a field whose "
-        "type the serializer has no StructType for (an arbitrary "
-        "object, a datetime, a server-side class) marshals with a "
-        "guessed size — schema drift that silently skews every wire "
-        "and marshalling cost as the update/NOTIFY message set grows."
-    )
-
-    def check(self, module: ModuleSource) -> typing.Iterator[Finding]:
-        if not module.path.replace("\\", "/").endswith("messages.py"):
-            return
-        wire_classes = {
-            node.name
-            for node in module.tree.body
-            if isinstance(node, ast.ClassDef) and self._is_wire_class(node)
-        }
-        for node in module.tree.body:
-            if not (
-                isinstance(node, ast.ClassDef) and node.name in wire_classes
-            ):
-                continue
-            for stmt in node.body:
-                if not isinstance(stmt, ast.AnnAssign):
-                    continue
-                target = stmt.target
-                if not isinstance(target, ast.Name):
-                    continue
-                if target.id == "idl_type" or target.id.startswith("_"):
-                    continue
-                if self._is_classvar(stmt.annotation):
-                    continue
-                if not self._annotation_ok(stmt.annotation, wire_classes):
-                    yield module.finding(
-                        self,
-                        stmt,
-                        f"wire-message field {node.name}.{target.id} has "
-                        "an unregistered type; wire fields may only "
-                        "carry serializable primitives, IDL record "
-                        "types (WIRE_FIELD_TYPES), other wire messages, "
-                        "or containers of those — register a StructType "
-                        "or restructure the field",
-                        subject=target.id,
-                    )
-
-    @staticmethod
-    def _is_wire_class(node: ast.ClassDef) -> bool:
-        if not any(
-            Hns002WireMessageIdl._is_dataclass_decorator(d)
-            for d in node.decorator_list
-        ):
-            return False
-        return node.name.endswith(
-            _WIRE_SUFFIXES
-        ) or Hns002WireMessageIdl._defines_idl_type(node)
-
-    @staticmethod
-    def _is_classvar(annotation: ast.AST) -> bool:
-        if isinstance(annotation, ast.Subscript):
-            annotation = annotation.value
-        chain = attribute_chain(annotation)
-        return bool(chain) and chain[-1] == "ClassVar"
-
-    @classmethod
-    def _annotation_ok(
-        cls, annotation: ast.AST, wire_classes: typing.Set[str]
-    ) -> bool:
-        if isinstance(annotation, ast.Constant):
-            value = annotation.value
-            if value is None or value is Ellipsis:
-                return True  # Tuple[X, ...] / Optional's None arm
-            if isinstance(value, str):
-                # A string annotation: parse and recurse, so quoted
-                # containers and unions get the same treatment as
-                # unquoted ones.
-                try:
-                    parsed = ast.parse(value.strip(), mode="eval").body
-                except SyntaxError:
-                    return False
-                return cls._annotation_ok(parsed, wire_classes)
-            return False
-        if isinstance(annotation, (ast.Name, ast.Attribute)):
-            chain = attribute_chain(annotation)
-            if not chain:
-                return False
-            name = chain[-1]
-            if name == "None":
-                return True
-            return name in WIRE_FIELD_TYPES or name in wire_classes
-        if isinstance(annotation, ast.Subscript):
-            base = attribute_chain(annotation.value)
-            if not base or base[-1] not in _WIRE_CONTAINERS:
-                return False
-            inner = annotation.slice
-            elements = (
-                inner.elts if isinstance(inner, ast.Tuple) else [inner]
-            )
-            return all(
-                cls._annotation_ok(element, wire_classes)
-                for element in elements
-            )
-        if isinstance(annotation, ast.BinOp) and isinstance(
-            annotation.op, ast.BitOr
-        ):
-            # X | Y unions (3.10+ syntax).
-            return cls._annotation_ok(
-                annotation.left, wire_classes
-            ) and cls._annotation_ok(annotation.right, wire_classes)
-        return False
 
 
 #: Subsystems allowed as the first segment of a stats name.  Growing a
@@ -434,7 +223,5 @@ class Hns003StatNameConvention(Rule):
 
 HNS_RULES: typing.Tuple[typing.Type[Rule], ...] = (
     Hns001CacheInsertTtl,
-    Hns002WireMessageIdl,
     Hns003StatNameConvention,
-    Hns004WireMessageFieldTypes,
 )

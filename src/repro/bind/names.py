@@ -5,6 +5,8 @@ from __future__ import annotations
 import functools
 import typing
 
+from repro.serial import CONVERTERS, StringType
+
 MAX_LABEL = 63
 MAX_NAME = 255
 
@@ -97,3 +99,7 @@ class DomainName:
 
     def __lt__(self, other: "DomainName") -> bool:
         return self.labels[::-1] < other.labels[::-1]
+
+
+# On the wire a domain name is its text.
+CONVERTERS[DomainName] = (StringType, str, DomainName)

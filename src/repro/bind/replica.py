@@ -31,6 +31,13 @@ from repro.net.addresses import Endpoint
 from repro.resolution import CircuitBreaker, ReplicaPolicy
 from repro.sim.kernel import Environment
 
+#: weight of the newest latency sample in the per-endpoint EWMA
+EWMA_ALPHA = 0.3
+#: floor on the computed hedge delay
+HEDGE_MIN_DELAY_MS = 1.0
+#: how long a tripped replica stays skipped before one probe
+BREAKER_RESET_MS = 10_000.0
+
 
 class ReplicaState:
     """Everything the scheduler knows about one replica endpoint."""
@@ -44,7 +51,7 @@ class ReplicaState:
         #: requests currently outstanding against this endpoint
         self.inflight = 0
         self.breaker = CircuitBreaker(
-            env, self.label, policy.breaker_threshold, policy.breaker_reset_ms
+            env, self.label, policy.breaker_threshold, BREAKER_RESET_MS
         )
 
     def __repr__(self) -> str:
@@ -124,7 +131,7 @@ class ReplicaScheduler:
         """How long to wait before hedging, or None to not hedge.
 
         The policy quantile of the recent successful-latency window,
-        clamped to ``[hedge_min_delay_ms, hedge_max_delay_ms]``; no
+        clamped to ``[HEDGE_MIN_DELAY_MS, hedge_max_delay_ms]``; no
         hedging until ``hedge_min_samples`` samples have accumulated.
         """
         policy = self.policy
@@ -135,7 +142,7 @@ class ReplicaScheduler:
         lo = int(k)
         hi = min(lo + 1, len(ordered) - 1)
         q = ordered[lo] + (ordered[hi] - ordered[lo]) * (k - lo)
-        return min(max(q, policy.hedge_min_delay_ms), policy.hedge_max_delay_ms)
+        return min(max(q, HEDGE_MIN_DELAY_MS), policy.hedge_max_delay_ms)
 
     # ------------------------------------------------------------------
     def record_start(self, state: ReplicaState, hedge: bool = False) -> None:
@@ -167,11 +174,10 @@ class ReplicaScheduler:
         self._count(state, "errors")
 
     def _observe(self, state: ReplicaState, latency_ms: float) -> None:
-        alpha = self.policy.ewma_alpha
         if state.ewma_ms is None:
             state.ewma_ms = latency_ms
         else:
-            state.ewma_ms = alpha * latency_ms + (1.0 - alpha) * state.ewma_ms
+            state.ewma_ms = EWMA_ALPHA * latency_ms + (1.0 - EWMA_ALPHA) * state.ewma_ms
         self.env.stats.timer(f"bind.replica.{state.label}.ewma_ms").record(
             state.ewma_ms
         )

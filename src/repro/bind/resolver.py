@@ -26,10 +26,6 @@ import typing
 from repro.bind.cache import CacheEntry, CacheFormat, ResolverCache
 from repro.bind.errors import BindError, NameNotFound
 from repro.bind.messages import (
-    BATCH_QUERY_REQUEST_IDL,
-    BATCH_QUERY_RESPONSE_IDL,
-    QUERY_REQUEST_IDL,
-    QUERY_RESPONSE_IDL,
     STATUS_NXDOMAIN,
     STATUS_OK,
     BatchQueryRequest,
@@ -52,7 +48,7 @@ from repro.net.errors import NetworkError, is_transient
 from repro.net.host import Host, Service
 from repro.net.transport import Transport
 from repro.obs.span import NULL_SPAN
-from repro.resolution import PolicySet
+from repro.resolution import PolicySet, backoff_ms
 from repro.serial import HandcodedMarshaller, StubCompiler
 from repro.singleflight import SingleFlight
 
@@ -143,8 +139,8 @@ class BindResolver:
         )
         # Requests are fixed-shape; both client styles use the cheap path
         # (the paper's generated-marshalling pain was on responses).
-        self._hand_request = HandcodedMarshaller(QUERY_REQUEST_IDL)
-        self._hand_batch_request = HandcodedMarshaller(BATCH_QUERY_REQUEST_IDL)
+        self._hand_request = HandcodedMarshaller(QueryRequest.idl_type)
+        self._hand_batch_request = HandcodedMarshaller(BatchQueryRequest.idl_type)
         # Responses are demarshalled in this client's style, from the
         # bytes the server sent (``reply.wire``) or a marshalled cache
         # holds; a reply is never encoded on this side.
@@ -153,11 +149,11 @@ class BindResolver:
             if marshalling == "generated"
             else HandcodedMarshaller
         )
-        self._response_m = styled(QUERY_RESPONSE_IDL)
-        self._batch_response_m = styled(BATCH_QUERY_RESPONSE_IDL)
+        self._response_m = styled(QueryResponse.idl_type)
+        self._batch_response_m = styled(BatchQueryResponse.idl_type)
         # What a marshalled cache stores for a record set: the bytes a
         # server would have sent for it, whatever this client's style.
-        self._wire_response = HandcodedMarshaller(QUERY_RESPONSE_IDL)
+        self._wire_response = HandcodedMarshaller(QueryResponse.idl_type)
 
     # ------------------------------------------------------------------
     def lookup(
@@ -441,13 +437,12 @@ class BindResolver:
         for round_index in range(rounds):
             if round_index:
                 self.env.stats.counter(f"bind.{self.name}.retries").increment()
-                assert policy is not None
-                delay = policy.backoff_ms(
-                    round_index - 1,
-                    self.env.rng.stream(f"bind.backoff:{self.name}"),
+                yield self.env.timeout(
+                    backoff_ms(
+                        round_index - 1,
+                        self.env.rng.stream(f"bind.backoff:{self.name}"),
+                    )
                 )
-                if delay > 0:
-                    yield self.env.timeout(delay)
             with self.env.obs.span("bind.round", round=round_index) as rspan:
                 try:
                     reply = yield from self._exchange(

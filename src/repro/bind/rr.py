@@ -11,9 +11,12 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import operator
 import typing
+from typing import Annotated, ClassVar
 
 from repro.bind.names import DomainName
+from repro.serial import CONVERTERS, OpaqueType, StringType, U32Type, Wire, WireMessage
 
 MAX_RDATA = 256
 
@@ -32,8 +35,12 @@ class RRType(enum.Enum):
         return self.name
 
 
+# On the wire a record type is its number.
+CONVERTERS[RRType] = (U32Type, operator.attrgetter("value"), RRType)
+
+
 @dataclasses.dataclass(frozen=True)
-class ResourceRecord:
+class ResourceRecord(WireMessage):
     """One (name, type, ttl, data) record.
 
     ``data`` is uninterpreted bytes (≤ 256), as in BIND; higher layers
@@ -42,10 +49,12 @@ class ResourceRecord:
     field).
     """
 
-    name: DomainName
-    rtype: RRType
-    ttl: float
-    data: bytes
+    name: Annotated[DomainName, StringType(255)]
+    rtype: Annotated[RRType, U32Type()]
+    #: DNS record class; always IN (1), so only the wire form carries it
+    rclass: ClassVar[Annotated[int, Wire(U32Type(), derive=lambda record: 1)]]
+    ttl: Annotated[float, U32Type()]
+    data: Annotated[bytes, OpaqueType(MAX_RDATA)]
 
     def __post_init__(self) -> None:
         if not isinstance(self.name, DomainName):

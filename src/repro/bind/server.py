@@ -61,6 +61,9 @@ from repro.serial.idl import IdlType
 if typing.TYPE_CHECKING:  # pragma: no cover
     from repro.net.transport import Transport
 
+#: debounce before a serial bump fans out to NOTIFY subscribers
+NOTIFY_DELAY_MS = 1.0
+
 
 class BindServer(Service):
     """An authoritative name server bound to a host."""
@@ -460,10 +463,8 @@ class BindServer(Service):
         The debounce window lets a burst of writes collapse into one
         push; subscribers pull the whole delta through IXFR anyway.
         """
-        policy = self.update_policy
-        assert policy is not None and self.transport is not None
-        if policy.notify_delay_ms > 0:
-            yield self.env.timeout(policy.notify_delay_ms)
+        assert self.transport is not None
+        yield self.env.timeout(NOTIFY_DELAY_MS)
         self._notify_pending.discard(zone.origin)
         serial = zone.serial
         with self.env.obs.span(

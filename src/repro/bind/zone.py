@@ -17,22 +17,26 @@ from __future__ import annotations
 
 import dataclasses
 import typing
+from typing import Annotated
 
 from repro.bind.errors import NameNotFound
 from repro.bind.names import DomainName
 from repro.bind.rr import ResourceRecord, RRType
+from repro.serial import ArrayType, StringType, U32Type, WireMessage
 
 
 @dataclasses.dataclass(frozen=True)
-class ZoneDelta:
+class ZoneDelta(WireMessage):
     """One journalled dynamic update: the state of ``(name, rtype)``
     after the serial bump that produced it.  ``records`` empty means
-    the key was deleted."""
+    the key was deleted.  IXFR answers carry these as they are."""
 
-    serial: int
-    name: DomainName
-    rtype: RRType
-    records: typing.Tuple[ResourceRecord, ...]
+    serial: Annotated[int, U32Type()]
+    name: Annotated[DomainName, StringType(255)]
+    rtype: Annotated[RRType, U32Type()]
+    records: Annotated[
+        typing.Tuple[ResourceRecord, ...], ArrayType(ResourceRecord.idl_type, 64)
+    ]
 
 
 class Zone:

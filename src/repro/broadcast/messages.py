@@ -1,10 +1,10 @@
-"""Broadcast-tier wire messages and their IDL descriptions.
+"""Broadcast-tier wire messages.
 
-``NameQuery``/``NameAnswer`` started life as plain dataclasses inside
-the locator — the one message family the serializer (and therefore
-HNS002/HNS004) never saw.  They live here now, with IDL descriptions,
-so broadcast message sizes are real wire bytes like everything else
-that crosses the simulated segment.
+``NameQuery``/``NameAnswer`` are declared like every other message
+family (:mod:`repro.serial.message`), so their encoded size is there
+for the asking — but nothing asks yet: the locator and the beacon tier
+still put fixed size estimates on their datagrams (``size_bytes=96``,
+``64 + len(name)``), which the ad-hoc scenario digests pin.
 
 The answer's per-name payload travels as a flat ``key=value`` mapping
 (strings both sides), the same encoding discipline the meta zone's
@@ -15,25 +15,9 @@ from __future__ import annotations
 
 import dataclasses
 import typing
+from typing import Annotated, ClassVar
 
-from repro.serial import StringType, StructType, U32Type
-
-NAME_QUERY_IDL = StructType(
-    "NameQuery",
-    [("name", StringType(255))],
-)
-
-NAME_ANSWER_IDL = StructType(
-    "NameAnswer",
-    [
-        ("name", StringType(255)),
-        ("owner", StringType(64)),
-        ("address", StringType(64)),
-        # "key=value;key=value" — the meta zone's UNSPEC field encoding
-        ("fields", StringType(255)),
-        ("count", U32Type()),
-    ],
-)
+from repro.serial import CONVERTERS, StringType, U32Type, Wire, WireMessage
 
 
 def encode_data(data: typing.Mapping[str, str]) -> str:
@@ -53,47 +37,24 @@ def decode_data(text: str) -> typing.Dict[str, str]:
     )
 
 
+CONVERTERS[typing.Dict[str, str]] = (StringType, encode_data, decode_data)
+
+
 @dataclasses.dataclass
-class NameQuery:
+class NameQuery(WireMessage):
     """Broadcast: who owns this name?"""
 
-    name: str
-
-    idl_type = NAME_QUERY_IDL
-
-    def to_idl(self) -> dict:
-        return {"name": self.name}
-
-    @classmethod
-    def from_idl(cls, value: typing.Mapping[str, object]) -> "NameQuery":
-        return cls(name=typing.cast(str, value["name"]))
+    name: Annotated[str, StringType(255)]
 
 
 @dataclasses.dataclass
-class NameAnswer:
+class NameAnswer(WireMessage):
     """An owner's reply: where the name lives."""
 
-    name: str
-    owner: str     # host name
-    address: str   # dotted quad
-    data: typing.Dict[str, str]
-
-    idl_type = NAME_ANSWER_IDL
-
-    def to_idl(self) -> dict:
-        return {
-            "name": self.name,
-            "owner": self.owner,
-            "address": self.address,
-            "fields": encode_data(self.data),
-            "count": len(self.data),
-        }
-
-    @classmethod
-    def from_idl(cls, value: typing.Mapping[str, object]) -> "NameAnswer":
-        return cls(
-            name=typing.cast(str, value["name"]),
-            owner=typing.cast(str, value["owner"]),
-            address=typing.cast(str, value["address"]),
-            data=decode_data(typing.cast(str, value["fields"])),
-        )
+    name: Annotated[str, StringType(255)]
+    owner: Annotated[str, StringType(64)]     # host name
+    address: Annotated[str, StringType(64)]   # dotted quad
+    data: Annotated[typing.Dict[str, str], Wire(StringType(255), "fields")]
+    count: ClassVar[
+        Annotated[int, Wire(U32Type(), derive=lambda answer: len(answer.data))]
+    ]

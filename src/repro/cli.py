@@ -361,7 +361,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
                 print(f"  {result.spec.key:<28} ERROR: {tail[-1] if tail else '?'}")
                 continue
             shown = ", ".join(
-                f"{metric}={value:.4g}"
+                f"{metric}=" + ("n/a" if value is None else f"{value:.4g}")
                 for metric, value in sorted(result.metrics.items())
             )
             print(f"  {result.spec.key:<28} {shown}")

@@ -55,6 +55,8 @@ from repro.bind.messages import STATUS_OK, BatchQuestion
 from repro.resolution import PolicySet
 
 META_ORIGIN = "hns"
+#: how long the first writer holds a batch open for followers
+BATCH_WINDOW_MS = 5.0
 
 
 def encode_fields(**fields: object) -> bytes:
@@ -476,8 +478,8 @@ class MetaStore:
                 UpdateMode.REPLACE,
                 DomainName(owner),
                 rtype,
-                (record,),
                 lease_ms=policy.lease_ms if policy.leases else 0.0,
+                records=(record,),
             )
             serial = yield from self._submit_op(op)
             span.set(batched=policy.batch, serial=serial)
@@ -518,8 +520,7 @@ class MetaStore:
         batch = _OpenBatch(done=event)
         batch.ops[key] = op
         self._open_batch = batch
-        if policy.batch_window_ms > 0:
-            yield self.env.timeout(policy.batch_window_ms)
+        yield self.env.timeout(BATCH_WINDOW_MS)
         self._open_batch = None
         ops = list(batch.ops.values())
         try:

@@ -44,6 +44,11 @@ from repro.resolution import DEFAULT_DISCOVERY_POLICY, DiscoveryPolicy
 OBSERVE_COST_MS = 0.4
 #: CPU cost to answer a liveness probe
 PROBE_COST_MS = 0.5
+#: fraction of the beacon period randomised away (named RNG stream per
+#: host), so peers never beacon in lockstep
+BEACON_JITTER = 0.2
+#: how long the watchdog waits for a probe reply
+PROBE_TIMEOUT_MS = 250.0
 
 
 @dataclasses.dataclass
@@ -309,12 +314,10 @@ class BeaconService(Service):
     # ------------------------------------------------------------------
     def _period_ms(self) -> float:
         """Jittered beacon period — desynchronizes the segment's hosts."""
-        policy = self.policy
-        if policy.beacon_jitter <= 0:
-            return policy.beacon_period_ms
         rng = self.env.rng.stream(f"discovery.beacon:{self.host.name}")
-        spread = policy.beacon_jitter
-        return policy.beacon_period_ms * (1.0 - spread + 2.0 * spread * rng.random())
+        return self.policy.beacon_period_ms * (
+            1.0 - BEACON_JITTER + 2.0 * BEACON_JITTER * rng.random()
+        )
 
     def _beacon_loop(self) -> typing.Generator:
         while True:
@@ -382,7 +385,7 @@ class BeaconService(Service):
                 Endpoint(entry.address, BEACON_PORT),
                 ProbeRequest(entry.name),
                 size_bytes=48,
-                timeout_ms=self.policy.probe_timeout_ms,
+                timeout_ms=PROBE_TIMEOUT_MS,
             )
         except (TransportTimeout, HostDown, NoRouteToHost, RemoteCallError):
             return False

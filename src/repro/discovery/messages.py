@@ -12,42 +12,16 @@ from __future__ import annotations
 import dataclasses
 import typing
 import zlib
+from typing import Annotated
 
-from repro.broadcast.messages import decode_data, encode_data
-from repro.serial import BoolType, StringType, StructType, U32Type
+from repro.broadcast.messages import encode_data
+from repro.serial import BoolType, StringType, U32Type, WireMessage
 
 #: the well-known port every discovery listener binds
 BEACON_PORT = 1112
 
 #: segment-wide shared secret the beacon signature is keyed with
 SEGMENT_SECRET = "hcs-adhoc-v1"
-
-PRESENCE_BEACON_IDL = StructType(
-    "PresenceBeacon",
-    [
-        ("owner", StringType(64)),
-        ("address", StringType(64)),
-        ("incarnation", U32Type()),
-        # "key=value;key=value" — name -> port, as strings (wire encoding)
-        ("names", StringType(255)),
-        ("signature", U32Type()),
-    ],
-)
-
-PROBE_REQUEST_IDL = StructType(
-    "ProbeRequest",
-    [("name", StringType(255))],
-)
-
-PROBE_RESPONSE_IDL = StructType(
-    "ProbeResponse",
-    [
-        ("name", StringType(255)),
-        ("owner", StringType(64)),
-        ("incarnation", U32Type()),
-        ("alive", BoolType()),
-    ],
-)
 
 
 def sign_beacon(
@@ -65,16 +39,16 @@ def sign_beacon(
 
 
 @dataclasses.dataclass
-class PresenceBeacon:
+class PresenceBeacon(WireMessage):
     """One host's periodic presence announcement."""
 
-    owner: str            # host name
-    address: str          # dotted quad
-    incarnation: int      # bumped on every restart; last-writer-wins
-    names: typing.Dict[str, str]
-    signature: int
-
-    idl_type = PRESENCE_BEACON_IDL
+    owner: Annotated[str, StringType(64)]      # host name
+    address: Annotated[str, StringType(64)]    # dotted quad
+    #: bumped on every restart; last-writer-wins
+    incarnation: Annotated[int, U32Type()]
+    #: name -> port, as strings
+    names: Annotated[typing.Dict[str, str], StringType(255)]
+    signature: Annotated[int, U32Type()]
 
     @classmethod
     def signed(
@@ -98,66 +72,19 @@ class PresenceBeacon:
             self.owner, self.address, self.incarnation, self.names, secret
         )
 
-    def to_idl(self) -> dict:
-        return {
-            "owner": self.owner,
-            "address": self.address,
-            "incarnation": self.incarnation,
-            "names": encode_data(self.names),
-            "signature": self.signature,
-        }
-
-    @classmethod
-    def from_idl(cls, value: typing.Mapping[str, object]) -> "PresenceBeacon":
-        return cls(
-            owner=typing.cast(str, value["owner"]),
-            address=typing.cast(str, value["address"]),
-            incarnation=typing.cast(int, value["incarnation"]),
-            names=decode_data(typing.cast(str, value["names"])),
-            signature=typing.cast(int, value["signature"]),
-        )
-
 
 @dataclasses.dataclass
-class ProbeRequest:
+class ProbeRequest(WireMessage):
     """Unicast liveness check before a suspect entry is evicted."""
 
-    name: str
-
-    idl_type = PROBE_REQUEST_IDL
-
-    def to_idl(self) -> dict:
-        return {"name": self.name}
-
-    @classmethod
-    def from_idl(cls, value: typing.Mapping[str, object]) -> "ProbeRequest":
-        return cls(name=typing.cast(str, value["name"]))
+    name: Annotated[str, StringType(255)]
 
 
 @dataclasses.dataclass
-class ProbeResponse:
+class ProbeResponse(WireMessage):
     """The suspect's answer: still here (or not advertising that name)."""
 
-    name: str
-    owner: str
-    incarnation: int
-    alive: bool
-
-    idl_type = PROBE_RESPONSE_IDL
-
-    def to_idl(self) -> dict:
-        return {
-            "name": self.name,
-            "owner": self.owner,
-            "incarnation": self.incarnation,
-            "alive": self.alive,
-        }
-
-    @classmethod
-    def from_idl(cls, value: typing.Mapping[str, object]) -> "ProbeResponse":
-        return cls(
-            name=typing.cast(str, value["name"]),
-            owner=typing.cast(str, value["owner"]),
-            incarnation=typing.cast(int, value["incarnation"]),
-            alive=typing.cast(bool, value["alive"]),
-        )
+    name: Annotated[str, StringType(255)]
+    owner: Annotated[str, StringType(64)]
+    incarnation: Annotated[int, U32Type()]
+    alive: Annotated[bool, BoolType()]

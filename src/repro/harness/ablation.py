@@ -152,9 +152,12 @@ class RunSpec:
 
 @dataclasses.dataclass
 class RunOutput:
-    """What a grid runner returns: metrics plus determinism evidence."""
+    """What a grid runner returns: metrics plus determinism evidence.
 
-    metrics: typing.Dict[str, float]
+    A metric is ``None`` when the run produced nothing to measure it on.
+    """
+
+    metrics: typing.Dict[str, typing.Optional[float]]
     digest: typing.Optional[str] = None
     sim_ms: float = 0.0
 
@@ -170,7 +173,7 @@ class RunResult:
 
     spec: RunSpec
     status: str
-    metrics: typing.Dict[str, float]
+    metrics: typing.Dict[str, typing.Optional[float]]
     digest: typing.Optional[str]
     sim_ms: float
     wall_s: float
@@ -372,9 +375,10 @@ class AblationStudy:
                 continue
             per_metric: typing.Dict[str, typing.Dict[str, float]] = {}
             for metric, value in sorted(result.metrics.items()):
-                if metric not in base.metrics:
+                base_metric = base.metrics.get(metric)
+                if value is None or base_metric is None:
                     continue
-                baseline_value = float(base.metrics[metric])
+                baseline_value = float(base_metric)
                 delta = float(value) - baseline_value
                 entry = {
                     "baseline": baseline_value,

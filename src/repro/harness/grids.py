@@ -44,10 +44,14 @@ if typing.TYPE_CHECKING:  # pragma: no cover - typing only
 FIJI = HNSName("BIND-cs", "fiji.cs.washington.edu")
 
 
-def percentile(samples: typing.Sequence[float], p: float) -> float:
-    """Linear-interpolated percentile of a sample list (NaN if empty)."""
+def percentile(samples: typing.Sequence[float], p: float) -> typing.Optional[float]:
+    """Linear-interpolated percentile of a sample list.
+
+    ``None`` for an empty sample: artifacts are strict JSON, where a
+    missing measurement is ``null`` and NaN does not exist.
+    """
     if not samples:
-        return float("nan")
+        return None
     ordered = sorted(samples)
     k = (len(ordered) - 1) * (p / 100.0)
     lo = int(k)

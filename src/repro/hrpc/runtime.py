@@ -24,7 +24,7 @@ from repro.net.transport import (
     StreamTransport,
     Transport,
 )
-from repro.resolution import ResolutionPolicy
+from repro.resolution import ResolutionPolicy, backoff_ms
 
 
 def classify_error(exc: BaseException) -> str:
@@ -110,12 +110,9 @@ class HrpcRuntime:
             for attempt in range(attempts):
                 if attempt:
                     self.env.stats.counter("hrpc.retries").increment()
-                    assert policy is not None
-                    delay = policy.backoff_ms(
-                        attempt - 1, self.env.rng.stream("hrpc.backoff")
+                    yield self.env.timeout(
+                        backoff_ms(attempt - 1, self.env.rng.stream("hrpc.backoff"))
                     )
-                    if delay > 0:
-                        yield self.env.timeout(delay)
                 with self.env.obs.span(
                     "hrpc.attempt", attempt=attempt
                 ) as aspan:

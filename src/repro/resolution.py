@@ -8,8 +8,9 @@ resolution path (the meta resolver, ``FindNSM``, ``Import``, the HRPC
 runtime) consults to decide
 
 - how many times to try a remote call and with what per-call timeout,
-- how long to back off between attempts (exponential, with jitter drawn
-  from the simulation's named RNG streams so runs stay deterministic),
+- how long to back off between attempts (a fixed exponential ladder,
+  :func:`backoff_ms`, jittered from the simulation's named RNG streams
+  so runs stay deterministic),
 - whether to cache negative (NXDOMAIN) answers and for how long,
 - whether to serve *stale* cached data when the authoritative server is
   unreachable, and for how long past expiry, and
@@ -52,16 +53,9 @@ class ResolutionPolicy:
     layers degrade coherently.
     """
 
-    #: total tries per logical operation (1 = no retry)
+    #: total tries per logical operation (1 = no retry); the delays
+    #: between them are :func:`backoff_ms`
     attempts: int = 4
-    #: first backoff delay; doubles (by ``backoff_multiplier``) per retry
-    backoff_base_ms: float = 50.0
-    backoff_multiplier: float = 2.0
-    #: ceiling on any single backoff delay
-    backoff_max_ms: float = 2_000.0
-    #: fraction of the delay randomised away (0 = deterministic ladder);
-    #: jittered delays are drawn from a named ``sim.rng`` stream
-    jitter: float = 0.5
     #: per-call transport timeout; None defers to the transport default
     call_timeout_ms: typing.Optional[float] = 1_000.0
     #: TTL for cached NXDOMAIN answers (0 disables negative caching)
@@ -70,20 +64,13 @@ class ResolutionPolicy:
     #: authoritative server is unreachable (0 disables serve-stale)
     stale_window_ms: float = 120_000.0
     #: consecutive failures that trip a per-target circuit breaker
-    #: (0 disables circuit breaking)
+    #: (0 disables circuit breaking); it re-closes after
+    #: :data:`BREAKER_RESET_MS`
     breaker_threshold: int = 3
-    #: how long a tripped breaker stays open before one probe is allowed
-    breaker_reset_ms: float = 30_000.0
 
     def __post_init__(self) -> None:
         if self.attempts < 1:
             raise ValueError("attempts must be >= 1")
-        if self.backoff_base_ms < 0 or self.backoff_max_ms < 0:
-            raise ValueError("backoff delays must be >= 0")
-        if self.backoff_multiplier < 1.0:
-            raise ValueError("backoff multiplier must be >= 1")
-        if not 0.0 <= self.jitter <= 1.0:
-            raise ValueError("jitter must be in [0, 1]")
         if self.call_timeout_ms is not None and self.call_timeout_ms <= 0:
             raise ValueError("call timeout must be positive or None")
         if self.negative_ttl_ms < 0:
@@ -92,8 +79,6 @@ class ResolutionPolicy:
             raise ValueError("stale window must be >= 0")
         if self.breaker_threshold < 0:
             raise ValueError("breaker threshold must be >= 0")
-        if self.breaker_reset_ms < 0:
-            raise ValueError("breaker reset delay must be >= 0")
 
     # ------------------------------------------------------------------
     @classmethod
@@ -109,23 +94,29 @@ class ResolutionPolicy:
             breaker_threshold=0,
         )
 
-    def backoff_ms(self, retry_index: int, rng: random.Random) -> float:
-        """Delay before retry ``retry_index`` (0 = first retry).
 
-        Exponential in ``retry_index``, capped at ``backoff_max_ms``,
-        with up to ``jitter`` of the delay replaced by a uniform draw so
-        synchronised clients do not retry in lockstep.
-        """
-        if retry_index < 0:
-            raise ValueError("retry index must be >= 0")
-        delay = min(
-            self.backoff_base_ms * (self.backoff_multiplier ** retry_index),
-            self.backoff_max_ms,
-        )
-        if self.jitter and delay > 0:
-            floor = delay * (1.0 - self.jitter)
-            delay = floor + rng.random() * (delay - floor)
-        return delay
+#: The backoff ladder: first delay, growth per retry, ceiling on any one
+#: delay, and the fraction of each delay randomised away.
+BACKOFF_BASE_MS = 50.0
+BACKOFF_MULTIPLIER = 2.0
+BACKOFF_MAX_MS = 2_000.0
+BACKOFF_JITTER = 0.5
+#: How long a tripped per-target breaker stays open before one probe.
+BREAKER_RESET_MS = 30_000.0
+
+
+def backoff_ms(retry_index: int, rng: random.Random) -> float:
+    """Delay before retry ``retry_index`` (0 = first retry); always > 0.
+
+    Exponential in ``retry_index``, capped at :data:`BACKOFF_MAX_MS`,
+    with up to :data:`BACKOFF_JITTER` of the delay replaced by a uniform
+    draw so synchronised clients do not retry in lockstep.
+    """
+    if retry_index < 0:
+        raise ValueError("retry index must be >= 0")
+    delay = min(BACKOFF_BASE_MS * (BACKOFF_MULTIPLIER ** retry_index), BACKOFF_MAX_MS)
+    floor = delay * (1.0 - BACKOFF_JITTER)
+    return floor + rng.random() * (delay - floor)
 
 
 #: The policy used throughout the stack unless a caller overrides it.
@@ -228,8 +219,6 @@ class ReplicaPolicy:
     #: EWMA/in-flight scoring with power-of-two-choices selection;
     #: False preserves the static ``[primary] + secondaries`` order
     adaptive: bool = True
-    #: weight of the newest latency sample in the per-endpoint EWMA
-    ewma_alpha: float = 0.3
     #: score penalty per outstanding request on an endpoint, so load
     #: spreads even while latency estimates are equal
     inflight_penalty_ms: float = 25.0
@@ -238,8 +227,7 @@ class ReplicaPolicy:
     hedge_quantile: float = 0.95
     #: successful samples required before hedging arms
     hedge_min_samples: int = 8
-    #: clamp on the computed hedge delay
-    hedge_min_delay_ms: float = 1.0
+    #: ceiling on the computed hedge delay
     hedge_max_delay_ms: float = 1_000.0
     #: extra replicas a single exchange may hedge onto
     max_hedges: int = 1
@@ -248,31 +236,23 @@ class ReplicaPolicy:
     #: consecutive failures that trip a *per-replica* breaker (0
     #: disables the per-replica breakers entirely)
     breaker_threshold: int = 3
-    #: how long a tripped replica stays skipped before one probe
-    breaker_reset_ms: float = 10_000.0
     #: request serial-delta zone transfers (IXFR) for secondary refresh
     #: and cache re-preload, with automatic AXFR fallback
     ixfr: bool = True
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.ewma_alpha <= 1.0:
-            raise ValueError("EWMA alpha must be in (0, 1]")
         if self.inflight_penalty_ms < 0:
             raise ValueError("in-flight penalty must be >= 0")
         if not 0.0 <= self.hedge_quantile < 1.0:
             raise ValueError("hedge quantile must be in [0, 1)")
         if self.hedge_min_samples < 1:
             raise ValueError("hedge min samples must be >= 1")
-        if self.hedge_min_delay_ms < 0 or self.hedge_max_delay_ms < 0:
-            raise ValueError("hedge delays must be >= 0")
-        if self.hedge_min_delay_ms > self.hedge_max_delay_ms:
-            raise ValueError("hedge min delay must be <= max delay")
+        if self.hedge_max_delay_ms < 0:
+            raise ValueError("hedge max delay must be >= 0")
         if self.max_hedges < 0:
             raise ValueError("max hedges must be >= 0")
         if self.breaker_threshold < 0:
             raise ValueError("breaker threshold must be >= 0")
-        if self.breaker_reset_ms < 0:
-            raise ValueError("breaker reset delay must be >= 0")
 
     # ------------------------------------------------------------------
     @property
@@ -320,7 +300,7 @@ class UpdatePolicy:
     production write path:
 
     - **batched updates** (``batch``): registrations issued within the
-      ``batch_window_ms`` coalescing window on one host travel as a
+      metastore's short coalescing window on one host travel as a
       single ``UpdateBatchRequest`` datagram, with last-writer-wins
       merging of same-owner operations.  An NSM rebinding wave becomes
       one round trip instead of one per mapping.
@@ -343,8 +323,6 @@ class UpdatePolicy:
     batch: bool = True
     #: operations per batch datagram (wire-format cap: 64)
     max_batch_ops: int = 64
-    #: how long the first writer holds the batch open for followers
-    batch_window_ms: float = 5.0
     #: how caches learn about changes: "ttl" (wait for expiry),
     #: "lease" (bindings lapse with their owner), or "notify"
     #: (primary pushes serial bumps; subscribers pull IXFR deltas)
@@ -353,22 +331,16 @@ class UpdatePolicy:
     lease_ms: float = 10_000.0
     #: renew when this fraction of the lease has elapsed
     lease_renew_fraction: float = 0.5
-    #: debounce before a serial bump fans out to subscribers
-    notify_delay_ms: float = 1.0
 
     def __post_init__(self) -> None:
         if not 1 <= self.max_batch_ops <= 64:
             raise ValueError("max batch ops must be in [1, 64]")
-        if self.batch_window_ms < 0:
-            raise ValueError("batch window must be >= 0")
         if self.invalidation not in ("ttl", "lease", "notify"):
             raise ValueError("invalidation must be ttl, lease, or notify")
         if self.lease_ms <= 0:
             raise ValueError("lease duration must be positive")
         if not 0.0 < self.lease_renew_fraction < 1.0:
             raise ValueError("lease renew fraction must be in (0, 1)")
-        if self.notify_delay_ms < 0:
-            raise ValueError("notify delay must be >= 0")
 
     # ------------------------------------------------------------------
     @property
@@ -415,9 +387,8 @@ class DiscoveryPolicy:
     probes.  This policy gates the mechanisms that make the view safe
     to trust:
 
-    - **beaconing** (``beacon_period_ms`` / ``beacon_jitter``): the
-      advertisement cadence, jittered per host so a segment of peers
-      never beats in lockstep.
+    - **beaconing** (``beacon_period_ms``): the advertisement cadence,
+      jittered per host so a segment of peers never beats in lockstep.
     - **watchdog liveness** (``watchdog_multiplier``): an entry whose
       owner has been silent for ``period x multiplier`` is evicted —
       liveness-driven eviction racing (and normally beating) plain TTL
@@ -439,9 +410,6 @@ class DiscoveryPolicy:
     enabled: bool = True
     #: nominal gap between presence beacons
     beacon_period_ms: float = 1_000.0
-    #: fraction of the period randomised away (named RNG stream per
-    #: host), so peers never beacon in lockstep
-    beacon_jitter: float = 0.2
     #: TTL stamped on membership entries — the slow eviction path the
     #: watchdog races
     entry_ttl_ms: float = 30_000.0
@@ -450,8 +418,6 @@ class DiscoveryPolicy:
     watchdog_multiplier: float = 3.0
     #: probe a lapsed entry once (direct unicast) before evicting it
     probe_before_evict: bool = True
-    #: how long the watchdog waits for a probe reply
-    probe_timeout_ms: float = 250.0
     #: fall back to a one-shot broadcast NameQuery on a view miss
     requery_on_miss: bool = True
     #: reply window for the broadcast fallback
@@ -460,14 +426,10 @@ class DiscoveryPolicy:
     def __post_init__(self) -> None:
         if self.beacon_period_ms <= 0:
             raise ValueError("beacon period must be positive")
-        if not 0.0 <= self.beacon_jitter < 1.0:
-            raise ValueError("beacon jitter must be in [0, 1)")
         if self.entry_ttl_ms <= 0:
             raise ValueError("entry TTL must be positive")
         if self.watchdog_multiplier < 0:
             raise ValueError("watchdog multiplier must be >= 0")
-        if self.probe_timeout_ms <= 0:
-            raise ValueError("probe timeout must be positive")
         if self.broadcast_wait_ms <= 0:
             raise ValueError("broadcast wait window must be positive")
 
@@ -566,10 +528,7 @@ def retrying(
                 raise
             if stat:
                 env.stats.counter(stat).increment()
-            assert policy is not None
-            delay = policy.backoff_ms(i, env.rng.stream(rng_stream))
-            if delay > 0:
-                yield env.timeout(delay)
+            yield env.timeout(backoff_ms(i, env.rng.stream(rng_stream)))
     raise AssertionError("unreachable")  # pragma: no cover
 
 
@@ -676,7 +635,7 @@ class CircuitBreakerRegistry:
                 self.env,
                 target,
                 self.policy.breaker_threshold,
-                self.policy.breaker_reset_ms,
+                BREAKER_RESET_MS,
             )
             self._breakers[target] = breaker
         return breaker

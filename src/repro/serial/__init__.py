@@ -17,6 +17,10 @@ type, representation) — Sun XDR or Xerox Courier, which are parameters
 of the compiler, not implementations — so they produce identical wire
 bytes; only the simulated CPU cost differs, which is the whole point of
 the paper's cache-format experiment.
+
+:mod:`repro.serial.message` is the Python side of the same idea: a
+message class declares each field once and its IDL type and both
+conversions are derived from that.
 """
 
 from repro.serial.idl import (
@@ -38,10 +42,12 @@ from repro.serial.compiler import (
 )
 from repro.serial.handcoded import HandcodedMarshaller
 from repro.serial.generated import GeneratedMarshaller, MarshalCost
+from repro.serial.message import CONVERTERS, Wire, WireMessage
 
 __all__ = [
     "ArrayType",
     "BoolType",
+    "CONVERTERS",
     "CourierRepresentation",
     "GeneratedMarshaller",
     "HandcodedMarshaller",
@@ -54,6 +60,8 @@ __all__ = [
     "StructType",
     "StubCompiler",
     "U32Type",
+    "Wire",
     "WireError",
+    "WireMessage",
     "XdrRepresentation",
 ]

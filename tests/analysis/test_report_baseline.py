@@ -244,7 +244,7 @@ def test_cli_json_format(tmp_path, capsys):
 def test_cli_list_rules(capsys):
     assert run(["--list-rules"]) == 0
     out = capsys.readouterr().out
-    for code in ("SIM001", "SIM002", "SIM003", "HNS001", "HNS002", "HNS003"):
+    for code in ("SIM001", "SIM002", "SIM003", "HNS001", "HNS003"):
         assert code in out
 
 

@@ -1,13 +1,11 @@
-"""HNS001/HNS002/HNS003: one true positive and one clean pass each."""
+"""HNS001/HNS003: one true positive and one clean pass each."""
 
 import textwrap
 
 from repro.analysis import lint_source
 from repro.analysis.rules_hns import (
     Hns001CacheInsertTtl,
-    Hns002WireMessageIdl,
     Hns003StatNameConvention,
-    Hns004WireMessageFieldTypes,
 )
 
 
@@ -72,65 +70,6 @@ def test_hns001_ignores_non_cache_receivers():
             self.table.insert(0, row)
         """,
         Hns001CacheInsertTtl,
-    )
-    assert findings == []
-
-
-# ----------------------------------------------------------------------
-# HNS002: wire messages registered with the serializer
-# ----------------------------------------------------------------------
-_BAD_MESSAGE = """
-    import dataclasses
-
-    @dataclasses.dataclass
-    class LookupRequest:
-        name: str
-"""
-
-_GOOD_MESSAGE = """
-    import dataclasses
-
-    @dataclasses.dataclass
-    class LookupRequest:
-        name: str
-        idl_type = "placeholder"
-"""
-
-
-def test_hns002_flags_unregistered_wire_message():
-    findings = _lint(
-        _BAD_MESSAGE, Hns002WireMessageIdl, path="src/repro/x/messages.py"
-    )
-    assert [f.rule for f in findings] == ["HNS002"]
-    assert "'LookupRequest'" in findings[0].message
-
-
-def test_hns002_clean_with_idl_type():
-    findings = _lint(
-        _GOOD_MESSAGE, Hns002WireMessageIdl, path="src/repro/x/messages.py"
-    )
-    assert findings == []
-
-
-def test_hns002_only_applies_to_messages_modules():
-    findings = _lint(_BAD_MESSAGE, Hns002WireMessageIdl, path="src/repro/x/other.py")
-    assert findings == []
-
-
-def test_hns002_ignores_non_wire_and_non_dataclass_classes():
-    findings = _lint(
-        """
-        import dataclasses
-
-        @dataclasses.dataclass
-        class CacheEntry:
-            payload: object
-
-        class PlainRequest:
-            pass
-        """,
-        Hns002WireMessageIdl,
-        path="src/repro/x/messages.py",
     )
     assert findings == []
 
@@ -292,158 +231,8 @@ def test_hns003_skips_dynamic_names_and_other_receivers():
 
 
 # ----------------------------------------------------------------------
-# HNS004: wire-message field types
+# The broadcast/discovery tier: stat families
 # ----------------------------------------------------------------------
-def test_hns004_flags_unregistered_field_type():
-    findings = _lint(
-        """
-        import dataclasses
-
-        @dataclasses.dataclass
-        class TransferRequest:
-            zone: str
-            payload: object
-            idl_type = "placeholder"
-        """,
-        Hns004WireMessageFieldTypes,
-        path="src/repro/bind/messages.py",
-    )
-    assert [f.rule for f in findings] == ["HNS004"]
-    assert "TransferRequest.payload" in findings[0].message
-    assert "unregistered type" in findings[0].message
-    assert findings[0].subject == "payload"
-
-
-def test_hns004_flags_server_side_class_in_container():
-    findings = _lint(
-        """
-        import dataclasses
-
-        @dataclasses.dataclass
-        class SweepResponse:
-            expired: typing.List[LeaseRecord]
-            idl_type = "placeholder"
-        """,
-        Hns004WireMessageFieldTypes,
-        path="src/repro/bind/messages.py",
-    )
-    assert [f.rule for f in findings] == ["HNS004"]
-    assert findings[0].subject == "expired"
-
-
-def test_hns004_clean_registered_and_nested_types():
-    # Primitives, IDL record types, containers of those, other wire
-    # messages from the same module, string annotations, and unions
-    # are all registered shapes; idl_type / ClassVar / _-prefixed
-    # attributes are not wire fields at all.
-    findings = _lint(
-        """
-        import dataclasses
-        import typing
-
-        @dataclasses.dataclass
-        class TransferQuestion:
-            zone: DomainName
-            serial: int
-            idl_type = "placeholder"
-
-        @dataclasses.dataclass
-        class TransferResponse:
-            question: TransferQuestion
-            records: typing.List[ResourceRecord]
-            deltas: "typing.Dict[str, ZoneDelta]"
-            window: typing.Optional[float]
-            flags: typing.Tuple[bool, bytes]
-            retry_ms: "int | None"
-            kind: typing.ClassVar[str] = "ixfr"
-            _cached_size: object = None
-            idl_type = "placeholder"
-        """,
-        Hns004WireMessageFieldTypes,
-        path="src/repro/bind/messages.py",
-    )
-    assert findings == []
-
-
-def test_hns004_only_applies_to_messages_modules():
-    findings = _lint(
-        """
-        import dataclasses
-
-        @dataclasses.dataclass
-        class TransferRequest:
-            payload: object
-            idl_type = "placeholder"
-        """,
-        Hns004WireMessageFieldTypes,
-        path="src/repro/bind/server.py",
-    )
-    assert findings == []
-
-
-def test_hns004_ignores_non_wire_classes():
-    # A module-internal helper dataclass without a wire suffix or an
-    # idl_type is not a wire message; its fields are unconstrained.
-    findings = _lint(
-        """
-        import dataclasses
-
-        @dataclasses.dataclass
-        class CacheSlot:
-            payload: object
-        """,
-        Hns004WireMessageFieldTypes,
-        path="src/repro/bind/messages.py",
-    )
-    assert findings == []
-
-
-# ----------------------------------------------------------------------
-# The broadcast/discovery tier: wire suffixes and stat families
-# ----------------------------------------------------------------------
-def test_hns002_covers_query_answer_and_beacon_suffixes():
-    # The broadcast locator (NameQuery/NameAnswer) and the beacon tier
-    # (PresenceBeacon) speak on the wire; HNS002 must see their naming
-    # suffixes so unregistered messages in those modules are flagged.
-    findings = _lint(
-        """
-        import dataclasses
-
-        @dataclasses.dataclass
-        class NameQuery:
-            name: str
-
-        @dataclasses.dataclass
-        class NameAnswer:
-            name: str
-
-        @dataclasses.dataclass
-        class PresenceBeacon:
-            owner: str
-        """,
-        Hns002WireMessageIdl,
-        path="src/repro/discovery/messages.py",
-    )
-    assert [f.rule for f in findings] == ["HNS002"] * 3
-
-
-def test_hns004_covers_beacon_suffix_fields():
-    findings = _lint(
-        """
-        import dataclasses
-
-        @dataclasses.dataclass
-        class PresenceBeacon:
-            names: dict
-            idl_type = "placeholder"
-        """,
-        Hns004WireMessageFieldTypes,
-        path="src/repro/discovery/messages.py",
-    )
-    assert [f.rule for f in findings] == ["HNS004"]
-    assert findings[0].subject == "names"
-
-
 def test_hns003_accepts_broadcast_and_discovery_families():
     # broadcast.* mirrors the locator's examined/answered tallies as
     # env stats; discovery.* covers beacons, the passive view, watchdog

@@ -41,8 +41,8 @@ def _replace_op(owner, value, lease_ms=0.0, ttl=3_600_000.0):
         UpdateMode.REPLACE,
         DomainName(owner),
         RRType.UNSPEC,
-        (ResourceRecord(owner, RRType.UNSPEC, ttl, value),),
         lease_ms=lease_ms,
+        records=(ResourceRecord(owner, RRType.UNSPEC, ttl, value),),
     )
 
 

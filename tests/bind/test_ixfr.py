@@ -4,16 +4,13 @@ import pytest
 
 from repro.bind import (
     BindResolver,
-    DomainName,
     BindServer,
     ResolverCache,
     ResourceRecord,
     RRType,
     SecondaryBindServer,
     Zone,
-    ZoneDelta,
 )
-from repro.bind.messages import delta_from_idl, delta_to_idl
 from repro.harness.calibration import DEFAULT_CALIBRATION
 from repro.net import DatagramTransport, Internetwork
 from repro.resolution import PolicySet, ReplicaPolicy
@@ -91,18 +88,6 @@ def test_apply_delta_tracks_primary():
     # The replica re-journals the applied deltas, so it can serve IXFR
     # to a downstream requester at an intermediate serial.
     assert replica.delta_since(2) is not None
-
-
-def test_zone_delta_wire_round_trip():
-    delta = ZoneDelta(
-        7, DomainName("a.ctx.hns"), RRType.UNSPEC, (rec("a.ctx.hns", "ns=one"),)
-    )
-    value = delta_to_idl(delta)
-    back = delta_from_idl(value)
-    assert back.serial == 7
-    assert str(back.name) == "a.ctx.hns"
-    assert back.rtype is RRType.UNSPEC
-    assert back.records[0].text == "ns=one"
 
 
 # ----------------------------------------------------------------------

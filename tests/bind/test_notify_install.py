@@ -115,7 +115,7 @@ def test_pushed_install_never_blocks_cache_hits(journal_limit, fallback):
                     UpdateMode.REPLACE,
                     DomainName(owner(i)),
                     RRType.UNSPEC,
-                    (rec(i, 1),),
+                    records=(rec(i, 1),),
                 )
                 for i in range(WAVE)
             ]

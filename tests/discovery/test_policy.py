@@ -29,11 +29,8 @@ def test_frozen():
     "kwargs",
     [
         {"beacon_period_ms": 0.0},
-        {"beacon_jitter": -0.1},
-        {"beacon_jitter": 1.0},
         {"entry_ttl_ms": 0.0},
         {"watchdog_multiplier": -1.0},
-        {"probe_timeout_ms": 0.0},
         {"broadcast_wait_ms": 0.0},
     ],
 )

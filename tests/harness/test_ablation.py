@@ -21,7 +21,7 @@ from repro.harness.ablation import (
     strip_wall_clock,
     study_payload,
 )
-from repro.harness.grids import TOY_GRID
+from repro.harness.grids import TOY_GRID, percentile
 
 
 def _result(spec, metrics, status="ok"):
@@ -168,8 +168,15 @@ def test_importance_deltas_and_ratios():
     study = AblationStudy(grid)
     base_spec, off_spec = study.expand()
     results = [
-        _result(base_spec, {"p99_ms": 10.0, "availability": 1.0, "zero": 0.0}),
-        _result(off_spec, {"p99_ms": 25.0, "availability": 0.9, "zero": 4.0}),
+        _result(
+            base_spec,
+            {"p99_ms": 10.0, "availability": 1.0, "zero": 0.0, "p50_ms": 1.0},
+        ),
+        _result(
+            off_spec,
+            {"p99_ms": 25.0, "availability": 0.9, "zero": 4.0,
+             "p50_ms": percentile([], 50)},
+        ),
     ]
     scores = study.importance(results)
     assert set(scores) == {"k=off"}
@@ -183,6 +190,8 @@ def test_importance_deltas_and_ratios():
     assert scores["k=off"]["availability"]["delta"] == pytest.approx(-0.1)
     # A zero baseline reports no ratio rather than dividing by zero.
     assert "ratio" not in scores["k=off"]["zero"]
+    # An empty sample has no percentile (None, JSON null): nothing to score.
+    assert "p50_ms" not in scores["k=off"]
 
 
 def test_importance_without_baseline_is_empty():

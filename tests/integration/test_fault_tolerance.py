@@ -19,6 +19,7 @@ from repro.core import (
 from repro.harness.calibration import DEFAULT_CALIBRATION
 from repro.net import TransportTimeout
 from repro.resolution import (
+    BREAKER_RESET_MS,
     DEFAULT_RESOLUTION_POLICY,
     FastPathPolicy,
     PolicySet,
@@ -236,8 +237,7 @@ def test_breaker_trips_fast_fails_then_recovers():
 
     # After the reset window the breaker half-opens; the next import is
     # the probe, succeeds, and closes the circuit.
-    assert stack.hns.policy is not None
-    sleep(env, stack.hns.policy.breaker_reset_ms + 1)
+    sleep(env, BREAKER_RESET_MS + 1)
     binding = run(env, stack.importer.import_binding("DesiredService", FIJI))
     assert binding.endpoint.port == 9999
     assert stack.hns.nsm_breakers.states()[nsm_name] == "closed"

@@ -11,11 +11,7 @@ import struct
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.bind.messages import (
-    BATCH_QUERY_RESPONSE_IDL,
-    QUERY_REQUEST_IDL,
-    QUERY_RESPONSE_IDL,
-)
+from repro.bind.messages import BatchQueryResponse, QueryRequest, QueryResponse
 from repro.serial import (
     ArrayType,
     BoolType,
@@ -37,6 +33,9 @@ CLASSIFIED = (WireError, IdlError)
 REPS = [XdrRepresentation(), CourierRepresentation()]
 #: the length/flag word of each representation
 WORD = {"xdr": struct.Struct(">I"), "courier": struct.Struct(">H")}
+BATCH_QUERY_RESPONSE_IDL = BatchQueryResponse.idl_type
+QUERY_REQUEST_IDL = QueryRequest.idl_type
+QUERY_RESPONSE_IDL = QueryResponse.idl_type
 
 
 def entry_points(idl_type, rep):
