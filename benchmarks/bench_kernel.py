@@ -21,7 +21,8 @@ Loads, from kernel-bound to workload-shaped:
 - ``process_churn`` — concurrent generator processes each awaiting a
   chain of timeouts; dispatch plus the process-resume machinery.
 - ``mixed_conditions`` — churn where every third wait is an
-  ``AnyOf``/``AllOf`` fan-out (today's kernel only; condition events).
+  ``AnyOf``/``AllOf`` fan-out (today's kernel only; a condition fires
+  inside its deciding child, so only the timeouts are heap entries).
 - ``million_client_zipf`` — the real scenario from
   :mod:`repro.workloads.scenarios` at reduced population, with the
   replay digest equality the determinism gate enforces.
@@ -232,8 +233,9 @@ def load_mixed_conditions(env):
 
     for i in range(MIXED_PROCS):
         env.process(client(i))
-    # 3 timeouts + 1 condition per fan-out round, 1 timeout otherwise.
-    per_round = [1, 1, 4]
+    # 3 timeouts per fan-out round (the condition is not a heap
+    # entry), 1 timeout otherwise.
+    per_round = [1, 1, 3]
     events = sum(per_round[r % 3] for r in range(MIXED_ROUNDS_EACH))
     return MIXED_PROCS * events
 

@@ -16,6 +16,12 @@ happens-before relation from what the kernel already does:
 - **synchronization**: the segment that calls ``succeed``/``fail`` on
   an event happens-before the segment the event resumes (propagated
   through ``AnyOf``/``AllOf`` conditions and process-completion events);
+- **causation without a heap entry**: a segment that starts a process
+  inline happens-before that process's first segment (which nests
+  inside it), an event triggered inline inherits the cause of the event
+  whose callbacks are running, and a ``call_later`` callback continues
+  the segment that scheduled it — so a request, its handler, the reply
+  trip and the requester's resumption stay one ordered chain;
 - **passage of time is not synchronization**: a ``Timeout`` triggers
   itself, so waking up after a delay orders nothing — precisely the
   "sleep as a lock" anti-pattern the sanitizer exists to flag.
@@ -147,7 +153,11 @@ class InterleavingSanitizer(KernelMonitor):
     def __init__(self, env: Environment):
         self.env = env
         self._segments: typing.List[SegmentInfo] = []
+        #: the running segment; segments nest (an inline-started process
+        #: runs its first segment inside its starter's), so the
+        #: enclosing ones wait on a stack
         self._current: typing.Optional[int] = None
+        self._enclosing: typing.List[typing.Optional[int]] = []
         #: forward happens-before edges (seg -> later segs)
         self._edges: typing.Dict[int, typing.List[int]] = {}
         #: per-process bookkeeping; values pin the Process object so the
@@ -158,8 +168,10 @@ class InterleavingSanitizer(KernelMonitor):
         self._event_origin: typing.Dict[int, typing.Tuple[Event, int]] = {}
         #: process id -> origin segment of the event about to resume it
         self._pending_resume: typing.Dict[int, int] = {}
-        #: origin of the event whose callbacks the kernel is running
+        #: origin of the event whose callbacks are running; events nest
+        #: too (an inline trigger runs inside its cause's callbacks)
         self._processing_origin: typing.Optional[int] = None
+        self._outer_origins: typing.List[typing.Optional[int]] = []
         self._accesses: typing.Dict[
             typing.Tuple[str, str], typing.List[Access]
         ] = {}
@@ -203,20 +215,29 @@ class InterleavingSanitizer(KernelMonitor):
         origin = self._pending_resume.pop(key, None)
         if origin is not None:
             self._edges.setdefault(origin, []).append(seg_id)
+        # Whatever is running when a segment begins caused it: the
+        # segment that started this process inline, or the origin of
+        # the event being processed (usually ``origin`` again).
+        cause = self._cause()
+        if cause is not None and cause != origin:
+            self._edges.setdefault(cause, []).append(seg_id)
+        self._enclosing.append(self._current)
         self._current = seg_id
 
     def segment_end(self, process: Process) -> None:
         key = id(process)
+        self._last_segment[key] = (process, self._current)
+        self._next_index[key] = self._next_index.get(key, 0) + 1
+        self._current = self._enclosing.pop()
+
+    def _cause(self) -> typing.Optional[int]:
+        """The segment responsible for what happens right now."""
         if self._current is not None:
-            self._last_segment[key] = (process, self._current)
-            self._next_index[key] = self._next_index.get(key, 0) + 1
-        self._current = None
+            return self._current
+        return self._processing_origin
 
     def event_triggered(self, event: Event) -> None:
-        origin = (
-            self._current if self._current is not None
-            else self._processing_origin
-        )
+        origin = self._cause()
         if origin is not None:
             self._event_origin[id(event)] = (event, origin)
 
@@ -227,10 +248,11 @@ class InterleavingSanitizer(KernelMonitor):
 
     def event_processing(self, event: Event) -> None:
         entry = self._event_origin.get(id(event))
+        self._outer_origins.append(self._processing_origin)
         self._processing_origin = entry[1] if entry is not None else None
 
     def event_processed(self, event: Event) -> None:
-        self._processing_origin = None
+        self._processing_origin = self._outer_origins.pop()
 
     # ------------------------------------------------------------------
     # Shared-object tracking

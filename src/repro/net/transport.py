@@ -14,6 +14,10 @@ failure behaviour:
   raises :class:`HostDown`, to an unbound port :class:`ConnectionRefused`,
   and delivery is reliable once connected (at the cost of an extra
   round-trip of setup latency on each exchange).
+
+Kernel budget, besides the handler's own charges (``tests/net/test_event_budget.py``):
+a request/response is 3 heap entries (wire, reply and deadline ``Timeout``) and
+1 process (the handler); a stream adds its connect; a broadcast target is 1 and 1.
 """
 
 from __future__ import annotations
@@ -23,7 +27,6 @@ import typing
 from repro.net.errors import (
     ConnectionRefused,
     HostDown,
-    NoRouteToHost,
     TransportTimeout,
 )
 from repro.net.host import Host
@@ -65,9 +68,14 @@ class Transport:
         payload: object,
         size_bytes: int = 0,
         reply_to: typing.Optional[Endpoint] = None,
-        reply_sink: typing.Optional[typing.Callable[[object, int], None]] = None,
+        reply_event=None,
     ) -> typing.Generator:
-        """Fire-and-forget delivery (may silently vanish on datagrams)."""
+        """Fire-and-forget delivery (may silently vanish on datagrams).
+
+        ``reply_event``, when given, is the untriggered event the
+        service's reply succeeds (or its exception fails, wrapped in
+        :class:`RemoteCallError`); :meth:`request` passes one.
+        """
         raise NotImplementedError
 
     # -- request/response --------------------------------------------------
@@ -91,15 +99,12 @@ class Transport:
         """Sampled latency along the route; raises NoRouteToHost."""
         return self.internet.path_delay(src.address, dst_address, size_bytes)
 
-    def _deliver(
-        self,
-        datagram: Datagram,
-        reply_event,
-    ) -> typing.Generator:
+    def _deliver(self, datagram: Datagram, reply_event) -> None:
         """Run after the wire delay: hand the message to the bound service.
 
         ``reply_event`` (may be None for one-way sends) is failed or
-        succeeded according to what the service does.
+        succeeded according to what the service does.  The handler's
+        first segment runs here, inside the delivery.
         """
         env = self.env
         dst_host = self.internet.host_at(datagram.destination.address)
@@ -116,43 +121,58 @@ class Transport:
             )
             return
         env.stats.counter(f"net.{self.name}.delivered").increment()
+        exchange = _Exchange(self, datagram, dst_host, reply_event)
+        env.process(
+            exchange.run_handler(service), name=f"{self.name}.handler", inline=True
+        )
 
-        replied = []
 
-        def responder(payload: object, size_bytes: int = 0) -> None:
-            """Send the reply back across the wire to the requester."""
-            if reply_event is None:
-                return
-            if replied:
-                raise RuntimeError("service replied twice to one request")
-            replied.append(True)
+class _Exchange:
+    """One delivered message: its handler, and its reply's way back."""
 
-            def reply_trip():
-                delay = self._wire_delay(
-                    dst_host, datagram.source.address, size_bytes
-                )
-                yield env.timeout(delay)
-                src = self.internet.host_at(datagram.source.address)
-                if src is None or not src.is_up:
-                    env.trace.emit("net", "reply lost: requester down")
-                    return
-                if not reply_event.triggered:
-                    reply_event.succeed(payload)
+    __slots__ = ("transport", "datagram", "dst_host", "reply_event", "replied")
 
-            env.process(reply_trip(), name=f"{self.name}.reply")
+    def __init__(
+        self, transport: Transport, datagram: Datagram, dst_host: Host, reply_event
+    ):
+        self.transport = transport
+        self.datagram = datagram
+        self.dst_host = dst_host
+        self.reply_event = reply_event
+        self.replied = False
 
-        def run_handler():
-            try:
-                yield from service.handle(datagram, responder)
-            except BaseException as exc:  # noqa: BLE001 - carried to caller
-                if reply_event is not None and not reply_event.triggered:
-                    reply_event.fail(RemoteCallError(exc))
-                else:
-                    raise
+    def run_handler(self, service) -> typing.Generator:
+        reply_event = self.reply_event
+        try:
+            yield from service.handle(self.datagram, self.respond)
+        except BaseException as exc:  # noqa: BLE001 - carried to caller
+            if reply_event is not None and not reply_event.triggered:
+                reply_event.fail(RemoteCallError(exc))
+            else:
+                raise
 
-        env.process(run_handler(), name=f"{self.name}.handler")
-        return
-        yield  # pragma: no cover - makes this a generator
+    def respond(self, payload: object, size_bytes: int = 0) -> None:
+        """Send the reply back across the wire to the requester."""
+        if self.reply_event is None:
+            return
+        if self.replied:
+            raise RuntimeError("service replied twice to one request")
+        self.replied = True
+        transport = self.transport
+        delay = transport._wire_delay(
+            self.dst_host, self.datagram.source.address, size_bytes
+        )
+        transport.env.call_later(delay, self._reply_arrives, payload)
+
+    def _reply_arrives(self, trip) -> None:
+        transport = self.transport
+        src = transport.internet.host_at(self.datagram.source.address)
+        if src is None or not src.is_up:
+            transport.env.trace.emit("net", "reply lost: requester down")
+            return
+        if not self.reply_event.triggered:
+            # The requester resumes inside this reply's own heap entry.
+            self.reply_event.succeed_now(trip._value)
 
 
 class DatagramTransport(Transport):
@@ -198,7 +218,7 @@ class DatagramTransport(Transport):
         if segment_drop:
             self.env.trace.emit("net", f"dropped on wire: {datagram}")
             return
-        yield from self._deliver(datagram, reply_event)
+        self._deliver(datagram, reply_event)
 
     def broadcast(
         self,
@@ -224,7 +244,27 @@ class DatagramTransport(Transport):
         replies: typing.List[object] = []
         first = env.event()
 
-        def fanout(target):
+        def arrive(trip):
+            datagram = trip._value
+            if segment.would_drop(src_host.address, datagram.destination.address):
+                return
+            collector = env.event()
+            collector.callbacks.append(collect)
+            self._deliver(datagram, collector)
+
+        def collect(event):
+            if not event.ok:
+                event.defuse()
+                return
+            replies.append(event._value)
+            if not first.triggered:
+                first.succeed_now(event._value)
+
+        # One timed callback per target: its own delay draw now, its own
+        # drop check when the packet lands.
+        for target in segment.hosts:
+            if target is src_host:
+                continue
             datagram = Datagram(
                 source=src_host.ephemeral_endpoint(),
                 destination=Endpoint(target.address, port),
@@ -233,17 +273,7 @@ class DatagramTransport(Transport):
                 msg_id=self.internet.next_msg_id(),
             )
             delay = self._wire_delay(src_host, target.address, size_bytes)
-            yield env.timeout(delay)
-            if segment.would_drop(src_host.address, target.address):
-                return
-            collector = env.event()
-            collector._add_callback(self._collect_into(replies, first))
-            yield from self._deliver(datagram, collector)
-
-        for target in segment.hosts:
-            if target is src_host:
-                continue
-            env.process(fanout(target), name=f"{self.name}.bcast")
+            env.call_later(delay, arrive, datagram)
         env.stats.counter(f"net.{self.name}.broadcasts").increment()
         if first_only:
             timer = env.timeout(wait_ms)
@@ -251,18 +281,6 @@ class DatagramTransport(Transport):
             return replies[:1]
         yield env.timeout(wait_ms)
         return list(replies)
-
-    @staticmethod
-    def _collect_into(replies: typing.List[object], first):
-        def callback(event):
-            if not event.ok:
-                event.defuse()
-                return
-            replies.append(event._value)
-            if not first.triggered:
-                first.succeed(event._value)
-
-        return callback
 
     def request(
         self,
@@ -278,23 +296,16 @@ class DatagramTransport(Transport):
         last_error: typing.Optional[Exception] = None
         for attempt in range(self.retries + 1):
             reply_event = env.event()
-            try:
-                yield from self.send(
-                    src_host,
-                    destination,
-                    payload,
-                    size_bytes,
-                    reply_to=reply_to,
-                    reply_event=reply_event,
-                )
-            except NoRouteToHost:
-                raise
+            yield from self.send(
+                src_host,
+                destination,
+                payload,
+                size_bytes,
+                reply_to=reply_to,
+                reply_event=reply_event,
+            )
             timer = env.timeout(deadline)
-            outcome = env.any_of([reply_event, timer])
-            try:
-                yield outcome
-            except RemoteCallError:
-                raise
+            yield env.any_of([reply_event, timer])
             if reply_event.triggered:
                 return reply_event.value
             env.stats.counter(f"net.{self.name}.retransmits").increment()
@@ -355,7 +366,7 @@ class StreamTransport(Transport):
         dst_host = self.internet.host_at(destination.address)
         if dst_host is None or not dst_host.is_up:
             raise HostDown(f"{destination.address} died mid-transfer")
-        yield from self._deliver(datagram, reply_event)
+        self._deliver(datagram, reply_event)
 
     def request(
         self,

@@ -49,6 +49,16 @@ class Event:
 
     Events may only be triggered once; a second trigger raises
     ``RuntimeError``.
+
+    :meth:`succeed_now` / :meth:`fail_now` trigger *and* process in one
+    step, with no heap entry: the callbacks run before the call returns.
+    That is legitimate only when the cause is the event the kernel is
+    processing right now (a reply ``Timeout`` coming due, a condition's
+    deciding child) — then the waiter resumes at the same simulated
+    instant it would have, only without a second trip through the
+    queue — or when nobody is listening, so nothing runs (a process
+    returning unwaited).  Otherwise code inside a process segment uses
+    ``succeed``.
     """
 
     __slots__ = ("env", "callbacks", "_value", "_exception", "_defused")
@@ -117,6 +127,49 @@ class Event:
         env._schedule(self)
         return self
 
+    def succeed_now(self, value: object = None) -> "Event":
+        """Trigger with ``value`` and run the callbacks before returning."""
+        if self._value is not _PENDING or self._exception is not None:
+            raise RuntimeError("event already triggered")
+        self._value = value
+        self._process_now()
+        return self
+
+    def fail_now(self, exception: BaseException) -> "Event":
+        """Trigger with ``exception`` and run the callbacks before returning.
+
+        With nobody listening yet the failure is scheduled like
+        :meth:`fail`'s, so a late waiter can still catch it and
+        ``run()`` surfaces it otherwise.
+        """
+        if not self.callbacks and not self._defused:
+            return self.fail(exception)
+        if self._value is not _PENDING or self._exception is not None:
+            raise RuntimeError("event already triggered")
+        if not isinstance(exception, BaseException):
+            raise TypeError("fail_now() requires an exception instance")
+        self._exception = exception
+        self._value = None
+        self._process_now()
+        return self
+
+    def _process_now(self) -> None:
+        """Process a just-triggered event on the spot (no heap entry)."""
+        callbacks = self.callbacks or ()
+        self.callbacks = None
+        monitor = self.env.monitor
+        if monitor is None:
+            for callback in callbacks:
+                callback(self)
+            return
+        monitor.event_triggered(self)
+        monitor.event_processing(self)
+        try:
+            for callback in callbacks:
+                callback(self)
+        finally:
+            monitor.event_processed(self)
+
     def defuse(self) -> None:
         """Mark a failed event as handled (suppresses kernel surfacing)."""
         self._defused = True
@@ -176,7 +229,14 @@ class Timeout(Event):
 
 
 class _ConditionBase(Event):
-    """Shared machinery for :class:`AnyOf` / :class:`AllOf`."""
+    """Shared machinery for :class:`AnyOf` / :class:`AllOf`.
+
+    A condition is never a heap entry: it fires inside the callback of
+    the child that decides it (:meth:`Event.succeed_now`), so whoever
+    waits on it resumes while that child is being processed.  Built
+    over children that already decide it, it is processed on
+    construction.
+    """
 
     __slots__ = ("events", "_done")
 
@@ -184,7 +244,7 @@ class _ConditionBase(Event):
         super().__init__(env)
         self.events = list(events)
         if not self.events:
-            self.succeed({})
+            self.succeed_now({})
             return
         self._done = 0
         for event in self.events:
@@ -220,9 +280,9 @@ class AnyOf(_ConditionBase):
             return
         if event._exception is not None:
             event.defuse()
-            self.fail(event._exception)
+            self.fail_now(event._exception)
         else:
-            self.succeed(self._collect() or {event: event._value})
+            self.succeed_now(self._collect() or {event: event._value})
 
 
 class AllOf(_ConditionBase):
@@ -241,8 +301,8 @@ class AllOf(_ConditionBase):
             return
         if event._exception is not None:
             event.defuse()
-            self.fail(event._exception)
+            self.fail_now(event._exception)
             return
         self._done += 1
         if self._done == len(self.events):
-            self.succeed({e: e._value for e in self.events})
+            self.succeed_now({e: e._value for e in self.events})

@@ -63,25 +63,37 @@ class KernelMonitor:
     Monitors must be *passive*: they may record what they see but must
     never schedule events, trigger events, or otherwise perturb the run,
     or they would break the determinism they exist to check.
+
+    Both pairs of hooks nest.  A process started with ``inline=True``
+    runs its first segment inside its starter's, so ``segment_begin`` /
+    ``segment_end`` bracket like parentheses and the enclosing segment
+    is current again afterwards; an event triggered with
+    ``succeed_now`` / ``fail_now`` is processed inside its cause's
+    callbacks, so ``event_processing`` / ``event_processed`` do too.
     """
 
     def segment_begin(self, process: Process) -> None:
-        """``process`` is resuming: a new segment (yield-to-yield) starts."""
+        """``process`` is starting or resuming: a new segment
+        (yield-to-yield) starts, possibly inside another process's."""
 
     def segment_end(self, process: Process) -> None:
         """``process`` suspended (or finished): its current segment ends."""
 
     def event_triggered(self, event: Event) -> None:
-        """``succeed``/``fail`` was called on ``event``."""
+        """``succeed``/``fail`` (or their ``_now`` forms) was called on
+        ``event``, or ``event`` is a :meth:`Environment.call_later`
+        timeout being scheduled: the current segment is the cause of
+        whatever ``event`` resumes."""
 
     def note_resume(self, process: Process, event: Event) -> None:
         """``event`` is about to resume ``process``."""
 
     def event_processing(self, event: Event) -> None:
-        """The kernel is about to run ``event``'s callbacks."""
+        """``event``'s callbacks are about to run (from the heap, or on
+        the spot for an inline trigger, right after ``event_triggered``)."""
 
     def event_processed(self, event: Event) -> None:
-        """The kernel finished running ``event``'s callbacks."""
+        """``event``'s callbacks have run."""
 
 
 class Environment:
@@ -114,7 +126,8 @@ class Environment:
             else PerturbedHeapQueue(perturb_seed)
         )
         #: Next event id; assigned in scheduling order so simultaneous
-        #: events fire FIFO.  Doubles as the events-scheduled count.
+        #: events fire FIFO.  Doubles as the count of heap entries
+        #: scheduled (an event processed inline never gets one).
         self._eid = 0
         self._active_process: typing.Optional[Process] = None
         self.rng = RngRegistry(seed)
@@ -153,11 +166,42 @@ class Environment:
         """An event triggering ``delay`` ms from now, carrying ``value``."""
         return Timeout(self, delay, value)
 
+    def call_later(
+        self,
+        delay: float,
+        callback: typing.Callable[[Event], None],
+        value: object = None,
+    ) -> Timeout:
+        """Run ``callback(timeout)`` ``delay`` ms from now.
+
+        One heap entry and no process: the primitive for a hop that
+        only waits and then acts (a wire trip, a reply trip) — what a
+        real-socket runtime would hand to ``loop.call_later``.  The
+        callback runs in no process (``active_process`` is None) and
+        continues the segment that scheduled it, which is what the
+        monitor is told.
+        """
+        timeout = Timeout(self, delay, value)
+        timeout.callbacks.append(callback)
+        if self.monitor is not None:
+            self.monitor.event_triggered(timeout)
+        return timeout
+
     def process(
-        self, generator: ProcessGenerator, name: typing.Optional[str] = None
+        self,
+        generator: ProcessGenerator,
+        name: typing.Optional[str] = None,
+        inline: bool = False,
     ) -> Process:
-        """Start ``generator`` as a process at the current time."""
-        return Process(self, generator, name=name)
+        """Start ``generator`` as a process at the current time.
+
+        By default its first segment runs at a start event, after the
+        caller has yielded.  With ``inline=True`` it runs now, nested in
+        the caller (which stays :attr:`active_process` afterwards): for
+        a process started *by* the event being processed, such as a
+        handler at the delivery of its message.
+        """
+        return Process(self, generator, name, inline)
 
     def any_of(self, events: typing.Sequence[Event]) -> AnyOf:
         """Event triggering when any of ``events`` does."""
@@ -277,7 +321,10 @@ class Environment:
     def kernel_counters(self) -> typing.Dict[str, int]:
         """The kernel's own performance counters, as plain data.
 
-        Deliberately *not* recorded in :attr:`stats` during the run, so
+        Both count heap entries: conditions, inline triggers, inline
+        process starts and unwaited process exits are events but never
+        enter the queue, so they are in neither.  Deliberately *not*
+        recorded in :attr:`stats` during the run, so
         scenario digests do not depend on how many events a run took.
         Call :meth:`publish_kernel_stats` (once, after a run) when a
         benchmark wants them in the registry.

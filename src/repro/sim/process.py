@@ -6,6 +6,14 @@ back into the generator; the exception of a failed event is thrown into
 it.  When the generator returns, the process (itself an event) succeeds
 with the generator's return value, so processes compose: one process may
 ``yield`` another.
+
+Two things a process need not cost.  Started with ``inline=True`` its
+first segment runs inside the caller — the delivery that caused it —
+instead of at a start event of its own.  And a process that returns
+with nobody waiting on it is marked processed on the spot: no exit event
+is scheduled, and whoever yields it later finds it processed and gets
+its value.  (One that *raises* with nobody waiting is still scheduled,
+so ``run()`` surfaces the exception.)
 """
 
 from __future__ import annotations
@@ -30,6 +38,7 @@ class Process(Event):
         env: "Environment",
         generator: ProcessGenerator,
         name: typing.Optional[str] = None,
+        inline: bool = False,
     ):
         if not hasattr(generator, "send") or not hasattr(generator, "throw"):
             raise TypeError(
@@ -39,6 +48,10 @@ class Process(Event):
         self.generator = generator
         self.name = name or getattr(generator, "__name__", "process")
         self._target: typing.Optional[Event] = None
+        if inline:
+            # First segment runs now, nested in whatever is executing.
+            self._step()
+            return
         # Kick the process off at the current simulated time: a start
         # event, pre-succeeded and scheduled directly (the general
         # succeed() path re-checks trigger state we know to be fresh).
@@ -94,23 +107,31 @@ class Process(Event):
             self._step(send=event._value)
 
     def _step(self, send: object = None, throw: object = None) -> None:
-        monitor = self.env.monitor
+        env = self.env
+        monitor = env.monitor
         if monitor is not None:
             monitor.segment_begin(self)
-        self.env._active_process = self
+        # Saved, not cleared: an inline start nests this segment inside
+        # the caller's, which is the active process again afterwards.
+        enclosing = env._active_process
+        env._active_process = self
         try:
             if throw is not None:
                 target = self.generator.throw(throw)
             else:
                 target = self.generator.send(send)
         except StopIteration as stop:
-            self.succeed(stop.value)
+            if self.callbacks:
+                self.succeed(stop.value)
+            else:
+                # Nobody waits: processed on the spot, no exit event.
+                self.succeed_now(stop.value)
             return
         except BaseException as exc:
             self.fail(exc)
             return
         finally:
-            self.env._active_process = None
+            env._active_process = enclosing
             if monitor is not None:
                 monitor.segment_end(self)
         if not isinstance(target, Event):

@@ -3,7 +3,8 @@
 import pytest
 
 from repro.analysis import InterleavingSanitizer
-from repro.sim import Environment
+from repro.net import DatagramTransport, Internetwork, Service
+from repro.sim import ConstantLatency, Environment
 
 
 class Box:
@@ -161,3 +162,170 @@ def test_instrumented_run_takes_the_same_trajectory():
         return run_digest(env)
 
     assert trajectory(False) == trajectory(True)
+
+
+# ----------------------------------------------------------------------
+# Segments and events that nest: inline starts, inline triggers, timed
+# callbacks.  Fewer heap entries must not mean fewer edges -- or more.
+# ----------------------------------------------------------------------
+def test_outer_access_after_an_inline_start_is_still_recorded():
+    env = Environment(seed=0)
+    sanitizer = InterleavingSanitizer.attach(env)
+    box = sanitizer.watch(Box(), "box")
+
+    def child():
+        yield env.timeout(1)
+
+    def outer():
+        yield env.timeout(5)
+        env.process(child(), name="child", inline=True)
+        box.value = 1  # the child's segment_end must not blind this
+
+    def rival():
+        yield env.timeout(5)
+        box.value = 2
+
+    env.process(outer(), name="outer")
+    env.process(rival(), name="rival")
+    env.run()
+
+    (hazard,) = sanitizer.report()
+    writers = {hazard.first.segment.process_name, hazard.second.segment.process_name}
+    assert writers == {"outer", "rival"}
+    outer_access = min((hazard.first, hazard.second), key=lambda a: a.segment.seg_id)
+    assert str(outer_access.segment) == "outer#1@5ms"
+
+
+def test_inline_started_segment_is_ordered_after_its_starter():
+    env = Environment(seed=0)
+    sanitizer = InterleavingSanitizer.attach(env)
+    box = sanitizer.watch(Box(), "box")
+
+    def child():
+        _ = box.value
+        yield env.timeout(1)
+        _ = box.value
+
+    def outer():
+        box.value = 1
+        env.process(child(), name="child", inline=True)
+        yield env.timeout(1)
+
+    env.process(outer(), name="outer")
+    env.run()
+    assert sanitizer.report() == []
+
+
+def _small_net(env):
+    net = Internetwork(env)
+    segment = net.add_segment(latency=ConstantLatency(2.0))
+    hosts = [net.add_host(f"h{i}", segment) for i in range(4)]
+    return net, hosts, DatagramTransport(net)
+
+
+def _box_service(box):
+    """A handler that writes the payload into a watched box on arrival."""
+
+    class BoxService(Service):
+        def handle(self, datagram, responder):
+            box.value = datagram.payload
+            responder("ack", 16)
+            return
+            yield
+
+    return BoxService()
+
+
+def test_request_handler_reply_and_resumption_stay_one_ordered_chain():
+    """Client write -> handler write -> (reply trip) -> client read:
+    message passing is synchronization, with or without processes per hop."""
+    env = Environment(seed=0)
+    sanitizer = InterleavingSanitizer.attach(env)
+    box = sanitizer.watch(Box(), "box")
+    net, hosts, udp = _small_net(env)
+    endpoint = hosts[1].bind(9000, _box_service(box))
+
+    def client():
+        box.value = "before"
+        yield from udp.request(hosts[0], endpoint, "from-handler", 32)
+        assert box.value == "from-handler"
+
+    env.run(until=env.process(client(), name="client"))
+    assert len(sanitizer._accesses[("box", "value")]) == 3
+    assert sanitizer.report() == []
+
+
+def test_broadcast_handlers_are_ordered_after_the_broadcaster_not_each_other():
+    env = Environment(seed=0)
+    sanitizer = InterleavingSanitizer.attach(env)
+    box = sanitizer.watch(Box(), "box")
+    net, hosts, udp = _small_net(env)
+    for host in hosts[1:]:
+        host.bind(4000, _box_service(box))
+
+    def broadcaster():
+        box.value = "asked"
+        yield from udp.broadcast(hosts[0], 4000, "answer", 16, wait_ms=20)
+
+    env.run(until=env.process(broadcaster(), name="asker"))
+    hazards = sanitizer.report()
+    # three handlers write at the same instant: every pair is a hazard,
+    # none of them involves the broadcaster's earlier write
+    assert len(hazards) == 3
+    for hazard in hazards:
+        assert hazard.first.segment.process_name == "udp.handler"
+        assert hazard.second.segment.process_name == "udp.handler"
+        assert hazard.first.time == hazard.second.time == 2.0
+
+
+def test_handlers_delivered_at_one_instant_stay_unordered():
+    """Two unicast deliveries landing together: the inline start links
+    each handler to its own sender only, so the pair is still reported."""
+    env = Environment(seed=0)
+    sanitizer = InterleavingSanitizer.attach(env)
+    box = sanitizer.watch(Box(), "box")
+    net, hosts, udp = _small_net(env)
+    endpoint = hosts[3].bind(9000, _box_service(box))
+
+    def client(host, word):
+        yield from udp.request(host, endpoint, word, 32)
+
+    env.process(client(hosts[0], "a"), name="client-a")
+    env.process(client(hosts[1], "b"), name="client-b")
+    env.run()
+
+    (hazard,) = sanitizer.report()
+    assert {hazard.first.kind, hazard.second.kind} == {"w"}
+    assert hazard.first.segment.process_name == "udp.handler"
+    assert hazard.second.segment.process_name == "udp.handler"
+    assert hazard.first.segment.process_key != hazard.second.segment.process_key
+
+
+def test_perturbed_queue_still_shuffles_wire_timeouts_landing_together():
+    """The cohort the racer permutes is the wire Timeouts themselves; no
+    start event is needed for two same-instant deliveries to swap."""
+
+    def delivery_order(perturb_seed):
+        env = Environment(seed=0, perturb_seed=perturb_seed)
+        net, hosts, udp = _small_net(env)
+        order = []
+
+        class Recorder(Service):
+            def handle(self, datagram, responder):
+                order.append(datagram.payload)
+                return
+                yield
+
+        endpoint = hosts[3].bind(9000, Recorder())
+        for index, host in enumerate(hosts[:3]):
+            for copy in range(3):
+                env.process(udp.send(host, endpoint, (index, copy), 32))
+        env.run()
+        assert env.now == 2.0
+        return order
+
+    fifo = delivery_order(None)
+    assert fifo == sorted(fifo)
+    shuffled = {tuple(delivery_order(seed)) for seed in range(6)}
+    assert all(sorted(order) == fifo for order in shuffled)
+    assert len(shuffled) > 1 and tuple(fifo) not in shuffled

@@ -154,3 +154,130 @@ def test_many_concurrent_processes():
         env.process(proc(i))
     env.run()
     assert sorted(done) == list(range(200))
+
+
+# ----------------------------------------------------------------------
+# What a process does not cost: exit events nobody waits on, start events
+# ----------------------------------------------------------------------
+def test_unwaited_return_is_processed_at_once_and_still_waitable():
+    env = Environment()
+
+    def worker():
+        yield env.timeout(3)
+        return "done"
+
+    worker_proc = env.process(worker())
+    env.run()
+    assert worker_proc.processed and worker_proc.value == "done"
+    # start event + the timeout; the exit is not a heap entry
+    assert env.kernel_counters()["sim.kernel.events_scheduled"] == 2
+
+    def late_waiter():
+        direct = yield worker_proc
+        both = yield env.all_of([worker_proc])
+        return direct, both[worker_proc], env.now
+
+    assert env.run(until=env.process(late_waiter())) == ("done", "done", 3.0)
+    assert env.run(until=worker_proc) == "done"
+
+
+def test_unwaited_raise_still_fails_run_at_that_instant():
+    env = Environment()
+
+    def worker():
+        yield env.timeout(3)
+        raise ValueError("lost")
+
+    env.process(worker())
+    env.timeout(10)
+    with pytest.raises(ValueError, match="lost"):
+        env.run()
+    assert env.now == 3.0
+
+
+def test_inline_start_runs_first_segment_inside_the_caller():
+    env = Environment()
+    log = []
+
+    def child():
+        log.append(("child", env.active_process.name))
+        yield env.timeout(1)
+        log.append(("child-resumed", env.now))
+        return "c"
+
+    def parent():
+        yield env.timeout(4)
+        before = env.kernel_counters()["sim.kernel.events_scheduled"]
+        started = env.process(child(), name="kid", inline=True)
+        log.append(("parent", env.active_process.name))
+        # only the child's own timeout was scheduled: no start event
+        assert env.kernel_counters()["sim.kernel.events_scheduled"] == before + 1
+        return (yield started)
+
+    assert env.run(until=env.process(parent(), name="mum")) == "c"
+    assert log == [("child", "kid"), ("parent", "mum"), ("child-resumed", 5.0)]
+
+
+def test_inline_start_outside_any_process_leaves_no_active_process():
+    env = Environment()
+
+    def child():
+        yield env.timeout(1)
+
+    env.process(child(), inline=True)
+    assert env.active_process is None
+    env.run()
+
+
+def test_span_opened_after_an_inline_start_still_parents_to_the_caller():
+    env = Environment()
+    env.obs.enabled = True
+
+    def child():
+        with env.obs.span("child.work"):
+            yield env.timeout(1)
+
+    def parent():
+        with env.obs.span("parent.op"):
+            env.process(child(), name="kid", inline=True)
+            with env.obs.span("parent.after"):
+                yield env.timeout(2)
+
+    env.run(until=env.process(parent(), name="mum"))
+    spans = {span.name: span for span in env.obs.spans}
+    assert spans["parent.after"].parent_id == spans["parent.op"].span_id
+    assert spans["parent.after"].process == "mum"
+    # the child is its own process: a fresh stack, so a root of its own
+    assert spans["child.work"].parent_id is None
+    assert spans["child.work"].process == "kid"
+
+
+@pytest.mark.parametrize("raise_before_first_yield", [True, False])
+def test_inline_started_process_that_raises(raise_before_first_yield):
+    """Raising in the inline segment is a failed process, not an
+    exception thrown into the caller."""
+    env = Environment()
+
+    def child():
+        if raise_before_first_yield:
+            raise KeyError("boom")
+        yield env.timeout(0)
+        raise KeyError("boom")
+
+    def waiting_parent():
+        started = env.process(child(), inline=True)
+        try:
+            yield started
+        except KeyError:
+            return "caught"
+
+    assert env.run(until=env.process(waiting_parent())) == "caught"
+
+    def careless_parent():
+        env.process(child(), inline=True)
+        yield env.timeout(5)
+
+    env.process(careless_parent())
+    with pytest.raises(KeyError, match="boom"):
+        env.run()
+    assert env.now == 0.0
