@@ -11,6 +11,11 @@ every function and method in the linted tree:
   **may yield**;
 - ``yield from f(...)`` may suspend iff ``f`` may yield, resolved
   through a project-wide index of definitions;
+- a plain function that ends in ``return g(...)`` hands its caller
+  whatever ``g`` made, so it may yield iff a *resolved* ``g`` does
+  (``CPU.compute`` returns ``use()``'s generator this way); a returned
+  call that resolves to nothing is ignored, since most plain functions
+  return no generator at all;
 - a ``yield from`` whose target cannot be resolved (a builtin, a
   callable stored in a dispatch table, an arbitrary iterable
   expression) is **conservatively assumed to suspend**;
@@ -49,6 +54,9 @@ class Delegation:
     receiver: str  #: _SELF, _BARE, or _OTHER
     name: typing.Optional[str]  #: callee simple name; None = unanalysable
     line: int
+    #: a plain function's ``return <target>(...)`` rather than a
+    #: ``yield from``: followed when it resolves, ignored when not
+    returned: bool = False
 
 
 @dataclasses.dataclass
@@ -148,6 +156,7 @@ class CallGraph:
         for cls, node in _iter_defs(module.tree.body, None):
             has_bare = False
             delegations: typing.List[Delegation] = []
+            returned: typing.List[Delegation] = []
             is_gen = False
             for child in _walk_own_body(node):
                 if isinstance(child, ast.Yield):
@@ -158,6 +167,16 @@ class CallGraph:
                 elif isinstance(child, ast.YieldFrom):
                     is_gen = True
                     delegations.append(_classify_delegation(child.value))
+                elif isinstance(child, ast.Return) and isinstance(
+                    child.value, ast.Call
+                ):
+                    returned.append(
+                        dataclasses.replace(
+                            _classify_delegation(child.value), returned=True
+                        )
+                    )
+            if not is_gen:
+                delegations = returned
             info = FunctionInfo(
                 path=module.path,
                 cls=cls,
@@ -218,6 +237,8 @@ class CallGraph:
             for delegation in info.delegations:
                 candidates = self.resolve(info.path, info.cls, delegation)
                 if candidates is None:
+                    if delegation.returned:
+                        continue
                     self.unresolved_delegations += 1
                 else:
                     self._edges += len(candidates)

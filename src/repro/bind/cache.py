@@ -21,6 +21,7 @@ import typing
 
 from repro.harness.calibration import Calibration, DEFAULT_CALIBRATION
 from repro.sim.kernel import Environment
+from repro.sim.stats import Counter
 
 
 class CacheFormat(enum.Enum):
@@ -34,7 +35,7 @@ class CacheFormat(enum.Enum):
 class CacheEntry:
     """One cached result."""
 
-    payload: object          # bytes if MARSHALLED, value if DEMARSHALLED
+    payload: typing.Any      # bytes if MARSHALLED, value if DEMARSHALLED
     record_count: int
     expires_at: float
     inserted_at: float
@@ -81,12 +82,20 @@ class ResolverCache:
         self.coalesced = 0
         #: background refresh-ahead renewals spawned for entries here
         self.refreshes = 0
+        #: the ``env.stats`` mirrors counted so far, by attribute name
+        self._mirrors: typing.Dict[str, Counter] = {}
 
     def _count(self, counter: str) -> None:
         """Mirror an attribute counter into ``env.stats`` under the
         stable ``cache.<name>.<counter>`` scheme, so benchmarks and
-        traces read every cache uniformly."""
-        self.env.stats.counter(f"cache.{self.name}.{counter}").increment()
+        traces read every cache uniformly.  The stat is named on its
+        first increment and kept."""
+        mirror = self._mirrors.get(counter)
+        if mirror is None:
+            mirror = self._mirrors[counter] = self.env.stats.counter(
+                f"cache.{self.name}.{counter}"
+            )
+        mirror.increment()
 
     # ------------------------------------------------------------------
     def probe(self, key: object) -> typing.Tuple[typing.Optional[CacheEntry], float]:

@@ -2,9 +2,9 @@
 
 from __future__ import annotations
 
-import functools
 import typing
 
+from repro.memo import memoised
 from repro.serial import CONVERTERS, StringType
 
 MAX_LABEL = 63
@@ -25,7 +25,7 @@ def _checked(labels: typing.Tuple[str, ...], text: object) -> typing.Tuple[str, 
     return tuple(label.lower() for label in labels)
 
 
-@functools.lru_cache(maxsize=4096)
+@memoised
 def _parse(text: str) -> typing.Tuple[str, ...]:
     """Text -> validated labels.  A resolver sees the same few hundred
     strings all day; an invalid one raises every time (errors are not

@@ -21,6 +21,7 @@ and transfers are not here: they go to the primary alone, through
 
 from __future__ import annotations
 
+import functools
 import typing
 
 from repro.bind.cache import CacheEntry, CacheFormat, ResolverCache
@@ -43,6 +44,7 @@ from repro.bind.replica import ReplicaScheduler, ReplicaState
 from repro.bind.rr import ResourceRecord, RRType
 from repro.bind.zone import ZoneDelta
 from repro.harness.calibration import Calibration, DEFAULT_CALIBRATION
+from repro.memo import memoised
 from repro.net.addresses import Endpoint
 from repro.net.errors import NetworkError, is_transient
 from repro.net.host import Host, Service
@@ -54,10 +56,21 @@ from repro.singleflight import SingleFlight
 
 if typing.TYPE_CHECKING:  # pragma: no cover
     from repro.obs.span import SpanLike
+    from repro.sim.events import Event
+    from repro.sim.stats import Counter
 
 
 #: sentinel payload marking a cached NXDOMAIN answer
 _NEGATIVE = object()
+
+
+@memoised
+def _cache_key(
+    name: typing.Union[str, DomainName], rtype: RRType
+) -> typing.Tuple[str, int]:
+    """Where (name, rtype) lives in the cache: the canonical lower-case
+    owner text and the type's wire value."""
+    return (str(DomainName(name)), rtype.value)
 
 
 class BindResolver:
@@ -155,6 +168,11 @@ class BindResolver:
         # server would have sent for it, whatever this client's style.
         self._wire_response = HandcodedMarshaller(QueryResponse.idl_type)
 
+    @functools.cached_property
+    def _cache_hits(self) -> "Counter":
+        """Bound at the first hit, so the stat exists only once counted."""
+        return self.env.stats.counter(f"bind.{self.name}.cache_hits")
+
     # ------------------------------------------------------------------
     def lookup(
         self,
@@ -166,29 +184,27 @@ class BindResolver:
         Raises :class:`NameNotFound` on NXDOMAIN.  This is a process
         generator: drive it with ``yield from`` inside a simulation.
         """
-        name = DomainName(name)
-        key = (str(name), rtype.value)
+        key = _cache_key(name, rtype)
         with self.env.obs.span(
             "bind.lookup",
             resolver=self.name,
-            owner=str(name),
+            owner=key[0],
             rtype=rtype.name,
         ) as span:
             if self.cache is not None:
-                records = yield from self._probe_cache(key, name, rtype, span)
+                records = yield from self._probe_cache(key, rtype, span)
                 if records is not None:
                     span.set(outcome="hit")
                     return records
             span.set(outcome="miss")
             records = yield from self._coalesce_or_fetch(
-                key, span, lambda: self._fetch(name, rtype, key)
+                key, span, lambda: self._fetch(key, rtype)
             )
             return records
 
     def _probe_cache(
         self,
         key: typing.Tuple[str, int],
-        name: DomainName,
         rtype: RRType,
         span: "SpanLike" = NULL_SPAN,
     ) -> typing.Generator:
@@ -207,10 +223,10 @@ class BindResolver:
         if entry.payload is _NEGATIVE:
             span.set(outcome="negative")
             env.stats.counter(f"bind.{self.name}.negative_hits").increment()
-            raise NameNotFound(f"{name} {rtype} (negatively cached)")
+            raise NameNotFound(f"{key[0]} {rtype} (negatively cached)")
         records, hit_cost = self._read_entry(entry)
         yield from self.host.cpu.compute(hit_cost)
-        env.stats.counter(f"bind.{self.name}.cache_hits").increment()
+        self._cache_hits.increment()
         fast = self.fast_path
         if fast is not None and self.cache.needs_refresh(
             entry, fast.refresh_ahead_fraction
@@ -218,7 +234,7 @@ class BindResolver:
             self._flights.refresh_ahead(
                 key,
                 entry,
-                lambda: self._fetch(name, rtype, key, background=True),
+                lambda: self._fetch(key, rtype, background=True),
                 resolver=self.name,
                 owner=key[0],
             )
@@ -236,14 +252,12 @@ class BindResolver:
         cache = self.cache
         assert cache is not None
         if cache.format is CacheFormat.MARSHALLED:
-            value, demarshal_cost = self._response_m.decode(
-                typing.cast(bytes, entry.payload)
-            )
+            value, demarshal_cost = self._response_m.decode(entry.payload)
             return (
                 QueryResponse.from_idl(value).records,
                 cache.hit_cost(entry, demarshal_cost),
             )
-        return list(typing.cast(list, entry.payload)), cache.hit_cost(entry)
+        return list(entry.payload), cache.hit_cost(entry)
 
     def _store(
         self,
@@ -281,9 +295,7 @@ class BindResolver:
         """
         if self.cache is None:
             return None
-        name = DomainName(name)
-        key = (str(name), rtype.value)
-        records = yield from self._probe_cache(key, name, rtype)
+        records = yield from self._probe_cache(_cache_key(name, rtype), rtype)
         return records
 
     def _coalesce_or_fetch(
@@ -314,7 +326,7 @@ class BindResolver:
 
     def _compute(
         self, cost_ms: float, background: bool = False
-    ) -> typing.Generator:
+    ) -> typing.Iterable["Event"]:
         """Charge ``cost_ms`` of client CPU, optionally at low priority.
 
         Foreground work takes the host CPU FIFO as usual.  Background
@@ -326,23 +338,24 @@ class BindResolver:
         saturated CPU.
         """
         if cost_ms > 0:
-            yield from self.host.cpu.compute(cost_ms, background)
+            return self.host.cpu.compute(cost_ms, background)
+        return ()
 
     # --- the remote call ----------------------------------------------
     def _fetch(
         self,
-        name: DomainName,
-        rtype: RRType,
         key: typing.Tuple[str, int],
+        rtype: RRType,
         background: bool = False,
     ) -> typing.Generator:
         """The full remote-call path: request, failover, serve-stale,
         negative caching, cache insert.  Returns ``(records, count)``."""
         env = self.env
+        name = DomainName(key[0])
         with env.obs.span(
             "bind.fetch",
             resolver=self.name,
-            owner=str(name),
+            owner=key[0],
             background=background,
         ) as span:
             env.stats.counter(f"bind.{self.name}.remote_lookups").increment()
@@ -670,10 +683,7 @@ class BindResolver:
                 and self.negative_ttl_ms > 0
             ):
                 # Only literal questions know their owner client-side.
-                owner_key = (
-                    str(DomainName(question.name)),
-                    question.rtype.value,
-                )
+                owner_key = _cache_key(question.name, question.rtype)
                 insert_cost = cache.insert(
                     owner_key, _NEGATIVE, 0, self.negative_ttl_ms
                 )
@@ -704,7 +714,7 @@ class BindResolver:
                     return None
                 owner = substitute_label(owner, value)
             records = yield from self._serve_stale(
-                (str(DomainName(owner)), question.rtype.value), err
+                _cache_key(owner, question.rtype), err
             )
             if not records:
                 return None

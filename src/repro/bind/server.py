@@ -220,12 +220,13 @@ class BindServer(Service):
         reply = self._answer_one(request.name, request.rtype)
         reply, size, marshal_cost = self._encode_reply(reply)
         yield from self.host.cpu.compute(marshal_cost)
-        self.env.trace.emit(
-            "bind",
-            f"{self.name}: {request.name} {request.rtype} -> "
-            f"{'OK' if reply.status == STATUS_OK else 'NXDOMAIN'}",
-            records=len(reply.records),
-        )
+        if self.env.trace.enabled:
+            self.env.trace.emit(
+                "bind",
+                f"{self.name}: {request.name} {request.rtype} -> "
+                f"{'OK' if reply.status == STATUS_OK else 'NXDOMAIN'}",
+                records=len(reply.records),
+            )
         responder(reply, size)
 
     def _handle_batch_query(self, request: BatchQueryRequest, responder):
@@ -266,11 +267,12 @@ class BindServer(Service):
             BatchQueryResponse(answers)
         )
         yield from self.host.cpu.compute(marshal_cost)
-        self.env.trace.emit(
-            "bind",
-            f"{self.name}: batch of {len(request.questions)} -> "
-            f"{sum(1 for a in answers if a.status == STATUS_OK)} OK",
-        )
+        if self.env.trace.enabled:
+            self.env.trace.emit(
+                "bind",
+                f"{self.name}: batch of {len(request.questions)} -> "
+                f"{sum(1 for a in answers if a.status == STATUS_OK)} OK",
+            )
         responder(reply, size)
 
     def _handle_update(self, request: UpdateRequest, responder):

@@ -157,11 +157,12 @@ class ClearinghouseServer(Service):
                     {"status": STATUS_OK, "value": value}
                 )
                 yield from self.host.cpu.compute(cost)
-                env.trace.emit(
-                    "clearinghouse",
-                    f"{self.name}: retrieve {request.name} {request.prop} "
-                    f"({size} bytes from disk)",
-                )
+                if env.trace.enabled:
+                    env.trace.emit(
+                        "clearinghouse",
+                        f"{self.name}: retrieve {request.name} {request.prop} "
+                        f"({size} bytes from disk)",
+                    )
                 responder(reply, len(data))
             elif isinstance(request, AddItem):
                 env.stats.counter(f"ch.{self.name}.adds").increment()

@@ -25,6 +25,7 @@ remote HRPC service — the colocation spectrum of Table 3.1.
 
 from __future__ import annotations
 
+import functools
 import typing
 
 from repro.core.errors import HnsError, NsmNotFound, NsmUnavailable
@@ -47,6 +48,7 @@ from repro.sim.events import Event
 
 if typing.TYPE_CHECKING:  # pragma: no cover
     from repro.obs.span import SpanLike
+    from repro.sim.stats import Counter
 
 HOST_ADDRESS_QC = "HostAddress"
 
@@ -109,6 +111,11 @@ class HNS:
         # FindNSM selects one of these, the client gets a local binding.
         self._local_nsms: typing.Dict[str, NamingSemanticsManager] = {}
 
+    @functools.cached_property
+    def _find_nsm_count(self) -> "Counter":
+        """Bound at the first FindNSM, so the stat exists only once counted."""
+        return self.env.stats.counter("hns.find_nsm")
+
     # ------------------------------------------------------------------
     # Linking
     # ------------------------------------------------------------------
@@ -169,7 +176,7 @@ class HNS:
         env = self.env
         fast = self.fast_path
         batching = fast is not None and fast.batch_meta_lookups
-        env.stats.counter("hns.find_nsm").increment()
+        self._find_nsm_count.increment()
         # Fixed library bookkeeping.
         yield from self.host.cpu.compute(cal.hns_fixed_ms)
         if batching:
@@ -204,11 +211,12 @@ class HNS:
                 return reroute
             # Mapping 3: NSM name -> NSM binding information.
             record = yield from self.metastore.nsm_record(nsm_name)
-        env.trace.emit(
-            "hns",
-            f"FindNSM({hns_name.context}, {query_class}) -> {nsm_name}",
-            name_service=ns_name,
-        )
+        if env.trace.enabled:
+            env.trace.emit(
+                "hns",
+                f"FindNSM({hns_name.context}, {query_class}) -> {nsm_name}",
+                name_service=ns_name,
+            )
         if record.port == 0:
             # An NSM only available linked-in: usable iff this process
             # has it.  No host resolution is possible or needed.
@@ -382,8 +390,7 @@ class HNS:
         for _owner, entry in self.metastore.cache.warm_entries(
             f".addr.{META_ORIGIN}"
         ):
-            records = typing.cast(list, entry.payload)
-            fields = decode_fields(records[0].data)
+            fields = decode_fields(entry.payload[0].data)
             for nsm in self._host_address_nsms.values():
                 if nsm.cache is None:
                     continue

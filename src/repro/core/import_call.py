@@ -207,10 +207,11 @@ class HrpcImporter:
             if not isinstance(binding, HRPCBinding):
                 raise HnsError(f"Import produced a non-binding {binding!r}")
             env.stats.timer("hrpc.import_ms").record(env.now - start)
-            env.trace.emit(
-                "import",
-                f"Import({service_name}, {hns_name}) -> {binding.describe()}",
-            )
+            if env.trace.enabled:
+                env.trace.emit(
+                    "import",
+                    f"Import({service_name}, {hns_name}) -> {binding.describe()}",
+                )
             return binding
 
     # ------------------------------------------------------------------

@@ -27,6 +27,7 @@ the meta server, cached demarshalled with TTL invalidation.
 from __future__ import annotations
 
 import dataclasses
+import types
 import typing
 
 from repro.bind import (
@@ -48,6 +49,7 @@ if typing.TYPE_CHECKING:  # pragma: no cover
     from repro.sim.events import Event
 from repro.harness.calibration import Calibration, DEFAULT_CALIBRATION
 from repro.hrpc.suites import suite_named
+from repro.memo import memoised
 from repro.net.addresses import Endpoint
 from repro.net.host import Host
 from repro.net.transport import Transport
@@ -68,18 +70,18 @@ def encode_fields(**fields: object) -> bytes:
     return ";".join(f"{k}={v}" for k, v in sorted(fields.items())).encode("utf-8")
 
 
-def decode_fields(data: bytes) -> typing.Dict[str, str]:
-    """Decode ``key=value;...`` meta-record data."""
+@memoised
+def decode_fields(data: bytes) -> typing.Mapping[str, str]:
+    """Decode ``key=value;...`` meta-record data (a read-only mapping)."""
     out: typing.Dict[str, str] = {}
     text = data.decode("utf-8")
-    if not text:
-        return out
-    for part in text.split(";"):
-        key, sep, value = part.partition("=")
-        if not sep:
-            raise ValueError(f"malformed meta record field {part!r}")
-        out[key] = value
-    return out
+    if text:
+        for part in text.split(";"):
+            key, sep, value = part.partition("=")
+            if not sep:
+                raise ValueError(f"malformed meta record field {part!r}")
+            out[key] = value
+    return types.MappingProxyType(out)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -125,6 +127,7 @@ class NsmRecord:
         )
 
     @classmethod
+    @memoised
     def from_fields(cls, name: str, data: bytes) -> "NsmRecord":
         fields = decode_fields(data)
         suite_named(fields["suite"])  # validate early
@@ -438,6 +441,7 @@ class MetaStore:
         return NameServiceRecord.from_fields(ns_name, records[0].data)
 
     @staticmethod
+    @memoised
     def host_label(host_name: str) -> str:
         """Sanitise a (possibly dotted or colon-ed) host name to a label."""
         return "".join(c if c.isalnum() else "-" for c in host_name.lower())

@@ -21,6 +21,7 @@ a remote :class:`~repro.hrpc.binding.HRPCBinding`.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import typing
 
 from repro.bind import CacheFormat, ResolverCache, UpdateOp
@@ -33,6 +34,9 @@ from repro.hrpc.server import HrpcServer
 from repro.net.host import Host
 from repro.resolution import FastPathPolicy
 from repro.singleflight import SingleFlight
+
+if typing.TYPE_CHECKING:  # pragma: no cover
+    from repro.sim.stats import Counter
 
 
 @dataclasses.dataclass
@@ -107,6 +111,11 @@ class NamingSemanticsManager:
             cache=self.cache,
         )
 
+    @functools.cached_property
+    def _cache_hits(self) -> "Counter":
+        """Bound at the first hit, so the stat exists only once counted."""
+        return self.env.stats.counter(f"nsm.{self.name}.cache_hits")
+
     # ------------------------------------------------------------------
     def resolve(
         self, hns_name: HNSName, params: typing.Mapping[str, object]
@@ -160,7 +169,7 @@ class NamingSemanticsManager:
                 yield from self.host.cpu.compute(
                     cache.hit_cost(entry) + self.cache_hit_extra_ms
                 )
-                self.env.stats.counter(f"nsm.{self.name}.cache_hits").increment()
+                self._cache_hits.increment()
                 if fast is not None and cache.needs_refresh(
                     entry, fast.refresh_ahead_fraction
                 ):
@@ -171,9 +180,7 @@ class NamingSemanticsManager:
                         nsm=self.name,
                     )
                 return NsmResult(
-                    self.query_class,
-                    dict(typing.cast(dict, entry.payload)),
-                    from_cache=True,
+                    self.query_class, dict(entry.payload), from_cache=True
                 )
             if fast is not None and fast.coalesce:
                 flight = self._flights.get(key)
@@ -213,9 +220,10 @@ class NamingSemanticsManager:
             if self.cache is not None and key is not None:
                 insert_cost = self.cache.insert(key, dict(value), 1, ttl_ms)
                 yield from self.host.cpu.compute(insert_cost)
-            self.env.trace.emit(
-                "nsm", f"{self.name}: resolved {hns_name}", params=dict(params)
-            )
+            if self.env.trace.enabled:
+                self.env.trace.emit(
+                    "nsm", f"{self.name}: resolved {hns_name}", params=dict(params)
+                )
             return result
 
 

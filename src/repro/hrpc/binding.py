@@ -12,6 +12,7 @@ from __future__ import annotations
 import dataclasses
 import typing
 
+from repro.hrpc.suites import suite_named
 from repro.net.addresses import Endpoint
 
 
@@ -33,9 +34,6 @@ class HRPCBinding:
     def __post_init__(self) -> None:
         if not self.program:
             raise ValueError("binding needs a program name")
-        # Late import to avoid a cycle at module load.
-        from repro.hrpc.suites import suite_named
-
         suite_named(self.suite)  # validates
 
     def describe(self) -> str:

@@ -116,11 +116,12 @@ class HrpcServer(Service):
         self.env.stats.counter(
             f"hrpc.{self.name}.{request.program}.{request.procedure}"
         ).increment()
-        self.env.trace.emit(
-            "hrpc",
-            f"{self.name}: {request.program}.{request.procedure}"
-            f" via {request.suite}",
-        )
+        if self.env.trace.enabled:
+            self.env.trace.emit(
+                "hrpc",
+                f"{self.name}: {request.program}.{request.procedure}"
+                f" via {request.suite}",
+            )
         result = yield from handler(context, *request.args)
         if isinstance(result, RpcReply):
             reply = result

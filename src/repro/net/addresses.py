@@ -9,6 +9,32 @@ from __future__ import annotations
 import dataclasses
 import typing
 
+from repro.memo import memoised
+
+
+@memoised
+def _octets(dotted: str) -> typing.Tuple[int, int, int, int]:
+    """The four octets of canonical dotted-quad text, or ValueError.
+
+    Canonical means ASCII decimal without leading zeros: one address has
+    one spelling, so equal octets imply equal text (and equal keys in
+    every table indexed by address).
+    """
+    parts = dotted.split(".")
+    if len(parts) != 4:
+        raise ValueError(f"bad address {dotted!r}: need 4 octets")
+    octets = []
+    for part in parts:
+        if not (part.isascii() and part.isdigit()) or (
+            part[0] == "0" and part != "0"
+        ):
+            raise ValueError(f"bad address {dotted!r}: octet {part!r}")
+        octets.append(int(part))
+        if octets[-1] > 255:
+            raise ValueError(f"bad address {dotted!r}: octet {part} out of range")
+    a, b, c, d = octets
+    return (a, b, c, d)
+
 
 @dataclasses.dataclass(frozen=True, order=True)
 class NetworkAddress:
@@ -17,19 +43,11 @@ class NetworkAddress:
     dotted: str
 
     def __post_init__(self) -> None:
-        parts = self.dotted.split(".")
-        if len(parts) != 4:
-            raise ValueError(f"bad address {self.dotted!r}: need 4 octets")
-        for part in parts:
-            if not part.isdigit():
-                raise ValueError(f"bad address {self.dotted!r}: octet {part!r}")
-            if not 0 <= int(part) <= 255:
-                raise ValueError(f"bad address {self.dotted!r}: octet {part} out of range")
+        _octets(self.dotted)  # validates
 
     @property
     def octets(self) -> typing.Tuple[int, int, int, int]:
-        a, b, c, d = (int(p) for p in self.dotted.split("."))
-        return (a, b, c, d)
+        return _octets(self.dotted)
 
     @property
     def network(self) -> typing.Tuple[int, int, int]:

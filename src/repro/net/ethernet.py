@@ -14,12 +14,16 @@ diverge and then watch incarnation numbers reconcile.
 
 from __future__ import annotations
 
+import functools
 import typing
 
 from repro.net.host import Host
 from repro.net.messages import Datagram
 from repro.sim.kernel import Environment
 from repro.sim.latency import ConstantLatency, LatencyModel
+
+if typing.TYPE_CHECKING:  # pragma: no cover
+    import random
 
 
 class Ethernet:
@@ -61,10 +65,19 @@ class Ethernet:
     def carries(self, address: object) -> bool:
         return str(address) in self._hosts
 
+    @functools.cached_property
+    def _jitter(self) -> "random.Random":
+        """This wire's latency stream (seeded from the name, not from
+        when it is first drawn)."""
+        return self.env.rng.stream(f"ether:{self.name}")
+
+    def delay_for(self, size_bytes: int) -> float:
+        """Sample the wire time for a message of ``size_bytes``."""
+        return self.latency.sample(self._jitter, size_bytes)
+
     def transmit_delay(self, datagram: Datagram) -> float:
         """Sample the wire time for one message."""
-        rng = self.env.rng.stream(f"ether:{self.name}")
-        return self.latency.sample(rng, datagram.size_bytes)
+        return self.delay_for(datagram.size_bytes)
 
     # ------------------------------------------------------------------
     # Partition/heal: deterministic segment-level drop rules

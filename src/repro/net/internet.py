@@ -121,15 +121,11 @@ class Internetwork:
         size_bytes: int,
     ) -> float:
         """Sampled one-way delay between two attached addresses."""
-        from repro.net.messages import Datagram  # local import: cycle guard
-
         segment, hops = self._route(src, dst)
-        probe = Datagram.__new__(Datagram)  # latency only needs the size
-        probe.size_bytes = size_bytes
-        delay = segment.transmit_delay(probe)
+        delay = segment.delay_for(size_bytes)
         if hops:
             dst_seg = self._segment_of[str(dst)]
-            delay += dst_seg.transmit_delay(probe) + self.gateway_hop_ms * hops
+            delay += dst_seg.delay_for(size_bytes) + self.gateway_hop_ms * hops
         return delay
 
     def segment_would_drop(

@@ -22,6 +22,7 @@ a request/response is 3 heap entries (wire, reply and deadline ``Timeout``) and
 
 from __future__ import annotations
 
+import functools
 import typing
 
 from repro.net.errors import (
@@ -35,6 +36,7 @@ from repro.net.addresses import Endpoint
 
 if typing.TYPE_CHECKING:  # pragma: no cover
     from repro.net.internet import Internetwork
+    from repro.sim.stats import Counter
 
 
 class RemoteCallError(Exception):
@@ -59,6 +61,11 @@ class Transport:
         self.internet = internet
         self.env = internet.env
         self.name = name
+
+    @functools.cached_property
+    def _delivered(self) -> "Counter":
+        """Bound at the first delivery, so the stat exists only once counted."""
+        return self.env.stats.counter(f"net.{self.name}.delivered")
 
     # -- one-way ---------------------------------------------------------
     def send(
@@ -120,7 +127,7 @@ class Transport:
                 "net", f"lost: {datagram} (no service)", transport=self.name
             )
             return
-        env.stats.counter(f"net.{self.name}.delivered").increment()
+        self._delivered.increment()
         exchange = _Exchange(self, datagram, dst_host, reply_event)
         env.process(
             exchange.run_handler(service), name=f"{self.name}.handler", inline=True

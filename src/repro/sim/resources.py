@@ -223,8 +223,12 @@ class CPU(Resource):
     def compute(
         self, cost_ms: float, background: bool = False
     ) -> typing.Generator[Event, object, None]:
-        """Charge ``cost_ms`` of compute, scaled by the host's speed."""
-        yield from self.use(cost_ms / self.speed_factor, background)
+        """Charge ``cost_ms`` of compute, scaled by the host's speed.
+
+        Returns :meth:`use`'s generator itself, so a charge is one
+        generator frame under the caller's ``yield from``.
+        """
+        return self.use(cost_ms / self.speed_factor, background)
 
 
 class Disk(Resource):
@@ -247,6 +251,6 @@ class Disk(Resource):
         """One disk access transferring ``size_bytes``."""
         if size_bytes < 0:
             raise ValueError(f"negative read size: {size_bytes}")
-        yield from self.use(self.access_ms + self.per_kb_ms * size_bytes / 1024.0)
+        return self.use(self.access_ms + self.per_kb_ms * size_bytes / 1024.0)
 
     write = read  # Same cost model either direction.

@@ -42,7 +42,12 @@ class Tracer:
         self.records: typing.List[TraceRecord] = []
 
     def emit(self, category: str, message: str, **data: object) -> None:
-        """Record one occurrence (no-op unless enabled)."""
+        """Record one occurrence (no-op unless enabled).
+
+        The arguments are built before the call either way, so a caller
+        that runs once per operation tests ``trace.enabled`` itself and
+        formats nothing while the tracer is off.
+        """
         if not self.enabled:
             return
         self.records.append(

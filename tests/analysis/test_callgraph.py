@@ -143,6 +143,45 @@ def test_unresolved_delegation_is_conservative():
     assert graph.summary()["unresolved_delegations"] == 1
 
 
+def test_plain_function_returning_a_generator_is_followed():
+    # ``CPU.compute`` after PR 18: no ``yield`` of its own, but what it
+    # returns is ``use()``'s generator, so ``yield from cpu.compute()``
+    # suspends exactly as before.
+    graph = _graph(
+        m="""
+        class Unit:
+            def use(self, env, ms):
+                yield env.timeout(ms)
+
+            def compute(self, env, ms):
+                return self.use(env, ms / 2.0)
+
+        def caller(unit, env):
+            yield from unit.compute(env, 1.0)
+        """
+    )
+    assert not _info(graph, "m.py", "Unit", "compute").is_generator
+    assert _info(graph, "m.py", "Unit", "compute").may_yield
+    assert _info(graph, "m.py", None, "caller").may_yield
+
+
+def test_plain_function_returning_an_unknown_call_is_not_a_seed():
+    # Unlike an unresolved ``yield from``, an unresolved ``return f()``
+    # is ignored: nearly every plain function returns a non-generator.
+    graph = _graph(
+        m="""
+        def label(name):
+            return name.lower()
+
+        def caller(name):
+            yield from label(name)
+        """
+    )
+    assert not _info(graph, "m.py", None, "label").may_yield
+    assert not _info(graph, "m.py", None, "caller").may_yield
+    assert graph.summary()["unresolved_delegations"] == 0
+
+
 def test_delegation_cycle_without_yield_converges_clean():
     graph = _graph(
         m="""

@@ -23,6 +23,26 @@ def test_invalid_addresses_rejected(bad):
         NetworkAddress(bad)
 
 
+@pytest.mark.parametrize(
+    "bad",
+    ["١.٢.٣.٤", "01.2.3.004", "1.2.3.٤"],
+    ids=["arabic-indic-digits", "leading-zeros", "one-non-ascii-octet"],
+)
+def test_non_canonical_spellings_rejected(bad):
+    # Each of these has the octets of a valid address; accepted, it would
+    # compare unequal to the canonical text and key a second table entry
+    # for the same host.
+    with pytest.raises(ValueError):
+        NetworkAddress(bad)
+
+
+def test_a_lone_zero_octet_is_canonical():
+    assert NetworkAddress("0.0.0.0").octets == (0, 0, 0, 0)
+    assert NetworkAddress("10.0.0.1").octets == (10, 0, 0, 1)
+    with pytest.raises(ValueError):
+        NetworkAddress("10.00.0.1")
+
+
 @given(st.tuples(*[st.integers(min_value=0, max_value=255)] * 4))
 def test_any_octet_quad_is_valid(quad):
     addr = NetworkAddress(".".join(str(o) for o in quad))
