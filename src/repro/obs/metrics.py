@@ -20,6 +20,7 @@ import typing
 if typing.TYPE_CHECKING:  # pragma: no cover
     from repro.obs.span import Span
     from repro.sim.kernel import Environment
+    from repro.sim.stats import Histogram
 
 #: Default latency bucket bounds (simulated ms): resolution steps range
 #: from sub-ms cache probes to multi-second retry ladders.
@@ -27,6 +28,10 @@ DEFAULT_BOUNDS: typing.Tuple[float, ...] = (
     0.5, 1.0, 2.0, 5.0, 10.0, 20.0, 50.0,
     100.0, 200.0, 500.0, 1_000.0, 2_000.0, 5_000.0,
 )
+
+#: What a span name resolves to, once: its histogram and that
+#: histogram's exemplar buckets (bucket index -> sample trace ids).
+_Binding = typing.Tuple["Histogram", typing.Dict[int, typing.List[int]]]
 
 
 class ExemplarStore:
@@ -74,16 +79,26 @@ class SpanMetrics:
         self.env = env
         self.bounds = tuple(float(b) for b in bounds)
         self.exemplars = ExemplarStore(exemplars_per_bucket)
+        #: span name -> binding, resolved on the name's first span
+        self._bound: typing.Dict[str, _Binding] = {}
 
     def observe(self, span: "Span") -> None:
         """Fold one finished span into the histograms + exemplars."""
-        if span.end_ms is None:
+        end_ms = span.end_ms
+        if end_ms is None:
             return
-        histogram = self.env.stats.histogram(
-            f"obs.span.{span.name}", self.bounds
-        )
-        duration = span.duration_ms
-        histogram.record(duration)
-        self.exemplars.record(
-            histogram.name, histogram.bucket_index(duration), span.trace_id
-        )
+        binding = self._bound.get(span.name)
+        if binding is None:
+            histogram = self.env.stats.histogram(
+                f"obs.span.{span.name}", self.bounds
+            )
+            binding = self._bound[span.name] = (
+                histogram,
+                self.exemplars._store.setdefault(histogram.name, {}),
+            )
+        histogram, buckets = binding
+        index = histogram.record(end_ms - span.start_ms)
+        # A bucket that holds its fill of exemplars takes no more.
+        ids = buckets.get(index)
+        if ids is None or len(ids) < self.exemplars.per_bucket:
+            self.exemplars.record(histogram.name, index, span.trace_id)

@@ -28,7 +28,13 @@ yields, and nested instrumentation finds it as the current span of the
 active process.  Work handed to *another* process (hedged replica legs,
 refresh-ahead renewals) must capture ``env.obs.current()`` at spawn
 time and pass it as ``parent=`` explicitly — a new process starts with
-an empty span stack.
+no open span.
+
+The open spans of a process are a chain hanging on the process itself:
+its innermost open span, each span remembering the one it displaced.
+Code that runs in no process (``call_later`` callbacks, ``main``) hangs
+its chain on the :class:`Observability` instead.  Entering or leaving a
+span is a pointer swap on its owner, wherever the ``with`` unwinds.
 """
 
 from __future__ import annotations
@@ -43,22 +49,23 @@ if typing.TYPE_CHECKING:  # pragma: no cover
 #: Attribute values instrumentation may attach to a span.
 AttrValue = typing.Union[str, int, float, bool, None]
 
-#: sentinel distinguishing "inherit the current span" from an explicit
-#: ``parent=None`` (which forces a new root)
-_INHERIT = object()
+#: Whom a chain of open spans hangs on: the process that opened them,
+#: or the collector itself for code that runs in no process.  Both keep
+#: the innermost open span in ``_span``.
+_Owner = typing.Union["Process", "Observability"]
 
 
 class NullSpan:
     """The do-nothing span: what disabled or sampled-out sites get.
 
     The shared :data:`NULL_SPAN` instance absorbs ``set`` and context
-    management without allocating.  An *owned* instance (``obs`` set)
-    additionally holds a place on the process span stack so that
-    descendants of an unsampled root resolve to it — and therefore
+    management without allocating.  An *owned* instance (``owner`` set)
+    additionally holds a place on its owner's chain of open spans so
+    that descendants of an unsampled root resolve to it — and therefore
     no-op too — instead of starting fresh traces.
     """
 
-    __slots__ = ("_obs",)
+    __slots__ = ("_owner", "_prev")
 
     #: no-op spans never carry identity
     trace_id = 0
@@ -67,24 +74,31 @@ class NullSpan:
     name = ""
     recording = False
 
-    def __init__(self, obs: typing.Optional["Observability"] = None):
-        self._obs = obs
+    def __init__(self, owner: typing.Optional[_Owner] = None):
+        self._owner = owner
+        self._prev: typing.Optional[SpanLike] = None
 
     def set(self, **attrs: AttrValue) -> None:
         """Discard ``attrs``."""
 
     def __enter__(self) -> "NullSpan":
-        if self._obs is not None:
-            self._obs._push(self)
+        owner = self._owner
+        if owner is not None:
+            self._prev = owner._span
+            owner._span = self
         return self
 
     def __exit__(self, *exc: object) -> None:
-        if self._obs is not None:
-            self._obs._pop(self)
+        if self._owner is not None:
+            _unhook(self._owner, self)
 
 
-#: the shared stackless no-op span
+#: the shared ownerless no-op span
 NULL_SPAN = NullSpan()
+
+#: ``parent=`` default distinguishing "inherit the current span" from an
+#: explicit ``parent=None`` (which forces a new root)
+_INHERIT = NullSpan()
 
 #: Either a real recording span or a no-op stand-in: what
 #: :meth:`Observability.span` hands to instrumentation sites.
@@ -110,7 +124,8 @@ class Span:
         "status",
         "error",
         "process",
-        "_obs",
+        "_owner",
+        "_prev",
     )
 
     #: real spans record; the shared NullSpan does not
@@ -118,7 +133,7 @@ class Span:
 
     def __init__(
         self,
-        obs: "Observability",
+        owner: _Owner,
         trace_id: int,
         span_id: int,
         parent_id: typing.Optional[int],
@@ -127,7 +142,8 @@ class Span:
         process: str,
         attrs: typing.Dict[str, AttrValue],
     ):
-        self._obs = obs
+        self._owner = owner
+        self._prev: typing.Optional[SpanLike] = None
         self.trace_id = trace_id
         self.span_id = span_id
         self.parent_id = parent_id
@@ -157,7 +173,9 @@ class Span:
 
     # ------------------------------------------------------------------
     def __enter__(self) -> "Span":
-        self._obs._push(self)
+        owner = self._owner
+        self._prev = owner._span
+        owner._span = self
         return self
 
     def __exit__(
@@ -166,12 +184,27 @@ class Span:
         exc: typing.Optional[BaseException],
         tb: object,
     ) -> None:
-        self.end_ms = self._obs.env.now
+        owner = self._owner
+        env = owner.env
+        self.end_ms = env._now
         if exc is not None and self.status == "ok":
             self.status = "error"
             self.error = type(exc).__name__
-        self._obs._pop(self)
-        self._obs._record(self)
+        if owner._span is self:
+            owner._span = self._prev
+        else:
+            _unhook(owner, self)
+        obs = env.obs
+        # Metrics first: the cap bounds what is retained, not what the
+        # O(1) histograms count.
+        metrics = obs.metrics
+        if metrics is not None:
+            metrics.observe(self)
+        spans = obs.spans
+        if len(spans) >= obs.max_spans:
+            obs.dropped += 1
+        else:
+            spans.append(self)
 
     def __repr__(self) -> str:
         end = f"{self.end_ms:.3f}" if self.end_ms is not None else "open"
@@ -180,6 +213,21 @@ class Span:
             f"id={self.span_id}, parent={self.parent_id}, "
             f"[{self.start_ms:.3f}..{end}], {self.status})"
         )
+
+
+def _unhook(owner: _Owner, span: SpanLike) -> None:
+    """Take ``span`` off ``owner``'s chain, with whatever opened above it.
+
+    A span unwound out of order drops the spans still hanging above it;
+    one already dropped that way is no longer on the chain and changes
+    nothing.
+    """
+    node = owner._span
+    while node is not None:
+        if node is span:
+            owner._span = span._prev
+            return
+        node = node._prev
 
 
 class Observability:
@@ -210,11 +258,9 @@ class Observability:
         self.spans: typing.List[Span] = []
         #: optional metrics pipeline fed on every finished span
         self.metrics: typing.Optional["SpanMetrics"] = None
-        #: per-process open-span stacks; keyed by the Process object,
-        #: accessed only by identity (never iterated) so insertion
-        #: order cannot leak into the run
-        self._stacks: typing.Dict["Process", typing.List[SpanLike]] = {}
-        self._global_stack: typing.List[SpanLike] = []
+        #: innermost open span of code that runs in no process; a
+        #: process keeps its own in :attr:`Process._span`
+        self._span: typing.Optional[SpanLike] = None
         self._next_span_id = 1
         self._roots_seen = 0
 
@@ -249,7 +295,7 @@ class Observability:
         self,
         name: str,
         /,
-        parent: typing.Union[SpanLike, None, object] = _INHERIT,
+        parent: typing.Optional[SpanLike] = _INHERIT,
         **attrs: AttrValue,
     ) -> SpanLike:
         """Open a span (use as a context manager).
@@ -265,39 +311,41 @@ class Observability:
         """
         if not self.enabled:
             return NULL_SPAN
+        env = self.env
+        process = env._active_process
+        owner: _Owner = self if process is None else process
         if parent is _INHERIT:
-            parent = self.current()
-        if isinstance(parent, NullSpan):
-            # Descendant of a sampled-out root: stay silent, and do not
-            # hold a stack slot (the root's own NullSpan already does).
-            return NULL_SPAN
-        parent_span = typing.cast(typing.Optional[Span], parent)
-        if parent_span is None:
+            parent = owner._span
+        if parent is None:
             self._roots_seen += 1
             if (self._roots_seen - 1) % self.sample_every != 0:
-                return NullSpan(self)
-            trace_id = self.env.rng.stream("obs.ids").getrandbits(48)
+                return NullSpan(owner)
+            trace_id = env.rng.stream("obs.ids").getrandbits(48)
             parent_id = None
+        elif parent.recording:
+            trace_id = parent.trace_id
+            parent_id = parent.span_id
         else:
-            trace_id = parent_span.trace_id
-            parent_id = parent_span.span_id
+            # Descendant of a sampled-out root: stay silent, and hold no
+            # place on the chain (the root's own NullSpan already does).
+            return NULL_SPAN
         span_id = self._next_span_id
-        self._next_span_id += 1
+        self._next_span_id = span_id + 1
         return Span(
-            obs=self,
-            trace_id=trace_id,
-            span_id=span_id,
-            parent_id=parent_id,
-            name=name,
-            start_ms=self.env.now,
-            process=self._process_name(),
-            attrs=dict(attrs),
+            owner,
+            trace_id,
+            span_id,
+            parent_id,
+            name,
+            env._now,
+            "main" if process is None else process.name,
+            attrs,
         )
 
     def current(self) -> typing.Optional[SpanLike]:
         """The innermost open span of the active process, if any."""
-        stack = self._stack()
-        return stack[-1] if stack else None
+        process = self.env._active_process
+        return self._span if process is None else process._span
 
     # ------------------------------------------------------------------
     # Retrieval
@@ -320,46 +368,3 @@ class Observability:
     def spans_named(self, name: str) -> typing.List[Span]:
         """Finished spans called ``name``, in completion order."""
         return [s for s in self.spans if s.name == name]
-
-    # ------------------------------------------------------------------
-    # Stack plumbing (Span/NullSpan only)
-    # ------------------------------------------------------------------
-    def _stack(self) -> typing.List[SpanLike]:
-        process = self.env.active_process
-        if process is None:
-            return self._global_stack
-        stack = self._stacks.get(process)
-        if stack is None:
-            stack = []
-            self._stacks[process] = stack
-        return stack
-
-    def _push(self, span: SpanLike) -> None:
-        self._stack().append(span)
-
-    def _pop(self, span: SpanLike) -> None:
-        stack = self._stack()
-        if stack and stack[-1] is span:
-            stack.pop()
-        elif span in stack:  # unwound out of order: drop through it
-            while stack and stack[-1] is not span:
-                stack.pop()
-            if stack:
-                stack.pop()
-        process = self.env.active_process
-        if process is not None and not stack:
-            self._stacks.pop(process, None)
-
-    def _record(self, span: Span) -> None:
-        if len(self.spans) >= self.max_spans:
-            self.dropped += 1
-            return
-        self.spans.append(span)
-        if self.metrics is not None:
-            self.metrics.observe(span)
-
-    def _process_name(self) -> str:
-        process = self.env.active_process
-        if process is None:
-            return "main"
-        return getattr(process, "name", None) or "process"

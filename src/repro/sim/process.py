@@ -23,6 +23,7 @@ import typing
 from repro.sim.events import Event, Interrupt
 
 if typing.TYPE_CHECKING:  # pragma: no cover
+    from repro.obs.span import SpanLike
     from repro.sim.kernel import Environment
 
 ProcessGenerator = typing.Generator[Event, object, object]
@@ -31,7 +32,7 @@ ProcessGenerator = typing.Generator[Event, object, object]
 class Process(Event):
     """A running simulated activity; also an event others can wait on."""
 
-    __slots__ = ("generator", "name", "_target")
+    __slots__ = ("generator", "name", "_target", "_span")
 
     def __init__(
         self,
@@ -48,6 +49,9 @@ class Process(Event):
         self.generator = generator
         self.name = name or getattr(generator, "__name__", "process")
         self._target: typing.Optional[Event] = None
+        #: innermost open span (``repro.obs`` reads and writes it; the
+        #: kernel never looks)
+        self._span: typing.Optional["SpanLike"] = None
         if inline:
             # First segment runs now, nested in whatever is executing.
             self._step()

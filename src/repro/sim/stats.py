@@ -272,12 +272,15 @@ class Histogram:
         """
         return bisect_left(self.bounds, value)
 
-    def record(self, value: float) -> None:
-        self.counts[bisect_left(self.bounds, value)] += 1
+    def record(self, value: float) -> int:
+        """Count ``value``; returns the index of the bucket it fell in."""
+        index = bisect_left(self.bounds, value)
+        self.counts[index] += 1
         if self._min is None or value < self._min:
             self._min = value
         if self._max is None or value > self._max:
             self._max = value
+        return index
 
     @property
     def total(self) -> int:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.obs import NULL_SPAN, NullSpan
+from repro.obs import DEFAULT_BOUNDS, NULL_SPAN, NullSpan, SpanMetrics
 from repro.sim import Environment
 
 
@@ -204,6 +204,19 @@ def test_max_spans_cap_counts_drops_and_clear_resets():
     env.obs.clear()
     assert env.obs.spans == []
     assert env.obs.dropped == 0
+
+
+def test_metrics_are_fed_past_the_span_cap():
+    """The cap bounds retention; the O(1) histograms keep counting."""
+    env = Environment(seed=12)
+    env.obs.enable(metrics=SpanMetrics(env))
+    env.obs.max_spans = 2
+    for _ in range(5):
+        with env.obs.span("s", parent=None):
+            pass
+    assert len(env.obs.spans) == 2
+    assert env.obs.dropped == 3
+    assert env.stats.histogram("obs.span.s", DEFAULT_BOUNDS).total == 5
 
 
 def test_trace_ids_replay_deterministically_per_seed():
