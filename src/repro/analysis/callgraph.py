@@ -13,9 +13,9 @@ every function and method in the linted tree:
   through a project-wide index of definitions;
 - a plain function that ends in ``return g(...)`` hands its caller
   whatever ``g`` made, so it may yield iff a *resolved* ``g`` does
-  (``CPU.compute`` returns ``use()``'s generator this way); a returned
-  call that resolves to nothing is ignored, since most plain functions
-  return no generator at all;
+  (``one()`` in ``harness/report.py`` returns ``import_binding``'s
+  generator this way); a returned call that resolves to nothing is
+  ignored, since most plain functions return no generator at all;
 - a ``yield from`` whose target cannot be resolved (a builtin, a
   callable stored in a dispatch table, an arbitrary iterable
   expression) is **conservatively assumed to suspend**;

@@ -42,10 +42,10 @@ class LocalFileBinder:
         self.env.stats.counter("baseline.localfile.imports").increment()
         start = self.env.now
         # Same HRPC import machinery as the HNS path...
-        yield from self.host.cpu.compute(cal.import_fixed_ms)
+        yield self.host.cpu.compute(cal.import_fixed_ms)
         # ...but the data comes from the local replica.
         entry = yield from self.file.lookup(service_name, host_name)
-        yield from self.host.cpu.compute(cal.rereg_glue_ms)
+        yield self.host.cpu.compute(cal.rereg_glue_ms)
         self.env.stats.timer("baseline.localfile.import_ms").record(
             self.env.now - start
         )

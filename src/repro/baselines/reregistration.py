@@ -112,7 +112,7 @@ class ReregistrationBinder:
             except NameNotFound as err:
                 raise KeyError(f"{service_name}@{host_name}") from err
             raw = records[0].data
-        yield from self.host.cpu.compute(self.calibration.rereg_glue_ms)
+        yield self.host.cpu.compute(self.calibration.rereg_glue_ms)
         fields = decode_fields(raw)
         self.env.stats.timer("baseline.rereg.import_ms").record(
             self.env.now - start

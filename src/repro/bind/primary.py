@@ -67,7 +67,7 @@ class PrimaryClient:
             marshaller = HandcodedMarshaller(request.idl_type)
             self._marshallers[type(request)] = marshaller
         request_bytes, marshal_cost = marshaller.encode(request.to_idl())
-        yield from self.host.cpu.compute(marshal_cost)
+        yield self.host.cpu.compute(marshal_cost)
         reply = yield from self.transport.request(
             self.host, self.server, request, len(request_bytes), timeout_ms
         )

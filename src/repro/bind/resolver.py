@@ -173,6 +173,11 @@ class BindResolver:
         """Bound at the first hit, so the stat exists only once counted."""
         return self.env.stats.counter(f"bind.{self.name}.cache_hits")
 
+    @functools.cached_property
+    def _remote_lookups(self) -> "Counter":
+        """Bound at the first remote fetch, likewise."""
+        return self.env.stats.counter(f"bind.{self.name}.remote_lookups")
+
     # ------------------------------------------------------------------
     def lookup(
         self,
@@ -217,7 +222,7 @@ class BindResolver:
         env = self.env
         assert self.cache is not None
         entry, probe_cost = self.cache.probe(key)
-        yield from self.host.cpu.compute(probe_cost)
+        yield self.host.cpu.compute(probe_cost)
         if entry is None:
             return None
         if entry.payload is _NEGATIVE:
@@ -225,7 +230,7 @@ class BindResolver:
             env.stats.counter(f"bind.{self.name}.negative_hits").increment()
             raise NameNotFound(f"{key[0]} {rtype} (negatively cached)")
         records, hit_cost = self._read_entry(entry)
-        yield from self.host.cpu.compute(hit_cost)
+        yield self.host.cpu.compute(hit_cost)
         self._cache_hits.increment()
         fast = self.fast_path
         if fast is not None and self.cache.needs_refresh(
@@ -324,10 +329,9 @@ class BindResolver:
         result, _count = yield from self._flights.lead(key, fetch())
         return result
 
-    def _compute(
-        self, cost_ms: float, background: bool = False
-    ) -> typing.Iterable["Event"]:
-        """Charge ``cost_ms`` of client CPU, optionally at low priority.
+    def _compute(self, cost_ms: float, background: bool = False) -> "Event":
+        """Charge ``cost_ms`` of client CPU, optionally at low priority:
+        the event to ``yield``.
 
         Foreground work takes the host CPU FIFO as usual.  Background
         work (refresh-ahead renewals, NOTIFY-pushed installs) rides the
@@ -339,7 +343,8 @@ class BindResolver:
         """
         if cost_ms > 0:
             return self.host.cpu.compute(cost_ms, background)
-        return ()
+        # Nothing to pay: already over, so not even a wait for the CPU.
+        return self.env.event().succeed_now()
 
     # --- the remote call ----------------------------------------------
     def _fetch(
@@ -358,7 +363,7 @@ class BindResolver:
             owner=key[0],
             background=background,
         ) as span:
-            env.stats.counter(f"bind.{self.name}.remote_lookups").increment()
+            self._remote_lookups.increment()
             try:
                 reply = yield from self._request(
                     QueryRequest(name, rtype), self._hand_request, background
@@ -376,18 +381,18 @@ class BindResolver:
                 raise BindError(f"unexpected reply {reply!r}")
             # Demarshal the response with this client's style.
             _, demarshal_cost = self._response_m.decode(reply.wire)
-            yield from self._compute(demarshal_cost, background)
+            yield self._compute(demarshal_cost, background)
             if reply.status == STATUS_NXDOMAIN:
                 if self.cache is not None and self.negative_ttl_ms > 0:
                     insert_cost = self.cache.insert(
                         key, _NEGATIVE, 0, self.negative_ttl_ms
                     )
-                    yield from self._compute(insert_cost, background)
+                    yield self._compute(insert_cost, background)
                 raise NameNotFound(f"{name} {rtype}")
             if reply.status != STATUS_OK:
                 raise BindError(f"status {reply.status} for {name} {rtype}")
             if self.cache is not None and reply.records:
-                yield from self._compute(
+                yield self._compute(
                     self._store(key, reply.records), background
                 )
             return list(reply.records), len(reply.records)
@@ -414,7 +419,7 @@ class BindResolver:
         if entry is None or entry.payload is _NEGATIVE:
             return None
         records, hit_cost = self._read_entry(entry)
-        yield from self.host.cpu.compute(hit_cost)
+        yield self.host.cpu.compute(hit_cost)
         self.env.stats.counter(f"bind.{self.name}.stale_hits").increment()
         self.env.trace.emit(
             "bind",
@@ -438,9 +443,9 @@ class BindResolver:
         network error if all rounds fail.
         """
         if self.per_call_overhead_ms:
-            yield from self._compute(self.per_call_overhead_ms, background)
+            yield self._compute(self.per_call_overhead_ms, background)
         request_bytes, marshal_cost = marshaller.encode(request.to_idl())
-        yield from self._compute(
+        yield self._compute(
             max(marshal_cost, self.calibration.request_marshal_ms), background
         )
         policy = self.policy
@@ -662,7 +667,7 @@ class BindResolver:
             raise BindError(f"unexpected reply {reply!r}")
         # Demarshal the whole response with this client's style.
         _, demarshal_cost = self._batch_response_m.decode(reply.wire)
-        yield from self.host.cpu.compute(demarshal_cost)
+        yield self.host.cpu.compute(demarshal_cost)
         total_records = 0
         cache = self.cache
         for question, answer in zip(questions, reply.answers):
@@ -674,7 +679,7 @@ class BindResolver:
                     str(answer.records[0].name),
                     question.rtype.value,
                 )
-                yield from self.host.cpu.compute(
+                yield self.host.cpu.compute(
                     self._store(owner_key, answer.records)
                 )
             elif (
@@ -687,7 +692,7 @@ class BindResolver:
                 insert_cost = cache.insert(
                     owner_key, _NEGATIVE, 0, self.negative_ttl_ms
                 )
-                yield from self.host.cpu.compute(insert_cost)
+                yield self.host.cpu.compute(insert_cost)
         return reply.answers, total_records
 
     def _stale_answers(
@@ -885,10 +890,10 @@ class BindResolver:
         per_record = self.calibration.xfer_install_per_record_ms
         loaded = sum(len(group) for _, group in groups)
         if not background:
-            yield from self._compute(per_record * loaded)
+            yield self._compute(per_record * loaded)
         for key, group in groups:
             if background:
-                yield from self._compute(per_record * len(group), background=True)
+                yield self._compute(per_record * len(group), background=True)
             if group:
                 self._store(key, group)
             else:

@@ -146,7 +146,7 @@ class SecondaryBindServer(BindServer):
                     len(d.records) for d in deltas
                 )
                 if install_cost > 0:
-                    yield from self.host.cpu.compute(install_cost)
+                    yield self.host.cpu.compute(install_cost)
                 for delta in deltas:
                     zone.apply_delta(delta)
                 self.replica_serials[zone.origin] = serial
@@ -219,7 +219,7 @@ class SecondaryBindServer(BindServer):
         coalesce onto the in-flight pull.
         """
         zone = self.zone_named(DomainName(request.origin))
-        yield from self.host.cpu.compute(1.0)
+        yield self.host.cpu.compute(1.0)
         if zone is None:
             return
         if request.serial <= self.replica_serials.get(zone.origin, 0):

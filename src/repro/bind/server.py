@@ -17,6 +17,7 @@ is an answer, not a crashed call.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import typing
 
 from repro.bind.errors import NameNotFound
@@ -60,6 +61,7 @@ from repro.serial.idl import IdlType
 
 if typing.TYPE_CHECKING:  # pragma: no cover
     from repro.net.transport import Transport
+    from repro.sim.stats import Counter
 
 #: debounce before a serial bump fans out to NOTIFY subscribers
 NOTIFY_DELAY_MS = 1.0
@@ -111,6 +113,27 @@ class BindServer(Service):
         ] = {}
         #: origins with a debounced NOTIFY fan-out already scheduled
         self._notify_pending: typing.Set[DomainName] = set()
+
+    # Per-exchange counters, each bound at its first increment so the
+    # stat exists only once counted.  ``requests`` counts datagrams (a
+    # batch is one), ``queries`` counts database walks — the
+    # requests-per-resolution metric the fast-path benchmarks report
+    # divides over the former.
+    @functools.cached_property
+    def _requests(self) -> "Counter":
+        return self.env.stats.counter(f"bind.{self.name}.requests")
+
+    @functools.cached_property
+    def _queries(self) -> "Counter":
+        return self.env.stats.counter(f"bind.{self.name}.queries")
+
+    @functools.cached_property
+    def _batches(self) -> "Counter":
+        return self.env.stats.counter(f"bind.{self.name}.batches")
+
+    @functools.cached_property
+    def _updates(self) -> "Counter":
+        return self.env.stats.counter(f"bind.{self.name}.updates")
 
     # ------------------------------------------------------------------
     def listen(self, port: int = WELL_KNOWN_PORTS["bind"]) -> Endpoint:
@@ -176,7 +199,7 @@ class BindServer(Service):
             reply, size, cost = self._encode_reply(
                 QueryResponse(STATUS_SERVFAIL, [])
             )
-            yield from self.host.cpu.compute(cost)
+            yield self.host.cpu.compute(cost)
             responder(reply, size)
 
     def _answer_one(self, name: DomainName, rtype) -> QueryResponse:
@@ -210,16 +233,13 @@ class BindServer(Service):
         ]
 
     def _handle_query(self, request: QueryRequest, responder):
-        # ``requests`` counts datagrams (a batch is one), ``queries``
-        # counts database walks — the requests-per-resolution metric
-        # the fast-path benchmarks report divides over the former.
-        self.env.stats.counter(f"bind.{self.name}.requests").increment()
-        self.env.stats.counter(f"bind.{self.name}.queries").increment()
+        self._requests.increment()
+        self._queries.increment()
         # In-memory database walk: the calibrated fixed per-query cost.
-        yield from self.host.cpu.compute(self.lookup_cost_ms)
+        yield self.host.cpu.compute(self.lookup_cost_ms)
         reply = self._answer_one(request.name, request.rtype)
         reply, size, marshal_cost = self._encode_reply(reply)
-        yield from self.host.cpu.compute(marshal_cost)
+        yield self.host.cpu.compute(marshal_cost)
         if self.env.trace.enabled:
             self.env.trace.emit(
                 "bind",
@@ -238,12 +258,12 @@ class BindServer(Service):
         failed (bad index, non-OK answer, or missing field) yields a
         SERVFAIL answer in its slot rather than failing the batch.
         """
-        self.env.stats.counter(f"bind.{self.name}.requests").increment()
-        self.env.stats.counter(f"bind.{self.name}.batches").increment()
+        self._requests.increment()
+        self._batches.increment()
         answers: typing.List[QueryResponse] = []
         for question in request.questions:
-            self.env.stats.counter(f"bind.{self.name}.queries").increment()
-            yield from self.host.cpu.compute(self.lookup_cost_ms)
+            self._queries.increment()
+            yield self.host.cpu.compute(self.lookup_cost_ms)
             name_text = question.name
             if question.chain_from >= 0:
                 value = None
@@ -266,7 +286,7 @@ class BindServer(Service):
         reply, size, marshal_cost = self._encode_reply(
             BatchQueryResponse(answers)
         )
-        yield from self.host.cpu.compute(marshal_cost)
+        yield self.host.cpu.compute(marshal_cost)
         if self.env.trace.enabled:
             self.env.trace.emit(
                 "bind",
@@ -276,8 +296,8 @@ class BindServer(Service):
         responder(reply, size)
 
     def _handle_update(self, request: UpdateRequest, responder):
-        self.env.stats.counter(f"bind.{self.name}.updates").increment()
-        yield from self.host.cpu.compute(self.lookup_cost_ms)
+        self._updates.increment()
+        yield self.host.cpu.compute(self.lookup_cost_ms)
         zone = self.zone_for(request.name)
         if not self.allow_dynamic_update:
             reply = UpdateResponse(STATUS_REFUSED, 0)
@@ -296,13 +316,13 @@ class BindServer(Service):
             else:
                 reply = UpdateResponse(STATUS_SERVFAIL, zone.serial)
                 reply, size, cost = self._encode_reply(reply)
-                yield from self.host.cpu.compute(cost)
+                yield self.host.cpu.compute(cost)
                 responder(reply, size)
                 return
             reply = UpdateResponse(STATUS_OK, zone.serial)
             self._after_write((zone,))
         reply, size, cost = self._encode_reply(reply)
-        yield from self.host.cpu.compute(cost)
+        yield self.host.cpu.compute(cost)
         responder(reply, size)
 
     # ------------------------------------------------------------------
@@ -318,7 +338,7 @@ class BindServer(Service):
         every operation succeeded.
         """
         env = self.env
-        env.stats.counter(f"bind.{self.name}.requests").increment()
+        self._requests.increment()
         env.stats.counter(f"bind.{self.name}.update_batches").increment()
         env.stats.counter("bind.update.batches").increment()
         with env.obs.span(
@@ -330,9 +350,9 @@ class BindServer(Service):
                 statuses: typing.List[int] = []
                 changed: typing.List[Zone] = []
                 for op in request.ops:
-                    env.stats.counter(f"bind.{self.name}.updates").increment()
+                    self._updates.increment()
                     env.stats.counter("bind.update.ops").increment()
-                    yield from self.host.cpu.compute(self.lookup_cost_ms)
+                    yield self.host.cpu.compute(self.lookup_cost_ms)
                     statuses.append(self._apply_update_op(op, changed))
                 serial = max((zone.serial for zone in changed), default=0)
                 ok = all(s == STATUS_OK for s in statuses)
@@ -347,7 +367,7 @@ class BindServer(Service):
                 )
                 self._after_write(changed)
         reply, size, cost = self._encode_reply(reply)
-        yield from self.host.cpu.compute(cost)
+        yield self.host.cpu.compute(cost)
         responder(reply, size)
 
     def _apply_update_op(
@@ -413,7 +433,7 @@ class BindServer(Service):
         """Register a subscriber for NOTIFY pushes on one zone."""
         env = self.env
         env.stats.counter(f"bind.{self.name}.subscriptions").increment()
-        yield from self.host.cpu.compute(1.0)
+        yield self.host.cpu.compute(1.0)
         policy = self.update_policy
         zone = self.zone_named(DomainName(request.origin))
         if policy is None or not policy.notify or self.transport is None:
@@ -427,7 +447,7 @@ class BindServer(Service):
                 subscribers.append(endpoint)
             reply = NotifySubscribeResponse(STATUS_OK, zone.serial)
         reply, size, cost = self._encode_reply(reply)
-        yield from self.host.cpu.compute(cost)
+        yield self.host.cpu.compute(cost)
         responder(reply, size)
 
     def _handle_notify(self, request: NotifyRequest, responder):
@@ -435,9 +455,9 @@ class BindServer(Service):
 
         Secondaries override this to pull the delta immediately.
         """
-        yield from self.host.cpu.compute(1.0)
+        yield self.host.cpu.compute(1.0)
         reply, size, cost = self._encode_reply(NotifyResponse(STATUS_OK))
-        yield from self.host.cpu.compute(cost)
+        yield self.host.cpu.compute(cost)
         responder(reply, size)
 
     def _after_write(self, zones: typing.Iterable[Zone]) -> None:
@@ -478,7 +498,7 @@ class BindServer(Service):
             request = NotifyRequest(zone.origin, serial)
             _, size, marshal_cost = self._encode_reply(request)
             for subscriber in list(self._subscribers.get(zone.origin, ())):
-                yield from self.host.cpu.compute(marshal_cost)
+                yield self.host.cpu.compute(marshal_cost)
                 self.env.stats.counter("bind.update.notifies").increment()
                 # One-way push: a dead subscriber just misses it and
                 # catches up from TTL expiry like everyone else.
@@ -496,19 +516,19 @@ class BindServer(Service):
             reply, size, cost = self._encode_reply(
                 XferResponse(STATUS_REFUSED if zone else STATUS_NXDOMAIN, 0, [])
             )
-            yield from self.host.cpu.compute(cost)
+            yield self.host.cpu.compute(cost)
             responder(reply, size)
             return
         records = zone.all_records()
         # Streaming the zone costs setup plus a per-record charge.
-        yield from self.host.cpu.compute(
+        yield self.host.cpu.compute(
             self.calibration.xfer_setup_ms
             + self.calibration.xfer_per_record_ms * len(records)
         )
         reply, size, cost = self._encode_reply(
             XferResponse(STATUS_OK, zone.serial, records)
         )
-        yield from self.host.cpu.compute(cost)
+        yield self.host.cpu.compute(cost)
         responder(reply, size)
 
     def _handle_ixfr(self, request: IxfrRequest, responder):
@@ -525,7 +545,7 @@ class BindServer(Service):
                     STATUS_REFUSED if zone else STATUS_NXDOMAIN, 0, 0, [], []
                 )
             )
-            yield from self.host.cpu.compute(cost)
+            yield self.host.cpu.compute(cost)
             responder(reply, size)
             return
         deltas = zone.delta_since(request.serial)
@@ -534,7 +554,7 @@ class BindServer(Service):
                 f"bind.{self.name}.ixfr_fallbacks"
             ).increment()
             records = zone.all_records()
-            yield from self.host.cpu.compute(
+            yield self.host.cpu.compute(
                 self.calibration.xfer_setup_ms
                 + self.calibration.xfer_per_record_ms * len(records)
             )
@@ -543,26 +563,26 @@ class BindServer(Service):
             delta_records = sum(len(d.records) for d in deltas)
             # Walking the journal costs setup plus the same per-record
             # streaming charge as AXFR, over only the delta.
-            yield from self.host.cpu.compute(
+            yield self.host.cpu.compute(
                 self.calibration.xfer_setup_ms
                 + self.calibration.xfer_per_record_ms * delta_records
             )
             reply = IxfrResponse(STATUS_OK, zone.serial, 0, list(deltas), [])
         reply, size, cost = self._encode_reply(reply)
-        yield from self.host.cpu.compute(cost)
+        yield self.host.cpu.compute(cost)
         responder(reply, size)
 
     def _handle_serial(self, request: SerialRequest, responder):
         """Cheap SOA-serial probe used by secondaries before an AXFR."""
         zone = self.zone_named(request.origin)
         # A serial probe is a single in-memory read, not a full lookup.
-        yield from self.host.cpu.compute(1.0)
+        yield self.host.cpu.compute(1.0)
         if zone is None:
             reply = SerialResponse(STATUS_NXDOMAIN, 0)
         else:
             reply = SerialResponse(STATUS_OK, zone.serial)
         reply, size, cost = self._encode_reply(reply)
-        yield from self.host.cpu.compute(cost)
+        yield self.host.cpu.compute(cost)
         responder(reply, size)
 
     def describe(self) -> str:

@@ -70,11 +70,11 @@ class NameOwnerService(Service):
         # Every host pays to look at every broadcast query.
         self.examined += 1
         self.env.stats.counter("broadcast.examined").increment()
-        yield from self.host.cpu.compute(EXAMINE_COST_MS)
+        yield self.host.cpu.compute(EXAMINE_COST_MS)
         data = self._owned.get(request.name.lower())
         if data is None:
             return  # silence: not mine
-        yield from self.host.cpu.compute(ANSWER_COST_MS)
+        yield self.host.cpu.compute(ANSWER_COST_MS)
         self.answered += 1
         self.env.stats.counter("broadcast.answered").increment()
         responder(

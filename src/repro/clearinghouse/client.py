@@ -79,7 +79,7 @@ class ClearinghouseClient:
                 "proof": self.credentials.proof(),
             }
         )
-        yield from self.host.cpu.compute(cost)
+        yield self.host.cpu.compute(cost)
         return len(data)
 
     # ------------------------------------------------------------------
@@ -94,7 +94,7 @@ class ClearinghouseClient:
             RetrieveItem(name, prop, self.credentials), size
         )
         # Courier demarshalling of the small reply.
-        yield from self.host.cpu.compute(0.65)
+        yield self.host.cpu.compute(0.65)
         return reply.value
 
     def lookup_address(self, name: typing.Union[str, CHName]) -> typing.Generator:

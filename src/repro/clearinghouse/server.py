@@ -131,8 +131,8 @@ class ClearinghouseServer(Service):
         disk access for the credential database) is charged every time.
         """
         cal = self.calibration
-        yield from self.host.cpu.compute(cal.ch_auth_cpu_ms)
-        yield from self.host.disk.use(cal.ch_auth_disk_ms)
+        yield self.host.cpu.compute(cal.ch_auth_cpu_ms)
+        yield self.host.disk.use(cal.ch_auth_disk_ms)
         if not self.credentials.verify(credentials):
             raise AuthenticationFailed(
                 getattr(credentials, "user", "<no credentials>")
@@ -148,15 +148,15 @@ class ClearinghouseServer(Service):
                 env.stats.counter(f"ch.{self.name}.retrieves").increment()
                 # The data lives on disk; absence is only discovered by
                 # reading, so the disk access happens either way.
-                yield from self.host.disk.use(cal.ch_data_disk_ms)
-                yield from self.host.cpu.compute(cal.ch_process_ms)
+                yield self.host.disk.use(cal.ch_data_disk_ms)
+                yield self.host.cpu.compute(cal.ch_process_ms)
                 value = self.database.retrieve(request.name, request.prop)
                 size = self.database.record_size(request.name, request.prop)
                 reply = CHReply(STATUS_OK, value)
                 data, cost = self._retrieve_reply_m.encode(
                     {"status": STATUS_OK, "value": value}
                 )
-                yield from self.host.cpu.compute(cost)
+                yield self.host.cpu.compute(cost)
                 if env.trace.enabled:
                     env.trace.emit(
                         "clearinghouse",
@@ -166,25 +166,25 @@ class ClearinghouseServer(Service):
                 responder(reply, len(data))
             elif isinstance(request, AddItem):
                 env.stats.counter(f"ch.{self.name}.adds").increment()
-                yield from self.host.disk.use(cal.ch_data_disk_ms)
-                yield from self.host.cpu.compute(cal.ch_process_ms)
+                yield self.host.disk.use(cal.ch_data_disk_ms)
+                yield self.host.cpu.compute(cal.ch_process_ms)
                 self.database.register(request.name, {request.prop: request.value})
                 data, cost = self._simple_reply_m.encode({"status": STATUS_OK})
-                yield from self.host.cpu.compute(cost)
+                yield self.host.cpu.compute(cost)
                 responder(CHReply(STATUS_OK), len(data))
             elif isinstance(request, DeleteItem):
                 env.stats.counter(f"ch.{self.name}.deletes").increment()
-                yield from self.host.disk.use(cal.ch_data_disk_ms)
-                yield from self.host.cpu.compute(cal.ch_process_ms)
+                yield self.host.disk.use(cal.ch_data_disk_ms)
+                yield self.host.cpu.compute(cal.ch_process_ms)
                 self.database.delete_property(request.name, request.prop)
                 data, cost = self._simple_reply_m.encode({"status": STATUS_OK})
-                yield from self.host.cpu.compute(cost)
+                yield self.host.cpu.compute(cost)
                 responder(CHReply(STATUS_OK), len(data))
             else:
                 responder(CHReply(CHError.status), 8)
         except CHError as err:
             data, cost = self._simple_reply_m.encode({"status": err.status})
-            yield from self.host.cpu.compute(cost)
+            yield self.host.cpu.compute(cost)
             env.trace.emit("clearinghouse", f"{self.name}: error {err!r}")
             responder(CHReply(err.status), len(data))
 

@@ -178,7 +178,7 @@ class HNS:
         batching = fast is not None and fast.batch_meta_lookups
         self._find_nsm_count.increment()
         # Fixed library bookkeeping.
-        yield from self.host.cpu.compute(cal.hns_fixed_ms)
+        yield self.host.cpu.compute(cal.hns_fixed_ms)
         if batching:
             # Mappings 1-3 as one chained batch (at most one round trip;
             # none when the cache holds the whole chain).  The breaker

@@ -193,7 +193,7 @@ class HrpcImporter:
             # The fixed HRPC import machinery: component selection, stub
             # instantiation, final marshalling of the Binding to the
             # caller.
-            yield from self.client_host.cpu.compute(
+            yield self.client_host.cpu.compute(
                 self.calibration.import_fixed_ms
             )
             if self.agent_binding is not None:

@@ -162,11 +162,11 @@ class NamingSemanticsManager:
                 return result
             key = self._cache_key(hns_name, params)
             entry, probe_cost = cache.probe(key)
-            yield from self.host.cpu.compute(probe_cost)
+            yield self.host.cpu.compute(probe_cost)
             fast = self.fast_path
             if entry is not None:
                 span.set(outcome="hit")
-                yield from self.host.cpu.compute(
+                yield self.host.cpu.compute(
                     cache.hit_cost(entry) + self.cache_hit_extra_ms
                 )
                 self._cache_hits.increment()
@@ -212,14 +212,14 @@ class NamingSemanticsManager:
                 f"nsm.{self.name}.native_queries"
             ).increment()
             if self.translate_cost_ms:
-                yield from self.host.cpu.compute(self.translate_cost_ms)
+                yield self.host.cpu.compute(self.translate_cost_ms)
             value, ttl_ms = yield from self.resolve(hns_name, params)
             if self.standardize_cost_ms:
-                yield from self.host.cpu.compute(self.standardize_cost_ms)
+                yield self.host.cpu.compute(self.standardize_cost_ms)
             result = NsmResult(self.query_class, dict(value))
             if self.cache is not None and key is not None:
                 insert_cost = self.cache.insert(key, dict(value), 1, ttl_ms)
-                yield from self.host.cpu.compute(insert_cost)
+                yield self.host.cpu.compute(insert_cost)
             if self.env.trace.enabled:
                 self.env.trace.emit(
                     "nsm", f"{self.name}: resolved {hns_name}", params=dict(params)
@@ -381,7 +381,7 @@ class NsmStub:
         if isinstance(binding, LocalNsmBinding):
             # "C(local call) is effectively zero".
             if self.calibration.local_call_ms:
-                yield from self.host.cpu.compute(self.calibration.local_call_ms)
+                yield self.host.cpu.compute(self.calibration.local_call_ms)
             result = yield from binding.nsm.query(hns_name, **params)
             return result
         if self.runtime is None:

@@ -410,14 +410,14 @@ class BeaconService(Service):
     def handle(self, datagram, responder):
         payload = datagram.payload
         if isinstance(payload, PresenceBeacon):
-            yield from self.host.cpu.compute(OBSERVE_COST_MS)
+            yield self.host.cpu.compute(OBSERVE_COST_MS)
             if not payload.verify(self.secret):
                 self.env.stats.counter("discovery.bad_signatures").increment()
                 return
             self.cache.observe(payload)
             return
         if isinstance(payload, ProbeRequest):
-            yield from self.host.cpu.compute(PROBE_COST_MS)
+            yield self.host.cpu.compute(PROBE_COST_MS)
             name = payload.name
             responder(
                 ProbeResponse(

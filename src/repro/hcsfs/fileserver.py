@@ -71,7 +71,7 @@ class FileServer:
         if path not in files:
             raise FileServerError(f"{volume}:{path} not found")
         data = files[path]
-        yield from self.host.disk.read(len(data))
+        yield self.host.disk.read(len(data))
         self.env.stats.counter(f"hcsfs.{self.host.name}.fetches").increment()
         return RpcReply(data, result_size_bytes=len(data) + 32)
 
@@ -79,14 +79,14 @@ class FileServer:
         if not isinstance(data, (bytes, bytearray)):
             raise FileServerError("store requires bytes")
         files = self._volume(volume)
-        yield from self.host.disk.write(len(data))
+        yield self.host.disk.write(len(data))
         files[path] = bytes(data)
         self.env.stats.counter(f"hcsfs.{self.host.name}.stores").increment()
         return RpcReply({"stored": len(data)}, result_size_bytes=32)
 
     def _listdir(self, ctx, volume: str, prefix: str = ""):
         files = self._volume(volume)
-        yield from self.host.disk.read(512)
+        yield self.host.disk.read(512)
         names = sorted(p for p in files if p.startswith(prefix))
         return RpcReply(names, result_size_bytes=16 * max(1, len(names)))
 
@@ -94,6 +94,6 @@ class FileServer:
         files = self._volume(volume)
         if path not in files:
             raise FileServerError(f"{volume}:{path} not found")
-        yield from self.host.disk.write(64)
+        yield self.host.disk.write(64)
         del files[path]
         return RpcReply({"removed": True}, result_size_bytes=16)

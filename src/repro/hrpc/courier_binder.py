@@ -58,7 +58,7 @@ class CourierBinder(Service):
 
     def handle(self, datagram, responder):
         request = datagram.payload
-        yield from self.host.cpu.compute(self.calibration.courier_binder_server_ms)
+        yield self.host.cpu.compute(self.calibration.courier_binder_server_ms)
         if isinstance(request, LocateService):
             responder(LocateReply(self._services.get(request.service, 0)), 16)
         elif isinstance(request, AdvertiseService):

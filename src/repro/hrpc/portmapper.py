@@ -106,7 +106,7 @@ class Portmapper(Service):
     def _activate(self, program: str) -> typing.Generator:
         """Spawn a dormant program; returns its port."""
         port, factory = self._dormant.pop(program)
-        yield from self.host.cpu.compute(self.activation_ms)
+        yield self.host.cpu.compute(self.activation_ms)
         factory(self.host, port)
         self._ports[program] = port
         self.activations += 1
@@ -118,7 +118,7 @@ class Portmapper(Service):
 
     def handle(self, datagram, responder):
         request = datagram.payload
-        yield from self.host.cpu.compute(self.calibration.portmapper_server_ms)
+        yield self.host.cpu.compute(self.calibration.portmapper_server_ms)
         if isinstance(request, GetPort):
             port = self._ports.get(request.program, 0)
             if port == 0 and request.program in self._dormant:

@@ -95,7 +95,7 @@ class HrpcRuntime:
             suite=binding.suite,
         ):
             # Client-side control protocol + argument marshalling.
-            yield from self.host.cpu.compute(suite.client_control_ms)
+            yield self.host.cpu.compute(suite.client_control_ms)
             request = RpcRequest(
                 program=binding.program,
                 procedure=procedure,

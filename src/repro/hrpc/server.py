@@ -107,7 +107,7 @@ class HrpcServer(Service):
             raise NoSuchProgram(f"{self.name}: non-RPC payload {request!r}")
         suite = suite_named(request.suite)
         # Server-side control protocol + demarshalling of the arguments.
-        yield from self.host.cpu.compute(suite.server_control_ms)
+        yield self.host.cpu.compute(suite.server_control_ms)
         program = self._programs.get(request.program)
         if program is None:
             raise NoSuchProgram(f"{request.program} on {self.name}")

@@ -69,8 +69,8 @@ class LocalBindingFile:
         as with a real flat file).
         """
         cal = self.calibration
-        yield from self.host.disk.read(max(self.size_bytes, 512))
-        yield from self.host.cpu.compute(
+        yield self.host.disk.read(max(self.size_bytes, 512))
+        yield self.host.cpu.compute(
             cal.localfile_parse_ms + 0.02 * len(self._entries)
         )
         entry = self._entries.get((service, host_name))
@@ -122,7 +122,7 @@ class Replicator:
                 origin.address, file.host.address, entry.size_bytes
             )
             yield self.env.timeout(delay)
-            yield from file.host.disk.write(max(file.size_bytes, 512))
+            yield file.host.disk.write(max(file.size_bytes, 512))
             file.install(entry)
             updated += 1
         self.env.stats.counter("localfiles.publishes").increment()

@@ -63,7 +63,7 @@ class MailboxServer:
         if box is None:
             raise MailboxError(f"no mailbox {mailbox!r} on {self.host.name}")
         # Spool to disk.
-        yield from self.host.disk.write(message.size_bytes)
+        yield self.host.disk.write(message.size_bytes)
         box.append(message)
         self.env.stats.counter(f"mail.{self.host.name}.delivered").increment()
         self.env.trace.emit(
@@ -75,7 +75,7 @@ class MailboxServer:
         box = self._boxes.get(mailbox)
         if box is None:
             raise MailboxError(f"no mailbox {mailbox!r} on {self.host.name}")
-        yield from self.host.disk.read(256)
+        yield self.host.disk.read(256)
         summaries = [
             {"msg_id": m.msg_id, "sender": str(m.sender), "subject": m.subject}
             for m in box
@@ -87,6 +87,6 @@ class MailboxServer:
             raise MailboxError(f"no mailbox {mailbox!r} on {self.host.name}")
         for message in self._boxes[mailbox]:
             if message.msg_id == msg_id:
-                yield from self.host.disk.read(message.size_bytes)
+                yield self.host.disk.read(message.size_bytes)
                 return RpcReply(message, result_size_bytes=message.size_bytes)
         raise MailboxError(f"message {msg_id} not in {mailbox!r}")

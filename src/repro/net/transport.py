@@ -198,6 +198,11 @@ class DatagramTransport(Transport):
         self.retries = retries
         self.retry_timeout_ms = retry_timeout_ms
 
+    @functools.cached_property
+    def _broadcasts(self) -> "Counter":
+        """Bound at the first broadcast, likewise."""
+        return self.env.stats.counter(f"net.{self.name}.broadcasts")
+
     def send(
         self,
         src_host: Host,
@@ -281,7 +286,7 @@ class DatagramTransport(Transport):
             )
             delay = self._wire_delay(src_host, target.address, size_bytes)
             env.call_later(delay, arrive, datagram)
-        env.stats.counter(f"net.{self.name}.broadcasts").increment()
+        self._broadcasts.increment()
         if first_only:
             timer = env.timeout(wait_ms)
             yield env.any_of([first, timer])

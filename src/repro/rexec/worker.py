@@ -70,7 +70,7 @@ class RexecServer:
         function, cost_per_kb = job
         # The computation itself, charged to this host's CPU (scaled by
         # its speed factor: heterogeneous hardware runs at its own pace).
-        yield from self.host.cpu.compute(
+        yield self.host.cpu.compute(
             cost_per_kb * max(1.0, len(payload) / 1024.0)
         )
         result = function(bytes(payload))
@@ -82,5 +82,5 @@ class RexecServer:
         )
 
     def _catalogue(self, ctx):
-        yield from self.host.cpu.compute(0.5)
+        yield self.host.cpu.compute(0.5)
         return RpcReply(sorted(self.jobs), result_size_bytes=64)

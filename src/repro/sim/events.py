@@ -106,7 +106,9 @@ class Event:
         env = self.env
         if env.monitor is not None:
             env.monitor.event_triggered(self)
-        env._schedule(self)
+        eid = env._eid
+        env._eid = eid + 1
+        env._push((env._now, eid, self))
         return self
 
     def fail(self, exception: BaseException) -> "Event":
@@ -124,7 +126,9 @@ class Event:
         env = self.env
         if env.monitor is not None:
             env.monitor.event_triggered(self)
-        env._schedule(self)
+        eid = env._eid
+        env._eid = eid + 1
+        env._push((env._now, eid, self))
         return self
 
     def succeed_now(self, value: object = None) -> "Event":
@@ -174,6 +178,12 @@ class Event:
         """Mark a failed event as handled (suppresses kernel surfacing)."""
         self._defused = True
 
+    def _waiter_left(self, _interrupt: "Event") -> None:
+        """The process parked on this event is taking ``_interrupt``
+        instead and will never be resumed by it.  Nothing to undo here;
+        an event that holds something for its waiter (a charge on a
+        :class:`~repro.sim.resources.Resource`) gives it back."""
+
     def _add_callback(self, callback: typing.Callable[["Event"], None]) -> None:
         if self.callbacks is None:
             # Already processed: run immediately at the current time.
@@ -202,8 +212,7 @@ class Timeout(Event):
         if delay < 0:
             raise ValueError(f"negative delay: {delay!r}")
         # Inlined Event.__init__ plus direct queue insertion: a Timeout
-        # is the hottest allocation in the kernel, and its delay is
-        # already validated, so the _schedule() re-check is skipped.
+        # is the hottest allocation in the kernel.
         self.env = env
         self.callbacks = []
         self._exception = None
@@ -212,7 +221,7 @@ class Timeout(Event):
         self._value = value
         eid = env._eid
         env._eid = eid + 1
-        env._queue.push(env._now + delay, eid, self)
+        env._push((env._now + delay, eid, self))
 
     def succeed(self, value: object = None) -> "Event":  # pragma: no cover
         raise RuntimeError("Timeout triggers itself; do not call succeed()")

@@ -18,7 +18,7 @@ from heapq import heappop
 from repro.obs.span import Observability
 from repro.sim.events import AllOf, AnyOf, Event, Timeout
 from repro.sim.process import Process, ProcessGenerator
-from repro.sim.queue import HeapQueue, PerturbedHeapQueue
+from repro.sim.queue import Entry, HeapQueue, PerturbedHeapQueue
 from repro.sim.rng import RngRegistry
 from repro.sim.stats import StatsRegistry
 from repro.sim.trace import Tracer
@@ -46,7 +46,7 @@ DEFAULT_MONITOR_FACTORY: typing.Optional[
 
 
 class SimulationError(RuntimeError):
-    """Raised for kernel-level misuse (e.g. scheduling into the past)."""
+    """Raised for kernel-level misuse (e.g. running into the past)."""
 
 
 class KernelMonitor:
@@ -82,8 +82,8 @@ class KernelMonitor:
     def event_triggered(self, event: Event) -> None:
         """``succeed``/``fail`` (or their ``_now`` forms) was called on
         ``event``, or ``event`` is a :meth:`Environment.call_later`
-        timeout being scheduled: the current segment is the cause of
-        whatever ``event`` resumes."""
+        timeout or a resource charge's hold being scheduled: the
+        current segment is the cause of whatever ``event`` resumes."""
 
     def note_resume(self, process: Process, event: Event) -> None:
         """``event`` is about to resume ``process``."""
@@ -125,6 +125,9 @@ class Environment:
             if perturb_seed is None
             else PerturbedHeapQueue(perturb_seed)
         )
+        #: The queue's bound push: whoever schedules an entry assigns it
+        #: the next ``_eid`` and calls ``_push((time, eid, event))``.
+        self._push: typing.Callable[[Entry], None] = self._queue.heappush
         #: Next event id; assigned in scheduling order so simultaneous
         #: events fire FIFO.  Doubles as the count of heap entries
         #: scheduled (an event processed inline never gets one).
@@ -214,13 +217,6 @@ class Environment:
     # ------------------------------------------------------------------
     # Scheduling and execution
     # ------------------------------------------------------------------
-    def _schedule(self, event: Event, delay: float = 0.0) -> None:
-        if delay < 0:
-            raise SimulationError(f"cannot schedule {delay} ms into the past")
-        eid = self._eid
-        self._eid = eid + 1
-        self._queue.push(self._now + delay, eid, event)
-
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` if queue is empty."""
         return self._queue.peek()

@@ -14,13 +14,19 @@ with nobody waiting on it is marked processed on the spot: no exit event
 is scheduled, and whoever yields it later finds it processed and gets
 its value.  (One that *raises* with nobody waiting is still scheduled,
 so ``run()`` surfaces the exception.)
+
+A wake-up is one Python call, :meth:`Process._resume`: the kernel's
+callback steps the generator itself and parks the process on what it
+yields next (``yield env.timeout(d)``, ``yield cpu.compute(ms)``).  When
+an :class:`Interrupt` is delivered, the event the process was parked on
+is told its waiter has left, so a charge holding a CPU for it lets go.
 """
 
 from __future__ import annotations
 
 import typing
 
-from repro.sim.events import Event, Interrupt
+from repro.sim.events import _PENDING, Event, Interrupt
 
 if typing.TYPE_CHECKING:  # pragma: no cover
     from repro.obs.span import SpanLike
@@ -45,26 +51,34 @@ class Process(Event):
             raise TypeError(
                 f"Process requires a generator, got {type(generator).__name__}"
             )
-        super().__init__(env)
+        # Event.__init__ inlined: one process per handled datagram.
+        self.env = env
+        self.callbacks = []
+        self._value = _PENDING
+        self._exception = None
+        self._defused = False
         self.generator = generator
         self.name = name or getattr(generator, "__name__", "process")
-        self._target: typing.Optional[Event] = None
         #: innermost open span (``repro.obs`` reads and writes it; the
         #: kernel never looks)
         self._span: typing.Optional["SpanLike"] = None
+        self._target: typing.Optional[Event] = None
         if inline:
             # First segment runs now, nested in whatever is executing.
-            self._step()
+            self._resume()
             return
         # Kick the process off at the current simulated time: a start
-        # event, pre-succeeded and scheduled directly (the general
-        # succeed() path re-checks trigger state we know to be fresh).
-        start = Event(env)
+        # event, pre-succeeded and pushed directly.  It is the process's
+        # first target, so an interrupt before the first segment
+        # detaches it like any other.
+        self._target = start = Event(env)
         start.callbacks.append(self._resume)
         start._value = None
         if env.monitor is not None:
             env.monitor.event_triggered(start)
-        env._schedule(start)
+        eid = env._eid
+        env._eid = eid + 1
+        env._push((env._now, eid, start))
 
     @property
     def is_alive(self) -> bool:
@@ -75,60 +89,63 @@ class Process(Event):
         """Throw :class:`Interrupt` into the process at the current time.
 
         Used by failure injection (crash a server mid-call) and by
-        timeout wrappers.  Interrupting a finished process is an error.
+        timeout wrappers.  Interrupting a finished process is an error;
+        one interrupted before its first segment fails with the
+        :class:`Interrupt` without running its body.
         """
         if self.triggered:
             raise RuntimeError(f"cannot interrupt finished process {self.name!r}")
         # Detach from whatever the process was waiting on so the stale
         # resume callback never fires.
-        if self._target is not None and self._target.callbacks is not None:
-            try:
-                self._target.callbacks.remove(self._resume)
-            except ValueError:
-                pass
+        abandoned = self._target
         self._target = None
+        # Delivered by an event failing with the Interrupt; only then is
+        # the abandoned event told (a charge keeps its unit until then).
         punch = Event(self.env)
-        punch._add_callback(self._resume_with_interrupt(cause))
-        punch.succeed(None)
+        if abandoned is not None:
+            if abandoned.callbacks is not None:
+                try:
+                    abandoned.callbacks.remove(self._resume)
+                except ValueError:
+                    pass
+            punch.callbacks.append(abandoned._waiter_left)
+        punch.callbacks.append(self._resume)
+        punch.fail(Interrupt(cause))
 
-    def _resume_with_interrupt(
-        self, cause: object
-    ) -> typing.Callable[[Event], None]:
-        def callback(_event: Event) -> None:
-            if self.env.monitor is not None:
-                self.env.monitor.note_resume(self, _event)
-            self._step(throw=Interrupt(cause))
+    def _resume(self, event: typing.Optional[Event] = None) -> None:
+        """Run one segment and park on what the generator yields next.
 
-        return callback
-
-    def _resume(self, event: Event) -> None:
-        if self.env.monitor is not None:
-            self.env.monitor.note_resume(self, event)
-        if event._exception is not None:
-            event.defuse()
-            self._step(throw=event._exception)
-        else:
-            self._step(send=event._value)
-
-    def _step(self, send: object = None, throw: object = None) -> None:
+        This is the callback the kernel runs, and the only Python call a
+        wake-up makes: ``event``'s value is sent into the generator, or
+        its exception thrown.  ``None`` is an inline start.
+        """
         env = self.env
         monitor = env.monitor
         if monitor is not None:
+            if event is not None:
+                monitor.note_resume(self, event)
             monitor.segment_begin(self)
         # Saved, not cleared: an inline start nests this segment inside
         # the caller's, which is the active process again afterwards.
         enclosing = env._active_process
         env._active_process = self
         try:
-            if throw is not None:
-                target = self.generator.throw(throw)
+            if event is None:
+                target = self.generator.send(None)
+            elif event._exception is None:
+                target = self.generator.send(event._value)
             else:
-                target = self.generator.send(send)
+                event._defused = True
+                target = self.generator.throw(event._exception)
         except StopIteration as stop:
             if self.callbacks:
                 self.succeed(stop.value)
+            elif monitor is None:
+                # Nobody waits, nobody watches: processed in place, no
+                # exit event.
+                self._value = stop.value
+                self.callbacks = None
             else:
-                # Nobody waits: processed on the spot, no exit event.
                 self.succeed_now(stop.value)
             return
         except BaseException as exc:
@@ -139,12 +156,17 @@ class Process(Event):
             if monitor is not None:
                 monitor.segment_end(self)
         if not isinstance(target, Event):
-            error = RuntimeError(
-                f"process {self.name!r} yielded {target!r}; "
+            # Surface inside the generator so user code sees a clear
+            # error: the next segment's input is an event that failed.
+            yielded, target = target, Event(env)
+            target.callbacks = target._value = None
+            target._exception = RuntimeError(
+                f"process {self.name!r} yielded {yielded!r}; "
                 "processes may only yield Event objects"
             )
-            # Surface inside the generator so user code sees a clear error.
-            self._step(throw=error)
-            return
-        self._target = target
-        target._add_callback(self._resume)
+        if target.callbacks is None:
+            # Already processed: its outcome is the next segment's input.
+            self._resume(target)
+        else:
+            self._target = target
+            target.callbacks.append(self._resume)

@@ -13,6 +13,7 @@ Entries never compare beyond ``eid`` (eids are unique), so the
 
 from __future__ import annotations
 
+import functools
 import typing
 from heapq import heappop, heappush
 
@@ -29,16 +30,21 @@ class HeapQueue:
     """One binary heap of (time, eid, event).
 
     ``heap`` is the raw ``heapq`` list: the kernel's unmonitored drain
-    pops it directly, everything else goes through the methods.
+    pops it directly.  ``heappush`` is C ``heappush`` bound to that
+    list, so scheduling an entry is one C call; everything else goes
+    through the methods.
     """
 
-    __slots__ = ("heap",)
+    __slots__ = ("heap", "heappush")
 
     def __init__(self) -> None:
         self.heap: typing.List[Entry] = []
+        self.heappush: typing.Callable[[Entry], None] = functools.partial(
+            heappush, self.heap
+        )
 
     def push(self, time: float, eid: int, event: "Event") -> None:
-        heappush(self.heap, (time, eid, event))
+        self.heappush((time, eid, event))
 
     def pop(self) -> typing.Optional[Entry]:
         heap = self.heap
@@ -85,8 +91,8 @@ class PerturbedHeapQueue(HeapQueue):
     exactly as deterministic as a plain one.
 
     Used by the hnsracer confirmation mode
-    (:mod:`repro.analysis.perturb`); never a default.  Only ``push``
-    differs, so the kernel pops it like any heap.
+    (:mod:`repro.analysis.perturb`); never a default.  Only
+    ``heappush`` differs, so the kernel pops it like any heap.
     """
 
     __slots__ = ("perturb_seed", "_salt")
@@ -95,6 +101,8 @@ class PerturbedHeapQueue(HeapQueue):
         super().__init__()
         self.perturb_seed = perturb_seed
         self._salt = _mix64(perturb_seed ^ 0x9E3779B97F4A7C15)
+        self.heappush = self._push_perturbed
 
-    def push(self, time: float, eid: int, event: "Event") -> None:
+    def _push_perturbed(self, entry: Entry) -> None:
+        time, eid, event = entry
         heappush(self.heap, (time, _mix64(eid ^ self._salt), event))

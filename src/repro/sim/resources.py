@@ -12,11 +12,13 @@ from __future__ import annotations
 import collections
 import typing
 
-from repro.sim.events import Event, Timeout
+from repro.sim.events import _PENDING, Event
 
 if typing.TYPE_CHECKING:  # pragma: no cover
     from repro.sim.kernel import Environment
 
+
+_INF = float("inf")
 
 #: A background hold is charged in slices of at most this many ms, so a
 #: foreground request that arrives mid-hold waits at most one slice.
@@ -31,18 +33,54 @@ BACKGROUND_PATIENCE = 40.0
 class Request(Event):
     """Pending claim on a :class:`Resource`; triggers when granted."""
 
-    __slots__ = ("resource", "held", "deadline")
+    __slots__ = ("resource", "held")
 
-    def __init__(self, resource: "Resource", deadline: float = float("inf")):
+    def __init__(self, resource: "Resource"):
         super().__init__(resource.env)
         self.resource = resource
         self.held = False
-        #: Background lane only: when the request turns foreground.
-        self.deadline = deadline
 
     def release(self) -> None:
         """Give the unit back — or, if still queued, leave the queue."""
         self.resource._release(self)
+
+
+class Charge(Request):
+    """One :meth:`Resource.use`: a claim the resource itself drives.
+
+    It carries its service time; the resource takes the unit when the
+    charge's turn comes, holds for ``remaining`` ms (a background charge
+    in slices) and frees the unit, and whoever yields the charge is
+    woken once, when all that is over.  A charge triggers by becoming
+    the heap entry of its own (last) hold, :meth:`Resource._free` ahead
+    of the waiter's callback, so the unit is free before the waiter runs.
+    """
+
+    __slots__ = ("deadline", "remaining")
+
+    def __init__(
+        self, resource: "Resource", service_ms: float, deadline: float = _INF
+    ):
+        self.env = resource.env
+        self.callbacks = []
+        self._value = _PENDING
+        self._exception = None
+        self._defused = False
+        self.resource = resource
+        self.held = False
+        #: Background charges only (finite): when it turns foreground.
+        self.deadline = deadline
+        #: Service time not yet scheduled as a hold.
+        self.remaining = service_ms
+
+    def _waiter_left(self, _interrupt: Event) -> None:
+        """Interrupted: leave the queue, or free the unit here and now
+        (the heap entry then pops with nothing to do) — or nothing, when
+        the hold ended between ``interrupt()`` and its delivery."""
+        if self.callbacks is not None:
+            if self._value is not _PENDING:
+                self.callbacks.remove(self.resource._free)
+            self.release()
 
 
 class Resource:
@@ -57,7 +95,8 @@ class Resource:
         finally:
             req.release()
 
-    or, equivalently, ``yield from resource.use(service_time)``.
+    or, when nothing else happens during the hold,
+    ``yield resource.use(service_time)``: the resource does all three.
 
     **Foreground** requests are served FIFO.  **Background** requests
     (``use(..., background=True)``) model a low-priority thread: one is
@@ -78,7 +117,7 @@ class Resource:
         self.name = name
         self._in_use = 0
         self._waiting: typing.Deque[Request] = collections.deque()
-        self._background: typing.Deque[Request] = collections.deque()
+        self._background: typing.Deque[Charge] = collections.deque()
         self._idle_check_pending = False
 
     @property
@@ -99,10 +138,88 @@ class Resource:
             self._waiting.append(req)
         return req
 
+    def use(self, service_ms: float, background: bool = False) -> Event:
+        """Acquire, hold ``service_ms``, release: the event to ``yield``.
+
+        One heap entry (none at zero cost on a free unit) and one
+        wake-up, contended or not: a queued charge is handed the unit,
+        and its hold scheduled, by whoever frees the unit.  An interrupt
+        delivered to the waiter while the charge is queued takes it out
+        of the queue; while it holds, frees the unit.
+        """
+        if service_ms < 0:
+            raise ValueError(f"negative service time: {service_ms}")
+        env = self.env
+        if background and service_ms > 0:
+            charge = Charge(
+                self, service_ms, env._now + BACKGROUND_PATIENCE * max(service_ms, 1.0)
+            )
+            self._background.append(charge)
+            if self._in_use < self.capacity:
+                self._schedule_idle_check()
+            return charge
+        charge = Charge(self, service_ms)
+        if self._in_use >= self.capacity:
+            self._waiting.append(charge)
+        elif service_ms > 0:
+            # Uncontended, as most charges are: _grant and _hold inlined.
+            self._in_use += 1
+            charge.held = True
+            charge._value = None
+            charge.callbacks.append(self._free)
+            if env.monitor is not None:
+                env.monitor.event_triggered(charge)
+            eid = env._eid
+            env._eid = eid + 1
+            env._push((env._now + service_ms, eid, charge))
+        else:
+            # Nothing to hold: over before it is yielded.
+            self._in_use += 1
+            self._free()
+            charge.succeed_now()
+        return charge
+
     def _grant(self, req: Request) -> None:
         self._in_use += 1
         req.held = True
-        req.succeed(None)
+        if isinstance(req, Charge):
+            self._hold(req)
+        else:
+            req.succeed(None)
+
+    def _hold(self, charge: Charge) -> None:
+        """The unit is ``charge``'s: schedule its hold, or its next slice."""
+        env = self.env
+        remaining = charge.remaining
+        if remaining > BACKGROUND_SLICE_MS and charge.deadline < _INF:
+            charge.remaining = remaining - BACKGROUND_SLICE_MS
+            env.call_later(BACKGROUND_SLICE_MS, self._on_slice_end, charge)
+            return
+        # The whole hold, or the last slice: the charge is the heap entry.
+        charge._value = None
+        charge.callbacks.insert(0, self._free)
+        if env.monitor is not None:
+            env.monitor.event_triggered(charge)
+        eid = env._eid
+        env._eid = eid + 1
+        env._push((env._now + remaining, eid, charge))
+
+    def _on_slice_end(self, timer: Event) -> None:
+        charge = timer._value
+        assert isinstance(charge, Charge)
+        if not charge.held:
+            return  # its waiter was interrupted mid-slice
+        if not self._waiting:
+            self._hold(charge)
+            return
+        # Give way: the freed unit goes to the foreground waiter, and
+        # the charge queues again ahead of later background arrivals.
+        charge.held = False
+        self._free()
+        if self.env._now < charge.deadline:
+            self._background.appendleft(charge)
+        else:
+            self._waiting.append(charge)
 
     def _release(self, req: Request) -> None:
         if req.held:
@@ -117,12 +234,12 @@ class Resource:
             "release() of a request that neither holds nor waits for the resource"
         )
 
-    def _free(self) -> None:
+    def _free(self, _hold: typing.Optional[Event] = None) -> None:
         """A unit came free: hand it on, foreground first."""
         self._in_use -= 1
         background = self._background
         if background:
-            now = self.env.now
+            now = self.env._now
             for req in [r for r in background if r.deadline <= now]:
                 background.remove(req)
                 self._waiting.append(req)
@@ -134,76 +251,12 @@ class Resource:
     def _schedule_idle_check(self) -> None:
         if not self._idle_check_pending:
             self._idle_check_pending = True
-            check = self.env.event()
-            check._add_callback(self._on_idle_check)
-            check.succeed(None)
+            self.env.call_later(0.0, self._on_idle_check)
 
     def _on_idle_check(self, _check: Event) -> None:
         self._idle_check_pending = False
         while self._background and self._in_use < self.capacity:
             self._grant(self._background.popleft())
-
-    def use(
-        self, service_ms: float, background: bool = False
-    ) -> typing.Generator[Event, object, None]:
-        """Process fragment: acquire, hold ``service_ms``, release.
-
-        An interrupt (or any exception thrown in) while queued leaves
-        the queue; while holding, releases the unit.
-        """
-        if service_ms < 0:
-            raise ValueError(f"negative service time: {service_ms}")
-        if background and service_ms > 0:
-            yield from self._use_background(service_ms)
-        elif self._in_use < self.capacity:
-            # Uncontended: take the unit on the spot, so the hold is the
-            # charge's only kernel event.
-            self._in_use += 1
-            try:
-                if service_ms > 0:
-                    yield Timeout(self.env, service_ms)
-            finally:
-                self._free()
-        else:
-            req = Request(self)
-            self._waiting.append(req)
-            try:
-                yield req
-                if service_ms > 0:
-                    yield Timeout(self.env, service_ms)
-            finally:
-                req.release()
-
-    def _use_background(
-        self, service_ms: float
-    ) -> typing.Generator[Event, object, None]:
-        env = self.env
-        deadline = env.now + BACKGROUND_PATIENCE * max(service_ms, 1.0)
-        remaining = service_ms
-        req = Request(self, deadline)
-        self._background.append(req)
-        if self._in_use < self.capacity:
-            self._schedule_idle_check()
-        while True:
-            try:
-                yield req
-                while remaining > 0:
-                    step = min(BACKGROUND_SLICE_MS, remaining)
-                    yield Timeout(env, step)
-                    remaining -= step
-                    if self._waiting:
-                        break
-            finally:
-                req.release()
-            if remaining <= 0:
-                return
-            # Gave way: the release handed the unit to the foreground
-            # waiter.  Queue again, ahead of later background arrivals.
-            req = Request(self, deadline)
-            if env.now < deadline:
-                self._background.appendleft(req)
-            else:
-                self._waiting.append(req)
 
 
 class CPU(Resource):
@@ -220,14 +273,9 @@ class CPU(Resource):
         super().__init__(env, capacity=1, name=name)
         self.speed_factor = speed_factor
 
-    def compute(
-        self, cost_ms: float, background: bool = False
-    ) -> typing.Generator[Event, object, None]:
-        """Charge ``cost_ms`` of compute, scaled by the host's speed.
-
-        Returns :meth:`use`'s generator itself, so a charge is one
-        generator frame under the caller's ``yield from``.
-        """
+    def compute(self, cost_ms: float, background: bool = False) -> Event:
+        """Charge ``cost_ms`` of compute, scaled by the host's speed:
+        the event to ``yield`` (:meth:`use`)."""
         return self.use(cost_ms / self.speed_factor, background)
 
 
@@ -247,8 +295,9 @@ class Disk(Resource):
         self.access_ms = access_ms
         self.per_kb_ms = per_kb_ms
 
-    def read(self, size_bytes: int = 0) -> typing.Generator[Event, object, None]:
-        """One disk access transferring ``size_bytes``."""
+    def read(self, size_bytes: int = 0) -> Event:
+        """One disk access transferring ``size_bytes``: the event to
+        ``yield`` (:meth:`use`)."""
         if size_bytes < 0:
             raise ValueError(f"negative read size: {size_bytes}")
         return self.use(self.access_ms + self.per_kb_ms * size_bytes / 1024.0)

@@ -94,7 +94,7 @@ class SingleFlight:
         else:
             self.env.stats.counter(self._coalesced_stat).increment()
         result = yield flight
-        yield from self.host.cpu.compute(self._copy_cost(result))
+        yield self.host.cpu.compute(self._copy_cost(result))
         return result
 
     def refresh_ahead(

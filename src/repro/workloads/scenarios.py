@@ -350,7 +350,7 @@ def build_testbed(
     target_server = HrpcServer(fiji, name="target")
 
     def ping(ctx, *args):
-        yield from ctx.host.cpu.compute(0.5)
+        yield ctx.host.cpu.compute(0.5)
         return ("pong",) + args
 
     target_server.program(TARGET_SERVICE).procedure("ping", ping)

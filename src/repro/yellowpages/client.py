@@ -50,7 +50,7 @@ class YpClient:
         reply = yield from self._roundtrip(
             request, 48 + len(map_name) + len(key)
         )
-        yield from self.host.cpu.compute(0.3)  # tiny reply demarshal
+        yield self.host.cpu.compute(0.3)  # tiny reply demarshal
         return reply.value
 
     def map_names(self) -> typing.Generator:

@@ -84,7 +84,7 @@ class YpServer(Service):
 
     def handle(self, datagram, responder):
         request = datagram.payload
-        yield from self.host.cpu.compute(self.match_cost_ms)
+        yield self.host.cpu.compute(self.match_cost_ms)
         try:
             if isinstance(request, YpMatch):
                 self.env.stats.counter(f"yp.{self.name}.matches").increment()

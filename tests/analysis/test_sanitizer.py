@@ -4,7 +4,7 @@ import pytest
 
 from repro.analysis import InterleavingSanitizer
 from repro.net import DatagramTransport, Internetwork, Service
-from repro.sim import ConstantLatency, Environment
+from repro.sim import ConstantLatency, Environment, Resource
 
 
 class Box:
@@ -214,6 +214,69 @@ def test_inline_started_segment_is_ordered_after_its_starter():
     env.process(outer(), name="outer")
     env.run()
     assert sanitizer.report() == []
+
+
+def test_a_queued_charge_is_ordered_after_the_release_that_started_its_hold():
+    """The resource, not the claimant, starts a queued charge's hold: the
+    holder's release schedules it and its end resumes the claimant, with
+    no segment of the claimant in between.  That is still one causal
+    chain — and only a chain: two claimants handed units at the same
+    instant are ordered after their own predecessors, not each other."""
+    env = Environment(seed=0)
+    sanitizer = InterleavingSanitizer.attach(env)
+    box = sanitizer.watch(Box(), "box")
+    unit = Resource(env)
+
+    def holder():
+        box.value = 1
+        yield unit.use(10)  # its end is the release, in no segment
+
+    def claimant():
+        yield env.timeout(1)
+        yield unit.use(5)  # queued until t=10, over at t=15
+        _ = box.value
+
+    def by_hand():
+        yield env.timeout(2)
+        req = unit.request()  # queued behind the claimant
+        yield req
+        box.other = 2
+        req.release()  # the release is in this segment
+
+    def last():
+        yield env.timeout(3)
+        yield unit.use(1)
+        _ = box.other
+
+    for body in (holder, claimant, by_hand, last):
+        env.process(body(), name=body.__name__)
+    env.run()
+    assert env.now == 16.0
+    assert sanitizer.report() == []
+
+    env = Environment(seed=0)
+    sanitizer = InterleavingSanitizer.attach(env)
+    box = sanitizer.watch(Box(), "box")
+    pair = Resource(env, capacity=2)
+
+    def first(tag):
+        yield pair.use(10)
+
+    def second(tag):
+        yield env.timeout(1)
+        yield pair.use(5)
+        box.value = tag
+
+    for tag in ("a", "b"):
+        env.process(first(tag), name=f"first-{tag}")
+        env.process(second(tag), name=f"second-{tag}")
+    env.run()
+    (hazard,) = sanitizer.report()
+    assert {hazard.first.kind, hazard.second.kind} == {"w"}
+    assert hazard.first.time == hazard.second.time == 15.0
+    assert {
+        hazard.first.segment.process_name, hazard.second.segment.process_name
+    } == {"second-a", "second-b"}
 
 
 def _small_net(env):

@@ -84,7 +84,7 @@ def build_echo_server(env, server_host, port=9000):
     server = HrpcServer(server_host)
 
     def echo(ctx, *args):
-        yield from ctx.host.cpu.compute(1.0)
+        yield ctx.host.cpu.compute(1.0)
         return ("echo",) + args
 
     def crash(ctx):
@@ -92,7 +92,7 @@ def build_echo_server(env, server_host, port=9000):
         yield  # pragma: no cover
 
     def sized(ctx):
-        yield from ctx.host.cpu.compute(0.5)
+        yield ctx.host.cpu.compute(0.5)
         return RpcReply({"big": True}, result_size_bytes=4096)
 
     program = server.program("testprog")

@@ -20,7 +20,7 @@ def make_sleepy_factory(created):
         server = HrpcServer(host, name=f"sleepy@{host.name}")
 
         def ping(ctx, *args):
-            yield from ctx.host.cpu.compute(0.1)
+            yield ctx.host.cpu.compute(0.1)
             return ("awake",) + args
 
         server.program("SleepyService").procedure("ping", ping)

@@ -35,7 +35,7 @@ def test_sustained_workload_with_native_churn():
         server = HrpcServer(host)
 
         def ping(ctx, *args):
-            yield from ctx.host.cpu.compute(0.1)
+            yield ctx.host.cpu.compute(0.1)
             return ("pong",) + args
 
         server.program("DesiredService").procedure("ping", ping)

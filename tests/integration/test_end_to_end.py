@@ -63,7 +63,7 @@ def test_service_relocation_visible_after_ttl():
     server = HrpcServer(new_home)
 
     def ping(ctx, *args):
-        yield from ctx.host.cpu.compute(0.1)
+        yield ctx.host.cpu.compute(0.1)
         return ("pong-from-new-home",) + args
 
     server.program("DesiredService").procedure("ping", ping)

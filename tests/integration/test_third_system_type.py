@@ -67,7 +67,7 @@ def yp_world():
     rpc = HrpcServer(yp_host)
 
     def ping(ctx, *args):
-        yield from ctx.host.cpu.compute(0.2)
+        yield ctx.host.cpu.compute(0.2)
         return ("yp-pong",) + args
 
     rpc.program("YpNamedService").procedure("ping", ping)

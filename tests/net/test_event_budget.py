@@ -27,7 +27,7 @@ class ChargingEcho(Service):
         if self.handled == 1 and self.slow_first_ms:
             yield self.host.env.timeout(self.slow_first_ms)
         for _ in range(self.charges):
-            yield from self.host.cpu.compute(0.25)
+            yield self.host.cpu.compute(0.25)
         if self.answers:
             responder((self.host.name, datagram.payload), 32)
 

@@ -1,0 +1,127 @@
+"""What the kernel's primitives cost the host, pinned.
+
+Every simulated cost in this repository is a heap entry and a wake-up,
+so their fixed Python overhead is paid tens of times per operation.
+Counted, not timed — ``sys.setprofile`` ``call`` events (Python frames
+entered or resumed) per primitive, with an upper bound that leaves
+headroom between interpreter versions — so the test says the same thing
+on any machine.  C calls are printed, not asserted (they differ between
+3.9 and 3.12); heap entries are exact.
+"""
+
+import collections
+import sys
+
+import pytest
+
+from repro.sim import CPU, Environment
+
+ROUNDS = 200
+
+
+def _profiled(env, body):
+    """(python calls, C calls, heap entries) per round of ``body()``.
+
+    ``body`` is a generator function run as one process; it yields
+    ``ROUNDS`` times between the two marks, so the driver's own frame
+    resumptions are part of every figure (one per wake-up).
+    """
+    events = collections.Counter()
+
+    def profile(_frame, event, _arg):
+        events[event] += 1
+
+    def driver():
+        yield from body(1)  # warm: first-use paths, attribute caches
+        outer = sys.getprofile()
+        before = env.kernel_counters()["sim.kernel.events_scheduled"]
+        sys.setprofile(profile)
+        try:
+            yield from body(ROUNDS)
+        finally:
+            sys.setprofile(outer)
+        return env.kernel_counters()["sim.kernel.events_scheduled"] - before
+
+    entries = env.run(until=env.process(driver()))
+    return events["call"] / ROUNDS, events["c_call"] / ROUNDS, entries / ROUNDS
+
+
+def _timeout_round_trip():
+    env = Environment()
+
+    def body(rounds):
+        for _ in range(rounds):
+            yield env.timeout(1.0)
+
+    return _profiled(env, body)
+
+
+def _uncontended_charge():
+    env = Environment()
+    cpu = CPU(env)
+
+    def body(rounds):
+        for _ in range(rounds):
+            yield cpu.compute(1.0)
+
+    return _profiled(env, body)
+
+
+def _contended_charge():
+    """Each round: a rival takes the CPU first, the measured charge
+    queues behind it (the rival's own cost is in the figure too: one
+    process, one uncontended charge)."""
+    env = Environment()
+    cpu = CPU(env)
+
+    def rival():
+        yield cpu.compute(1.0)
+
+    def body(rounds):
+        for _ in range(rounds):
+            env.process(rival(), inline=True)
+            yield cpu.compute(1.0)
+
+    return _profiled(env, body)
+
+
+def _process_start_to_unwaited_exit():
+    env = Environment()
+
+    def child():
+        yield env.timeout(1.0)
+
+    def body(rounds):
+        for _ in range(rounds):
+            env.process(child())
+            yield env.timeout(2.0)
+
+    return _profiled(env, body)
+
+
+@pytest.mark.parametrize(
+    "measure, max_python_calls, heap_entries",
+    [
+        # 5.0 — env.timeout, Timeout.__init__ | _resume and the
+        # driver's two frames (8.0 before: push, _step, _add_callback)
+        pytest.param(_timeout_round_trip, 6, 1, id="timeout-round-trip"),
+        # 7.0 — compute, use, Charge.__init__ | _free, _resume, two
+        # frames (11.0 before: use()'s frame entered and resumed)
+        pytest.param(_uncontended_charge, 8, 1, id="uncontended-charge"),
+        # 19.0 with the rival's inline process and charge (42.0 and 3
+        # entries before: a grant event, a wake-up to start the hold)
+        pytest.param(_contended_charge, 21, 2, id="contended-charge"),
+        # 14.0 with the driver's own timeout (26.0 before)
+        pytest.param(
+            _process_start_to_unwaited_exit, 16, 3, id="process-start-to-exit"
+        ),
+    ],
+)
+def test_kernel_primitive_budget(measure, max_python_calls, heap_entries):
+    python_calls, c_calls, entries = measure()
+    print(
+        f"{measure.__name__}: {python_calls:.1f} python calls, "
+        f"{c_calls:.1f} C calls, {entries:g} heap entries"
+    )
+    assert entries == heap_entries
+    assert python_calls <= max_python_calls

@@ -124,6 +124,65 @@ def test_stale_timeout_does_not_resume_interrupted_process():
     assert resumptions == ["interrupt", "after"]
 
 
+def _victim(env, log):
+    """Sleeps 5; on an interrupt, sleeps 10 for the value ``"ten"``."""
+    try:
+        yield env.timeout(5)
+    except Interrupt as intr:
+        log.append(("interrupted", env.now, intr.cause))
+    got = yield env.timeout(10, "ten")
+    log.append((env.now, got))
+
+
+def test_interrupt_before_the_first_segment_fails_the_process_unrun():
+    # The start event still held ``_resume`` while ``_target`` was None,
+    # so the body started anyway, caught the Interrupt, and was woken
+    # again by its abandoned timeout(5) — with None, at t=5 — until
+    # run() died at t=10 with "event already triggered".
+    env = Environment()
+    log = []
+    p = env.process(_victim(env, log))
+    p.interrupt("early")
+    with pytest.raises(Interrupt) as caught:
+        env.run()
+    assert caught.value.cause == "early"
+    assert env.now == 0.0 and not p.is_alive
+    env.run()  # nothing left that could resume it
+    assert log == []
+
+
+def test_waiter_on_a_process_interrupted_before_it_ran_sees_the_interrupt():
+    env = Environment()
+    log = []
+
+    def supervisor():
+        child = env.process(_victim(env, log))
+        child.interrupt("early")
+        try:
+            yield child
+        except Interrupt as intr:
+            return (env.now, intr.cause)
+
+    assert env.run(until=env.process(supervisor())) == (0.0, "early")
+    env.run()
+    assert log == [] and env.now == 0.0
+
+
+def test_interrupt_in_the_starting_instant_but_after_the_first_segment():
+    # Same instant, one start event later: the victim is parked on its
+    # timeout(5), so this is an ordinary interrupt.
+    env = Environment()
+    log = []
+
+    def interrupter(target):
+        target.interrupt("late")
+        yield env.timeout(0)
+
+    env.process(interrupter(env.process(_victim(env, log))))
+    env.run()
+    assert log == [("interrupted", 0.0, "late"), (10.0, "ten")]
+
+
 def test_exception_inside_process_propagates_to_waiter():
     env = Environment()
 

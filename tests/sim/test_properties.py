@@ -55,7 +55,7 @@ def test_resource_throughput_bounded_by_capacity(capacity, services):
     res = Resource(env, capacity=capacity)
 
     def user(s):
-        yield from res.use(s)
+        yield res.use(s)
 
     for s in services:
         env.process(user(s))

@@ -1,8 +1,11 @@
 """Resource contention, CPU scaling, disk cost model."""
 
+import collections
+
 import pytest
 
 from repro.sim import CPU, Disk, Environment, Interrupt, Resource
+from repro.sim.kernel import KernelMonitor
 from repro.sim.resources import BACKGROUND_PATIENCE, BACKGROUND_SLICE_MS
 
 
@@ -18,7 +21,7 @@ def test_single_capacity_serialises_users():
     finish = []
 
     def user(tag):
-        yield from res.use(10)
+        yield res.use(10)
         finish.append((tag, env.now))
 
     env.process(user("a"))
@@ -33,7 +36,7 @@ def test_capacity_two_allows_parallelism():
     finish = []
 
     def user(tag):
-        yield from res.use(10)
+        yield res.use(10)
         finish.append((tag, env.now))
 
     for tag in ("a", "b", "c"):
@@ -49,7 +52,7 @@ def test_fifo_ordering_of_waiters():
 
     def user(tag, delay):
         yield env.timeout(delay)
-        yield from res.use(5)
+        yield res.use(5)
         order.append(tag)
 
     env.process(user("first", 0))
@@ -84,7 +87,7 @@ def test_resource_released_on_exception():
 
     def good_user():
         yield env.timeout(1)
-        yield from res.use(5)
+        yield res.use(5)
         return env.now
 
     env.process(bad_user())
@@ -102,7 +105,7 @@ def test_cpu_speed_factor_scales_cost():
     times = {}
 
     def work(cpu, tag):
-        yield from cpu.compute(10)
+        yield cpu.compute(10)
         times[tag] = env.now
 
     env.process(work(fast, "fast"))
@@ -123,7 +126,7 @@ def test_disk_read_charges_access_plus_transfer():
     disk = Disk(env, access_ms=30, per_kb_ms=2)
 
     def reader():
-        yield from disk.read(2048)
+        yield disk.read(2048)
         return env.now
 
     p = env.process(reader())
@@ -136,7 +139,7 @@ def test_disk_serialises_concurrent_reads():
     finish = []
 
     def reader(tag):
-        yield from disk.read(0)
+        yield disk.read(0)
         finish.append((tag, env.now))
 
     env.process(reader(1))
@@ -165,7 +168,7 @@ def test_uncontended_use_schedules_exactly_one_kernel_event():
 
     def user():
         before = env.kernel_counters()["sim.kernel.events_scheduled"]
-        yield from res.use(5)
+        yield res.use(5)
         after = env.kernel_counters()["sim.kernel.events_scheduled"]
         scheduled.append(after - before)
 
@@ -173,6 +176,123 @@ def test_uncontended_use_schedules_exactly_one_kernel_event():
     env.run()
     assert scheduled == [1]  # the hold; no grant event on a free unit
     assert env.now == 5.0
+
+
+# ----------------------------------------------------------------------
+# The charge budget: heap entries and wake-ups of the waiter
+# ----------------------------------------------------------------------
+class _Segments(KernelMonitor):
+    """Counts each process's segments: its start plus every wake-up."""
+
+    def __init__(self):
+        self.begun = collections.Counter()
+
+    def segment_begin(self, process):
+        self.begun[process.name] += 1
+
+
+def _scheduled(env):
+    return env.kernel_counters()["sim.kernel.events_scheduled"]
+
+
+def test_contended_charge_is_one_heap_entry_and_one_wakeup():
+    env = Environment()
+    env.monitor = monitor = _Segments()
+    res = Resource(env)
+    scheduled = []
+
+    def holder():
+        yield res.use(10)
+
+    def waiter():
+        before = _scheduled(env)
+        yield res.use(5)  # queues behind the holder
+        scheduled.append(_scheduled(env) - before)
+
+    env.process(holder())
+    env.process(waiter(), name="waiter")
+    env.run()
+    assert env.now == 15.0
+    # Its hold, scheduled by the holder's release: no grant event, and
+    # no wake-up just to start the hold (2 and 2 before).
+    assert scheduled == [1]
+    assert monitor.begun["waiter"] - 1 == 1
+
+
+def test_background_job_is_idle_check_plus_one_entry_and_no_wakeup_per_slice():
+    env = Environment()
+    env.monitor = monitor = _Segments()
+    res = Resource(env)
+    slices = 3
+    scheduled = []
+
+    def job():
+        before = _scheduled(env)
+        yield res.use((slices - 0.5) * BACKGROUND_SLICE_MS, background=True)
+        scheduled.append(_scheduled(env) - before)
+
+    env.process(job(), name="job")
+    env.run()
+    assert env.now == (slices - 0.5) * BACKGROUND_SLICE_MS
+    assert scheduled == [1 + slices]  # was 2 + n: a grant event as well
+    assert monitor.begun["job"] - 1 == 1  # was 1 + n: woken per slice
+
+
+def test_zero_cost_charge_on_a_free_unit_schedules_nothing():
+    env = Environment()
+    res = Resource(env)
+    scheduled = []
+
+    def user():
+        before = _scheduled(env)
+        yield res.use(0)
+        scheduled.append((_scheduled(env) - before, env.now, res.in_use))
+
+    env.process(user())
+    env.run()
+    assert scheduled == [(0, 0.0, 0)]
+
+
+def test_resolver_zero_cost_compute_never_waits_behind_a_busy_cpu():
+    from repro.bind import BindResolver
+    from repro.net import DatagramTransport, Endpoint, Internetwork
+
+    env = Environment()
+    net = Internetwork(env)
+    host = net.add_host("client", net.add_segment())
+    resolver = BindResolver(
+        host, DatagramTransport(net), Endpoint(host.address, 53)
+    )
+    done = []
+
+    def hog():
+        yield host.cpu.compute(10)
+
+    def payer():
+        yield resolver._compute(0)
+        done.append(env.now)
+        yield resolver._compute(2)  # a real charge does queue
+        done.append(env.now)
+
+    env.process(hog())
+    env.process(payer())
+    env.run()
+    assert done == [0.0, 12.0]
+
+
+def test_yield_from_a_charge_is_a_type_error():
+    # The migration guard: a charge is an event to ``yield``, and an
+    # event is not iterable.
+    env = Environment()
+    cpu = CPU(env)
+
+    def stale_caller():
+        charge = cpu.compute(1)
+        yield from charge
+
+    env.process(stale_caller())
+    with pytest.raises(TypeError, match="not iterable"):
+        env.run()
 
 
 # ----------------------------------------------------------------------
@@ -185,11 +305,11 @@ def _interrupt_scenario(background, interrupt_at):
     outcome = {}
 
     def holder():
-        yield from res.use(10)
+        yield res.use(10)
 
     def victim():
         try:
-            yield from res.use(5, background=background)
+            yield res.use(5, background=background)
         except Interrupt:
             outcome["victim"] = env.now
 
@@ -199,7 +319,7 @@ def _interrupt_scenario(background, interrupt_at):
 
     def latecomer():
         yield env.timeout(11)
-        yield from res.use(5)
+        yield res.use(5)
         outcome["latecomer"] = env.now
 
     env.process(holder())
@@ -232,7 +352,7 @@ def test_interrupted_uncontended_holder_releases():
 
     def holder():
         try:
-            yield from res.use(10)
+            yield res.use(10)
         except Interrupt:
             pass
 
@@ -257,12 +377,12 @@ def test_background_never_splits_back_to_back_foreground_charges():
 
     def foreground():
         for _ in range(3):
-            yield from cpu.compute(1)
+            yield cpu.compute(1)
         log.append(("fg", env.now))
 
     def background():
         yield env.timeout(0.5)  # arrives while the first charge holds
-        yield from cpu.compute(2, background=True)
+        yield cpu.compute(2, background=True)
         log.append(("bg", env.now))
 
     env.process(foreground())
@@ -277,13 +397,13 @@ def test_foreground_arriving_mid_slice_waits_at_most_one_slice():
     log = []
 
     def background(tag, cost):
-        yield from cpu.compute(cost, background=True)
+        yield cpu.compute(cost, background=True)
         log.append((tag, env.now))
 
     def foreground():
         yield env.timeout(5)  # mid-way through the slice [4, 8]
         asked = env.now
-        yield from cpu.compute(1)
+        yield cpu.compute(1)
         log.append(("fg", env.now))
         assert env.now - asked <= BACKGROUND_SLICE_MS + 1
 
@@ -301,11 +421,11 @@ def test_background_requests_are_fifo_among_themselves():
     log = []
 
     def holder():
-        yield from res.use(10)
+        yield res.use(10)
 
     def background(tag, arrive):
         yield env.timeout(arrive)
-        yield from res.use(2, background=True)
+        yield res.use(2, background=True)
         log.append((tag, env.now))
 
     env.process(holder())
@@ -322,11 +442,11 @@ def test_background_job_on_a_saturated_unit_completes_by_the_patience_bound():
 
     def looper():
         while True:  # two of these: one always holds, one always waits
-            yield from res.use(hold)
+            yield res.use(hold)
 
     def background():
         yield env.timeout(arrive)
-        yield from res.use(cost, background=True)
+        yield res.use(cost, background=True)
         return env.now
 
     env.process(looper())
