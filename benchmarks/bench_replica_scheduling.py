@@ -150,7 +150,7 @@ def test_refresh_cost_vs_churn(benchmark):
 
     def preload_costs():
         """Full preload vs IXFR re-preload after a small churn."""
-        env, zone, secondary = build_replicated(None)
+        env, zone, secondary = build_replicated(ReplicaPolicy.disabled())
         cache = ResolverCache(env, name="preload")
         preloader = BindResolver(
             secondary.host,
@@ -176,7 +176,7 @@ def test_refresh_cost_vs_churn(benchmark):
                 for level in CHURN_LEVELS
             },
             "axfr": {
-                str(level): refresh_cost(None, level)
+                str(level): refresh_cost(ReplicaPolicy.disabled(), level)
                 for level in CHURN_LEVELS
             },
             "preload": preload_costs(),

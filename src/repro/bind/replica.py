@@ -33,8 +33,14 @@ from repro.sim.kernel import Environment
 
 #: weight of the newest latency sample in the per-endpoint EWMA
 EWMA_ALPHA = 0.3
-#: floor on the computed hedge delay
+#: score penalty per outstanding request on an endpoint, so load
+#: spreads even while latency estimates are equal
+INFLIGHT_PENALTY_MS = 25.0
+#: successful samples required before hedging arms
+HEDGE_MIN_SAMPLES = 8
+#: floor and ceiling on the computed hedge delay
 HEDGE_MIN_DELAY_MS = 1.0
+HEDGE_MAX_DELAY_MS = 1_000.0
 #: how long a tripped replica stays skipped before one probe
 BREAKER_RESET_MS = 10_000.0
 
@@ -100,7 +106,7 @@ class ReplicaScheduler:
         # Untried endpoints score below any measured one so they get
         # explored; in-flight requests push an endpoint down the order.
         base = -1.0 if state.ewma_ms is None else state.ewma_ms
-        return base + state.inflight * self.policy.inflight_penalty_ms
+        return base + state.inflight * INFLIGHT_PENALTY_MS
 
     # ------------------------------------------------------------------
     def plan(self) -> typing.List[ReplicaState]:
@@ -131,18 +137,18 @@ class ReplicaScheduler:
         """How long to wait before hedging, or None to not hedge.
 
         The policy quantile of the recent successful-latency window,
-        clamped to ``[HEDGE_MIN_DELAY_MS, hedge_max_delay_ms]``; no
-        hedging until ``hedge_min_samples`` samples have accumulated.
+        clamped to ``[HEDGE_MIN_DELAY_MS, HEDGE_MAX_DELAY_MS]``; no
+        hedging until ``HEDGE_MIN_SAMPLES`` samples have accumulated.
         """
         policy = self.policy
-        if not policy.hedging or len(self._window) < policy.hedge_min_samples:
+        if not policy.hedging or len(self._window) < HEDGE_MIN_SAMPLES:
             return None
         ordered = sorted(self._window)
         k = (len(ordered) - 1) * policy.hedge_quantile
         lo = int(k)
         hi = min(lo + 1, len(ordered) - 1)
         q = ordered[lo] + (ordered[hi] - ordered[lo]) * (k - lo)
-        return min(max(q, HEDGE_MIN_DELAY_MS), policy.hedge_max_delay_ms)
+        return min(max(q, HEDGE_MIN_DELAY_MS), HEDGE_MAX_DELAY_MS)
 
     # ------------------------------------------------------------------
     def record_start(self, state: ReplicaState, hedge: bool = False) -> None:

@@ -91,8 +91,8 @@ class BindResolver:
     ):
         if marshalling not in ("handcoded", "generated"):
             raise ValueError(f"unknown marshalling style {marshalling!r}")
-        #: the policy bundle; ``None`` in a slot uniformly means "that
-        #: mechanism at its prototype .disabled() behaviour"
+        #: the policy bundle; what each slot switches on is decided
+        #: below, once: a mechanism that is off is a stage never bound
         self.policies = policies
         self.host = host
         self.env = host.env
@@ -106,27 +106,31 @@ class BindResolver:
         self.calibration = calibration
         self.name = name
         self.marshalling = marshalling
-        #: fault-tolerance knobs: None reproduces the prototype's
-        #: single-pass behaviour (one try per replica, no serve-stale)
-        self.policy = policy = policies.resolution
-        #: >0 enables caching of NXDOMAIN answers for that many ms — an
-        #: extension of the TTL scheme that spares repeated misses for
-        #: absent names (disabled by default, as in the prototype)
-        self.negative_ttl_ms = policy.negative_ttl_ms if policy is not None else 0.0
-        #: performance knobs (coalescing, refresh-ahead, batching);
-        #: None keeps the paper-faithful one-call-per-miss behaviour
-        self.fast_path = policies.fast_path
-        #: replica-aware read knobs (adaptive selection, hedging, IXFR);
-        #: None keeps the static primary-then-secondaries failover
-        self.replica_policy = replica_policy = policies.replica
+        #: what a miss does: fetch for itself, or share one fetch among
+        #: concurrent identical misses
+        self._miss = (
+            self._lead_or_follow
+            if policies.fast_path.coalesce
+            else self._fetch_alone
+        )
+        #: a hit this close to expiry (as a fraction of the entry's TTL)
+        #: spawns a background renewal; 0 = hits never renew
+        self._refresh_fraction = policies.fast_path.refresh_ahead_fraction
+        #: the last rung of the degradation ladder: an expired entry
+        #: still inside the stale window, when there is one to keep
+        self._serve_stale = (
+            self._stale_records
+            if cache is not None and policies.resolution.stale_window_ms > 0
+            else self._nothing_stale
+        )
         self._scheduler: typing.Optional[ReplicaScheduler] = None
         #: what one retry round does against the replica set
         self._exchange = self._ordered_exchange
-        if replica_policy is not None and replica_policy.scheduling:
+        if policies.replica.scheduling:
             self._scheduler = ReplicaScheduler(
                 self.env,
                 [server] + self.secondaries,
-                replica_policy,
+                policies.replica,
                 name=self.name,
             )
             self._exchange = self._hedged_exchange
@@ -202,7 +206,7 @@ class BindResolver:
                     span.set(outcome="hit")
                     return records
             span.set(outcome="miss")
-            records = yield from self._coalesce_or_fetch(
+            records = yield from self._miss(
                 key, span, lambda: self._fetch(key, rtype)
             )
             return records
@@ -217,7 +221,7 @@ class BindResolver:
 
         Charges the probe and hit costs, honours negative entries
         (raising :class:`NameNotFound`), and spawns a refresh-ahead
-        renewal when the hit lands inside the policy's refresh window.
+        renewal when the hit lands inside the fast path's refresh window.
         """
         env = self.env
         assert self.cache is not None
@@ -232,10 +236,8 @@ class BindResolver:
         records, hit_cost = self._read_entry(entry)
         yield self.host.cpu.compute(hit_cost)
         self._cache_hits.increment()
-        fast = self.fast_path
-        if fast is not None and self.cache.needs_refresh(
-            entry, fast.refresh_ahead_fraction
-        ):
+        fraction = self._refresh_fraction
+        if fraction and self.cache.needs_refresh(entry, fraction):
             self._flights.refresh_ahead(
                 key,
                 entry,
@@ -303,23 +305,28 @@ class BindResolver:
         records = yield from self._probe_cache(_cache_key(name, rtype), rtype)
         return records
 
-    def _coalesce_or_fetch(
+    # The miss step shared by :meth:`lookup` and :meth:`lookup_batch`,
+    # one of these two, picked in the constructor.  ``fetch()`` returns
+    # ``(result, record_count)``.
+    def _fetch_alone(
         self,
         key: object,
         span: "SpanLike",
         fetch: typing.Callable[[], typing.Generator],
     ) -> typing.Generator:
-        """The miss step shared by :meth:`lookup` and :meth:`lookup_batch`.
+        """The prototype's miss: every miss fetches for itself."""
+        result, _count = yield from fetch()
+        return result
 
-        ``fetch()`` returns ``(result, record_count)``.  With coalescing
-        on, the first miss on ``key`` runs it as the flight's leader and
-        concurrent misses park on that flight for a copy of its result;
-        otherwise every miss fetches for itself.
-        """
-        fast = self.fast_path
-        if fast is None or not fast.coalesce:
-            result, _count = yield from fetch()
-            return result
+    def _lead_or_follow(
+        self,
+        key: object,
+        span: "SpanLike",
+        fetch: typing.Callable[[], typing.Generator],
+    ) -> typing.Generator:
+        """The coalescing miss: the first miss on ``key`` runs ``fetch``
+        as the flight's leader and concurrent misses park on that flight
+        for a copy of its result."""
         flight = self._flights.get(key)
         if flight is not None:
             span.set(outcome="coalesced")
@@ -383,9 +390,10 @@ class BindResolver:
             _, demarshal_cost = self._response_m.decode(reply.wire)
             yield self._compute(demarshal_cost, background)
             if reply.status == STATUS_NXDOMAIN:
-                if self.cache is not None and self.negative_ttl_ms > 0:
+                negative_ttl_ms = self.policies.resolution.negative_ttl_ms
+                if self.cache is not None and negative_ttl_ms > 0:
                     insert_cost = self.cache.insert(
-                        key, _NEGATIVE, 0, self.negative_ttl_ms
+                        key, _NEGATIVE, 0, negative_ttl_ms
                     )
                     yield self._compute(insert_cost, background)
                 raise NameNotFound(f"{name} {rtype}")
@@ -397,7 +405,15 @@ class BindResolver:
                 )
             return list(reply.records), len(reply.records)
 
-    def _serve_stale(
+    def _nothing_stale(
+        self, key: typing.Tuple[str, int], err: Exception
+    ) -> typing.Generator:
+        """The serve-stale rung of a resolver that keeps nothing past
+        expiry: no charge, no records."""
+        yield from ()
+        return None
+
+    def _stale_records(
         self, key: typing.Tuple[str, int], err: Exception
     ) -> typing.Generator:
         """Return expired-but-retained records for ``key``, or None.
@@ -406,16 +422,12 @@ class BindResolver:
         will not be cured by the authoritative server coming back, so
         masking it with stale data would hide a configuration problem.
         """
-        policy = self.policy
-        cache = self.cache
-        if (
-            cache is None
-            or policy is None
-            or policy.stale_window_ms <= 0
-            or not is_transient(err)
-        ):
+        if not is_transient(err):
             return None
-        entry = cache.stale_entry(key, policy.stale_window_ms)
+        assert self.cache is not None
+        entry = self.cache.stale_entry(
+            key, self.policies.resolution.stale_window_ms
+        )
         if entry is None or entry.payload is _NEGATIVE:
             return None
         records, hit_cost = self._read_entry(entry)
@@ -448,11 +460,10 @@ class BindResolver:
         yield self._compute(
             max(marshal_cost, self.calibration.request_marshal_ms), background
         )
-        policy = self.policy
-        rounds = policy.attempts if policy is not None else 1
-        timeout_ms = policy.call_timeout_ms if policy is not None else None
+        policy = self.policies.resolution
+        timeout_ms = policy.call_timeout_ms
         last_error: typing.Optional[Exception] = None
-        for round_index in range(rounds):
+        for round_index in range(policy.attempts):
             if round_index:
                 self.env.stats.counter(f"bind.{self.name}.retries").increment()
                 yield self.env.timeout(
@@ -524,8 +535,7 @@ class BindResolver:
         env = self.env
         scheduler = self._scheduler
         assert scheduler is not None
-        replica_policy = self.replica_policy
-        assert replica_policy is not None
+        replica_policy = self.policies.replica
         queue = scheduler.plan()
         # Legs run as their own processes; the caller's span context must
         # travel into them explicitly.
@@ -640,7 +650,7 @@ class BindResolver:
         with self.env.obs.span(
             "bind.batch", resolver=self.name, questions=len(questions)
         ) as span:
-            answers = yield from self._coalesce_or_fetch(
+            answers = yield from self._miss(
                 key, span, lambda: self._fetch_batch(questions)
             )
             return answers
@@ -670,6 +680,7 @@ class BindResolver:
         yield self.host.cpu.compute(demarshal_cost)
         total_records = 0
         cache = self.cache
+        negative_ttl_ms = self.policies.resolution.negative_ttl_ms
         for question, answer in zip(questions, reply.answers):
             total_records += len(answer.records)
             if cache is None:
@@ -685,12 +696,12 @@ class BindResolver:
             elif (
                 answer.status == STATUS_NXDOMAIN
                 and question.chain_from < 0
-                and self.negative_ttl_ms > 0
+                and negative_ttl_ms > 0
             ):
                 # Only literal questions know their owner client-side.
                 owner_key = _cache_key(question.name, question.rtype)
                 insert_cost = cache.insert(
-                    owner_key, _NEGATIVE, 0, self.negative_ttl_ms
+                    owner_key, _NEGATIVE, 0, negative_ttl_ms
                 )
                 yield self.host.cpu.compute(insert_cost)
         return reply.answers, total_records
@@ -822,8 +833,7 @@ class BindResolver:
             raise ValueError("preload requires a cache")
         origin = DomainName(origin)
         have = self._preload_serials.get(str(origin))
-        replica_policy = self.replica_policy
-        if replica_policy is not None and replica_policy.ixfr and have is not None:
+        if self.policies.replica.ixfr and have is not None:
             serial, full, deltas, records = (
                 yield from self.primary.incremental_zone_transfer(origin, have)
             )

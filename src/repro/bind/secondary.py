@@ -56,7 +56,7 @@ class SecondaryBindServer(BindServer):
         lookup_cost_ms: typing.Optional[float] = None,
         calibration: Calibration = DEFAULT_CALIBRATION,
         name: str = "",
-        replica_policy: typing.Optional[ReplicaPolicy] = None,
+        replica_policy: ReplicaPolicy = ReplicaPolicy.disabled(),
     ):
         if refresh_ms <= 0:
             raise ValueError("refresh interval must be positive")
@@ -71,7 +71,7 @@ class SecondaryBindServer(BindServer):
         self.primary = primary
         self.transport = transport
         self.refresh_ms = refresh_ms
-        #: None keeps the full-AXFR refresh the prototype used
+        #: ``ixfr`` off keeps the full-AXFR refresh the prototype used
         self.replica_policy = replica_policy
         self.replica_serials: typing.Dict[DomainName, int] = {
             zone.origin: 0 for zone in self.zones
@@ -132,8 +132,7 @@ class SecondaryBindServer(BindServer):
         if reply.serial <= self.replica_serials[zone.origin]:
             self.env.stats.counter(f"bind.{self.name}.refresh_skips").increment()
             return False
-        policy = self.replica_policy
-        if force_ixfr or (policy is not None and policy.ixfr):
+        if force_ixfr or self.replica_policy.ixfr:
             serial, full, deltas, records = (
                 yield from self._xfer.incremental_zone_transfer(
                     zone.origin, self.replica_serials[zone.origin]

@@ -79,7 +79,7 @@ class BindServer(Service):
         allow_zone_transfer: bool = True,
         calibration: Calibration = DEFAULT_CALIBRATION,
         name: str = "",
-        update_policy: typing.Optional[UpdatePolicy] = None,
+        update_policy: UpdatePolicy = UpdatePolicy.disabled(),
         transport: typing.Optional["Transport"] = None,
     ):
         self.host = host
@@ -94,7 +94,7 @@ class BindServer(Service):
         )
         self.allow_dynamic_update = allow_dynamic_update
         self.allow_zone_transfer = allow_zone_transfer
-        #: write-pipeline knobs; None = the prototype's TTL-only path
+        #: write-pipeline knobs (leases granted, NOTIFY pushed)
         self.update_policy = update_policy
         #: needed only to push NOTIFYs; queries never use it
         self.transport = transport
@@ -434,9 +434,8 @@ class BindServer(Service):
         env = self.env
         env.stats.counter(f"bind.{self.name}.subscriptions").increment()
         yield self.host.cpu.compute(1.0)
-        policy = self.update_policy
         zone = self.zone_named(DomainName(request.origin))
-        if policy is None or not policy.notify or self.transport is None:
+        if not self.update_policy.notify or self.transport is None:
             reply = NotifySubscribeResponse(STATUS_REFUSED, 0)
         elif zone is None:
             reply = NotifySubscribeResponse(STATUS_NXDOMAIN, 0)
@@ -466,8 +465,7 @@ class BindServer(Service):
         A no-op unless NOTIFY mode is on and someone subscribed, so the
         prototype write path stays bit-identical.
         """
-        policy = self.update_policy
-        if policy is None or not policy.notify or self.transport is None:
+        if not self.update_policy.notify or self.transport is None:
             return
         for zone in zones:
             if not self._subscribers.get(zone.origin):

@@ -38,12 +38,7 @@ from repro.hrpc.binding import HRPCBinding
 from repro.hrpc.server import HrpcServer
 from repro.net.addresses import Endpoint, NetworkAddress
 from repro.bind.errors import NameNotFound
-from repro.resolution import (
-    CircuitBreakerRegistry,
-    PolicySet,
-    ResolutionPolicy,
-    retrying,
-)
+from repro.resolution import CircuitBreakerRegistry, PolicySet, retrying
 from repro.sim.events import Event
 
 if typing.TYPE_CHECKING:  # pragma: no cover
@@ -81,28 +76,24 @@ class HNS:
         self.env = metastore.env
         self.calibration = calibration
         # Inherit the metastore's PolicySet unless given one, so one
-        # bundle configures the whole stack (None in a slot =
-        # paper-faithful behaviour).
+        # bundle configures the whole stack.  ``resolution`` here covers
+        # FindNSM itself (host resolution retries, per-NSM circuit
+        # breaking); the meta lookups carry the metastore's own.
         if policies is None:
             policies = metastore.policies
         self.policies = policies
-        #: performance policy (None = paper-faithful behaviour)
-        self.fast_path = policies.fast_path
-        #: replica-aware read policy; the scheduling itself lives in the
-        #: metastore's resolver — this mirror keeps the whole-stack
-        #: configuration inspectable from one place, like ``fast_path``
-        self.replica_policy = policies.replica
-        #: fault-tolerance policy for FindNSM itself (host resolution
-        #: retries, per-NSM circuit breaking); the meta lookups carry
-        #: the metastore's own policy
-        self.policy = policies.resolution
+        #: how FindNSM reaches the NSM's record and its host's address:
+        #: the paper's six sequential mappings, or two batched round trips
+        if policies.fast_path.batch_meta_lookups:
+            self._meta_mappings = self._batched_mappings
+            self._resolve_host = self._resolve_nsm_host_fast
+        else:
+            self._meta_mappings = self._sequential_mappings
+            self._resolve_host = self._resolve_nsm_host_retried
         #: one circuit breaker per NSM name, fed by callers reporting
         #: call outcomes via :meth:`report_nsm_outcome`
         self.nsm_breakers = CircuitBreakerRegistry(
-            self.env,
-            self.policy
-            if self.policy is not None
-            else ResolutionPolicy.disabled(),
+            self.env, policies.resolution
         )
         # Statically linked HostAddress NSMs, one per name service:
         # these cut the FindNSM recursion.
@@ -160,105 +151,94 @@ class HNS:
         server already known to be dead.
         """
         query_class_named(query_class)  # fail fast on unknown classes
-        with self.env.obs.span(
+        env = self.env
+        with env.obs.span(
             "hns.find_nsm",
             context=hns_name.context,
             name=hns_name.name,
             query_class=query_class,
         ) as span:
-            binding = yield from self._find_nsm(hns_name, query_class, span)
-            return binding
-
-    def _find_nsm(
-        self, hns_name: HNSName, query_class: str, span: "SpanLike"
-    ) -> FindNsmCall:
-        cal = self.calibration
-        env = self.env
-        fast = self.fast_path
-        batching = fast is not None and fast.batch_meta_lookups
-        self._find_nsm_count.increment()
-        # Fixed library bookkeeping.
-        yield self.host.cpu.compute(cal.hns_fixed_ms)
-        if batching:
-            # Mappings 1-3 as one chained batch (at most one round trip;
-            # none when the cache holds the whole chain).  The breaker
-            # check runs afterwards — the batch already carried mapping 3,
-            # so there is nothing left to save by checking earlier.
-            ns_name, nsm_name, record = yield from (
-                self.metastore.find_nsm_bundle(hns_name.context, query_class)
+            self._find_nsm_count.increment()
+            # Fixed library bookkeeping.
+            yield self.host.cpu.compute(self.calibration.hns_fixed_ms)
+            found = yield from self._meta_mappings(
+                hns_name.context, query_class, span
             )
-            span.set(ns=ns_name, nsm=nsm_name)
-            reroute = self._breaker_reroute(nsm_name)
-            if reroute is not None:
+            if isinstance(found, LocalNsmBinding):
                 span.set(outcome="breaker_reroute")
-                return reroute
-        else:
-            # Mapping 1: context -> name service name.
-            ns_name = yield from self.metastore.context_to_name_service(
-                hns_name.context
-            )
-            # Mapping 2: (name service, query class) -> NSM name.
-            nsm_name = yield from self.metastore.nsm_name_for(
-                ns_name, query_class
-            )
-            span.set(ns=ns_name, nsm=nsm_name)
-            # Degradation ladder, last rung: a tripped breaker
-            # short-circuits before mapping 3 spends anything more on a
-            # dead NSM.
-            reroute = self._breaker_reroute(nsm_name)
-            if reroute is not None:
-                span.set(outcome="breaker_reroute")
-                return reroute
-            # Mapping 3: NSM name -> NSM binding information.
-            record = yield from self.metastore.nsm_record(nsm_name)
-        if env.trace.enabled:
-            env.trace.emit(
-                "hns",
-                f"FindNSM({hns_name.context}, {query_class}) -> {nsm_name}",
-                name_service=ns_name,
-            )
-        if record.port == 0:
-            # An NSM only available linked-in: usable iff this process
-            # has it.  No host resolution is possible or needed.
-            local = self._local_nsms.get(nsm_name)
-            if local is None:
-                raise NsmNotFound(
-                    f"NSM {nsm_name} is not remotely callable and is not "
-                    f"linked into this process"
+                return found
+            ns_name, record = found
+            nsm_name = record.name
+            if env.trace.enabled:
+                env.trace.emit(
+                    "hns",
+                    f"FindNSM({hns_name.context}, {query_class}) -> {nsm_name}",
+                    name_service=ns_name,
                 )
-            span.set(outcome="local")
-            return LocalNsmBinding(local)
-        if batching:
-            # Fast path: the meta zone's own NSM-host address record
-            # replaces the recursive mappings 4-6 — the second (and
-            # last) round trip of a cold FindNSM.
-            address = yield from self._resolve_nsm_host_fast(record)
-        else:
-            # Mappings 4-6: resolve the NSM's host name to an address.
-            # The prototype performs these even when a local copy will
+            if record.port == 0:
+                # An NSM only available linked-in: usable iff this process
+                # has it.  No host resolution is possible or needed.
+                local = self._local_nsms.get(nsm_name)
+                if local is None:
+                    raise NsmNotFound(
+                        f"NSM {nsm_name} is not remotely callable and is not "
+                        f"linked into this process"
+                    )
+                span.set(outcome="local")
+                return LocalNsmBinding(local)
+            # The prototype resolves the host even when a local copy will
             # be used — the six-mapping cost structure of the paper's
-            # measurements.  Retried as a unit: the native HostAddress
-            # lookup is the one remote call here that the meta
-            # resolver's policy cannot cover.
-            address = yield from retrying(
-                env,
-                self.policy,
-                lambda _attempt: self._resolve_nsm_host(record),
-                rng_stream="hns.backoff",
-                stat="hns.find_nsm.retries",
+            # measurements.
+            address = yield from self._resolve_host(record)
+            local = self._local_nsms.get(nsm_name)
+            if local is not None:
+                span.set(outcome="local")
+                return LocalNsmBinding(local)
+            span.set(outcome="remote")
+            return HRPCBinding(
+                endpoint=Endpoint(address, record.port),
+                program=record.program,
+                suite=record.suite,
+                system_type="unix",
+                metadata={"nsm": nsm_name, "name_service": ns_name},
             )
-        local = self._local_nsms.get(nsm_name)
-        if local is not None:
-            span.set(outcome="local")
-            return LocalNsmBinding(local)
-        span.set(outcome="remote")
-        return HRPCBinding(
-            endpoint=Endpoint(address, record.port),
-            program=record.program,
-            suite=record.suite,
-            system_type="unix",
-            metadata={"nsm": nsm_name, "name_service": ns_name},
+
+    # Mappings 1-3, one of these two, picked in the constructor.  Either
+    # returns ``(name service name, NsmRecord)`` — or the linked-in copy
+    # the breaker rerouted to, which ends the FindNSM there.
+    def _sequential_mappings(
+        self, context: str, query_class: str, span: "SpanLike"
+    ) -> typing.Generator:
+        """The prototype's three meta lookups, one round trip each."""
+        # Mapping 1: context -> name service name.
+        ns_name = yield from self.metastore.context_to_name_service(context)
+        # Mapping 2: (name service, query class) -> NSM name.
+        nsm_name = yield from self.metastore.nsm_name_for(ns_name, query_class)
+        span.set(ns=ns_name, nsm=nsm_name)
+        # Degradation ladder, last rung: a tripped breaker short-circuits
+        # before mapping 3 spends anything more on a dead NSM.
+        reroute = self._breaker_reroute(nsm_name)
+        if reroute is not None:
+            return reroute
+        # Mapping 3: NSM name -> NSM binding information.
+        record = yield from self.metastore.nsm_record(nsm_name)
+        return ns_name, record
+
+    def _batched_mappings(
+        self, context: str, query_class: str, span: "SpanLike"
+    ) -> typing.Generator:
+        """Mappings 1-3 as one chained batch (at most one round trip;
+        none when the cache holds the whole chain)."""
+        ns_name, nsm_name, record = yield from (
+            self.metastore.find_nsm_bundle(context, query_class)
         )
+        span.set(ns=ns_name, nsm=nsm_name)
+        # The breaker check runs afterwards — the batch already carried
+        # mapping 3, so there is nothing left to save by checking earlier.
+        reroute = self._breaker_reroute(nsm_name)
+        if reroute is not None:
+            return reroute
+        return ns_name, record
 
     def _breaker_reroute(
         self, nsm_name: str
@@ -271,7 +251,7 @@ class HNS:
         Returns a linked-in reroute, raises :class:`NsmUnavailable`, or
         returns None to let resolution proceed.
         """
-        if self.policy is None or not self.policy.breaker_threshold:
+        if not self.policies.resolution.breaker_threshold:
             return None
         breaker = self.nsm_breakers.breaker(nsm_name)
         if breaker.state != "open":
@@ -291,7 +271,8 @@ class HNS:
         )
 
     def _resolve_nsm_host_fast(self, record: NsmRecord) -> HostResolveCall:
-        """Batched host resolution: one meta ``addr`` lookup.
+        """Batched host resolution: one meta ``addr`` lookup — the
+        second (and last) round trip of a cold batched FindNSM.
 
         The meta zone carries an address record per NSM host (it is what
         preloading warms), so the fast path reads it directly instead of
@@ -312,14 +293,20 @@ class HNS:
                 self.env.stats.counter(
                     "hns.fast_path.addr_fallbacks"
                 ).increment()
-                address = yield from retrying(
-                    self.env,
-                    self.policy,
-                    lambda _attempt: self._resolve_nsm_host(record),
-                    rng_stream="hns.backoff",
-                    stat="hns.find_nsm.retries",
-                )
+                address = yield from self._resolve_nsm_host_retried(record)
                 return address
+
+    def _resolve_nsm_host_retried(self, record: NsmRecord) -> HostResolveCall:
+        """Mappings 4-6 retried as a unit: the native HostAddress lookup
+        is the one remote call here that the meta resolver's policy
+        cannot cover."""
+        return retrying(
+            self.env,
+            self.policies.resolution,
+            lambda _attempt: self._resolve_nsm_host(record),
+            rng_stream="hns.backoff",
+            stat="hns.find_nsm.retries",
+        )
 
     def _resolve_nsm_host(self, record: NsmRecord) -> HostResolveCall:
         """Mappings 4-6: host name -> network address.
@@ -358,7 +345,7 @@ class HNS:
         ``policy.breaker_threshold`` consecutive failures the breaker
         opens and :meth:`find_nsm` routes around or fails fast.
         """
-        if self.policy is None or not self.policy.breaker_threshold:
+        if not self.policies.resolution.breaker_threshold:
             return
         breaker = self.nsm_breakers.breaker(nsm_name)
         if ok:

@@ -62,7 +62,7 @@ class RemoteFinder:
         self,
         runtime: HrpcRuntime,
         hns_binding: HRPCBinding,
-        policy: typing.Optional[ResolutionPolicy] = DEFAULT_RESOLUTION_POLICY,
+        policy: ResolutionPolicy = DEFAULT_RESOLUTION_POLICY,
     ):
         self.runtime = runtime
         self.hns_binding = hns_binding
@@ -107,7 +107,7 @@ class HrpcImporter:
         client_host: Host,
         *,
         calibration: Calibration = DEFAULT_CALIBRATION,
-        policy: typing.Optional[ResolutionPolicy] = DEFAULT_RESOLUTION_POLICY,
+        policy: ResolutionPolicy = DEFAULT_RESOLUTION_POLICY,
     ):
         self.client_host = client_host
         self.env = client_host.env
@@ -119,10 +119,7 @@ class HrpcImporter:
         self.nsm_stub: typing.Optional[NsmStub] = None
         self.agent_binding: typing.Optional[HRPCBinding] = None
         self.runtime: typing.Optional[HrpcRuntime] = None
-        self.breakers = CircuitBreakerRegistry(
-            self.env,
-            policy if policy is not None else ResolutionPolicy.disabled(),
-        )
+        self.breakers = CircuitBreakerRegistry(self.env, policy)
 
     # ------------------------------------------------------------------
     # Construction (the public API)
@@ -134,7 +131,7 @@ class HrpcImporter:
         finder: typing.Union[LocalFinder, RemoteFinder],
         nsm_stub: NsmStub,
         calibration: Calibration = DEFAULT_CALIBRATION,
-        policy: typing.Optional[ResolutionPolicy] = DEFAULT_RESOLUTION_POLICY,
+        policy: ResolutionPolicy = DEFAULT_RESOLUTION_POLICY,
     ) -> "HrpcImporter":
         """An importer running the two-step protocol from this process.
 
@@ -156,7 +153,7 @@ class HrpcImporter:
         agent_binding: HRPCBinding,
         runtime: HrpcRuntime,
         calibration: Calibration = DEFAULT_CALIBRATION,
-        policy: typing.Optional[ResolutionPolicy] = DEFAULT_RESOLUTION_POLICY,
+        policy: ResolutionPolicy = DEFAULT_RESOLUTION_POLICY,
     ) -> "HrpcImporter":
         """An importer delegating both steps to a remote agent.
 
@@ -221,7 +218,7 @@ class HrpcImporter:
         """One HRPC call to the agent, breaker-guarded and retried."""
         assert self.agent_binding is not None and self.runtime is not None
         breaker = None
-        if self.policy is not None and self.policy.breaker_threshold:
+        if self.policy.breaker_threshold:
             breaker = self.breakers.breaker(
                 f"agent:{self.agent_binding.program}"
             )
@@ -274,11 +271,7 @@ class HrpcImporter:
             nsm_binding.metadata.get("nsm", "") in self.nsm_stub.local_nsms
         )
         breaker = None
-        if (
-            not goes_local
-            and self.policy is not None
-            and self.policy.breaker_threshold
-        ):
+        if not goes_local and self.policy.breaker_threshold:
             breaker = self.breakers.breaker(self._nsm_key(nsm_binding))
             if not breaker.allow():
                 self.env.stats.counter("hrpc.import_fast_fails").increment()

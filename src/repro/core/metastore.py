@@ -59,6 +59,10 @@ from repro.resolution import PolicySet
 META_ORIGIN = "hns"
 #: how long the first writer holds a batch open for followers
 BATCH_WINDOW_MS = 5.0
+#: operations per batch datagram (the wire format's cap)
+MAX_BATCH_OPS = 64
+#: a lease is renewed when this fraction of it has elapsed
+LEASE_RENEW_FRACTION = 0.5
 
 
 def encode_fields(**fields: object) -> bytes:
@@ -217,22 +221,10 @@ class MetaStore:
         self.host = host
         self.env = host.env
         self.calibration = calibration
-        #: the one policy bundle of this store and its resolver; the
-        #: four attributes below are its slots, read where they apply
+        #: the one policy bundle of this store and its resolver: the
+        #: reads follow ``resolution``, ``fast_path`` and ``replica``
+        #: (in the resolver), the writes below follow ``update``
         self.policies = policies
-        #: fault-tolerance policy for every meta lookup (retry/backoff
-        #: across replicas, negative caching, serve-stale); None gives
-        #: the prototype's die-on-first-error behaviour
-        self.policy = policy = policies.resolution
-        #: performance policy (coalescing, refresh-ahead, batching);
-        #: None keeps the paper-faithful sequential behaviour
-        self.fast_path = policies.fast_path
-        #: replica-aware read policy (adaptive selection, hedging,
-        #: incremental transfer); None keeps static ordered failover
-        self.replica_policy = policies.replica
-        #: write-path policy (batched registration, leases, NOTIFY);
-        #: None keeps the one-record-per-round-trip prototype writes
-        self.update_policy = policies.update
         #: the coalescing window currently open on this store, if any
         self._open_batch: typing.Optional[_OpenBatch] = None
         #: client-side renewal agent for leased registrations
@@ -245,9 +237,7 @@ class MetaStore:
                 name=f"hns-meta@{host.name}",
                 fmt=cache_format,
                 calibration=calibration,
-                stale_retention_ms=(
-                    policy.stale_window_ms if policy is not None else 0.0
-                ),
+                stale_retention_ms=policies.resolution.stale_window_ms,
             )
         )
         # Each meta mapping is a remote call through the Raw HRPC
@@ -468,8 +458,8 @@ class MetaStore:
         with self.env.obs.span(
             "meta.register", store=f"meta@{self.host.name}", owner=owner
         ) as span:
-            policy = self.update_policy
-            if policy is None or not policy.active:
+            policy = self.policies.update
+            if not policy.active:
                 # The prototype write path: one record, one round trip.
                 serial = yield from self.primary.update(
                     UpdateMode.REPLACE, owner, rtype, [record]
@@ -501,9 +491,7 @@ class MetaStore:
         round trips; writers that arrive while the window is open merge
         their op in and park on the leader's event.
         """
-        policy = self.update_policy
-        assert policy is not None
-        if not policy.batch:
+        if not self.policies.update.batch:
             # No coalescing, but leases/NOTIFY still need the batch
             # message (it is the one that carries the lease field).
             serial, _ = yield from self.primary.update_batch([op])
@@ -528,10 +516,7 @@ class MetaStore:
         self._open_batch = None
         ops = list(batch.ops.values())
         try:
-            serial = 0
-            for start in range(0, len(ops), policy.max_batch_ops):
-                chunk = ops[start:start + policy.max_batch_ops]
-                serial, _ = yield from self.primary.update_batch(chunk)
+            serial = yield from self._send_batched(ops)
         except BaseException as err:
             batch.done.fail(err)
             raise
@@ -545,6 +530,16 @@ class MetaStore:
         batch.done.succeed(serial)
         return serial
 
+    def _send_batched(self, ops: typing.List[UpdateOp]) -> typing.Generator:
+        """One round trip per :data:`MAX_BATCH_OPS` of ``ops`` (a flushed
+        window, or every tracked lease re-asserted); returns the last
+        serial."""
+        serial = 0
+        for start in range(0, len(ops), MAX_BATCH_OPS):
+            chunk = ops[start:start + MAX_BATCH_OPS]
+            serial, _ = yield from self.primary.update_batch(chunk)
+        return serial
+
     def _invalidate_for(self, op: UpdateOp) -> None:
         self.cache.invalidate((str(op.name), op.rtype.value))
 
@@ -554,25 +549,14 @@ class MetaStore:
         if self._lease_keeper is None:
             from repro.core.nsm import LeaseKeeper
 
-            policy = self.update_policy
-            assert policy is not None
             self._lease_keeper = LeaseKeeper(
                 self.env,
-                self._renew_ops,
-                lease_ms=policy.lease_ms,
-                renew_fraction=policy.lease_renew_fraction,
+                self._send_batched,
+                lease_ms=self.policies.update.lease_ms,
+                renew_fraction=LEASE_RENEW_FRACTION,
                 name=f"meta@{self.host.name}",
             )
         return self._lease_keeper
-
-    def _renew_ops(self, ops: typing.List[UpdateOp]) -> typing.Generator:
-        """Re-assert every tracked lease in one batched round trip."""
-        policy = self.update_policy
-        assert policy is not None
-        for start in range(0, len(ops), policy.max_batch_ops):
-            yield from self.primary.update_batch(
-                ops[start:start + policy.max_batch_ops]
-            )
 
     def stop_lease_renewal(self) -> None:
         """Stop renewing (models this registrar dying): the primary
@@ -616,8 +600,7 @@ class MetaStore:
         yield from self._put(owner, encode_fields(host=host_name, addr=address))
 
     def unregister(self, owner: str, rtype: RRType = RRType.UNSPEC) -> typing.Generator:
-        policy = self.update_policy
-        if policy is not None and policy.active:
+        if self.policies.update.active:
             op = UpdateOp(UpdateMode.DELETE, DomainName(owner), rtype)
             yield from self._submit_op(op)
             if self._lease_keeper is not None:

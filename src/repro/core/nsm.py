@@ -32,10 +32,12 @@ from repro.hrpc.binding import HRPCBinding
 from repro.hrpc.runtime import HrpcRuntime
 from repro.hrpc.server import HrpcServer
 from repro.net.host import Host
+from repro.obs.span import NULL_SPAN
 from repro.resolution import FastPathPolicy
 from repro.singleflight import SingleFlight
 
 if typing.TYPE_CHECKING:  # pragma: no cover
+    from repro.obs.span import SpanLike
     from repro.sim.stats import Counter
 
 
@@ -69,7 +71,7 @@ class NamingSemanticsManager:
         name: str = "",
         calibration: Calibration = DEFAULT_CALIBRATION,
         cached: bool = True,
-        fast_path: typing.Optional[FastPathPolicy] = None,
+        fast_path: FastPathPolicy = FastPathPolicy.disabled(),
     ):
         if not self.query_class:
             raise TypeError("NSM subclasses must set query_class")
@@ -96,10 +98,15 @@ class NamingSemanticsManager:
             if cached
             else None
         )
-        #: performance knobs (coalescing, refresh-ahead); None keeps
-        #: the one-native-call-per-miss behaviour.  Also settable after
-        #: construction, since concrete NSMs have their own signatures.
-        self.fast_path = fast_path
+        #: what a miss does: one native call of its own, or a share in
+        #: the one already underway for the same key (``fast_path`` is
+        #: read here, once)
+        self._miss = (
+            self._lead_or_follow if fast_path.coalesce else self._native_query
+        )
+        #: a hit this close to expiry (as a fraction of the entry's TTL)
+        #: spawns a background renewal; 0 = hits never renew
+        self._refresh_fraction = fast_path.refresh_ahead_fraction
         #: in-flight native queries by cache key, each carrying the
         #: leader's :class:`NsmResult`; a follower copies one record
         self._flights = SingleFlight(
@@ -157,22 +164,21 @@ class NamingSemanticsManager:
         ) as span:
             cache = self.cache
             if cache is None:
-                span.set(outcome="native")
-                result = yield from self._native_query(hns_name, params, None)
+                result = yield from self._native_query(
+                    hns_name, params, None, span
+                )
                 return result
             key = self._cache_key(hns_name, params)
             entry, probe_cost = cache.probe(key)
             yield self.host.cpu.compute(probe_cost)
-            fast = self.fast_path
             if entry is not None:
                 span.set(outcome="hit")
                 yield self.host.cpu.compute(
                     cache.hit_cost(entry) + self.cache_hit_extra_ms
                 )
                 self._cache_hits.increment()
-                if fast is not None and cache.needs_refresh(
-                    entry, fast.refresh_ahead_fraction
-                ):
+                fraction = self._refresh_fraction
+                if fraction and cache.needs_refresh(entry, fraction):
                     self._flights.refresh_ahead(
                         key,
                         entry,
@@ -182,31 +188,42 @@ class NamingSemanticsManager:
                 return NsmResult(
                     self.query_class, dict(entry.payload), from_cache=True
                 )
-            if fast is not None and fast.coalesce:
-                flight = self._flights.get(key)
-                if flight is not None:
-                    # Park on the leader's native call; pay the copy.
-                    span.set(outcome="coalesced")
-                    result = yield from self._flights.follow(flight)
-                    return NsmResult(
-                        self.query_class, dict(result.value), from_cache=True
-                    )
-                span.set(outcome="native", role="leader")
-                result = yield from self._flights.lead(
-                    key, self._native_query(hns_name, params, key)
-                )
-                return result
-            span.set(outcome="native")
-            result = yield from self._native_query(hns_name, params, key)
+            result = yield from self._miss(hns_name, params, key, span)
             return result
+
+    def _lead_or_follow(
+        self,
+        hns_name: HNSName,
+        params: typing.Mapping[str, object],
+        key: object,
+        span: "SpanLike",
+    ) -> typing.Generator:
+        """The coalescing miss step (the prototype's is :meth:`_native_query`
+        itself; the constructor picks): lead the native call for ``key``,
+        or park on the one underway and pay only the copy."""
+        flight = self._flights.get(key)
+        if flight is not None:
+            span.set(outcome="coalesced")
+            result = yield from self._flights.follow(flight)
+            return NsmResult(
+                self.query_class, dict(result.value), from_cache=True
+            )
+        span.set(outcome="native", role="leader")
+        result = yield from self._flights.lead(
+            key, self._native_query(hns_name, params, key)
+        )
+        return result
 
     def _native_query(
         self,
         hns_name: HNSName,
         params: typing.Mapping[str, object],
         key: typing.Optional[object],
+        span: "SpanLike" = NULL_SPAN,
     ) -> typing.Generator:
-        """The cache-miss path: translate, resolve natively, insert."""
+        """The cache-miss path: translate, resolve natively, insert.
+        ``span`` is the query it answers alone, when there is one."""
+        span.set(outcome="native")
         with self.env.obs.span("nsm.native", nsm=self.name):
             self.env.stats.counter(
                 f"nsm.{self.name}.native_queries"

@@ -41,7 +41,7 @@ class DiscoveryNsm(NamingSemanticsManager):
         name: str = "",
         calibration: Calibration = DEFAULT_CALIBRATION,
         cached: bool = True,
-        fast_path: typing.Optional[FastPathPolicy] = None,
+        fast_path: FastPathPolicy = FastPathPolicy.disabled(),
     ):
         super().__init__(
             beacon_service.host,

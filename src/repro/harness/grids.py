@@ -97,7 +97,7 @@ DROP_VARIANTS: typing.Dict[str, float] = {"none": 0.0, "p10": 0.10}
 
 #: replica knob: adaptive hedged scheduling vs the prototype's ordered
 #: failover.
-REPLICA_VARIANTS: typing.Dict[str, typing.Optional[ReplicaPolicy]] = {
+REPLICA_VARIANTS: typing.Dict[str, ReplicaPolicy] = {
     "hedged": ReplicaPolicy(),
     "ordered": ReplicaPolicy.disabled(),
 }

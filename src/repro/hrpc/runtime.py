@@ -72,7 +72,7 @@ class HrpcRuntime:
         *args: object,
         arg_size_bytes: int = 128,
         timeout_ms: typing.Optional[float] = None,
-        policy: typing.Optional[ResolutionPolicy] = None,
+        policy: ResolutionPolicy = ResolutionPolicy.disabled(),
     ) -> typing.Generator:
         """Invoke ``procedure`` on the program the binding points at.
 
@@ -103,9 +103,9 @@ class HrpcRuntime:
                 suite=binding.suite,
                 arg_size_bytes=arg_size_bytes,
             )
-            if timeout_ms is None and policy is not None:
+            if timeout_ms is None:
                 timeout_ms = policy.call_timeout_ms
-            attempts = policy.attempts if policy is not None else 1
+            attempts = policy.attempts
             self.env.stats.counter(f"hrpc.calls.{binding.suite}").increment()
             for attempt in range(attempts):
                 if attempt:

@@ -147,9 +147,6 @@ class FastPathPolicy:
     - **batched meta lookups** (``batch_meta_lookups``): ``FindNSM``
       fetches mappings 1–3 as one chained multi-question query and the
       NSM-host address as one more — two round trips instead of six.
-
-    ``None`` anywhere a :class:`FastPathPolicy` is accepted means the
-    same as :meth:`disabled`: the paper-faithful sequential behaviour.
     """
 
     #: share one remote call among concurrent identical lookups
@@ -173,11 +170,6 @@ class FastPathPolicy:
             refresh_ahead_fraction=0.0,
             batch_meta_lookups=False,
         )
-
-
-#: Everything on: what the fast-path benchmarks opt into.  The stack
-#: default stays ``None`` (off) so the paper-reproduction numbers hold.
-DEFAULT_FAST_PATH_POLICY = FastPathPolicy()
 
 
 @dataclasses.dataclass(frozen=True)
@@ -210,25 +202,14 @@ class ReplicaPolicy:
       serial from the primary's bounded per-zone journal, falling back
       to a full AXFR when the journal has been truncated.  Steady-state
       refresh cost is then proportional to churn, not zone size.
-
-    ``None`` anywhere a :class:`ReplicaPolicy` is accepted means the
-    same as :meth:`disabled`: the prototype's static
-    primary-then-secondaries failover and full-transfer refresh.
     """
 
     #: EWMA/in-flight scoring with power-of-two-choices selection;
     #: False preserves the static ``[primary] + secondaries`` order
     adaptive: bool = True
-    #: score penalty per outstanding request on an endpoint, so load
-    #: spreads even while latency estimates are equal
-    inflight_penalty_ms: float = 25.0
     #: hedge once a lookup is outstanding past this quantile of the
     #: recent successful-latency distribution (0 disables hedging)
     hedge_quantile: float = 0.95
-    #: successful samples required before hedging arms
-    hedge_min_samples: int = 8
-    #: ceiling on the computed hedge delay
-    hedge_max_delay_ms: float = 1_000.0
     #: extra replicas a single exchange may hedge onto
     max_hedges: int = 1
     #: skip endpoints whose per-replica breaker is open during selection
@@ -241,14 +222,8 @@ class ReplicaPolicy:
     ixfr: bool = True
 
     def __post_init__(self) -> None:
-        if self.inflight_penalty_ms < 0:
-            raise ValueError("in-flight penalty must be >= 0")
         if not 0.0 <= self.hedge_quantile < 1.0:
             raise ValueError("hedge quantile must be in [0, 1)")
-        if self.hedge_min_samples < 1:
-            raise ValueError("hedge min samples must be >= 1")
-        if self.hedge_max_delay_ms < 0:
-            raise ValueError("hedge max delay must be >= 0")
         if self.max_hedges < 0:
             raise ValueError("max hedges must be >= 0")
         if self.breaker_threshold < 0:
@@ -284,11 +259,6 @@ class ReplicaPolicy:
         )
 
 
-#: Everything on: what the replica-scheduling benchmarks opt into.  The
-#: stack default stays ``None`` (off) so existing numbers hold.
-DEFAULT_REPLICA_POLICY = ReplicaPolicy()
-
-
 @dataclasses.dataclass(frozen=True)
 class UpdatePolicy:
     """Write-path knobs: batched dynamic update and cache invalidation.
@@ -313,34 +283,22 @@ class UpdatePolicy:
       primary pushes SOA-serial bumps to secondaries and subscribed
       resolvers, which pull just the deltas through the IXFR journal
       and install them straight into their caches.
-
-    ``None`` anywhere an :class:`UpdatePolicy` is accepted means the
-    same as :meth:`disabled`: the prototype's one-record-at-a-time,
-    TTL-only behaviour.
     """
 
     #: coalesce concurrent registrations into one batched round trip
     batch: bool = True
-    #: operations per batch datagram (wire-format cap: 64)
-    max_batch_ops: int = 64
     #: how caches learn about changes: "ttl" (wait for expiry),
     #: "lease" (bindings lapse with their owner), or "notify"
     #: (primary pushes serial bumps; subscribers pull IXFR deltas)
     invalidation: str = "ttl"
     #: lease duration granted with each registration (lease mode)
     lease_ms: float = 10_000.0
-    #: renew when this fraction of the lease has elapsed
-    lease_renew_fraction: float = 0.5
 
     def __post_init__(self) -> None:
-        if not 1 <= self.max_batch_ops <= 64:
-            raise ValueError("max batch ops must be in [1, 64]")
         if self.invalidation not in ("ttl", "lease", "notify"):
             raise ValueError("invalidation must be ttl, lease, or notify")
         if self.lease_ms <= 0:
             raise ValueError("lease duration must be positive")
-        if not 0.0 < self.lease_renew_fraction < 1.0:
-            raise ValueError("lease renew fraction must be in (0, 1)")
 
     # ------------------------------------------------------------------
     @property
@@ -369,11 +327,6 @@ class UpdatePolicy:
         return cls(batch=False, invalidation="ttl")
 
 
-#: Everything on: what the update-path benchmarks opt into.  The stack
-#: default stays ``None`` (off) so the paper-reproduction numbers hold.
-DEFAULT_UPDATE_POLICY = UpdatePolicy()
-
-
 @dataclasses.dataclass(frozen=True)
 class DiscoveryPolicy:
     """Ad-hoc discovery knobs: beacons, liveness, and re-query fallback.
@@ -399,10 +352,6 @@ class DiscoveryPolicy:
     - **re-query on miss** (``requery_on_miss``): a lookup that misses
       the membership view falls back to a one-shot broadcast
       :class:`~repro.broadcast.NameQuery` before failing.
-
-    ``None`` anywhere a :class:`DiscoveryPolicy` is accepted means the
-    same as :meth:`disabled`: no beacons, no membership view — every
-    lookup is the one-shot broadcast locator the paper rejects.
     """
 
     #: run the beacon/watchdog machinery at all; False degrades the
@@ -463,46 +412,40 @@ DEFAULT_DISCOVERY_POLICY = DiscoveryPolicy()
 class PolicySet:
     """One frozen bundle of the resolution-path policies.
 
-    Five PRs grew four independent policy objects, and every layer
-    (:class:`~repro.core.metastore.MetaStore`,
-    :class:`~repro.core.hns.HNS`, ``BindResolver``) took them as four
-    separate keyword arguments with subtly different ``None`` fallback
-    rules.  A :class:`PolicySet` is the one object callers pass instead;
-    ``None`` in any slot uniformly means that mechanism's
-    ``.disabled()`` prototype behaviour.  The ``discovery`` slot (PR 10)
-    configures the ad-hoc beacon tier the same way.
+    Every layer (:class:`~repro.core.metastore.MetaStore`,
+    :class:`~repro.core.hns.HNS`, ``BindResolver``) takes the whole
+    policy surface as this one object.  Every slot always holds a policy:
+    a mechanism is switched off by its ``.disabled()`` instance, which is
+    also the slot's default, so ``PolicySet()`` is the paper's prototype
+    end to end and each layer decides once, at construction, which
+    stages that leaves it.
     """
 
-    resolution: typing.Optional[ResolutionPolicy] = None
-    fast_path: typing.Optional[FastPathPolicy] = None
-    replica: typing.Optional[ReplicaPolicy] = None
-    update: typing.Optional[UpdatePolicy] = None
-    discovery: typing.Optional[DiscoveryPolicy] = None
+    resolution: ResolutionPolicy = ResolutionPolicy.disabled()
+    fast_path: FastPathPolicy = FastPathPolicy.disabled()
+    replica: ReplicaPolicy = ReplicaPolicy.disabled()
+    update: UpdatePolicy = UpdatePolicy.disabled()
+    discovery: DiscoveryPolicy = DiscoveryPolicy.disabled()
+
+    def __post_init__(self) -> None:
+        for slot in dataclasses.fields(self):
+            if getattr(self, slot.name) is None:
+                raise TypeError(
+                    f"PolicySet.{slot.name} must be a policy, not None: "
+                    f"pass {slot.type}.disabled() to switch it off"
+                )
 
     @classmethod
     def default(cls) -> "PolicySet":
         """What the stack runs with when nothing is specified: fault
         tolerance on, the opt-in mechanisms (fast path, replica
-        scheduling, write pipeline, discovery) off — matching the
-        historical per-kwarg defaults."""
+        scheduling, write pipeline, discovery) off."""
         return cls(resolution=DEFAULT_RESOLUTION_POLICY)
-
-    @classmethod
-    def paper_prototype(cls) -> "PolicySet":
-        """Every mechanism at its ``.disabled()`` baseline: the paper's
-        prototype, end to end.  Ablation benchmarks start here."""
-        return cls(
-            resolution=ResolutionPolicy.disabled(),
-            fast_path=FastPathPolicy.disabled(),
-            replica=ReplicaPolicy.disabled(),
-            update=UpdatePolicy.disabled(),
-            discovery=DiscoveryPolicy.disabled(),
-        )
 
 
 def retrying(
     env: Environment,
-    policy: typing.Optional[ResolutionPolicy],
+    policy: ResolutionPolicy,
     attempt: typing.Callable[[int], typing.Generator],
     classify: typing.Callable[[BaseException], bool] = is_transient,
     rng_stream: str = "resolution.backoff",
@@ -517,7 +460,7 @@ def retrying(
     ``rng_stream`` named stream.  ``stat``, if given, names a counter
     incremented once per retry.
     """
-    attempts = policy.attempts if policy is not None else 1
+    attempts = policy.attempts
     for i in range(attempts):
         try:
             with env.obs.span("resolution.attempt", op=rng_stream, attempt=i):

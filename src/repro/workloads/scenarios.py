@@ -83,6 +83,18 @@ TARGET_PORT = 9999
 COURIER_SERVICE = "PrintService"
 COURIER_PORT = 6001
 CREDENTIALS = Credentials("hcs", "hcs-secret")
+#: (query class, name service) -> the registered NSM's port, as an offset
+#: from ``NSM_PORT``; ``build_testbed`` registers them in this order
+NSM_PORT_OFFSETS: typing.Dict[typing.Tuple[str, str], int] = {
+    ("HRPCBinding", BIND_NS): 0,
+    ("HostAddress", BIND_NS): 1,
+    ("MailboxLocation", BIND_NS): 2,
+    ("FileService", BIND_NS): 3,
+    ("HRPCBinding", CH_NS): 4,
+    ("HostAddress", CH_NS): 5,
+    ("MailboxLocation", CH_NS): 6,
+    ("FileService", CH_NS): 7,
+}
 
 
 @dataclasses.dataclass
@@ -116,99 +128,63 @@ class HcsTestbed:
     # ------------------------------------------------------------------
     # NSM factories: one per (query class, name service), placed anywhere
     # ------------------------------------------------------------------
-    def make_bind_binding_nsm(self, host: Host, cached: bool = True) -> BindBindingNSM:
-        return BindBindingNSM(
+    def _bind_nsm(self, nsm_class, host: Host, **kwargs):
+        """``nsm_class`` over the public BIND: all that varies between
+        the BIND-side NSMs is the class."""
+        return nsm_class(
             host,
             BIND_NS,
             self.udp,
             self.public_endpoint,
             calibration=self.calibration,
-            cached=cached,
+            **kwargs,
         )
+
+    def _ch_nsm(self, nsm_class, host: Host, **kwargs):
+        """``nsm_class`` over the Clearinghouse, likewise."""
+        return nsm_class(
+            host,
+            CH_NS,
+            self.tcp,
+            self.ch_endpoint,
+            CREDENTIALS,
+            calibration=self.calibration,
+            **kwargs,
+        )
+
+    def make_bind_binding_nsm(self, host: Host, cached: bool = True) -> BindBindingNSM:
+        return self._bind_nsm(BindBindingNSM, host, cached=cached)
 
     def make_bind_hostaddr_nsm(
         self, host: Host, cached: bool = True
     ) -> BindHostAddressNSM:
-        return BindHostAddressNSM(
-            host,
-            BIND_NS,
-            self.udp,
-            self.public_endpoint,
-            calibration=self.calibration,
-            cached=cached,
-        )
+        return self._bind_nsm(BindHostAddressNSM, host, cached=cached)
 
     def make_ch_binding_nsm(
         self, host: Host, cached: bool = True
     ) -> ClearinghouseBindingNSM:
-        return ClearinghouseBindingNSM(
-            host,
-            CH_NS,
-            self.tcp,
-            self.ch_endpoint,
-            CREDENTIALS,
-            calibration=self.calibration,
-            cached=cached,
-        )
+        return self._ch_nsm(ClearinghouseBindingNSM, host, cached=cached)
 
     def make_ch_hostaddr_nsm(
         self, host: Host, cached: bool = True
     ) -> ClearinghouseHostAddressNSM:
-        return ClearinghouseHostAddressNSM(
-            host,
-            CH_NS,
-            self.tcp,
-            self.ch_endpoint,
-            CREDENTIALS,
-            calibration=self.calibration,
-            cached=cached,
-        )
+        return self._ch_nsm(ClearinghouseHostAddressNSM, host, cached=cached)
 
     def make_bind_mail_nsm(self, host: Host, cached: bool = True) -> BindMailboxNSM:
-        return BindMailboxNSM(
-            host,
-            BIND_NS,
-            self.udp,
-            self.public_endpoint,
-            calibration=self.calibration,
-            cached=cached,
-        )
+        return self._bind_nsm(BindMailboxNSM, host, cached=cached)
 
     def make_ch_mail_nsm(
         self, host: Host, cached: bool = True
     ) -> ClearinghouseMailboxNSM:
-        return ClearinghouseMailboxNSM(
-            host,
-            CH_NS,
-            self.tcp,
-            self.ch_endpoint,
-            CREDENTIALS,
-            calibration=self.calibration,
-            cached=cached,
-        )
+        return self._ch_nsm(ClearinghouseMailboxNSM, host, cached=cached)
 
     def make_bind_file_nsm(self, host: Host, cached: bool = True) -> BindFileServiceNSM:
-        return BindFileServiceNSM(
-            host,
-            BIND_NS,
-            self.udp,
-            self.public_endpoint,
-            calibration=self.calibration,
-            cached=cached,
-        )
+        return self._bind_nsm(BindFileServiceNSM, host, cached=cached)
 
     def make_ch_file_nsm(
         self, host: Host, cached: bool = True
     ) -> ClearinghouseFileServiceNSM:
-        return ClearinghouseFileServiceNSM(
-            host,
-            CH_NS,
-            self.tcp,
-            self.ch_endpoint,
-            CREDENTIALS,
-            calibration=self.calibration,
-            cached=cached,
-        )
+        return self._ch_nsm(ClearinghouseFileServiceNSM, host, cached=cached)
 
     def make_metastore(
         self,
@@ -238,12 +214,15 @@ class HcsTestbed:
             ),
             calibration=self.calibration,
         )
-        bind_addr_nsm = self.make_bind_hostaddr_nsm(host)
-        ch_addr_nsm = self.make_ch_hostaddr_nsm(host)
-        bind_addr_nsm.fast_path = policies.fast_path
-        ch_addr_nsm.fast_path = policies.fast_path
-        hns.link_host_address_nsm(BIND_NS, bind_addr_nsm)
-        hns.link_host_address_nsm(CH_NS, ch_addr_nsm)
+        fast_path = policies.fast_path
+        hns.link_host_address_nsm(
+            BIND_NS,
+            self._bind_nsm(BindHostAddressNSM, host, fast_path=fast_path),
+        )
+        hns.link_host_address_nsm(
+            CH_NS,
+            self._ch_nsm(ClearinghouseHostAddressNSM, host, fast_path=fast_path),
+        )
         return hns
 
 
@@ -254,12 +233,12 @@ def _run(env: Environment, gen) -> object:
 def build_testbed(
     seed: int = 0,
     calibration: Calibration = DEFAULT_CALIBRATION,
-    update_policy: typing.Optional[UpdatePolicy] = None,
+    update_policy: UpdatePolicy = UpdatePolicy.disabled(),
 ) -> HcsTestbed:
     """Stand up the full HCS environment and register the meta data.
 
     ``update_policy`` configures the meta server's write pipeline
-    (batched updates, leases, NOTIFY fan-out); ``None`` keeps the
+    (batched updates, leases, NOTIFY fan-out); the default keeps the
     prototype's one-record-per-round-trip dynamic update.  The initial
     registration always runs the legacy path, so testbed setup is
     identical across modes.
@@ -408,17 +387,7 @@ def build_testbed(
         # does miss on all six mappings, as in the paper's measurements.
         yield from admin.register_context(SRV_CONTEXT, BIND_NS)
         nsm_fqdn = f"{nsm_host.name}.cs.washington.edu"
-        specs = [
-            ("HRPCBinding", BIND_NS, 0),
-            ("HostAddress", BIND_NS, 1),
-            ("MailboxLocation", BIND_NS, 2),
-            ("FileService", BIND_NS, 3),
-            ("HRPCBinding", CH_NS, 4),
-            ("HostAddress", CH_NS, 5),
-            ("MailboxLocation", CH_NS, 6),
-            ("FileService", CH_NS, 7),
-        ]
-        for query_class, ns, offset in specs:
+        for (query_class, ns), offset in NSM_PORT_OFFSETS.items():
             nsm_name = f"{query_class}-{ns}"
             yield from admin.register_nsm(
                 nsm_name=nsm_name,
@@ -439,6 +408,17 @@ def build_testbed(
 # ----------------------------------------------------------------------
 # Colocation stacks
 # ----------------------------------------------------------------------
+#: arrangement -> (HNS remote?, binding NSM remote?).  Four of Table
+#: 3.1's rows are these two independent placements; the agent row
+#: (both behind one remote process) is the special case.
+_PLACEMENTS: typing.Dict[Arrangement, typing.Tuple[bool, bool]] = {
+    Arrangement.ALL_LOCAL: (False, False),
+    Arrangement.REMOTE_HNS: (True, False),
+    Arrangement.REMOTE_NSMS: (False, True),
+    Arrangement.ALL_REMOTE: (True, True),
+}
+
+
 def build_stack(
     testbed: HcsTestbed,
     arrangement: Arrangement,
@@ -448,21 +428,19 @@ def build_stack(
     """Wire the client side for one Table 3.1 arrangement.
 
     ``policies`` is the whole policy surface as one
-    :class:`~repro.resolution.PolicySet`
-    (``PolicySet.paper_prototype()`` reproduces the prototype
-    everywhere).  Its ``resolution`` slot configures the
-    fault-tolerance layer of every stage (meta resolver, HNS,
-    importer); ``ResolutionPolicy.disabled()`` there gives the
+    :class:`~repro.resolution.PolicySet` (``PolicySet()`` is the
+    prototype everywhere; a mechanism is switched off by its
+    ``.disabled()`` policy, never by ``None``).  Its ``resolution`` slot
+    configures the fault-tolerance layer of every stage (meta resolver,
+    HNS, importer); ``ResolutionPolicy.disabled()`` there gives the
     prototype's die-on-error behaviour (the benchmarks' ablation
     baseline).  ``fast_path`` configures the performance layer
     (coalescing, refresh-ahead, batched meta lookups) of the HNS in the
     stack, ``replica`` the replica-aware meta reads (adaptive selection,
     hedging, incremental transfer), ``update`` the write pipeline
-    (batched registration, leases, NOTIFY-driven invalidation).  A
-    ``None`` slot keeps that layer paper-faithful.
+    (batched registration, leases, NOTIFY-driven invalidation).
     """
     policy = policies.resolution
-    env = testbed.env
     client = testbed.client
     runtime = HrpcRuntime(client, testbed.internet)
     cal = testbed.calibration
@@ -471,17 +449,6 @@ def build_stack(
         if name_service == BIND_NS:
             return testbed.make_bind_binding_nsm(host)
         return testbed.make_ch_binding_nsm(host)
-
-    if arrangement is Arrangement.ALL_LOCAL:
-        hns = testbed.make_hns(client, policies=policies)
-        nsm = binding_nsm_for(client)
-        hns.link_local_nsm(nsm)
-        stub = NsmStub(client, runtime, calibration=cal)
-        stub.link_local(nsm)
-        importer = HrpcImporter.direct(
-            client, LocalFinder(hns), stub, calibration=cal, policy=policy
-        )
-        return ColocationStack(arrangement, client, importer, hns, nsm)
 
     if arrangement is Arrangement.AGENT:
         agent_host = testbed.agent_host
@@ -503,72 +470,52 @@ def build_stack(
             arrangement, client, importer, hns, nsm, (agent_host,)
         )
 
-    if arrangement is Arrangement.REMOTE_HNS:
-        hns = testbed.make_hns(testbed.hns_host, policies=policies)
-        server = HrpcServer(testbed.hns_host, name="hns-service")
-        serve_hns(hns, server)
-        server.listen(HNS_PORT)
-        hns_binding = HRPCBinding(
-            Endpoint(testbed.hns_host.address, HNS_PORT), "hns", suite="sunrpc"
-        )
-        nsm = binding_nsm_for(client)
-        stub = NsmStub(client, runtime, calibration=cal)
-        stub.link_local(nsm)
-        importer = HrpcImporter.direct(
-            client,
-            RemoteFinder(runtime, hns_binding, policy=policy),
-            stub,
-            calibration=cal,
-            policy=policy,
-        )
-        return ColocationStack(
-            arrangement, client, importer, hns, nsm, (testbed.hns_host,)
-        )
+    if arrangement not in _PLACEMENTS:
+        raise ValueError(f"unknown arrangement {arrangement!r}")
+    remote_hns, remote_nsms = _PLACEMENTS[arrangement]
 
-    if arrangement is Arrangement.REMOTE_NSMS:
-        hns = testbed.make_hns(client, policies=policies)
-        nsm = binding_nsm_for(testbed.nsm_host)
-        server = HrpcServer(testbed.nsm_host, name="nsm-service")
-        serve_nsm(server, nsm)
-        server.listen(_nsm_port_for(nsm.name))
-        stub = NsmStub(client, runtime, calibration=cal)
-        importer = HrpcImporter.direct(
-            client, LocalFinder(hns), stub, calibration=cal, policy=policy
-        )
-        return ColocationStack(
-            arrangement, client, importer, hns, nsm, (testbed.nsm_host,)
-        )
-
-    if arrangement is Arrangement.ALL_REMOTE:
-        hns = testbed.make_hns(testbed.hns_host, policies=policies)
-        hns_server = HrpcServer(testbed.hns_host, name="hns-service")
+    # Where FindNSM runs: linked into the client, or a service of its own.
+    hns_host = testbed.hns_host if remote_hns else client
+    hns = testbed.make_hns(hns_host, policies=policies)
+    finder: typing.Union[LocalFinder, RemoteFinder]
+    if remote_hns:
+        hns_server = HrpcServer(hns_host, name="hns-service")
         serve_hns(hns, hns_server)
         hns_server.listen(HNS_PORT)
         hns_binding = HRPCBinding(
-            Endpoint(testbed.hns_host.address, HNS_PORT), "hns", suite="sunrpc"
+            Endpoint(hns_host.address, HNS_PORT), "hns", suite="sunrpc"
         )
-        nsm = binding_nsm_for(testbed.nsm_host)
-        nsm_server = HrpcServer(testbed.nsm_host, name="nsm-service")
-        serve_nsm(nsm_server, nsm)
-        nsm_server.listen(_nsm_port_for(nsm.name))
-        stub = NsmStub(client, runtime, calibration=cal)
-        importer = HrpcImporter.direct(
-            client,
-            RemoteFinder(runtime, hns_binding, policy=policy),
-            stub,
-            calibration=cal,
-            policy=policy,
-        )
-        return ColocationStack(
-            arrangement,
-            client,
-            importer,
-            hns,
-            nsm,
-            (testbed.hns_host, testbed.nsm_host),
-        )
+        finder = RemoteFinder(runtime, hns_binding, policy=policy)
+    else:
+        finder = LocalFinder(hns)
 
-    raise ValueError(f"unknown arrangement {arrangement!r}")
+    # Where the binding NSM runs: linked into the client (and so into a
+    # client-side HNS too), or served from the NSM host.
+    nsm_host = testbed.nsm_host if remote_nsms else client
+    nsm = binding_nsm_for(nsm_host)
+    stub = NsmStub(client, runtime, calibration=cal)
+    if remote_nsms:
+        nsm_server = HrpcServer(nsm_host, name="nsm-service")
+        serve_nsm(nsm_server, nsm)
+        nsm_server.listen(
+            NSM_PORT + NSM_PORT_OFFSETS[nsm.query_class, nsm.name_service]
+        )
+    else:
+        stub.link_local(nsm)
+        if not remote_hns:
+            hns.link_local_nsm(nsm)
+
+    importer = HrpcImporter.direct(
+        client, finder, stub, calibration=cal, policy=policy
+    )
+    return ColocationStack(
+        arrangement,
+        client,
+        importer,
+        hns,
+        nsm,
+        tuple(host for host in (hns_host, nsm_host) if host is not client),
+    )
 
 
 # ----------------------------------------------------------------------
@@ -886,9 +833,10 @@ def build_million_client_zipf(
     the full testbed (no sockets, no servers): the point is the
     *kernel*, and the event mix spans the queue's whole range —
     ``delay == 0`` cache hits, millisecond-scale lookups, and
-    minute-scale TTL sweeps.  ``benchmarks/bench_kernel.py`` runs it at
-    full size; the registered scenario below runs a sampled size so the
-    determinism checker's three runs stay fast.
+    minute-scale TTL sweeps.  The registered scenario below runs a
+    sampled size so the determinism checker's three runs stay fast; the
+    perf ledger's ``mclient_zipf`` workload (``benchmarks/e2e``) times
+    the kernel under this kind of load at depth.
 
     Clients arrive at exponential interarrivals and live only as long
     as their one request, so the live-process count stays bounded by
@@ -972,9 +920,8 @@ def _million_client_scenario(seed: int) -> Environment:
     """Sampled million-client run for the determinism gate.
 
     Same builder, scaled down (~2k clients over 256 contexts) so the
-    checker's repeated runs stay fast; the full-size version lives in
-    ``benchmarks/bench_kernel.py``.  The summary trace record folds the
-    hit/miss split into the digest alongside the counters.
+    checker's repeated runs stay fast.  The summary trace record folds
+    the hit/miss split into the digest alongside the counters.
     """
     env = build_million_client_zipf(
         seed=seed,
@@ -1005,19 +952,3 @@ def iter_scenarios() -> typing.Iterator[typing.Tuple[str, typing.Callable]]:
 # registers them.  Bottom import: adhoc.py needs @scenario from here.
 from repro.workloads import adhoc as _adhoc  # noqa: E402,F401
 
-
-def _nsm_port_for(nsm_name: str) -> int:
-    """Port the registration assigned to this NSM (see build_testbed)."""
-    offsets = {
-        f"HRPCBinding-{BIND_NS}": 0,
-        f"HostAddress-{BIND_NS}": 1,
-        f"MailboxLocation-{BIND_NS}": 2,
-        f"FileService-{BIND_NS}": 3,
-        f"HRPCBinding-{CH_NS}": 4,
-        f"HostAddress-{CH_NS}": 5,
-        f"MailboxLocation-{CH_NS}": 6,
-        f"FileService-{CH_NS}": 7,
-    }
-    if nsm_name not in offsets:
-        raise KeyError(f"no registered port for NSM {nsm_name!r}")
-    return NSM_PORT + offsets[nsm_name]

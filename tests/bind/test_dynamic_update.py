@@ -232,24 +232,28 @@ def test_notify_push_updates_a_subscribed_resolver_cache():
 # ----------------------------------------------------------------------
 # Prototype equivalence
 # ----------------------------------------------------------------------
+#: the trace digest of the run below at the last commit where the
+#: prototype write path could also be spelled ``update_policy=None``
+#: (both spellings gave this)
+PROTOTYPE_WRITE_DIGEST = (
+    "e532e19ac76f5c7338fc092c27e069ab30b668d9052e8765af50106da7d3f647"
+)
+
+
 def test_disabled_update_policy_reproduces_the_prototype_bit_for_bit():
-    def digest(update_policy):
-        testbed = build_testbed(seed=13, update_policy=update_policy)
-        env = testbed.env
-        env.trace.enabled = True
-        store = testbed.make_metastore(
-            testbed.client,
-            policies=PolicySet(
-                resolution=DEFAULT_RESOLUTION_POLICY, update=update_policy
-            ),
-        )
+    update = UpdatePolicy.disabled()
+    testbed = build_testbed(seed=13, update_policy=update)
+    env = testbed.env
+    env.trace.enabled = True
+    store = testbed.make_metastore(
+        testbed.client,
+        policies=PolicySet(resolution=DEFAULT_RESOLUTION_POLICY, update=update),
+    )
 
-        def drive():
-            yield from store.register_context("proto", "BIND-cs")
-            ns = yield from store.context_to_name_service("proto")
-            assert ns == "BIND-cs"
+    def drive():
+        yield from store.register_context("proto", "BIND-cs")
+        ns = yield from store.context_to_name_service("proto")
+        assert ns == "BIND-cs"
 
-        run(env, drive())
-        return env.trace.digest()
-
-    assert digest(None) == digest(UpdatePolicy.disabled())
+    run(env, drive())
+    assert env.trace.digest() == PROTOTYPE_WRITE_DIGEST

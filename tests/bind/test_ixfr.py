@@ -240,7 +240,7 @@ def test_refresh_falls_back_to_axfr_when_journal_truncated():
 
 def test_refresh_without_policy_keeps_axfr():
     env, zone, primary, secondary, client, udp = make_replicated(
-        replica_policy=None
+        replica_policy=ReplicaPolicy.disabled()
     )
     run(env, secondary.refresh_once())
     zone.add(rec("b.ctx.hns", "ns=two"))

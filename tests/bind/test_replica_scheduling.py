@@ -3,6 +3,7 @@
 import pytest
 
 from repro.bind import BindResolver, BindServer, ReplicaScheduler, ResourceRecord, RRType, Zone
+from repro.bind.replica import HEDGE_MAX_DELAY_MS, HEDGE_MIN_SAMPLES
 from repro.harness.calibration import DEFAULT_CALIBRATION
 from repro.net import DatagramTransport, Internetwork
 from repro.net.addresses import Endpoint, NetworkAddress
@@ -41,10 +42,7 @@ def test_disabled_policy_is_inert():
 @pytest.mark.parametrize(
     "kwargs",
     [
-        {"inflight_penalty_ms": -1.0},
         {"hedge_quantile": 1.0},
-        {"hedge_min_samples": 0},
-        {"hedge_max_delay_ms": -1.0},
         {"max_hedges": -1},
         {"breaker_threshold": -1},
     ],
@@ -78,15 +76,14 @@ def test_scheduler_prefers_measured_fast_replica():
 
 def test_scheduler_inflight_penalty_sheds_load():
     env = Environment(seed=2)
-    sched = ReplicaScheduler(
-        env, endpoints(2), ReplicaPolicy(inflight_penalty_ms=1_000.0), name="r"
-    )
+    sched = ReplicaScheduler(env, endpoints(2), ReplicaPolicy(), name="r")
     a, b = sched.states
     sched.record_start(a)
     sched.record_success(a, 5.0, won=True)
     sched.record_start(b)
     sched.record_success(b, 10.0, won=True)
-    # a is faster, but pile requests onto it and b takes over.
+    # a is faster, but pile requests onto it (INFLIGHT_PENALTY_MS each)
+    # and b takes over.
     for _ in range(3):
         sched.record_start(a)
     assert sched.plan()[0] is b
@@ -127,25 +124,26 @@ def test_scheduler_falls_back_when_all_breakers_open():
 
 def test_hedge_delay_needs_samples_then_tracks_quantile():
     env = Environment(seed=5)
-    policy = ReplicaPolicy(hedge_min_samples=8, hedge_quantile=0.95)
+    policy = ReplicaPolicy(hedge_quantile=0.95)
     sched = ReplicaScheduler(env, endpoints(2), policy, name="r")
     state = sched.states[0]
-    assert sched.hedge_delay_ms() is None
-    for latency in (10.0,) * 19 + (500.0,):
+    for count, latency in enumerate((10.0,) * 19 + (500.0,)):
+        # Unarmed until HEDGE_MIN_SAMPLES answers have been seen.
+        assert (sched.hedge_delay_ms() is None) == (count < HEDGE_MIN_SAMPLES)
         sched.record_start(state)
         sched.record_success(state, latency, won=True)
     delay = sched.hedge_delay_ms()
     # 95th percentile of {10 x19, 500}: near the top of the fast cluster.
     assert delay is not None
     assert 10.0 <= delay <= 500.0
-    # Clamping: a tiny max wins over the observed quantile.
-    clamped = ReplicaScheduler(
-        env, endpoints(2), ReplicaPolicy(hedge_max_delay_ms=2.0), name="r2"
-    )
-    for _ in range(8):
+    # Clamping: the ceiling wins over a slower observed quantile.
+    clamped = ReplicaScheduler(env, endpoints(2), ReplicaPolicy(), name="r2")
+    for _ in range(HEDGE_MIN_SAMPLES):
         clamped.record_start(clamped.states[0])
-        clamped.record_success(clamped.states[0], 300.0, won=True)
-    assert clamped.hedge_delay_ms() == 2.0
+        clamped.record_success(
+            clamped.states[0], 3 * HEDGE_MAX_DELAY_MS, won=True
+        )
+    assert clamped.hedge_delay_ms() == HEDGE_MAX_DELAY_MS
 
 
 def test_scheduler_mirrors_counters_and_ewma_timer():
@@ -254,10 +252,10 @@ def test_adaptive_selection_avoids_slow_replica():
 
 
 def test_hedging_rescues_a_stalled_primary():
-    policy = ReplicaPolicy(adaptive=False, hedge_min_samples=4)
+    policy = ReplicaPolicy(adaptive=False)
     env, resolver, primary, secondary, _ = make_cluster(policy)
     # Warm the latency window on the (static-order) primary.
-    for _ in range(6):
+    for _ in range(HEDGE_MIN_SAMPLES):
         _records, elapsed = lookup_once(env, resolver)
     baseline = elapsed
     primary.stall_ms = 500.0
@@ -319,25 +317,30 @@ def test_static_failover_pays_the_timeout_every_time():
 
 
 def test_disabled_policy_reproduces_legacy_behaviour_exactly():
-    """`ReplicaPolicy.disabled()` must be bit-for-bit the no-policy path."""
-
-    def drive(replica_policy):
-        env, resolver, primary, secondary, primary_host = make_cluster(
-            replica_policy, seed=47
-        )
-        for _ in range(5):
-            lookup_once(env, resolver)
-        primary_host.crash()
+    """`ReplicaPolicy.disabled()` must be bit-for-bit the prototype's
+    static failover: the clock and counters below were recorded from the
+    no-policy (``replica=None``) path before that spelling was retired."""
+    env, resolver, primary, secondary, primary_host = make_cluster(
+        ReplicaPolicy.disabled(), seed=47
+    )
+    for _ in range(5):
         lookup_once(env, resolver)
-        primary_host.restart()
-        for _ in range(3):
-            lookup_once(env, resolver)
-        return env.now, env.stats.counters()
-
-    legacy_now, legacy_counters = drive(None)
-    ablated_now, ablated_counters = drive(ReplicaPolicy.disabled())
-    assert ablated_now == legacy_now
-    assert ablated_counters == legacy_counters
+    primary_host.crash()
+    lookup_once(env, resolver)
+    primary_host.restart()
+    for _ in range(3):
+        lookup_once(env, resolver)
+    assert env.now == 176.45310000000003
+    assert env.stats.counters() == {
+        "bind.r.remote_lookups": 9,
+        "net.udp.delivered": 9,
+        "bind.bind@ns-primary.requests": 8,
+        "bind.bind@ns-primary.queries": 8,
+        "net.udp.retransmits": 1,
+        "bind.r.failovers": 1,
+        "bind.bind@ns-secondary.requests": 1,
+        "bind.bind@ns-secondary.queries": 1,
+    }
 
 
 def test_disabled_policy_has_no_scheduler():

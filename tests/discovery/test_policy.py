@@ -55,7 +55,8 @@ def test_disabled_degrades_to_the_broadcast_locator():
 
 
 def test_policyset_carries_a_discovery_slot():
-    # None means "use the subsystem default", as for the other axes.
-    assert PolicySet().discovery is None
-    custom = PolicySet(discovery=DiscoveryPolicy.disabled())
-    assert not custom.discovery.enabled
+    # Off unless asked for, as for the other axes.
+    assert PolicySet().discovery == DiscoveryPolicy.disabled()
+    assert not PolicySet().discovery.enabled
+    custom = PolicySet(discovery=DiscoveryPolicy(beacon_period_ms=250.0))
+    assert custom.discovery.enabled

@@ -77,10 +77,9 @@ def test_meta_retry_exhaustion_raises_last_transient_error():
         return "done"
 
     assert run(env, scenario()) == "done"
-    assert metastore.policy is not None
     assert (
         env.stats.counter("bind.meta@client.retries").value
-        == metastore.policy.attempts - 1
+        == metastore.policies.resolution.attempts - 1
     )
 
 
@@ -144,7 +143,10 @@ def test_serve_stale_masks_meta_outage():
     whether the mappings are fetched one by one or as a chained batch."""
     calibration = dataclasses.replace(DEFAULT_CALIBRATION, meta_ttl_ms=5_000)
     served = {}
-    for fast_path, stale_hits in ((None, 5), (FastPathPolicy(), 4)):
+    for fast_path, stale_hits in (
+        (FastPathPolicy.disabled(), 5),
+        (FastPathPolicy(), 4),
+    ):
         testbed = build_testbed(seed=14, calibration=calibration)
         env = testbed.env
         hns = testbed.make_hns(
@@ -164,7 +166,7 @@ def test_serve_stale_masks_meta_outage():
         assert (
             env.stats.counter("bind.meta@client.stale_hits").value == stale_hits
         )
-    assert served[None] == served[FastPathPolicy()]
+    assert served[FastPathPolicy.disabled()] == served[FastPathPolicy()]
 
 
 def test_no_stale_serving_without_policy():
@@ -194,8 +196,7 @@ def test_stale_window_expiry_ends_the_grace_period():
     metastore = testbed.make_metastore(testbed.client)
     assert run(env, metastore.context_to_name_service(BIND_CONTEXT)) == BIND_NS
     testbed.meta_host.crash()
-    assert metastore.policy is not None
-    sleep(env, 6_000 + metastore.policy.stale_window_ms)
+    sleep(env, 6_000 + metastore.policies.resolution.stale_window_ms)
 
     def scenario():
         with pytest.raises(TransportTimeout):
@@ -250,8 +251,7 @@ def test_open_breaker_routes_to_linked_in_copy():
     hns = testbed.make_hns(testbed.client)
     local = testbed.make_bind_binding_nsm(testbed.client)
     hns.link_local_nsm(local)
-    assert hns.policy is not None
-    for _ in range(hns.policy.breaker_threshold):
+    for _ in range(hns.policies.resolution.breaker_threshold):
         hns.report_nsm_outcome(local.name, ok=False)
     assert hns.nsm_breakers.states()[local.name] == "open"
     binding = run(env, hns.find_nsm(FIJI, "HRPCBinding"))

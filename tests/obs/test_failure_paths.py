@@ -9,6 +9,7 @@ that triggered them.
 import dataclasses
 
 from repro.bind import BindResolver, BindServer, ResourceRecord, RRType, Zone
+from repro.bind.replica import HEDGE_MIN_SAMPLES
 from repro.core import HNSName
 from repro.harness.calibration import DEFAULT_CALIBRATION
 from repro.net import DatagramTransport, Internetwork
@@ -165,9 +166,9 @@ def lookup_once(env, resolver):
 
 
 def test_hedge_winner_and_loser_share_the_trace():
-    policy = ReplicaPolicy(adaptive=False, hedge_min_samples=4)
+    policy = ReplicaPolicy(adaptive=False)
     env, resolver, primary = make_cluster(policy)
-    for _ in range(6):
+    for _ in range(HEDGE_MIN_SAMPLES):
         lookup_once(env, resolver)  # warm the hedge-delay window
 
     # Stall the primary past the hedge delay but under the transport
