@@ -14,8 +14,7 @@ import pytest
 
 from repro.core import Arrangement, ColocationModel
 from repro.harness import ComparisonTable
-
-from conftest import measure_table_3_1_row
+from repro.harness.report import measure_table_3_1_row
 
 
 def thresholds_from_paper_estimates():

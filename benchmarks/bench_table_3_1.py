@@ -8,8 +8,7 @@ import pytest
 
 from repro.core import Arrangement
 from repro.harness import ComparisonTable
-
-from conftest import PAPER_TABLE_3_1, measure_table_3_1_row
+from repro.harness.report import PAPER_TABLE_3_1, measure_table_3_1_row
 
 COLUMNS = ("A. cache miss", "B. HNS cache hit", "C. HNS and NSM cache hit")
 
@@ -34,7 +33,9 @@ def test_table_3_1_grid(benchmark):
     for arrangement, (a, b, c) in grid.items():
         assert a > b > c
     assert grid[Arrangement.ALL_REMOTE][0] > grid[Arrangement.ALL_LOCAL][0]
-    assert grid[Arrangement.ALL_LOCAL] == pytest.approx((460, 180, 104), rel=0.005)
+    assert grid[Arrangement.ALL_LOCAL] == pytest.approx(
+        PAPER_TABLE_3_1[Arrangement.ALL_LOCAL], rel=0.005
+    )
     table.check(tolerance_pct=8.0)
 
 

@@ -10,11 +10,12 @@ import pytest
 
 from repro.bind import BindResolver, CacheFormat, ResolverCache
 from repro.harness import ComparisonTable
+from repro.harness.report import PAPER_TABLE_3_2
 from repro.serial import HandcodedMarshaller, StubCompiler
 from repro.bind.messages import QUERY_RESPONSE_IDL, QueryResponse, STATUS_OK
 from repro.workloads import build_testbed
 
-from conftest import PAPER_TABLE_3_2, timed
+from conftest import timed
 
 #: names in the testbed's public BIND resolving to 1 and 6 records
 NAMES = {1: "fiji.cs.washington.edu", 6: "gateway.gw.net"}

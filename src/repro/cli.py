@@ -91,35 +91,9 @@ def cmd_resolve(args: argparse.Namespace) -> int:
 
 def cmd_table31(args: argparse.Namespace) -> int:
     """``table31``: regenerate Table 3.1 against the paper."""
-    from repro.harness import ComparisonTable
+    from repro.harness.report import table_3_1
 
-    paper = {
-        Arrangement.ALL_LOCAL: (460, 180, 104),
-        Arrangement.AGENT: (517, 235, 137),
-        Arrangement.REMOTE_HNS: (515, 232, 140),
-        Arrangement.REMOTE_NSMS: (509, 225, 147),
-        Arrangement.ALL_REMOTE: (547, 261, 181),
-    }
-    table = ComparisonTable("Table 3.1: HRPC binding by colocation (msec)")
-    name = HNSName("BIND-cs", "fiji.cs.washington.edu")
-    for arrangement in Arrangement:
-        testbed = build_testbed(seed=args.seed)
-        stack = build_stack(testbed, arrangement)
-        env = testbed.env
-
-        def timed():
-            start = env.now
-            yield from stack.importer.import_binding("DesiredService", name)
-            return env.now - start
-
-        stack.flush_all_caches()
-        a = env.run(until=env.process(timed()))
-        stack.flush_nsm_caches()
-        b = env.run(until=env.process(timed()))
-        c = env.run(until=env.process(timed()))
-        for label, p, m in zip(("miss", "HNS hit", "both hit"), paper[arrangement], (a, b, c)):
-            table.add(f"{arrangement.label} / {label}", p, m)
-    print(table.render())
+    print(table_3_1(seed=args.seed).render())
     return 0
 
 
@@ -230,7 +204,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument(
         "--smoke",
         action="store_true",
-        help="reduced configuration (also via REPRO_BENCH_SMOKE=1)",
+        help="reduced configuration (the shape of the committed baselines)",
     )
     p_bench.add_argument(
         "--full-grid",
@@ -331,7 +305,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
     )
     from repro.harness.grids import GATED_GRIDS, GRIDS
 
-    smoke = args.smoke or bool(os.environ.get("REPRO_BENCH_SMOKE"))
     names = GATED_GRIDS if args.grid == "all" else (args.grid,)
     jobs = args.jobs if args.jobs else (os.cpu_count() or 1)
     out_dir = pathlib.Path(args.out_dir)
@@ -339,7 +312,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     failed = 0
     for name in names:
         grid = GRIDS[name]
-        study = AblationStudy(grid, smoke=smoke, seed=args.grid_seed)
+        study = AblationStudy(grid, smoke=args.smoke, seed=args.grid_seed)
         specs = study.expand(full_grid=args.full_grid)
         started = now_wall()
         results = study.execute(specs, jobs=jobs)
@@ -349,7 +322,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
         )
         path = out_dir / f"BENCH_ablation_{name}.json"
         write_payload(str(path), payload)
-        mode = "smoke" if smoke else "full"
+        mode = "smoke" if args.smoke else "full"
         print(
             f"grid {name} ({mode}): {len(results)} runs, jobs={jobs}, "
             f"{wall_s:.1f} s -> {path}"

@@ -1,7 +1,7 @@
 """The CI perf-regression gate: fresh BENCH artifacts vs committed ones.
 
 ``python -m repro.harness.gate --fresh <dir> --baseline <dir>`` loads
-every schema-v2 ``BENCH_*.json`` present in *both* directories and
+every schema-v2 ``BENCH_ablation_*.json`` in the two directories and
 fails (exit 1) when the fresh run regressed:
 
 - any **digest** differs — the simulation took a different trajectory,
@@ -10,9 +10,10 @@ fails (exit 1) when the fresh run regressed:
   ``--p99-tolerance``) — slower tails are the one number every PR in
   this repository exists to push down;
 - any **availability** metric dropped beyond the same tolerance;
-- a run present in the baseline is **missing** (or now errors) in the
-  fresh artifact, or the smoke flags disagree (full-size numbers are
-  never compared against smoke numbers);
+- a committed baseline has no fresh artifact, or a run present in the
+  baseline is **missing** (or now errors) in the fresh artifact, or the
+  smoke flags disagree (full-size numbers are never compared against
+  smoke numbers);
 - an artifact is not strict JSON: a bare ``NaN`` or ``Infinity`` is a
   schema violation, not a number to compare.
 
@@ -191,27 +192,44 @@ def compare_artifacts(
     return violations
 
 
+#: The artifacts the gate compares unless ``--pattern`` narrows it to
+#: one grid.
+DEFAULT_PATTERN = "BENCH_ablation_*.json"
+
+
 def run_gate(
     fresh_dir: pathlib.Path,
     baseline_dir: pathlib.Path,
     p99_tolerance_pct: float = 10.0,
-    pattern: str = "BENCH_*.json",
+    pattern: str = DEFAULT_PATTERN,
 ) -> typing.Tuple[typing.List[Violation], typing.List[str]]:
-    """Gate every artifact present in both directories.
+    """Gate every committed baseline against its fresh artifact.
 
-    Returns ``(violations, compared_names)``.  Artifacts only on one
-    side are skipped (the fresh dir holds just what this CI run
-    produced); an empty intersection is itself a violation, because a
-    gate that compares nothing would silently pass forever.
+    Returns ``(violations, compared_names)``.  A baseline with no fresh
+    counterpart is a violation (a grid that was dropped, renamed, or
+    crashed before writing would otherwise stop being gated in
+    silence); a fresh artifact with no baseline yet is skipped.  An
+    empty baseline set is itself a violation, because a gate that
+    compares nothing would silently pass forever.
     """
     violations: typing.List[Violation] = []
     compared: typing.List[str] = []
-    fresh_files = {p.name: p for p in sorted(fresh_dir.glob(pattern))}
-    baseline_files = {p.name: p for p in sorted(baseline_dir.glob(pattern))}
-    for file_name in sorted(fresh_files.keys() & baseline_files.keys()):
+    for baseline_path in sorted(baseline_dir.glob(pattern)):
+        file_name = baseline_path.name
+        fresh_path = fresh_dir / file_name
+        if not fresh_path.is_file():
+            violations.append(
+                Violation(
+                    file_name,
+                    "-",
+                    "missing",
+                    f"committed baseline has no fresh artifact in {fresh_dir}",
+                )
+            )
+            continue
         try:
-            fresh = load_artifact(fresh_files[file_name])
-            baseline = load_artifact(baseline_files[file_name])
+            fresh = load_artifact(fresh_path)
+            baseline = load_artifact(baseline_path)
         except ValueError as exc:
             violations.append(
                 Violation(file_name, "-", "schema", str(exc))
@@ -227,8 +245,8 @@ def run_gate(
                 "(gate)",
                 "-",
                 "schema",
-                f"no {pattern} artifacts present in both {fresh_dir} and "
-                f"{baseline_dir}; the gate compared nothing",
+                f"no {pattern} baselines in {baseline_dir}; "
+                "the gate compared nothing",
             )
         )
     return violations, compared
@@ -238,7 +256,7 @@ def main(argv: typing.Optional[typing.Sequence[str]] = None) -> int:
     """CLI entry point; exit 0 iff every compared artifact passes."""
     parser = argparse.ArgumentParser(
         prog="repro.harness.gate",
-        description="Compare fresh BENCH_*.json artifacts against committed baselines.",
+        description="Compare fresh BENCH_ablation_*.json artifacts against committed baselines.",
     )
     parser.add_argument("--fresh", required=True, help="directory with fresh artifacts")
     parser.add_argument(
@@ -251,7 +269,7 @@ def main(argv: typing.Optional[typing.Sequence[str]] = None) -> int:
         help="max p99 regression (and availability drop) in percent",
     )
     parser.add_argument(
-        "--pattern", default="BENCH_ablation_*.json", help="artifact glob"
+        "--pattern", default=DEFAULT_PATTERN, help="artifact glob (gate one grid)"
     )
     args = parser.parse_args(argv)
     violations, compared = run_gate(

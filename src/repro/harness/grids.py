@@ -3,11 +3,10 @@
 Each grid pairs a knob registry (the frozen
 :class:`~repro.resolution.PolicySet` axes plus scenario parameters like
 meta TTL, wire drop, and primary health) with a module-level runner
-function a worker process can resolve by dotted path.  The runners are
-the workload bodies the hand-rolled benchmarks used to inline —
-``benchmarks/bench_fast_path.py``, ``bench_replica_scheduling.py``, and
-``bench_update_path.py`` are now thin grid definitions over this
-module.
+function a worker process can resolve by dotted path.  ``python -m
+repro.cli bench <grid>`` is the one way a grid runs,
+``BENCH_ablation_<grid>.json`` the one artifact it writes, and
+``tests/harness/test_grids.py`` where each grid's claims are asserted.
 
 Every runner is deterministic given ``(knobs, seed, smoke)``: it
 builds a fresh :class:`~repro.sim.Environment`, drives the scenario in
@@ -138,8 +137,7 @@ def run_fast_path(
 ) -> RunOutput:
     """Zipf closed-loop FindNSM workload under one knob assignment.
 
-    Ported from ``bench_fast_path.test_zipf_latency_distribution``:
-    concurrent clients resolve Zipf-distributed contexts against a
+    Concurrent clients resolve Zipf-distributed contexts against a
     short meta TTL; refresh-ahead keeps the tail at cache-hit cost,
     batching cuts meta queries per find, and the drop knob degrades
     the wire so availability becomes a real metric.
@@ -236,7 +234,7 @@ FAST_PATH_GRID = GridDef(
     runner="repro.harness.grids:run_fast_path",
     seed=33,
     extras=(
-        # The steady-state reference the bench compares tails against:
+        # The steady-state reference the tail claims are compared against:
         # prototype resolution against a never-expiring cache.
         (
             "reference",
@@ -254,11 +252,9 @@ def run_replica_scheduling(
 ) -> RunOutput:
     """Closed-loop lookups against a three-replica set.
 
-    Ported from ``bench_replica_scheduling.test_tail_latency_one_
-    degraded_replica``: the primary intermittently stalls past the
-    transport timeout (the ``primary`` knob), and the ``replica`` knob
-    swaps hedged adaptive scheduling against the prototype's ordered
-    failover.
+    The primary intermittently stalls past the transport timeout (the
+    ``primary`` knob), and the ``replica`` knob swaps hedged adaptive
+    scheduling against the prototype's ordered failover.
     """
     from repro.bind import BindResolver, BindServer, ResourceRecord, RRType, Zone
     from repro.net import DatagramTransport, Internetwork
@@ -354,11 +350,11 @@ def run_update_path(
 ) -> RunOutput:
     """Staleness window after a rebinding, plus a registration storm.
 
-    Ported from ``bench_update_path``: a writer re-registers a context
-    under a fleet of warm readers (the ``invalidation`` knob decides
-    how fast they notice), then a separate storm phase measures meta
-    round trips for an N-writer registration burst with and without
-    the batched pipeline (the ``batch`` knob).
+    A writer re-registers a context under a fleet of warm readers (the
+    ``invalidation`` knob decides how fast they notice), then a
+    separate storm phase measures meta round trips for an N-writer
+    registration burst with and without the batched pipeline (the
+    ``batch`` knob).
     """
     from repro.workloads.scenarios import build_testbed
 

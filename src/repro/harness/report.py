@@ -23,6 +23,7 @@ from repro.workloads import build_stack, build_testbed
 
 FIJI = HNSName("BIND-cs", "fiji.cs.washington.edu")
 
+#: Table 3.1 of the paper (msec): arrangement -> (miss, HNS hit, both hit)
 PAPER_TABLE_3_1 = {
     Arrangement.ALL_LOCAL: (460.0, 180.0, 104.0),
     Arrangement.AGENT: (517.0, 235.0, 137.0),
@@ -30,6 +31,10 @@ PAPER_TABLE_3_1 = {
     Arrangement.REMOTE_NSMS: (509.0, 225.0, 147.0),
     Arrangement.ALL_REMOTE: (547.0, 261.0, 181.0),
 }
+
+#: Table 3.2 of the paper (msec): records -> (miss, marshalled hit,
+#: demarshalled hit)
+PAPER_TABLE_3_2 = {1: (20.23, 11.11, 0.83), 6: (32.34, 26.17, 1.22)}
 
 
 def _run(env, gen):
@@ -42,29 +47,35 @@ def _timed(env, gen) -> float:
     return env.now - start
 
 
+def measure_table_3_1_row(
+    arrangement: Arrangement, seed: int = 3
+) -> typing.Tuple[float, float, float]:
+    """(miss, HNS hit, both hit) simulated ms for one arrangement."""
+    testbed = build_testbed(seed=seed)
+    stack = build_stack(testbed, arrangement)
+    env = testbed.env
+
+    def one():
+        return stack.importer.import_binding("DesiredService", FIJI)
+
+    stack.flush_all_caches()
+    a = _timed(env, one())
+    stack.flush_nsm_caches()
+    b = _timed(env, one())
+    c = _timed(env, one())
+    return a, b, c
+
+
 def table_3_1(seed: int = 3) -> ComparisonTable:
     """Re-measure all fifteen Table 3.1 cells."""
     table = ComparisonTable("Table 3.1 — HRPC binding by colocation arrangement")
-    cells: typing.Dict[Arrangement, typing.Tuple[float, float, float]] = {}
     for arrangement in Arrangement:
-        testbed = build_testbed(seed=seed)
-        stack = build_stack(testbed, arrangement)
-        env = testbed.env
-
-        def one():
-            return stack.importer.import_binding("DesiredService", FIJI)
-
-        stack.flush_all_caches()
-        a = _timed(env, one())
-        stack.flush_nsm_caches()
-        b = _timed(env, one())
-        c = _timed(env, one())
-        cells[arrangement] = (a, b, c)
         for label, paper, measured in zip(
-            ("miss", "HNS hit", "both hit"), PAPER_TABLE_3_1[arrangement], (a, b, c)
+            ("miss", "HNS hit", "both hit"),
+            PAPER_TABLE_3_1[arrangement],
+            measure_table_3_1_row(arrangement, seed),
         ):
             table.add(f"{arrangement.label} / {label}", paper, measured)
-    table.cells = cells  # type: ignore[attr-defined]
     return table
 
 
@@ -79,7 +90,6 @@ def table_3_2(seed: int = 31) -> ComparisonTable:
     )
 
     table = ComparisonTable("Table 3.2 — marshalling costs vs cache access speed")
-    paper = {1: (20.23, 11.11, 0.83), 6: (32.34, 26.17, 1.22)}
     for records in (1, 6):
         measured = []
         for fmt in (None, CacheFormat.MARSHALLED, CacheFormat.DEMARSHALLED):
@@ -110,7 +120,7 @@ def table_3_2(seed: int = 31) -> ComparisonTable:
             second = _timed(env, resolver.lookup(name))
             measured.append(first if fmt is None else second)
         for label, p, m in zip(
-            ("miss", "marshalled hit", "demarshalled hit"), paper[records], measured
+            ("miss", "marshalled hit", "demarshalled hit"), PAPER_TABLE_3_2[records], measured
         ):
             table.add(f"{records} RR / {label}", p, m)
     return table

@@ -1,5 +1,7 @@
 """The resolver fast path: coalescing, refresh-ahead, batched queries."""
 
+import dataclasses
+
 import pytest
 
 from repro.bind import (
@@ -19,7 +21,10 @@ from repro.bind.messages import (
 )
 from repro.bind.names import DomainName
 from repro.bind import ResolverCache
-from repro.resolution import FastPathPolicy, PolicySet
+from repro.core import HNSName
+from repro.harness.calibration import DEFAULT_CALIBRATION
+from repro.resolution import DEFAULT_RESOLUTION_POLICY, FastPathPolicy, PolicySet
+from repro.workloads import build_testbed
 
 
 def make_resolver(env, client, transport, endpoint, fast_path):
@@ -96,6 +101,43 @@ def test_thundering_herd_coalesces_to_one_query(deployment):
                 env.stats.counter(f"cache.{resolver.cache.name}.coalesced").value
                 == K - 1
             )
+
+
+def test_ttl_expiry_herd_coalesces_at_the_hns():
+    """When a popular name's meta entries expire, every concurrent
+    client misses at once; single-flight coalescing sends one renewal
+    per mapping and parks the rest on it."""
+    CLIENTS = 8
+    fiji = HNSName("BIND-cs", "fiji.cs.washington.edu")
+    calibration = dataclasses.replace(DEFAULT_CALIBRATION, meta_ttl_ms=5_000)
+    requests = {}
+    for fast_path in (
+        FastPathPolicy(refresh_ahead_fraction=0.0, batch_meta_lookups=False),
+        FastPathPolicy.disabled(),
+    ):
+        testbed = build_testbed(seed=32, calibration=calibration)
+        env = testbed.env
+        hns = testbed.make_hns(
+            testbed.client,
+            policies=PolicySet(
+                resolution=DEFAULT_RESOLUTION_POLICY, fast_path=fast_path
+            ),
+        )
+        # Only the meta entries expire; the public BIND sees none of this.
+        meta = env.stats.counter("bind.meta-bind.requests")
+        run(env, hns.find_nsm(fiji, "HRPCBinding"))  # warm everything
+        idle(env, 6_000)  # past every meta TTL
+        before = meta.value
+        finds = [
+            env.process(hns.find_nsm(fiji, "HRPCBinding")) for _ in range(CLIENTS)
+        ]
+        idle(env, 30_000)
+        assert all(find.ok for find in finds)
+        requests[fast_path.coalesce] = meta.value - before
+        coalesced = env.stats.counter("cache.hns-meta@client.coalesced").value
+        assert (coalesced > 0) == fast_path.coalesce
+    # Acceptance: coalescing cuts duplicate renewals by >=5x.
+    assert requests[False] >= 5 * requests[True]
 
 
 def test_leader_failure_propagates_to_followers(deployment):

@@ -3,37 +3,15 @@
 import pytest
 
 from repro.core import Arrangement, HNSName, HnsError, HrpcImporter
+from repro.harness.report import PAPER_TABLE_3_1, measure_table_3_1_row
 from repro.hrpc import HRPCBinding, HrpcRuntime
 from repro.workloads import build_stack, build_testbed
 
 FIJI = HNSName("BIND-cs", "fiji.cs.washington.edu")
 DLION = HNSName("CH-hcs", "dlion:hcs:uw")
 
-PAPER_TABLE_3_1 = {
-    Arrangement.ALL_LOCAL: (460.0, 180.0, 104.0),
-    Arrangement.AGENT: (517.0, 235.0, 137.0),
-    Arrangement.REMOTE_HNS: (515.0, 232.0, 140.0),
-    Arrangement.REMOTE_NSMS: (509.0, 225.0, 147.0),
-    Arrangement.ALL_REMOTE: (547.0, 261.0, 181.0),
-}
-
-
 def run(env, gen):
     return env.run(until=env.process(gen))
-
-
-def measure_cells(stack, env, name=FIJI, service="DesiredService"):
-    def timed():
-        start = env.now
-        binding = yield from stack.importer.import_binding(service, name)
-        return env.now - start, binding
-
-    stack.flush_all_caches()
-    a, binding = run(env, timed())
-    stack.flush_nsm_caches()
-    b, _ = run(env, timed())
-    c, _ = run(env, timed())
-    return (a, b, c), binding
 
 
 @pytest.mark.parametrize("arrangement", list(Arrangement))
@@ -52,30 +30,22 @@ def test_import_works_in_every_arrangement(arrangement):
 @pytest.mark.parametrize("arrangement", list(Arrangement))
 def test_table_3_1_cells_within_8_percent(arrangement):
     """Every measured cell lands within 8% of the paper's Table 3.1."""
-    testbed = build_testbed(seed=3)
-    stack = build_stack(testbed, arrangement)
-    (a, b, c), _ = measure_cells(stack, testbed.env)
-    pa, pb, pc = PAPER_TABLE_3_1[arrangement]
-    for measured, paper in ((a, pa), (b, pb), (c, pc)):
-        assert measured == pytest.approx(paper, rel=0.08)
+    measured = measure_table_3_1_row(arrangement, seed=3)
+    assert measured == pytest.approx(PAPER_TABLE_3_1[arrangement], rel=0.08)
 
 
 def test_table_3_1_row_1_exact():
     """Row 1 (everything colocated) is the calibration anchor: exact."""
-    testbed = build_testbed(seed=3)
-    stack = build_stack(testbed, Arrangement.ALL_LOCAL)
-    (a, b, c), _ = measure_cells(stack, testbed.env)
-    assert a == pytest.approx(460.0, rel=0.005)
-    assert b == pytest.approx(180.0, rel=0.005)
-    assert c == pytest.approx(104.0, rel=0.005)
+    measured = measure_table_3_1_row(Arrangement.ALL_LOCAL, seed=3)
+    assert measured == pytest.approx(
+        PAPER_TABLE_3_1[Arrangement.ALL_LOCAL], rel=0.005
+    )
 
 
 def test_column_ordering_always_holds():
     """Miss > HNS-hit > both-hit, in every arrangement (the table's shape)."""
     for arrangement in Arrangement:
-        testbed = build_testbed(seed=3)
-        stack = build_stack(testbed, arrangement)
-        (a, b, c), _ = measure_cells(stack, testbed.env)
+        a, b, c = measure_table_3_1_row(arrangement, seed=3)
         assert a > b > c, arrangement
 
 
@@ -85,9 +55,7 @@ def test_colocation_saves_less_than_caching():
     colA->colC (caching)."""
     cells = {}
     for arrangement in (Arrangement.ALL_LOCAL, Arrangement.ALL_REMOTE):
-        testbed = build_testbed(seed=3)
-        stack = build_stack(testbed, arrangement)
-        cells[arrangement], _ = measure_cells(stack, testbed.env)
+        cells[arrangement] = measure_table_3_1_row(arrangement, seed=3)
     colocation_gain = cells[Arrangement.ALL_REMOTE][0] - cells[Arrangement.ALL_LOCAL][0]
     caching_gain = cells[Arrangement.ALL_REMOTE][0] - cells[Arrangement.ALL_REMOTE][2]
     assert caching_gain > 3 * colocation_gain

@@ -28,18 +28,27 @@ def test_readme_examples_all_exist():
         assert (ROOT / "examples" / match).is_file(), match
 
 
+def assert_cited_files_exist(name):
+    """Every bench, test and root artifact a document names is a file."""
+    text = read(name)
+    for pattern in (
+        r"benchmarks/bench_[a-z0-9_]+\.py",
+        r"tests/[a-z0-9_/]+\.py",
+        r"\bBENCH_[a-z0-9_]+\.json",
+    ):
+        for match in set(re.findall(pattern, text)):
+            assert (ROOT / match).is_file(), f"{name} cites {match}"
+
+
 def test_design_bench_targets_all_exist():
-    design = read("DESIGN.md")
-    for match in set(re.findall(r"benchmarks/(bench_[a-z0-9_]+\.py)", design)):
-        assert (ROOT / "benchmarks" / match).is_file(), match
+    assert_cited_files_exist("DESIGN.md")
 
 
 def test_experiments_references_real_benches_and_tests():
-    text = read("EXPERIMENTS.md")
-    for match in set(re.findall(r"benchmarks/(bench_[a-z0-9_]+\.py)", text)):
-        assert (ROOT / "benchmarks" / match).is_file(), match
-    for match in set(re.findall(r"tests/([a-z_/]+\.py)", text)):
-        assert (ROOT / "tests" / match).is_file(), match
+    """A document cannot cite a deleted file."""
+    docs = sorted(p.relative_to(ROOT).as_posix() for p in ROOT.glob("docs/*.md"))
+    for name in ["EXPERIMENTS.md", "README.md", *docs]:
+        assert_cited_files_exist(name)
 
 
 def test_readme_packages_all_importable():
@@ -81,9 +90,10 @@ def test_every_public_class_and_function_documented():
 
 def test_paper_numbers_in_experiments_match_benchmarks():
     """The headline constants quoted in EXPERIMENTS.md appear in the
-    benchmark assertions (no silent drift)."""
+    one module the benchmark assertions read them from (no silent
+    drift)."""
     experiments = read("EXPERIMENTS.md")
-    table31 = read("benchmarks/bench_table_3_1.py") + read("benchmarks/conftest.py")
+    table31 = read("src/repro/harness/report.py")
     for figure in ("460", "180", "104", "547", "261", "181"):
         assert figure in experiments
         assert figure in table31

@@ -205,6 +205,22 @@ def test_empty_intersection_is_a_violation(tmp_path):
     assert "compared nothing" in violations[0].message
 
 
+def test_baseline_without_fresh_artifact_is_a_violation(tmp_path):
+    """A grid dropped from the run, renamed, or crashed before writing
+    must not stop being gated in silence."""
+    fresh_dir, base_dir = _write_dirs(tmp_path, artifact(), artifact())
+    (base_dir / "BENCH_ablation_gone.json").write_text(json.dumps(artifact()))
+    violations, compared = run_gate(fresh_dir, base_dir)
+    assert compared == ["BENCH_ablation_toy.json"]
+    assert [(v.artifact, v.kind) for v in violations] == [
+        ("BENCH_ablation_gone.json", "missing")
+    ]
+    argv = ["--fresh", str(fresh_dir), "--baseline", str(base_dir)]
+    assert main(argv) == 1
+    # --pattern is how one grid is gated alone.
+    assert main(argv + ["--pattern", "BENCH_ablation_toy.json"]) == 0
+
+
 def test_violation_render_is_one_line():
     line = Violation("a.json", "runs.0.p99_ms", "p99", "regressed").render()
     assert line == "a.json: [p99] runs.0.p99_ms: regressed"
