@@ -209,8 +209,8 @@ class Timeout(Event):
     __slots__ = ("delay",)
 
     def __init__(self, env: "Environment", delay: float, value: object = None):
-        if delay < 0:
-            raise ValueError(f"negative delay: {delay!r}")
+        if not delay >= 0:  # also rejects NaN, which no compare orders
+            raise ValueError(f"negative or NaN delay: {delay!r}")
         # Inlined Event.__init__ plus direct queue insertion: a Timeout
         # is the hottest allocation in the kernel.
         self.env = env
@@ -221,7 +221,10 @@ class Timeout(Event):
         self._value = value
         eid = env._eid
         env._eid = eid + 1
-        env._push((env._now + delay, eid, self))
+        if delay >= env._standing_ms:
+            env._arm_standing(delay, (env._now + delay, eid, self))
+        else:
+            env._push((env._now + delay, eid, self))
 
     def succeed(self, value: object = None) -> "Event":  # pragma: no cover
         raise RuntimeError("Timeout triggers itself; do not call succeed()")

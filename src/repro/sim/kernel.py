@@ -7,11 +7,13 @@ milliseconds, matching the units of every number in the paper.
 
 The event queue is one binary heap (:mod:`repro.sim.queue`) processed
 in ``(time, eid)`` order; ``eid`` is assigned in scheduling order, so
-simultaneous events fire FIFO.
+simultaneous events fire FIFO.  Long timers wait for their turn in the
+heap in per-delay FIFO lanes (:class:`_Lane`).
 """
 
 from __future__ import annotations
 
+import collections
 import typing
 from heapq import heappop
 
@@ -45,8 +47,48 @@ DEFAULT_MONITOR_FACTORY: typing.Optional[
 ] = None
 
 
+#: A ``Timeout`` of at least this many ms is a *standing* timer (a lease,
+#: a TTL, a deadline) and queues in its delay's :class:`_Lane`.  Either
+#: side of the line is correct — below it a timer pays the heap's depth,
+#: above it a dict probe — so it sits over the delays of in-flight work
+#: (wire trips, charges, retries) and under those that pile up.
+STANDING_MS = 1_000.0
+
+
 class SimulationError(RuntimeError):
     """Raised for kernel-level misuse (e.g. running into the past)."""
+
+
+class _Lane:
+    """The standing timers of one delay, in the order they were armed.
+
+    The clock never runs backwards, ``now + delay`` is monotone in
+    ``now`` and eids only grow, so a lane is in ``(time, eid)`` order
+    without being sorted.  Only its head is in the heap, under its own
+    key; :meth:`advance` rides on the head as callback 0 and pushes the
+    next entry when the head pops, before anything else can run — the
+    heap still decides every ordering, over far fewer entries.
+    """
+
+    __slots__ = ("env", "delay", "waiting")
+
+    def __init__(self, env: "Environment", delay: float):
+        self.env = env
+        self.delay = delay
+        #: Entries behind the head; most distinct delays never have one.
+        self.waiting: typing.Optional[typing.Deque[Entry]] = None
+
+    def advance(self, _head: Event) -> None:
+        """The head came due: the next entry takes its place in the heap."""
+        waiting = self.waiting
+        if waiting:
+            entry = waiting.popleft()
+            callbacks = entry[2].callbacks
+            assert callbacks is not None  # a waiting timeout has not run
+            callbacks.insert(0, self.advance)
+            self.env._push(entry)
+        else:  # or every unique long delay would leak a lane
+            del self.env._lanes[self.delay]
 
 
 class KernelMonitor:
@@ -128,6 +170,11 @@ class Environment:
         #: The queue's bound push: whoever schedules an entry assigns it
         #: the next ``_eid`` and calls ``_push((time, eid, event))``.
         self._push: typing.Callable[[Entry], None] = self._queue.heappush
+        #: Delay → its lane of standing timers, while one is armed.
+        self._lanes: typing.Dict[float, _Lane] = {}
+        #: ``Timeout`` lanes delays from here up.  Never under the racer:
+        #: a same-instant cohort inside a FIFO lane would not shuffle.
+        self._standing_ms = STANDING_MS if perturb_seed is None else float("inf")
         #: Next event id; assigned in scheduling order so simultaneous
         #: events fire FIFO.  Doubles as the count of heap entries
         #: scheduled (an event processed inline never gets one).
@@ -264,6 +311,8 @@ class Environment:
                 return target.value
         elif until is not None:
             horizon = float(until)
+            if horizon != horizon:
+                raise ValueError("run(until=nan): NaN orders against no time")
             if horizon < self._now:
                 raise SimulationError(
                     f"run(until={horizon}) is in the past (now={self._now})"
@@ -286,6 +335,19 @@ class Environment:
         if until is not None:
             self._now = horizon
         return None
+
+    def _arm_standing(self, delay: float, entry: Entry) -> None:
+        """Schedule a new ``Timeout`` of at least :data:`STANDING_MS`."""
+        lane = self._lanes.get(delay)
+        if lane is not None:
+            waiting = lane.waiting
+            if waiting is None:
+                waiting = lane.waiting = collections.deque()
+            waiting.append(entry)
+        else:  # first of its delay: straight into the heap, as head
+            lane = self._lanes[delay] = _Lane(self, delay)
+            entry[2].callbacks = [lane.advance]
+            self._push(entry)
 
     def _drain(self, target: typing.Optional[Event], horizon: float) -> None:
         """Monitor-free inner loop: pop the heap, run callbacks inline.
@@ -317,9 +379,10 @@ class Environment:
     def kernel_counters(self) -> typing.Dict[str, int]:
         """The kernel's own performance counters, as plain data.
 
-        Both count heap entries: conditions, inline triggers, inline
-        process starts and unwaited process exits are events but never
-        enter the queue, so they are in neither.  Deliberately *not*
+        Both count heap entries, a timer waiting in its lane as one
+        scheduled and not yet processed: conditions, inline triggers,
+        inline process starts and unwaited process exits are events but
+        never enter the queue, so they are in neither.  Deliberately *not*
         recorded in :attr:`stats` during the run, so
         scenario digests do not depend on how many events a run took.
         Call :meth:`publish_kernel_stats` (once, after a run) when a
@@ -327,7 +390,9 @@ class Environment:
         """
         return {
             "sim.kernel.events_scheduled": self._eid,
-            "sim.kernel.events_processed": self._eid - len(self._queue),
+            "sim.kernel.events_processed": self._eid
+            - len(self._queue)
+            - sum(len(lane.waiting or ()) for lane in self._lanes.values()),
         }
 
     def publish_kernel_stats(self) -> None:

@@ -4,8 +4,10 @@ The kernel's scheduling contract is simple and absolute: events are
 processed in ``(time, eid)`` order, where ``eid`` is assigned in
 scheduling order — so simultaneous events fire FIFO.  A single
 C-accelerated ``heapq`` delivers exactly that at O(log n) per
-operation, with nothing to tune: the cost depends on how many entries
-stand in the queue, not on when they are due.
+operation, and the cost depends on how many entries stand in it, not
+on when they are due — which is why the kernel keeps standing timers
+out of it until they are next of their delay
+(:class:`repro.sim.kernel._Lane`): this heap orders, the lanes admit.
 
 Entries never compare beyond ``eid`` (eids are unique), so the
 ``Event`` in slot 2 of an entry tuple is never ordered.

@@ -147,8 +147,8 @@ class Resource:
         delivered to the waiter while the charge is queued takes it out
         of the queue; while it holds, frees the unit.
         """
-        if service_ms < 0:
-            raise ValueError(f"negative service time: {service_ms}")
+        if not service_ms >= 0:  # also rejects NaN, either lane
+            raise ValueError(f"negative or NaN service time: {service_ms}")
         env = self.env
         if background and service_ms > 0:
             charge = Charge(

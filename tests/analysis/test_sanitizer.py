@@ -5,6 +5,7 @@ import pytest
 from repro.analysis import InterleavingSanitizer
 from repro.net import DatagramTransport, Internetwork, Service
 from repro.sim import ConstantLatency, Environment, Resource
+from repro.sim.kernel import STANDING_MS
 
 
 class Box:
@@ -392,3 +393,59 @@ def test_perturbed_queue_still_shuffles_wire_timeouts_landing_together():
     shuffled = {tuple(delivery_order(seed)) for seed in range(6)}
     assert all(sorted(order) == fifo for order in shuffled)
     assert len(shuffled) > 1 and tuple(fifo) not in shuffled
+
+
+def test_perturbed_queue_still_shuffles_standing_timers_armed_together():
+    """Under a perturbation seed no timer waits in a FIFO lane: two
+    leases armed at one instant with one delay are a cohort the racer
+    must be able to swap."""
+
+    def expiry_order(perturb_seed):
+        env = Environment(seed=0, perturb_seed=perturb_seed)
+        order = []
+        for lease in range(4):
+            env.call_later(STANDING_MS, lambda _t, lease=lease: order.append(lease))
+        assert bool(env._lanes) == (perturb_seed is None)
+        env.run()
+        assert env.now == STANDING_MS
+        return tuple(order)
+
+    assert expiry_order(None) == (0, 1, 2, 3)
+    shuffled = {expiry_order(seed) for seed in range(6)}
+    assert len(shuffled) > 1 and (0, 1, 2, 3) not in shuffled
+
+
+def test_lane_promotion_is_invisible_to_the_sanitizer():
+    """Promoting a lane's next timer is not a trigger, a resume or an
+    access: two waiters woken at one instant through one lane are as
+    unordered as through the heap (the race is still flagged), and a
+    handover ordered by an event stays ordered."""
+
+    def hazards(synchronised):
+        env = Environment(seed=0)
+        sanitizer = InterleavingSanitizer.attach(env)
+        box = sanitizer.watch(Box(), "box")
+        gate = env.event()
+
+        def writer():
+            yield env.timeout(STANDING_MS)
+            box.value = 1
+            gate.succeed(None)
+
+        def reader():
+            lease = env.timeout(STANDING_MS)  # behind the writer's, in its lane
+            if synchronised:
+                yield gate
+            yield lease
+            _ = box.value
+
+        env.process(writer(), name="writer")
+        env.process(reader(), name="reader")
+        assert env.monitor is sanitizer
+        env.run()
+        assert env.now == STANDING_MS and not env._lanes
+        return sanitizer.report()
+
+    assert hazards(synchronised=True) == []
+    (hazard,) = hazards(synchronised=False)
+    assert (hazard.label, hazard.field) == ("box", "value")

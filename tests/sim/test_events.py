@@ -94,6 +94,23 @@ def test_timeout_carries_value():
     assert env.run(until=p) == "payload"
 
 
+def test_nan_delay_is_rejected_not_left_to_stall_the_queue():
+    # A NaN key orders against nothing: once it reached the top of the
+    # heap, run() returned with every later timer unfired and no error.
+    env = Environment()
+    fired = []
+    for delay in (5.0, 1.0, 3.0):
+        env.call_later(delay, lambda timer: fired.append(env.now))
+    with pytest.raises(ValueError):
+        env.timeout(float("nan"))
+    with pytest.raises(ValueError):
+        env.call_later(float("nan"), fired.append)
+    with pytest.raises(ValueError):
+        env.timeout(-0.5)
+    env.run()
+    assert fired == [1.0, 3.0, 5.0]
+
+
 def test_any_of_triggers_on_first():
     env = Environment()
 

@@ -15,6 +15,7 @@ import sys
 import pytest
 
 from repro.sim import CPU, Environment
+from repro.sim.kernel import STANDING_MS
 
 ROUNDS = 200
 
@@ -85,6 +86,19 @@ def _contended_charge():
     return _profiled(env, body)
 
 
+def _standing_arm_beside_a_round_trip():
+    """Each round arms one no-waiter standing timer behind its lane's
+    head (the warm round opens the lane), then the timeout round trip."""
+    env = Environment()
+
+    def body(rounds):
+        for _ in range(rounds):
+            env.timeout(STANDING_MS)
+            yield env.timeout(1.0)
+
+    return _profiled(env, body)
+
+
 def _process_start_to_unwaited_exit():
     env = Environment()
 
@@ -115,6 +129,10 @@ def _process_start_to_unwaited_exit():
         pytest.param(
             _process_start_to_unwaited_exit, 16, 3, id="process-start-to-exit"
         ),
+        # 8.0 — the round trip's 5.0 plus env.timeout, Timeout.__init__,
+        # _arm_standing: arming is 3 calls (budget 4) and no heap push,
+        # and the threshold compare is all an ordinary Timeout gained
+        pytest.param(_standing_arm_beside_a_round_trip, 10, 2, id="standing-arm"),
     ],
 )
 def test_kernel_primitive_budget(measure, max_python_calls, heap_entries):
@@ -125,3 +143,15 @@ def test_kernel_primitive_budget(measure, max_python_calls, heap_entries):
     )
     assert entries == heap_entries
     assert python_calls <= max_python_calls
+
+
+def test_standing_timers_of_one_delay_keep_one_heap_entry():
+    env = Environment()
+    for _ in range(20_000):
+        env.timeout(STANDING_MS)
+    assert len(env._queue.heap) == 1
+    counters = env.kernel_counters()
+    assert counters["sim.kernel.events_scheduled"] == 20_000
+    assert counters["sim.kernel.events_processed"] == 0
+    env.run()
+    assert env.kernel_counters()["sim.kernel.events_processed"] == 20_000

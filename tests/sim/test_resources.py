@@ -158,6 +158,18 @@ def test_negative_sizes_rejected():
         list(res.use(-1))
 
 
+@pytest.mark.parametrize("background", [False, True])
+def test_nan_service_time_rejected(background):
+    env = Environment()
+    cpu = CPU(env)
+    with pytest.raises(ValueError):
+        cpu.compute(float("nan"), background)
+    with pytest.raises(ValueError):
+        Resource(env).use(float("nan"), background)
+    assert cpu.in_use == 0 and cpu.queue_length == 0
+    assert env.peek() == float("inf")
+
+
 # ----------------------------------------------------------------------
 # One kernel event per uncontended charge
 # ----------------------------------------------------------------------
