@@ -21,7 +21,9 @@ happens-before relation from what the kernel already does:
   inside it), an event triggered inline inherits the cause of the event
   whose callbacks are running, and a ``call_later`` callback continues
   the segment that scheduled it — so a request, its handler, the reply
-  trip and the requester's resumption stay one ordered chain;
+  trip and the requester's resumption stay one ordered chain; what
+  such a callback itself touches, in no process, is recorded in a
+  segment of its event's own, after the one that caused the event;
 - **passage of time is not synchronization**: a ``Timeout`` triggers
   itself, so waking up after a delay orders nothing — precisely the
   "sleep as a lock" anti-pattern the sanitizer exists to flag.
@@ -171,7 +173,8 @@ class InterleavingSanitizer(KernelMonitor):
         #: origin of the event whose callbacks are running; events nest
         #: too (an inline trigger runs inside its cause's callbacks)
         self._processing_origin: typing.Optional[int] = None
-        self._outer_origins: typing.List[typing.Optional[int]] = []
+        #: (outer origin, segment current when the event's callbacks began)
+        self._outer_origins: typing.List[typing.Tuple[typing.Optional[int], ...]] = []
         self._accesses: typing.Dict[
             typing.Tuple[str, str], typing.List[Access]
         ] = {}
@@ -248,11 +251,11 @@ class InterleavingSanitizer(KernelMonitor):
 
     def event_processing(self, event: Event) -> None:
         entry = self._event_origin.get(id(event))
-        self._outer_origins.append(self._processing_origin)
+        self._outer_origins.append((self._processing_origin, self._current))
         self._processing_origin = entry[1] if entry is not None else None
 
     def event_processed(self, event: Event) -> None:
-        self._processing_origin = self._outer_origins.pop()
+        self._processing_origin, self._current = self._outer_origins.pop()
 
     # ------------------------------------------------------------------
     # Shared-object tracking
@@ -269,9 +272,11 @@ class InterleavingSanitizer(KernelMonitor):
 
     def _record(self, label: str, field: str, kind: str) -> None:
         if self._current is None:
-            # Setup / teardown code outside any process: ordered before
-            # (after) every segment, so it can never race.
-            return
+            if not self._outer_origins:
+                # Setup / teardown code outside the run: ordered before
+                # (after) every segment, so it can never race.
+                return
+            self._begin_callback_segment()
         segment = self._segments[self._current]
         self._accesses.setdefault((label, field), []).append(
             Access(
@@ -282,6 +287,19 @@ class InterleavingSanitizer(KernelMonitor):
                 time=self.env.now,
             )
         )
+
+    def _begin_callback_segment(self) -> None:
+        """A callback in no process touched shared state: the event
+        being processed gets a segment of its own, after its origin
+        (folded *into* the origin, the access would pass for that
+        process's) and current until the event has been processed."""
+        seg_id = self._current = len(self._segments)
+        # keyed as a process of its own, by what no id() can be
+        self._segments.append(
+            SegmentInfo(seg_id, "callback", -1 - seg_id, 0, self.env.now)
+        )
+        if self._processing_origin is not None:
+            self._edges.setdefault(self._processing_origin, []).append(seg_id)
 
     # ------------------------------------------------------------------
     # Happens-before and reporting

@@ -22,7 +22,9 @@ lost beacon does not flap the membership view.
 
 from __future__ import annotations
 
+import collections
 import dataclasses
+import functools
 import hashlib
 import typing
 
@@ -39,6 +41,7 @@ from repro.net.errors import HostDown, NoRouteToHost, TransportTimeout
 from repro.net.host import Host, Service
 from repro.net.transport import DatagramTransport, RemoteCallError
 from repro.resolution import DEFAULT_DISCOVERY_POLICY, DiscoveryPolicy
+from repro.sim.stats import Counter
 
 #: CPU cost for a listener to verify + absorb one overheard beacon
 OBSERVE_COST_MS = 0.4
@@ -85,6 +88,8 @@ class DiscoveryCache:
         self.env = env
         self.policy = policy
         self._entries: typing.Dict[str, DiscoveryEntry] = {}
+        # owner -> the keys it holds: what its next beacon could retract
+        self._held: typing.DefaultDict[str, typing.Set[str]] = collections.defaultdict(set)
         # highest incarnation ever heard per owner: stale-beacon filter
         self._owner_incarnation: typing.Dict[str, int] = {}
         self._on_evict: typing.List[
@@ -108,47 +113,46 @@ class DiscoveryCache:
         names this owner previously advertised but no longer does are
         evicted immediately.
         """
-        now = self.env.now
-        known = self._owner_incarnation.get(beacon.owner, 0)
-        if beacon.incarnation < known:
+        owner, address, incarnation = beacon.owner, beacon.address, beacon.incarnation
+        if incarnation < self._owner_incarnation.get(owner, 0):
             self.env.stats.counter("discovery.stale_beacons").increment()
             return 0
-        self._owner_incarnation[beacon.owner] = beacon.incarnation
-        advertised = {name.lower() for name in beacon.names}
+        self._owner_incarnation[owner] = incarnation
+        entries = self._entries
+        held = self._held[owner]
         # Retraction: the owner speaks for its own name set.
-        for key in [
-            key
-            for key, entry in self._entries.items()
-            if entry.owner == beacon.owner and key not in advertised
-        ]:
-            self._evict(key, "retracted")
+        retracted = held.difference(map(str.lower, beacon.names))
+        if retracted:
+            for key in [key for key in entries if key in retracted]:
+                self._evict(key, "retracted")
+        now = self.env.now
+        ttl_deadline = now + self.policy.entry_ttl_ms
+        watchdog_deadline = now + self.policy.watchdog_deadline_ms()
         touched = 0
         for name, value in beacon.names.items():
             key = name.lower()
-            entry = self._entries.get(key)
-            if (
-                entry is not None
-                and entry.owner != beacon.owner
-                and beacon.incarnation < entry.incarnation
-            ):
-                # A different owner already holds the name with a newer
-                # incarnation: the overheard claim lost the write race.
-                self.env.stats.counter("discovery.lww_rejects").increment()
-                continue
-            self._entries[key] = DiscoveryEntry(
-                name=name,
-                owner=beacon.owner,
-                address=beacon.address,
-                value=value,
-                incarnation=beacon.incarnation,
-                heard_at=now,
-                ttl_deadline=now + self.policy.entry_ttl_ms,
-                watchdog_deadline=now + self.policy.watchdog_deadline_ms(),
+            entry = entries.get(key)
+            if entry is not None and entry.owner != owner:
+                if incarnation < entry.incarnation:
+                    # A different owner already holds the name with a newer
+                    # incarnation: the overheard claim lost the write race.
+                    self.env.stats.counter("discovery.lww_rejects").increment()
+                    continue
+                self._held[entry.owner].discard(key)
+            entries[key] = DiscoveryEntry(
+                name, owner, address, value, incarnation,
+                now, ttl_deadline, watchdog_deadline,
             )
+            held.add(key)
             touched += 1
         if touched:
-            self.env.stats.counter("discovery.observed").increment(touched)
+            self._observed.increment(touched)
         return touched
+
+    @functools.cached_property
+    def _observed(self) -> Counter:
+        """Bound at the first absorbed name: no stat until counted."""
+        return self.env.stats.counter("discovery.observed")
 
     # ------------------------------------------------------------------
     def lookup(self, name: str) -> typing.Optional[DiscoveryEntry]:
@@ -203,6 +207,7 @@ class DiscoveryCache:
         entry = self._entries.pop(key, None)
         if entry is None:
             return False
+        self._held[entry.owner].discard(key)
         self.env.stats.counter("discovery.evictions").increment()
         self.env.stats.counter(f"discovery.evict.{reason}").increment()
         self.env.trace.emit(
@@ -410,21 +415,29 @@ class BeaconService(Service):
     def handle(self, datagram, responder):
         payload = datagram.payload
         if isinstance(payload, PresenceBeacon):
-            yield self.host.cpu.compute(OBSERVE_COST_MS)
-            if not payload.verify(self.secret):
-                self.env.stats.counter("discovery.bad_signatures").increment()
-                return
-            self.cache.observe(payload)
-            return
-        if isinstance(payload, ProbeRequest):
-            yield self.host.cpu.compute(PROBE_COST_MS)
-            name = payload.name
-            responder(
-                ProbeResponse(
-                    name=name,
-                    owner=self.host.name,
-                    incarnation=self.incarnation,
-                    alive=self._running and name in self._names,
-                ),
-                size_bytes=48,
+            # Hearing a beacon is one charge, then state: no process.
+            self.host.cpu.compute(OBSERVE_COST_MS).callbacks.append(
+                functools.partial(self._absorb, payload)
             )
+            return None
+        if isinstance(payload, ProbeRequest):
+            return self._answer_probe(payload.name, responder)
+        return None
+
+    def _absorb(self, beacon: PresenceBeacon, _charge) -> None:
+        if beacon.verify(self.secret):
+            self.cache.observe(beacon)
+        else:
+            self.env.stats.counter("discovery.bad_signatures").increment()
+
+    def _answer_probe(self, name: str, responder) -> typing.Generator:
+        yield self.host.cpu.compute(PROBE_COST_MS)
+        responder(
+            ProbeResponse(
+                name=name,
+                owner=self.host.name,
+                incarnation=self.incarnation,
+                alive=self._running and name in self._names,
+            ),
+            size_bytes=48,
+        )

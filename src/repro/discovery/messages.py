@@ -10,11 +10,13 @@ real cryptography, which the simulation does not need.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import typing
 import zlib
 from typing import Annotated
 
 from repro.broadcast.messages import encode_data
+from repro.memo import MEMO_SIZE
 from repro.serial import BoolType, StringType, U32Type, WireMessage
 
 #: the well-known port every discovery listener binds
@@ -31,9 +33,19 @@ def sign_beacon(
     names: typing.Mapping[str, str],
     secret: str = SEGMENT_SECRET,
 ) -> int:
-    """CRC-keyed signature over the canonical beacon encoding."""
+    """CRC-keyed signature over the canonical beacon encoding: a pure
+    function of the field values, remembered (a broadcast's sender and
+    every listener ask for the same one)."""
+    return _signature(secret, owner, address, incarnation, tuple(names.items()))
+
+
+@functools.lru_cache(maxsize=MEMO_SIZE, typed=True)  # typed: str(1) != str(True)
+def _signature(
+    secret: str, owner: str, address: str, incarnation: int,
+    names: typing.Tuple[typing.Tuple[str, str], ...],
+) -> int:
     canonical = "|".join(
-        (secret, owner, address, str(incarnation), encode_data(names))
+        (secret, owner, address, str(incarnation), encode_data(dict(names)))
     )
     return zlib.crc32(canonical.encode("utf-8")) & 0xFFFFFFFF
 

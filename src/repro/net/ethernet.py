@@ -21,6 +21,7 @@ from repro.net.host import Host
 from repro.net.messages import Datagram
 from repro.sim.kernel import Environment
 from repro.sim.latency import ConstantLatency, LatencyModel
+from repro.sim.stats import Counter
 
 if typing.TYPE_CHECKING:  # pragma: no cover
     import random
@@ -153,13 +154,23 @@ class Ethernet:
         probability.
         """
         if (
-            src is not None
+            self._partition_of
+            and src is not None
             and dst is not None
             and self.crosses_partition(src, dst)
         ):
-            self.env.stats.counter("net.partition.drops").increment()
+            self._partition_drops.increment()
             return True
         if self.drop_probability == 0.0:
             return False
-        rng = self.env.rng.stream(f"ether-drop:{self.name}")
-        return rng.random() < self.drop_probability
+        return self._drop_rng.random() < self.drop_probability
+
+    @functools.cached_property
+    def _partition_drops(self) -> Counter:
+        """Bound at the first severed message: no stat until counted."""
+        return self.env.stats.counter("net.partition.drops")
+
+    @functools.cached_property
+    def _drop_rng(self) -> "random.Random":
+        """This wire's loss stream (seeded from the name, like :attr:`_jitter`)."""
+        return self.env.rng.stream(f"ether-drop:{self.name}")

@@ -22,17 +22,30 @@ if typing.TYPE_CHECKING:  # pragma: no cover
 class Service:
     """Base class for anything bound to a host port.
 
-    Subclasses implement :meth:`handle`, a process generator invoked for
-    each delivered message.  The generator may yield simulation events
-    (CPU time, disk reads, nested calls) and should use ``responder`` to
-    send any reply.
+    Subclasses implement :meth:`handle`, called once for each delivered
+    message.
     """
 
     def handle(
         self,
         datagram: "Datagram",
         responder: typing.Callable[[object, int], object],
-    ) -> typing.Generator:
+    ) -> typing.Optional[typing.Generator]:
+        """Handle one delivered message; two return forms.
+
+        **A generator** (``handle`` is a generator function, the usual
+        form) runs as a process from inside the delivery: it may yield
+        simulation events (CPU time, disk reads, nested calls), replies
+        through ``responder``, and what it raises reaches a waiting
+        requester as :class:`~repro.net.transport.RemoteCallError`.
+
+        **None** says "handled; nothing to run as a process": right for
+        a handler whose whole life is charges with callbacks and no
+        reply awaited mid-way (``cpu.compute(ms).callbacks.append(...)``,
+        as :class:`~repro.discovery.beacon.BeaconService` absorbs a
+        beacon) — same heap entries and instants, no process.  What it
+        or its callbacks raise surfaces from ``env.run()``.
+        """
         raise NotImplementedError
 
     def describe(self) -> str:

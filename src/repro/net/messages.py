@@ -3,12 +3,9 @@
 from __future__ import annotations
 
 import dataclasses
-import itertools
 import typing
 
 from repro.net.addresses import Endpoint
-
-_msg_ids = itertools.count(1)
 
 
 @dataclasses.dataclass
@@ -18,7 +15,10 @@ class Datagram:
     ``payload`` is an arbitrary Python object (the serialization layer
     decides what bytes it would be); ``size_bytes`` is what the latency
     model charges for.  ``reply_to`` lets request/response protocols
-    route answers without a connection abstraction.
+    route answers without a connection abstraction.  ``msg_id`` is
+    stamped by the transport from its internetwork's counter
+    (:meth:`~repro.net.internet.Internetwork.next_msg_id`, from 1); a
+    datagram built by hand is unstamped, ``0``.
     """
 
     source: Endpoint
@@ -26,7 +26,7 @@ class Datagram:
     payload: object
     size_bytes: int = 0
     reply_to: typing.Optional[Endpoint] = None
-    msg_id: int = dataclasses.field(default_factory=lambda: next(_msg_ids))
+    msg_id: int = 0
 
     def __post_init__(self) -> None:
         if self.size_bytes < 0:

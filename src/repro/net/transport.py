@@ -17,7 +17,8 @@ failure behaviour:
 
 Kernel budget, besides the handler's own charges (``tests/net/test_event_budget.py``):
 a request/response is 3 heap entries (wire, reply and deadline ``Timeout``) and
-1 process (the handler); a stream adds its connect; a broadcast target is 1 and 1.
+1 process (the handler); a stream adds its connect; a broadcast target is 1 and 1
+(1 and 0 when its handler returns ``None``).
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from repro.net.errors import (
 from repro.net.host import Host
 from repro.net.messages import Datagram
 from repro.net.addresses import Endpoint
+from repro.sim.events import Event
 
 if typing.TYPE_CHECKING:  # pragma: no cover
     from repro.net.internet import Internetwork
@@ -110,8 +112,9 @@ class Transport:
         """Run after the wire delay: hand the message to the bound service.
 
         ``reply_event`` (may be None for one-way sends) is failed or
-        succeeded according to what the service does.  The handler's
-        first segment runs here, inside the delivery.
+        succeeded according to what the service does.  A generator
+        handler's first segment runs here, inside the delivery; ``None``
+        (:meth:`~repro.net.host.Service.handle`) starts no process.
         """
         env = self.env
         dst_host = self.internet.host_at(datagram.destination.address)
@@ -129,8 +132,11 @@ class Transport:
             return
         self._delivered.increment()
         exchange = _Exchange(self, datagram, dst_host, reply_event)
+        handler = service.handle(datagram, exchange.respond)
+        if handler is None:
+            return
         env.process(
-            exchange.run_handler(service), name=f"{self.name}.handler", inline=True
+            exchange.run_handler(handler), name=f"{self.name}.handler", inline=True
         )
 
 
@@ -148,10 +154,10 @@ class _Exchange:
         self.reply_event = reply_event
         self.replied = False
 
-    def run_handler(self, service) -> typing.Generator:
+    def run_handler(self, handler: typing.Generator) -> typing.Generator:
         reply_event = self.reply_event
         try:
-            yield from service.handle(self.datagram, self.respond)
+            yield from handler
         except BaseException as exc:  # noqa: BLE001 - carried to caller
             if reply_event is not None and not reply_event.triggered:
                 reply_event.fail(RemoteCallError(exc))
@@ -252,17 +258,21 @@ class DatagramTransport(Transport):
         if not src_host.is_up:
             raise HostDown(f"source host {src_host.name} is down")
         env = self.env
-        segment, _ = self.internet._route(src_host.address, src_host.address)
+        src_address = src_host.address
+        # Every target is on the source's own segment: that is the route.
+        segment, _ = self.internet._route(src_address, src_address)
+        would_drop = segment.would_drop
+        deliver = self._deliver
         replies: typing.List[object] = []
         first = env.event()
 
         def arrive(trip):
             datagram = trip._value
-            if segment.would_drop(src_host.address, datagram.destination.address):
+            if would_drop(src_address, datagram.destination.address):
                 return
-            collector = env.event()
+            collector = Event(env)
             collector.callbacks.append(collect)
-            self._deliver(datagram, collector)
+            deliver(datagram, collector)
 
         def collect(event):
             if not event.ok:
@@ -274,18 +284,18 @@ class DatagramTransport(Transport):
 
         # One timed callback per target: its own delay draw now, its own
         # drop check when the packet lands.
+        ephemeral_endpoint = src_host.ephemeral_endpoint
+        next_msg_id = self.internet.next_msg_id
+        delay_for = segment.delay_for
+        call_later = env.call_later
         for target in segment.hosts:
             if target is src_host:
                 continue
             datagram = Datagram(
-                source=src_host.ephemeral_endpoint(),
-                destination=Endpoint(target.address, port),
-                payload=payload,
-                size_bytes=size_bytes,
-                msg_id=self.internet.next_msg_id(),
+                ephemeral_endpoint(), Endpoint(target.address, port),
+                payload, size_bytes, None, next_msg_id(),
             )
-            delay = self._wire_delay(src_host, target.address, size_bytes)
-            env.call_later(delay, arrive, datagram)
+            call_later(delay_for(size_bytes), arrive, datagram)
         self._broadcasts.increment()
         if first_only:
             timer = env.timeout(wait_ms)

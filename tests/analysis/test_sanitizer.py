@@ -1,11 +1,17 @@
 """Interleaving sanitizer: happens-before reconstruction and hazards."""
 
+import types
+
 import pytest
 
 from repro.analysis import InterleavingSanitizer
+from repro.analysis.perturb import monitored
+from repro.discovery.beacon import OBSERVE_COST_MS
 from repro.net import DatagramTransport, Internetwork, Service
+from repro.resolution import DiscoveryPolicy
 from repro.sim import ConstantLatency, Environment, Resource
 from repro.sim.kernel import STANDING_MS
+from repro.workloads.adhoc import build_adhoc_world
 
 
 class Box:
@@ -449,3 +455,137 @@ def test_lane_promotion_is_invisible_to_the_sanitizer():
     assert hazards(synchronised=True) == []
     (hazard,) = hazards(synchronised=False)
     assert (hazard.label, hazard.field) == ("box", "value")
+
+
+# ----------------------------------------------------------------------
+# Callbacks that run in no process (call_later, a charge's) are not
+# set-up code: what they touch is recorded, in a segment of their own.
+# ----------------------------------------------------------------------
+def test_a_timed_callbacks_write_races_a_sleeper_and_orders_what_it_wakes():
+    env = Environment(seed=0)
+    sanitizer = InterleavingSanitizer.attach(env)
+    box = sanitizer.watch(Box(), "box")
+    gate = env.event()
+
+    def write_then_open(_timeout):
+        box.value = 1
+        gate.succeed(None)
+
+    def scheduler():
+        box.value = 0  # before the callback it schedules, in every schedule
+        env.call_later(5, write_then_open)
+        yield env.timeout(9)
+        _ = box.value  # after it only by the clock
+
+    def sleeper():
+        yield env.timeout(5)
+        _ = box.value
+
+    def waiter():
+        yield gate
+        _ = box.value
+
+    for body in (scheduler, sleeper, waiter):
+        env.process(body(), name=body.__name__)
+    env.run()
+
+    # the callback is after the segment that scheduled it and before the
+    # one it woke; against a sleeper, or its own scheduler's later read,
+    # only the clock orders it
+    assert {
+        (h.first.kind, str(h.first.segment), h.second.kind, str(h.second.segment))
+        for h in sanitizer.report()
+    } == {
+        ("w", "scheduler#0@0ms", "r", "sleeper#1@5ms"),
+        ("w", "callback#0@5ms", "r", "sleeper#1@5ms"),
+        ("w", "callback#0@5ms", "r", "scheduler#1@9ms"),
+    }
+
+
+def test_two_callbacks_one_segment_scheduled_are_not_each_others_program_order():
+    env = Environment(seed=0)
+    sanitizer = InterleavingSanitizer.attach(env)
+    box = sanitizer.watch(Box(), "box")
+
+    def write(timeout):
+        box.value = timeout._value
+
+    def scheduler():
+        env.call_later(5, write, "a")
+        env.call_later(5, write, "b")
+        yield env.timeout(1)
+
+    env.process(scheduler(), name="scheduler")
+    env.run()
+    (hazard,) = sanitizer.report()
+    assert {hazard.first.kind, hazard.second.kind} == {"w"}
+    assert hazard.first.segment.process_name == "callback"
+    assert hazard.first.segment.process_key != hazard.second.segment.process_key
+
+
+def _generator_listener(self, datagram, responder):
+    """``BeaconService.handle`` for a beacon as a process: one charge,
+    then absorb — the form the process-less one replaced."""
+    yield self.host.cpu.compute(OBSERVE_COST_MS)
+    if datagram.payload.verify(self.secret):
+        self.cache.observe(datagram.payload)
+
+
+@pytest.fixture
+def beacon_absorbed_mid_probe():
+    """``run(as_process)``: the hazards on host 0's view when its
+    watchdog scans, parks probing a silent owner, and a live owner's
+    beacon is absorbed meanwhile."""
+
+    def run(as_process):
+        policy = DiscoveryPolicy(beacon_period_ms=500.0, watchdog_multiplier=2.0)
+        with monitored(InterleavingSanitizer):
+            world = build_adhoc_world(3, policy=policy, host_count=3)
+        env, sanitizer = world.env, world.env.monitor
+        listener = world.beacons[0]
+        if as_process:
+            listener.handle = types.MethodType(_generator_listener, listener)
+        view = listener.cache
+        observe, entries = view.observe, view.entries
+
+        def watched_observe(beacon):
+            sanitizer.record_write("view", "_entries")
+            return observe(beacon)
+
+        def watched_entries():
+            sanitizer.record_read("view", "_entries")
+            return entries()
+
+        view.observe, view.entries = watched_observe, watched_entries
+        world.beacons[1].announce("silent", 9001)
+        world.beacons[2].announce("live", 9002)
+        env.run(until=1_200.0)
+        world.hosts[1].crash()  # its entry lapses; the probe goes unanswered
+        env.run(until=4_000.0)
+        # both listeners probed it and gave up
+        assert env.stats.counter("discovery.evict.probe_failed").value == 2
+        return [
+            (h.first.kind, str(h.first.segment), h.first.time,
+             h.second.kind, h.second.segment.process_name, h.second.time)
+            for h in sanitizer.report()
+            if h.first.segment.process_name == "adhoc0.watchdog"
+        ]
+
+    return run
+
+
+def test_a_beacon_absorbed_without_a_process_is_the_same_hazard(
+    beacon_absorbed_mid_probe,
+):
+    as_process = beacon_absorbed_mid_probe(True)
+    process_less = beacon_absorbed_mid_probe(False)
+    # the scan's read against a beacon absorbed while the probe is out
+    # (and against the host's own beacon loop, a process either way)
+    assert any(
+        hazard[0] == "r" and hazard[3:5] == ("w", "udp.handler")
+        for hazard in as_process
+    )
+    assert process_less == [
+        hazard[:4] + (hazard[4].replace("udp.handler", "callback"),) + hazard[5:]
+        for hazard in as_process
+    ]

@@ -2,9 +2,12 @@
 
 A wire trip, a charge and a reply are heap entries; starting the
 handler, triggering the reply event, firing the ``AnyOf`` and finishing
-a process nobody waits on are not.  Counts are ``env.kernel_counters()``
+a process nobody waits on are not.  A handler that returns ``None``
+costs the same entries and no process.  Counts are ``env.kernel_counters()``
 deltas taken outside the run, with the queue drained on both sides.
 """
+
+import functools
 
 import pytest
 
@@ -30,6 +33,30 @@ class ChargingEcho(Service):
             yield self.host.cpu.compute(0.25)
         if self.answers:
             responder((self.host.name, datagram.payload), 32)
+
+
+class ChargingSink(Service):
+    """The process-less form: ``charges`` chained CPU charges, each
+    hung on the one before, and ``handle`` returns ``None``."""
+
+    def __init__(self, host, charges, fault=None):
+        self.host = host
+        self.charges = charges
+        self.fault = fault
+        self.absorbed = 0
+
+    def handle(self, datagram, responder):
+        self._charge(self.charges)
+
+    def _charge(self, left, _charge=None):
+        if left:
+            self.host.cpu.compute(0.25).callbacks.append(
+                functools.partial(self._charge, left - 1)
+            )
+            return
+        if self.fault is not None:
+            raise self.fault
+        self.absorbed += 1
 
 
 class World:
@@ -114,6 +141,37 @@ def test_broadcast_is_one_entry_per_target_plus_charges_and_replies(charges, ans
     # per target: wire Timeout + charges (+ reply Timeout); plus the wait
     assert entries == neighbours * (1 + charges + answers) + 1
     assert started == ["udp.handler"] * neighbours
+
+
+@pytest.mark.parametrize("charges", [0, 1, 2])
+def test_broadcast_to_handlers_that_return_none_starts_no_process(charges):
+    neighbours = 4
+    world = World(hosts=neighbours + 1)
+    sinks = [ChargingSink(host, charges) for host in world.hosts[1:]]
+    for sink in sinks:
+        sink.host.bind(4000, sink)
+    udp = DatagramTransport(world.net)
+    replies, entries, started = world.cost(
+        udp.broadcast(world.hosts[0], 4000, "tell", 16, wait_ms=50)
+    )
+    assert replies == [] and [sink.absorbed for sink in sinks] == [1] * neighbours
+    # per target: wire Timeout + charges, exactly the generator form's
+    assert entries == neighbours * (1 + charges) + 1
+    assert started == []
+
+
+@pytest.mark.parametrize("charges", [0, 1])
+def test_a_process_less_handler_that_raises_surfaces_from_run(charges):
+    """A generator handler's exception is an answer (``RemoteCallError``
+    to whoever waits, defused by a broadcast's collector); with no
+    process there is nobody to carry it, so it is the simulation's."""
+    world = World(hosts=2)
+    sender, listener = world.hosts
+    listener.bind(4000, ChargingSink(listener, charges, fault=KeyError("listener bug")))
+    udp = DatagramTransport(world.net)
+    world.env.process(udp.broadcast(sender, 4000, "tell", 16, wait_ms=50))
+    with pytest.raises(KeyError, match="listener bug"):
+        world.env.run()
 
 
 def test_first_only_broadcast_returns_inside_the_first_reply():
