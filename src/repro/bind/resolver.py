@@ -65,7 +65,7 @@ _NEGATIVE = object()
 
 
 @memoised
-def _cache_key(
+def cache_key(
     name: typing.Union[str, DomainName], rtype: RRType
 ) -> typing.Tuple[str, int]:
     """Where (name, rtype) lives in the cache: the canonical lower-case
@@ -193,16 +193,21 @@ class BindResolver:
         Raises :class:`NameNotFound` on NXDOMAIN.  This is a process
         generator: drive it with ``yield from`` inside a simulation.
         """
-        key = _cache_key(name, rtype)
+        key = cache_key(name, rtype)
         with self.env.obs.span(
             "bind.lookup",
             resolver=self.name,
             owner=key[0],
-            rtype=rtype.name,
+            rtype=rtype._name_,  # .name is a property: two frames a lookup
         ) as span:
-            if self.cache is not None:
-                records = yield from self._probe_cache(key, rtype, span)
-                if records is not None:
+            cache = self.cache
+            if cache is not None:
+                entry, cost = cache.probe(key)
+                yield self.host.cpu.compute(cost)
+                if entry is not None:
+                    records, cost = self.read_hit(key, entry, span)
+                    yield self.host.cpu.compute(cost)
+                    self.hit_landed(key, entry)
                     span.set(outcome="hit")
                     return records
             span.set(outcome="miss")
@@ -211,41 +216,57 @@ class BindResolver:
             )
             return records
 
-    def _probe_cache(
+    # A cache hit is two charges, and the frame that yields them writes
+    # the steps out itself — no generator sits between it and the cache:
+    #
+    #     entry, cost = cache.probe(key)
+    #     yield cpu.compute(cost)
+    #     if entry is not None:
+    #         records, cost = resolver.read_hit(key, entry)
+    #         yield cpu.compute(cost)
+    #         resolver.hit_landed(key, entry)
+    #
+    # The entry is read at the instant of the probe charge, a negative
+    # one raises after that charge, and the hit is counted (and renewed
+    # ahead of expiry) once the copy has been paid for.
+    def read_hit(
         self,
         key: typing.Tuple[str, int],
-        rtype: RRType,
+        entry: CacheEntry,
         span: "SpanLike" = NULL_SPAN,
-    ) -> typing.Generator:
-        """Cache-only resolution: records on a fresh hit, else None.
+    ) -> typing.Tuple[typing.List[ResourceRecord], float]:
+        """The records a probed entry holds and the cost of the copy.
 
-        Charges the probe and hit costs, honours negative entries
-        (raising :class:`NameNotFound`), and spawns a refresh-ahead
-        renewal when the hit lands inside the fast path's refresh window.
+        Raises :class:`NameNotFound` when the entry is a cached NXDOMAIN.
         """
-        env = self.env
-        assert self.cache is not None
-        entry, probe_cost = self.cache.probe(key)
-        yield self.host.cpu.compute(probe_cost)
-        if entry is None:
-            return None
         if entry.payload is _NEGATIVE:
             span.set(outcome="negative")
-            env.stats.counter(f"bind.{self.name}.negative_hits").increment()
-            raise NameNotFound(f"{key[0]} {rtype} (negatively cached)")
-        records, hit_cost = self._read_entry(entry)
-        yield self.host.cpu.compute(hit_cost)
+            self.env.stats.counter(f"bind.{self.name}.negative_hits").increment()
+            raise NameNotFound(f"{key[0]} {RRType(key[1])} (negatively cached)")
+        cache = self.cache
+        assert cache is not None
+        if cache.format is CacheFormat.MARSHALLED:
+            return self._read_entry(entry)
+        # ResolverCache.hit_cost of a demarshalled entry, inline.
+        calibration = cache.calibration
+        return list(entry.payload), (
+            calibration.cache_copy_base_ms
+            + calibration.cache_copy_per_record_ms * entry.record_count
+        )
+
+    def hit_landed(self, key: typing.Tuple[str, int], entry: CacheEntry) -> None:
+        """Count a paid-for hit; renew ``entry`` in the background when
+        it is inside the fast path's refresh window."""
         self._cache_hits.increment()
         fraction = self._refresh_fraction
         if fraction and self.cache.needs_refresh(entry, fraction):
             self._flights.refresh_ahead(
                 key,
                 entry,
-                lambda: self._fetch(key, rtype, background=True),
+                lambda: self._fetch(key, RRType(key[1]), background=True),
                 resolver=self.name,
                 owner=key[0],
             )
-        return records
 
     def _read_entry(
         self, entry: CacheEntry
@@ -288,22 +309,6 @@ class BindResolver:
         return cache.insert(
             key, payload, len(records), min(r.ttl for r in records)
         )
-
-    def cached_records(
-        self,
-        name: typing.Union[str, DomainName],
-        rtype: RRType = RRType.A,
-    ) -> typing.Generator:
-        """Public cache-only probe: records, or None on a miss.
-
-        Same costs, counters, negative handling, and refresh-ahead
-        side effects as the probe inside :meth:`lookup` — the batched
-        FindNSM path uses this to decide which mappings it still needs.
-        """
-        if self.cache is None:
-            return None
-        records = yield from self._probe_cache(_cache_key(name, rtype), rtype)
-        return records
 
     # The miss step shared by :meth:`lookup` and :meth:`lookup_batch`,
     # one of these two, picked in the constructor.  ``fetch()`` returns
@@ -699,7 +704,7 @@ class BindResolver:
                 and negative_ttl_ms > 0
             ):
                 # Only literal questions know their owner client-side.
-                owner_key = _cache_key(question.name, question.rtype)
+                owner_key = cache_key(question.name, question.rtype)
                 insert_cost = cache.insert(
                     owner_key, _NEGATIVE, 0, negative_ttl_ms
                 )
@@ -730,7 +735,7 @@ class BindResolver:
                     return None
                 owner = substitute_label(owner, value)
             records = yield from self._serve_stale(
-                _cache_key(owner, question.rtype), err
+                cache_key(owner, question.rtype), err
             )
             if not records:
                 return None

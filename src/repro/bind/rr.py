@@ -31,6 +31,10 @@ class RRType(enum.Enum):
     TXT = 16     # free text
     UNSPEC = 103 # HNS modification: data of unspecified type
 
+    # Members are singletons: hash by identity in C, not Enum's
+    # ``hash(self._name_)`` frame on every memoised cache-key call.
+    __hash__ = object.__hash__
+
     def __str__(self) -> str:
         return self.name
 

@@ -42,7 +42,6 @@ from repro.resolution import CircuitBreakerRegistry, PolicySet, retrying
 from repro.sim.events import Event
 
 if typing.TYPE_CHECKING:  # pragma: no cover
-    from repro.obs.span import SpanLike
     from repro.sim.stats import Counter
 
 HOST_ADDRESS_QC = "HostAddress"
@@ -85,7 +84,7 @@ class HNS:
         #: how FindNSM reaches the NSM's record and its host's address:
         #: the paper's six sequential mappings, or two batched round trips
         if policies.fast_path.batch_meta_lookups:
-            self._meta_mappings = self._batched_mappings
+            self._meta_mappings = metastore.find_nsm_bundle
             self._resolve_host = self._resolve_nsm_host_fast
         else:
             self._meta_mappings = self._sequential_mappings
@@ -161,14 +160,19 @@ class HNS:
             self._find_nsm_count.increment()
             # Fixed library bookkeeping.
             yield self.host.cpu.compute(self.calibration.hns_fixed_ms)
-            found = yield from self._meta_mappings(
-                hns_name.context, query_class, span
+            ns_name, nsm_name, record = yield from self._meta_mappings(
+                hns_name.context, query_class
             )
-            if isinstance(found, LocalNsmBinding):
+            span.set(ns=ns_name, nsm=nsm_name)
+            # Degradation ladder, last rung: a tripped breaker short-circuits
+            # before anything more is spent on a dead NSM.
+            reroute = self._breaker_reroute(nsm_name)
+            if reroute is not None:
                 span.set(outcome="breaker_reroute")
-                return found
-            ns_name, record = found
-            nsm_name = record.name
+                return reroute
+            if record is None:
+                # Mapping 3: NSM name -> NSM binding information.
+                record = yield from self.metastore.nsm_record(nsm_name)
             if env.trace.enabled:
                 env.trace.emit(
                     "hns",
@@ -203,42 +207,20 @@ class HNS:
                 metadata={"nsm": nsm_name, "name_service": ns_name},
             )
 
-    # Mappings 1-3, one of these two, picked in the constructor.  Either
-    # returns ``(name service name, NsmRecord)`` — or the linked-in copy
-    # the breaker rerouted to, which ends the FindNSM there.
+    # Mappings 1-3, picked in the constructor: the meta store's chained
+    # batch, or this.  Either returns ``(name service name, NSM name,
+    # NsmRecord)``, which the breaker check follows; the batch has already
+    # carried mapping 3 by then, the sequential path has not.
     def _sequential_mappings(
-        self, context: str, query_class: str, span: "SpanLike"
+        self, context: str, query_class: str
     ) -> typing.Generator:
-        """The prototype's three meta lookups, one round trip each."""
+        """The prototype's first two meta lookups, one round trip each;
+        the record is None, so mapping 3 waits for the breaker check."""
         # Mapping 1: context -> name service name.
         ns_name = yield from self.metastore.context_to_name_service(context)
         # Mapping 2: (name service, query class) -> NSM name.
         nsm_name = yield from self.metastore.nsm_name_for(ns_name, query_class)
-        span.set(ns=ns_name, nsm=nsm_name)
-        # Degradation ladder, last rung: a tripped breaker short-circuits
-        # before mapping 3 spends anything more on a dead NSM.
-        reroute = self._breaker_reroute(nsm_name)
-        if reroute is not None:
-            return reroute
-        # Mapping 3: NSM name -> NSM binding information.
-        record = yield from self.metastore.nsm_record(nsm_name)
-        return ns_name, record
-
-    def _batched_mappings(
-        self, context: str, query_class: str, span: "SpanLike"
-    ) -> typing.Generator:
-        """Mappings 1-3 as one chained batch (at most one round trip;
-        none when the cache holds the whole chain)."""
-        ns_name, nsm_name, record = yield from (
-            self.metastore.find_nsm_bundle(context, query_class)
-        )
-        span.set(ns=ns_name, nsm=nsm_name)
-        # The breaker check runs afterwards — the batch already carried
-        # mapping 3, so there is nothing left to save by checking earlier.
-        reroute = self._breaker_reroute(nsm_name)
-        if reroute is not None:
-            return reroute
-        return ns_name, record
+        return ns_name, nsm_name, None
 
     def _breaker_reroute(
         self, nsm_name: str

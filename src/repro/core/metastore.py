@@ -45,7 +45,6 @@ from repro.core.errors import ContextNotFound, HnsError, NsmNotFound
 
 if typing.TYPE_CHECKING:  # pragma: no cover
     from repro.core.nsm import LeaseKeeper
-    from repro.obs.span import SpanLike
     from repro.sim.events import Event
 from repro.harness.calibration import Calibration, DEFAULT_CALIBRATION
 from repro.hrpc.suites import suite_named
@@ -54,6 +53,7 @@ from repro.net.addresses import Endpoint
 from repro.net.host import Host
 from repro.net.transport import Transport
 from repro.bind.messages import STATUS_OK, BatchQuestion
+from repro.bind.resolver import cache_key
 from repro.resolution import PolicySet
 
 META_ORIGIN = "hns"
@@ -86,6 +86,22 @@ def decode_fields(data: bytes) -> typing.Mapping[str, str]:
                 raise ValueError(f"malformed meta record field {part!r}")
             out[key] = value
     return types.MappingProxyType(out)
+
+
+def _mapping_error(
+    failed: int,
+    context: str,
+    query_class: str,
+    ns_name: typing.Optional[str],
+    nsm_name: typing.Optional[str],
+) -> HnsError:
+    """What the sequential path raises when mapping ``failed`` (0-2) has
+    no answer, given what the mappings before it found."""
+    if failed == 0:
+        return ContextNotFound(context)
+    if failed == 1:
+        return NsmNotFound(f"{query_class} on {ns_name or context}")
+    return NsmNotFound(nsm_name or f"{query_class} on {ns_name}")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -261,23 +277,20 @@ class MetaStore:
     # ------------------------------------------------------------------
     # Mapping lookups (each is "one data mapping" in the paper's terms)
     # ------------------------------------------------------------------
-    def _lookup_fields(self, owner: str) -> typing.Generator:
-        records = yield from self.resolver.lookup(owner, RRType.UNSPEC)
-        return decode_fields(records[0].data)
-
     def context_to_name_service(self, context: str) -> typing.Generator:
         """Mapping 1: context -> name service name."""
         with self.env.obs.span(
             "meta.context_to_ns", mapping=1, context=context
         ) as span:
             try:
-                fields = yield from self._lookup_fields(
-                    f"{context}.ctx.{META_ORIGIN}"
+                records = yield from self.resolver.lookup(
+                    f"{context}.ctx.{META_ORIGIN}", RRType.UNSPEC
                 )
             except NameNotFound as err:
                 raise ContextNotFound(context) from err
-            span.set(ns=fields["ns"])
-            return fields["ns"]
+            ns_name = decode_fields(records[0].data)["ns"]
+            span.set(ns=ns_name)
+            return ns_name
 
     def nsm_name_for(self, name_service: str, query_class: str) -> typing.Generator:
         """Mapping 2: (name service, query class) -> NSM name."""
@@ -286,11 +299,12 @@ class MetaStore:
             "meta.nsm_name", mapping=2, ns=name_service, query_class=query_class
         ) as span:
             try:
-                fields = yield from self._lookup_fields(owner)
+                records = yield from self.resolver.lookup(owner, RRType.UNSPEC)
             except NameNotFound as err:
                 raise NsmNotFound(f"{query_class} on {name_service}") from err
-            span.set(nsm=fields["nsm"])
-            return fields["nsm"]
+            nsm_name = decode_fields(records[0].data)["nsm"]
+            span.set(nsm=nsm_name)
+            return nsm_name
 
     def nsm_record(self, nsm_name: str) -> typing.Generator:
         """Mapping 3: NSM name -> NSM binding information."""
@@ -314,112 +328,72 @@ class MetaStore:
         chain on the earlier answers server-side.  Fully cached prefixes
         are probed locally, so a warm client sends nothing at all.
         """
+        resolver = self.resolver
+        cache = self.cache
+        cpu = self.host.cpu
         with self.env.obs.span(
             "meta.bundle", context=context, query_class=query_class
         ) as span:
-            result = yield from self._find_nsm_bundle(
-                context, query_class, span
-            )
-            return result
-
-    def _find_nsm_bundle(
-        self, context: str, query_class: str, span: "SpanLike"
-    ) -> typing.Generator:
-        ctx_owner = f"{context}.ctx.{META_ORIGIN}"
-        ns_name: typing.Optional[str] = None
-        nsm_name: typing.Optional[str] = None
-        try:
-            records = yield from self.resolver.cached_records(
-                ctx_owner, RRType.UNSPEC
-            )
-        except NameNotFound as err:
-            raise ContextNotFound(context) from err
-        if records is not None:
-            ns_name = decode_fields(records[0].data)["ns"]
-        if ns_name is not None:
-            try:
-                records = yield from self.resolver.cached_records(
-                    f"{query_class}.{ns_name}.q.{META_ORIGIN}", RRType.UNSPEC
-                )
-            except NameNotFound as err:
-                raise NsmNotFound(f"{query_class} on {ns_name}") from err
-            if records is not None:
-                nsm_name = decode_fields(records[0].data)["nsm"]
-        if nsm_name is not None:
-            try:
-                records = yield from self.resolver.cached_records(
-                    f"{nsm_name}.nsm.{META_ORIGIN}", RRType.UNSPEC
-                )
-            except NameNotFound as err:
-                raise NsmNotFound(nsm_name) from err
-            if records is not None:
-                span.set(ns=ns_name, nsm=nsm_name, cached=True)
-                return (
-                    ns_name,
-                    nsm_name,
-                    NsmRecord.from_fields(nsm_name, records[0].data),
-                )
-        # Build the chained batch for whatever suffix is still missing.
-        # ``stage`` tracks which mapping the first question answers so
-        # NXDOMAINs map onto the same errors the sequential path raises.
-        if ns_name is None:
-            questions = [
-                BatchQuestion(ctx_owner, RRType.UNSPEC),
-                BatchQuestion(
-                    f"{query_class}.*.q.{META_ORIGIN}",
-                    RRType.UNSPEC,
-                    chain_from=0,
-                    chain_field="ns",
-                ),
-                BatchQuestion(
-                    f"*.nsm.{META_ORIGIN}",
-                    RRType.UNSPEC,
-                    chain_from=1,
-                    chain_field="nsm",
-                ),
-            ]
+            ns_name: typing.Optional[str] = None
+            nsm_name: typing.Optional[str] = None
+            # The cached prefix, one hit (a probe and a copy charge) per
+            # mapping; ``stage`` is the mapping (0-2) ``owner`` answers.
             stage = 0
-        elif nsm_name is None:
-            questions = [
+            owner = f"{context}.ctx.{META_ORIGIN}"
+            while True:
+                key = cache_key(owner, RRType.UNSPEC)
+                entry, cost = cache.probe(key)
+                yield cpu.compute(cost)
+                if entry is None:
+                    break
+                try:
+                    records, cost = resolver.read_hit(key, entry)
+                except NameNotFound as err:
+                    raise _mapping_error(
+                        stage, context, query_class, ns_name, nsm_name
+                    ) from err
+                yield cpu.compute(cost)
+                resolver.hit_landed(key, entry)
+                data = records[0].data
+                if stage == 2:
+                    span.set(ns=ns_name, nsm=nsm_name, cached=True)
+                    return ns_name, nsm_name, NsmRecord.from_fields(nsm_name, data)
+                if stage == 0:
+                    ns_name = decode_fields(data)["ns"]
+                    owner = f"{query_class}.{ns_name}.q.{META_ORIGIN}"
+                else:
+                    nsm_name = decode_fields(data)["nsm"]
+                    owner = f"{nsm_name}.nsm.{META_ORIGIN}"
+                stage += 1
+            # One chained batch for the missing suffix: ``owner`` first,
+            # each later mapping chained on the answer before it.
+            chained = (
+                (f"{query_class}.*.q.{META_ORIGIN}", "ns"),
+                (f"*.nsm.{META_ORIGIN}", "nsm"),
+            )
+            questions = [BatchQuestion(owner, RRType.UNSPEC)] + [
                 BatchQuestion(
-                    f"{query_class}.{ns_name}.q.{META_ORIGIN}", RRType.UNSPEC
-                ),
-                BatchQuestion(
-                    f"*.nsm.{META_ORIGIN}",
-                    RRType.UNSPEC,
-                    chain_from=0,
-                    chain_field="nsm",
-                ),
+                    template, RRType.UNSPEC, chain_from=i, chain_field=field
+                )
+                for i, (template, field) in enumerate(chained[stage:])
             ]
-            stage = 1
-        else:
-            questions = [
-                BatchQuestion(f"{nsm_name}.nsm.{META_ORIGIN}", RRType.UNSPEC)
-            ]
-            stage = 2
-        answers = yield from self.resolver.lookup_batch(questions)
-        for offset, answer in enumerate(answers):
-            if answer.status == STATUS_OK and answer.records:
-                continue
-            failed = stage + offset
-            if failed == 0:
-                raise ContextNotFound(context)
-            if failed == 1:
-                raise NsmNotFound(f"{query_class} on {ns_name or context}")
-            raise NsmNotFound(nsm_name or f"{query_class} on {ns_name}")
-        if stage == 0:
-            ns_name = decode_fields(answers[0].records[0].data)["ns"]
-            nsm_name = decode_fields(answers[1].records[0].data)["nsm"]
-        elif stage == 1:
-            nsm_name = decode_fields(answers[0].records[0].data)["nsm"]
-        assert ns_name is not None and nsm_name is not None
-        span.set(ns=ns_name, nsm=nsm_name, cached=False)
-        nsm_answer = answers[-1]
-        return (
-            ns_name,
-            nsm_name,
-            NsmRecord.from_fields(nsm_name, nsm_answer.records[0].data),
-        )
+            answers = yield from resolver.lookup_batch(questions)
+            for offset, answer in enumerate(answers):
+                if answer.status != STATUS_OK or not answer.records:
+                    raise _mapping_error(
+                        stage + offset, context, query_class, ns_name, nsm_name
+                    )
+            if stage == 0:
+                ns_name = decode_fields(answers[0].records[0].data)["ns"]
+            if stage < 2:
+                nsm_name = decode_fields(answers[1 - stage].records[0].data)["nsm"]
+            assert ns_name is not None and nsm_name is not None
+            span.set(ns=ns_name, nsm=nsm_name, cached=False)
+            return (
+                ns_name,
+                nsm_name,
+                NsmRecord.from_fields(nsm_name, answers[-1].records[0].data),
+            )
 
     def name_service_record(self, ns_name: str) -> typing.Generator:
         """Descriptor lookup (used by admin tooling and NSM bootstrap)."""
@@ -445,8 +419,8 @@ class MetaStore:
         """
         owner = f"{self.host_label(host_name)}.addr.{META_ORIGIN}"
         with self.env.obs.span("meta.host_address", host=host_name):
-            fields = yield from self._lookup_fields(owner)
-            return fields["addr"]
+            records = yield from self.resolver.lookup(owner, RRType.UNSPEC)
+            return decode_fields(records[0].data)["addr"]
 
     # ------------------------------------------------------------------
     # Registration (dynamic updates to the modified BIND)

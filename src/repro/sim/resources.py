@@ -272,6 +272,9 @@ class CPU(Resource):
             raise ValueError(f"speed_factor must be positive, got {speed_factor}")
         super().__init__(env, capacity=1, name=name)
         self.speed_factor = speed_factor
+        if speed_factor == 1.0:
+            # x / 1.0 == x exactly, so a full-speed charge is use() itself.
+            self.compute = self.use  # type: ignore[method-assign]
 
     def compute(self, cost_ms: float, background: bool = False) -> Event:
         """Charge ``cost_ms`` of compute, scaled by the host's speed:

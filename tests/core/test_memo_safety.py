@@ -8,11 +8,13 @@ old, and the stats a digest sees do not depend on when a counter object
 was looked up.
 """
 
+import pickle
+
 import pytest
 
 from repro.bind import DomainName, ResolverCache, RRType
 from repro.bind.names import _parse
-from repro.bind.resolver import _cache_key
+from repro.bind.resolver import cache_key
 from repro.core import HNSName, NsmRecord
 from repro.core.metastore import MetaStore, decode_fields, encode_fields
 from repro.hrpc import HRPCBinding
@@ -66,7 +68,7 @@ def test_decoded_fields_are_read_only_and_equal_the_plain_dict():
         ),
         pytest.param(lambda: NetworkAddress("1.2.3.999"), ValueError, id="bad-address"),
         pytest.param(lambda: DomainName("a..b"), ValueError, id="bad-domain-name"),
-        pytest.param(lambda: _cache_key("a..b", RRType.A), ValueError, id="bad-owner"),
+        pytest.param(lambda: cache_key("a..b", RRType.A), ValueError, id="bad-owner"),
     ],
 )
 def test_an_error_is_raised_on_every_call(derive, error):
@@ -99,7 +101,7 @@ def test_every_memo_has_the_one_shared_size():
     memos = [
         _parse,
         _octets,
-        _cache_key,
+        cache_key,
         decode_fields,
         NsmRecord.from_fields,
         MetaStore.host_label,
@@ -108,13 +110,29 @@ def test_every_memo_has_the_one_shared_size():
 
 
 def test_cache_key_is_the_canonical_owner_and_wire_type():
-    assert _cache_key("Fiji.CS.Washington.EDU.", RRType.A) == (
+    assert cache_key("Fiji.CS.Washington.EDU.", RRType.A) == (
         "fiji.cs.washington.edu", RRType.A.value,
     )
-    assert _cache_key(DomainName("fiji.cs"), RRType.UNSPEC) == (
+    assert cache_key(DomainName("fiji.cs"), RRType.UNSPEC) == (
         "fiji.cs", RRType.UNSPEC.value,
     )
-    assert _cache_key(".", RRType.A)[0] == str(DomainName("."))
+    assert cache_key(".", RRType.A)[0] == str(DomainName("."))
+
+
+def test_an_rrtype_hashes_by_identity_and_still_hits_the_memo():
+    # Members are singletons, so identity is the hash equality needs —
+    # and it is computed in C, not in a frame per memoised call.
+    assert RRType.__hash__ is object.__hash__
+    for rtype in RRType:
+        assert pickle.loads(pickle.dumps(rtype)) is rtype
+        assert RRType(rtype.value) is rtype is RRType[rtype.name]
+        assert rtype == rtype and rtype != rtype.value
+        assert {rtype: "x"}[RRType(rtype.value)] == "x"
+    assert RRType.A != RRType.CNAME
+    before = cache_key.cache_info().hits
+    first = cache_key("memo-rrtype.example", RRType.UNSPEC)
+    assert cache_key("memo-rrtype.example", RRType.UNSPEC) is first
+    assert cache_key.cache_info().hits == before + 1
 
 
 # ----------------------------------------------------------------------

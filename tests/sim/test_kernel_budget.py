@@ -119,12 +119,14 @@ def _process_start_to_unwaited_exit():
         # 5.0 — env.timeout, Timeout.__init__ | _resume and the
         # driver's two frames (8.0 before: push, _step, _add_callback)
         pytest.param(_timeout_round_trip, 6, 1, id="timeout-round-trip"),
-        # 7.0 — compute, use, Charge.__init__ | _free, _resume, two
-        # frames (11.0 before: use()'s frame entered and resumed)
-        pytest.param(_uncontended_charge, 8, 1, id="uncontended-charge"),
-        # 19.0 with the rival's inline process and charge (42.0 and 3
-        # entries before: a grant event, a wake-up to start the hold)
-        pytest.param(_contended_charge, 21, 2, id="contended-charge"),
+        # 6.0 — use (bound as compute at speed 1.0), Charge.__init__ |
+        # _free, _resume, two frames (7.0 while compute was a frame of
+        # its own, 11.0 while use()'s frame was entered and resumed)
+        pytest.param(_uncontended_charge, 6.5, 1, id="uncontended-charge"),
+        # 17.0 with the rival's inline process and charge (19.0 with
+        # compute's two frames, 42.0 and 3 entries with a grant event
+        # and a wake-up to start the hold)
+        pytest.param(_contended_charge, 17.5, 2, id="contended-charge"),
         # 14.0 with the driver's own timeout (26.0 before)
         pytest.param(
             _process_start_to_unwaited_exit, 16, 3, id="process-start-to-exit"
@@ -143,6 +145,44 @@ def test_kernel_primitive_budget(measure, max_python_calls, heap_entries):
     )
     assert entries == heap_entries
     assert python_calls <= max_python_calls
+
+
+def test_a_full_speed_charge_is_use_and_other_speeds_still_scale():
+    """``CPU.compute`` is ``use`` itself at speed 1.0 (``x / 1.0 == x``
+    exactly), so every charge ends where the scaling method says."""
+    costs = [0.1, 1 / 3, 2.7, 0.0, 1e-9, 12.5]
+
+    def ends(speed, charge):
+        env = Environment()
+        cpu = CPU(env, speed_factor=speed)
+        times = []
+
+        def body():
+            for cost in costs:
+                yield charge(cpu, cost)
+                times.append(env.now)
+
+        env.run(until=env.process(body()))
+        return times
+
+    def bound(cpu, cost):
+        return cpu.compute(cost)
+
+    def scaling(cpu, cost):
+        return CPU.compute(cpu, cost)
+
+    def unscaled(cpu, cost):
+        return cpu.use(cost)
+
+    full = CPU(Environment())
+    assert full.compute == full.use
+    assert ends(1.0, bound) == ends(1.0, scaling) == ends(1.0, unscaled)
+    for speed in (0.5, 2.0):
+        assert CPU(Environment(), speed_factor=speed).compute.__func__ is CPU.compute
+        assert ends(speed, bound) == ends(speed, scaling) != ends(speed, unscaled)
+    for bad in (-1.0, float("nan")):
+        with pytest.raises(ValueError):
+            full.compute(bad)
 
 
 def test_standing_timers_of_one_delay_keep_one_heap_entry():
