@@ -68,7 +68,7 @@ class PrimaryClient:
             self._marshallers[type(request)] = marshaller
         request_bytes, marshal_cost = marshaller.encode(request.to_idl())
         yield self.host.cpu.compute(marshal_cost)
-        reply = yield from self.transport.request(
+        reply = yield self.transport.request(
             self.host, self.server, request, len(request_bytes), timeout_ms
         )
         if not isinstance(reply, reply_type):

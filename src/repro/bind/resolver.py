@@ -504,7 +504,7 @@ class BindResolver:
         for endpoint in [self.server] + self.secondaries:
             with self.env.obs.span("bind.leg", endpoint=str(endpoint)) as leg:
                 try:
-                    reply = yield from self.transport.request(
+                    reply = yield self.transport.request(
                         self.host,
                         endpoint,
                         payload,
@@ -567,7 +567,7 @@ class BindResolver:
                     hedge=hedge,
                 ) as lspan:
                     try:
-                        reply = yield from self.transport.request(
+                        reply = yield self.transport.request(
                             self.host,
                             state.endpoint,
                             payload,

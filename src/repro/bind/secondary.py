@@ -124,7 +124,7 @@ class SecondaryBindServer(BindServer):
         as a fresh zone.
         """
         request = SerialRequest(zone.origin)
-        reply = yield from self.transport.request(
+        reply = yield self.transport.request(
             self.host, self.primary, request, 48
         )
         if not isinstance(reply, SerialResponse) or reply.status != STATUS_OK:
@@ -199,7 +199,7 @@ class SecondaryBindServer(BindServer):
             request = NotifySubscribeRequest(
                 zone.origin, str(self.endpoint.address), self.endpoint.port
             )
-            reply = yield from self.transport.request(
+            reply = yield self.transport.request(
                 self.host, self.primary, request, 64
             )
             if (

@@ -1,4 +1,4 @@
-"""The BIND server process.
+"""The BIND server.
 
 One class serves both roles from the paper:
 
@@ -176,31 +176,39 @@ class BindServer(Service):
     # Service interface
     # ------------------------------------------------------------------
     def handle(self, datagram, responder):
+        """Dispatch on the request kind, returning what its method does.
+
+        Every kind but an update batch answers from its charges'
+        callbacks (``responder.after``) and returns ``None``: no process.
+        The batch's ``bind.update`` span encloses its charges, so it is a
+        generator, and so may a subclass's override be.
+        """
         request = datagram.payload
         if isinstance(request, QueryRequest):
-            yield from self._handle_query(request, responder)
-        elif isinstance(request, BatchQueryRequest):
-            yield from self._handle_batch_query(request, responder)
-        elif isinstance(request, UpdateRequest):
-            yield from self._handle_update(request, responder)
-        elif isinstance(request, UpdateBatchRequest):
-            yield from self._handle_update_batch(request, responder)
-        elif isinstance(request, NotifySubscribeRequest):
-            yield from self._handle_subscribe(request, responder)
-        elif isinstance(request, NotifyRequest):
-            yield from self._handle_notify(request, responder)
-        elif isinstance(request, XferRequest):
-            yield from self._handle_xfer(request, responder)
-        elif isinstance(request, IxfrRequest):
-            yield from self._handle_ixfr(request, responder)
-        elif isinstance(request, SerialRequest):
-            yield from self._handle_serial(request, responder)
-        else:
-            reply, size, cost = self._encode_reply(
-                QueryResponse(STATUS_SERVFAIL, [])
-            )
-            yield self.host.cpu.compute(cost)
-            responder(reply, size)
+            return self._handle_query(request, responder)
+        if isinstance(request, BatchQueryRequest):
+            return self._handle_batch_query(request, responder)
+        if isinstance(request, UpdateRequest):
+            return self._handle_update(request, responder)
+        if isinstance(request, UpdateBatchRequest):
+            return self._handle_update_batch(request, responder)
+        if isinstance(request, NotifySubscribeRequest):
+            return self._handle_subscribe(request, responder)
+        if isinstance(request, NotifyRequest):
+            return self._handle_notify(request, responder)
+        if isinstance(request, XferRequest):
+            return self._handle_xfer(request, responder)
+        if isinstance(request, IxfrRequest):
+            return self._handle_ixfr(request, responder)
+        if isinstance(request, SerialRequest):
+            return self._handle_serial(request, responder)
+        self._reply(QueryResponse(STATUS_SERVFAIL, []), responder)
+        return None
+
+    def _reply(self, message, responder) -> None:
+        """Marshal ``message``, charge for it, then send it."""
+        reply, size, cost = self._encode_reply(message)
+        responder.after(self.host.cpu.compute(cost), responder, reply, size)
 
     def _answer_one(self, name: DomainName, rtype) -> QueryResponse:
         """The database side of one question (no cost accounting)."""
@@ -232,14 +240,30 @@ class BindServer(Service):
             for r in records
         ]
 
-    def _handle_query(self, request: QueryRequest, responder):
+    def _handle_query(self, request: QueryRequest, responder) -> None:
         self._requests.increment()
         self._queries.increment()
         # In-memory database walk: the calibrated fixed per-query cost.
-        yield self.host.cpu.compute(self.lookup_cost_ms)
+        responder.after(
+            self.host.cpu.compute(self.lookup_cost_ms),
+            self._answer_query,
+            request,
+            responder,
+        )
+
+    def _answer_query(self, request: QueryRequest, responder) -> None:
         reply = self._answer_one(request.name, request.rtype)
         reply, size, marshal_cost = self._encode_reply(reply)
-        yield self.host.cpu.compute(marshal_cost)
+        responder.after(
+            self.host.cpu.compute(marshal_cost),
+            self._send_answer,
+            request,
+            reply,
+            size,
+            responder,
+        )
+
+    def _send_answer(self, request: QueryRequest, reply, size, responder) -> None:
         if self.env.trace.enabled:
             self.env.trace.emit(
                 "bind",
@@ -249,7 +273,7 @@ class BindServer(Service):
             )
         responder(reply, size)
 
-    def _handle_batch_query(self, request: BatchQueryRequest, responder):
+    def _handle_batch_query(self, request: BatchQueryRequest, responder) -> None:
         """Answer several (possibly chained) questions in one exchange.
 
         Questions are resolved in order; each pays the full per-query
@@ -260,70 +284,109 @@ class BindServer(Service):
         """
         self._requests.increment()
         self._batches.increment()
-        answers: typing.List[QueryResponse] = []
-        for question in request.questions:
+        self._next_question(request, [], responder)
+
+    def _next_question(
+        self,
+        request: BatchQueryRequest,
+        answers: typing.List[QueryResponse],
+        responder,
+    ) -> None:
+        """Charge the walk for the next unanswered question, or reply."""
+        if len(answers) < len(request.questions):
             self._queries.increment()
-            yield self.host.cpu.compute(self.lookup_cost_ms)
-            name_text = question.name
-            if question.chain_from >= 0:
-                value = None
-                if 0 <= question.chain_from < len(answers):
-                    dep = answers[question.chain_from]
-                    if dep.status == STATUS_OK and dep.records:
-                        value = meta_field(
-                            dep.records[0].data, question.chain_field
-                        )
-                if value is None:
-                    answers.append(QueryResponse(STATUS_SERVFAIL, []))
-                    continue
-                name_text = substitute_label(name_text, value)
-            try:
-                name = DomainName(name_text)
-            except ValueError:
-                answers.append(QueryResponse(STATUS_SERVFAIL, []))
-                continue
-            answers.append(self._answer_one(name, question.rtype))
+            responder.after(
+                self.host.cpu.compute(self.lookup_cost_ms),
+                self._answer_question,
+                request,
+                answers,
+                responder,
+            )
+            return
         reply, size, marshal_cost = self._encode_reply(
             BatchQueryResponse(answers)
         )
-        yield self.host.cpu.compute(marshal_cost)
+        responder.after(
+            self.host.cpu.compute(marshal_cost),
+            self._send_batch,
+            request,
+            reply,
+            size,
+            responder,
+        )
+
+    def _answer_question(
+        self,
+        request: BatchQueryRequest,
+        answers: typing.List[QueryResponse],
+        responder,
+    ) -> None:
+        question = request.questions[len(answers)]
+        name_text = question.name
+        answer = None
+        if question.chain_from >= 0:
+            value = None
+            if 0 <= question.chain_from < len(answers):
+                dep = answers[question.chain_from]
+                if dep.status == STATUS_OK and dep.records:
+                    value = meta_field(dep.records[0].data, question.chain_field)
+            if value is None:
+                answer = QueryResponse(STATUS_SERVFAIL, [])
+            else:
+                name_text = substitute_label(name_text, value)
+        if answer is None:
+            try:
+                name = DomainName(name_text)
+            except ValueError:
+                answer = QueryResponse(STATUS_SERVFAIL, [])
+            else:
+                answer = self._answer_one(name, question.rtype)
+        answers.append(answer)
+        self._next_question(request, answers, responder)
+
+    def _send_batch(
+        self, request: BatchQueryRequest, reply, size, responder
+    ) -> None:
         if self.env.trace.enabled:
             self.env.trace.emit(
                 "bind",
                 f"{self.name}: batch of {len(request.questions)} -> "
-                f"{sum(1 for a in answers if a.status == STATUS_OK)} OK",
+                f"{sum(1 for a in reply.answers if a.status == STATUS_OK)} OK",
             )
         responder(reply, size)
 
-    def _handle_update(self, request: UpdateRequest, responder):
+    def _handle_update(self, request: UpdateRequest, responder) -> None:
         self._updates.increment()
-        yield self.host.cpu.compute(self.lookup_cost_ms)
+        responder.after(
+            self.host.cpu.compute(self.lookup_cost_ms),
+            self._apply_update,
+            request,
+            responder,
+        )
+
+    def _apply_update(self, request: UpdateRequest, responder) -> None:
         zone = self.zone_for(request.name)
         if not self.allow_dynamic_update:
             reply = UpdateResponse(STATUS_REFUSED, 0)
         elif zone is None:
             reply = UpdateResponse(STATUS_NXDOMAIN, 0)
-        else:
-            if request.mode == UpdateMode.ADD:
-                for record in request.records:
-                    zone.add(record)
-            elif request.mode == UpdateMode.DELETE:
-                zone.remove(request.name, request.rtype)
-                if self._leases:
-                    self._leases.pop((request.name, request.rtype), None)
-            elif request.mode == UpdateMode.REPLACE:
-                zone.replace(request.name, request.rtype, request.records)
-            else:
-                reply = UpdateResponse(STATUS_SERVFAIL, zone.serial)
-                reply, size, cost = self._encode_reply(reply)
-                yield self.host.cpu.compute(cost)
-                responder(reply, size)
-                return
+        elif request.mode == UpdateMode.ADD:
+            for record in request.records:
+                zone.add(record)
             reply = UpdateResponse(STATUS_OK, zone.serial)
+        elif request.mode == UpdateMode.DELETE:
+            zone.remove(request.name, request.rtype)
+            if self._leases:
+                self._leases.pop((request.name, request.rtype), None)
+            reply = UpdateResponse(STATUS_OK, zone.serial)
+        elif request.mode == UpdateMode.REPLACE:
+            zone.replace(request.name, request.rtype, request.records)
+            reply = UpdateResponse(STATUS_OK, zone.serial)
+        else:
+            reply = UpdateResponse(STATUS_SERVFAIL, zone.serial)
+        if reply.status == STATUS_OK:
             self._after_write((zone,))
-        reply, size, cost = self._encode_reply(reply)
-        yield self.host.cpu.compute(cost)
-        responder(reply, size)
+        self._reply(reply, responder)
 
     # ------------------------------------------------------------------
     # Batched updates, leases, and NOTIFY fan-out (the write pipeline)
@@ -429,11 +492,16 @@ class BindServer(Service):
             if changed:
                 self._after_write(changed)
 
-    def _handle_subscribe(self, request: NotifySubscribeRequest, responder):
+    def _handle_subscribe(
+        self, request: NotifySubscribeRequest, responder
+    ) -> None:
         """Register a subscriber for NOTIFY pushes on one zone."""
-        env = self.env
-        env.stats.counter(f"bind.{self.name}.subscriptions").increment()
-        yield self.host.cpu.compute(1.0)
+        self.env.stats.counter(f"bind.{self.name}.subscriptions").increment()
+        responder.after(
+            self.host.cpu.compute(1.0), self._subscribe, request, responder
+        )
+
+    def _subscribe(self, request: NotifySubscribeRequest, responder) -> None:
         zone = self.zone_named(DomainName(request.origin))
         if not self.update_policy.notify or self.transport is None:
             reply = NotifySubscribeResponse(STATUS_REFUSED, 0)
@@ -445,19 +513,20 @@ class BindServer(Service):
             if endpoint not in subscribers:
                 subscribers.append(endpoint)
             reply = NotifySubscribeResponse(STATUS_OK, zone.serial)
-        reply, size, cost = self._encode_reply(reply)
-        yield self.host.cpu.compute(cost)
-        responder(reply, size)
+        self._reply(reply, responder)
 
     def _handle_notify(self, request: NotifyRequest, responder):
         """A NOTIFY landed on a plain server: acknowledge and ignore.
 
-        Secondaries override this to pull the delta immediately.
+        Secondaries override this (as a generator) to pull the delta
+        immediately.
         """
-        yield self.host.cpu.compute(1.0)
-        reply, size, cost = self._encode_reply(NotifyResponse(STATUS_OK))
-        yield self.host.cpu.compute(cost)
-        responder(reply, size)
+        responder.after(
+            self.host.cpu.compute(1.0),
+            self._reply,
+            NotifyResponse(STATUS_OK),
+            responder,
+        )
 
     def _after_write(self, zones: typing.Iterable[Zone]) -> None:
         """Schedule a debounced NOTIFY fan-out for each changed zone.
@@ -507,29 +576,36 @@ class BindServer(Service):
                     size,
                 )
 
-    def _handle_xfer(self, request: XferRequest, responder):
+    def _handle_xfer(self, request: XferRequest, responder) -> None:
         self.env.stats.counter(f"bind.{self.name}.xfers").increment()
         zone = self.zone_named(request.origin)
         if not self.allow_zone_transfer or zone is None:
-            reply, size, cost = self._encode_reply(
-                XferResponse(STATUS_REFUSED if zone else STATUS_NXDOMAIN, 0, [])
+            self._reply(
+                XferResponse(STATUS_REFUSED if zone else STATUS_NXDOMAIN, 0, []),
+                responder,
             )
-            yield self.host.cpu.compute(cost)
-            responder(reply, size)
             return
         records = zone.all_records()
         # Streaming the zone costs setup plus a per-record charge.
-        yield self.host.cpu.compute(
-            self.calibration.xfer_setup_ms
-            + self.calibration.xfer_per_record_ms * len(records)
+        responder.after(
+            self.host.cpu.compute(self._stream_ms(len(records))),
+            self._send_zone,
+            zone,
+            records,
+            responder,
         )
-        reply, size, cost = self._encode_reply(
-            XferResponse(STATUS_OK, zone.serial, records)
-        )
-        yield self.host.cpu.compute(cost)
-        responder(reply, size)
 
-    def _handle_ixfr(self, request: IxfrRequest, responder):
+    def _send_zone(self, zone: Zone, records, responder) -> None:
+        self._reply(XferResponse(STATUS_OK, zone.serial, records), responder)
+
+    def _stream_ms(self, records: int) -> float:
+        """What streaming ``records`` records of a transfer costs."""
+        return (
+            self.calibration.xfer_setup_ms
+            + self.calibration.xfer_per_record_ms * records
+        )
+
+    def _handle_ixfr(self, request: IxfrRequest, responder) -> None:
         """Incremental zone transfer: stream only the journal entries
         past the requester's serial.  When the journal no longer covers
         the requested serial the reply degrades to a full AXFR-style
@@ -538,13 +614,12 @@ class BindServer(Service):
         self.env.stats.counter(f"bind.{self.name}.ixfrs").increment()
         zone = self.zone_named(request.origin)
         if not self.allow_zone_transfer or zone is None:
-            reply, size, cost = self._encode_reply(
+            self._reply(
                 IxfrResponse(
                     STATUS_REFUSED if zone else STATUS_NXDOMAIN, 0, 0, [], []
-                )
+                ),
+                responder,
             )
-            yield self.host.cpu.compute(cost)
-            responder(reply, size)
             return
         deltas = zone.delta_since(request.serial)
         if deltas is None:
@@ -552,36 +627,50 @@ class BindServer(Service):
                 f"bind.{self.name}.ixfr_fallbacks"
             ).increment()
             records = zone.all_records()
-            yield self.host.cpu.compute(
-                self.calibration.xfer_setup_ms
-                + self.calibration.xfer_per_record_ms * len(records)
+            responder.after(
+                self.host.cpu.compute(self._stream_ms(len(records))),
+                self._send_ixfr,
+                zone,
+                1,
+                (),
+                records,
+                responder,
             )
-            reply = IxfrResponse(STATUS_OK, zone.serial, 1, [], records)
-        else:
-            delta_records = sum(len(d.records) for d in deltas)
-            # Walking the journal costs setup plus the same per-record
-            # streaming charge as AXFR, over only the delta.
-            yield self.host.cpu.compute(
-                self.calibration.xfer_setup_ms
-                + self.calibration.xfer_per_record_ms * delta_records
-            )
-            reply = IxfrResponse(STATUS_OK, zone.serial, 0, list(deltas), [])
-        reply, size, cost = self._encode_reply(reply)
-        yield self.host.cpu.compute(cost)
-        responder(reply, size)
+            return
+        # Walking the journal costs setup plus the same per-record
+        # streaming charge as AXFR, over only the delta.
+        responder.after(
+            self.host.cpu.compute(
+                self._stream_ms(sum(len(d.records) for d in deltas))
+            ),
+            self._send_ixfr,
+            zone,
+            0,
+            deltas,
+            [],
+            responder,
+        )
 
-    def _handle_serial(self, request: SerialRequest, responder):
+    def _send_ixfr(self, zone: Zone, full: int, deltas, records, responder) -> None:
+        self._reply(
+            IxfrResponse(STATUS_OK, zone.serial, full, list(deltas), records),
+            responder,
+        )
+
+    def _handle_serial(self, request: SerialRequest, responder) -> None:
         """Cheap SOA-serial probe used by secondaries before an AXFR."""
         zone = self.zone_named(request.origin)
         # A serial probe is a single in-memory read, not a full lookup.
-        yield self.host.cpu.compute(1.0)
+        responder.after(
+            self.host.cpu.compute(1.0), self._send_serial, zone, responder
+        )
+
+    def _send_serial(self, zone: typing.Optional[Zone], responder) -> None:
         if zone is None:
             reply = SerialResponse(STATUS_NXDOMAIN, 0)
         else:
             reply = SerialResponse(STATUS_OK, zone.serial)
-        reply, size, cost = self._encode_reply(reply)
-        yield self.host.cpu.compute(cost)
-        responder(reply, size)
+        self._reply(reply, responder)
 
     def describe(self) -> str:
         zones = ", ".join(str(z.origin) for z in self.zones)

@@ -60,7 +60,7 @@ class ClearinghouseClient:
         )
 
     def _roundtrip(self, request: object, request_size: int) -> typing.Generator:
-        reply = yield from self.transport.request(
+        reply = yield self.transport.request(
             self.host, self.server, request, request_size
         )
         if not isinstance(reply, CHReply):

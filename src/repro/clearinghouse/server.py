@@ -1,4 +1,4 @@
-"""The Clearinghouse server process.
+"""The Clearinghouse server.
 
 Request handling order mirrors the original's cost profile: first
 authenticate (CPU + credential-database disk access), then touch the
@@ -123,70 +123,128 @@ class ClearinghouseServer(Service):
         return self.endpoint
 
     # ------------------------------------------------------------------
-    def _authenticate(self, credentials: typing.Optional[Credentials]):
-        """Charge the full authentication cost, then verify.
+    # Service interface: each step runs on the callback of the charge
+    # before it (``responder.after``), so a request is no process.
+    # ------------------------------------------------------------------
+    def handle(self, datagram, responder) -> None:
+        """Authenticate, read the property database, reply.
 
         "each access is authenticated" — the check happens even for
         requests that will ultimately fail, and its cost (CPU plus a
         disk access for the credential database) is charged every time.
         """
-        cal = self.calibration
-        yield self.host.cpu.compute(cal.ch_auth_cpu_ms)
-        yield self.host.disk.use(cal.ch_auth_disk_ms)
-        if not self.credentials.verify(credentials):
-            raise AuthenticationFailed(
-                getattr(credentials, "user", "<no credentials>")
-            )
-
-    def handle(self, datagram, responder):
         request = datagram.payload
-        cal = self.calibration
-        env = self.env
+        responder.after(
+            self.host.cpu.compute(self.calibration.ch_auth_cpu_ms),
+            self._read_credentials,
+            request,
+            getattr(request, "credentials", None),
+            responder,
+        )
+
+    def _read_credentials(
+        self, request, credentials: typing.Optional[Credentials], responder
+    ) -> None:
+        responder.after(
+            self.host.disk.use(self.calibration.ch_auth_disk_ms),
+            self._dispatch,
+            request,
+            credentials,
+            responder,
+        )
+
+    def _dispatch(
+        self, request, credentials: typing.Optional[Credentials], responder
+    ) -> None:
+        if not self.credentials.verify(credentials):
+            self._refuse(
+                AuthenticationFailed(
+                    getattr(credentials, "user", "<no credentials>")
+                ),
+                responder,
+            )
+            return
+        if isinstance(request, RetrieveItem):
+            kind = "retrieves"
+        elif isinstance(request, AddItem):
+            kind = "adds"
+        elif isinstance(request, DeleteItem):
+            kind = "deletes"
+        else:
+            responder(CHReply(CHError.status), 8)
+            return
+        self.env.stats.counter(f"ch.{self.name}.{kind}").increment()
+        # The data lives on disk; absence is only discovered by reading,
+        # so the disk access happens either way.
+        responder.after(
+            self.host.disk.use(self.calibration.ch_data_disk_ms),
+            self._process,
+            request,
+            responder,
+        )
+
+    def _process(self, request, responder) -> None:
+        responder.after(
+            self.host.cpu.compute(self.calibration.ch_process_ms),
+            self._access,
+            request,
+            responder,
+        )
+
+    def _access(self, request, responder) -> None:
+        """The database operation itself, then its marshalled reply."""
+        database = self.database
         try:
-            yield from self._authenticate(getattr(request, "credentials", None))
             if isinstance(request, RetrieveItem):
-                env.stats.counter(f"ch.{self.name}.retrieves").increment()
-                # The data lives on disk; absence is only discovered by
-                # reading, so the disk access happens either way.
-                yield self.host.disk.use(cal.ch_data_disk_ms)
-                yield self.host.cpu.compute(cal.ch_process_ms)
-                value = self.database.retrieve(request.name, request.prop)
-                size = self.database.record_size(request.name, request.prop)
-                reply = CHReply(STATUS_OK, value)
-                data, cost = self._retrieve_reply_m.encode(
-                    {"status": STATUS_OK, "value": value}
-                )
-                yield self.host.cpu.compute(cost)
-                if env.trace.enabled:
-                    env.trace.emit(
-                        "clearinghouse",
-                        f"{self.name}: retrieve {request.name} {request.prop} "
-                        f"({size} bytes from disk)",
-                    )
-                responder(reply, len(data))
+                value = database.retrieve(request.name, request.prop)
+                size = database.record_size(request.name, request.prop)
             elif isinstance(request, AddItem):
-                env.stats.counter(f"ch.{self.name}.adds").increment()
-                yield self.host.disk.use(cal.ch_data_disk_ms)
-                yield self.host.cpu.compute(cal.ch_process_ms)
-                self.database.register(request.name, {request.prop: request.value})
-                data, cost = self._simple_reply_m.encode({"status": STATUS_OK})
-                yield self.host.cpu.compute(cost)
-                responder(CHReply(STATUS_OK), len(data))
-            elif isinstance(request, DeleteItem):
-                env.stats.counter(f"ch.{self.name}.deletes").increment()
-                yield self.host.disk.use(cal.ch_data_disk_ms)
-                yield self.host.cpu.compute(cal.ch_process_ms)
-                self.database.delete_property(request.name, request.prop)
-                data, cost = self._simple_reply_m.encode({"status": STATUS_OK})
-                yield self.host.cpu.compute(cost)
-                responder(CHReply(STATUS_OK), len(data))
+                database.register(request.name, {request.prop: request.value})
             else:
-                responder(CHReply(CHError.status), 8)
+                database.delete_property(request.name, request.prop)
         except CHError as err:
-            data, cost = self._simple_reply_m.encode({"status": err.status})
-            yield self.host.cpu.compute(cost)
-            env.trace.emit("clearinghouse", f"{self.name}: error {err!r}")
-            responder(CHReply(err.status), len(data))
+            self._refuse(err, responder)
+            return
+        if not isinstance(request, RetrieveItem):
+            data, cost = self._simple_reply_m.encode({"status": STATUS_OK})
+            responder.after(
+                self.host.cpu.compute(cost), responder, CHReply(STATUS_OK), len(data)
+            )
+            return
+        data, cost = self._retrieve_reply_m.encode(
+            {"status": STATUS_OK, "value": value}
+        )
+        responder.after(
+            self.host.cpu.compute(cost),
+            self._send_value,
+            request,
+            CHReply(STATUS_OK, value),
+            size,
+            len(data),
+            responder,
+        )
+
+    def _send_value(
+        self, request: RetrieveItem, reply: CHReply, size: int, wire: int, responder
+    ) -> None:
+        if self.env.trace.enabled:
+            self.env.trace.emit(
+                "clearinghouse",
+                f"{self.name}: retrieve {request.name} {request.prop} "
+                f"({size} bytes from disk)",
+            )
+        responder(reply, wire)
+
+    def _refuse(self, err: CHError, responder) -> None:
+        """Answer with ``err``'s status: the Courier error reply."""
+        data, cost = self._simple_reply_m.encode({"status": err.status})
+        responder.after(
+            self.host.cpu.compute(cost), self._send_refusal, err, len(data), responder
+        )
+
+    def _send_refusal(self, err: CHError, wire: int, responder) -> None:
+        self.env.trace.emit("clearinghouse", f"{self.name}: error {err!r}")
+        responder(CHReply(err.status), wire)
 
     def describe(self) -> str:
         return f"ClearinghouseServer({self.name}; {len(self.database)} objects)"

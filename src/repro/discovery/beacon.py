@@ -385,7 +385,7 @@ class BeaconService(Service):
     def _probe(self, entry: DiscoveryEntry) -> typing.Generator:
         """One unicast liveness check; False on silence or refusal."""
         try:
-            reply = yield from self.transport.request(
+            reply = yield self.transport.request(
                 self.host,
                 Endpoint(entry.address, BEACON_PORT),
                 ProbeRequest(entry.name),

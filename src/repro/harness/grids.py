@@ -620,5 +620,11 @@ class _FlakyBindServer(_BindServer):
     ) -> typing.Any:
         """Serve one datagram, sometimes after the injected stall."""
         if self.stall_ms and self._rng.random() < self.stall_probability:
-            yield self.env.timeout(self.stall_ms)
-        yield from super().handle(datagram, responder)
+            return self._stalled(datagram, responder)
+        return super().handle(datagram, responder)
+
+    def _stalled(self, datagram: typing.Any, responder: typing.Any) -> typing.Any:
+        yield self.env.timeout(self.stall_ms)
+        handler = super().handle(datagram, responder)
+        if handler is not None:
+            yield from handler

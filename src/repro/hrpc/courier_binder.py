@@ -56,9 +56,16 @@ class CourierBinder(Service):
             raise ValueError(f"bad port {port}")
         self._services[service] = port
 
-    def handle(self, datagram, responder):
-        request = datagram.payload
-        yield self.host.cpu.compute(self.calibration.courier_binder_server_ms)
+    def handle(self, datagram, responder) -> None:
+        """Answer on the callback of the server charge: no process."""
+        responder.after(
+            self.host.cpu.compute(self.calibration.courier_binder_server_ms),
+            self._serve,
+            datagram.payload,
+            responder,
+        )
+
+    def _serve(self, request, responder) -> None:
         if isinstance(request, LocateService):
             responder(LocateReply(self._services.get(request.service, 0)), 16)
         elif isinstance(request, AdvertiseService):
@@ -87,7 +94,7 @@ class CourierBinderClient:
     def locate(self, server_address, service: str) -> typing.Generator:
         endpoint = Endpoint(server_address, WELL_KNOWN_PORTS["courier-binder"])
         try:
-            reply = yield from self.transport.request(
+            reply = yield self.transport.request(
                 self.host, endpoint, LocateService(service), 48
             )
         except RemoteCallError as err:
@@ -102,7 +109,7 @@ class CourierBinderClient:
 
     def advertise(self, server_address, service: str, port: int) -> typing.Generator:
         endpoint = Endpoint(server_address, WELL_KNOWN_PORTS["courier-binder"])
-        reply = yield from self.transport.request(
+        reply = yield self.transport.request(
             self.host, endpoint, AdvertiseService(service, port), 48
         )
         if not isinstance(reply, LocateReply):

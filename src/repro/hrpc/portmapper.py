@@ -16,6 +16,7 @@ from repro.hrpc.errors import BindingProtocolError
 from repro.net.addresses import WELL_KNOWN_PORTS, Endpoint
 from repro.net.host import Host, Service
 from repro.net.transport import RemoteCallError, Transport
+from repro.sim.events import Event
 
 
 @dataclasses.dataclass
@@ -70,6 +71,8 @@ class Portmapper(Service):
         self._dormant: typing.Dict[
             str, typing.Tuple[int, typing.Callable[[Host, int], object]]
         ] = {}
+        #: program -> the activation charge of a program being spawned
+        self._activating: typing.Dict[str, Event] = {}
         self.activations = 0
         self.endpoint: typing.Optional[Endpoint] = None
 
@@ -103,26 +106,29 @@ class Portmapper(Service):
     def is_running(self, program: str) -> bool:
         return program in self._ports
 
-    def _activate(self, program: str) -> typing.Generator:
-        """Spawn a dormant program; returns its port."""
-        port, factory = self._dormant.pop(program)
-        yield self.host.cpu.compute(self.activation_ms)
-        factory(self.host, port)
-        self._ports[program] = port
-        self.activations += 1
-        self.env.stats.counter(f"portmapper.{self.host.name}.activations").increment()
-        self.env.trace.emit(
-            "hrpc", f"portmapper@{self.host.name}: activated {program} on {port}"
+    def handle(self, datagram, responder) -> None:
+        """Answer on the callback of the server charge: no process."""
+        responder.after(
+            self.host.cpu.compute(self.calibration.portmapper_server_ms),
+            self._serve,
+            datagram.payload,
+            responder,
         )
-        return port
 
-    def handle(self, datagram, responder):
-        request = datagram.payload
-        yield self.host.cpu.compute(self.calibration.portmapper_server_ms)
+    def _serve(self, request, responder) -> None:
         if isinstance(request, GetPort):
-            port = self._ports.get(request.program, 0)
-            if port == 0 and request.program in self._dormant:
-                port = yield from self._activate(request.program)
+            program = request.program
+            port = self._ports.get(program, 0)
+            if port == 0 and program in self._dormant:
+                self._activate(program, responder)
+                return
+            if port == 0 and program in self._activating:
+                # Someone else's GETPORT is starting it: answer with the
+                # port it comes up on, as inetd would.
+                responder.after(
+                    self._activating[program], self._send_port, program, responder
+                )
+                return
             responder(PortReply(port), 16)
         elif isinstance(request, SetPort):
             if request.port == 0:
@@ -132,6 +138,32 @@ class Portmapper(Service):
             responder(PortReply(request.port), 16)
         else:
             responder(PortReply(0), 16)
+
+    def _activate(self, program: str, responder) -> None:
+        """Spawn a dormant program, then answer with its port."""
+        port, factory = self._dormant.pop(program)
+        self._activating[program] = spawn = self.host.cpu.compute(self.activation_ms)
+        responder.after(spawn, self._activated, program, port, factory, responder)
+
+    def _activated(
+        self,
+        program: str,
+        port: int,
+        factory: typing.Callable[[Host, int], object],
+        responder,
+    ) -> None:
+        del self._activating[program]
+        factory(self.host, port)
+        self._ports[program] = port
+        self.activations += 1
+        self.env.stats.counter(f"portmapper.{self.host.name}.activations").increment()
+        self.env.trace.emit(
+            "hrpc", f"portmapper@{self.host.name}: activated {program} on {port}"
+        )
+        responder(PortReply(port), 16)
+
+    def _send_port(self, program: str, responder) -> None:
+        responder(PortReply(self._ports.get(program, 0)), 16)
 
 
 class PortmapperClient:
@@ -159,7 +191,7 @@ class PortmapperClient:
         port = 0
         for _ in range(max(1, self.calibration.portmapper_exchanges)):
             try:
-                reply = yield from self.transport.request(
+                reply = yield self.transport.request(
                     self.host, endpoint, GetPort(program), 32
                 )
             except RemoteCallError as err:
@@ -175,7 +207,7 @@ class PortmapperClient:
 
     def set_port(self, server_address, program: str, port: int) -> typing.Generator:
         endpoint = Endpoint(server_address, WELL_KNOWN_PORTS["portmapper"])
-        reply = yield from self.transport.request(
+        reply = yield self.transport.request(
             self.host, endpoint, SetPort(program, port), 32
         )
         if not isinstance(reply, PortReply):

@@ -117,7 +117,7 @@ class HrpcRuntime:
                     "hrpc.attempt", attempt=attempt
                 ) as aspan:
                     try:
-                        reply = yield from transport.request(
+                        reply = yield transport.request(
                             self.host,
                             binding.endpoint,
                             request,

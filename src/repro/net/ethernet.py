@@ -44,6 +44,8 @@ class Ethernet:
         # Default: ~1 ms propagation + 10 Mbit/s-ish transfer cost.
         self.latency = latency or ConstantLatency(1.0, per_byte_ms=0.0008)
         self.drop_probability = drop_probability
+        # Keyed by dotted text, looked up as ``getattr(address, "dotted",
+        # address)`` (see :class:`~repro.net.internet.Internetwork`).
         self._hosts: typing.Dict[str, Host] = {}
         # address -> partition side; empty means the segment is whole.
         self._partition_of: typing.Dict[str, int] = {}
@@ -57,14 +59,14 @@ class Ethernet:
         self._hosts.pop(str(host.address), None)
 
     def host_for(self, address: typing.Union[str, object]) -> typing.Optional[Host]:
-        return self._hosts.get(str(address))
+        return self._hosts.get(getattr(address, "dotted", address))
 
     @property
     def hosts(self) -> typing.List[Host]:
         return list(self._hosts.values())
 
     def carries(self, address: object) -> bool:
-        return str(address) in self._hosts
+        return getattr(address, "dotted", address) in self._hosts
 
     @functools.cached_property
     def _jitter(self) -> "random.Random":
@@ -134,8 +136,8 @@ class Ethernet:
         """Whether the installed drop rule severs ``src`` -> ``dst``."""
         if not self._partition_of:
             return False
-        src_side = self._partition_of.get(str(src))
-        dst_side = self._partition_of.get(str(dst))
+        src_side = self._partition_of.get(getattr(src, "dotted", src))
+        dst_side = self._partition_of.get(getattr(dst, "dotted", dst))
         return (
             src_side is not None
             and dst_side is not None

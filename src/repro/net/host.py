@@ -29,22 +29,33 @@ class Service:
     def handle(
         self,
         datagram: "Datagram",
-        responder: typing.Callable[[object, int], object],
+        responder: typing.Any,
     ) -> typing.Optional[typing.Generator]:
         """Handle one delivered message; two return forms.
 
-        **A generator** (``handle`` is a generator function, the usual
-        form) runs as a process from inside the delivery: it may yield
-        simulation events (CPU time, disk reads, nested calls), replies
-        through ``responder``, and what it raises reaches a waiting
-        requester as :class:`~repro.net.transport.RemoteCallError`.
+        ``responder(payload, size_bytes)`` sends the reply to whoever
+        waits for one.
 
-        **None** says "handled; nothing to run as a process": right for
-        a handler whose whole life is charges with callbacks and no
-        reply awaited mid-way (``cpu.compute(ms).callbacks.append(...)``,
-        as :class:`~repro.discovery.beacon.BeaconService` absorbs a
-        beacon) — same heap entries and instants, no process.  What it
-        or its callbacks raise surfaces from ``env.run()``.
+        **None** says "handled; nothing to run as a process": the form
+        for a handler whose whole life is charges and the state reads
+        between them.  Each step is a callback of the charge before it,
+        so every read happens at the instant the charge ends, as in a
+        generator: ``responder.after(cpu.compute(ms), step, *args)``.
+        What ``handle`` or such a step raises reaches a waiting requester
+        as :class:`~repro.net.transport.RemoteCallError`, as a
+        generator's would; for a broadcast or a one-way message it
+        surfaces from ``env.run()``.  A bare
+        ``cpu.compute(ms).callbacks.append(...)`` (how
+        :class:`~repro.discovery.beacon.BeaconService` absorbs a beacon)
+        costs the same and carries nothing: what it raises surfaces.
+
+        **A generator** runs as a process from inside the delivery: it
+        may yield simulation events (CPU time, disk reads, nested calls),
+        and what it raises reaches a waiting requester as
+        :class:`~repro.net.transport.RemoteCallError`.  A handler keeps
+        a process only when it must: it waits on something other than
+        its own charges (an HRPC procedure, a nested request), or a span
+        encloses its charges (``BindServer``'s update batch).
         """
         raise NotImplementedError
 

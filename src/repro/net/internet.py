@@ -31,6 +31,9 @@ class Internetwork:
         self.gateway_hop_ms = gateway_hop_ms
         self.segments: typing.List[Ethernet] = []
         self._hosts_by_name: typing.Dict[str, Host] = {}
+        # Keyed by dotted text.  A lookup takes ``getattr(address,
+        # "dotted", address)`` — the text of a NetworkAddress or of a
+        # str — in C, where ``str(address)`` runs a Python ``__str__``.
         self._hosts_by_address: typing.Dict[str, Host] = {}
         self._segment_of: typing.Dict[str, Ethernet] = {}
         self._allocators: typing.Dict[str, AddressAllocator] = {}
@@ -92,7 +95,7 @@ class Internetwork:
         return self._hosts_by_name.get(name)
 
     def host_at(self, address: typing.Union[str, NetworkAddress]) -> typing.Optional[Host]:
-        return self._hosts_by_address.get(str(address))
+        return self._hosts_by_address.get(getattr(address, "dotted", address))
 
     @property
     def hosts(self) -> typing.List[Host]:
@@ -107,8 +110,8 @@ class Internetwork:
         dst: typing.Union[str, NetworkAddress],
     ) -> typing.Tuple[Ethernet, int]:
         """(first segment, gateway hops) for src -> dst, or NoRouteToHost."""
-        src_seg = self._segment_of.get(str(src))
-        dst_seg = self._segment_of.get(str(dst))
+        src_seg = self._segment_of.get(getattr(src, "dotted", src))
+        dst_seg = self._segment_of.get(getattr(dst, "dotted", dst))
         if src_seg is None or dst_seg is None:
             raise NoRouteToHost(f"{src} -> {dst}")
         hops = 0 if src_seg is dst_seg else 1
@@ -124,7 +127,7 @@ class Internetwork:
         segment, hops = self._route(src, dst)
         delay = segment.delay_for(size_bytes)
         if hops:
-            dst_seg = self._segment_of[str(dst)]
+            dst_seg = self._segment_of[getattr(dst, "dotted", dst)]
             delay += dst_seg.delay_for(size_bytes) + self.gateway_hop_ms * hops
         return delay
 
@@ -134,11 +137,11 @@ class Internetwork:
         dst: typing.Union[str, NetworkAddress],
     ) -> bool:
         """Loss decision for a datagram along the route."""
-        segment, hops = self._route(str(src), str(dst))
+        segment, hops = self._route(src, dst)
         if segment.would_drop(src, dst):
             return True
         if hops:
-            return self._segment_of[str(dst)].would_drop(src, dst)
+            return self._segment_of[getattr(dst, "dotted", dst)].would_drop(src, dst)
         return False
 
     def same_host(self, a: typing.Union[str, NetworkAddress], b: typing.Union[str, NetworkAddress]) -> bool:

@@ -15,10 +15,16 @@ failure behaviour:
   and delivery is reliable once connected (at the cost of an extra
   round-trip of setup latency on each exchange).
 
+An exchange is events, not a process: :meth:`Transport.request` returns
+the call event its caller yields (``reply = yield transport.request(...)``),
+and the wire trip, connect, deadline and retransmit are timed callbacks
+(``env.call_later``) that end by succeeding or failing it.
+
 Kernel budget, besides the handler's own charges (``tests/net/test_event_budget.py``):
-a request/response is 3 heap entries (wire, reply and deadline ``Timeout``) and
-1 process (the handler); a stream adds its connect; a broadcast target is 1 and 1
-(1 and 0 when its handler returns ``None``).
+a request/response is 3 heap entries (wire, reply and deadline) and no
+process of its own; the handler is 1 process when ``handle`` returns a
+generator and 0 when it returns ``None``.  A stream adds its connect; a
+broadcast target is 1 entry, and 1 or 0 processes likewise.
 """
 
 from __future__ import annotations
@@ -29,15 +35,17 @@ import typing
 from repro.net.errors import (
     ConnectionRefused,
     HostDown,
+    NetworkError,
     TransportTimeout,
 )
 from repro.net.host import Host
 from repro.net.messages import Datagram
 from repro.net.addresses import Endpoint
-from repro.sim.events import Event
+from repro.sim.events import _PENDING, Event
 
 if typing.TYPE_CHECKING:  # pragma: no cover
     from repro.net.internet import Internetwork
+    from repro.sim.kernel import Environment
     from repro.sim.stats import Counter
 
 
@@ -51,6 +59,65 @@ class RemoteCallError(Exception):
     def __init__(self, remote_exception: BaseException):
         super().__init__(f"remote service raised {remote_exception!r}")
         self.remote_exception = remote_exception
+
+
+class _Call(Event):
+    """One request in flight: the event its caller yields for the reply.
+
+    Its attempts are timed callbacks on the transport that made it; the
+    reply succeeds it, and a network failure or the remote service's
+    exception fails it.  ``datagram`` is the current attempt's, and only
+    a reply to its ``msg_id`` is taken.
+    """
+
+    __slots__ = (
+        "src_host",
+        "destination",
+        "payload",
+        "size_bytes",
+        "deadline",
+        "reply_to",
+        "attempt",
+        "datagram",
+    )
+
+    def __init__(
+        self,
+        env: "Environment",
+        src_host: Host,
+        destination: Endpoint,
+        payload: object,
+        size_bytes: int,
+        deadline: float,
+    ):
+        # Event.__init__ inlined: one call per exchange.
+        self.env = env
+        self.callbacks = []
+        self._value = _PENDING
+        self._exception = None
+        self._defused = False
+        self.src_host = src_host
+        self.destination = destination
+        self.payload = payload
+        self.size_bytes = size_bytes
+        self.deadline = deadline
+        self.reply_to = src_host.ephemeral_endpoint()
+        self.attempt = 0
+        self.datagram: typing.Optional[Datagram] = None
+
+    def __iter__(self) -> typing.Generator:
+        """``yield from transport.request(...)`` works as ``yield`` does
+        (the ``asyncio.Future`` idiom)."""
+        return (yield self)
+
+    def _waiter_left(self, _interrupt: Event) -> None:
+        """The requester was interrupted: the call is abandoned, as an
+        abandoned request generator was — nothing more is sent or
+        delivered for it, and nothing it would have raised surfaces."""
+        self._defused = True
+        if self._value is _PENDING:
+            self._value = None
+            self.callbacks = None
 
 
 class Transport:
@@ -76,15 +143,8 @@ class Transport:
         destination: Endpoint,
         payload: object,
         size_bytes: int = 0,
-        reply_to: typing.Optional[Endpoint] = None,
-        reply_event=None,
     ) -> typing.Generator:
-        """Fire-and-forget delivery (may silently vanish on datagrams).
-
-        ``reply_event``, when given, is the untriggered event the
-        service's reply succeeds (or its exception fails, wrapped in
-        :class:`RemoteCallError`); :meth:`request` passes one.
-        """
+        """Fire-and-forget delivery (may silently vanish on datagrams)."""
         raise NotImplementedError
 
     # -- request/response --------------------------------------------------
@@ -95,11 +155,13 @@ class Transport:
         payload: object,
         size_bytes: int = 0,
         timeout_ms: typing.Optional[float] = None,
-    ) -> typing.Generator:
-        """Send a request and yield until the reply payload arrives.
+    ) -> _Call:
+        """Send a request; returns the event to yield for the reply.
 
-        Returns the reply payload; raises a network error on failure, or
-        :class:`RemoteCallError` if the remote service itself raised.
+        The event carries the reply payload, or fails with a network
+        error, or with :class:`RemoteCallError` if the remote service
+        itself raised.  A source host that is down raises
+        :class:`HostDown` here, at the call.
         """
         raise NotImplementedError
 
@@ -108,12 +170,12 @@ class Transport:
         """Sampled latency along the route; raises NoRouteToHost."""
         return self.internet.path_delay(src.address, dst_address, size_bytes)
 
-    def _deliver(self, datagram: Datagram, reply_event) -> None:
+    def _deliver(self, datagram: Datagram, waiter: typing.Optional[Event]) -> None:
         """Run after the wire delay: hand the message to the bound service.
 
-        ``reply_event`` (may be None for one-way sends) is failed or
-        succeeded according to what the service does.  A generator
-        handler's first segment runs here, inside the delivery; ``None``
+        ``waiter`` (None for one-way sends) is the event the service's
+        reply succeeds or its exception fails.  A generator handler's
+        first segment runs here, inside the delivery; ``None``
         (:meth:`~repro.net.host.Service.handle`) starts no process.
         """
         env = self.env
@@ -131,8 +193,12 @@ class Transport:
             )
             return
         self._delivered.increment()
-        exchange = _Exchange(self, datagram, dst_host, reply_event)
-        handler = service.handle(datagram, exchange.respond)
+        exchange = _Exchange(self, datagram, dst_host, waiter)
+        try:
+            handler = service.handle(datagram, exchange)
+        except Exception as exc:  # noqa: BLE001 - a requester's to hear
+            exchange._step_failed(exc)
+            return
         if handler is None:
             return
         env.process(
@@ -141,32 +207,30 @@ class Transport:
 
 
 class _Exchange:
-    """One delivered message: its handler, and its reply's way back."""
+    """One delivered message, as its handler sees it: the ``responder``.
 
-    __slots__ = ("transport", "datagram", "dst_host", "reply_event", "replied")
+    Calling it sends the reply back across the wire; :meth:`after` hangs
+    a process-less handler's next step on a charge.
+    """
+
+    __slots__ = ("transport", "datagram", "dst_host", "waiter", "replied")
 
     def __init__(
-        self, transport: Transport, datagram: Datagram, dst_host: Host, reply_event
+        self,
+        transport: Transport,
+        datagram: Datagram,
+        dst_host: Host,
+        waiter: typing.Optional[Event],
     ):
         self.transport = transport
         self.datagram = datagram
         self.dst_host = dst_host
-        self.reply_event = reply_event
+        self.waiter = waiter
         self.replied = False
 
-    def run_handler(self, handler: typing.Generator) -> typing.Generator:
-        reply_event = self.reply_event
-        try:
-            yield from handler
-        except BaseException as exc:  # noqa: BLE001 - carried to caller
-            if reply_event is not None and not reply_event.triggered:
-                reply_event.fail(RemoteCallError(exc))
-            else:
-                raise
-
-    def respond(self, payload: object, size_bytes: int = 0) -> None:
+    def __call__(self, payload: object, size_bytes: int = 0) -> None:
         """Send the reply back across the wire to the requester."""
-        if self.reply_event is None:
+        if self.waiter is None:
             return
         if self.replied:
             raise RuntimeError("service replied twice to one request")
@@ -177,15 +241,70 @@ class _Exchange:
         )
         transport.env.call_later(delay, self._reply_arrives, payload)
 
-    def _reply_arrives(self, trip) -> None:
+    def after(self, event: Event, step: typing.Callable, *args: object) -> None:
+        """Run ``step(*args)`` once ``event`` (a charge) is over — at the
+        instant a generator handler yielding it would resume."""
+        callbacks = event.callbacks
+        if callbacks is None:
+            self._step(step, args)
+        else:
+            callbacks.append(functools.partial(self._step, step, args))
+
+    def _step(
+        self, step: typing.Callable, args: typing.Tuple, _event: object = None
+    ) -> None:
+        try:
+            step(*args)
+        except Exception as exc:  # noqa: BLE001 - a requester's to hear
+            self._step_failed(exc)
+
+    def _step_failed(self, exc: BaseException) -> None:
+        """A process-less handler (``handle`` itself, or a step) raised
+        ``exc``: carried to a requester as a generator's would be, and
+        the simulation's otherwise — a broadcast's or a one-way
+        message's handler has nobody to tell."""
+        if isinstance(self.waiter, _Call):
+            self.fail(exc)
+        else:
+            raise exc
+
+    def run_handler(self, handler: typing.Generator) -> typing.Generator:
+        try:
+            yield from handler
+        except BaseException as exc:  # noqa: BLE001 - carried to caller
+            self.fail(exc)
+
+    def fail(self, exc: BaseException) -> None:
+        """The handler raised ``exc``: whoever still waits for this
+        message's answer gets it as :class:`RemoteCallError` (a
+        broadcast's collector drops it).  With nobody waiting, or once
+        the reply has left, it raises — from ``env.run()``, as any
+        unhandled failure does."""
+        if self._awaited():
+            self.waiter.fail(RemoteCallError(exc))  # type: ignore[union-attr]
+        elif self.waiter is None or self.replied:
+            raise exc
+
+    def _awaited(self) -> bool:
+        """Is this message's answer still wanted?  A call wants only its
+        current attempt's."""
+        waiter = self.waiter
+        if waiter is None or waiter._value is not _PENDING:
+            return False
+        return (
+            not isinstance(waiter, _Call)
+            or waiter.datagram.msg_id == self.datagram.msg_id  # type: ignore[union-attr]
+        )
+
+    def _reply_arrives(self, trip: Event) -> None:
         transport = self.transport
         src = transport.internet.host_at(self.datagram.source.address)
         if src is None or not src.is_up:
             transport.env.trace.emit("net", "reply lost: requester down")
             return
-        if not self.reply_event.triggered:
+        if self._awaited():
             # The requester resumes inside this reply's own heap entry.
-            self.reply_event.succeed_now(trip._value)
+            self.waiter.succeed_now(trip._value)  # type: ignore[union-attr]
 
 
 class DatagramTransport(Transport):
@@ -209,24 +328,27 @@ class DatagramTransport(Transport):
         """Bound at the first broadcast, likewise."""
         return self.env.stats.counter(f"net.{self.name}.broadcasts")
 
+    @functools.cached_property
+    def _retransmits(self) -> "Counter":
+        """Bound at the first expired attempt, likewise."""
+        return self.env.stats.counter(f"net.{self.name}.retransmits")
+
     def send(
         self,
         src_host: Host,
         destination: Endpoint,
         payload: object,
         size_bytes: int = 0,
-        reply_to: typing.Optional[Endpoint] = None,
-        reply_event=None,
     ) -> typing.Generator:
         if not src_host.is_up:
             raise HostDown(f"source host {src_host.name} is down")
         datagram = Datagram(
-            source=reply_to or src_host.ephemeral_endpoint(),
-            destination=destination,
-            payload=payload,
-            size_bytes=size_bytes,
-            reply_to=reply_to,
-            msg_id=self.internet.next_msg_id(),
+            src_host.ephemeral_endpoint(),
+            destination,
+            payload,
+            size_bytes,
+            None,
+            self.internet.next_msg_id(),
         )
         segment_drop = self.internet.segment_would_drop(
             src_host.address, destination.address
@@ -236,7 +358,7 @@ class DatagramTransport(Transport):
         if segment_drop:
             self.env.trace.emit("net", f"dropped on wire: {datagram}")
             return
-        self._deliver(datagram, reply_event)
+        self._deliver(datagram, None)
 
     def broadcast(
         self,
@@ -311,32 +433,70 @@ class DatagramTransport(Transport):
         payload: object,
         size_bytes: int = 0,
         timeout_ms: typing.Optional[float] = None,
-    ) -> typing.Generator:
-        env = self.env
-        deadline = timeout_ms if timeout_ms is not None else self.retry_timeout_ms
-        reply_to = src_host.ephemeral_endpoint()
-        last_error: typing.Optional[Exception] = None
-        for attempt in range(self.retries + 1):
-            reply_event = env.event()
-            yield from self.send(
-                src_host,
-                destination,
-                payload,
-                size_bytes,
-                reply_to=reply_to,
-                reply_event=reply_event,
+    ) -> _Call:
+        call = _Call(
+            self.env,
+            src_host,
+            destination,
+            payload,
+            size_bytes,
+            timeout_ms if timeout_ms is not None else self.retry_timeout_ms,
+        )
+        self._attempt(call)
+        return call
+
+    def _attempt(self, call: _Call) -> None:
+        """Put the call's next attempt on the wire: a fresh message, its
+        loss decided now and its landing a timed callback."""
+        src_host = call.src_host
+        if not src_host.is_up:
+            raise HostDown(f"source host {src_host.name} is down")
+        destination = call.destination
+        internet = self.internet
+        call.attempt += 1
+        call.datagram = Datagram(
+            call.reply_to,
+            destination,
+            call.payload,
+            call.size_bytes,
+            call.reply_to,
+            internet.next_msg_id(),
+        )
+        dropped = internet.segment_would_drop(src_host.address, destination.address)
+        delay = self._wire_delay(src_host, destination.address, call.size_bytes)
+        self.env.call_later(delay, self._dropped if dropped else self._landed, call)
+
+    def _landed(self, trip: Event) -> None:
+        call: _Call = trip._value  # type: ignore[assignment]
+        if call._value is not _PENDING:
+            return  # abandoned on the wire
+        self._deliver(call.datagram, call)  # type: ignore[arg-type]
+        self.env.call_later(call.deadline, self._expired, call)
+
+    def _dropped(self, trip: Event) -> None:
+        call: _Call = trip._value  # type: ignore[assignment]
+        if call._value is not _PENDING:
+            return
+        self.env.trace.emit("net", f"dropped on wire: {call.datagram}")
+        self.env.call_later(call.deadline, self._expired, call)
+
+    def _expired(self, timer: Event) -> None:
+        """An attempt's deadline: retransmit, or fail the call."""
+        call: _Call = timer._value  # type: ignore[assignment]
+        if call._value is not _PENDING:
+            return  # answered (or failed, or abandoned): a dead deadline
+        self._retransmits.increment()
+        if call.attempt > self.retries:
+            call.fail_now(
+                TransportTimeout(
+                    f"no reply from {call.destination} after attempt {call.attempt}"
+                )
             )
-            timer = env.timeout(deadline)
-            yield env.any_of([reply_event, timer])
-            if reply_event.triggered:
-                return reply_event.value
-            env.stats.counter(f"net.{self.name}.retransmits").increment()
-            last_error = TransportTimeout(
-                f"no reply from {destination} after attempt {attempt + 1}"
-            )
-            # Abandon the stale reply event; a late reply is ignored.
-            reply_event.defuse()
-        raise last_error or TransportTimeout(str(destination))
+            return
+        try:
+            self._attempt(call)
+        except NetworkError as err:  # the source went down meanwhile
+            call.fail_now(err)
 
 
 class StreamTransport(Transport):
@@ -349,19 +509,30 @@ class StreamTransport(Transport):
     def __init__(self, internet: "Internetwork", name: str = "tcp"):
         super().__init__(internet, name)
 
-    def _connect(self, src_host: Host, destination: Endpoint) -> typing.Generator:
-        """Connection setup: one round trip; validates the far end."""
+    def _connect_rtt(self, src_host: Host, destination: Endpoint) -> float:
+        """Connection setup: one sampled round trip."""
         if not src_host.is_up:
             raise HostDown(f"source host {src_host.name} is down")
-        rtt = self._wire_delay(src_host, destination.address, 64) + self._wire_delay(
+        return self._wire_delay(src_host, destination.address, 64) + self._wire_delay(
             src_host, destination.address, 64
         )
-        yield self.env.timeout(rtt)
+
+    def _refusal(self, destination: Endpoint) -> typing.Optional[NetworkError]:
+        """The far end's answer to a connect: None, or why not."""
         dst_host = self.internet.host_at(destination.address)
         if dst_host is None or not dst_host.is_up:
-            raise HostDown(f"{destination.address} unreachable")
+            return HostDown(f"{destination.address} unreachable")
         if dst_host.service_at(destination.port) is None:
-            raise ConnectionRefused(str(destination))
+            return ConnectionRefused(str(destination))
+        return None
+
+    def _died(self, destination: Endpoint) -> typing.Optional[HostDown]:
+        """Reliable: the destination was validated at connect time; if it
+        crashed between connect and transfer, surface the failure loudly."""
+        dst_host = self.internet.host_at(destination.address)
+        if dst_host is None or not dst_host.is_up:
+            return HostDown(f"{destination.address} died mid-transfer")
+        return None
 
     def send(
         self,
@@ -369,26 +540,26 @@ class StreamTransport(Transport):
         destination: Endpoint,
         payload: object,
         size_bytes: int = 0,
-        reply_to: typing.Optional[Endpoint] = None,
-        reply_event=None,
     ) -> typing.Generator:
-        yield from self._connect(src_host, destination)
+        yield self.env.timeout(self._connect_rtt(src_host, destination))
+        refusal = self._refusal(destination)
+        if refusal is not None:
+            raise refusal
         datagram = Datagram(
-            source=reply_to or src_host.ephemeral_endpoint(),
-            destination=destination,
-            payload=payload,
-            size_bytes=size_bytes,
-            reply_to=reply_to,
-            msg_id=self.internet.next_msg_id(),
+            src_host.ephemeral_endpoint(),
+            destination,
+            payload,
+            size_bytes,
+            None,
+            self.internet.next_msg_id(),
         )
-        delay = self._wire_delay(src_host, destination.address, size_bytes)
-        yield self.env.timeout(delay)
-        # Reliable: destination validated at connect time; if it crashed
-        # between connect and transfer, surface the failure loudly.
-        dst_host = self.internet.host_at(destination.address)
-        if dst_host is None or not dst_host.is_up:
-            raise HostDown(f"{destination.address} died mid-transfer")
-        self._deliver(datagram, reply_event)
+        yield self.env.timeout(
+            self._wire_delay(src_host, destination.address, size_bytes)
+        )
+        died = self._died(destination)
+        if died is not None:
+            raise died
+        self._deliver(datagram, None)
 
     def request(
         self,
@@ -397,22 +568,57 @@ class StreamTransport(Transport):
         payload: object,
         size_bytes: int = 0,
         timeout_ms: typing.Optional[float] = None,
-    ) -> typing.Generator:
-        env = self.env
-        deadline = timeout_ms if timeout_ms is not None else self.DEFAULT_TIMEOUT_MS
-        reply_to = src_host.ephemeral_endpoint()
-        reply_event = env.event()
-        yield from self.send(
+    ) -> _Call:
+        call = _Call(
+            self.env,
             src_host,
             destination,
             payload,
             size_bytes,
-            reply_to=reply_to,
-            reply_event=reply_event,
+            timeout_ms if timeout_ms is not None else self.DEFAULT_TIMEOUT_MS,
         )
-        timer = env.timeout(deadline)
-        yield env.any_of([reply_event, timer])
-        if reply_event.triggered:
-            return reply_event.value
-        reply_event.defuse()
-        raise TransportTimeout(f"no reply from {destination} within {deadline} ms")
+        self.env.call_later(
+            self._connect_rtt(src_host, destination), self._connected, call
+        )
+        return call
+
+    def _connected(self, trip: Event) -> None:
+        call: _Call = trip._value  # type: ignore[assignment]
+        if call._value is not _PENDING:
+            return  # abandoned while connecting
+        refusal = self._refusal(call.destination)
+        if refusal is not None:
+            call.fail_now(refusal)
+            return
+        call.datagram = Datagram(
+            call.reply_to,
+            call.destination,
+            call.payload,
+            call.size_bytes,
+            call.reply_to,
+            self.internet.next_msg_id(),
+        )
+        delay = self._wire_delay(
+            call.src_host, call.destination.address, call.size_bytes
+        )
+        self.env.call_later(delay, self._transferred, call)
+
+    def _transferred(self, trip: Event) -> None:
+        call: _Call = trip._value  # type: ignore[assignment]
+        if call._value is not _PENDING:
+            return
+        died = self._died(call.destination)
+        if died is not None:
+            call.fail_now(died)
+            return
+        self._deliver(call.datagram, call)  # type: ignore[arg-type]
+        self.env.call_later(call.deadline, self._expired, call)
+
+    def _expired(self, timer: Event) -> None:
+        call: _Call = timer._value  # type: ignore[assignment]
+        if call._value is _PENDING:
+            call.fail_now(
+                TransportTimeout(
+                    f"no reply from {call.destination} within {call.deadline} ms"
+                )
+            )

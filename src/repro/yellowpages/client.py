@@ -32,7 +32,7 @@ class YpClient:
         self.name = name
 
     def _roundtrip(self, request: object, size: int) -> typing.Generator:
-        reply = yield from self.transport.request(
+        reply = yield self.transport.request(
             self.host, self.server, request, size
         )
         if not isinstance(reply, YpReply):

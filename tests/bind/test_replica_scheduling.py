@@ -9,6 +9,7 @@ from repro.net import DatagramTransport, Internetwork
 from repro.net.addresses import Endpoint, NetworkAddress
 from repro.resolution import PolicySet, ReplicaPolicy
 from repro.sim import ConstantLatency, Environment
+from tests.bind.stall import StallServer
 
 CAL = DEFAULT_CALIBRATION
 
@@ -172,19 +173,6 @@ def test_scheduler_mirrors_counters_and_ewma_timer():
 # ----------------------------------------------------------------------
 # End-to-end: a resolver over two replicas
 # ----------------------------------------------------------------------
-class StallServer(BindServer):
-    """A BindServer that can be told to sit on requests for a while."""
-
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self.stall_ms = 0.0
-
-    def handle(self, datagram, responder):
-        if self.stall_ms:
-            yield self.env.timeout(self.stall_ms)
-        yield from super().handle(datagram, responder)
-
-
 def make_cluster(replica_policy, seed=41, primary_cost=4.8, secondary_cost=4.8):
     env = Environment(seed=seed)
     net = Internetwork(env)

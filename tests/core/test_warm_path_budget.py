@@ -1,4 +1,5 @@
-"""What one warm ``FindNSM`` costs the host and the kernel, pinned.
+"""What one warm ``FindNSM``, and one cold ``Import``, cost the host and
+the kernel, pinned.
 
 A hit hands back what the caches hold: nothing on the path re-parses a
 record, re-validates an address or re-names a counter, and no generator
@@ -9,6 +10,10 @@ that leaves headroom between interpreter versions — so the test says the
 same thing on any machine.  Simulated cost must not move at all: the
 heap entries per call are the path's CPU charges (probe + copy per
 mapping, plus the library's fixed one) and are pinned exactly.
+
+A cold ``Import`` is Table 3.1's operation: every cache flushed first,
+so each of its mappings and binding exchanges reaches a server — and no
+server starts a process to answer.
 """
 
 import collections
@@ -17,12 +22,13 @@ import sys
 
 import pytest
 
-from repro.core import HNSName
+from repro.core import Arrangement, HNSName
 from repro.resolution import DEFAULT_RESOLUTION_POLICY, FastPathPolicy, PolicySet
-from repro.workloads import build_testbed
+from repro.workloads import build_stack, build_testbed
 
 WARM_UPS = 3
 CALLS = 50
+COLD_CALLS = 10
 #: the name the perf ledger's ``core.probe.find_nsm_hit_us`` resolves
 NAME = HNSName("BIND-cs", "fiji.cs.washington.edu")
 
@@ -34,7 +40,7 @@ FAST_PATH = PolicySet(
 def find_nsm(policies):
     def make(testbed):
         hns = testbed.make_hns(testbed.client, policies=policies)
-        return functools.partial(hns.find_nsm, NAME, "HRPCBinding")
+        return None, functools.partial(hns.find_nsm, NAME, "HRPCBinding")
 
     return make
 
@@ -43,34 +49,71 @@ def lookup_hit(testbed):
     """Mapping 1 on a default meta store: one ``BindResolver.lookup``
     hit, the read ``update_storm``'s readers make."""
     store = testbed.make_metastore(testbed.client)
-    return functools.partial(store.context_to_name_service, NAME.context)
+    return None, functools.partial(store.context_to_name_service, NAME.context)
 
 
-def warm_cost(make):
-    """(python calls, C calls, heap entries) per warm call of ``make``'s."""
+def cold_import(name_service, service, name):
+    """The ledger's ``cold_import`` op: every cache flushed (unmeasured),
+    then one ``Import`` through an all-local stack."""
+
+    def make(testbed):
+        stack = build_stack(testbed, Arrangement.ALL_LOCAL, name_service=name_service)
+        return stack.flush_all_caches, functools.partial(
+            stack.importer.import_binding, service, name
+        )
+
+    return make
+
+
+def host_and_kernel_cost(make, calls=CALLS):
+    """(Python calls, C calls, heap entries, handler processes) per call
+    of ``make``'s, after ``WARM_UPS`` unmeasured ones.  ``make`` returns
+    ``(prepare, call)``; ``prepare``, when given, runs unmeasured before
+    every call."""
     testbed = build_testbed(seed=0)
     env = testbed.env
-    call = make(testbed)
+    prepare, call = make(testbed)
     events = collections.Counter()
+    handlers = []
+    start = env.process
+
+    def counting_process(generator, name=None, inline=False):
+        # a process a delivery starts is named for its transport
+        if name is not None and name.endswith(".handler"):
+            handlers.append(name)
+        return start(generator, name, inline)
 
     def profile(_frame, event, _arg):
         events[event] += 1
 
     def driver():
         for _ in range(WARM_UPS):
+            if prepare is not None:
+                prepare()
             yield from call()
         outer = sys.getprofile()
         before = env.kernel_counters()["sim.kernel.events_scheduled"]
+        handlers.clear()
         sys.setprofile(profile)
         try:
-            for _ in range(CALLS):
+            for _ in range(calls):
+                if prepare is not None:
+                    sys.setprofile(outer)
+                    prepare()
+                    sys.setprofile(profile)
                 yield from call()
         finally:
             sys.setprofile(outer)
         return env.kernel_counters()["sim.kernel.events_scheduled"] - before
 
+    env.process = counting_process
     heap_entries = env.run(until=env.process(driver()))
-    return events["call"] / CALLS, events["c_call"] / CALLS, heap_entries / CALLS
+    return (
+        events["call"] / calls,
+        events["c_call"] / calls,
+        heap_entries / calls,
+        len(handlers) / calls,
+    )
 
 
 @pytest.mark.parametrize(
@@ -87,10 +130,44 @@ def warm_cost(make):
     ],
 )
 def test_warm_find_nsm_host_and_kernel_budget(make, max_python_calls, heap_entries):
-    python_calls, c_calls, entries = warm_cost(make)
+    python_calls, c_calls, entries, _ = host_and_kernel_cost(make)
     print(
         f"warm call: {python_calls:.1f} python calls, {c_calls:.1f} C calls, "
         f"{entries:g} heap entries"
     )
     assert entries == heap_entries
+    assert python_calls <= max_python_calls
+
+
+@pytest.mark.parametrize(
+    "make, max_python_calls, heap_entries",
+    [
+        # 2 044 / 1 104 C calls; 2 468 and 9 handler processes while
+        # every handler was a process, every request a generator with an
+        # AnyOf per attempt, and every address key a Python __str__
+        pytest.param(
+            cold_import("BIND-cs", "DesiredService", NAME),
+            2_100,
+            80,
+            id="bind-cs",
+        ),
+        # 1 986.6 / 1 096.5; 2 401.4 and 8 likewise
+        pytest.param(
+            cold_import("CH-hcs", "PrintService", HNSName("CH-hcs", "dlion:hcs:uw")),
+            2_050,
+            81,
+            id="ch-hcs",
+        ),
+    ],
+)
+def test_cold_import_host_and_kernel_budget(make, max_python_calls, heap_entries):
+    python_calls, c_calls, entries, handlers = host_and_kernel_cost(
+        make, calls=COLD_CALLS
+    )
+    print(
+        f"cold Import: {python_calls:.1f} python calls, {c_calls:.1f} C calls, "
+        f"{entries:g} heap entries, {handlers:g} handler processes"
+    )
+    assert entries == heap_entries
+    assert handlers == 0
     assert python_calls <= max_python_calls

@@ -59,6 +59,25 @@ def test_first_getport_activates(activation_world):
     assert pm.activations == 1
 
 
+def test_a_getport_during_activation_waits_for_it(activation_world):
+    """Two hosts bind at once: the second GETPORT lands while the first
+    is still paying the activation, and is answered the port it comes up
+    on, as inetd would — not "not registered"."""
+    testbed, pm, created = activation_world
+    env = testbed.env
+    answered = {}
+
+    def bind(host):
+        pmc = PortmapperClient(host, testbed.udp, calibration=testbed.calibration)
+        port = yield from pmc.get_port(testbed.fiji.address, "SleepyService")
+        answered[host.name] = port
+
+    both = [env.process(bind(host)) for host in (testbed.client, testbed.june)]
+    env.run(until=env.all_of(both))
+    assert answered == {"client": 9900, "june": 9900}
+    assert pm.activations == 1 and len(created) == 1
+
+
 def test_activated_service_is_callable(activation_world):
     testbed, pm, created = activation_world
     env = testbed.env

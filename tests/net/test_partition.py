@@ -76,11 +76,15 @@ def test_requests_across_the_split_time_out(world):
     echo = Echo()
     hosts[2].bind(5000, echo)
     seg.partition(hosts[:2], hosts[2:])
+
+    def ask():
+        return (yield udp.request(hosts[0], Endpoint(hosts[2].address, 5000), "hi", 8))
+
     with pytest.raises(TransportTimeout):
-        run(env, udp.request(hosts[0], Endpoint(hosts[2].address, 5000), "hi", 8))
+        run(env, ask())
     assert echo.seen == 0
     seg.heal()
-    reply = run(env, udp.request(hosts[0], Endpoint(hosts[2].address, 5000), "hi", 8))
+    reply = run(env, ask())
     assert reply == "echo" and echo.seen == 1
 
 

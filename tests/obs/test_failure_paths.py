@@ -17,6 +17,7 @@ from repro.resolution import PolicySet, ReplicaPolicy
 from repro.sim import ConstantLatency, Environment
 from repro.workloads import build_testbed
 from repro.workloads.scenarios import BIND_CONTEXT, BIND_NS
+from tests.bind.stall import StallServer
 
 FIJI = HNSName("BIND-cs", "fiji.cs.washington.edu")
 
@@ -106,19 +107,6 @@ def test_stale_meta_read_is_annotated_after_failed_rounds():
 # ----------------------------------------------------------------------
 # Hedged query: winner and loser under the same trace
 # ----------------------------------------------------------------------
-class StallServer(BindServer):
-    """A BindServer that can be told to sit on requests for a while."""
-
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self.stall_ms = 0.0
-
-    def handle(self, datagram, responder):
-        if self.stall_ms:
-            yield self.env.timeout(self.stall_ms)
-        yield from super().handle(datagram, responder)
-
-
 def make_cluster(replica_policy, seed=41):
     cal = DEFAULT_CALIBRATION
     env = Environment(seed=seed)
