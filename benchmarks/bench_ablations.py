@@ -16,6 +16,7 @@ import dataclasses
 import pytest
 
 from repro.core import Arrangement, HNSName
+from repro.core.nsms import BindHostAddressNSM, ClearinghouseHostAddressNSM
 from repro.harness import DEFAULT_CALIBRATION
 from repro.resolution import PolicySet, ResolutionPolicy
 from repro.workloads import QueryWorkload, build_stack, build_testbed
@@ -118,7 +119,7 @@ def test_locality_sweep(benchmark):
         for s in (0.0, 1.0, 2.0):
             testbed = build_testbed(seed=93)
             env = testbed.env
-            hostaddr = testbed.make_bind_hostaddr_nsm(testbed.client)
+            hostaddr = testbed.make_nsm(BindHostAddressNSM, testbed.client)
             workload = QueryWorkload(
                 env, population, mean_interarrival_ms=10, zipf_s=s,
                 stream=f"loc{s}",
@@ -433,10 +434,10 @@ def test_cache_format_under_workload(benchmark):
             )
             hns = HNS(metastore, calibration=testbed.calibration)
             hns.link_host_address_nsm(
-                "BIND-cs", testbed.make_bind_hostaddr_nsm(testbed.client)
+                "BIND-cs", testbed.make_nsm(BindHostAddressNSM, testbed.client)
             )
             hns.link_host_address_nsm(
-                "CH-hcs", testbed.make_ch_hostaddr_nsm(testbed.client)
+                "CH-hcs", testbed.make_nsm(ClearinghouseHostAddressNSM, testbed.client)
             )
             timed(env, hns.find_nsm(FIJI, "HRPCBinding"))  # warm
             warm = sum(

@@ -15,6 +15,7 @@ import pytest
 
 from repro.bind import BindResolver
 from repro.clearinghouse import ClearinghouseClient
+from repro.core.nsms import BindBindingNSM
 from repro.harness import ComparisonTable
 from repro.hrpc import HRPCBinding, HrpcRuntime, HrpcServer
 from repro.workloads import build_testbed
@@ -55,7 +56,7 @@ def measure_nsm_remote_call(seed=43):
     env = testbed.env
     from repro.core import NsmStub, serve_nsm
 
-    nsm = testbed.make_bind_binding_nsm(testbed.nsm_host)
+    nsm = testbed.make_nsm(BindBindingNSM, testbed.nsm_host)
     server = HrpcServer(testbed.nsm_host)
     program = serve_nsm(server, nsm)
     endpoint = server.listen(9100)

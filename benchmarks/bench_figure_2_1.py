@@ -11,6 +11,7 @@ aware of which name service it is calling."
 import pytest
 
 from repro.core import Arrangement
+from repro.core.nsms import BindBindingNSM
 from repro.workloads import build_stack, build_testbed
 
 from conftest import DLION, FIJI, run
@@ -24,7 +25,7 @@ def drive_figure_2_1(seed=81):
     # NSMs for both name services linked into the client, as in the
     # figure's single-client view.
     ch_stack = build_stack(testbed, Arrangement.ALL_LOCAL, name_service="CH-hcs")
-    bind_nsm = testbed.make_bind_binding_nsm(testbed.client)
+    bind_nsm = testbed.make_nsm(BindBindingNSM, testbed.client)
     ch_stack.hns.link_local_nsm(bind_nsm)
     ch_stack.importer.nsm_stub.link_local(bind_nsm)
 

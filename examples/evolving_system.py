@@ -21,6 +21,7 @@ Run:  python examples/evolving_system.py
 
 from repro.bind import BindServer, ResourceRecord, Zone
 from repro.core import HNSName, HnsAdministrator
+from repro.core.nsms import BindHostAddressNSM
 from repro.workloads import build_testbed
 
 
@@ -30,7 +31,7 @@ def main() -> None:
 
     # The "existing" client: built before the new system exists.
     hns = testbed.make_hns(testbed.client)
-    hostaddr_nsm = testbed.make_bind_hostaddr_nsm(testbed.client)
+    hostaddr_nsm = testbed.make_nsm(BindHostAddressNSM, testbed.client)
 
     def resolve(context: str, name: str):
         result = yield from hostaddr_nsm.query(HNSName(context, name))
@@ -69,8 +70,6 @@ def main() -> None:
 
     # The client needs an NSM *instance* for the new service; here we
     # link one locally (a remote one shared by everyone works the same).
-    from repro.core.nsms import BindHostAddressNSM
-
     astro_nsm = BindHostAddressNSM(
         testbed.client, "BIND-astro", testbed.udp, astro_endpoint,
         calibration=testbed.calibration,

@@ -10,6 +10,7 @@ Run:  python examples/heterogeneous_filing.py
 """
 
 from repro.core import HNSName, NsmStub
+from repro.core.nsms import BindFileServiceNSM, ClearinghouseFileServiceNSM
 from repro.hcsfs import FILE_PROGRAM, FileServer, HcsFileSystem
 from repro.hrpc import HrpcRuntime
 from repro.workloads import build_testbed
@@ -34,8 +35,8 @@ def main() -> None:
     hns = testbed.make_hns(testbed.client)
     stub = NsmStub(testbed.client)
     for nsm in (
-        testbed.make_bind_file_nsm(testbed.client),
-        testbed.make_ch_file_nsm(testbed.client),
+        testbed.make_nsm(BindFileServiceNSM, testbed.client),
+        testbed.make_nsm(ClearinghouseFileServiceNSM, testbed.client),
     ):
         hns.link_local_nsm(nsm)
         stub.link_local(nsm)

@@ -9,6 +9,7 @@ Run:  python examples/hrpc_binding_walkthrough.py
 """
 
 from repro.core import Arrangement, HNSName
+from repro.core.nsms import BindBindingNSM
 from repro.workloads import build_stack, build_testbed
 
 
@@ -19,7 +20,7 @@ def main() -> None:
 
     # Client with both binding NSMs linked in (the figure's view).
     stack = build_stack(testbed, Arrangement.ALL_LOCAL, name_service="CH-hcs")
-    bind_nsm = testbed.make_bind_binding_nsm(testbed.client)
+    bind_nsm = testbed.make_nsm(BindBindingNSM, testbed.client)
     stack.hns.link_local_nsm(bind_nsm)
     stack.importer.nsm_stub.link_local(bind_nsm)
 

@@ -10,6 +10,7 @@ Run:  python examples/mail_naming.py
 """
 
 from repro.core import HNSName, LocalNsmBinding, NsmStub
+from repro.core.nsms import BindMailboxNSM, ClearinghouseMailboxNSM
 from repro.workloads import build_testbed
 
 
@@ -20,8 +21,8 @@ def main() -> None:
     # A mail agent process with both mail NSMs linked in.
     hns = testbed.make_hns(testbed.client)
     nsms = {
-        "MailboxLocation-BIND-cs": testbed.make_bind_mail_nsm(testbed.client),
-        "MailboxLocation-CH-hcs": testbed.make_ch_mail_nsm(testbed.client),
+        "MailboxLocation-BIND-cs": testbed.make_nsm(BindMailboxNSM, testbed.client),
+        "MailboxLocation-CH-hcs": testbed.make_nsm(ClearinghouseMailboxNSM, testbed.client),
     }
     for nsm in nsms.values():
         hns.link_local_nsm(nsm)

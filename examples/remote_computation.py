@@ -9,6 +9,7 @@ Run:  python examples/remote_computation.py
 
 from repro.core import HNSName, NsmStub
 from repro.core.import_call import HrpcImporter, LocalFinder
+from repro.core.nsms import BindBindingNSM, ClearinghouseBindingNSM
 from repro.hrpc import HrpcRuntime
 from repro.rexec import REXEC_PROGRAM, RexecServer
 from repro.rexec.client import RemoteExecutor
@@ -44,8 +45,8 @@ def main() -> None:
     hns = testbed.make_hns(testbed.client)
     stub = NsmStub(testbed.client)
     for nsm in (
-        testbed.make_bind_binding_nsm(testbed.client),
-        testbed.make_ch_binding_nsm(testbed.client),
+        testbed.make_nsm(BindBindingNSM, testbed.client),
+        testbed.make_nsm(ClearinghouseBindingNSM, testbed.client),
     ):
         hns.link_local_nsm(nsm)
         stub.link_local(nsm)

@@ -18,23 +18,23 @@ import argparse
 import sys
 import typing
 
-from repro.core import Arrangement, HNSName, LocalNsmBinding
+from repro.core import Arrangement, HNSName, LocalNsmBinding, nsms
 from repro.workloads import build_stack, build_testbed
 
 
 def _stack_with_all_nsms(testbed):
     """An ALL_LOCAL stack plus every NSM type linked in."""
     stack = build_stack(testbed, Arrangement.ALL_LOCAL)
-    extra = [
-        testbed.make_ch_binding_nsm(testbed.client),
-        testbed.make_bind_hostaddr_nsm(testbed.client),
-        testbed.make_ch_hostaddr_nsm(testbed.client),
-        testbed.make_bind_mail_nsm(testbed.client),
-        testbed.make_ch_mail_nsm(testbed.client),
-        testbed.make_bind_file_nsm(testbed.client),
-        testbed.make_ch_file_nsm(testbed.client),
-    ]
-    for nsm in extra:
+    for nsm_class in (
+        nsms.ClearinghouseBindingNSM,
+        nsms.BindHostAddressNSM,
+        nsms.ClearinghouseHostAddressNSM,
+        nsms.BindMailboxNSM,
+        nsms.ClearinghouseMailboxNSM,
+        nsms.BindFileServiceNSM,
+        nsms.ClearinghouseFileServiceNSM,
+    ):
+        nsm = testbed.make_nsm(nsm_class, testbed.client)
         stack.hns.link_local_nsm(nsm)
         stack.importer.nsm_stub.link_local(nsm)
     return stack

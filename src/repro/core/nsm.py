@@ -58,11 +58,17 @@ class NamingSemanticsManager:
 
     Subclasses set :attr:`query_class` and :attr:`name_service` and
     implement :meth:`resolve`, the native-protocol work.  The base class
-    provides the result cache (hits skip the native work entirely) and
-    standardization cost accounting.
+    provides the result cache (hits skip the native work entirely),
+    standardization cost accounting and the query class's required
+    parameters check.
     """
 
     query_class: str = ""
+    #: the HostAddress rule.  "Further recursion is avoided by linking
+    #: instances of the NSMs that perform this mapping directly with the
+    #: HNS": such an NSM pays no translate, standardize or hit-extra
+    #: cost, and keys its results by local host name
+    statically_linked: bool = False
 
     def __init__(
         self,
@@ -75,7 +81,7 @@ class NamingSemanticsManager:
     ):
         if not self.query_class:
             raise TypeError("NSM subclasses must set query_class")
-        query_class_named(self.query_class)
+        self._required_params = query_class_named(self.query_class).required_params
         self.host = host
         self.env = host.env
         self.name_service = name_service
@@ -88,6 +94,13 @@ class NamingSemanticsManager:
         self.translate_cost_ms = calibration.nsm_translate_ms
         self.standardize_cost_ms = calibration.nsm_standardize_ms
         self.cache_hit_extra_ms = calibration.nsm_cache_hit_extra_ms
+        if self.statically_linked:
+            # A host-address answer needs no translation or restructuring;
+            # linked-in instances must cost exactly the native lookup on a
+            # miss and a bare cache hit otherwise.
+            self.translate_cost_ms = 0.0
+            self.standardize_cost_ms = 0.0
+            self.cache_hit_extra_ms = 0.0
         self.cache: typing.Optional[ResolverCache] = (
             ResolverCache(
                 host.env,
@@ -146,6 +159,10 @@ class NamingSemanticsManager:
     def _cache_key(
         self, hns_name: HNSName, params: typing.Mapping[str, object]
     ) -> object:
+        if self.statically_linked:
+            # Keyed by local host name so preloaded entries (which know
+            # only the host name, not the context) hit.
+            return ("hostaddr", self.translate_name(hns_name))
         return (str(hns_name), tuple(sorted((k, str(v)) for k, v in params.items())))
 
     # ------------------------------------------------------------------
@@ -230,6 +247,11 @@ class NamingSemanticsManager:
             ).increment()
             if self.translate_cost_ms:
                 yield self.host.cpu.compute(self.translate_cost_ms)
+            for param in self._required_params:
+                if not params.get(param):
+                    raise ValueError(
+                        f"{self.query_class} query requires a {param!r} parameter"
+                    )
             value, ttl_ms = yield from self.resolve(hns_name, params)
             if self.standardize_cost_ms:
                 yield self.host.cpu.compute(self.standardize_cost_ms)

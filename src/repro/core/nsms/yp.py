@@ -21,10 +21,11 @@ from repro.net.transport import Transport
 from repro.yellowpages.client import YpClient
 
 
-class YpHostAddressNSM(NamingSemanticsManager):
-    """HostAddress via ``hosts.byname``."""
+class YpNSM(NamingSemanticsManager):
+    """The YP family: one client of a YP domain, named
+    ``<client_label>@<host>`` in the stats, and one portmapper client."""
 
-    query_class = "HostAddress"
+    client_label: str = ""
 
     def __init__(
         self,
@@ -40,15 +41,18 @@ class YpHostAddressNSM(NamingSemanticsManager):
         super().__init__(
             host, name_service, calibration=calibration, cached=cached, **kwargs  # type: ignore[arg-type]
         )
-        self.translate_cost_ms = 0.0
-        self.standardize_cost_ms = 0.0
-        self.cache_hit_extra_ms = 0.0
         self.client = YpClient(
-            host, transport, yp_server, domain, name=f"nsm-yp@{host.name}"
+            host, transport, yp_server, domain, name=f"{self.client_label}@{host.name}"
         )
+        self.portmapper = PortmapperClient(host, transport, calibration=calibration)
 
-    def _cache_key(self, hns_name: HNSName, params) -> object:
-        return ("hostaddr", self.translate_name(hns_name))
+
+class YpHostAddressNSM(YpNSM):
+    """HostAddress via ``hosts.byname``."""
+
+    query_class = "HostAddress"
+    client_label = "nsm-yp"
+    statically_linked = True
 
     def resolve(
         self, hns_name: HNSName, params: typing.Mapping[str, object]
@@ -61,36 +65,16 @@ class YpHostAddressNSM(NamingSemanticsManager):
         return {"address": address}, self.calibration.meta_ttl_ms
 
 
-class YpBindingNSM(NamingSemanticsManager):
+class YpBindingNSM(YpNSM):
     """HRPCBinding for YP-named Sun hosts (portmapper protocol)."""
 
     query_class = "HRPCBinding"
-
-    def __init__(
-        self,
-        host: Host,
-        name_service: str,
-        transport: Transport,
-        yp_server: Endpoint,
-        domain: str,
-        calibration: Calibration = DEFAULT_CALIBRATION,
-        cached: bool = True,
-        **kwargs: object,
-    ):
-        super().__init__(
-            host, name_service, calibration=calibration, cached=cached, **kwargs  # type: ignore[arg-type]
-        )
-        self.client = YpClient(
-            host, transport, yp_server, domain, name=f"nsm-ypbind@{host.name}"
-        )
-        self.portmapper = PortmapperClient(host, transport, calibration=calibration)
+    client_label = "nsm-ypbind"
 
     def resolve(
         self, hns_name: HNSName, params: typing.Mapping[str, object]
     ) -> typing.Generator:
-        service_name = typing.cast(str, params.get("service"))
-        if not service_name:
-            raise ValueError("HRPCBinding query requires a 'service' parameter")
+        service_name = params["service"]
         value = yield from self.client.match(
             "hosts.byname", self.translate_name(hns_name)
         )
@@ -107,28 +91,11 @@ class YpBindingNSM(NamingSemanticsManager):
         )
 
 
-class YpMailboxNSM(NamingSemanticsManager):
+class YpMailboxNSM(YpNSM):
     """MailboxLocation via ``mail.aliases`` ("user: host|box")."""
 
     query_class = "MailboxLocation"
-
-    def __init__(
-        self,
-        host: Host,
-        name_service: str,
-        transport: Transport,
-        yp_server: Endpoint,
-        domain: str,
-        calibration: Calibration = DEFAULT_CALIBRATION,
-        cached: bool = True,
-        **kwargs: object,
-    ):
-        super().__init__(
-            host, name_service, calibration=calibration, cached=cached, **kwargs  # type: ignore[arg-type]
-        )
-        self.client = YpClient(
-            host, transport, yp_server, domain, name=f"nsm-ypmail@{host.name}"
-        )
+    client_label = "nsm-ypmail"
 
     def resolve(
         self, hns_name: HNSName, params: typing.Mapping[str, object]

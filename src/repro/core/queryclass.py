@@ -15,11 +15,13 @@ from repro.core.errors import QueryClassUnsupported
 
 @dataclasses.dataclass(frozen=True)
 class QueryClass:
-    """One query class: its name and standardized result fields."""
+    """One query class: its name, standardized result fields and the
+    query parameters every call must supply."""
 
     name: str
     result_fields: typing.Tuple[str, ...]
     description: str = ""
+    required_params: typing.Tuple[str, ...] = ()
 
     def validate_result(self, value: typing.Mapping[str, object]) -> None:
         """Check an NSM's result against the standard interface."""
@@ -40,6 +42,7 @@ QUERY_CLASSES: typing.Dict[str, QueryClass] = {
             "HRPCBinding",
             ("endpoint", "program", "suite", "system_type"),
             "Connect a client to a server: the first HNS application.",
+            required_params=("service",),
         ),
         QueryClass(
             "HostAddress",

@@ -39,17 +39,14 @@ from repro.core.import_call import (
 )
 from repro.core.metastore import MetaStore
 from repro.core.nsm import NamingSemanticsManager, NsmStub, serve_nsm
-from repro.core.nsms import (
-    BindBindingNSM,
-    BindHostAddressNSM,
-    BindMailboxNSM,
-    BindFileServiceNSM,
+from repro.core.nsms.bind import BindBindingNSM, BindHostAddressNSM, BindNSM
+from repro.core.nsms.clearinghouse import (
     ClearinghouseBindingNSM,
     ClearinghouseHostAddressNSM,
-    ClearinghouseMailboxNSM,
-    ClearinghouseFileServiceNSM,
+    ClearinghouseNSM,
 )
 from repro.harness.calibration import Calibration, DEFAULT_CALIBRATION
+from repro.hcsfs.fileserver import FILE_PROGRAM
 from repro.hrpc import (
     CourierBinder,
     HRPCBinding,
@@ -95,6 +92,7 @@ NSM_PORT_OFFSETS: typing.Dict[typing.Tuple[str, str], int] = {
     ("MailboxLocation", CH_NS): 6,
     ("FileService", CH_NS): 7,
 }
+_Nsm = typing.TypeVar("_Nsm", bound=NamingSemanticsManager)
 
 
 @dataclasses.dataclass
@@ -125,66 +123,32 @@ class HcsTestbed:
     ch_server: ClearinghouseServer
     ch_endpoint: Endpoint
 
-    # ------------------------------------------------------------------
-    # NSM factories: one per (query class, name service), placed anywhere
-    # ------------------------------------------------------------------
-    def _bind_nsm(self, nsm_class, host: Host, **kwargs):
-        """``nsm_class`` over the public BIND: all that varies between
-        the BIND-side NSMs is the class."""
-        return nsm_class(
-            host,
-            BIND_NS,
-            self.udp,
-            self.public_endpoint,
-            calibration=self.calibration,
-            **kwargs,
-        )
-
-    def _ch_nsm(self, nsm_class, host: Host, **kwargs):
-        """``nsm_class`` over the Clearinghouse, likewise."""
-        return nsm_class(
-            host,
-            CH_NS,
-            self.tcp,
-            self.ch_endpoint,
-            CREDENTIALS,
-            calibration=self.calibration,
-            **kwargs,
-        )
-
-    def make_bind_binding_nsm(self, host: Host, cached: bool = True) -> BindBindingNSM:
-        return self._bind_nsm(BindBindingNSM, host, cached=cached)
-
-    def make_bind_hostaddr_nsm(
-        self, host: Host, cached: bool = True
-    ) -> BindHostAddressNSM:
-        return self._bind_nsm(BindHostAddressNSM, host, cached=cached)
-
-    def make_ch_binding_nsm(
-        self, host: Host, cached: bool = True
-    ) -> ClearinghouseBindingNSM:
-        return self._ch_nsm(ClearinghouseBindingNSM, host, cached=cached)
-
-    def make_ch_hostaddr_nsm(
-        self, host: Host, cached: bool = True
-    ) -> ClearinghouseHostAddressNSM:
-        return self._ch_nsm(ClearinghouseHostAddressNSM, host, cached=cached)
-
-    def make_bind_mail_nsm(self, host: Host, cached: bool = True) -> BindMailboxNSM:
-        return self._bind_nsm(BindMailboxNSM, host, cached=cached)
-
-    def make_ch_mail_nsm(
-        self, host: Host, cached: bool = True
-    ) -> ClearinghouseMailboxNSM:
-        return self._ch_nsm(ClearinghouseMailboxNSM, host, cached=cached)
-
-    def make_bind_file_nsm(self, host: Host, cached: bool = True) -> BindFileServiceNSM:
-        return self._bind_nsm(BindFileServiceNSM, host, cached=cached)
-
-    def make_ch_file_nsm(
-        self, host: Host, cached: bool = True
-    ) -> ClearinghouseFileServiceNSM:
-        return self._ch_nsm(ClearinghouseFileServiceNSM, host, cached=cached)
+    def make_nsm(
+        self, nsm_class: typing.Type[_Nsm], host: Host, **kwargs: typing.Any
+    ) -> _Nsm:
+        """An ``nsm_class`` NSM on ``host``, over its family's name
+        service here: the public BIND over UDP, or the Clearinghouse
+        over TCP.  ``kwargs`` go to the NSM (``cached``, ``fast_path``)."""
+        if issubclass(nsm_class, BindNSM):
+            return nsm_class(
+                host,
+                BIND_NS,
+                self.udp,
+                self.public_endpoint,
+                calibration=self.calibration,
+                **kwargs,
+            )
+        if issubclass(nsm_class, ClearinghouseNSM):
+            return nsm_class(
+                host,
+                CH_NS,
+                self.tcp,
+                self.ch_endpoint,
+                CREDENTIALS,
+                calibration=self.calibration,
+                **kwargs,
+            )
+        raise TypeError(f"the testbed runs no name service for {nsm_class.__name__}")
 
     def make_metastore(
         self,
@@ -217,11 +181,11 @@ class HcsTestbed:
         fast_path = policies.fast_path
         hns.link_host_address_nsm(
             BIND_NS,
-            self._bind_nsm(BindHostAddressNSM, host, fast_path=fast_path),
+            self.make_nsm(BindHostAddressNSM, host, fast_path=fast_path),
         )
         hns.link_host_address_nsm(
             CH_NS,
-            self._ch_nsm(ClearinghouseHostAddressNSM, host, fast_path=fast_path),
+            self.make_nsm(ClearinghouseHostAddressNSM, host, fast_path=fast_path),
         )
         return hns
 
@@ -325,7 +289,7 @@ def build_testbed(
     portmapper = Portmapper(fiji, calibration=calibration)
     portmapper.listen()
     portmapper.register_local(TARGET_SERVICE, TARGET_PORT)
-    portmapper.register_local("hcsfile", TARGET_PORT)
+    portmapper.register_local(FILE_PROGRAM, TARGET_PORT)
     target_server = HrpcServer(fiji, name="target")
 
     def ping(ctx, *args):
@@ -333,16 +297,16 @@ def build_testbed(
         return ("pong",) + args
 
     target_server.program(TARGET_SERVICE).procedure("ping", ping)
-    target_server.program("hcsfile").procedure("ping", ping)
+    target_server.program(FILE_PROGRAM).procedure("ping", ping)
     target_server.listen(TARGET_PORT)
 
     binder = CourierBinder(dlion, calibration=calibration)
     binder.listen()
     binder.advertise_local(COURIER_SERVICE, COURIER_PORT)
-    binder.advertise_local("hcsfile", COURIER_PORT)
+    binder.advertise_local(FILE_PROGRAM, COURIER_PORT)
     courier_server = HrpcServer(dlion, name="courier-target")
     courier_server.program(COURIER_SERVICE).procedure("ping", ping)
-    courier_server.program("hcsfile").procedure("ping", ping)
+    courier_server.program(FILE_PROGRAM).procedure("ping", ping)
     courier_server.listen(COURIER_PORT)
 
     testbed = HcsTestbed(
@@ -447,8 +411,8 @@ def build_stack(
 
     def binding_nsm_for(host: Host) -> NamingSemanticsManager:
         if name_service == BIND_NS:
-            return testbed.make_bind_binding_nsm(host)
-        return testbed.make_ch_binding_nsm(host)
+            return testbed.make_nsm(BindBindingNSM, host)
+        return testbed.make_nsm(ClearinghouseBindingNSM, host)
 
     if arrangement is Arrangement.AGENT:
         agent_host = testbed.agent_host

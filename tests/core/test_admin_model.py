@@ -4,6 +4,7 @@ import pytest
 
 from repro.core import ColocationModel, HNSName, HnsAdministrator
 from repro.core.model import preload_breakeven_calls
+from repro.core.nsms import BindHostAddressNSM
 from repro.workloads.scenarios import BIND_NS
 
 from tests.core.conftest import run
@@ -104,7 +105,7 @@ def test_native_updates_visible_globally(testbed):
     env = testbed.env
     from repro.bind import ResourceRecord
 
-    nsm = testbed.make_bind_hostaddr_nsm(testbed.client)
+    nsm = testbed.make_nsm(BindHostAddressNSM, testbed.client)
     name = HNSName("BIND-cs", "newborn.cs.washington.edu")
 
     def before():

@@ -9,6 +9,7 @@ from repro.core import (
     NsmNotFound,
     QueryClassUnsupported,
 )
+from repro.core.nsms import BindBindingNSM, BindHostAddressNSM
 from repro.hrpc import HRPCBinding
 from repro.workloads.scenarios import BIND_NS, NSM_PORT
 
@@ -29,7 +30,7 @@ def test_findnsm_returns_binding_for_remote_nsm(testbed):
 
 def test_findnsm_returns_local_binding_when_linked(testbed):
     hns = testbed.make_hns(testbed.client)
-    nsm = testbed.make_bind_binding_nsm(testbed.client)
+    nsm = testbed.make_nsm(BindBindingNSM, testbed.client)
     hns.link_local_nsm(nsm)
     binding = run(testbed.env, hns.find_nsm(FIJI, "HRPCBinding"))
     assert isinstance(binding, LocalNsmBinding)
@@ -157,14 +158,14 @@ def test_link_validation(testbed):
     hns = testbed.make_hns(testbed.client)
     with pytest.raises(ValueError):
         hns.link_host_address_nsm(
-            BIND_NS, testbed.make_bind_binding_nsm(testbed.client)
+            BIND_NS, testbed.make_nsm(BindBindingNSM, testbed.client)
         )
     with pytest.raises(ValueError):
         hns.link_host_address_nsm(
-            BIND_NS, testbed.make_bind_hostaddr_nsm(testbed.nsm_host)
+            BIND_NS, testbed.make_nsm(BindHostAddressNSM, testbed.nsm_host)
         )
     with pytest.raises(ValueError):
-        hns.link_local_nsm(testbed.make_bind_binding_nsm(testbed.nsm_host))
+        hns.link_local_nsm(testbed.make_nsm(BindBindingNSM, testbed.nsm_host))
 
 
 def test_hns_preload_guarantees_hits(testbed):

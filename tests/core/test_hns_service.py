@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core import HNSName, HnsError, serve_hns
+from repro.core.nsms import BindBindingNSM
 from repro.hrpc import HRPCBinding, HrpcRuntime, HrpcServer
 from repro.workloads.scenarios import HNS_PORT
 
@@ -41,7 +42,7 @@ def test_remote_findnsm_rejects_server_linked_nsm(testbed):
     handing out a dangling local reference."""
     env = testbed.env
     hns = testbed.make_hns(testbed.hns_host)
-    nsm = testbed.make_bind_binding_nsm(testbed.hns_host)
+    nsm = testbed.make_nsm(BindBindingNSM, testbed.hns_host)
     hns.link_local_nsm(nsm)
     server = HrpcServer(testbed.hns_host)
     serve_hns(hns, server)

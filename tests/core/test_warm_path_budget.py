@@ -142,7 +142,7 @@ def test_warm_find_nsm_host_and_kernel_budget(make, max_python_calls, heap_entri
 @pytest.mark.parametrize(
     "make, max_python_calls, heap_entries",
     [
-        # 2 044 / 1 104 C calls; 2 468 and 9 handler processes while
+        # 2 043 / 1 104 C calls; 2 468 and 9 handler processes while
         # every handler was a process, every request a generator with an
         # AnyOf per attempt, and every address key a Python __str__
         pytest.param(
@@ -151,7 +151,7 @@ def test_warm_find_nsm_host_and_kernel_budget(make, max_python_calls, heap_entri
             80,
             id="bind-cs",
         ),
-        # 1 986.6 / 1 096.5; 2 401.4 and 8 likewise
+        # 1 985.6 / 1 096.5; 2 401.4 and 8 likewise
         pytest.param(
             cold_import("CH-hcs", "PrintService", HNSName("CH-hcs", "dlion:hcs:uw")),
             2_050,

@@ -17,6 +17,7 @@ from repro.core import (
     LocalNsmBinding,
     NsmUnavailable,
 )
+from repro.core.nsms import BindBindingNSM, BindHostAddressNSM
 from repro.harness.calibration import DEFAULT_CALIBRATION
 from repro.harness.grids import percentile
 from repro.net import DatagramTransport, TransportTimeout
@@ -138,7 +139,7 @@ def test_drop_probability_sweep_over_a_raw_wire():
                 testbed.client, policies=PolicySet(resolution=policy)
             )
             hns = HNS(metastore, calibration=testbed.calibration)
-            hostaddr = testbed.make_bind_hostaddr_nsm(testbed.client)
+            hostaddr = testbed.make_nsm(BindHostAddressNSM, testbed.client)
             hns.link_host_address_nsm(BIND_NS, hostaddr)
             testbed.internet.segments[0].drop_probability = drop
             latencies = []
@@ -311,7 +312,7 @@ def test_open_breaker_routes_to_linked_in_copy():
     testbed = build_testbed(seed=17)
     env = testbed.env
     hns = testbed.make_hns(testbed.client)
-    local = testbed.make_bind_binding_nsm(testbed.client)
+    local = testbed.make_nsm(BindBindingNSM, testbed.client)
     hns.link_local_nsm(local)
     for _ in range(hns.policies.resolution.breaker_threshold):
         hns.report_nsm_outcome(local.name, ok=False)

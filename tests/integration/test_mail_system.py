@@ -4,6 +4,12 @@ import pytest
 
 from repro.core import HNSName, NsmStub
 from repro.core.import_call import HrpcImporter, LocalFinder
+from repro.core.nsms import (
+    BindBindingNSM,
+    BindMailboxNSM,
+    ClearinghouseBindingNSM,
+    ClearinghouseMailboxNSM,
+)
 from repro.hrpc import HrpcRuntime
 from repro.mail import MAIL_PROGRAM, MailAgent, MailMessage, MailboxServer
 from repro.workloads import build_testbed
@@ -39,10 +45,10 @@ def mail_world():
     # The agent: HNS + mail NSMs + binding NSMs, all linked in.
     hns = testbed.make_hns(testbed.client)
     nsms = [
-        testbed.make_bind_mail_nsm(testbed.client),
-        testbed.make_ch_mail_nsm(testbed.client),
-        testbed.make_bind_binding_nsm(testbed.client),
-        testbed.make_ch_binding_nsm(testbed.client),
+        testbed.make_nsm(BindMailboxNSM, testbed.client),
+        testbed.make_nsm(ClearinghouseMailboxNSM, testbed.client),
+        testbed.make_nsm(BindBindingNSM, testbed.client),
+        testbed.make_nsm(ClearinghouseBindingNSM, testbed.client),
     ]
     stub = NsmStub(testbed.client)
     for nsm in nsms:

@@ -4,6 +4,7 @@ import pytest
 
 from repro.core import HNSName, NsmStub
 from repro.core.import_call import HrpcImporter, LocalFinder
+from repro.core.nsms import BindBindingNSM, ClearinghouseBindingNSM
 from repro.hrpc import HrpcRuntime
 from repro.rexec import JOB_CATALOGUE, REXEC_PROGRAM, RexecError, RexecServer
 from repro.rexec.client import RemoteExecutor
@@ -43,8 +44,8 @@ def rexec_world():
     hns = testbed.make_hns(testbed.client)
     stub = NsmStub(testbed.client)
     for nsm in (
-        testbed.make_bind_binding_nsm(testbed.client),
-        testbed.make_ch_binding_nsm(testbed.client),
+        testbed.make_nsm(BindBindingNSM, testbed.client),
+        testbed.make_nsm(ClearinghouseBindingNSM, testbed.client),
     ):
         hns.link_local_nsm(nsm)
         stub.link_local(nsm)

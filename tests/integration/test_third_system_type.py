@@ -11,8 +11,7 @@ import pytest
 
 from repro.core import HNSName, HnsAdministrator, NsmStub, serve_nsm
 from repro.core.nsms.yp import YpBindingNSM, YpHostAddressNSM, YpMailboxNSM
-from repro.hrpc import HrpcRuntime, HrpcServer, Portmapper
-from repro.workloads import build_testbed
+from repro.hrpc import HrpcRuntime, HrpcServer
 from repro.yellowpages import NoSuchKey, NoSuchMap, YpClient, YpDomain, YpMap, YpServer
 
 
@@ -48,31 +47,6 @@ def test_yp_domain_mechanics():
         d.existing_map("ghost")
     with pytest.raises(ValueError):
         YpDomain("")
-
-
-@pytest.fixture
-def yp_world():
-    testbed = build_testbed(seed=44)
-    yp_host = testbed.internet.add_host("ypmaster", system_type="sun")
-    domain = YpDomain("cs-suns")
-    hosts = domain.map("hosts.byname")
-    hosts.set("rainier", f"{yp_host.address} rainier")
-    domain.map("mail.aliases").set("bershad", "rainier|bershad")
-    server = YpServer(yp_host, domains=[domain])
-    endpoint = server.listen()
-    # rainier runs a portmapper + a Sun RPC service, like any Sun host.
-    pm = Portmapper(yp_host, calibration=testbed.calibration)
-    pm.listen()
-    pm.register_local("YpNamedService", 9800)
-    rpc = HrpcServer(yp_host)
-
-    def ping(ctx, *args):
-        yield ctx.host.cpu.compute(0.2)
-        return ("yp-pong",) + args
-
-    rpc.program("YpNamedService").procedure("ping", ping)
-    rpc.listen(9800)
-    return testbed, yp_host, domain, server, endpoint
 
 
 def test_yp_client_match(yp_world):

@@ -10,6 +10,7 @@ costs exactly its three calls on the shared no-op span.
 """
 
 import collections
+import gc
 import sys
 
 from repro.obs import SpanMetrics
@@ -39,6 +40,10 @@ def calls_per_span(traced):
         # warm-ups bind the histograms and fill the exemplar buckets.
         for _ in range(WARM_UPS):
             pair()
+        # A collection inside the window would count the finalizers of
+        # earlier tests' garbage (a closed generator is a frame entered).
+        gc.collect()
+        gc.disable()
         outer = sys.getprofile()
         sys.setprofile(profile)
         try:
@@ -46,6 +51,7 @@ def calls_per_span(traced):
                 pair()
         finally:
             sys.setprofile(outer)
+            gc.enable()
         yield env.timeout(0.0)
 
     env.run(until=env.process(driver()))
