@@ -15,18 +15,18 @@ Two halves, one gate:
   flags pragmas that no longer silence anything.
 
 - **Runtime** (:mod:`~repro.analysis.sanitizer`,
-  :mod:`~repro.analysis.determinism`, :mod:`~repro.analysis.racer`): an
-  interleaving sanitizer that reconstructs happens-before between
-  process segments and flags unordered conflicting accesses, a
-  determinism checker that runs every registered scenario twice per
-  seed and diffs trace digests, and hnsracer — schedule-perturbed
-  scenario re-runs (:mod:`~repro.analysis.perturb`) that mark static
-  race findings CONFIRMED when a sanitizer hazard witnesses them.
+  :mod:`~repro.analysis.determinism`): an interleaving sanitizer that
+  reconstructs happens-before between process segments and flags
+  unordered conflicting accesses, and the scenario pass — every
+  registered scenario run plain, replayed, traced and twice
+  schedule-perturbed (:mod:`~repro.analysis.perturb`) under the
+  sanitizer, with static race findings marked CONFIRMED when a hazard
+  witnesses them.
 
 Run it as ``python -m repro.analysis src/repro`` (or
-``python -m repro.cli lint``); ``--format json`` emits the stable
-machine-readable report CI diffs across revisions.  The racer runs as
-``python -m repro.cli racer``.
+``python -m repro.cli lint``); ``--scenarios`` adds the runtime half,
+and ``--format json`` emits the stable machine-readable report CI diffs
+across revisions.
 """
 
 from repro.analysis.atomicity import (
@@ -45,16 +45,13 @@ from repro.analysis.core import (
     lint_paths,
     lint_source,
 )
-from repro.analysis.determinism import ScenarioCheck, check_all, check_scenario
-from repro.analysis.perturb import derive_seed, monitored, perturbed
-from repro.analysis.racer import (
-    RacerFinding,
-    RacerReport,
-    ScenarioRace,
-    render_racer_json,
-    render_racer_text,
-    run_racer,
+from repro.analysis.determinism import (
+    ScenarioCheck,
+    ScenarioPass,
+    check_scenario,
+    check_scenarios,
 )
+from repro.analysis.perturb import derive_seed, monitored, perturbed
 from repro.analysis.report import render_json, render_text
 from repro.analysis.sanitizer import (
     Access,
@@ -74,19 +71,17 @@ __all__ = [
     "InterleavingSanitizer",
     "LintResult",
     "ModuleSource",
-    "RacerFinding",
-    "RacerReport",
     "Rule",
     "ScenarioCheck",
-    "ScenarioRace",
+    "ScenarioPass",
     "SegmentInfo",
     "Sim004CheckThenActAcrossGap",
     "Sim005AwaitGapCapture",
     "Suppression",
     "Watched",
     "build_callgraph",
-    "check_all",
     "check_scenario",
+    "check_scenarios",
     "default_rules",
     "derive_seed",
     "interprocedural_rules",
@@ -96,10 +91,7 @@ __all__ = [
     "monitored",
     "perturbed",
     "render_json",
-    "render_racer_json",
-    "render_racer_text",
     "render_text",
-    "run_racer",
 ]
 
 

@@ -1,10 +1,11 @@
 """``python -m repro.analysis`` — the hnslint command line.
 
 Exit status 0 means every invariant held: no unsuppressed findings, no
-parse errors, (with ``--determinism``) identical same-seed digests for
-every checked scenario, and (with ``--check-baseline``) no stale
-baseline suppressions.  Anything else exits 1, which is what the CI
-``lint`` and ``determinism`` jobs key off.
+parse errors, (with ``--scenarios``) every scenario replayed
+digest-identically plain, traced and perturbed, and (with
+``--check-baseline``) no stale baseline suppressions.  Anything else
+exits 1, which is what CI's ``check`` job keys off; a usage error (an
+unknown ``--scenario``) exits 2.
 """
 
 from __future__ import annotations
@@ -14,7 +15,8 @@ import sys
 import typing
 
 from repro.analysis.baseline import BASELINE_FILENAME, Baseline
-from repro.analysis.core import LintResult, default_rules, lint_paths
+from repro.analysis.core import default_rules, lint_paths
+from repro.analysis.determinism import check_scenarios, select_scenarios
 from repro.analysis.report import render_json, render_text
 
 
@@ -23,15 +25,14 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro.analysis",
         description=(
-            "hnslint: repo-specific static analysis and simulation "
-            "determinism checks"
+            "hnslint: repo-specific static analysis, plus a scenario "
+            "pass that replays, traces and perturbs every scenario"
         ),
     )
     parser.add_argument(
         "paths",
         nargs="*",
-        help="files or directories to lint (default: src/repro unless "
-        "--determinism is the only check requested)",
+        help="files or directories to lint (default: src/repro)",
     )
     parser.add_argument(
         "--format",
@@ -62,19 +63,20 @@ def build_parser() -> argparse.ArgumentParser:
         "interprocedural race rules (SIM004, SIM005)",
     )
     parser.add_argument(
-        "--determinism",
+        "--scenarios",
         action="store_true",
-        help="double-run registered scenarios and diff trace digests",
+        help="run every registered scenario plain, replayed, traced and "
+        "schedule-perturbed; confirm race findings against its hazards",
     )
     parser.add_argument(
         "--scenario",
         action="append",
         default=None,
         metavar="NAME",
-        help="restrict --determinism to NAME (repeatable)",
+        help="restrict --scenarios to NAME (repeatable)",
     )
     parser.add_argument(
-        "--seed", type=int, default=0, help="seed for --determinism runs"
+        "--seed", type=int, default=0, help="seed for --scenarios runs"
     )
     parser.add_argument(
         "--list-rules",
@@ -85,8 +87,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv: typing.Optional[typing.Sequence[str]] = None) -> int:
-    """Lint and/or determinism-check; return the process exit status."""
-    args = build_parser().parse_args(argv)
+    """Lint and, with ``--scenarios``, check the scenarios; exit status."""
+    parser = build_parser()
+    args = parser.parse_args(argv)
 
     if args.list_rules:
         from repro.analysis.atomicity import interprocedural_rules
@@ -96,35 +99,35 @@ def run(argv: typing.Optional[typing.Sequence[str]] = None) -> int:
             print(f"    {rule.rationale}")
         return 0
 
-    lint_requested = bool(args.paths) or not args.determinism
-    paths = list(args.paths)
-    if lint_requested and not paths:
-        paths = ["src/repro"]
+    scenarios = None
+    if args.scenarios:
+        try:
+            scenarios = select_scenarios(args.scenario)
+        except KeyError as err:
+            parser.error(err.args[0])
 
-    result = LintResult(findings=[])
-    if lint_requested:
-        baseline = None
-        if not args.no_baseline:
-            if args.baseline is not None:
-                baseline = Baseline.load(args.baseline)
-            else:
-                baseline = Baseline.discover()
-        result = lint_paths(
-            paths, baseline=baseline, interprocedural=args.interprocedural
-        )
+    baseline = None
+    if not args.no_baseline:
+        if args.baseline is not None:
+            baseline = Baseline.load(args.baseline)
+        else:
+            baseline = Baseline.discover()
+    result = lint_paths(
+        args.paths or ["src/repro"],
+        baseline=baseline,
+        interprocedural=args.interprocedural,
+    )
 
-    determinism = None
-    if args.determinism:
-        from repro.analysis.determinism import check_all
-
-        determinism = check_all(names=args.scenario, seed=args.seed)
+    scenario_pass = None
+    if scenarios is not None:
+        scenario_pass = check_scenarios(scenarios, seed=args.seed)
 
     if args.format == "json":
-        print(render_json(result, determinism))
+        print(render_json(result, scenario_pass))
     else:
-        print(render_text(result, determinism))
+        print(render_text(result, scenario_pass))
 
-    ok = result.ok and (determinism is None or all(c.ok for c in determinism))
+    ok = result.ok and (scenario_pass is None or scenario_pass.ok)
     if args.check_baseline and result.stale_suppressions:
         ok = False
     return 0 if ok else 1

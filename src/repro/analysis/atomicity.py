@@ -23,8 +23,8 @@ spanning a call into a yielding helper, is visible at all.
   every gap; the fix is re-reading ``self._attr`` after resuming.
 
 Findings carry a ``subject`` (the shared attribute's name) so the
-racer's dynamic confirmation pass can match them against sanitizer
-hazards.
+scenario pass (:mod:`repro.analysis.determinism`) can match them
+against sanitizer hazards.
 
 Construct the rules with a project-wide :class:`CallGraph` for
 interprocedural precision (``lint_paths(interprocedural=True)`` does);
@@ -42,16 +42,14 @@ from repro.analysis.core import (
     Finding,
     ModuleSource,
     Rule,
+    _tagged_units,
+    _target_names,
     attribute_chain,
     is_generator_function,
 )
 from repro.analysis.rules_sim import _STATEFUL_ATTRS
 
 FunctionNode = typing.Union[ast.FunctionDef, ast.AsyncFunctionDef]
-
-#: One analysis unit: ("test" | "stmt", nodes).  "test" units are
-#: If/While headers — where check-then-act guards are established.
-Unit = typing.Tuple[str, typing.List[ast.AST]]
 
 
 def _walk(roots: typing.Iterable[ast.AST]) -> typing.Iterator[ast.AST]:
@@ -63,40 +61,6 @@ def _walk(roots: typing.Iterable[ast.AST]) -> typing.Iterator[ast.AST]:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
             continue
         stack.extend(ast.iter_child_nodes(node))
-
-
-def _tagged_units(body: typing.Sequence[ast.stmt]) -> typing.Iterator[Unit]:
-    """SIM003's linearized units, with If/While headers tagged "test"."""
-    for stmt in body:
-        if isinstance(stmt, (ast.If, ast.While)):
-            yield ("test", [stmt.test])
-            yield from _tagged_units(stmt.body)
-            yield from _tagged_units(stmt.orelse)
-        elif isinstance(stmt, (ast.For, ast.AsyncFor)):
-            yield ("stmt", [stmt.target, stmt.iter])
-            yield from _tagged_units(stmt.body)
-            yield from _tagged_units(stmt.orelse)
-        elif isinstance(stmt, (ast.With, ast.AsyncWith)):
-            yield (
-                "stmt",
-                [
-                    node
-                    for item in stmt.items
-                    for node in (item.context_expr, item.optional_vars)
-                    if node is not None
-                ],
-            )
-            yield from _tagged_units(stmt.body)
-        elif isinstance(stmt, ast.Try):
-            yield from _tagged_units(stmt.body)
-            for handler in stmt.handlers:
-                yield from _tagged_units(handler.body)
-            yield from _tagged_units(stmt.orelse)
-            yield from _tagged_units(stmt.finalbody)
-        elif isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            continue  # nested scopes are analysed separately
-        else:
-            yield ("stmt", [stmt])
 
 
 def _self_path(node: ast.AST) -> typing.Optional[str]:
@@ -352,7 +316,7 @@ class Sim005AwaitGapCapture(_GapRule):
                         if isinstance(node, ast.Assign)
                         else [node.target]
                     )
-                    names = self._target_names(targets)
+                    names = _target_names(targets)
                     source = self._capture_source(node.value)
                     for position, name in enumerate(names):
                         tainted.pop(name, None)
@@ -363,20 +327,6 @@ class Sim005AwaitGapCapture(_GapRule):
                 graph, module.path, cls, nodes
             ):
                 crossed.update(tainted)
-
-    @staticmethod
-    def _target_names(
-        targets: typing.Sequence[ast.AST],
-    ) -> typing.List[str]:
-        names: typing.List[str] = []
-        for target in targets:
-            if isinstance(target, ast.Name):
-                names.append(target.id)
-            elif isinstance(target, (ast.Tuple, ast.List)):
-                for element in target.elts:
-                    if isinstance(element, ast.Name):
-                        names.append(element.id)
-        return names
 
     @staticmethod
     def _capture_source(

@@ -43,9 +43,9 @@ class Finding:
     message: str
     snippet: str = ""
     #: What the finding is *about* — for the race rules, the shared
-    #: attribute name (``_leases``, ``entries``).  The racer matches it
-    #: against sanitizer hazard labels/fields to mark findings
-    #: CONFIRMED; empty when a rule has no meaningful subject.
+    #: attribute name (``_leases``, ``entries``).  The scenario pass
+    #: matches it against sanitizer hazard labels/fields to mark
+    #: findings CONFIRMED; empty when a rule has no meaningful subject.
     subject: str = ""
 
     def to_json(self) -> typing.Dict[str, object]:
@@ -58,18 +58,6 @@ class Finding:
             "snippet": self.snippet,
             "subject": self.subject,
         }
-
-    @classmethod
-    def from_json(cls, data: typing.Mapping[str, object]) -> "Finding":
-        return cls(
-            rule=str(data["rule"]),
-            path=str(data["path"]),
-            line=int(data["line"]),  # type: ignore[arg-type]
-            col=int(data["col"]),  # type: ignore[arg-type]
-            message=str(data["message"]),
-            snippet=str(data.get("snippet", "")),
-            subject=str(data.get("subject", "")),
-        )
 
     def __str__(self) -> str:
         return f"{self.path}:{self.line}:{self.col}: {self.rule} {self.message}"
@@ -219,6 +207,67 @@ def _walk_own_body(
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
             continue
         stack.extend(ast.iter_child_nodes(node))
+
+
+#: One analysis unit: ("test" | "stmt", nodes).  "test" units are
+#: If/While headers — where check-then-act guards are established.
+Unit = typing.Tuple[str, typing.List[ast.AST]]
+
+
+def _tagged_units(body: typing.Sequence[ast.stmt]) -> typing.Iterator[Unit]:
+    """Atomic analysis units in source order, If/While headers tagged.
+
+    A simple statement is one unit.  A compound statement contributes
+    its header expressions (test, iterable, context managers) as one
+    unit, then its nested statements each as their own units — so a
+    yield deep in a branch is sequenced where it occurs, not attributed
+    to the whole branch.  Branch structure is otherwise flattened: a
+    lint-grade approximation that treats every branch as taken in
+    sequence.
+    """
+    for stmt in body:
+        if isinstance(stmt, (ast.If, ast.While)):
+            yield ("test", [stmt.test])
+            yield from _tagged_units(stmt.body)
+            yield from _tagged_units(stmt.orelse)
+        elif isinstance(stmt, (ast.For, ast.AsyncFor)):
+            yield ("stmt", [stmt.target, stmt.iter])
+            yield from _tagged_units(stmt.body)
+            yield from _tagged_units(stmt.orelse)
+        elif isinstance(stmt, (ast.With, ast.AsyncWith)):
+            yield (
+                "stmt",
+                [
+                    node
+                    for item in stmt.items
+                    for node in (item.context_expr, item.optional_vars)
+                    if node is not None
+                ],
+            )
+            yield from _tagged_units(stmt.body)
+        elif isinstance(stmt, ast.Try):
+            yield from _tagged_units(stmt.body)
+            for handler in stmt.handlers:
+                yield from _tagged_units(handler.body)
+            yield from _tagged_units(stmt.orelse)
+            yield from _tagged_units(stmt.finalbody)
+        elif isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            continue  # nested scopes are analysed separately
+        else:
+            yield ("stmt", [stmt])
+
+
+def _target_names(targets: typing.Sequence[ast.AST]) -> typing.List[str]:
+    """The plain names an assignment binds, tuple elements in order."""
+    names: typing.List[str] = []
+    for target in targets:
+        if isinstance(target, ast.Name):
+            names.append(target.id)
+        elif isinstance(target, (ast.Tuple, ast.List)):
+            for element in target.elts:
+                if isinstance(element, ast.Name):
+                    names.append(element.id)
+    return names
 
 
 def iter_functions(

@@ -1,21 +1,52 @@
-"""The determinism checker: same seed, same trajectory — verified.
+"""The scenario pass: same seed, same trajectory — under any legal schedule.
 
 Static rules (:mod:`repro.analysis.rules_sim`) catch wall-clock and
 ambient-randomness *patterns*; this module checks the property itself.
-Every scenario registered in :mod:`repro.workloads.scenarios` is run
-twice with the same seed — plus a third time with span tracing
-(:mod:`repro.obs`) forced on, which may not move the trajectory — and
-each run is reduced to a digest over
+Every scenario registered in :mod:`repro.workloads.scenarios` is built
+six times with the same seed, and each run is reduced to a digest over
 
 - the canonical trace serialization (every traced occurrence, in order,
   with sorted data keys),
 - every stats counter value, and
 - the final simulated clock.
 
+The six runs, and the pair each one is checked against:
+
+1. **plain** — the reference digest (the one the scenario pins);
+2. **replay** — plain again; must equal run 1;
+3. **traced** — span tracing (:mod:`repro.obs`) forced on; must equal
+   run 1, because observing a run may not move it;
+4. **perturbed** ×2 — under the
+   :class:`~repro.analysis.sanitizer.InterleavingSanitizer`, with the
+   schedule perturbator on (:mod:`repro.analysis.perturb`) so
+   same-timestamp cohorts execute in seed-derived permuted orders;
+5. **perturbed replay** — the first perturbation seed again, without
+   the sanitizer; must equal the first perturbed run (one seed is one
+   fixed schedule, and the monitor is passive, so its absence cannot
+   move the digest either).
+
 Any mismatch means something outside the seeded sandbox leaked into the
 run — a host clock, the process RNG, dict-iteration order of a set, an
-id()-keyed container — and the digest diff pinpoints the first record
-where the trajectories diverge.
+id()-keyed container — and ``first_divergence`` names the pair and the
+first line where the trajectories part.
+
+Perturbation is pure tie-break permutation: event times never move, so
+a perturbed digest that differs from the plain one
+(``perturbation_effective``) means the trajectory depends on FIFO
+tie-breaking — informational on its own, a bug witness when paired
+with a hazard.  Hazards the sanitizer reports — conflicting access
+pairs with no happens-before path — are matched against static race
+findings by their watch label or field name: a finding whose subject
+shows up as a hazard is **CONFIRMED** (a legal schedule exercises it);
+everything else stays **UNCONFIRMED** — still reported, since the
+scenarios are not a complete workload model, but triaged behind
+confirmed findings.
+
+Scenario builders opt into confirmation by watching shared state when a
+monitor is present::
+
+    if isinstance(env.monitor, InterleavingSanitizer):
+        table = env.monitor.watch(table, "_leases")
 """
 
 from __future__ import annotations
@@ -24,41 +55,91 @@ import dataclasses
 import hashlib
 import typing
 
+from repro.analysis.core import Finding
+from repro.analysis.perturb import derive_seed, monitored, perturbed
+from repro.analysis.sanitizer import InterleavingSanitizer
 from repro.obs.span import Observability
 from repro.sim.kernel import Environment
+
+Builder = typing.Callable[[int], Environment]
+
+#: Perturbation seeds derived per scenario.
+PERTURB_RUNS = 2
+
+#: Rules whose findings the scenario pass tries to confirm.
+RACE_RULES = ("SIM003", "SIM004", "SIM005")
+
+CONFIRMED = "CONFIRMED"
+UNCONFIRMED = "UNCONFIRMED"
+
+
+@dataclasses.dataclass(frozen=True)
+class HazardRecord:
+    """One sanitizer hazard, flattened for the report."""
+
+    scenario: str
+    label: str
+    field: str
+    description: str
+
+    def to_json(self) -> typing.Dict[str, object]:
+        return dataclasses.asdict(self)
 
 
 @dataclasses.dataclass(frozen=True)
 class ScenarioCheck:
-    """Result of double-running one scenario.
+    """One scenario's six runs.
 
-    ``digest_obs`` comes from a third run with span tracing forced on
-    (:attr:`~repro.obs.span.Observability.default_enabled`): tracing a
-    run must not change its trajectory.  All three digests must match.
+    ``ok`` asserts the three replay properties: replay, traced and
+    perturbed replay each equal the run they repeat.
+    ``perturbation_effective`` is informational, not a failure.
     """
 
     scenario: str
     seed: int
     ok: bool
-    digest_a: str
-    digest_b: str
-    events_a: int
-    events_b: int
+    digest_plain: str
+    digest_traced: str
+    perturb_seeds: typing.Tuple[int, ...]
+    digests_perturbed: typing.Tuple[str, ...]
+    perturbation_effective: bool
+    hazard_count: int
     first_divergence: str = ""
-    digest_obs: str = ""
 
     def to_json(self) -> typing.Dict[str, object]:
-        return {
-            "scenario": self.scenario,
-            "seed": self.seed,
-            "ok": self.ok,
-            "digest_a": self.digest_a,
-            "digest_b": self.digest_b,
-            "digest_obs": self.digest_obs,
-            "trace_records_a": self.events_a,
-            "trace_records_b": self.events_b,
-            "first_divergence": self.first_divergence,
-        }
+        return dataclasses.asdict(self)
+
+
+@dataclasses.dataclass
+class ScenarioPass:
+    """Every checked scenario plus the hazards its perturbed runs saw."""
+
+    checks: typing.List[ScenarioCheck]
+    hazards: typing.List[HazardRecord]
+
+    @property
+    def ok(self) -> bool:
+        return all(check.ok for check in self.checks)
+
+    def verdict(
+        self, finding: Finding
+    ) -> typing.Tuple[str, typing.Tuple[str, ...]]:
+        """``(status, witnesses)``: CONFIRMED when a hazard witnesses it.
+
+        By the watch-label convention, scenario builders label watched
+        state with the shared attribute name — the same name the static
+        rules record as the finding's subject.  The field name matches
+        too, for attribute-level accesses through a coarser-labelled
+        proxy.
+        """
+        witnesses: typing.Tuple[str, ...] = ()
+        if finding.rule in RACE_RULES and finding.subject:
+            witnesses = tuple(
+                hazard.description
+                for hazard in self.hazards
+                if finding.subject in (hazard.label, hazard.field)
+            )
+        return (CONFIRMED if witnesses else UNCONFIRMED), witnesses
 
 
 def run_lines(env: Environment) -> typing.List[str]:
@@ -76,90 +157,13 @@ def run_lines(env: Environment) -> typing.List[str]:
 
 def run_digest(env: Environment) -> str:
     """sha256 over the canonical run lines of a finished environment."""
-    hasher = hashlib.sha256()
-    for line in run_lines(env):
-        hasher.update(line.encode("utf-8"))
-        hasher.update(b"\n")
-    return hasher.hexdigest()
+    return _digest(run_lines(env))
 
 
-def check_scenario(
-    name: str,
-    builder: typing.Callable[[int], Environment],
-    seed: int = 0,
-) -> ScenarioCheck:
-    """Run ``builder`` three times with ``seed`` and compare.
-
-    Runs A and B are plain replays; run C executes with span tracing
-    forced on (:class:`~repro.obs.span.Observability` constructs
-    enabled), proving that observability never perturbs a run.
-    """
-    env_a = builder(seed)
-    lines_a = run_lines(env_a)
-    env_b = builder(seed)
-    lines_b = run_lines(env_b)
-    saved = Observability.default_enabled
-    Observability.default_enabled = True
-    try:
-        env_c = builder(seed)
-        lines_c = run_lines(env_c)
-    finally:
-        Observability.default_enabled = saved
-    digest_a = _digest(lines_a)
-    digest_b = _digest(lines_b)
-    digest_c = _digest(lines_c)
-    divergence = ""
-    if digest_a != digest_b:
-        divergence = _first_divergence(lines_a, lines_b)
-    elif digest_a != digest_c:
-        divergence = "traced run: " + _first_divergence(lines_a, lines_c)
-    return ScenarioCheck(
-        scenario=name,
-        seed=seed,
-        ok=digest_a == digest_b == digest_c,
-        digest_a=digest_a,
-        digest_b=digest_b,
-        events_a=len(env_a.trace.records),
-        events_b=len(env_b.trace.records),
-        first_divergence=divergence,
-        digest_obs=digest_c,
-    )
-
-
-def check_all(
-    names: typing.Optional[typing.Sequence[str]] = None,
-    seed: int = 0,
-) -> typing.List[ScenarioCheck]:
-    """Determinism-check the registered scenarios (all by default)."""
-    from repro.workloads.scenarios import SCENARIOS, iter_scenarios
-
-    checks = []
-    if names is None:
-        pairs: typing.Iterable = iter_scenarios()
-    else:
-        unknown = [n for n in names if n not in SCENARIOS]
-        if unknown:
-            known = ", ".join(sorted(SCENARIOS))
-            raise KeyError(
-                f"unknown scenario(s) {', '.join(unknown)}; known: {known}"
-            )
-        pairs = [(n, SCENARIOS[n]) for n in names]
-    for name, builder in pairs:
-        checks.append(check_scenario(name, builder, seed=seed))
-    return checks
-
-
-def _digest(lines: typing.Sequence[str]) -> str:
-    hasher = hashlib.sha256()
-    for line in lines:
-        hasher.update(line.encode("utf-8"))
-        hasher.update(b"\n")
-    return hasher.hexdigest()
-
-
-def _first_divergence(
+def first_divergence(
     lines_a: typing.Sequence[str], lines_b: typing.Sequence[str]
 ) -> str:
+    """Where two runs' canonical lines first differ."""
     for index, (a, b) in enumerate(zip(lines_a, lines_b)):
         if a != b:
             return f"line {index}: {a!r} != {b!r}"
@@ -171,3 +175,113 @@ def _first_divergence(
             f"{longer[shorter]!r}"
         )
     return "digests differ but serializations match (hash collision?)"
+
+
+def check_scenario(
+    name: str, builder: Builder, seed: int = 0
+) -> typing.Tuple[ScenarioCheck, typing.List[HazardRecord]]:
+    """Build ``builder(seed)`` six times; compare and collect hazards."""
+    divergences: typing.List[str] = []
+
+    def repeat(pair: str, reference: typing.List[str]) -> str:
+        """One more run, checked against ``reference``; its digest."""
+        lines = run_lines(builder(seed))
+        if lines != reference:
+            divergences.append(f"{pair}: {first_divergence(reference, lines)}")
+        return _digest(lines)
+
+    lines_plain = run_lines(builder(seed))
+    digest_plain = _digest(lines_plain)
+    repeat("replay", lines_plain)
+    saved = Observability.default_enabled
+    Observability.default_enabled = True
+    try:
+        digest_traced = repeat("traced", lines_plain)
+    finally:
+        Observability.default_enabled = saved
+
+    sanitizers: typing.List[InterleavingSanitizer] = []
+
+    def factory(env: Environment) -> InterleavingSanitizer:
+        sanitizer = InterleavingSanitizer(env)
+        sanitizers.append(sanitizer)
+        return sanitizer
+
+    perturb_seeds = tuple(derive_seed(seed, i) for i in range(PERTURB_RUNS))
+    lines_perturbed: typing.List[typing.List[str]] = []
+    with monitored(factory):
+        for perturb_seed in perturb_seeds:
+            with perturbed(perturb_seed):
+                lines_perturbed.append(run_lines(builder(seed)))
+    digests_perturbed = tuple(_digest(lines) for lines in lines_perturbed)
+    with perturbed(perturb_seeds[0]):
+        repeat("perturbed replay", lines_perturbed[0])
+
+    hazards: typing.List[HazardRecord] = []
+    seen: typing.Set[typing.Tuple[str, str, str]] = set()
+    for sanitizer in sanitizers:
+        for hazard in sanitizer.report():
+            key = (hazard.label, hazard.field, hazard.describe())
+            if key not in seen:
+                seen.add(key)
+                hazards.append(HazardRecord(name, *key))
+
+    check = ScenarioCheck(
+        scenario=name,
+        seed=seed,
+        ok=not divergences,
+        digest_plain=digest_plain,
+        digest_traced=digest_traced,
+        perturb_seeds=perturb_seeds,
+        digests_perturbed=digests_perturbed,
+        perturbation_effective=any(
+            digest != digest_plain for digest in digests_perturbed
+        ),
+        hazard_count=len(hazards),
+        first_divergence=divergences[0] if divergences else "",
+    )
+    return check, hazards
+
+
+def select_scenarios(
+    names: typing.Optional[typing.Sequence[str]] = None,
+    registry: typing.Optional[typing.Mapping[str, Builder]] = None,
+) -> typing.Dict[str, Builder]:
+    """The scenarios ``names`` picks from ``registry`` (all by default).
+
+    ``registry`` defaults to every registered ``@scenario``; an unknown
+    name raises ``KeyError`` naming the known ones.
+    """
+    if registry is None:
+        from repro.workloads.scenarios import SCENARIOS
+
+        registry = SCENARIOS
+    if names is None:
+        return dict(registry)
+    unknown = [name for name in names if name not in registry]
+    if unknown:
+        raise KeyError(
+            f"unknown scenario(s) {', '.join(unknown)}; "
+            f"known: {', '.join(sorted(registry))}"
+        )
+    return {name: registry[name] for name in names}
+
+
+def check_scenarios(
+    scenarios: typing.Mapping[str, Builder], seed: int = 0
+) -> ScenarioPass:
+    """Run :func:`check_scenario` over ``scenarios`` in name order."""
+    result = ScenarioPass(checks=[], hazards=[])
+    for name in sorted(scenarios):
+        check, hazards = check_scenario(name, scenarios[name], seed=seed)
+        result.checks.append(check)
+        result.hazards.extend(hazards)
+    return result
+
+
+def _digest(lines: typing.Sequence[str]) -> str:
+    hasher = hashlib.sha256()
+    for line in lines:
+        hasher.update(line.encode("utf-8"))
+        hasher.update(b"\n")
+    return hasher.hexdigest()

@@ -1,10 +1,10 @@
-"""Schedule perturbation: controlled tie-break shuffling for the racer.
+"""Schedule perturbation: seeded tie-break shuffling for the scenario pass.
 
 The kernel orders events by ``(time, eid)``; eids are handed out at
 schedule time, so same-timestamp events run in FIFO order.  Most code
 never depends on that tie-break — but code that *does* is exactly the
 code one latency-constant tweak away from a trajectory change.  The
-racer flips :data:`repro.sim.kernel.DEFAULT_PERTURB_SEED` so every
+scenario pass flips :data:`repro.sim.kernel.DEFAULT_PERTURB_SEED` so every
 ``Environment`` built inside the context draws a
 :class:`~repro.sim.queue.PerturbedHeapQueue`, which permutes the order
 of same-timestamp cohorts deterministically per seed.  Event *times*
@@ -12,7 +12,7 @@ are untouched: a perturbed run is a legal schedule the kernel could
 have produced under a different arrival order, not a different
 workload.
 
-The helpers here mirror how the determinism checker flips
+The helpers here mirror how the scenario pass's traced run flips
 :attr:`repro.obs.span.Observability.default_enabled` — module-global
 defaults swapped around a builder call and restored in a ``finally``.
 """
@@ -35,7 +35,7 @@ def derive_seed(base: int, index: int) -> int:
     """The ``index``-th perturbation seed derived from ``base``.
 
     A splitmix64 stream: distinct, uncorrelated 64-bit seeds that are
-    reproducible from ``(base, index)`` alone — the racer report only
+    reproducible from ``(base, index)`` alone — the report only
     needs to record the base seed.
     """
     return _mix64((base + (index + 1) * _GOLDEN) & _MASK64)
@@ -62,7 +62,7 @@ def monitored(
     ],
 ) -> typing.Iterator[None]:
     """Every ``Environment`` built inside gets ``factory(env)`` attached
-    as its kernel monitor — how the racer hands an
+    as its kernel monitor — how the scenario pass hands an
     :class:`~repro.analysis.sanitizer.InterleavingSanitizer` to scenario
     builders it cannot modify."""
     saved = _kernel.DEFAULT_MONITOR_FACTORY

@@ -11,44 +11,54 @@ import json
 import typing
 
 from repro.analysis.core import LintResult
+from repro.analysis.determinism import CONFIRMED, ScenarioPass
 
 #: Bumped whenever a field changes meaning; additions are backwards
 #: compatible and do not bump it.  v2: findings carry ``subject``,
 #: reports carry ``stale_suppressions`` and (under ``--interprocedural``)
-#: a ``callgraph`` summary block.
-JSON_FORMAT_VERSION = 2
+#: a ``callgraph`` summary block.  v3: the scenario pass (``--scenarios``)
+#: adds ``scenarios`` and ``hazards``, and gives every finding a
+#: ``status`` and ``witnesses``.
+JSON_FORMAT_VERSION = 3
 
 
 def render_text(
-    result: LintResult,
-    determinism: typing.Optional[typing.Sequence["ScenarioCheck"]] = None,
+    result: LintResult, scenarios: typing.Optional[ScenarioPass] = None
 ) -> str:
     """The human-facing report: one line per finding plus a summary."""
     lines: typing.List[str] = []
     for error in result.parse_errors:
         lines.append(f"parse error: {error}")
     for finding in result.findings:
-        lines.append(str(finding))
+        if scenarios is None:
+            lines.append(str(finding))
+            witnesses: typing.Tuple[str, ...] = ()
+        else:
+            status, witnesses = scenarios.verdict(finding)
+            lines.append(f"[{status}] {finding}")
         if finding.snippet:
             lines.append(f"    {finding.snippet}")
-    if determinism is not None:
-        for check in determinism:
-            status = "ok" if check.ok else "NONDETERMINISTIC"
-            lines.append(
-                f"determinism {check.scenario}: {status} "
-                f"(seed {check.seed}, {check.events_a} trace records)"
+        for witness in witnesses:
+            lines.append(f"    witness: {witness}")
+    if scenarios is not None:
+        for check in scenarios.checks:
+            effect = "tie-break " + (
+                "sensitive" if check.perturbation_effective else "insensitive"
             )
-            if not check.ok and check.first_divergence:
+            lines.append(
+                f"scenario {check.scenario}: {'ok' if check.ok else 'FAILED'} "
+                f"(seed {check.seed}, {effect}, {check.hazard_count} hazards)"
+            )
+            if check.first_divergence:
                 lines.append(f"    first divergence: {check.first_divergence}")
     for stale in result.stale_suppressions:
         lines.append(f"stale baseline suppression: {stale}")
-    lines.append(_summary_line(result, determinism))
+    lines.append(_summary_line(result, scenarios))
     return "\n".join(lines)
 
 
 def _summary_line(
-    result: LintResult,
-    determinism: typing.Optional[typing.Sequence["ScenarioCheck"]],
+    result: LintResult, scenarios: typing.Optional[ScenarioPass]
 ) -> str:
     counts = result.counts_by_rule()
     by_rule = (
@@ -62,24 +72,36 @@ def _summary_line(
         f"{result.suppressed} suppressed inline",
         f"{result.baselined} baselined",
     ]
-    if determinism is not None:
-        failed = sum(1 for check in determinism if not check.ok)
-        parts.append(
-            f"{len(determinism)} scenarios determinism-checked, {failed} failed"
+    if scenarios is not None:
+        failed = sum(1 for check in scenarios.checks if not check.ok)
+        confirmed = sum(
+            1
+            for finding in result.findings
+            if scenarios.verdict(finding)[0] == CONFIRMED
         )
+        parts += [
+            f"{confirmed} confirmed",
+            f"{len(scenarios.checks)} scenarios checked, {failed} failed",
+            f"{len(scenarios.hazards)} hazards",
+        ]
     return "hnslint: " + ", ".join(parts)
 
 
 def render_json(
-    result: LintResult,
-    determinism: typing.Optional[typing.Sequence["ScenarioCheck"]] = None,
+    result: LintResult, scenarios: typing.Optional[ScenarioPass] = None
 ) -> str:
-    """The stable machine-readable report."""
+    """The stable machine-readable report (strict JSON: no NaN)."""
+    findings = []
+    for finding in result.findings:
+        entry = finding.to_json()
+        if scenarios is not None:
+            entry["status"], entry["witnesses"] = scenarios.verdict(finding)
+        findings.append(entry)
     payload: typing.Dict[str, object] = {
         "version": JSON_FORMAT_VERSION,
         "tool": "hnslint",
         "files_scanned": result.files_scanned,
-        "findings": [finding.to_json() for finding in result.findings],
+        "findings": findings,
         "counts": result.counts_by_rule(),
         "suppressed": result.suppressed,
         "baselined": result.baselined,
@@ -89,11 +111,8 @@ def render_json(
     }
     if result.callgraph is not None:
         payload["callgraph"] = dict(result.callgraph)
-    if determinism is not None:
-        payload["determinism"] = [check.to_json() for check in determinism]
-        payload["ok"] = bool(payload["ok"]) and all(c.ok for c in determinism)
-    return json.dumps(payload, indent=2, sort_keys=True)
-
-
-if typing.TYPE_CHECKING:  # pragma: no cover
-    from repro.analysis.determinism import ScenarioCheck
+    if scenarios is not None:
+        payload["scenarios"] = [check.to_json() for check in scenarios.checks]
+        payload["hazards"] = [hazard.to_json() for hazard in scenarios.hazards]
+        payload["ok"] = result.ok and scenarios.ok
+    return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)

@@ -21,6 +21,8 @@ from repro.analysis.core import (
     Rule,
     attribute_chain,
     iter_generator_functions,
+    _tagged_units,
+    _target_names,
     _walk_own_body,
 )
 
@@ -194,12 +196,12 @@ class Sim003StaleReadAcrossYield(Rule):
     ) -> typing.Iterator[Finding]:
         #: var -> (line bound, attr description, subject); cleared on
         #: re-bind.  The subject (shared attribute name) feeds the
-        #: racer's hazard matching.
+        #: scenario pass's hazard matching.
         tainted: typing.Dict[str, typing.Tuple[int, str, str]] = {}
         crossed: typing.Set[str] = set()
         reported: typing.Set[str] = set()
 
-        for unit in self._linear_units(func.body):
+        for _tag, unit in _tagged_units(func.body):
             has_yield = any(
                 isinstance(n, (ast.Yield, ast.YieldFrom))
                 for root in unit
@@ -233,7 +235,7 @@ class Sim003StaleReadAcrossYield(Rule):
                         if isinstance(node, ast.Assign)
                         else [node.target]
                     )
-                    names = self._target_names(targets)
+                    names = _target_names(targets)
                     source = self._snapshot_source(node.value) if node.value else None
                     for position, name in enumerate(names):
                         tainted.pop(name, None)
@@ -246,18 +248,6 @@ class Sim003StaleReadAcrossYield(Rule):
                 crossed.update(tainted)
 
     @staticmethod
-    def _target_names(targets: typing.Sequence[ast.AST]) -> typing.List[str]:
-        names: typing.List[str] = []
-        for target in targets:
-            if isinstance(target, ast.Name):
-                names.append(target.id)
-            elif isinstance(target, (ast.Tuple, ast.List)):
-                for element in target.elts:
-                    if isinstance(element, ast.Name):
-                        names.append(element.id)
-        return names
-
-    @staticmethod
     def _snapshot_source(
         value: typing.Optional[ast.AST],
     ) -> typing.Optional[typing.Tuple[str, str]]:
@@ -265,7 +255,7 @@ class Sim003StaleReadAcrossYield(Rule):
 
         The subject is the shared attribute the snapshot reads (the
         cache holding a probed entry, the stateful attribute itself) —
-        the name the racer matches against sanitizer hazards.
+        the name the scenario pass matches against sanitizer hazards.
         """
         if value is None:
             return None
@@ -293,53 +283,6 @@ class Sim003StaleReadAcrossYield(Rule):
     def _walk_unit(unit: typing.Sequence[ast.AST]) -> typing.Iterator[ast.AST]:
         for root in unit:
             yield from ast.walk(root)
-
-    @staticmethod
-    def _linear_units(
-        body: typing.Sequence[ast.stmt],
-    ) -> typing.Iterator[typing.List[ast.AST]]:
-        """Atomic analysis units in source order.
-
-        A simple statement is one unit.  A compound statement
-        contributes its header expressions (test, iterable, context
-        managers) as one unit, then its nested statements each as their
-        own units — so a yield deep in a branch is sequenced where it
-        occurs, not attributed to the whole branch.  Branch structure is
-        otherwise flattened: a lint-grade approximation that treats
-        every branch as taken in sequence.
-        """
-        recurse = Sim003StaleReadAcrossYield._linear_units
-        for stmt in body:
-            if isinstance(stmt, ast.If):
-                yield [stmt.test]
-                yield from recurse(stmt.body)
-                yield from recurse(stmt.orelse)
-            elif isinstance(stmt, ast.While):
-                yield [stmt.test]
-                yield from recurse(stmt.body)
-                yield from recurse(stmt.orelse)
-            elif isinstance(stmt, (ast.For, ast.AsyncFor)):
-                yield [stmt.target, stmt.iter]
-                yield from recurse(stmt.body)
-                yield from recurse(stmt.orelse)
-            elif isinstance(stmt, (ast.With, ast.AsyncWith)):
-                yield [
-                    node
-                    for item in stmt.items
-                    for node in (item.context_expr, item.optional_vars)
-                    if node is not None
-                ]
-                yield from recurse(stmt.body)
-            elif isinstance(stmt, ast.Try):
-                yield from recurse(stmt.body)
-                for handler in stmt.handlers:
-                    yield from recurse(handler.body)
-                yield from recurse(stmt.orelse)
-                yield from recurse(stmt.finalbody)
-            elif isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                continue  # nested scopes are analysed separately
-            else:
-                yield [stmt]
 
 
 SIM_RULES: typing.Tuple[typing.Type[Rule], ...] = (

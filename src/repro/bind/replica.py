@@ -36,6 +36,8 @@ EWMA_ALPHA = 0.3
 #: score penalty per outstanding request on an endpoint, so load
 #: spreads even while latency estimates are equal
 INFLIGHT_PENALTY_MS = 25.0
+#: extra replicas one exchange hedges onto while hedging is on
+MAX_HEDGES = 1
 #: successful samples required before hedging arms
 HEDGE_MIN_SAMPLES = 8
 #: floor and ceiling on the computed hedge delay
@@ -75,7 +77,7 @@ class ReplicaScheduler:
     BindResolver`; the endpoints are its primary followed by its
     secondaries, so with ``adaptive=False`` the plan degenerates to the
     prototype's static failover order (minus open breakers, when
-    ``skip_open_breakers`` is set).
+    ``breaker_threshold`` arms them).
     """
 
     #: recent successful latencies kept for the hedge-delay quantile
@@ -113,7 +115,7 @@ class ReplicaScheduler:
         """The ordered list of replicas to try for one exchange."""
         states = list(self.states)
         candidates = states
-        if self.policy.skip_open_breakers and self.policy.breaker_threshold:
+        if self.policy.breaker_threshold:
             healthy = [s for s in states if s.breaker.state != "open"]
             if healthy:
                 for state in states:

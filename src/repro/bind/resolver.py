@@ -40,7 +40,7 @@ from repro.bind.messages import (
 )
 from repro.bind.names import DomainName
 from repro.bind.primary import PrimaryClient
-from repro.bind.replica import ReplicaScheduler, ReplicaState
+from repro.bind.replica import MAX_HEDGES, ReplicaScheduler, ReplicaState
 from repro.bind.rr import ResourceRecord, RRType
 from repro.bind.zone import ZoneDelta
 from repro.harness.calibration import Calibration, DEFAULT_CALIBRATION
@@ -612,9 +612,7 @@ class BindResolver:
             env.process(leg(), name=f"bind.{self.name}.leg:{state.label}")
 
         launch(queue.pop(0), hedge=False)
-        hedges_left = (
-            replica_policy.max_hedges if replica_policy.hedging else 0
-        )
+        hedges_left = MAX_HEDGES if replica_policy.hedging else 0
         while not result.triggered:
             delay = (
                 scheduler.hedge_delay_ms()

@@ -229,59 +229,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_lint.add_argument("lint_args", nargs=argparse.REMAINDER)
     p_lint.set_defaults(func=cmd_lint)
-
-    p_racer = sub.add_parser(
-        "racer",
-        help="hnsracer: interprocedural race lint + schedule-perturbed "
-        "scenario re-runs under the interleaving sanitizer",
-    )
-    p_racer.add_argument(
-        "paths",
-        nargs="*",
-        help="files or directories for the static stage "
-        "(default: src/repro)",
-    )
-    p_racer.add_argument(
-        "--scenario",
-        action="append",
-        default=None,
-        metavar="NAME",
-        help="restrict the dynamic stage to NAME (repeatable; "
-        "default: every registered scenario)",
-    )
-    p_racer.add_argument(
-        "--seed", type=int, default=0, help="base seed for scenario runs"
-    )
-    p_racer.add_argument(
-        "--perturb-runs",
-        type=int,
-        default=2,
-        help="perturbation seeds derived per scenario (default 2)",
-    )
-    p_racer.add_argument(
-        "--format",
-        choices=["text", "json"],
-        default="text",
-        help="report format on stdout",
-    )
-    p_racer.add_argument(
-        "--out",
-        default=None,
-        metavar="FILE",
-        help="also write the JSON report to FILE (CI artifact)",
-    )
-    p_racer.add_argument(
-        "--baseline",
-        default=None,
-        help="baseline file for the static stage "
-        "(default: ./hnslint-baseline.toml if present)",
-    )
-    p_racer.add_argument(
-        "--no-baseline",
-        action="store_true",
-        help="ignore any baseline file",
-    )
-    p_racer.set_defaults(func=cmd_racer)
     return parser
 
 
@@ -355,41 +302,6 @@ def cmd_lint(args: argparse.Namespace) -> int:
     from repro.analysis import main as analysis_main
 
     return analysis_main(args.lint_args)
-
-
-def cmd_racer(args: argparse.Namespace) -> int:
-    """``racer``: static race lint + perturbed dynamic confirmation."""
-    import pathlib
-
-    from repro.analysis.baseline import Baseline
-    from repro.analysis.racer import (
-        render_racer_json,
-        render_racer_text,
-        run_racer,
-    )
-
-    baseline = None
-    if not args.no_baseline:
-        if args.baseline is not None:
-            baseline = Baseline.load(args.baseline)
-        else:
-            baseline = Baseline.discover()
-    report = run_racer(
-        args.paths or ["src/repro"],
-        scenario_names=args.scenario,
-        seed=args.seed,
-        perturb_runs=args.perturb_runs,
-        baseline=baseline,
-    )
-    if args.format == "json":
-        print(render_racer_json(report))
-    else:
-        print(render_racer_text(report))
-    if args.out:
-        pathlib.Path(args.out).write_text(
-            render_racer_json(report) + "\n", encoding="utf-8"
-        )
-    return 0 if report.ok else 1
 
 
 def cmd_list(args: argparse.Namespace) -> int:

@@ -371,9 +371,6 @@ class BeaconService(Service):
                     continue
                 if not self.policy.liveness or now < entry.watchdog_deadline:
                     continue
-                if not self.policy.probe_before_evict:
-                    self._evict_with_span(entry, "watchdog")
-                    continue
                 entry.suspect = True
                 self.env.stats.counter("discovery.probes").increment()
                 alive = yield from self._probe(entry)

@@ -102,10 +102,6 @@ class DiscoveryNsm(NamingSemanticsManager):
                 ttl_ms = max(1.0, self.beacon.cache.remaining_ms(entry))
                 return self._standardize(entry.address, entry.owner,
                                          entry.incarnation, entry.value), ttl_ms
-            if not self.policy.requery_on_miss:
-                span.set(outcome="miss")
-                self.env.stats.counter("discovery.view_misses").increment()
-                raise LookupError(f"no live ad-hoc entry for {local!r}")
             span.set(outcome="requery")
             self.env.stats.counter("discovery.requeries").increment()
             # One-shot broadcast fallback (LookupError on silence).

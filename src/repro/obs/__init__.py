@@ -15,7 +15,7 @@ Enable per environment::
     env.obs.enable(metrics=SpanMetrics(env))  # + histograms/exemplars
 
 Off by default; when on, runs stay digest-identical to untraced runs
-(verified by ``python -m repro.analysis --determinism``).
+(verified by ``python -m repro.analysis --scenarios``).
 """
 
 from repro.obs.critical_path import CriticalPath, PathStep

@@ -19,7 +19,7 @@ KernelMonitor` meets):
   charge CPU; trace ids come from a dedicated named RNG stream
   (``obs.ids``) so no other stream's draw sequence moves.  Enabling
   tracing therefore cannot change a run's trajectory, which
-  ``python -m repro.analysis --determinism`` verifies on every
+  ``python -m repro.analysis --scenarios`` verifies on every
   registered scenario.
 
 Context propagation rides the generator call chain: ``with
@@ -241,7 +241,7 @@ class Observability:
     """
 
     #: Test hook: when True, environments construct with tracing
-    #: already enabled.  The determinism checker flips this to prove
+    #: already enabled.  The scenario pass flips this to prove
     #: that a fully traced run replays the untraced digest exactly.
     default_enabled: typing.ClassVar[bool] = False
 

@@ -186,12 +186,13 @@ class ReplicaPolicy:
     - **adaptive replica selection** (``adaptive``): per-endpoint EWMA
       latency and in-flight counters; the first replica tried is the
       better of two sampled at random (power-of-two-choices), the rest
-      are ordered by score.  Endpoints whose per-replica circuit breaker
-      is open are skipped up front (``skip_open_breakers``) instead of
+      are ordered by score.
+    - **per-replica circuit breakers** (``breaker_threshold``): an
+      endpoint whose breaker is open is skipped up front instead of
       timed out in order.
     - **hedged queries** (``hedge_quantile``): once a lookup has been
       outstanding for the given quantile of the observed per-replica
-      latency distribution, the same question is re-issued to the
+      latency distribution, the same question is re-issued once to the
       next-best replica; the first answer wins and the loser's result is
       discarded.  Hedging composes with single-flight coalescing (only
       the coalescing leader ever hedges) and with the
@@ -210,12 +211,9 @@ class ReplicaPolicy:
     #: hedge once a lookup is outstanding past this quantile of the
     #: recent successful-latency distribution (0 disables hedging)
     hedge_quantile: float = 0.95
-    #: extra replicas a single exchange may hedge onto
-    max_hedges: int = 1
-    #: skip endpoints whose per-replica breaker is open during selection
-    skip_open_breakers: bool = True
-    #: consecutive failures that trip a *per-replica* breaker (0
-    #: disables the per-replica breakers entirely)
+    #: consecutive failures that trip a *per-replica* breaker, whose
+    #: endpoint selection then skips while it is open (0 disables the
+    #: per-replica breakers entirely)
     breaker_threshold: int = 3
     #: request serial-delta zone transfers (IXFR) for secondary refresh
     #: and cache re-preload, with automatic AXFR fallback
@@ -224,8 +222,6 @@ class ReplicaPolicy:
     def __post_init__(self) -> None:
         if not 0.0 <= self.hedge_quantile < 1.0:
             raise ValueError("hedge quantile must be in [0, 1)")
-        if self.max_hedges < 0:
-            raise ValueError("max hedges must be >= 0")
         if self.breaker_threshold < 0:
             raise ValueError("breaker threshold must be >= 0")
 
@@ -233,7 +229,7 @@ class ReplicaPolicy:
     @property
     def hedging(self) -> bool:
         """Whether hedged queries are enabled at all."""
-        return self.hedge_quantile > 0.0 and self.max_hedges > 0
+        return self.hedge_quantile > 0.0
 
     @property
     def scheduling(self) -> bool:
@@ -242,7 +238,7 @@ class ReplicaPolicy:
         When False (and ``ixfr`` aside), the resolver runs the exact
         static-failover code path the prototype uses.
         """
-        return self.adaptive or self.hedging or self.skip_open_breakers
+        return self.adaptive or self.hedging or self.breaker_threshold > 0
 
     @classmethod
     def disabled(cls) -> "ReplicaPolicy":
@@ -252,8 +248,6 @@ class ReplicaPolicy:
         return cls(
             adaptive=False,
             hedge_quantile=0.0,
-            max_hedges=0,
-            skip_open_breakers=False,
             breaker_threshold=0,
             ixfr=False,
         )
@@ -346,12 +340,12 @@ class DiscoveryPolicy:
       owner has been silent for ``period x multiplier`` is evicted —
       liveness-driven eviction racing (and normally beating) plain TTL
       expiry.  0 disables the watchdog: entries die by TTL only.
-    - **suspect-before-evict probing** (``probe_before_evict``): a
-      lapsed entry gets one direct unicast probe before eviction, so a
-      host whose beacons were merely lost is refreshed, not dropped.
-    - **re-query on miss** (``requery_on_miss``): a lookup that misses
-      the membership view falls back to a one-shot broadcast
-      :class:`~repro.broadcast.NameQuery` before failing.
+
+    Two behaviours ride along unconditionally: a watchdog-lapsed entry
+    gets one direct unicast probe before eviction, so a host whose
+    beacons were merely lost is refreshed, not dropped; and a lookup
+    that misses the membership view falls back to a one-shot broadcast
+    :class:`~repro.broadcast.NameQuery` before failing.
     """
 
     #: run the beacon/watchdog machinery at all; False degrades the
@@ -365,10 +359,6 @@ class DiscoveryPolicy:
     #: watchdog deadline = beacon period x this; 0 disables
     #: liveness-driven eviction (entries die by TTL only)
     watchdog_multiplier: float = 3.0
-    #: probe a lapsed entry once (direct unicast) before evicting it
-    probe_before_evict: bool = True
-    #: fall back to a one-shot broadcast NameQuery on a view miss
-    requery_on_miss: bool = True
     #: reply window for the broadcast fallback
     broadcast_wait_ms: float = 60.0
 
@@ -396,12 +386,7 @@ class DiscoveryPolicy:
     def disabled(cls) -> "DiscoveryPolicy":
         """No beacons, no membership view: every lookup is the existing
         one-shot broadcast locator.  The ablation baseline."""
-        return cls(
-            enabled=False,
-            watchdog_multiplier=0.0,
-            probe_before_evict=False,
-            requery_on_miss=True,
-        )
+        return cls(enabled=False, watchdog_multiplier=0.0)
 
 
 #: Everything on: what the discovery scenarios and benchmarks opt into.

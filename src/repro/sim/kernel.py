@@ -26,18 +26,18 @@ from repro.sim.stats import StatsRegistry
 from repro.sim.trace import Tracer
 
 #: Schedule-perturbation seed used when ``Environment(perturb_seed=None)``.
-#: ``None`` (always, outside the racer) means no perturbation: the FIFO
-#: ``(time, eid)`` tie-break, digest-identical behaviour.  The hnsracer
-#: confirmation mode (:mod:`repro.analysis.perturb`) flips this module
-#: global around a scenario builder the same way the determinism
-#: checker flips :attr:`~repro.obs.span.Observability.default_enabled`,
+#: ``None`` (always, outside the scenario pass's perturbed runs) means
+#: no perturbation: the FIFO ``(time, eid)`` tie-break, digest-identical
+#: behaviour.  The scenario pass (:mod:`repro.analysis.perturb`) flips
+#: this module global around a scenario builder the same way its traced
+#: run flips :attr:`~repro.obs.span.Observability.default_enabled`,
 #: so every environment the builder constructs drains same-timestamp
 #: cohorts in a seeded shuffled order.
 DEFAULT_PERTURB_SEED: typing.Optional[int] = None
 
 #: Optional factory consulted at :class:`Environment` construction: when
 #: set, every new environment gets ``monitor = factory(env)`` before any
-#: event is scheduled.  This is how the racer attaches an
+#: event is scheduled.  This is how the scenario pass attaches an
 #: :class:`~repro.analysis.sanitizer.InterleavingSanitizer` to the
 #: environments a scenario builder creates internally, without the
 #: builder knowing.  Monitors installed this way must be passive, like
@@ -149,7 +149,7 @@ class Environment:
         same simulation exactly.
     perturb_seed:
         When set, same-timestamp events drain in a seeded shuffled
-        order instead of FIFO (hnsracer confirmation runs only).
+        order instead of FIFO (the scenario pass's perturbed runs only).
         ``None`` means :data:`DEFAULT_PERTURB_SEED`.
     """
 
@@ -172,7 +172,7 @@ class Environment:
         self._push: typing.Callable[[Entry], None] = self._queue.heappush
         #: Delay → its lane of standing timers, while one is armed.
         self._lanes: typing.Dict[float, _Lane] = {}
-        #: ``Timeout`` lanes delays from here up.  Never under the racer:
+        #: ``Timeout`` lanes delays from here up.  Never when perturbed:
         #: a same-instant cohort inside a FIFO lane would not shuffle.
         self._standing_ms = STANDING_MS if perturb_seed is None else float("inf")
         #: Next event id; assigned in scheduling order so simultaneous

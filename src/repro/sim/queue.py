@@ -92,7 +92,7 @@ class PerturbedHeapQueue(HeapQueue):
     Each seed yields one fixed, replayable order, so a perturbed run is
     exactly as deterministic as a plain one.
 
-    Used by the hnsracer confirmation mode
+    Used by the scenario pass's perturbed runs
     (:mod:`repro.analysis.perturb`); never a default.  Only
     ``heappush`` differs, so the kernel pops it like any heap.
     """

@@ -74,7 +74,7 @@ class Tracer:
         Data mappings are rendered with sorted keys so the serialization
         depends only on what was traced, never on dict insertion order.
         Two same-seed runs of a deterministic simulation produce
-        identical canonical lines; the determinism checker
+        identical canonical lines; the scenario pass
         (:mod:`repro.analysis.determinism`) diffs them.
         """
         lines = []

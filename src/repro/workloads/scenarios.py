@@ -488,9 +488,9 @@ def build_stack(
 #: name -> builder(seed) -> Environment.  Each builder stands up the
 #: testbed, enables tracing, drives a small representative workload to
 #: completion, and returns the environment so callers can digest the
-#: trace (``env.trace.digest()``) and stats.  The determinism gate
-#: (``python -m repro.analysis --determinism``) runs every entry twice
-#: per seed and fails on any digest mismatch.
+#: trace (``env.trace.digest()``) and stats.  The scenario pass
+#: (``python -m repro.analysis --scenarios``) runs every entry six
+#: times per seed and fails on any replay digest mismatch.
 SCENARIOS: "typing.Dict[str, typing.Callable[[int], Environment]]" = {}
 
 
@@ -798,7 +798,7 @@ def build_million_client_zipf(
     *kernel*, and the event mix spans the queue's whole range —
     ``delay == 0`` cache hits, millisecond-scale lookups, and
     minute-scale TTL sweeps.  The registered scenario below runs a
-    sampled size so the determinism checker's three runs stay fast; the
+    sampled size so the scenario pass's six runs stay fast; the
     perf ledger's ``mclient_zipf`` workload (``benchmarks/e2e``) times
     the kernel under this kind of load at depth.
 

@@ -1,1 +1,1 @@
-"""hnslint + sanitizer + determinism checker tests."""
+"""hnslint + sanitizer + scenario pass tests."""

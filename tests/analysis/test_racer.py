@@ -1,21 +1,24 @@
-"""hnsracer: perturbation, confirmation, determinism, round-trip."""
+"""The scenario pass: perturbation, race confirmation, the v3 report."""
 
 import json
 import textwrap
 
-from repro.analysis.determinism import run_digest
-from repro.analysis.perturb import derive_seed, monitored, perturbed
-from repro.analysis.racer import (
+import pytest
+
+from repro.analysis.__main__ import run
+from repro.analysis.determinism import (
     CONFIRMED,
+    PERTURB_RUNS,
     UNCONFIRMED,
-    RacerReport,
-    race_scenario,
-    render_racer_json,
-    render_racer_text,
-    run_racer,
+    check_scenario,
+    check_scenarios,
+    run_digest,
+    select_scenarios,
 )
+from repro.analysis.perturb import derive_seed, monitored, perturbed
 from repro.analysis.sanitizer import InterleavingSanitizer
 from repro.sim import Environment
+from repro.workloads import scenarios as scenario_registry
 
 #: A lease-renewal race SIM005 finds statically (subject: _leases).
 RACY_SOURCE = """\
@@ -48,7 +51,7 @@ def planted_race_builder(seed):
     """Two unsynchronized processes touching a watched lease table.
 
     The watch label is the shared attribute's name — the convention the
-    racer uses to match hazards against static finding subjects.
+    scenario pass uses to match hazards against static finding subjects.
     """
     env = Environment(seed=seed)
     env.trace.enabled = True
@@ -117,6 +120,25 @@ def _write(tmp_path, name, source):
     return str(path)
 
 
+def _check(tmp_path, monkeypatch, capsys, source, scenarios, *flags):
+    """The one command on a fixture file, with only ``scenarios``
+    registered; returns its exit status and stdout."""
+    monkeypatch.setattr(scenario_registry, "SCENARIOS", scenarios)
+    path = _write(tmp_path, "leases.py", source)
+    code = run(
+        [path, "--no-baseline", "--interprocedural", "--scenarios", *flags]
+    )
+    return code, capsys.readouterr().out
+
+
+def _check_json(tmp_path, monkeypatch, capsys, source, scenarios, *flags):
+    code, out = _check(
+        tmp_path, monkeypatch, capsys, source, scenarios, "--format", "json",
+        *flags,
+    )
+    return code, json.loads(out)
+
+
 # ----------------------------------------------------------------------
 # Perturbation mechanics
 # ----------------------------------------------------------------------
@@ -165,104 +187,109 @@ def test_derive_seed_is_stable_and_distinct():
 
 
 # ----------------------------------------------------------------------
-# Scenario racing
+# One scenario's six runs
 # ----------------------------------------------------------------------
 def test_race_scenario_reports_hazard_and_ok():
-    race, hazards = race_scenario("planted", planted_race_builder, seed=0)
-    assert race.ok
-    assert race.hazard_count == len(hazards) >= 1
+    check, hazards = check_scenario("planted", planted_race_builder, seed=0)
+    assert check.ok
+    assert check.hazard_count == len(hazards) >= 1
     assert any(h.label == "_leases" for h in hazards)
 
 
 def test_race_scenario_synchronized_is_hazard_free():
-    race, hazards = race_scenario("sync", synchronized_builder, seed=0)
-    assert race.ok
+    check, hazards = check_scenario("sync", synchronized_builder, seed=0)
+    assert check.ok
     assert hazards == []
 
 
 def test_cohort_scenario_is_perturbation_effective():
-    race, _ = race_scenario("cohort", cohort_builder, seed=0)
-    assert race.ok
-    assert race.perturbation_effective
+    check, _ = check_scenario("cohort", cohort_builder, seed=0)
+    assert check.ok
+    assert check.perturbation_effective
+    assert check.digest_traced == check.digest_plain
 
 
 # ----------------------------------------------------------------------
-# The full racer: confirmation and gating
+# The one command: confirmation and gating
 # ----------------------------------------------------------------------
-def test_planted_race_is_confirmed(tmp_path):
-    path = _write(tmp_path, "leases.py", RACY_SOURCE)
-    report = run_racer(
-        [path], scenarios={"planted": planted_race_builder}, seed=0
+def test_planted_race_is_confirmed(tmp_path, monkeypatch, capsys):
+    scenarios = {"planted": planted_race_builder}
+    code, payload = _check_json(
+        tmp_path, monkeypatch, capsys, RACY_SOURCE, scenarios
     )
-    assert len(report.findings) == 1
-    racer_finding = report.findings[0]
-    assert racer_finding.finding.rule == "SIM005"
-    assert racer_finding.status == CONFIRMED
-    assert racer_finding.witnesses
-    assert "_leases" in racer_finding.witnesses[0]
-    assert not report.ok  # findings gate the run, confirmed or not
-    text = render_racer_text(report)
+    assert code == 1  # findings gate the run, confirmed or not
+    assert payload["ok"] is False
+    assert len(payload["findings"]) == 1
+    finding = payload["findings"][0]
+    assert finding["rule"] == "SIM005"
+    assert finding["status"] == CONFIRMED
+    assert finding["witnesses"]
+    assert "_leases" in finding["witnesses"][0]
+    assert payload["scenarios"][0]["ok"]
+    _, text = _check(tmp_path, monkeypatch, capsys, RACY_SOURCE, scenarios)
     assert "[CONFIRMED]" in text
+    assert "witness:" in text
 
 
-def test_clean_variant_has_zero_findings(tmp_path):
-    path = _write(tmp_path, "leases.py", CLEAN_SOURCE)
-    report = run_racer(
-        [path], scenarios={"planted": planted_race_builder}, seed=0
+def test_clean_variant_has_zero_findings(tmp_path, monkeypatch, capsys):
+    code, payload = _check_json(
+        tmp_path, monkeypatch, capsys, CLEAN_SOURCE,
+        {"planted": planted_race_builder},
     )
-    assert report.findings == []
-    assert report.ok
+    assert code == 0
+    assert payload["findings"] == []
+    assert payload["ok"] is True
 
 
-def test_static_finding_without_witness_is_unconfirmed(tmp_path):
-    path = _write(tmp_path, "leases.py", RACY_SOURCE)
-    report = run_racer(
-        [path], scenarios={"sync": synchronized_builder}, seed=0
+def test_static_finding_without_witness_is_unconfirmed(
+    tmp_path, monkeypatch, capsys
+):
+    _, payload = _check_json(
+        tmp_path, monkeypatch, capsys, RACY_SOURCE,
+        {"sync": synchronized_builder},
     )
-    assert len(report.findings) == 1
-    assert report.findings[0].status == UNCONFIRMED
-    assert report.findings[0].witnesses == ()
+    assert len(payload["findings"]) == 1
+    assert payload["findings"][0]["status"] == UNCONFIRMED
+    assert payload["findings"][0]["witnesses"] == []
 
 
-def test_run_racer_rejects_unknown_scenario(tmp_path):
-    import pytest
-
-    path = _write(tmp_path, "leases.py", CLEAN_SOURCE)
-    with pytest.raises(KeyError):
-        run_racer(
-            [path],
-            scenario_names=["nope"],
-            scenarios={"planted": planted_race_builder},
-        )
+def test_run_racer_rejects_unknown_scenario():
+    with pytest.raises(KeyError, match="known: planted"):
+        select_scenarios(["nope"], {"planted": planted_race_builder})
 
 
-def test_racer_report_json_round_trip(tmp_path):
-    path = _write(tmp_path, "leases.py", RACY_SOURCE)
-    report = run_racer(
-        [path],
-        scenarios={
-            "planted": planted_race_builder,
-            "cohort": cohort_builder,
-        },
-        seed=3,
-        perturb_runs=3,
-    )
-    payload = json.loads(render_racer_json(report))
-    assert payload["version"] == 1
-    assert payload["tool"] == "hnsracer"
-    restored = RacerReport.from_json(payload)
-    assert restored.to_json() == report.to_json()
-    assert restored.ok == report.ok
-    assert [s.perturb_seeds for s in restored.scenarios] == [
-        s.perturb_seeds for s in report.scenarios
+def _reject_constant(name):
+    raise ValueError(f"non-strict JSON constant {name}")
+
+
+def test_racer_report_json_round_trip(tmp_path, monkeypatch, capsys):
+    """The v3 report is strict JSON and byte-stable across two runs."""
+    scenarios = {"planted": planted_race_builder, "cohort": cohort_builder}
+    outputs = [
+        _check(
+            tmp_path, monkeypatch, capsys, RACY_SOURCE, scenarios,
+            "--format", "json", "--seed", "3",
+        )[1]
+        for _ in range(2)
     ]
-
-
-def test_racer_is_deterministic_across_runs(tmp_path):
-    path = _write(tmp_path, "leases.py", RACY_SOURCE)
-    kwargs = dict(
-        scenarios={"planted": planted_race_builder}, seed=7, perturb_runs=2
+    assert outputs[0] == outputs[1]
+    payload = json.loads(outputs[0], parse_constant=_reject_constant)
+    assert payload["version"] == 3
+    assert payload["tool"] == "hnslint"
+    assert [s["scenario"] for s in payload["scenarios"]] == ["cohort", "planted"]
+    for scenario in payload["scenarios"]:
+        assert scenario["seed"] == 3
+        assert scenario["perturb_seeds"] == [
+            derive_seed(3, i) for i in range(PERTURB_RUNS)
+        ]
+        assert len(scenario["digests_perturbed"]) == PERTURB_RUNS
+    assert payload["hazards"] and all(
+        h["scenario"] == "planted" for h in payload["hazards"]
     )
-    first = run_racer([path], **kwargs)
-    second = run_racer([path], **kwargs)
-    assert first.to_json() == second.to_json()
+
+
+def test_racer_is_deterministic_across_runs():
+    scenarios = {"planted": planted_race_builder}
+    first = check_scenarios(scenarios, seed=7)
+    second = check_scenarios(scenarios, seed=7)
+    assert first == second

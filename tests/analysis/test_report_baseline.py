@@ -192,7 +192,7 @@ def test_render_json_is_stable_and_versioned(tmp_path):
     bad.write_text(_BAD, encoding="utf-8")
     result = lint_paths([bad])
     payload = json.loads(render_json(result))
-    assert payload["version"] == 2
+    assert payload["version"] == 3
     assert payload["tool"] == "hnslint"
     assert payload["ok"] is False
     assert payload["counts"] == {"SIM001": 1}
@@ -204,16 +204,22 @@ def test_render_json_is_stable_and_versioned(tmp_path):
 
 
 def test_render_json_ok_ands_determinism():
-    from repro.analysis.determinism import ScenarioCheck
+    from repro.analysis.determinism import ScenarioCheck, ScenarioPass
 
     clean = LintResult(findings=[], files_scanned=1)
     bad_check = ScenarioCheck(
-        scenario="s", seed=0, ok=False, digest_a="a", digest_b="b",
-        events_a=1, events_b=1, first_divergence="line 0",
+        scenario="s", seed=0, ok=False, digest_plain="a", digest_traced="a",
+        perturb_seeds=(1,), digests_perturbed=("b",),
+        perturbation_effective=True, hazard_count=0,
+        first_divergence="replay: line 0",
     )
-    payload = json.loads(render_json(clean, [bad_check]))
+    scenarios = ScenarioPass(checks=[bad_check], hazards=[])
+    payload = json.loads(render_json(clean, scenarios))
     assert payload["ok"] is False
-    assert payload["determinism"][0]["first_divergence"] == "line 0"
+    assert payload["scenarios"][0]["first_divergence"] == "replay: line 0"
+    text = render_text(clean, scenarios)
+    assert "scenario s: FAILED" in text
+    assert "first divergence: replay: line 0" in text
 
 
 # ----------------------------------------------------------------------
@@ -372,9 +378,7 @@ def test_finding_subject_round_trips_through_json():
         message="m", snippet="expiry = self._leases[name]",
         subject="_leases",
     )
-    payload = finding.to_json()
+    payload = json.loads(json.dumps(finding.to_json()))
     assert payload["subject"] == "_leases"
-    assert Finding.from_json(payload) == finding
-    # v1 payloads without the key still load.
-    del payload["subject"]
-    assert Finding.from_json(payload).subject == ""
+    # The JSON keys are the dataclass fields: a payload rebuilds it.
+    assert Finding(**payload) == finding

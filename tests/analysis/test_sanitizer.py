@@ -372,7 +372,7 @@ def test_handlers_delivered_at_one_instant_stay_unordered():
 
 
 def test_perturbed_queue_still_shuffles_wire_timeouts_landing_together():
-    """The cohort the racer permutes is the wire Timeouts themselves; no
+    """The cohort the scenario pass permutes is the wire Timeouts; no
     start event is needed for two same-instant deliveries to swap."""
 
     def delivery_order(perturb_seed):
@@ -403,8 +403,8 @@ def test_perturbed_queue_still_shuffles_wire_timeouts_landing_together():
 
 def test_perturbed_queue_still_shuffles_standing_timers_armed_together():
     """Under a perturbation seed no timer waits in a FIFO lane: two
-    leases armed at one instant with one delay are a cohort the racer
-    must be able to swap."""
+    leases armed at one instant with one delay are a cohort the
+    scenario pass must be able to swap."""
 
     def expiry_order(perturb_seed):
         env = Environment(seed=0, perturb_seed=perturb_seed)

@@ -28,7 +28,7 @@ def run(env, gen):
 def test_policy_defaults_enable_everything():
     policy = ReplicaPolicy()
     assert policy.adaptive and policy.hedging and policy.scheduling
-    assert policy.skip_open_breakers and policy.ixfr
+    assert policy.breaker_threshold > 0 and policy.ixfr
 
 
 def test_disabled_policy_is_inert():
@@ -36,7 +36,7 @@ def test_disabled_policy_is_inert():
     assert not policy.adaptive
     assert not policy.hedging
     assert not policy.scheduling
-    assert not policy.skip_open_breakers
+    assert policy.breaker_threshold == 0
     assert not policy.ixfr
 
 
@@ -44,7 +44,7 @@ def test_disabled_policy_is_inert():
     "kwargs",
     [
         {"hedge_quantile": 1.0},
-        {"max_hedges": -1},
+        {"hedge_quantile": -0.1},
         {"breaker_threshold": -1},
     ],
 )
@@ -221,7 +221,7 @@ def lookup_once(env, resolver):
 
 def test_adaptive_selection_avoids_slow_replica():
     env, resolver, primary, secondary, _ = make_cluster(
-        ReplicaPolicy(hedge_quantile=0.0, max_hedges=0),  # adaptive only
+        ReplicaPolicy(hedge_quantile=0.0),  # adaptive only
         primary_cost=200.0,
         secondary_cost=4.8,
     )
@@ -272,7 +272,7 @@ def test_ordered_failover_eats_the_stall_without_hedging():
 
 def test_breaker_skip_spares_cold_lookups_the_timeout():
     policy = ReplicaPolicy(
-        adaptive=False, hedge_quantile=0.0, max_hedges=0, breaker_threshold=1
+        adaptive=False, hedge_quantile=0.0, breaker_threshold=1
     )
     env, resolver, primary, secondary, primary_host = make_cluster(policy)
     primary_host.crash()

@@ -64,20 +64,6 @@ def test_cold_miss_falls_back_to_broadcast_requery():
     assert env.stats.counters().get("discovery.requeries", 0) == 1
 
 
-def test_miss_without_requery_raises():
-    policy = DiscoveryPolicy(
-        beacon_period_ms=500.0,
-        entry_ttl_ms=10_000.0,
-        watchdog_multiplier=3.0,
-        requery_on_miss=False,
-    )
-    env, hosts, beacons = make_world(policy)
-    nsm = DiscoveryNsm(beacons[0])
-    with pytest.raises(LookupError):
-        run(env, nsm.query(PRINTER))
-    assert env.stats.counters().get("discovery.view_misses", 0) == 1
-
-
 def test_disabled_policy_degrades_to_one_shot_locator():
     env, hosts, beacons = make_world(DiscoveryPolicy.disabled())
     beacons[1].announce("printer", 9001)

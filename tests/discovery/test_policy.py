@@ -50,8 +50,6 @@ def test_disabled_degrades_to_the_broadcast_locator():
     off = DiscoveryPolicy.disabled()
     assert not off.enabled
     assert not off.liveness
-    # The degraded mode still answers queries — via one-shot broadcast.
-    assert off.requery_on_miss
 
 
 def test_policyset_carries_a_discovery_slot():

@@ -1,6 +1,6 @@
 """Scenario trajectories, pinned across commits.
 
-The determinism checker compares runs within one checkout; this
+The scenario pass compares runs within one checkout; this
 compares every registered scenario's seed-0 ``run_digest`` with the one
 recorded in ``scenario_digests.json``.  A refactor must leave the file
 alone; a change that means to move a trajectory regenerates the entry
