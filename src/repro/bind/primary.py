@@ -66,6 +66,8 @@ class PrimaryClient:
         if marshaller is None:
             marshaller = HandcodedMarshaller(request.idl_type)
             self._marshallers[type(request)] = marshaller
+        # A write or transfer carries a serial or new data, so it never
+        # repeats: marshalled afresh from its wire value, not recalled.
         request_bytes, marshal_cost = marshaller.encode(request.to_idl())
         yield self.host.cpu.compute(marshal_cost)
         reply = yield self.transport.request(

@@ -101,6 +101,10 @@ class BindResolver:
         #: replica servers tried, in order, when the primary is
         #: unreachable (reads only; updates always go to the primary)
         self.secondaries = list(secondaries)
+        #: the failover order, each replica with its ``bind.leg`` label
+        self._replicas = [
+            (endpoint, str(endpoint)) for endpoint in [server] + self.secondaries
+        ]
         self.cache = cache
         self.per_call_overhead_ms = per_call_overhead_ms
         self.calibration = calibration
@@ -211,7 +215,7 @@ class BindResolver:
                     span.set(outcome="hit")
                     return records
             span.set(outcome="miss")
-            records = yield from self._miss(
+            records, _count = yield from self._miss(
                 key, span, lambda: self._fetch(key, rtype)
             )
             return records
@@ -302,7 +306,7 @@ class BindResolver:
         payload: object
         if cache.format is CacheFormat.MARSHALLED:
             payload, _ = self._wire_response.encode(
-                QueryResponse(STATUS_OK, list(records)).to_idl()
+                QueryResponse(STATUS_OK, list(records))
             )
         else:
             payload = list(records)
@@ -311,7 +315,8 @@ class BindResolver:
         )
 
     # The miss step shared by :meth:`lookup` and :meth:`lookup_batch`,
-    # one of these two, picked in the constructor.  ``fetch()`` returns
+    # one of these two, picked in the constructor.  Each returns the
+    # generator to ``yield from``; like ``fetch()``'s, its value is
     # ``(result, record_count)``.
     def _fetch_alone(
         self,
@@ -320,8 +325,7 @@ class BindResolver:
         fetch: typing.Callable[[], typing.Generator],
     ) -> typing.Generator:
         """The prototype's miss: every miss fetches for itself."""
-        result, _count = yield from fetch()
-        return result
+        return fetch()
 
     def _lead_or_follow(
         self,
@@ -335,11 +339,14 @@ class BindResolver:
         flight = self._flights.get(key)
         if flight is not None:
             span.set(outcome="coalesced")
-            result, _count = yield from self._flights.follow(flight)
-            return list(result)
+            return self._follow(flight)
         span.set(outcome="miss", role="leader")
-        result, _count = yield from self._flights.lead(key, fetch())
-        return result
+        return self._flights.lead(key, fetch())
+
+    def _follow(self, flight: "Event") -> typing.Generator:
+        """A follower's miss: the leader's result, copied."""
+        result, count = yield from self._flights.follow(flight)
+        return list(result), count
 
     def _compute(self, cost_ms: float, background: bool = False) -> "Event":
         """Charge ``cost_ms`` of client CPU, optionally at low priority:
@@ -461,7 +468,7 @@ class BindResolver:
         """
         if self.per_call_overhead_ms:
             yield self._compute(self.per_call_overhead_ms, background)
-        request_bytes, marshal_cost = marshaller.encode(request.to_idl())
+        request_bytes, marshal_cost = marshaller.encode(request)
         yield self._compute(
             max(marshal_cost, self.calibration.request_marshal_ms), background
         )
@@ -501,8 +508,8 @@ class BindResolver:
         every replica failed.
         """
         last_error: typing.Optional[Exception] = None
-        for endpoint in [self.server] + self.secondaries:
-            with self.env.obs.span("bind.leg", endpoint=str(endpoint)) as leg:
+        for endpoint, label in self._replicas:
+            with self.env.obs.span("bind.leg", endpoint=label) as leg:
                 try:
                     reply = yield self.transport.request(
                         self.host,
@@ -653,7 +660,7 @@ class BindResolver:
         with self.env.obs.span(
             "bind.batch", resolver=self.name, questions=len(questions)
         ) as span:
-            answers = yield from self._miss(
+            answers, _count = yield from self._miss(
                 key, span, lambda: self._fetch_batch(questions)
             )
             return answers

@@ -39,8 +39,9 @@ class RRType(enum.Enum):
         return self.name
 
 
-# On the wire a record type is its number.
-CONVERTERS[RRType] = (U32Type, operator.attrgetter("value"), RRType)
+# On the wire a record type is its number (``_value_``: ``.value`` is a
+# property, two Python frames per field converted).
+CONVERTERS[RRType] = (U32Type, operator.attrgetter("_value_"), RRType)
 
 
 @dataclasses.dataclass(frozen=True)

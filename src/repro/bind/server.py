@@ -162,14 +162,25 @@ class BindServer(Service):
         return None
 
     # ------------------------------------------------------------------
-    def _encode_reply(self, message) -> typing.Tuple[object, int, float]:
+    def _encode_reply(
+        self, message, recall: bool = False
+    ) -> typing.Tuple[object, int, float]:
         """Marshal ``message`` — the one time its bytes are produced;
-        they ride with it (``message.wire``) for whoever receives it."""
+        they ride with it (``message.wire``) for whoever receives it.
+
+        A query's answer repeats whenever its records do, so it is
+        handed over whole to ``recall`` the bytes of an equal one sent
+        before (:class:`~repro.serial.generated.Marshaller`).  Anything
+        else carries a serial or zone state that moves with every write
+        and is marshalled afresh from its wire value.
+        """
         marshaller = self._marshallers.get(message.idl_type)
         if marshaller is None:
             marshaller = HandcodedMarshaller(message.idl_type)
             self._marshallers[message.idl_type] = marshaller
-        message.wire, cost = marshaller.encode(message.to_idl())
+        message.wire, cost = marshaller.encode(
+            message if recall else message.to_idl()
+        )
         return message, len(message.wire), cost
 
     # ------------------------------------------------------------------
@@ -253,7 +264,7 @@ class BindServer(Service):
 
     def _answer_query(self, request: QueryRequest, responder) -> None:
         reply = self._answer_one(request.name, request.rtype)
-        reply, size, marshal_cost = self._encode_reply(reply)
+        reply, size, marshal_cost = self._encode_reply(reply, recall=True)
         responder.after(
             self.host.cpu.compute(marshal_cost),
             self._send_answer,
@@ -304,7 +315,7 @@ class BindServer(Service):
             )
             return
         reply, size, marshal_cost = self._encode_reply(
-            BatchQueryResponse(answers)
+            BatchQueryResponse(answers), recall=True
         )
         responder.after(
             self.host.cpu.compute(marshal_cost),

@@ -51,8 +51,7 @@ class LocalFinder:
 
     def find(self, hns_name: HNSName, query_class: str) -> FindNsmCall:
         """Run ``FindNSM`` in-process; returns the NSM binding."""
-        binding = yield from self.hns.find_nsm(hns_name, query_class)
-        return binding
+        return self.hns.find_nsm(hns_name, query_class)
 
 
 class RemoteFinder:
@@ -70,7 +69,7 @@ class RemoteFinder:
 
     def find(self, hns_name: HNSName, query_class: str) -> FindNsmCall:
         """Call the remote HNS service's ``FindNSM`` procedure."""
-        binding = yield from self.runtime.call(
+        return self.runtime.call(
             self.hns_binding,
             "FindNSM",
             str(hns_name),
@@ -78,7 +77,6 @@ class RemoteFinder:
             arg_size_bytes=hns_name.wire_size() + 32,
             policy=self.policy,
         )
-        return binding
 
 
 def result_to_binding(result: NsmResult) -> HRPCBinding:
@@ -253,14 +251,13 @@ class HrpcImporter:
         next FindNSM can route around the dead NSM (to a linked-in copy)
         instead of repeating the doomed remote call.
         """
-        binding = yield from retrying(
+        return retrying(
             self.env,
             self.policy,
             lambda _attempt: self._direct_once(service_name, hns_name),
             rng_stream="hrpc.import.backoff",
             stat="hrpc.import_retries",
         )
-        return binding
 
     def _direct_once(self, service_name: str, hns_name: HNSName) -> ImportCall:
         assert self.finder is not None and self.nsm_stub is not None

@@ -16,7 +16,10 @@ Both run the one codec :mod:`repro.serial.compiler` compiles per (IDL
 type, representation) — Sun XDR or Xerox Courier, which are parameters
 of the compiler, not implementations — so they produce identical wire
 bytes; only the simulated CPU cost differs, which is the whole point of
-the paper's cache-format experiment.
+the paper's cache-format experiment.  Both compute the bytes and cost
+of a given wire value once and recall them after
+(:class:`~repro.serial.generated.Marshaller`); the simulation is
+charged every time.
 
 :mod:`repro.serial.message` is the Python side of the same idea: a
 message class declares each field once and its IDL type and both

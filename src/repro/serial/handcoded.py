@@ -13,6 +13,7 @@ from __future__ import annotations
 import typing
 
 from repro.serial.compiler import Representation, StubCompiler
+from repro.serial.generated import Marshaller
 from repro.serial.idl import IdlType
 
 #: Fixed cost of one hand-coded marshal/demarshal pass (ms).
@@ -21,7 +22,7 @@ HANDCODED_BASE_MS = 0.195
 HANDCODED_PER_BYTE_MS = 0.008125
 
 
-class HandcodedMarshaller:
+class HandcodedMarshaller(Marshaller):
     """Direct, single-pass marshalling for one IDL type."""
 
     style = "handcoded"
@@ -35,20 +36,9 @@ class HandcodedMarshaller:
     ):
         if base_ms < 0 or per_byte_ms < 0:
             raise ValueError("costs must be non-negative")
-        self.idl_type = idl_type
         self.codec = StubCompiler(representation).compile(idl_type)
         self.base_ms = base_ms
         self.per_byte_ms = per_byte_ms
 
-    def _cost(self, nbytes: int) -> float:
+    def _price(self, value: object, nbytes: int) -> float:
         return self.base_ms + self.per_byte_ms * nbytes
-
-    def encode(self, value: object) -> typing.Tuple[bytes, float]:
-        """Marshal ``value``; returns (wire bytes, simulated cost ms)."""
-        data = self.codec.encode(value)
-        return data, self._cost(len(data))
-
-    def decode(self, data: bytes) -> typing.Tuple[typing.Any, float]:
-        """Demarshal ``data``; returns (value, simulated cost ms)."""
-        value = self.codec.decode(data)
-        return value, self._cost(len(data))
