@@ -198,11 +198,16 @@ class BindResolver:
         generator: drive it with ``yield from`` inside a simulation.
         """
         key = cache_key(name, rtype)
-        with self.env.obs.span(
-            "bind.lookup",
-            resolver=self.name,
-            owner=key[0],
-            rtype=rtype._name_,  # .name is a property: two frames a lookup
+        obs = self.env.obs
+        with (
+            obs.span(
+                "bind.lookup",
+                resolver=self.name,
+                owner=key[0],
+                rtype=rtype._name_,  # .name is a property: two frames a lookup
+            )
+            if obs.enabled
+            else NULL_SPAN
         ) as span:
             cache = self.cache
             if cache is not None:
@@ -376,11 +381,16 @@ class BindResolver:
         negative caching, cache insert.  Returns ``(records, count)``."""
         env = self.env
         name = DomainName(key[0])
-        with env.obs.span(
-            "bind.fetch",
-            resolver=self.name,
-            owner=key[0],
-            background=background,
+        obs = env.obs
+        with (
+            obs.span(
+                "bind.fetch",
+                resolver=self.name,
+                owner=key[0],
+                background=background,
+            )
+            if obs.enabled
+            else NULL_SPAN
         ) as span:
             self._remote_lookups.increment()
             try:
@@ -475,6 +485,7 @@ class BindResolver:
         policy = self.policies.resolution
         timeout_ms = policy.call_timeout_ms
         last_error: typing.Optional[Exception] = None
+        obs = self.env.obs
         for round_index in range(policy.attempts):
             if round_index:
                 self.env.stats.counter(f"bind.{self.name}.retries").increment()
@@ -484,7 +495,9 @@ class BindResolver:
                         self.env.rng.stream(f"bind.backoff:{self.name}"),
                     )
                 )
-            with self.env.obs.span("bind.round", round=round_index) as rspan:
+            with (
+                obs.span("bind.round", round=round_index) if obs.enabled else NULL_SPAN
+            ) as rspan:
                 try:
                     reply = yield from self._exchange(
                         request, len(request_bytes), timeout_ms
@@ -508,8 +521,11 @@ class BindResolver:
         every replica failed.
         """
         last_error: typing.Optional[Exception] = None
+        obs = self.env.obs
         for endpoint, label in self._replicas:
-            with self.env.obs.span("bind.leg", endpoint=label) as leg:
+            with (
+                obs.span("bind.leg", endpoint=label) if obs.enabled else NULL_SPAN
+            ) as leg:
                 try:
                     reply = yield self.transport.request(
                         self.host,
@@ -551,7 +567,8 @@ class BindResolver:
         queue = scheduler.plan()
         # Legs run as their own processes; the caller's span context must
         # travel into them explicitly.
-        obs_parent = env.obs.current()
+        obs = env.obs
+        obs_parent = obs.current()
         result = env.event()
         # The result may be failed with nobody parked on it (e.g. the
         # last leg fails while the winner already returned) — that must
@@ -567,11 +584,15 @@ class BindResolver:
 
             def leg() -> typing.Generator:
                 start = env.now
-                with env.obs.span(
-                    "bind.leg",
-                    parent=obs_parent,
-                    endpoint=state.label,
-                    hedge=hedge,
+                with (
+                    obs.span(
+                        "bind.leg",
+                        parent=obs_parent,
+                        endpoint=state.label,
+                        hedge=hedge,
+                    )
+                    if obs.enabled
+                    else NULL_SPAN
                 ) as lspan:
                     try:
                         reply = yield self.transport.request(
@@ -657,8 +678,11 @@ class BindResolver:
             (q.name, q.rtype.value, q.chain_from, q.chain_field)
             for q in questions
         )
-        with self.env.obs.span(
-            "bind.batch", resolver=self.name, questions=len(questions)
+        obs = self.env.obs
+        with (
+            obs.span("bind.batch", resolver=self.name, questions=len(questions))
+            if obs.enabled
+            else NULL_SPAN
         ) as span:
             answers, _count = yield from self._miss(
                 key, span, lambda: self._fetch_batch(questions)

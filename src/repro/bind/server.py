@@ -55,6 +55,7 @@ from repro.bind.zone import Zone
 from repro.harness.calibration import Calibration, DEFAULT_CALIBRATION
 from repro.net.addresses import WELL_KNOWN_PORTS, Endpoint, NetworkAddress
 from repro.net.host import Host, Service
+from repro.obs.span import NULL_SPAN
 from repro.resolution import UpdatePolicy
 from repro.serial import HandcodedMarshaller
 from repro.serial.idl import IdlType
@@ -415,8 +416,11 @@ class BindServer(Service):
         self._requests.increment()
         env.stats.counter(f"bind.{self.name}.update_batches").increment()
         env.stats.counter("bind.update.batches").increment()
-        with env.obs.span(
-            "bind.update", server=self.name, ops=len(request.ops)
+        obs = env.obs
+        with (
+            obs.span("bind.update", server=self.name, ops=len(request.ops))
+            if obs.enabled
+            else NULL_SPAN
         ) as span:
             if not self.allow_dynamic_update:
                 reply = UpdateBatchResponse(STATUS_REFUSED, 0, [])
@@ -567,11 +571,16 @@ class BindServer(Service):
         yield self.env.timeout(NOTIFY_DELAY_MS)
         self._notify_pending.discard(zone.origin)
         serial = zone.serial
-        with self.env.obs.span(
-            "bind.notify",
-            server=self.name,
-            origin=str(zone.origin),
-            serial=serial,
+        obs = self.env.obs
+        with (
+            obs.span(
+                "bind.notify",
+                server=self.name,
+                origin=str(zone.origin),
+                serial=serial,
+            )
+            if obs.enabled
+            else NULL_SPAN
         ):
             request = NotifyRequest(zone.origin, serial)
             _, size, marshal_cost = self._encode_reply(request)

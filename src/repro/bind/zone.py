@@ -126,13 +126,24 @@ class Zone:
         (truncated by ``journal_limit``, or the requester predates the
         journal entirely) — the IXFR signal to fall back to AXFR.
         Serial bumps are one journal entry each, so coverage holds iff
-        the oldest entry's serial is ``<= serial + 1``.
+        the oldest entry's serial is ``<= serial + 1``.  The journal is
+        in serial order (a primary bumps by one per entry, a replica
+        applies its primary's entries in order and starts afresh after
+        an AXFR), so the first newer entry is found by bisection.
         """
         if serial >= self.serial:
             return []
-        if not self._journal or self._journal[0].serial > serial + 1:
+        journal = self._journal
+        if not journal or journal[0].serial > serial + 1:
             return None
-        return [d for d in self._journal if d.serial > serial]
+        lo, hi = 0, len(journal)
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if journal[mid].serial > serial:
+                hi = mid
+            else:
+                lo = mid + 1
+        return journal[lo:]
 
     def apply_delta(self, delta: ZoneDelta) -> None:
         """Apply one journalled update from a primary to this replica.

@@ -92,8 +92,10 @@ def parse_zone_text(text: str, default_origin: str = "") -> Zone:
     zone = Zone(origin, default_ttl=default_ttl if default_ttl is not None else 3_600_000)
     for record in records:
         zone.add(record)
-    # Loading a file is one logical version, not len(records) updates.
+    # Loading a file is one logical version, not len(records) updates:
+    # the journal of those adds carries serials the zone never had.
     zone.serial = 1
+    zone.reset_journal()
     return zone
 
 

@@ -38,6 +38,7 @@ from repro.hrpc.binding import HRPCBinding
 from repro.hrpc.server import HrpcServer
 from repro.net.addresses import Endpoint, NetworkAddress
 from repro.bind.errors import NameNotFound
+from repro.obs.span import NULL_SPAN
 from repro.resolution import CircuitBreakerRegistry, PolicySet, retrying
 from repro.sim.events import Event
 
@@ -151,11 +152,16 @@ class HNS:
         """
         query_class_named(query_class)  # fail fast on unknown classes
         env = self.env
-        with env.obs.span(
-            "hns.find_nsm",
-            context=hns_name.context,
-            name=hns_name.name,
-            query_class=query_class,
+        obs = env.obs
+        with (
+            obs.span(
+                "hns.find_nsm",
+                context=hns_name.context,
+                name=hns_name.name,
+                query_class=query_class,
+            )
+            if obs.enabled
+            else NULL_SPAN
         ) as span:
             self._find_nsm_count.increment()
             # Fixed library bookkeeping.
@@ -262,8 +268,11 @@ class HNS:
         fall back to the recursive path, keeping the two behaviours
         answer-equivalent.
         """
-        with self.env.obs.span(
-            "hns.resolve_host_fast", host=record.host_name
+        obs = self.env.obs
+        with (
+            obs.span("hns.resolve_host_fast", host=record.host_name)
+            if obs.enabled
+            else NULL_SPAN
         ) as span:
             try:
                 addr_text = yield from self.metastore.nsm_host_address(
@@ -297,8 +306,11 @@ class HNS:
         5. (name service, HostAddress) -> NSM name  (meta lookup)
         6. the statically linked HostAddress NSM's native lookup.
         """
-        with self.env.obs.span(
-            "hns.resolve_host", host=record.host_name
+        obs = self.env.obs
+        with (
+            obs.span("hns.resolve_host", host=record.host_name)
+            if obs.enabled
+            else NULL_SPAN
         ):
             host_ns = yield from self.metastore.context_to_name_service(
                 record.host_context

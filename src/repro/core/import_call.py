@@ -28,6 +28,7 @@ from repro.hrpc.binding import HRPCBinding
 from repro.hrpc.runtime import HrpcRuntime
 from repro.net.errors import is_transient
 from repro.net.host import Host
+from repro.obs.span import NULL_SPAN
 from repro.resolution import (
     DEFAULT_RESOLUTION_POLICY,
     CircuitBreakerRegistry,
@@ -177,11 +178,16 @@ class HrpcImporter:
                 " or HrpcImporter.via_agent()"
             )
         env = self.env
-        with env.obs.span(
-            "hrpc.import",
-            service=service_name,
-            name=str(hns_name),
-            mode="agent" if self.agent_binding is not None else "direct",
+        obs = env.obs
+        with (
+            obs.span(
+                "hrpc.import",
+                service=service_name,
+                name=str(hns_name),
+                mode="agent" if self.agent_binding is not None else "direct",
+            )
+            if obs.enabled
+            else NULL_SPAN
         ):
             env.stats.counter("hrpc.imports").increment()
             start = env.now
@@ -316,8 +322,11 @@ def serve_agent(
         # The agent-side root: the client's span context does not cross
         # the simulated wire, so the agent's work traces as its own
         # trace rooted here.
-        with hns.env.obs.span(
-            "hns.agent_import", service=service_name, name=hns_name_text
+        obs = hns.env.obs
+        with (
+            obs.span("hns.agent_import", service=service_name, name=hns_name_text)
+            if obs.enabled
+            else NULL_SPAN
         ):
             nsm_binding = yield from hns.find_nsm(hns_name, BINDING_QC)
             result = yield from nsm_stub.call(

@@ -52,6 +52,7 @@ from repro.memo import memoised
 from repro.net.addresses import Endpoint
 from repro.net.host import Host
 from repro.net.transport import Transport
+from repro.obs.span import NULL_SPAN
 from repro.bind.messages import STATUS_OK, BatchQuestion
 from repro.bind.resolver import cache_key
 from repro.resolution import PolicySet
@@ -279,8 +280,11 @@ class MetaStore:
     # ------------------------------------------------------------------
     def context_to_name_service(self, context: str) -> typing.Generator:
         """Mapping 1: context -> name service name."""
-        with self.env.obs.span(
-            "meta.context_to_ns", mapping=1, context=context
+        obs = self.env.obs
+        with (
+            obs.span("meta.context_to_ns", mapping=1, context=context)
+            if obs.enabled
+            else NULL_SPAN
         ) as span:
             try:
                 records = yield from self.resolver.lookup(
@@ -295,8 +299,11 @@ class MetaStore:
     def nsm_name_for(self, name_service: str, query_class: str) -> typing.Generator:
         """Mapping 2: (name service, query class) -> NSM name."""
         owner = f"{query_class}.{name_service}.q.{META_ORIGIN}"
-        with self.env.obs.span(
-            "meta.nsm_name", mapping=2, ns=name_service, query_class=query_class
+        obs = self.env.obs
+        with (
+            obs.span("meta.nsm_name", mapping=2, ns=name_service, query_class=query_class)
+            if obs.enabled
+            else NULL_SPAN
         ) as span:
             try:
                 records = yield from self.resolver.lookup(owner, RRType.UNSPEC)
@@ -309,7 +316,12 @@ class MetaStore:
     def nsm_record(self, nsm_name: str) -> typing.Generator:
         """Mapping 3: NSM name -> NSM binding information."""
         owner = f"{nsm_name}.nsm.{META_ORIGIN}"
-        with self.env.obs.span("meta.nsm_record", mapping=3, nsm=nsm_name):
+        obs = self.env.obs
+        with (
+            obs.span("meta.nsm_record", mapping=3, nsm=nsm_name)
+            if obs.enabled
+            else NULL_SPAN
+        ):
             try:
                 records = yield from self.resolver.lookup(owner, RRType.UNSPEC)
             except NameNotFound as err:
@@ -331,8 +343,11 @@ class MetaStore:
         resolver = self.resolver
         cache = self.cache
         cpu = self.host.cpu
-        with self.env.obs.span(
-            "meta.bundle", context=context, query_class=query_class
+        obs = self.env.obs
+        with (
+            obs.span("meta.bundle", context=context, query_class=query_class)
+            if obs.enabled
+            else NULL_SPAN
         ) as span:
             ns_name: typing.Optional[str] = None
             nsm_name: typing.Optional[str] = None
@@ -418,7 +433,8 @@ class MetaStore:
         the statically-linked host-address NSM path.
         """
         owner = f"{self.host_label(host_name)}.addr.{META_ORIGIN}"
-        with self.env.obs.span("meta.host_address", host=host_name):
+        obs = self.env.obs
+        with obs.span("meta.host_address", host=host_name) if obs.enabled else NULL_SPAN:
             records = yield from self.resolver.lookup(owner, RRType.UNSPEC)
             return decode_fields(records[0].data)["addr"]
 
@@ -429,8 +445,11 @@ class MetaStore:
         record = ResourceRecord(
             owner, rtype, self.calibration.meta_ttl_ms, data  # type: ignore[arg-type]
         )
-        with self.env.obs.span(
-            "meta.register", store=f"meta@{self.host.name}", owner=owner
+        obs = self.env.obs
+        with (
+            obs.span("meta.register", store=f"meta@{self.host.name}", owner=owner)
+            if obs.enabled
+            else NULL_SPAN
         ) as span:
             policy = self.policies.update
             if not policy.active:

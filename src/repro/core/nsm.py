@@ -173,11 +173,16 @@ class NamingSemanticsManager:
 
         Returns an :class:`NsmResult`.
         """
-        with self.env.obs.span(
-            "nsm.query",
-            nsm=self.name,
-            query_class=self.query_class,
-            name=str(hns_name),
+        obs = self.env.obs
+        with (
+            obs.span(
+                "nsm.query",
+                nsm=self.name,
+                query_class=self.query_class,
+                name=str(hns_name),
+            )
+            if obs.enabled
+            else NULL_SPAN
         ) as span:
             cache = self.cache
             if cache is None:
@@ -241,7 +246,8 @@ class NamingSemanticsManager:
         """The cache-miss path: translate, resolve natively, insert.
         ``span`` is the query it answers alone, when there is one."""
         span.set(outcome="native")
-        with self.env.obs.span("nsm.native", nsm=self.name):
+        obs = self.env.obs
+        with obs.span("nsm.native", nsm=self.name) if obs.enabled else NULL_SPAN:
             self.env.stats.counter(
                 f"nsm.{self.name}.native_queries"
             ).increment()

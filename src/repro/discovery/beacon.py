@@ -40,6 +40,7 @@ from repro.net.addresses import Endpoint
 from repro.net.errors import HostDown, NoRouteToHost, TransportTimeout
 from repro.net.host import Host, Service
 from repro.net.transport import DatagramTransport, RemoteCallError
+from repro.obs.span import NULL_SPAN
 from repro.resolution import DEFAULT_DISCOVERY_POLICY, DiscoveryPolicy
 from repro.sim.stats import Counter
 
@@ -336,11 +337,16 @@ class BeaconService(Service):
                 names=self._names,
                 secret=self.secret,
             )
-            with self.env.obs.span(
-                "discovery.beacon",
-                owner=self.host.name,
-                incarnation=self.incarnation,
-                names=len(self._names),
+            obs = self.env.obs
+            with (
+                obs.span(
+                    "discovery.beacon",
+                    owner=self.host.name,
+                    incarnation=self.incarnation,
+                    names=len(self._names),
+                )
+                if obs.enabled
+                else NULL_SPAN
             ):
                 self.env.stats.counter("discovery.beacons_sent").increment()
                 # A host hears itself: its own names belong in its own
@@ -398,11 +404,16 @@ class BeaconService(Service):
         )
 
     def _evict_with_span(self, entry: DiscoveryEntry, reason: str) -> None:
-        with self.env.obs.span(
-            "discovery.evict",
-            name=entry.name,
-            owner=entry.owner,
-            reason=reason,
+        obs = self.env.obs
+        with (
+            obs.span(
+                "discovery.evict",
+                name=entry.name,
+                owner=entry.owner,
+                reason=reason,
+            )
+            if obs.enabled
+            else NULL_SPAN
         ):
             self.cache.evict(entry.name, reason)
 

@@ -24,6 +24,7 @@ from repro.core.names import HNSName
 from repro.core.nsm import NamingSemanticsManager
 from repro.discovery.beacon import BeaconService, DiscoveryEntry
 from repro.harness.calibration import Calibration, DEFAULT_CALIBRATION
+from repro.obs.span import NULL_SPAN
 from repro.resolution import FastPathPolicy
 
 #: the name-service name the ad-hoc tier registers under in the meta zone
@@ -91,8 +92,11 @@ class DiscoveryNsm(NamingSemanticsManager):
         self, hns_name: HNSName, params: typing.Mapping[str, object]
     ) -> typing.Generator:
         local = self.translate_name(hns_name)
-        with self.env.obs.span(
-            "nsm.adhoc_query", nsm=self.name, name=local
+        obs = self.env.obs
+        with (
+            obs.span("nsm.adhoc_query", nsm=self.name, name=local)
+            if obs.enabled
+            else NULL_SPAN
         ) as span:
             entry = self.beacon.cache.lookup(local)
             if entry is not None:

@@ -24,6 +24,7 @@ from repro.net.transport import (
     StreamTransport,
     Transport,
 )
+from repro.obs.span import NULL_SPAN
 from repro.resolution import ResolutionPolicy, backoff_ms
 
 
@@ -88,11 +89,16 @@ class HrpcRuntime:
         """
         suite = suite_named(binding.suite)
         transport = self.transport_named(suite.transport)
-        with self.env.obs.span(
-            "hrpc.call",
-            program=binding.program,
-            procedure=procedure,
-            suite=binding.suite,
+        obs = self.env.obs
+        with (
+            obs.span(
+                "hrpc.call",
+                program=binding.program,
+                procedure=procedure,
+                suite=binding.suite,
+            )
+            if obs.enabled
+            else NULL_SPAN
         ):
             # Client-side control protocol + argument marshalling.
             yield self.host.cpu.compute(suite.client_control_ms)
@@ -113,8 +119,8 @@ class HrpcRuntime:
                     yield self.env.timeout(
                         backoff_ms(attempt - 1, self.env.rng.stream("hrpc.backoff"))
                     )
-                with self.env.obs.span(
-                    "hrpc.attempt", attempt=attempt
+                with (
+                    obs.span("hrpc.attempt", attempt=attempt) if obs.enabled else NULL_SPAN
                 ) as aspan:
                     try:
                         reply = yield transport.request(

@@ -97,6 +97,7 @@ class MailAgent:
 
         Returns a :class:`DeliveryReport`.
         """
+        message.stamp(self.env)
         delivered: typing.List[HNSName] = []
         queued: typing.List[typing.Tuple[HNSName, str]] = []
         for recipient in message.recipients:

@@ -5,10 +5,19 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import typing
+import weakref
 
 from repro.core.names import HNSName
 
-_msg_ids = itertools.count(1)
+if typing.TYPE_CHECKING:  # pragma: no cover
+    from repro.sim.kernel import Environment
+
+# Per-simulation message numbering: ids must be a function of the run
+# alone, or the traced "<msg #N ...>" lines would differ between
+# same-seed runs in one process.
+_msg_ids: "weakref.WeakKeyDictionary[Environment, typing.Iterator[int]]" = (
+    weakref.WeakKeyDictionary()
+)
 
 
 @dataclasses.dataclass
@@ -20,12 +29,22 @@ class MailMessage:
     recipients: typing.Tuple[HNSName, ...]
     subject: str
     body: str
-    msg_id: int = dataclasses.field(default_factory=lambda: next(_msg_ids))
+    #: numbered from 1 per simulation when first submitted (:meth:`stamp`);
+    #: a message not yet submitted is unstamped, ``0``
+    msg_id: int = 0
 
     def __post_init__(self) -> None:
         if not self.recipients:
             raise ValueError("a message needs at least one recipient")
         self.recipients = tuple(self.recipients)
+
+    def stamp(self, env: "Environment") -> None:
+        """Give an unstamped message the next id of ``env``'s run."""
+        if not self.msg_id:
+            ids = _msg_ids.get(env)
+            if ids is None:
+                ids = _msg_ids[env] = itertools.count(1)
+            self.msg_id = next(ids)
 
     @property
     def size_bytes(self) -> int:

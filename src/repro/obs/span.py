@@ -10,9 +10,18 @@ being prose: it is the blocking chain of a traced cold ``FindNSM``
 Determinism contract (the same bar :class:`~repro.sim.kernel.
 KernelMonitor` meets):
 
-- **Off by default, ~zero when off.**  ``Observability.span`` returns a
-  shared no-op context manager unless tracing is enabled — one attribute
-  check per instrumentation site, no allocation.
+- **Off by default, ~zero when off.**  Every instrumentation site is
+  written guarded::
+
+      obs = env.obs
+      with (obs.span("name", key=value) if obs.enabled else NULL_SPAN) as span:
+
+  so with tracing off a site costs one attribute test and a no-op
+  enter/exit on the shared :data:`NULL_SPAN`: no call into
+  :meth:`Observability.span`, no kwargs dict, no attribute argument
+  evaluated, no allocation (``tests/obs/test_span_budget.py`` pins the
+  figure and fails on an unguarded site).  Called unguarded,
+  ``span`` still answers :data:`NULL_SPAN` while tracing is off.
 - **Digest-identical when on.**  Spans never emit trace records, never
   touch stats *counters* (they may feed histograms/timers, which are
   outside the determinism digest), never schedule events, and never
@@ -59,13 +68,14 @@ class NullSpan:
     """The do-nothing span: what disabled or sampled-out sites get.
 
     The shared :data:`NULL_SPAN` instance absorbs ``set`` and context
-    management without allocating.  An *owned* instance (``owner`` set)
-    additionally holds a place on its owner's chain of open spans so
-    that descendants of an unsampled root resolve to it — and therefore
-    no-op too — instead of starting fresh traces.
+    management without allocating or testing anything.
     """
 
-    __slots__ = ("_owner", "_prev")
+    __slots__ = ()
+
+    #: the span displaced on the owner's chain; only an owned no-op span
+    #: (:class:`_OwnedNullSpan`) is ever on a chain and has one
+    _prev: typing.Optional["SpanLike"]
 
     #: no-op spans never carry identity
     trace_id = 0
@@ -74,23 +84,35 @@ class NullSpan:
     name = ""
     recording = False
 
-    def __init__(self, owner: typing.Optional[_Owner] = None):
-        self._owner = owner
-        self._prev: typing.Optional[SpanLike] = None
-
     def set(self, **attrs: AttrValue) -> None:
         """Discard ``attrs``."""
 
     def __enter__(self) -> "NullSpan":
-        owner = self._owner
-        if owner is not None:
-            self._prev = owner._span
-            owner._span = self
         return self
 
     def __exit__(self, *exc: object) -> None:
-        if self._owner is not None:
-            _unhook(self._owner, self)
+        pass
+
+
+class _OwnedNullSpan(NullSpan):
+    """A sampled-out root: a no-op span that holds a place on its
+    owner's chain of open spans, so that its descendants resolve to it —
+    and therefore no-op too — instead of starting fresh traces."""
+
+    __slots__ = ("_owner", "_prev")
+
+    def __init__(self, owner: _Owner):
+        self._owner = owner
+        self._prev = None
+
+    def __enter__(self) -> "NullSpan":
+        owner = self._owner
+        self._prev = owner._span
+        owner._span = self
+        return self
+
+    def __exit__(self, *exc: object) -> None:
+        _unhook(self._owner, self)
 
 
 #: the shared ownerless no-op span
@@ -319,7 +341,7 @@ class Observability:
         if parent is None:
             self._roots_seen += 1
             if (self._roots_seen - 1) % self.sample_every != 0:
-                return NullSpan(owner)
+                return _OwnedNullSpan(owner)
             trace_id = env.rng.stream("obs.ids").getrandbits(48)
             parent_id = None
         elif parent.recording:

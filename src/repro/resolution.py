@@ -40,6 +40,7 @@ import random
 import typing
 
 from repro.net.errors import is_transient
+from repro.obs.span import NULL_SPAN
 from repro.sim.kernel import Environment
 
 
@@ -446,9 +447,14 @@ def retrying(
     incremented once per retry.
     """
     attempts = policy.attempts
+    obs = env.obs
     for i in range(attempts):
         try:
-            with env.obs.span("resolution.attempt", op=rng_stream, attempt=i):
+            with (
+                obs.span("resolution.attempt", op=rng_stream, attempt=i)
+                if obs.enabled
+                else NULL_SPAN
+            ):
                 result = yield from attempt(i)
             return result
         except Exception as err:  # noqa: BLE001 - classified below

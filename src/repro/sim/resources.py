@@ -19,6 +19,8 @@ if typing.TYPE_CHECKING:  # pragma: no cover
 
 
 _INF = float("inf")
+#: An instance with no ``__init__`` run: ``use`` fills its Charge in place.
+_new = object.__new__
 
 #: A background hold is charged in slices of at most this many ms, so a
 #: foreground request that arrives mid-hold waits at most one slice.
@@ -54,24 +56,17 @@ class Charge(Request):
     woken once, when all that is over.  A charge triggers by becoming
     the heap entry of its own (last) hold, :meth:`Resource._free` ahead
     of the waiter's callback, so the unit is free before the waiter runs.
+
+    :meth:`Resource.use` is the one place a charge is built (its fields
+    are set there, with no constructor frame): ``remaining`` is the
+    service time not yet scheduled as a hold, ``deadline`` the instant a
+    background charge turns foreground (infinite for a foreground one).
     """
 
     __slots__ = ("deadline", "remaining")
 
-    def __init__(
-        self, resource: "Resource", service_ms: float, deadline: float = _INF
-    ):
-        self.env = resource.env
-        self.callbacks = []
-        self._value = _PENDING
-        self._exception = None
-        self._defused = False
-        self.resource = resource
-        self.held = False
-        #: Background charges only (finite): when it turns foreground.
-        self.deadline = deadline
-        #: Service time not yet scheduled as a hold.
-        self.remaining = service_ms
+    deadline: float
+    remaining: float
 
     def _waiter_left(self, _interrupt: Event) -> None:
         """Interrupted: leave the queue, or free the unit here and now
@@ -133,7 +128,9 @@ class Resource:
         """A foreground claim: granted now if a unit is free, else queued."""
         req = Request(self)
         if self._in_use < self.capacity:
-            self._grant(req)
+            self._in_use += 1
+            req.held = True
+            req.succeed(None)
         else:
             self._waiting.append(req)
         return req
@@ -142,27 +139,36 @@ class Resource:
         """Acquire, hold ``service_ms``, release: the event to ``yield``.
 
         One heap entry (none at zero cost on a free unit) and one
-        wake-up, contended or not: a queued charge is handed the unit,
-        and its hold scheduled, by whoever frees the unit.  An interrupt
-        delivered to the waiter while the charge is queued takes it out
-        of the queue; while it holds, frees the unit.
+        wake-up, contended or not, and one Python frame (this one) to
+        build and start it.  An uncontended charge's hold is scheduled
+        here; a queued one's by :meth:`_free`, when the unit is handed
+        on.  An interrupt delivered to the waiter while the charge is
+        queued takes it out of the queue; while it holds, frees the unit.
         """
         if not service_ms >= 0:  # also rejects NaN, either lane
             raise ValueError(f"negative or NaN service time: {service_ms}")
         env = self.env
+        charge = _new(Charge)
+        charge.env = env
+        charge.callbacks = []
+        charge._value = _PENDING
+        charge._exception = None
+        charge._defused = False
+        charge.resource = self
+        charge.held = False
+        charge.remaining = service_ms
         if background and service_ms > 0:
-            charge = Charge(
-                self, service_ms, env._now + BACKGROUND_PATIENCE * max(service_ms, 1.0)
-            )
+            charge.deadline = env._now + BACKGROUND_PATIENCE * max(service_ms, 1.0)
             self._background.append(charge)
             if self._in_use < self.capacity:
                 self._schedule_idle_check()
             return charge
-        charge = Charge(self, service_ms)
+        charge.deadline = _INF
         if self._in_use >= self.capacity:
             self._waiting.append(charge)
         elif service_ms > 0:
-            # Uncontended, as most charges are: _grant and _hold inlined.
+            # Uncontended, as most charges are: the charge is the heap
+            # entry of its whole hold.
             self._in_use += 1
             charge.held = True
             charge._value = None
@@ -179,23 +185,15 @@ class Resource:
             charge.succeed_now()
         return charge
 
-    def _grant(self, req: Request) -> None:
-        self._in_use += 1
-        req.held = True
-        if isinstance(req, Charge):
-            self._hold(req)
-        else:
-            req.succeed(None)
-
     def _hold(self, charge: Charge) -> None:
-        """The unit is ``charge``'s: schedule its hold, or its next slice."""
+        """The unit is background ``charge``'s: schedule its next slice,
+        or its last one with the charge as the heap entry."""
         env = self.env
         remaining = charge.remaining
-        if remaining > BACKGROUND_SLICE_MS and charge.deadline < _INF:
+        if remaining > BACKGROUND_SLICE_MS:
             charge.remaining = remaining - BACKGROUND_SLICE_MS
             env.call_later(BACKGROUND_SLICE_MS, self._on_slice_end, charge)
             return
-        # The whole hold, or the last slice: the charge is the heap entry.
         charge._value = None
         charge.callbacks.insert(0, self._free)
         if env.monitor is not None:
@@ -235,7 +233,12 @@ class Resource:
         )
 
     def _free(self, _hold: typing.Optional[Event] = None) -> None:
-        """A unit came free: hand it on, foreground first."""
+        """A unit came free: hand it on, foreground first.
+
+        A queued foreground charge gets the unit and its whole hold
+        here, with the charge as the hold's heap entry; a plain request
+        is granted; a background charge holds slice by slice.
+        """
         self._in_use -= 1
         background = self._background
         if background:
@@ -243,10 +246,27 @@ class Resource:
             for req in [r for r in background if r.deadline <= now]:
                 background.remove(req)
                 self._waiting.append(req)
-        if self._waiting:
-            self._grant(self._waiting.popleft())
-        elif background:
-            self._schedule_idle_check()
+        waiting = self._waiting
+        if not waiting:
+            if background:
+                self._schedule_idle_check()
+            return
+        req = waiting.popleft()
+        self._in_use += 1
+        req.held = True
+        if not isinstance(req, Charge):
+            req.succeed(None)
+        elif req.deadline < _INF:
+            self._hold(req)
+        else:
+            env = self.env
+            req._value = None
+            req.callbacks.insert(0, self._free)
+            if env.monitor is not None:
+                env.monitor.event_triggered(req)
+            eid = env._eid
+            env._eid = eid + 1
+            env._push((env._now + req.remaining, eid, req))
 
     def _schedule_idle_check(self) -> None:
         if not self._idle_check_pending:
@@ -255,8 +275,12 @@ class Resource:
 
     def _on_idle_check(self, _check: Event) -> None:
         self._idle_check_pending = False
-        while self._background and self._in_use < self.capacity:
-            self._grant(self._background.popleft())
+        background = self._background
+        while background and self._in_use < self.capacity:
+            charge = background.popleft()
+            self._in_use += 1
+            charge.held = True
+            self._hold(charge)
 
 
 class CPU(Resource):

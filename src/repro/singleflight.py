@@ -15,6 +15,7 @@ from __future__ import annotations
 import typing
 
 from repro.net.host import Host
+from repro.obs.span import NULL_SPAN
 from repro.sim.events import Event
 
 if typing.TYPE_CHECKING:  # pragma: no cover
@@ -154,8 +155,11 @@ class SingleFlight:
         """
         if defer_ms > 0:
             yield self.env.timeout(defer_ms)
-        with self.env.obs.span(
-            self._refresh_span, parent=parent, **span_attrs
+        obs = self.env.obs
+        with (
+            obs.span(self._refresh_span, parent=parent, **span_attrs)
+            if obs.enabled
+            else NULL_SPAN
         ) as span:
             try:
                 yield from self._land(event, key, work())

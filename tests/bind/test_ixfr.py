@@ -1,16 +1,19 @@
 """Incremental zone transfer: the journal, the wire, and the refresh."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.bind import (
     BindResolver,
     BindServer,
+    DomainName,
     ResolverCache,
     ResourceRecord,
     RRType,
     SecondaryBindServer,
     Zone,
 )
+from repro.bind.zone import ZoneDelta
 from repro.harness.calibration import DEFAULT_CALIBRATION
 from repro.net import DatagramTransport, Internetwork
 from repro.resolution import PolicySet, ReplicaPolicy
@@ -88,6 +91,54 @@ def test_apply_delta_tracks_primary():
     # The replica re-journals the applied deltas, so it can serve IXFR
     # to a downstream requester at an intermediate serial.
     assert replica.delta_since(2) is not None
+
+
+def scanned_delta_since(zone, serial):
+    """``delta_since`` as a scan of the whole journal: the reference."""
+    if serial >= zone.serial:
+        return []
+    journal = zone._journal
+    if not journal or journal[0].serial > serial + 1:
+        return None
+    return [d for d in journal if d.serial > serial]
+
+
+_NAMES = [f"n{i}.ctx.hns" for i in range(4)]
+_ZONE_OPS = st.one_of(
+    st.tuples(st.just("add"), st.sampled_from(_NAMES), st.integers(0, 2)),
+    st.tuples(st.just("replace"), st.sampled_from(_NAMES), st.integers(0, 2)),
+    st.tuples(st.just("remove"), st.sampled_from(_NAMES), st.just(0)),
+    # a replica's step: its primary's next entry, one or more bumps on
+    st.tuples(st.just("apply"), st.sampled_from(_NAMES), st.integers(1, 3)),
+    st.tuples(st.just("reset"), st.just(""), st.just(0)),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    journal_limit=st.integers(0, 6),
+    ops=st.lists(_ZONE_OPS, max_size=30),
+)
+def test_delta_since_equals_a_scan_of_the_journal(journal_limit, ops):
+    zone = Zone("hns", journal_limit=journal_limit)
+    for op, name, n in ops:
+        if op == "add":
+            zone.add(rec(name, f"v{n}"))
+        elif op == "replace":
+            zone.replace(name, RRType.UNSPEC, [rec(name, f"r{i}") for i in range(n)])
+        elif op == "remove":
+            zone.remove(name, RRType.UNSPEC)
+        elif op == "apply":
+            records = (rec(name, f"d{zone.serial}"),) if n % 2 else ()
+            zone.apply_delta(
+                ZoneDelta(zone.serial + n, DomainName(name), RRType.UNSPEC, records)
+            )
+        else:
+            zone.reset_journal()
+        serials = [d.serial for d in zone._journal]
+        assert serials == sorted(serials)
+        for serial in range(-1, zone.serial + 2):
+            assert zone.delta_since(serial) == scanned_delta_since(zone, serial)
 
 
 # ----------------------------------------------------------------------

@@ -100,6 +100,16 @@ def test_render_roundtrip():
     }
 
 
+def test_a_loaded_zone_is_one_version_with_an_empty_journal():
+    """The load's adds are not updates: IXFR from serial 1 carries only
+    what changed after it, and earlier serials fall back to AXFR."""
+    zone = parse_zone_text(SAMPLE)
+    assert zone.serial == 1
+    assert zone.delta_since(0) is None
+    zone.add(ResourceRecord.a_record("new.cs.washington.edu", "128.95.1.5"))
+    assert [d.serial for d in zone.delta_since(1)] == [2]
+
+
 def test_load_zone_file(tmp_path):
     path = tmp_path / "cs.zone"
     path.write_text("$ORIGIN z\nhost A 10.0.0.1\n")

@@ -127,13 +127,16 @@ def host_and_kernel_cost(make, calls=CALLS):
 @pytest.mark.parametrize(
     "make, max_python_calls, heap_entries",
     [
-        # 130.7 / 61.4 C calls; 301 / 133 before the hit path stopped
-        # re-deriving, 231 while each of its 9 charges was a generator
-        # frame, 191.7 while four to six frames resumed per charge
-        pytest.param(find_nsm(FAST_PATH), 135, 9, id="fast-path"),
-        # 244.9 / 90.5; 426 / 145, then 366, then 307.9
+        # 116.4 / 70.4 C calls; 130.4 while each span site called span()
+        # and each charge built its Charge in a frame; 301 / 133 before
+        # the hit path stopped re-deriving, 231 while each of its 9
+        # charges was a generator frame, 191.7 while four to six frames
+        # resumed per charge
+        pytest.param(find_nsm(FAST_PATH), 120, 9, id="fast-path"),
+        # 216.5 / 103.5; 244.5, and 426 / 145, then 366, then 307.9
         pytest.param(find_nsm(PolicySet.default()), 275, 13, id="six-mappings"),
-        # 30.0 / 13.0 (42.0 while the probe was a generator of its own)
+        # 26.0 / 15.0 (30.0 before the span guard and the in-place
+        # Charge, 42.0 while the probe was a generator of its own)
         pytest.param(lookup_hit, 33, 2, id="lookup-hit"),
     ],
 )
@@ -150,7 +153,9 @@ def test_warm_find_nsm_host_and_kernel_budget(make, max_python_calls, heap_entri
 @pytest.mark.parametrize(
     "make, max_python_calls, heap_entries",
     [
-        # 1 658.0 / 732.1 C calls; 2 043 / 1 104 while each query and
+        # 1 560.0 / 785.1 C calls; 1 658.0 / 732.1 while its span sites
+        # called span() with tracing off and each of its 54 charges paid
+        # a Charge.__init__ frame; 2 043 / 1 104 while each query and
         # its answer was marshalled again (the marshallers now recall
         # them by wire key, after the warm-ups), four Import frames only
         # re-yielded one inner generator and each leg formatted its
@@ -159,14 +164,15 @@ def test_warm_find_nsm_host_and_kernel_budget(make, max_python_calls, heap_entri
         # attempt, and every address key a Python __str__
         pytest.param(
             cold_import("BIND-cs", "DesiredService", NAME),
-            1_700,
+            1_600,
             80,
             id="bind-cs",
         ),
-        # 1 640.6 / 780.5; 1 985.6 / 1 096.5, and 2 401.4 and 8, likewise
+        # 1 544.6 / 835.5; 1 640.6 / 780.5, 1 985.6 / 1 096.5, and
+        # 2 401.4 and 8, likewise
         pytest.param(
             cold_import("CH-hcs", "PrintService", HNSName("CH-hcs", "dlion:hcs:uw")),
-            1_700,
+            1_600,
             81,
             id="ch-hcs",
         ),

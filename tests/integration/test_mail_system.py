@@ -24,6 +24,10 @@ def run(env, gen):
 
 @pytest.fixture
 def mail_world():
+    return build_mail_world()
+
+
+def build_mail_world():
     """Testbed + mailbox servers on june (BIND side) and dlion (CH side)
     + a fully wired mail agent on the client."""
     testbed = build_testbed(seed=55)
@@ -80,6 +84,28 @@ def test_message_validation():
     m = message(SCHWARTZ)
     assert m.size_bytes > 0
     assert "msg #" in str(m)
+
+
+def test_message_ids_are_numbered_per_simulation():
+    """Two same-seed worlds in one process trace the same run: message
+    ids come from each simulation's own sequence, not a global one."""
+
+    def traced_run():
+        testbed, agent, june_box, _ = build_mail_world()
+        env = testbed.env
+        env.trace.enabled = True
+        first, second = message(SCHWARTZ, LEVY), message(SCHWARTZ, subject="again")
+        unsubmitted = (first.msg_id, second.msg_id)
+        run(env, agent.submit(first))
+        run(env, agent.submit(second))
+        run(env, agent.submit(first))  # a resubmission keeps its id
+        stored = [m.msg_id for m in june_box.messages_in("schwartz")]
+        return env.trace.digest(), unsubmitted, stored
+
+    digest, unsubmitted, stored = traced_run()
+    assert traced_run()[0] == digest
+    assert unsubmitted == (0, 0)
+    assert stored == [1, 2, 1]
 
 
 def test_deliver_to_bind_side_user(mail_world):

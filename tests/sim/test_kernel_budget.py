@@ -119,14 +119,17 @@ def _process_start_to_unwaited_exit():
         # 5.0 — env.timeout, Timeout.__init__ | _resume and the
         # driver's two frames (8.0 before: push, _step, _add_callback)
         pytest.param(_timeout_round_trip, 6, 1, id="timeout-round-trip"),
-        # 6.0 — use (bound as compute at speed 1.0), Charge.__init__ |
-        # _free, _resume, two frames (7.0 while compute was a frame of
-        # its own, 11.0 while use()'s frame was entered and resumed)
-        pytest.param(_uncontended_charge, 6.5, 1, id="uncontended-charge"),
-        # 17.0 with the rival's inline process and charge (19.0 with
-        # compute's two frames, 42.0 and 3 entries with a grant event
-        # and a wake-up to start the hold)
-        pytest.param(_contended_charge, 17.5, 2, id="contended-charge"),
+        # 5.0 — use (bound as compute at speed 1.0, building its Charge
+        # in place) | _free, _resume, two frames (6.0 with a
+        # Charge.__init__ frame, 7.0 while compute was a frame of its
+        # own, 11.0 while use()'s frame was entered and resumed)
+        pytest.param(_uncontended_charge, 5.5, 1, id="uncontended-charge"),
+        # 13.0 with the rival's inline process and charge: _free hands
+        # the queued charge the unit and its hold (17.0 through _grant,
+        # _hold and two Charge.__init__ frames, 19.0 with compute's two
+        # frames, 42.0 and 3 entries with a grant event and a wake-up to
+        # start the hold)
+        pytest.param(_contended_charge, 13.5, 2, id="contended-charge"),
         # 14.0 with the driver's own timeout (26.0 before)
         pytest.param(
             _process_start_to_unwaited_exit, 16, 3, id="process-start-to-exit"

@@ -3,10 +3,11 @@
 import collections
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.sim import CPU, Disk, Environment, Interrupt, Resource
 from repro.sim.kernel import KernelMonitor
-from repro.sim.resources import BACKGROUND_PATIENCE, BACKGROUND_SLICE_MS
+from repro.sim.resources import BACKGROUND_PATIENCE, BACKGROUND_SLICE_MS, Charge
 
 
 def test_resource_capacity_validation():
@@ -468,3 +469,128 @@ def test_background_job_on_a_saturated_unit_completes_by_the_patience_bound():
     # the one waiter already queued.
     assert done <= arrive + BACKGROUND_PATIENCE * cost + 2 * hold + cost
     assert done > arrive + BACKGROUND_PATIENCE * cost
+
+
+# ----------------------------------------------------------------------
+# Generated schedules
+# ----------------------------------------------------------------------
+#: (kind, arrival ms, cost ms, interrupt after arrival in ms or None);
+#: a "request" holds for its cost between request() and release()
+_ACTORS = st.lists(
+    st.tuples(
+        st.sampled_from(["fg", "bg", "request"]),
+        st.integers(0, 12),
+        st.sampled_from([0.0, 0.5, 1.0, 3.0, 4.0, 6.0, 9.0]),
+        st.one_of(st.none(), st.sampled_from([0.0, 0.5, 1.0, 2.0, 4.0, 5.0, 10.0])),
+    ),
+    min_size=1,
+    max_size=12,
+)
+
+
+class _Recording(KernelMonitor):
+    """A passive monitor that only counts the hooks it is given."""
+
+    def __init__(self):
+        self.hooks = collections.Counter()
+
+    def event_triggered(self, event):
+        self.hooks["triggered"] += 1
+
+    def event_processing(self, event):
+        self.hooks["processing"] += 1
+
+    def segment_begin(self, process):
+        self.hooks["segments"] += 1
+
+
+def _run_schedule(capacity, actors, monitor=None, stepped=True):
+    """Run ``actors`` on one resource; returns the actors' event log.
+
+    Stepped, it checks the resource's bookkeeping after every kernel
+    step and, at the end, the order and length of the foreground grants.
+    """
+    env = Environment()
+    env.monitor = monitor
+    res = Resource(env, capacity=capacity)
+    log = []
+    #: (actor, claim, foreground, cost) in the order the claims were made
+    claims = []
+
+    def actor(i, kind, arrive, cost):
+        try:
+            yield env.timeout(arrive)
+            if kind == "request":
+                req = res.request()
+                claims.append((i, req, True, cost))
+                try:
+                    yield req
+                    log.append((env.now, i, "granted"))
+                    yield env.timeout(cost)
+                finally:
+                    req.release()
+            else:
+                charge = res.use(cost, background=kind == "bg")
+                claims.append((i, charge, kind == "fg" or cost == 0, cost))
+                yield charge
+            log.append((env.now, i, "done"))
+        except Interrupt:
+            log.append((env.now, i, "interrupted"))
+
+    def interrupter(target, at):
+        yield env.timeout(at)
+        if target.is_alive:
+            target.interrupt()
+
+    for i, (kind, arrive, cost, interrupt_after) in enumerate(actors):
+        process = env.process(actor(i, kind, arrive, cost))
+        if interrupt_after is not None:
+            env.process(interrupter(process, arrive + interrupt_after))
+
+    if not stepped:
+        env.run()
+        return log
+
+    granted = {}  # actor -> (kernel step, simulated time) of its grant
+    step = 0
+    while env.peek() < float("inf"):
+        env.step()
+        step += 1
+        queued = list(res._waiting) + list(res._background)
+        held = [
+            claim
+            for _, claim, _, _ in claims
+            if claim.held and not (isinstance(claim, Charge) and claim.processed)
+        ]
+        assert res.in_use == len(held)
+        assert len(set(map(id, queued))) == len(queued)
+        assert not any(claim.held for claim in queued)
+        # a unit is idle only while no foreground claim waits for it
+        assert not res._waiting or res.in_use == capacity
+        for i, claim, foreground, _ in claims:
+            if foreground and i not in granted and (claim.held or claim.processed):
+                granted[i] = (step, env.now)
+
+    # Foreground claims get the unit in the order they asked for it.
+    steps = [granted[i][0] for i, _, foreground, _ in claims if i in granted]
+    assert steps == sorted(steps)
+    # A whole hold ends at its grant time plus its cost.
+    done = {i: t for t, i, what in log if what == "done"}
+    for i, claim, foreground, cost in claims:
+        if isinstance(claim, Charge) and foreground and i in done:
+            assert done[i] == granted[i][1] + cost
+    assert res.in_use == 0 and res.queue_length == 0
+    return log
+
+
+@settings(max_examples=150, deadline=None)
+@given(capacity=st.sampled_from([1, 2]), actors=_ACTORS)
+def test_charges_under_generated_schedules(capacity, actors):
+    log = _run_schedule(capacity, actors)
+    # every actor ends exactly once, done or interrupted
+    ends = [i for _, i, what in log if what != "granted"]
+    assert sorted(ends) == list(range(len(actors)))
+    monitor = _Recording()
+    assert _run_schedule(capacity, actors, monitor) == log
+    assert monitor.hooks["triggered"] and monitor.hooks["processing"]
+    assert _run_schedule(capacity, actors, stepped=False) == log
