@@ -29,70 +29,24 @@ and ``--format json`` emits the stable machine-readable report CI diffs
 across revisions.
 """
 
-from repro.analysis.atomicity import (
-    Sim004CheckThenActAcrossGap,
-    Sim005AwaitGapCapture,
-    interprocedural_rules,
-)
-from repro.analysis.baseline import Baseline, BaselineError, Suppression
-from repro.analysis.callgraph import CallGraph, build_callgraph
-from repro.analysis.core import (
-    Finding,
-    LintResult,
-    ModuleSource,
-    Rule,
-    default_rules,
-    lint_paths,
-    lint_source,
-)
-from repro.analysis.determinism import (
-    ScenarioCheck,
-    ScenarioPass,
-    check_scenario,
-    check_scenarios,
-)
-from repro.analysis.perturb import derive_seed, monitored, perturbed
-from repro.analysis.report import render_json, render_text
-from repro.analysis.sanitizer import (
-    Access,
-    InterleavingHazard,
-    InterleavingSanitizer,
-    SegmentInfo,
-    Watched,
-)
+from repro.lazy import attach
 
-__all__ = [
-    "Access",
-    "Baseline",
-    "BaselineError",
-    "CallGraph",
-    "Finding",
-    "InterleavingHazard",
-    "InterleavingSanitizer",
-    "LintResult",
-    "ModuleSource",
-    "Rule",
-    "ScenarioCheck",
-    "ScenarioPass",
-    "SegmentInfo",
-    "Sim004CheckThenActAcrossGap",
-    "Sim005AwaitGapCapture",
-    "Suppression",
-    "Watched",
-    "build_callgraph",
-    "check_scenario",
-    "check_scenarios",
-    "default_rules",
-    "derive_seed",
-    "interprocedural_rules",
-    "lint_paths",
-    "lint_source",
-    "main",
-    "monitored",
-    "perturbed",
-    "render_json",
-    "render_text",
-]
+__getattr__, __dir__, __all__ = attach(__name__, {
+    "atomicity": ("Sim004CheckThenActAcrossGap", "Sim005AwaitGapCapture", "interprocedural_rules"),
+    "baseline": ("Baseline", "BaselineError", "Suppression"),
+    "callgraph": ("CallGraph", "build_callgraph"),
+    "core": (
+        "Finding", "LintResult", "ModuleSource", "Rule", "default_rules", "lint_paths",
+        "lint_source",
+    ),
+    "determinism": ("ScenarioCheck", "ScenarioPass", "check_scenario", "check_scenarios"),
+    "perturb": ("derive_seed", "monitored", "perturbed"),
+    "report": ("render_json", "render_text"),
+    "sanitizer": (
+        "Access", "InterleavingHazard", "InterleavingSanitizer", "SegmentInfo", "Watched",
+    ),
+})
+__all__.append("main")
 
 
 def main(argv=None):

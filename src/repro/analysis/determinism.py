@@ -55,11 +55,11 @@ import dataclasses
 import hashlib
 import typing
 
-from repro.analysis.core import Finding
-from repro.analysis.perturb import derive_seed, monitored, perturbed
-from repro.analysis.sanitizer import InterleavingSanitizer
 from repro.obs.span import Observability
 from repro.sim.kernel import Environment
+
+if typing.TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.analysis.core import Finding
 
 Builder = typing.Callable[[int], Environment]
 
@@ -181,6 +181,9 @@ def check_scenario(
     name: str, builder: Builder, seed: int = 0
 ) -> typing.Tuple[ScenarioCheck, typing.List[HazardRecord]]:
     """Build ``builder(seed)`` six times; compare and collect hazards."""
+    from repro.analysis.perturb import derive_seed, monitored, perturbed
+    from repro.analysis.sanitizer import InterleavingSanitizer
+
     divergences: typing.List[str] = []
 
     def repeat(pair: str, reference: typing.List[str]) -> str:

@@ -8,7 +8,9 @@
   Clearinghouse (166 ms) and, hypothetically, on BIND.
 """
 
-from repro.baselines.localfile_binding import LocalFileBinder
-from repro.baselines.reregistration import ReregistrationBinder
+from repro.lazy import attach
 
-__all__ = ["LocalFileBinder", "ReregistrationBinder"]
+__getattr__, __dir__, __all__ = attach(__name__, {
+    "localfile_binding": ("LocalFileBinder",),
+    "reregistration": ("ReregistrationBinder",),
+})

@@ -13,84 +13,24 @@ format question Table 3.2 answers, and the zone-transfer (AXFR)
 mechanism the paper reused to preload the HNS cache.
 """
 
-from repro.bind.names import DomainName
-from repro.bind.rr import ResourceRecord, RRType
-from repro.bind.zone import Zone, ZoneDelta
-from repro.bind.errors import (
-    BindError,
-    NameNotFound,
-    NotAuthoritative,
-    UpdateRefused,
-    ZoneNotFound,
-)
-from repro.bind.messages import (
-    IxfrRequest,
-    IxfrResponse,
-    NotifyRequest,
-    NotifyResponse,
-    NotifySubscribeRequest,
-    NotifySubscribeResponse,
-    QueryRequest,
-    QueryResponse,
-    UpdateBatchRequest,
-    UpdateBatchResponse,
-    UpdateMode,
-    UpdateOp,
-    UpdateRequest,
-    UpdateResponse,
-    XferRequest,
-    XferResponse,
-)
-from repro.bind.primary import PrimaryClient
-from repro.bind.replica import ReplicaScheduler, ReplicaState
-from repro.bind.server import BindServer
-from repro.bind.secondary import SecondaryBindServer
-from repro.bind.zonefile import (
-    ZoneFileError,
-    load_zone_file,
-    parse_zone_text,
-    render_zone_text,
-)
-from repro.bind.resolver import BindResolver, CacheFormat
-from repro.bind.cache import ResolverCache
+from repro.lazy import attach
 
-__all__ = [
-    "BindError",
-    "BindResolver",
-    "BindServer",
-    "CacheFormat",
-    "DomainName",
-    "IxfrRequest",
-    "IxfrResponse",
-    "NameNotFound",
-    "NotAuthoritative",
-    "NotifyRequest",
-    "NotifyResponse",
-    "NotifySubscribeRequest",
-    "NotifySubscribeResponse",
-    "PrimaryClient",
-    "QueryRequest",
-    "QueryResponse",
-    "ReplicaScheduler",
-    "ReplicaState",
-    "ResolverCache",
-    "ResourceRecord",
-    "RRType",
-    "SecondaryBindServer",
-    "UpdateBatchRequest",
-    "UpdateBatchResponse",
-    "UpdateMode",
-    "UpdateOp",
-    "UpdateRefused",
-    "UpdateRequest",
-    "UpdateResponse",
-    "XferRequest",
-    "XferResponse",
-    "Zone",
-    "ZoneDelta",
-    "ZoneFileError",
-    "ZoneNotFound",
-    "load_zone_file",
-    "parse_zone_text",
-    "render_zone_text",
-]
+__getattr__, __dir__, __all__ = attach(__name__, {
+    "names": ("DomainName",),
+    "rr": ("ResourceRecord", "RRType"),
+    "zone": ("Zone", "ZoneDelta"),
+    "errors": ("BindError", "NameNotFound", "NotAuthoritative", "UpdateRefused", "ZoneNotFound"),
+    "messages": (
+        "IxfrRequest", "IxfrResponse", "NotifyRequest", "NotifyResponse", "NotifySubscribeRequest",
+        "NotifySubscribeResponse", "QueryRequest", "QueryResponse", "UpdateBatchRequest",
+        "UpdateBatchResponse", "UpdateMode", "UpdateOp", "UpdateRequest", "UpdateResponse",
+        "XferRequest", "XferResponse",
+    ),
+    "primary": ("PrimaryClient",),
+    "replica": ("ReplicaScheduler", "ReplicaState"),
+    "server": ("BindServer",),
+    "secondary": ("SecondaryBindServer",),
+    "zonefile": ("ZoneFileError", "load_zone_file", "parse_zone_text", "render_zone_text"),
+    "resolver": ("BindResolver",),
+    "cache": ("CacheFormat", "ResolverCache"),
+})

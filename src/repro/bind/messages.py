@@ -17,7 +17,8 @@ from typing import Annotated
 from repro.bind.names import DomainName
 from repro.bind.rr import ResourceRecord, RRType
 from repro.bind.zone import ZoneDelta
-from repro.serial import ArrayType, StringType, U32Type, Wire, WireMessage
+from repro.serial.idl import ArrayType, StringType, U32Type
+from repro.serial.message import Wire, WireMessage
 
 # Status codes (DNS RCODE subset).
 STATUS_OK = 0

@@ -14,11 +14,9 @@ host a packet, which is exactly why it loses at scale
 (``benchmarks/bench_ablations.py::test_broadcast_vs_context_location``).
 """
 
-from repro.broadcast.locator import (
-    BroadcastLocator,
-    NameAnswer,
-    NameOwnerService,
-    NameQuery,
-)
+from repro.lazy import attach
 
-__all__ = ["BroadcastLocator", "NameAnswer", "NameOwnerService", "NameQuery"]
+__getattr__, __dir__, __all__ = attach(__name__, {
+    "locator": ("BroadcastLocator", "NameOwnerService"),
+    "messages": ("NameAnswer", "NameQuery"),
+})

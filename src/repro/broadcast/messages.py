@@ -17,7 +17,8 @@ import dataclasses
 import typing
 from typing import Annotated, ClassVar
 
-from repro.serial import CONVERTERS, StringType, U32Type, Wire, WireMessage
+from repro.serial.idl import StringType, U32Type
+from repro.serial.message import CONVERTERS, Wire, WireMessage
 
 
 def encode_data(data: typing.Mapping[str, str]) -> str:

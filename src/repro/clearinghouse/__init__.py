@@ -14,27 +14,13 @@ Names are three-part ``object:domain:organization`` structures with
 property lists, and the wire format is Courier, not XDR.
 """
 
-from repro.clearinghouse.names import CHName
-from repro.clearinghouse.database import PropertyDatabase
-from repro.clearinghouse.auth import Credentials, CredentialStore
-from repro.clearinghouse.errors import (
-    AuthenticationFailed,
-    CHError,
-    NoSuchObject,
-    NoSuchProperty,
-)
-from repro.clearinghouse.server import ClearinghouseServer
-from repro.clearinghouse.client import ClearinghouseClient
+from repro.lazy import attach
 
-__all__ = [
-    "AuthenticationFailed",
-    "CHError",
-    "CHName",
-    "ClearinghouseClient",
-    "ClearinghouseServer",
-    "CredentialStore",
-    "Credentials",
-    "NoSuchObject",
-    "NoSuchProperty",
-    "PropertyDatabase",
-]
+__getattr__, __dir__, __all__ = attach(__name__, {
+    "names": ("CHName",),
+    "database": ("PropertyDatabase",),
+    "auth": ("Credentials", "CredentialStore"),
+    "errors": ("AuthenticationFailed", "CHError", "NoSuchObject", "NoSuchProperty"),
+    "server": ("ClearinghouseServer",),
+    "client": ("ClearinghouseClient",),
+})

@@ -22,75 +22,19 @@ Public surface:
   tradeoff.
 """
 
-from repro.core.names import HNSName
-from repro.core.queryclass import (
-    QUERY_CLASSES,
-    QueryClass,
-    query_class_named,
-)
-from repro.core.errors import (
-    ContextNotFound,
-    HnsError,
-    NsmNotFound,
-    NsmUnavailable,
-    QueryClassUnsupported,
-)
-from repro.core.metastore import MetaStore, NsmRecord, NameServiceRecord
-from repro.core.nsm import (
-    LocalNsmBinding,
-    NamingSemanticsManager,
-    NsmResult,
-    NsmStub,
-    serve_nsm,
-)
-from repro.core.hns import (
-    HNS,
-    FindNsmCall,
-    HnsService,
-    NsmBindingLike,
-    serve_hns,
-)
-from repro.core.admin import HnsAdministrator
-from repro.core.import_call import (
-    HrpcImporter,
-    ImportCall,
-    LocalFinder,
-    RemoteFinder,
-    serve_agent,
-)
-from repro.core.colocation import Arrangement, ColocationStack
-from repro.core.model import ColocationModel
+from repro.lazy import attach
 
-__all__ = [
-    "Arrangement",
-    "ColocationModel",
-    "ColocationStack",
-    "ContextNotFound",
-    "FindNsmCall",
-    "HNS",
-    "HNSName",
-    "HnsAdministrator",
-    "HnsError",
-    "HnsService",
-    "HrpcImporter",
-    "ImportCall",
-    "LocalFinder",
-    "LocalNsmBinding",
-    "MetaStore",
-    "NameServiceRecord",
-    "NamingSemanticsManager",
-    "NsmBindingLike",
-    "NsmNotFound",
-    "NsmRecord",
-    "NsmResult",
-    "NsmStub",
-    "NsmUnavailable",
-    "RemoteFinder",
-    "serve_agent",
-    "QUERY_CLASSES",
-    "QueryClass",
-    "QueryClassUnsupported",
-    "query_class_named",
-    "serve_hns",
-    "serve_nsm",
-]
+__getattr__, __dir__, __all__ = attach(__name__, {
+    "names": ("HNSName",),
+    "queryclass": ("QUERY_CLASSES", "QueryClass", "query_class_named"),
+    "errors": (
+        "ContextNotFound", "HnsError", "NsmNotFound", "NsmUnavailable", "QueryClassUnsupported",
+    ),
+    "metastore": ("MetaStore", "NsmRecord", "NameServiceRecord"),
+    "nsm": ("LocalNsmBinding", "NamingSemanticsManager", "NsmResult", "NsmStub", "serve_nsm"),
+    "hns": ("HNS", "FindNsmCall", "HnsService", "NsmBindingLike", "serve_hns"),
+    "admin": ("HnsAdministrator",),
+    "import_call": ("HrpcImporter", "ImportCall", "LocalFinder", "RemoteFinder", "serve_agent"),
+    "colocation": ("Arrangement", "ColocationStack"),
+    "model": ("ColocationModel",),
+})

@@ -16,25 +16,13 @@ HRPC-callable endpoint plus the volume to mount — the HNS side of the
 file systems" the conclusions mention.
 """
 
-from repro.core.nsms.bind import BindBindingNSM, BindFileServiceNSM, BindHostAddressNSM, BindMailboxNSM
-from repro.core.nsms.clearinghouse import (
-    ClearinghouseBindingNSM,
-    ClearinghouseFileServiceNSM,
-    ClearinghouseHostAddressNSM,
-    ClearinghouseMailboxNSM,
-)
-from repro.core.nsms.yp import YpBindingNSM, YpHostAddressNSM, YpMailboxNSM
+from repro.lazy import attach
 
-__all__ = [
-    "BindBindingNSM",
-    "BindFileServiceNSM",
-    "BindHostAddressNSM",
-    "BindMailboxNSM",
-    "ClearinghouseBindingNSM",
-    "ClearinghouseFileServiceNSM",
-    "ClearinghouseHostAddressNSM",
-    "ClearinghouseMailboxNSM",
-    "YpBindingNSM",
-    "YpHostAddressNSM",
-    "YpMailboxNSM",
-]
+__getattr__, __dir__, __all__ = attach(__name__, {
+    "bind": ("BindBindingNSM", "BindFileServiceNSM", "BindHostAddressNSM", "BindMailboxNSM"),
+    "clearinghouse": (
+        "ClearinghouseBindingNSM", "ClearinghouseFileServiceNSM", "ClearinghouseHostAddressNSM",
+        "ClearinghouseMailboxNSM",
+    ),
+    "yp": ("YpBindingNSM", "YpHostAddressNSM", "YpMailboxNSM"),
+})

@@ -18,23 +18,10 @@ holds the knobs; ``DiscoveryPolicy.disabled()`` degrades the tier to the
 one-shot broadcast locator the paper measured against.
 """
 
-from repro.discovery.beacon import BeaconService, DiscoveryCache, DiscoveryEntry
-from repro.discovery.messages import (
-    BEACON_PORT,
-    PresenceBeacon,
-    ProbeRequest,
-    ProbeResponse,
-)
-from repro.discovery.nsm import ADHOC_NS, DiscoveryNsm
+from repro.lazy import attach
 
-__all__ = [
-    "ADHOC_NS",
-    "BEACON_PORT",
-    "BeaconService",
-    "DiscoveryCache",
-    "DiscoveryEntry",
-    "DiscoveryNsm",
-    "PresenceBeacon",
-    "ProbeRequest",
-    "ProbeResponse",
-]
+__getattr__, __dir__, __all__ = attach(__name__, {
+    "beacon": ("BeaconService", "DiscoveryCache", "DiscoveryEntry"),
+    "messages": ("BEACON_PORT", "PresenceBeacon", "ProbeRequest", "ProbeResponse"),
+    "nsm": ("ADHOC_NS", "DiscoveryNsm"),
+})

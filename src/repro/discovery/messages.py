@@ -17,7 +17,8 @@ from typing import Annotated
 
 from repro.broadcast.messages import encode_data
 from repro.memo import MEMO_SIZE
-from repro.serial import BoolType, StringType, U32Type, WireMessage
+from repro.serial.idl import BoolType, StringType, U32Type
+from repro.serial.message import WireMessage
 
 #: the well-known port every discovery listener binds
 BEACON_PORT = 1112

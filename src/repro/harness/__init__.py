@@ -1,32 +1,13 @@
 """Benchmark harness: calibration, tables, and the parallel ablation engine."""
 
-from repro.harness.calibration import Calibration, DEFAULT_CALIBRATION
-from repro.harness.tables import ComparisonTable, format_table
-from repro.harness.experiment import ExperimentResult, run_simulation
-from repro.harness.ablation import (
-    AblationStudy,
-    GridDef,
-    Knob,
-    RunResult,
-    RunSpec,
-    SCHEMA_VERSION,
-    strip_wall_clock,
-    study_payload,
-)
+from repro.lazy import attach
 
-__all__ = [
-    "AblationStudy",
-    "Calibration",
-    "ComparisonTable",
-    "DEFAULT_CALIBRATION",
-    "ExperimentResult",
-    "GridDef",
-    "Knob",
-    "RunResult",
-    "RunSpec",
-    "SCHEMA_VERSION",
-    "format_table",
-    "run_simulation",
-    "strip_wall_clock",
-    "study_payload",
-]
+__getattr__, __dir__, __all__ = attach(__name__, {
+    "calibration": ("Calibration", "DEFAULT_CALIBRATION"),
+    "tables": ("ComparisonTable", "format_table"),
+    "experiment": ("ExperimentResult", "run_simulation"),
+    "ablation": (
+        "AblationStudy", "GridDef", "Knob", "RunResult", "RunSpec", "SCHEMA_VERSION",
+        "strip_wall_clock", "study_payload",
+    ),
+})

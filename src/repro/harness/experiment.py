@@ -5,7 +5,7 @@ from __future__ import annotations
 import dataclasses
 import typing
 
-from repro.sim import Environment
+from repro.sim.kernel import Environment
 
 
 @dataclasses.dataclass

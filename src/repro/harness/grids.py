@@ -21,9 +21,9 @@ import dataclasses
 import typing
 
 from repro.analysis.determinism import run_digest
-from repro.bind import BindServer as _BindServer
-from repro.core import HNSName
+from repro.bind.server import BindServer as _BindServer
 from repro.core.admin import HnsAdministrator
+from repro.core.names import HNSName
 from repro.harness.ablation import GridDef, Knob, RunOutput
 from repro.harness.calibration import DEFAULT_CALIBRATION
 from repro.resolution import (
@@ -34,7 +34,7 @@ from repro.resolution import (
     ReplicaPolicy,
     UpdatePolicy,
 )
-from repro.sim import Environment
+from repro.sim.kernel import Environment
 
 if typing.TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.process import ProcessGenerator
@@ -142,8 +142,7 @@ def run_fast_path(
     batching cuts meta queries per find, and the drop knob degrades
     the wire so availability becomes a real metric.
     """
-    from repro.workloads import build_testbed
-    from repro.workloads.scenarios import BIND_NS
+    from repro.workloads.scenarios import BIND_NS, build_testbed
 
     clients = 8 if smoke else 16
     contexts = 16 if smoke else 32
@@ -256,9 +255,13 @@ def run_replica_scheduling(
     ``primary`` knob), and the ``replica`` knob swaps hedged adaptive
     scheduling against the prototype's ordered failover.
     """
-    from repro.bind import BindResolver, BindServer, ResourceRecord, RRType, Zone
-    from repro.net import DatagramTransport, Internetwork
-    from repro.sim import ConstantLatency
+    from repro.bind.resolver import BindResolver
+    from repro.bind.rr import ResourceRecord, RRType
+    from repro.bind.server import BindServer
+    from repro.bind.zone import Zone
+    from repro.net.internet import Internetwork
+    from repro.net.transport import DatagramTransport
+    from repro.sim.latency import ConstantLatency
 
     lookups = 120 if smoke else 500
     stall_ms = 400.0

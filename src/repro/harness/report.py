@@ -16,10 +16,12 @@ import pathlib
 import sys
 import typing
 
-from repro.core import Arrangement, ColocationModel, HNSName
+from repro.core.colocation import Arrangement
+from repro.core.model import ColocationModel
+from repro.core.names import HNSName
 from repro.harness.ablation import SCHEMA_VERSION
 from repro.harness.tables import ComparisonTable
-from repro.workloads import build_stack, build_testbed
+from repro.workloads.scenarios import build_stack, build_testbed
 
 FIJI = HNSName("BIND-cs", "fiji.cs.washington.edu")
 
@@ -81,13 +83,10 @@ def table_3_1(seed: int = 3) -> ComparisonTable:
 
 def table_3_2(seed: int = 31) -> ComparisonTable:
     """Re-measure the Table 3.2 cache-format grid."""
-    from repro.bind import (
-        BindResolver,
-        CacheFormat,
-        ResolverCache,
-        ResourceRecord,
-        Zone,
-    )
+    from repro.bind.cache import CacheFormat, ResolverCache
+    from repro.bind.resolver import BindResolver
+    from repro.bind.rr import ResourceRecord
+    from repro.bind.zone import Zone
 
     table = ComparisonTable("Table 3.2 — marshalling costs vs cache access speed")
     for records in (1, 6):
@@ -128,8 +127,8 @@ def table_3_2(seed: int = 31) -> ComparisonTable:
 
 def headline_figures(seed: int = 41) -> ComparisonTable:
     """Re-measure the prose component costs of Section 3."""
-    from repro.bind import BindResolver
-    from repro.clearinghouse import ClearinghouseClient
+    from repro.bind.resolver import BindResolver
+    from repro.clearinghouse.client import ClearinghouseClient
     from repro.workloads.scenarios import CREDENTIALS
 
     table = ComparisonTable("Headline component costs")

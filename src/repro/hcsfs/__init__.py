@@ -17,7 +17,9 @@ Pieces:
   writes flow over HRPC.
 """
 
-from repro.hcsfs.fileserver import FILE_PROGRAM, FileServer, FileServerError
-from repro.hcsfs.client import HcsFileSystem
+from repro.lazy import attach
 
-__all__ = ["FILE_PROGRAM", "FileServer", "FileServerError", "HcsFileSystem"]
+__getattr__, __dir__, __all__ = attach(__name__, {
+    "fileserver": ("FILE_PROGRAM", "FileServer", "FileServerError"),
+    "client": ("HcsFileSystem",),
+})

@@ -23,34 +23,14 @@ This package models:
   binding protocols the binding NSMs must emulate.
 """
 
-from repro.hrpc.binding import HRPCBinding
-from repro.hrpc.errors import (
-    BindingProtocolError,
-    HrpcError,
-    NoSuchProcedure,
-    NoSuchProgram,
-)
-from repro.hrpc.suites import PROTOCOL_SUITES, ProtocolSuite, suite_named
-from repro.hrpc.server import HrpcServer, RpcRequest, RpcReply
-from repro.hrpc.runtime import HrpcRuntime
-from repro.hrpc.portmapper import Portmapper, PortmapperClient
-from repro.hrpc.courier_binder import CourierBinder, CourierBinderClient
+from repro.lazy import attach
 
-__all__ = [
-    "BindingProtocolError",
-    "CourierBinder",
-    "CourierBinderClient",
-    "HRPCBinding",
-    "HrpcError",
-    "HrpcRuntime",
-    "HrpcServer",
-    "NoSuchProcedure",
-    "NoSuchProgram",
-    "PROTOCOL_SUITES",
-    "Portmapper",
-    "PortmapperClient",
-    "ProtocolSuite",
-    "RpcReply",
-    "RpcRequest",
-    "suite_named",
-]
+__getattr__, __dir__, __all__ = attach(__name__, {
+    "binding": ("HRPCBinding",),
+    "errors": ("BindingProtocolError", "HrpcError", "NoSuchProcedure", "NoSuchProgram"),
+    "suites": ("PROTOCOL_SUITES", "ProtocolSuite", "suite_named"),
+    "server": ("HrpcServer", "RpcRequest", "RpcReply"),
+    "runtime": ("HrpcRuntime",),
+    "portmapper": ("Portmapper", "PortmapperClient"),
+    "courier_binder": ("CourierBinder", "CourierBinderClient"),
+})

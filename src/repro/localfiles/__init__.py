@@ -9,6 +9,8 @@ disk and parse the whole file; updates must be pushed to every replica
 — the unending reregistration cost the HNS exists to avoid.
 """
 
-from repro.localfiles.registry import BindingFileEntry, LocalBindingFile, Replicator
+from repro.lazy import attach
 
-__all__ = ["BindingFileEntry", "LocalBindingFile", "Replicator"]
+__getattr__, __dir__, __all__ = attach(__name__, {
+    "registry": ("BindingFileEntry", "LocalBindingFile", "Replicator"),
+})

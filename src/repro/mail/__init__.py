@@ -19,14 +19,10 @@ Contrast with sendmail: the agent never parses a heterogeneous address
 the syntactic structure of names", which the NSM structure removes.
 """
 
-from repro.mail.message import MailMessage
-from repro.mail.mailbox import MailboxServer, MAIL_PROGRAM
-from repro.mail.agent import DeliveryReport, MailAgent
+from repro.lazy import attach
 
-__all__ = [
-    "DeliveryReport",
-    "MAIL_PROGRAM",
-    "MailAgent",
-    "MailMessage",
-    "MailboxServer",
-]
+__getattr__, __dir__, __all__ = attach(__name__, {
+    "message": ("MailMessage",),
+    "mailbox": ("MailboxServer", "MAIL_PROGRAM"),
+    "agent": ("DeliveryReport", "MailAgent"),
+})

@@ -18,40 +18,17 @@ fabric:
   segments, and name/address registries.
 """
 
-from repro.net.addresses import Endpoint, NetworkAddress
-from repro.net.errors import (
-    TRANSIENT_ERRORS,
-    ConnectionRefused,
-    HostDown,
-    NetworkError,
-    NoRouteToHost,
-    PortInUse,
-    TransportTimeout,
-    is_transient,
-)
-from repro.net.messages import Datagram
-from repro.net.ethernet import Ethernet
-from repro.net.host import Host, Service
-from repro.net.transport import DatagramTransport, StreamTransport, Transport
-from repro.net.internet import Internetwork
+from repro.lazy import attach
 
-__all__ = [
-    "ConnectionRefused",
-    "Datagram",
-    "DatagramTransport",
-    "Endpoint",
-    "Ethernet",
-    "Host",
-    "HostDown",
-    "Internetwork",
-    "NetworkAddress",
-    "NetworkError",
-    "NoRouteToHost",
-    "PortInUse",
-    "Service",
-    "StreamTransport",
-    "TRANSIENT_ERRORS",
-    "Transport",
-    "TransportTimeout",
-    "is_transient",
-]
+__getattr__, __dir__, __all__ = attach(__name__, {
+    "addresses": ("Endpoint", "NetworkAddress"),
+    "errors": (
+        "TRANSIENT_ERRORS", "ConnectionRefused", "HostDown", "NetworkError", "NoRouteToHost",
+        "PortInUse", "TransportTimeout", "is_transient",
+    ),
+    "messages": ("Datagram",),
+    "ethernet": ("Ethernet",),
+    "host": ("Host", "Service"),
+    "transport": ("DatagramTransport", "StreamTransport", "Transport"),
+    "internet": ("Internetwork",),
+})

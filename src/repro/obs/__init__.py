@@ -18,30 +18,11 @@ Off by default; when on, runs stay digest-identical to untraced runs
 (verified by ``python -m repro.analysis --scenarios``).
 """
 
-from repro.obs.critical_path import CriticalPath, PathStep
-from repro.obs.export import (
-    chrome_trace,
-    render_trace,
-    trace_to_json,
-    write_chrome_trace,
-    write_json,
-)
-from repro.obs.metrics import DEFAULT_BOUNDS, ExemplarStore, SpanMetrics
-from repro.obs.span import NULL_SPAN, NullSpan, Observability, Span
+from repro.lazy import attach
 
-__all__ = [
-    "CriticalPath",
-    "PathStep",
-    "chrome_trace",
-    "render_trace",
-    "trace_to_json",
-    "write_chrome_trace",
-    "write_json",
-    "DEFAULT_BOUNDS",
-    "ExemplarStore",
-    "SpanMetrics",
-    "NULL_SPAN",
-    "NullSpan",
-    "Observability",
-    "Span",
-]
+__getattr__, __dir__, __all__ = attach(__name__, {
+    "critical_path": ("CriticalPath", "PathStep"),
+    "export": ("chrome_trace", "render_trace", "trace_to_json", "write_chrome_trace", "write_json"),
+    "metrics": ("DEFAULT_BOUNDS", "ExemplarStore", "SpanMetrics"),
+    "span": ("NULL_SPAN", "NullSpan", "Observability", "Span"),
+})

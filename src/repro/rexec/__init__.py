@@ -9,13 +9,9 @@ candidate hosts — so a job can run on a Sun or a Xerox machine through
 the same client code.
 """
 
-from repro.rexec.worker import JOB_CATALOGUE, REXEC_PROGRAM, RexecError, RexecServer
-from repro.rexec.client import RemoteExecutor
+from repro.lazy import attach
 
-__all__ = [
-    "JOB_CATALOGUE",
-    "REXEC_PROGRAM",
-    "RemoteExecutor",
-    "RexecError",
-    "RexecServer",
-]
+__getattr__, __dir__, __all__ = attach(__name__, {
+    "worker": ("JOB_CATALOGUE", "REXEC_PROGRAM", "RexecError", "RexecServer"),
+    "client": ("RemoteExecutor",),
+})

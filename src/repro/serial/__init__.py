@@ -26,45 +26,15 @@ message class declares each field once and its IDL type and both
 conversions are derived from that.
 """
 
-from repro.serial.idl import (
-    ArrayType,
-    BoolType,
-    IdlError,
-    IdlType,
-    OpaqueType,
-    OptionalType,
-    StringType,
-    StructType,
-    U32Type,
-)
-from repro.serial.compiler import (
-    CourierRepresentation,
-    StubCompiler,
-    WireError,
-    XdrRepresentation,
-)
-from repro.serial.handcoded import HandcodedMarshaller
-from repro.serial.generated import GeneratedMarshaller, MarshalCost
-from repro.serial.message import CONVERTERS, Wire, WireMessage
+from repro.lazy import attach
 
-__all__ = [
-    "ArrayType",
-    "BoolType",
-    "CONVERTERS",
-    "CourierRepresentation",
-    "GeneratedMarshaller",
-    "HandcodedMarshaller",
-    "IdlError",
-    "IdlType",
-    "MarshalCost",
-    "OpaqueType",
-    "OptionalType",
-    "StringType",
-    "StructType",
-    "StubCompiler",
-    "U32Type",
-    "Wire",
-    "WireError",
-    "WireMessage",
-    "XdrRepresentation",
-]
+__getattr__, __dir__, __all__ = attach(__name__, {
+    "idl": (
+        "ArrayType", "BoolType", "IdlError", "IdlType", "OpaqueType", "OptionalType", "StringType",
+        "StructType", "U32Type",
+    ),
+    "compiler": ("CourierRepresentation", "StubCompiler", "WireError", "XdrRepresentation"),
+    "handcoded": ("HandcodedMarshaller",),
+    "generated": ("GeneratedMarshaller", "MarshalCost"),
+    "message": ("CONVERTERS", "Wire", "WireMessage"),
+})

@@ -26,43 +26,18 @@ All simulated time is in **milliseconds** (float), matching the paper's
 reporting units.
 """
 
-from repro.sim.events import AllOf, AnyOf, Event, Interrupt, Timeout
-from repro.sim.kernel import Environment, SimulationError
-from repro.sim.process import Process
-from repro.sim.resources import CPU, Disk, Resource
-from repro.sim.rng import RngRegistry
-from repro.sim.latency import (
-    ConstantLatency,
-    EmpiricalLatency,
-    ExponentialLatency,
-    LatencyModel,
-    UniformLatency,
-)
-from repro.sim.trace import TraceRecord, Tracer
-from repro.sim.stats import Counter, Histogram, StatsRegistry, Timer
+from repro.lazy import attach
 
-__all__ = [
-    "AllOf",
-    "AnyOf",
-    "CPU",
-    "ConstantLatency",
-    "Counter",
-    "Disk",
-    "EmpiricalLatency",
-    "Environment",
-    "Event",
-    "ExponentialLatency",
-    "Histogram",
-    "Interrupt",
-    "LatencyModel",
-    "Process",
-    "Resource",
-    "RngRegistry",
-    "SimulationError",
-    "StatsRegistry",
-    "Timeout",
-    "TraceRecord",
-    "Timer",
-    "Tracer",
-    "UniformLatency",
-]
+__getattr__, __dir__, __all__ = attach(__name__, {
+    "events": ("AllOf", "AnyOf", "Event", "Interrupt", "Timeout"),
+    "kernel": ("Environment", "SimulationError"),
+    "process": ("Process",),
+    "resources": ("CPU", "Disk", "Resource"),
+    "rng": ("RngRegistry",),
+    "latency": (
+        "ConstantLatency", "EmpiricalLatency", "ExponentialLatency", "LatencyModel",
+        "UniformLatency",
+    ),
+    "trace": ("TraceRecord", "Tracer"),
+    "stats": ("Counter", "Histogram", "StatsRegistry", "Timer"),
+})

@@ -52,8 +52,8 @@ class Counter:
         self.value = 0
 
     def increment(self, amount: int = 1) -> None:
-        if amount < 0:
-            raise ValueError("counters only increase")
+        if not amount >= 0:  # also refuses NaN, which compares false
+            raise ValueError(f"counters only increase: {amount!r}")
         self.value += amount
 
     def snapshot(self) -> typing.Dict[str, int]:
@@ -102,8 +102,8 @@ class Timer:
         )
 
     def record(self, duration_ms: float) -> None:
-        if duration_ms < 0:
-            raise ValueError(f"negative duration: {duration_ms}")
+        if not duration_ms >= 0:  # also refuses NaN, which compares false
+            raise ValueError(f"not a duration: {duration_ms!r}")
         self._count += 1
         # Left-to-right addition, same order as the seed's sum(samples):
         # totals stay bit-identical to the original implementation.
@@ -274,6 +274,8 @@ class Histogram:
 
     def record(self, value: float) -> int:
         """Count ``value``; returns the index of the bucket it fell in."""
+        if value != value:  # only NaN is unequal to itself
+            raise ValueError(f"histogram {self.name!r} cannot count NaN")
         index = bisect_left(self.bounds, value)
         self.counts[index] += 1
         if self._min is None or value < self._min:

@@ -1,14 +1,9 @@
 """Workloads: the simulated HCS testbed and query-stream generators."""
 
-from repro.workloads.scenarios import HcsTestbed, build_stack, build_testbed
-from repro.workloads.generator import QueryEvent, QueryWorkload
-from repro.workloads.zipf import ZipfDistribution
+from repro.lazy import attach
 
-__all__ = [
-    "HcsTestbed",
-    "QueryEvent",
-    "QueryWorkload",
-    "ZipfDistribution",
-    "build_stack",
-    "build_testbed",
-]
+__getattr__, __dir__, __all__ = attach(__name__, {
+    "scenarios": ("HcsTestbed", "build_stack", "build_testbed"),
+    "generator": ("QueryEvent", "QueryWorkload"),
+    "zipf": ("ZipfDistribution",),
+})

@@ -12,17 +12,11 @@ client changes.  See :mod:`repro.core.nsms.yp` and
 ``tests/integration/test_third_system_type.py``.
 """
 
-from repro.yellowpages.maps import YpDomain, YpMap
-from repro.yellowpages.errors import NoSuchKey, NoSuchMap, YpError
-from repro.yellowpages.server import YpServer
-from repro.yellowpages.client import YpClient
+from repro.lazy import attach
 
-__all__ = [
-    "NoSuchKey",
-    "NoSuchMap",
-    "YpClient",
-    "YpDomain",
-    "YpError",
-    "YpMap",
-    "YpServer",
-]
+__getattr__, __dir__, __all__ = attach(__name__, {
+    "maps": ("YpDomain", "YpMap"),
+    "errors": ("NoSuchKey", "NoSuchMap", "YpError"),
+    "server": ("YpServer",),
+    "client": ("YpClient",),
+})

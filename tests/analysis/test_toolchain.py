@@ -5,10 +5,13 @@ job installs them and runs them directly, and these tests keep the
 configuration honest wherever the tools happen to be available.
 """
 
+import ast
 import pathlib
+import re
 import shutil
 import subprocess
 import sys
+import typing
 
 import pytest
 
@@ -32,6 +35,37 @@ def test_mypy_typed_island_clean():
         ["mypy"], cwd=ROOT, capture_output=True, text=True
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+def _typed_island() -> typing.List[pathlib.Path]:
+    """The modules ``[tool.mypy] files`` lists (3.9 has no tomllib)."""
+    text = (ROOT / "pyproject.toml").read_text()
+    files = re.search(r"\[tool\.mypy\].*?^files = \[(.*?)\]", text, re.S | re.M)
+    assert files, "pyproject.toml lists the typed island"
+    modules = []
+    for entry in re.findall(r'"([^"]+)"', files.group(1)):
+        path = ROOT / entry
+        modules.extend(sorted(path.rglob("*.py")) if path.is_dir() else [path])
+    return modules
+
+
+def test_typed_island_imports_names_from_defining_modules():
+    """mypy types a name read through a lazy package ``__getattr__`` as
+    ``Any``, so the typed island imports each from its own submodule."""
+    offenders = []
+    for path in _typed_island():
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not (isinstance(node, ast.ImportFrom) and node.module):
+                continue
+            package = ROOT / "src" / pathlib.Path(*node.module.split("."))
+            if not (package / "__init__.py").exists():
+                continue
+            for alias in node.names:
+                submodule = package / alias.name
+                if not (submodule.with_suffix(".py").exists() or submodule.is_dir()):
+                    rel = path.relative_to(ROOT)
+                    offenders.append(f"{rel}:{node.lineno} {node.module}.{alias.name}")
+    assert not offenders, offenders
 
 
 def test_hnslint_module_entrypoint_exits_zero():

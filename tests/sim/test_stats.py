@@ -78,6 +78,30 @@ def test_histogram_percentile_skips_empty_buckets():
     assert 0.5 <= h.percentile(50) <= 90
 
 
+@pytest.mark.parametrize(
+    "count",
+    [
+        lambda: Counter("a.b").increment(float("nan")),
+        lambda: Timer("t").record(float("nan")),
+        lambda: Timer("t", streaming=True).record(float("nan")),
+        lambda: Histogram("h", [10]).record(float("nan")),
+    ],
+    ids=["counter", "timer", "streaming_timer", "histogram"],
+)
+def test_nan_is_refused_not_counted(count):
+    # NaN slips past ``x < 0``: it would land in run digests, turn an
+    # exact timer's total and p50 into nan, count as a streaming zero
+    # and pin a histogram's min and max at nan for good.
+    with pytest.raises(ValueError):
+        count()
+
+
+def test_histogram_still_counts_negative_values():
+    h = Histogram("h", [10])
+    assert h.record(-3.0) == 0
+    assert h.minimum == -3.0
+
+
 def test_histogram_bucket_index():
     h = Histogram("lat", [10, 20])
     assert h.bucket_index(10) == 0
