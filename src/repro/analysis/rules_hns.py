@@ -100,7 +100,6 @@ STAT_PREFIXES = frozenset(
         "hns",
         "hrpc",
         "localfiles",
-        "mail",
         "net",
         "obs",
         # "nsm" also hosts nsm.lease.* (client-side lease renewal)

@@ -11,8 +11,7 @@ and turns them into an ordered try-plan for each exchange:
   two picked at random (power-of-two-choices, from a named RNG stream
   so runs stay deterministic), and the rest follow in score order;
 - a bounded window of recent successful latencies yields the hedge
-  delay: the :class:`~repro.resolution.ReplicaPolicy` quantile of that
-  distribution.
+  delay: the :data:`HEDGE_QUANTILE` of that distribution.
 
 Every counter is mirrored into the stats registry as
 ``bind.replica.<endpoint>.<counter>`` (``requests``, ``hedges``,
@@ -28,15 +27,20 @@ import collections
 import typing
 
 from repro.net.addresses import Endpoint
-from repro.resolution import CircuitBreaker, ReplicaPolicy
+from repro.resolution import CircuitBreaker
 from repro.sim.kernel import Environment
 
 #: weight of the newest latency sample in the per-endpoint EWMA
 EWMA_ALPHA = 0.3
+#: hedge once a lookup is outstanding past this quantile of the recent
+#: successful-latency window
+HEDGE_QUANTILE = 0.95
+#: consecutive failures that trip a replica's breaker
+BREAKER_THRESHOLD = 3
 #: score penalty per outstanding request on an endpoint, so load
 #: spreads even while latency estimates are equal
 INFLIGHT_PENALTY_MS = 25.0
-#: extra replicas one exchange hedges onto while hedging is on
+#: extra replicas one exchange hedges onto
 MAX_HEDGES = 1
 #: successful samples required before hedging arms
 HEDGE_MIN_SAMPLES = 8
@@ -50,7 +54,7 @@ BREAKER_RESET_MS = 10_000.0
 class ReplicaState:
     """Everything the scheduler knows about one replica endpoint."""
 
-    def __init__(self, env: Environment, endpoint: Endpoint, policy: ReplicaPolicy):
+    def __init__(self, env: Environment, endpoint: Endpoint):
         self.endpoint = endpoint
         #: stable stat label, e.g. ``"10.0.0.2:530"``
         self.label = str(endpoint)
@@ -59,7 +63,7 @@ class ReplicaState:
         #: requests currently outstanding against this endpoint
         self.inflight = 0
         self.breaker = CircuitBreaker(
-            env, self.label, policy.breaker_threshold, BREAKER_RESET_MS
+            env, self.label, BREAKER_THRESHOLD, BREAKER_RESET_MS
         )
 
     def __repr__(self) -> str:
@@ -74,10 +78,8 @@ class ReplicaScheduler:
     """Orders a resolver's replicas by observed behaviour.
 
     One scheduler is owned by one :class:`~repro.bind.resolver.
-    BindResolver`; the endpoints are its primary followed by its
-    secondaries, so with ``adaptive=False`` the plan degenerates to the
-    prototype's static failover order (minus open breakers, when
-    ``breaker_threshold`` arms them).
+    BindResolver` whose :class:`~repro.resolution.ReplicaPolicy` is
+    enabled; the endpoints are its primary followed by its secondaries.
     """
 
     #: recent successful latencies kept for the hedge-delay quantile
@@ -87,15 +89,13 @@ class ReplicaScheduler:
         self,
         env: Environment,
         endpoints: typing.Sequence[Endpoint],
-        policy: ReplicaPolicy,
         name: str = "resolver",
     ):
         if not endpoints:
             raise ValueError("scheduler needs at least one endpoint")
         self.env = env
-        self.policy = policy
         self.name = name
-        self.states = [ReplicaState(env, ep, policy) for ep in endpoints]
+        self.states = [ReplicaState(env, ep) for ep in endpoints]
         self._window: typing.Deque[float] = collections.deque(maxlen=self.WINDOW)
 
     # ------------------------------------------------------------------
@@ -115,16 +115,15 @@ class ReplicaScheduler:
         """The ordered list of replicas to try for one exchange."""
         states = list(self.states)
         candidates = states
-        if self.policy.breaker_threshold:
-            healthy = [s for s in states if s.breaker.state != "open"]
-            if healthy:
-                for state in states:
-                    if state.breaker.state == "open":
-                        self._count(state, "skipped")
-                candidates = healthy
-            # else: every breaker is open — fall through with the full
-            # static order rather than refuse outright.
-        if not self.policy.adaptive or len(candidates) < 2:
+        healthy = [s for s in states if s.breaker.state != "open"]
+        if healthy:
+            for state in states:
+                if state.breaker.state == "open":
+                    self._count(state, "skipped")
+            candidates = healthy
+        # else: every breaker is open — fall through with the full
+        # static order rather than refuse outright.
+        if len(candidates) < 2:
             return candidates
         rng = self.env.rng.stream(f"bind.replica.p2c:{self.name}")
         i, j = rng.sample(range(len(candidates)), 2)
@@ -138,15 +137,14 @@ class ReplicaScheduler:
     def hedge_delay_ms(self) -> typing.Optional[float]:
         """How long to wait before hedging, or None to not hedge.
 
-        The policy quantile of the recent successful-latency window,
-        clamped to ``[HEDGE_MIN_DELAY_MS, HEDGE_MAX_DELAY_MS]``; no
-        hedging until ``HEDGE_MIN_SAMPLES`` samples have accumulated.
+        The :data:`HEDGE_QUANTILE` of the recent successful-latency
+        window, clamped to ``[HEDGE_MIN_DELAY_MS, HEDGE_MAX_DELAY_MS]``;
+        no hedging until ``HEDGE_MIN_SAMPLES`` samples have accumulated.
         """
-        policy = self.policy
-        if not policy.hedging or len(self._window) < HEDGE_MIN_SAMPLES:
+        if len(self._window) < HEDGE_MIN_SAMPLES:
             return None
         ordered = sorted(self._window)
-        k = (len(ordered) - 1) * policy.hedge_quantile
+        k = (len(ordered) - 1) * HEDGE_QUANTILE
         lo = int(k)
         hi = min(lo + 1, len(ordered) - 1)
         q = ordered[lo] + (ordered[hi] - ordered[lo]) * (k - lo)
@@ -189,22 +187,3 @@ class ReplicaScheduler:
         self.env.stats.timer(f"bind.replica.{state.label}.ewma_ms").record(
             state.ewma_ms
         )
-
-    # ------------------------------------------------------------------
-    def state_for(self, endpoint: Endpoint) -> ReplicaState:
-        """The state tracking ``endpoint`` (for tests/observability)."""
-        for state in self.states:
-            if state.endpoint == endpoint:
-                return state
-        raise KeyError(endpoint)
-
-    def snapshot(self) -> typing.Dict[str, typing.Dict[str, typing.Any]]:
-        """label -> {ewma_ms, inflight, breaker} for observability."""
-        return {
-            s.label: {
-                "ewma_ms": s.ewma_ms,
-                "inflight": s.inflight,
-                "breaker": s.breaker.state,
-            }
-            for s in self.states
-        }

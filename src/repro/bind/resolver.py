@@ -130,12 +130,9 @@ class BindResolver:
         self._scheduler: typing.Optional[ReplicaScheduler] = None
         #: what one retry round does against the replica set
         self._exchange = self._ordered_exchange
-        if policies.replica.scheduling:
+        if policies.replica.enabled:
             self._scheduler = ReplicaScheduler(
-                self.env,
-                [server] + self.secondaries,
-                policies.replica,
-                name=self.name,
+                self.env, [server] + self.secondaries, name=self.name
             )
             self._exchange = self._hedged_exchange
         #: the primary-only calls (update, NOTIFY subscribe, AXFR, IXFR)
@@ -468,9 +465,9 @@ class BindResolver:
 
         The per-call control overhead and the request marshalling are
         paid once, before the first round.  One *round* is one exchange with the replica set — the
-        prototype's static primary-then-secondaries walk, or, with a
-        :class:`~repro.resolution.ReplicaPolicy` whose scheduling is on,
-        the replica-aware hedged exchange (picked once, in the
+        prototype's static primary-then-secondaries walk, or, with an
+        enabled :class:`~repro.resolution.ReplicaPolicy`, the
+        replica-aware hedged exchange (picked once, in the
         constructor).  With a :class:`~repro.resolution.ResolutionPolicy`,
         transiently failed rounds repeat up to ``attempts`` times with
         jittered exponential backoff between rounds.  Raises the last
@@ -552,9 +549,9 @@ class BindResolver:
         """One round against the replica set, with hedging.
 
         The scheduler's best replica is tried first.  If no answer has
-        arrived after the hedge delay (the policy quantile of recent
-        latencies), the same request is re-issued to the next replica in
-        the plan — first answer wins, the loser's reply is discarded
+        arrived after the hedge delay (a quantile of recent latencies),
+        the same request is re-issued to the next replica in the plan —
+        first answer wins, the loser's reply is discarded
         (its latency still feeds the scheduler).  A failed leg falls
         through to the next unplanned replica immediately, exactly like
         the static failover walk; the exchange fails only when every
@@ -563,7 +560,6 @@ class BindResolver:
         env = self.env
         scheduler = self._scheduler
         assert scheduler is not None
-        replica_policy = self.policies.replica
         queue = scheduler.plan()
         # Legs run as their own processes; the caller's span context must
         # travel into them explicitly.
@@ -640,7 +636,7 @@ class BindResolver:
             env.process(leg(), name=f"bind.{self.name}.leg:{state.label}")
 
         launch(queue.pop(0), hedge=False)
-        hedges_left = MAX_HEDGES if replica_policy.hedging else 0
+        hedges_left = MAX_HEDGES
         while not result.triggered:
             delay = (
                 scheduler.hedge_delay_ms()
@@ -834,7 +830,7 @@ class BindResolver:
                 yield from self.primary.incremental_zone_transfer(origin, have)
             )
             if full:
-                yield from self._install_zone(records, background=True)
+                yield from self._install_zone(origin, records, background=True)
             else:
                 yield from self._install_deltas(deltas, background=True)
             self._notify_serials[key] = new_serial
@@ -856,8 +852,8 @@ class BindResolver:
         the caches."  Each transferred record set is installed under its
         (name, type) key with its own TTL.
 
-        With a :class:`~repro.resolution.ReplicaPolicy` whose ``ixfr``
-        is enabled, a *re*-preload asks the primary only for the updates
+        With an enabled :class:`~repro.resolution.ReplicaPolicy`, a
+        *re*-preload asks the primary only for the updates
         past the serial of the previous preload and installs just the
         changed record sets (deletions invalidate their keys), so the
         steady-state cost is proportional to churn rather than zone
@@ -867,7 +863,7 @@ class BindResolver:
             raise ValueError("preload requires a cache")
         origin = DomainName(origin)
         have = self._preload_serials.get(str(origin))
-        if self.policies.replica.ixfr and have is not None:
+        if self.policies.replica.enabled and have is not None:
             serial, full, deltas, records = (
                 yield from self.primary.incremental_zone_transfer(origin, have)
             )
@@ -884,17 +880,33 @@ class BindResolver:
             ).increment()
         else:
             serial, records = yield from self.primary.zone_transfer(origin)
-        yield from self._install_zone(records)
+        yield from self._install_zone(origin, records)
         self._preload_serials[str(origin)] = serial
         return len(records)
 
     def _install_zone(
-        self, records: typing.List[ResourceRecord], background: bool = False
+        self,
+        origin: DomainName,
+        records: typing.List[ResourceRecord],
+        background: bool = False,
     ) -> typing.Generator:
-        """Install a full transfer's records into the cache."""
+        """Install a full transfer's records into the cache.
+
+        A snapshot is the whole zone: a cached record set under
+        ``origin`` that it lacks was deleted at the primary, so it is
+        dropped first, uncharged like a delta's deletion.  Cached
+        NXDOMAINs stay.
+        """
+        assert self.cache is not None
         groups: typing.Dict[typing.Tuple[str, int], typing.List[ResourceRecord]] = {}
         for record in records:
             groups.setdefault((str(record.name), record.rtype.value), []).append(record)
+        apex = str(origin)
+        for key, entry in self.cache.entries(include_stale=True):
+            if key not in groups and entry.payload is not _NEGATIVE and (
+                key[0] == apex or key[0].endswith("." + apex)
+            ):
+                self.cache.invalidate(key)
         yield from self._install(list(groups.items()), background)
 
     def _install_deltas(

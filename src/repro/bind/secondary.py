@@ -13,7 +13,7 @@ A :class:`SecondaryBindServer` answers queries and zone transfers from
 its replica zones, refuses dynamic updates (only the primary accepts
 those), and runs a refresh process: every ``refresh_ms`` it probes the
 primary's SOA serial and pulls a full AXFR only when the serial moved.
-With a :class:`~repro.resolution.ReplicaPolicy` whose ``ixfr`` is on,
+With an enabled :class:`~repro.resolution.ReplicaPolicy`,
 the pull becomes an *incremental* transfer: only the journal entries
 past the replica's serial travel and are applied in place, with a clean
 AXFR fallback when the primary's journal has been truncated.
@@ -71,7 +71,7 @@ class SecondaryBindServer(BindServer):
         self.primary = primary
         self.transport = transport
         self.refresh_ms = refresh_ms
-        #: ``ixfr`` off keeps the full-AXFR refresh the prototype used
+        #: disabled keeps the full-AXFR refresh the prototype used
         self.replica_policy = replica_policy
         self.replica_serials: typing.Dict[DomainName, int] = {
             zone.origin: 0 for zone in self.zones
@@ -132,7 +132,7 @@ class SecondaryBindServer(BindServer):
         if reply.serial <= self.replica_serials[zone.origin]:
             self.env.stats.counter(f"bind.{self.name}.refresh_skips").increment()
             return False
-        if force_ixfr or self.replica_policy.ixfr:
+        if force_ixfr or self.replica_policy.enabled:
             serial, full, deltas, records = (
                 yield from self._xfer.incremental_zone_transfer(
                     zone.origin, self.replica_serials[zone.origin]

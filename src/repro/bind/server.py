@@ -377,27 +377,21 @@ class BindServer(Service):
         )
 
     def _apply_update(self, request: UpdateRequest, responder) -> None:
-        zone = self.zone_for(request.name)
+        """The single-op update: one lease-less batch operation."""
         if not self.allow_dynamic_update:
             reply = UpdateResponse(STATUS_REFUSED, 0)
-        elif zone is None:
-            reply = UpdateResponse(STATUS_NXDOMAIN, 0)
-        elif request.mode == UpdateMode.ADD:
-            for record in request.records:
-                zone.add(record)
-            reply = UpdateResponse(STATUS_OK, zone.serial)
-        elif request.mode == UpdateMode.DELETE:
-            zone.remove(request.name, request.rtype)
-            if self._leases:
-                self._leases.pop((request.name, request.rtype), None)
-            reply = UpdateResponse(STATUS_OK, zone.serial)
-        elif request.mode == UpdateMode.REPLACE:
-            zone.replace(request.name, request.rtype, request.records)
-            reply = UpdateResponse(STATUS_OK, zone.serial)
         else:
-            reply = UpdateResponse(STATUS_SERVFAIL, zone.serial)
-        if reply.status == STATUS_OK:
-            self._after_write((zone,))
+            changed: typing.List[Zone] = []
+            status = self._apply_update_op(
+                UpdateOp(
+                    request.mode, request.name, request.rtype, records=tuple(request.records)
+                ),
+                changed,
+            )
+            zone = self.zone_for(request.name)
+            reply = UpdateResponse(status, 0 if zone is None else zone.serial)
+            if changed:
+                self._after_write(changed)
         self._reply(reply, responder)
 
     # ------------------------------------------------------------------

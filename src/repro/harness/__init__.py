@@ -5,7 +5,6 @@ from repro.lazy import attach
 __getattr__, __dir__, __all__ = attach(__name__, {
     "calibration": ("Calibration", "DEFAULT_CALIBRATION"),
     "tables": ("ComparisonTable", "format_table"),
-    "experiment": ("ExperimentResult", "run_simulation"),
     "ablation": (
         "AblationStudy", "GridDef", "Knob", "RunResult", "RunSpec", "SCHEMA_VERSION",
         "strip_wall_clock", "study_payload",

@@ -122,13 +122,6 @@ class GridDef:
         if len(set(names)) != len(names):
             raise ValueError(f"grid {self.name!r}: duplicate knob names")
 
-    def knob(self, name: str) -> Knob:
-        """Look up one knob by name."""
-        for knob in self.knobs:
-            if knob.name == name:
-                return knob
-        raise KeyError(name)
-
 
 @dataclasses.dataclass(frozen=True)
 class RunSpec:

@@ -28,26 +28,6 @@ from repro.obs.span import NULL_SPAN
 from repro.resolution import ResolutionPolicy, backoff_ms
 
 
-def classify_error(exc: BaseException) -> str:
-    """``"transient"`` or ``"permanent"``, for retry decisions.
-
-    Transient: the transport could not complete the exchange (timeout,
-    crashed host, refused connection) — trying again may succeed and is
-    safe because the request never reached application code, or at
-    worst re-executes an idempotent lookup.
-
-    Permanent: everything else.  In particular a
-    :class:`~repro.net.transport.RemoteCallError` means the remote
-    *service* raised — the call was delivered and answered, so retrying
-    it would just re-raise the same application error (or worse, repeat
-    a non-idempotent operation).  ``RemoteCallError`` is therefore never
-    retried anywhere in the stack.
-    """
-    if isinstance(exc, RemoteCallError):
-        return "permanent"
-    return "transient" if is_transient(exc) else "permanent"
-
-
 class HrpcRuntime:
     """Per-host HRPC client machinery."""
 
@@ -83,9 +63,11 @@ class HrpcRuntime:
         Remote exceptions re-raise in the caller.
 
         With a :class:`ResolutionPolicy`, transport-level failures that
-        :func:`classify_error` deems transient are retried with
-        jittered exponential backoff; a :class:`RemoteCallError` — the
-        remote service itself raising — is permanent and never retried.
+        :func:`~repro.net.errors.is_transient` accepts (timeout, crashed
+        host, refused connection) are retried with jittered exponential
+        backoff.  A :class:`RemoteCallError` — the remote service itself
+        raising — means the call was delivered and answered, so it is
+        re-raised as the remote exception and never retried.
         """
         suite = suite_named(binding.suite)
         transport = self.transport_named(suite.transport)
@@ -137,10 +119,7 @@ class HrpcRuntime:
                         # reached the service.
                         raise err.remote_exception from err
                     except Exception as err:  # noqa: BLE001 - classified below
-                        if (
-                            attempt == attempts - 1
-                            or classify_error(err) != "transient"
-                        ):
+                        if attempt == attempts - 1 or not is_transient(err):
                             raise
                         aspan.set(
                             outcome="retried",

@@ -181,77 +181,41 @@ class ReplicaPolicy:
     performance, availability, and scalability" but the prototype client
     walks its replicas as a static ordered failover list: the primary is
     tried first, every time, and a dead or slow replica is only
-    discovered by burning a full timeout against it.  This policy gates
-    the three mechanisms that make reads replica-aware:
+    discovered by burning a full timeout against it.  This policy is one
+    switch for the mechanisms that make reads replica-aware (their
+    constants live in :mod:`repro.bind.replica`):
 
-    - **adaptive replica selection** (``adaptive``): per-endpoint EWMA
-      latency and in-flight counters; the first replica tried is the
-      better of two sampled at random (power-of-two-choices), the rest
-      are ordered by score.
-    - **per-replica circuit breakers** (``breaker_threshold``): an
-      endpoint whose breaker is open is skipped up front instead of
-      timed out in order.
-    - **hedged queries** (``hedge_quantile``): once a lookup has been
-      outstanding for the given quantile of the observed per-replica
-      latency distribution, the same question is re-issued once to the
+    - **adaptive replica selection**: per-endpoint EWMA latency and
+      in-flight counters; the first replica tried is the better of two
+      sampled at random (power-of-two-choices), the rest are ordered by
+      score.
+    - **per-replica circuit breakers**: an endpoint whose breaker is
+      open is skipped up front instead of timed out in order.
+    - **hedged queries**: once a lookup has been outstanding for the
+      ``HEDGE_QUANTILE`` of the observed per-replica latency
+      distribution, the same question is re-issued once to the
       next-best replica; the first answer wins and the loser's result is
       discarded.  Hedging composes with single-flight coalescing (only
       the coalescing leader ever hedges) and with the
       :class:`ResolutionPolicy` retry ladder (each retry round hedges
       independently).
-    - **incremental zone transfer** (``ixfr``): secondaries and
-      cache preloads request only the dynamic updates past their SOA
-      serial from the primary's bounded per-zone journal, falling back
-      to a full AXFR when the journal has been truncated.  Steady-state
-      refresh cost is then proportional to churn, not zone size.
+    - **incremental zone transfer**: secondaries and cache preloads
+      request only the dynamic updates past their SOA serial from the
+      primary's bounded per-zone journal, falling back to a full AXFR
+      when the journal has been truncated.  Steady-state refresh cost is
+      then proportional to churn, not zone size.
     """
 
-    #: EWMA/in-flight scoring with power-of-two-choices selection;
-    #: False preserves the static ``[primary] + secondaries`` order
-    adaptive: bool = True
-    #: hedge once a lookup is outstanding past this quantile of the
-    #: recent successful-latency distribution (0 disables hedging)
-    hedge_quantile: float = 0.95
-    #: consecutive failures that trip a *per-replica* breaker, whose
-    #: endpoint selection then skips while it is open (0 disables the
-    #: per-replica breakers entirely)
-    breaker_threshold: int = 3
-    #: request serial-delta zone transfers (IXFR) for secondary refresh
-    #: and cache re-preload, with automatic AXFR fallback
-    ixfr: bool = True
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.hedge_quantile < 1.0:
-            raise ValueError("hedge quantile must be in [0, 1)")
-        if self.breaker_threshold < 0:
-            raise ValueError("breaker threshold must be >= 0")
-
-    # ------------------------------------------------------------------
-    @property
-    def hedging(self) -> bool:
-        """Whether hedged queries are enabled at all."""
-        return self.hedge_quantile > 0.0
-
-    @property
-    def scheduling(self) -> bool:
-        """Whether the replica scheduler is in play on the read path.
-
-        When False (and ``ixfr`` aside), the resolver runs the exact
-        static-failover code path the prototype uses.
-        """
-        return self.adaptive or self.hedging or self.breaker_threshold > 0
+    #: all four mechanisms; False keeps the prototype's static
+    #: ``[primary] + secondaries`` walk and full-transfer refresh
+    enabled: bool = True
 
     @classmethod
     def disabled(cls) -> "ReplicaPolicy":
         """The prototype behaviour: static primary-then-secondaries
         failover, no hedging, no per-replica breakers, full-transfer
         refresh.  The ablation baseline."""
-        return cls(
-            adaptive=False,
-            hedge_quantile=0.0,
-            breaker_threshold=0,
-            ixfr=False,
-        )
+        return cls(enabled=False)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -466,21 +430,6 @@ def retrying(
     raise AssertionError("unreachable")  # pragma: no cover
 
 
-class CircuitOpen(Exception):
-    """A call was refused because the target's circuit breaker is open.
-
-    Raised *before* any network traffic: failing fast is the point.
-    """
-
-    def __init__(self, target: str, retry_at_ms: float):
-        super().__init__(
-            f"circuit breaker for {target!r} is open (probe at "
-            f"t={retry_at_ms:.0f} ms)"
-        )
-        self.target = target
-        self.retry_at_ms = retry_at_ms
-
-
 class CircuitBreaker:
     """Consecutive-failure circuit breaker over simulated time.
 
@@ -532,12 +481,6 @@ class CircuitBreaker:
             self._probe_outstanding = True
             return True
         return False
-
-    def check(self) -> None:
-        """Raise :class:`CircuitOpen` unless :meth:`allow` passes."""
-        if not self.allow():
-            assert self.opened_at is not None
-            raise CircuitOpen(self.target, self.opened_at + self.reset_ms)
 
     def record_success(self) -> None:
         """A call to the target completed: close the circuit."""

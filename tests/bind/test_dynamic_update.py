@@ -90,6 +90,50 @@ def test_update_batch_refused_without_dynamic_update(deployment):
     assert run(env, scenario()) == "done"
 
 
+def test_update_batch_add_extends_the_record_set(deployment):
+    env = deployment[0]
+    meta, resolver = _meta_server(deployment)
+    run(env, resolver.primary.update_batch([_replace_op("svc.hns", b"v=1")]))
+    before = meta.zones[0].serial
+
+    add = UpdateOp(
+        UpdateMode.ADD,
+        DomainName("svc.hns"),
+        RRType.UNSPEC,
+        records=(ResourceRecord("svc.hns", RRType.UNSPEC, 3_600_000.0, b"v=2"),),
+    )
+    serial, statuses = run(env, resolver.primary.update_batch([add]))
+
+    assert statuses == [STATUS_OK]
+    assert serial == meta.zones[0].serial > before
+    records = run(env, resolver.lookup("svc.hns", RRType.UNSPEC))
+    assert sorted(r.data for r in records) == [b"v=1", b"v=2"]
+
+
+def test_update_batch_delete_drops_the_record_set_and_its_lease(deployment):
+    """A batched DELETE forgets the lease too: the sweeper must not later
+    retract a lease-less re-add of the same record set."""
+    env = deployment[0]
+    meta, resolver = _meta_server(deployment)
+    run(env, resolver.primary.update_batch([_replace_op("box.hns", b"v=1", lease_ms=500.0)]))
+
+    delete = UpdateOp(UpdateMode.DELETE, DomainName("box.hns"), RRType.UNSPEC)
+    _serial, statuses = run(env, resolver.primary.update_batch([delete]))
+    assert statuses == [STATUS_OK]
+
+    def absent():
+        with pytest.raises(NameNotFound):
+            yield from resolver.lookup("box.hns", RRType.UNSPEC)
+        return "done"
+
+    assert run(env, absent()) == "done"
+    run(env, resolver.primary.update_batch([_replace_op("box.hns", b"v=2")]))
+    idle(env, 1_000.0)  # well past the deleted lease's expiry
+    records = run(env, resolver.lookup("box.hns", RRType.UNSPEC))
+    assert [r.data for r in records] == [b"v=2"]
+    assert "bind.update.lease_expirations" not in env.stats.counters()
+
+
 def test_metastore_coalesces_concurrent_writes_last_writer_wins():
     """A write storm through one store flushes as a single batch, and a
     same-owner rewrite inside the window takes the later value."""

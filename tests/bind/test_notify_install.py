@@ -12,6 +12,7 @@ from repro.bind import (
     BindResolver,
     BindServer,
     DomainName,
+    NameNotFound,
     ResolverCache,
     ResourceRecord,
     RRType,
@@ -158,3 +159,33 @@ def test_pushed_install_never_blocks_cache_hits(journal_limit, fallback):
     pushed = changed_entries(subscriber)
     assert set(pushed) == changed
     assert pushed == changed_entries(reference)
+
+
+@pytest.mark.parametrize(
+    "journal_limit, fallback",
+    [(512, False), (2, True)],
+    ids=["ixfr", "axfr_fallback"],
+)
+def test_pushed_deletion_stops_being_served(journal_limit, fallback):
+    """A deleted record set leaves the subscriber's cache whether the
+    pull came back as deltas or, past a truncated journal, as the full
+    snapshot: the snapshot does not carry it, so it is dropped."""
+    env, zone, subscriber, writer, _reference = build(journal_limit)
+    for i in range(6):
+        run(env, subscriber.lookup(owner(i), RRType.UNSPEC))
+    run(env, subscriber.subscribe_notify("hns"))
+    ops = [UpdateOp(UpdateMode.DELETE, DomainName(owner(0)), RRType.UNSPEC)] + [
+        UpdateOp(UpdateMode.REPLACE, DomainName(owner(i)), RRType.UNSPEC, records=(rec(i, 1),))
+        for i in range(1, 6)
+    ]
+    run(env, writer.primary.update_batch(ops))
+    env.run(until=env.now + 1_000.0)  # the push, the pull, the install
+
+    counters = env.stats.counters()
+    assert counters[f"bind.{subscriber.name}.notify_pulls"] == 1
+    assert counters.get("bind.meta.ixfr_fallbacks", 0) == (1 if fallback else 0)
+    with pytest.raises(NameNotFound):
+        run(env, subscriber.lookup(owner(0), RRType.UNSPEC))
+    for i in range(1, 6):
+        records = run(env, subscriber.lookup(owner(i), RRType.UNSPEC))
+        assert [r.text for r in records] == ["ns=v1"]

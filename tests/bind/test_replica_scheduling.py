@@ -3,7 +3,7 @@
 import pytest
 
 from repro.bind import BindResolver, BindServer, ReplicaScheduler, ResourceRecord, RRType, Zone
-from repro.bind.replica import HEDGE_MAX_DELAY_MS, HEDGE_MIN_SAMPLES
+from repro.bind.replica import BREAKER_THRESHOLD, HEDGE_MAX_DELAY_MS, HEDGE_MIN_SAMPLES
 from repro.harness.calibration import DEFAULT_CALIBRATION
 from repro.net import DatagramTransport, Internetwork
 from repro.net.addresses import Endpoint, NetworkAddress
@@ -26,30 +26,24 @@ def run(env, gen):
 # Policy validation
 # ----------------------------------------------------------------------
 def test_policy_defaults_enable_everything():
-    policy = ReplicaPolicy()
-    assert policy.adaptive and policy.hedging and policy.scheduling
-    assert policy.breaker_threshold > 0 and policy.ixfr
+    assert ReplicaPolicy().enabled
 
 
 def test_disabled_policy_is_inert():
-    policy = ReplicaPolicy.disabled()
-    assert not policy.adaptive
-    assert not policy.hedging
-    assert not policy.scheduling
-    assert policy.breaker_threshold == 0
-    assert not policy.ixfr
+    assert ReplicaPolicy.disabled() == ReplicaPolicy(enabled=False)
 
 
 @pytest.mark.parametrize(
     "kwargs",
     [
-        {"hedge_quantile": 1.0},
-        {"hedge_quantile": -0.1},
-        {"breaker_threshold": -1},
+        {"hedge_quantile": 0.5},
+        {"adaptive": False},
+        {"breaker_threshold": 1},
     ],
 )
 def test_policy_rejects_bad_values(kwargs):
-    with pytest.raises(ValueError):
+    # One switch: the mechanisms are not tuned or enabled one by one.
+    with pytest.raises(TypeError):
         ReplicaPolicy(**kwargs)
 
 
@@ -63,7 +57,7 @@ def endpoints(n):
 def test_scheduler_prefers_measured_fast_replica():
     env = Environment(seed=1)
     eps = endpoints(2)
-    sched = ReplicaScheduler(env, eps, ReplicaPolicy(), name="r")
+    sched = ReplicaScheduler(env, eps, name="r")
     fast, slow = sched.states
     for _ in range(6):
         sched.record_start(fast)
@@ -77,7 +71,7 @@ def test_scheduler_prefers_measured_fast_replica():
 
 def test_scheduler_inflight_penalty_sheds_load():
     env = Environment(seed=2)
-    sched = ReplicaScheduler(env, endpoints(2), ReplicaPolicy(), name="r")
+    sched = ReplicaScheduler(env, endpoints(2), name="r")
     a, b = sched.states
     sched.record_start(a)
     sched.record_success(a, 5.0, won=True)
@@ -92,15 +86,11 @@ def test_scheduler_inflight_penalty_sheds_load():
 
 def test_scheduler_skips_open_breaker():
     env = Environment(seed=3)
-    sched = ReplicaScheduler(
-        env,
-        endpoints(2),
-        ReplicaPolicy(adaptive=False, breaker_threshold=1),
-        name="r",
-    )
+    sched = ReplicaScheduler(env, endpoints(2), name="r")
     dead, live = sched.states
-    sched.record_start(dead)
-    sched.record_failure(dead, 100.0)
+    for _ in range(BREAKER_THRESHOLD):
+        sched.record_start(dead)
+        sched.record_failure(dead, 100.0)
     assert dead.breaker.state == "open"
     plan = sched.plan()
     assert plan == [live]
@@ -109,24 +99,21 @@ def test_scheduler_skips_open_breaker():
 
 def test_scheduler_falls_back_when_all_breakers_open():
     env = Environment(seed=4)
-    sched = ReplicaScheduler(
-        env,
-        endpoints(2),
-        ReplicaPolicy(adaptive=False, breaker_threshold=1),
-        name="r",
-    )
+    sched = ReplicaScheduler(env, endpoints(2), name="r")
     for state in sched.states:
-        sched.record_start(state)
-        sched.record_failure(state, 100.0)
-    # Refusing outright would turn a brown-out into a black-out: the
-    # full static order is still offered.
-    assert sched.plan() == sched.states
+        for _ in range(BREAKER_THRESHOLD):
+            sched.record_start(state)
+            sched.record_failure(state, 100.0)
+    assert all(state.breaker.state == "open" for state in sched.states)
+    # Refusing outright would turn a brown-out into a black-out: every
+    # replica is still offered.
+    plan = sched.plan()
+    assert len(plan) == 2 and set(plan) == set(sched.states)
 
 
 def test_hedge_delay_needs_samples_then_tracks_quantile():
     env = Environment(seed=5)
-    policy = ReplicaPolicy(hedge_quantile=0.95)
-    sched = ReplicaScheduler(env, endpoints(2), policy, name="r")
+    sched = ReplicaScheduler(env, endpoints(2), name="r")
     state = sched.states[0]
     for count, latency in enumerate((10.0,) * 19 + (500.0,)):
         # Unarmed until HEDGE_MIN_SAMPLES answers have been seen.
@@ -134,11 +121,11 @@ def test_hedge_delay_needs_samples_then_tracks_quantile():
         sched.record_start(state)
         sched.record_success(state, latency, won=True)
     delay = sched.hedge_delay_ms()
-    # 95th percentile of {10 x19, 500}: near the top of the fast cluster.
+    # HEDGE_QUANTILE (0.95) of {10 x19, 500}: near the top of the fast cluster.
     assert delay is not None
     assert 10.0 <= delay <= 500.0
     # Clamping: the ceiling wins over a slower observed quantile.
-    clamped = ReplicaScheduler(env, endpoints(2), ReplicaPolicy(), name="r2")
+    clamped = ReplicaScheduler(env, endpoints(2), name="r2")
     for _ in range(HEDGE_MIN_SAMPLES):
         clamped.record_start(clamped.states[0])
         clamped.record_success(
@@ -149,7 +136,7 @@ def test_hedge_delay_needs_samples_then_tracks_quantile():
 
 def test_scheduler_mirrors_counters_and_ewma_timer():
     env = Environment(seed=6)
-    sched = ReplicaScheduler(env, endpoints(1), ReplicaPolicy(), name="r")
+    sched = ReplicaScheduler(env, endpoints(1), name="r")
     state = sched.states[0]
     sched.record_start(state, hedge=False)
     sched.record_success(state, 10.0, won=True)
@@ -221,7 +208,7 @@ def lookup_once(env, resolver):
 
 def test_adaptive_selection_avoids_slow_replica():
     env, resolver, primary, secondary, _ = make_cluster(
-        ReplicaPolicy(hedge_quantile=0.0),  # adaptive only
+        ReplicaPolicy(),
         primary_cost=200.0,
         secondary_cost=4.8,
     )
@@ -229,20 +216,30 @@ def test_adaptive_selection_avoids_slow_replica():
         records, _elapsed = lookup_once(env, resolver)
         assert records[0].text == "ns=one"
     counters = env.stats.counters()
-    primary_label = str(resolver.server)
-    secondary_label = str(resolver.secondaries[0])
-    to_primary = counters.get(f"bind.replica.{primary_label}.requests", 0)
-    to_secondary = counters.get(f"bind.replica.{secondary_label}.requests", 0)
+
+    def first_tries(label):
+        # Hedges are second tries: the slow primary draws them once the
+        # window arms, and they never win.
+        return counters.get(f"bind.replica.{label}.requests", 0) - counters.get(
+            f"bind.replica.{label}.hedges", 0
+        )
+
+    to_primary = first_tries(str(resolver.server))
+    to_secondary = first_tries(str(resolver.secondaries[0]))
     assert to_primary + to_secondary >= 20
     # A few exploration probes hit the slow primary; the bulk does not.
     assert to_secondary >= 15
     assert to_primary <= 5
+    assert counters[f"bind.replica.{resolver.secondaries[0]}.wins"] >= 15
 
 
 def test_hedging_rescues_a_stalled_primary():
-    policy = ReplicaPolicy(adaptive=False)
-    env, resolver, primary, secondary, _ = make_cluster(policy)
-    # Warm the latency window on the (static-order) primary.
+    # A slower secondary keeps the adaptive scheduler asking the primary
+    # first once both have been measured.
+    env, resolver, primary, secondary, _ = make_cluster(
+        ReplicaPolicy(), secondary_cost=10.0
+    )
+    # Warm the latency window (one exploration probe of each replica).
     for _ in range(HEDGE_MIN_SAMPLES):
         _records, elapsed = lookup_once(env, resolver)
     baseline = elapsed
@@ -271,26 +268,29 @@ def test_ordered_failover_eats_the_stall_without_hedging():
 
 
 def test_breaker_skip_spares_cold_lookups_the_timeout():
-    policy = ReplicaPolicy(
-        adaptive=False, hedge_quantile=0.0, breaker_threshold=1
+    env, resolver, primary, secondary, primary_host = make_cluster(
+        ReplicaPolicy(), secondary_cost=60.0
     )
-    env, resolver, primary, secondary, primary_host = make_cluster(policy)
+    for _ in range(2):  # one exploration probe each: the primary is faster
+        lookup_once(env, resolver)
     primary_host.crash()
-    # First lookup pays the transport timeout, fails over, and trips
-    # the primary's breaker.
-    records, elapsed = lookup_once(env, resolver)
-    assert records[0].text == "ns=one"
-    assert elapsed >= 100.0
     primary_label = str(resolver.server)
-    counters = env.stats.counters()
-    assert counters[f"bind.replica.{primary_label}.errors"] == 1
-    # Second lookup skips the open breaker: no timeout in its path.
+    # Until its breaker trips, the dead primary's EWMA still undercuts
+    # the slow secondary, so each lookup pays the transport timeout
+    # before it fails over.
+    for failures in range(1, BREAKER_THRESHOLD + 1):
+        records, elapsed = lookup_once(env, resolver)
+        assert records[0].text == "ns=one"
+        assert elapsed >= 100.0
+        counters = env.stats.counters()
+        assert counters[f"bind.replica.{primary_label}.errors"] == failures
+    # The next lookup skips the open breaker: no timeout in its path.
     records, elapsed = lookup_once(env, resolver)
     assert records[0].text == "ns=one"
     assert elapsed < 100.0
     counters = env.stats.counters()
     assert counters[f"bind.replica.{primary_label}.skipped"] >= 1
-    assert counters[f"bind.replica.{primary_label}.errors"] == 1  # unchanged
+    assert counters[f"bind.replica.{primary_label}.errors"] == BREAKER_THRESHOLD
 
 
 def test_static_failover_pays_the_timeout_every_time():

@@ -46,7 +46,7 @@ def test_paper_prototype_disables_every_mechanism():
     # Off has one spelling: the bare bundle *is* the paper's prototype.
     assert PolicySet() == EVERY_SLOT_DISABLED
     assert not PolicySet().update.active
-    assert not PolicySet().replica.scheduling
+    assert not PolicySet().replica.enabled
 
 
 @pytest.mark.parametrize(

@@ -1,4 +1,4 @@
-"""Harness: tables, experiment runner, calibration coherence."""
+"""Harness: tables, calibration coherence."""
 
 import pytest
 
@@ -6,9 +6,7 @@ from repro.harness import (
     ComparisonTable,
     DEFAULT_CALIBRATION,
     format_table,
-    run_simulation,
 )
-from repro.sim import Environment
 
 
 def test_format_table_alignment():
@@ -37,31 +35,6 @@ def test_comparison_table_zero_paper_value():
     row = table.add("zero", paper=0, measured=5)
     assert row.deviation_pct == 0.0
     assert ComparisonTable("empty").max_abs_deviation_pct() == 0.0
-
-
-def test_run_simulation():
-    def builder(env):
-        yield env.timeout(25)
-        env.stats.counter("ticks").increment()
-        return "done"
-
-    result = run_simulation(builder, seed=1)
-    assert result.value == "done"
-    assert result.elapsed_ms == 25.0
-    assert result.counters == {"ticks": 1}
-
-
-def test_run_simulation_with_existing_env():
-    env = Environment(seed=2)
-    env.run(until=10)
-
-    def builder(env):
-        yield env.timeout(5)
-        return env.now
-
-    result = run_simulation(builder, env=env)
-    assert result.value == 15.0
-    assert result.elapsed_ms == 5.0
 
 
 def test_calibration_is_frozen_and_overridable():

@@ -19,7 +19,10 @@ from repro.hrpc import (
     suite_named,
 )
 from repro.harness.calibration import DEFAULT_CALIBRATION
-from repro.net import DatagramTransport, Internetwork, StreamTransport
+from repro.net import DatagramTransport, Internetwork, NoRouteToHost, StreamTransport
+from repro.net.addresses import Endpoint, NetworkAddress
+from repro.net.transport import RemoteCallError
+from repro.resolution import BACKOFF_BASE_MS, BACKOFF_JITTER, ResolutionPolicy
 from repro.sim import ConstantLatency, Environment
 
 CAL = DEFAULT_CALIBRATION
@@ -213,6 +216,73 @@ def test_program_registration_rules(world):
         server.register_program(program)
     with pytest.raises(HrpcError):
         HrpcRuntime(client, net).transport_named("smoke-signals")
+
+
+# ----------------------------------------------------------------------
+# Retries under a ResolutionPolicy
+# ----------------------------------------------------------------------
+def test_transient_failure_is_retried_after_backoff(world):
+    env, net, client, server_host = world
+    _, endpoint = build_echo_server(env, server_host)
+    runtime = HrpcRuntime(client, net)
+    binding = HRPCBinding(endpoint, "testprog", suite="sunrpc")
+    server_host.crash()
+
+    def come_back():  # after the first attempt's four 1 s datagram tries
+        yield env.timeout(4_500.0)
+        server_host.restart()
+
+    env.process(come_back())
+    env.obs.enable()
+    result = run(env, runtime.call(binding, "echo", 7, policy=ResolutionPolicy()))
+    assert result == ("echo", 7)
+    assert env.stats.counters()["hrpc.retries"] == 1
+    first, second = env.obs.spans_named("hrpc.attempt")
+    assert first.attrs["outcome"] == "retried"
+    assert first.attrs["error_type"] == "TransportTimeout"
+    assert "outcome" not in second.attrs
+    # The second attempt waited out the first rung of the backoff ladder.
+    assert second.start_ms - first.end_ms >= BACKOFF_BASE_MS * (1 - BACKOFF_JITTER)
+
+
+def test_remote_error_is_raised_once_and_never_retried(world):
+    env, net, client, server_host = world
+    server = HrpcServer(server_host)
+    served = []
+
+    def fail(ctx):
+        served.append(env.now)
+        raise LookupError("remote failure")
+        yield  # pragma: no cover
+
+    server.program("flaky").procedure("fail", fail)
+    binding = HRPCBinding(server.listen(9100), "flaky", suite="sunrpc")
+    runtime = HrpcRuntime(client, net)
+
+    def scenario():
+        with pytest.raises(LookupError, match="remote failure") as caught:
+            yield from runtime.call(binding, "fail", policy=ResolutionPolicy())
+        return caught.value
+
+    error = run(env, scenario())
+    assert len(served) == 1
+    assert isinstance(error.__cause__, RemoteCallError)
+    assert "hrpc.retries" not in env.stats.counters()
+
+
+def test_permanent_network_error_is_not_retried(world):
+    env, net, client, server_host = world
+    runtime = HrpcRuntime(client, net)
+    nowhere = Endpoint(NetworkAddress("10.9.9.9"), 9000)  # on no segment
+    binding = HRPCBinding(nowhere, "testprog", suite="sunrpc")
+
+    def scenario():
+        with pytest.raises(NoRouteToHost):
+            yield from runtime.call(binding, "echo", policy=ResolutionPolicy())
+        return "done"
+
+    assert run(env, scenario()) == "done"
+    assert "hrpc.retries" not in env.stats.counters()
 
 
 # ----------------------------------------------------------------------

@@ -107,7 +107,7 @@ def test_stale_meta_read_is_annotated_after_failed_rounds():
 # ----------------------------------------------------------------------
 # Hedged query: winner and loser under the same trace
 # ----------------------------------------------------------------------
-def make_cluster(replica_policy, seed=41):
+def make_cluster(replica_policy, seed=41, secondary_cost=4.8):
     cal = DEFAULT_CALIBRATION
     env = Environment(seed=seed)
     net = Internetwork(env)
@@ -129,7 +129,7 @@ def make_cluster(replica_policy, seed=41):
 
     primary = StallServer(primary_host, zones=[make_zone()], lookup_cost_ms=4.8)
     secondary = BindServer(
-        secondary_host, zones=[make_zone()], lookup_cost_ms=4.8
+        secondary_host, zones=[make_zone()], lookup_cost_ms=secondary_cost
     )
     primary_ep = primary.listen()
     secondary_ep = secondary.listen()
@@ -154,8 +154,9 @@ def lookup_once(env, resolver):
 
 
 def test_hedge_winner_and_loser_share_the_trace():
-    policy = ReplicaPolicy(adaptive=False)
-    env, resolver, primary = make_cluster(policy)
+    # A slower secondary keeps the adaptive scheduler asking the primary
+    # first once both have been measured.
+    env, resolver, primary = make_cluster(ReplicaPolicy(), secondary_cost=10.0)
     for _ in range(HEDGE_MIN_SAMPLES):
         lookup_once(env, resolver)  # warm the hedge-delay window
 

@@ -35,7 +35,7 @@ NOT_LOADED = [
         "atomicity", "baseline", "callgraph", "core", "perturb", "report",
         "rules_sim", "sanitizer",
     )),
-    "repro.harness.ablation", "repro.harness.experiment", "repro.harness.tables",
+    "repro.harness.ablation", "repro.harness.tables",
     "repro.obs.critical_path", "repro.obs.export",
     "repro.bind.secondary", "repro.bind.zonefile",
     "repro.core.model", "repro.core.nsms.yp", "repro.hcsfs.client",
