@@ -1,4 +1,4 @@
-"""hnslint: repo-specific static analysis + simulation sanitizers.
+"""hnslint: repo-specific static analysis + the scenario pass.
 
 Two halves, one gate:
 
@@ -14,19 +14,14 @@ Two halves, one gate:
   ``hnslint-baseline.toml`` carry the intentional exceptions; LINT001
   flags pragmas that no longer silence anything.
 
-- **Runtime** (:mod:`~repro.analysis.sanitizer`,
-  :mod:`~repro.analysis.determinism`): an interleaving sanitizer that
-  reconstructs happens-before between process segments and flags
-  unordered conflicting accesses, and the scenario pass — every
-  registered scenario run plain, replayed, traced and twice
-  schedule-perturbed (:mod:`~repro.analysis.perturb`) under the
-  sanitizer, with static race findings marked CONFIRMED when a hazard
-  witnesses them.
+- **Runtime** (:mod:`~repro.analysis.determinism`): the scenario pass —
+  every registered scenario run plain, replayed, traced and twice
+  schedule-perturbed (:mod:`~repro.analysis.perturb`), each replay
+  checked digest for digest.
 
-Run it as ``python -m repro.analysis src/repro`` (or
-``python -m repro.cli lint``); ``--scenarios`` adds the runtime half,
-and ``--format json`` emits the stable machine-readable report CI diffs
-across revisions.
+Run it as ``python -m repro.analysis src/repro``; ``--scenarios`` adds
+the runtime half, and ``--format json`` emits the stable
+machine-readable report CI diffs across revisions.
 """
 
 from repro.lazy import attach
@@ -40,17 +35,6 @@ __getattr__, __dir__, __all__ = attach(__name__, {
         "lint_source",
     ),
     "determinism": ("ScenarioCheck", "ScenarioPass", "check_scenario", "check_scenarios"),
-    "perturb": ("derive_seed", "monitored", "perturbed"),
+    "perturb": ("derive_seed", "perturbed"),
     "report": ("render_json", "render_text"),
-    "sanitizer": (
-        "Access", "InterleavingHazard", "InterleavingSanitizer", "SegmentInfo", "Watched",
-    ),
 })
-__all__.append("main")
-
-
-def main(argv=None):
-    """Console entry point; see :mod:`repro.analysis.__main__`."""
-    from repro.analysis.__main__ import run
-
-    return run(argv)

@@ -21,7 +21,7 @@ from repro.analysis.report import render_json, render_text
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """The hnslint argument parser (exposed for the CLI passthrough)."""
+    """The hnslint argument parser."""
     parser = argparse.ArgumentParser(
         prog="repro.analysis",
         description=(
@@ -66,7 +66,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--scenarios",
         action="store_true",
         help="run every registered scenario plain, replayed, traced and "
-        "schedule-perturbed; confirm race findings against its hazards",
+        "schedule-perturbed",
     )
     parser.add_argument(
         "--scenario",

@@ -22,10 +22,6 @@ spanning a call into a yielding helper, is visible at all.
   after it.  The attribute itself can be rebound by another process at
   every gap; the fix is re-reading ``self._attr`` after resuming.
 
-Findings carry a ``subject`` (the shared attribute's name) so the
-scenario pass (:mod:`repro.analysis.determinism`) can match them
-against sanitizer hazards.
-
 Construct the rules with a project-wide :class:`CallGraph` for
 interprocedural precision (``lint_paths(interprocedural=True)`` does);
 without one, each rule builds a single-module graph on the fly, which
@@ -168,7 +164,6 @@ class Sim004CheckThenActAcrossGap(_GapRule):
                         f"{line}, but a may-yield call intervenes before "
                         "this access; another process can run at every "
                         "yield — re-validate after resuming",
-                        subject=path.split(".")[-1],
                     )
             if tag == "test":
                 for kind, path, line in self._guards(nodes):
@@ -282,8 +277,8 @@ class Sim005AwaitGapCapture(_GapRule):
         cls: typing.Optional[str],
         func: FunctionNode,
     ) -> typing.Iterator[Finding]:
-        #: var -> (line bound, captured source, subject attribute)
-        tainted: typing.Dict[str, typing.Tuple[int, str, str]] = {}
+        #: var -> (line bound, captured source)
+        tainted: typing.Dict[str, typing.Tuple[int, str]] = {}
         crossed: typing.Set[str] = set()
         reported: typing.Set[str] = set()
 
@@ -298,7 +293,7 @@ class Sim005AwaitGapCapture(_GapRule):
                     and node.id in crossed
                     and node.id not in reported
                 ):
-                    line, source, subject = tainted[node.id]
+                    line, source = tainted[node.id]
                     reported.add(node.id)
                     yield module.finding(
                         self,
@@ -307,7 +302,6 @@ class Sim005AwaitGapCapture(_GapRule):
                         "before a may-yield call and is used after it "
                         "without re-validation (await-gap); re-read "
                         f"{source} after resuming",
-                        subject=subject,
                     )
             for node in _walk(nodes):
                 if isinstance(node, (ast.Assign, ast.AnnAssign)):
@@ -322,7 +316,7 @@ class Sim005AwaitGapCapture(_GapRule):
                         tainted.pop(name, None)
                         crossed.discard(name)
                         if source is not None and position == 0:
-                            tainted[name] = (node.lineno, *source)
+                            tainted[name] = (node.lineno, source)
             if tainted and self._unit_suspends(
                 graph, module.path, cls, nodes
             ):
@@ -331,8 +325,8 @@ class Sim005AwaitGapCapture(_GapRule):
     @staticmethod
     def _capture_source(
         value: typing.Optional[ast.AST],
-    ) -> typing.Optional[typing.Tuple[str, str]]:
-        """(description, subject attr) if ``value`` snapshots shared state.
+    ) -> typing.Optional[str]:
+        """The description of the shared state ``value`` snapshots, if any.
 
         Private ``self`` attributes only, minus the SIM003 stateful
         names — the two rules partition the namespace instead of
@@ -351,7 +345,7 @@ class Sim005AwaitGapCapture(_GapRule):
         attr = chain[-1]
         if not attr.startswith("_") or attr in _STATEFUL_ATTRS:
             return None
-        return ".".join(chain) + suffix, attr
+        return ".".join(chain) + suffix
 
 
 def interprocedural_rules(

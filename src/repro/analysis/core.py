@@ -42,11 +42,6 @@ class Finding:
     col: int
     message: str
     snippet: str = ""
-    #: What the finding is *about* — for the race rules, the shared
-    #: attribute name (``_leases``, ``entries``).  The scenario pass
-    #: matches it against sanitizer hazard labels/fields to mark
-    #: findings CONFIRMED; empty when a rule has no meaningful subject.
-    subject: str = ""
 
     def to_json(self) -> typing.Dict[str, object]:
         return {
@@ -56,7 +51,6 @@ class Finding:
             "col": self.col,
             "message": self.message,
             "snippet": self.snippet,
-            "subject": self.subject,
         }
 
     def __str__(self) -> str:
@@ -80,9 +74,7 @@ class ModuleSource:
             return self.lines[lineno - 1].strip()
         return ""
 
-    def finding(
-        self, rule: "Rule", node: ast.AST, message: str, subject: str = ""
-    ) -> Finding:
+    def finding(self, rule: "Rule", node: ast.AST, message: str) -> Finding:
         lineno = getattr(node, "lineno", 1)
         col = getattr(node, "col_offset", 0)
         return Finding(
@@ -92,7 +84,6 @@ class ModuleSource:
             col=col + 1,
             message=message,
             snippet=self.line_at(lineno),
-            subject=subject,
         )
 
     @property

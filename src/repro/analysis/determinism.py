@@ -16,14 +16,11 @@ The six runs, and the pair each one is checked against:
 2. **replay** — plain again; must equal run 1;
 3. **traced** — span tracing (:mod:`repro.obs`) forced on; must equal
    run 1, because observing a run may not move it;
-4. **perturbed** ×2 — under the
-   :class:`~repro.analysis.sanitizer.InterleavingSanitizer`, with the
-   schedule perturbator on (:mod:`repro.analysis.perturb`) so
-   same-timestamp cohorts execute in seed-derived permuted orders;
-5. **perturbed replay** — the first perturbation seed again, without
-   the sanitizer; must equal the first perturbed run (one seed is one
-   fixed schedule, and the monitor is passive, so its absence cannot
-   move the digest either).
+4. **perturbed** ×2 — with the schedule perturbator on
+   (:mod:`repro.analysis.perturb`) so same-timestamp cohorts execute in
+   seed-derived permuted orders;
+5. **perturbed replay** — the first perturbation seed again; must equal
+   the first perturbed run (one seed is one fixed schedule).
 
 Any mismatch means something outside the seeded sandbox leaked into the
 run — a host clock, the process RNG, dict-iteration order of a set, an
@@ -33,20 +30,7 @@ first line where the trajectories part.
 Perturbation is pure tie-break permutation: event times never move, so
 a perturbed digest that differs from the plain one
 (``perturbation_effective``) means the trajectory depends on FIFO
-tie-breaking — informational on its own, a bug witness when paired
-with a hazard.  Hazards the sanitizer reports — conflicting access
-pairs with no happens-before path — are matched against static race
-findings by their watch label or field name: a finding whose subject
-shows up as a hazard is **CONFIRMED** (a legal schedule exercises it);
-everything else stays **UNCONFIRMED** — still reported, since the
-scenarios are not a complete workload model, but triaged behind
-confirmed findings.
-
-Scenario builders opt into confirmation by watching shared state when a
-monitor is present::
-
-    if isinstance(env.monitor, InterleavingSanitizer):
-        table = env.monitor.watch(table, "_leases")
+tie-breaking — informational, not a failure.
 """
 
 from __future__ import annotations
@@ -58,32 +42,10 @@ import typing
 from repro.obs.span import Observability
 from repro.sim.kernel import Environment
 
-if typing.TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.analysis.core import Finding
-
 Builder = typing.Callable[[int], Environment]
 
 #: Perturbation seeds derived per scenario.
 PERTURB_RUNS = 2
-
-#: Rules whose findings the scenario pass tries to confirm.
-RACE_RULES = ("SIM003", "SIM004", "SIM005")
-
-CONFIRMED = "CONFIRMED"
-UNCONFIRMED = "UNCONFIRMED"
-
-
-@dataclasses.dataclass(frozen=True)
-class HazardRecord:
-    """One sanitizer hazard, flattened for the report."""
-
-    scenario: str
-    label: str
-    field: str
-    description: str
-
-    def to_json(self) -> typing.Dict[str, object]:
-        return dataclasses.asdict(self)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -103,7 +65,6 @@ class ScenarioCheck:
     perturb_seeds: typing.Tuple[int, ...]
     digests_perturbed: typing.Tuple[str, ...]
     perturbation_effective: bool
-    hazard_count: int
     first_divergence: str = ""
 
     def to_json(self) -> typing.Dict[str, object]:
@@ -112,34 +73,13 @@ class ScenarioCheck:
 
 @dataclasses.dataclass
 class ScenarioPass:
-    """Every checked scenario plus the hazards its perturbed runs saw."""
+    """Every checked scenario."""
 
     checks: typing.List[ScenarioCheck]
-    hazards: typing.List[HazardRecord]
 
     @property
     def ok(self) -> bool:
         return all(check.ok for check in self.checks)
-
-    def verdict(
-        self, finding: Finding
-    ) -> typing.Tuple[str, typing.Tuple[str, ...]]:
-        """``(status, witnesses)``: CONFIRMED when a hazard witnesses it.
-
-        By the watch-label convention, scenario builders label watched
-        state with the shared attribute name — the same name the static
-        rules record as the finding's subject.  The field name matches
-        too, for attribute-level accesses through a coarser-labelled
-        proxy.
-        """
-        witnesses: typing.Tuple[str, ...] = ()
-        if finding.rule in RACE_RULES and finding.subject:
-            witnesses = tuple(
-                hazard.description
-                for hazard in self.hazards
-                if finding.subject in (hazard.label, hazard.field)
-            )
-        return (CONFIRMED if witnesses else UNCONFIRMED), witnesses
 
 
 def run_lines(env: Environment) -> typing.List[str]:
@@ -177,12 +117,9 @@ def first_divergence(
     return "digests differ but serializations match (hash collision?)"
 
 
-def check_scenario(
-    name: str, builder: Builder, seed: int = 0
-) -> typing.Tuple[ScenarioCheck, typing.List[HazardRecord]]:
-    """Build ``builder(seed)`` six times; compare and collect hazards."""
-    from repro.analysis.perturb import derive_seed, monitored, perturbed
-    from repro.analysis.sanitizer import InterleavingSanitizer
+def check_scenario(name: str, builder: Builder, seed: int = 0) -> ScenarioCheck:
+    """Build ``builder(seed)`` six times and compare the runs."""
+    from repro.analysis.perturb import derive_seed, perturbed
 
     divergences: typing.List[str] = []
 
@@ -203,33 +140,16 @@ def check_scenario(
     finally:
         Observability.default_enabled = saved
 
-    sanitizers: typing.List[InterleavingSanitizer] = []
-
-    def factory(env: Environment) -> InterleavingSanitizer:
-        sanitizer = InterleavingSanitizer(env)
-        sanitizers.append(sanitizer)
-        return sanitizer
-
     perturb_seeds = tuple(derive_seed(seed, i) for i in range(PERTURB_RUNS))
     lines_perturbed: typing.List[typing.List[str]] = []
-    with monitored(factory):
-        for perturb_seed in perturb_seeds:
-            with perturbed(perturb_seed):
-                lines_perturbed.append(run_lines(builder(seed)))
+    for perturb_seed in perturb_seeds:
+        with perturbed(perturb_seed):
+            lines_perturbed.append(run_lines(builder(seed)))
     digests_perturbed = tuple(_digest(lines) for lines in lines_perturbed)
     with perturbed(perturb_seeds[0]):
         repeat("perturbed replay", lines_perturbed[0])
 
-    hazards: typing.List[HazardRecord] = []
-    seen: typing.Set[typing.Tuple[str, str, str]] = set()
-    for sanitizer in sanitizers:
-        for hazard in sanitizer.report():
-            key = (hazard.label, hazard.field, hazard.describe())
-            if key not in seen:
-                seen.add(key)
-                hazards.append(HazardRecord(name, *key))
-
-    check = ScenarioCheck(
+    return ScenarioCheck(
         scenario=name,
         seed=seed,
         ok=not divergences,
@@ -240,10 +160,8 @@ def check_scenario(
         perturbation_effective=any(
             digest != digest_plain for digest in digests_perturbed
         ),
-        hazard_count=len(hazards),
         first_divergence=divergences[0] if divergences else "",
     )
-    return check, hazards
 
 
 def select_scenarios(
@@ -274,12 +192,12 @@ def check_scenarios(
     scenarios: typing.Mapping[str, Builder], seed: int = 0
 ) -> ScenarioPass:
     """Run :func:`check_scenario` over ``scenarios`` in name order."""
-    result = ScenarioPass(checks=[], hazards=[])
-    for name in sorted(scenarios):
-        check, hazards = check_scenario(name, scenarios[name], seed=seed)
-        result.checks.append(check)
-        result.hazards.extend(hazards)
-    return result
+    return ScenarioPass(
+        checks=[
+            check_scenario(name, scenarios[name], seed=seed)
+            for name in sorted(scenarios)
+        ]
+    )
 
 
 def _digest(lines: typing.Sequence[str]) -> str:

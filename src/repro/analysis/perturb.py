@@ -12,9 +12,9 @@ are untouched: a perturbed run is a legal schedule the kernel could
 have produced under a different arrival order, not a different
 workload.
 
-The helpers here mirror how the scenario pass's traced run flips
-:attr:`repro.obs.span.Observability.default_enabled` — module-global
-defaults swapped around a builder call and restored in a ``finally``.
+:func:`perturbed` mirrors how the scenario pass's traced run flips
+:attr:`repro.obs.span.Observability.default_enabled` — a module-global
+default swapped around a builder call and restored in a ``finally``.
 """
 
 from __future__ import annotations
@@ -53,21 +53,3 @@ def perturbed(seed: typing.Optional[int]) -> typing.Iterator[None]:
         yield
     finally:
         _kernel.DEFAULT_PERTURB_SEED = saved
-
-
-@contextlib.contextmanager
-def monitored(
-    factory: typing.Optional[
-        typing.Callable[["_kernel.Environment"], "_kernel.KernelMonitor"]
-    ],
-) -> typing.Iterator[None]:
-    """Every ``Environment`` built inside gets ``factory(env)`` attached
-    as its kernel monitor — how the scenario pass hands an
-    :class:`~repro.analysis.sanitizer.InterleavingSanitizer` to scenario
-    builders it cannot modify."""
-    saved = _kernel.DEFAULT_MONITOR_FACTORY
-    _kernel.DEFAULT_MONITOR_FACTORY = factory
-    try:
-        yield
-    finally:
-        _kernel.DEFAULT_MONITOR_FACTORY = saved

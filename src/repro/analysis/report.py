@@ -11,15 +11,16 @@ import json
 import typing
 
 from repro.analysis.core import LintResult
-from repro.analysis.determinism import CONFIRMED, ScenarioPass
+from repro.analysis.determinism import ScenarioPass
 
 #: Bumped whenever a field changes meaning; additions are backwards
-#: compatible and do not bump it.  v2: findings carry ``subject``,
-#: reports carry ``stale_suppressions`` and (under ``--interprocedural``)
-#: a ``callgraph`` summary block.  v3: the scenario pass (``--scenarios``)
-#: adds ``scenarios`` and ``hazards``, and gives every finding a
-#: ``status`` and ``witnesses``.
-JSON_FORMAT_VERSION = 3
+#: compatible and do not bump it.  v2: reports carry
+#: ``stale_suppressions`` and (under ``--interprocedural``) a
+#: ``callgraph`` summary block.  v3: the scenario pass (``--scenarios``)
+#: adds ``scenarios``.  v4: findings lose ``subject``, ``status`` and
+#: ``witnesses``, and reports lose ``hazards``, with the sanitizer they
+#: graded against.
+JSON_FORMAT_VERSION = 4
 
 
 def render_text(
@@ -30,16 +31,9 @@ def render_text(
     for error in result.parse_errors:
         lines.append(f"parse error: {error}")
     for finding in result.findings:
-        if scenarios is None:
-            lines.append(str(finding))
-            witnesses: typing.Tuple[str, ...] = ()
-        else:
-            status, witnesses = scenarios.verdict(finding)
-            lines.append(f"[{status}] {finding}")
+        lines.append(str(finding))
         if finding.snippet:
             lines.append(f"    {finding.snippet}")
-        for witness in witnesses:
-            lines.append(f"    witness: {witness}")
     if scenarios is not None:
         for check in scenarios.checks:
             effect = "tie-break " + (
@@ -47,7 +41,7 @@ def render_text(
             )
             lines.append(
                 f"scenario {check.scenario}: {'ok' if check.ok else 'FAILED'} "
-                f"(seed {check.seed}, {effect}, {check.hazard_count} hazards)"
+                f"(seed {check.seed}, {effect})"
             )
             if check.first_divergence:
                 lines.append(f"    first divergence: {check.first_divergence}")
@@ -74,16 +68,7 @@ def _summary_line(
     ]
     if scenarios is not None:
         failed = sum(1 for check in scenarios.checks if not check.ok)
-        confirmed = sum(
-            1
-            for finding in result.findings
-            if scenarios.verdict(finding)[0] == CONFIRMED
-        )
-        parts += [
-            f"{confirmed} confirmed",
-            f"{len(scenarios.checks)} scenarios checked, {failed} failed",
-            f"{len(scenarios.hazards)} hazards",
-        ]
+        parts.append(f"{len(scenarios.checks)} scenarios checked, {failed} failed")
     return "hnslint: " + ", ".join(parts)
 
 
@@ -91,17 +76,11 @@ def render_json(
     result: LintResult, scenarios: typing.Optional[ScenarioPass] = None
 ) -> str:
     """The stable machine-readable report (strict JSON: no NaN)."""
-    findings = []
-    for finding in result.findings:
-        entry = finding.to_json()
-        if scenarios is not None:
-            entry["status"], entry["witnesses"] = scenarios.verdict(finding)
-        findings.append(entry)
     payload: typing.Dict[str, object] = {
         "version": JSON_FORMAT_VERSION,
         "tool": "hnslint",
         "files_scanned": result.files_scanned,
-        "findings": findings,
+        "findings": [finding.to_json() for finding in result.findings],
         "counts": result.counts_by_rule(),
         "suppressed": result.suppressed,
         "baselined": result.baselined,
@@ -113,6 +92,5 @@ def render_json(
         payload["callgraph"] = dict(result.callgraph)
     if scenarios is not None:
         payload["scenarios"] = [check.to_json() for check in scenarios.checks]
-        payload["hazards"] = [hazard.to_json() for hazard in scenarios.hazards]
         payload["ok"] = result.ok and scenarios.ok
     return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)

@@ -194,10 +194,8 @@ class Sim003StaleReadAcrossYield(Rule):
         module: ModuleSource,
         func: typing.Union[ast.FunctionDef, ast.AsyncFunctionDef],
     ) -> typing.Iterator[Finding]:
-        #: var -> (line bound, attr description, subject); cleared on
-        #: re-bind.  The subject (shared attribute name) feeds the
-        #: scenario pass's hazard matching.
-        tainted: typing.Dict[str, typing.Tuple[int, str, str]] = {}
+        #: var -> (line bound, attr description); cleared on re-bind.
+        tainted: typing.Dict[str, typing.Tuple[int, str]] = {}
         crossed: typing.Set[str] = set()
         reported: typing.Set[str] = set()
 
@@ -218,14 +216,13 @@ class Sim003StaleReadAcrossYield(Rule):
                     and node.id in crossed
                     and node.id not in reported
                 ):
-                    line, source, subject = tainted[node.id]
+                    line, source = tainted[node.id]
                     reported.add(node.id)
                     yield module.finding(
                         self, node,
                         f"{node.id!r} snapshots {source} at line {line} and "
                         "is relied on after a yield without re-validation; "
                         "re-probe or re-bind it after resuming",
-                        subject=subject,
                     )
             # Rebinding clears the taint; new snapshot binds create it.
             for node in self._walk_unit(unit):
@@ -243,20 +240,15 @@ class Sim003StaleReadAcrossYield(Rule):
                         # For tuple unpacking of probe() only the first
                         # element (the entry) is the hazardous snapshot.
                         if source is not None and position == 0:
-                            tainted[name] = (node.lineno, *source)
+                            tainted[name] = (node.lineno, source)
             if has_yield:
                 crossed.update(tainted)
 
     @staticmethod
     def _snapshot_source(
         value: typing.Optional[ast.AST],
-    ) -> typing.Optional[typing.Tuple[str, str]]:
-        """``(description, subject)`` of the state snapshotted, or None.
-
-        The subject is the shared attribute the snapshot reads (the
-        cache holding a probed entry, the stateful attribute itself) —
-        the name the scenario pass matches against sanitizer hazards.
-        """
+    ) -> typing.Optional[str]:
+        """The description of the state snapshotted, or None."""
         if value is None:
             return None
         # yield from cache.probe(key) — the send-value, not a snapshot.
@@ -270,13 +262,12 @@ class Sim003StaleReadAcrossYield(Rule):
             if value.func.attr in _SNAPSHOT_METHODS:
                 chain = attribute_chain(value.func)
                 base = ".".join(chain[:-1]) if chain else "<cache>"
-                subject = chain[-2] if len(chain) >= 2 else value.func.attr
-                return f"{base}.{value.func.attr}(...)", subject
+                return f"{base}.{value.func.attr}(...)"
             return None
         if isinstance(value, ast.Attribute):
             if value.attr in _STATEFUL_ATTRS:
                 chain = attribute_chain(value)
-                return (".".join(chain) if chain else value.attr), value.attr
+                return ".".join(chain) if chain else value.attr
         return None
 
     @staticmethod

@@ -685,7 +685,3 @@ class BindServer(Service):
         else:
             reply = SerialResponse(STATUS_OK, zone.serial)
         self._reply(reply, responder)
-
-    def describe(self) -> str:
-        zones = ", ".join(str(z.origin) for z in self.zones)
-        return f"BindServer({self.name}; zones: {zones})"

@@ -48,6 +48,3 @@ class CredentialStore:
             return False
         expected = self._proofs.get(credentials.user)
         return expected is not None and expected == credentials.proof()
-
-    def __len__(self) -> int:
-        return len(self._proofs)

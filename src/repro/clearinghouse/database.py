@@ -69,6 +69,3 @@ class PropertyDatabase:
     def record_size(self, name: CHName, prop: str) -> int:
         """Bytes read from disk for one retrieval (value + overhead)."""
         return len(self.retrieve(name, prop)) + 64
-
-    def __len__(self) -> int:
-        return len(self._objects)

@@ -85,10 +85,6 @@ class CHReply:
     status: int
     value: bytes = b""
 
-    @property
-    def ok(self) -> bool:
-        return self.status == STATUS_OK
-
 
 class ClearinghouseServer(Service):
     """One Clearinghouse serving a set of (domain, organization) pairs."""
@@ -245,6 +241,3 @@ class ClearinghouseServer(Service):
     def _send_refusal(self, err: CHError, wire: int, responder) -> None:
         self.env.trace.emit("clearinghouse", f"{self.name}: error {err!r}")
         responder(CHReply(err.status), wire)
-
-    def describe(self) -> str:
-        return f"ClearinghouseServer({self.name}; {len(self.database)} objects)"

@@ -221,14 +221,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="override the grid's base seed",
     )
     p_bench.set_defaults(func=cmd_bench)
-
-    p_lint = sub.add_parser(
-        "lint",
-        help="run hnslint (same as python -m repro.analysis)",
-        add_help=False,
-    )
-    p_lint.add_argument("lint_args", nargs=argparse.REMAINDER)
-    p_lint.set_defaults(func=cmd_lint)
     return parser
 
 
@@ -297,13 +289,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
     return 1 if failed else 0
 
 
-def cmd_lint(args: argparse.Namespace) -> int:
-    """``lint``: pass everything through to :mod:`repro.analysis`."""
-    from repro.analysis import main as analysis_main
-
-    return analysis_main(args.lint_args)
-
-
 def cmd_list(args: argparse.Namespace) -> int:
     """``list``: browse the registered federation."""
     testbed = build_testbed(seed=args.seed)
@@ -316,14 +301,7 @@ def cmd_list(args: argparse.Namespace) -> int:
 
 def main(argv: typing.Optional[typing.Sequence[str]] = None) -> int:
     """Entry point; returns a process exit code."""
-    argv = list(sys.argv[1:] if argv is None else argv)
-    if argv and argv[0] == "lint":
-        # Delegate before argparse: REMAINDER would swallow a leading
-        # flag like --list-rules as if it were our own.
-        from repro.analysis import main as analysis_main
-
-        return analysis_main(argv[1:])
-    args = build_parser().parse_args(argv)
+    args = build_parser().parse_args(sys.argv[1:] if argv is None else argv)
     return args.func(args)
 
 

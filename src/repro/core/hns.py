@@ -130,9 +130,6 @@ class HNS:
             raise ValueError("locally linked NSM must share the HNS's host")
         self._local_nsms[nsm.name] = nsm
 
-    def unlink_local_nsm(self, name: str) -> None:
-        self._local_nsms.pop(name, None)
-
     # ------------------------------------------------------------------
     # FindNSM
     # ------------------------------------------------------------------

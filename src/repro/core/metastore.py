@@ -595,9 +595,11 @@ class MetaStore:
     def unregister(self, owner: str, rtype: RRType = RRType.UNSPEC) -> typing.Generator:
         if self.policies.update.active:
             op = UpdateOp(UpdateMode.DELETE, DomainName(owner), rtype)
-            yield from self._submit_op(op)
+            # Released first: a renewal tick while the DELETE is in
+            # flight would re-add the binding behind it.
             if self._lease_keeper is not None:
                 self._lease_keeper.release((str(op.name), rtype.value))
+            yield from self._submit_op(op)
             return
         yield from self.primary.update(UpdateMode.DELETE, owner, rtype)
         self.cache.invalidate((str(DomainName(owner)), rtype.value))

@@ -362,10 +362,6 @@ class LeaseKeeper:
         self._ops.clear()
         self.env.stats.counter("nsm.lease.stops").increment()
 
-    @property
-    def active(self) -> bool:
-        return self._running and bool(self._ops)
-
     def _loop(self) -> typing.Generator:
         while self._running and self._ops:
             yield self.env.timeout(self.interval_ms)

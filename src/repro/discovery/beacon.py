@@ -265,7 +265,6 @@ class BeaconService(Service):
         self.cache = DiscoveryCache(host.env, policy)
         self.incarnation = 1
         self._names: typing.Dict[str, str] = {}
-        self._running = True
         existing = host.service_at(LOCATOR_PORT)
         if isinstance(existing, NameOwnerService):
             self.owner_service = existing
@@ -295,24 +294,13 @@ class BeaconService(Service):
         self.owner_service.disown(name)
         return self._names.pop(name, None) is not None
 
-    def announced(self) -> typing.Dict[str, str]:
-        return dict(self._names)
-
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
-    def stop(self) -> None:
-        """Pause beaconing (the host stays up; for tests)."""
-        self._running = False
-
-    def start(self) -> None:
-        self._running = True
-
     def restart(self) -> None:
         """Model a host restart: bump the incarnation so listeners'
-        last-writer-wins reconciles to the new life, then resume."""
+        last-writer-wins reconciles to the new life."""
         self.incarnation += 1
-        self._running = True
         self.env.stats.counter("discovery.restarts").increment()
 
     # ------------------------------------------------------------------
@@ -328,7 +316,7 @@ class BeaconService(Service):
     def _beacon_loop(self) -> typing.Generator:
         while True:
             yield self.env.timeout(self._period_ms())
-            if not self._running or not self.host.is_up:
+            if not self.host.is_up:
                 continue
             beacon = PresenceBeacon.signed(
                 owner=self.host.name,
@@ -445,7 +433,7 @@ class BeaconService(Service):
                 name=name,
                 owner=self.host.name,
                 incarnation=self.incarnation,
-                alive=self._running and name in self._names,
+                alive=name in self._names,
             ),
             size_bytes=48,
         )

@@ -128,6 +128,3 @@ class HrpcServer(Service):
         else:
             reply = RpcReply(result)
         responder(reply, reply.result_size_bytes)
-
-    def describe(self) -> str:
-        return f"HrpcServer({self.name}; programs: {sorted(self._programs)})"

@@ -59,9 +59,6 @@ class Service:
         """
         raise NotImplementedError
 
-    def describe(self) -> str:
-        return type(self).__name__
-
 
 class Host:
     """One machine: CPU + disk + network presence + bound services."""

@@ -97,10 +97,6 @@ class Internetwork:
     def host_at(self, address: typing.Union[str, NetworkAddress]) -> typing.Optional[Host]:
         return self._hosts_by_address.get(getattr(address, "dotted", address))
 
-    @property
-    def hosts(self) -> typing.List[Host]:
-        return list(self._hosts_by_name.values())
-
     # ------------------------------------------------------------------
     # Routing
     # ------------------------------------------------------------------

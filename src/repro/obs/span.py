@@ -7,8 +7,7 @@ was waiting on it*.  The paper's "six sequential mappings" then stops
 being prose: it is the blocking chain of a traced cold ``FindNSM``
 (:mod:`repro.obs.critical_path`).
 
-Determinism contract (the same bar :class:`~repro.sim.kernel.
-KernelMonitor` meets):
+Determinism contract:
 
 - **Off by default, ~zero when off.**  Every instrumentation site is
   written guarded::
@@ -301,9 +300,6 @@ class Observability:
         self.sample_every = sample_every
         if metrics is not None:
             self.metrics = metrics
-
-    def disable(self) -> None:
-        self.enabled = False
 
     def clear(self) -> None:
         """Drop all finished spans (open spans keep recording)."""

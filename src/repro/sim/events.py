@@ -104,8 +104,6 @@ class Event:
             raise RuntimeError("event already triggered")
         self._value = value
         env = self.env
-        if env.monitor is not None:
-            env.monitor.event_triggered(self)
         eid = env._eid
         env._eid = eid + 1
         env._push((env._now, eid, self))
@@ -124,8 +122,6 @@ class Event:
         self._exception = exception
         self._value = None
         env = self.env
-        if env.monitor is not None:
-            env.monitor.event_triggered(self)
         eid = env._eid
         env._eid = eid + 1
         env._push((env._now, eid, self))
@@ -161,18 +157,8 @@ class Event:
         """Process a just-triggered event on the spot (no heap entry)."""
         callbacks = self.callbacks or ()
         self.callbacks = None
-        monitor = self.env.monitor
-        if monitor is None:
-            for callback in callbacks:
-                callback(self)
-            return
-        monitor.event_triggered(self)
-        monitor.event_processing(self)
-        try:
-            for callback in callbacks:
-                callback(self)
-        finally:
-            monitor.event_processed(self)
+        for callback in callbacks:
+            callback(self)
 
     def defuse(self) -> None:
         """Mark a failed event as handled (suppresses kernel surfacing)."""

@@ -35,18 +35,6 @@ from repro.sim.trace import Tracer
 #: cohorts in a seeded shuffled order.
 DEFAULT_PERTURB_SEED: typing.Optional[int] = None
 
-#: Optional factory consulted at :class:`Environment` construction: when
-#: set, every new environment gets ``monitor = factory(env)`` before any
-#: event is scheduled.  This is how the scenario pass attaches an
-#: :class:`~repro.analysis.sanitizer.InterleavingSanitizer` to the
-#: environments a scenario builder creates internally, without the
-#: builder knowing.  Monitors installed this way must be passive, like
-#: any :class:`KernelMonitor`.
-DEFAULT_MONITOR_FACTORY: typing.Optional[
-    typing.Callable[["Environment"], "KernelMonitor"]
-] = None
-
-
 #: A ``Timeout`` of at least this many ms is a *standing* timer (a lease,
 #: a TTL, a deadline) and queues in its delay's :class:`_Lane`.  Either
 #: side of the line is correct — below it a timer pays the heap's depth,
@@ -89,53 +77,6 @@ class _Lane:
             self.env._push(entry)
         else:  # or every unique long delay would leak a lane
             del self.env._lanes[self.delay]
-
-
-class KernelMonitor:
-    """Observer hooks the kernel calls when one is attached.
-
-    The interleaving sanitizer (:mod:`repro.analysis.sanitizer`)
-    subclasses this to reconstruct happens-before ordering between
-    process segments.  Every hook is a no-op here, and no hook is
-    invoked at all unless :attr:`Environment.monitor` is set — the
-    instrumentation is off by default, and the ``monitor is None``
-    check is hoisted out of the per-event path: ``run()`` selects a
-    monitored or unmonitored inner loop once, up front.
-
-    Monitors must be *passive*: they may record what they see but must
-    never schedule events, trigger events, or otherwise perturb the run,
-    or they would break the determinism they exist to check.
-
-    Both pairs of hooks nest.  A process started with ``inline=True``
-    runs its first segment inside its starter's, so ``segment_begin`` /
-    ``segment_end`` bracket like parentheses and the enclosing segment
-    is current again afterwards; an event triggered with
-    ``succeed_now`` / ``fail_now`` is processed inside its cause's
-    callbacks, so ``event_processing`` / ``event_processed`` do too.
-    """
-
-    def segment_begin(self, process: Process) -> None:
-        """``process`` is starting or resuming: a new segment
-        (yield-to-yield) starts, possibly inside another process's."""
-
-    def segment_end(self, process: Process) -> None:
-        """``process`` suspended (or finished): its current segment ends."""
-
-    def event_triggered(self, event: Event) -> None:
-        """``succeed``/``fail`` (or their ``_now`` forms) was called on
-        ``event``, or ``event`` is a :meth:`Environment.call_later`
-        timeout or a resource charge's hold being scheduled: the
-        current segment is the cause of whatever ``event`` resumes."""
-
-    def note_resume(self, process: Process, event: Event) -> None:
-        """``event`` is about to resume ``process``."""
-
-    def event_processing(self, event: Event) -> None:
-        """``event``'s callbacks are about to run (from the heap, or on
-        the spot for an inline trigger, right after ``event_triggered``)."""
-
-    def event_processed(self, event: Event) -> None:
-        """``event``'s callbacks have run."""
 
 
 class Environment:
@@ -186,11 +127,6 @@ class Environment:
         #: Span-based causal tracing (:mod:`repro.obs`); off by default
         #: and digest-neutral when enabled.
         self.obs = Observability(self)
-        #: Optional :class:`KernelMonitor`; None (the default) disables
-        #: all instrumentation.
-        self.monitor: typing.Optional[KernelMonitor] = None
-        if DEFAULT_MONITOR_FACTORY is not None:
-            self.monitor = DEFAULT_MONITOR_FACTORY(self)
 
     # ------------------------------------------------------------------
     # Clock
@@ -227,14 +163,10 @@ class Environment:
         One heap entry and no process: the primitive for a hop that
         only waits and then acts (a wire trip, a reply trip) — what a
         real-socket runtime would hand to ``loop.call_later``.  The
-        callback runs in no process (``active_process`` is None) and
-        continues the segment that scheduled it, which is what the
-        monitor is told.
+        callback runs in no process (``active_process`` is None).
         """
         timeout = Timeout(self, delay, value)
         timeout.callbacks.append(callback)
-        if self.monitor is not None:
-            self.monitor.event_triggered(timeout)
         return timeout
 
     def process(
@@ -274,16 +206,7 @@ class Environment:
         if entry is None:
             raise SimulationError("step() on an empty event queue")
         self._now = entry[0]
-        event = entry[2]
-        monitor = self.monitor
-        if monitor is not None:
-            monitor.event_processing(event)
-            try:
-                event._process()
-            finally:
-                monitor.event_processed(event)
-        else:
-            event._process()
+        entry[2]._process()
 
     def run(
         self,
@@ -296,9 +219,8 @@ class Environment:
         - ``until=<Event>``: run until that event has been processed and
           return its value (raising its exception if it failed).
 
-        With no monitor attached the kernel pops the heap directly with
-        events' callbacks inlined (:meth:`_drain`); with one, every
-        event goes through :meth:`step` and its hooks.
+        The kernel pops the heap directly with events' callbacks
+        inlined (:meth:`_drain`).
         """
         target: typing.Optional[Event] = None
         horizon = float("inf")
@@ -317,14 +239,7 @@ class Environment:
                 raise SimulationError(
                     f"run(until={horizon}) is in the past (now={self._now})"
                 )
-        if self.monitor is None:
-            self._drain(target, horizon)
-        else:
-            queue = self._queue
-            while len(queue) and queue.peek() <= horizon:
-                self.step()
-                if target is not None and target.processed:
-                    break
+        self._drain(target, horizon)
         if target is not None:
             if not target.processed:
                 raise SimulationError(
@@ -350,7 +265,7 @@ class Environment:
             self._push(entry)
 
     def _drain(self, target: typing.Optional[Event], horizon: float) -> None:
-        """Monitor-free inner loop: pop the heap, run callbacks inline.
+        """The run loop: pop the heap, run callbacks inline.
 
         The heap is globally ordered, so anything a callback schedules
         simply sorts into place before the next pop.  Stops when the

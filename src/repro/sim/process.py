@@ -74,8 +74,6 @@ class Process(Event):
         self._target = start = Event(env)
         start.callbacks.append(self._resume)
         start._value = None
-        if env.monitor is not None:
-            env.monitor.event_triggered(start)
         eid = env._eid
         env._eid = eid + 1
         env._push((env._now, eid, start))
@@ -120,11 +118,6 @@ class Process(Event):
         its exception thrown.  ``None`` is an inline start.
         """
         env = self.env
-        monitor = env.monitor
-        if monitor is not None:
-            if event is not None:
-                monitor.note_resume(self, event)
-            monitor.segment_begin(self)
         # Saved, not cleared: an inline start nests this segment inside
         # the caller's, which is the active process again afterwards.
         enclosing = env._active_process
@@ -140,21 +133,16 @@ class Process(Event):
         except StopIteration as stop:
             if self.callbacks:
                 self.succeed(stop.value)
-            elif monitor is None:
-                # Nobody waits, nobody watches: processed in place, no
-                # exit event.
+            else:
+                # Nobody waits: processed in place, no exit event.
                 self._value = stop.value
                 self.callbacks = None
-            else:
-                self.succeed_now(stop.value)
             return
         except BaseException as exc:
             self.fail(exc)
             return
         finally:
             env._active_process = enclosing
-            if monitor is not None:
-                monitor.segment_end(self)
         if not isinstance(target, Event):
             # Surface inside the generator so user code sees a clear
             # error: the next segment's input is an event that failed.

@@ -31,7 +31,7 @@ _INF = float("inf")
 class HeapQueue:
     """One binary heap of (time, eid, event).
 
-    ``heap`` is the raw ``heapq`` list: the kernel's unmonitored drain
+    ``heap`` is the raw ``heapq`` list: the kernel's drain
     pops it directly.  ``heappush`` is C ``heappush`` bound to that
     list, so scheduling an entry is one C call; everything else goes
     through the methods.

@@ -173,8 +173,6 @@ class Resource:
             charge.held = True
             charge._value = None
             charge.callbacks.append(self._free)
-            if env.monitor is not None:
-                env.monitor.event_triggered(charge)
             eid = env._eid
             env._eid = eid + 1
             env._push((env._now + service_ms, eid, charge))
@@ -196,8 +194,6 @@ class Resource:
             return
         charge._value = None
         charge.callbacks.insert(0, self._free)
-        if env.monitor is not None:
-            env.monitor.event_triggered(charge)
         eid = env._eid
         env._eid = eid + 1
         env._push((env._now + remaining, eid, charge))
@@ -262,8 +258,6 @@ class Resource:
             env = self.env
             req._value = None
             req.callbacks.insert(0, self._free)
-            if env.monitor is not None:
-                env.monitor.event_triggered(req)
             eid = env._eid
             env._eid = eid + 1
             env._push((env._now + req.remaining, eid, req))

@@ -11,17 +11,10 @@ instead of being recomputed per property access, and
 ``bisect`` over a linear scan — with arithmetic chosen to be
 bit-identical to the original scans (the regression tests pin that).
 
-:class:`Timer` has two modes:
-
-- **exact** (the default): keeps every sample, so percentiles are
-  exact and ``samples`` stays inspectable.  Running totals use the same
-  left-to-right float summation the original ``sum(samples)`` did, so
-  snapshots are bit-identical to the seed implementation.
-- **streaming** (``streaming=True``): drops the sample list entirely,
-  keeping running moments plus a geometric bucket ladder with ratio
-  ``2**(1/8)`` per bucket — quantile estimates are within ~±4.4% of the
-  true value (half a bucket), memory is O(distinct magnitudes), and a
-  million-client scenario no longer holds a million floats per timer.
+:class:`Timer` keeps every sample, so percentiles are exact and
+``samples`` stays inspectable.  Running totals use the same
+left-to-right float summation the original ``sum(samples)`` did, so
+snapshots are bit-identical to the seed implementation.
 """
 
 from __future__ import annotations
@@ -35,11 +28,6 @@ if typing.TYPE_CHECKING:  # pragma: no cover
     from repro.sim.kernel import Environment
 
 _INF = float("inf")
-
-#: Streaming-mode bucket ratio: 8 buckets per octave (~9% wide), so a
-#: quantile estimate is at most ~4.4% off the true sample value.
-_STREAM_RATIO = 2.0 ** 0.125
-_LOG_RATIO = math.log(_STREAM_RATIO)
 
 
 class Counter:
@@ -65,41 +53,18 @@ class Timer:
     """Accumulates durations (ms) and summarises them.
 
     ``count``/``total``/``minimum``/``maximum`` are running aggregates
-    (O(1) per access).  ``percentile`` is exact when the sample list is
-    kept (the default) and a geometric-bucket estimate in streaming
-    mode (see module docstring for the accuracy bound).
+    (O(1) per access); ``percentile`` is exact.
     """
 
-    __slots__ = (
-        "name",
-        "streaming",
-        "samples",
-        "_count",
-        "_total",
-        "_min",
-        "_max",
-        "_sumsq",
-        "_zero",
-        "_buckets",
-    )
+    __slots__ = ("name", "samples", "_count", "_total", "_min", "_max")
 
-    def __init__(self, name: str, streaming: bool = False):
+    def __init__(self, name: str):
         self.name = name
-        self.streaming = streaming
-        #: Exact mode keeps every sample; streaming mode keeps none.
-        self.samples: typing.Optional[typing.List[float]] = (
-            None if streaming else []
-        )
+        self.samples: typing.List[float] = []
         self._count = 0
         self._total = 0.0
         self._min = _INF
         self._max = -_INF
-        # Streaming-only state.
-        self._sumsq = 0.0
-        self._zero = 0
-        self._buckets: typing.Optional[typing.Dict[int, int]] = (
-            {} if streaming else None
-        )
 
     def record(self, duration_ms: float) -> None:
         if not duration_ms >= 0:  # also refuses NaN, which compares false
@@ -112,16 +77,7 @@ class Timer:
             self._min = duration_ms
         if duration_ms > self._max:
             self._max = duration_ms
-        if self.samples is not None:
-            self.samples.append(duration_ms)
-        else:
-            self._sumsq += duration_ms * duration_ms
-            if duration_ms > 0.0:
-                bucket = math.floor(math.log(duration_ms) / _LOG_RATIO)
-                buckets = self._buckets
-                buckets[bucket] = buckets.get(bucket, 0) + 1  # type: ignore[index]
-            else:
-                self._zero += 1
+        self.samples.append(duration_ms)
 
     @property
     def count(self) -> int:
@@ -150,17 +106,12 @@ class Timer:
         return self._max
 
     def percentile(self, p: float) -> float:
-        """Percentile, ``p`` in [0, 100].
-
-        Exact (linear interpolation over the sorted samples) in exact
-        mode; a geometric-bucket estimate in streaming mode.
-        """
+        """Percentile, ``p`` in [0, 100]: linear interpolation over the
+        sorted samples."""
         if not self._count:
             raise ValueError(f"timer {self.name!r} has no samples")
         if not 0 <= p <= 100:
             raise ValueError(f"percentile out of range: {p}")
-        if self.samples is None:
-            return self._estimate_percentile(p)
         return self._percentile_sorted(sorted(self.samples), p)
 
     @staticmethod
@@ -179,56 +130,27 @@ class Timer:
         # bracketing samples.
         return min(max(value, ordered[low]), ordered[high])
 
-    def _estimate_percentile(self, p: float) -> float:
-        """Streaming-mode estimate from the geometric bucket ladder."""
-        if p == 0:
-            return self._min
-        if p == 100:
-            return self._max
-        rank = (p / 100) * self._count
-        cumulative = self._zero
-        if rank <= cumulative:
-            return max(0.0, self._min)
-        for bucket in sorted(self._buckets):  # type: ignore[arg-type]
-            count = self._buckets[bucket]  # type: ignore[index]
-            if cumulative + count >= rank:
-                # Bucket k covers (ratio**k, ratio**(k+1)]; interpolate
-                # geometrically within it.
-                frac = (rank - cumulative) / count
-                value = _STREAM_RATIO ** (bucket + frac)
-                return min(max(value, self._min), self._max)
-            cumulative += count
-        return self._max  # pragma: no cover - rank <= count always hits
-
     @property
     def stdev(self) -> float:
         if self._count < 2:
             return 0.0
-        if self.samples is not None:
-            # Two-pass formula, unchanged from the seed implementation.
-            mean = self.mean
-            var = sum((s - mean) ** 2 for s in self.samples) / (self._count - 1)
-            return math.sqrt(var)
-        mean = self._total / self._count
-        var = (self._sumsq - self._count * mean * mean) / (self._count - 1)
-        return math.sqrt(max(var, 0.0))
+        # Two-pass formula, unchanged from the seed implementation.
+        mean = self.mean
+        var = sum((s - mean) ** 2 for s in self.samples) / (self._count - 1)
+        return math.sqrt(var)
 
     def snapshot(self) -> typing.Dict[str, float]:
         """Summary statistics as plain data (empty-safe).
 
-        Exact mode sorts the sample list once and derives both
-        percentiles from it (the seed version paid two full sorts, one
-        per ``percentile()`` call).
+        Sorts the sample list once and derives both percentiles from it
+        (the seed version paid two full sorts, one per ``percentile()``
+        call).
         """
         if not self._count:
             return {"count": 0.0, "total": 0.0}
-        if self.samples is None:
-            p50 = self._estimate_percentile(50)
-            p99 = self._estimate_percentile(99)
-        else:
-            ordered = sorted(self.samples)
-            p50 = self._percentile_sorted(ordered, 50)
-            p99 = self._percentile_sorted(ordered, 99)
+        ordered = sorted(self.samples)
+        p50 = self._percentile_sorted(ordered, 50)
+        p99 = self._percentile_sorted(ordered, 99)
         return {
             "count": float(self._count),
             "total": self._total,
@@ -371,15 +293,10 @@ class StatsRegistry:
             counter = self._counters[name] = Counter(name)
         return counter
 
-    def timer(self, name: str, streaming: bool = False) -> Timer:
+    def timer(self, name: str) -> Timer:
         timer = self._timers.get(name)
         if timer is None:
-            timer = self._timers[name] = Timer(name, streaming=streaming)
-        elif streaming and not timer.streaming:
-            raise ValueError(
-                f"timer {name!r} already exists in exact mode; "
-                "streaming must be chosen at first use"
-            )
+            timer = self._timers[name] = Timer(name)
         return timer
 
     def histogram(self, name: str, bounds: typing.Sequence[float]) -> Histogram:

@@ -815,9 +815,6 @@ def build_million_client_zipf(
     hits = stats.counter("sim.mclient.cache_hits")
     misses = stats.counter("sim.mclient.cache_misses")
     evictions = stats.counter("sim.mclient.ttl_evictions")
-    # Streaming: a million samples per timer is exactly the memory bloat
-    # the streaming mode exists to avoid.
-    latency = stats.timer("sim.mclient.latency", streaming=True)
     arrivals = env.rng.stream("mclient.arrivals")
     picks = env.rng.stream("mclient.zipf")
     lookups = env.rng.stream("mclient.lookup")
@@ -840,13 +837,10 @@ def build_million_client_zipf(
             hits.increment()
             # Cache hit: zero-delay turnaround.
             yield env.timeout(0.0)
-            latency.record(0.0)
         else:
             misses.increment()
-            start = env.now
             yield env.timeout(lookups.uniform(lookup_min_ms, lookup_max_ms))
             cache[context_id] = env.now + ttl_ms
-            latency.record(env.now - start)
         state["completed"] += 1
         if state["completed"] == clients:
             done.succeed(None)

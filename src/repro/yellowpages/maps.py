@@ -38,9 +38,6 @@ class YpMap:
     def keys(self) -> typing.List[str]:
         return sorted(self._entries)
 
-    def __len__(self) -> int:
-        return len(self._entries)
-
 
 class YpDomain:
     """A YP domain: the collection of maps one server is master for."""

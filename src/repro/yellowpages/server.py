@@ -45,10 +45,6 @@ class YpReply:
     value: str = ""
     values: typing.Tuple[str, ...] = ()
 
-    @property
-    def ok(self) -> bool:
-        return self.status == STATUS_OK
-
 
 class YpServer(Service):
     """Serves one or more YP domains."""
@@ -107,6 +103,3 @@ class YpServer(Service):
         except YpError as err:
             self.env.trace.emit("yp", f"{self.name}: {err!r}")
             responder(YpReply(err.status), 16)
-
-    def describe(self) -> str:
-        return f"YpServer({self.name}; domains: {sorted(self.domains)})"

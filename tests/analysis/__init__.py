@@ -1,1 +1,1 @@
-"""hnslint + sanitizer + scenario pass tests."""
+"""hnslint + scenario pass tests."""

@@ -1,4 +1,4 @@
-"""The scenario pass: perturbation, race confirmation, the v3 report."""
+"""The scenario pass: perturbation, seeds, gating and the v4 report."""
 
 import json
 import textwrap
@@ -7,20 +7,19 @@ import pytest
 
 from repro.analysis.__main__ import run
 from repro.analysis.determinism import (
-    CONFIRMED,
     PERTURB_RUNS,
-    UNCONFIRMED,
     check_scenario,
     check_scenarios,
     run_digest,
     select_scenarios,
 )
-from repro.analysis.perturb import derive_seed, monitored, perturbed
-from repro.analysis.sanitizer import InterleavingSanitizer
-from repro.sim import Environment
+from repro.analysis.perturb import derive_seed, perturbed
+from repro.net import DatagramTransport, Internetwork, Service
+from repro.sim import ConstantLatency, Environment
+from repro.sim.kernel import STANDING_MS
 from repro.workloads import scenarios as scenario_registry
 
-#: A lease-renewal race SIM005 finds statically (subject: _leases).
+#: A lease-renewal race SIM005 finds statically.
 RACY_SOURCE = """\
 class LeaseTable:
     def _persist(self):
@@ -45,58 +44,6 @@ class LeaseTable:
         expiry = self._leases[name]
         self._leases[name] = expiry + extend_ms
 """
-
-
-def planted_race_builder(seed):
-    """Two unsynchronized processes touching a watched lease table.
-
-    The watch label is the shared attribute's name — the convention the
-    scenario pass uses to match hazards against static finding subjects.
-    """
-    env = Environment(seed=seed)
-    env.trace.enabled = True
-    table = {"printer": 100}
-    if isinstance(env.monitor, InterleavingSanitizer):
-        table = env.monitor.watch(table, "_leases")
-
-    def renewer():
-        yield env.timeout(5)
-        table["printer"] = 200
-        env.trace.emit("test", "renewed")
-
-    def sweeper():
-        yield env.timeout(5)
-        _ = table["printer"]
-        env.trace.emit("test", "swept")
-
-    env.process(renewer(), name="renewer")
-    env.process(sweeper(), name="sweeper")
-    env.run()
-    return env
-
-
-def synchronized_builder(seed):
-    """The same accesses, ordered through an event: no hazard."""
-    env = Environment(seed=seed)
-    env.trace.enabled = True
-    table = {"printer": 100}
-    if isinstance(env.monitor, InterleavingSanitizer):
-        table = env.monitor.watch(table, "_leases")
-    gate = env.event()
-
-    def renewer():
-        yield env.timeout(5)
-        table["printer"] = 200
-        gate.succeed(None)
-
-    def sweeper():
-        yield gate
-        _ = table["printer"]
-
-    env.process(renewer(), name="renewer")
-    env.process(sweeper(), name="sweeper")
-    env.run()
-    return env
 
 
 def cohort_builder(seed):
@@ -173,89 +120,90 @@ def test_distinct_seeds_give_distinct_schedules():
     assert len(digests) == 3
 
 
-def test_sanitizer_attachment_is_digest_passive():
-    plain = run_digest(planted_race_builder(0))
-    with monitored(lambda env: InterleavingSanitizer(env)):
-        watched = run_digest(planted_race_builder(0))
-    assert plain == watched
-
-
 def test_derive_seed_is_stable_and_distinct():
     assert derive_seed(0, 0) == derive_seed(0, 0)
     assert derive_seed(0, 0) != derive_seed(0, 1)
     assert derive_seed(0, 0) != derive_seed(1, 0)
 
 
+def test_perturbed_queue_still_shuffles_wire_timeouts_landing_together():
+    """The cohort the scenario pass permutes is the wire Timeouts; no
+    start event is needed for two same-instant deliveries to swap."""
+
+    def delivery_order(perturb_seed):
+        env = Environment(seed=0, perturb_seed=perturb_seed)
+        net = Internetwork(env)
+        segment = net.add_segment(latency=ConstantLatency(2.0))
+        hosts = [net.add_host(f"h{i}", segment) for i in range(4)]
+        udp = DatagramTransport(net)
+        order = []
+
+        class Recorder(Service):
+            def handle(self, datagram, responder):
+                order.append(datagram.payload)
+                return
+                yield
+
+        endpoint = hosts[3].bind(9000, Recorder())
+        for index, host in enumerate(hosts[:3]):
+            for copy in range(3):
+                env.process(udp.send(host, endpoint, (index, copy), 32))
+        env.run()
+        assert env.now == 2.0
+        return order
+
+    fifo = delivery_order(None)
+    assert fifo == sorted(fifo)
+    shuffled = {tuple(delivery_order(seed)) for seed in range(6)}
+    assert all(sorted(order) == fifo for order in shuffled)
+    assert len(shuffled) > 1 and tuple(fifo) not in shuffled
+
+
+def test_perturbed_queue_still_shuffles_standing_timers_armed_together():
+    """Under a perturbation seed no timer waits in a FIFO lane: two
+    leases armed at one instant with one delay are a cohort the
+    scenario pass must be able to swap."""
+
+    def expiry_order(perturb_seed):
+        env = Environment(seed=0, perturb_seed=perturb_seed)
+        order = []
+        for lease in range(4):
+            env.call_later(STANDING_MS, lambda _t, lease=lease: order.append(lease))
+        assert bool(env._lanes) == (perturb_seed is None)
+        env.run()
+        assert env.now == STANDING_MS
+        return tuple(order)
+
+    assert expiry_order(None) == (0, 1, 2, 3)
+    shuffled = {expiry_order(seed) for seed in range(6)}
+    assert len(shuffled) > 1 and (0, 1, 2, 3) not in shuffled
+
+
 # ----------------------------------------------------------------------
 # One scenario's six runs
 # ----------------------------------------------------------------------
-def test_race_scenario_reports_hazard_and_ok():
-    check, hazards = check_scenario("planted", planted_race_builder, seed=0)
-    assert check.ok
-    assert check.hazard_count == len(hazards) >= 1
-    assert any(h.label == "_leases" for h in hazards)
-
-
-def test_race_scenario_synchronized_is_hazard_free():
-    check, hazards = check_scenario("sync", synchronized_builder, seed=0)
-    assert check.ok
-    assert hazards == []
-
-
 def test_cohort_scenario_is_perturbation_effective():
-    check, _ = check_scenario("cohort", cohort_builder, seed=0)
+    check = check_scenario("cohort", cohort_builder, seed=0)
     assert check.ok
     assert check.perturbation_effective
     assert check.digest_traced == check.digest_plain
 
 
 # ----------------------------------------------------------------------
-# The one command: confirmation and gating
+# The one command: gating and the report
 # ----------------------------------------------------------------------
-def test_planted_race_is_confirmed(tmp_path, monkeypatch, capsys):
-    scenarios = {"planted": planted_race_builder}
-    code, payload = _check_json(
-        tmp_path, monkeypatch, capsys, RACY_SOURCE, scenarios
-    )
-    assert code == 1  # findings gate the run, confirmed or not
-    assert payload["ok"] is False
-    assert len(payload["findings"]) == 1
-    finding = payload["findings"][0]
-    assert finding["rule"] == "SIM005"
-    assert finding["status"] == CONFIRMED
-    assert finding["witnesses"]
-    assert "_leases" in finding["witnesses"][0]
-    assert payload["scenarios"][0]["ok"]
-    _, text = _check(tmp_path, monkeypatch, capsys, RACY_SOURCE, scenarios)
-    assert "[CONFIRMED]" in text
-    assert "witness:" in text
-
-
 def test_clean_variant_has_zero_findings(tmp_path, monkeypatch, capsys):
     code, payload = _check_json(
-        tmp_path, monkeypatch, capsys, CLEAN_SOURCE,
-        {"planted": planted_race_builder},
+        tmp_path, monkeypatch, capsys, CLEAN_SOURCE, {"cohort": cohort_builder},
     )
     assert code == 0
     assert payload["findings"] == []
     assert payload["ok"] is True
 
 
-def test_static_finding_without_witness_is_unconfirmed(
-    tmp_path, monkeypatch, capsys
-):
-    _, payload = _check_json(
-        tmp_path, monkeypatch, capsys, RACY_SOURCE,
-        {"sync": synchronized_builder},
-    )
-    assert len(payload["findings"]) == 1
-    assert payload["findings"][0]["status"] == UNCONFIRMED
-    assert payload["findings"][0]["witnesses"] == []
-
-
 def test_run_racer_rejects_unknown_scenario():
-    with pytest.raises(KeyError, match="known: planted"):
-        select_scenarios(["nope"], {"planted": planted_race_builder})
+    with pytest.raises(KeyError, match="known: cohort"):
+        select_scenarios(["nope"], {"cohort": cohort_builder})
 
 
 def _reject_constant(name):
@@ -263,8 +211,8 @@ def _reject_constant(name):
 
 
 def test_racer_report_json_round_trip(tmp_path, monkeypatch, capsys):
-    """The v3 report is strict JSON and byte-stable across two runs."""
-    scenarios = {"planted": planted_race_builder, "cohort": cohort_builder}
+    """The v4 report is strict JSON and byte-stable across two runs."""
+    scenarios = {"cohort": cohort_builder, "replayed": cohort_builder}
     outputs = [
         _check(
             tmp_path, monkeypatch, capsys, RACY_SOURCE, scenarios,
@@ -274,22 +222,25 @@ def test_racer_report_json_round_trip(tmp_path, monkeypatch, capsys):
     ]
     assert outputs[0] == outputs[1]
     payload = json.loads(outputs[0], parse_constant=_reject_constant)
-    assert payload["version"] == 3
+    assert payload["version"] == 4
     assert payload["tool"] == "hnslint"
-    assert [s["scenario"] for s in payload["scenarios"]] == ["cohort", "planted"]
+    assert payload["ok"] is False  # the SIM005 finding gates the run
+    (finding,) = payload["findings"]
+    assert finding["rule"] == "SIM005"
+    assert sorted(finding) == ["col", "line", "message", "path", "rule", "snippet"]
+    assert "hazards" not in payload
+    assert [s["scenario"] for s in payload["scenarios"]] == ["cohort", "replayed"]
     for scenario in payload["scenarios"]:
+        assert scenario["ok"]
         assert scenario["seed"] == 3
         assert scenario["perturb_seeds"] == [
             derive_seed(3, i) for i in range(PERTURB_RUNS)
         ]
         assert len(scenario["digests_perturbed"]) == PERTURB_RUNS
-    assert payload["hazards"] and all(
-        h["scenario"] == "planted" for h in payload["hazards"]
-    )
 
 
 def test_racer_is_deterministic_across_runs():
-    scenarios = {"planted": planted_race_builder}
+    scenarios = {"cohort": cohort_builder}
     first = check_scenarios(scenarios, seed=7)
     second = check_scenarios(scenarios, seed=7)
     assert first == second

@@ -135,7 +135,7 @@ def test_hns003_accepts_the_sim_kernel_families():
             self.env.stats.counter("sim.kernel.events_scheduled").increment()
             self.env.stats.counter("sim.kernel.events_processed").increment()
             self.env.stats.counter("sim.mclient.cache_hits").increment()
-            self.env.stats.timer("sim.mclient.latency", streaming=True)
+            self.env.stats.timer("sim.mclient.latency")
         """,
         Hns003StatNameConvention,
     )

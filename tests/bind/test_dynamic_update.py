@@ -212,6 +212,29 @@ def test_lease_renewal_keeps_the_binding_alive_until_the_owner_dies():
     assert env.stats.counters()["bind.update.lease_expirations"] >= 1
 
 
+@pytest.mark.parametrize("batch", [True, False], ids=["batched", "unbatched"])
+@pytest.mark.parametrize("offset_ms", [0, 3, 6, 9, 12, 20])
+def test_unregister_is_not_undone_by_a_renewal_in_flight(batch, offset_ms):
+    """Unregistering ``offset_ms`` before the renewal tick: the DELETE
+    waits out the batch window and its round trip, and a renewal sent
+    meanwhile must not re-add the binding behind it."""
+    update = UpdatePolicy(invalidation="lease", lease_ms=2_000.0, batch=batch)
+    testbed = build_testbed(seed=5, update_policy=update)
+    env = testbed.env
+    store = testbed.make_metastore(
+        testbed.agent_host,
+        policies=PolicySet(resolution=DEFAULT_RESOLUTION_POLICY, update=update),
+    )
+    run(env, store.register_context("leased", "BIND-cs"))
+    zone = testbed.meta_server.zones[0]
+    assert zone.contains("leased.ctx.hns", RRType.UNSPEC)
+    idle(env, 1_000.0 - offset_ms)  # renewals tick every lease_ms / 2
+    run(env, store.unregister("leased.ctx.hns"))
+    for settle_ms in (50.0, 950.0, 900.0):  # 50, 1 000, 1 900 ms after
+        idle(env, settle_ms)
+        assert not zone.contains("leased.ctx.hns", RRType.UNSPEC)
+
+
 # ----------------------------------------------------------------------
 # NOTIFY fan-out and IXFR pulls
 # ----------------------------------------------------------------------

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.sim import Environment, Interrupt
-from repro.sim.kernel import STANDING_MS, KernelMonitor
+from repro.sim.kernel import STANDING_MS
 
 INF = float("inf")
 
@@ -307,22 +307,12 @@ def test_a_head_whose_callback_raises_has_already_promoted_its_successor():
 def test_promotion_happens_inside_the_heads_processing_bracket():
     env = Environment()
     trail = []
-
-    class Brackets(KernelMonitor):
-        def event_processing(self, event):
-            trail.append(("begin", event.delay, len(env._queue.heap)))
-
-        def event_processed(self, event):
-            trail.append(("end", event.delay, len(env._queue.heap)))
-
     timers = [env.timeout(STANDING_MS) for _ in range(3)]
-    env.monitor = Brackets()
+    for timer in timers:
+        timer.callbacks.append(lambda _t: trail.append(len(env._queue.heap)))
     env.run()
-    # The head has left the heap when its bracket opens; its successor
-    # is in before the bracket closes; the last one empties the lane.
-    assert trail == [
-        ("begin", STANDING_MS, 0), ("end", STANDING_MS, 1),
-        ("begin", STANDING_MS, 0), ("end", STANDING_MS, 1),
-        ("begin", STANDING_MS, 0), ("end", STANDING_MS, 0),
-    ]
+    # The lane's advance is the head's callback 0, so its successor is
+    # in the heap before any other callback runs; the last one empties
+    # the lane.
+    assert trail == [1, 1, 0]
     assert all(timer.processed for timer in timers) and not env._lanes

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.sim import CPU, Disk, Environment, Interrupt, Resource
-from repro.sim.kernel import KernelMonitor
+from repro.sim.process import Process
 from repro.sim.resources import BACKGROUND_PATIENCE, BACKGROUND_SLICE_MS, Charge
 
 
@@ -194,23 +194,27 @@ def test_uncontended_use_schedules_exactly_one_kernel_event():
 # ----------------------------------------------------------------------
 # The charge budget: heap entries and wake-ups of the waiter
 # ----------------------------------------------------------------------
-class _Segments(KernelMonitor):
-    """Counts each process's segments: its start plus every wake-up."""
+def _count_segments(monkeypatch):
+    """Each process's segments by name: its start plus every wake-up,
+    one ``Process._resume`` call each."""
+    begun = collections.Counter()
+    resume = Process._resume
 
-    def __init__(self):
-        self.begun = collections.Counter()
+    def counted(self, event=None):
+        begun[self.name] += 1
+        resume(self, event)
 
-    def segment_begin(self, process):
-        self.begun[process.name] += 1
+    monkeypatch.setattr(Process, "_resume", counted)
+    return begun
 
 
 def _scheduled(env):
     return env.kernel_counters()["sim.kernel.events_scheduled"]
 
 
-def test_contended_charge_is_one_heap_entry_and_one_wakeup():
+def test_contended_charge_is_one_heap_entry_and_one_wakeup(monkeypatch):
+    begun = _count_segments(monkeypatch)
     env = Environment()
-    env.monitor = monitor = _Segments()
     res = Resource(env)
     scheduled = []
 
@@ -229,12 +233,14 @@ def test_contended_charge_is_one_heap_entry_and_one_wakeup():
     # Its hold, scheduled by the holder's release: no grant event, and
     # no wake-up just to start the hold (2 and 2 before).
     assert scheduled == [1]
-    assert monitor.begun["waiter"] - 1 == 1
+    assert begun["waiter"] - 1 == 1
 
 
-def test_background_job_is_idle_check_plus_one_entry_and_no_wakeup_per_slice():
+def test_background_job_is_idle_check_plus_one_entry_and_no_wakeup_per_slice(
+    monkeypatch,
+):
+    begun = _count_segments(monkeypatch)
     env = Environment()
-    env.monitor = monitor = _Segments()
     res = Resource(env)
     slices = 3
     scheduled = []
@@ -248,7 +254,7 @@ def test_background_job_is_idle_check_plus_one_entry_and_no_wakeup_per_slice():
     env.run()
     assert env.now == (slices - 0.5) * BACKGROUND_SLICE_MS
     assert scheduled == [1 + slices]  # was 2 + n: a grant event as well
-    assert monitor.begun["job"] - 1 == 1  # was 1 + n: woken per slice
+    assert begun["job"] - 1 == 1  # was 1 + n: woken per slice
 
 
 def test_zero_cost_charge_on_a_free_unit_schedules_nothing():
@@ -488,30 +494,13 @@ _ACTORS = st.lists(
 )
 
 
-class _Recording(KernelMonitor):
-    """A passive monitor that only counts the hooks it is given."""
-
-    def __init__(self):
-        self.hooks = collections.Counter()
-
-    def event_triggered(self, event):
-        self.hooks["triggered"] += 1
-
-    def event_processing(self, event):
-        self.hooks["processing"] += 1
-
-    def segment_begin(self, process):
-        self.hooks["segments"] += 1
-
-
-def _run_schedule(capacity, actors, monitor=None, stepped=True):
+def _run_schedule(capacity, actors, stepped=True):
     """Run ``actors`` on one resource; returns the actors' event log.
 
     Stepped, it checks the resource's bookkeeping after every kernel
     step and, at the end, the order and length of the foreground grants.
     """
     env = Environment()
-    env.monitor = monitor
     res = Resource(env, capacity=capacity)
     log = []
     #: (actor, claim, foreground, cost) in the order the claims were made
@@ -590,7 +579,5 @@ def test_charges_under_generated_schedules(capacity, actors):
     # every actor ends exactly once, done or interrupted
     ends = [i for _, i, what in log if what != "granted"]
     assert sorted(ends) == list(range(len(actors)))
-    monitor = _Recording()
-    assert _run_schedule(capacity, actors, monitor) == log
-    assert monitor.hooks["triggered"] and monitor.hooks["processing"]
+    # step() and run()'s drain process the same events in the same order
     assert _run_schedule(capacity, actors, stepped=False) == log

@@ -83,15 +83,14 @@ def test_histogram_percentile_skips_empty_buckets():
     [
         lambda: Counter("a.b").increment(float("nan")),
         lambda: Timer("t").record(float("nan")),
-        lambda: Timer("t", streaming=True).record(float("nan")),
         lambda: Histogram("h", [10]).record(float("nan")),
     ],
-    ids=["counter", "timer", "streaming_timer", "histogram"],
+    ids=["counter", "timer", "histogram"],
 )
 def test_nan_is_refused_not_counted(count):
-    # NaN slips past ``x < 0``: it would land in run digests, turn an
-    # exact timer's total and p50 into nan, count as a streaming zero
-    # and pin a histogram's min and max at nan for good.
+    # NaN slips past ``x < 0``: it would land in run digests, turn a
+    # timer's total and p50 into nan and pin a histogram's min and max
+    # at nan for good.
     with pytest.raises(ValueError):
         count()
 

@@ -1,8 +1,7 @@
 """Pinned old-vs-new stats outputs.
 
 The stats overhaul (bisect histogram lookups, sort-once timer
-snapshots, optional streaming timers) is a pure performance change:
-the exact-mode numbers below were computed with the pre-overhaul
+snapshots) is a pure performance change: the numbers below were computed with the pre-overhaul
 implementation (linear bucket scan, sort-per-snapshot) and are pinned
 so any drift in the arithmetic — interpolation, bucket edges, stdev —
 fails loudly instead of silently skewing every benchmark table.
@@ -62,27 +61,7 @@ def test_histogram_bucket_index_matches_linear_scan():
         assert hist.bucket_index(value) == linear(value)
 
 
-def test_streaming_timer_approximates_exact_within_bucket_ratio():
-    exact = Timer("t")
-    streaming = Timer("t", streaming=True)
-    for value in _samples():
-        exact.record(value)
-        streaming.record(value)
-    assert streaming.samples is None  # bounded: no per-sample storage
-    exact_snap = exact.snapshot()
-    stream_snap = streaming.snapshot()
-    # Aggregates are running sums: identical up to float noise.
-    for key in ("count", "total", "mean", "min", "max", "stdev"):
-        assert stream_snap[key] == pytest.approx(exact_snap[key], rel=1e-9)
-    # Quantiles come from a 2^(1/8)-ratio geometric ladder: one bucket
-    # is at most ~9.05% wide, so estimates stay within that band.
-    for key in ("p50", "p99"):
-        assert stream_snap[key] == pytest.approx(exact_snap[key], rel=0.1)
-
-
 def test_registry_memoizes_and_guards_timer_mode():
     stats = StatsRegistry(env=None)
     timer = stats.timer("sim.test.latency")
     assert stats.timer("sim.test.latency") is timer
-    with pytest.raises(ValueError):
-        stats.timer("sim.test.latency", streaming=True)

@@ -33,7 +33,7 @@ DRIVER_LINES = 16_000
 NOT_LOADED = [
     *(f"repro.analysis.{m}" for m in (
         "atomicity", "baseline", "callgraph", "core", "perturb", "report",
-        "rules_sim", "sanitizer",
+        "rules_sim",
     )),
     "repro.harness.ablation", "repro.harness.tables",
     "repro.obs.critical_path", "repro.obs.export",
