@@ -107,9 +107,8 @@ STAT_PREFIXES = frozenset(
         "portmapper",
         "rexec",
         # "sim" hosts the kernel's own families: sim.kernel.*
-        # (events_scheduled / events_processed, published via
-        # publish_kernel_stats()) and sim.mclient.* (the million-client
-        # scenario)
+        # (events_scheduled / events_processed, as kernel_counters()
+        # names them) and sim.mclient.* (the million-client scenario)
         "sim",
         "yp",
     }
@@ -126,7 +125,7 @@ STAT_SERVER_NAME_SEGMENTS: typing.Dict[str, int] = {
 
 _SEGMENT_OK = frozenset("abcdefghijklmnopqrstuvwxyz0123456789_")
 _SERVER_SEGMENT_OK = _SEGMENT_OK | {"-"}
-_STAT_METHODS = {"counter", "timer", "histogram"}
+_STAT_METHODS = {"counter", "histogram"}
 
 
 class Hns003StatNameConvention(Rule):

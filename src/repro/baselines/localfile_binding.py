@@ -40,15 +40,11 @@ class LocalFileBinder:
         """Interim Import: returns an :class:`HRPCBinding` or KeyError."""
         cal = self.calibration
         self.env.stats.counter("baseline.localfile.imports").increment()
-        start = self.env.now
         # Same HRPC import machinery as the HNS path...
         yield self.host.cpu.compute(cal.import_fixed_ms)
         # ...but the data comes from the local replica.
         entry = yield from self.file.lookup(service_name, host_name)
         yield self.host.cpu.compute(cal.rereg_glue_ms)
-        self.env.stats.timer("baseline.localfile.import_ms").record(
-            self.env.now - start
-        )
         return HRPCBinding(
             endpoint=Endpoint(NetworkAddress(entry.address), entry.port),
             program=entry.service,

@@ -96,7 +96,6 @@ class ReregistrationBinder:
         """One lookup in the global store + glue; raises on unknown."""
         key = self._entry_key(service_name, host_name)
         self.env.stats.counter("baseline.rereg.imports").increment()
-        start = self.env.now
         if self._is_ch:
             try:
                 raw = yield from typing.cast(
@@ -114,9 +113,6 @@ class ReregistrationBinder:
             raw = records[0].data
         yield self.host.cpu.compute(self.calibration.rereg_glue_ms)
         fields = decode_fields(raw)
-        self.env.stats.timer("baseline.rereg.import_ms").record(
-            self.env.now - start
-        )
         return HRPCBinding(
             endpoint=Endpoint(
                 NetworkAddress(fields["addr"]), int(fields["port"])

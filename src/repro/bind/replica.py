@@ -16,9 +16,7 @@ and turns them into an ordered try-plan for each exchange:
 Every counter is mirrored into the stats registry as
 ``bind.replica.<endpoint>.<counter>`` (``requests``, ``hedges``,
 ``wins``, ``errors``, ``skipped``), matching the ``cache.<name>.*``
-convention; the latency estimate is mirrored as timer samples under
-``bind.replica.<endpoint>.ewma_ms`` (counters are monotonic ints, a
-gauge is not).
+convention; the latency estimate is the state's ``ewma_ms``.
 """
 
 from __future__ import annotations
@@ -184,6 +182,3 @@ class ReplicaScheduler:
             state.ewma_ms = latency_ms
         else:
             state.ewma_ms = EWMA_ALPHA * latency_ms + (1.0 - EWMA_ALPHA) * state.ewma_ms
-        self.env.stats.timer(f"bind.replica.{state.label}.ewma_ms").record(
-            state.ewma_ms
-        )

@@ -26,7 +26,7 @@ from repro.core.nsm import LocalNsmBinding, NsmResult, NsmStub
 from repro.harness.calibration import Calibration, DEFAULT_CALIBRATION
 from repro.hrpc.binding import HRPCBinding
 from repro.hrpc.runtime import HrpcRuntime
-from repro.net.errors import is_transient
+from repro.net.errors import NetworkError
 from repro.net.host import Host
 from repro.obs.span import NULL_SPAN
 from repro.resolution import (
@@ -190,7 +190,6 @@ class HrpcImporter:
             else NULL_SPAN
         ):
             env.stats.counter("hrpc.imports").increment()
-            start = env.now
             # The fixed HRPC import machinery: component selection, stub
             # instantiation, final marshalling of the Binding to the
             # caller.
@@ -207,7 +206,6 @@ class HrpcImporter:
                 )
             if not isinstance(binding, HRPCBinding):
                 raise HnsError(f"Import produced a non-binding {binding!r}")
-            env.stats.timer("hrpc.import_ms").record(env.now - start)
             if env.trace.enabled:
                 env.trace.emit(
                     "import",
@@ -240,9 +238,14 @@ class HrpcImporter:
                 arg_size_bytes=hns_name.wire_size() + len(service_name) + 32,
                 policy=self.policy,
             )
-        except Exception as err:  # noqa: BLE001 - breaker bookkeeping
-            if breaker is not None and is_transient(err):
+        except NetworkError:
+            if breaker is not None:
                 breaker.record_failure()
+            raise
+        except Exception:
+            # The agent answered, with an error: it is alive.
+            if breaker is not None:
+                breaker.record_success()
             raise
         if breaker is not None:
             breaker.record_success()
@@ -285,9 +288,14 @@ class HrpcImporter:
             result = yield from self.nsm_stub.call(
                 nsm_binding, hns_name, service=service_name
             )
-        except Exception as err:  # noqa: BLE001 - breaker bookkeeping
-            if breaker is not None and is_transient(err):
+        except NetworkError:
+            if breaker is not None:
                 breaker.record_failure()
+            raise
+        except Exception:
+            # The NSM answered, with an error: it is alive.
+            if breaker is not None:
+                breaker.record_success()
             raise
         if breaker is not None:
             breaker.record_success()

@@ -14,8 +14,7 @@ interface (query class ``AdHocService``), so ``HNS.find_nsm`` can hand
 out an ad-hoc binding and :class:`~repro.core.nsm.NsmStub` dispatches
 to it unchanged — heterogeneity extended to systems that were never
 administered in the first place.  :class:`~repro.resolution.DiscoveryPolicy`
-holds the knobs; ``DiscoveryPolicy.disabled()`` degrades the tier to the
-one-shot broadcast locator the paper measured against.
+holds the knobs.
 """
 
 from repro.lazy import attach

@@ -246,7 +246,6 @@ class BeaconService(Service):
     :class:`~repro.broadcast.locator.NameOwnerService` (creating one on
     :data:`LOCATOR_PORT` unless the host already has one) mirrored with
     this host's announcements, so the one-shot broadcast locator — the
-    degraded mode ``DiscoveryPolicy.disabled()`` selects, and the
     re-query fallback on a cache miss — resolves the same names.
     """
 
@@ -271,13 +270,8 @@ class BeaconService(Service):
         else:
             self.owner_service = NameOwnerService(host)
         host.bind(BEACON_PORT, self)
-        if policy.enabled:
-            self.env.process(
-                self._beacon_loop(), name=f"{host.name}.beacon"
-            )
-            self.env.process(
-                self._watchdog_loop(), name=f"{host.name}.watchdog"
-            )
+        self.env.process(self._beacon_loop(), name=f"{host.name}.beacon")
+        self.env.process(self._watchdog_loop(), name=f"{host.name}.watchdog")
 
     # ------------------------------------------------------------------
     # Advertisement

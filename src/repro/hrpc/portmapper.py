@@ -16,7 +16,6 @@ from repro.hrpc.errors import BindingProtocolError
 from repro.net.addresses import WELL_KNOWN_PORTS, Endpoint
 from repro.net.host import Host, Service
 from repro.net.transport import RemoteCallError, Transport
-from repro.sim.events import Event
 
 
 @dataclasses.dataclass
@@ -27,53 +26,22 @@ class GetPort:
 
 
 @dataclasses.dataclass
-class SetPort:
-    """Request: a server registers (or clears) its port."""
-
-    program: str
-    port: int  # 0 clears the registration
-
-
-@dataclasses.dataclass
 class PortReply:
     """The registered port (0 = unknown program)."""
     port: int  # 0 means unknown program
 
 
-#: time to fork/exec a dormant server on a 1987 workstation
-DEFAULT_ACTIVATION_MS = 250.0
-
-
 class Portmapper(Service):
-    """The per-host registration service on the well-known port.
-
-    Besides static registrations, the portmapper supports *server
-    activation* (inetd-style): a program may be registered dormant with
-    a factory; the first GETPORT for it pays the activation cost, spawns
-    the service on its port, and subsequent bindings find it running —
-    one of the per-system "mechanisms employed for naming, server
-    activation, and port determination" a binding NSM must drive.
-    """
+    """The per-host registration service on the well-known port."""
 
     def __init__(
         self,
         host: Host,
         calibration: Calibration = DEFAULT_CALIBRATION,
-        activation_ms: float = DEFAULT_ACTIVATION_MS,
     ):
-        if activation_ms < 0:
-            raise ValueError("activation cost must be non-negative")
         self.host = host
-        self.env = host.env
         self.calibration = calibration
-        self.activation_ms = activation_ms
         self._ports: typing.Dict[str, int] = {}
-        self._dormant: typing.Dict[
-            str, typing.Tuple[int, typing.Callable[[Host, int], object]]
-        ] = {}
-        #: program -> the activation charge of a program being spawned
-        self._activating: typing.Dict[str, Event] = {}
-        self.activations = 0
         self.endpoint: typing.Optional[Endpoint] = None
 
     def listen(self, port: int = WELL_KNOWN_PORTS["portmapper"]) -> Endpoint:
@@ -86,26 +54,6 @@ class Portmapper(Service):
             raise ValueError(f"bad port {port}")
         self._ports[program] = port
 
-    def register_activatable(
-        self,
-        program: str,
-        port: int,
-        factory: typing.Callable[[Host, int], object],
-    ) -> None:
-        """Register a dormant program.
-
-        ``factory(host, port)`` must create and bind the service when
-        the first binding request arrives.
-        """
-        if not 0 < port <= 65535:
-            raise ValueError(f"bad port {port}")
-        if program in self._ports:
-            raise ValueError(f"{program!r} is already running")
-        self._dormant[program] = (port, factory)
-
-    def is_running(self, program: str) -> bool:
-        return program in self._ports
-
     def handle(self, datagram, responder) -> None:
         """Answer on the callback of the server charge: no process."""
         responder.after(
@@ -117,53 +65,9 @@ class Portmapper(Service):
 
     def _serve(self, request, responder) -> None:
         if isinstance(request, GetPort):
-            program = request.program
-            port = self._ports.get(program, 0)
-            if port == 0 and program in self._dormant:
-                self._activate(program, responder)
-                return
-            if port == 0 and program in self._activating:
-                # Someone else's GETPORT is starting it: answer with the
-                # port it comes up on, as inetd would.
-                responder.after(
-                    self._activating[program], self._send_port, program, responder
-                )
-                return
-            responder(PortReply(port), 16)
-        elif isinstance(request, SetPort):
-            if request.port == 0:
-                self._ports.pop(request.program, None)
-            else:
-                self._ports[request.program] = request.port
-            responder(PortReply(request.port), 16)
+            responder(PortReply(self._ports.get(request.program, 0)), 16)
         else:
             responder(PortReply(0), 16)
-
-    def _activate(self, program: str, responder) -> None:
-        """Spawn a dormant program, then answer with its port."""
-        port, factory = self._dormant.pop(program)
-        self._activating[program] = spawn = self.host.cpu.compute(self.activation_ms)
-        responder.after(spawn, self._activated, program, port, factory, responder)
-
-    def _activated(
-        self,
-        program: str,
-        port: int,
-        factory: typing.Callable[[Host, int], object],
-        responder,
-    ) -> None:
-        del self._activating[program]
-        factory(self.host, port)
-        self._ports[program] = port
-        self.activations += 1
-        self.env.stats.counter(f"portmapper.{self.host.name}.activations").increment()
-        self.env.trace.emit(
-            "hrpc", f"portmapper@{self.host.name}: activated {program} on {port}"
-        )
-        responder(PortReply(port), 16)
-
-    def _send_port(self, program: str, responder) -> None:
-        responder(PortReply(self._ports.get(program, 0)), 16)
 
 
 class PortmapperClient:
@@ -204,12 +108,3 @@ class PortmapperClient:
                     f"program {program!r} not registered at {server_address}"
                 )
         return port
-
-    def set_port(self, server_address, program: str, port: int) -> typing.Generator:
-        endpoint = Endpoint(server_address, WELL_KNOWN_PORTS["portmapper"])
-        reply = yield self.transport.request(
-            self.host, endpoint, SetPort(program, port), 32
-        )
-        if not isinstance(reply, PortReply):
-            raise BindingProtocolError(f"malformed portmapper reply {reply!r}")
-        return reply.port

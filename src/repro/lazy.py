@@ -4,7 +4,7 @@ Every package ``__init__`` under :mod:`repro` is one call::
 
     __getattr__, __dir__, __all__ = attach(__name__, {
         "kernel": ("Environment", "SimulationError"),
-        "stats": ("Counter", "Timer"),
+        "stats": ("Counter", "Histogram"),
     })
 
 The table maps each submodule to the public names it defines, so a

@@ -296,7 +296,7 @@ class DiscoveryPolicy:
     that: each host periodically broadcasts a signed presence beacon
     (name set + address + incarnation), every listener folds beacons
     into a passive membership view, and lookups become local table
-    probes.  This policy gates the mechanisms that make the view safe
+    probes.  This policy tunes the mechanisms that make the view safe
     to trust:
 
     - **beaconing** (``beacon_period_ms``): the advertisement cadence,
@@ -313,9 +313,6 @@ class DiscoveryPolicy:
     :class:`~repro.broadcast.NameQuery` before failing.
     """
 
-    #: run the beacon/watchdog machinery at all; False degrades the
-    #: discovery NSM to the one-shot broadcast locator
-    enabled: bool = True
     #: nominal gap between presence beacons
     beacon_period_ms: float = 1_000.0
     #: TTL stamped on membership entries — the slow eviction path the
@@ -341,17 +338,11 @@ class DiscoveryPolicy:
     @property
     def liveness(self) -> bool:
         """Whether watchdog (liveness-driven) eviction is armed."""
-        return self.enabled and self.watchdog_multiplier > 0
+        return self.watchdog_multiplier > 0
 
     def watchdog_deadline_ms(self) -> float:
         """How long after the last beacon an entry is considered live."""
         return self.beacon_period_ms * self.watchdog_multiplier
-
-    @classmethod
-    def disabled(cls) -> "DiscoveryPolicy":
-        """No beacons, no membership view: every lookup is the existing
-        one-shot broadcast locator.  The ablation baseline."""
-        return cls(enabled=False, watchdog_multiplier=0.0)
 
 
 #: Everything on: what the discovery scenarios and benchmarks opt into.
@@ -375,7 +366,6 @@ class PolicySet:
     fast_path: FastPathPolicy = FastPathPolicy.disabled()
     replica: ReplicaPolicy = ReplicaPolicy.disabled()
     update: UpdatePolicy = UpdatePolicy.disabled()
-    discovery: DiscoveryPolicy = DiscoveryPolicy.disabled()
 
     def __post_init__(self) -> None:
         for slot in dataclasses.fields(self):
@@ -389,7 +379,7 @@ class PolicySet:
     def default(cls) -> "PolicySet":
         """What the stack runs with when nothing is specified: fault
         tolerance on, the opt-in mechanisms (fast path, replica
-        scheduling, write pipeline, discovery) off."""
+        scheduling, write pipeline) off."""
         return cls(resolution=DEFAULT_RESOLUTION_POLICY)
 
 

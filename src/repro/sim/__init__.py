@@ -34,10 +34,7 @@ __getattr__, __dir__, __all__ = attach(__name__, {
     "process": ("Process",),
     "resources": ("CPU", "Disk", "Resource"),
     "rng": ("RngRegistry",),
-    "latency": (
-        "ConstantLatency", "EmpiricalLatency", "ExponentialLatency", "LatencyModel",
-        "UniformLatency",
-    ),
+    "latency": ("ConstantLatency", "LatencyModel", "UniformLatency"),
     "trace": ("TraceRecord", "Tracer"),
-    "stats": ("Counter", "Histogram", "StatsRegistry", "Timer"),
+    "stats": ("Counter", "Histogram", "StatsRegistry"),
 })

@@ -298,10 +298,8 @@ class Environment:
         scheduled and not yet processed: conditions, inline triggers,
         inline process starts and unwaited process exits are events but
         never enter the queue, so they are in neither.  Deliberately *not*
-        recorded in :attr:`stats` during the run, so
-        scenario digests do not depend on how many events a run took.
-        Call :meth:`publish_kernel_stats` (once, after a run) when a
-        benchmark wants them in the registry.
+        recorded in :attr:`stats`, so scenario digests do not depend on
+        how many events a run took.
         """
         return {
             "sim.kernel.events_scheduled": self._eid,
@@ -309,13 +307,3 @@ class Environment:
             - len(self._queue)
             - sum(len(lane.waiting or ()) for lane in self._lanes.values()),
         }
-
-    def publish_kernel_stats(self) -> None:
-        """Copy :meth:`kernel_counters` into the stats registry.
-
-        Opt-in and additive: call it once at the end of a run (the
-        benchmark harness does) — never from inside a registered
-        scenario, whose digest covers every counter.
-        """
-        for name, value in self.kernel_counters().items():
-            self.stats.counter(name).increment(value)

@@ -8,19 +8,13 @@ costs measured in the paper.
 
 from __future__ import annotations
 
-import bisect
 import random
-import typing
 
 
 class LatencyModel:
     """Base class: ``sample(rng, size_bytes)`` returns a delay in ms."""
 
     def sample(self, rng: random.Random, size_bytes: int = 0) -> float:
-        raise NotImplementedError
-
-    def mean(self, size_bytes: int = 0) -> float:
-        """Expected delay; used by analytic models (equation (1))."""
         raise NotImplementedError
 
 
@@ -34,9 +28,6 @@ class ConstantLatency(LatencyModel):
         self.per_byte_ms = float(per_byte_ms)
 
     def sample(self, rng: random.Random, size_bytes: int = 0) -> float:
-        return self.base_ms + self.per_byte_ms * size_bytes
-
-    def mean(self, size_bytes: int = 0) -> float:
         return self.base_ms + self.per_byte_ms * size_bytes
 
     def __repr__(self) -> str:
@@ -55,53 +46,3 @@ class UniformLatency(LatencyModel):
 
     def sample(self, rng: random.Random, size_bytes: int = 0) -> float:
         return rng.uniform(self.low_ms, self.high_ms) + self.per_byte_ms * size_bytes
-
-    def mean(self, size_bytes: int = 0) -> float:
-        return (self.low_ms + self.high_ms) / 2.0 + self.per_byte_ms * size_bytes
-
-
-class ExponentialLatency(LatencyModel):
-    """Exponential service time with a fixed floor (queueing-ish tails)."""
-
-    def __init__(self, floor_ms: float, mean_extra_ms: float):
-        if floor_ms < 0 or mean_extra_ms < 0:
-            raise ValueError("latency parameters must be non-negative")
-        self.floor_ms = float(floor_ms)
-        self.mean_extra_ms = float(mean_extra_ms)
-
-    def sample(self, rng: random.Random, size_bytes: int = 0) -> float:
-        extra = rng.expovariate(1.0 / self.mean_extra_ms) if self.mean_extra_ms else 0.0
-        return self.floor_ms + extra
-
-    def mean(self, size_bytes: int = 0) -> float:
-        return self.floor_ms + self.mean_extra_ms
-
-
-class EmpiricalLatency(LatencyModel):
-    """Samples from a measured distribution given as (value, weight) pairs."""
-
-    def __init__(self, samples: typing.Sequence[typing.Tuple[float, float]]):
-        if not samples:
-            raise ValueError("empirical distribution needs at least one sample")
-        self.values = [float(v) for v, _ in samples]
-        weights = [float(w) for _, w in samples]
-        if any(w <= 0 for w in weights):
-            raise ValueError("weights must be positive")
-        total = sum(weights)
-        acc = 0.0
-        self._cumulative: typing.List[float] = []
-        for weight in weights:
-            acc += weight / total
-            self._cumulative.append(acc)
-        self._mean = sum(
-            v * w / total for v, w in zip(self.values, weights)
-        )
-
-    def sample(self, rng: random.Random, size_bytes: int = 0) -> float:
-        u = rng.random()
-        index = bisect.bisect_left(self._cumulative, u)
-        index = min(index, len(self.values) - 1)
-        return self.values[index]
-
-    def mean(self, size_bytes: int = 0) -> float:
-        return self._mean

@@ -32,22 +32,7 @@ BACKGROUND_SLICE_MS = 4.0
 BACKGROUND_PATIENCE = 40.0
 
 
-class Request(Event):
-    """Pending claim on a :class:`Resource`; triggers when granted."""
-
-    __slots__ = ("resource", "held")
-
-    def __init__(self, resource: "Resource"):
-        super().__init__(resource.env)
-        self.resource = resource
-        self.held = False
-
-    def release(self) -> None:
-        """Give the unit back — or, if still queued, leave the queue."""
-        self.resource._release(self)
-
-
-class Charge(Request):
+class Charge(Event):
     """One :meth:`Resource.use`: a claim the resource itself drives.
 
     It carries its service time; the resource takes the unit when the
@@ -63,8 +48,10 @@ class Charge(Request):
     background charge turns foreground (infinite for a foreground one).
     """
 
-    __slots__ = ("deadline", "remaining")
+    __slots__ = ("resource", "held", "deadline", "remaining")
 
+    resource: "Resource"
+    held: bool
     deadline: float
     remaining: float
 
@@ -75,23 +62,14 @@ class Charge(Request):
         if self.callbacks is not None:
             if self._value is not _PENDING:
                 self.callbacks.remove(self.resource._free)
-            self.release()
+            self.resource._release(self)
 
 
 class Resource:
     """A fixed-capacity resource with a FIFO lane and an idle-time lane.
 
-    Usage inside a process::
-
-        req = resource.request()
-        try:
-            yield req
-            yield env.timeout(service_time)
-        finally:
-            req.release()
-
-    or, when nothing else happens during the hold,
-    ``yield resource.use(service_time)``: the resource does all three.
+    Usage inside a process is ``yield resource.use(service_time)``: the
+    resource acquires a unit, holds it and frees it.
 
     **Foreground** requests are served FIFO.  **Background** requests
     (``use(..., background=True)``) model a low-priority thread: one is
@@ -111,7 +89,7 @@ class Resource:
         self.capacity = capacity
         self.name = name
         self._in_use = 0
-        self._waiting: typing.Deque[Request] = collections.deque()
+        self._waiting: typing.Deque[Charge] = collections.deque()
         self._background: typing.Deque[Charge] = collections.deque()
         self._idle_check_pending = False
 
@@ -121,19 +99,8 @@ class Resource:
 
     @property
     def queue_length(self) -> int:
-        """Requests waiting, both lanes."""
+        """Charges waiting, both lanes."""
         return len(self._waiting) + len(self._background)
-
-    def request(self) -> Request:
-        """A foreground claim: granted now if a unit is free, else queued."""
-        req = Request(self)
-        if self._in_use < self.capacity:
-            self._in_use += 1
-            req.held = True
-            req.succeed(None)
-        else:
-            self._waiting.append(req)
-        return req
 
     def use(self, service_ms: float, background: bool = False) -> Event:
         """Acquire, hold ``service_ms``, release: the event to ``yield``.
@@ -215,52 +182,48 @@ class Resource:
         else:
             self._waiting.append(charge)
 
-    def _release(self, req: Request) -> None:
-        if req.held:
-            req.held = False
+    def _release(self, charge: Charge) -> None:
+        if charge.held:
+            charge.held = False
             self._free()
             return
         for lane in (self._waiting, self._background):
-            if req in lane:
-                lane.remove(req)
+            if charge in lane:
+                lane.remove(charge)
                 return
-        raise RuntimeError(
-            "release() of a request that neither holds nor waits for the resource"
-        )
+        raise RuntimeError("a charge that neither holds nor waits for the resource")
 
     def _free(self, _hold: typing.Optional[Event] = None) -> None:
         """A unit came free: hand it on, foreground first.
 
         A queued foreground charge gets the unit and its whole hold
-        here, with the charge as the hold's heap entry; a plain request
-        is granted; a background charge holds slice by slice.
+        here, with the charge as the hold's heap entry; a background
+        charge holds slice by slice.
         """
         self._in_use -= 1
         background = self._background
         if background:
             now = self.env._now
-            for req in [r for r in background if r.deadline <= now]:
-                background.remove(req)
-                self._waiting.append(req)
+            for charge in [c for c in background if c.deadline <= now]:
+                background.remove(charge)
+                self._waiting.append(charge)
         waiting = self._waiting
         if not waiting:
             if background:
                 self._schedule_idle_check()
             return
-        req = waiting.popleft()
+        charge = waiting.popleft()
         self._in_use += 1
-        req.held = True
-        if not isinstance(req, Charge):
-            req.succeed(None)
-        elif req.deadline < _INF:
-            self._hold(req)
+        charge.held = True
+        if charge.deadline < _INF:
+            self._hold(charge)
         else:
             env = self.env
-            req._value = None
-            req.callbacks.insert(0, self._free)
+            charge._value = None
+            charge.callbacks.insert(0, self._free)
             eid = env._eid
             env._eid = eid + 1
-            env._push((env._now + req.remaining, eid, req))
+            env._push((env._now + charge.remaining, eid, charge))
 
     def _schedule_idle_check(self) -> None:
         if not self._idle_check_pending:

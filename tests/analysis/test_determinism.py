@@ -142,7 +142,7 @@ def test_planting_time_time_in_latency_module_fails_lint():
         "return self.base_ms + self.per_byte_ms * size_bytes",
         "return self.base_ms + self.per_byte_ms * size_bytes + time.time()",
         1,
-    ).replace("import bisect", "import bisect\nimport time", 1)
+    ).replace("import random", "import random\nimport time", 1)
     assert planted != source  # the anchor lines still exist
 
     findings = lint_source(planted, path=str(LATENCY_PY))

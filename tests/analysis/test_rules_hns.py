@@ -118,7 +118,7 @@ def test_hns003_clean_literal_and_fstring_names():
         def record(self, host):
             self.env.stats.counter("cache.hits").increment()
             self.env.stats.counter(f"bind.replica.{host}.sent").increment()
-            self.env.stats.timer("hrpc.call")
+            self.env.stats.histogram("hrpc.call", (1.0,))
         """,
         Hns003StatNameConvention,
     )
@@ -126,8 +126,8 @@ def test_hns003_clean_literal_and_fstring_names():
 
 
 def test_hns003_accepts_the_sim_kernel_families():
-    # The kernel publishes its event counts under sim.kernel.*
-    # (publish_kernel_stats), and the million-client scenario records
+    # The kernel names its event counts sim.kernel.*
+    # (kernel_counters), and the million-client scenario records
     # under sim.mclient.*.
     findings = _lint(
         """
@@ -135,7 +135,7 @@ def test_hns003_accepts_the_sim_kernel_families():
             self.env.stats.counter("sim.kernel.events_scheduled").increment()
             self.env.stats.counter("sim.kernel.events_processed").increment()
             self.env.stats.counter("sim.mclient.cache_hits").increment()
-            self.env.stats.timer("sim.mclient.latency")
+            self.env.stats.histogram("sim.mclient.latency", (1.0,))
         """,
         Hns003StatNameConvention,
     )

@@ -12,7 +12,6 @@ from repro.core import Arrangement, HNSName
 from repro.core.hns import HNS
 from repro.resolution import (
     DEFAULT_RESOLUTION_POLICY,
-    DiscoveryPolicy,
     FastPathPolicy,
     PolicySet,
     ReplicaPolicy,
@@ -27,7 +26,6 @@ EVERY_SLOT_DISABLED = PolicySet(
     fast_path=FastPathPolicy.disabled(),
     replica=ReplicaPolicy.disabled(),
     update=UpdatePolicy.disabled(),
-    discovery=DiscoveryPolicy.disabled(),
 )
 
 

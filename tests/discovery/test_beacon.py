@@ -229,13 +229,3 @@ def test_retract_propagates_on_next_beacon(world):
     idle(env, 2 * POLICY.beacon_period_ms + 100.0)
     assert beacons[0].cache.lookup("printer") is None
     assert env.stats.counters().get("discovery.evict.retracted", 0) >= 1
-
-
-def test_disabled_policy_runs_no_loops(world):
-    env, net, seg, hosts, udp = world
-    service = BeaconService(hosts[0], udp, DiscoveryPolicy.disabled())
-    service.announce("printer", 9001)
-    idle(env, 5_000.0)
-    assert env.stats.counters().get("discovery.beacons_sent", 0) == 0
-    # The co-resident owner service still answers broadcast NameQueries.
-    assert service.owner_service.owns("printer")

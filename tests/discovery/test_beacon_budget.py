@@ -16,14 +16,17 @@ from repro.resolution import DiscoveryPolicy
 from repro.workloads.adhoc import build_adhoc_world
 from tests.sim.test_kernel_budget import _profiled
 
+#: The beacon and watchdog loops start, then sleep past every round.
+QUIET = DiscoveryPolicy(beacon_period_ms=1e9)
+
 
 def _beacon_round_trip(hosts, secret=SEGMENT_SECRET):
     """(python calls, C calls, heap entries) of one signed beacon
     broadcast by host 0 to ``hosts - 1`` listeners, all absorbed before
     the round ends — and the world, for its views and counters.  No
-    loop runs (the policy is off): the driver is the only process
-    unless a listener starts one."""
-    world = build_adhoc_world(3, policy=DiscoveryPolicy.disabled(), host_count=hosts)
+    loop wakes (the beacon period outlasts the run): the driver is the
+    only process unless a listener starts one."""
+    world = build_adhoc_world(3, policy=QUIET, host_count=hosts)
     sender = world.hosts[0]
 
     def body(rounds):

@@ -64,17 +64,6 @@ def test_cold_miss_falls_back_to_broadcast_requery():
     assert env.stats.counters().get("discovery.requeries", 0) == 1
 
 
-def test_disabled_policy_degrades_to_one_shot_locator():
-    env, hosts, beacons = make_world(DiscoveryPolicy.disabled())
-    beacons[1].announce("printer", 9001)
-    nsm = DiscoveryNsm(beacons[0])
-    idle(env, 2_000.0)
-    result = run(env, nsm.query(PRINTER))
-    assert result.value["owner"] == "lab1"
-    # No beacon machinery ran at all: every resolution is the broadcast.
-    assert env.stats.counters().get("discovery.beacons_sent", 0) == 0
-
-
 def test_result_ttl_never_exceeds_liveness_deadline():
     env, hosts, beacons = make_world()
     beacons[1].announce("printer", 9001)

@@ -1,19 +1,14 @@
-"""DiscoveryPolicy validation, derived values, and the disabled mode."""
+"""DiscoveryPolicy validation and derived values."""
 
 import dataclasses
 
 import pytest
 
-from repro.resolution import (
-    DEFAULT_DISCOVERY_POLICY,
-    DiscoveryPolicy,
-    PolicySet,
-)
+from repro.resolution import DEFAULT_DISCOVERY_POLICY, DiscoveryPolicy
 
 
 def test_defaults_are_live():
     policy = DEFAULT_DISCOVERY_POLICY
-    assert policy.enabled
     assert policy.liveness
     assert policy.watchdog_deadline_ms() == (
         policy.beacon_period_ms * policy.watchdog_multiplier
@@ -41,20 +36,5 @@ def test_validation_rejects_bad_knobs(kwargs):
 
 def test_zero_multiplier_disables_liveness_only():
     ttl_only = DiscoveryPolicy(watchdog_multiplier=0.0)
-    assert ttl_only.enabled
     assert not ttl_only.liveness
     assert ttl_only.watchdog_deadline_ms() == 0.0
-
-
-def test_disabled_degrades_to_the_broadcast_locator():
-    off = DiscoveryPolicy.disabled()
-    assert not off.enabled
-    assert not off.liveness
-
-
-def test_policyset_carries_a_discovery_slot():
-    # Off unless asked for, as for the other axes.
-    assert PolicySet().discovery == DiscoveryPolicy.disabled()
-    assert not PolicySet().discovery.enabled
-    custom = PolicySet(discovery=DiscoveryPolicy(beacon_period_ms=250.0))
-    assert custom.discovery.enabled

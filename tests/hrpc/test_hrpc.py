@@ -312,22 +312,6 @@ def test_portmapper_unknown_program(world):
     assert run(env, scenario()) == "done"
 
 
-def test_portmapper_remote_set_and_clear(world):
-    env, net, client, server_host = world
-    Portmapper(server_host).listen()
-    pmc = PortmapperClient(client, DatagramTransport(net))
-    run(env, pmc.set_port(server_host.address, "svc", 7777))
-    assert run(env, pmc.get_port(server_host.address, "svc")) == 7777
-    run(env, pmc.set_port(server_host.address, "svc", 0))
-
-    def scenario():
-        with pytest.raises(BindingProtocolError):
-            yield from pmc.get_port(server_host.address, "svc")
-        return "done"
-
-    assert run(env, scenario()) == "done"
-
-
 def test_portmapper_does_two_exchanges(world):
     env, net, client, server_host = world
     pm = Portmapper(server_host)

@@ -20,6 +20,7 @@ from repro.core import (
 from repro.core.nsms import BindBindingNSM, BindHostAddressNSM
 from repro.harness.calibration import DEFAULT_CALIBRATION
 from repro.harness.grids import percentile
+from repro.hrpc.errors import BindingProtocolError
 from repro.net import DatagramTransport, TransportTimeout
 from repro.resolution import (
     BREAKER_RESET_MS,
@@ -305,6 +306,32 @@ def test_breaker_trips_fast_fails_then_recovers():
     binding = run(env, stack.importer.import_binding("DesiredService", FIJI))
     assert binding.endpoint.port == 9999
     assert stack.hns.nsm_breakers.states()[nsm_name] == "closed"
+
+
+def test_half_open_probe_answered_with_an_error_closes_the_breaker():
+    """A probe the NSM answers with an application error proves it is
+    alive: the breaker closes, and later Imports reach the NSM."""
+    testbed = build_testbed(seed=16)
+    env = testbed.env
+    stack = build_stack(testbed, Arrangement.REMOTE_NSMS)
+    run(env, stack.importer.import_binding("DesiredService", FIJI))  # warm
+    testbed.nsm_host.crash()
+    stack.flush_nsm_caches()
+
+    def expect(error, service):
+        with pytest.raises(error):
+            yield from stack.importer.import_binding(service, FIJI)
+        return "done"
+
+    assert run(env, expect(NsmUnavailable, "DesiredService")) == "done"
+    testbed.nsm_host.restart()
+    sleep(env, BREAKER_RESET_MS + 1)
+
+    # The half-open probe: the NSM answers "not registered".
+    assert run(env, expect(BindingProtocolError, "NoSuchService")) == "done"
+    binding = run(env, stack.importer.import_binding("DesiredService", FIJI))
+    assert binding.endpoint.port == 9999
+    assert "half-open" not in stack.importer.breakers.states().values()
 
 
 def test_open_breaker_routes_to_linked_in_copy():

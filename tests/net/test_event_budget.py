@@ -502,22 +502,17 @@ def test_clearinghouse_answers_at_its_calibrated_instant_without_a_process(
     assert entries == 4 + charges and started == []
 
 
-def test_portmapper_getport_with_activation_answers_without_a_process():
+def test_portmapper_getport_answers_without_a_process():
     world = World()
     portmapper = Portmapper(world.hosts[1])
     endpoint = portmapper.listen()
-    spawned = []
-    portmapper.register_activatable(
-        "Sleepy", 9900, lambda host, port: spawned.append((host.name, port))
-    )
+    portmapper.register_local("nfs", 2049)
     reply, elapsed, entries, started = world.exchange(
-        world.udp, endpoint, GetPort("Sleepy")
+        world.udp, endpoint, GetPort("nfs")
     )
-    assert reply == PortReply(9900) and spawned == [("h1", 9900)]
-    assert elapsed == pytest.approx(
-        WIRE_MS + CAL.portmapper_server_ms + portmapper.activation_ms + WIRE_MS
-    )
-    assert entries == 3 + 2 and started == []
+    assert reply == PortReply(2049)
+    assert elapsed == pytest.approx(WIRE_MS + CAL.portmapper_server_ms + WIRE_MS)
+    assert entries == 3 + 1 and started == []
 
 
 def test_courier_binder_answers_without_a_process():

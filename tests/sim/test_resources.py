@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.sim import CPU, Disk, Environment, Interrupt, Resource
 from repro.sim.process import Process
-from repro.sim.resources import BACKGROUND_PATIENCE, BACKGROUND_SLICE_MS, Charge
+from repro.sim.resources import BACKGROUND_PATIENCE, BACKGROUND_SLICE_MS
 
 
 def test_resource_capacity_validation():
@@ -61,42 +61,6 @@ def test_fifo_ordering_of_waiters():
     env.process(user("third", 2))
     env.run()
     assert order == ["first", "second", "third"]
-
-
-def test_release_without_hold_rejected():
-    env = Environment()
-    res = Resource(env, capacity=1)
-    req = res.request()
-    env.run()
-    req.release()
-    with pytest.raises(RuntimeError):
-        req.release()
-
-
-def test_resource_released_on_exception():
-    env = Environment()
-    res = Resource(env, capacity=1)
-
-    def bad_user():
-        req = res.request()
-        yield req
-        try:
-            yield env.timeout(5)
-            raise RuntimeError("fails while holding")
-        finally:
-            req.release()
-
-    def good_user():
-        yield env.timeout(1)
-        yield res.use(5)
-        return env.now
-
-    env.process(bad_user())
-    p = env.process(good_user())
-    with pytest.raises(RuntimeError, match="fails while holding"):
-        env.run()
-    # Continue the run; the good user should still get the resource.
-    assert env.run(until=p) == 10.0
 
 
 def test_cpu_speed_factor_scales_cost():
@@ -480,11 +444,10 @@ def test_background_job_on_a_saturated_unit_completes_by_the_patience_bound():
 # ----------------------------------------------------------------------
 # Generated schedules
 # ----------------------------------------------------------------------
-#: (kind, arrival ms, cost ms, interrupt after arrival in ms or None);
-#: a "request" holds for its cost between request() and release()
+#: (kind, arrival ms, cost ms, interrupt after arrival in ms or None)
 _ACTORS = st.lists(
     st.tuples(
-        st.sampled_from(["fg", "bg", "request"]),
+        st.sampled_from(["fg", "bg"]),
         st.integers(0, 12),
         st.sampled_from([0.0, 0.5, 1.0, 3.0, 4.0, 6.0, 9.0]),
         st.one_of(st.none(), st.sampled_from([0.0, 0.5, 1.0, 2.0, 4.0, 5.0, 10.0])),
@@ -509,19 +472,9 @@ def _run_schedule(capacity, actors, stepped=True):
     def actor(i, kind, arrive, cost):
         try:
             yield env.timeout(arrive)
-            if kind == "request":
-                req = res.request()
-                claims.append((i, req, True, cost))
-                try:
-                    yield req
-                    log.append((env.now, i, "granted"))
-                    yield env.timeout(cost)
-                finally:
-                    req.release()
-            else:
-                charge = res.use(cost, background=kind == "bg")
-                claims.append((i, charge, kind == "fg" or cost == 0, cost))
-                yield charge
+            charge = res.use(cost, background=kind == "bg")
+            claims.append((i, charge, kind == "fg" or cost == 0, cost))
+            yield charge
             log.append((env.now, i, "done"))
         except Interrupt:
             log.append((env.now, i, "interrupted"))
@@ -549,7 +502,7 @@ def _run_schedule(capacity, actors, stepped=True):
         held = [
             claim
             for _, claim, _, _ in claims
-            if claim.held and not (isinstance(claim, Charge) and claim.processed)
+            if claim.held and not claim.processed
         ]
         assert res.in_use == len(held)
         assert len(set(map(id, queued))) == len(queued)
@@ -566,7 +519,7 @@ def _run_schedule(capacity, actors, stepped=True):
     # A whole hold ends at its grant time plus its cost.
     done = {i: t for t, i, what in log if what == "done"}
     for i, claim, foreground, cost in claims:
-        if isinstance(claim, Charge) and foreground and i in done:
+        if foreground and i in done:
             assert done[i] == granted[i][1] + cost
     assert res.in_use == 0 and res.queue_length == 0
     return log
@@ -577,7 +530,7 @@ def _run_schedule(capacity, actors, stepped=True):
 def test_charges_under_generated_schedules(capacity, actors):
     log = _run_schedule(capacity, actors)
     # every actor ends exactly once, done or interrupted
-    ends = [i for _, i, what in log if what != "granted"]
+    ends = [i for _, i, _ in log]
     assert sorted(ends) == list(range(len(actors)))
     # step() and run()'s drain process the same events in the same order
     assert _run_schedule(capacity, actors, stepped=False) == log

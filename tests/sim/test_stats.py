@@ -8,7 +8,7 @@ overflow bucket) and the snapshot shapes every primitive now exposes.
 import pytest
 
 from repro.sim import Environment
-from repro.sim.stats import Counter, Histogram, Timer
+from repro.sim.stats import Counter, Histogram
 
 
 # ----------------------------------------------------------------------
@@ -82,15 +82,13 @@ def test_histogram_percentile_skips_empty_buckets():
     "count",
     [
         lambda: Counter("a.b").increment(float("nan")),
-        lambda: Timer("t").record(float("nan")),
         lambda: Histogram("h", [10]).record(float("nan")),
     ],
-    ids=["counter", "timer", "histogram"],
+    ids=["counter", "histogram"],
 )
 def test_nan_is_refused_not_counted(count):
-    # NaN slips past ``x < 0``: it would land in run digests, turn a
-    # timer's total and p50 into nan and pin a histogram's min and max
-    # at nan for good.
+    # NaN slips past ``x < 0``: it would land in run digests and pin a
+    # histogram's min and max at nan for good.
     with pytest.raises(ValueError):
         count()
 
@@ -117,20 +115,6 @@ def test_counter_snapshot():
     assert c.snapshot() == {"value": 3}
 
 
-def test_timer_snapshot_empty_and_full():
-    t = Timer("lat")
-    assert t.snapshot() == {"count": 0.0, "total": 0.0}
-    for v in (10, 20, 30):
-        t.record(v)
-    snap = t.snapshot()
-    assert snap["count"] == 3.0
-    assert snap["total"] == pytest.approx(60.0)
-    assert snap["mean"] == pytest.approx(20.0)
-    assert snap["min"] == 10 and snap["max"] == 30
-    assert snap["p50"] == pytest.approx(20.0)
-    assert snap["stdev"] == pytest.approx(10.0)
-
-
 def test_histogram_snapshot_empty_and_full():
     h = Histogram("lat", [10])
     snap = h.snapshot()
@@ -147,8 +131,6 @@ def test_histogram_snapshot_empty_and_full():
 def test_registry_snapshot_accessors():
     env = Environment()
     env.stats.counter("sim.a").increment()
-    env.stats.timer("sim.t").record(5.0)
     env.stats.histogram("sim.h", [10]).record(3.0)
     assert env.stats.counters() == {"sim.a": 1}
-    assert env.stats.timers()["sim.t"]["count"] == 1.0
     assert env.stats.histograms()["sim.h"]["total"] == 1

@@ -144,12 +144,6 @@ def test_kernel_counters_stay_out_of_stats():
         counters["sim.kernel.events_processed"]
         == counters["sim.kernel.events_scheduled"]
     )
-    # Opt-in: absent until published, so a scenario's digest does not
-    # depend on how many events its run took.
-    assert "sim.kernel.events_scheduled" not in env.stats.counters()
-    env.publish_kernel_stats()
-    assert {
-        name: value
-        for name, value in env.stats.counters().items()
-        if name.startswith("sim.kernel.")
-    } == counters
+    # Never in the registry, so a scenario's digest does not depend on
+    # how many events its run took.
+    assert not any(name.startswith("sim.kernel.") for name in env.stats.counters())
