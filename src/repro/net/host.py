@@ -61,7 +61,11 @@ class Service:
 
 
 class Host:
-    """One machine: CPU + disk + network presence + bound services."""
+    """One machine: CPU + disk + network presence + bound services.
+
+    ``address`` is fixed for the host's life (only ``__init__`` writes
+    it), so :meth:`endpoint` may build each port's endpoint once.
+    """
 
     def __init__(
         self,
@@ -81,6 +85,7 @@ class Host:
         self.services: typing.Dict[int, Service] = {}
         self._up = True
         self._next_ephemeral = 32768
+        self._endpoints: typing.Dict[int, Endpoint] = {}
 
     # ------------------------------------------------------------------
     # Liveness (failure injection)
@@ -107,7 +112,7 @@ class Host:
         if not isinstance(service, Service):
             raise TypeError(f"expected a Service, got {type(service).__name__}")
         self.services[port] = service
-        return Endpoint(self.address, port)
+        return self.endpoint(port)
 
     def unbind(self, port: int) -> None:
         if port not in self.services:
@@ -116,6 +121,14 @@ class Host:
 
     def service_at(self, port: int) -> typing.Optional[Service]:
         return self.services.get(port)
+
+    def endpoint(self, port: int) -> Endpoint:
+        """This host's endpoint on ``port``: built at the first ask, the
+        same object after (a broadcast names every listener's)."""
+        endpoint = self._endpoints.get(port)
+        if endpoint is None:
+            endpoint = self._endpoints[port] = Endpoint(self.address, port)
+        return endpoint
 
     def ephemeral_endpoint(self) -> Endpoint:
         """A fresh client-side endpoint (for reply routing)."""

@@ -24,7 +24,8 @@ Kernel budget, besides the handler's own charges (``tests/net/test_event_budget.
 a request/response is 3 heap entries (wire, reply and deadline) and no
 process of its own; the handler is 1 process when ``handle`` returns a
 generator and 0 when it returns ``None``.  A stream adds its connect; a
-broadcast target is 1 entry, and 1 or 0 processes likewise.
+broadcast is 1 entry per arrival instant (per run of same-delay
+targets), and 1 or 0 processes per target likewise.
 """
 
 from __future__ import annotations
@@ -376,6 +377,20 @@ class DatagramTransport(Transport):
         (or just the first, if ``first_only``).  Every host on the wire
         receives and processes the packet — the cost that makes
         broadcast-based location unattractive at scale.
+
+        Each target gets its own delay draw and datagram, in
+        ``segment.hosts`` order; a run of consecutive targets whose
+        delays are equal lands as one timed callback, which checks the
+        drop rule and delivers each in turn.  That is exact: their
+        entries would have held consecutive eids at one instant, and
+        nothing sorts between those.  So a constant-latency segment
+        lands a broadcast as one heap entry, a jittered one as one per
+        target, and a perturbed run (``env.perturb_seed`` set) keeps one
+        per target so its shuffle reaches every arrival.  ``step()`` and
+        ``run(until=event)`` stop at arrival-instant granularity: a
+        run's deliveries all happen before either returns, and a handler
+        fault that surfaces from ``run()`` leaves the rest of its run
+        undelivered.
         """
         if not src_host.is_up:
             raise HostDown(f"source host {src_host.name} is down")
@@ -389,12 +404,12 @@ class DatagramTransport(Transport):
         first = env.event()
 
         def arrive(trip):
-            datagram = trip._value
-            if would_drop(src_address, datagram.destination.address):
-                return
-            collector = Event(env)
-            collector.callbacks.append(collect)
-            deliver(datagram, collector)
+            for datagram in trip._value:
+                if would_drop(src_address, datagram.destination.address):
+                    continue
+                collector = Event(env)
+                collector.callbacks.append(collect)
+                deliver(datagram, collector)
 
         def collect(event):
             if not event.ok:
@@ -404,20 +419,30 @@ class DatagramTransport(Transport):
             if not first.triggered:
                 first.succeed_now(event._value)
 
-        # One timed callback per target: its own delay draw now, its own
-        # drop check when the packet lands.
+        # Each target's delay drawn now and its drop checked when it
+        # lands; a same-delay run shares one timed callback, filled
+        # after it is armed (it runs later).
         ephemeral_endpoint = src_host.ephemeral_endpoint
         next_msg_id = self.internet.next_msg_id
         delay_for = segment.delay_for
         call_later = env.call_later
+        batched = env.perturb_seed is None
+        run: typing.List[Datagram] = []
+        run_delay = None
         for target in segment.hosts:
             if target is src_host:
                 continue
             datagram = Datagram(
-                ephemeral_endpoint(), Endpoint(target.address, port),
+                ephemeral_endpoint(), target.endpoint(port),
                 payload, size_bytes, None, next_msg_id(),
             )
-            call_later(delay_for(size_bytes), arrive, datagram)
+            delay = delay_for(size_bytes)
+            if batched and delay == run_delay:
+                run.append(datagram)
+            else:
+                run = [datagram]
+                run_delay = delay
+                call_later(delay, arrive, run)
         self._broadcasts.increment()
         if first_only:
             timer = env.timeout(wait_ms)

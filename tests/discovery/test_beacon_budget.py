@@ -49,13 +49,16 @@ def test_a_broadcast_beacon_costs_what_differs_per_listener():
         f"{(c_calls_11 - c_calls_1) / 10:.1f} C calls"
     )
     assert [len(beacon.cache) for beacon in world.beacons] == [0] + [1] * 11
-    # a wire Timeout and a charge per listener, plus the sender's wait
-    assert (entries_1, entries_11) == (3, 23)
-    # 35.0 per listener (54.0 with a handler process, a route lookup and
+    # one wire callback (every listener hears it at one instant), a
+    # charge per listener, the sender's wait; (3, 23) with a wire
+    # Timeout per listener
+    assert (entries_1, entries_11) == (3, 13)
+    # 28.0 per listener (32.0 with a wire Timeout and an endpoint built
+    # per listener, 54.0 with also a handler process, a route lookup and
     # a CRC each; the process alone is 6, so putting it back fails here)
-    # and 404.0 per 11-target round (616.0)
-    assert per_listener <= 38
-    assert calls_11 <= 440
+    # and 328.0 per 11-target round (369.0, 616.0)
+    assert per_listener <= 30
+    assert calls_11 <= 345
 
 
 def test_a_forged_beacon_is_a_counted_drop_at_every_listener():

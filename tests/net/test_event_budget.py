@@ -218,7 +218,7 @@ def test_one_way_send_is_the_wire_trip_plus_charges(charges):
 
 @pytest.mark.parametrize("answers", [False, True])
 @pytest.mark.parametrize("charges", [0, 2])
-def test_broadcast_is_one_entry_per_target_plus_charges_and_replies(charges, answers):
+def test_broadcast_is_one_entry_per_arrival_instant_plus_charges(charges, answers):
     neighbours = 4
     world = World(hosts=neighbours + 1)
     for host in world.hosts[1:]:
@@ -227,8 +227,10 @@ def test_broadcast_is_one_entry_per_target_plus_charges_and_replies(charges, ans
         world.udp.broadcast(world.hosts[0], 4000, "who", 16, wait_ms=50)
     )
     assert len(replies) == (neighbours if answers else 0)
-    # per target: wire Timeout + charges (+ reply Timeout); plus the wait
-    assert entries == neighbours * (1 + charges + answers) + 1
+    # one wire callback (every target lands at one instant); per target
+    # its charges (+ reply Timeout); plus the wait.  A wire entry per
+    # target read neighbours * (1 + charges + answers) + 1.
+    assert entries == 1 + neighbours * (charges + answers) + 1
     assert started == ["udp.handler"] * neighbours
 
 
@@ -243,8 +245,8 @@ def test_broadcast_to_handlers_that_return_none_starts_no_process(charges):
         world.udp.broadcast(world.hosts[0], 4000, "tell", 16, wait_ms=50)
     )
     assert replies == [] and [sink.absorbed for sink in sinks] == [1] * neighbours
-    # per target: wire Timeout + charges, exactly the generator form's
-    assert entries == neighbours * (1 + charges) + 1
+    # one wire callback, per target its charges: the generator form's
+    assert entries == 1 + neighbours * charges + 1
     assert started == []
 
 
@@ -293,7 +295,9 @@ def test_first_only_broadcast_returns_inside_the_first_reply():
 
     (replies, when), entries, _ = world.cost(locate())
     assert replies == [("h1", "who")] and when == 4.0
-    assert entries == 3 * 2 + 1
+    # one wire callback, three replies, the wait (3 * 2 + 1 with a wire
+    # entry per target)
+    assert entries == 1 + 3 + 1
 
 
 def test_retransmit_pays_the_attempt_again_and_ignores_the_late_reply():

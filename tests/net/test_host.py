@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.net import Host, NetworkAddress, PortInUse, Service
+from repro.net import Endpoint, Host, NetworkAddress, PortInUse, Service
 from repro.sim import Environment
 
 
@@ -71,6 +71,17 @@ def test_ephemeral_endpoints_unique_until_wrap():
     second = host.ephemeral_endpoint()
     assert first.port != second.port
     assert first.address == host.address
+
+
+def test_endpoint_is_built_once_per_port():
+    host = make_host()
+    endpoint = host.endpoint(4000)
+    assert endpoint == Endpoint(host.address, 4000)
+    assert host.endpoint(4000) is endpoint
+    assert host.bind(4000, NullService()) is endpoint
+    assert host.endpoint(4001) == Endpoint(host.address, 4001) != endpoint
+    with pytest.raises(ValueError):
+        host.endpoint(0)
 
 
 def test_cpu_speed_configurable():
