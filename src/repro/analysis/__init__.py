@@ -5,14 +5,13 @@ Two halves, one gate:
 - **Static** (:mod:`~repro.analysis.core`, ``rules_sim``, ``rules_hns``,
   ``atomicity``): an AST lint pass encoding this repository's
   invariants — SIM001 no wall-clock/ambient randomness, SIM002 no
-  blocking calls in process generators, SIM003 no stale reads across
-  yields, HNS001 TTL-tagged cache inserts, HNS003 dotted stats names,
-  and (with ``--interprocedural``, backed by the may-yield
-  call graph in :mod:`~repro.analysis.callgraph`) SIM004
-  check-then-act and SIM005 await-gap captures.  Inline
-  ``# hnslint: disable=CODE`` comments and the reviewed
-  ``hnslint-baseline.toml`` carry the intentional exceptions; LINT001
-  flags pragmas that no longer silence anything.
+  blocking calls in process generators, SIM003 no stale captures and
+  SIM004 no check-then-act across a may-yield gap (backed by the call
+  graph in :mod:`~repro.analysis.callgraph`), HNS001 TTL-tagged cache
+  inserts, HNS003 dotted stats names.  Inline
+  ``# hnslint: disable=CODE -- reason`` pragmas carry the intentional
+  exceptions; LINT001 flags pragmas that are malformed or no longer
+  silence anything.
 
 - **Runtime** (:mod:`~repro.analysis.determinism`): the scenario pass —
   every registered scenario run plain, replayed, traced and twice
@@ -27,9 +26,8 @@ machine-readable report CI diffs across revisions.
 from repro.lazy import attach
 
 __getattr__, __dir__, __all__ = attach(__name__, {
-    "atomicity": ("Sim004CheckThenActAcrossGap", "Sim005AwaitGapCapture", "interprocedural_rules"),
-    "baseline": ("Baseline", "BaselineError", "Suppression"),
-    "callgraph": ("CallGraph", "build_callgraph"),
+    "atomicity": ("Sim003StaleReadAcrossYield", "Sim004CheckThenActAcrossGap"),
+    "callgraph": ("CallGraph",),
     "core": (
         "Finding", "LintResult", "ModuleSource", "Rule", "default_rules", "lint_paths",
         "lint_source",

@@ -1,11 +1,11 @@
 """``python -m repro.analysis`` — the hnslint command line.
 
-Exit status 0 means every invariant held: no unsuppressed findings, no
-parse errors, (with ``--scenarios``) every scenario replayed
-digest-identically plain, traced and perturbed, and (with
-``--check-baseline``) no stale baseline suppressions.  Anything else
-exits 1, which is what CI's ``check`` job keys off; a usage error (an
-unknown ``--scenario``) exits 2.
+Exit status 0 means every invariant held: no unsuppressed findings
+(an unused or malformed pragma is one, LINT001), no parse errors, and
+(with ``--scenarios``) every scenario replayed digest-identically
+plain, traced and perturbed.  Anything else exits 1, which is what
+CI's ``check`` job keys off; a usage error (an unknown ``--scenario``)
+exits 2.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ import argparse
 import sys
 import typing
 
-from repro.analysis.baseline import BASELINE_FILENAME, Baseline
 from repro.analysis.core import default_rules, lint_paths
 from repro.analysis.determinism import check_scenarios, select_scenarios
 from repro.analysis.report import render_json, render_text
@@ -39,28 +38,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["text", "json"],
         default="text",
         help="report format (json is stable and diffable)",
-    )
-    parser.add_argument(
-        "--baseline",
-        default=None,
-        help=f"baseline file (default: ./{BASELINE_FILENAME} if present)",
-    )
-    parser.add_argument(
-        "--no-baseline",
-        action="store_true",
-        help="ignore any baseline file",
-    )
-    parser.add_argument(
-        "--check-baseline",
-        action="store_true",
-        help="fail if any baseline suppression matched no finding "
-        "(stale entries must be pruned, not accumulated)",
-    )
-    parser.add_argument(
-        "--interprocedural",
-        action="store_true",
-        help="build the may-yield call graph and enable the "
-        "interprocedural race rules (SIM004, SIM005)",
     )
     parser.add_argument(
         "--scenarios",
@@ -92,9 +69,7 @@ def run(argv: typing.Optional[typing.Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
 
     if args.list_rules:
-        from repro.analysis.atomicity import interprocedural_rules
-
-        for rule in default_rules() + interprocedural_rules():
+        for rule in default_rules():
             print(f"{rule.code} ({rule.name})")
             print(f"    {rule.rationale}")
         return 0
@@ -106,17 +81,7 @@ def run(argv: typing.Optional[typing.Sequence[str]] = None) -> int:
         except KeyError as err:
             parser.error(err.args[0])
 
-    baseline = None
-    if not args.no_baseline:
-        if args.baseline is not None:
-            baseline = Baseline.load(args.baseline)
-        else:
-            baseline = Baseline.discover()
-    result = lint_paths(
-        args.paths or ["src/repro"],
-        baseline=baseline,
-        interprocedural=args.interprocedural,
-    )
+    result = lint_paths(args.paths or ["src/repro"])
 
     scenario_pass = None
     if scenarios is not None:
@@ -128,8 +93,6 @@ def run(argv: typing.Optional[typing.Sequence[str]] = None) -> int:
         print(render_text(result, scenario_pass))
 
     ok = result.ok and (scenario_pass is None or scenario_pass.ok)
-    if args.check_baseline and result.stale_suppressions:
-        ok = False
     return 0 if ok else 1
 
 

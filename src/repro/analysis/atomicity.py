@@ -1,31 +1,27 @@
-"""Interprocedural atomicity rules: SIM004 and SIM005.
+"""Yield-gap rules: SIM003 and SIM004.
 
 Both rules reason about *yield gaps* — spans of a process body across
-which another process can run.  SIM003 (:mod:`repro.analysis.rules_sim`)
-treats every syntactic ``yield`` as a gap; the rules here consult the
-may-yield call graph (:mod:`repro.analysis.callgraph`) so that
-``yield from self._helper()`` is a gap exactly when ``_helper`` (or
-anything it transitively delegates to) can actually suspend — and so
-that the dominant PR 6 write-path bug shape, a check or capture
-spanning a call into a yielding helper, is visible at all.
+which another process can run.  A gap is a bare ``yield`` (or
+``await``), or a ``yield from`` into a helper that the may-yield call
+graph (:mod:`repro.analysis.callgraph`) says can suspend; a ``yield
+from`` the graph cannot resolve counts as a gap.  So ``yield from
+self._helper()`` is a gap exactly when ``_helper`` (or anything it
+transitively delegates to) can actually suspend, and a check or
+capture spanning a call into a yielding helper is visible at all.
 
-- **SIM004 — check-then-act across a may-yield gap.**  A ``None``
-  check or membership test on a ``self``-rooted attribute, followed by
-  a gap, followed by an act that relies on the check (dereference,
-  subscript, ``pop``/``remove``) without re-validation.  Truthiness
-  guards (``while self._leases:``) are deliberately *not* tracked:
-  they guard loop continuation, not a specific dereference, and the
-  write path's correct sweeper idiom re-reads under exactly such a
-  guard.
-- **SIM005 — the await-gap capture.**  A local bound from a private
-  ``self`` attribute (or an element of one) before a gap and relied on
-  after it.  The attribute itself can be rebound by another process at
-  every gap; the fix is re-reading ``self._attr`` after resuming.
-
-Construct the rules with a project-wide :class:`CallGraph` for
-interprocedural precision (``lint_paths(interprocedural=True)`` does);
-without one, each rule builds a single-module graph on the fly, which
-is exactly as strong on self-contained fixtures.
+- **SIM003 — a stale capture across a gap.**  A local bound from shared
+  state before a gap and relied on after it: a cache ``probe`` /
+  ``stale_entry`` result, a well-known stateful attribute (``entries``,
+  ``zone``, ``state``...) on any receiver, or a private ``self``
+  attribute or an element of one.  The fix is re-reading after
+  resuming.
+- **SIM004 — check-then-act across a gap.**  A ``None`` check or
+  membership test on a ``self``-rooted attribute, followed by a gap,
+  followed by an act that relies on the check (dereference, subscript,
+  ``pop``/``remove``) without re-validation.  Truthiness guards
+  (``while self._leases:``) are deliberately *not* tracked: they guard
+  loop continuation, not a specific dereference, and the write path's
+  correct sweeper idiom re-reads under exactly such a guard.
 """
 
 from __future__ import annotations
@@ -33,7 +29,7 @@ from __future__ import annotations
 import ast
 import typing
 
-from repro.analysis.callgraph import CallGraph, build_callgraph
+from repro.analysis.callgraph import CallGraph, _iter_defs
 from repro.analysis.core import (
     Finding,
     ModuleSource,
@@ -43,9 +39,25 @@ from repro.analysis.core import (
     attribute_chain,
     is_generator_function,
 )
-from repro.analysis.rules_sim import _STATEFUL_ATTRS
 
 FunctionNode = typing.Union[ast.FunctionDef, ast.AsyncFunctionDef]
+
+#: Attribute names whose reads snapshot shared mutable state, on any
+#: receiver.
+_STATEFUL_ATTRS = {
+    "entries",
+    "_entries",
+    "records",
+    "zone",
+    "zones",
+    "journal",
+    "table",
+    "bindings",
+    "state",
+}
+
+#: Method calls whose results snapshot cache state the same way.
+_SNAPSHOT_METHODS = {"probe", "stale_entry"}
 
 
 def _walk(roots: typing.Iterable[ast.AST]) -> typing.Iterator[ast.AST]:
@@ -70,39 +82,123 @@ def _self_path(node: ast.AST) -> typing.Optional[str]:
 def _iter_generators_with_class(
     tree: ast.Module,
 ) -> typing.Iterator[typing.Tuple[typing.Optional[str], FunctionNode]]:
-    from repro.analysis.callgraph import _iter_defs
-
     for cls, node in _iter_defs(tree.body, None):
         if is_generator_function(node):
             yield cls, node
 
 
-class _GapRule(Rule):
-    """Shared machinery: a rule that needs may-yield gap classification."""
+def _suspends(
+    graph: CallGraph,
+    path: str,
+    cls: typing.Optional[str],
+    nodes: typing.Sequence[ast.AST],
+) -> bool:
+    """Can this unit of a process body (in ``path``, class ``cls``)
+    suspend the process?"""
+    for node in _walk(nodes):
+        if isinstance(node, (ast.Yield, ast.Await)):
+            return True
+        if isinstance(node, ast.YieldFrom) and graph.delegation_may_suspend(
+            path, cls, node.value
+        ):
+            return True
+    return False
 
-    def __init__(self, graph: typing.Optional[CallGraph] = None):
-        self._graph = graph
 
-    def _graph_for(self, module: ModuleSource) -> CallGraph:
-        if self._graph is not None:
-            return self._graph
-        return build_callgraph([module])
+class Sim003StaleReadAcrossYield(Rule):
+    """Shared-state snapshot taken before a may-yield gap, used after it."""
+
+    code = "SIM003"
+    name = "stale-read-across-yield"
+    rationale = (
+        "Every yield is a scheduling point, and so is a yield from into "
+        "a helper that can suspend: cache entries can expire, be evicted "
+        "or be rewritten, and any private self attribute (or the element "
+        "it aliased) rebound, by another process before the generator "
+        "resumes.  A snapshot captured before a gap must be re-validated "
+        "(or re-read) before being relied on after it."
+    )
+
+    def check(self, module: ModuleSource, graph: CallGraph) -> typing.Iterator[Finding]:
+        for cls, func in _iter_generators_with_class(module.tree):
+            yield from self._check_function(module, graph, cls, func)
+
+    def _check_function(
+        self,
+        module: ModuleSource,
+        graph: CallGraph,
+        cls: typing.Optional[str],
+        func: FunctionNode,
+    ) -> typing.Iterator[Finding]:
+        #: var -> (line bound, captured source); cleared on re-bind.
+        tainted: typing.Dict[str, typing.Tuple[int, str]] = {}
+        crossed: typing.Set[str] = set()
+        reported: typing.Set[str] = set()
+
+        for _tag, nodes in _tagged_units(func.body):
+            # Loads first: uses in the suspending statement itself are
+            # evaluated before the suspension takes effect.  A use in a
+            # nested lambda or comprehension counts too.
+            for node in (n for root in nodes for n in ast.walk(root)):
+                if (
+                    isinstance(node, ast.Name)
+                    and isinstance(node.ctx, ast.Load)
+                    and node.id in crossed
+                    and node.id not in reported
+                ):
+                    line, source = tainted[node.id]
+                    reported.add(node.id)
+                    yield module.finding(
+                        self,
+                        node,
+                        f"{node.id!r} snapshots {source} at line {line} and "
+                        "is relied on after a may-yield call without "
+                        f"re-validation; re-read {source} after resuming",
+                    )
+            for node in _walk(nodes):
+                if isinstance(node, (ast.Assign, ast.AnnAssign)):
+                    targets = (
+                        node.targets
+                        if isinstance(node, ast.Assign)
+                        else [node.target]
+                    )
+                    source = self._capture_source(node.value)
+                    for position, name in enumerate(_target_names(targets)):
+                        tainted.pop(name, None)
+                        crossed.discard(name)
+                        # For tuple unpacking of probe() only the first
+                        # element (the entry) is the hazardous snapshot.
+                        if source is not None and position == 0:
+                            tainted[name] = (node.lineno, source)
+            if tainted and _suspends(graph, module.path, cls, nodes):
+                crossed.update(tainted)
 
     @staticmethod
-    def _unit_suspends(
-        graph: CallGraph,
-        path: str,
-        cls: typing.Optional[str],
-        nodes: typing.Sequence[ast.AST],
-    ) -> bool:
-        for node in _walk(nodes):
-            if isinstance(node, (ast.Yield, ast.Await)):
-                return True
-            if isinstance(node, ast.YieldFrom) and graph.delegation_may_suspend(
-                path, cls, node.value
-            ):
-                return True
-        return False
+    def _capture_source(
+        value: typing.Optional[ast.AST],
+    ) -> typing.Optional[str]:
+        """The description of the shared state ``value`` snapshots, if any."""
+        # ``x = yield from cache.probe(key)``: the delegated call's result
+        # is the snapshot.
+        if isinstance(value, (ast.Yield, ast.YieldFrom)):
+            value = value.value if isinstance(value.value, ast.Call) else None
+        if isinstance(value, ast.Call):
+            func = value.func
+            if isinstance(func, ast.Attribute) and func.attr in _SNAPSHOT_METHODS:
+                chain = attribute_chain(func)
+                base = ".".join(chain[:-1]) if chain else "<cache>"
+                return f"{base}.{func.attr}(...)"
+            return None
+        if isinstance(value, ast.Attribute) and value.attr in _STATEFUL_ATTRS:
+            chain = attribute_chain(value)
+            return ".".join(chain) if chain else value.attr
+        suffix = ""
+        if isinstance(value, ast.Subscript):
+            value, suffix = value.value, "[...]"
+        path = _self_path(value) if value is not None else None
+        if path is not None and path.rsplit(".", 1)[1].startswith("_"):
+            return path + suffix
+        return None
 
 
 #: ``pop``/``remove`` on a membership-guarded container act on the
@@ -111,7 +207,7 @@ class _GapRule(Rule):
 _MEMBER_ACT_METHODS = {"pop", "remove", "popitem"}
 
 
-class Sim004CheckThenActAcrossGap(_GapRule):
+class Sim004CheckThenActAcrossGap(Rule):
     """A check invalidated by a may-yield gap before the act it guards."""
 
     code = "SIM004"
@@ -121,13 +217,12 @@ class Sim004CheckThenActAcrossGap(_GapRule):
         "fresh as the last scheduling point: every yield — including a "
         "yield from into a helper that can suspend — lets another "
         "process rebind the attribute or remove the key.  Acting on a "
-        "pre-gap check without re-validating is the interprocedural "
-        "generalization of SIM003, and the dominant bug shape in the "
+        "pre-gap check without re-validating is the check-shaped twin "
+        "of SIM003's stale capture, and the dominant bug shape in the "
         "update/lease/NOTIFY write path."
     )
 
-    def check(self, module: ModuleSource) -> typing.Iterator[Finding]:
-        graph = self._graph_for(module)
+    def check(self, module: ModuleSource, graph: CallGraph) -> typing.Iterator[Finding]:
         for cls, func in _iter_generators_with_class(module.tree):
             yield from self._check_function(module, graph, cls, func)
 
@@ -180,7 +275,7 @@ class Sim004CheckThenActAcrossGap(_GapRule):
                         if path is not None:
                             guards.pop(path, None)
                             crossed.discard(path)
-            if guards and self._unit_suspends(graph, module.path, cls, nodes):
+            if guards and _suspends(graph, module.path, cls, nodes):
                 crossed.update(guards)
 
     @staticmethod
@@ -248,114 +343,3 @@ class Sim004CheckThenActAcrossGap(_GapRule):
                     # "k in d") is not an act: it does not rely on the
                     # tested key still being present.
                     yield base, node
-
-
-class Sim005AwaitGapCapture(_GapRule):
-    """A pre-gap capture of private shared state, relied on post-gap."""
-
-    code = "SIM005"
-    name = "await-gap-capture"
-    rationale = (
-        "A local bound from self._attr is a snapshot: after any "
-        "may-yield call — a yield, or a yield from into a suspending "
-        "helper — the attribute (or the element it aliased) can have "
-        "been rebound by another process.  Using the stale capture "
-        "instead of re-reading is the classic await-gap bug; SIM003 "
-        "covers the well-known stateful names, this rule covers every "
-        "private self attribute the call graph can see a gap across."
-    )
-
-    def check(self, module: ModuleSource) -> typing.Iterator[Finding]:
-        graph = self._graph_for(module)
-        for cls, func in _iter_generators_with_class(module.tree):
-            yield from self._check_function(module, graph, cls, func)
-
-    def _check_function(
-        self,
-        module: ModuleSource,
-        graph: CallGraph,
-        cls: typing.Optional[str],
-        func: FunctionNode,
-    ) -> typing.Iterator[Finding]:
-        #: var -> (line bound, captured source)
-        tainted: typing.Dict[str, typing.Tuple[int, str]] = {}
-        crossed: typing.Set[str] = set()
-        reported: typing.Set[str] = set()
-
-        for _tag, nodes in _tagged_units(func.body):
-            # Loads first: uses in the suspending statement itself are
-            # evaluated before the suspension takes effect.
-            for node in _walk(nodes):
-                if (
-                    isinstance(node, ast.Name)
-                    and isinstance(node.ctx, ast.Load)
-                    and node.id in tainted
-                    and node.id in crossed
-                    and node.id not in reported
-                ):
-                    line, source = tainted[node.id]
-                    reported.add(node.id)
-                    yield module.finding(
-                        self,
-                        node,
-                        f"{node.id!r} captures {source} at line {line} "
-                        "before a may-yield call and is used after it "
-                        "without re-validation (await-gap); re-read "
-                        f"{source} after resuming",
-                    )
-            for node in _walk(nodes):
-                if isinstance(node, (ast.Assign, ast.AnnAssign)):
-                    targets = (
-                        node.targets
-                        if isinstance(node, ast.Assign)
-                        else [node.target]
-                    )
-                    names = _target_names(targets)
-                    source = self._capture_source(node.value)
-                    for position, name in enumerate(names):
-                        tainted.pop(name, None)
-                        crossed.discard(name)
-                        if source is not None and position == 0:
-                            tainted[name] = (node.lineno, source)
-            if tainted and self._unit_suspends(
-                graph, module.path, cls, nodes
-            ):
-                crossed.update(tainted)
-
-    @staticmethod
-    def _capture_source(
-        value: typing.Optional[ast.AST],
-    ) -> typing.Optional[str]:
-        """The description of the shared state ``value`` snapshots, if any.
-
-        Private ``self`` attributes only, minus the SIM003 stateful
-        names — the two rules partition the namespace instead of
-        double-reporting.
-        """
-        if value is None:
-            return None
-        if isinstance(value, ast.Subscript):
-            chain = attribute_chain(value.value)
-            suffix = "[...]"
-        else:
-            chain = attribute_chain(value)
-            suffix = ""
-        if not chain or chain[0] != "self" or len(chain) < 2:
-            return None
-        attr = chain[-1]
-        if not attr.startswith("_") or attr in _STATEFUL_ATTRS:
-            return None
-        return ".".join(chain) + suffix
-
-
-def interprocedural_rules(
-    graph: typing.Optional[CallGraph] = None,
-) -> typing.List[Rule]:
-    """The rules that join the default set under ``--interprocedural``."""
-    return [Sim004CheckThenActAcrossGap(graph), Sim005AwaitGapCapture(graph)]
-
-
-ATOMICITY_RULES: typing.Tuple[typing.Type[Rule], ...] = (
-    Sim004CheckThenActAcrossGap,
-    Sim005AwaitGapCapture,
-)

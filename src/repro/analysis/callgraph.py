@@ -1,10 +1,9 @@
 """The interprocedural generator call graph: *may-yield* summaries.
 
-SIM003 reasons within one function body: every ``yield`` in sight is a
-scheduling point.  But the PR 6 write path routinely factors the
-yielding half into helpers — ``yield from self._flush(batch)`` — and
-whether *that* statement can suspend the calling process depends on
-what ``_flush`` does.  This module answers exactly that question for
+A syntactic ``yield`` is a scheduling point.  But the write path
+routinely factors the yielding half into helpers — ``yield from
+self._flush(batch)`` — and whether *that* statement can suspend the
+calling process depends on what ``_flush`` does.  This module answers exactly that question for
 every function and method in the linted tree:
 
 - a function whose own body contains a bare ``yield`` (or ``await``)
@@ -71,10 +70,6 @@ class FunctionInfo:
     has_bare_yield: bool
     delegations: typing.List[Delegation]
     may_yield: bool = False
-
-    @property
-    def qualname(self) -> str:
-        return f"{self.cls}.{self.name}" if self.cls else self.name
 
 
 def _iter_defs(
@@ -294,8 +289,3 @@ class CallGraph:
             "delegation_edges": self._edges,
             "unresolved_delegations": self.unresolved_delegations,
         }
-
-
-def build_callgraph(modules: typing.Sequence[ModuleSource]) -> CallGraph:
-    """Index ``modules`` and run the may-yield fixpoint."""
-    return CallGraph(modules)

@@ -7,11 +7,12 @@ dataclasses need an IDL registration — those are *invariants of this
 reproduction*, and this module gives them teeth.
 
 The machinery is deliberately small: a rule is an object with a
-``code`` and a ``check(module)`` method yielding :class:`Finding`
+``code`` and a ``check(module, graph)`` method yielding :class:`Finding`
 objects; a :class:`ModuleSource` bundles one parsed file; the runner
-walks paths, applies inline suppressions (``# hnslint: disable=CODE``)
-and the checked-in baseline, and hands the surviving findings to a
-reporter (:mod:`repro.analysis.report`).
+walks paths, builds the may-yield call graph over them
+(:mod:`repro.analysis.callgraph`), applies inline suppressions
+(``# hnslint: disable=CODE -- reason``), and hands the surviving
+findings to a reporter (:mod:`repro.analysis.report`).
 """
 
 from __future__ import annotations
@@ -24,11 +25,13 @@ import re
 import tokenize
 import typing
 
-#: Inline suppression syntax: ``# hnslint: disable`` silences every rule
-#: on that line; ``# hnslint: disable=SIM001,HNS003`` silences only the
-#: listed codes.
-_SUPPRESS_RE = re.compile(
-    r"#\s*hnslint:\s*disable(?:=(?P<codes>[A-Z0-9, ]+))?"
+#: A comment that starts like a pragma is held to the pragma grammar.
+_PRAGMA_RE = re.compile(r"#\s*hnslint:")
+#: The pragma grammar: ``# hnslint: disable=SIM001,HNS003 -- reason``
+#: silences the listed codes; the codes and the reason are required.
+_DISABLE_RE = re.compile(
+    r"#\s*hnslint:\s*disable=(?P<codes>[A-Z]+[0-9]+(?:\s*,\s*[A-Z]+[0-9]+)*)"
+    r"\s+--\s+\S"
 )
 
 
@@ -87,10 +90,8 @@ class ModuleSource:
         )
 
     @property
-    def pragmas(
-        self,
-    ) -> typing.Dict[int, typing.Optional[typing.FrozenSet[str]]]:
-        """Every suppression pragma: line -> codes (None means "all").
+    def pragmas(self) -> typing.Dict[int, typing.Optional[typing.FrozenSet[str]]]:
+        """Every pragma: line -> the codes it disables (None: malformed).
 
         Built from the token stream, not raw lines, so a docstring that
         merely *mentions* the pragma syntax (as this package's own
@@ -99,27 +100,16 @@ class ModuleSource:
         comment quoting the syntax does not silence anything.
         """
         if self._pragmas is None:
-            found: typing.Dict[
-                int, typing.Optional[typing.FrozenSet[str]]
-            ] = {}
+            found: typing.Dict[int, typing.Optional[typing.FrozenSet[str]]] = {}
             try:
-                tokens = tokenize.generate_tokens(
-                    io.StringIO(self.text).readline
-                )
+                tokens = tokenize.generate_tokens(io.StringIO(self.text).readline)
                 for token in tokens:
-                    if token.type != tokenize.COMMENT:
+                    if token.type != tokenize.COMMENT or not _PRAGMA_RE.match(token.string):
                         continue
-                    match = _SUPPRESS_RE.match(token.string)
-                    if match is None:
-                        continue
-                    codes = match.group("codes")
+                    match = _DISABLE_RE.match(token.string)
                     found[token.start[0]] = (
-                        frozenset(
-                            code.strip()
-                            for code in codes.split(",")
-                            if code.strip()
-                        )
-                        if codes
+                        frozenset(code.strip() for code in match.group("codes").split(","))
+                        if match
                         else None
                     )
             except tokenize.TokenError:  # pragma: no cover - ast parsed OK
@@ -129,25 +119,14 @@ class ModuleSource:
 
     def suppression_for(
         self, lineno: int
-    ) -> typing.Optional[
-        typing.Tuple[int, typing.Optional[typing.FrozenSet[str]]]
-    ]:
-        """The pragma governing ``lineno``: same line, or a comment-only
-        line directly above.  Returns ``(pragma line, codes)``."""
-        pragmas = self.pragmas
-        if lineno in pragmas:
-            return lineno, pragmas[lineno]
-        above = lineno - 1
-        if above in pragmas and self.line_at(above).startswith("#"):
-            return above, pragmas[above]
+    ) -> typing.Optional[typing.Tuple[int, typing.FrozenSet[str]]]:
+        """The well-formed pragma governing ``lineno``: same line, or a
+        comment-only line directly above.  Returns ``(pragma line, codes)``."""
+        for line in (lineno, lineno - 1):
+            codes = self.pragmas.get(line)
+            if codes is not None and (line == lineno or self.line_at(line).startswith("#")):
+                return line, codes
         return None
-
-    def suppressed_codes(self, lineno: int) -> typing.Optional[typing.Set[str]]:
-        """Codes silenced on ``lineno``; empty set means "all codes"."""
-        entry = self.suppression_for(lineno)
-        if entry is None:
-            return None
-        return set(entry[1]) if entry[1] is not None else set()
 
 
 class Rule:
@@ -157,7 +136,7 @@ class Rule:
     name: str = ""
     rationale: str = ""
 
-    def check(self, module: ModuleSource) -> typing.Iterator[Finding]:
+    def check(self, module: ModuleSource, graph: CallGraph) -> typing.Iterator[Finding]:
         raise NotImplementedError
 
 
@@ -261,22 +240,16 @@ def _target_names(targets: typing.Sequence[ast.AST]) -> typing.List[str]:
     return names
 
 
-def iter_functions(
-    tree: ast.AST,
-) -> typing.Iterator[typing.Union[ast.FunctionDef, ast.AsyncFunctionDef]]:
-    """Every function definition in ``tree``, including nested ones."""
-    for node in ast.walk(tree):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            yield node
-
-
 def iter_generator_functions(
     tree: ast.AST,
 ) -> typing.Iterator[typing.Union[ast.FunctionDef, ast.AsyncFunctionDef]]:
-    """Every generator function in ``tree`` — a simulated process body."""
-    for func in iter_functions(tree):
-        if is_generator_function(func):
-            yield func
+    """Every generator function in ``tree``, nested ones included — a
+    simulated process body."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and is_generator_function(
+            node
+        ):
+            yield node
 
 
 class ImportMap:
@@ -334,7 +307,7 @@ class ImportMap:
 # The runner
 # ----------------------------------------------------------------------
 class Lint001UnusedSuppression(Rule):
-    """A ``# hnslint: disable`` pragma that silences nothing.
+    """A pragma that silences nothing, or that breaks the grammar.
 
     Emitted by the runner, not by ``check()``: whether a pragma is used
     is only known after every rule has run over the module.
@@ -346,10 +319,10 @@ class Lint001UnusedSuppression(Rule):
         "A disable pragma that no longer matches any finding is a "
         "silent hole: the next real violation on that line sails "
         "through review pre-approved.  Dead pragmas are deleted, not "
-        "kept as decoration."
+        "kept as decoration; a malformed one silences nothing either."
     )
 
-    def check(self, module: ModuleSource) -> typing.Iterator[Finding]:
+    def check(self, module: ModuleSource, graph: CallGraph) -> typing.Iterator[Finding]:
         return iter(())
 
 
@@ -360,15 +333,9 @@ class LintResult:
     findings: typing.List[Finding]
     files_scanned: int = 0
     suppressed: int = 0
-    baselined: int = 0
     parse_errors: typing.List[str] = dataclasses.field(default_factory=list)
-    #: Baseline entries that matched nothing in this run (populated when
-    #: a baseline was in effect; ``--check-baseline`` fails on them).
-    stale_suppressions: typing.List[str] = dataclasses.field(
-        default_factory=list
-    )
-    #: May-yield call-graph shape counters (interprocedural runs only).
-    callgraph: typing.Optional[typing.Dict[str, int]] = None
+    #: May-yield call-graph shape counters (:meth:`CallGraph.summary`).
+    callgraph: typing.Dict[str, int] = dataclasses.field(default_factory=dict)
 
     @property
     def ok(self) -> bool:
@@ -383,86 +350,92 @@ class LintResult:
 
 def default_rules() -> typing.List[Rule]:
     """One instance of every registered rule, in code order."""
-    from repro.analysis.rules_hns import HNS_RULES
-    from repro.analysis.rules_sim import SIM_RULES
+    from repro.analysis.atomicity import Sim003StaleReadAcrossYield, Sim004CheckThenActAcrossGap
+    from repro.analysis.rules_hns import Hns001CacheInsertTtl, Hns003StatNameConvention
+    from repro.analysis.rules_sim import Sim001AmbientNondeterminism, Sim002BlockingCall
 
-    return [cls() for cls in (*SIM_RULES, *HNS_RULES)] + [
-        Lint001UnusedSuppression()
+    return [
+        Sim001AmbientNondeterminism(),
+        Sim002BlockingCall(),
+        Sim003StaleReadAcrossYield(),
+        Sim004CheckThenActAcrossGap(),
+        Hns001CacheInsertTtl(),
+        Hns003StatNameConvention(),
+        Lint001UnusedSuppression(),
     ]
 
 
 def _lint_module(
     module: ModuleSource,
     active: typing.Sequence[Rule],
+    graph: CallGraph,
     result: LintResult,
-    baseline: typing.Optional["Baseline"],
-    check_pragmas: bool,
 ) -> None:
     """Run ``active`` over one module, folding findings into ``result``."""
     #: pragma line -> rule codes it actually silenced
     used: typing.Dict[int, typing.Set[str]] = {}
     for rule in active:
-        for finding in rule.check(module):
+        for finding in rule.check(module, graph):
             entry = module.suppression_for(finding.line)
-            if entry is not None and (
-                entry[1] is None or finding.rule in entry[1]
-            ):
+            if entry is not None and finding.rule in entry[1]:
                 used.setdefault(entry[0], set()).add(finding.rule)
                 result.suppressed += 1
-                continue
-            if baseline is not None and baseline.matches(finding):
-                result.baselined += 1
-                continue
-            result.findings.append(finding)
-    if not check_pragmas:
+            else:
+                result.findings.append(finding)
+    if not any(isinstance(rule, Lint001UnusedSuppression) for rule in active):
         return
-    # LINT001 is deliberately immune to inline suppression (a pragma
-    # cannot vouch for itself) but goes through the baseline like any
-    # other finding.
-    meta = Lint001UnusedSuppression()
+    # LINT001 is deliberately immune to inline suppression: a pragma
+    # cannot vouch for itself.
     for line, codes in sorted(module.pragmas.items()):
-        used_codes = used.get(line, set())
         if codes is None:
-            if used_codes:
-                continue
             message = (
-                "unused suppression pragma: nothing on this line is "
-                "silenced by it; delete the pragma"
+                "malformed pragma: write '# hnslint: disable=CODE[,CODE] "
+                "-- reason'; it silences nothing as written"
             )
         else:
-            dead = sorted(codes - used_codes)
+            dead = sorted(codes - used.get(line, set()))
             if not dead:
                 continue
             message = (
                 f"unused suppression pragma: {', '.join(dead)} "
                 "silence(s) nothing here; delete the dead code(s)"
             )
-        finding = Finding(
-            rule=meta.code,
-            path=module.path,
-            line=line,
-            col=1,
-            message=message,
-            snippet=module.line_at(line),
+        result.findings.append(
+            Finding(
+                rule=Lint001UnusedSuppression.code,
+                path=module.path,
+                line=line,
+                col=1,
+                message=message,
+                snippet=module.line_at(line),
+            )
         )
-        if baseline is not None and baseline.matches(finding):
-            result.baselined += 1
-            continue
-        result.findings.append(finding)
+
+
+def _lint(
+    modules: typing.Sequence[ModuleSource],
+    rules: typing.Optional[typing.Sequence[Rule]],
+    result: LintResult,
+) -> None:
+    """Build the call graph over ``modules`` and run every rule on each."""
+    from repro.analysis.callgraph import CallGraph
+
+    graph = CallGraph(modules)
+    result.callgraph = graph.summary()
+    active = list(rules) if rules is not None else default_rules()
+    for module in modules:
+        _lint_module(module, active, graph, result)
+    result.findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
 
 
 def lint_source(
     text: str,
     path: str = "<string>",
     rules: typing.Optional[typing.Sequence[Rule]] = None,
-    check_pragmas: bool = False,
 ) -> typing.List[Finding]:
-    """Lint one source string; inline suppressions apply, baseline doesn't."""
-    module = ModuleSource(path, text)
-    active = list(rules) if rules is not None else default_rules()
+    """Lint one source string, its call graph built over it alone."""
     result = LintResult(findings=[])
-    _lint_module(module, active, result, None, check_pragmas)
-    result.findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
+    _lint([ModuleSource(path, text)], rules, result)
     return result.findings
 
 
@@ -481,24 +454,14 @@ def iter_python_files(
 def lint_paths(
     paths: typing.Sequence[typing.Union[str, pathlib.Path]],
     rules: typing.Optional[typing.Sequence[Rule]] = None,
-    baseline: typing.Optional["Baseline"] = None,
-    interprocedural: bool = False,
-    check_pragmas: bool = True,
 ) -> LintResult:
     """Lint every ``.py`` file under ``paths``.
 
-    Inline suppressions are counted in ``suppressed``; findings matched
-    by the checked-in baseline are counted in ``baselined``.  Anything
-    left in ``findings`` should fail CI.
-
-    With ``interprocedural=True`` every module is parsed first, a
-    project-wide may-yield call graph is built over the whole set
-    (:mod:`repro.analysis.callgraph`), and the interprocedural rules
-    (SIM004/SIM005, :mod:`repro.analysis.atomicity`) join the default
-    rule set.  ``check_pragmas`` adds the LINT001 unused-pragma
-    meta-check (on by default for tree runs).
+    Every module is parsed first and one may-yield call graph is built
+    over the whole set, so a ``yield from`` into another linted module
+    resolves.  Inline suppressions are counted in ``suppressed``;
+    anything left in ``findings`` should fail CI.
     """
-    active = list(rules) if rules is not None else default_rules()
     result = LintResult(findings=[])
     modules: typing.List[ModuleSource] = []
     for path in iter_python_files(paths):
@@ -509,23 +472,9 @@ def lint_paths(
             continue
         result.files_scanned += 1
         modules.append(module)
-    if interprocedural:
-        from repro.analysis.atomicity import interprocedural_rules
-        from repro.analysis.callgraph import build_callgraph
-
-        graph = build_callgraph(modules)
-        result.callgraph = graph.summary()
-        if rules is None:
-            active.extend(interprocedural_rules(graph))
-    for module in modules:
-        _lint_module(module, active, result, baseline, check_pragmas)
-    if baseline is not None:
-        result.stale_suppressions = [
-            suppression.describe() for suppression in baseline.stale()
-        ]
-    result.findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
+    _lint(modules, rules, result)
     return result
 
 
 if typing.TYPE_CHECKING:  # pragma: no cover
-    from repro.analysis.baseline import Baseline
+    from repro.analysis.callgraph import CallGraph

@@ -15,12 +15,13 @@ from repro.analysis.determinism import ScenarioPass
 
 #: Bumped whenever a field changes meaning; additions are backwards
 #: compatible and do not bump it.  v2: reports carry
-#: ``stale_suppressions`` and (under ``--interprocedural``) a
+#: ``stale_suppressions`` and (when the call graph was built) a
 #: ``callgraph`` summary block.  v3: the scenario pass (``--scenarios``)
 #: adds ``scenarios``.  v4: findings lose ``subject``, ``status`` and
 #: ``witnesses``, and reports lose ``hazards``, with the sanitizer they
-#: graded against.
-JSON_FORMAT_VERSION = 4
+#: graded against.  v5: the baseline file is gone, so reports lose
+#: ``baselined`` and ``stale_suppressions``; ``callgraph`` is always set.
+JSON_FORMAT_VERSION = 5
 
 
 def render_text(
@@ -45,8 +46,6 @@ def render_text(
             )
             if check.first_divergence:
                 lines.append(f"    first divergence: {check.first_divergence}")
-    for stale in result.stale_suppressions:
-        lines.append(f"stale baseline suppression: {stale}")
     lines.append(_summary_line(result, scenarios))
     return "\n".join(lines)
 
@@ -64,7 +63,6 @@ def _summary_line(
         f"{result.files_scanned} files scanned",
         f"{len(result.findings)} findings{by_rule}",
         f"{result.suppressed} suppressed inline",
-        f"{result.baselined} baselined",
     ]
     if scenarios is not None:
         failed = sum(1 for check in scenarios.checks if not check.ok)
@@ -83,13 +81,10 @@ def render_json(
         "findings": [finding.to_json() for finding in result.findings],
         "counts": result.counts_by_rule(),
         "suppressed": result.suppressed,
-        "baselined": result.baselined,
         "parse_errors": list(result.parse_errors),
-        "stale_suppressions": list(result.stale_suppressions),
+        "callgraph": dict(result.callgraph),
         "ok": result.ok,
     }
-    if result.callgraph is not None:
-        payload["callgraph"] = dict(result.callgraph)
     if scenarios is not None:
         payload["scenarios"] = [check.to_json() for check in scenarios.checks]
         payload["ok"] = result.ok and scenarios.ok

@@ -33,7 +33,7 @@ class Hns001CacheInsertTtl(Rule):
         "nothing; both corrupt hit-rate measurements."
     )
 
-    def check(self, module: ModuleSource) -> typing.Iterator[Finding]:
+    def check(self, module: ModuleSource, graph: CallGraph) -> typing.Iterator[Finding]:
         for node in ast.walk(module.tree):
             if not isinstance(node, ast.Call):
                 continue
@@ -140,7 +140,7 @@ class Hns003StatNameConvention(Rule):
         "every existing report and diff."
     )
 
-    def check(self, module: ModuleSource) -> typing.Iterator[Finding]:
+    def check(self, module: ModuleSource, graph: CallGraph) -> typing.Iterator[Finding]:
         for node in ast.walk(module.tree):
             if not isinstance(node, ast.Call):
                 continue
@@ -219,7 +219,5 @@ class Hns003StatNameConvention(Rule):
         return None
 
 
-HNS_RULES: typing.Tuple[typing.Type[Rule], ...] = (
-    Hns001CacheInsertTtl,
-    Hns003StatNameConvention,
-)
+if typing.TYPE_CHECKING:  # pragma: no cover
+    from repro.analysis.callgraph import CallGraph

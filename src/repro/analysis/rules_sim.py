@@ -1,4 +1,4 @@
-"""Simulation-kernel rules: SIM001, SIM002, SIM003.
+"""Simulation-kernel rules: SIM001, SIM002.
 
 The event kernel replays a run exactly from ``Environment(seed=...)``:
 virtual time comes from ``env.now``, randomness from named
@@ -19,10 +19,7 @@ from repro.analysis.core import (
     ImportMap,
     ModuleSource,
     Rule,
-    attribute_chain,
     iter_generator_functions,
-    _tagged_units,
-    _target_names,
     _walk_own_body,
 )
 
@@ -81,7 +78,7 @@ class Sim001AmbientNondeterminism(Rule):
         "same-seed runs diverge and corrupt benchmark trajectories."
     )
 
-    def check(self, module: ModuleSource) -> typing.Iterator[Finding]:
+    def check(self, module: ModuleSource, graph: CallGraph) -> typing.Iterator[Finding]:
         imports = ImportMap(module.tree)
         for node in ast.walk(module.tree):
             if not isinstance(node, ast.Call):
@@ -125,7 +122,7 @@ class Sim002BlockingCall(Rule):
         "every process in the run instead of advancing the virtual clock."
     )
 
-    def check(self, module: ModuleSource) -> typing.Iterator[Finding]:
+    def check(self, module: ModuleSource, graph: CallGraph) -> typing.Iterator[Finding]:
         imports = ImportMap(module.tree)
         for func in iter_generator_functions(module.tree):
             for node in _walk_own_body(func):
@@ -154,130 +151,5 @@ class Sim002BlockingCall(Rule):
                     )
 
 
-#: Attribute names whose reads snapshot shared mutable state.  A local
-#: bound from one of these and used after a later ``yield`` may be stale
-#: by the time it is read — another process can run at every yield.
-_STATEFUL_ATTRS = {
-    "entries",
-    "_entries",
-    "records",
-    "zone",
-    "zones",
-    "journal",
-    "table",
-    "bindings",
-    "state",
-}
-
-#: Method calls whose results snapshot cache state the same way.
-_SNAPSHOT_METHODS = {"probe", "stale_entry"}
-
-
-class Sim003StaleReadAcrossYield(Rule):
-    """Shared-state snapshot taken before a ``yield``, used after it."""
-
-    code = "SIM003"
-    name = "stale-read-across-yield"
-    rationale = (
-        "Every yield is a scheduling point: cache entries can expire, be "
-        "evicted, or be rewritten by another process before the generator "
-        "resumes.  A snapshot captured before a yield must be re-validated "
-        "(or re-bound) before being relied on after it."
-    )
-
-    def check(self, module: ModuleSource) -> typing.Iterator[Finding]:
-        for func in iter_generator_functions(module.tree):
-            yield from self._check_function(module, func)
-
-    def _check_function(
-        self,
-        module: ModuleSource,
-        func: typing.Union[ast.FunctionDef, ast.AsyncFunctionDef],
-    ) -> typing.Iterator[Finding]:
-        #: var -> (line bound, attr description); cleared on re-bind.
-        tainted: typing.Dict[str, typing.Tuple[int, str]] = {}
-        crossed: typing.Set[str] = set()
-        reported: typing.Set[str] = set()
-
-        for _tag, unit in _tagged_units(func.body):
-            has_yield = any(
-                isinstance(n, (ast.Yield, ast.YieldFrom))
-                for root in unit
-                for n in ast.walk(root)
-                if not isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
-            )
-            # Uses are evaluated before the suspension takes effect for
-            # this statement, so check loads first.
-            for node in self._walk_unit(unit):
-                if (
-                    isinstance(node, ast.Name)
-                    and isinstance(node.ctx, ast.Load)
-                    and node.id in tainted
-                    and node.id in crossed
-                    and node.id not in reported
-                ):
-                    line, source = tainted[node.id]
-                    reported.add(node.id)
-                    yield module.finding(
-                        self, node,
-                        f"{node.id!r} snapshots {source} at line {line} and "
-                        "is relied on after a yield without re-validation; "
-                        "re-probe or re-bind it after resuming",
-                    )
-            # Rebinding clears the taint; new snapshot binds create it.
-            for node in self._walk_unit(unit):
-                if isinstance(node, (ast.Assign, ast.AnnAssign)):
-                    targets = (
-                        node.targets
-                        if isinstance(node, ast.Assign)
-                        else [node.target]
-                    )
-                    names = _target_names(targets)
-                    source = self._snapshot_source(node.value) if node.value else None
-                    for position, name in enumerate(names):
-                        tainted.pop(name, None)
-                        crossed.discard(name)
-                        # For tuple unpacking of probe() only the first
-                        # element (the entry) is the hazardous snapshot.
-                        if source is not None and position == 0:
-                            tainted[name] = (node.lineno, source)
-            if has_yield:
-                crossed.update(tainted)
-
-    @staticmethod
-    def _snapshot_source(
-        value: typing.Optional[ast.AST],
-    ) -> typing.Optional[str]:
-        """The description of the state snapshotted, or None."""
-        if value is None:
-            return None
-        # yield from cache.probe(key) — the send-value, not a snapshot.
-        if isinstance(value, (ast.Yield, ast.YieldFrom)):
-            inner = value.value
-            if isinstance(inner, ast.Call):
-                value = inner
-            else:
-                return None
-        if isinstance(value, ast.Call) and isinstance(value.func, ast.Attribute):
-            if value.func.attr in _SNAPSHOT_METHODS:
-                chain = attribute_chain(value.func)
-                base = ".".join(chain[:-1]) if chain else "<cache>"
-                return f"{base}.{value.func.attr}(...)"
-            return None
-        if isinstance(value, ast.Attribute):
-            if value.attr in _STATEFUL_ATTRS:
-                chain = attribute_chain(value)
-                return ".".join(chain) if chain else value.attr
-        return None
-
-    @staticmethod
-    def _walk_unit(unit: typing.Sequence[ast.AST]) -> typing.Iterator[ast.AST]:
-        for root in unit:
-            yield from ast.walk(root)
-
-
-SIM_RULES: typing.Tuple[typing.Type[Rule], ...] = (
-    Sim001AmbientNondeterminism,
-    Sim002BlockingCall,
-    Sim003StaleReadAcrossYield,
-)
+if typing.TYPE_CHECKING:  # pragma: no cover
+    from repro.analysis.callgraph import CallGraph

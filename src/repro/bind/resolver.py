@@ -210,6 +210,7 @@ class BindResolver:
             if cache is not None:
                 entry, cost = cache.probe(key)
                 yield self.host.cpu.compute(cost)
+                # hnslint: disable=SIM003 -- entry is captured by value; eviction cannot mutate it, read_hit copies it
                 if entry is not None:
                     records, cost = self.read_hit(key, entry, span)
                     yield self.host.cpu.compute(cost)

@@ -359,6 +359,7 @@ class MetaStore:
                 key = cache_key(owner, RRType.UNSPEC)
                 entry, cost = cache.probe(key)
                 yield cpu.compute(cost)
+                # hnslint: disable=SIM003 -- the hit idiom: entry is captured by value, read_hit copies the payload
                 if entry is None:
                     break
                 try:

@@ -193,6 +193,7 @@ class NamingSemanticsManager:
             key = self._cache_key(hns_name, params)
             entry, probe_cost = cache.probe(key)
             yield self.host.cpu.compute(probe_cost)
+            # hnslint: disable=SIM003 -- entry is captured by value; its payload is copied before it escapes
             if entry is not None:
                 span.set(outcome="hit")
                 yield self.host.cpu.compute(

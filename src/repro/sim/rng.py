@@ -28,6 +28,7 @@ class RngRegistry:
             digest = hashlib.sha256(
                 f"{self.seed}:{name}".encode("utf-8")
             ).digest()
+            # hnslint: disable=SIM001 -- RngRegistry is the one sanctioned wrapper: every stream derives from the master seed
             stream = random.Random(int.from_bytes(digest[:8], "big"))
             self._streams[name] = stream
         return stream

@@ -1,4 +1,4 @@
-"""SIM004/SIM005: yield-gap fixture pairs from the write path's shapes.
+"""SIM003/SIM004: yield-gap fixture pairs from the write path's shapes.
 
 Every true-positive fixture models a real PR 6 write-path pattern —
 the ``_OpenBatch`` flush, the NOTIFY debounce, the lease sweeper — and
@@ -10,8 +10,8 @@ import textwrap
 
 from repro.analysis import lint_source
 from repro.analysis.atomicity import (
+    Sim003StaleReadAcrossYield,
     Sim004CheckThenActAcrossGap,
-    Sim005AwaitGapCapture,
 )
 
 
@@ -196,9 +196,9 @@ def test_sim004_rebind_supersedes_stale_check():
 
 
 # ----------------------------------------------------------------------
-# SIM005: await-gap captures
+# SIM003: private-state captures across a may-yield gap
 # ----------------------------------------------------------------------
-def test_sim005_flags_serial_captured_across_fsync():
+def test_sim003_flags_serial_captured_across_fsync():
     findings = _lint(
         """
         class Journal:
@@ -210,13 +210,13 @@ def test_sim005_flags_serial_captured_across_fsync():
                 yield from self._fsync()
                 return serial + 1
         """,
-        Sim005AwaitGapCapture,
+        Sim003StaleReadAcrossYield,
     )
-    assert [f.rule for f in findings] == ["SIM005"]
+    assert [f.rule for f in findings] == ["SIM003"]
     assert "self._serial" in findings[0].message
 
 
-def test_sim005_flags_lease_element_captured_across_gap():
+def test_sim003_flags_lease_element_captured_across_gap():
     findings = _lint(
         """
         class LeaseTable:
@@ -228,13 +228,13 @@ def test_sim005_flags_lease_element_captured_across_gap():
                 yield from self._persist()
                 self._leases[name] = expiry + extend_ms
         """,
-        Sim005AwaitGapCapture,
+        Sim003StaleReadAcrossYield,
     )
-    assert [f.rule for f in findings] == ["SIM005"]
+    assert [f.rule for f in findings] == ["SIM003"]
     assert "self._leases[...]" in findings[0].message
 
 
-def test_sim005_clean_when_reread_after_gap():
+def test_sim003_clean_when_reread_after_gap():
     findings = _lint(
         """
         class Journal:
@@ -248,12 +248,12 @@ def test_sim005_clean_when_reread_after_gap():
                 serial = self._serial
                 return serial + 1
         """,
-        Sim005AwaitGapCapture,
+        Sim003StaleReadAcrossYield,
     )
     assert findings == []
 
 
-def test_sim005_clean_when_use_is_in_the_suspending_statement():
+def test_sim003_clean_when_use_is_in_the_suspending_statement():
     # The capture rides *into* the gap: arguments are evaluated before
     # the suspension, so this is race-free.
     findings = _lint(
@@ -267,12 +267,12 @@ def test_sim005_clean_when_use_is_in_the_suspending_statement():
                 yield from self._record(serial)
                 return True
         """,
-        Sim005AwaitGapCapture,
+        Sim003StaleReadAcrossYield,
     )
     assert findings == []
 
 
-def test_sim005_clean_public_attribute_capture():
+def test_sim003_clean_public_attribute_capture():
     # Public attributes are API surface, not the private mutable state
     # this rule patrols.
     findings = _lint(
@@ -286,12 +286,12 @@ def test_sim005_clean_public_attribute_capture():
                 yield from self._fsync()
                 return limit
         """,
-        Sim005AwaitGapCapture,
+        Sim003StaleReadAcrossYield,
     )
     assert findings == []
 
 
-def test_sim005_clean_when_helper_cannot_suspend():
+def test_sim003_clean_when_helper_cannot_suspend():
     findings = _lint(
         """
         class Journal:
@@ -306,16 +306,16 @@ def test_sim005_clean_when_helper_cannot_suspend():
             def walker(self):
                 yield from self._digest()
         """,
-        Sim005AwaitGapCapture,
+        Sim003StaleReadAcrossYield,
     )
     # walker delegates to a non-generator helper, so append's
     # yield from walker() never suspends either.
     assert findings == []
 
 
-def test_sim003_and_sim005_partition_the_namespace():
-    # `entries` is SIM003's stateful name; SIM005 must not double-report
-    # the same capture.
+def test_sim003_flags_stateful_capture_across_helper_gap():
+    # `entries` is a stateful name on any receiver; the gap is a helper
+    # that suspends.  The capture is reported once.
     findings = _lint(
         """
         class Cache:
@@ -327,6 +327,7 @@ def test_sim003_and_sim005_partition_the_namespace():
                 yield from self._cost()
                 return snapshot[key]
         """,
-        Sim005AwaitGapCapture,
+        Sim003StaleReadAcrossYield,
     )
-    assert findings == []
+    assert [f.rule for f in findings] == ["SIM003"]
+    assert "self.entries" in findings[0].message

@@ -2,7 +2,7 @@
 
 import textwrap
 
-from repro.analysis.callgraph import build_callgraph
+from repro.analysis.callgraph import CallGraph
 from repro.analysis.core import ModuleSource
 
 
@@ -11,7 +11,7 @@ def _graph(**sources):
         ModuleSource(f"{name}.py", textwrap.dedent(text))
         for name, text in sources.items()
     ]
-    return build_callgraph(modules)
+    return CallGraph(modules)
 
 
 def _info(graph, path, cls, name):

@@ -110,7 +110,7 @@ def test_scenarios_builds_each_scenario_six_times(tmp_path, monkeypatch):
     )
     clean = tmp_path / "clean.py"
     clean.write_text("x = 1\n", encoding="utf-8")
-    assert run([str(clean), "--no-baseline", "--scenarios", "--seed", "4"]) == 0
+    assert run([str(clean), "--scenarios", "--seed", "4"]) == 0
     assert builds == [4] * 6
 
 

@@ -1,4 +1,4 @@
-"""The scenario pass: perturbation, seeds, gating and the v4 report."""
+"""The scenario pass: perturbation, seeds, gating and the v5 report."""
 
 import json
 import textwrap
@@ -19,7 +19,7 @@ from repro.sim import ConstantLatency, Environment
 from repro.sim.kernel import STANDING_MS
 from repro.workloads import scenarios as scenario_registry
 
-#: A lease-renewal race SIM005 finds statically.
+#: A lease-renewal race SIM003 finds statically.
 RACY_SOURCE = """\
 class LeaseTable:
     def _persist(self):
@@ -73,7 +73,7 @@ def _check(tmp_path, monkeypatch, capsys, source, scenarios, *flags):
     monkeypatch.setattr(scenario_registry, "SCENARIOS", scenarios)
     path = _write(tmp_path, "leases.py", source)
     code = run(
-        [path, "--no-baseline", "--interprocedural", "--scenarios", *flags]
+        [path, "--scenarios", *flags]
     )
     return code, capsys.readouterr().out
 
@@ -211,7 +211,7 @@ def _reject_constant(name):
 
 
 def test_racer_report_json_round_trip(tmp_path, monkeypatch, capsys):
-    """The v4 report is strict JSON and byte-stable across two runs."""
+    """The v5 report is strict JSON and byte-stable across two runs."""
     scenarios = {"cohort": cohort_builder, "replayed": cohort_builder}
     outputs = [
         _check(
@@ -222,11 +222,11 @@ def test_racer_report_json_round_trip(tmp_path, monkeypatch, capsys):
     ]
     assert outputs[0] == outputs[1]
     payload = json.loads(outputs[0], parse_constant=_reject_constant)
-    assert payload["version"] == 4
+    assert payload["version"] == 5
     assert payload["tool"] == "hnslint"
-    assert payload["ok"] is False  # the SIM005 finding gates the run
+    assert payload["ok"] is False  # the SIM003 finding gates the run
     (finding,) = payload["findings"]
-    assert finding["rule"] == "SIM005"
+    assert finding["rule"] == "SIM003"
     assert sorted(finding) == ["col", "line", "message", "path", "rule", "snippet"]
     assert "hazards" not in payload
     assert [s["scenario"] for s in payload["scenarios"]] == ["cohort", "replayed"]

@@ -3,11 +3,8 @@
 import textwrap
 
 from repro.analysis import lint_source
-from repro.analysis.rules_sim import (
-    Sim001AmbientNondeterminism,
-    Sim002BlockingCall,
-    Sim003StaleReadAcrossYield,
-)
+from repro.analysis.atomicity import Sim003StaleReadAcrossYield
+from repro.analysis.rules_sim import Sim001AmbientNondeterminism, Sim002BlockingCall
 
 
 def _lint(source, rule_cls):

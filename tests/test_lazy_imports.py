@@ -32,7 +32,7 @@ DRIVER_LINES = 16_000
 #: modules no ledger workload runs, so the driver must not load them
 NOT_LOADED = [
     *(f"repro.analysis.{m}" for m in (
-        "atomicity", "baseline", "callgraph", "core", "perturb", "report",
+        "atomicity", "callgraph", "core", "perturb", "report",
         "rules_sim",
     )),
     "repro.harness.ablation", "repro.harness.tables",

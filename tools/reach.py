@@ -71,8 +71,7 @@ def surfaces(tmp: str) -> dict:
             "cli trace --json": trace + ["--json", f"{tmp}/spans.json"],
             "cli trace --perfetto": trace + ["--perfetto", f"{tmp}/trace.json"],
             "report": [PY, "-m", "repro.harness.report"],
-            "check": [PY, "-m", "repro.analysis", "src/repro", "--interprocedural",
-                      "--check-baseline", "--scenarios"]}
+            "check": [PY, "-m", "repro.analysis", "src/repro", "--scenarios"]}
 
 
 def trace(argv: list, tmp: str, cwd: pathlib.Path = ROOT) -> dict:
