@@ -1,15 +1,16 @@
-"""Shared helpers for the benchmark harness.
+"""Shared helpers for the benchmarks beside the paper's report.
 
-Every benchmark regenerates one table or figure from the paper's
-evaluation, prints a paper-vs-measured comparison (run with ``-s`` to
-see it inline; values also land in ``benchmark.extra_info``), and
-asserts the reproduction tolerance recorded in EXPERIMENTS.md.
+The paper's own figures are declared once, in ``repro.harness.report``.
+The five files here measure what the paper argues but does not
+tabulate: Figure 2.1's query flow (``bench_figure_2_1``), the dynamic
+hit ratios it leaves open (``bench_dynamic_hit_ratios``), the design
+choices DESIGN.md calls out (``bench_ablations``), load distribution
+(``bench_scalability``) and the ablation engine's parallel fan-out
+(``bench_harness``).  Each prints what it measures (run with ``-s``;
+values also land in ``benchmark.extra_info``) and asserts its claim.
 """
 
-import pytest
-
 from repro.core import HNSName
-from repro.workloads import build_testbed
 
 FIJI = HNSName("BIND-cs", "fiji.cs.washington.edu")
 DLION = HNSName("CH-hcs", "dlion:hcs:uw")
@@ -24,8 +25,3 @@ def timed(env, gen):
     start = env.now
     run(env, gen)
     return env.now - start
-
-
-@pytest.fixture
-def fresh_testbed():
-    return build_testbed(seed=17)

@@ -1,12 +1,15 @@
-"""One-command reproduction report.
+"""One-command reproduction report: every paper figure, declared once.
 
-``python -m repro.harness.report [output.md]`` re-runs the headline
-experiments (Tables 3.1 and 3.2, the basic-overhead figures, baselines,
-preloading, equation (1)), folds in the committed ablation-grid
-artifacts (``BENCH_ablation_*.json``, emitted by ``python -m repro.cli
-bench``), and writes a consolidated paper-vs-measured report.  The
-pytest benchmarks remain the authoritative, asserted versions; this
-module is the convenience front door.
+``python -m repro.harness.report [output.md]`` re-runs the paper's
+evaluation (Tables 3.1 and 3.2, the Section 3 component costs, the
+binding baselines and equation (1)), folds in the committed
+ablation-grid artifacts (``BENCH_ablation_*.json``, emitted by ``python
+-m repro.cli bench``), and writes a consolidated paper-vs-measured
+report.  Each row carries the tolerance it is held to, the tightest any
+check has applied to that figure; a target that is not a figure the
+paper prints names its source in the row's label.  Tier-1 checks every
+row of ``PAPER_TABLES`` against its bound and holds RESULTS.md equal to
+this module's output.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from repro.core.model import ColocationModel
 from repro.core.names import HNSName
 from repro.harness.ablation import SCHEMA_VERSION
 from repro.harness.tables import ComparisonTable
-from repro.workloads.scenarios import build_stack, build_testbed
+from repro.workloads.scenarios import CREDENTIALS, build_stack, build_testbed
 
 FIJI = HNSName("BIND-cs", "fiji.cs.washington.edu")
 
@@ -37,6 +40,22 @@ PAPER_TABLE_3_1 = {
 #: Table 3.2 of the paper (msec): records -> (miss, marshalled hit,
 #: demarshalled hit)
 PAPER_TABLE_3_2 = {1: (20.23, 11.11, 0.83), 6: (32.34, 26.17, 1.22)}
+
+#: Distinct (context, query class) pairs for the preload break-even,
+#: alternating name systems so that consecutive cold FindNSMs share as
+#: little meta state as possible.
+PRELOAD_SWEEP = (
+    (FIJI, "HRPCBinding"),
+    (HNSName("CH-hcs", "dlion:hcs:uw"), "HRPCBinding"),
+    (HNSName("BIND-cs", "schwartz.cs.washington.edu"), "MailboxLocation"),
+    (HNSName("CH-hcs", "levy:hcs:uw"), "MailboxLocation"),
+    (HNSName("BIND-cs", "src.projects.cs.washington.edu"), "FileService"),
+)
+
+#: This suite's raw remote HRPC call (docs/calibration.md), the
+#: C(remote call) of equation (1) over the measured cells; the paper
+#: estimated 33.
+MEASURED_REMOTE_CALL_MS = 34.2
 
 
 def _run(env, gen):
@@ -69,20 +88,29 @@ def measure_table_3_1_row(
 
 
 def table_3_1(seed: int = 3) -> ComparisonTable:
-    """Re-measure all fifteen Table 3.1 cells."""
+    """Re-measure all fifteen Table 3.1 cells.
+
+    Row 1 is the calibration anchor, held to 0.5 %; rows 2-5 add one
+    uniform remote-call cost per process boundary, held to 8 %.
+    """
     table = ComparisonTable("Table 3.1 — HRPC binding by colocation arrangement")
     for arrangement in Arrangement:
+        tolerance = 0.5 if arrangement is Arrangement.ALL_LOCAL else 8.0
         for label, paper, measured in zip(
             ("miss", "HNS hit", "both hit"),
             PAPER_TABLE_3_1[arrangement],
             measure_table_3_1_row(arrangement, seed),
         ):
-            table.add(f"{arrangement.label} / {label}", paper, measured)
+            table.add(f"{arrangement.label} / {label}", paper, measured, tolerance)
     return table
 
 
 def table_3_2(seed: int = 31) -> ComparisonTable:
-    """Re-measure the Table 3.2 cache-format grid."""
+    """Re-measure the Table 3.2 cache-format grid.
+
+    The hit columns are calibrated exactly (0.5 %); the paper's own miss
+    deltas are non-monotone in response size, so misses hold to 11 %.
+    """
     from repro.bind.cache import CacheFormat, ResolverCache
     from repro.bind.resolver import BindResolver
     from repro.bind.rr import ResourceRecord
@@ -118,20 +146,68 @@ def table_3_2(seed: int = 31) -> ComparisonTable:
             first = _timed(env, resolver.lookup(name))
             second = _timed(env, resolver.lookup(name))
             measured.append(first if fmt is None else second)
-        for label, p, m in zip(
-            ("miss", "marshalled hit", "demarshalled hit"), PAPER_TABLE_3_2[records], measured
+        for label, p, m, tolerance in zip(
+            ("miss", "marshalled hit", "demarshalled hit"),
+            PAPER_TABLE_3_2[records],
+            measured,
+            (11.0, 0.5, 0.5),
         ):
-            table.add(f"{records} RR / {label}", p, m)
+            table.add(f"{records} RR / {label}", p, m, tolerance)
     return table
 
 
+def _nsm_remote_call(seed: int) -> float:
+    """A warm NSM's remote call, less the NSM's 3 ms cache-hit work."""
+    from repro.core.nsm import NsmStub, serve_nsm
+    from repro.core.nsms.bind import BindBindingNSM
+    from repro.hrpc.binding import HRPCBinding
+    from repro.hrpc.runtime import HrpcRuntime
+    from repro.hrpc.server import HrpcServer
+
+    testbed = build_testbed(seed=seed)
+    env = testbed.env
+    nsm = testbed.make_nsm(BindBindingNSM, testbed.nsm_host)
+    server = HrpcServer(testbed.nsm_host)
+    binding = HRPCBinding(
+        server.listen(9100), serve_nsm(server, nsm), suite="sunrpc"
+    )
+    stub = NsmStub(testbed.client, HrpcRuntime(testbed.client, testbed.internet))
+    _timed(env, stub.call(binding, FIJI, service="DesiredService"))
+    return _timed(env, stub.call(binding, FIJI, service="DesiredService")) - 3.0
+
+
+def _find_nsm_totals(seed: int, preload: bool) -> typing.List[float]:
+    """Running total of ``PRELOAD_SWEEP``'s FindNSMs on one fresh HNS."""
+    testbed = build_testbed(seed=seed)
+    hns = testbed.make_hns(testbed.client)
+    total = _timed(testbed.env, hns.preload()) if preload else 0.0
+    totals = []
+    for name, query_class in PRELOAD_SWEEP:
+        total += _timed(testbed.env, hns.find_nsm(name, query_class))
+        totals.append(total)
+    return totals
+
+
+def _preload_break_even(seed: int) -> int:
+    """The fewest distinct FindNSMs from which preloading wins at every
+    length of ``PRELOAD_SWEEP``."""
+    cold = _find_nsm_totals(seed, preload=False)
+    preloaded = _find_nsm_totals(seed, preload=True)
+    losing = [k for k, (c, p) in enumerate(zip(cold, preloaded), 1) if p >= c]
+    return max(losing, default=0) + 1
+
+
 def headline_figures(seed: int = 41) -> ComparisonTable:
-    """Re-measure the prose component costs of Section 3."""
+    """Re-measure the prose component costs of Section 3, each to 2 %.
+
+    The paper's prose FindNSM figures (460 cold, 88 cached) cannot both
+    hold beside its own Table 3.1; the targets are that table's row-1
+    decomposition instead.
+    """
     from repro.bind.resolver import BindResolver
     from repro.clearinghouse.client import ClearinghouseClient
-    from repro.workloads.scenarios import CREDENTIALS
 
-    table = ComparisonTable("Headline component costs")
+    table = ComparisonTable("Section 3 component costs")
     testbed = build_testbed(seed=seed)
     env = testbed.env
     resolver = BindResolver(
@@ -142,6 +218,7 @@ def headline_figures(seed: int = 41) -> ComparisonTable:
         "native BIND lookup",
         27.0,
         _timed(env, resolver.lookup_address("fiji.cs.washington.edu")),
+        2.0,
     )
     ch = ClearinghouseClient(
         testbed.client, testbed.tcp, testbed.ch_endpoint, CREDENTIALS
@@ -150,30 +227,136 @@ def headline_figures(seed: int = 41) -> ComparisonTable:
         "native Clearinghouse lookup",
         156.0,
         _timed(env, ch.lookup_address("dlion:hcs:uw")),
+        2.0,
     )
     hns = testbed.make_hns(testbed.client)
     table.add(
-        "FindNSM cold (six mappings)",
+        "FindNSM cold (Table 3.1 row 1, six mappings; text: 460)",
         287.7,
         _timed(env, hns.find_nsm(FIJI, "HRPCBinding")),
+        2.0,
     )
     table.add(
-        "FindNSM cached", 7.0, _timed(env, hns.find_nsm(FIJI, "HRPCBinding"))
+        "FindNSM cached (Table 3.1 row 1; text: 88)",
+        7.0,
+        _timed(env, hns.find_nsm(FIJI, "HRPCBinding")),
+        2.0,
+    )
+    table.add(
+        "remote NSM call (Table 3.1 147 - 104; text: 22-38)",
+        43.0,
+        _nsm_remote_call(seed),
+        2.0,
     )
     hns2 = testbed.make_hns(testbed.client)
-    table.add("cache preload (zone transfer)", 390.0, _timed(env, hns2.preload()))
+    table.add("cache preload (zone transfer)", 390.0, _timed(env, hns2.preload()), 2.0)
+    table.add(
+        "FindNSM after preload (as FindNSM cached)",
+        7.0,
+        _timed(env, hns2.find_nsm(FIJI, "HRPCBinding")),
+        2.0,
+    )
+    table.add(
+        "preload break-even (distinct FindNSMs, a count)",
+        2.0,
+        _preload_break_even(seed),
+        2.0,
+    )
     return table
 
 
-def equation_1() -> str:
-    """The equation (1) thresholds, rendered."""
-    hns = ColocationModel(33, 547, 261)
-    nsm = ColocationModel(33, 225, 147)
-    return (
-        f"equation (1): remote HNS needs q > {100 * hns.q_threshold():.1f}% "
-        f"(paper ~11%); remote NSMs need q > {100 * nsm.q_threshold():.1f}% "
-        "(paper ~42%)"
+def _local_file_binding(seed: int) -> float:
+    """Import through the interim replicated local binding files."""
+    from repro.baselines.localfile_binding import LocalFileBinder
+    from repro.localfiles.registry import BindingFileEntry, LocalBindingFile, Replicator
+
+    testbed = build_testbed(seed=seed)
+    env = testbed.env
+    replica = LocalBindingFile(testbed.client, testbed.calibration)
+    entry = BindingFileEntry(
+        "DesiredService", "fiji.cs.washington.edu", str(testbed.fiji.address), 9999
     )
+    _run(env, Replicator(testbed.internet, testbed.udp, [replica]).publish(
+        testbed.client, entry
+    ))
+    binder = LocalFileBinder(testbed.client, replica, testbed.calibration)
+    return _timed(env, binder.import_binding("DesiredService", "fiji.cs.washington.edu"))
+
+
+def _reregistration_binding(seed: int) -> float:
+    """Import through bindings reregistered into the Clearinghouse."""
+    from repro.baselines.reregistration import ReregistrationBinder
+    from repro.clearinghouse.client import ClearinghouseClient
+
+    testbed = build_testbed(seed=seed)
+    env = testbed.env
+    store = ClearinghouseClient(
+        testbed.client, testbed.tcp, testbed.ch_endpoint, CREDENTIALS
+    )
+    binder = ReregistrationBinder(testbed.client, store, "bindings", testbed.calibration)
+    _run(env, binder.reregister(
+        "DesiredService", "fiji.cs.washington.edu", str(testbed.fiji.address), 9999
+    ))
+    return _timed(env, binder.import_binding("DesiredService", "fiji.cs.washington.edu"))
+
+
+def binding_baselines(seed: int = 51) -> ComparisonTable:
+    """HNS binding against the two reregistration baselines, each to 2 %."""
+    table = ComparisonTable("Section 3 binding baselines")
+    table.add("interim replicated local files", 200.0, _local_file_binding(seed), 2.0)
+    table.add(
+        "reregistration into Clearinghouse", 166.0, _reregistration_binding(seed), 2.0
+    )
+    table.add(
+        "HNS best case (all local, all hit)",
+        104.0,
+        measure_table_3_1_row(Arrangement.ALL_LOCAL, seed)[2],
+        2.0,
+    )
+    table.add(
+        "HNS worst case (all remote, all miss)",
+        547.0,
+        measure_table_3_1_row(Arrangement.ALL_REMOTE, seed)[0],
+        2.0,
+    )
+    return table
+
+
+def equation_1(seed: int = 3) -> ComparisonTable:
+    """Equation (1)'s thresholds from the paper's estimates and from the
+    measured Table 3.1 cells.
+
+    The targets are the paper's arithmetic, 33/(547-261) and
+    33/(225-147), which it rounds to 11 % and 42 %.  The measured-cell
+    rows inherit the 8 % bound of the cells they are computed from.
+    """
+    table = ComparisonTable(
+        "Equation (1) — extra hit fraction a remote placement needs", unit="%"
+    )
+    row5 = measure_table_3_1_row(Arrangement.ALL_REMOTE, seed)
+    row4 = measure_table_3_1_row(Arrangement.REMOTE_NSMS, seed)
+    for label, paper, model, tolerance in (
+        ("remote HNS, paper's estimates", 11.5, ColocationModel(33, 547, 261), 0.4),
+        ("remote NSMs, paper's estimates", 42.3, ColocationModel(33, 225, 147), 0.1),
+        (
+            "remote HNS, measured row 5 miss/HNS hit",
+            11.5,
+            ColocationModel(MEASURED_REMOTE_CALL_MS, row5[0], row5[1]),
+            8.0,
+        ),
+        (
+            "remote NSMs, measured row 4 HNS hit/both hit",
+            42.3,
+            ColocationModel(MEASURED_REMOTE_CALL_MS, row4[1], row4[2]),
+            8.0,
+        ),
+    ):
+        table.add(label, paper, 100 * model.q_threshold(), tolerance)
+    return table
+
+
+#: The paper's evaluation, in report order; each builds one table.
+PAPER_TABLES = (table_3_1, table_3_2, headline_figures, binding_baselines, equation_1)
 
 
 #: Metric display order for the ablation tables; anything else a grid
@@ -196,7 +379,7 @@ def _ablation_columns(runs: typing.Sequence[typing.Mapping[str, object]]) -> typ
             present.update(metrics)
     ordered = [m for m in _ABLATION_METRIC_ORDER if m in present]
     ordered += sorted(present - set(ordered))
-    return ordered[:6]
+    return ordered
 
 
 def _fmt_cell(value: object) -> str:
@@ -288,9 +471,10 @@ def generate_report(ablation_dir: typing.Optional[str] = None) -> str:
     sections = [
         "# HNS reproduction report",
         "",
-        "All values in simulated milliseconds; see EXPERIMENTS.md for the "
-        "asserted tolerances and the discussion of the paper's own "
-        "internal inconsistencies.",
+        "Values are simulated milliseconds unless a table says otherwise.  "
+        "Each paper row shows the deviation it is allowed (`tol %`), and "
+        "tier-1 fails when a row leaves it; EXPERIMENTS.md discusses "
+        "the paper's own internal inconsistencies.",
         "",
         "This file is a generated artifact: regenerate it with "
         "`PYTHONPATH=src python -m repro.harness.report RESULTS.md`.  The "
@@ -299,14 +483,7 @@ def generate_report(ablation_dir: typing.Optional[str] = None) -> str:
         "repro.cli bench`), which double as the CI perf gate's "
         "baselines (`python -m repro.harness.gate`).",
         "",
-        table_3_1().render(),
-        "",
-        table_3_2().render(),
-        "",
-        headline_figures().render(),
-        "",
-        equation_1(),
-        "",
+        *(part for build in PAPER_TABLES for part in (build().render(), "")),
         ablation_tables(ablation_dir),
         "",
     ]

@@ -19,22 +19,20 @@ def test_format_table_alignment():
 
 def test_comparison_table_deviation():
     table = ComparisonTable("Test", unit="ms")
-    row = table.add("x", paper=100, measured=104)
+    row = table.add("x", paper=100, measured=104, tolerance_pct=5)
     assert row.deviation_pct == pytest.approx(4.0)
-    table.add("y", paper=200, measured=190)
-    assert table.max_abs_deviation_pct() == pytest.approx(5.0)
     rendered = table.render()
-    assert "paper (ms)" in rendered and "+4.0" in rendered
-    table.check(tolerance_pct=6)
-    with pytest.raises(AssertionError):
-        table.check(tolerance_pct=4.5)
+    assert "paper (ms)" in rendered and "+4.0" in rendered and "tol %" in rendered
+    table.check()
+    table.add("y", paper=200, measured=190, tolerance_pct=4.5)
+    with pytest.raises(AssertionError, match="y deviates -5.0%"):
+        table.check()
 
 
 def test_comparison_table_zero_paper_value():
-    table = ComparisonTable("Z")
-    row = table.add("zero", paper=0, measured=5)
-    assert row.deviation_pct == 0.0
-    assert ComparisonTable("empty").max_abs_deviation_pct() == 0.0
+    """A zero paper figure would bound no deviation; no paper figure is 0."""
+    with pytest.raises(ValueError):
+        ComparisonTable("Z").add("zero", paper=0, measured=5, tolerance_pct=1)
 
 
 def test_calibration_is_frozen_and_overridable():
