@@ -11,7 +11,7 @@ every host runs a :class:`NameOwnerService` answering for the names it
 owns; a :class:`BroadcastLocator` multicasts a query on the segment and
 takes the first answer.  No central state — and every query costs every
 host a packet, which is exactly why it loses at scale
-(``benchmarks/bench_ablations.py::test_broadcast_vs_context_location``).
+(``repro.harness.report.broadcast_location``).
 """
 
 from repro.lazy import attach

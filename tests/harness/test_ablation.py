@@ -4,8 +4,12 @@ Everything here drives the ``toy`` grid (seconds-free, a few dozen
 events per run) so the whole file stays tier-1 fast while still
 exercising the real :class:`~repro.harness.ablation.AblationStudy`
 paths — including a real two-worker ``ProcessPoolExecutor`` and a
-runner that raises on purpose.
+runner that raises on purpose.  The one exception is the fan-out
+speedup bar, which times the full fast-path grid on hosts with at
+least four cores.
 """
+
+import os
 
 import pytest
 
@@ -18,10 +22,11 @@ from repro.harness.ablation import (
     RunSpec,
     derive_seed,
     dump_payload,
+    now_wall,
     strip_wall_clock,
     study_payload,
 )
-from repro.harness.grids import TOY_GRID, percentile
+from repro.harness.grids import FAST_PATH_GRID, TOY_GRID, percentile
 
 
 def _result(spec, metrics, status="ok"):
@@ -131,6 +136,22 @@ def test_jobs_1_and_jobs_2_produce_identical_artifacts():
     )
     assert one == two
     assert [r.spec.key for r in fanned] == [s.key for s in specs]
+
+
+@pytest.mark.skipif((os.cpu_count() or 1) < 4, reason="the bar needs at least 4 cores")
+def test_fanned_full_grid_is_at_least_2_5x_faster_than_serial():
+    """The simulator is single-threaded and deterministic, so the full
+    cartesian fast-path grid (20 smoke specs) is embarrassingly parallel."""
+    study = AblationStudy(FAST_PATH_GRID, smoke=True)
+    specs = study.expand(full_grid=True)
+    start = now_wall()
+    serial = study.execute(specs, jobs=1)
+    serial_s = now_wall() - start
+    start = now_wall()
+    study.execute(specs, jobs=min(os.cpu_count() or 1, len(specs)))
+    fanned_s = now_wall() - start
+    assert all(r.ok for r in serial), [r.spec.key for r in serial if not r.ok]
+    assert serial_s >= 2.5 * fanned_s, (serial_s, fanned_s)
 
 
 def test_worker_crash_surfaces_as_error_result():

@@ -5,8 +5,10 @@ import json
 import pytest
 
 from repro.harness.report import (
+    CLAIMS,
     PAPER_TABLES,
     ablation_tables,
+    claims_table,
     generate_report,
     main,
     table_3_1,
@@ -18,9 +20,24 @@ def tables():
     return {build.__name__: build() for build in PAPER_TABLES}
 
 
+@pytest.fixture(scope="module")
+def claims():
+    return [row for build in CLAIMS for row in build()]
+
+
 def measured(table, prefix):
     (row,) = [r for r in table.rows if r.label.startswith(prefix)]
     return row.measured
+
+
+def series(claims, head, tail):
+    """A sweep's values, in report order, by the labels' ends."""
+    return [value for label, value in claims if label.startswith(head) and label.endswith(tail)]
+
+
+def falls(values):
+    """Strictly decreasing; ``falls(values[::-1])`` is strictly rising."""
+    return all(a > b for a, b in zip(values, values[1:]))
 
 
 def test_table_3_1_within_tolerance(tables):
@@ -69,10 +86,64 @@ def test_section_3_relations(tables):
     assert worst > 2 * rereg
 
 
-def test_generate_report_contains_all_sections(tables):
+def test_argued_relations(tables, claims):
+    """The paper's arguments that print no figure, on the report's rows."""
+    row = dict(claims)
+    # Footnote 5: authentication and disk reads are what make a
+    # Clearinghouse lookup slow; without both it approaches BIND's 27.
+    assert row["Clearinghouse lookup, no authentication"] < 100
+    assert row["Clearinghouse lookup, neither (BIND-like)"] < 35
+    # §1/§2: 'the processing load is naturally distributed among the
+    # subsystems'; one reregistered store serialises every client.
+    assert row["makespan 8 x 4 clients: centralized"] > 5 * row[
+        "makespan 8 x 4 clients: distributed"
+    ]
+    distributed = series(claims, "makespan", "x 2 clients: distributed")
+    centralized = series(claims, "makespan", "x 2 clients: centralized")
+    assert len(distributed) == len(centralized) == 3
+    assert distributed[-1] < 2 * distributed[0]
+    assert centralized[-1] > 5 * centralized[0]
+    # §2 rejects broadcast location: its segment-wide cost grows with
+    # the host count, already above two cached in-process mappings.
+    aggregate = series(claims, "broadcast", "aggregate segment CPU")
+    assert aggregate[-1] > 10 * aggregate[0]
+    assert aggregate[0] > 2 * measured(tables["table_3_2"], "1 RR / demarshalled hit")
+    # More system types leave a cold FindNSM flat; meta state grows linearly.
+    cold = series(claims, "+", "cold FindNSM")
+    zone = series(claims, "+", "meta zone bytes")
+    assert max(cold) / min(cold) < 1.02
+    assert zone[-1] < 4 * zone[0]
+    # Long meta TTLs amortise the miss cost.
+    assert falls(series(claims, "meta TTL", "mean Import"))
+    assert series(claims, "meta TTL", "meta hit ratio")[-1] > 0.9
+    # The caches pay off as locality of reference rises.
+    hits = series(claims, "locality", "hit ratio")
+    assert falls(series(claims, "locality", "mean HostAddress lookup"))
+    assert falls(hits[::-1])
+    assert hits[-1] - hits[0] >= 0.3
+    # An undersized LRU cache thrashes; the working-set size restores hits.
+    ratios = series(claims, "cache capacity", "hit ratio")
+    assert ratios[0] < ratios[1] <= ratios[2]
+    assert row["cache capacity 2: evictions"] > 0
+    # Table 3.2 end to end: a marshalled meta cache re-pays demarshalling.
+    assert row["warm FindNSM, marshalled meta cache"] > 6 * row[
+        "warm FindNSM, demarshalled meta cache"
+    ]
+    # §3's dynamic hit ratios: a shared remote HNS wins exactly when
+    # clients' workloads overlap.
+    assert row["overlapping workloads: shared remote HNS per FindNSM"] < row[
+        "overlapping workloads: local HNS per FindNSM"
+    ]
+    assert row["disjoint workloads: local HNS per FindNSM"] < row[
+        "disjoint workloads: shared remote HNS per FindNSM"
+    ]
+
+
+def test_generate_report_contains_all_sections(tables, claims):
     report = generate_report()
     for table in tables.values():
         assert table.render() in report
+    assert claims_table(claims) in report
 
 
 def test_main_writes_file(tmp_path, capsys):

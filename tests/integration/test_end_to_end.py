@@ -210,15 +210,33 @@ def test_concurrent_clients_share_remote_hns_cache():
 
 
 def test_trace_shows_figure_2_1_flow():
-    """The query-processing flow of Figure 2.1 is observable in the trace."""
+    """The query-processing flow of Figure 2.1 is observable in the trace:
+    one importer resolves a Clearinghouse context, then a BIND context,
+    and never needs to know which name service it is calling."""
+    from repro.core.nsms import BindBindingNSM
+
     testbed = build_testbed(seed=27)
     env = testbed.env
     env.trace.enabled = True
-    stack = build_stack(testbed, Arrangement.ALL_LOCAL)
-    run(env, stack.importer.import_binding("DesiredService", FIJI))
+    stack = build_stack(testbed, Arrangement.ALL_LOCAL, name_service="CH-hcs")
+    bind_nsm = testbed.make_nsm(BindBindingNSM, testbed.client)
+    stack.hns.link_local_nsm(bind_nsm)
+    stack.importer.nsm_stub.link_local(bind_nsm)
+    start = env.now
+    ch_binding = run(env, stack.importer.import_binding("PrintService", DLION))
+    ch_ms, start = env.now - start, env.now
+    bind_binding = run(env, stack.importer.import_binding("DesiredService", FIJI))
+    bind_ms = env.now - start
     categories = [r.category for r in env.trace.records]
     assert "hns" in categories      # FindNSM decision
     assert "nsm" in categories      # NSM native resolution
     assert "import" in categories   # the import wrapper
-    hns_records = env.trace.filter("hns")
-    assert any("FindNSM" in r.message for r in hns_records)
+    hns_messages = [r.message for r in env.trace.filter("hns")]
+    assert any("FindNSM" in m for m in hns_messages)
+    assert any("HRPCBinding-CH-hcs" in m for m in hns_messages)
+    assert any("HRPCBinding-BIND-cs" in m for m in hns_messages)
+    # One binding type, suite-correct for each system.
+    assert type(ch_binding) is type(bind_binding)
+    assert (ch_binding.suite, bind_binding.suite) == ("courier", "sunrpc")
+    # Authentication and disk (156 vs 27 ms native) show end to end.
+    assert ch_ms > bind_ms

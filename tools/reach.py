@@ -60,8 +60,7 @@ def surfaces(tmp: str) -> dict:
     trace = cli + ["trace", "PrintService", "CH-hcs::dlion:hcs:uw"]
     runs = {"scenarios": [PY, "-c", SCENARIOS]}
     runs.update((f"example {p.stem}", [PY, str(p)]) for p in sorted(ROOT.glob("examples/*.py")))
-    return {**runs, "paper benches": PYTEST + ["benchmarks", "--benchmark-disable"],
-            "grids": cli + ["bench", "all", "--smoke", "--jobs", "1", "--out-dir", tmp],
+    return {**runs, "grids": cli + ["bench", "all", "--smoke", "--jobs", "1", "--out-dir", tmp],
             "grid toy": cli + ["bench", "toy", "--smoke", "--jobs", "1", "--out-dir", tmp],
             "gate": [PY, "-m", "repro.harness.gate", "--fresh", tmp, "--baseline", str(ROOT)],
             "ledger": [PY, "benchmarks/e2e/run.py", "--seed", "7", "--scale", "0.05"],
