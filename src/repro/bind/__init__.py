@@ -8,9 +8,9 @@ Two configurations of this server appear in the paper:
   extensions: *dynamic updates* and *data of unspecified type*
   (``RRType.UNSPEC``), per [Schwartz 1987].
 
-The resolver implements the TTL cache whose marshalled-vs-demarshalled
-format question Table 3.2 answers, and the zone-transfer (AXFR)
-mechanism the paper reused to preload the HNS cache.
+The resolver reads through the TTL cache whose marshalled-vs-demarshalled
+format question Table 3.2 answers; the cache installer writes the
+zone transfer (AXFR) the paper reused to preload the HNS cache.
 """
 
 from repro.lazy import attach
@@ -21,16 +21,14 @@ __getattr__, __dir__, __all__ = attach(__name__, {
     "zone": ("Zone", "ZoneDelta"),
     "errors": ("BindError", "NameNotFound", "NotAuthoritative", "UpdateRefused", "ZoneNotFound"),
     "messages": (
-        "IxfrRequest", "IxfrResponse", "NotifyRequest", "NotifyResponse", "NotifySubscribeRequest",
+        "IxfrRequest", "IxfrResponse", "NotifyRequest", "NotifySubscribeRequest",
         "NotifySubscribeResponse", "QueryRequest", "QueryResponse", "UpdateBatchRequest",
         "UpdateBatchResponse", "UpdateMode", "UpdateOp", "UpdateRequest", "UpdateResponse",
         "XferRequest", "XferResponse",
     ),
-    "primary": ("PrimaryClient",),
+    "primary": ("CacheInstaller", "PrimaryClient"),
     "replica": ("ReplicaScheduler", "ReplicaState"),
     "server": ("BindServer",),
-    "secondary": ("SecondaryBindServer",),
-    "zonefile": ("ZoneFileError", "load_zone_file", "parse_zone_text", "render_zone_text"),
     "resolver": ("BindResolver",),
     "cache": ("CacheFormat", "ResolverCache"),
 })

@@ -17,11 +17,25 @@ from __future__ import annotations
 import collections
 import dataclasses
 import enum
+import functools
 import typing
 
+from repro.bind.messages import STATUS_OK, QueryResponse
+from repro.bind.rr import ResourceRecord
 from repro.harness.calibration import Calibration, DEFAULT_CALIBRATION
+from repro.serial import HandcodedMarshaller
 from repro.sim.kernel import Environment
 from repro.sim.stats import Counter
+
+#: sentinel payload marking a cached NXDOMAIN answer
+NEGATIVE = object()
+
+
+@functools.lru_cache(maxsize=None)
+def _wire_response() -> HandcodedMarshaller:
+    """What a marshalled cache stores for a record set: the bytes a
+    server would have sent for it, whatever the reading client's style."""
+    return HandcodedMarshaller(QueryResponse.idl_type)
 
 
 class CacheFormat(enum.Enum):
@@ -218,6 +232,25 @@ class ResolverCache:
         )
         self._entries.move_to_end(key)
         return self.calibration.cache_insert_ms
+
+    def store(
+        self, key: object, records: typing.Sequence[ResourceRecord]
+    ) -> float:
+        """Insert a record set under ``key`` in this cache's format.
+
+        Returns the insert cost; whether it is charged is the caller's
+        call (a zone install has already paid per record).
+        """
+        payload: object
+        if self.format is CacheFormat.MARSHALLED:
+            payload, _ = _wire_response().encode(
+                QueryResponse(STATUS_OK, list(records))
+            )
+        else:
+            payload = list(records)
+        return self.insert(
+            key, payload, len(records), min(r.ttl for r in records)
+        )
 
     def _evict_one(self) -> None:
         """Make room for one insert.

@@ -197,13 +197,6 @@ class NotifyRequest(WireMessage):
 
 
 @dataclasses.dataclass
-class NotifyResponse(WireMessage):
-    """Acknowledgement of a NOTIFY push (rarely waited on)."""
-
-    status: Annotated[int, U32Type()]
-
-
-@dataclasses.dataclass
 class NotifySubscribeRequest(WireMessage):
     """Ask the primary to push serial bumps for ``origin`` to us."""
 
@@ -229,24 +222,6 @@ class XferRequest(WireMessage):
     """AXFR: ask for the whole zone."""
 
     origin: Annotated[DomainName, StringType(255)]
-
-
-@dataclasses.dataclass
-class SerialRequest(WireMessage):
-    """SOA-style probe: what is the zone's current serial?
-
-    Secondaries use this to skip the full transfer when nothing changed.
-    """
-
-    origin: Annotated[DomainName, StringType(255)]
-
-
-@dataclasses.dataclass
-class SerialResponse(WireMessage):
-    """The zone's current SOA serial."""
-
-    status: Annotated[int, U32Type()]
-    serial: Annotated[int, U32Type()]
 
 
 @dataclasses.dataclass

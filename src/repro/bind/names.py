@@ -71,13 +71,6 @@ class DomainName:
     def child(self, label: str) -> "DomainName":
         return DomainName((label.lower(),) + self.labels)
 
-    def relative_to(self, origin: "DomainName") -> str:
-        """The part of this name below ``origin`` (for zone files)."""
-        if not self.is_subdomain_of(origin):
-            raise ValueError(f"{self} is not under {origin}")
-        depth = len(self.labels) - len(origin.labels)
-        return ".".join(self.labels[:depth]) if depth else "@"
-
     def __str__(self) -> str:
         return ".".join(self.labels) if self.labels else "."
 

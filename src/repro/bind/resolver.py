@@ -9,14 +9,14 @@ Two client styles share this class:
   and which pays an extra per-call Raw-HRPC control overhead.
 
 Either style can run with no cache, a marshalled cache, or a
-demarshalled cache — the three columns of Table 3.2 — and can preload
-its cache with a zone transfer, the mechanism the paper borrowed for
-HNS cache preloading.
+demarshalled cache — the three columns of Table 3.2.
 
-The read path is cache probe → coalesce (:mod:`repro.singleflight`) →
-retry rounds over a per-round replica exchange → serve-stale.  Writes
-and transfers are not here: they go to the primary alone, through
-:class:`~repro.bind.primary.PrimaryClient` (``resolver.primary``).
+This class is a read path only: cache probe → coalesce
+(:mod:`repro.singleflight`) → retry rounds over a per-round replica
+exchange → serve-stale.  Writes and transfers go to the primary alone,
+through :class:`~repro.bind.primary.PrimaryClient` (``resolver.primary``),
+and what a transfer brings back is written into a cache by
+:class:`~repro.bind.primary.CacheInstaller`.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from __future__ import annotations
 import functools
 import typing
 
-from repro.bind.cache import CacheEntry, CacheFormat, ResolverCache
+from repro.bind.cache import NEGATIVE, CacheEntry, CacheFormat, ResolverCache
 from repro.bind.errors import BindError, NameNotFound
 from repro.bind.messages import (
     STATUS_NXDOMAIN,
@@ -32,22 +32,20 @@ from repro.bind.messages import (
     BatchQueryRequest,
     BatchQueryResponse,
     BatchQuestion,
-    NotifyRequest,
     QueryRequest,
     QueryResponse,
     meta_field,
     substitute_label,
 )
 from repro.bind.names import DomainName
-from repro.bind.primary import PrimaryClient
+from repro.bind.primary import PrimaryClient, charge
 from repro.bind.replica import MAX_HEDGES, ReplicaScheduler, ReplicaState
 from repro.bind.rr import ResourceRecord, RRType
-from repro.bind.zone import ZoneDelta
 from repro.harness.calibration import Calibration, DEFAULT_CALIBRATION
 from repro.memo import memoised
 from repro.net.addresses import Endpoint
 from repro.net.errors import NetworkError, is_transient
-from repro.net.host import Host, Service
+from repro.net.host import Host
 from repro.net.transport import Transport
 from repro.obs.span import NULL_SPAN
 from repro.resolution import PolicySet, backoff_ms
@@ -58,10 +56,6 @@ if typing.TYPE_CHECKING:  # pragma: no cover
     from repro.obs.span import SpanLike
     from repro.sim.events import Event
     from repro.sim.stats import Counter
-
-
-#: sentinel payload marking a cached NXDOMAIN answer
-_NEGATIVE = object()
 
 
 @memoised
@@ -137,14 +131,6 @@ class BindResolver:
             self._exchange = self._hedged_exchange
         #: the primary-only calls (update, NOTIFY subscribe, AXFR, IXFR)
         self.primary = PrimaryClient(host, transport, server, name=name)
-        #: origin -> serial of the last cache preload, for IXFR re-preload
-        self._preload_serials: typing.Dict[str, int] = {}
-        #: where the primary's NOTIFY pushes land (bound on first use)
-        self._notify_endpoint: typing.Optional[Endpoint] = None
-        #: origin -> the serial our cache state reflects (IXFR baseline)
-        self._notify_serials: typing.Dict[str, int] = {}
-        #: origins with a NOTIFY-triggered delta pull in flight
-        self._notify_inflight: typing.Set[str] = set()
         #: in-flight fetches by cache key, each carrying ``(result,
         #: record_count)``; a follower pays to copy that many records
         self._flights = SingleFlight(
@@ -169,9 +155,6 @@ class BindResolver:
         )
         self._response_m = styled(QueryResponse.idl_type)
         self._batch_response_m = styled(BatchQueryResponse.idl_type)
-        # What a marshalled cache stores for a record set: the bytes a
-        # server would have sent for it, whatever this client's style.
-        self._wire_response = HandcodedMarshaller(QueryResponse.idl_type)
 
     @functools.cached_property
     def _cache_hits(self) -> "Counter":
@@ -246,7 +229,7 @@ class BindResolver:
 
         Raises :class:`NameNotFound` when the entry is a cached NXDOMAIN.
         """
-        if entry.payload is _NEGATIVE:
+        if entry.payload is NEGATIVE:
             span.set(outcome="negative")
             self.env.stats.counter(f"bind.{self.name}.negative_hits").increment()
             raise NameNotFound(f"{key[0]} {RRType(key[1])} (negatively cached)")
@@ -294,29 +277,6 @@ class BindResolver:
             )
         return list(entry.payload), cache.hit_cost(entry)
 
-    def _store(
-        self,
-        key: typing.Tuple[str, int],
-        records: typing.Sequence[ResourceRecord],
-    ) -> float:
-        """Insert a record set under ``key`` in the cache's format.
-
-        Returns the insert cost; whether it is charged is the caller's
-        call (a zone install has already paid per record).
-        """
-        cache = self.cache
-        assert cache is not None
-        payload: object
-        if cache.format is CacheFormat.MARSHALLED:
-            payload, _ = self._wire_response.encode(
-                QueryResponse(STATUS_OK, list(records))
-            )
-        else:
-            payload = list(records)
-        return cache.insert(
-            key, payload, len(records), min(r.ttl for r in records)
-        )
-
     # The miss step shared by :meth:`lookup` and :meth:`lookup_batch`,
     # one of these two, picked in the constructor.  Each returns the
     # generator to ``yield from``; like ``fetch()``'s, its value is
@@ -350,23 +310,6 @@ class BindResolver:
         """A follower's miss: the leader's result, copied."""
         result, count = yield from self._flights.follow(flight)
         return list(result), count
-
-    def _compute(self, cost_ms: float, background: bool = False) -> "Event":
-        """Charge ``cost_ms`` of client CPU, optionally at low priority:
-        the event to ``yield``.
-
-        Foreground work takes the host CPU FIFO as usual.  Background
-        work (refresh-ahead renewals, NOTIFY-pushed installs) rides the
-        CPU's idle-time lane (:meth:`repro.sim.resources.Resource.use`):
-        it runs only when nothing else wants the CPU, in small slices,
-        so it never head-of-line-blocks a foreground cache hit — and
-        turns foreground after a bounded wait rather than starving on a
-        saturated CPU.
-        """
-        if cost_ms > 0:
-            return self.host.cpu.compute(cost_ms, background)
-        # Nothing to pay: already over, so not even a wait for the CPU.
-        return self.env.event().succeed_now()
 
     # --- the remote call ----------------------------------------------
     def _fetch(
@@ -408,20 +351,20 @@ class BindResolver:
                 raise BindError(f"unexpected reply {reply!r}")
             # Demarshal the response with this client's style.
             _, demarshal_cost = self._response_m.decode(reply.wire)
-            yield self._compute(demarshal_cost, background)
+            yield charge(self.host, demarshal_cost, background)
             if reply.status == STATUS_NXDOMAIN:
                 negative_ttl_ms = self.policies.resolution.negative_ttl_ms
                 if self.cache is not None and negative_ttl_ms > 0:
                     insert_cost = self.cache.insert(
-                        key, _NEGATIVE, 0, negative_ttl_ms
+                        key, NEGATIVE, 0, negative_ttl_ms
                     )
-                    yield self._compute(insert_cost, background)
+                    yield charge(self.host, insert_cost, background)
                 raise NameNotFound(f"{name} {rtype}")
             if reply.status != STATUS_OK:
                 raise BindError(f"status {reply.status} for {name} {rtype}")
             if self.cache is not None and reply.records:
-                yield self._compute(
-                    self._store(key, reply.records), background
+                yield charge(
+                    self.host, self.cache.store(key, reply.records), background
                 )
             return list(reply.records), len(reply.records)
 
@@ -448,7 +391,7 @@ class BindResolver:
         entry = self.cache.stale_entry(
             key, self.policies.resolution.stale_window_ms
         )
-        if entry is None or entry.payload is _NEGATIVE:
+        if entry is None or entry.payload is NEGATIVE:
             return None
         records, hit_cost = self._read_entry(entry)
         yield self.host.cpu.compute(hit_cost)
@@ -475,10 +418,12 @@ class BindResolver:
         network error if all rounds fail.
         """
         if self.per_call_overhead_ms:
-            yield self._compute(self.per_call_overhead_ms, background)
+            yield charge(self.host, self.per_call_overhead_ms, background)
         request_bytes, marshal_cost = marshaller.encode(request)
-        yield self._compute(
-            max(marshal_cost, self.calibration.request_marshal_ms), background
+        yield charge(
+            self.host,
+            max(marshal_cost, self.calibration.request_marshal_ms),
+            background,
         )
         policy = self.policies.resolution
         timeout_ms = policy.call_timeout_ms
@@ -722,7 +667,7 @@ class BindResolver:
                     question.rtype.value,
                 )
                 yield self.host.cpu.compute(
-                    self._store(owner_key, answer.records)
+                    cache.store(owner_key, answer.records)
                 )
             elif (
                 answer.status == STATUS_NXDOMAIN
@@ -732,7 +677,7 @@ class BindResolver:
                 # Only literal questions know their owner client-side.
                 owner_key = cache_key(question.name, question.rtype)
                 insert_cost = cache.insert(
-                    owner_key, _NEGATIVE, 0, negative_ttl_ms
+                    owner_key, NEGATIVE, 0, negative_ttl_ms
                 )
                 yield self.host.cpu.compute(insert_cost)
         return reply.answers, total_records
@@ -772,201 +717,3 @@ class BindResolver:
         """Name-to-address convenience: returns a dotted-quad string."""
         records = yield from self.lookup(name, RRType.A)
         return records[0].address
-
-    # ------------------------------------------------------------------
-    # NOTIFY subscription: invalidation beyond TTL for this cache
-    # ------------------------------------------------------------------
-    def subscribe_notify(
-        self, origin: typing.Union[str, DomainName]
-    ) -> typing.Generator:
-        """Subscribe to the primary's NOTIFY push for ``origin``.
-
-        On each push past our serial the resolver pulls just the deltas
-        through the IXFR journal and installs them into the cache
-        (deletions invalidate their keys) — changed bindings stop being
-        served long before their TTL would have run out.  Returns the
-        zone serial the subscription starts from.
-        """
-        if self.cache is None:
-            raise ValueError("NOTIFY subscription requires a cache")
-        origin = DomainName(origin)
-        if self._notify_endpoint is None:
-            # Replies never route through port dispatch, so an
-            # ephemeral-range port is safe to claim for the listener.
-            port = self.host.ephemeral_endpoint().port
-            self._notify_endpoint = self.host.bind(
-                port, _NotifyListener(self)
-            )
-        serial = yield from self.primary.subscribe_notify(
-            origin, self._notify_endpoint
-        )
-        key = str(origin)
-        self._notify_serials[key] = max(
-            serial, self._notify_serials.get(key, 0)
-        )
-        return serial
-
-    def _on_notify(
-        self, origin: DomainName, serial: int
-    ) -> typing.Generator:
-        """A push landed: pull the delta since our serial into the cache.
-
-        Nobody waits for a push, so the install runs at background
-        priority, one record set at a time: readers on this host keep
-        hitting the cache throughout, and each changed binding is
-        served from the moment its own install is paid for.  Pushes at
-        or behind our serial, or racing an in-flight pull, are dropped
-        — the next real bump pushes again.
-        """
-        key = str(origin)
-        have = self._notify_serials.get(key)
-        if have is None or serial <= have or key in self._notify_inflight:
-            return
-        self._notify_inflight.add(key)
-        try:
-            self.env.stats.counter(
-                f"bind.{self.name}.notify_pulls"
-            ).increment()
-            new_serial, full, deltas, records = (
-                yield from self.primary.incremental_zone_transfer(origin, have)
-            )
-            if full:
-                yield from self._install_zone(origin, records, background=True)
-            else:
-                yield from self._install_deltas(deltas, background=True)
-            self._notify_serials[key] = new_serial
-            if key in self._preload_serials:
-                self._preload_serials[key] = new_serial
-        except (NetworkError, BindError):
-            # Missed delta: TTL expiry still bounds the staleness.
-            self.env.stats.counter(
-                f"bind.{self.name}.notify_pull_failures"
-            ).increment()
-        finally:
-            self._notify_inflight.discard(key)
-
-    # ------------------------------------------------------------------
-    def preload_cache(self, origin: typing.Union[str, DomainName]) -> typing.Generator:
-        """Preload the cache from a zone transfer; returns records loaded.
-
-        "The BIND zone transfer mechanism ... was employed to preload
-        the caches."  Each transferred record set is installed under its
-        (name, type) key with its own TTL.
-
-        With an enabled :class:`~repro.resolution.ReplicaPolicy`, a
-        *re*-preload asks the primary only for the updates
-        past the serial of the previous preload and installs just the
-        changed record sets (deletions invalidate their keys), so the
-        steady-state cost is proportional to churn rather than zone
-        size.  A truncated journal degrades to the full install.
-        """
-        if self.cache is None:
-            raise ValueError("preload requires a cache")
-        origin = DomainName(origin)
-        have = self._preload_serials.get(str(origin))
-        if self.policies.replica.enabled and have is not None:
-            serial, full, deltas, records = (
-                yield from self.primary.incremental_zone_transfer(origin, have)
-            )
-            if not full:
-                loaded = yield from self._install_deltas(deltas)
-                self._preload_serials[str(origin)] = serial
-                self.env.stats.counter(
-                    f"bind.{self.name}.incremental_preloads"
-                ).increment()
-                return loaded
-            # Journal truncated: the reply already carries the snapshot.
-            self.env.stats.counter(
-                f"bind.{self.name}.preload_fallbacks"
-            ).increment()
-        else:
-            serial, records = yield from self.primary.zone_transfer(origin)
-        yield from self._install_zone(origin, records)
-        self._preload_serials[str(origin)] = serial
-        return len(records)
-
-    def _install_zone(
-        self,
-        origin: DomainName,
-        records: typing.List[ResourceRecord],
-        background: bool = False,
-    ) -> typing.Generator:
-        """Install a full transfer's records into the cache.
-
-        A snapshot is the whole zone: a cached record set under
-        ``origin`` that it lacks was deleted at the primary, so it is
-        dropped first, uncharged like a delta's deletion.  Cached
-        NXDOMAINs stay.
-        """
-        assert self.cache is not None
-        groups: typing.Dict[typing.Tuple[str, int], typing.List[ResourceRecord]] = {}
-        for record in records:
-            groups.setdefault((str(record.name), record.rtype.value), []).append(record)
-        apex = str(origin)
-        for key, entry in self.cache.entries(include_stale=True):
-            if key not in groups and entry.payload is not _NEGATIVE and (
-                key[0] == apex or key[0].endswith("." + apex)
-            ):
-                self.cache.invalidate(key)
-        yield from self._install(list(groups.items()), background)
-
-    def _install_deltas(
-        self, deltas: typing.List[ZoneDelta], background: bool = False
-    ) -> typing.Generator:
-        """Install journal deltas into the cache; returns records loaded.
-
-        The install cost covers only the delta's records — this is what
-        makes an IXFR re-preload cheap at low churn.  A delta without
-        records is a deletion and invalidates its key.
-        """
-        loaded = yield from self._install(
-            [
-                ((str(delta.name), delta.rtype.value), list(delta.records))
-                for delta in deltas
-            ],
-            background,
-        )
-        return loaded
-
-    def _install(
-        self,
-        groups: typing.List[
-            typing.Tuple[typing.Tuple[str, int], typing.List[ResourceRecord]]
-        ],
-        background: bool,
-    ) -> typing.Generator:
-        """Pay for and insert ``(key, record set)`` groups; returns records loaded.
-
-        Each record pays the per-record install cost (the dominant term
-        of the paper's 390 ms preload).  In the foreground the caller is
-        waiting for the whole install, so it is one charge up front;
-        in the background each record set is paid for and inserted in
-        turn, so it is visible as soon as its own cost is paid.
-        """
-        assert self.cache is not None
-        per_record = self.calibration.xfer_install_per_record_ms
-        loaded = sum(len(group) for _, group in groups)
-        if not background:
-            yield self._compute(per_record * loaded)
-        for key, group in groups:
-            if background:
-                yield self._compute(per_record * len(group), background=True)
-            if group:
-                self._store(key, group)
-            else:
-                self.cache.invalidate(key)
-        return loaded
-
-
-class _NotifyListener(Service):
-    """Receives the primary's NOTIFY pushes for a subscribed resolver."""
-
-    def __init__(self, resolver: BindResolver):
-        self.resolver = resolver
-
-    def handle(self, datagram, responder):
-        request = datagram.payload
-        if isinstance(request, NotifyRequest):
-            yield from self.resolver._on_notify(
-                DomainName(request.origin), request.serial
-            )

@@ -9,8 +9,9 @@ One class serves both roles from the paper:
   cost), "a version of BIND, modified to support both dynamic updates
   and also data of unspecified type [Schwartz 1987]".
 
-The server answers queries, dynamic updates, and zone-transfer (AXFR)
-requests.  Errors travel as status codes, as in DNS, so a missing name
+The server answers queries, dynamic updates, NOTIFY subscriptions and
+zone-transfer (AXFR and IXFR) requests, and pushes a NOTIFY to each
+subscriber when a write bumps a zone's serial.  Errors travel as status codes, as in DNS, so a missing name
 is an answer, not a crashed call.
 """
 
@@ -31,13 +32,10 @@ from repro.bind.messages import (
     IxfrRequest,
     IxfrResponse,
     NotifyRequest,
-    NotifyResponse,
     NotifySubscribeRequest,
     NotifySubscribeResponse,
     QueryRequest,
     QueryResponse,
-    SerialRequest,
-    SerialResponse,
     UpdateBatchRequest,
     UpdateBatchResponse,
     UpdateMode,
@@ -193,7 +191,9 @@ class BindServer(Service):
         Every kind but an update batch answers from its charges'
         callbacks (``responder.after``) and returns ``None``: no process.
         The batch's ``bind.update`` span encloses its charges, so it is a
-        generator, and so may a subclass's override be.
+        generator.  Any other kind — a NOTIFY among them, which only a
+        :class:`~repro.bind.primary.CacheInstaller` listens for — is
+        answered SERVFAIL.
         """
         request = datagram.payload
         if isinstance(request, QueryRequest):
@@ -206,14 +206,10 @@ class BindServer(Service):
             return self._handle_update_batch(request, responder)
         if isinstance(request, NotifySubscribeRequest):
             return self._handle_subscribe(request, responder)
-        if isinstance(request, NotifyRequest):
-            return self._handle_notify(request, responder)
         if isinstance(request, XferRequest):
             return self._handle_xfer(request, responder)
         if isinstance(request, IxfrRequest):
             return self._handle_ixfr(request, responder)
-        if isinstance(request, SerialRequest):
-            return self._handle_serial(request, responder)
         self._reply(QueryResponse(STATUS_SERVFAIL, []), responder)
         return None
 
@@ -524,19 +520,6 @@ class BindServer(Service):
             reply = NotifySubscribeResponse(STATUS_OK, zone.serial)
         self._reply(reply, responder)
 
-    def _handle_notify(self, request: NotifyRequest, responder):
-        """A NOTIFY landed on a plain server: acknowledge and ignore.
-
-        Secondaries override this (as a generator) to pull the delta
-        immediately.
-        """
-        responder.after(
-            self.host.cpu.compute(1.0),
-            self._reply,
-            NotifyResponse(STATUS_OK),
-            responder,
-        )
-
     def _after_write(self, zones: typing.Iterable[Zone]) -> None:
         """Schedule a debounced NOTIFY fan-out for each changed zone.
 
@@ -670,18 +653,3 @@ class BindServer(Service):
             IxfrResponse(STATUS_OK, zone.serial, full, list(deltas), records),
             responder,
         )
-
-    def _handle_serial(self, request: SerialRequest, responder) -> None:
-        """Cheap SOA-serial probe used by secondaries before an AXFR."""
-        zone = self.zone_named(request.origin)
-        # A serial probe is a single in-memory read, not a full lookup.
-        responder.after(
-            self.host.cpu.compute(1.0), self._send_serial, zone, responder
-        )
-
-    def _send_serial(self, zone: typing.Optional[Zone], responder) -> None:
-        if zone is None:
-            reply = SerialResponse(STATUS_NXDOMAIN, 0)
-        else:
-            reply = SerialResponse(STATUS_OK, zone.serial)
-        self._reply(reply, responder)

@@ -1,8 +1,8 @@
 """Authoritative zones with SOA serial numbers.
 
 A zone maps (owner name, record type) to record sets.  Dynamic updates
-— the HNS modification to BIND — bump the SOA serial, which secondary
-servers and the cache-preload mechanism use to detect staleness.
+— the HNS modification to BIND — bump the SOA serial, which NOTIFY
+pushes and incremental transfers use to tell a cache how far behind it is.
 
 Each update is also journalled: the zone keeps a bounded list of
 :class:`ZoneDelta` entries, one per serial bump, recording the record
@@ -70,10 +70,7 @@ class Zone:
         """Journal the post-change state of (name, rtype) at the
         current serial."""
         records = tuple(self._records.get((name, rtype), ()))
-        self._append_delta(ZoneDelta(self.serial, name, rtype, records))
-
-    def _append_delta(self, delta: ZoneDelta) -> None:
-        self._journal.append(delta)
+        self._journal.append(ZoneDelta(self.serial, name, rtype, records))
         if len(self._journal) > self.journal_limit:
             del self._journal[: len(self._journal) - self.journal_limit]
 
@@ -127,9 +124,8 @@ class Zone:
         journal entirely) — the IXFR signal to fall back to AXFR.
         Serial bumps are one journal entry each, so coverage holds iff
         the oldest entry's serial is ``<= serial + 1``.  The journal is
-        in serial order (a primary bumps by one per entry, a replica
-        applies its primary's entries in order and starts afresh after
-        an AXFR), so the first newer entry is found by bisection.
+        in serial order (each write bumps by one and journals one
+        entry), so the first newer entry is found by bisection.
         """
         if serial >= self.serial:
             return []
@@ -144,28 +140,6 @@ class Zone:
             else:
                 lo = mid + 1
         return journal[lo:]
-
-    def apply_delta(self, delta: ZoneDelta) -> None:
-        """Apply one journalled update from a primary to this replica.
-
-        Installs the record set verbatim, adopts the delta's serial, and
-        re-journals the entry so the replica can itself serve IXFR to
-        downstream requesters.
-        """
-        self._check_in_zone(delta.name)
-        key = (delta.name, delta.rtype)
-        if delta.records:
-            self._records[key] = list(delta.records)
-        else:
-            self._records.pop(key, None)
-        self.serial = delta.serial
-        self._append_delta(delta)
-
-    def reset_journal(self) -> None:
-        """Discard the journal (after a full AXFR install the local
-        journal's serials are fabricated, so downstream IXFR must fall
-        back to AXFR until real deltas accumulate)."""
-        self._journal.clear()
 
     def lookup(
         self, name: typing.Union[str, DomainName], rtype: RRType

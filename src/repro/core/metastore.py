@@ -33,6 +33,7 @@ import typing
 from repro.bind import (
     BindResolver,
     CacheFormat,
+    CacheInstaller,
     DomainName,
     NameNotFound,
     ResolverCache,
@@ -274,6 +275,8 @@ class MetaStore:
         )
         #: writes, NOTIFY subscription and transfers go to the primary alone
         self.primary = self.resolver.primary
+        #: what follows the primary into the cache: preload and NOTIFY pulls
+        self.installer = CacheInstaller(self.primary, self.cache, calibration)
 
     # ------------------------------------------------------------------
     # Mapping lookups (each is "one data mapping" in the paper's terms)
@@ -567,7 +570,7 @@ class MetaStore:
         before their TTL would have expired.  Returns the zone serial
         the subscription starts from.
         """
-        serial = yield from self.resolver.subscribe_notify(META_ORIGIN)
+        serial = yield from self.installer.subscribe_notify(META_ORIGIN)
         return serial
 
     def register_context(self, context: str, name_service: str) -> typing.Generator:
@@ -650,5 +653,5 @@ class MetaStore:
         Returns the number of records loaded (~2 KB in the prototype,
         costing ~390 ms).
         """
-        count = yield from self.resolver.preload_cache(META_ORIGIN)
+        count = yield from self.installer.preload(META_ORIGIN)
         return count

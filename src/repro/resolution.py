@@ -199,22 +199,21 @@ class ReplicaPolicy:
       the coalescing leader ever hedges) and with the
       :class:`ResolutionPolicy` retry ladder (each retry round hedges
       independently).
-    - **incremental zone transfer**: secondaries and cache preloads
-      request only the dynamic updates past their SOA serial from the
-      primary's bounded per-zone journal, falling back to a full AXFR
-      when the journal has been truncated.  Steady-state refresh cost is
-      then proportional to churn, not zone size.
+
+    Reads only: a cache preload is one AXFR either way, and the
+    incremental transfers a NOTIFY push triggers follow
+    :class:`UpdatePolicy`.
     """
 
-    #: all four mechanisms; False keeps the prototype's static
-    #: ``[primary] + secondaries`` walk and full-transfer refresh
+    #: all three mechanisms; False keeps the prototype's static
+    #: ``[primary] + secondaries`` walk
     enabled: bool = True
 
     @classmethod
     def disabled(cls) -> "ReplicaPolicy":
         """The prototype behaviour: static primary-then-secondaries
-        failover, no hedging, no per-replica breakers, full-transfer
-        refresh.  The ablation baseline."""
+        failover, no hedging, no per-replica breakers.  The ablation
+        baseline."""
         return cls(enabled=False)
 
 
@@ -239,9 +238,10 @@ class UpdatePolicy:
       caps advertised TTLs to the lease remainder so caches never hold
       a binding longer than its owner is known to be alive.
     - **NOTIFY-based invalidation** (``invalidation="notify"``): the
-      primary pushes SOA-serial bumps to secondaries and subscribed
-      resolvers, which pull just the deltas through the IXFR journal
-      and install them straight into their caches.
+      primary pushes SOA-serial bumps to each subscribed
+      :class:`~repro.bind.primary.CacheInstaller`, which pulls just the
+      deltas through the IXFR journal and installs them straight into
+      its cache.
     """
 
     #: coalesce concurrent registrations into one batched round trip

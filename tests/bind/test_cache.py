@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.bind import BindResolver, CacheFormat, ResolverCache
+from repro.bind import BindResolver, CacheFormat, CacheInstaller, ResolverCache
 from repro.sim import Environment
 
 
@@ -236,19 +236,13 @@ def test_preload_populates_cache(deployment):
     env, net, transport, client, server, endpoint = deployment
     cache = ResolverCache(env)
     resolver = BindResolver(client, transport, endpoint, cache=cache)
-    loaded = run(env, resolver.preload_cache("cs.washington.edu"))
+    installer = CacheInstaller(resolver.primary, cache)
+    loaded = run(env, installer.preload("cs.washington.edu"))
     assert loaded == 2
     assert len(cache) == 2
     # Preloaded entries answer without remote calls.
     run(env, resolver.lookup("fiji.cs.washington.edu"))
     assert "bind.resolver.remote_lookups" not in env.stats.counters()
-
-
-def test_preload_requires_cache(deployment):
-    env, net, transport, client, server, endpoint = deployment
-    resolver = BindResolver(client, transport, endpoint)
-    with pytest.raises(ValueError):
-        run(env, resolver.preload_cache("cs.washington.edu"))
 
 
 def test_preload_into_marshalled_cache(deployment):
@@ -257,6 +251,6 @@ def test_preload_into_marshalled_cache(deployment):
     resolver = BindResolver(
         client, transport, endpoint, marshalling="generated", cache=cache
     )
-    run(env, resolver.preload_cache("cs.washington.edu"))
+    run(env, CacheInstaller(resolver.primary, cache).preload("cs.washington.edu"))
     records = run(env, resolver.lookup("june.cs.washington.edu"))
     assert records[0].address == "128.95.1.5"

@@ -9,7 +9,6 @@ from repro.bind import (
     NameNotFound,
     ResourceRecord,
     RRType,
-    SecondaryBindServer,
     UpdateMode,
     UpdateOp,
     UpdateRefused,
@@ -238,42 +237,6 @@ def test_unregister_is_not_undone_by_a_renewal_in_flight(batch, offset_ms):
 # ----------------------------------------------------------------------
 # NOTIFY fan-out and IXFR pulls
 # ----------------------------------------------------------------------
-def test_notify_push_pulls_the_delta_into_a_secondary():
-    update = UpdatePolicy(invalidation="notify")
-    testbed = build_testbed(seed=7, update_policy=update)
-    env = testbed.env
-    secondary = SecondaryBindServer(
-        testbed.hns_host,
-        primary=testbed.meta_endpoint,
-        origins=["hns"],
-        transport=testbed.udp,
-        refresh_ms=600_000.0,  # polling effectively off: NOTIFY drives it
-        lookup_cost_ms=testbed.calibration.meta_bind_lookup_ms,
-    )
-    secondary.listen()
-    run(env, secondary.refresh_once())  # initial AXFR sync
-    assert secondary.is_synchronized
-    assert run(env, secondary.subscribe_to_primary()) == 1
-
-    store = testbed.make_metastore(
-        testbed.agent_host,
-        policies=PolicySet(resolution=DEFAULT_RESOLUTION_POLICY, update=update),
-    )
-    run(env, store.register_context("pushed", "BIND-cs"))
-    idle(env, 100.0)
-
-    primary_zone = testbed.meta_server.zones[0]
-    replica = secondary.zone_named(DomainName("hns"))
-    assert secondary.replica_serials[replica.origin] == primary_zone.serial
-    pushed = replica.lookup(DomainName("pushed.ctx.hns"), RRType.UNSPEC)
-    wanted = primary_zone.lookup(DomainName("pushed.ctx.hns"), RRType.UNSPEC)
-    assert pushed[0].data == wanted[0].data
-    counters = env.stats.counters()
-    assert counters[f"bind.{secondary.name}.notify_pulls"] >= 1
-    assert counters[f"bind.{secondary.name}.ixfrs"] >= 1
-    assert counters["bind.update.notifies"] >= 1
-
-
 def test_notify_push_updates_a_subscribed_resolver_cache():
     update = UpdatePolicy(invalidation="notify")
     testbed = build_testbed(seed=9, update_policy=update)

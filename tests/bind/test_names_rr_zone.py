@@ -43,14 +43,6 @@ def test_subdomain_checks():
     assert zone.is_subdomain_of(DomainName(""))  # everything under root
 
 
-def test_relative_to():
-    zone = DomainName("cs.washington.edu")
-    assert DomainName("fiji.cs.washington.edu").relative_to(zone) == "fiji"
-    assert zone.relative_to(zone) == "@"
-    with pytest.raises(ValueError):
-        DomainName("mit.edu").relative_to(zone)
-
-
 @pytest.mark.parametrize("bad", ["a..b", ".a.", "a b.c", "x" * 64 + ".com"])
 def test_invalid_names(bad):
     with pytest.raises(ValueError):

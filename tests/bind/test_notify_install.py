@@ -1,9 +1,11 @@
-"""NOTIFY-pushed installs ride the CPU's background lane.
+"""NOTIFY-pushed installs: background, complete, and never dropped.
 
 A subscribed resolver's host keeps answering cache hits while a pushed
 delta is installed: no hit waits behind the install for longer than one
 background slice, the changed record sets appear one by one, and the
-cache ends up exactly as the single-charge foreground install leaves it.
+cache ends up exactly as a foreground preload of the zone leaves it.  A
+push that lands during a pull is pulled after it; a failed pull is
+counted and the next push pulls again.
 """
 
 import pytest
@@ -11,6 +13,7 @@ import pytest
 from repro.bind import (
     BindResolver,
     BindServer,
+    CacheInstaller,
     DomainName,
     NameNotFound,
     ResolverCache,
@@ -77,7 +80,21 @@ def build(journal_limit):
             name=host_name,
         )
 
-    return env, zone, resolver("client"), resolver("writer"), resolver("reference")
+    return env, meta, resolver("client"), resolver("writer"), resolver("reference")
+
+
+def installer(resolver):
+    return CacheInstaller(resolver.primary, resolver.cache)
+
+
+def replace(*versions):
+    """One update batch setting ``owner(i)`` to version ``v`` per (i, v)."""
+    return [
+        UpdateOp(
+            UpdateMode.REPLACE, DomainName(owner(i)), RRType.UNSPEC, records=(rec(i, v),)
+        )
+        for i, v in versions
+    ]
 
 
 @pytest.mark.parametrize(
@@ -86,9 +103,9 @@ def build(journal_limit):
     ids=["ixfr", "axfr_fallback"],
 )
 def test_pushed_install_never_blocks_cache_hits(journal_limit, fallback):
-    env, zone, subscriber, writer, reference = build(journal_limit)
+    env, _meta, subscriber, writer, reference = build(journal_limit)
     run(env, subscriber.lookup("hot.ctx.hns", RRType.UNSPEC))  # warm the hit
-    start_serial = run(env, subscriber.subscribe_notify("hns"))
+    run(env, installer(subscriber).subscribe_notify("hns"))
 
     waits = []  # each hit's latency
     seen = []  # how many of the wave's new versions were cached at each hit
@@ -110,17 +127,7 @@ def test_pushed_install_never_blocks_cache_hits(journal_limit, fallback):
 
     def write_wave():
         yield env.timeout(20.0)
-        yield from writer.primary.update_batch(
-            [
-                UpdateOp(
-                    UpdateMode.REPLACE,
-                    DomainName(owner(i)),
-                    RRType.UNSPEC,
-                    records=(rec(i, 1),),
-                )
-                for i in range(WAVE)
-            ]
-        )
+        yield from writer.primary.update_batch(replace(*((i, 1) for i in range(WAVE))))
 
     env.process(write_wave())
     run(env, reader())
@@ -143,10 +150,7 @@ def test_pushed_install_never_blocks_cache_hits(journal_limit, fallback):
     assert seen == sorted(seen)
 
     # Same final cache as the single-charge foreground install.
-    if fallback:
-        run(env, reference.preload_cache("hns"))
-    else:
-        run(env, reference._install_deltas(zone.delta_since(start_serial)))
+    run(env, installer(reference).preload("hns"))
     changed = {(owner(i), RRType.UNSPEC.value) for i in range(WAVE)}
 
     def changed_entries(resolver):
@@ -170,15 +174,12 @@ def test_pushed_deletion_stops_being_served(journal_limit, fallback):
     """A deleted record set leaves the subscriber's cache whether the
     pull came back as deltas or, past a truncated journal, as the full
     snapshot: the snapshot does not carry it, so it is dropped."""
-    env, zone, subscriber, writer, _reference = build(journal_limit)
+    env, _meta, subscriber, writer, _reference = build(journal_limit)
     for i in range(6):
         run(env, subscriber.lookup(owner(i), RRType.UNSPEC))
-    run(env, subscriber.subscribe_notify("hns"))
-    ops = [UpdateOp(UpdateMode.DELETE, DomainName(owner(0)), RRType.UNSPEC)] + [
-        UpdateOp(UpdateMode.REPLACE, DomainName(owner(i)), RRType.UNSPEC, records=(rec(i, 1),))
-        for i in range(1, 6)
-    ]
-    run(env, writer.primary.update_batch(ops))
+    run(env, installer(subscriber).subscribe_notify("hns"))
+    ops = [UpdateOp(UpdateMode.DELETE, DomainName(owner(0)), RRType.UNSPEC)]
+    run(env, writer.primary.update_batch(ops + replace(*((i, 1) for i in range(1, 6)))))
     env.run(until=env.now + 1_000.0)  # the push, the pull, the install
 
     counters = env.stats.counters()
@@ -189,3 +190,51 @@ def test_pushed_deletion_stops_being_served(journal_limit, fallback):
     for i in range(1, 6):
         records = run(env, subscriber.lookup(owner(i), RRType.UNSPEC))
         assert [r.text for r in records] == ["ns=v1"]
+
+
+def test_a_push_during_a_pull_is_pulled_after_it():
+    """The second write lands while the first write's pull is still
+    installing; its push must not be lost, or the warm owner it
+    rewrote is served at its old value until the TTL runs out."""
+    env, _meta, subscriber, writer, _reference = build(512)
+    run(env, subscriber.lookup(owner(0), RRType.UNSPEC))
+    run(env, installer(subscriber).subscribe_notify("hns"))
+    pull_ms = (
+        CAL.xfer_setup_ms + (CAL.xfer_per_record_ms + CAL.xfer_install_per_record_ms) * WAVE
+    )
+
+    def writes():
+        yield from writer.primary.update_batch(replace(*((i, 1) for i in range(1, WAVE + 1))))
+        yield env.timeout(pull_ms / 2)
+        yield from writer.primary.update_batch(replace((0, 2)))
+
+    run(env, writes())
+    env.run(until=env.now + 2_000.0)  # quiescent, far inside the TTL
+
+    records = run(env, subscriber.lookup(owner(0), RRType.UNSPEC))
+    assert [r.text for r in records] == ["ns=v2"]
+    assert env.stats.counters()[f"bind.{subscriber.name}.notify_pulls"] == 2
+
+
+def test_a_failed_pull_is_counted_and_the_next_push_pulls_again():
+    env, meta, subscriber, writer, _reference = build(512)
+    run(env, subscriber.lookup(owner(0), RRType.UNSPEC))
+    run(env, installer(subscriber).subscribe_notify("hns"))
+
+    meta.allow_zone_transfer = False  # the pull's IXFR is refused
+    run(env, writer.primary.update_batch(replace((0, 1))))
+    env.run(until=env.now + 1_000.0)
+    counters = env.stats.counters()
+    assert counters[f"bind.{subscriber.name}.notify_pulls"] == 1
+    assert counters[f"bind.{subscriber.name}.notify_pull_failures"] == 1
+    records = run(env, subscriber.lookup(owner(0), RRType.UNSPEC))
+    assert [r.text for r in records] == ["ns=v0"]
+
+    meta.allow_zone_transfer = True
+    run(env, writer.primary.update_batch(replace((0, 2))))
+    env.run(until=env.now + 1_000.0)
+    counters = env.stats.counters()
+    assert counters[f"bind.{subscriber.name}.notify_pulls"] == 2
+    assert counters[f"bind.{subscriber.name}.notify_pull_failures"] == 1
+    records = run(env, subscriber.lookup(owner(0), RRType.UNSPEC))
+    assert [r.text for r in records] == ["ns=v2"]

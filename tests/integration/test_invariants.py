@@ -58,7 +58,7 @@ def test_zone_transfer_is_complete_and_exact(names):
 @given(hostnames)
 @settings(max_examples=15, deadline=None)
 def test_preload_guarantees_hits_for_all_names(names):
-    from repro.bind import ResolverCache
+    from repro.bind import CacheInstaller, ResolverCache
 
     env = Environment(seed=4)
     net = Internetwork(env)
@@ -72,7 +72,7 @@ def test_preload_guarantees_hits_for_all_names(names):
     ep = server.listen()
     cache = ResolverCache(env)
     resolver = BindResolver(client, DatagramTransport(net), ep, cache=cache)
-    run(env, resolver.preload_cache("z"))
+    run(env, CacheInstaller(resolver.primary, cache).preload("z"))
     before = env.stats.counters().get("bind.resolver.remote_lookups", 0)
     for name in names:
         run(env, resolver.lookup(f"{name}.z"))

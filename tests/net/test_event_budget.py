@@ -13,7 +13,7 @@ import functools
 import pytest
 
 from repro.bind import BindServer, ResourceRecord, RRType, Zone
-from repro.bind.messages import QueryRequest, SerialRequest, XferRequest
+from repro.bind.messages import QueryRequest, XferRequest
 from repro.bind.names import DomainName
 from repro.clearinghouse import (
     AuthenticationFailed,
@@ -415,17 +415,10 @@ def test_bind_query_answers_at_its_calibrated_instant_without_a_process(bind_wor
     assert entries == 3 + 2 and started == []
 
 
-def test_bind_serial_and_xfer_answer_at_their_calibrated_instants(bind_world):
+def test_bind_xfer_answers_at_its_calibrated_instant(bind_world):
     world, server, endpoint = bind_world
-    origin = DomainName("cs.washington.edu")
     reply, elapsed, entries, started = world.exchange(
-        world.udp, endpoint, SerialRequest(origin)
-    )
-    assert reply.serial == server.zones[0].serial
-    assert elapsed == pytest.approx(WIRE_MS + 1.0 + marshal_ms(reply) + WIRE_MS)
-    assert entries == 3 + 2 and started == []
-    reply, elapsed, entries, started = world.exchange(
-        world.udp, endpoint, XferRequest(origin)
+        world.udp, endpoint, XferRequest(DomainName("cs.washington.edu"))
     )
     streamed = CAL.xfer_setup_ms + CAL.xfer_per_record_ms * len(reply.records)
     assert len(reply.records) == len(server.zones[0].all_records())

@@ -67,10 +67,10 @@ def test_every_message_round_trips_through_the_wire(cls):
             assert cls.from_idl(rep.decode(cls.idl_type, wire)) == message
 
 
-def test_the_library_declares_twenty_seven_messages():
-    # 20 BIND + 3 discovery + 2 broadcast, plus the two record types
+def test_the_library_declares_twenty_four_messages():
+    # 17 BIND + 3 discovery + 2 broadcast, plus the two record types
     # (ResourceRecord, ZoneDelta) that ride inside them.
-    assert len(message_classes()) == 27
+    assert len(message_classes()) == 24
 
 
 def test_wire_only_fields_are_derived_when_sending_and_dropped_on_receipt():

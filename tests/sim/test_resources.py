@@ -237,24 +237,21 @@ def test_zero_cost_charge_on_a_free_unit_schedules_nothing():
 
 
 def test_resolver_zero_cost_compute_never_waits_behind_a_busy_cpu():
-    from repro.bind import BindResolver
-    from repro.net import DatagramTransport, Endpoint, Internetwork
+    from repro.bind.primary import charge
+    from repro.net import Internetwork
 
     env = Environment()
     net = Internetwork(env)
     host = net.add_host("client", net.add_segment())
-    resolver = BindResolver(
-        host, DatagramTransport(net), Endpoint(host.address, 53)
-    )
     done = []
 
     def hog():
         yield host.cpu.compute(10)
 
     def payer():
-        yield resolver._compute(0)
+        yield charge(host, 0)
         done.append(env.now)
-        yield resolver._compute(2)  # a real charge does queue
+        yield charge(host, 2)  # a real charge does queue
         done.append(env.now)
 
     env.process(hog())

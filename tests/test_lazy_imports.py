@@ -37,7 +37,6 @@ NOT_LOADED = [
     )),
     "repro.harness.ablation", "repro.harness.tables",
     "repro.obs.critical_path", "repro.obs.export",
-    "repro.bind.secondary", "repro.bind.zonefile",
     "repro.core.model", "repro.core.nsms.yp", "repro.hcsfs.client",
     "repro.workloads.generator", "repro.workloads.zipf",
     "repro.yellowpages",

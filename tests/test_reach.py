@@ -28,4 +28,4 @@ def test_one_traced_scenario_marks_what_it_imports(tmp_path):
     assert run["rc"] == 0
     imported = {reach.module_of(code[0]) for code in run["codes"]}
     assert "repro.bind.resolver" in imported
-    assert "repro.bind.zonefile" not in imported
+    assert "repro.yellowpages.server" not in imported

@@ -21,8 +21,6 @@ SRC, PY = ROOT / "src", sys.executable
 
 #: modules no product surface imports, each kept for the paper or the roadmap
 JUSTIFIED = {
-    ("repro.bind.secondary",): "paper: 'must be distributed and replicated'; ROADMAP 3, 11(b)",
-    ("repro.bind.zonefile",): "ROADMAP 11(a): a cold restart reloads zones from their zone file",
     ("repro.yellowpages", "repro.core.nsms.yp"): "paper: 'additional name services'; "
     "tests/integration/test_third_system_type.py; ROADMAP 7(c)",
 }
