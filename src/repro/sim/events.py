@@ -190,40 +190,20 @@ class Event:
 
 
 class Timeout(Event):
-    """An event that triggers ``delay`` milliseconds in the future."""
+    """An event that triggers ``delay`` milliseconds in the future.
+
+    The hottest allocation in the kernel, so it has no constructor
+    frame: :meth:`Environment.timeout` fills its slots in place and
+    schedules it.  Its value is fixed from then on, so it reads as
+    triggered and a ``succeed`` or ``fail`` raises ``RuntimeError``.
+    """
 
     __slots__ = ("delay",)
 
-    def __init__(self, env: "Environment", delay: float, value: object = None):
-        if not delay >= 0:  # also rejects NaN, which no compare orders
-            raise ValueError(f"negative or NaN delay: {delay!r}")
-        # Inlined Event.__init__ plus direct queue insertion: a Timeout
-        # is the hottest allocation in the kernel.
-        self.env = env
-        self.callbacks = []
-        self._exception = None
-        self._defused = False
-        self.delay = delay = float(delay)
-        self._value = value
-        eid = env._eid
-        env._eid = eid + 1
-        if delay >= env._standing_ms:
-            env._arm_standing(delay, (env._now + delay, eid, self))
-        else:
-            env._push((env._now + delay, eid, self))
+    delay: float
 
-    def succeed(self, value: object = None) -> "Event":  # pragma: no cover
-        raise RuntimeError("Timeout triggers itself; do not call succeed()")
-
-    def fail(self, exception: BaseException) -> "Event":  # pragma: no cover
-        raise RuntimeError("Timeout triggers itself; do not call fail()")
-
-    @property
-    def triggered(self) -> bool:
-        # A Timeout is scheduled at construction; it is "triggered" in the
-        # sense that its value is fixed, but it remains waitable until
-        # processed.  Report True so double-trigger guards hold.
-        return True
+    def __init__(self, *_args: object, **_kwargs: object):
+        raise TypeError("a Timeout is built by env.timeout(delay, value)")
 
 
 class _ConditionBase(Event):

@@ -18,7 +18,7 @@ import typing
 from heapq import heappop
 
 from repro.obs.span import Observability
-from repro.sim.events import AllOf, AnyOf, Event, Timeout
+from repro.sim.events import _PENDING, AllOf, AnyOf, Event, Timeout
 from repro.sim.process import Process, ProcessGenerator
 from repro.sim.queue import Entry, HeapQueue, PerturbedHeapQueue
 from repro.sim.rng import RngRegistry
@@ -41,6 +41,8 @@ DEFAULT_PERTURB_SEED: typing.Optional[int] = None
 #: above it a dict probe — so it sits over the delays of in-flight work
 #: (wire trips, charges, retries) and under those that pile up.
 STANDING_MS = 1_000.0
+
+_new = object.__new__
 
 
 class SimulationError(RuntimeError):
@@ -149,8 +151,24 @@ class Environment:
         return Event(self)
 
     def timeout(self, delay: float, value: object = None) -> Timeout:
-        """An event triggering ``delay`` ms from now, carrying ``value``."""
-        return Timeout(self, delay, value)
+        """An event triggering ``delay`` ms from now, carrying ``value``
+        (the one place a :class:`Timeout` is built, filled in place)."""
+        if not delay >= 0:  # also rejects NaN, which no compare orders
+            raise ValueError(f"negative or NaN delay: {delay!r}")
+        timeout = _new(Timeout)
+        timeout.env = self
+        timeout.callbacks = []
+        timeout._exception = None
+        timeout._defused = False
+        timeout.delay = delay = float(delay)
+        timeout._value = value
+        eid = self._eid
+        self._eid = eid + 1
+        if delay >= self._standing_ms:
+            self._arm_standing(delay, (self._now + delay, eid, timeout))
+        else:
+            self._push((self._now + delay, eid, timeout))
+        return timeout
 
     def call_later(
         self,
@@ -165,7 +183,7 @@ class Environment:
         real-socket runtime would hand to ``loop.call_later``.  The
         callback runs in no process (``active_process`` is None).
         """
-        timeout = Timeout(self, delay, value)
+        timeout = self.timeout(delay, value)
         timeout.callbacks.append(callback)
         return timeout
 
@@ -181,9 +199,37 @@ class Environment:
         caller has yielded.  With ``inline=True`` it runs now, nested in
         the caller (which stays :attr:`active_process` afterwards): for
         a process started *by* the event being processed, such as a
-        handler at the delivery of its message.
+        handler at the delivery of its message.  The one place a
+        :class:`Process` is built: it and its start event (its first
+        target, which an interrupt detaches) are filled in place.
         """
-        return Process(self, generator, name, inline)
+        if not hasattr(generator, "send") or not hasattr(generator, "throw"):
+            raise TypeError(
+                f"Process requires a generator, got {type(generator).__name__}"
+            )
+        process = _new(Process)
+        process.env = self
+        process.callbacks = []
+        process._value = _PENDING
+        process._exception = None
+        process._defused = False
+        process.generator = generator
+        process.name = name or getattr(generator, "__name__", "process")
+        process._span = None
+        if inline:
+            process._target = None
+            process._resume()
+            return process
+        process._target = start = _new(Event)
+        start.env = self
+        start.callbacks = [process._resume]
+        start._value = None
+        start._exception = None
+        start._defused = False
+        eid = self._eid
+        self._eid = eid + 1
+        self._push((self._now, eid, start))
+        return process
 
     def any_of(self, events: typing.Sequence[Event]) -> AnyOf:
         """Event triggering when any of ``events`` does."""

@@ -7,9 +7,11 @@ it.  When the generator returns, the process (itself an event) succeeds
 with the generator's return value, so processes compose: one process may
 ``yield`` another.
 
-Two things a process need not cost.  Started with ``inline=True`` its
-first segment runs inside the caller — the delivery that caused it —
-instead of at a start event of its own.  And a process that returns
+A process is one frame to start: ``env.process`` fills it and its start
+event in place, the one place either is built.  Two things a process
+need not cost.  Started with ``inline=True`` its first segment runs
+inside the caller — the delivery that caused it — instead of at a start
+event of its own.  And a process that returns
 with nobody waiting on it is marked processed on the spot: no exit event
 is scheduled, and whoever yields it later finds it processed and gets
 its value.  (One that *raises* with nobody waiting is still scheduled,
@@ -26,11 +28,10 @@ from __future__ import annotations
 
 import typing
 
-from repro.sim.events import _PENDING, Event, Interrupt
+from repro.sim.events import Event, Interrupt
 
 if typing.TYPE_CHECKING:  # pragma: no cover
     from repro.obs.span import SpanLike
-    from repro.sim.kernel import Environment
 
 ProcessGenerator = typing.Generator[Event, object, object]
 
@@ -40,43 +41,13 @@ class Process(Event):
 
     __slots__ = ("generator", "name", "_target", "_span")
 
-    def __init__(
-        self,
-        env: "Environment",
-        generator: ProcessGenerator,
-        name: typing.Optional[str] = None,
-        inline: bool = False,
-    ):
-        if not hasattr(generator, "send") or not hasattr(generator, "throw"):
-            raise TypeError(
-                f"Process requires a generator, got {type(generator).__name__}"
-            )
-        # Event.__init__ inlined: one process per handled datagram.
-        self.env = env
-        self.callbacks = []
-        self._value = _PENDING
-        self._exception = None
-        self._defused = False
-        self.generator = generator
-        self.name = name or getattr(generator, "__name__", "process")
-        #: innermost open span (``repro.obs`` reads and writes it; the
-        #: kernel never looks)
-        self._span: typing.Optional["SpanLike"] = None
-        self._target: typing.Optional[Event] = None
-        if inline:
-            # First segment runs now, nested in whatever is executing.
-            self._resume()
-            return
-        # Kick the process off at the current simulated time: a start
-        # event, pre-succeeded and pushed directly.  It is the process's
-        # first target, so an interrupt before the first segment
-        # detaches it like any other.
-        self._target = start = Event(env)
-        start.callbacks.append(self._resume)
-        start._value = None
-        eid = env._eid
-        env._eid = eid + 1
-        env._push((env._now, eid, start))
+    generator: ProcessGenerator
+    name: str
+    _target: typing.Optional[Event]  # parked on; the start event at first
+    _span: typing.Optional["SpanLike"]  # innermost open span (repro.obs)
+
+    def __init__(self, *_args: object, **_kwargs: object):
+        raise TypeError("a Process is started by env.process(generator)")
 
     @property
     def is_alive(self) -> bool:
@@ -111,50 +82,52 @@ class Process(Event):
         punch.fail(Interrupt(cause))
 
     def _resume(self, event: typing.Optional[Event] = None) -> None:
-        """Run one segment and park on what the generator yields next.
+        """Run segments until the generator parks on a pending event.
 
         This is the callback the kernel runs, and the only Python call a
         wake-up makes: ``event``'s value is sent into the generator, or
-        its exception thrown.  ``None`` is an inline start.
+        its exception thrown.  ``None`` is an inline start.  An event
+        yielded already processed feeds the next segment in this frame.
         """
         env = self.env
         # Saved, not cleared: an inline start nests this segment inside
         # the caller's, which is the active process again afterwards.
         enclosing = env._active_process
-        env._active_process = self
-        try:
-            if event is None:
-                target = self.generator.send(None)
-            elif event._exception is None:
-                target = self.generator.send(event._value)
-            else:
-                event._defused = True
-                target = self.generator.throw(event._exception)
-        except StopIteration as stop:
-            if self.callbacks:
-                self.succeed(stop.value)
-            else:
-                # Nobody waits: processed in place, no exit event.
-                self._value = stop.value
-                self.callbacks = None
-            return
-        except BaseException as exc:
-            self.fail(exc)
-            return
-        finally:
-            env._active_process = enclosing
-        if not isinstance(target, Event):
-            # Surface inside the generator so user code sees a clear
-            # error: the next segment's input is an event that failed.
-            yielded, target = target, Event(env)
-            target.callbacks = target._value = None
-            target._exception = RuntimeError(
-                f"process {self.name!r} yielded {yielded!r}; "
-                "processes may only yield Event objects"
-            )
-        if target.callbacks is None:
+        while True:
+            env._active_process = self
+            try:
+                if event is None:
+                    target = self.generator.send(None)
+                elif event._exception is None:
+                    target = self.generator.send(event._value)
+                else:
+                    event._defused = True
+                    target = self.generator.throw(event._exception)
+            except StopIteration as stop:
+                if self.callbacks:
+                    self.succeed(stop.value)
+                else:
+                    # Nobody waits: processed in place, no exit event.
+                    self._value = stop.value
+                    self.callbacks = None
+                return
+            except BaseException as exc:
+                self.fail(exc)
+                return
+            finally:
+                env._active_process = enclosing
+            if not isinstance(target, Event):
+                # Surface inside the generator so user code sees a clear
+                # error: the next segment's input is an event that failed.
+                yielded, target = target, Event(env)
+                target.callbacks = target._value = None
+                target._exception = RuntimeError(
+                    f"process {self.name!r} yielded {yielded!r}; "
+                    "processes may only yield Event objects"
+                )
+            if target.callbacks is not None:
+                self._target = target
+                target.callbacks.append(self._resume)
+                return
             # Already processed: its outcome is the next segment's input.
-            self._resume(target)
-        else:
-            self._target = target
-            target.callbacks.append(self._resume)
+            event = target

@@ -68,15 +68,28 @@ def test_typed_island_imports_names_from_defining_modules():
     assert not offenders, offenders
 
 
-def test_hnslint_module_entrypoint_exits_zero():
-    """python -m repro.analysis src/repro — the CI lint gate itself."""
+def _hnslint(tree: pathlib.Path) -> "subprocess.CompletedProcess[str]":
+    """``python -m repro.analysis <tree>``, the entry point CI's lint
+    gate runs (over all of ``src/repro``, which tier-1 lints in process)."""
     env = {"PYTHONPATH": str(ROOT / "src"), "PATH": "/usr/bin:/bin"}
-    proc = subprocess.run(
-        [sys.executable, "-m", "repro.analysis", "src/repro"],
+    return subprocess.run(
+        [sys.executable, "-m", "repro.analysis", str(tree)],
         cwd=ROOT,
         env=env,
         capture_output=True,
         text=True,
     )
+
+
+def test_hnslint_module_entrypoint_exits_zero(tmp_path):
+    (tmp_path / "clean.py").write_text("def f(env):\n    return env.now\n")
+    proc = _hnslint(tmp_path)
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "0 findings" in proc.stdout
+
+
+def test_hnslint_module_entrypoint_exits_one_on_a_finding(tmp_path):
+    (tmp_path / "clock.py").write_text("import time\n\nSTART = time.time()\n")
+    proc = _hnslint(tmp_path)
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    assert "SIM001" in proc.stdout

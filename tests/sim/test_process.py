@@ -340,3 +340,26 @@ def test_inline_started_process_that_raises(raise_before_first_yield):
     with pytest.raises(KeyError, match="boom"):
         env.run()
     assert env.now == 0.0
+
+
+def test_a_long_run_of_finished_events_yielded_in_a_row_costs_no_stack():
+    """Each already-processed event feeds the next segment in the same
+    ``_resume`` frame, so 3 000 of them in a row (well past the default
+    recursion limit) neither recurse nor leave the instant."""
+    env = Environment()
+
+    def finished(i):
+        return i
+        yield  # pragma: no cover - makes this a generator
+
+    procs = [env.process(finished(i), inline=True) for i in range(3_000)]
+    assert all(p.processed for p in procs)
+
+    def summer():
+        total = 0
+        for p in procs:
+            total += yield p
+        return total
+
+    assert env.run(until=env.process(summer())) == sum(range(3_000))
+    assert env.now == 0.0
