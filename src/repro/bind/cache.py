@@ -216,10 +216,13 @@ class ResolverCache:
     ) -> float:
         """Store a result; returns the insert cost (ms).
 
-        A non-positive TTL means "uncacheable": nothing is stored (the
-        probe cost of the failed future lookup is the caller's problem).
+        A non-positive TTL means "uncacheable": nothing is stored, and
+        whatever ``key`` held before is dropped, since the answer that
+        replaces it may not be kept (the probe cost of the failed future
+        lookup is the caller's problem).
         """
         if ttl_ms <= 0:
+            self._entries.pop(key, None)
             return 0.0
         if self.capacity is not None and len(self._entries) >= self.capacity:
             if key not in self._entries:

@@ -55,7 +55,7 @@ from repro.net.addresses import WELL_KNOWN_PORTS, Endpoint, NetworkAddress
 from repro.net.host import Host, Service
 from repro.obs.span import NULL_SPAN
 from repro.resolution import UpdatePolicy
-from repro.serial import HandcodedMarshaller
+from repro.serial import Encoded, HandcodedMarshaller
 from repro.serial.idl import IdlType
 
 if typing.TYPE_CHECKING:  # pragma: no cover
@@ -112,6 +112,12 @@ class BindServer(Service):
         ] = {}
         #: origins with a debounced NOTIFY fan-out already scheduled
         self._notify_pending: typing.Set[DomainName] = set()
+        #: zone origin -> its last IXFR answer: (from serial, to serial,
+        #: full), the reply, and its value marshalled once for every
+        #: subscriber that pulls that range
+        self._ixfr_replies: typing.Dict[
+            DomainName, typing.Tuple[typing.Tuple[int, int, int], IxfrResponse, Encoded]
+        ] = {}
 
     # Per-exchange counters, each bound at its first increment so the
     # stat exists only once counted.  ``requests`` counts datagrams (a
@@ -162,23 +168,27 @@ class BindServer(Service):
 
     # ------------------------------------------------------------------
     def _encode_reply(
-        self, message, recall: bool = False
+        self, message, value: object = None
     ) -> typing.Tuple[object, int, float]:
-        """Marshal ``message`` — the one time its bytes are produced;
-        they ride with it (``message.wire``) for whoever receives it.
+        """Marshal ``message`` as ``value`` — the one time its bytes are
+        produced; they ride with it (``message.wire``) for whoever
+        receives it.
 
         A query's answer repeats whenever its records do, so it is
-        handed over whole to ``recall`` the bytes of an equal one sent
-        before (:class:`~repro.serial.generated.Marshaller`).  Anything
-        else carries a serial or zone state that moves with every write
-        and is marshalled afresh from its wire value.
+        handed over whole (``value`` is ``message``) to recall the bytes
+        of an equal one sent before
+        (:class:`~repro.serial.generated.Marshaller`).  An IXFR answer is
+        handed over as the :class:`~repro.serial.Encoded` its zone's slot
+        keeps (:meth:`_send_ixfr`).  Anything else carries a serial or
+        zone state that moves with every write and is marshalled afresh
+        from its wire value, the default.
         """
         marshaller = self._marshallers.get(message.idl_type)
         if marshaller is None:
             marshaller = HandcodedMarshaller(message.idl_type)
             self._marshallers[message.idl_type] = marshaller
         message.wire, cost = marshaller.encode(
-            message if recall else message.to_idl()
+            message.to_idl() if value is None else value
         )
         return message, len(message.wire), cost
 
@@ -261,7 +271,7 @@ class BindServer(Service):
 
     def _answer_query(self, request: QueryRequest, responder) -> None:
         reply = self._answer_one(request.name, request.rtype)
-        reply, size, marshal_cost = self._encode_reply(reply, recall=True)
+        reply, size, marshal_cost = self._encode_reply(reply, reply)
         responder.after(
             self.host.cpu.compute(marshal_cost),
             self._send_answer,
@@ -311,9 +321,8 @@ class BindServer(Service):
                 responder,
             )
             return
-        reply, size, marshal_cost = self._encode_reply(
-            BatchQueryResponse(answers), recall=True
-        )
+        reply = BatchQueryResponse(answers)
+        reply, size, marshal_cost = self._encode_reply(reply, reply)
         responder.after(
             self.host.cpu.compute(marshal_cost),
             self._send_batch,
@@ -628,7 +637,7 @@ class BindServer(Service):
                 self.host.cpu.compute(self._stream_ms(len(records))),
                 self._send_ixfr,
                 zone,
-                1,
+                (request.serial, zone.serial, 1),
                 (),
                 records,
                 responder,
@@ -642,14 +651,37 @@ class BindServer(Service):
             ),
             self._send_ixfr,
             zone,
-            0,
+            (request.serial, zone.serial, 0),
             deltas,
             [],
             responder,
         )
 
-    def _send_ixfr(self, zone: Zone, full: int, deltas, records, responder) -> None:
-        self._reply(
-            IxfrResponse(STATUS_OK, zone.serial, full, list(deltas), records),
-            responder,
-        )
+    def _send_ixfr(
+        self, zone: Zone, walked: typing.Tuple[int, int, int], deltas, records, responder
+    ) -> None:
+        """Send the answer to a journal walk, ``walked`` = (from serial,
+        to serial, full) with the deltas or snapshot records it found.
+
+        A zone's state is a function of its serial, so the answer to a
+        walk is too: every subscriber a NOTIFY sent pulls the same range,
+        and the zone's one slot marshals it once.  Each send still enters
+        ``encode`` and pays its cost.  A write that landed during the
+        walk's charge moved the serial the reply carries past the walk;
+        that reply is marshalled on its own and the slot is left alone.
+        """
+        full = walked[2]
+        if zone.serial != walked[1]:
+            self._reply(
+                IxfrResponse(STATUS_OK, zone.serial, full, list(deltas), records),
+                responder,
+            )
+            return
+        slot = self._ixfr_replies.get(zone.origin)
+        if slot is None or slot[0] != walked:
+            reply = IxfrResponse(STATUS_OK, zone.serial, full, list(deltas), records)
+            slot = self._ixfr_replies[zone.origin] = (
+                walked, reply, Encoded(reply.to_idl())
+            )
+        reply, size, cost = self._encode_reply(slot[1], slot[2])
+        responder.after(self.host.cpu.compute(cost), responder, reply, size)

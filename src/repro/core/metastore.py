@@ -106,6 +106,26 @@ def _mapping_error(
     return NsmNotFound(nsm_name or f"{query_class} on {ns_name}")
 
 
+class _Mapping(typing.NamedTuple):
+    """How one of the four sequential mappings answers
+    (:meth:`MetaStore._mapping`)."""
+
+    #: the ``meta.*`` span it runs under
+    span: str
+    #: the record field it answers with, also set on the span; ``None``
+    #: answers the whole :class:`NsmRecord`
+    field: typing.Optional[str]
+    #: what a missing record raises, built from the subject; ``None``
+    #: lets :class:`~repro.bind.NameNotFound` through
+    missing: typing.Optional[typing.Type[HnsError]]
+
+
+_CONTEXT_TO_NS = _Mapping("meta.context_to_ns", "ns", ContextNotFound)
+_NSM_NAME = _Mapping("meta.nsm_name", "nsm", NsmNotFound)
+_NSM_RECORD = _Mapping("meta.nsm_record", None, NsmNotFound)
+_HOST_ADDRESS = _Mapping("meta.host_address", "addr", None)
+
+
 @dataclasses.dataclass(frozen=True)
 class NameServiceRecord:
     """Descriptor of one underlying name service."""
@@ -283,53 +303,87 @@ class MetaStore:
     # ------------------------------------------------------------------
     def context_to_name_service(self, context: str) -> typing.Generator:
         """Mapping 1: context -> name service name."""
-        obs = self.env.obs
-        with (
-            obs.span("meta.context_to_ns", mapping=1, context=context)
-            if obs.enabled
-            else NULL_SPAN
-        ) as span:
-            try:
-                records = yield from self.resolver.lookup(
-                    f"{context}.ctx.{META_ORIGIN}", RRType.UNSPEC
-                )
-            except NameNotFound as err:
-                raise ContextNotFound(context) from err
-            ns_name = decode_fields(records[0].data)["ns"]
-            span.set(ns=ns_name)
-            return ns_name
+        return self._mapping(
+            _CONTEXT_TO_NS,
+            f"{context}.ctx.{META_ORIGIN}",
+            context,
+            mapping=1,
+            context=context,
+        )
 
     def nsm_name_for(self, name_service: str, query_class: str) -> typing.Generator:
         """Mapping 2: (name service, query class) -> NSM name."""
-        owner = f"{query_class}.{name_service}.q.{META_ORIGIN}"
-        obs = self.env.obs
-        with (
-            obs.span("meta.nsm_name", mapping=2, ns=name_service, query_class=query_class)
-            if obs.enabled
-            else NULL_SPAN
-        ) as span:
-            try:
-                records = yield from self.resolver.lookup(owner, RRType.UNSPEC)
-            except NameNotFound as err:
-                raise NsmNotFound(f"{query_class} on {name_service}") from err
-            nsm_name = decode_fields(records[0].data)["nsm"]
-            span.set(nsm=nsm_name)
-            return nsm_name
+        return self._mapping(
+            _NSM_NAME,
+            f"{query_class}.{name_service}.q.{META_ORIGIN}",
+            f"{query_class} on {name_service}",
+            mapping=2,
+            ns=name_service,
+            query_class=query_class,
+        )
 
     def nsm_record(self, nsm_name: str) -> typing.Generator:
         """Mapping 3: NSM name -> NSM binding information."""
-        owner = f"{nsm_name}.nsm.{META_ORIGIN}"
+        return self._mapping(
+            _NSM_RECORD, f"{nsm_name}.nsm.{META_ORIGIN}", nsm_name, mapping=3, nsm=nsm_name
+        )
+
+    def nsm_host_address(self, host_name: str) -> typing.Generator:
+        """NSM-host address from the meta zone (preloaded with the rest).
+
+        The meta zone carries address records for NSM hosts so that a
+        preload can "guarantee HNS cache hits"; this lookup backstops
+        the statically-linked host-address NSM path.  A host without
+        one raises :class:`~repro.bind.NameNotFound`.
+        """
+        return self._mapping(
+            _HOST_ADDRESS,
+            f"{self.host_label(host_name)}.addr.{META_ORIGIN}",
+            host_name,
+            host=host_name,
+        )
+
+    def _mapping(
+        self, kind: _Mapping, owner: str, subject: str, **attrs: object
+    ) -> typing.Generator:
+        """One sequential mapping: ``owner``'s meta record, answered as
+        ``kind`` says, under ``kind``'s span carrying ``attrs``.
+
+        The one frame of a mapping, hit or miss: it writes the hit idiom
+        out itself (docs/architecture.md section 2, rule 4), and a miss
+        goes straight to the resolver's miss step, as
+        ``BindResolver.lookup`` does.  ``subject`` names what was not
+        found, and ``NsmRecord``'s name for mapping 3.
+        """
+        resolver = self.resolver
+        cpu = self.host.cpu
         obs = self.env.obs
-        with (
-            obs.span("meta.nsm_record", mapping=3, nsm=nsm_name)
-            if obs.enabled
-            else NULL_SPAN
-        ):
+        with (obs.span(kind.span, **attrs) if obs.enabled else NULL_SPAN) as span:
+            key = cache_key(owner, RRType.UNSPEC)
+            entry, cost = self.cache.probe(key)
+            yield cpu.compute(cost)
             try:
-                records = yield from self.resolver.lookup(owner, RRType.UNSPEC)
+                # hnslint: disable=SIM003 -- the hit idiom: entry is captured by value, read_hit copies the payload
+                if entry is not None:
+                    records, cost = resolver.read_hit(key, entry, span)
+                    yield cpu.compute(cost)
+                    resolver.hit_landed(key, entry)
+                    span.set(outcome="hit")
+                else:
+                    span.set(outcome="miss")
+                    records, _count = yield from resolver._miss(
+                        key, span, lambda: resolver._fetch(key, RRType.UNSPEC)
+                    )
             except NameNotFound as err:
-                raise NsmNotFound(nsm_name) from err
-            return NsmRecord.from_fields(nsm_name, records[0].data)
+                if kind.missing is None:
+                    raise
+                raise kind.missing(subject) from err
+            data = records[0].data
+            if kind.field is None:
+                return NsmRecord.from_fields(subject, data)
+            answer = decode_fields(data)[kind.field]
+            span.set(**{kind.field: answer})
+            return answer
 
     def find_nsm_bundle(
         self, context: str, query_class: str
@@ -428,19 +482,6 @@ class MetaStore:
     def host_label(host_name: str) -> str:
         """Sanitise a (possibly dotted or colon-ed) host name to a label."""
         return "".join(c if c.isalnum() else "-" for c in host_name.lower())
-
-    def nsm_host_address(self, host_name: str) -> typing.Generator:
-        """NSM-host address from the meta zone (preloaded with the rest).
-
-        The meta zone carries address records for NSM hosts so that a
-        preload can "guarantee HNS cache hits"; this lookup backstops
-        the statically-linked host-address NSM path.
-        """
-        owner = f"{self.host_label(host_name)}.addr.{META_ORIGIN}"
-        obs = self.env.obs
-        with obs.span("meta.host_address", host=host_name) if obs.enabled else NULL_SPAN:
-            records = yield from self.resolver.lookup(owner, RRType.UNSPEC)
-            return decode_fields(records[0].data)["addr"]
 
     # ------------------------------------------------------------------
     # Registration (dynamic updates to the modified BIND)

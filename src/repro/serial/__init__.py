@@ -35,6 +35,6 @@ __getattr__, __dir__, __all__ = attach(__name__, {
     ),
     "compiler": ("CourierRepresentation", "StubCompiler", "WireError", "XdrRepresentation"),
     "handcoded": ("HandcodedMarshaller",),
-    "generated": ("GeneratedMarshaller", "MarshalCost"),
+    "generated": ("Encoded", "GeneratedMarshaller", "MarshalCost"),
     "message": ("CONVERTERS", "Wire", "WireMessage"),
 })

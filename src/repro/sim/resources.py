@@ -91,6 +91,9 @@ class Resource:
         self._in_use = 0
         self._waiting: typing.Deque[Charge] = collections.deque()
         self._background: typing.Deque[Charge] = collections.deque()
+        #: no background charge's deadline is earlier than this, so
+        #: ``_free`` looks for lapsed patience only once it has passed
+        self._next_deadline = _INF
         self._idle_check_pending = False
 
     @property
@@ -125,7 +128,10 @@ class Resource:
         charge.held = False
         charge.remaining = service_ms
         if background and service_ms > 0:
-            charge.deadline = env._now + BACKGROUND_PATIENCE * max(service_ms, 1.0)
+            deadline = env._now + BACKGROUND_PATIENCE * max(service_ms, 1.0)
+            charge.deadline = deadline
+            if deadline < self._next_deadline:
+                self._next_deadline = deadline
             self._background.append(charge)
             if self._in_use < self.capacity:
                 self._schedule_idle_check()
@@ -179,6 +185,8 @@ class Resource:
         self._free()
         if self.env._now < charge.deadline:
             self._background.appendleft(charge)
+            if charge.deadline < self._next_deadline:
+                self._next_deadline = charge.deadline
         else:
             self._waiting.append(charge)
 
@@ -196,17 +204,16 @@ class Resource:
     def _free(self, _hold: typing.Optional[Event] = None) -> None:
         """A unit came free: hand it on, foreground first.
 
-        A queued foreground charge gets the unit and its whole hold
-        here, with the charge as the hold's heap entry; a background
-        charge holds slice by slice.
+        Background charges whose patience has run out join the
+        foreground FIFO first, looked for only once the lane's earliest
+        deadline has passed.  A queued foreground charge gets the unit
+        and its whole hold here, with the charge as the hold's heap
+        entry; a background charge holds slice by slice.
         """
         self._in_use -= 1
         background = self._background
-        if background:
-            now = self.env._now
-            for charge in [c for c in background if c.deadline <= now]:
-                background.remove(charge)
-                self._waiting.append(charge)
+        if background and self._next_deadline <= self.env._now:
+            self._promote_lapsed()
         waiting = self._waiting
         if not waiting:
             if background:
@@ -224,6 +231,16 @@ class Resource:
             eid = env._eid
             env._eid = eid + 1
             env._push((env._now + charge.remaining, eid, charge))
+
+    def _promote_lapsed(self) -> None:
+        """Move each background charge whose patience has run out to the
+        foreground FIFO, in lane order, and note the next deadline."""
+        background = self._background
+        now = self.env._now
+        for charge in [c for c in background if c.deadline <= now]:
+            background.remove(charge)
+            self._waiting.append(charge)
+        self._next_deadline = min((c.deadline for c in background), default=_INF)
 
     def _schedule_idle_check(self) -> None:
         if not self._idle_check_pending:

@@ -203,6 +203,40 @@ def test_refresh_ahead_renews_hot_entry(short_ttl_deployment):
     assert resolver.cache.hits == hits_before + 1
 
 
+def test_an_uncacheable_renewal_drops_the_entry_it_renews(short_ttl_deployment):
+    """A refresh-ahead renewal that comes back with TTL 0 ("do not
+    cache") leaves nothing cached for the key: the next read fetches the
+    new answer rather than serving the renewed entry's old one."""
+    env, net, transport, client, server, endpoint = short_ttl_deployment
+    resolver = make_resolver(
+        env,
+        client,
+        transport,
+        endpoint,
+        fast_path=FastPathPolicy(refresh_ahead_fraction=0.5),
+    )
+    run(env, resolver.lookup("short.cs.washington.edu"))  # cold fill
+    filled = env.now
+    zone = server.zone_for(DomainName("short.cs.washington.edu"))
+    zone.replace(
+        "short.cs.washington.edu",
+        RRType.A,
+        [ResourceRecord.a_record("short.cs.washington.edu", "128.95.1.100", ttl=0)],
+    )
+    idle(env, 600)  # inside the last half of the 1 s TTL
+    records = run(env, resolver.lookup("short.cs.washington.edu"))
+    assert records[0].address == "128.95.1.99"  # the hit that renews
+    assert resolver.cache.refreshes == 1
+    idle(env, 200)  # deferral (<=100 ms) + fetch land
+    remote = env.stats.counter(f"bind.{resolver.name}.remote_lookups")
+    assert remote.value == 2
+    assert env.now < filled + 1_000  # the old entry's TTL has not run out
+    assert ("short.cs.washington.edu", RRType.A.value) not in resolver.cache
+    records = run(env, resolver.lookup("short.cs.washington.edu"))
+    assert records[0].address == "128.95.1.100"
+    assert remote.value == 3
+
+
 def test_refresh_failure_is_silent(short_ttl_deployment):
     env, net, transport, client, server, endpoint = short_ttl_deployment
     resolver = make_resolver(

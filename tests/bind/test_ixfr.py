@@ -12,9 +12,11 @@ from repro.bind import (
     RRType,
     Zone,
 )
+from repro.bind.messages import IxfrResponse
 from repro.harness.calibration import DEFAULT_CALIBRATION
 from repro.net import DatagramTransport, Internetwork
 from repro.resolution import PolicySet, ReplicaPolicy
+from repro.serial import HandcodedMarshaller
 from repro.sim import ConstantLatency, Environment
 
 CAL = DEFAULT_CALIBRATION
@@ -177,6 +179,157 @@ def test_ixfr_delta_is_cheaper_than_snapshot(wired):
     run(env, resolver.primary.zone_transfer("hns"))
     full_ms = env.now - start
     assert delta_ms < full_ms / 3
+
+
+# ----------------------------------------------------------------------
+# One marshal per (zone, serial range)
+# ----------------------------------------------------------------------
+@pytest.fixture
+def marshals(monkeypatch):
+    """Every IXFR answer the server sends, as (reply, bytes, cost), and
+    how many codec passes produced them."""
+    sent = []
+    passes = []
+    encode_reply = BindServer._encode_reply
+    codec_pass = HandcodedMarshaller._encode
+
+    def spy_reply(self, message, value=None):
+        result = encode_reply(self, message, value)
+        if isinstance(message, IxfrResponse):
+            sent.append((message, message.wire, result[2]))
+        return result
+
+    def spy_pass(self, value):
+        if self.idl_type is IxfrResponse.idl_type:
+            passes.append(value)
+        return codec_pass(self, value)
+
+    monkeypatch.setattr(BindServer, "_encode_reply", spy_reply)
+    monkeypatch.setattr(HandcodedMarshaller, "_encode", spy_pass)
+    return sent, passes
+
+
+def fresh_marshal(reply):
+    """``reply``'s bytes and cost from a marshaller that never saw it."""
+    return HandcodedMarshaller(IxfrResponse.idl_type).encode(reply.to_idl())
+
+
+def pullers(env, udp, endpoint, count):
+    """``count`` resolvers, each on its own host, pulling from ``endpoint``."""
+    net = udp.internet
+    segment = net.segments[0]
+    return [
+        BindResolver(net.add_host(f"puller{i}", segment), udp, endpoint)
+        for i in range(count)
+    ]
+
+
+def test_four_pulls_of_one_range_are_one_codec_pass_and_four_charges(wired, marshals):
+    env, zone, server, resolver, udp, client, endpoint = wired
+    sent, passes = marshals
+    synced_at = zone.serial
+    zone.add(rec("b.ctx.hns", "ns=two"))
+    zone.add(rec("c.ctx.hns", "ns=three"))
+    pulls = [
+        env.process(puller.primary.incremental_zone_transfer("hns", synced_at))
+        for puller in pullers(env, udp, endpoint, 4)
+    ]
+    env.run(until=env.all_of(pulls))
+
+    answers = [pull.value for pull in pulls]
+    assert all(answer == answers[0] for answer in answers)
+    assert [d.serial for d in answers[0][2]] == [synced_at + 1, synced_at + 2]
+    assert len(passes) == 1
+    assert len(sent) == 4
+    (reply, wire, cost), *others = sent
+    # every send hands back the one answer, by identity, and pays for it
+    assert all(o[1] is wire and o[2] == cost for o in others)
+    assert (wire, cost) == fresh_marshal(reply)
+
+
+def test_a_write_between_two_pulls_is_marshalled_afresh(wired, marshals):
+    env, zone, server, resolver, udp, client, endpoint = wired
+    sent, passes = marshals
+    synced_at = zone.serial
+    zone.add(rec("b.ctx.hns", "ns=two"))
+    first = run(env, resolver.primary.incremental_zone_transfer("hns", synced_at))
+    zone.add(rec("c.ctx.hns", "ns=three"))
+    second = run(env, resolver.primary.incremental_zone_transfer("hns", synced_at))
+
+    assert second[0] == first[0] + 1 and len(second[2]) == 2
+    assert len(passes) == 2
+    for reply, wire, cost in sent:
+        assert (wire, cost) == fresh_marshal(reply)
+    assert sent[0][1] != sent[1][1]
+
+
+def test_a_write_between_two_sends_of_one_walk_is_not_recalled(wired, marshals):
+    """Two pulls of one range walk the journal at one serial; a write
+    that lands after the first answer is sent moves the serial the
+    second one carries, so the second is marshalled on its own."""
+    env, zone, server, resolver, udp, client, endpoint = wired
+    sent, passes = marshals
+    synced_at = zone.serial
+    zone.add(rec("b.ctx.hns", "ns=two"))
+    send = server._send_ixfr
+
+    def send_then_write(*args):
+        send(*args)
+        if len(sent) == 1:
+            zone.add(rec("late.ctx.hns", "ns=late"))
+
+    server._send_ixfr = send_then_write
+    pulls = [
+        env.process(puller.primary.incremental_zone_transfer("hns", synced_at))
+        for puller in pullers(env, udp, endpoint, 2)
+    ]
+    env.run(until=env.all_of(pulls))
+
+    first, second = (pull.value for pull in pulls)
+    assert second[0] == first[0] + 1 == zone.serial
+    assert len(passes) == 2
+    for reply, wire, cost in sent:
+        assert (wire, cost) == fresh_marshal(reply)
+
+
+def test_a_delta_and_a_snapshot_never_share_the_slot(wired, marshals):
+    env, zone, server, resolver, udp, client, endpoint = wired
+    sent, _passes = marshals
+    zone.journal_limit = 2
+    behind = zone.serial
+    for i in range(3):
+        zone.add(rec(f"x{i}.ctx.hns", f"ns=x{i}"))
+    recent = zone.serial - 1
+    pulls = (behind, recent, recent - 1, behind, recent)
+    answers = [
+        run(env, resolver.primary.incremental_zone_transfer("hns", synced_at))
+        for synced_at in pulls
+    ]
+
+    assert [full for _, full, _, _ in answers] == [True, False, False, True, False]
+    for synced_at, (serial, full, deltas, records) in zip(pulls, answers):
+        assert serial == zone.serial
+        if full:
+            assert deltas == [] and records == zone.all_records()
+        else:
+            assert [d.serial for d in deltas] == list(range(synced_at + 1, serial + 1))
+    for reply, wire, cost in sent:
+        assert (wire, cost) == fresh_marshal(reply)
+
+
+def test_the_memo_holds_at_most_one_reply_per_zone(wired):
+    env, zone, server, resolver, udp, client, endpoint = wired
+    other = Zone("alt")
+    other.add(rec("a.alt", "ns=one"))
+    server.add_zone(other)
+    for step in range(4):
+        for origin, target in (("hns", zone), ("alt", other)):
+            synced_at = target.serial
+            target.add(rec(f"n{step}.{origin}", f"ns={step}"))
+            for since in (synced_at, synced_at - 1):
+                run(env, resolver.primary.incremental_zone_transfer(origin, since))
+            assert len(server._ixfr_replies) <= 2
+    assert set(server._ixfr_replies) == {zone.origin, other.origin}
 
 
 # ----------------------------------------------------------------------

@@ -238,3 +238,28 @@ def test_a_failed_pull_is_counted_and_the_next_push_pulls_again():
     assert counters[f"bind.{subscriber.name}.notify_pull_failures"] == 1
     records = run(env, subscriber.lookup(owner(0), RRType.UNSPEC))
     assert [r.text for r in records] == ["ns=v2"]
+
+
+def test_an_uncacheable_pulled_answer_is_not_served_from_the_old_one():
+    """A REPLACE whose new record set has TTL 0 (DNS's "do not cache")
+    drops what the subscriber held for that owner: the pull installs
+    nothing for it, so the next read asks the primary, which holds the
+    new version, instead of serving the old one for the rest of its TTL."""
+    env, meta, subscriber, writer, _reference = build(512)
+    run(env, subscriber.lookup(owner(0), RRType.UNSPEC))
+    run(env, installer(subscriber).subscribe_notify("hns"))
+    uncacheable = ResourceRecord.text_record(
+        owner(0), "ns=v1", rtype=RRType.UNSPEC, ttl=0
+    )
+    op = UpdateOp(
+        UpdateMode.REPLACE, DomainName(owner(0)), RRType.UNSPEC, records=(uncacheable,)
+    )
+    run(env, writer.primary.update_batch([op]))
+    env.run(until=env.now + 1_000.0)  # the push, the pull, the install
+
+    assert env.stats.counters()[f"bind.{subscriber.name}.notify_pulls"] == 1
+    zone = meta.zone_named(DomainName("hns"))
+    assert [r.text for r in zone.lookup(owner(0), RRType.UNSPEC)] == ["ns=v1"]
+    assert (owner(0), RRType.UNSPEC.value) not in subscriber.cache
+    records = run(env, subscriber.lookup(owner(0), RRType.UNSPEC))
+    assert [r.text for r in records] == ["ns=v1"]

@@ -47,8 +47,10 @@ def find_nsm(policies):
 
 
 def lookup_hit(testbed):
-    """Mapping 1 on a default meta store: one ``BindResolver.lookup``
-    hit, the read ``update_storm``'s readers make."""
+    """Mapping 1 on a default meta store, the read ``update_storm``'s
+    readers make: one hit in the meta store's mapping frame, which
+    yields the probe and copy charges itself (no ``BindResolver.lookup``
+    frame and no ``bind.lookup`` span beneath it)."""
     store = testbed.make_metastore(testbed.client)
     return None, functools.partial(store.context_to_name_service, NAME.context)
 
@@ -127,17 +129,21 @@ def host_and_kernel_cost(make, calls=CALLS):
 @pytest.mark.parametrize(
     "make, max_python_calls, heap_entries",
     [
-        # 116.4 / 70.4 C calls; 130.4 while each span site called span()
-        # and each charge built its Charge in a frame; 301 / 133 before
-        # the hit path stopped re-deriving, 231 while each of its 9
-        # charges was a generator frame, 191.7 while four to six frames
-        # resumed per charge
-        pytest.param(find_nsm(FAST_PATH), 120, 9, id="fast-path"),
-        # 216.5 / 103.5; 244.5, and 426 / 145, then 366, then 307.9
-        pytest.param(find_nsm(PolicySet.default()), 275, 13, id="six-mappings"),
-        # 26.0 / 15.0 (30.0 before the span guard and the in-place
+        # 113.4 / 70.4 C calls; 116.4 while the NSM-host address ran
+        # through BindResolver.lookup; 130.4 while each span site called
+        # span() and each charge built its Charge in a frame; 301 / 133
+        # before the hit path stopped re-deriving, 231 while each of its
+        # 9 charges was a generator frame, 191.7 while four to six
+        # frames resumed per charge
+        pytest.param(find_nsm(FAST_PATH), 117, 9, id="fast-path"),
+        # 196.5 / 103.5; 216.5 while each of the five mappings ran
+        # through BindResolver.lookup, 244.5, and 426 / 145, then 366,
+        # then 307.9
+        pytest.param(find_nsm(PolicySet.default()), 250, 13, id="six-mappings"),
+        # 22.0 / 15.0 (26.0 while the mapping resumed a BindResolver.lookup
+        # frame under it, 30.0 before the span guard and the in-place
         # Charge, 42.0 while the probe was a generator of its own)
-        pytest.param(lookup_hit, 33, 2, id="lookup-hit"),
+        pytest.param(lookup_hit, 28, 2, id="lookup-hit"),
     ],
 )
 def test_warm_find_nsm_host_and_kernel_budget(make, max_python_calls, heap_entries):
@@ -153,7 +159,9 @@ def test_warm_find_nsm_host_and_kernel_budget(make, max_python_calls, heap_entri
 @pytest.mark.parametrize(
     "make, max_python_calls, heap_entries",
     [
-        # 1 560.0 / 785.1 C calls; 1 658.0 / 732.1 while its span sites
+        # 1 516.0 / 810.1 C calls; 1 556.0 while its meta mappings ran
+        # through BindResolver.lookup, 1 560.0 / 785.1 before that;
+        # 1 658.0 / 732.1 while its span sites
         # called span() with tracing off and each of its 54 charges paid
         # a Charge.__init__ frame; 2 043 / 1 104 while each query and
         # its answer was marshalled again (the marshallers now recall
@@ -164,15 +172,15 @@ def test_warm_find_nsm_host_and_kernel_budget(make, max_python_calls, heap_entri
         # attempt, and every address key a Python __str__
         pytest.param(
             cold_import("BIND-cs", "DesiredService", NAME),
-            1_600,
+            1_555,
             80,
             id="bind-cs",
         ),
-        # 1 544.6 / 835.5; 1 640.6 / 780.5, 1 985.6 / 1 096.5, and
-        # 2 401.4 and 8, likewise
+        # 1 500.6 / 859.5; 1 540.6 likewise, 1 544.6 / 835.5, 1 640.6 /
+        # 780.5, 1 985.6 / 1 096.5, and 2 401.4 and 8
         pytest.param(
             cold_import("CH-hcs", "PrintService", HNSName("CH-hcs", "dlion:hcs:uw")),
-            1_600,
+            1_555,
             81,
             id="ch-hcs",
         ),

@@ -172,5 +172,7 @@ def test_every_span_site_under_src_is_guarded():
         for path in sorted(SRC.rglob("*.py"))
         for line, guarded in span_sites(path.read_text())
     }
-    assert len(sites) >= 28  # the scan reaches the instrumented modules
+    # the scan reaches the instrumented modules (the meta store's four
+    # mappings open their spans at one site)
+    assert len(sites) >= 25
     assert [site for site, guarded in sites.items() if not guarded] == []

@@ -31,7 +31,7 @@ from repro.serial import (
     WireError,
     XdrRepresentation,
 )
-from repro.serial.generated import MarshalCost, _decoded, _encoded
+from repro.serial.generated import Encoded, MarshalCost, _decoded, _encoded
 from repro.serial.handcoded import HANDCODED_BASE_MS, HANDCODED_PER_BYTE_MS
 from tests.serial.test_golden_vectors import _vectors, from_json, message_classes, message_idls
 
@@ -223,3 +223,21 @@ def test_no_caller_can_change_what_another_recalls(style):
     assert third == expected
     data, cost = m.encode(QueryResponse(STATUS_OK, RECORDS[:2]))
     assert type(data) is bytes and type(cost) is float
+
+
+@pytest.mark.parametrize("rep", REPS, ids=["xdr", "courier"])
+def test_an_encoded_value_is_one_codec_pass_per_marshaller(rep):
+    """An :class:`Encoded` value is marshalled by the first ``encode``
+    of each marshaller that is handed it, then handed back by identity;
+    every answer is the fresh codec's, to the bit."""
+    value = QueryResponse(STATUS_OK, RECORDS).to_idl()
+    held = Encoded(value)
+    idl_type = QueryResponse.idl_type
+    hand, generated = (marshaller(style, idl_type, rep) for style in STYLES)
+    first = hand.encode(held)
+    assert first == fresh("handcoded", idl_type, rep, value)
+    assert hand.encode(held) is first
+    other = generated.encode(held)
+    assert other == fresh("generated", idl_type, rep, value)
+    assert other[1] != first[1]
+    assert generated.encode(held) is other

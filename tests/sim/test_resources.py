@@ -438,6 +438,37 @@ def test_background_job_on_a_saturated_unit_completes_by_the_patience_bound():
     assert done > arrive + BACKGROUND_PATIENCE * cost
 
 
+def test_a_cheaper_charge_behind_the_head_is_promoted_at_its_own_deadline():
+    """Patience is per charge: one queued behind a costlier head has the
+    earlier deadline, and turns foreground at the first release after
+    it, not the head's."""
+    env = Environment()
+    res = Resource(env)
+    hold = 5.0
+    done = {}
+
+    def looper():
+        while True:  # two of these: one always holds, one always waits
+            yield res.use(hold)
+
+    def background(tag, arrive, cost):
+        yield env.timeout(arrive)
+        yield res.use(cost, background=True)
+        done[tag] = env.now
+
+    env.process(looper())
+    env.process(looper())
+    env.process(background("head", 1.0, 4.0))
+    env.process(background("cheap", 2.0, 1.0))
+    env.run(until=200.0)
+    head_deadline = 1.0 + BACKGROUND_PATIENCE * 4.0
+    cheap_deadline = 2.0 + BACKGROUND_PATIENCE * 1.0
+    # the first release past 42 ms is at 45; the looper queued at 40
+    # holds first, then the promoted charge
+    assert done["cheap"] == 45.0 + hold + 1.0
+    assert cheap_deadline < done["cheap"] < head_deadline < done["head"]
+
+
 # ----------------------------------------------------------------------
 # Generated schedules
 # ----------------------------------------------------------------------
@@ -454,14 +485,47 @@ _ACTORS = st.lists(
 )
 
 
-def _run_schedule(capacity, actors, stepped=True):
-    """Run ``actors`` on one resource; returns the actors' event log.
+#: long foreground holds beside cheap background charges: the
+#: foreground load outlasts some background charge's patience (40 ms
+#: for one of at most 1 ms) on about half the schedules
+_LAPSING_ACTORS = st.lists(
+    st.one_of(
+        st.tuples(
+            st.just("fg"),
+            st.integers(0, 30),
+            st.sampled_from([9.0, 20.0, 45.0]),
+            st.one_of(st.none(), st.none(), st.sampled_from([5.0, 60.0])),
+        ),
+        st.tuples(
+            st.just("bg"),
+            st.integers(0, 30),
+            st.sampled_from([0.5, 1.0, 3.0]),
+            st.one_of(st.none(), st.none(), st.sampled_from([5.0, 60.0])),
+        ),
+    ),
+    min_size=6,
+    max_size=16,
+)
+
+
+class EagerScanResource(Resource):
+    """The reference: the promotion scan at every release, whatever the
+    earliest deadline."""
+
+    def _free(self, _hold=None):
+        self._next_deadline = -float("inf")
+        super()._free(_hold)
+
+
+def _run_schedule(capacity, actors, stepped=True, kind=Resource):
+    """Run ``actors`` on one ``kind`` of resource; returns the actors'
+    event log.
 
     Stepped, it checks the resource's bookkeeping after every kernel
     step and, at the end, the order and length of the foreground grants.
     """
     env = Environment()
-    res = Resource(env, capacity=capacity)
+    res = kind(env, capacity=capacity)
     log = []
     #: (actor, claim, foreground, cost) in the order the claims were made
     claims = []
@@ -531,3 +595,13 @@ def test_charges_under_generated_schedules(capacity, actors):
     assert sorted(ends) == list(range(len(actors)))
     # step() and run()'s drain process the same events in the same order
     assert _run_schedule(capacity, actors, stepped=False) == log
+
+
+@settings(max_examples=150, deadline=None)
+@given(capacity=st.sampled_from([1, 2]), actors=_LAPSING_ACTORS)
+def test_lazy_promotion_matches_an_eager_scan(capacity, actors):
+    """``_free`` scans for lapsed patience only once the earliest
+    background deadline has passed; on schedules where patience lapses
+    that changes nothing an actor sees."""
+    log = _run_schedule(capacity, actors)
+    assert _run_schedule(capacity, actors, stepped=False, kind=EagerScanResource) == log
