@@ -23,6 +23,7 @@ import typing
 from repro.bind.messages import STATUS_OK, QueryResponse
 from repro.bind.rr import ResourceRecord
 from repro.harness.calibration import Calibration, DEFAULT_CALIBRATION
+from repro.memo import first_use
 from repro.serial import HandcodedMarshaller
 from repro.sim.kernel import Environment
 from repro.sim.stats import Counter
@@ -111,6 +112,12 @@ class ResolverCache:
             )
         mirror.increment()
 
+    @first_use
+    def _hit_mirror(self) -> Counter:
+        """``cache.<name>.hits``, bound at the first hit: a hit names no
+        stat and enters no :meth:`_count` frame."""
+        return self.env.stats.counter(f"cache.{self.name}.hits")
+
     # ------------------------------------------------------------------
     def probe(self, key: object) -> typing.Tuple[typing.Optional[CacheEntry], float]:
         """Look up ``key``.
@@ -139,7 +146,7 @@ class ResolverCache:
             return None, cost
         self._entries.move_to_end(key)  # LRU maintenance
         self.hits += 1
-        self._count("hits")
+        self._hit_mirror.increment()
         return entry, cost
 
     def stale_entry(

@@ -21,7 +21,6 @@ and what a transfer brings back is written into a cache by
 
 from __future__ import annotations
 
-import functools
 import typing
 
 from repro.bind.cache import NEGATIVE, CacheEntry, CacheFormat, ResolverCache
@@ -42,7 +41,7 @@ from repro.bind.primary import PrimaryClient, charge
 from repro.bind.replica import MAX_HEDGES, ReplicaScheduler, ReplicaState
 from repro.bind.rr import ResourceRecord, RRType
 from repro.harness.calibration import Calibration, DEFAULT_CALIBRATION
-from repro.memo import memoised
+from repro.memo import first_use, memoised
 from repro.net.addresses import Endpoint
 from repro.net.errors import NetworkError, is_transient
 from repro.net.host import Host
@@ -156,12 +155,12 @@ class BindResolver:
         self._response_m = styled(QueryResponse.idl_type)
         self._batch_response_m = styled(BatchQueryResponse.idl_type)
 
-    @functools.cached_property
+    @first_use
     def _cache_hits(self) -> "Counter":
         """Bound at the first hit, so the stat exists only once counted."""
         return self.env.stats.counter(f"bind.{self.name}.cache_hits")
 
-    @functools.cached_property
+    @first_use
     def _remote_lookups(self) -> "Counter":
         """Bound at the first remote fetch, likewise."""
         return self.env.stats.counter(f"bind.{self.name}.remote_lookups")

@@ -18,7 +18,6 @@ is an answer, not a crashed call.
 from __future__ import annotations
 
 import dataclasses
-import functools
 import typing
 
 from repro.bind.errors import NameNotFound
@@ -51,6 +50,7 @@ from repro.bind.names import DomainName
 from repro.bind.rr import RRType
 from repro.bind.zone import Zone
 from repro.harness.calibration import Calibration, DEFAULT_CALIBRATION
+from repro.memo import first_use
 from repro.net.addresses import WELL_KNOWN_PORTS, Endpoint, NetworkAddress
 from repro.net.host import Host, Service
 from repro.obs.span import NULL_SPAN
@@ -124,19 +124,19 @@ class BindServer(Service):
     # batch is one), ``queries`` counts database walks — the
     # requests-per-resolution metric the fast-path benchmarks report
     # divides over the former.
-    @functools.cached_property
+    @first_use
     def _requests(self) -> "Counter":
         return self.env.stats.counter(f"bind.{self.name}.requests")
 
-    @functools.cached_property
+    @first_use
     def _queries(self) -> "Counter":
         return self.env.stats.counter(f"bind.{self.name}.queries")
 
-    @functools.cached_property
+    @first_use
     def _batches(self) -> "Counter":
         return self.env.stats.counter(f"bind.{self.name}.batches")
 
-    @functools.cached_property
+    @first_use
     def _updates(self) -> "Counter":
         return self.env.stats.counter(f"bind.{self.name}.updates")
 
@@ -666,20 +666,15 @@ class BindServer(Service):
         A zone's state is a function of its serial, so the answer to a
         walk is too: every subscriber a NOTIFY sent pulls the same range,
         and the zone's one slot marshals it once.  Each send still enters
-        ``encode`` and pays its cost.  A write that landed during the
-        walk's charge moved the serial the reply carries past the walk;
-        that reply is marshalled on its own and the slot is left alone.
+        ``encode`` and pays its cost.  The reply carries the serial the
+        walk ended at, even when a write landed during the walk's charge:
+        the requester then pulls that write next, instead of taking its
+        NOTIFY as already seen.
         """
-        full = walked[2]
-        if zone.serial != walked[1]:
-            self._reply(
-                IxfrResponse(STATUS_OK, zone.serial, full, list(deltas), records),
-                responder,
-            )
-            return
         slot = self._ixfr_replies.get(zone.origin)
         if slot is None or slot[0] != walked:
-            reply = IxfrResponse(STATUS_OK, zone.serial, full, list(deltas), records)
+            _since, serial, full = walked
+            reply = IxfrResponse(STATUS_OK, serial, full, list(deltas), records)
             slot = self._ixfr_replies[zone.origin] = (
                 walked, reply, Encoded(reply.to_idl())
             )

@@ -25,19 +25,21 @@ remote HRPC service — the colocation spectrum of Table 3.1.
 
 from __future__ import annotations
 
-import functools
 import typing
 
 from repro.core.errors import HnsError, NsmNotFound, NsmUnavailable
-from repro.core.metastore import MetaStore, NsmRecord
+from repro.core.metastore import META_ORIGIN, MetaStore, NsmRecord, decode_fields
 from repro.core.names import HNSName
 from repro.core.nsm import LocalNsmBinding, NamingSemanticsManager
 from repro.core.queryclass import query_class_named
 from repro.harness.calibration import Calibration, DEFAULT_CALIBRATION
 from repro.hrpc.binding import HRPCBinding
 from repro.hrpc.server import HrpcServer
+from repro.memo import first_use, memoised
 from repro.net.addresses import Endpoint, NetworkAddress
 from repro.bind.errors import NameNotFound
+from repro.bind.resolver import cache_key
+from repro.bind.rr import RRType
 from repro.obs.span import NULL_SPAN
 from repro.resolution import CircuitBreakerRegistry, PolicySet, retrying
 from repro.sim.events import Event
@@ -58,8 +60,24 @@ NsmBindingLike = typing.Union[HRPCBinding, LocalNsmBinding]
 FindNsmCall = typing.Generator[Event, typing.Any, NsmBindingLike]
 
 #: Host resolution in flight (mappings 4-6), returning the NSM host's
-#: network address.
-HostResolveCall = typing.Generator[Event, typing.Any, NetworkAddress]
+#: network address as text.
+HostResolveCall = typing.Generator[Event, typing.Any, str]
+
+
+@memoised
+def remote_binding(
+    address: str, record: NsmRecord, nsm_name: str, ns_name: str
+) -> HRPCBinding:
+    """FindNSM's answer for a remotely called NSM: the NSM's record at
+    its host's address.  Every caller shares it, so its metadata is
+    read-only; an address or record that fails validation raises."""
+    return HRPCBinding(
+        endpoint=Endpoint(NetworkAddress(address), record.port),
+        program=record.program,
+        suite=record.suite,
+        system_type="unix",
+        metadata={"nsm": nsm_name, "name_service": ns_name},
+    )
 
 
 class HNS:
@@ -84,12 +102,11 @@ class HNS:
         self.policies = policies
         #: how FindNSM reaches the NSM's record and its host's address:
         #: the paper's six sequential mappings, or two batched round trips
-        if policies.fast_path.batch_meta_lookups:
-            self._meta_mappings = metastore.find_nsm_bundle
-            self._resolve_host = self._resolve_nsm_host_fast
-        else:
-            self._meta_mappings = self._sequential_mappings
-            self._resolve_host = self._resolve_nsm_host_retried
+        #: (the second one the NSM host's meta address record)
+        self._batched = policies.fast_path.batch_meta_lookups
+        self._meta_mappings = (
+            metastore.find_nsm_bundle if self._batched else self._sequential_mappings
+        )
         #: one circuit breaker per NSM name, fed by callers reporting
         #: call outcomes via :meth:`report_nsm_outcome`
         self.nsm_breakers = CircuitBreakerRegistry(
@@ -102,7 +119,7 @@ class HNS:
         # FindNSM selects one of these, the client gets a local binding.
         self._local_nsms: typing.Dict[str, NamingSemanticsManager] = {}
 
-    @functools.cached_property
+    @first_use
     def _find_nsm_count(self) -> "Counter":
         """Bound at the first FindNSM, so the stat exists only once counted."""
         return self.env.stats.counter("hns.find_nsm")
@@ -196,19 +213,62 @@ class HNS:
             # The prototype resolves the host even when a local copy will
             # be used — the six-mapping cost structure of the paper's
             # measurements.
-            address = yield from self._resolve_host(record)
+            if not self._batched:
+                address = yield from self._resolve_nsm_host_retried(record)
+            else:
+                # The batched path reads the host's meta address record
+                # (what preloading warms) in this frame, in the hit idiom
+                # of docs/architecture.md section 2, rule 4; a miss goes
+                # straight to the resolver's miss step.  A host registered
+                # without one falls back to mappings 4-6, so the two
+                # paths answer alike.
+                with (
+                    obs.span("hns.resolve_host_fast", host=record.host_name)
+                    if obs.enabled
+                    else NULL_SPAN
+                ) as host_span:
+                    try:
+                        with (
+                            obs.span("meta.host_address", host=record.host_name)
+                            if obs.enabled
+                            else NULL_SPAN
+                        ) as addr_span:
+                            metastore = self.metastore
+                            resolver = metastore.resolver
+                            cpu = self.host.cpu
+                            key = cache_key(
+                                f"{metastore.host_label(record.host_name)}"
+                                f".addr.{META_ORIGIN}",
+                                RRType.UNSPEC,
+                            )
+                            entry, cost = metastore.cache.probe(key)
+                            yield cpu.compute(cost)
+                            # hnslint: disable=SIM003 -- the hit idiom: entry is captured by value, read_hit copies the payload
+                            if entry is not None:
+                                records, cost = resolver.read_hit(key, entry, addr_span)
+                                yield cpu.compute(cost)
+                                resolver.hit_landed(key, entry)
+                                addr_span.set(outcome="hit")
+                            else:
+                                addr_span.set(outcome="miss")
+                                records, _count = yield from resolver._miss(
+                                    key,
+                                    addr_span,
+                                    lambda: resolver._fetch(key, RRType.UNSPEC),
+                                )
+                            address = decode_fields(records[0].data)["addr"]
+                            addr_span.set(addr=address)
+                    except NameNotFound:
+                        host_span.set(fallback=True)
+                        env.stats.counter("hns.fast_path.addr_fallbacks").increment()
+                        address = yield from self._resolve_nsm_host_retried(record)
+            binding = remote_binding(address, record, nsm_name, ns_name)
             local = self._local_nsms.get(nsm_name)
             if local is not None:
                 span.set(outcome="local")
                 return LocalNsmBinding(local)
             span.set(outcome="remote")
-            return HRPCBinding(
-                endpoint=Endpoint(address, record.port),
-                program=record.program,
-                suite=record.suite,
-                system_type="unix",
-                metadata={"nsm": nsm_name, "name_service": ns_name},
-            )
+            return binding
 
     # Mappings 1-3, picked in the constructor: the meta store's chained
     # batch, or this.  Either returns ``(name service name, NSM name,
@@ -255,35 +315,6 @@ class HNS:
             f"{breaker.consecutive_failures} consecutive failures"
         )
 
-    def _resolve_nsm_host_fast(self, record: NsmRecord) -> HostResolveCall:
-        """Batched host resolution: one meta ``addr`` lookup — the
-        second (and last) round trip of a cold batched FindNSM.
-
-        The meta zone carries an address record per NSM host (it is what
-        preloading warms), so the fast path reads it directly instead of
-        recursing through mappings 4-6.  Hosts registered without one
-        fall back to the recursive path, keeping the two behaviours
-        answer-equivalent.
-        """
-        obs = self.env.obs
-        with (
-            obs.span("hns.resolve_host_fast", host=record.host_name)
-            if obs.enabled
-            else NULL_SPAN
-        ) as span:
-            try:
-                addr_text = yield from self.metastore.nsm_host_address(
-                    record.host_name
-                )
-                return NetworkAddress(addr_text)
-            except NameNotFound:
-                span.set(fallback=True)
-                self.env.stats.counter(
-                    "hns.fast_path.addr_fallbacks"
-                ).increment()
-                address = yield from self._resolve_nsm_host_retried(record)
-                return address
-
     def _resolve_nsm_host_retried(self, record: NsmRecord) -> HostResolveCall:
         """Mappings 4-6 retried as a unit: the native HostAddress lookup
         is the one remote call here that the meta resolver's policy
@@ -322,7 +353,7 @@ class HNS:
             result = yield from nsm.query(
                 HNSName(record.host_context, record.host_name)
             )
-            return NetworkAddress(typing.cast(str, result.value["address"]))
+            return typing.cast(str, result.value["address"])
 
     # ------------------------------------------------------------------
     # Circuit-breaker feedback
@@ -361,7 +392,6 @@ class HNS:
         # `<label>.addr.hns` records (cache format is demarshalled, so
         # payloads are ResourceRecord lists).
         from repro.bind.cache import CacheFormat
-        from repro.core.metastore import META_ORIGIN, decode_fields
 
         if self.metastore.cache.format is not CacheFormat.DEMARSHALLED:
             return count

@@ -107,7 +107,7 @@ def _mapping_error(
 
 
 class _Mapping(typing.NamedTuple):
-    """How one of the four sequential mappings answers
+    """How one of the three sequential mappings answers
     (:meth:`MetaStore._mapping`)."""
 
     #: the ``meta.*`` span it runs under
@@ -115,15 +115,13 @@ class _Mapping(typing.NamedTuple):
     #: the record field it answers with, also set on the span; ``None``
     #: answers the whole :class:`NsmRecord`
     field: typing.Optional[str]
-    #: what a missing record raises, built from the subject; ``None``
-    #: lets :class:`~repro.bind.NameNotFound` through
-    missing: typing.Optional[typing.Type[HnsError]]
+    #: what a missing record raises, built from the subject
+    missing: typing.Type[HnsError]
 
 
 _CONTEXT_TO_NS = _Mapping("meta.context_to_ns", "ns", ContextNotFound)
 _NSM_NAME = _Mapping("meta.nsm_name", "nsm", NsmNotFound)
 _NSM_RECORD = _Mapping("meta.nsm_record", None, NsmNotFound)
-_HOST_ADDRESS = _Mapping("meta.host_address", "addr", None)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -328,21 +326,6 @@ class MetaStore:
             _NSM_RECORD, f"{nsm_name}.nsm.{META_ORIGIN}", nsm_name, mapping=3, nsm=nsm_name
         )
 
-    def nsm_host_address(self, host_name: str) -> typing.Generator:
-        """NSM-host address from the meta zone (preloaded with the rest).
-
-        The meta zone carries address records for NSM hosts so that a
-        preload can "guarantee HNS cache hits"; this lookup backstops
-        the statically-linked host-address NSM path.  A host without
-        one raises :class:`~repro.bind.NameNotFound`.
-        """
-        return self._mapping(
-            _HOST_ADDRESS,
-            f"{self.host_label(host_name)}.addr.{META_ORIGIN}",
-            host_name,
-            host=host_name,
-        )
-
     def _mapping(
         self, kind: _Mapping, owner: str, subject: str, **attrs: object
     ) -> typing.Generator:
@@ -375,8 +358,6 @@ class MetaStore:
                         key, span, lambda: resolver._fetch(key, RRType.UNSPEC)
                     )
             except NameNotFound as err:
-                if kind.missing is None:
-                    raise
                 raise kind.missing(subject) from err
             data = records[0].data
             if kind.field is None:

@@ -21,7 +21,6 @@ a remote :class:`~repro.hrpc.binding.HRPCBinding`.
 from __future__ import annotations
 
 import dataclasses
-import functools
 import typing
 
 from repro.bind import CacheFormat, ResolverCache, UpdateOp
@@ -31,6 +30,7 @@ from repro.harness.calibration import Calibration, DEFAULT_CALIBRATION
 from repro.hrpc.binding import HRPCBinding
 from repro.hrpc.runtime import HrpcRuntime
 from repro.hrpc.server import HrpcServer
+from repro.memo import first_use
 from repro.net.host import Host
 from repro.obs.span import NULL_SPAN
 from repro.resolution import FastPathPolicy
@@ -131,7 +131,7 @@ class NamingSemanticsManager:
             cache=self.cache,
         )
 
-    @functools.cached_property
+    @first_use
     def _cache_hits(self) -> "Counter":
         """Bound at the first hit, so the stat exists only once counted."""
         return self.env.stats.counter(f"nsm.{self.name}.cache_hits")

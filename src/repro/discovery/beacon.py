@@ -36,6 +36,7 @@ from repro.discovery.messages import (
     ProbeRequest,
     ProbeResponse,
 )
+from repro.memo import first_use
 from repro.net.addresses import Endpoint
 from repro.net.errors import HostDown, NoRouteToHost, TransportTimeout
 from repro.net.host import Host, Service
@@ -150,7 +151,7 @@ class DiscoveryCache:
             self._observed.increment(touched)
         return touched
 
-    @functools.cached_property
+    @first_use
     def _observed(self) -> Counter:
         """Bound at the first absorbed name: no stat until counted."""
         return self.env.stats.counter("discovery.observed")

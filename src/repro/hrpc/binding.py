@@ -10,6 +10,7 @@ gathered by the NSM varies widely from system to system."
 from __future__ import annotations
 
 import dataclasses
+import types
 import typing
 
 from repro.hrpc.suites import suite_named
@@ -22,7 +23,8 @@ class HRPCBinding:
 
     ``suite`` selects the transport / data representation / control
     protocol black boxes; ``endpoint`` is where the server listens;
-    ``program`` names the RPC program to dispatch to.
+    ``program`` names the RPC program to dispatch to.  ``metadata`` is
+    held read-only, so one binding can be handed to every caller.
     """
 
     endpoint: Endpoint
@@ -35,6 +37,9 @@ class HRPCBinding:
         if not self.program:
             raise ValueError("binding needs a program name")
         suite_named(self.suite)  # validates
+        object.__setattr__(
+            self, "metadata", types.MappingProxyType(dict(self.metadata))
+        )
 
     def describe(self) -> str:
         return (

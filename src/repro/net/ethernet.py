@@ -14,9 +14,9 @@ diverge and then watch incarnation numbers reconcile.
 
 from __future__ import annotations
 
-import functools
 import typing
 
+from repro.memo import first_use
 from repro.net.host import Host
 from repro.net.messages import Datagram
 from repro.sim.kernel import Environment
@@ -68,7 +68,7 @@ class Ethernet:
     def carries(self, address: object) -> bool:
         return getattr(address, "dotted", address) in self._hosts
 
-    @functools.cached_property
+    @first_use
     def _jitter(self) -> "random.Random":
         """This wire's latency stream (seeded from the name, not from
         when it is first drawn)."""
@@ -167,12 +167,12 @@ class Ethernet:
             return False
         return self._drop_rng.random() < self.drop_probability
 
-    @functools.cached_property
+    @first_use
     def _partition_drops(self) -> Counter:
         """Bound at the first severed message: no stat until counted."""
         return self.env.stats.counter("net.partition.drops")
 
-    @functools.cached_property
+    @first_use
     def _drop_rng(self) -> "random.Random":
         """This wire's loss stream (seeded from the name, like :attr:`_jitter`)."""
         return self.env.rng.stream(f"ether-drop:{self.name}")

@@ -33,6 +33,7 @@ from __future__ import annotations
 import functools
 import typing
 
+from repro.memo import first_use
 from repro.net.errors import (
     ConnectionRefused,
     HostDown,
@@ -132,7 +133,7 @@ class Transport:
         self.env = internet.env
         self.name = name
 
-    @functools.cached_property
+    @first_use
     def _delivered(self) -> "Counter":
         """Bound at the first delivery, so the stat exists only once counted."""
         return self.env.stats.counter(f"net.{self.name}.delivered")
@@ -324,12 +325,12 @@ class DatagramTransport(Transport):
         self.retries = retries
         self.retry_timeout_ms = retry_timeout_ms
 
-    @functools.cached_property
+    @first_use
     def _broadcasts(self) -> "Counter":
         """Bound at the first broadcast, likewise."""
         return self.env.stats.counter(f"net.{self.name}.broadcasts")
 
-    @functools.cached_property
+    @first_use
     def _retransmits(self) -> "Counter":
         """Bound at the first expired attempt, likewise."""
         return self.env.stats.counter(f"net.{self.name}.retransmits")

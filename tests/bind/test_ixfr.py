@@ -7,15 +7,18 @@ from repro.bind import (
     BindResolver,
     BindServer,
     CacheInstaller,
+    DomainName,
     ResolverCache,
     ResourceRecord,
     RRType,
+    UpdateMode,
+    UpdateOp,
     Zone,
 )
 from repro.bind.messages import IxfrResponse
 from repro.harness.calibration import DEFAULT_CALIBRATION
 from repro.net import DatagramTransport, Internetwork
-from repro.resolution import PolicySet, ReplicaPolicy
+from repro.resolution import PolicySet, ReplicaPolicy, UpdatePolicy
 from repro.serial import HandcodedMarshaller
 from repro.sim import ConstantLatency, Environment
 
@@ -263,22 +266,35 @@ def test_a_write_between_two_pulls_is_marshalled_afresh(wired, marshals):
     assert sent[0][1] != sent[1][1]
 
 
-def test_a_write_between_two_sends_of_one_walk_is_not_recalled(wired, marshals):
+def write_during_the_walk(server, zone, record):
+    """Make the first IXFR walk ``server`` answers race a write: the
+    write lands after the walk has read the zone and before its answer
+    is sent, as one queued behind it on the server's CPU would."""
+    send = server._send_ixfr
+    raced = []
+
+    def send_after_a_write(*args):
+        if not raced:
+            raced.append(zone.serial)
+            zone.add(record)
+            server._after_write([zone])  # the write's NOTIFY, as an update sends it
+        send(*args)
+
+    server._send_ixfr = send_after_a_write
+    return raced
+
+
+def test_a_reply_raced_by_a_write_carries_the_walked_serial(wired, marshals):
     """Two pulls of one range walk the journal at one serial; a write
-    that lands after the first answer is sent moves the serial the
-    second one carries, so the second is marshalled on its own."""
+    that lands before the first answer is sent is not in either answer,
+    so both carry the serial the walk ended at, and the zone's slot
+    serves them both."""
     env, zone, server, resolver, udp, client, endpoint = wired
     sent, passes = marshals
     synced_at = zone.serial
     zone.add(rec("b.ctx.hns", "ns=two"))
-    send = server._send_ixfr
-
-    def send_then_write(*args):
-        send(*args)
-        if len(sent) == 1:
-            zone.add(rec("late.ctx.hns", "ns=late"))
-
-    server._send_ixfr = send_then_write
+    walked = zone.serial
+    write_during_the_walk(server, zone, rec("late.ctx.hns", "ns=late"))
     pulls = [
         env.process(puller.primary.incremental_zone_transfer("hns", synced_at))
         for puller in pullers(env, udp, endpoint, 2)
@@ -286,10 +302,59 @@ def test_a_write_between_two_sends_of_one_walk_is_not_recalled(wired, marshals):
     env.run(until=env.all_of(pulls))
 
     first, second = (pull.value for pull in pulls)
-    assert second[0] == first[0] + 1 == zone.serial
-    assert len(passes) == 2
+    assert zone.serial == walked + 1
+    assert first == second
+    assert first[0] == walked
+    assert [d.serial for d in first[2]] == [walked]
+    assert len(passes) == 1
     for reply, wire, cost in sent:
         assert (wire, cost) == fresh_marshal(reply)
+
+
+def test_a_follower_pulls_a_write_that_raced_its_walk():
+    """A NOTIFY-subscribed cache whose pull was raced by a write ends at
+    the primary's serial, holding that write: the reply's serial does
+    not claim the write, so its NOTIFY is pulled rather than dropped as
+    already seen."""
+    env = Environment(seed=73)
+    net = Internetwork(env)
+    seg = net.add_segment(
+        latency=ConstantLatency(CAL.wire_base_ms, CAL.wire_per_byte_ms)
+    )
+    udp = DatagramTransport(net)
+    zone = Zone("hns")
+    zone.add(rec("a.ctx.hns", "ns=one"))
+    server = BindServer(
+        net.add_host("ns", seg),
+        zones=[zone],
+        allow_dynamic_update=True,
+        update_policy=UpdatePolicy(invalidation="notify"),
+        transport=udp,
+    )
+    endpoint = server.listen()
+    follower = BindResolver(
+        net.add_host("follower", seg), udp, endpoint,
+        cache=ResolverCache(env, name="follower"), name="follower",
+    )
+    installer = CacheInstaller(follower.primary, follower.cache)
+    writer = BindResolver(net.add_host("writer", seg), udp, endpoint)
+    run(env, installer.subscribe_notify("hns"))
+    raced = write_during_the_walk(server, zone, rec("late.ctx.hns", "ns=late"))
+    op = UpdateOp(
+        UpdateMode.REPLACE,
+        DomainName("b.ctx.hns"),
+        RRType.UNSPEC,
+        records=(rec("b.ctx.hns", "ns=two"),),
+    )
+    run(env, writer.primary.update_batch([op]))
+    env.run(until=env.now + 2_000.0)  # the pushes, the pulls, the installs
+
+    assert raced == [zone.serial - 1]
+    assert installer._serials["hns"] == zone.serial
+    cached = dict(follower.cache.entries())
+    for owner, text in (("b.ctx.hns", "ns=two"), ("late.ctx.hns", "ns=late")):
+        entry = cached[(owner, RRType.UNSPEC.value)]
+        assert [r.text for r in entry.payload] == [text]
 
 
 def test_a_delta_and_a_snapshot_never_share_the_slot(wired, marshals):

@@ -9,8 +9,13 @@ from repro.core import (
     NsmNotFound,
     QueryClassUnsupported,
 )
+from repro.bind import RRType
+from repro.bind.resolver import cache_key
+from repro.core.metastore import MetaStore
 from repro.core.nsms import BindBindingNSM, BindHostAddressNSM
 from repro.hrpc import HRPCBinding
+from repro.net import Endpoint
+from repro.resolution import DEFAULT_RESOLUTION_POLICY, FastPathPolicy, PolicySet
 from repro.workloads.scenarios import BIND_NS, NSM_PORT
 
 from tests.core.conftest import run
@@ -187,3 +192,78 @@ def test_preload_cost_matches_paper(testbed):
     start = env.now
     run(env, hns.preload())
     assert env.now - start == pytest.approx(390.0, rel=0.1)
+
+
+# ----------------------------------------------------------------------
+# The batched path's address stage: the NSM host's meta ``addr`` record,
+# read in FindNSM's own frame.  Its three outcomes answer with the same
+# binding, at the simulated instants the stage took when it ran through
+# generators of its own.
+# ----------------------------------------------------------------------
+FAST = PolicySet(resolution=DEFAULT_RESOLUTION_POLICY, fast_path=FastPathPolicy())
+ADDR_OWNER = f"{MetaStore.host_label('nsmhost.cs.washington.edu')}.addr.hns"
+
+
+def address_stage(testbed, outcome):
+    """A FAST FindNSM whose address stage has ``outcome``: the binding,
+    the simulated ms it took, and the fallback count."""
+    env = testbed.env
+    if outcome == "fallback":  # the host was registered without a record
+        run(env, testbed.make_metastore(testbed.meta_host).unregister(ADDR_OWNER))
+    hns = testbed.make_hns(testbed.client, policies=FAST)
+    if outcome != "fallback":
+        run(env, hns.find_nsm(FIJI, "HRPCBinding"))  # warm every mapping
+    if outcome == "miss":
+        assert hns.metastore.cache.invalidate(cache_key(ADDR_OWNER, RRType.UNSPEC))
+    start = env.now
+    binding = run(env, hns.find_nsm(FIJI, "HRPCBinding"))
+    fallbacks = env.stats.counters().get("hns.fast_path.addr_fallbacks", 0)
+    return binding, env.now - start, fallbacks
+
+
+@pytest.mark.parametrize(
+    "outcome, sim_ms, fallbacks",
+    [
+        # a probe and a copy: the address record is cached
+        ("hit", 5.32, 0),
+        # the resolver fetches the record from the meta server
+        ("miss", 56.2123, 0),
+        # a cold FindNSM whose addr lookup is NXDOMAIN: mappings 4-6
+        ("fallback", 254.9843, 1),
+    ],
+)
+def test_the_address_stage_answers_alike_at_the_pinned_instant(
+    testbed, outcome, sim_ms, fallbacks
+):
+    binding, took, fell_back = address_stage(testbed, outcome)
+    assert binding == HRPCBinding(
+        endpoint=Endpoint(testbed.nsm_host.address, NSM_PORT),
+        program=f"nsm.HRPCBinding-{BIND_NS}",
+        suite="sunrpc",
+        metadata={"nsm": f"HRPCBinding-{BIND_NS}", "name_service": BIND_NS},
+    )
+    assert took == pytest.approx(sim_ms, abs=1e-9)
+    assert fell_back == fallbacks
+
+
+@pytest.mark.parametrize(
+    "outcome, host_attrs, addr_attrs",
+    [
+        ("hit", {}, {"outcome": "hit", "addr": "128.95.1.8"}),
+        ("miss", {}, {"outcome": "miss", "role": "leader", "addr": "128.95.1.8"}),
+        ("fallback", {"fallback": True}, {"outcome": "miss", "role": "leader"}),
+    ],
+)
+def test_a_traced_address_stage_keeps_its_spans(testbed, outcome, host_attrs, addr_attrs):
+    testbed.env.obs.enable()
+    address_stage(testbed, outcome)
+    obs = testbed.env.obs
+    find = obs.spans_named("hns.find_nsm")[-1]
+    (host,) = [s for s in obs.spans_named("hns.resolve_host_fast") if s.trace_id == find.trace_id]
+    (addr,) = [s for s in obs.spans_named("meta.host_address") if s.trace_id == find.trace_id]
+    assert host.parent_id == find.span_id and addr.parent_id == host.span_id
+    nsm_host = {"host": "nsmhost.cs.washington.edu"}
+    assert host.attrs == {**nsm_host, **host_attrs}
+    assert list(addr.attrs.items()) == list({**nsm_host, **addr_attrs}.items())
+    assert addr.status == ("error" if outcome == "fallback" else "ok")
+    assert find.attrs["outcome"] == "remote"

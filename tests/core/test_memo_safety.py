@@ -8,6 +8,7 @@ old, and the stats a digest sees do not depend on when a counter object
 was looked up.
 """
 
+import dataclasses
 import pickle
 
 import pytest
@@ -16,10 +17,12 @@ from repro.bind import DomainName, ResolverCache, RRType
 from repro.bind.names import _parse
 from repro.bind.resolver import cache_key
 from repro.core import HNSName, NsmRecord
+from repro.core.hns import remote_binding
 from repro.core.metastore import MetaStore, decode_fields, encode_fields
 from repro.hrpc import HRPCBinding
-from repro.memo import MEMO_SIZE
+from repro.memo import MEMO_SIZE, first_use
 from repro.net import Endpoint, NetworkAddress
+from repro.resolution import DEFAULT_RESOLUTION_POLICY, FastPathPolicy, PolicySet
 from repro.net.addresses import _octets
 from repro.sim import Environment
 
@@ -97,6 +100,80 @@ def test_a_reregistered_record_is_read_back_new(testbed):
             assert run(testbed.env, store.context_to_name_service("memo-ctx")) == version
 
 
+# ----------------------------------------------------------------------
+# FindNSM's answer: one binding per (address, record, NSM, name service)
+# ----------------------------------------------------------------------
+FIJI = HNSName("BIND-cs", "fiji.cs.washington.edu")
+NSM_HOST = "nsmhost.cs.washington.edu"
+#: batched lookups: the NSM host's address is its meta ``addr`` record
+FAST = PolicySet(resolution=DEFAULT_RESOLUTION_POLICY, fast_path=FastPathPolicy())
+
+
+def test_two_warm_find_nsms_return_the_same_binding(testbed):
+    hns = testbed.make_hns(testbed.client)
+    cold = run(testbed.env, hns.find_nsm(FIJI, "HRPCBinding"))
+    first = run(testbed.env, hns.find_nsm(FIJI, "HRPCBinding"))
+    second = run(testbed.env, hns.find_nsm(FIJI, "HRPCBinding"))
+    assert first is second
+    assert first == cold
+    assert first.endpoint.address == testbed.nsm_host.address
+
+
+def test_a_shared_binding_refuses_assignment(testbed):
+    hns = testbed.make_hns(testbed.client)
+    binding = run(testbed.env, hns.find_nsm(FIJI, "HRPCBinding"))
+    with pytest.raises(TypeError):
+        binding.metadata["nsm"] = "elsewhere"
+    with pytest.raises(TypeError):
+        del binding.metadata["name_service"]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        binding.metadata = {}
+    # ... so the next FindNSM hands out what the first one saw
+    again = run(testbed.env, hns.find_nsm(FIJI, "HRPCBinding"))
+    assert again.metadata == {"nsm": "HRPCBinding-BIND-cs", "name_service": "BIND-cs"}
+    # a binding built by hand is read-only as well, and equal to its dict
+    made = HRPCBinding(Endpoint(NetworkAddress("10.0.0.1"), 9), "p", metadata={"k": "v"})
+    assert made.metadata == {"k": "v"}
+    with pytest.raises(TypeError):
+        made.metadata["k"] = "w"
+
+
+def test_a_reregistered_address_yields_a_new_binding(testbed):
+    env = testbed.env
+    hns = testbed.make_hns(testbed.client, policies=FAST)
+    old = run(env, hns.find_nsm(FIJI, "HRPCBinding"))
+    # Registering through the FindNSM's own store drops its cached record.
+    run(env, hns.metastore.register_nsm_host_address(NSM_HOST, "128.95.1.99"))
+    moved = run(env, hns.find_nsm(FIJI, "HRPCBinding"))
+    assert moved is not old
+    assert moved.endpoint == Endpoint(NetworkAddress("128.95.1.99"), old.endpoint.port)
+    assert run(env, hns.find_nsm(FIJI, "HRPCBinding")) is moved
+    run(env, hns.metastore.register_nsm_host_address(NSM_HOST, str(old.endpoint.address)))
+    assert run(env, hns.find_nsm(FIJI, "HRPCBinding")) == old
+
+
+def test_an_invalid_address_raises_on_every_find_nsm_and_is_never_remembered(testbed):
+    env = testbed.env
+    hns = testbed.make_hns(testbed.client, policies=FAST)
+    good = run(env, hns.find_nsm(FIJI, "HRPCBinding"))
+    run(env, hns.metastore.register_nsm_host_address(NSM_HOST, "128.95.1.999"))
+
+    def attempt():
+        try:
+            yield from hns.find_nsm(FIJI, "HRPCBinding")
+        except ValueError as err:
+            return err
+
+    before = remote_binding.cache_info()
+    for _ in range(3):  # a miss that fetches the record, then two hits
+        assert "128.95.1.999" in str(run(env, attempt()))
+    after = remote_binding.cache_info()
+    assert after.misses - before.misses == 3
+    assert after.hits == before.hits
+    run(env, hns.metastore.register_nsm_host_address(NSM_HOST, str(good.endpoint.address)))
+    assert run(env, hns.find_nsm(FIJI, "HRPCBinding")) == good
+
+
 def test_every_memo_has_the_one_shared_size():
     memos = [
         _parse,
@@ -105,6 +182,7 @@ def test_every_memo_has_the_one_shared_size():
         decode_fields,
         NsmRecord.from_fields,
         MetaStore.host_label,
+        remote_binding,
     ]
     assert [memo.cache_info().maxsize for memo in memos] == [MEMO_SIZE] * len(memos)
 
@@ -138,6 +216,27 @@ def test_an_rrtype_hashes_by_identity_and_still_hits_the_memo():
 # ----------------------------------------------------------------------
 # Counters bind on first use: digest neutrality
 # ----------------------------------------------------------------------
+def test_a_first_use_value_is_derived_once_per_instance():
+    derived = []
+
+    class Owner:
+        def __init__(self, name):
+            self.name = name
+
+        @first_use
+        def stat(self):
+            derived.append(self.name)
+            return f"stat.{self.name}"
+
+    first, second = Owner("a"), Owner("b")
+    assert isinstance(Owner.stat, first_use)
+    assert [first.stat, first.stat, second.stat, first.stat] == [
+        "stat.a", "stat.a", "stat.b", "stat.a",
+    ]
+    assert derived == ["a", "b"]
+    assert first.stat is vars(first)["stat"]
+
+
 def test_a_cache_counter_first_appears_at_its_first_increment():
     env = Environment(seed=1)
     cache = ResolverCache(env, name="memo-test")

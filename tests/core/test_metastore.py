@@ -3,8 +3,11 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core import ContextNotFound, HnsError, NsmNotFound, NsmRecord
-from repro.core.metastore import decode_fields, encode_fields
+from repro.bind import RRType
+from repro.bind.resolver import cache_key
+from repro.core import ContextNotFound, HNSName, HnsError, NsmNotFound, NsmRecord
+from repro.core.metastore import MetaStore, decode_fields, encode_fields
+from repro.resolution import DEFAULT_RESOLUTION_POLICY, FastPathPolicy, PolicySet
 from repro.workloads.scenarios import BIND_NS, CH_NS
 
 from tests.core.conftest import run
@@ -105,11 +108,24 @@ def test_name_service_record(testbed):
 
 
 def test_nsm_host_address(testbed):
-    ms = testbed.make_metastore(testbed.client)
-    address = run(
-        testbed.env, ms.nsm_host_address("nsmhost.cs.washington.edu")
+    """A batched FindNSM reads its NSM host's address from the meta
+    zone's ``addr`` record, not through mappings 4-6."""
+    env = testbed.env
+    hns = testbed.make_hns(
+        testbed.client,
+        policies=PolicySet(resolution=DEFAULT_RESOLUTION_POLICY, fast_path=FastPathPolicy()),
     )
-    assert address == str(testbed.nsm_host.address)
+    binding = run(
+        env, hns.find_nsm(HNSName("BIND-cs", "fiji.cs.washington.edu"), "HRPCBinding")
+    )
+    assert binding.endpoint.address == testbed.nsm_host.address
+    assert "hns.fast_path.addr_fallbacks" not in env.stats.counters()
+    owner = f"{MetaStore.host_label('nsmhost.cs.washington.edu')}.addr.hns"
+    (record,) = dict(hns.metastore.cache.entries())[cache_key(owner, RRType.UNSPEC)].payload
+    assert decode_fields(record.data) == {
+        "host": "nsmhost.cs.washington.edu",
+        "addr": str(testbed.nsm_host.address),
+    }
 
 
 def test_mapping_results_are_cached(testbed):

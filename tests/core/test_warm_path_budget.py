@@ -2,9 +2,9 @@
 the kernel, pinned.
 
 A hit hands back what the caches hold: nothing on the path re-parses a
-record, re-validates an address or re-names a counter, and no generator
-frame sits between the frame that yields a hit's two charges and the
-cache.  Host cost is counted, not timed — ``sys.setprofile`` ``call``
+record, re-validates an address, rebuilds the binding it returns or
+re-names a counter, and no generator frame sits between the frame that
+yields a hit's two charges and the cache.  Host cost is counted, not timed — ``sys.setprofile`` ``call``
 events (Python frames entered or resumed) per call, with an upper bound
 that leaves headroom between interpreter versions — so the test says the
 same thing on any machine.  Simulated cost must not move at all: the
@@ -129,21 +129,27 @@ def host_and_kernel_cost(make, calls=CALLS):
 @pytest.mark.parametrize(
     "make, max_python_calls, heap_entries",
     [
-        # 113.4 / 70.4 C calls; 116.4 while the NSM-host address ran
-        # through BindResolver.lookup; 130.4 while each span site called
-        # span() and each charge built its Charge in a frame; 301 / 133
-        # before the hit path stopped re-deriving, 231 while each of its
-        # 9 charges was a generator frame, 191.7 while four to six
-        # frames resumed per charge
-        pytest.param(find_nsm(FAST_PATH), 117, 9, id="fast-path"),
-        # 196.5 / 103.5; 216.5 while each of the five mappings ran
-        # through BindResolver.lookup, 244.5, and 426 / 145, then 366,
-        # then 307.9
-        pytest.param(find_nsm(PolicySet.default()), 250, 13, id="six-mappings"),
-        # 22.0 / 15.0 (26.0 while the mapping resumed a BindResolver.lookup
-        # frame under it, 30.0 before the span guard and the in-place
-        # Charge, 42.0 while the probe was a generator of its own)
-        pytest.param(lookup_hit, 28, 2, id="lookup-hit"),
+        # 96.4 / 66.4 C calls; 113.4 / 70.4 while the NSM-host address
+        # ran in two generators of its own under FindNSM's frame, each
+        # hit counted through ResolverCache._count and each call built
+        # and validated a new address, endpoint and binding; 116.4 while
+        # that address ran through BindResolver.lookup; 130.4 while each
+        # span site called span() and each charge built its Charge in a
+        # frame; 301 / 133 before the hit path stopped re-deriving, 231
+        # while each of its 9 charges was a generator frame, 191.7 while
+        # four to six frames resumed per charge
+        pytest.param(find_nsm(FAST_PATH), 100, 9, id="fast-path"),
+        # 184.5 / 97.5; 196.5 / 103.5 while each call built its binding
+        # and each hit counted through ResolverCache._count; 216.5 while
+        # each of the five mappings ran through BindResolver.lookup,
+        # 244.5, and 426 / 145, then 366, then 307.9
+        pytest.param(find_nsm(PolicySet.default()), 238, 13, id="six-mappings"),
+        # 21.0 / 14.0 (22.0 while the hit counted through
+        # ResolverCache._count, 26.0 while the mapping resumed a
+        # BindResolver.lookup frame under it, 30.0 before the span guard
+        # and the in-place Charge, 42.0 while the probe was a generator
+        # of its own)
+        pytest.param(lookup_hit, 27, 2, id="lookup-hit"),
     ],
 )
 def test_warm_find_nsm_host_and_kernel_budget(make, max_python_calls, heap_entries):
