@@ -3,9 +3,9 @@
 A broadcast's price in simulated ms is the model; its price in Python
 calls should follow what differs per listener — a datagram, a wire trip,
 a delivery, one charge and the absorb — not re-derive what the broadcast
-fixed (the route, the signature).  Counted with the kernel budget's own
-counter (``sys.setprofile`` ``call`` events per round, heap entries
-exact), so the test reads the same on any machine.
+fixed (the route, the signature).  Counted with ``tests/cost.py``
+(Python frames per round, heap entries exact), so the test reads the
+same on any machine.
 """
 
 import pytest
@@ -14,56 +14,57 @@ from repro.discovery import PresenceBeacon
 from repro.discovery.messages import BEACON_PORT, SEGMENT_SECRET, _signature
 from repro.resolution import DiscoveryPolicy
 from repro.workloads.adhoc import build_adhoc_world
-from tests.sim.test_kernel_budget import _profiled
+from tests.cost import window
 
 #: The beacon and watchdog loops start, then sleep past every round.
 QUIET = DiscoveryPolicy(beacon_period_ms=1e9)
+ROUNDS = 200
 
 
 def _beacon_round_trip(hosts, secret=SEGMENT_SECRET):
-    """(python calls, C calls, heap entries) of one signed beacon
-    broadcast by host 0 to ``hosts - 1`` listeners, all absorbed before
-    the round ends — and the world, for its views and counters.  No
-    loop wakes (the beacon period outlasts the run): the driver is the
-    only process unless a listener starts one."""
+    """The cost of one signed beacon broadcast by host 0 to ``hosts - 1``
+    listeners, all absorbed before the round ends — and the world, for
+    its views and counters.  No loop wakes (the beacon period outlasts
+    the run): the driver is the only process unless a listener starts
+    one."""
     world = build_adhoc_world(3, policy=QUIET, host_count=hosts)
     sender = world.hosts[0]
 
-    def body(rounds):
-        for _ in range(rounds):
-            beacon = PresenceBeacon.signed(
-                sender.name, str(sender.address), 1, {"svc": "9000"}, secret
-            )
-            yield from world.udp.broadcast(sender, BEACON_PORT, beacon, 80, wait_ms=5.0)
+    def step():
+        beacon = PresenceBeacon.signed(
+            sender.name, str(sender.address), 1, {"svc": "9000"}, secret
+        )
+        return world.udp.broadcast(sender, BEACON_PORT, beacon, 80, wait_ms=5.0)
 
-    return _profiled(world.env, body), world
+    return window(world.env, step, ROUNDS), world
 
 
 def test_a_broadcast_beacon_costs_what_differs_per_listener():
-    (calls_11, c_calls_11, entries_11), world = _beacon_round_trip(12)
-    (calls_1, c_calls_1, entries_1), _ = _beacon_round_trip(2)
-    per_listener = (calls_11 - calls_1) / 10
+    eleven, world = _beacon_round_trip(12)
+    one, _ = _beacon_round_trip(2)
+    per_listener = (eleven.python_calls - one.python_calls) / 10
     print(
-        f"11-target broadcast: {calls_11:.1f} python calls, {c_calls_11:.1f} C calls, "
-        f"{entries_11:g} heap entries; per listener {per_listener:.1f} python calls, "
-        f"{(c_calls_11 - c_calls_1) / 10:.1f} C calls"
+        f"11-target broadcast: {eleven.python_calls:.1f} python calls, "
+        f"{eleven.c_calls:.1f} C calls, {eleven.heap_entries:g} heap entries; "
+        f"per listener {per_listener:.1f} python calls, "
+        f"{(eleven.c_calls - one.c_calls) / 10:.1f} C calls"
     )
     assert [len(beacon.cache) for beacon in world.beacons] == [0] + [1] * 11
+    assert eleven.started == []
     # one wire callback (every listener hears it at one instant), a
-    # charge per listener, the sender's wait; (3, 23) with a wire
-    # Timeout per listener
-    assert (entries_1, entries_11) == (3, 13)
-    # 28.0 per listener (32.0 with a wire Timeout and an endpoint built
-    # per listener, 54.0 with also a handler process, a route lookup and
-    # a CRC each; the process alone is 6, so putting it back fails here)
-    # and 328.0 per 11-target round (369.0, 616.0)
+    # charge per listener, the sender's wait
+    assert (one.heap_entries, eleven.heap_entries) == (3, 13)
+    # 28.0 per listener: a datagram, a delivery, one charge and the
+    # absorb, with the route and the signature fixed by the broadcast
+    # (a handler process alone would add 6), and 327.0 per 11-target
+    # round
     assert per_listener <= 30
-    assert calls_11 <= 345
+    assert eleven.python_calls <= 345
 
 
 def test_a_forged_beacon_is_a_counted_drop_at_every_listener():
     _, world = _beacon_round_trip(4, secret="not-the-segment's")
-    # one warm round and the measured ones, three listeners each: every
+    # the warm rounds and the measured ones, three listeners each: every
     # one charged for, counted and dropped, none absorbed, none raised
     counters = world.env.stats.counters()
     assert counters["discovery.bad_signatures"] == counters["net.udp.delivered"] > 0

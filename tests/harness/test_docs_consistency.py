@@ -48,7 +48,7 @@ def test_design_bench_targets_all_exist():
 def test_experiments_references_real_benches_and_tests():
     """A document cannot cite a deleted file."""
     docs = sorted(p.relative_to(ROOT).as_posix() for p in ROOT.glob("docs/*.md"))
-    for name in ["EXPERIMENTS.md", "README.md", *docs]:
+    for name in ["EXPERIMENTS.md", "README.md", ".claude/skills/verify/SKILL.md", *docs]:
         assert_cited_files_exist(name)
 
 

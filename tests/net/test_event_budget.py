@@ -35,6 +35,7 @@ from repro.net import DatagramTransport, Internetwork, Service, StreamTransport
 from repro.net.transport import RemoteCallError
 from repro.serial import CourierRepresentation, HandcodedMarshaller
 from repro.sim import ConstantLatency, Environment, Interrupt
+from tests.cost import watch_processes
 
 WIRE_MS = 2.0
 
@@ -116,14 +117,7 @@ class World:
         self.hosts = [self.net.add_host(f"h{i}", segment) for i in range(hosts)]
         self.udp = DatagramTransport(self.net)
         self.tcp = StreamTransport(self.net)
-        self.started = []
-        start = self.env.process
-
-        def counting_process(generator, name=None, inline=False):
-            self.started.append(name)
-            return start(generator, name, inline)
-
-        self.env.process = counting_process
+        self.started = watch_processes(self.env)
 
     def cost(self, generator):
         """(result, heap entries processed, processes started) of one

@@ -2,10 +2,10 @@
 
 Tracing is worth leaving on only while a span stays a handful of calls:
 ``span()``, the ``Span`` constructor, the ``with`` protocol, one
-``SpanMetrics.observe`` and one ``Histogram.record``.  Host cost is
-counted, not timed — ``sys.setprofile`` ``call`` events (Python frames
-entered) per span, with headroom between interpreter versions — so the
-test says the same thing on any machine.
+``SpanMetrics.observe`` and one ``Histogram.record``.  Counted with
+``tests/cost.py`` (Python frames entered per span, with headroom
+between interpreter versions), so the test says the same thing on any
+machine.
 
 Off, it is worth leaving in only while a site costs nothing: every site
 is written ``with (obs.span(...) if obs.enabled else NULL_SPAN) as
@@ -15,31 +15,27 @@ dict and attribute arguments would be built for nobody.
 """
 
 import ast
-import collections
-import gc
+import functools
 import pathlib
-import sys
 
 from repro.core import Arrangement, HNSName
 from repro.obs import NULL_SPAN, Observability, SpanMetrics
 from repro.sim import Environment
 from repro.workloads import build_stack, build_testbed
+from tests.cost import WARM_UPS, window
 
-WARM_UPS = 3
 PAIRS = 200
 SRC = pathlib.Path(__file__).resolve().parents[2] / "src" / "repro"
 
 
 def calls_per_span(traced):
-    """(python calls, C calls) per span over nested outer/inner pairs."""
+    """(python calls, C calls) per span over nested outer/inner pairs,
+    run inside a process, where every instrumented site runs; the
+    warm-ups bind the histograms and fill the exemplar buckets."""
     env = Environment(seed=0)
     if traced:
         env.obs.enable(metrics=SpanMetrics(env))
     obs = env.obs
-    events = collections.Counter()
-
-    def profile(_frame, event, _arg):
-        events[event] += 1
 
     def pair():
         with (obs.span("outer", layer="test") if obs.enabled else NULL_SPAN):
@@ -48,75 +44,43 @@ def calls_per_span(traced):
             ) as inner:
                 inner.set(outcome="hit")
 
-    def driver():
-        # Inside a process, where every instrumented site runs; the
-        # warm-ups bind the histograms and fill the exemplar buckets.
-        for _ in range(WARM_UPS):
-            pair()
-        # A collection inside the window would count the finalizers of
-        # earlier tests' garbage (a closed generator is a frame entered).
-        gc.collect()
-        gc.disable()
-        outer = sys.getprofile()
-        sys.setprofile(profile)
-        try:
-            for _ in range(PAIRS):
-                pair()
-        finally:
-            sys.setprofile(outer)
-            gc.enable()
-        yield env.timeout(0.0)
-
-    env.run(until=env.process(driver()))
+    cost = window(env, pair, PAIRS)
     expected = 2 * (WARM_UPS + PAIRS) if traced else 0
     assert len(env.obs.spans) == expected
     # pair() itself is one of the counted frames, and not a span's cost
-    spans = 2 * PAIRS
-    return (events["call"] - PAIRS) / spans, events["c_call"] / spans
+    return (cost.python_calls - 1) / 2, cost.c_calls / 2
 
 
 def test_recorded_span_stays_within_ten_python_calls():
     python_calls, c_calls = calls_per_span(traced=True)
     print(f"span on: {python_calls:.1f} python calls, {c_calls:.1f} C calls")
-    # 28 / 17 C calls when the open span was a dict probe and a list
+    # 7.0: span(), Span.__init__, __enter__, __exit__, observe, record
+    # and, on every second span, set() and an exemplar's RNG stream
     assert python_calls <= 10
 
 
 def test_disabled_span_site_is_an_attribute_test_and_a_no_op_with():
     python_calls, c_calls = calls_per_span(traced=False)
     print(f"span off: {python_calls:.1f} python calls, {c_calls:.1f} C calls")
-    # __enter__, __exit__ and, on every second span, set(); 3.5 while
-    # every site called span() to be handed the shared no-op span
+    # __enter__, __exit__ and, on every second span, set(): no site
+    # calls span() to be handed the shared no-op span
     assert python_calls == 2.5
 
 
 def span_entries_per_cold_import(traced, imports=2):
     """Frames entered in ``Observability.span`` per cold ``Import``."""
     testbed = build_testbed(seed=0)
-    env = testbed.env
     if traced:
-        env.obs.enable()
+        testbed.env.obs.enable()
     stack = build_stack(testbed, Arrangement.ALL_LOCAL)
     name = HNSName("BIND-cs", "fiji.cs.washington.edu")
-    span_code = Observability.span.__code__
-    entered = collections.Counter()
-
-    def profile(frame, event, _arg):
-        if event == "call" and frame.f_code is span_code:
-            entered["span"] += 1
-
-    def driver():
-        for _ in range(imports):
-            stack.flush_all_caches()
-            outer = sys.getprofile()
-            sys.setprofile(profile)
-            try:
-                yield from stack.importer.import_binding("DesiredService", name)
-            finally:
-                sys.setprofile(outer)
-
-    env.run(until=env.process(driver()))
-    return entered["span"] / imports
+    cost = window(
+        testbed.env,
+        functools.partial(stack.importer.import_binding, "DesiredService", name),
+        imports,
+        prepare=stack.flush_all_caches,
+    )
+    return cost.calls_to(Observability.span)
 
 
 def test_a_cold_import_with_tracing_off_never_enters_span():

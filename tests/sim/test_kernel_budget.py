@@ -2,15 +2,14 @@
 
 Every simulated cost in this repository is a heap entry and a wake-up,
 so their fixed Python overhead is paid tens of times per operation.
-Counted, not timed — ``sys.setprofile`` ``call`` events (Python frames
-entered or resumed) per primitive, with an upper bound that leaves
-headroom between interpreter versions — so the test says the same thing
-on any machine.  C calls are printed, not asserted (they differ between
-3.9 and 3.12); heap entries are exact.
+Counted with ``tests/cost.py`` (Python frames entered or resumed per
+primitive, with an upper bound that leaves headroom between interpreter
+versions), so the test says the same thing on any machine.  C calls are
+printed, not asserted (they differ between 3.9 and 3.12); heap entries
+are exact.  Each round is one frame of its own (a lambda or a function
+returning the event the driver waits on), resumed never: the driver's
+frame is the one resumption per wake-up.
 """
-
-import collections
-import sys
 
 import pytest
 
@@ -18,45 +17,14 @@ from repro.sim import CPU, Environment
 from repro.sim.events import Timeout
 from repro.sim.kernel import STANDING_MS
 from repro.sim.process import Process
+from tests.cost import window
 
 ROUNDS = 200
 
 
-def _profiled(env, body):
-    """(python calls, C calls, heap entries) per round of ``body()``.
-
-    ``body`` is a generator function run as one process; it yields
-    ``ROUNDS`` times between the two marks, so the driver's own frame
-    resumptions are part of every figure (one per wake-up).
-    """
-    events = collections.Counter()
-
-    def profile(_frame, event, _arg):
-        events[event] += 1
-
-    def driver():
-        yield from body(1)  # warm: first-use paths, attribute caches
-        outer = sys.getprofile()
-        before = env.kernel_counters()["sim.kernel.events_scheduled"]
-        sys.setprofile(profile)
-        try:
-            yield from body(ROUNDS)
-        finally:
-            sys.setprofile(outer)
-        return env.kernel_counters()["sim.kernel.events_scheduled"] - before
-
-    entries = env.run(until=env.process(driver()))
-    return events["call"] / ROUNDS, events["c_call"] / ROUNDS, entries / ROUNDS
-
-
 def _timeout_round_trip():
     env = Environment()
-
-    def body(rounds):
-        for _ in range(rounds):
-            yield env.timeout(1.0)
-
-    return _profiled(env, body)
+    return window(env, lambda: env.timeout(1.0), ROUNDS)
 
 
 def _call_later_round():
@@ -64,23 +32,13 @@ def _call_later_round():
     figure is the kernel's alone) on the timeout the driver waits on."""
     env = Environment()
     fired = []
-
-    def body(rounds):
-        for _ in range(rounds):
-            yield env.call_later(1.0, fired.append)
-
-    return _profiled(env, body)
+    return window(env, lambda: env.call_later(1.0, fired.append), ROUNDS)
 
 
 def _uncontended_charge():
     env = Environment()
     cpu = CPU(env)
-
-    def body(rounds):
-        for _ in range(rounds):
-            yield cpu.compute(1.0)
-
-    return _profiled(env, body)
+    return window(env, lambda: cpu.compute(1.0), ROUNDS)
 
 
 def _contended_charge():
@@ -93,25 +51,23 @@ def _contended_charge():
     def rival():
         yield cpu.compute(1.0)
 
-    def body(rounds):
-        for _ in range(rounds):
-            env.process(rival(), inline=True)
-            yield cpu.compute(1.0)
+    def step():
+        env.process(rival(), inline=True)
+        return cpu.compute(1.0)
 
-    return _profiled(env, body)
+    return window(env, step, ROUNDS)
 
 
 def _standing_arm_beside_a_round_trip():
     """Each round arms one no-waiter standing timer behind its lane's
-    head (the warm round opens the lane), then the timeout round trip."""
+    head (the warm rounds open the lane), then the timeout round trip."""
     env = Environment()
 
-    def body(rounds):
-        for _ in range(rounds):
-            env.timeout(STANDING_MS)
-            yield env.timeout(1.0)
+    def step():
+        env.timeout(STANDING_MS)
+        return env.timeout(1.0)
 
-    return _profiled(env, body)
+    return window(env, step, ROUNDS)
 
 
 def _process_start_to_unwaited_exit():
@@ -120,57 +76,46 @@ def _process_start_to_unwaited_exit():
     def child():
         yield env.timeout(1.0)
 
-    def body(rounds):
-        for _ in range(rounds):
-            env.process(child())
-            yield env.timeout(2.0)
+    def step():
+        env.process(child())
+        return env.timeout(2.0)
 
-    return _profiled(env, body)
+    return window(env, step, ROUNDS)
 
 
 @pytest.mark.parametrize(
     "measure, max_python_calls, heap_entries",
     [
-        # 4.0 — env.timeout, building the Timeout in place | _resume and
-        # the driver's two frames (5.0 with a Timeout.__init__ frame, 8.0
-        # before that: push, _step, _add_callback)
+        # 4.0 — the round, env.timeout (building the Timeout in place) |
+        # _resume, the driver
         pytest.param(_timeout_round_trip, 4.5, 1, id="timeout-round-trip"),
-        # 5.0 — call_later, env.timeout | _resume, two frames
+        # 5.0 — the round, call_later, env.timeout | _resume, the driver
         pytest.param(_call_later_round, 5.5, 1, id="call-later"),
-        # 5.0 — use (bound as compute at speed 1.0, building its Charge
-        # in place) | _free, _resume, two frames (6.0 with a
-        # Charge.__init__ frame, 7.0 while compute was a frame of its
-        # own, 11.0 while use()'s frame was entered and resumed)
+        # 5.0 — the round, use (bound as compute at speed 1.0, building
+        # its Charge in place) | _free, _resume, the driver
         pytest.param(_uncontended_charge, 5.5, 1, id="uncontended-charge"),
-        # 12.0 with the rival's inline process (env.process alone, 13.0
-        # with a Process.__init__ frame) and charge: _free hands the
-        # queued charge the unit and its hold (17.0 through _grant, _hold
-        # and two Charge.__init__ frames, 19.0 with compute's two frames,
-        # 42.0 and 3 entries with a grant event and a wake-up to start
-        # the hold)
+        # 12.0 — the rival's inline process (env.process builds it in
+        # place) and charge, then the measured one: _free hands the
+        # queued charge the unit and its hold, with no grant event
         pytest.param(_contended_charge, 12.5, 2, id="contended-charge"),
         # 10.0 with the driver's own timeout: env.process builds the
-        # process and its start event in place (14.0 through
-        # Process.__init__, Event.__init__ and two Timeout.__init__
-        # frames, 26.0 before that)
+        # process and its start event in place
         pytest.param(
             _process_start_to_unwaited_exit, 10.5, 3, id="process-start-to-exit"
         ),
         # 6.0 — the round trip's 4.0 plus env.timeout, _arm_standing:
-        # arming is 2 calls and no heap push (8.0 with two Timeout.__init__
-        # frames), and the threshold compare is all an ordinary Timeout
-        # gained
+        # arming is 2 calls and no heap push
         pytest.param(_standing_arm_beside_a_round_trip, 6.5, 2, id="standing-arm"),
     ],
 )
 def test_kernel_primitive_budget(measure, max_python_calls, heap_entries):
-    python_calls, c_calls, entries = measure()
+    cost = measure()
     print(
-        f"{measure.__name__}: {python_calls:.1f} python calls, "
-        f"{c_calls:.1f} C calls, {entries:g} heap entries"
+        f"{measure.__name__}: {cost.python_calls:.1f} python calls, "
+        f"{cost.c_calls:.1f} C calls, {cost.heap_entries:g} heap entries"
     )
-    assert entries == heap_entries
-    assert python_calls <= max_python_calls
+    assert cost.heap_entries == heap_entries
+    assert cost.python_calls <= max_python_calls
 
 
 def test_a_full_speed_charge_is_use_and_other_speeds_still_scale():

@@ -71,9 +71,7 @@ outcome = prepared.measure()
 print(json.dumps({"failed": outcome.failed, "imported": sorted(set(sys.modules) - before)}))
 """
 
-WORKLOADS = (
-    "cold_import", "traced_import", "warm_zipf", "update_storm", "adhoc_churn", "mclient_zipf",
-)
+WORKLOADS = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
 
 
 def _fresh(script: str, *args: str) -> dict:
