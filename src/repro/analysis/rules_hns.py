@@ -93,8 +93,7 @@ STAT_PREFIXES = frozenset(
         # suspect probes, and the DiscoveryNsm's view/requery families
         "discovery",
         # "harness" hosts the ablation-grid runner families
-        # harness.<grid>.* (e.g. harness.fast_path.finds,
-        # harness.toy.ticks)
+        # harness.<grid>.* (e.g. harness.fast_path.finds)
         "harness",
         "hcsfs",
         "hns",

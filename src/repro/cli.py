@@ -19,6 +19,7 @@ import sys
 import typing
 
 from repro.core import Arrangement, HNSName, LocalNsmBinding, nsms
+from repro.harness.grids import GRIDS
 from repro.workloads import build_stack, build_testbed
 
 
@@ -188,52 +189,28 @@ def build_parser() -> argparse.ArgumentParser:
     p_list = sub.add_parser("list", help="browse the registered federation")
     p_list.set_defaults(func=cmd_list)
 
-    p_bench = sub.add_parser(
-        "bench", help="run an ablation grid over a process pool"
-    )
-    p_bench.add_argument(
-        "grid",
-        help="grid name (fast_path, replica_scheduling, update_path, toy) or 'all'",
-    )
-    p_bench.add_argument(
-        "--jobs",
-        type=int,
-        default=0,
-        help="worker processes (default: all cores; 1 = run inline)",
-    )
+    p_bench = sub.add_parser("bench", help="run an ablation grid")
+    p_bench.add_argument("grid", choices=(*GRIDS, "all"), help="grid name, or 'all'")
     p_bench.add_argument(
         "--smoke",
         action="store_true",
         help="reduced configuration (the shape of the committed baselines)",
     )
     p_bench.add_argument(
-        "--full-grid",
-        action="store_true",
-        help="run the full cartesian knob product, not just one-offs",
-    )
-    p_bench.add_argument(
         "--out-dir", default=".", help="where BENCH_ablation_*.json lands"
-    )
-    p_bench.add_argument(
-        "--grid-seed",
-        type=int,
-        default=None,
-        help="override the grid's base seed",
     )
     p_bench.set_defaults(func=cmd_bench)
     return parser
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    """``bench``: run one (or every) ablation grid, fanned over processes.
+    """``bench``: run one (or every) ablation grid.
 
-    Expands the grid (baseline + one-off ablations, ``--full-grid`` for
-    the cartesian product), executes the runs over a process pool, and
+    Expands the grid (baseline + one-off ablations + extras), runs it,
     writes the schema-v2 ``BENCH_ablation_<grid>.json`` artifact the CI
-    perf gate (:mod:`repro.harness.gate`) consumes.  Identical
-    artifacts at every ``--jobs`` setting, wall-clock fields aside.
+    perf gate (:mod:`repro.harness.gate`) consumes, and prints the
+    report's table of it.  Exit 1 when any run errored.
     """
-    import os
     import pathlib
 
     from repro.harness.ablation import (
@@ -242,50 +219,22 @@ def cmd_bench(args: argparse.Namespace) -> int:
         study_payload,
         write_payload,
     )
-    from repro.harness.grids import GATED_GRIDS, GRIDS
+    from repro.harness.report import ablation_table
 
-    names = GATED_GRIDS if args.grid == "all" else (args.grid,)
-    jobs = args.jobs if args.jobs else (os.cpu_count() or 1)
+    names = tuple(GRIDS) if args.grid == "all" else (args.grid,)
     out_dir = pathlib.Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     failed = 0
     for name in names:
-        grid = GRIDS[name]
-        study = AblationStudy(grid, smoke=args.smoke, seed=args.grid_seed)
-        specs = study.expand(full_grid=args.full_grid)
+        study = AblationStudy(GRIDS[name], smoke=args.smoke)
         started = now_wall()
-        results = study.execute(specs, jobs=jobs)
+        results = study.execute()
         wall_s = now_wall() - started
-        payload = study_payload(
-            study, results, jobs=jobs, wall_s=wall_s, cpus=os.cpu_count()
-        )
         path = out_dir / f"BENCH_ablation_{name}.json"
-        write_payload(str(path), payload)
-        mode = "smoke" if args.smoke else "full"
-        print(
-            f"grid {name} ({mode}): {len(results)} runs, jobs={jobs}, "
-            f"{wall_s:.1f} s -> {path}"
-        )
-        for result in results:
-            if not result.ok:
-                failed += 1
-                tail = (result.error or "").splitlines()
-                print(f"  {result.spec.key:<28} ERROR: {tail[-1] if tail else '?'}")
-                continue
-            shown = ", ".join(
-                f"{metric}=" + ("n/a" if value is None else f"{value:.4g}")
-                for metric, value in sorted(result.metrics.items())
-            )
-            print(f"  {result.spec.key:<28} {shown}")
-        importance = study.importance(results)
-        for key in sorted(importance):
-            deltas = ", ".join(
-                f"{metric} {entry['delta']:+.4g}"
-                for metric, entry in sorted(importance[key].items())
-                if metric in ("p50_ms", "p99_ms", "availability", "meta_queries_per_find")
-            )
-            if deltas:
-                print(f"  Δ {key:<26} {deltas}")
+        write_payload(str(path), study_payload(study, results, wall_s=wall_s))
+        failed += sum(not result.ok for result in results)
+        print(f"{len(results)} runs, {wall_s:.1f} s -> {path}")
+        print(ablation_table(path), end="\n\n")
     return 1 if failed else 0
 
 

@@ -1,4 +1,4 @@
-"""Benchmark harness: calibration, tables, and the parallel ablation engine."""
+"""Benchmark harness: calibration, tables, and the ablation engine."""
 
 from repro.lazy import attach
 

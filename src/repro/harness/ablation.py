@@ -1,4 +1,4 @@
-"""The parallel ablation engine: knob grids, fanned execution, importance.
+"""The ablation engine: knob grids, in-process execution, importance.
 
 Every benchmark in this repository asks the same shaped question: with
 one mechanism turned off, how much do p50/p99/availability/meta-queries
@@ -7,36 +7,27 @@ paper are exactly that shape too.  This module makes the shape a
 first-class object, following the AblationStudy pattern from
 AE-Scientist's ``stage4_ablation`` and the aumai-ablation API:
 
-- a **knob registry** (:class:`Knob`): named axes with a baseline
-  variant and ablation variants — the frozen
+- a **knob registry** (:class:`Knob`): named axes, each variant name
+  written once beside the value a runner receives — the frozen
   :class:`~repro.resolution.PolicySet` axes and scenario parameters
   (TTLs, churn, stall probability) all fit;
 - **grid expansion** (:meth:`AblationStudy.expand`): one baseline run,
-  one run per non-baseline variant of each knob (the one-offs), any
-  named extra combinations, and optionally the full cartesian grid;
-- **parallel execution** (:meth:`AblationStudy.execute`): runs fan out
-  over a ``ProcessPoolExecutor`` — the simulator is deterministic, so
-  the runs are embarrassingly parallel — and merge back in expansion
-  order, never completion order, so ``--jobs 1`` and ``--jobs N``
-  produce byte-identical artifacts (wall-clock fields aside);
+  one run per non-baseline variant of each knob (the one-offs), and
+  any named extra combinations;
+- **execution** (:meth:`AblationStudy.execute`): every run inline, in
+  expansion order; a raising runner becomes an ``error`` row and its
+  siblings still complete;
 - **importance scores** (:meth:`AblationStudy.importance`): per-knob,
   per-metric deltas and ratios against the baseline run.
 
 Results serialize to the ``BENCH_*.json`` schema v2 (see
 :data:`SCHEMA_VERSION` and docs/harness.md); the CI perf-regression
 gate (:mod:`repro.harness.gate`) consumes that schema.
-
-Specs and results are plain picklable dataclasses; runners are
-referenced by dotted path (``"repro.harness.grids:run_fast_path"``)
-so a worker process can resolve them by import, never by closure.
 """
 
 from __future__ import annotations
 
-import concurrent.futures
 import dataclasses
-import importlib
-import itertools
 import json
 import time
 import traceback
@@ -46,15 +37,16 @@ import zlib
 #: Version of the BENCH_*.json envelope this module emits.
 SCHEMA_VERSION = 2
 
-#: Wall-clock (and execution-environment) fields, excluded from
-#: cross-run equality and the regression gate: they measure the host
-#: and the job fan-out, not the simulation.
-WALL_CLOCK_FIELDS = frozenset(
-    {"wall_s", "wall_clock_s", "events_per_sec", "generated_at", "jobs", "cpus"}
-)
+#: Wall-clock fields, excluded from cross-run equality and the
+#: regression gate: they measure the host, not the simulation.
+WALL_CLOCK_FIELDS = frozenset({"wall_s"})
 
 #: The spec key of the all-baseline run.
 BASELINE_KEY = "baseline"
+
+#: One knob variant: its name (recorded in artifacts and keys) and the
+#: value the grid's runner receives.
+Variant = typing.Tuple[str, typing.Any]
 
 
 def now_wall() -> float:
@@ -74,45 +66,47 @@ def now_wall() -> float:
 class Knob:
     """One ablation axis: a name, its baseline variant, and ablations.
 
-    Variants are plain strings; the grid's runner maps them to concrete
-    objects (a :class:`~repro.resolution.FastPathPolicy`, a TTL, a
-    churn rate).  Keeping the registry stringly keeps every
-    spec picklable and every artifact JSON-stable.
+    Each variant is a ``(name, value)`` pair: artifacts and run keys
+    record the name, the runner receives the value (a
+    :class:`~repro.resolution.FastPathPolicy`, a TTL, a churn rate).
     """
 
     name: str
-    baseline: str
-    variants: typing.Tuple[str, ...]
+    baseline: Variant
+    variants: typing.Tuple[Variant, ...]
 
     def __post_init__(self) -> None:
-        if self.baseline in self.variants:
+        names = [variant for variant, _ in self.variants]
+        if self.baseline[0] in names:
             raise ValueError(
-                f"knob {self.name!r}: baseline {self.baseline!r} must not "
+                f"knob {self.name!r}: baseline {self.baseline[0]!r} must not "
                 "repeat in variants"
             )
-        if len(set(self.variants)) != len(self.variants):
+        if len(set(names)) != len(names):
             raise ValueError(f"knob {self.name!r}: duplicate variants")
 
-    @property
-    def all_variants(self) -> typing.Tuple[str, ...]:
-        """Baseline first, then the ablation variants, in order."""
-        return (self.baseline,) + self.variants
+    def value(self, variant: str) -> typing.Any:
+        """The value named ``variant``."""
+        return dict((self.baseline,) + self.variants)[variant]
+
+
+#: What a grid runner does: ``(knobs, seed, smoke) -> RunOutput``, where
+#: ``knobs`` maps every knob name to its variant's value for this run.
+Runner = typing.Callable[[typing.Mapping[str, typing.Any], int, bool], "RunOutput"]
 
 
 @dataclasses.dataclass(frozen=True)
 class GridDef:
-    """A named ablation grid: knobs, a runner, and base parameters.
+    """A named ablation grid: knobs, a runner, and a base seed.
 
-    ``runner`` is a dotted path ``"package.module:function"``; the
-    function signature is ``(knobs, seed, smoke) -> RunOutput`` where
-    ``knobs`` maps every knob name to its variant string for this run.
-    ``extras`` are named full assignments beyond the one-off pattern
-    (e.g. an all-hit reference config that flips two knobs at once).
+    ``extras`` are named assignments of variant names beyond the
+    one-off pattern (e.g. an all-hit reference config that flips two
+    knobs at once).
     """
 
     name: str
     knobs: typing.Tuple[Knob, ...]
-    runner: str
+    runner: Runner
     seed: int = 0
     extras: typing.Tuple[
         typing.Tuple[str, typing.Tuple[typing.Tuple[str, str], ...]], ...
@@ -129,13 +123,12 @@ class RunSpec:
     """One fully-specified run: grid, knob assignment, seed.
 
     ``key`` is the stable identity used for ordering, seeding, and
-    baseline comparison — never the pool's completion order.
+    baseline comparison; ``knobs`` assigns a variant name to every knob.
     """
 
     grid: str
     key: str
     knobs: typing.Tuple[typing.Tuple[str, str], ...]
-    runner: str
     seed: int
     smoke: bool
 
@@ -160,9 +153,9 @@ class RunOutput:
 class RunResult:
     """Outcome of executing one :class:`RunSpec`.
 
-    ``status`` is ``"ok"`` or ``"error"``; a raising scenario becomes a
-    structured error result (with the worker's traceback in ``error``)
-    instead of poisoning the pool.
+    ``status`` is ``"ok"`` or ``"error"``; a raising runner becomes a
+    structured error result (its traceback in ``error``) instead of
+    stopping the grid.
     """
 
     spec: RunSpec
@@ -180,38 +173,22 @@ class RunResult:
 
 
 def derive_seed(base_seed: int, grid: str, key: str) -> int:
-    """A per-run seed, stable across job counts and sessions.
+    """A per-run seed, stable across sessions.
 
     Derived from the spec identity with crc32 (never ``hash()``, which
-    is salted per process) so ``--jobs 1`` and ``--jobs N`` hand every
-    run the identical seed.
+    is salted per process), so every run gets the same seed each time.
     """
     tag = zlib.crc32(f"{grid}:{key}".encode("utf-8"))
     return (base_seed * 1_000_003 + tag) % 2_147_483_647
 
 
-def resolve_runner(path: str) -> typing.Callable[..., RunOutput]:
-    """Import ``"module:function"`` and return the function."""
-    module_name, _, func_name = path.partition(":")
-    if not func_name:
-        raise ValueError(f"runner path {path!r} is not 'module:function'")
-    module = importlib.import_module(module_name)
-    return typing.cast(
-        typing.Callable[..., RunOutput], getattr(module, func_name)
-    )
-
-
-def execute_spec(spec: RunSpec) -> RunResult:
-    """Run one spec to completion; never raises.
-
-    This is the function worker processes execute: module-level so it
-    pickles by reference, and exception-proof so a crashing scenario
-    reports a structured failure instead of hanging the pool.
-    """
+def execute_spec(grid: GridDef, spec: RunSpec) -> RunResult:
+    """Run one spec of ``grid`` to completion; never raises."""
     start = now_wall()
     try:
-        runner = resolve_runner(spec.runner)
-        output = runner(spec.knob_dict(), spec.seed, spec.smoke)
+        names = spec.knob_dict()
+        values = {knob.name: knob.value(names[knob.name]) for knob in grid.knobs}
+        output = grid.runner(values, spec.seed, spec.smoke)
         return RunResult(
             spec=spec,
             status="ok",
@@ -220,7 +197,7 @@ def execute_spec(spec: RunSpec) -> RunResult:
             sim_ms=output.sim_ms,
             wall_s=now_wall() - start,
         )
-    except BaseException:
+    except Exception:
         return RunResult(
             spec=spec,
             status="error",
@@ -235,14 +212,10 @@ def execute_spec(spec: RunSpec) -> RunResult:
 class AblationStudy:
     """Expand a :class:`GridDef` into runs, execute them, score knobs."""
 
-    def __init__(self, grid: GridDef, smoke: bool = False, seed: typing.Optional[int] = None):
+    def __init__(self, grid: GridDef, smoke: bool = False):
         self.grid = grid
         self.smoke = smoke
-        self.base_seed = grid.seed if seed is None else seed
 
-    # ------------------------------------------------------------------
-    # Expansion
-    # ------------------------------------------------------------------
     def _spec(
         self, key: str, assignment: typing.Mapping[str, str]
     ) -> RunSpec:
@@ -253,21 +226,19 @@ class AblationStudy:
             grid=self.grid.name,
             key=key,
             knobs=knobs,
-            runner=self.grid.runner,
-            seed=derive_seed(self.base_seed, self.grid.name, key),
+            seed=derive_seed(self.grid.seed, self.grid.name, key),
             smoke=self.smoke,
         )
 
-    def expand(self, full_grid: bool = False) -> typing.List[RunSpec]:
-        """Baseline + one-offs (+ extras, + optionally the full grid).
+    def expand(self) -> typing.List[RunSpec]:
+        """Baseline, then the one-offs, then the extras.
 
         Order is deterministic: baseline first, then each knob's
-        ablation variants in registry order, then the named extras,
-        then (if asked) the cartesian product in lexicographic variant
-        order.  Keys never repeat: a cartesian cell that duplicates an
-        earlier spec's assignment is skipped.
+        ablation variants in registry order, then the named extras.
+        Keys never repeat: an extra that duplicates an earlier spec's
+        assignment is skipped.
         """
-        baseline = {knob.name: knob.baseline for knob in self.grid.knobs}
+        baseline = {knob.name: knob.baseline[0] for knob in self.grid.knobs}
         specs = [self._spec(BASELINE_KEY, baseline)]
         seen = {tuple(sorted(baseline.items()))}
 
@@ -279,70 +250,20 @@ class AblationStudy:
             specs.append(self._spec(key, assignment))
 
         for knob in self.grid.knobs:
-            for variant in knob.variants:
-                assignment = dict(baseline)
-                assignment[knob.name] = variant
-                add(f"{knob.name}={variant}", assignment)
+            for variant, _ in knob.variants:
+                add(f"{knob.name}={variant}", {**baseline, knob.name: variant})
         for extra_key, pairs in self.grid.extras:
-            assignment = dict(baseline)
-            assignment.update(dict(pairs))
-            add(extra_key, assignment)
-        if full_grid:
-            axes = [knob.all_variants for knob in self.grid.knobs]
-            for combo in itertools.product(*axes):
-                assignment = {
-                    knob.name: variant
-                    for knob, variant in zip(self.grid.knobs, combo)
-                }
-                key = ",".join(
-                    f"{knob.name}={variant}"
-                    for knob, variant in zip(self.grid.knobs, combo)
-                )
-                add(key, assignment)
+            add(extra_key, {**baseline, **dict(pairs)})
         return specs
 
-    # ------------------------------------------------------------------
-    # Execution
-    # ------------------------------------------------------------------
     def execute(
-        self,
-        specs: typing.Optional[typing.Sequence[RunSpec]] = None,
-        jobs: int = 1,
+        self, specs: typing.Optional[typing.Sequence[RunSpec]] = None
     ) -> typing.List[RunResult]:
-        """Run every spec; return results in spec order, not completion.
-
-        ``jobs <= 1`` runs inline (no pool, no pickling).  With a pool,
-        a worker that dies outright (not merely raises — that is caught
-        in :func:`execute_spec`) surfaces as an error result carrying
-        the executor's exception, and the remaining futures still
-        drain.
-        """
+        """Run every spec (default: :meth:`expand`'s) in order."""
         if specs is None:
             specs = self.expand()
-        if jobs <= 1:
-            return [execute_spec(spec) for spec in specs]
-        by_key: typing.Dict[str, RunResult] = {}
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = {pool.submit(execute_spec, spec): spec for spec in specs}
-            for future in concurrent.futures.as_completed(futures):
-                spec = futures[future]
-                try:
-                    by_key[spec.key] = future.result()
-                except BaseException as exc:
-                    by_key[spec.key] = RunResult(
-                        spec=spec,
-                        status="error",
-                        metrics={},
-                        digest=None,
-                        sim_ms=0.0,
-                        wall_s=0.0,
-                        error=f"{type(exc).__name__}: {exc}",
-                    )
-        return [by_key[spec.key] for spec in specs]
+        return [execute_spec(self.grid, spec) for spec in specs]
 
-    # ------------------------------------------------------------------
-    # Scoring
-    # ------------------------------------------------------------------
     def importance(
         self, results: typing.Sequence[RunResult]
     ) -> typing.Dict[str, typing.Dict[str, typing.Dict[str, float]]]:
@@ -351,8 +272,8 @@ class AblationStudy:
         Returns ``{one_off_key: {metric: {baseline, value, delta,
         ratio}}}``; ``ratio`` is ``value / baseline`` (0 treated as
         absent).  Only one-off runs (keys of the form ``knob=variant``
-        produced by :meth:`expand`) participate; extras and cartesian
-        cells are comparison rows, not component scores.
+        produced by :meth:`expand`) participate; extras are comparison
+        rows, not component scores.
         """
         by_key = {result.spec.key: result for result in results}
         base = by_key.get(BASELINE_KEY)
@@ -361,7 +282,7 @@ class AblationStudy:
         one_off_keys = {
             f"{knob.name}={variant}"
             for knob in self.grid.knobs
-            for variant in knob.variants
+            for variant, _ in knob.variants
         }
         scores: typing.Dict[str, typing.Dict[str, typing.Dict[str, float]]] = {}
         for key, result in by_key.items():
@@ -392,15 +313,12 @@ class AblationStudy:
 def study_payload(
     study: AblationStudy,
     results: typing.Sequence[RunResult],
-    jobs: int,
     wall_s: float,
-    cpus: typing.Optional[int] = None,
 ) -> typing.Dict[str, object]:
     """The schema-v2 envelope for one executed study.
 
     Everything except the :data:`WALL_CLOCK_FIELDS` is a deterministic
-    function of (grid, seed, smoke): the jobs-equality test and the CI
-    gate both rely on that.
+    function of (grid, smoke): the CI gate relies on that.
     """
     runs: typing.List[typing.Dict[str, object]] = []
     for result in results:
@@ -419,13 +337,9 @@ def study_payload(
         runs.append(row)
     return {
         "schema_version": SCHEMA_VERSION,
-        "bench": f"ablation_{study.grid.name}",
         "grid": study.grid.name,
         "smoke": study.smoke,
-        "jobs": jobs,
-        "cpus": cpus,
         "wall_s": wall_s,
-        "vs_baseline": None,
         "runs": runs,
         "importance": study.importance(results),
     }
@@ -435,7 +349,7 @@ def strip_wall_clock(value: object) -> object:
     """A deep copy with every wall-clock field removed.
 
     This is the equality (and gate-comparison) view of an artifact:
-    identical across ``--jobs`` settings and host speeds.
+    identical across host speeds.
     """
     if isinstance(value, dict):
         return {

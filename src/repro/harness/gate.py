@@ -6,9 +6,9 @@ fails (exit 1) when the fresh run regressed:
 
 - any **digest** differs — the simulation took a different trajectory,
   which in a deterministic simulator means behaviour changed;
-- any **p99 metric** regressed beyond the tolerance (default 10%,
-  ``--p99-tolerance``) — slower tails are the one number every PR in
-  this repository exists to push down;
+- any **p99 metric** regressed beyond :data:`TOLERANCE` (10 %) —
+  slower tails are the one number every change to a mechanism must
+  not push up;
 - any **availability** metric dropped beyond the same tolerance;
 - a committed baseline has no fresh artifact, or a run present in the
   baseline is **missing** (or now errors) in the fresh artifact, or the
@@ -34,6 +34,13 @@ import sys
 import typing
 
 from repro.harness.ablation import SCHEMA_VERSION, WALL_CLOCK_FIELDS
+
+
+#: The artifacts the gate compares.
+PATTERN = "BENCH_ablation_*.json"
+
+#: Largest p99 rise (and availability drop) that passes, as a fraction.
+TOLERANCE = 0.10
 
 
 @dataclasses.dataclass(frozen=True)
@@ -116,7 +123,6 @@ def compare_artifacts(
     name: str,
     fresh: typing.Mapping[str, object],
     baseline: typing.Mapping[str, object],
-    p99_tolerance_pct: float = 10.0,
 ) -> typing.List[Violation]:
     """All gate violations of ``fresh`` against ``baseline``."""
     violations: typing.List[Violation] = []
@@ -151,7 +157,6 @@ def compare_artifacts(
             )
 
     fresh_numbers = dict(_numeric_leaves(dict(fresh)))
-    tolerance = p99_tolerance_pct / 100.0
     for path, base_value in _numeric_leaves(dict(baseline)):
         segment = _last_segment(path)
         is_p99 = segment.startswith("p99")
@@ -166,9 +171,7 @@ def compare_artifacts(
                 )
             )
             continue
-        if value != value or base_value != base_value:  # NaN: no samples
-            continue
-        if is_p99 and value > base_value * (1.0 + tolerance):
+        if is_p99 and value > base_value * (1.0 + TOLERANCE):
             pct = 100.0 * (value - base_value) / base_value if base_value else float("inf")
             violations.append(
                 Violation(
@@ -176,32 +179,25 @@ def compare_artifacts(
                     path,
                     "p99",
                     f"regressed {base_value:.3f} -> {value:.3f} "
-                    f"(+{pct:.1f}%, tolerance {p99_tolerance_pct:.0f}%)",
+                    f"(+{pct:.1f}%, tolerance {TOLERANCE:.0%})",
                 )
             )
-        elif is_availability and value < base_value * (1.0 - tolerance):
+        elif is_availability and value < base_value * (1.0 - TOLERANCE):
             violations.append(
                 Violation(
                     name,
                     path,
                     "availability",
                     f"dropped {base_value:.4f} -> {value:.4f} "
-                    f"(tolerance {p99_tolerance_pct:.0f}%)",
+                    f"(tolerance {TOLERANCE:.0%})",
                 )
             )
     return violations
 
 
-#: The artifacts the gate compares unless ``--pattern`` narrows it to
-#: one grid.
-DEFAULT_PATTERN = "BENCH_ablation_*.json"
-
-
 def run_gate(
     fresh_dir: pathlib.Path,
     baseline_dir: pathlib.Path,
-    p99_tolerance_pct: float = 10.0,
-    pattern: str = DEFAULT_PATTERN,
 ) -> typing.Tuple[typing.List[Violation], typing.List[str]]:
     """Gate every committed baseline against its fresh artifact.
 
@@ -214,7 +210,7 @@ def run_gate(
     """
     violations: typing.List[Violation] = []
     compared: typing.List[str] = []
-    for baseline_path in sorted(baseline_dir.glob(pattern)):
+    for baseline_path in sorted(baseline_dir.glob(PATTERN)):
         file_name = baseline_path.name
         fresh_path = fresh_dir / file_name
         if not fresh_path.is_file():
@@ -236,16 +232,14 @@ def run_gate(
             )
             continue
         compared.append(file_name)
-        violations.extend(
-            compare_artifacts(file_name, fresh, baseline, p99_tolerance_pct)
-        )
+        violations.extend(compare_artifacts(file_name, fresh, baseline))
     if not compared and not violations:
         violations.append(
             Violation(
                 "(gate)",
                 "-",
                 "schema",
-                f"no {pattern} baselines in {baseline_dir}; "
+                f"no {PATTERN} baselines in {baseline_dir}; "
                 "the gate compared nothing",
             )
         )
@@ -262,22 +256,8 @@ def main(argv: typing.Optional[typing.Sequence[str]] = None) -> int:
     parser.add_argument(
         "--baseline", required=True, help="directory with committed baselines"
     )
-    parser.add_argument(
-        "--p99-tolerance",
-        type=float,
-        default=10.0,
-        help="max p99 regression (and availability drop) in percent",
-    )
-    parser.add_argument(
-        "--pattern", default=DEFAULT_PATTERN, help="artifact glob (gate one grid)"
-    )
     args = parser.parse_args(argv)
-    violations, compared = run_gate(
-        pathlib.Path(args.fresh),
-        pathlib.Path(args.baseline),
-        p99_tolerance_pct=args.p99_tolerance,
-        pattern=args.pattern,
-    )
+    violations, compared = run_gate(pathlib.Path(args.fresh), pathlib.Path(args.baseline))
     for file_name in compared:
         print(f"compared {file_name}")
     if violations:

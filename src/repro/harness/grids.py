@@ -2,8 +2,8 @@
 
 Each grid pairs a knob registry (the frozen
 :class:`~repro.resolution.PolicySet` axes plus scenario parameters like
-meta TTL, wire drop, and primary health) with a module-level runner
-function a worker process can resolve by dotted path.  ``python -m
+meta TTL, wire drop, and primary health) with its runner; each knob
+names a variant once, beside the value its runner receives.  ``python -m
 repro.cli bench <grid>`` is the one way a grid runs,
 ``BENCH_ablation_<grid>.json`` the one artifact it writes, and
 ``tests/harness/test_grids.py`` where each grid's claims are asserted.
@@ -72,68 +72,10 @@ def _idle(env: Environment, ms: float) -> None:
 
 
 # ----------------------------------------------------------------------
-# Variant tables: knob variant name -> concrete object
-# ----------------------------------------------------------------------
-
-#: fast_path knob: every FindNSM mechanism off by itself, plus endpoints.
-FAST_PATH_VARIANTS: typing.Dict[str, FastPathPolicy] = {
-    "full": FastPathPolicy(),
-    "no_coalescing": FastPathPolicy(coalesce=False),
-    "no_refresh": FastPathPolicy(refresh_ahead_fraction=0.0),
-    "no_batching": FastPathPolicy(batch_meta_lookups=False),
-    "disabled": FastPathPolicy.disabled(),
-}
-
-#: meta_ttl knob: the ablation TTL vs a TTL long enough that every
-#: post-warm lookup is a cache hit (u32 wire field caps "forever").
-META_TTL_VARIANTS: typing.Dict[str, typing.Callable[[bool], float]] = {
-    "short": lambda smoke: 7_000.0 if smoke else 30_000.0,
-    "all_hit": lambda smoke: 3_000_000_000.0,
-}
-
-#: drop knob: wire loss on the testbed segment.
-DROP_VARIANTS: typing.Dict[str, float] = {"none": 0.0, "p10": 0.10}
-
-#: replica knob: adaptive hedged scheduling vs the prototype's ordered
-#: failover.
-REPLICA_VARIANTS: typing.Dict[str, ReplicaPolicy] = {
-    "hedged": ReplicaPolicy(),
-    "ordered": ReplicaPolicy.disabled(),
-}
-
-#: primary knob: whether the (always-first) replica intermittently
-#: stalls past the transport timeout.
-PRIMARY_VARIANTS: typing.Dict[str, float] = {"degraded": 0.15, "healthy": 0.0}
-
-#: invalidation knob: how caches learn about a rebinding.
-INVALIDATION_VARIANTS: typing.Dict[str, UpdatePolicy] = {
-    "notify": UpdatePolicy(invalidation="notify"),
-    "lease": UpdatePolicy(invalidation="lease", lease_ms=5_000.0),
-    "ttl": UpdatePolicy(invalidation="ttl"),
-}
-
-#: churn knob: (mean crash interval ms, outage length ms) per event.
-CHURN_VARIANTS: typing.Dict[str, typing.Tuple[float, float]] = {
-    "low": (6_000.0, 4_000.0),
-    "high": (2_500.0, 1_500.0),
-}
-
-#: beacon_period knob: how often each host announces its presence.
-BEACON_PERIOD_VARIANTS: typing.Dict[str, float] = {
-    "fast": 500.0,
-    "slow": 2_000.0,
-}
-
-#: watchdog knob: liveness deadline as a multiple of the beacon period;
-#: ``ttl_only`` turns the watchdog off so eviction waits for entry TTL.
-WATCHDOG_VARIANTS: typing.Dict[str, float] = {"x3": 3.0, "ttl_only": 0.0}
-
-
-# ----------------------------------------------------------------------
 # fast_path grid
 # ----------------------------------------------------------------------
 def run_fast_path(
-    knobs: typing.Mapping[str, str], seed: int, smoke: bool
+    knobs: typing.Mapping[str, typing.Any], seed: int, smoke: bool
 ) -> RunOutput:
     """Zipf closed-loop FindNSM workload under one knob assignment.
 
@@ -149,17 +91,15 @@ def run_fast_path(
     duration_ms = 20_000.0 if smoke else 90_000.0
     think_mean_ms = 150.0
     zipf_s = 0.9
-    fast_path = FAST_PATH_VARIANTS[knobs["fast_path"]]
-    ttl_ms = META_TTL_VARIANTS[knobs["meta_ttl"]](smoke)
-    drop = DROP_VARIANTS[knobs["drop"]]
-
-    calibration = dataclasses.replace(DEFAULT_CALIBRATION, meta_ttl_ms=ttl_ms)
+    calibration = dataclasses.replace(
+        DEFAULT_CALIBRATION, meta_ttl_ms=knobs["meta_ttl"](smoke)
+    )
     testbed = build_testbed(seed=seed, calibration=calibration)
     env = testbed.env
     hns = testbed.make_hns(
         testbed.client,
         policies=PolicySet(
-            resolution=DEFAULT_RESOLUTION_POLICY, fast_path=fast_path
+            resolution=DEFAULT_RESOLUTION_POLICY, fast_path=knobs["fast_path"]
         ),
     )
     admin = HnsAdministrator(testbed.make_metastore(testbed.meta_host))
@@ -182,7 +122,7 @@ def run_fast_path(
     _run(env, warm())
     # Degrade the wire only after warm-up so every knob assignment
     # measures the same steady state.
-    testbed.internet.segments[0].drop_probability = drop
+    testbed.internet.segments[0].drop_probability = knobs["drop"]
     start_queries = env.stats.counter("bind.meta-bind.queries").value
     rng = env.rng.stream("harness.zipf")
     latencies: typing.List[float] = []
@@ -222,15 +162,28 @@ def run_fast_path(
 FAST_PATH_GRID = GridDef(
     name="fast_path",
     knobs=(
+        # Every FindNSM mechanism off by itself, plus the endpoints.
         Knob(
             "fast_path",
-            baseline="full",
-            variants=("no_coalescing", "no_refresh", "no_batching", "disabled"),
+            baseline=("full", FastPathPolicy()),
+            variants=(
+                ("no_coalescing", FastPathPolicy(coalesce=False)),
+                ("no_refresh", FastPathPolicy(refresh_ahead_fraction=0.0)),
+                ("no_batching", FastPathPolicy(batch_meta_lookups=False)),
+                ("disabled", FastPathPolicy.disabled()),
+            ),
         ),
-        Knob("meta_ttl", baseline="short", variants=("all_hit",)),
-        Knob("drop", baseline="none", variants=("p10",)),
+        # The ablation TTL (by smoke) vs a TTL long enough that every
+        # post-warm lookup is a cache hit (u32 wire field caps "forever").
+        Knob(
+            "meta_ttl",
+            baseline=("short", lambda smoke: 7_000.0 if smoke else 30_000.0),
+            variants=(("all_hit", lambda smoke: 3_000_000_000.0),),
+        ),
+        # Wire loss on the testbed segment.
+        Knob("drop", baseline=("none", 0.0), variants=(("p10", 0.10),)),
     ),
-    runner="repro.harness.grids:run_fast_path",
+    runner=run_fast_path,
     seed=33,
     extras=(
         # The steady-state reference the tail claims are compared against:
@@ -247,7 +200,7 @@ FAST_PATH_GRID = GridDef(
 # replica_scheduling grid
 # ----------------------------------------------------------------------
 def run_replica_scheduling(
-    knobs: typing.Mapping[str, str], seed: int, smoke: bool
+    knobs: typing.Mapping[str, typing.Any], seed: int, smoke: bool
 ) -> RunOutput:
     """Closed-loop lookups against a three-replica set.
 
@@ -265,8 +218,6 @@ def run_replica_scheduling(
 
     lookups = 120 if smoke else 500
     stall_ms = 400.0
-    stall_probability = PRIMARY_VARIANTS[knobs["primary"]]
-    replica_policy = REPLICA_VARIANTS[knobs["replica"]]
     cal = DEFAULT_CALIBRATION
 
     env = Environment(seed=seed)
@@ -291,7 +242,7 @@ def run_replica_scheduling(
         zones=[make_zone()],
         lookup_cost_ms=cal.meta_bind_lookup_ms,
         stall_ms=stall_ms,
-        stall_probability=stall_probability,
+        stall_probability=knobs["primary"],
     )
     replicas = [
         BindServer(
@@ -307,7 +258,7 @@ def run_replica_scheduling(
         udp,
         primary_ep,
         secondaries=secondary_eps,
-        policies=PolicySet(replica=replica_policy),
+        policies=PolicySet(replica=knobs["replica"]),
         name="harness",
     )
     latencies: typing.List[float] = []
@@ -337,10 +288,17 @@ def run_replica_scheduling(
 REPLICA_GRID = GridDef(
     name="replica_scheduling",
     knobs=(
-        Knob("replica", baseline="hedged", variants=("ordered",)),
-        Knob("primary", baseline="degraded", variants=("healthy",)),
+        # Adaptive hedged scheduling vs the prototype's ordered failover.
+        Knob(
+            "replica",
+            baseline=("hedged", ReplicaPolicy()),
+            variants=(("ordered", ReplicaPolicy.disabled()),),
+        ),
+        # How often the (always-first) replica stalls past the
+        # transport timeout.
+        Knob("primary", baseline=("degraded", 0.15), variants=(("healthy", 0.0),)),
     ),
-    runner="repro.harness.grids:run_replica_scheduling",
+    runner=run_replica_scheduling,
     seed=61,
 )
 
@@ -349,7 +307,7 @@ REPLICA_GRID = GridDef(
 # update_path grid
 # ----------------------------------------------------------------------
 def run_update_path(
-    knobs: typing.Mapping[str, str], seed: int, smoke: bool
+    knobs: typing.Mapping[str, typing.Any], seed: int, smoke: bool
 ) -> RunOutput:
     """Staleness window after a rebinding, plus a registration storm.
 
@@ -364,8 +322,7 @@ def run_update_path(
     readers = 4 if smoke else 8
     poll_ms = 250.0
     storm_size = 16 if smoke else 32
-    base_update = INVALIDATION_VARIANTS[knobs["invalidation"]]
-    update = dataclasses.replace(base_update, batch=(knobs["batch"] == "on"))
+    update = dataclasses.replace(knobs["invalidation"], batch=knobs["batch"])
     cal_fast_ttl = dataclasses.replace(
         DEFAULT_CALIBRATION, meta_ttl_ms=60_000.0
     )
@@ -463,10 +420,18 @@ def run_update_path(
 UPDATE_GRID = GridDef(
     name="update_path",
     knobs=(
-        Knob("invalidation", baseline="notify", variants=("lease", "ttl")),
-        Knob("batch", baseline="on", variants=("off",)),
+        # How caches learn about a rebinding.
+        Knob(
+            "invalidation",
+            baseline=("notify", UpdatePolicy(invalidation="notify")),
+            variants=(
+                ("lease", UpdatePolicy(invalidation="lease", lease_ms=5_000.0)),
+                ("ttl", UpdatePolicy(invalidation="ttl")),
+            ),
+        ),
+        Knob("batch", baseline=("on", True), variants=(("off", False),)),
     ),
-    runner="repro.harness.grids:run_update_path",
+    runner=run_update_path,
     seed=29,
 )
 
@@ -475,7 +440,7 @@ UPDATE_GRID = GridDef(
 # discovery grid
 # ----------------------------------------------------------------------
 def run_discovery(
-    knobs: typing.Mapping[str, str], seed: int, smoke: bool
+    knobs: typing.Mapping[str, typing.Any], seed: int, smoke: bool
 ) -> RunOutput:
     """Ad-hoc names under silent host churn, one run per knob assignment.
 
@@ -489,11 +454,11 @@ def run_discovery(
     """
     from repro.workloads.adhoc import build_adhoc_world, drive_churn
 
-    churn_interval_ms, down_ms = CHURN_VARIANTS[knobs["churn"]]
+    churn_interval_ms, down_ms = knobs["churn"]
     policy = DiscoveryPolicy(
-        beacon_period_ms=BEACON_PERIOD_VARIANTS[knobs["beacon_period"]],
+        beacon_period_ms=knobs["beacon_period"],
         entry_ttl_ms=10_000.0,
-        watchdog_multiplier=WATCHDOG_VARIANTS[knobs["watchdog"]],
+        watchdog_multiplier=knobs["watchdog"],
     )
     world = build_adhoc_world(seed=seed, policy=policy, host_count=6)
     env = world.env
@@ -514,11 +479,20 @@ def run_discovery(
 DISCOVERY_GRID = GridDef(
     name="discovery",
     knobs=(
-        Knob("churn", baseline="low", variants=("high",)),
-        Knob("beacon_period", baseline="fast", variants=("slow",)),
-        Knob("watchdog", baseline="x3", variants=("ttl_only",)),
+        # (mean crash interval ms, outage length ms) per churn event.
+        Knob(
+            "churn",
+            baseline=("low", (6_000.0, 4_000.0)),
+            variants=(("high", (2_500.0, 1_500.0)),),
+        ),
+        # How often each host announces its presence (ms).
+        Knob("beacon_period", baseline=("fast", 500.0), variants=(("slow", 2_000.0),)),
+        # Liveness deadline as a multiple of the beacon period;
+        # ``ttl_only`` turns the watchdog off so eviction waits for
+        # entry TTL.
+        Knob("watchdog", baseline=("x3", 3.0), variants=(("ttl_only", 0.0),)),
     ),
-    runner="repro.harness.grids:run_discovery",
+    runner=run_discovery,
     seed=83,
     extras=(
         # The worst case the watchdog exists for: rapid churn with
@@ -531,76 +505,12 @@ DISCOVERY_GRID = GridDef(
 )
 
 
-# ----------------------------------------------------------------------
-# toy grid: the schema exemplar, and the harness's own test subject
-# ----------------------------------------------------------------------
-def run_toy(
-    knobs: typing.Mapping[str, str], seed: int, smoke: bool
-) -> RunOutput:
-    """A seconds-free miniature scenario for tests, docs, and demos.
-
-    ``ticks`` picks the event count, ``mode`` the delay shape; the
-    ``boom`` variant raises on purpose so worker-crash surfacing stays
-    covered by a fast tier-1 test.
-    """
-    ticks = {"few": 5, "many": 50}[knobs["ticks"]]
-    mode = knobs["mode"]
-    if mode == "boom":
-        raise ValueError("injected toy-grid failure (mode=boom)")
-    env = Environment(seed=seed)
-    rng = env.rng.stream("harness.toy")
-    latencies: typing.List[float] = []
-
-    def ticker() -> "ProcessGenerator":
-        for _ in range(ticks):
-            delay = 10.0 if mode == "steady" else rng.random() * 20.0
-            t0 = env.now
-            yield env.timeout(delay)
-            latencies.append(env.now - t0)
-            env.stats.counter("harness.toy.ticks").increment()
-
-    _run(env, ticker())
-    metrics = {
-        "ticks": float(ticks),
-        "p50_ms": percentile(latencies, 50),
-        "p99_ms": percentile(latencies, 99),
-        "sim_ms_total": env.now,
-    }
-    return RunOutput(metrics=metrics, digest=run_digest(env), sim_ms=env.now)
-
-
-TOY_GRID = GridDef(
-    name="toy",
-    knobs=(
-        Knob("ticks", baseline="few", variants=("many",)),
-        Knob("mode", baseline="steady", variants=("jittered", "boom")),
-    ),
-    runner="repro.harness.grids:run_toy",
-    seed=7,
-)
-
-
-#: Every registered grid, by name.  ``python -m repro.cli bench all``
-#: runs the non-toy entries.
+#: Every registered grid, by name; ``python -m repro.cli bench all`` runs
+#: them all and the CI perf gate compares each against its baseline.
 GRIDS: typing.Dict[str, GridDef] = {
     grid.name: grid
-    for grid in (
-        FAST_PATH_GRID,
-        REPLICA_GRID,
-        UPDATE_GRID,
-        DISCOVERY_GRID,
-        TOY_GRID,
-    )
+    for grid in (FAST_PATH_GRID, REPLICA_GRID, UPDATE_GRID, DISCOVERY_GRID)
 }
-
-#: The grids the CI perf gate runs and compares against committed
-#: baselines (toy is a test subject, not a benchmark).
-GATED_GRIDS: typing.Tuple[str, ...] = (
-    "fast_path",
-    "replica_scheduling",
-    "update_path",
-    "discovery",
-)
 
 
 class _FlakyBindServer(_BindServer):

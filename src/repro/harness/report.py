@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-import json
 import pathlib
 import sys
 import typing
@@ -28,8 +27,8 @@ import typing
 from repro.core.colocation import Arrangement
 from repro.core.model import ColocationModel
 from repro.core.names import HNSName
-from repro.harness.ablation import SCHEMA_VERSION
 from repro.harness.calibration import DEFAULT_CALIBRATION
+from repro.harness.gate import PATTERN, load_artifact
 from repro.harness.tables import ComparisonTable, format_table
 from repro.workloads.scenarios import CREDENTIALS, build_stack, build_testbed
 
@@ -774,76 +773,76 @@ def _fmt_cell(value: object) -> str:
     return str(value)
 
 
-def ablation_tables(directory: typing.Optional[str] = None) -> str:
-    """Render every committed ``BENCH_ablation_*.json`` as a table.
+def ablation_table(path: pathlib.Path) -> str:
+    """Render one ``BENCH_ablation_*.json`` artifact as a table.
 
-    One table per grid artifact: a row per run (baseline first, in the
-    engine's expansion order) and, below it, the per-knob importance
-    summary (p99 ratio vs baseline).  Artifacts with an unexpected
-    schema version are skipped with a note rather than failing the
-    report.
+    A row per run (baseline first, in the engine's expansion order), a
+    line per failed run with its error, and the per-knob importance
+    summary (p99 ratio vs baseline).  An artifact the gate's
+    :func:`~repro.harness.gate.load_artifact` refuses is skipped with
+    its message rather than failing the report.
     """
-    base = pathlib.Path(directory) if directory else pathlib.Path(".")
-    sections: typing.List[str] = []
-    for path in sorted(base.glob("BENCH_ablation_*.json")):
-        try:
-            data = json.loads(path.read_text(encoding="utf-8"))
-        except ValueError:
-            sections.append(f"({path.name}: unreadable, skipped)")
-            continue
-        if not isinstance(data, dict) or data.get("schema_version") != SCHEMA_VERSION:
-            sections.append(
-                f"({path.name}: schema_version != {SCHEMA_VERSION}, skipped)"
-            )
-            continue
-        runs = [r for r in data.get("runs", []) if isinstance(r, dict)]
-        shape = "smoke" if data.get("smoke") else "full"
-        columns = _ablation_columns(runs)
-        lines = [f"== Ablation grid: {data.get('grid', '?')} ({shape}) =="]
-        header = ["run"] + columns + ["digest"]
-        lines.append(" | ".join(header))
-        lines.append("-+-".join("-" * len(h) for h in header))
-        for run in runs:
-            metrics = run.get("metrics") or {}
-            digest = run.get("digest") or ""
-            cells = [str(run.get("key", "?"))]
-            if run.get("status") == "ok":
-                cells += [
-                    _fmt_cell(metrics.get(column, "")) for column in columns
-                ]
-                cells.append(str(digest)[:12])
+    try:
+        data = load_artifact(path)
+    except ValueError as exc:
+        return f"({exc}; skipped)"
+    runs = [r for r in data.get("runs", []) if isinstance(r, dict)]
+    shape = "smoke" if data.get("smoke") else "full"
+    columns = _ablation_columns(runs)
+    lines = [f"== Ablation grid: {data.get('grid', '?')} ({shape}) =="]
+    header = ["run"] + columns + ["digest"]
+    lines.append(" | ".join(header))
+    lines.append("-+-".join("-" * len(h) for h in header))
+    errors: typing.List[str] = []
+    for run in runs:
+        metrics = run.get("metrics") or {}
+        digest = run.get("digest") or ""
+        cells = [str(run.get("key", "?"))]
+        if run.get("status") == "ok":
+            cells += [_fmt_cell(metrics.get(column, "")) for column in columns]
+            cells.append(str(digest)[:12])
+        else:
+            cells += ["ERROR"] * len(columns) + ["-"]
+            errors.append(f"  {cells[0]:<24} {run.get('error', '?')}")
+        lines.append(" | ".join(cells))
+    if errors:
+        lines += ["", "failed runs:", *errors]
+    importance = data.get("importance")
+    importance_lines: typing.List[str] = []
+    if isinstance(importance, dict):
+        for key in sorted(importance):
+            entry = importance[key]
+            if not isinstance(entry, dict):
+                continue
+            # Lead with the tail metric when the grid reports one,
+            # else the grid's dominant headline metric.
+            for metric in ("p99_ms", "staleness_ms_max", "storm_round_trips"):
+                score = entry.get(metric)
+                if isinstance(score, dict):
+                    break
             else:
-                cells += ["ERROR"] * len(columns) + ["-"]
-            lines.append(" | ".join(cells))
-        importance = data.get("importance")
-        importance_lines: typing.List[str] = []
-        if isinstance(importance, dict):
-            for key in sorted(importance):
-                entry = importance[key]
-                if not isinstance(entry, dict):
-                    continue
-                # Lead with the tail metric when the grid reports one,
-                # else the grid's dominant headline metric.
-                for metric in ("p99_ms", "staleness_ms_max", "storm_round_trips"):
-                    score = entry.get(metric)
-                    if isinstance(score, dict):
-                        break
-                else:
-                    continue
-                ratio = score.get("ratio")
-                delta = score.get("delta")
-                ratio_text = (
-                    f"{ratio:.2f}x" if isinstance(ratio, (int, float)) else "n/a"
-                )
-                importance_lines.append(
-                    f"  {key:<24} {metric} {ratio_text} "
-                    f"({delta:+.2f} vs baseline)"
-                )
-        if importance_lines:
-            lines.append("")
-            lines.append("knob importance vs baseline:")
-            lines.extend(importance_lines)
-        sections.append("\n".join(lines))
+                continue
+            ratio = score.get("ratio")
+            delta = score.get("delta")
+            ratio_text = (
+                f"{ratio:.2f}x" if isinstance(ratio, (int, float)) else "n/a"
+            )
+            importance_lines.append(
+                f"  {key:<24} {metric} {ratio_text} "
+                f"({delta:+.2f} vs baseline)"
+            )
+    if importance_lines:
+        lines.append("")
+        lines.append("knob importance vs baseline:")
+        lines.extend(importance_lines)
+    return "\n".join(lines)
+
+
+def ablation_tables(directory: typing.Optional[str] = None) -> str:
+    """Every ``BENCH_ablation_*.json`` in ``directory`` (default: the
+    working directory) as :func:`ablation_table` renders it."""
+    base = pathlib.Path(directory) if directory else pathlib.Path(".")
+    sections = [ablation_table(path) for path in sorted(base.glob(PATTERN))]
     if not sections:
         sections.append(
             "(no BENCH_ablation_*.json artifacts found; run "

@@ -1,15 +1,10 @@
-"""The ablation engine: expansion, fan-out determinism, importance.
+"""The ablation engine: expansion, seeds, error rows, importance.
 
-Everything here drives the ``toy`` grid (seconds-free, a few dozen
-events per run) so the whole file stays tier-1 fast while still
-exercising the real :class:`~repro.harness.ablation.AblationStudy`
-paths — including a real two-worker ``ProcessPoolExecutor`` and a
-runner that raises on purpose.  The one exception is the fan-out
-speedup bar, which times the full fast-path grid on hosts with at
-least four cores.
+Everything here drives small test-local grids whose runners are plain
+functions (one of them raises on purpose), so the whole file stays
+tier-1 fast while still exercising the real
+:class:`~repro.harness.ablation.AblationStudy` paths.
 """
-
-import os
 
 import pytest
 
@@ -18,15 +13,49 @@ from repro.harness.ablation import (
     BASELINE_KEY,
     GridDef,
     Knob,
+    RunOutput,
     RunResult,
     RunSpec,
     derive_seed,
-    dump_payload,
-    now_wall,
     strip_wall_clock,
     study_payload,
 )
-from repro.harness.grids import FAST_PATH_GRID, TOY_GRID, percentile
+from repro.harness.grids import percentile
+
+
+def _ticks(knobs, seed, smoke):
+    """A seconds-free runner: ``ticks`` delays of the ``mode`` shape."""
+    if knobs["mode"] is None:
+        raise ValueError("injected test-grid failure")
+    delays = [knobs["mode"](seed, i) for i in range(knobs["ticks"])]
+    return RunOutput(
+        metrics={"ticks": float(len(delays)), "p99_ms": percentile(delays, 99)},
+        digest=f"{seed}:{sum(delays)}",
+        sim_ms=sum(delays),
+    )
+
+
+TICKS_GRID = GridDef(
+    name="ticks",
+    knobs=(
+        Knob("ticks", baseline=("few", 5), variants=(("many", 50),)),
+        Knob(
+            "mode",
+            baseline=("steady", lambda seed, i: 10.0),
+            variants=(
+                ("jittered", lambda seed, i: float((seed + 7 * i) % 20)),
+                ("boom", None),
+            ),
+        ),
+    ),
+    runner=_ticks,
+    seed=7,
+)
+
+
+def _one_knob_grid(**extras):
+    knob = Knob("k", baseline=("on", True), variants=(("off", False),))
+    return GridDef(name="g", knobs=(knob,), runner=_ticks, **extras)
 
 
 def _result(spec, metrics, status="ok"):
@@ -45,25 +74,25 @@ def _result(spec, metrics, status="ok"):
 # ----------------------------------------------------------------------
 def test_knob_rejects_baseline_in_variants():
     with pytest.raises(ValueError):
-        Knob("k", baseline="a", variants=("a", "b"))
+        Knob("k", baseline=("a", 1), variants=(("a", 1), ("b", 2)))
 
 
 def test_knob_rejects_duplicate_variants():
     with pytest.raises(ValueError):
-        Knob("k", baseline="a", variants=("b", "b"))
+        Knob("k", baseline=("a", 1), variants=(("b", 2), ("b", 3)))
 
 
 def test_grid_rejects_duplicate_knob_names():
-    knob = Knob("k", baseline="a", variants=("b",))
+    knob = Knob("k", baseline=("a", 1), variants=(("b", 2),))
     with pytest.raises(ValueError):
-        GridDef(name="g", knobs=(knob, knob), runner="m:f")
+        GridDef(name="g", knobs=(knob, knob), runner=_ticks)
 
 
 # ----------------------------------------------------------------------
 # Expansion
 # ----------------------------------------------------------------------
 def test_expand_is_baseline_then_one_offs_with_no_duplicates():
-    study = AblationStudy(TOY_GRID)
+    study = AblationStudy(TICKS_GRID)
     specs = study.expand()
     keys = [spec.key for spec in specs]
     assert keys == [
@@ -82,96 +111,49 @@ def test_expand_is_baseline_then_one_offs_with_no_duplicates():
     assert len(set(fingerprints)) == len(specs)
 
 
-def test_expand_full_grid_covers_the_cartesian_product_once():
-    study = AblationStudy(TOY_GRID)
-    specs = study.expand(full_grid=True)
-    # 2 ticks x 3 modes = 6 unique assignments; baseline + 3 one-offs
-    # already cover 4 of them, the cartesian pass adds the other 2.
-    assert len(specs) == 6
-    fingerprints = {tuple(sorted(spec.knobs)) for spec in specs}
-    assert len(fingerprints) == 6
-    keys = [spec.key for spec in specs]
-    assert keys[0] == BASELINE_KEY
-    assert "ticks=many,mode=jittered" in keys
-
-
 def test_extras_expand_and_dedupe():
-    grid = GridDef(
-        name="g",
-        knobs=(Knob("k", baseline="a", variants=("b",)),),
-        runner="m:f",
+    grid = _one_knob_grid(
         extras=(
-            ("same_as_one_off", (("k", "b"),)),  # duplicate: dropped
+            ("same_as_one_off", (("k", "off"),)),  # duplicate: dropped
             ("still_baseline", ()),  # duplicate of baseline: dropped
         ),
     )
     keys = [spec.key for spec in AblationStudy(grid).expand()]
-    assert keys == [BASELINE_KEY, "k=b"]
+    assert keys == [BASELINE_KEY, "k=off"]
 
 
 def test_seeds_are_stable_and_distinct_per_spec():
-    study = AblationStudy(TOY_GRID)
+    study = AblationStudy(TICKS_GRID)
     specs = study.expand()
     seeds = [spec.seed for spec in specs]
     assert len(set(seeds)) == len(seeds)
     for spec in specs:
-        assert spec.seed == derive_seed(TOY_GRID.seed, "toy", spec.key)
+        assert spec.seed == derive_seed(TICKS_GRID.seed, "ticks", spec.key)
     # Re-expansion reproduces the same seeds (no per-process salt).
     assert [s.seed for s in study.expand()] == seeds
 
 
 # ----------------------------------------------------------------------
-# Execution: serial vs fanned, crash surfacing
+# Execution: the runner gets values, a raising runner is an error row
 # ----------------------------------------------------------------------
-def test_jobs_1_and_jobs_2_produce_identical_artifacts():
-    study = AblationStudy(TOY_GRID)
-    specs = study.expand()
-    serial = study.execute(specs, jobs=1)
-    fanned = study.execute(specs, jobs=2)
-    one = dump_payload(
-        strip_wall_clock(study_payload(study, serial, jobs=1, wall_s=0.0))
-    )
-    two = dump_payload(
-        strip_wall_clock(study_payload(study, fanned, jobs=2, wall_s=0.0))
-    )
-    assert one == two
-    assert [r.spec.key for r in fanned] == [s.key for s in specs]
-
-
-@pytest.mark.skipif((os.cpu_count() or 1) < 4, reason="the bar needs at least 4 cores")
-def test_fanned_full_grid_is_at_least_2_5x_faster_than_serial():
-    """The simulator is single-threaded and deterministic, so the full
-    cartesian fast-path grid (20 smoke specs) is embarrassingly parallel."""
-    study = AblationStudy(FAST_PATH_GRID, smoke=True)
-    specs = study.expand(full_grid=True)
-    start = now_wall()
-    serial = study.execute(specs, jobs=1)
-    serial_s = now_wall() - start
-    start = now_wall()
-    study.execute(specs, jobs=min(os.cpu_count() or 1, len(specs)))
-    fanned_s = now_wall() - start
-    assert all(r.ok for r in serial), [r.spec.key for r in serial if not r.ok]
-    assert serial_s >= 2.5 * fanned_s, (serial_s, fanned_s)
-
-
 def test_worker_crash_surfaces_as_error_result():
-    study = AblationStudy(TOY_GRID)
-    specs = study.expand()
-    for jobs in (1, 2):
-        results = study.execute(specs, jobs=jobs)
-        by_key = {r.spec.key: r for r in results}
-        boom = by_key["mode=boom"]
-        assert not boom.ok
-        assert boom.status == "error"
-        assert "injected toy-grid failure" in boom.error
-        # The crash does not poison the siblings.
-        assert by_key[BASELINE_KEY].ok
-        assert by_key["ticks=many"].ok
+    study = AblationStudy(TICKS_GRID)
+    results = study.execute()
+    assert [r.spec.key for r in results] == [s.key for s in study.expand()]
+    by_key = {r.spec.key: r for r in results}
+    boom = by_key["mode=boom"]
+    assert not boom.ok
+    assert boom.status == "error"
+    assert "injected test-grid failure" in boom.error
+    # The crash does not stop the siblings, and each got its values.
+    assert by_key[BASELINE_KEY].metrics["ticks"] == 5.0
+    assert by_key["ticks=many"].metrics["ticks"] == 50.0
+    assert by_key["mode=jittered"].ok
 
 
 def test_error_runs_carry_no_digest_and_are_skipped_by_importance():
-    study = AblationStudy(TOY_GRID)
-    results = study.execute(study.expand(), jobs=1)
+    study = AblationStudy(TICKS_GRID)
+    results = study.execute()
     boom = next(r for r in results if r.spec.key == "mode=boom")
     assert boom.digest is None and boom.metrics == {}
     assert "mode=boom" not in study.importance(results)
@@ -181,12 +163,7 @@ def test_error_runs_carry_no_digest_and_are_skipped_by_importance():
 # Importance arithmetic
 # ----------------------------------------------------------------------
 def test_importance_deltas_and_ratios():
-    grid = GridDef(
-        name="g",
-        knobs=(Knob("k", baseline="on", variants=("off",)),),
-        runner="m:f",
-    )
-    study = AblationStudy(grid)
+    study = AblationStudy(_one_knob_grid())
     base_spec, off_spec = study.expand()
     results = [
         _result(
@@ -216,12 +193,7 @@ def test_importance_deltas_and_ratios():
 
 
 def test_importance_without_baseline_is_empty():
-    grid = GridDef(
-        name="g",
-        knobs=(Knob("k", baseline="on", variants=("off",)),),
-        runner="m:f",
-    )
-    study = AblationStudy(grid)
+    study = AblationStudy(_one_knob_grid())
     base_spec, off_spec = study.expand()
     assert study.importance([_result(off_spec, {"p99_ms": 1.0})]) == {}
     failed_base = _result(base_spec, {}, status="error")
@@ -232,29 +204,23 @@ def test_importance_without_baseline_is_empty():
 # Serialization
 # ----------------------------------------------------------------------
 def test_payload_shape_and_wall_clock_stripping():
-    study = AblationStudy(TOY_GRID, smoke=True)
+    study = AblationStudy(TICKS_GRID, smoke=True)
     specs = study.expand()
-    results = study.execute(specs, jobs=1)
-    payload = study_payload(study, results, jobs=3, wall_s=1.5, cpus=8)
+    results = study.execute(specs)
+    payload = study_payload(study, results, wall_s=1.5)
     assert payload["schema_version"] == 2
-    assert payload["grid"] == "toy"
+    assert payload["grid"] == "ticks"
     assert payload["smoke"] is True
     assert [row["key"] for row in payload["runs"]] == [s.key for s in specs]
+    # The artifact records variant names, never the values.
+    assert payload["runs"][0]["knobs"] == {"ticks": "few", "mode": "steady"}
     stripped = strip_wall_clock(payload)
     assert "wall_s" not in stripped
-    assert "jobs" not in stripped and "cpus" not in stripped
     for row in stripped["runs"]:
         assert "wall_s" not in row
         assert "seed" in row and "digest" in row
 
 
 def test_spec_knob_dict_round_trip():
-    spec = RunSpec(
-        grid="g",
-        key="k=b",
-        knobs=(("k", "b"), ("j", "a")),
-        runner="m:f",
-        seed=5,
-        smoke=False,
-    )
+    spec = RunSpec(grid="g", key="k=b", knobs=(("k", "b"), ("j", "a")), seed=5, smoke=False)
     assert spec.knob_dict() == {"k": "b", "j": "a"}

@@ -71,3 +71,13 @@ def test_bad_query_class_rejected():
 def test_missing_command_rejected():
     with pytest.raises(SystemExit):
         main([])
+
+
+def test_unknown_grid_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["bench", "nosuch"])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert "invalid choice: 'nosuch'" in err
+    for grid in ("fast_path", "replica_scheduling", "update_path", "discovery", "all"):
+        assert grid in err

@@ -16,7 +16,7 @@ import pytest
 from repro import cli
 from repro.harness import AblationStudy, gate
 from repro.harness.ablation import BASELINE_KEY
-from repro.harness.grids import FAST_PATH_GRID, GATED_GRIDS
+from repro.harness.grids import FAST_PATH_GRID, GRIDS
 
 ROOT = pathlib.Path(__file__).resolve().parents[2]
 
@@ -25,7 +25,7 @@ ROOT = pathlib.Path(__file__).resolve().parents[2]
 def fresh_dir(tmp_path_factory):
     """A directory holding a fresh smoke-shaped artifact per gated grid."""
     out = tmp_path_factory.mktemp("fresh-bench")
-    argv = ["bench", "all", "--smoke", "--jobs", "1", "--out-dir", str(out)]
+    argv = ["bench", "all", "--smoke", "--out-dir", str(out)]
     assert cli.main(argv) == 0  # non-zero: some run errored
     return out
 
@@ -40,7 +40,7 @@ def test_fresh_grids_pass_the_gate_against_committed_baselines(fresh_dir, capsys
     status = gate.main(["--fresh", str(fresh_dir), "--baseline", str(ROOT)])
     out = capsys.readouterr().out
     assert status == 0, out
-    for grid in GATED_GRIDS:
+    for grid in GRIDS:
         assert f"compared BENCH_ablation_{grid}.json" in out
 
 

@@ -212,3 +212,14 @@ def test_ablation_tables_skips_other_schemas_and_notes_empty(tmp_path):
         json.dumps({"schema_version": 1})
     )
     assert "skipped" in ablation_tables(str(tmp_path))
+
+
+def test_ablation_tables_skips_what_the_gate_refuses(tmp_path):
+    # json.dumps writes a bare NaN, which the gate refuses as non-strict
+    # JSON; the report must refuse the same file, not render "nan".
+    run = {"key": "baseline", "status": "ok", "metrics": {"p99_ms": float("nan")}}
+    artifact = {"schema_version": 2, "grid": "nan", "runs": [run]}
+    (tmp_path / "BENCH_ablation_nan.json").write_text(json.dumps(artifact))
+    text = ablation_tables(str(tmp_path))
+    assert "Ablation grid" not in text
+    assert "non-finite value NaN" in text and "skipped" in text

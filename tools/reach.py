@@ -3,9 +3,8 @@
 A product surface is any run that is not a test.  Each runs in a child whose
 generated ``sitecustomize.py`` (first on ``PYTHONPATH``, so grandchildren
 inherit it) sets a ``sys.settrace`` hook that notes every code object entered
-and every policy dataclass built.  A ``multiprocessing`` worker skips the hook's
-``atexit`` dump, so pool work counts where it also runs inline.  Nothing is
-written inside the repository.  ``PYTHONPATH=src python tools/reach.py [--tests] [--check]``
+and every policy dataclass built.  Nothing is written inside the repository.
+``PYTHONPATH=src python tools/reach.py [--tests] [--check]``
 """
 
 import argparse
@@ -53,13 +52,12 @@ TESTS = PYTEST + ["--rootdir", str(ROOT), "-c", str(ROOT / "pyproject.toml"), st
 
 
 def surfaces(tmp: str) -> dict:
-    """Product surface -> argv, in run order; the toy grid's injected failing cell exits 1."""
+    """Product surface -> argv, in run order."""
     cli = [PY, "-m", "repro.cli"]
     trace = cli + ["trace", "PrintService", "CH-hcs::dlion:hcs:uw"]
     runs = {"scenarios": [PY, "-c", SCENARIOS]}
     runs.update((f"example {p.stem}", [PY, str(p)]) for p in sorted(ROOT.glob("examples/*.py")))
-    return {**runs, "grids": cli + ["bench", "all", "--smoke", "--jobs", "1", "--out-dir", tmp],
-            "grid toy": cli + ["bench", "toy", "--smoke", "--jobs", "1", "--out-dir", tmp],
+    return {**runs, "grids": cli + ["bench", "all", "--smoke", "--out-dir", tmp],
             "gate": [PY, "-m", "repro.harness.gate", "--fresh", tmp, "--baseline", str(ROOT)],
             "ledger": [PY, "benchmarks/e2e/run.py", "--seed", "7", "--scale", "0.05"],
             "cli import": cli + ["import", "DesiredService", "BIND-cs::fiji.cs.washington.edu"],
