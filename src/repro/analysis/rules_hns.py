@@ -103,13 +103,11 @@ STAT_PREFIXES = frozenset(
         "obs",
         # "nsm" also hosts nsm.lease.* (client-side lease renewal)
         "nsm",
-        "portmapper",
         "rexec",
         # "sim" hosts the kernel's own families: sim.kernel.*
         # (events_scheduled / events_processed, as kernel_counters()
         # names them) and sim.mclient.* (the million-client scenario)
         "sim",
-        "yp",
     }
 )
 

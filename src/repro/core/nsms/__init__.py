@@ -3,8 +3,8 @@
 "The binding NSMs for both the BIND and Clearinghouse subsystems are
 about 230 lines each."  Ours are in the same spirit, encapsulating the
 local naming syntax, the access protocol and the native binding
-protocol: each family module (``bind``, ``clearinghouse``, ``yp``) has
-one base class that builds the family's native clients, and one small
+protocol: each family module (``bind``, ``clearinghouse``) has one
+base class that builds the family's native clients, and one small
 class per query class that declares its ``query_class``, its client's
 stats label (``client_label``) and its ``resolve``.
 
@@ -24,5 +24,4 @@ __getattr__, __dir__, __all__ = attach(__name__, {
         "ClearinghouseBindingNSM", "ClearinghouseFileServiceNSM", "ClearinghouseHostAddressNSM",
         "ClearinghouseMailboxNSM",
     ),
-    "yp": ("YpBindingNSM", "YpHostAddressNSM", "YpMailboxNSM"),
 })

@@ -13,11 +13,7 @@ from repro.core.nsms import (
     ClearinghouseFileServiceNSM,
     ClearinghouseHostAddressNSM,
     ClearinghouseMailboxNSM,
-    YpBindingNSM,
-    YpHostAddressNSM,
-    YpMailboxNSM,
 )
-from repro.core.nsms.yp import YpNSM
 from repro.hrpc import HrpcRuntime, HrpcServer, HRPCBinding
 from repro.net.addresses import Endpoint
 from repro.workloads.scenarios import BIND_NS
@@ -30,19 +26,6 @@ SCHWARTZ = HNSName("BIND-cs", "schwartz.cs.washington.edu")
 SRC = HNSName("BIND-cs", "src.projects.cs.washington.edu")
 LEVY = HNSName("CH-hcs", "levy:hcs:uw")
 DOCS = HNSName("CH-hcs", "docs:hcs:uw")
-RAINIER = HNSName("SUNS", "rainier")
-BERSHAD = HNSName("SUNS", "bershad")
-
-
-def make_any_nsm(nsm_class, testbed, yp_endpoint):
-    """``nsm_class`` on the client host: over the testbed's BIND or
-    Clearinghouse, or over ``yp_world``'s YP server."""
-    if issubclass(nsm_class, YpNSM):
-        return nsm_class(
-            testbed.client, "YP-cs-suns", testbed.udp, yp_endpoint, "cs-suns",
-            calibration=testbed.calibration,
-        )
-    return testbed.make_nsm(nsm_class, testbed.client)
 
 
 # ----------------------------------------------------------------------
@@ -162,25 +145,16 @@ def test_hostaddr_costs_are_native(testbed):
     assert env.now - start == pytest.approx(0.83, rel=0.02)
 
 
-@pytest.mark.parametrize(
-    "nsm_class, name, miss_ms",
-    [
-        (ClearinghouseHostAddressNSM, DLION, 156.5028),
-        (YpHostAddressNSM, RAINIER, 12.0944),
-    ],
-    ids=["ch", "yp"],
-)
-def test_ch_and_yp_hostaddr_costs_are_native(yp_world, nsm_class, name, miss_ms):
-    """The CH and YP HostAddress NSMs, like BIND's: the native lookup
-    plus the probe and insert on a miss, a bare cache hit on a repeat."""
-    testbed, _yp_host, _domain, _server, yp_endpoint = yp_world
+def test_ch_hostaddr_costs_are_native(testbed):
+    """The CH HostAddress NSM, like BIND's: the native lookup plus the
+    probe and insert on a miss, a bare cache hit on a repeat."""
     env = testbed.env
-    nsm = make_any_nsm(nsm_class, testbed, yp_endpoint)
+    nsm = testbed.make_nsm(ClearinghouseHostAddressNSM, testbed.client)
     start = env.now
-    run(env, nsm.query(name))
-    assert env.now - start == pytest.approx(miss_ms, abs=1e-3)
+    run(env, nsm.query(DLION))
+    assert env.now - start == pytest.approx(156.5028, abs=1e-3)
     start = env.now
-    assert run(env, nsm.query(name)).from_cache
+    assert run(env, nsm.query(DLION)).from_cache
     assert env.now - start == pytest.approx(0.83, abs=1e-3)
 
 
@@ -270,10 +244,6 @@ LABEL_CASES = [
     (ClearinghouseHostAddressNSM, DLION, {}, "ch.nsm-ch@client.lookups"),
     (ClearinghouseMailboxNSM, LEVY, {}, "ch.nsm-chmail@client.lookups"),
     (ClearinghouseFileServiceNSM, DOCS, {}, "ch.nsm-chfile@client.lookups"),
-    (YpBindingNSM, RAINIER, {"service": "YpNamedService"},
-     "yp.nsm-ypbind@client.lookups"),
-    (YpHostAddressNSM, RAINIER, {}, "yp.nsm-yp@client.lookups"),
-    (YpMailboxNSM, BERSHAD, {}, "yp.nsm-ypmail@client.lookups"),
 ]
 
 
@@ -282,11 +252,10 @@ LABEL_CASES = [
     LABEL_CASES,
     ids=[case[0].__name__ for case in LABEL_CASES],
 )
-def test_native_client_stats_label(yp_world, nsm_class, name, params, counter):
+def test_native_client_stats_label(testbed, nsm_class, name, params, counter):
     """One query counts against ``<family>.<label>@<host>``: the stats
-    names the scenario digests see only for two of the eleven NSMs."""
-    testbed, _yp_host, _domain, _server, yp_endpoint = yp_world
-    nsm = make_any_nsm(nsm_class, testbed, yp_endpoint)
+    names the scenario digests see only for two of the eight NSMs."""
+    nsm = testbed.make_nsm(nsm_class, testbed.client)
     run(testbed.env, nsm.query(name, **params))
     counters = testbed.env.stats.counters()
     assert counters.get(counter, 0) >= 1, sorted(k for k in counters if "@client." in k)
@@ -312,11 +281,16 @@ def test_nsm_subclass_must_set_query_class(testbed):
 
 def test_testbed_builds_only_its_own_families(testbed):
     """``make_nsm`` picks BIND or the Clearinghouse from the class's
-    family; the testbed runs no YP server."""
+    family, and refuses an NSM of any other family."""
+    from repro.core.nsm import NamingSemanticsManager
+
+    class Foreign(NamingSemanticsManager):
+        pass
+
     assert testbed.make_nsm(BindMailboxNSM, testbed.client).name_service == BIND_NS
     assert testbed.make_nsm(ClearinghouseMailboxNSM, testbed.client).name_service == "CH-hcs"
-    with pytest.raises(TypeError):
-        testbed.make_nsm(YpMailboxNSM, testbed.client)
+    with pytest.raises(TypeError, match="no name service for Foreign"):
+        testbed.make_nsm(Foreign, testbed.client)
 
 
 def test_serve_nsm_and_remote_stub(testbed):

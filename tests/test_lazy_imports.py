@@ -37,10 +37,8 @@ NOT_LOADED = [
     )),
     "repro.harness.ablation", "repro.harness.tables",
     "repro.obs.critical_path", "repro.obs.export",
-    "repro.core.model", "repro.core.nsms.yp", "repro.hcsfs.client",
+    "repro.core.model", "repro.hcsfs.client",
     "repro.workloads.generator", "repro.workloads.zipf",
-    "repro.yellowpages",
-    *(f"repro.yellowpages.{m}" for m in ("maps", "errors", "server", "client")),
 ]
 
 _PREAMBLE = f"""

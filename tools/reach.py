@@ -18,12 +18,6 @@ import tempfile
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 SRC, PY = ROOT / "src", sys.executable
 
-#: modules no product surface imports, each kept for the paper or the roadmap
-JUSTIFIED = {
-    ("repro.yellowpages", "repro.core.nsms.yp"): "paper: 'additional name services'; "
-    "tests/integration/test_third_system_type.py; ROADMAP 7(c)",
-}
-
 #: the hook; a policy is a ``repro.resolution`` dataclass named ``*Policy``
 HOOK = """import atexit, json, os, sys, threading
 codes, knobs = {{}}, set()
@@ -104,16 +98,16 @@ def defined() -> tuple:
 def main(argv: list) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--tests", action="store_true", help="also trace tier-1")
-    parser.add_argument("--check", action="store_true", help="fail on an unjustified module")
+    parser.add_argument("--check", action="store_true",
+                        help="fail on an unimported module or a failed surface")
     args = parser.parse_args(argv)
-    (modules, functions), product, knobs = defined(), set(), set()
-    why = {m: w for m in modules for row, w in JUSTIFIED.items()
-           if any(m == n or m.startswith(n + ".") for n in row)}
+    (modules, functions), product, knobs, exits = defined(), set(), set(), {}
     with tempfile.TemporaryDirectory() as tmp:
         print(f"{'surface':<32}{'exit':>5}{'modules':>8}{'functions':>10}")
         for name, command in surfaces(tmp).items():
             run = trace(command, tmp)
             product, knobs = product | run["codes"], knobs | run["knobs"]
+            exits[name] = run["rc"]
             print(f"{name:<32}{run['rc']:>5}{len({module_of(c[0]) for c in run['codes']}):>8}"
                   f"{len(run['codes'] & functions.keys()):>10}")
         tests = trace(TESTS, tmp, pathlib.Path(tmp)) if args.tests else None
@@ -121,9 +115,10 @@ def main(argv: list) -> int:
     unimported = sorted(set(modules) - imported)
     print(f"\nmodules no product surface imports: {len(unimported)} "
           f"({sum(modules[m] for m in unimported)} lines)")
-    print("".join(f"  {m:<30}{modules[m]:>5}  {why.get(m, '')}\n" for m in unimported))
+    print("".join(f"  {m:<30}{modules[m]:>5}\n" for m in unimported))
     print(f"functions: {len(functions)} defined, {len(entered)} entered by product")
     if tests is not None:
+        exits["tier-1"] = tests["rc"]
         only = sorted((tests["codes"] & functions.keys()) - entered)
         never = sorted(functions.keys() - entered - tests["codes"])
         print(f"  {len(only)} by tests only, {len(never)} by nothing; tier-1 exit {tests['rc']}")
@@ -132,10 +127,8 @@ def main(argv: list) -> int:
     print("knob values product surfaces constructed:")
     values = {(c, f): sorted(v for c2, f2, v in knobs if (c2, f2) == (c, f)) for c, f, _ in knobs}
     print("".join(f"  {c + '.' + f:<38}{', '.join(v)}\n" for (c, f), v in sorted(values.items())))
-    found = [f"{m}: no product surface imports it and no JUSTIFIED row covers it"
-             for m in unimported if m not in why] + [
-        f"JUSTIFIED row names {m}, which " + ("is imported" if m in imported else "does not exist")
-        for row in JUSTIFIED for m in row if m not in modules or m in imported]
+    found = [f"{m}: no product surface imports it" for m in unimported] + [
+        f"{name} exited {rc}" for name, rc in exits.items() if rc]
     print("".join(f"reach: {problem}\n" for problem in found), end="", file=sys.stderr)
     return 1 if args.check and found else 0
 
