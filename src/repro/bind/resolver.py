@@ -41,14 +41,14 @@ from repro.bind.primary import PrimaryClient, charge
 from repro.bind.replica import MAX_HEDGES, ReplicaScheduler, ReplicaState
 from repro.bind.rr import ResourceRecord, RRType
 from repro.harness.calibration import Calibration, DEFAULT_CALIBRATION
-from repro.memo import first_use, memoised
+from repro.memo import MEMO_SIZE, first_use, memoised
 from repro.net.addresses import Endpoint
 from repro.net.errors import NetworkError, is_transient
 from repro.net.host import Host
 from repro.net.transport import Transport
 from repro.obs.span import NULL_SPAN
 from repro.resolution import PolicySet, backoff_ms
-from repro.serial import HandcodedMarshaller, StubCompiler
+from repro.serial import Encoded, HandcodedMarshaller, StubCompiler
 from repro.singleflight import SingleFlight
 
 if typing.TYPE_CHECKING:  # pragma: no cover
@@ -144,6 +144,11 @@ class BindResolver:
         # (the paper's generated-marshalling pain was on responses).
         self._hand_request = HandcodedMarshaller(QueryRequest.idl_type)
         self._hand_batch_request = HandcodedMarshaller(BatchQueryRequest.idl_type)
+        #: cache key -> its query and the query's value, marshalled once
+        #: (a query is a pure function of its key); at most MEMO_SIZE
+        self._queries: typing.Dict[
+            typing.Tuple[str, int], typing.Tuple[QueryRequest, Encoded]
+        ] = {}
         # Responses are demarshalled in this client's style, from the
         # bytes the server sent (``reply.wire``) or a marshalled cache
         # holds; a reply is never encoded on this side.
@@ -318,9 +323,14 @@ class BindResolver:
         background: bool = False,
     ) -> typing.Generator:
         """The full remote-call path: request, failover, serve-stale,
-        negative caching, cache insert.  Returns ``(records, count)``."""
+        negative caching, cache insert.  Returns ``(records, count)``.
+
+        The reply may be shared with every other receiver of the same
+        answer, so it is only read: the caller gets its own list.
+        """
         env = self.env
-        name = DomainName(key[0])
+        request, value = self._queries.get(key) or self._query(key, rtype)
+        name = request.name
         obs = env.obs
         with (
             obs.span(
@@ -335,7 +345,7 @@ class BindResolver:
             self._remote_lookups.increment()
             try:
                 reply = yield from self._request(
-                    QueryRequest(name, rtype), self._hand_request, background
+                    request, value, self._hand_request, background
                 )
             except NetworkError as err:
                 # Degradation ladder, rung 3: every replica unreachable and
@@ -348,8 +358,9 @@ class BindResolver:
                 return stale, len(stale)
             if not isinstance(reply, QueryResponse):
                 raise BindError(f"unexpected reply {reply!r}")
-            # Demarshal the response with this client's style.
-            _, demarshal_cost = self._response_m.decode(reply.wire)
+            # Price the demarshal in this client's style; the records
+            # travel with the reply, so no value is wanted.
+            _, demarshal_cost = self._response_m.decode(reply.wire, value=False)
             yield charge(self.host, demarshal_cost, background)
             if reply.status == STATUS_NXDOMAIN:
                 negative_ttl_ms = self.policies.resolution.negative_ttl_ms
@@ -366,6 +377,17 @@ class BindResolver:
                     self.host, self.cache.store(key, reply.records), background
                 )
             return list(reply.records), len(reply.records)
+
+    def _query(
+        self, key: typing.Tuple[str, int], rtype: RRType
+    ) -> typing.Tuple[QueryRequest, Encoded]:
+        """Build ``key``'s query slot (emptying a full table first)."""
+        queries = self._queries
+        if len(queries) >= MEMO_SIZE:
+            queries.clear()
+        request = QueryRequest(DomainName(key[0]), rtype)
+        query = queries[key] = (request, Encoded(request.to_idl()))
+        return query
 
     def _nothing_stale(
         self, key: typing.Tuple[str, int], err: Exception
@@ -402,9 +424,14 @@ class BindResolver:
         return records
 
     def _request(
-        self, request: typing.Any, marshaller: typing.Any, background: bool = False
+        self,
+        request: typing.Any,
+        value: typing.Any,
+        marshaller: typing.Any,
+        background: bool = False,
     ) -> typing.Generator:
-        """One read request against the replica set, with retry rounds.
+        """One read request against the replica set, with retry rounds;
+        ``value`` is what ``marshaller`` encodes for ``request``.
 
         The per-call control overhead and the request marshalling are
         paid once, before the first round.  One *round* is one exchange with the replica set — the
@@ -418,7 +445,7 @@ class BindResolver:
         """
         if self.per_call_overhead_ms:
             yield charge(self.host, self.per_call_overhead_ms, background)
-        request_bytes, marshal_cost = marshaller.encode(request)
+        request_bytes, marshal_cost = marshaller.encode(value)
         yield charge(
             self.host,
             max(marshal_cost, self.calibration.request_marshal_ms),
@@ -639,8 +666,9 @@ class BindResolver:
         try:
             # One per-call overhead for the whole batch: with six sequential
             # mappings this control cost is paid six times; here, once.
+            request = BatchQueryRequest(questions)
             reply = yield from self._request(
-                BatchQueryRequest(questions), self._hand_batch_request
+                request, request, self._hand_batch_request
             )
         except NetworkError as err:
             # The same rung 3 as a single lookup, one question at a time.
@@ -650,8 +678,8 @@ class BindResolver:
             return answers, sum(len(a.records) for a in answers)
         if not isinstance(reply, BatchQueryResponse):
             raise BindError(f"unexpected reply {reply!r}")
-        # Demarshal the whole response with this client's style.
-        _, demarshal_cost = self._batch_response_m.decode(reply.wire)
+        # Price the whole response's demarshal in this client's style.
+        _, demarshal_cost = self._batch_response_m.decode(reply.wire, value=False)
         yield self.host.cpu.compute(demarshal_cost)
         total_records = 0
         cache = self.cache

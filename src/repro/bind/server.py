@@ -50,13 +50,14 @@ from repro.bind.names import DomainName
 from repro.bind.rr import RRType
 from repro.bind.zone import Zone
 from repro.harness.calibration import Calibration, DEFAULT_CALIBRATION
-from repro.memo import first_use
+from repro.memo import MEMO_SIZE, first_use
 from repro.net.addresses import WELL_KNOWN_PORTS, Endpoint, NetworkAddress
 from repro.net.host import Host, Service
 from repro.obs.span import NULL_SPAN
 from repro.resolution import UpdatePolicy
 from repro.serial import Encoded, HandcodedMarshaller
 from repro.serial.idl import IdlType
+from repro.sim.events import Interrupt
 
 if typing.TYPE_CHECKING:  # pragma: no cover
     from repro.net.transport import Transport
@@ -106,6 +107,8 @@ class BindServer(Service):
             typing.Tuple[DomainName, RRType], float
         ] = {}
         self._lease_sweeper = None
+        #: when the lease sweeper wakes next
+        self._sweep_at = 0.0
         #: zone origin -> subscribed NOTIFY endpoints, in subscription order
         self._subscribers: typing.Dict[
             DomainName, typing.List[Endpoint]
@@ -117,6 +120,13 @@ class BindServer(Service):
         #: subscriber that pulls that range
         self._ixfr_replies: typing.Dict[
             DomainName, typing.Tuple[typing.Tuple[int, int, int], IxfrResponse, Encoded]
+        ] = {}
+        #: (name, rtype) -> its query answer: the zone that answered it
+        #: (None when no zone covers the name) at the serial it had, the
+        #: reply, and its value marshalled once; at most MEMO_SIZE
+        self._answers: typing.Dict[
+            typing.Tuple[DomainName, RRType],
+            typing.Tuple[typing.Optional[Zone], int, QueryResponse, Encoded],
         ] = {}
 
     # Per-exchange counters, each bound at its first increment so the
@@ -150,6 +160,7 @@ class BindServer(Service):
         if any(z.origin == zone.origin for z in self.zones):
             raise ValueError(f"duplicate zone {zone.origin}")
         self.zones.append(zone)
+        self._answers.clear()  # the new zone may now answer any of them
 
     def zone_for(self, name: DomainName) -> typing.Optional[Zone]:
         """Longest-match authoritative zone for ``name``."""
@@ -174,14 +185,15 @@ class BindServer(Service):
         produced; they ride with it (``message.wire``) for whoever
         receives it.
 
-        A query's answer repeats whenever its records do, so it is
-        handed over whole (``value`` is ``message``) to recall the bytes
-        of an equal one sent before
-        (:class:`~repro.serial.generated.Marshaller`).  An IXFR answer is
-        handed over as the :class:`~repro.serial.Encoded` its zone's slot
-        keeps (:meth:`_send_ixfr`).  Anything else carries a serial or
-        zone state that moves with every write and is marshalled afresh
-        from its wire value, the default.
+        A query's or an IXFR's answer is handed over as the
+        :class:`~repro.serial.Encoded` its slot keeps
+        (:meth:`_answer_query`, :meth:`_send_ixfr`).  A batch answer
+        repeats whenever its records do, so it is handed over whole
+        (``value`` is ``message``) to recall the bytes of an equal one
+        sent before (:class:`~repro.serial.generated.Marshaller`).
+        Anything else carries a serial or zone state that moves with
+        every write and is marshalled afresh from its wire value, the
+        default.
         """
         marshaller = self._marshallers.get(message.idl_type)
         if marshaller is None:
@@ -228,9 +240,11 @@ class BindServer(Service):
         reply, size, cost = self._encode_reply(message)
         responder.after(self.host.cpu.compute(cost), responder, reply, size)
 
-    def _answer_one(self, name: DomainName, rtype) -> QueryResponse:
-        """The database side of one question (no cost accounting)."""
-        zone = self.zone_for(name)
+    def _answer_one(
+        self, zone: typing.Optional[Zone], name: DomainName, rtype
+    ) -> QueryResponse:
+        """The database side of one question (no cost accounting);
+        ``zone`` is ``zone_for(name)``."""
         if zone is None:
             return QueryResponse(STATUS_NXDOMAIN, [])
         try:
@@ -270,8 +284,21 @@ class BindServer(Service):
         )
 
     def _answer_query(self, request: QueryRequest, responder) -> None:
-        reply = self._answer_one(request.name, request.rtype)
-        reply, size, marshal_cost = self._encode_reply(reply, reply)
+        """Answer from the question's slot, built afresh when it is
+        missing or the answering zone's serial has moved.
+
+        A zone's state is a function of its serial, so the answer to a
+        question is too, and one slot serves every repeat of it: no
+        zone walk, no new reply, and the value is marshalled once.  Each
+        send still enters ``encode`` and pays its cost.  A new zone
+        empties the table (:meth:`add_zone`), and a leased key never has
+        a slot: its TTLs shrink with the lease (:meth:`_cap_to_lease`).
+        """
+        key = (request.name, request.rtype)
+        slot = self._answers.get(key)
+        if slot is None or (slot[0] is not None and slot[0].serial != slot[1]):
+            slot = self._answer_slot(key)
+        reply, size, marshal_cost = self._encode_reply(slot[2], slot[3])
         responder.after(
             self.host.cpu.compute(marshal_cost),
             self._send_answer,
@@ -280,6 +307,21 @@ class BindServer(Service):
             size,
             responder,
         )
+
+    def _answer_slot(
+        self, key: typing.Tuple[DomainName, RRType]
+    ) -> typing.Tuple[typing.Optional[Zone], int, QueryResponse, Encoded]:
+        """Build ``key``'s answer slot, and keep it unless the key is
+        leased (emptying a full table first)."""
+        name, rtype = key
+        zone = self.zone_for(name)
+        reply = self._answer_one(zone, name, rtype)
+        slot = (zone, 0 if zone is None else zone.serial, reply, Encoded(reply.to_idl()))
+        if key not in self._leases:
+            if len(self._answers) >= MEMO_SIZE:
+                self._answers.clear()
+            self._answers[key] = slot
+        return slot
 
     def _send_answer(self, request: QueryRequest, reply, size, responder) -> None:
         if self.env.trace.enabled:
@@ -357,7 +399,7 @@ class BindServer(Service):
             except ValueError:
                 answer = QueryResponse(STATUS_SERVFAIL, [])
             else:
-                answer = self._answer_one(name, question.rtype)
+                answer = self._answer_one(self.zone_for(name), name, question.rtype)
         answers.append(answer)
         self._next_question(request, answers, responder)
 
@@ -471,20 +513,34 @@ class BindServer(Service):
         return STATUS_OK
 
     def _grant_lease(self, name: DomainName, rtype: RRType, lease_ms: float):
-        """(Re-)grant a lease; the sweeper retracts it unless renewed."""
-        self._leases[(name, rtype)] = self.env.now + lease_ms
+        """(Re-)grant a lease; the sweeper retracts it unless renewed.
+
+        A grant that lapses before the sleeping sweeper would wake
+        re-arms it, so a short lease is not kept alive by a long one.
+        """
+        expiry = self._leases[(name, rtype)] = self.env.now + lease_ms
+        self._answers.pop((name, rtype), None)
         self.env.stats.counter("bind.update.lease_grants").increment()
-        if self._lease_sweeper is None or not self._lease_sweeper.is_alive:
+        sweeper = self._lease_sweeper
+        if sweeper is None or not sweeper.is_alive:
             self._lease_sweeper = self.env.process(
                 self._sweep_leases(), name=f"bind.{self.name}.leases"
             )
+        elif expiry < self._sweep_at:
+            # it wakes now and re-reads every expiry, this grant's too
+            self._sweep_at = self.env.now
+            sweeper.interrupt("re-arm")
 
     def _sweep_leases(self):
         """Retract leased bindings whose owners stopped renewing."""
         while self._leases:
             next_expiry = min(self._leases.values())
             if next_expiry > self.env.now:
-                yield self.env.timeout(next_expiry - self.env.now)
+                self._sweep_at = next_expiry
+                try:
+                    yield self.env.timeout(next_expiry - self.env.now)
+                except Interrupt:
+                    continue  # an earlier expiry was granted
             changed: typing.List[Zone] = []
             for key, expiry in list(self._leases.items()):
                 if expiry > self.env.now:

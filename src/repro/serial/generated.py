@@ -145,12 +145,17 @@ class Marshaller:
         data = self.codec.encode(value)
         return data, self._price(value, len(data))
 
-    def decode(self, data: bytes) -> typing.Tuple[typing.Any, float]:
-        """Demarshal ``data``; returns (value, simulated cost ms)."""
+    def decode(self, data: bytes, value: bool = True) -> typing.Tuple[typing.Any, float]:
+        """Demarshal ``data``; returns (value, simulated cost ms).
+
+        A caller that wants only the price passes ``value=False``: a
+        recalled answer is then not copied, and its value comes back
+        ``None``.
+        """
         if type(data) is not bytes:
             return self._decode(data)
-        value, cost = _decoded(self, data)
-        return marshal.loads(value), cost
+        kept, cost = _decoded(self, data)
+        return (marshal.loads(kept) if value else None), cost
 
     def _decode(self, data: bytes) -> typing.Tuple[typing.Any, float]:
         value = self.codec.decode(data)

@@ -183,6 +183,30 @@ def test_lease_lapses_and_the_server_retracts_the_binding(deployment):
     assert env.stats.counters()["bind.update.lease_expirations"] == 1
 
 
+def test_a_shorter_lease_granted_while_the_sweeper_sleeps_lapses_on_time(
+    deployment,
+):
+    """The sweeper sleeps until the earliest expiry it saw; a later grant
+    that expires sooner re-arms it instead of waiting out the long one."""
+    env = deployment[0]
+    meta, resolver = _meta_server(deployment)
+
+    run(env, resolver.primary.update_batch([_replace_op("long.hns", b"v=1", lease_ms=10_000.0)]))
+    run(env, resolver.primary.update_batch([_replace_op("short.hns", b"v=1", lease_ms=500.0)]))
+    idle(env, 1_500.0)
+
+    def scenario():
+        with pytest.raises(NameNotFound):
+            yield from resolver.lookup("short.hns", RRType.UNSPEC)
+        return "done"
+
+    assert run(env, scenario()) == "done"
+    assert run(env, resolver.lookup("long.hns", RRType.UNSPEC))
+    assert env.stats.counters()["bind.update.lease_expirations"] == 1
+    idle(env, 10_000.0)
+    assert env.stats.counters()["bind.update.lease_expirations"] == 2
+
+
 def test_lease_renewal_keeps_the_binding_alive_until_the_owner_dies():
     update = UpdatePolicy(invalidation="lease", lease_ms=1_000.0)
     testbed = build_testbed(seed=5, update_policy=update)
