@@ -31,12 +31,12 @@ def main() -> None:
     from repro.hrpc import Portmapper
 
     for host in (testbed.fiji, testbed.june):
-        worker = RexecServer(host, calibration=testbed.calibration)
-        pm = host.service_at(111) or Portmapper(host, calibration=testbed.calibration)
+        worker = RexecServer(host)
+        pm = host.service_at(111) or Portmapper(host)
         if pm.endpoint is None:
             pm.listen()
         pm.register_local(REXEC_PROGRAM, worker.endpoint.port)
-    ch_worker = RexecServer(testbed.dlion, calibration=testbed.calibration)
+    ch_worker = RexecServer(testbed.dlion)
     testbed.dlion.service_at(5002).advertise_local(
         REXEC_PROGRAM, ch_worker.endpoint.port
     )

@@ -100,7 +100,6 @@ class BindResolver:
         ]
         self.cache = cache
         self.per_call_overhead_ms = per_call_overhead_ms
-        self.calibration = calibration
         self.name = name
         self.marshalling = marshalling
         #: what a miss does: fetch for itself, or share one fetch among
@@ -446,11 +445,7 @@ class BindResolver:
         if self.per_call_overhead_ms:
             yield charge(self.host, self.per_call_overhead_ms, background)
         request_bytes, marshal_cost = marshaller.encode(value)
-        yield charge(
-            self.host,
-            max(marshal_cost, self.calibration.request_marshal_ms),
-            background,
-        )
+        yield charge(self.host, marshal_cost, background)
         policy = self.policies.resolution
         timeout_ms = policy.call_timeout_ms
         last_error: typing.Optional[Exception] = None

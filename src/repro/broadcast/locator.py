@@ -5,7 +5,6 @@ from __future__ import annotations
 import typing
 
 from repro.broadcast.messages import NameAnswer, NameQuery
-from repro.harness.calibration import Calibration, DEFAULT_CALIBRATION
 from repro.net.host import Host, Service
 from repro.net.transport import DatagramTransport
 
@@ -36,10 +35,9 @@ class NameOwnerService(Service):
     rather than by a logically centralized name service.'
     """
 
-    def __init__(self, host: Host, calibration: Calibration = DEFAULT_CALIBRATION):
+    def __init__(self, host: Host):
         self.host = host
         self.env = host.env
-        self.calibration = calibration
         self._owned: typing.Dict[str, typing.Dict[str, str]] = {}
         self.examined = 0
         self.answered = 0

@@ -94,7 +94,7 @@ def cmd_table31(args: argparse.Namespace) -> int:
     """``table31``: regenerate Table 3.1 against the paper."""
     from repro.harness.report import table_3_1
 
-    print(table_3_1(seed=args.seed).render())
+    print(table_3_1().render())
     return 0
 
 

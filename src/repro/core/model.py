@@ -26,7 +26,6 @@ class ColocationModel:
     remote_call_ms: float
     cache_miss_ms: float
     cache_hit_ms: float
-    local_call_ms: float = 0.0
 
     def __post_init__(self) -> None:
         if self.cache_miss_ms <= self.cache_hit_ms:
@@ -35,51 +34,6 @@ class ColocationModel:
                 f"miss={self.cache_miss_ms}, hit={self.cache_hit_ms}"
             )
 
-    def local_cost(self, p: float) -> float:
-        """Expected per-query cost with a locally linked copy."""
-        self._check_fraction(p)
-        return (
-            self.local_call_ms
-            + p * self.cache_hit_ms
-            + (1 - p) * self.cache_miss_ms
-        )
-
-    def remote_cost(self, p: float, q: float) -> float:
-        """Expected per-query cost with a shared remote placement."""
-        self._check_fraction(p)
-        self._check_fraction(p + q)
-        hit = p + q
-        return (
-            self.remote_call_ms
-            + hit * self.cache_hit_ms
-            + (1 - hit) * self.cache_miss_ms
-        )
-
     def q_threshold(self) -> float:
         """Equation (1): the extra hit fraction remote placement needs."""
         return self.remote_call_ms / (self.cache_miss_ms - self.cache_hit_ms)
-
-    def remote_preferable(self, p: float, q: float) -> bool:
-        return self.remote_cost(p, q) < self.local_cost(p)
-
-    @staticmethod
-    def _check_fraction(value: float) -> None:
-        if not 0 <= value <= 1:
-            raise ValueError(f"hit fraction out of [0, 1]: {value}")
-
-
-def preload_breakeven_calls(
-    preload_ms: float, miss_ms: float, hit_ms: float
-) -> float:
-    """How many distinct cold queries justify preloading the cache.
-
-    Preloading pays ``preload_ms`` once and turns each first reference
-    from a miss into a hit; it breaks even after
-    ``preload_ms / (miss_ms - hit_ms)`` distinct context/query-class
-    references.  The paper: "preloading seems to be effective in
-    situations where two or more calls to the HNS for different
-    context/query classes will be made."
-    """
-    if miss_ms <= hit_ms:
-        raise ValueError("preload break-even needs miss > hit")
-    return preload_ms / (miss_ms - hit_ms)

@@ -390,7 +390,6 @@ class NsmStub:
         self,
         host: Host,
         runtime: typing.Optional[HrpcRuntime] = None,
-        calibration: Calibration = DEFAULT_CALIBRATION,
         local_nsms: typing.Optional[
             typing.Mapping[str, NamingSemanticsManager]
         ] = None,
@@ -398,7 +397,6 @@ class NsmStub:
         self.host = host
         self.env = host.env
         self.runtime = runtime
-        self.calibration = calibration
         # NSMs linked into *this* process: if FindNSM (possibly running
         # remotely) designates one of these, the stub short-circuits to
         # the local copy instead of calling across the network.
@@ -422,8 +420,6 @@ class NsmStub:
                 binding = LocalNsmBinding(local)
         if isinstance(binding, LocalNsmBinding):
             # "C(local call) is effectively zero".
-            if self.calibration.local_call_ms:
-                yield self.host.cpu.compute(self.calibration.local_call_ms)
             result = yield from binding.nsm.query(hns_name, **params)
             return result
         if self.runtime is None:

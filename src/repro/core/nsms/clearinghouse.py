@@ -46,7 +46,7 @@ class ClearinghouseNSM(NamingSemanticsManager):
         self.client = ClearinghouseClient(
             host, transport, ch_server, credentials, name=f"{self.client_label}@{host.name}"
         )
-        self.binder = CourierBinderClient(host, transport, calibration=calibration)
+        self.binder = CourierBinderClient(host, transport)
 
 
 class ClearinghouseBindingNSM(ClearinghouseNSM):

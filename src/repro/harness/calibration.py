@@ -10,22 +10,27 @@ Provenance summary
 ------------------
 - Table 3.2 row "1 RR"/"6 RR": demarshalled cache hit 0.83/1.22 ms,
   marshalled hit 11.11/26.17 ms, miss 20.23/32.34 ms.  Fit exactly by
-  ``CACHE_PROBE_MS`` + ``CACHE_COPY_*`` + the generated-marshaller op
+  ``cache_probe_ms`` + ``cache_copy_*`` + the generated-marshaller op
   costs (see :mod:`repro.serial.generated`), and within ±8 % for the
   miss row (the paper's own miss deltas are non-monotone in size, which
   no cost model with non-negative components can fit exactly).
 - "a BIND name to address lookup takes 27 msec": conventional resolver
-  against ``PUBLIC_BIND_LOOKUP_MS`` with hand-coded marshalling.
+  against ``public_bind_lookup_ms`` with hand-coded marshalling.
 - "a Clearinghouse name to address lookup takes 156 msec": per-access
   authentication (disk-resident credentials) plus disk-resident data.
 - Table 3.1 row 1 (460/180/104 ms): emerges from 5 meta lookups + 1
-  native lookup on a miss, ``HRPC_META_CALL_MS`` per meta lookup, the
-  NSM's native work on an NSM miss, and ``IMPORT_FIXED_MS``.
-- Table 3.1 rows 2-5: each non-colocated boundary adds one
-  ``HRPC_INTERPROC_CALL_MS`` remote call (the table's own single-call
-  deltas are 43-57 ms; we use their midpoint).
+  native lookup on a miss, ``hrpc_meta_call_ms`` per meta lookup, the
+  NSM's native work on an NSM miss, and ``import_fixed_ms``.
+- Table 3.1 rows 2-5: each non-colocated boundary adds one remote call
+  over the ``sunrpc`` protocol suite, whose client and server control
+  costs (20.5 + 20.5 ms, :mod:`repro.hrpc.suites`) are not constants
+  here (the table's own single-call deltas are 43-57 ms).
 - "The actual preload cost was measured to be about 390 msec" for ~2 KB
   of meta information, via the BIND zone transfer mechanism.
+
+``repro.harness.report``'s calibration section shows which paper rows
+each constant moves; ``UNCONSTRAINED`` there names the constants that
+move none, and where each acts instead.
 """
 
 from __future__ import annotations
@@ -85,8 +90,6 @@ class Calibration:
     cache_copy_per_record_ms: float = 0.078
     #: inserting a new entry after a miss
     cache_insert_ms: float = 0.5
-    #: hand-coded request marshalling (fixed-shape query)
-    request_marshal_ms: float = 0.3
 
     # ------------------------------------------------------------------
     # HRPC call overheads (beyond marshalling and wire time)
@@ -96,20 +99,12 @@ class Calibration:
     #: at 33 ms; each meta mapping "involves a remote call").  Equals
     #: the "raw" protocol suite's client+server control CPU.
     hrpc_meta_call_ms: float = 32.16
-    #: a full inter-process HRPC call (client->HNS, client->NSM,
-    #: client->agent); fit to Table 3.1's colocation deltas
-    hrpc_interproc_call_ms: float = 43.0
-    #: cost of a local (linked-in) call: "effectively zero"
-    local_call_ms: float = 0.0
 
     # ------------------------------------------------------------------
     # HNS internals
     # ------------------------------------------------------------------
     #: FindNSM bookkeeping outside the six mappings
     hns_fixed_ms: float = 2.0
-    #: per-mapping demarshalled cache hit (Table 3.2, 1-record entries)
-    #: = cache_probe + cache_copy_base + cache_copy_per_record
-    # (derived; kept for documentation)
 
     # ------------------------------------------------------------------
     # NSM work (HRPC-binding query class)
@@ -138,28 +133,20 @@ class Calibration:
     # ------------------------------------------------------------------
     # Baselines
     # ------------------------------------------------------------------
-    #: interim scheme: reading the replicated local binding file
+    #: interim scheme: parsing the replicated local binding file
     #: ("Binding using this scheme took 200 msec." = import machinery
-    #: 94 + disk ~32 + this parse/validate cost + glue 10)
-    localfile_read_disk_ms: float = 30.0
+    #: 94 + the host's disk read ~32 + this parse/validate cost + glue 10)
     localfile_parse_ms: float = 63.9
     #: reregistration-into-Clearinghouse scheme glue
     #: ("we found that binding took 166 msec")
     rereg_glue_ms: float = 10.0
 
     # ------------------------------------------------------------------
-    # Meta-record sizes (drive marshalling costs and preload volume)
+    # Meta records
     # ------------------------------------------------------------------
-    #: TTL applied to meta records (ms); "data changes slowly over time"
+    #: TTL applied to meta records and Clearinghouse NSM answers (ms);
+    #: "data changes slowly over time"
     meta_ttl_ms: float = 3_600_000.0
-
-    def derived_cache_hit_ms(self, records: int = 1) -> float:
-        """Demarshalled cache hit cost for an entry of ``records`` RRs."""
-        return (
-            self.cache_probe_ms
-            + self.cache_copy_base_ms
-            + self.cache_copy_per_record_ms * records
-        )
 
 
 #: The calibration used by all benchmarks unless overridden.

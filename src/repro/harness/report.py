@@ -27,7 +27,8 @@ import typing
 from repro.core.colocation import Arrangement
 from repro.core.model import ColocationModel
 from repro.core.names import HNSName
-from repro.harness.calibration import DEFAULT_CALIBRATION
+from repro.harness.ablation import AblationStudy, GridDef, Knob, RunOutput
+from repro.harness.calibration import DEFAULT_CALIBRATION, Calibration
 from repro.harness.gate import PATTERN, load_artifact
 from repro.harness.tables import ComparisonTable, format_table
 from repro.workloads.scenarios import CREDENTIALS, build_stack, build_testbed
@@ -75,10 +76,10 @@ def _timed(env, gen) -> float:
 
 
 def measure_table_3_1_row(
-    arrangement: Arrangement, seed: int = 3
+    arrangement: Arrangement, calibration: Calibration = DEFAULT_CALIBRATION
 ) -> typing.Tuple[float, float, float]:
     """(miss, HNS hit, both hit) simulated ms for one arrangement."""
-    testbed = build_testbed(seed=seed)
+    testbed = build_testbed(seed=3, calibration=calibration)
     stack = build_stack(testbed, arrangement)
     env = testbed.env
 
@@ -93,7 +94,7 @@ def measure_table_3_1_row(
     return a, b, c
 
 
-def table_3_1(seed: int = 3) -> ComparisonTable:
+def table_3_1(calibration: Calibration = DEFAULT_CALIBRATION) -> ComparisonTable:
     """Re-measure all fifteen Table 3.1 cells.
 
     Row 1 is the calibration anchor, held to 0.5 %; rows 2-5 add one
@@ -105,13 +106,13 @@ def table_3_1(seed: int = 3) -> ComparisonTable:
         for label, paper, measured in zip(
             ("miss", "HNS hit", "both hit"),
             PAPER_TABLE_3_1[arrangement],
-            measure_table_3_1_row(arrangement, seed),
+            measure_table_3_1_row(arrangement, calibration),
         ):
             table.add(f"{arrangement.label} / {label}", paper, measured, tolerance)
     return table
 
 
-def table_3_2(seed: int = 31) -> ComparisonTable:
+def table_3_2(calibration: Calibration = DEFAULT_CALIBRATION) -> ComparisonTable:
     """Re-measure the Table 3.2 cache-format grid.
 
     The hit columns are calibrated exactly (0.5 %); the paper's own miss
@@ -126,19 +127,15 @@ def table_3_2(seed: int = 31) -> ComparisonTable:
     for records in (1, 6):
         measured = []
         for fmt in (None, CacheFormat.MARSHALLED, CacheFormat.DEMARSHALLED):
-            testbed = build_testbed(seed=seed)
+            testbed = build_testbed(seed=31, calibration=calibration)
             zone = Zone("gw.net")
             for i in range(6):
                 zone.add(ResourceRecord.a_record("gateway.gw.net", f"10.0.0.{i + 1}"))
             testbed.public_server.add_zone(zone)
-            testbed.public_server.lookup_cost_ms = (
-                testbed.calibration.meta_bind_lookup_ms
-            )
+            testbed.public_server.lookup_cost_ms = calibration.meta_bind_lookup_ms
             env = testbed.env
             cache = ResolverCache(
-                env,
-                fmt=fmt or CacheFormat.DEMARSHALLED,
-                calibration=testbed.calibration,
+                env, fmt=fmt or CacheFormat.DEMARSHALLED, calibration=calibration
             )
             resolver = BindResolver(
                 testbed.client,
@@ -146,7 +143,7 @@ def table_3_2(seed: int = 31) -> ComparisonTable:
                 testbed.public_endpoint,
                 marshalling="generated",
                 cache=cache,
-                calibration=testbed.calibration,
+                calibration=calibration,
             )
             name = "fiji.cs.washington.edu" if records == 1 else "gateway.gw.net"
             first = _timed(env, resolver.lookup(name))
@@ -162,15 +159,16 @@ def table_3_2(seed: int = 31) -> ComparisonTable:
     return table
 
 
-def _nsm_remote_call(seed: int) -> float:
-    """A warm NSM's remote call, less the NSM's 3 ms cache-hit work."""
+def _nsm_remote_call(calibration: Calibration) -> float:
+    """A warm NSM's remote call, less the NSM's cache-hit work (probe,
+    one-record copy, revalidation)."""
     from repro.core.nsm import NsmStub, serve_nsm
     from repro.core.nsms.bind import BindBindingNSM
     from repro.hrpc.binding import HRPCBinding
     from repro.hrpc.runtime import HrpcRuntime
     from repro.hrpc.server import HrpcServer
 
-    testbed = build_testbed(seed=seed)
+    testbed = build_testbed(seed=41, calibration=calibration)
     env = testbed.env
     nsm = testbed.make_nsm(BindBindingNSM, testbed.nsm_host)
     server = HrpcServer(testbed.nsm_host)
@@ -179,12 +177,15 @@ def _nsm_remote_call(seed: int) -> float:
     )
     stub = NsmStub(testbed.client, HrpcRuntime(testbed.client, testbed.internet))
     _timed(env, stub.call(binding, FIJI, service="DesiredService"))
-    return _timed(env, stub.call(binding, FIJI, service="DesiredService")) - 3.0
+    hit_work = calibration.cache_probe_ms + (
+        calibration.cache_copy_base_ms + calibration.cache_copy_per_record_ms
+    ) + calibration.nsm_cache_hit_extra_ms
+    return _timed(env, stub.call(binding, FIJI, service="DesiredService")) - hit_work
 
 
-def _find_nsm_totals(seed: int, preload: bool) -> typing.List[float]:
+def _find_nsm_totals(calibration: Calibration, preload: bool) -> typing.List[float]:
     """Running total of ``PRELOAD_SWEEP``'s FindNSMs on one fresh HNS."""
-    testbed = build_testbed(seed=seed)
+    testbed = build_testbed(seed=41, calibration=calibration)
     hns = testbed.make_hns(testbed.client)
     total = _timed(testbed.env, hns.preload()) if preload else 0.0
     totals = []
@@ -194,16 +195,16 @@ def _find_nsm_totals(seed: int, preload: bool) -> typing.List[float]:
     return totals
 
 
-def _preload_break_even(seed: int) -> int:
+def _preload_break_even(calibration: Calibration) -> int:
     """The fewest distinct FindNSMs from which preloading wins at every
     length of ``PRELOAD_SWEEP``."""
-    cold = _find_nsm_totals(seed, preload=False)
-    preloaded = _find_nsm_totals(seed, preload=True)
+    cold = _find_nsm_totals(calibration, preload=False)
+    preloaded = _find_nsm_totals(calibration, preload=True)
     losing = [k for k, (c, p) in enumerate(zip(cold, preloaded), 1) if p >= c]
     return max(losing, default=0) + 1
 
 
-def headline_figures(seed: int = 41) -> ComparisonTable:
+def headline_figures(calibration: Calibration = DEFAULT_CALIBRATION) -> ComparisonTable:
     """Re-measure the prose component costs of Section 3, each to 2 %.
 
     The paper's prose FindNSM figures (460 cold, 88 cached) cannot both
@@ -214,11 +215,10 @@ def headline_figures(seed: int = 41) -> ComparisonTable:
     from repro.clearinghouse.client import ClearinghouseClient
 
     table = ComparisonTable("Section 3 component costs")
-    testbed = build_testbed(seed=seed)
+    testbed = build_testbed(seed=41, calibration=calibration)
     env = testbed.env
     resolver = BindResolver(
-        testbed.client, testbed.udp, testbed.public_endpoint,
-        calibration=testbed.calibration,
+        testbed.client, testbed.udp, testbed.public_endpoint, calibration=calibration
     )
     table.add(
         "native BIND lookup",
@@ -251,7 +251,7 @@ def headline_figures(seed: int = 41) -> ComparisonTable:
     table.add(
         "remote NSM call (Table 3.1 147 - 104; text: 22-38)",
         43.0,
-        _nsm_remote_call(seed),
+        _nsm_remote_call(calibration),
         2.0,
     )
     hns2 = testbed.make_hns(testbed.client)
@@ -265,99 +265,87 @@ def headline_figures(seed: int = 41) -> ComparisonTable:
     table.add(
         "preload break-even (distinct FindNSMs, a count)",
         2.0,
-        _preload_break_even(seed),
+        _preload_break_even(calibration),
         2.0,
     )
     return table
 
 
-def _local_file_binding(seed: int) -> float:
+def _local_file_binding(calibration: Calibration) -> float:
     """Import through the interim replicated local binding files."""
     from repro.baselines.localfile_binding import LocalFileBinder
     from repro.localfiles.registry import BindingFileEntry, LocalBindingFile, Replicator
 
-    testbed = build_testbed(seed=seed)
+    testbed = build_testbed(seed=51, calibration=calibration)
     env = testbed.env
-    replica = LocalBindingFile(testbed.client, testbed.calibration)
+    replica = LocalBindingFile(testbed.client, calibration)
     entry = BindingFileEntry(
         "DesiredService", "fiji.cs.washington.edu", str(testbed.fiji.address), 9999
     )
     _run(env, Replicator(testbed.internet, testbed.udp, [replica]).publish(
         testbed.client, entry
     ))
-    binder = LocalFileBinder(testbed.client, replica, testbed.calibration)
+    binder = LocalFileBinder(testbed.client, replica, calibration)
     return _timed(env, binder.import_binding("DesiredService", "fiji.cs.washington.edu"))
 
 
-def _reregistration_binding(seed: int) -> float:
+def _reregistration_binding(calibration: Calibration) -> float:
     """Import through bindings reregistered into the Clearinghouse."""
     from repro.baselines.reregistration import ReregistrationBinder
     from repro.clearinghouse.client import ClearinghouseClient
 
-    testbed = build_testbed(seed=seed)
+    testbed = build_testbed(seed=51, calibration=calibration)
     env = testbed.env
     store = ClearinghouseClient(
         testbed.client, testbed.tcp, testbed.ch_endpoint, CREDENTIALS
     )
-    binder = ReregistrationBinder(testbed.client, store, "bindings", testbed.calibration)
+    binder = ReregistrationBinder(testbed.client, store, "bindings", calibration)
     _run(env, binder.reregister(
         "DesiredService", "fiji.cs.washington.edu", str(testbed.fiji.address), 9999
     ))
     return _timed(env, binder.import_binding("DesiredService", "fiji.cs.washington.edu"))
 
 
-def binding_baselines(seed: int = 51) -> ComparisonTable:
+def binding_baselines(calibration: Calibration = DEFAULT_CALIBRATION) -> ComparisonTable:
     """HNS binding against the two reregistration baselines, each to 2 %."""
     table = ComparisonTable("Section 3 binding baselines")
-    table.add("interim replicated local files", 200.0, _local_file_binding(seed), 2.0)
+    table.add("interim replicated local files", 200.0, _local_file_binding(calibration), 2.0)
     table.add(
-        "reregistration into Clearinghouse", 166.0, _reregistration_binding(seed), 2.0
+        "reregistration into Clearinghouse", 166.0, _reregistration_binding(calibration), 2.0
     )
     table.add(
         "HNS best case (all local, all hit)",
         104.0,
-        measure_table_3_1_row(Arrangement.ALL_LOCAL, seed)[2],
+        measure_table_3_1_row(Arrangement.ALL_LOCAL, calibration)[2],
         2.0,
     )
     table.add(
         "HNS worst case (all remote, all miss)",
         547.0,
-        measure_table_3_1_row(Arrangement.ALL_REMOTE, seed)[0],
+        measure_table_3_1_row(Arrangement.ALL_REMOTE, calibration)[0],
         2.0,
     )
     return table
 
 
-def equation_1(seed: int = 3) -> ComparisonTable:
-    """Equation (1)'s thresholds from the paper's estimates and from the
-    measured Table 3.1 cells.
+def equation_1(calibration: Calibration = DEFAULT_CALIBRATION) -> ComparisonTable:
+    """Equation (1)'s thresholds from the measured Table 3.1 cells.
 
-    The targets are the paper's arithmetic, 33/(547-261) and
-    33/(225-147), which it rounds to 11 % and 42 %.  The measured-cell
+    The targets are the paper's arithmetic over its own estimates,
+    33/(547-261) and 33/(225-147), which it rounds to 11 % and 42 %; the
     rows inherit the 8 % bound of the cells they are computed from.
     """
     table = ComparisonTable(
         "Equation (1) — extra hit fraction a remote placement needs", unit="%"
     )
-    row5 = measure_table_3_1_row(Arrangement.ALL_REMOTE, seed)
-    row4 = measure_table_3_1_row(Arrangement.REMOTE_NSMS, seed)
-    for label, paper, model, tolerance in (
-        ("remote HNS, paper's estimates", 11.5, ColocationModel(33, 547, 261), 0.4),
-        ("remote NSMs, paper's estimates", 42.3, ColocationModel(33, 225, 147), 0.1),
-        (
-            "remote HNS, measured row 5 miss/HNS hit",
-            11.5,
-            ColocationModel(MEASURED_REMOTE_CALL_MS, row5[0], row5[1]),
-            8.0,
-        ),
-        (
-            "remote NSMs, measured row 4 HNS hit/both hit",
-            42.3,
-            ColocationModel(MEASURED_REMOTE_CALL_MS, row4[1], row4[2]),
-            8.0,
-        ),
+    row5 = measure_table_3_1_row(Arrangement.ALL_REMOTE, calibration)
+    row4 = measure_table_3_1_row(Arrangement.REMOTE_NSMS, calibration)
+    for label, paper, (miss, hit) in (
+        ("remote HNS, measured row 5 miss/HNS hit", 11.5, row5[:2]),
+        ("remote NSMs, measured row 4 HNS hit/both hit", 42.3, row4[1:]),
     ):
-        table.add(label, paper, 100 * model.q_threshold(), tolerance)
+        model = ColocationModel(MEASURED_REMOTE_CALL_MS, miss, hit)
+        table.add(label, paper, 100 * model.q_threshold(), 8.0)
     return table
 
 
@@ -369,13 +357,13 @@ PAPER_TABLES = (table_3_1, table_3_2, headline_figures, binding_baselines, equat
 Claim = typing.Tuple[str, float]
 
 
-def meta_ttl_sweep(seed: int = 92) -> typing.List[Claim]:
+def meta_ttl_sweep() -> typing.List[Claim]:
     """Twenty Imports 100 ms apart per meta TTL: short TTLs re-pay the
     miss cost on a refresh cadence, long ones amortise it."""
     rows: typing.List[Claim] = []
     for ttl in (200.0, 2_000.0, 3_600_000.0):
         calibration = dataclasses.replace(DEFAULT_CALIBRATION, meta_ttl_ms=ttl)
-        testbed = build_testbed(seed=seed, calibration=calibration)
+        testbed = build_testbed(seed=92, calibration=calibration)
         stack = build_stack(testbed, Arrangement.ALL_LOCAL)
         env = testbed.env
         total = 0.0
@@ -387,7 +375,7 @@ def meta_ttl_sweep(seed: int = 92) -> typing.List[Claim]:
     return rows
 
 
-def locality_sweep(seed: int = 93) -> typing.List[Claim]:
+def locality_sweep() -> typing.List[Claim]:
     """Sixty Zipf-drawn HostAddress lookups over 128 registered names:
     the specialised cache pays off as locality of reference rises."""
     from repro.bind.rr import ResourceRecord
@@ -398,7 +386,7 @@ def locality_sweep(seed: int = 93) -> typing.List[Claim]:
     population = [(HNSName("BIND-cs", name), "HostAddress", {}) for name in names]
     rows: typing.List[Claim] = []
     for s in (0.0, 1.0, 2.0):
-        testbed = build_testbed(seed=seed)
+        testbed = build_testbed(seed=93)
         for i, name in enumerate(names):
             testbed.public_server.zones[0].add(ResourceRecord.a_record(name, f"10.1.0.{i}"))
         env = testbed.env
@@ -414,7 +402,7 @@ def locality_sweep(seed: int = 93) -> typing.List[Claim]:
     return rows
 
 
-def cache_capacity_sweep(seed: int = 97) -> typing.List[Claim]:
+def cache_capacity_sweep() -> typing.List[Claim]:
     """Eighty Zipf lookups over eight names per LRU capacity: an
     undersized cache thrashes, the working-set size restores hits."""
     from repro.bind.cache import ResolverCache
@@ -427,7 +415,7 @@ def cache_capacity_sweep(seed: int = 97) -> typing.List[Claim]:
     ]
     rows: typing.List[Claim] = []
     for capacity in (2, 6, None):
-        testbed = build_testbed(seed=seed)
+        testbed = build_testbed(seed=97)
         env = testbed.env
         cache = ResolverCache(env, capacity=capacity, calibration=testbed.calibration)
         resolver = BindResolver(
@@ -446,7 +434,7 @@ def cache_capacity_sweep(seed: int = 97) -> typing.List[Claim]:
     return rows
 
 
-def clearinghouse_decomposition(seed: int = 99) -> typing.List[Claim]:
+def clearinghouse_decomposition() -> typing.List[Claim]:
     """Footnote 5: 'each access is authenticated, and virtually all data
     is retrieved from disk', turned off one at a time.  The lookup with
     both is the native Clearinghouse row above."""
@@ -462,7 +450,7 @@ def clearinghouse_decomposition(seed: int = 99) -> typing.List[Claim]:
     rows: typing.List[Claim] = []
     for label, overrides in variants.items():
         calibration = dataclasses.replace(DEFAULT_CALIBRATION, **overrides)
-        testbed = build_testbed(seed=seed, calibration=calibration)
+        testbed = build_testbed(seed=99, calibration=calibration)
         client = ClearinghouseClient(
             testbed.client, testbed.tcp, testbed.ch_endpoint, CREDENTIALS
         )
@@ -473,7 +461,7 @@ def clearinghouse_decomposition(seed: int = 99) -> typing.List[Claim]:
     return rows
 
 
-def cache_format_under_load(seed: int = 95) -> typing.List[Claim]:
+def cache_format_under_load() -> typing.List[Claim]:
     """Table 3.2 end to end: with a hot meta cache, a marshalled one
     makes every FindNSM pay demarshalling again."""
     from repro.bind.cache import CacheFormat
@@ -484,7 +472,7 @@ def cache_format_under_load(seed: int = 95) -> typing.List[Claim]:
 
     rows: typing.List[Claim] = []
     for fmt in (CacheFormat.DEMARSHALLED, CacheFormat.MARSHALLED):
-        testbed = build_testbed(seed=seed)
+        testbed = build_testbed(seed=95)
         env = testbed.env
         metastore = MetaStore(
             testbed.client,
@@ -506,7 +494,7 @@ def cache_format_under_load(seed: int = 95) -> typing.List[Claim]:
     return rows
 
 
-def heterogeneity_sweep(seed: int = 94) -> typing.List[Claim]:
+def heterogeneity_sweep() -> typing.List[Claim]:
     """Cold FindNSM and the meta zone with extra system types
     registered: per-query cost stays flat, meta state grows linearly."""
     from repro.bind.rr import ResourceRecord
@@ -516,7 +504,7 @@ def heterogeneity_sweep(seed: int = 94) -> typing.List[Claim]:
 
     rows: typing.List[Claim] = []
     for extra in (0, 4, 12):
-        testbed = build_testbed(seed=seed)
+        testbed = build_testbed(seed=94)
         admin = HnsAdministrator(testbed.make_metastore(testbed.meta_host))
 
         def add_system(i: int) -> typing.Generator[typing.Any, typing.Any, None]:
@@ -550,7 +538,7 @@ def heterogeneity_sweep(seed: int = 94) -> typing.List[Claim]:
     return rows
 
 
-def broadcast_location(seed: int = 96) -> typing.List[Claim]:
+def broadcast_location() -> typing.List[Claim]:
     """One broadcast locate per segment size (§2's rejected multicast
     location): the client barely notices, the segment's CPU grows."""
     from repro.broadcast.locator import (
@@ -566,7 +554,7 @@ def broadcast_location(seed: int = 96) -> typing.List[Claim]:
 
     rows: typing.List[Claim] = []
     for n_hosts in (8, 32, 96):
-        env = Environment(seed=seed)
+        env = Environment(seed=96)
         net = Internetwork(env)
         segment = net.add_segment(latency=ConstantLatency(1.0, 0.0008))
         hosts = [net.add_host(f"h{i}", segment) for i in range(n_hosts)]
@@ -583,7 +571,7 @@ def broadcast_location(seed: int = 96) -> typing.List[Claim]:
     return rows
 
 
-def _makespan(subsystems: int, clients_each: int, centralized: bool, seed: int) -> float:
+def _makespan(subsystems: int, clients_each: int, centralized: bool) -> float:
     """Concurrent lookups against a name server per subsystem, or
     against one server all their data is reregistered into."""
     from repro.bind.resolver import BindResolver
@@ -595,7 +583,7 @@ def _makespan(subsystems: int, clients_each: int, centralized: bool, seed: int) 
     from repro.sim.kernel import Environment
     from repro.sim.latency import ConstantLatency
 
-    env = Environment(seed=seed)
+    env = Environment(seed=101)
     net = Internetwork(env)
     segment = net.add_segment(latency=ConstantLatency(
         DEFAULT_CALIBRATION.wire_base_ms, DEFAULT_CALIBRATION.wire_per_byte_ms
@@ -631,7 +619,7 @@ def _makespan(subsystems: int, clients_each: int, centralized: bool, seed: int) 
     return max(done)
 
 
-def load_distribution(seed: int = 101) -> typing.List[Claim]:
+def load_distribution() -> typing.List[Claim]:
     """§1/§2: 'the processing load is naturally distributed among the
     subsystems', against one reregistered store every client queues on."""
     rows: typing.List[Claim] = []
@@ -640,7 +628,7 @@ def load_distribution(seed: int = 101) -> typing.List[Claim]:
             shape = "centralized" if centralized else "distributed"
             rows.append((
                 f"makespan {subsystems} x {clients_each} clients: {shape}",
-                _makespan(subsystems, clients_each, centralized, seed),
+                _makespan(subsystems, clients_each, centralized),
             ))
     return rows
 
@@ -741,6 +729,92 @@ def claims_table(rows: typing.Sequence[Claim]) -> str:
         ["quantity", "measured"],
         [(label, _fmt_cell(value)) for label, value in rows],
         title="== The paper's arguments without a figure, measured ==",
+    )
+
+
+#: The calibration constants that move no paper row, and where each
+#: acts instead; tier-1 holds this map to the matrix.
+UNCONSTRAINED = {
+    "courier_binder_server_ms": "the Courier binding agent's exchange "
+    "(examples/hrpc_binding_walkthrough.py)",
+    "meta_ttl_ms": "the TTL of meta records and Clearinghouse NSM answers "
+    "(the meta TTL sweep above; the fast_path grid's meta_ttl knob)",
+}
+
+#: A paper row moves when a raised constant shifts it by more than this;
+#: an exact test would count float residue as movement.
+MOVE_TOLERANCE = 1e-9
+
+
+def _paper_rows(
+    knobs: typing.Mapping[str, typing.Any], seed: int, smoke: bool
+) -> RunOutput:
+    """Every ``PAPER_TABLES`` row, measured under the knobs' calibration."""
+    calibration = dataclasses.replace(DEFAULT_CALIBRATION, **knobs)
+    return RunOutput({
+        f"{build.__name__}: {row.label}": row.measured
+        for build in PAPER_TABLES
+        for row in build(calibration).rows
+    })
+
+
+def calibration_matrix() -> typing.Tuple[
+    typing.List[str], typing.Dict[str, typing.List[str]]
+]:
+    """Every paper row (``"<builder>: <label>"``) and, per
+    :class:`Calibration` field, the rows it moves when the ablation
+    engine raises it on its own by 10 % (a count by 1).  A run that
+    raises fails the matrix."""
+    knobs = []
+    for field in dataclasses.fields(Calibration):
+        value = getattr(DEFAULT_CALIBRATION, field.name)
+        raised = ("+1", value + 1) if isinstance(value, int) else ("+10%", value * 1.1)
+        knobs.append(Knob(field.name, ("default", value), (raised,)))
+    study = AblationStudy(GridDef("calibration", tuple(knobs), _paper_rows))
+    results = study.execute()
+    for result in results:
+        if not result.ok:
+            raise RuntimeError(f"calibration run {result.spec.key} failed:\n{result.error}")
+    importance = study.importance(results)
+    rows = list(results[0].metrics)
+    moved: typing.Dict[str, typing.List[str]] = {}
+    for knob in knobs:
+        deltas = importance[f"{knob.name}={knob.variants[0][0]}"]
+        moved[knob.name] = [
+            row for row in rows if abs(deltas[row]["delta"]) > MOVE_TOLERANCE
+        ]
+    return rows, moved
+
+
+def calibration_table(
+    rows: typing.Sequence[str], moved: typing.Mapping[str, typing.Sequence[str]]
+) -> str:
+    """The matrix, a line per constant: its value, then the rows it moves
+    per paper table, or else its ``UNCONSTRAINED`` entry."""
+    builders = [build.__name__ for build in PAPER_TABLES]
+
+    def per_table(hit: typing.Sequence[str]) -> typing.List[str]:
+        return [str(sum(row.startswith(f"{name}: ") for row in hit)) for name in builders]
+
+    lines = [
+        [name, getattr(DEFAULT_CALIBRATION, name)]
+        + (per_table(hit) + [""] if hit else ["-"] * len(builders) + [UNCONSTRAINED.get(name, "?")])
+        for name, hit in moved.items()
+    ]
+    unmoved = [row for row in rows if not any(row in hit for hit in moved.values())]
+    table = format_table(
+        ["constant", "value"]
+        + [f"{name} ({count})" for name, count in zip(builders, per_table(rows))]
+        + ["moves no paper row; acts in"],
+        lines,
+        title="== Calibration — paper rows each constant moves ==",
+    )
+    return (
+        f"{table}\n\nEach constant raised on its own (+10 %, a count +1); a row "
+        f"moves when it shifts by more than {MOVE_TOLERANCE:g}.  "
+        f"{sum(map(bool, moved.values()))} of {len(moved)} constants move at "
+        f"least one of {len(rows)} paper rows; rows no constant moves: "
+        f"{', '.join(unmoved) or 'none'}."
     )
 
 
@@ -872,6 +946,8 @@ def generate_report(ablation_dir: typing.Optional[str] = None) -> str:
         "",
         *(part for build in PAPER_TABLES for part in (build().render(), "")),
         claims_table([row for build in CLAIMS for row in build()]),
+        "",
+        calibration_table(*calibration_matrix()),
         "",
         ablation_tables(ablation_dir),
         "",

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import typing
 
-from repro.harness.calibration import Calibration, DEFAULT_CALIBRATION
 from repro.hrpc.server import HrpcServer, RpcReply
 from repro.net.host import Host
 
@@ -27,12 +26,10 @@ class FileServer:
         self,
         host: Host,
         volumes: typing.Sequence[str] = (),
-        calibration: Calibration = DEFAULT_CALIBRATION,
         port: int = FILE_PORT,
     ):
         self.host = host
         self.env = host.env
-        self.calibration = calibration
         self._volumes: typing.Dict[str, typing.Dict[str, bytes]] = {
             v: {} for v in volumes
         }

@@ -81,15 +81,9 @@ class CourierBinder(Service):
 class CourierBinderClient:
     """Client side of the Courier binding protocol (one stream exchange)."""
 
-    def __init__(
-        self,
-        host: Host,
-        transport: Transport,
-        calibration: Calibration = DEFAULT_CALIBRATION,
-    ):
+    def __init__(self, host: Host, transport: Transport):
         self.host = host
         self.transport = transport
-        self.calibration = calibration
 
     def locate(self, server_address, service: str) -> typing.Generator:
         endpoint = Endpoint(server_address, WELL_KNOWN_PORTS["courier-binder"])

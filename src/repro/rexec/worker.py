@@ -5,7 +5,6 @@ from __future__ import annotations
 import hashlib
 import typing
 
-from repro.harness.calibration import Calibration, DEFAULT_CALIBRATION
 from repro.hrpc.server import HrpcServer, RpcReply
 from repro.net.host import Host
 
@@ -46,13 +45,11 @@ class RexecServer:
     def __init__(
         self,
         host: Host,
-        calibration: Calibration = DEFAULT_CALIBRATION,
         port: int = REXEC_PORT,
         jobs: typing.Optional[typing.Mapping[str, typing.Tuple]] = None,
     ):
         self.host = host
         self.env = host.env
-        self.calibration = calibration
         self.jobs = dict(jobs if jobs is not None else JOB_CATALOGUE)
         self.completed = 0
         self.server = HrpcServer(host, name=f"rexec@{host.name}")

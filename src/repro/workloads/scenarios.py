@@ -419,7 +419,7 @@ def build_stack(
         hns = testbed.make_hns(agent_host, policies=policies)
         nsm = binding_nsm_for(agent_host)
         hns.link_local_nsm(nsm)
-        agent_stub = NsmStub(agent_host, calibration=cal)
+        agent_stub = NsmStub(agent_host)
         agent_stub.link_local(nsm)
         server = HrpcServer(agent_host, name="agent")
         serve_agent(hns, server, agent_stub)
@@ -457,7 +457,7 @@ def build_stack(
     # client-side HNS too), or served from the NSM host.
     nsm_host = testbed.nsm_host if remote_nsms else client
     nsm = binding_nsm_for(nsm_host)
-    stub = NsmStub(client, runtime, calibration=cal)
+    stub = NsmStub(client, runtime)
     if remote_nsms:
         nsm_server = HrpcServer(nsm_host, name="nsm-service")
         serve_nsm(nsm_server, nsm)

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.core import ColocationModel, HNSName, HnsAdministrator
-from repro.core.model import preload_breakeven_calls
 from repro.core.nsms import BindHostAddressNSM
 from repro.workloads.scenarios import BIND_NS
 
@@ -27,32 +26,9 @@ def test_q_threshold_matches_paper_nsm_case():
     assert model.q_threshold() == pytest.approx(0.42, abs=0.01)
 
 
-def test_costs_cross_exactly_at_threshold():
-    model = ColocationModel(remote_call_ms=40, cache_miss_ms=500, cache_hit_ms=100)
-    q = model.q_threshold()
-    p = 0.3
-    assert model.remote_cost(p, q) == pytest.approx(model.local_cost(p))
-    assert model.remote_preferable(p, q + 0.01)
-    assert not model.remote_preferable(p, q - 0.01)
-
-
 def test_model_validation():
     with pytest.raises(ValueError):
         ColocationModel(33, cache_miss_ms=100, cache_hit_ms=100)
-    model = ColocationModel(33, 500, 100)
-    with pytest.raises(ValueError):
-        model.local_cost(1.5)
-    with pytest.raises(ValueError):
-        model.remote_cost(0.9, 0.2)  # p+q > 1
-
-
-def test_preload_breakeven_is_about_two_calls():
-    """'preloading seems to be effective in situations where two or more
-    calls to the HNS for different context/query classes will be made.'"""
-    calls = preload_breakeven_calls(preload_ms=390, miss_ms=287.7, hit_ms=7.0)
-    assert 1.0 < calls < 2.0
-    with pytest.raises(ValueError):
-        preload_breakeven_calls(390, 10, 10)
 
 
 # ----------------------------------------------------------------------

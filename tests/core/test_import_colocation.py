@@ -30,13 +30,13 @@ def test_import_works_in_every_arrangement(arrangement):
 @pytest.mark.parametrize("arrangement", list(Arrangement))
 def test_table_3_1_cells_within_8_percent(arrangement):
     """Every measured cell lands within 8% of the paper's Table 3.1."""
-    measured = measure_table_3_1_row(arrangement, seed=3)
+    measured = measure_table_3_1_row(arrangement)
     assert measured == pytest.approx(PAPER_TABLE_3_1[arrangement], rel=0.08)
 
 
 def test_table_3_1_row_1_exact():
     """Row 1 (everything colocated) is the calibration anchor: exact."""
-    measured = measure_table_3_1_row(Arrangement.ALL_LOCAL, seed=3)
+    measured = measure_table_3_1_row(Arrangement.ALL_LOCAL)
     assert measured == pytest.approx(
         PAPER_TABLE_3_1[Arrangement.ALL_LOCAL], rel=0.005
     )
@@ -45,7 +45,7 @@ def test_table_3_1_row_1_exact():
 def test_column_ordering_always_holds():
     """Miss > HNS-hit > both-hit, in every arrangement (the table's shape)."""
     for arrangement in Arrangement:
-        a, b, c = measure_table_3_1_row(arrangement, seed=3)
+        a, b, c = measure_table_3_1_row(arrangement)
         assert a > b > c, arrangement
 
 
@@ -55,7 +55,7 @@ def test_colocation_saves_less_than_caching():
     colA->colC (caching)."""
     cells = {}
     for arrangement in (Arrangement.ALL_LOCAL, Arrangement.ALL_REMOTE):
-        cells[arrangement] = measure_table_3_1_row(arrangement, seed=3)
+        cells[arrangement] = measure_table_3_1_row(arrangement)
     colocation_gain = cells[Arrangement.ALL_REMOTE][0] - cells[Arrangement.ALL_LOCAL][0]
     caching_gain = cells[Arrangement.ALL_REMOTE][0] - cells[Arrangement.ALL_REMOTE][2]
     assert caching_gain > 3 * colocation_gain

@@ -89,13 +89,11 @@ def test_every_public_class_and_function_documented():
     assert not undocumented, undocumented
 
 
-def test_results_md_is_the_generated_report():
+def test_results_md_is_the_generated_report(generated_report):
     """RESULTS.md is the report's output, byte for byte, and shows every
     metric of every committed grid artifact."""
-    from repro.harness.report import generate_report
-
     results = read("RESULTS.md")
-    assert results == generate_report(str(ROOT)) + "\n"
+    assert results == generated_report + "\n"
     for path in ROOT.glob("BENCH_ablation_*.json"):
         for run in json.loads(path.read_text(encoding="utf-8"))["runs"]:
             for metric in run["metrics"]:

@@ -45,11 +45,6 @@ def test_calibration_is_frozen_and_overridable():
     assert DEFAULT_CALIBRATION.meta_bind_lookup_ms != 99
 
 
-def test_calibration_derived_cache_hit_matches_table_3_2():
-    assert DEFAULT_CALIBRATION.derived_cache_hit_ms(1) == pytest.approx(0.83)
-    assert DEFAULT_CALIBRATION.derived_cache_hit_ms(6) == pytest.approx(1.22)
-
-
 def test_clearinghouse_cost_decomposition_sums_to_about_156():
     cal = DEFAULT_CALIBRATION
     server_side = (

@@ -1,15 +1,19 @@
 """The consolidated reproduction report: every paper figure within its bound."""
 
+import dataclasses
 import json
 
 import pytest
 
+from repro.harness import report
+from repro.harness.calibration import Calibration
 from repro.harness.report import (
     CLAIMS,
     PAPER_TABLES,
+    UNCONSTRAINED,
     ablation_tables,
+    calibration_table,
     claims_table,
-    generate_report,
     main,
     table_3_1,
 )
@@ -139,23 +143,42 @@ def test_argued_relations(tables, claims):
     ]
 
 
-def test_generate_report_contains_all_sections(tables, claims):
-    report = generate_report()
+def test_generate_report_contains_all_sections(
+    tables, claims, calibration_matrix, generated_report
+):
     for table in tables.values():
-        assert table.render() in report
-    assert claims_table(claims) in report
+        assert table.render() in generated_report
+    assert claims_table(claims) in generated_report
+    assert calibration_table(*calibration_matrix) in generated_report
 
 
-def test_main_writes_file(tmp_path, capsys):
+def test_every_calibration_constant_earns_a_figure(tables, calibration_matrix):
+    """A constant moves a paper row, or UNCONSTRAINED says where it acts;
+    an UNCONSTRAINED entry names a field that moves none."""
+    rows, moved = calibration_matrix
+    fields = [field.name for field in dataclasses.fields(Calibration)]
+    assert list(moved) == fields
+    assert len(rows) == sum(len(table.rows) for table in tables.values())
+    assert [name for name in UNCONSTRAINED if name not in moved] == []
+    assert [name for name in UNCONSTRAINED if moved.get(name)] == []
+    assert [name for name in fields if not moved[name] and name not in UNCONSTRAINED] == []
+
+
+@pytest.fixture
+def stub_report(monkeypatch):
+    monkeypatch.setattr(report, "generate_report", lambda: "== Table 3.1 ==")
+
+
+def test_main_writes_file(tmp_path, capsys, stub_report):
     target = tmp_path / "results.md"
     assert main([str(target)]) == 0
     assert "wrote" in capsys.readouterr().out
-    assert "Table 3.1" in target.read_text()
+    assert target.read_text() == "== Table 3.1 ==\n"
 
 
-def test_main_prints_to_stdout(capsys):
+def test_main_prints_to_stdout(capsys, stub_report):
     assert main([]) == 0
-    assert "Table 3.1" in capsys.readouterr().out
+    assert capsys.readouterr().out == "== Table 3.1 ==\n"
 
 
 def test_ablation_tables_renders_artifacts(tmp_path):

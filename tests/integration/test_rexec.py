@@ -25,17 +25,17 @@ def rexec_world():
     workers = {}
     # Sun-side workers register with their portmappers.
     for host in (testbed.fiji, testbed.june):
-        worker = RexecServer(host, calibration=testbed.calibration)
+        worker = RexecServer(host)
         pm = host.service_at(111)
         if pm is None:
             from repro.hrpc import Portmapper
 
-            pm = Portmapper(host, calibration=testbed.calibration)
+            pm = Portmapper(host)
             pm.listen()
         pm.register_local(REXEC_PROGRAM, worker.endpoint.port)
         workers[host.name] = worker
     # Xerox-side worker advertises with the Courier binder.
-    worker = RexecServer(testbed.dlion, calibration=testbed.calibration)
+    worker = RexecServer(testbed.dlion)
     testbed.dlion.service_at(5002).advertise_local(
         REXEC_PROGRAM, worker.endpoint.port
     )
