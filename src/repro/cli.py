@@ -152,15 +152,20 @@ def build_parser() -> argparse.ArgumentParser:
         prog="repro.cli",
         description="Drive the simulated HCS Name Service (SOSP 1987 reproduction).",
     )
-    parser.add_argument("--seed", type=int, default=0, help="simulation seed")
     sub = parser.add_subparsers(dest="command", required=True)
+    # Only the commands that build a testbed take a seed: on any other
+    # it would be ignored, so there it is a usage error.
+    seeded = argparse.ArgumentParser(add_help=False)
+    seeded.add_argument("--seed", type=int, default=0, help="simulation seed")
 
-    p_import = sub.add_parser("import", help="HRPC Import through the HNS")
+    p_import = sub.add_parser(
+        "import", parents=[seeded], help="HRPC Import through the HNS"
+    )
     p_import.add_argument("service", help="service name, e.g. DesiredService")
     p_import.add_argument("hns_name", help="HNS name, e.g. 'BIND-cs::fiji.cs.washington.edu'")
     p_import.set_defaults(func=cmd_import)
 
-    p_resolve = sub.add_parser("resolve", help="FindNSM + NSM query")
+    p_resolve = sub.add_parser("resolve", parents=[seeded], help="FindNSM + NSM query")
     p_resolve.add_argument("hns_name")
     p_resolve.add_argument(
         "query_class",
@@ -172,7 +177,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_table = sub.add_parser("table31", help="regenerate Table 3.1")
     p_table.set_defaults(func=cmd_table31)
 
-    p_trace = sub.add_parser("trace", help="traced Import (Figure 2.1 style)")
+    p_trace = sub.add_parser(
+        "trace", parents=[seeded], help="traced Import (Figure 2.1 style)"
+    )
     p_trace.add_argument("service")
     p_trace.add_argument("hns_name")
     p_trace.add_argument(
@@ -186,7 +193,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_trace.set_defaults(func=cmd_trace)
 
-    p_list = sub.add_parser("list", help="browse the registered federation")
+    p_list = sub.add_parser(
+        "list", parents=[seeded], help="browse the registered federation"
+    )
     p_list.set_defaults(func=cmd_list)
 
     p_bench = sub.add_parser("bench", help="run an ablation grid")

@@ -18,6 +18,10 @@ from repro.sim.resources import CPU, Disk
 if typing.TYPE_CHECKING:  # pragma: no cover
     from repro.net.messages import Datagram
 
+_new = object.__new__
+#: a frozen dataclass's fields are set the way its own ``__init__`` sets them
+_setattr = object.__setattr__
+
 
 class Service:
     """Base class for anything bound to a host port.
@@ -131,12 +135,15 @@ class Host:
         return endpoint
 
     def ephemeral_endpoint(self) -> Endpoint:
-        """A fresh client-side endpoint (for reply routing)."""
+        """A fresh client-side endpoint (for reply routing), built in
+        place: its port is valid by construction, so no constructor
+        frame checks it."""
         port = self._next_ephemeral
-        self._next_ephemeral += 1
-        if self._next_ephemeral > 65535:
-            self._next_ephemeral = 32768
-        return Endpoint(self.address, port)
+        self._next_ephemeral = port + 1 if port < 65535 else 32768
+        endpoint = _new(Endpoint)
+        _setattr(endpoint, "address", self.address)
+        _setattr(endpoint, "port", port)
+        return endpoint
 
     def __repr__(self) -> str:
         state = "up" if self._up else "DOWN"

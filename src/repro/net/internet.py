@@ -41,11 +41,9 @@ class Internetwork:
         # this run alone, or traced loss lines ("lost: Datagram#N ...")
         # would differ between same-seed runs in one process and break
         # the determinism gate.
-        self._msg_ids = itertools.count(1)
-
-    def next_msg_id(self) -> int:
-        """The next wire-message id (transports stamp each Datagram)."""
-        return next(self._msg_ids)
+        #: The next wire-message id (transports stamp each Datagram):
+        #: the counter's own ``__next__``, so a stamp is one C call.
+        self.next_msg_id: typing.Callable[[], int] = itertools.count(1).__next__
 
     # ------------------------------------------------------------------
     # Topology construction
@@ -100,18 +98,49 @@ class Internetwork:
     # ------------------------------------------------------------------
     # Routing
     # ------------------------------------------------------------------
-    def _route(
+    def segment_of(self, address: typing.Union[str, NetworkAddress]) -> Ethernet:
+        """The segment ``address`` is attached to, or NoRouteToHost."""
+        segment = self._segment_of.get(getattr(address, "dotted", address))
+        if segment is None:
+            raise NoRouteToHost(str(address))
+        return segment
+
+    def hop(
         self,
         src: typing.Union[str, NetworkAddress],
         dst: typing.Union[str, NetworkAddress],
-    ) -> typing.Tuple[Ethernet, int]:
-        """(first segment, gateway hops) for src -> dst, or NoRouteToHost."""
-        src_seg = self._segment_of.get(getattr(src, "dotted", src))
-        dst_seg = self._segment_of.get(getattr(dst, "dotted", dst))
+        size_bytes: int,
+        lossy: bool = True,
+    ) -> typing.Tuple[bool, float]:
+        """One message's trip from ``src`` to ``dst``: (lost on the wire,
+        sampled one-way delay), or NoRouteToHost.
+
+        The route is resolved once.  A ``lossy`` message (a datagram)
+        draws each segment's loss decision in route order, the far one
+        only if the near one kept it; then every message draws each
+        segment's delay, plus a gateway's forwarding delay between two
+        segments.  A reply or a stream's bytes are not lossy: they are
+        never lost and draw no loss decision.
+        """
+        segment_of = self._segment_of
+        src_seg = segment_of.get(getattr(src, "dotted", src))
+        dst_seg = segment_of.get(getattr(dst, "dotted", dst))
         if src_seg is None or dst_seg is None:
             raise NoRouteToHost(f"{src} -> {dst}")
-        hops = 0 if src_seg is dst_seg else 1
-        return src_seg, hops
+        dropped = False
+        if lossy:
+            # A whole segment with no loss configured drops nothing, so
+            # its drop rule is asked only when it could say yes.
+            if src_seg._partition_of or src_seg.drop_probability != 0.0:
+                dropped = src_seg.would_drop(src, dst)
+            if not dropped and src_seg is not dst_seg:
+                dropped = dst_seg.would_drop(src, dst)
+        delay = src_seg.latency.sample(src_seg._jitter, size_bytes)
+        if src_seg is dst_seg:
+            return dropped, delay
+        return dropped, delay + (
+            dst_seg.latency.sample(dst_seg._jitter, size_bytes) + self.gateway_hop_ms
+        )
 
     def path_delay(
         self,
@@ -120,25 +149,7 @@ class Internetwork:
         size_bytes: int,
     ) -> float:
         """Sampled one-way delay between two attached addresses."""
-        segment, hops = self._route(src, dst)
-        delay = segment.delay_for(size_bytes)
-        if hops:
-            dst_seg = self._segment_of[getattr(dst, "dotted", dst)]
-            delay += dst_seg.delay_for(size_bytes) + self.gateway_hop_ms * hops
-        return delay
-
-    def segment_would_drop(
-        self,
-        src: typing.Union[str, NetworkAddress],
-        dst: typing.Union[str, NetworkAddress],
-    ) -> bool:
-        """Loss decision for a datagram along the route."""
-        segment, hops = self._route(src, dst)
-        if segment.would_drop(src, dst):
-            return True
-        if hops:
-            return self._segment_of[getattr(dst, "dotted", dst)].would_drop(src, dst)
-        return False
+        return self.hop(src, dst, size_bytes, lossy=False)[1]
 
     def same_host(self, a: typing.Union[str, NetworkAddress], b: typing.Union[str, NetworkAddress]) -> bool:
         return str(a) == str(b)

@@ -26,6 +26,15 @@ process of its own; the handler is 1 process when ``handle`` returns a
 generator and 0 when it returns ``None``.  A stream adds its connect; a
 broadcast is 1 entry per arrival instant (per run of same-delay
 targets), and 1 or 0 processes per target likewise.
+
+Host budget: an exchange's wire values — the attempt's
+:class:`Datagram`, the ephemeral reply :class:`Endpoint`, the
+:class:`_Call`, the :class:`_Exchange` and a broadcast's collectors —
+are filled in place, with no constructor frame; their checks (a
+message's size) are made once, at :meth:`Transport.request`,
+:meth:`~Transport.send` and :meth:`DatagramTransport.broadcast`.  A hop
+resolves its route once: :meth:`~repro.net.internet.Internetwork.hop`
+returns its loss decision and its sampled delay.
 """
 
 from __future__ import annotations
@@ -44,6 +53,9 @@ from repro.net.host import Host
 from repro.net.messages import Datagram
 from repro.net.addresses import Endpoint
 from repro.sim.events import _PENDING, Event
+
+#: an instance with no ``__init__`` run: its fields are filled in place
+_new = object.__new__
 
 if typing.TYPE_CHECKING:  # pragma: no cover
     from repro.net.internet import Internetwork
@@ -69,7 +81,8 @@ class _Call(Event):
     Its attempts are timed callbacks on the transport that made it; the
     reply succeeds it, and a network failure or the remote service's
     exception fails it.  ``datagram`` is the current attempt's, and only
-    a reply to its ``msg_id`` is taken.
+    a reply to its ``msg_id`` is taken.  :meth:`Transport.request` is the
+    one place a call is built (filled in place).
     """
 
     __slots__ = (
@@ -83,29 +96,17 @@ class _Call(Event):
         "datagram",
     )
 
-    def __init__(
-        self,
-        env: "Environment",
-        src_host: Host,
-        destination: Endpoint,
-        payload: object,
-        size_bytes: int,
-        deadline: float,
-    ):
-        # Event.__init__ inlined: one call per exchange.
-        self.env = env
-        self.callbacks = []
-        self._value = _PENDING
-        self._exception = None
-        self._defused = False
-        self.src_host = src_host
-        self.destination = destination
-        self.payload = payload
-        self.size_bytes = size_bytes
-        self.deadline = deadline
-        self.reply_to = src_host.ephemeral_endpoint()
-        self.attempt = 0
-        self.datagram: typing.Optional[Datagram] = None
+    src_host: Host
+    destination: Endpoint
+    payload: object
+    size_bytes: int
+    deadline: float
+    reply_to: Endpoint
+    attempt: int
+    datagram: typing.Optional[Datagram]
+
+    def __init__(self, *_args: object, **_kwargs: object):
+        raise TypeError("a _Call is built by Transport.request")
 
     def __iter__(self) -> typing.Generator:
         """``yield from transport.request(...)`` works as ``yield`` does
@@ -127,6 +128,9 @@ class Transport:
 
     #: default request timeout (ms); generous relative to testbed RTTs
     DEFAULT_TIMEOUT_MS = 2000.0
+    #: how long an attempt waits for its reply unless the request says
+    #: otherwise (ms); a datagram transport sets its own
+    retry_timeout_ms = DEFAULT_TIMEOUT_MS
 
     def __init__(self, internet: "Internetwork", name: str):
         self.internet = internet
@@ -162,16 +166,35 @@ class Transport:
 
         The event carries the reply payload, or fails with a network
         error, or with :class:`RemoteCallError` if the remote service
-        itself raised.  A source host that is down raises
-        :class:`HostDown` here, at the call.
+        itself raised.  A negative ``size_bytes`` raises ``ValueError``
+        and a source host that is down :class:`HostDown`, here, at the
+        call.
         """
+        if size_bytes < 0:
+            raise ValueError(f"negative message size: {size_bytes}")
+        env = self.env
+        call = _new(_Call)
+        call.env = env
+        call.callbacks = []
+        call._value = _PENDING
+        call._exception = None
+        call._defused = False
+        call.src_host = src_host
+        call.destination = destination
+        call.payload = payload
+        call.size_bytes = size_bytes
+        call.deadline = self.retry_timeout_ms if timeout_ms is None else timeout_ms
+        call.reply_to = src_host.ephemeral_endpoint()
+        call.attempt = 0
+        call.datagram = None
+        self._start(call)
+        return call
+
+    def _start(self, call: _Call) -> None:
+        """Put a new call on its way."""
         raise NotImplementedError
 
     # -- internals --------------------------------------------------------
-    def _wire_delay(self, src: Host, dst_address: object, size_bytes: int) -> float:
-        """Sampled latency along the route; raises NoRouteToHost."""
-        return self.internet.path_delay(src.address, dst_address, size_bytes)
-
     def _deliver(self, datagram: Datagram, waiter: typing.Optional[Event]) -> None:
         """Run after the wire delay: hand the message to the bound service.
 
@@ -188,14 +211,19 @@ class Transport:
                 "net", f"lost: {datagram} (host down/unknown)", transport=self.name
             )
             return
-        service = dst_host.service_at(datagram.destination.port)
+        service = dst_host.services.get(datagram.destination.port)
         if service is None:
             env.trace.emit(
                 "net", f"lost: {datagram} (no service)", transport=self.name
             )
             return
         self._delivered.increment()
-        exchange = _Exchange(self, datagram, dst_host, waiter)
+        exchange = _new(_Exchange)
+        exchange.transport = self
+        exchange.datagram = datagram
+        exchange.dst_host = dst_host
+        exchange.waiter = waiter
+        exchange.replied = False
         try:
             handler = service.handle(datagram, exchange)
         except Exception as exc:  # noqa: BLE001 - a requester's to hear
@@ -213,22 +241,20 @@ class _Exchange:
 
     Calling it sends the reply back across the wire; :meth:`after` hangs
     a process-less handler's next step on a charge.
+    :meth:`Transport._deliver` is the one place it is built (filled in
+    place).
     """
 
     __slots__ = ("transport", "datagram", "dst_host", "waiter", "replied")
 
-    def __init__(
-        self,
-        transport: Transport,
-        datagram: Datagram,
-        dst_host: Host,
-        waiter: typing.Optional[Event],
-    ):
-        self.transport = transport
-        self.datagram = datagram
-        self.dst_host = dst_host
-        self.waiter = waiter
-        self.replied = False
+    transport: Transport
+    datagram: Datagram
+    dst_host: Host
+    waiter: typing.Optional[Event]
+    replied: bool
+
+    def __init__(self, *_args: object, **_kwargs: object):
+        raise TypeError("an _Exchange is built by Transport._deliver")
 
     def __call__(self, payload: object, size_bytes: int = 0) -> None:
         """Send the reply back across the wire to the requester."""
@@ -238,8 +264,8 @@ class _Exchange:
             raise RuntimeError("service replied twice to one request")
         self.replied = True
         transport = self.transport
-        delay = transport._wire_delay(
-            self.dst_host, self.datagram.source.address, size_bytes
+        _, delay = transport.internet.hop(
+            self.dst_host.address, self.datagram.source.address, size_bytes, False
         )
         transport.env.call_later(delay, self._reply_arrives, payload)
 
@@ -342,6 +368,8 @@ class DatagramTransport(Transport):
         payload: object,
         size_bytes: int = 0,
     ) -> typing.Generator:
+        if size_bytes < 0:
+            raise ValueError(f"negative message size: {size_bytes}")
         if not src_host.is_up:
             raise HostDown(f"source host {src_host.name} is down")
         datagram = Datagram(
@@ -352,10 +380,9 @@ class DatagramTransport(Transport):
             None,
             self.internet.next_msg_id(),
         )
-        segment_drop = self.internet.segment_would_drop(
-            src_host.address, destination.address
+        segment_drop, delay = self.internet.hop(
+            src_host.address, destination.address, size_bytes
         )
-        delay = self._wire_delay(src_host, destination.address, size_bytes)
         yield self.env.timeout(delay)
         if segment_drop:
             self.env.trace.emit("net", f"dropped on wire: {datagram}")
@@ -393,12 +420,14 @@ class DatagramTransport(Transport):
         fault that surfaces from ``run()`` leaves the rest of its run
         undelivered.
         """
+        if size_bytes < 0:
+            raise ValueError(f"negative message size: {size_bytes}")
         if not src_host.is_up:
             raise HostDown(f"source host {src_host.name} is down")
         env = self.env
         src_address = src_host.address
         # Every target is on the source's own segment: that is the route.
-        segment, _ = self.internet._route(src_address, src_address)
+        segment = self.internet.segment_of(src_address)
         would_drop = segment.would_drop
         deliver = self._deliver
         replies: typing.List[object] = []
@@ -408,8 +437,12 @@ class DatagramTransport(Transport):
             for datagram in trip._value:
                 if would_drop(src_address, datagram.destination.address):
                     continue
-                collector = Event(env)
-                collector.callbacks.append(collect)
+                collector = _new(Event)
+                collector.env = env
+                collector.callbacks = [collect]
+                collector._value = _PENDING
+                collector._exception = None
+                collector._defused = False
                 deliver(datagram, collector)
 
         def collect(event):
@@ -433,10 +466,13 @@ class DatagramTransport(Transport):
         for target in segment.hosts:
             if target is src_host:
                 continue
-            datagram = Datagram(
-                ephemeral_endpoint(), target.endpoint(port),
-                payload, size_bytes, None, next_msg_id(),
-            )
+            datagram = _new(Datagram)
+            datagram.source = ephemeral_endpoint()
+            datagram.destination = target.endpoint(port)
+            datagram.payload = payload
+            datagram.size_bytes = size_bytes
+            datagram.reply_to = None
+            datagram.msg_id = next_msg_id()
             delay = delay_for(size_bytes)
             if batched and delay == run_delay:
                 run.append(datagram)
@@ -452,25 +488,6 @@ class DatagramTransport(Transport):
         yield env.timeout(wait_ms)
         return list(replies)
 
-    def request(
-        self,
-        src_host: Host,
-        destination: Endpoint,
-        payload: object,
-        size_bytes: int = 0,
-        timeout_ms: typing.Optional[float] = None,
-    ) -> _Call:
-        call = _Call(
-            self.env,
-            src_host,
-            destination,
-            payload,
-            size_bytes,
-            timeout_ms if timeout_ms is not None else self.retry_timeout_ms,
-        )
-        self._attempt(call)
-        return call
-
     def _attempt(self, call: _Call) -> None:
         """Put the call's next attempt on the wire: a fresh message, its
         loss decided now and its landing a timed callback."""
@@ -480,17 +497,17 @@ class DatagramTransport(Transport):
         destination = call.destination
         internet = self.internet
         call.attempt += 1
-        call.datagram = Datagram(
-            call.reply_to,
-            destination,
-            call.payload,
-            call.size_bytes,
-            call.reply_to,
-            internet.next_msg_id(),
-        )
-        dropped = internet.segment_would_drop(src_host.address, destination.address)
-        delay = self._wire_delay(src_host, destination.address, call.size_bytes)
+        call.datagram = datagram = _new(Datagram)
+        datagram.source = call.reply_to
+        datagram.destination = destination
+        datagram.payload = call.payload
+        datagram.size_bytes = size_bytes = call.size_bytes
+        datagram.reply_to = call.reply_to
+        datagram.msg_id = internet.next_msg_id()
+        dropped, delay = internet.hop(src_host.address, destination.address, size_bytes)
         self.env.call_later(delay, self._dropped if dropped else self._landed, call)
+
+    _start = _attempt
 
     def _landed(self, trip: Event) -> None:
         call: _Call = trip._value  # type: ignore[assignment]
@@ -539,8 +556,10 @@ class StreamTransport(Transport):
         """Connection setup: one sampled round trip."""
         if not src_host.is_up:
             raise HostDown(f"source host {src_host.name} is down")
-        return self._wire_delay(src_host, destination.address, 64) + self._wire_delay(
-            src_host, destination.address, 64
+        hop = self.internet.hop
+        return (
+            hop(src_host.address, destination.address, 64, False)[1]
+            + hop(src_host.address, destination.address, 64, False)[1]
         )
 
     def _refusal(self, destination: Endpoint) -> typing.Optional[NetworkError]:
@@ -567,6 +586,8 @@ class StreamTransport(Transport):
         payload: object,
         size_bytes: int = 0,
     ) -> typing.Generator:
+        if size_bytes < 0:
+            raise ValueError(f"negative message size: {size_bytes}")
         yield self.env.timeout(self._connect_rtt(src_host, destination))
         refusal = self._refusal(destination)
         if refusal is not None:
@@ -580,33 +601,17 @@ class StreamTransport(Transport):
             self.internet.next_msg_id(),
         )
         yield self.env.timeout(
-            self._wire_delay(src_host, destination.address, size_bytes)
+            self.internet.path_delay(src_host.address, destination.address, size_bytes)
         )
         died = self._died(destination)
         if died is not None:
             raise died
         self._deliver(datagram, None)
 
-    def request(
-        self,
-        src_host: Host,
-        destination: Endpoint,
-        payload: object,
-        size_bytes: int = 0,
-        timeout_ms: typing.Optional[float] = None,
-    ) -> _Call:
-        call = _Call(
-            self.env,
-            src_host,
-            destination,
-            payload,
-            size_bytes,
-            timeout_ms if timeout_ms is not None else self.DEFAULT_TIMEOUT_MS,
-        )
+    def _start(self, call: _Call) -> None:
         self.env.call_later(
-            self._connect_rtt(src_host, destination), self._connected, call
+            self._connect_rtt(call.src_host, call.destination), self._connected, call
         )
-        return call
 
     def _connected(self, trip: Event) -> None:
         call: _Call = trip._value  # type: ignore[assignment]
@@ -616,16 +621,17 @@ class StreamTransport(Transport):
         if refusal is not None:
             call.fail_now(refusal)
             return
-        call.datagram = Datagram(
-            call.reply_to,
-            call.destination,
-            call.payload,
-            call.size_bytes,
-            call.reply_to,
-            self.internet.next_msg_id(),
-        )
-        delay = self._wire_delay(
-            call.src_host, call.destination.address, call.size_bytes
+        internet = self.internet
+        destination = call.destination
+        call.datagram = datagram = _new(Datagram)
+        datagram.source = call.reply_to
+        datagram.destination = destination
+        datagram.payload = call.payload
+        datagram.size_bytes = size_bytes = call.size_bytes
+        datagram.reply_to = call.reply_to
+        datagram.msg_id = internet.next_msg_id()
+        _, delay = internet.hop(
+            call.src_host.address, destination.address, size_bytes, False
         )
         self.env.call_later(delay, self._transferred, call)
 

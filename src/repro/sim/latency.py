@@ -45,4 +45,6 @@ class UniformLatency(LatencyModel):
         self.per_byte_ms = float(per_byte_ms)
 
     def sample(self, rng: random.Random, size_bytes: int = 0) -> float:
-        return rng.uniform(self.low_ms, self.high_ms) + self.per_byte_ms * size_bytes
+        # random.uniform's own formula, without its frame: the same bits
+        low = self.low_ms
+        return low + (self.high_ms - low) * rng.random() + self.per_byte_ms * size_bytes

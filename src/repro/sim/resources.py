@@ -35,12 +35,14 @@ BACKGROUND_PATIENCE = 40.0
 class Charge(Event):
     """One :meth:`Resource.use`: a claim the resource itself drives.
 
-    It carries its service time; the resource takes the unit when the
-    charge's turn comes, holds for ``remaining`` ms (a background charge
-    in slices) and frees the unit, and whoever yields the charge is
-    woken once, when all that is over.  A charge triggers by becoming
-    the heap entry of its own (last) hold, :meth:`Resource._free` ahead
-    of the waiter's callback, so the unit is free before the waiter runs.
+    It carries its service time; the resource gives it the unit when
+    its turn comes, holds for ``remaining`` ms (a background charge in
+    slices), and whoever yields the charge is woken once, when all that
+    is over.  A charge triggers by becoming the heap entry of its own
+    (last) hold.  The unit is the holder's until that entry is
+    processed, so nothing need run to free it; :meth:`Resource._free`
+    rides on the entry, ahead of the waiter's callback, only when
+    another claim waits to be handed the unit.
 
     :meth:`Resource.use` is the one place a charge is built (its fields
     are set there, with no constructor frame): ``remaining`` is the
@@ -48,10 +50,9 @@ class Charge(Event):
     background charge turns foreground (infinite for a foreground one).
     """
 
-    __slots__ = ("resource", "held", "deadline", "remaining")
+    __slots__ = ("resource", "deadline", "remaining")
 
     resource: "Resource"
-    held: bool
     deadline: float
     remaining: float
 
@@ -60,20 +61,25 @@ class Charge(Event):
         (the heap entry then pops with nothing to do) — or nothing, when
         the hold ended between ``interrupt()`` and its delivery."""
         if self.callbacks is not None:
-            if self._value is not _PENDING:
-                self.callbacks.remove(self.resource._free)
             self.resource._release(self)
 
 
 class Resource:
-    """A fixed-capacity resource with a FIFO lane and an idle-time lane.
+    """A single-unit device with a FIFO lane and an idle-time lane.
 
     Usage inside a process is ``yield resource.use(service_time)``: the
-    resource acquires a unit, holds it and frees it.
+    charge takes the unit, holds it and lets it go.
+
+    One charge holds the unit at a time, and :attr:`_holder` names it:
+    the unit is busy while the holder's charge is unprocessed.  An
+    uncontended charge is one heap entry whose only callback is its
+    waiter's; a claim that has to wait puts :meth:`_free` on the
+    holder's entry (once per hold, :attr:`_armed`), which hands the unit
+    on when the hold ends.
 
     **Foreground** requests are served FIFO.  **Background** requests
     (``use(..., background=True)``) model a low-priority thread: one is
-    granted only when a unit is free *and still free* once everything
+    granted only when the unit is free *and still free* once everything
     else scheduled for that instant has run (a zero-delay idle check, so
     a foreground operation's back-to-back charges are never split); it
     holds in slices of :data:`BACKGROUND_SLICE_MS` and, between slices,
@@ -82,13 +88,15 @@ class Resource:
     :data:`BACKGROUND_PATIENCE` times its cost joins the foreground FIFO.
     """
 
-    def __init__(self, env: "Environment", capacity: int = 1, name: str = ""):
-        if capacity < 1:
-            raise ValueError(f"capacity must be >= 1, got {capacity}")
+    def __init__(self, env: "Environment", name: str = ""):
         self.env = env
-        self.capacity = capacity
         self.name = name
-        self._in_use = 0
+        #: the charge that holds the unit, or last held it: the unit is
+        #: busy while this charge is unprocessed
+        self._holder: typing.Optional[Charge] = None
+        #: the holder's hold ends in :meth:`_free` (a background hold
+        #: always does; a foreground one once a claim waits behind it)
+        self._armed = False
         self._waiting: typing.Deque[Charge] = collections.deque()
         self._background: typing.Deque[Charge] = collections.deque()
         #: no background charge's deadline is earlier than this, so
@@ -98,7 +106,9 @@ class Resource:
 
     @property
     def in_use(self) -> int:
-        return self._in_use
+        """1 while a charge holds the unit, else 0."""
+        holder = self._holder
+        return int(holder is not None and holder.callbacks is not None)
 
     @property
     def queue_length(self) -> int:
@@ -125,35 +135,50 @@ class Resource:
         charge._exception = None
         charge._defused = False
         charge.resource = self
-        charge.held = False
         charge.remaining = service_ms
-        if background and service_ms > 0:
+        holder = self._holder
+        if holder is not None and holder.callbacks is not None:
+            # Busy: queue, and make sure the hold ends by handing on.
+            if background and service_ms > 0:
+                deadline = env._now + BACKGROUND_PATIENCE * max(service_ms, 1.0)
+                charge.deadline = deadline
+                if deadline < self._next_deadline:
+                    self._next_deadline = deadline
+                self._background.append(charge)
+            else:
+                charge.deadline = _INF
+                self._waiting.append(charge)
+            if not self._armed:
+                self._armed = True
+                holder.callbacks.insert(0, self._free)
+        elif service_ms <= 0:
+            # Nothing to hold: over before it is yielded.
+            charge.deadline = _INF
+            self._free()
+            charge.succeed_now()
+        elif background:
             deadline = env._now + BACKGROUND_PATIENCE * max(service_ms, 1.0)
             charge.deadline = deadline
             if deadline < self._next_deadline:
                 self._next_deadline = deadline
             self._background.append(charge)
-            if self._in_use < self.capacity:
-                self._schedule_idle_check()
-            return charge
-        charge.deadline = _INF
-        if self._in_use >= self.capacity:
-            self._waiting.append(charge)
-        elif service_ms > 0:
+            self._schedule_idle_check()
+        else:
             # Uncontended, as most charges are: the charge is the heap
-            # entry of its whole hold.
-            self._in_use += 1
-            charge.held = True
+            # entry of its whole hold, and nothing runs when it ends
+            # unless background work waits for the unit (its idle check
+            # is pending, as it arrived while the unit was free).
+            charge.deadline = _INF
+            self._holder = charge
             charge._value = None
-            charge.callbacks.append(self._free)
+            if self._background:
+                self._armed = True
+                charge.callbacks.append(self._free)
+            else:
+                self._armed = False
             eid = env._eid
             env._eid = eid + 1
             env._push((env._now + service_ms, eid, charge))
-        else:
-            # Nothing to hold: over before it is yielded.
-            self._in_use += 1
-            self._free()
-            charge.succeed_now()
         return charge
 
     def _hold(self, charge: Charge) -> None:
@@ -174,14 +199,13 @@ class Resource:
     def _on_slice_end(self, timer: Event) -> None:
         charge = timer._value
         assert isinstance(charge, Charge)
-        if not charge.held:
+        if self._holder is not charge:
             return  # its waiter was interrupted mid-slice
         if not self._waiting:
             self._hold(charge)
             return
         # Give way: the freed unit goes to the foreground waiter, and
         # the charge queues again ahead of later background arrivals.
-        charge.held = False
         self._free()
         if self.env._now < charge.deadline:
             self._background.appendleft(charge)
@@ -189,10 +213,15 @@ class Resource:
                 self._next_deadline = charge.deadline
         else:
             self._waiting.append(charge)
+        if not self._armed:  # the new holder's hold hands on to this one
+            self._armed = True
+            self._holder.callbacks.insert(0, self._free)  # type: ignore[union-attr]
 
     def _release(self, charge: Charge) -> None:
-        if charge.held:
-            charge.held = False
+        if self._holder is charge:
+            if self._armed and charge._value is not _PENDING:
+                # its last hold's entry will pop with nothing to do
+                charge.callbacks.remove(self._free)  # type: ignore[union-attr]
             self._free()
             return
         for lane in (self._waiting, self._background):
@@ -202,15 +231,16 @@ class Resource:
         raise RuntimeError("a charge that neither holds nor waits for the resource")
 
     def _free(self, _hold: typing.Optional[Event] = None) -> None:
-        """A unit came free: hand it on, foreground first.
+        """The unit came free: hand it on, foreground first.
 
         Background charges whose patience has run out join the
         foreground FIFO first, looked for only once the lane's earliest
         deadline has passed.  A queued foreground charge gets the unit
         and its whole hold here, with the charge as the hold's heap
-        entry; a background charge holds slice by slice.
+        entry (carrying this method again only if a claim still waits);
+        a background charge holds slice by slice.
         """
-        self._in_use -= 1
+        self._holder = None
         background = self._background
         if background and self._next_deadline <= self.env._now:
             self._promote_lapsed()
@@ -220,17 +250,21 @@ class Resource:
                 self._schedule_idle_check()
             return
         charge = waiting.popleft()
-        self._in_use += 1
-        charge.held = True
+        self._holder = charge
         if charge.deadline < _INF:
+            self._armed = True
             self._hold(charge)
+            return
+        env = self.env
+        charge._value = None
+        if waiting or background:
+            self._armed = True
+            charge.callbacks.insert(0, self._free)  # type: ignore[union-attr]
         else:
-            env = self.env
-            charge._value = None
-            charge.callbacks.insert(0, self._free)
-            eid = env._eid
-            env._eid = eid + 1
-            env._push((env._now + charge.remaining, eid, charge))
+            self._armed = False
+        eid = env._eid
+        env._eid = eid + 1
+        env._push((env._now + charge.remaining, eid, charge))
 
     def _promote_lapsed(self) -> None:
         """Move each background charge whose patience has run out to the
@@ -250,10 +284,11 @@ class Resource:
     def _on_idle_check(self, _check: Event) -> None:
         self._idle_check_pending = False
         background = self._background
-        while background and self._in_use < self.capacity:
+        holder = self._holder
+        if background and (holder is None or holder.callbacks is None):
             charge = background.popleft()
-            self._in_use += 1
-            charge.held = True
+            self._holder = charge
+            self._armed = True
             self._hold(charge)
 
 
@@ -268,7 +303,7 @@ class CPU(Resource):
     def __init__(self, env: "Environment", name: str = "", speed_factor: float = 1.0):
         if speed_factor <= 0:
             raise ValueError(f"speed_factor must be positive, got {speed_factor}")
-        super().__init__(env, capacity=1, name=name)
+        super().__init__(env, name=name)
         self.speed_factor = speed_factor
         if speed_factor == 1.0:
             # x / 1.0 == x exactly, so a full-speed charge is use() itself.
@@ -292,7 +327,7 @@ class Disk(Resource):
     ):
         if access_ms < 0 or per_kb_ms < 0:
             raise ValueError("disk parameters must be non-negative")
-        super().__init__(env, capacity=1, name=name)
+        super().__init__(env, name=name)
         self.access_ms = access_ms
         self.per_kb_ms = per_kb_ms
 

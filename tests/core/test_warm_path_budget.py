@@ -80,16 +80,17 @@ def host_and_kernel_cost(make, calls=CALLS):
 @pytest.mark.parametrize(
     "make, max_python_calls, heap_entries",
     [
-        # 96.4 / 66.4 C calls: the batched mappings and the NSM host's
+        # 87.4 / 57.4 C calls: the batched mappings and the NSM host's
         # address are hits read in FindNSM's own frames, each yielding
-        # its probe and copy charges inline, and the binding is the memo
-        pytest.param(find_nsm(FAST_PATH), 100, 9, id="fast-path"),
-        # 184.5 / 97.5: six sequential mappings, each a hit in the meta
+        # its probe and copy charges inline (a charge nobody waits
+        # behind runs nothing when it ends), and the binding is the memo
+        pytest.param(find_nsm(FAST_PATH), 90, 9, id="fast-path"),
+        # 171.5 / 84.5: six sequential mappings, each a hit in the meta
         # store's mapping frame
-        pytest.param(find_nsm(PolicySet.default()), 238, 13, id="six-mappings"),
-        # 21.0 / 14.0: the mapping frame, the cache probe and its two
+        pytest.param(find_nsm(PolicySet.default()), 175, 13, id="six-mappings"),
+        # 19.0 / 12.0: the mapping frame, the cache probe and its two
         # charges, the hit counted on a mirror counter
-        pytest.param(lookup_hit, 27, 2, id="lookup-hit"),
+        pytest.param(lookup_hit, 20, 2, id="lookup-hit"),
     ],
 )
 def test_warm_find_nsm_host_and_kernel_budget(make, max_python_calls, heap_entries):
@@ -105,20 +106,22 @@ def test_warm_find_nsm_host_and_kernel_budget(make, max_python_calls, heap_entri
 @pytest.mark.parametrize(
     "make, max_python_calls, heap_entries",
     [
-        # 1 515.0 / 811.1 C calls: each query and answer is recalled
+        # 1 190.0 / 665.1 C calls: each query and answer is recalled
         # by its wire key after the warm-ups, span sites with tracing
-        # off are an attribute test, and every server answers from its
-        # charges' callbacks, with no handler process
+        # off are an attribute test, every server answers from its
+        # charges' callbacks, with no handler process, no uncontended
+        # charge runs anything when it ends, and each wire hop is one
+        # route with its values filled in place
         pytest.param(
             cold_import("BIND-cs", "DesiredService", NAME),
-            1_555,
+            1_200,
             80,
             id="bind-cs",
         ),
-        # 1 499.6 / 860.5, likewise through the Clearinghouse
+        # 1 202.6 / 733.5, likewise through the Clearinghouse
         pytest.param(
             cold_import("CH-hcs", "PrintService", HNSName("CH-hcs", "dlion:hcs:uw")),
-            1_555,
+            1_210,
             81,
             id="ch-hcs",
         ),

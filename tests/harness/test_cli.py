@@ -59,8 +59,21 @@ def test_trace_command(capsys):
 
 
 def test_seed_flag(capsys):
-    assert main(["--seed", "9", "import", "DesiredService",
+    assert main(["import", "--seed", "9", "DesiredService",
                  "BIND-cs::fiji.cs.washington.edu"]) == 0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["--seed", "5", "table31"], ["table31", "--seed", "5"], ["--seed", "5", "list"]],
+)
+def test_seed_is_an_option_only_of_the_commands_that_read_it(argv, capsys):
+    """``table31`` builds no testbed of its own, so a seed given to it
+    (or before any command) would be ignored: it is a usage error."""
+    with pytest.raises(SystemExit) as exit_:
+        main(argv)
+    assert exit_.value.code == 2
+    assert capsys.readouterr().err.startswith("usage: repro.cli")
 
 
 def test_bad_query_class_rejected():

@@ -12,6 +12,7 @@ from repro.net import (
     Service,
     StreamTransport,
 )
+from repro.net import transport
 from repro.sim import ConstantLatency, Environment
 
 
@@ -23,6 +24,50 @@ def test_datagram_validation_and_str():
     with pytest.raises(ValueError):
         Datagram(a, b, "x", -1)
     assert d.msg_id == 0  # unstamped: a transport numbers what it sends
+
+
+@pytest.mark.parametrize(
+    "kind, start",
+    [
+        ("udp", lambda t, a, b: t.request(a, b.endpoint(9000), "x", -1)),
+        ("tcp", lambda t, a, b: t.request(a, b.endpoint(9000), "x", -1)),
+        ("udp", lambda t, a, b: next(t.send(a, b.endpoint(9000), "x", -1))),
+        ("tcp", lambda t, a, b: next(t.send(a, b.endpoint(9000), "x", -1))),
+        ("udp", lambda t, a, b: next(t.broadcast(a, 9000, "x", -1))),
+    ],
+    ids=["udp-request", "tcp-request", "udp-send", "tcp-send", "broadcast"],
+)
+def test_a_negative_message_size_is_refused_before_anything_is_scheduled(
+    kind, start
+):
+    """A datagram is filled in place, so its size is checked where a
+    message enters a transport: ``request`` at the call, and ``send``
+    and ``broadcast`` (generators a caller runs with ``yield from``) at
+    their first step — before any port, message id or heap entry."""
+    env = Environment()
+    net = Internetwork(env)
+    segment = net.add_segment()
+    a, b = (net.add_host(f"h{i}", segment) for i in range(2))
+    transport = DatagramTransport(net) if kind == "udp" else StreamTransport(net)
+    with pytest.raises(ValueError, match="negative message size: -1"):
+        start(transport, a, b)
+    assert env.kernel_counters()["sim.kernel.events_scheduled"] == 0
+    assert a.ephemeral_endpoint().port == 32768
+    assert net.next_msg_id() == 1
+
+
+@pytest.mark.parametrize(
+    "build, method",
+    [
+        (lambda: transport._Call(), "Transport.request"),
+        (lambda: transport._Exchange(None, None, None, None), "Transport._deliver"),
+    ],
+)
+def test_an_exchanges_values_are_built_only_by_the_transport(build, method):
+    """A call and an exchange are filled in place by the one transport
+    method that builds each, so none reaches the wire half-built."""
+    with pytest.raises(TypeError, match=method.replace(".", r"\.")):
+        build()
 
 
 def _stamped_ids():

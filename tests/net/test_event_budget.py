@@ -35,7 +35,7 @@ from repro.net import DatagramTransport, Internetwork, Service, StreamTransport
 from repro.net.transport import RemoteCallError
 from repro.serial import CourierRepresentation, HandcodedMarshaller
 from repro.sim import ConstantLatency, Environment, Interrupt
-from tests.cost import watch_processes
+from tests.cost import watch_processes, window
 
 WIRE_MS = 2.0
 
@@ -318,6 +318,36 @@ def test_retransmit_pays_the_attempt_again_and_ignores_the_late_reply():
     assert entries == 2 * (3 + 1) + 1
     assert started == ["udp.handler", "udp.handler"]
     assert env.stats.counter("net.udp.retransmits").value == 1
+
+
+@pytest.mark.parametrize(
+    "transport, max_python_calls, heap_entries",
+    [
+        # 31.4 — request fills the call, its reply endpoint and each
+        # attempt's datagram in place (no _Call, Endpoint or Datagram
+        # constructor frame, no __post_init__), and each hop is one
+        # Internetwork.hop: its loss decision and delay, the route
+        # resolved once (no segment_would_drop, path_delay, _route or
+        # delay_for frames); the rest is the kernel's and the handler's
+        pytest.param("udp", 32, 3, id="udp"),
+        # 47.0 — likewise, plus the connect's two hops and its checks
+        pytest.param("tcp", 48, 4, id="tcp"),
+    ],
+)
+def test_an_exchange_host_budget(transport, max_python_calls, heap_entries):
+    """One request/response to a process-less server that answers at
+    once, in Python calls per exchange (``tests/cost.py``)."""
+    world = World()
+    client, server = world.hosts
+    endpoint = server.bind(9000, ChargingResponder(server, 0))
+    request = getattr(world, transport).request
+    cost = window(world.env, lambda: request(client, endpoint, "q", 64), 200)
+    print(
+        f"{transport} exchange: {cost.python_calls:.1f} python calls, "
+        f"{cost.c_calls:.1f} C calls, {cost.heap_entries:g} heap entries"
+    )
+    assert cost.heap_entries == heap_entries
+    assert cost.python_calls <= max_python_calls
 
 
 def test_yield_from_a_call_returns_the_reply():

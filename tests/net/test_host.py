@@ -73,6 +73,25 @@ def test_ephemeral_endpoints_unique_until_wrap():
     assert first.address == host.address
 
 
+def test_an_ephemeral_endpoint_equals_a_built_one_across_the_wrap():
+    """Filled in place, an ephemeral endpoint is the dataclass value
+    ``Endpoint(address, port)`` builds: equal, hash-equal, ordered the
+    same, from the top of the range through the wrap to its bottom."""
+    host = make_host()
+    host._next_ephemeral = 65533
+    ports = []
+    for _ in range(6):
+        endpoint = host.ephemeral_endpoint()
+        built = Endpoint(host.address, endpoint.port)
+        assert endpoint == built and hash(endpoint) == hash(built)
+        assert not endpoint < built and not built < endpoint
+        assert str(endpoint) == str(built) and repr(endpoint) == repr(built)
+        assert type(endpoint) is Endpoint
+        ports.append(endpoint.port)
+    assert ports == [65533, 65534, 65535, 32768, 32769, 32770]
+    assert len({host.ephemeral_endpoint() for _ in range(3)}) == 3
+
+
 def test_endpoint_is_built_once_per_port():
     host = make_host()
     endpoint = host.endpoint(4000)

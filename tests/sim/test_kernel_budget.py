@@ -91,13 +91,15 @@ def _process_start_to_unwaited_exit():
         pytest.param(_timeout_round_trip, 4.5, 1, id="timeout-round-trip"),
         # 5.0 — the round, call_later, env.timeout | _resume, the driver
         pytest.param(_call_later_round, 5.5, 1, id="call-later"),
-        # 5.0 — the round, use (bound as compute at speed 1.0, building
-        # its Charge in place) | _free, _resume, the driver
-        pytest.param(_uncontended_charge, 5.5, 1, id="uncontended-charge"),
-        # 12.0 — the rival's inline process (env.process builds it in
-        # place) and charge, then the measured one: _free hands the
-        # queued charge the unit and its hold, with no grant event
-        pytest.param(_contended_charge, 12.5, 2, id="contended-charge"),
+        # 4.0, a timeout round trip's — the round, use (bound as compute
+        # at speed 1.0, building its Charge in place) | _resume, the
+        # driver: nothing runs when a hold nobody waits behind ends
+        pytest.param(_uncontended_charge, 4.5, 1, id="uncontended-charge"),
+        # 11.0 — the rival's inline process (env.process builds it in
+        # place) and charge, then the measured one: it puts _free on the
+        # rival's hold, which hands it the unit and its hold with no
+        # grant event, and its own hold ends with nobody to hand on to
+        pytest.param(_contended_charge, 11.5, 2, id="contended-charge"),
         # 10.0 with the driver's own timeout: env.process builds the
         # process and its start event in place
         pytest.param(

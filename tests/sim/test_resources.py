@@ -6,19 +6,23 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.sim import CPU, Disk, Environment, Interrupt, Resource
+from repro.sim.events import _PENDING, Event
 from repro.sim.process import Process
 from repro.sim.resources import BACKGROUND_PATIENCE, BACKGROUND_SLICE_MS
 
+_INF = float("inf")
 
-def test_resource_capacity_validation():
+
+def test_resource_takes_no_capacity():
+    """A resource is one unit: there is no knob to give it more."""
     env = Environment()
-    with pytest.raises(ValueError):
-        Resource(env, capacity=0)
+    with pytest.raises(TypeError):
+        Resource(env, capacity=2)  # type: ignore[call-arg]
 
 
 def test_single_capacity_serialises_users():
     env = Environment()
-    res = Resource(env, capacity=1)
+    res = Resource(env)
     finish = []
 
     def user(tag):
@@ -31,24 +35,9 @@ def test_single_capacity_serialises_users():
     assert finish == [("a", 10.0), ("b", 20.0)]
 
 
-def test_capacity_two_allows_parallelism():
-    env = Environment()
-    res = Resource(env, capacity=2)
-    finish = []
-
-    def user(tag):
-        yield res.use(10)
-        finish.append((tag, env.now))
-
-    for tag in ("a", "b", "c"):
-        env.process(user(tag))
-    env.run()
-    assert finish == [("a", 10.0), ("b", 10.0), ("c", 20.0)]
-
-
 def test_fifo_ordering_of_waiters():
     env = Environment()
-    res = Resource(env, capacity=1)
+    res = Resource(env)
     order = []
 
     def user(tag, delay):
@@ -517,15 +506,191 @@ class EagerScanResource(Resource):
         super()._free(_hold)
 
 
-def _run_schedule(capacity, actors, stepped=True, kind=Resource):
-    """Run ``actors`` on one ``kind`` of resource; returns the actors'
-    event log.
+class CountedCharge(Event):
+    """The reference resource's charge: it records whether it holds."""
 
-    Stepped, it checks the resource's bookkeeping after every kernel
-    step and, at the end, the order and length of the foreground grants.
+    __slots__ = ("resource", "held", "deadline", "remaining")
+
+    def _waiter_left(self, _interrupt):
+        if self.callbacks is not None:
+            if self._value is not _PENDING:
+                self.callbacks.remove(self.resource._free)
+            self.resource._release(self)
+
+
+class CountedResource:
+    """The reference: the counted resource a single unit replaced.  It
+    counts units in use, and every hold's entry carries ``_free``, which
+    runs when the hold ends whether or not anyone waits."""
+
+    capacity = 1
+
+    def __init__(self, env):
+        self.env = env
+        self._in_use = 0
+        self._waiting = collections.deque()
+        self._background = collections.deque()
+        self._next_deadline = _INF
+        self._idle_check_pending = False
+
+    @property
+    def queue_length(self):
+        return len(self._waiting) + len(self._background)
+
+    def use(self, service_ms, background=False):
+        env = self.env
+        charge = object.__new__(CountedCharge)
+        charge.env = env
+        charge.callbacks = []
+        charge._value = _PENDING
+        charge._exception = None
+        charge._defused = False
+        charge.resource = self
+        charge.held = False
+        charge.remaining = service_ms
+        if background and service_ms > 0:
+            deadline = env._now + BACKGROUND_PATIENCE * max(service_ms, 1.0)
+            charge.deadline = deadline
+            if deadline < self._next_deadline:
+                self._next_deadline = deadline
+            self._background.append(charge)
+            if self._in_use < self.capacity:
+                self._schedule_idle_check()
+            return charge
+        charge.deadline = _INF
+        if self._in_use >= self.capacity:
+            self._waiting.append(charge)
+        elif service_ms > 0:
+            self._in_use += 1
+            charge.held = True
+            charge._value = None
+            charge.callbacks.append(self._free)
+            eid = env._eid
+            env._eid = eid + 1
+            env._push((env._now + service_ms, eid, charge))
+        else:
+            self._in_use += 1
+            self._free()
+            charge.succeed_now()
+        return charge
+
+    def _hold(self, charge):
+        env = self.env
+        remaining = charge.remaining
+        if remaining > BACKGROUND_SLICE_MS:
+            charge.remaining = remaining - BACKGROUND_SLICE_MS
+            env.call_later(BACKGROUND_SLICE_MS, self._on_slice_end, charge)
+            return
+        charge._value = None
+        charge.callbacks.insert(0, self._free)
+        eid = env._eid
+        env._eid = eid + 1
+        env._push((env._now + remaining, eid, charge))
+
+    def _on_slice_end(self, timer):
+        charge = timer._value
+        if not charge.held:
+            return
+        if not self._waiting:
+            self._hold(charge)
+            return
+        charge.held = False
+        self._free()
+        if self.env._now < charge.deadline:
+            self._background.appendleft(charge)
+            if charge.deadline < self._next_deadline:
+                self._next_deadline = charge.deadline
+        else:
+            self._waiting.append(charge)
+
+    def _release(self, charge):
+        if charge.held:
+            charge.held = False
+            self._free()
+            return
+        for lane in (self._waiting, self._background):
+            if charge in lane:
+                lane.remove(charge)
+                return
+        raise RuntimeError("a charge that neither holds nor waits for the resource")
+
+    def _free(self, _hold=None):
+        self._in_use -= 1
+        background = self._background
+        if background and self._next_deadline <= self.env._now:
+            self._promote_lapsed()
+        waiting = self._waiting
+        if not waiting:
+            if background:
+                self._schedule_idle_check()
+            return
+        charge = waiting.popleft()
+        self._in_use += 1
+        charge.held = True
+        if charge.deadline < _INF:
+            self._hold(charge)
+        else:
+            env = self.env
+            charge._value = None
+            charge.callbacks.insert(0, self._free)
+            eid = env._eid
+            env._eid = eid + 1
+            env._push((env._now + charge.remaining, eid, charge))
+
+    def _promote_lapsed(self):
+        background = self._background
+        now = self.env._now
+        for charge in [c for c in background if c.deadline <= now]:
+            background.remove(charge)
+            self._waiting.append(charge)
+        self._next_deadline = min((c.deadline for c in background), default=_INF)
+
+    def _schedule_idle_check(self):
+        if not self._idle_check_pending:
+            self._idle_check_pending = True
+            self.env.call_later(0.0, self._on_idle_check)
+
+    def _on_idle_check(self, _check):
+        self._idle_check_pending = False
+        background = self._background
+        while background and self._in_use < self.capacity:
+            charge = background.popleft()
+            self._in_use += 1
+            charge.held = True
+            self._hold(charge)
+
+
+def _check_bookkeeping(res, claims):
+    """After a kernel step: the unit's holder, the lanes and the
+    hand-on agree with the claims made so far."""
+    queued = list(res._waiting) + list(res._background)
+    holder = res._holder
+    held = [
+        claim for _, claim, _, _ in claims if claim is holder and not claim.processed
+    ]
+    assert res.in_use == len(held) <= 1
+    assert len(set(map(id, queued))) == len(queued)
+    assert holder is None or holder not in queued
+    # a unit is idle only while no foreground claim waits for it
+    assert not res._waiting or res.in_use == 1
+    if res.in_use and queued:
+        # someone waits, so the hold ends by handing the unit on
+        assert res._armed
+    if res.in_use and holder._value is not _PENDING:
+        # the hold's entry is in the heap: _free rides on it iff armed
+        assert holder.callbacks.count(res._free) == int(res._armed)
+
+
+def _run_schedule(actors, stepped=True, kind=Resource):
+    """Run ``actors`` on one ``kind`` of resource; returns the actors'
+    event log and, stepped, each kernel step's ``(time, eid)``.
+
+    Stepped, a :class:`Resource`'s bookkeeping is checked after every
+    kernel step and, at the end, the order and length of the foreground
+    grants.
     """
     env = Environment()
-    res = kind(env, capacity=capacity)
+    res = kind(env)
     log = []
     #: (actor, claim, foreground, cost) in the order the claims were made
     claims = []
@@ -552,56 +717,64 @@ def _run_schedule(capacity, actors, stepped=True, kind=Resource):
 
     if not stepped:
         env.run()
-        return log
+        return log, None
 
+    checked = isinstance(res, Resource)
+    steps = []
     granted = {}  # actor -> (kernel step, simulated time) of its grant
-    step = 0
     while env.peek() < float("inf"):
+        time, eid, _ = env._queue.heap[0]
+        steps.append((time, eid))
         env.step()
-        step += 1
-        queued = list(res._waiting) + list(res._background)
-        held = [
-            claim
-            for _, claim, _, _ in claims
-            if claim.held and not claim.processed
-        ]
-        assert res.in_use == len(held)
-        assert len(set(map(id, queued))) == len(queued)
-        assert not any(claim.held for claim in queued)
-        # a unit is idle only while no foreground claim waits for it
-        assert not res._waiting or res.in_use == capacity
+        if not checked:
+            continue
+        _check_bookkeeping(res, claims)
         for i, claim, foreground, _ in claims:
-            if foreground and i not in granted and (claim.held or claim.processed):
-                granted[i] = (step, env.now)
+            if foreground and i not in granted and (
+                claim is res._holder or claim.processed
+            ):
+                granted[i] = (len(steps), env.now)
 
-    # Foreground claims get the unit in the order they asked for it.
-    steps = [granted[i][0] for i, _, foreground, _ in claims if i in granted]
-    assert steps == sorted(steps)
-    # A whole hold ends at its grant time plus its cost.
-    done = {i: t for t, i, what in log if what == "done"}
-    for i, claim, foreground, cost in claims:
-        if foreground and i in done:
-            assert done[i] == granted[i][1] + cost
-    assert res.in_use == 0 and res.queue_length == 0
-    return log
+    if checked:
+        # Foreground claims get the unit in the order they asked for it.
+        order = [granted[i][0] for i, _, foreground, _ in claims if i in granted]
+        assert order == sorted(order)
+        # A whole hold ends at its grant time plus its cost.
+        done = {i: t for t, i, what in log if what == "done"}
+        for i, claim, foreground, cost in claims:
+            if foreground and i in done:
+                assert done[i] == granted[i][1] + cost
+    assert res.queue_length == 0
+    assert not checked or res.in_use == 0
+    return log, steps
 
 
 @settings(max_examples=150, deadline=None)
-@given(capacity=st.sampled_from([1, 2]), actors=_ACTORS)
-def test_charges_under_generated_schedules(capacity, actors):
-    log = _run_schedule(capacity, actors)
+@given(actors=_ACTORS)
+def test_charges_under_generated_schedules(actors):
+    log, _ = _run_schedule(actors)
     # every actor ends exactly once, done or interrupted
     ends = [i for _, i, _ in log]
     assert sorted(ends) == list(range(len(actors)))
     # step() and run()'s drain process the same events in the same order
-    assert _run_schedule(capacity, actors, stepped=False) == log
+    assert _run_schedule(actors, stepped=False)[0] == log
 
 
 @settings(max_examples=150, deadline=None)
-@given(capacity=st.sampled_from([1, 2]), actors=_LAPSING_ACTORS)
-def test_lazy_promotion_matches_an_eager_scan(capacity, actors):
+@given(actors=_LAPSING_ACTORS)
+def test_lazy_promotion_matches_an_eager_scan(actors):
     """``_free`` scans for lapsed patience only once the earliest
     background deadline has passed; on schedules where patience lapses
     that changes nothing an actor sees."""
-    log = _run_schedule(capacity, actors)
-    assert _run_schedule(capacity, actors, stepped=False, kind=EagerScanResource) == log
+    log, _ = _run_schedule(actors)
+    assert _run_schedule(actors, stepped=False, kind=EagerScanResource)[0] == log
+
+
+@settings(max_examples=150, deadline=None)
+@given(actors=st.one_of(_ACTORS, _LAPSING_ACTORS))
+def test_single_unit_matches_the_counted_resource(actors):
+    """The single unit frees its hold lazily, and the counted resource
+    ran ``_free`` at the end of every hold: the same heap entries pop
+    in the same order at the same instants, and every actor sees the
+    same thing."""
+    assert _run_schedule(actors) == _run_schedule(actors, kind=CountedResource)
