@@ -122,14 +122,19 @@ class DiscoveryCache:
         self._owner_incarnation[owner] = incarnation
         entries = self._entries
         held = self._held[owner]
-        # Retraction: the owner speaks for its own name set.
-        retracted = held.difference(map(str.lower, beacon.names))
-        if retracted:
-            for key in [key for key in entries if key in retracted]:
-                self._evict(key, "retracted")
-        now = self.env.now
-        ttl_deadline = now + self.policy.entry_ttl_ms
-        watchdog_deadline = now + self.policy.watchdog_deadline_ms()
+        # Retraction: the owner speaks for its own name set (an owner
+        # that holds nothing has nothing to retract).
+        if held:
+            retracted = held.difference(map(str.lower, beacon.names))
+            if retracted:
+                for key in [key for key in entries if key in retracted]:
+                    self._evict(key, "retracted")
+        # The policy is frozen: both deadlines are read off it here, the
+        # watchdog's as ``watchdog_deadline_ms()`` computes it.
+        now = self.env._now
+        policy = self.policy
+        ttl_deadline = now + policy.entry_ttl_ms
+        watchdog_deadline = now + policy.beacon_period_ms * policy.watchdog_multiplier
         touched = 0
         for name, value in beacon.names.items():
             key = name.lower()
@@ -344,29 +349,36 @@ class BeaconService(Service):
                 )
 
     def _watchdog_loop(self) -> typing.Generator:
-        """Sweep the passive view; probe suspects before evicting."""
+        """Sweep the passive view each beacon period while the host is up."""
         interval = self.policy.beacon_period_ms
         while True:
             yield self.env.timeout(interval)
-            if not self.host.is_up:
+            if self.host.is_up:
+                yield from self._sweep()
+
+    def _sweep(self) -> typing.Generator:
+        """One pass: evict what its TTL let go, probe a watchdog-lapsed
+        entry before evicting it.  The clock and the (frozen) policy's
+        liveness are read once per pass, and the view's table directly,
+        so an entry nothing happens to costs no call."""
+        now = self.env._now
+        liveness = self.policy.liveness
+        table = self.cache._entries
+        for entry in list(table.values()):
+            if table.get(entry.name.lower()) is not entry:
+                continue  # replaced since the scan snapshot
+            if now >= entry.ttl_deadline:
+                self._evict_with_span(entry, "ttl")
                 continue
-            now = self.env.now
-            for entry in self.cache.entries():
-                current = self.cache.peek(entry.name)
-                if current is not entry:
-                    continue  # replaced since the scan snapshot
-                if now >= entry.ttl_deadline:
-                    self._evict_with_span(entry, "ttl")
-                    continue
-                if not self.policy.liveness or now < entry.watchdog_deadline:
-                    continue
-                entry.suspect = True
-                self.env.stats.counter("discovery.probes").increment()
-                alive = yield from self._probe(entry)
-                if alive:
-                    self.cache.refresh(entry)
-                else:
-                    self._evict_with_span(entry, "probe_failed")
+            if not liveness or now < entry.watchdog_deadline:
+                continue
+            entry.suspect = True
+            self.env.stats.counter("discovery.probes").increment()
+            alive = yield from self._probe(entry)
+            if alive:
+                self.cache.refresh(entry)
+            else:
+                self._evict_with_span(entry, "probe_failed")
 
     def _probe(self, entry: DiscoveryEntry) -> typing.Generator:
         """One unicast liveness check; False on silence or refusal."""

@@ -81,8 +81,13 @@ class PresenceBeacon(WireMessage):
         )
 
     def verify(self, secret: str = SEGMENT_SECRET) -> bool:
-        return self.signature == sign_beacon(
-            self.owner, self.address, self.incarnation, self.names, secret
+        """Does the signature cover the fields as they are now?  Asked
+        afresh by every listener (the verdict is not kept on the beacon,
+        which may have changed since another listener asked); the
+        signature itself is the memo's."""
+        return self.signature == _signature(
+            secret, self.owner, self.address, self.incarnation,
+            tuple(self.names.items()),
         )
 
 

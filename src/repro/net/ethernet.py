@@ -74,13 +74,9 @@ class Ethernet:
         when it is first drawn)."""
         return self.env.rng.stream(f"ether:{self.name}")
 
-    def delay_for(self, size_bytes: int) -> float:
-        """Sample the wire time for a message of ``size_bytes``."""
-        return self.latency.sample(self._jitter, size_bytes)
-
     def transmit_delay(self, datagram: Datagram) -> float:
         """Sample the wire time for one message."""
-        return self.delay_for(datagram.size_bytes)
+        return self.latency.sample(self._jitter, datagram.size_bytes)
 
     # ------------------------------------------------------------------
     # Partition/heal: deterministic segment-level drop rules

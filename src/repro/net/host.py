@@ -69,6 +69,8 @@ class Host:
 
     ``address`` is fixed for the host's life (only ``__init__`` writes
     it), so :meth:`endpoint` may build each port's endpoint once.
+    ``is_up`` is a plain attribute, read on every send, attempt, delivery
+    and reply; only :meth:`crash` and :meth:`restart` write it.
     """
 
     def __init__(
@@ -87,24 +89,20 @@ class Host:
         self.cpu = CPU(env, name=f"{name}.cpu", speed_factor=cpu_speed)
         self.disk = Disk(env, name=f"{name}.disk", access_ms=disk_access_ms)
         self.services: typing.Dict[int, Service] = {}
-        self._up = True
+        self.is_up = True
         self._next_ephemeral = 32768
         self._endpoints: typing.Dict[int, Endpoint] = {}
 
     # ------------------------------------------------------------------
     # Liveness (failure injection)
     # ------------------------------------------------------------------
-    @property
-    def is_up(self) -> bool:
-        return self._up
-
     def crash(self) -> None:
         """Take the host down; in-flight messages to it are lost."""
-        self._up = False
+        self.is_up = False
 
     def restart(self) -> None:
         """Bring the host back up (services stay bound: warm restart)."""
-        self._up = True
+        self.is_up = True
 
     # ------------------------------------------------------------------
     # Ports and services
@@ -146,5 +144,5 @@ class Host:
         return endpoint
 
     def __repr__(self) -> str:
-        state = "up" if self._up else "DOWN"
+        state = "up" if self.is_up else "DOWN"
         return f"<Host {self.name} ({self.system_type}) {self.address} {state}>"

@@ -136,6 +136,9 @@ class Transport:
         self.internet = internet
         self.env = internet.env
         self.name = name
+        # The internet's address table (never replaced, only filled):
+        # a delivery or a reply finds its host with no lookup frame.
+        self._hosts_by_address = internet._hosts_by_address
 
     @first_use
     def _delivered(self) -> "Counter":
@@ -204,18 +207,23 @@ class Transport:
         (:meth:`~repro.net.host.Service.handle`) starts no process.
         """
         env = self.env
-        dst_host = self.internet.host_at(datagram.destination.address)
+        address = datagram.destination.address
+        dst_host = self._hosts_by_address.get(getattr(address, "dotted", address))
+        # A loss is formatted only for a tracer that records it: every
+        # beacon a crashed listener misses passes here.
         if dst_host is None or not dst_host.is_up:
             # Message to a dead host: datagram semantics say it vanishes.
-            env.trace.emit(
-                "net", f"lost: {datagram} (host down/unknown)", transport=self.name
-            )
+            if env.trace.enabled:
+                env.trace.emit(
+                    "net", f"lost: {datagram} (host down/unknown)", transport=self.name
+                )
             return
         service = dst_host.services.get(datagram.destination.port)
         if service is None:
-            env.trace.emit(
-                "net", f"lost: {datagram} (no service)", transport=self.name
-            )
+            if env.trace.enabled:
+                env.trace.emit(
+                    "net", f"lost: {datagram} (no service)", transport=self.name
+                )
             return
         self._delivered.increment()
         exchange = _new(_Exchange)
@@ -326,7 +334,8 @@ class _Exchange:
 
     def _reply_arrives(self, trip: Event) -> None:
         transport = self.transport
-        src = transport.internet.host_at(self.datagram.source.address)
+        address = self.datagram.source.address
+        src = transport._hosts_by_address.get(getattr(address, "dotted", address))
         if src is None or not src.is_up:
             transport.env.trace.emit("net", "reply lost: requester down")
             return
@@ -435,7 +444,12 @@ class DatagramTransport(Transport):
 
         def arrive(trip):
             for datagram in trip._value:
-                if would_drop(src_address, datagram.destination.address):
+                # A segment with no partition and no loss drops nothing,
+                # so its drop rule is asked only when it could say yes
+                # (as :meth:`Internetwork.hop` asks it), at the arrival.
+                if (
+                    segment._partition_of or segment.drop_probability != 0.0
+                ) and would_drop(src_address, datagram.destination.address):
                     continue
                 collector = _new(Event)
                 collector.env = env
@@ -458,7 +472,8 @@ class DatagramTransport(Transport):
         # after it is armed (it runs later).
         ephemeral_endpoint = src_host.ephemeral_endpoint
         next_msg_id = self.internet.next_msg_id
-        delay_for = segment.delay_for
+        sample = segment.latency.sample
+        jitter = segment._jitter
         call_later = env.call_later
         batched = env.perturb_seed is None
         run: typing.List[Datagram] = []
@@ -473,7 +488,7 @@ class DatagramTransport(Transport):
             datagram.size_bytes = size_bytes
             datagram.reply_to = None
             datagram.msg_id = next_msg_id()
-            delay = delay_for(size_bytes)
+            delay = sample(jitter, size_bytes)
             if batched and delay == run_delay:
                 run.append(datagram)
             else:

@@ -106,22 +106,23 @@ def test_warm_find_nsm_host_and_kernel_budget(make, max_python_calls, heap_entri
 @pytest.mark.parametrize(
     "make, max_python_calls, heap_entries",
     [
-        # 1 190.0 / 665.1 C calls: each query and answer is recalled
+        # 1 145.0 / 665.1 C calls: each query and answer is recalled
         # by its wire key after the warm-ups, span sites with tracing
         # off are an attribute test, every server answers from its
         # charges' callbacks, with no handler process, no uncontended
-        # charge runs anything when it ends, and each wire hop is one
-        # route with its values filled in place
+        # charge runs anything when it ends, each wire hop is one
+        # route with its values filled in place, and a host's liveness
+        # is an attribute and its address-table entry a dict read
         pytest.param(
             cold_import("BIND-cs", "DesiredService", NAME),
-            1_200,
+            1_150,
             80,
             id="bind-cs",
         ),
-        # 1 202.6 / 733.5, likewise through the Clearinghouse
+        # 1 158.6 / 733.5, likewise through the Clearinghouse
         pytest.param(
             cold_import("CH-hcs", "PrintService", HNSName("CH-hcs", "dlion:hcs:uw")),
-            1_210,
+            1_160,
             81,
             id="ch-hcs",
         ),

@@ -2,8 +2,9 @@
 
 A broadcast's price in simulated ms is the model; its price in Python
 calls should follow what differs per listener — a datagram, a wire trip,
-a delivery, one charge and the absorb — not re-derive what the broadcast
-fixed (the route, the signature).  Counted with ``tests/cost.py``
+a delivery, one charge, its own verify and the absorb — not re-derive
+what the broadcast fixed (the route, the segment's loss rule, the
+signature, the policy's deadlines).  Counted with ``tests/cost.py``
 (Python frames per round, heap entries exact), so the test reads the
 same on any machine.
 """
@@ -54,14 +55,16 @@ def test_a_broadcast_beacon_costs_what_differs_per_listener():
     # one wire callback (every listener hears it at one instant), a
     # charge per listener, the sender's wait
     assert (one.heap_entries, eleven.heap_entries) == (3, 13)
-    # 19.0 per listener: a delivery, one charge and the absorb, with
-    # the route and the signature fixed by the broadcast (a handler
-    # process alone would add 6); its datagram, reply endpoint and
-    # collector are filled in place (no Datagram, Endpoint or Event
-    # constructor frames), and the charge's end runs no _free.  228.0
-    # per 11-target round
-    assert per_listener <= 19.5
-    assert eleven.python_calls <= 230
+    # 12.0 per listener: its datagram (endpoint, reply endpoint), its
+    # delay drawn from the segment's latency model, the delivery, one
+    # charge, its own verify (the signature a memo hit) and the absorb
+    # (the entry and the delivered and observed counts).  The route,
+    # the drop rule of a whole loss-free segment, the host table, the
+    # clock and the policy's deadlines cost no frame; a handler process
+    # alone would add 6, and the charge's end runs no _free.  150.0 per
+    # 11-target round
+    assert per_listener <= 12.5
+    assert eleven.python_calls <= 150.5
 
 
 def test_a_forged_beacon_is_a_counted_drop_at_every_listener():
@@ -79,3 +82,27 @@ def test_signing_is_shared_by_the_sender_and_every_listener(listeners):
     _beacon_round_trip(listeners + 1)
     info = _signature.cache_info()
     assert info.misses == 1 and info.hits >= listeners
+
+
+@pytest.mark.parametrize("entries", [1, 11])
+def test_a_watchdog_sweep_pass_costs_nothing_per_quiet_entry(entries):
+    """One pass over a view where nothing lapsed: the pass's own frame and
+    one read of the policy's liveness, whatever the view holds."""
+    world = build_adhoc_world(3, policy=QUIET, host_count=entries + 1)
+    listener = world.beacons[0]
+    for index, owner in enumerate(world.hosts[1:]):
+        listener.cache.observe(
+            PresenceBeacon.signed(
+                owner.name, str(owner.address), 1, {f"svc{index}": "9000"}
+            )
+        )
+    cost = window(world.env, listener._sweep, ROUNDS)
+    print(
+        f"sweep over {entries} entries: {cost.python_calls:.1f} python calls, "
+        f"{cost.c_calls:.1f} C calls"
+    )
+    assert len(listener.cache) == entries
+    assert (cost.heap_entries, cost.started) == (0, [])
+    # 2.0: the table is read directly and the clock and liveness once
+    # per pass, so a quiet entry is two C calls (its key and its get)
+    assert cost.python_calls <= 2.5

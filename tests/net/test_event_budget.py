@@ -323,15 +323,17 @@ def test_retransmit_pays_the_attempt_again_and_ignores_the_late_reply():
 @pytest.mark.parametrize(
     "transport, max_python_calls, heap_entries",
     [
-        # 31.4 — request fills the call, its reply endpoint and each
+        # 26.4 — request fills the call, its reply endpoint and each
         # attempt's datagram in place (no _Call, Endpoint or Datagram
         # constructor frame, no __post_init__), and each hop is one
         # Internetwork.hop: its loss decision and delay, the route
-        # resolved once (no segment_would_drop, path_delay, _route or
-        # delay_for frames); the rest is the kernel's and the handler's
-        pytest.param("udp", 32, 3, id="udp"),
-        # 47.0 — likewise, plus the connect's two hops and its checks
-        pytest.param("tcp", 48, 4, id="tcp"),
+        # resolved once (no segment_would_drop, path_delay or _route
+        # frames); a host's is_up is an attribute and the delivery and
+        # the reply read the address table directly (no host_at); the
+        # rest is the kernel's and the handler's
+        pytest.param("udp", 27, 3, id="udp"),
+        # 40.0 — likewise, plus the connect's two hops and its checks
+        pytest.param("tcp", 41, 4, id="tcp"),
     ],
 )
 def test_an_exchange_host_budget(transport, max_python_calls, heap_entries):

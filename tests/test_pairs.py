@@ -57,6 +57,15 @@ def test_pairs_alternate_their_order_from_seed_seven():
     ]
 
 
+def test_a_first_seed_offsets_every_pair_and_keeps_the_order():
+    assert pairs.schedule(3, first_seed=101) == [
+        (101, ("parent", "change")),
+        (102, ("change", "parent")),
+        (103, ("parent", "change")),
+    ]
+    assert pairs.schedule(4, first_seed=pairs.FIRST_SEED) == pairs.schedule(4)
+
+
 def test_the_experiments_row():
     metric = pairs.compare([380.0, 390.0, 370.0], [340.0, 350.0, 380.0], "lower")
     assert pairs.row("cold_import", [7, 8, 9], metric) == (

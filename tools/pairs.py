@@ -3,16 +3,18 @@
 Answers "did this change make an end-to-end metric better or worse, by
 how much, against which parent":
 
-    python tools/pairs.py --against <rev> --workload <w> --pairs N --seconds S [--row]
+    python tools/pairs.py --against <rev> --workload <w> --pairs N --seconds S \
+        [--first-seed F] [--row]
 
 The parent, ``<rev>``, is checked out with ``git worktree add --detach``
 into a temporary directory, removed afterwards.  The change is the tree
 this script lives in, as it stands.  Pair *i* runs
 
-    benchmarks/e2e/run.py --workload <w> --seed 7+i --seconds S --trace 0
+    benchmarks/e2e/run.py --workload <w> --seed F+i --seconds S --trace 0
 
 on both trees, one after the other: the parent first on even *i*, the
-change first on odd ones.  Each run is a child process with no
+change first on odd ones.  ``--first-seed`` (F, default 7) lets a
+claim's pairs run on seeds the change was not written against.  Each run is a child process with no
 ``PYTHONPATH``, so each tree imports its own ``src/``.
 
 Prints JSON: for every end-to-end metric in ``BENCHMARK.json``, each
@@ -79,10 +81,13 @@ def compare(
     }
 
 
-def schedule(pairs: int) -> typing.List[typing.Tuple[int, typing.Tuple[str, str]]]:
-    """(seed, run order) of each pair: the parent first on even pairs."""
+def schedule(
+    pairs: int, first_seed: int = FIRST_SEED
+) -> typing.List[typing.Tuple[int, typing.Tuple[str, str]]]:
+    """(seed, run order) of each pair: pair *i* runs seed
+    ``first_seed + i``, the parent first on even pairs."""
     return [
-        (FIRST_SEED + i, ("parent", "change") if i % 2 == 0 else ("change", "parent"))
+        (first_seed + i, ("parent", "change") if i % 2 == 0 else ("change", "parent"))
         for i in range(pairs)
     ]
 
@@ -133,11 +138,14 @@ def main(argv: typing.Optional[typing.Sequence[str]] = None) -> int:
     parser.add_argument("--workload", required=True)
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=4)
+    parser.add_argument("--first-seed", type=int, default=FIRST_SEED,
+                        help="pair i runs seed FIRST_SEED + i")
     parser.add_argument("--row", action="store_true", help="print the EXPERIMENTS.md row")
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
     declared = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+    plan = schedule(args.pairs, args.first_seed)
     runs: typing.Dict[str, typing.List[dict]] = {"parent": [], "change": []}
     with tempfile.TemporaryDirectory() as scratch:
         parent = pathlib.Path(scratch) / "parent"
@@ -145,7 +153,7 @@ def main(argv: typing.Optional[typing.Sequence[str]] = None) -> int:
         subprocess.run(git + ["add", "--detach", "--quiet", str(parent), args.against], check=True)
         try:
             trees = {"parent": parent, "change": ROOT}
-            for seed, order in schedule(args.pairs):
+            for seed, order in plan:
                 for side in order:
                     runs[side].append(run_once(trees[side], args.workload, seed, args.seconds))
         finally:
@@ -160,7 +168,7 @@ def main(argv: typing.Optional[typing.Sequence[str]] = None) -> int:
                         [r["metrics"][m["name"]]["value"] for r in runs["change"]],
                         m["better"]),
                 unit=m["unit"])
-    seeds = [seed for seed, _ in schedule(args.pairs)]
+    seeds = [seed for seed, _ in plan]
     if args.row and ok:
         print(row(args.workload, seeds, metrics[ROW_METRIC]))
     else:
