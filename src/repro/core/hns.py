@@ -48,6 +48,8 @@ if typing.TYPE_CHECKING:  # pragma: no cover
     from repro.sim.stats import Counter
 
 HOST_ADDRESS_QC = "HostAddress"
+#: the meta address records' type, read on every hit without an enum lookup
+_UNSPEC = RRType.UNSPEC
 
 #: FindNSM's answer: either a handle for a remote HRPC call, or a
 #: reference to an NSM linked into this very process.
@@ -183,7 +185,8 @@ class HNS:
             ns_name, nsm_name, record = yield from self._meta_mappings(
                 hns_name.context, query_class
             )
-            span.set(ns=ns_name, nsm=nsm_name)
+            if span.recording:
+                span.set(ns=ns_name, nsm=nsm_name)
             # Degradation ladder, last rung: a tripped breaker short-circuits
             # before anything more is spent on a dead NSM.
             reroute = self._breaker_reroute(nsm_name)
@@ -239,7 +242,7 @@ class HNS:
                             key = cache_key(
                                 f"{metastore.host_label(record.host_name)}"
                                 f".addr.{META_ORIGIN}",
-                                RRType.UNSPEC,
+                                _UNSPEC,
                             )
                             entry, cost = metastore.cache.probe(key)
                             yield cpu.compute(cost)
@@ -248,7 +251,8 @@ class HNS:
                                 records, cost = resolver.read_hit(key, entry, addr_span)
                                 yield cpu.compute(cost)
                                 resolver.hit_landed(key, entry)
-                                addr_span.set(outcome="hit")
+                                if addr_span.recording:
+                                    addr_span.set(outcome="hit")
                             else:
                                 addr_span.set(outcome="miss")
                                 records, _count = yield from resolver._miss(
@@ -257,7 +261,8 @@ class HNS:
                                     lambda: resolver._fetch(key, RRType.UNSPEC),
                                 )
                             address = decode_fields(records[0].data)["addr"]
-                            addr_span.set(addr=address)
+                            if addr_span.recording:
+                                addr_span.set(addr=address)
                     except NameNotFound:
                         host_span.set(fallback=True)
                         env.stats.counter("hns.fast_path.addr_fallbacks").increment()
@@ -265,9 +270,11 @@ class HNS:
             binding = remote_binding(address, record, nsm_name, ns_name)
             local = self._local_nsms.get(nsm_name)
             if local is not None:
-                span.set(outcome="local")
+                if span.recording:
+                    span.set(outcome="local")
                 return LocalNsmBinding(local)
-            span.set(outcome="remote")
+            if span.recording:
+                span.set(outcome="remote")
             return binding
 
     # Mappings 1-3, picked in the constructor: the meta store's chained

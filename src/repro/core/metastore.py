@@ -112,6 +112,10 @@ class _Mapping(typing.NamedTuple):
 
     #: the ``meta.*`` span it runs under
     span: str
+    #: its number (1-3), the span's ``mapping`` attribute
+    number: int
+    #: the span attributes its arguments are, in order
+    params: typing.Tuple[str, ...]
     #: the record field it answers with, also set on the span; ``None``
     #: answers the whole :class:`NsmRecord`
     field: typing.Optional[str]
@@ -119,9 +123,12 @@ class _Mapping(typing.NamedTuple):
     missing: typing.Type[HnsError]
 
 
-_CONTEXT_TO_NS = _Mapping("meta.context_to_ns", "ns", ContextNotFound)
-_NSM_NAME = _Mapping("meta.nsm_name", "nsm", NsmNotFound)
-_NSM_RECORD = _Mapping("meta.nsm_record", None, NsmNotFound)
+_CONTEXT_TO_NS = _Mapping("meta.context_to_ns", 1, ("context",), "ns", ContextNotFound)
+_NSM_NAME = _Mapping("meta.nsm_name", 2, ("ns", "query_class"), "nsm", NsmNotFound)
+_NSM_RECORD = _Mapping("meta.nsm_record", 3, ("nsm",), None, NsmNotFound)
+
+#: the meta records' type, read on every hit without an enum lookup
+_UNSPEC = RRType.UNSPEC
 
 
 @dataclasses.dataclass(frozen=True)
@@ -301,48 +308,52 @@ class MetaStore:
     # ------------------------------------------------------------------
     def context_to_name_service(self, context: str) -> typing.Generator:
         """Mapping 1: context -> name service name."""
-        return self._mapping(
-            _CONTEXT_TO_NS,
-            f"{context}.ctx.{META_ORIGIN}",
-            context,
-            mapping=1,
-            context=context,
-        )
+        return self._mapping(_CONTEXT_TO_NS, f"{context}.ctx.{META_ORIGIN}", context)
 
     def nsm_name_for(self, name_service: str, query_class: str) -> typing.Generator:
         """Mapping 2: (name service, query class) -> NSM name."""
         return self._mapping(
             _NSM_NAME,
             f"{query_class}.{name_service}.q.{META_ORIGIN}",
-            f"{query_class} on {name_service}",
-            mapping=2,
-            ns=name_service,
-            query_class=query_class,
+            name_service,
+            query_class,
         )
 
     def nsm_record(self, nsm_name: str) -> typing.Generator:
         """Mapping 3: NSM name -> NSM binding information."""
-        return self._mapping(
-            _NSM_RECORD, f"{nsm_name}.nsm.{META_ORIGIN}", nsm_name, mapping=3, nsm=nsm_name
-        )
+        return self._mapping(_NSM_RECORD, f"{nsm_name}.nsm.{META_ORIGIN}", nsm_name)
 
     def _mapping(
-        self, kind: _Mapping, owner: str, subject: str, **attrs: object
+        self,
+        kind: _Mapping,
+        owner: str,
+        subject: str,
+        query_class: typing.Optional[str] = None,
     ) -> typing.Generator:
         """One sequential mapping: ``owner``'s meta record, answered as
-        ``kind`` says, under ``kind``'s span carrying ``attrs``.
+        ``kind`` says, under ``kind``'s span.
 
         The one frame of a mapping, hit or miss: it writes the hit idiom
         out itself (docs/architecture.md section 2, rule 4), and a miss
         goes straight to the resolver's miss step, as
-        ``BindResolver.lookup`` does.  ``subject`` names what was not
-        found, and ``NsmRecord``'s name for mapping 3.
+        ``BindResolver.lookup`` does.  ``subject`` (and mapping 2's
+        ``query_class``) are the mapping's arguments: its span's
+        attributes, what was not found, and ``NsmRecord``'s name for
+        mapping 3.  With tracing off nothing is built for the span (rule 5).
         """
         resolver = self.resolver
         cpu = self.host.cpu
         obs = self.env.obs
-        with (obs.span(kind.span, **attrs) if obs.enabled else NULL_SPAN) as span:
-            key = cache_key(owner, RRType.UNSPEC)
+        with (
+            obs.span(
+                kind.span,
+                mapping=kind.number,
+                **dict(zip(kind.params, (subject, query_class))),
+            )
+            if obs.enabled
+            else NULL_SPAN
+        ) as span:
+            key = cache_key(owner, _UNSPEC)
             entry, cost = self.cache.probe(key)
             yield cpu.compute(cost)
             try:
@@ -351,19 +362,24 @@ class MetaStore:
                     records, cost = resolver.read_hit(key, entry, span)
                     yield cpu.compute(cost)
                     resolver.hit_landed(key, entry)
-                    span.set(outcome="hit")
+                    if span.recording:
+                        span.set(outcome="hit")
                 else:
-                    span.set(outcome="miss")
+                    if span.recording:
+                        span.set(outcome="miss")
                     records, _count = yield from resolver._miss(
-                        key, span, lambda: resolver._fetch(key, RRType.UNSPEC)
+                        key, span, lambda: resolver._fetch(key, _UNSPEC)
                     )
             except NameNotFound as err:
-                raise kind.missing(subject) from err
+                raise kind.missing(
+                    subject if query_class is None else f"{query_class} on {subject}"
+                ) from err
             data = records[0].data
             if kind.field is None:
                 return NsmRecord.from_fields(subject, data)
             answer = decode_fields(data)[kind.field]
-            span.set(**{kind.field: answer})
+            if span.recording:
+                span.set(**{kind.field: answer})
             return answer
 
     def find_nsm_bundle(
@@ -394,7 +410,7 @@ class MetaStore:
             stage = 0
             owner = f"{context}.ctx.{META_ORIGIN}"
             while True:
-                key = cache_key(owner, RRType.UNSPEC)
+                key = cache_key(owner, _UNSPEC)
                 entry, cost = cache.probe(key)
                 yield cpu.compute(cost)
                 # hnslint: disable=SIM003 -- the hit idiom: entry is captured by value, read_hit copies the payload
@@ -410,7 +426,8 @@ class MetaStore:
                 resolver.hit_landed(key, entry)
                 data = records[0].data
                 if stage == 2:
-                    span.set(ns=ns_name, nsm=nsm_name, cached=True)
+                    if span.recording:
+                        span.set(ns=ns_name, nsm=nsm_name, cached=True)
                     return ns_name, nsm_name, NsmRecord.from_fields(nsm_name, data)
                 if stage == 0:
                     ns_name = decode_fields(data)["ns"]

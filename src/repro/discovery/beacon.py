@@ -313,6 +313,11 @@ class BeaconService(Service):
             1.0 - BEACON_JITTER + 2.0 * BEACON_JITTER * rng.random()
         )
 
+    @first_use
+    def _beacons_sent(self) -> Counter:
+        """Bound at the first beacon: no stat until counted."""
+        return self.env.stats.counter("discovery.beacons_sent")
+
     def _beacon_loop(self) -> typing.Generator:
         while True:
             yield self.env.timeout(self._period_ms())
@@ -320,7 +325,7 @@ class BeaconService(Service):
                 continue
             beacon = PresenceBeacon.signed(
                 owner=self.host.name,
-                address=str(self.host.address),
+                address=self.host.address.dotted,
                 incarnation=self.incarnation,
                 names=self._names,
                 secret=self.secret,
@@ -336,7 +341,7 @@ class BeaconService(Service):
                 if obs.enabled
                 else NULL_SPAN
             ):
-                self.env.stats.counter("discovery.beacons_sent").increment()
+                self._beacons_sent.increment()
                 # A host hears itself: its own names belong in its own
                 # view, or per-host membership digests could never match.
                 self.cache.observe(beacon)

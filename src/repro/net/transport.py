@@ -579,9 +579,10 @@ class StreamTransport(Transport):
 
     def _refusal(self, destination: Endpoint) -> typing.Optional[NetworkError]:
         """The far end's answer to a connect: None, or why not."""
-        dst_host = self.internet.host_at(destination.address)
+        address = destination.address
+        dst_host = self._hosts_by_address.get(getattr(address, "dotted", address))
         if dst_host is None or not dst_host.is_up:
-            return HostDown(f"{destination.address} unreachable")
+            return HostDown(f"{address} unreachable")
         if dst_host.service_at(destination.port) is None:
             return ConnectionRefused(str(destination))
         return None
@@ -589,9 +590,10 @@ class StreamTransport(Transport):
     def _died(self, destination: Endpoint) -> typing.Optional[HostDown]:
         """Reliable: the destination was validated at connect time; if it
         crashed between connect and transfer, surface the failure loudly."""
-        dst_host = self.internet.host_at(destination.address)
+        address = destination.address
+        dst_host = self._hosts_by_address.get(getattr(address, "dotted", address))
         if dst_host is None or not dst_host.is_up:
-            return HostDown(f"{destination.address} died mid-transfer")
+            return HostDown(f"{address} died mid-transfer")
         return None
 
     def send(

@@ -86,6 +86,12 @@ class Resource:
     gives the unit up if a foreground request is waiting.  Background
     requests are FIFO among themselves, and one that has waited
     :data:`BACKGROUND_PATIENCE` times its cost joins the foreground FIFO.
+
+    The idle check is one heap entry per resource, :attr:`_check`,
+    filled and pushed in place.  A foreground claim that takes the free
+    unit empties a pending check's callbacks (it would find the unit
+    busy), and a :meth:`_free` before it pops re-arms it, so it always
+    pops at its own ``(time, eid)``.
     """
 
     def __init__(self, env: "Environment", name: str = ""):
@@ -102,7 +108,18 @@ class Resource:
         #: no background charge's deadline is earlier than this, so
         #: ``_free`` looks for lapsed patience only once it has passed
         self._next_deadline = _INF
-        self._idle_check_pending = False
+        #: the idle check's heap entry: in the heap while its callbacks
+        #: are a list (empty while moot), ``None`` once it has popped
+        self._check = check = _new(Event)
+        check.env = env
+        check.callbacks = None
+        check._value = None
+        check._exception = None
+        check._defused = False
+        #: an armed check's callbacks (the kernel never mutates them)
+        self._check_armed: typing.List[typing.Callable[[Event], None]] = [
+            self._on_idle_check
+        ]
 
     @property
     def in_use(self) -> int:
@@ -174,6 +191,9 @@ class Resource:
             if self._background:
                 self._armed = True
                 charge.callbacks.append(self._free)
+                # Background work waits on a free unit only while its
+                # idle check is pending, and that check is now moot.
+                self._check.callbacks = []
             else:
                 self._armed = False
             eid = env._eid
@@ -188,7 +208,16 @@ class Resource:
         remaining = charge.remaining
         if remaining > BACKGROUND_SLICE_MS:
             charge.remaining = remaining - BACKGROUND_SLICE_MS
-            env.call_later(BACKGROUND_SLICE_MS, self._on_slice_end, charge)
+            # The slice's timer, filled in place; its value is the charge.
+            timer = _new(Event)
+            timer.env = env
+            timer.callbacks = [self._on_slice_end]
+            timer._value = charge
+            timer._exception = None
+            timer._defused = False
+            eid = env._eid
+            env._eid = eid + 1
+            env._push((env._now + BACKGROUND_SLICE_MS, eid, timer))
             return
         charge._value = None
         charge.callbacks.insert(0, self._free)
@@ -277,12 +306,17 @@ class Resource:
         self._next_deadline = min((c.deadline for c in background), default=_INF)
 
     def _schedule_idle_check(self) -> None:
-        if not self._idle_check_pending:
-            self._idle_check_pending = True
-            self.env.call_later(0.0, self._on_idle_check)
+        """Push the idle check for this instant, or re-arm the pending
+        one a foreground claim emptied."""
+        check = self._check
+        if check.callbacks is None:
+            env = self.env
+            eid = env._eid
+            env._eid = eid + 1
+            env._push((env._now, eid, check))
+        check.callbacks = self._check_armed
 
     def _on_idle_check(self, _check: Event) -> None:
-        self._idle_check_pending = False
         background = self._background
         holder = self._holder
         if background and (holder is None or holder.callbacks is None):

@@ -13,7 +13,9 @@ import pytest
 
 from repro.discovery import PresenceBeacon
 from repro.discovery.messages import BEACON_PORT, SEGMENT_SECRET, _signature
+from repro.net.addresses import NetworkAddress
 from repro.resolution import DiscoveryPolicy
+from repro.sim.stats import StatsRegistry
 from repro.workloads.adhoc import build_adhoc_world
 from tests.cost import window
 
@@ -33,7 +35,7 @@ def _beacon_round_trip(hosts, secret=SEGMENT_SECRET):
 
     def step():
         beacon = PresenceBeacon.signed(
-            sender.name, str(sender.address), 1, {"svc": "9000"}, secret
+            sender.name, sender.address.dotted, 1, {"svc": "9000"}, secret
         )
         return world.udp.broadcast(sender, BEACON_PORT, beacon, 80, wait_ms=5.0)
 
@@ -61,10 +63,10 @@ def test_a_broadcast_beacon_costs_what_differs_per_listener():
     # (the entry and the delivered and observed counts).  The route,
     # the drop rule of a whole loss-free segment, the host table, the
     # clock and the policy's deadlines cost no frame; a handler process
-    # alone would add 6, and the charge's end runs no _free.  150.0 per
+    # alone would add 6, and the charge's end runs no _free.  149.0 per
     # 11-target round
     assert per_listener <= 12.5
-    assert eleven.python_calls <= 150.5
+    assert eleven.python_calls <= 149.5
 
 
 def test_a_forged_beacon_is_a_counted_drop_at_every_listener():
@@ -106,3 +108,21 @@ def test_a_watchdog_sweep_pass_costs_nothing_per_quiet_entry(entries):
     # 2.0: the table is read directly and the clock and liveness once
     # per pass, so a quiet entry is two C calls (its key and its get)
     assert cost.python_calls <= 2.5
+
+
+def test_a_beacon_loop_round_reads_what_the_host_already_holds():
+    """A lone host's beacon loop, woken once per period: the beacon's
+    source text is the address's own field and the sent count is bound
+    once, so a round enters neither ``NetworkAddress.__str__`` nor the
+    stats registry."""
+    world = build_adhoc_world(3, host_count=1)
+    period = world.beacons[0].policy.beacon_period_ms
+    cost = window(world.env, lambda: world.env.timeout(period), ROUNDS)
+    sent = world.env.stats.counter("discovery.beacons_sent").value
+    print(f"beacon loop: {sent} beacons, {cost.python_calls:.1f} python calls a period")
+    assert sent > 0.9 * ROUNDS  # the period is jittered
+    assert cost.calls_to(NetworkAddress.__str__) == 0
+    assert cost.calls_to(StatsRegistry.counter) == 0
+    # 36.3: a beacon's signing and its broadcast to nobody, the
+    # watchdog's sweep, and the two loops' wake-ups and jittered periods
+    assert cost.python_calls <= 36.5

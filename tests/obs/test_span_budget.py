@@ -11,7 +11,10 @@ Off, it is worth leaving in only while a site costs nothing: every site
 is written ``with (obs.span(...) if obs.enabled else NULL_SPAN) as
 span:``, so it is one attribute test and a no-op enter/exit on the
 shared span — never a call into ``Observability.span``, whose kwargs
-dict and attribute arguments would be built for nobody.
+dict and attribute arguments would be built for nobody.  A hot site
+sets attributes only on a recording span (``if span.recording:
+span.set(...)``), so with tracing off it builds no attribute dict and
+enters no ``set``: 2.0 Python calls a site.
 """
 
 import ast
@@ -20,6 +23,7 @@ import pathlib
 
 from repro.core import Arrangement, HNSName
 from repro.obs import NULL_SPAN, Observability, SpanMetrics
+from repro.obs.span import NullSpan
 from repro.sim import Environment
 from repro.workloads import build_stack, build_testbed
 from tests.cost import WARM_UPS, window
@@ -42,7 +46,8 @@ def calls_per_span(traced):
             with (
                 obs.span("inner", layer="test") if obs.enabled else NULL_SPAN
             ) as inner:
-                inner.set(outcome="hit")
+                if inner.recording:
+                    inner.set(outcome="hit")
 
     cost = window(env, pair, PAIRS)
     expected = 2 * (WARM_UPS + PAIRS) if traced else 0
@@ -62,9 +67,34 @@ def test_recorded_span_stays_within_ten_python_calls():
 def test_disabled_span_site_is_an_attribute_test_and_a_no_op_with():
     python_calls, c_calls = calls_per_span(traced=False)
     print(f"span off: {python_calls:.1f} python calls, {c_calls:.1f} C calls")
-    # __enter__, __exit__ and, on every second span, set(): no site
-    # calls span() to be handed the shared no-op span
-    assert python_calls == 2.5
+    # __enter__ and __exit__: no site calls span() to be handed the
+    # shared no-op span, nor set() on it
+    assert python_calls == 2.0
+
+
+def test_a_tracing_off_mapping_hit_sets_nothing_on_its_span():
+    """``update_storm``'s read, mapping 1 hit on a warm meta store: its
+    span site builds no attributes and calls no ``set`` when tracing is
+    off, and still records both when it is on."""
+    for traced in (False, True):
+        testbed = build_testbed(seed=0)
+        if traced:
+            testbed.env.obs.enable()
+        store = testbed.make_metastore(testbed.client)
+        cost = window(
+            testbed.env,
+            functools.partial(store.context_to_name_service, "BIND-cs"),
+            PAIRS,
+        )
+        if traced:
+            last = testbed.env.obs.spans[-1]
+            assert last.name == "meta.context_to_ns"
+            assert last.attrs == {
+                "mapping": 1, "context": "BIND-cs", "outcome": "hit", "ns": "BIND-cs",
+            }
+        else:
+            assert cost.calls_to(NullSpan.set) == 0
+            assert cost.calls_to(Observability.span) == 0
 
 
 def span_entries_per_cold_import(traced, imports=2):

@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.sim import CPU, Disk, Environment, Interrupt, Resource
-from repro.sim.events import _PENDING, Event
+from repro.sim.events import _PENDING, Event, Timeout
 from repro.sim.process import Process
 from repro.sim.resources import BACKGROUND_PATIENCE, BACKGROUND_SLICE_MS
+from tests.cost import window
 
 _INF = float("inf")
 
@@ -461,10 +462,11 @@ def test_a_cheaper_charge_behind_the_head_is_promoted_at_its_own_deadline():
 # ----------------------------------------------------------------------
 # Generated schedules
 # ----------------------------------------------------------------------
-#: (kind, arrival ms, cost ms, interrupt after arrival in ms or None)
+#: (kind, arrival ms, cost ms, interrupt after arrival in ms or None);
+#: an "fg2" actor makes two foreground charges back to back
 _ACTORS = st.lists(
     st.tuples(
-        st.sampled_from(["fg", "bg"]),
+        st.sampled_from(["fg", "bg", "fg2"]),
         st.integers(0, 12),
         st.sampled_from([0.0, 0.5, 1.0, 3.0, 4.0, 6.0, 9.0]),
         st.one_of(st.none(), st.sampled_from([0.0, 0.5, 1.0, 2.0, 4.0, 5.0, 10.0])),
@@ -671,8 +673,10 @@ def _check_bookkeeping(res, claims):
     assert res.in_use == len(held) <= 1
     assert len(set(map(id, queued))) == len(queued)
     assert holder is None or holder not in queued
-    # a unit is idle only while no foreground claim waits for it
+    # a unit is idle only while no foreground claim waits for it, and
+    # background work waits on an idle unit only behind a pending check
     assert not res._waiting or res.in_use == 1
+    assert not res._background or res.in_use == 1 or res._check.callbacks
     if res.in_use and queued:
         # someone waits, so the hold ends by handing the unit on
         assert res._armed
@@ -681,39 +685,49 @@ def _check_bookkeeping(res, claims):
         assert holder.callbacks.count(res._free) == int(res._armed)
 
 
-def _run_schedule(actors, stepped=True, kind=Resource):
+def _run_schedule(actors, stepped=True, kind=Resource, perturb_seed=None):
     """Run ``actors`` on one ``kind`` of resource; returns the actors'
-    event log and, stepped, each kernel step's ``(time, eid)``.
+    event log and, stepped, each kernel step's ``(time, eid)`` (its
+    tie-break key, under ``perturb_seed``).
 
     Stepped, a :class:`Resource`'s bookkeeping is checked after every
     kernel step and, at the end, the order and length of the foreground
     grants.
     """
-    env = Environment()
+    env = Environment(perturb_seed=perturb_seed)
     res = kind(env)
     log = []
     #: (actor, claim, foreground, cost) in the order the claims were made
     claims = []
+    #: claim index -> when its waiter resumed
+    ended = {}
+    #: actors whose body has begun (a perturbed tie-break can fire an
+    #: interrupter first, which would fail the actor unbegun)
+    begun = set()
 
     def actor(i, kind, arrive, cost):
+        begun.add(i)
         try:
             yield env.timeout(arrive)
-            charge = res.use(cost, background=kind == "bg")
-            claims.append((i, charge, kind == "fg" or cost == 0, cost))
-            yield charge
+            for _ in range(2 if kind == "fg2" else 1):
+                charge = res.use(cost, background=kind == "bg")
+                j = len(claims)
+                claims.append((i, charge, kind != "bg" or cost == 0, cost))
+                yield charge
+                ended[j] = env.now
             log.append((env.now, i, "done"))
         except Interrupt:
             log.append((env.now, i, "interrupted"))
 
-    def interrupter(target, at):
+    def interrupter(i, target, at):
         yield env.timeout(at)
-        if target.is_alive:
+        if target.is_alive and i in begun:
             target.interrupt()
 
     for i, (kind, arrive, cost, interrupt_after) in enumerate(actors):
         process = env.process(actor(i, kind, arrive, cost))
         if interrupt_after is not None:
-            env.process(interrupter(process, arrive + interrupt_after))
+            env.process(interrupter(i, process, arrive + interrupt_after))
 
     if not stepped:
         env.run()
@@ -721,7 +735,7 @@ def _run_schedule(actors, stepped=True, kind=Resource):
 
     checked = isinstance(res, Resource)
     steps = []
-    granted = {}  # actor -> (kernel step, simulated time) of its grant
+    granted = {}  # claim index -> (kernel step, simulated time) of its grant
     while env.peek() < float("inf"):
         time, eid, _ = env._queue.heap[0]
         steps.append((time, eid))
@@ -729,21 +743,24 @@ def _run_schedule(actors, stepped=True, kind=Resource):
         if not checked:
             continue
         _check_bookkeeping(res, claims)
-        for i, claim, foreground, _ in claims:
-            if foreground and i not in granted and (
+        for j, (_, claim, foreground, _) in enumerate(claims):
+            if foreground and j not in granted and (
                 claim is res._holder or claim.processed
             ):
-                granted[i] = (len(steps), env.now)
+                granted[j] = (len(steps), env.now)
 
     if checked:
         # Foreground claims get the unit in the order they asked for it.
-        order = [granted[i][0] for i, _, foreground, _ in claims if i in granted]
+        order = [
+            granted[j][0]
+            for j, (_, _, foreground, _) in enumerate(claims)
+            if j in granted
+        ]
         assert order == sorted(order)
         # A whole hold ends at its grant time plus its cost.
-        done = {i: t for t, i, what in log if what == "done"}
-        for i, claim, foreground, cost in claims:
-            if foreground and i in done:
-                assert done[i] == granted[i][1] + cost
+        for j, (_, _, foreground, cost) in enumerate(claims):
+            if foreground and j in ended:
+                assert ended[j] == granted[j][1] + cost
     assert res.queue_length == 0
     assert not checked or res.in_use == 0
     return log, steps
@@ -771,10 +788,109 @@ def test_lazy_promotion_matches_an_eager_scan(actors):
 
 
 @settings(max_examples=150, deadline=None)
-@given(actors=st.one_of(_ACTORS, _LAPSING_ACTORS))
-def test_single_unit_matches_the_counted_resource(actors):
-    """The single unit frees its hold lazily, and the counted resource
-    ran ``_free`` at the end of every hold: the same heap entries pop
-    in the same order at the same instants, and every actor sees the
-    same thing."""
-    assert _run_schedule(actors) == _run_schedule(actors, kind=CountedResource)
+@given(
+    actors=st.one_of(_ACTORS, _LAPSING_ACTORS),
+    perturb_seed=st.one_of(st.none(), st.integers(0, 2**16)),
+)
+def test_single_unit_matches_the_counted_resource(actors, perturb_seed):
+    """The single unit frees its hold lazily and reuses one idle-check
+    entry, and the counted resource ran ``_free`` at the end of every
+    hold and pushed a fresh check each time: the same heap entries pop
+    in the same order at the same instants, FIFO or under a perturbed
+    tie-break, and every actor sees the same thing."""
+    assert _run_schedule(actors, perturb_seed=perturb_seed) == _run_schedule(
+        actors, kind=CountedResource, perturb_seed=perturb_seed
+    )
+
+
+def _watch_the_check(monkeypatch):
+    """Count the idle check's pushes, empties and re-arms."""
+    seen = collections.Counter()
+    schedule, use = Resource._schedule_idle_check, Resource.use
+
+    def watched_schedule(self):
+        seen["re-armed" if self._check.callbacks == [] else "scheduled"] += 1
+        schedule(self)
+
+    def watched_use(self, service_ms, background=False):
+        pending = bool(self._check.callbacks)
+        charge = use(self, service_ms, background)
+        if pending and self._check.callbacks == []:
+            seen["emptied"] += 1
+        return charge
+
+    monkeypatch.setattr(Resource, "_schedule_idle_check", watched_schedule)
+    monkeypatch.setattr(Resource, "use", watched_use)
+    return seen
+
+
+@pytest.mark.parametrize(
+    "actors, perturb_seed, path",
+    [
+        # a background charge waits while one process charges back to
+        # back: the idle check pushed as the first charge ends is moot
+        # once the second takes the free unit
+        pytest.param(
+            [("bg", 1, 3.0, None), ("fg2", 0, 4.0, None), ("fg2", 6, 1.0, None)],
+            None,
+            {"scheduled": 3, "emptied": 2},
+            id="back-to-back-foreground",
+        ),
+        # a zero-cost charge lands on the free unit while the check is
+        # pending (and leaves it pending), then one on a unit a
+        # background slice holds
+        pytest.param(
+            [("bg", 2, 9.0, None), ("fg", 2, 0.0, None), ("fg", 4, 0.0, None)],
+            None,
+            {"scheduled": 3},
+            id="zero-cost-on-a-free-unit",
+        ),
+        # the claim that emptied the check is interrupted in the same
+        # instant, and (in this seed's tie-break) the interrupt lands
+        # first: the release re-arms the check, which grants at its own
+        # entry.  In FIFO order the check always pops first.
+        pytest.param(
+            [("bg", 2, 3.0, None), ("fg", 2, 1.0, 0.0)],
+            18,
+            {"scheduled": 1, "emptied": 1, "re-armed": 1},
+            id="interrupt-re-arms-the-check",
+        ),
+    ],
+)
+def test_the_reusable_idle_check_matches_the_counted_resource(
+    monkeypatch, actors, perturb_seed, path
+):
+    """The idle check is one reusable entry that a foreground claim
+    empties and a release re-arms; the reference pushes a fresh timer
+    each time.  Same ``(time, eid)`` at every kernel step, same log."""
+    seen = _watch_the_check(monkeypatch)
+    ours = _run_schedule(actors, perturb_seed=perturb_seed)
+    assert dict(seen) == path
+    assert ours == _run_schedule(
+        actors, kind=CountedResource, perturb_seed=perturb_seed
+    )
+
+
+def test_an_idle_check_and_a_slice_build_no_timer():
+    """A background job on a free unit: its idle check and its slice
+    timers are pushed in place, with no ``call_later`` or ``timeout``
+    frame and no ``Timeout``."""
+    env = Environment()
+    res = Resource(env)
+    popped = []
+    cost = window(
+        env, lambda: res.use(2.5 * BACKGROUND_SLICE_MS, background=True), 20
+    )
+    # each job: the check, two slices and its last hold
+    assert cost.heap_entries == 4
+    assert cost.calls_to(Environment.call_later) == 0
+    assert cost.calls_to(Environment.timeout) == 0
+
+    def job():
+        yield res.use(2.5 * BACKGROUND_SLICE_MS, background=True)
+
+    env.process(job())
+    while env.peek() < _INF:
+        popped.append(type(env._queue.heap[0][2]))
+        env.step()
+    assert Timeout not in popped

@@ -2,6 +2,7 @@
 numbers."""
 
 import importlib.util
+import json
 import pathlib
 
 import pytest
@@ -72,3 +73,13 @@ def test_the_experiments_row():
         "| `cold_import` | 7–9 | 380.0 (375.0–385.0) | 350.0 (345.0–365.0) "
         "| −7.9 % | 10.00 | 2/3 (−10.5 … +2.6 %) |"
     )
+
+
+def test_each_ledger_workload_has_a_default_duration_and_a_flag_overrides_it():
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]
+    assert sorted(pairs.SECONDS) == sorted(w["name"] for w in declared)
+    for name, seconds in pairs.SECONDS.items():
+        assert pairs.seconds_for(name) == seconds > 0
+        assert pairs.seconds_for(name, 1.0) == 1.0
+    with pytest.raises(KeyError):
+        pairs.seconds_for("no_such_workload")

@@ -3,8 +3,8 @@
 Answers "did this change make an end-to-end metric better or worse, by
 how much, against which parent":
 
-    python tools/pairs.py --against <rev> --workload <w> --pairs N --seconds S \
-        [--first-seed F] [--row]
+    python tools/pairs.py --against <rev> --workload <w> --pairs N \
+        [--seconds S] [--first-seed F] [--row]
 
 The parent, ``<rev>``, is checked out with ``git worktree add --detach``
 into a temporary directory, removed afterwards.  The change is the tree
@@ -13,7 +13,8 @@ this script lives in, as it stands.  Pair *i* runs
     benchmarks/e2e/run.py --workload <w> --seed F+i --seconds S --trace 0
 
 on both trees, one after the other: the parent first on even *i*, the
-change first on odd ones.  ``--first-seed`` (F, default 7) lets a
+change first on odd ones.  S defaults to the workload's entry in
+``SECONDS``, so two claims on one workload answer the same question.  ``--first-seed`` (F, default 7) lets a
 claim's pairs run on seeds the change was not written against.  Each run is a child process with no
 ``PYTHONPATH``, so each tree imports its own ``src/``.
 
@@ -40,6 +41,22 @@ import typing
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 FIRST_SEED = 7
 ROW_METRIC = "wall_us_per_op"
+
+#: ``--seconds`` per workload when it is not given: the shortest of 2, 4,
+#: 8, 12, 16 and 24 at which a parent-vs-parent run (10 pairs, seeds
+#: 301-310, a 2-vCPU host) kept the parent's ``wall_us_per_op``
+#: interquartile range within 3 % of its median.  ``warm_zipf`` and
+#: ``traced_import`` never got there (3.25 % and 3.35 % at best), so
+#: theirs is the shortest within 0.1 points of their lowest reading.
+#: The readings are in EXPERIMENTS.md.
+SECONDS = {
+    "cold_import": 16.0,
+    "traced_import": 12.0,
+    "warm_zipf": 8.0,
+    "update_storm": 12.0,
+    "adhoc_churn": 8.0,
+    "mclient_zipf": 2.0,
+}
 
 
 def quartiles(values: typing.Sequence[float]) -> typing.Tuple[float, float, float]:
@@ -92,6 +109,16 @@ def schedule(
     ]
 
 
+def seconds_for(workload: str, given: typing.Optional[float] = None) -> float:
+    """The ``--seconds`` a run of ``workload`` uses: ``given``, else the
+    table's."""
+    if given is not None:
+        return given
+    if workload not in SECONDS:
+        raise KeyError(f"no default --seconds for workload {workload!r}")
+    return SECONDS[workload]
+
+
 def _fmt(value: float) -> str:
     return f"{value:.1f}" if abs(value) >= 100 else f"{value:.2f}"
 
@@ -137,13 +164,18 @@ def main(argv: typing.Optional[typing.Sequence[str]] = None) -> int:
     parser.add_argument("--against", required=True, help="the parent revision")
     parser.add_argument("--workload", required=True)
     parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=4)
+    parser.add_argument("--seconds", type=float, default=None,
+                        help="per run (default: the workload's entry in SECONDS)")
     parser.add_argument("--first-seed", type=int, default=FIRST_SEED,
                         help="pair i runs seed FIRST_SEED + i")
     parser.add_argument("--row", action="store_true", help="print the EXPERIMENTS.md row")
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
+    try:
+        seconds = seconds_for(args.workload, args.seconds)
+    except KeyError as err:
+        parser.error(str(err))
     declared = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
     plan = schedule(args.pairs, args.first_seed)
     runs: typing.Dict[str, typing.List[dict]] = {"parent": [], "change": []}
@@ -155,7 +187,7 @@ def main(argv: typing.Optional[typing.Sequence[str]] = None) -> int:
             trees = {"parent": parent, "change": ROOT}
             for seed, order in plan:
                 for side in order:
-                    runs[side].append(run_once(trees[side], args.workload, seed, args.seconds))
+                    runs[side].append(run_once(trees[side], args.workload, seed, seconds))
         finally:
             subprocess.run(git + ["remove", "--force", str(parent)], check=True)
     ok = all(r["rc"] == 0 and r["correct"] and r["failed"] == 0
@@ -174,7 +206,7 @@ def main(argv: typing.Optional[typing.Sequence[str]] = None) -> int:
     else:
         print(json.dumps({
             "workload": args.workload, "against": args.against, "seeds": seeds,
-            "seconds": args.seconds, "ok": ok,
+            "seconds": seconds, "ok": ok,
             "failed_ops": {side: [r["failed"] for r in rs] for side, rs in runs.items()},
             "metrics": metrics,
         }, indent=1))
