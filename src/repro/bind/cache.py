@@ -17,13 +17,12 @@ from __future__ import annotations
 import collections
 import dataclasses
 import enum
-import functools
 import typing
 
 from repro.bind.messages import STATUS_OK, QueryResponse
 from repro.bind.rr import ResourceRecord
 from repro.harness.calibration import Calibration, DEFAULT_CALIBRATION
-from repro.memo import first_use
+from repro.memo import first_use, memoised
 from repro.serial import HandcodedMarshaller
 from repro.sim.kernel import Environment
 from repro.sim.stats import Counter
@@ -32,7 +31,7 @@ from repro.sim.stats import Counter
 NEGATIVE = object()
 
 
-@functools.lru_cache(maxsize=None)
+@memoised
 def _wire_response() -> HandcodedMarshaller:
     """What a marshalled cache stores for a record set: the bytes a
     server would have sent for it, whatever the reading client's style."""

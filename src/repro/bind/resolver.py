@@ -41,7 +41,7 @@ from repro.bind.primary import PrimaryClient, charge
 from repro.bind.replica import MAX_HEDGES, ReplicaScheduler, ReplicaState
 from repro.bind.rr import ResourceRecord, RRType
 from repro.harness.calibration import Calibration, DEFAULT_CALIBRATION
-from repro.memo import MEMO_SIZE, first_use, memoised
+from repro.memo import Table, first_use, memoised
 from repro.net.addresses import Endpoint
 from repro.net.errors import NetworkError, is_transient
 from repro.net.host import Host
@@ -144,10 +144,7 @@ class BindResolver:
         self._hand_request = HandcodedMarshaller(QueryRequest.idl_type)
         self._hand_batch_request = HandcodedMarshaller(BatchQueryRequest.idl_type)
         #: cache key -> its query and the query's value, marshalled once
-        #: (a query is a pure function of its key); at most MEMO_SIZE
-        self._queries: typing.Dict[
-            typing.Tuple[str, int], typing.Tuple[QueryRequest, Encoded]
-        ] = {}
+        self._queries = Table()
         # Responses are demarshalled in this client's style, from the
         # bytes the server sent (``reply.wire``) or a marshalled cache
         # holds; a reply is never encoded on this side.
@@ -328,7 +325,11 @@ class BindResolver:
         answer, so it is only read: the caller gets its own list.
         """
         env = self.env
-        request, value = self._queries.get(key) or self._query(key, rtype)
+        query = self._queries.get(key)
+        if query is None:  # a query is a pure function of its key
+            request = QueryRequest(DomainName(key[0]), rtype)
+            query = self._queries.keep(key, (request, Encoded(request.to_idl())))
+        request, value = query
         name = request.name
         obs = env.obs
         with (
@@ -376,17 +377,6 @@ class BindResolver:
                     self.host, self.cache.store(key, reply.records), background
                 )
             return list(reply.records), len(reply.records)
-
-    def _query(
-        self, key: typing.Tuple[str, int], rtype: RRType
-    ) -> typing.Tuple[QueryRequest, Encoded]:
-        """Build ``key``'s query slot (emptying a full table first)."""
-        queries = self._queries
-        if len(queries) >= MEMO_SIZE:
-            queries.clear()
-        request = QueryRequest(DomainName(key[0]), rtype)
-        query = queries[key] = (request, Encoded(request.to_idl()))
-        return query
 
     def _nothing_stale(
         self, key: typing.Tuple[str, int], err: Exception

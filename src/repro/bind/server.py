@@ -50,7 +50,7 @@ from repro.bind.names import DomainName
 from repro.bind.rr import RRType
 from repro.bind.zone import Zone
 from repro.harness.calibration import Calibration, DEFAULT_CALIBRATION
-from repro.memo import MEMO_SIZE, first_use
+from repro.memo import Table, first_use
 from repro.net.addresses import WELL_KNOWN_PORTS, Endpoint, NetworkAddress
 from repro.net.host import Host, Service
 from repro.obs.span import NULL_SPAN
@@ -118,16 +118,11 @@ class BindServer(Service):
         #: zone origin -> its last IXFR answer: (from serial, to serial,
         #: full), the reply, and its value marshalled once for every
         #: subscriber that pulls that range
-        self._ixfr_replies: typing.Dict[
-            DomainName, typing.Tuple[typing.Tuple[int, int, int], IxfrResponse, Encoded]
-        ] = {}
+        self._ixfr_replies = Table()
         #: (name, rtype) -> its query answer: the zone that answered it
         #: (None when no zone covers the name) at the serial it had, the
-        #: reply, and its value marshalled once; at most MEMO_SIZE
-        self._answers: typing.Dict[
-            typing.Tuple[DomainName, RRType],
-            typing.Tuple[typing.Optional[Zone], int, QueryResponse, Encoded],
-        ] = {}
+        #: reply, and its value marshalled once
+        self._answers = Table()
 
     # Per-exchange counters, each bound at its first increment so the
     # stat exists only once counted.  ``requests`` counts datagrams (a
@@ -297,7 +292,11 @@ class BindServer(Service):
         key = (request.name, request.rtype)
         slot = self._answers.get(key)
         if slot is None or (slot[0] is not None and slot[0].serial != slot[1]):
-            slot = self._answer_slot(key)
+            zone = self.zone_for(request.name)
+            reply = self._answer_one(zone, request.name, request.rtype)
+            slot = (zone, 0 if zone is None else zone.serial, reply, Encoded(reply.to_idl()))
+            if key not in self._leases:
+                self._answers.keep(key, slot)
         reply, size, marshal_cost = self._encode_reply(slot[2], slot[3])
         responder.after(
             self.host.cpu.compute(marshal_cost),
@@ -307,21 +306,6 @@ class BindServer(Service):
             size,
             responder,
         )
-
-    def _answer_slot(
-        self, key: typing.Tuple[DomainName, RRType]
-    ) -> typing.Tuple[typing.Optional[Zone], int, QueryResponse, Encoded]:
-        """Build ``key``'s answer slot, and keep it unless the key is
-        leased (emptying a full table first)."""
-        name, rtype = key
-        zone = self.zone_for(name)
-        reply = self._answer_one(zone, name, rtype)
-        slot = (zone, 0 if zone is None else zone.serial, reply, Encoded(reply.to_idl()))
-        if key not in self._leases:
-            if len(self._answers) >= MEMO_SIZE:
-                self._answers.clear()
-            self._answers[key] = slot
-        return slot
 
     def _send_answer(self, request: QueryRequest, reply, size, responder) -> None:
         if self.env.trace.enabled:
@@ -731,8 +715,8 @@ class BindServer(Service):
         if slot is None or slot[0] != walked:
             _since, serial, full = walked
             reply = IxfrResponse(STATUS_OK, serial, full, list(deltas), records)
-            slot = self._ixfr_replies[zone.origin] = (
-                walked, reply, Encoded(reply.to_idl())
+            slot = self._ixfr_replies.keep(
+                zone.origin, (walked, reply, Encoded(reply.to_idl()))
             )
         reply, size, cost = self._encode_reply(slot[1], slot[2])
         responder.after(self.host.cpu.compute(cost), responder, reply, size)

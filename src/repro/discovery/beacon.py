@@ -270,6 +270,8 @@ class BeaconService(Service):
         self.cache = DiscoveryCache(host.env, policy)
         self.incarnation = 1
         self._names: typing.Dict[str, str] = {}
+        #: the stream this host's beacon period is jittered from
+        self._jitter = host.env.rng.stream(f"discovery.beacon:{host.name}")
         existing = host.service_at(LOCATOR_PORT)
         if isinstance(existing, NameOwnerService):
             self.owner_service = existing
@@ -308,9 +310,8 @@ class BeaconService(Service):
     # ------------------------------------------------------------------
     def _period_ms(self) -> float:
         """Jittered beacon period — desynchronizes the segment's hosts."""
-        rng = self.env.rng.stream(f"discovery.beacon:{self.host.name}")
         return self.policy.beacon_period_ms * (
-            1.0 - BEACON_JITTER + 2.0 * BEACON_JITTER * rng.random()
+            1.0 - BEACON_JITTER + 2.0 * BEACON_JITTER * self._jitter.random()
         )
 
     @first_use

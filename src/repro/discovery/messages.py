@@ -10,13 +10,12 @@ real cryptography, which the simulation does not need.
 from __future__ import annotations
 
 import dataclasses
-import functools
 import typing
 import zlib
 from typing import Annotated
 
 from repro.broadcast.messages import encode_data
-from repro.memo import MEMO_SIZE
+from repro.memo import memoised
 from repro.serial.idl import BoolType, StringType, U32Type
 from repro.serial.message import WireMessage
 
@@ -37,17 +36,16 @@ def sign_beacon(
     """CRC-keyed signature over the canonical beacon encoding: a pure
     function of the field values, remembered (a broadcast's sender and
     every listener ask for the same one)."""
-    return _signature(secret, owner, address, incarnation, tuple(names.items()))
+    return _signature(secret, owner, address, str(incarnation), tuple(names.items()))
 
 
-@functools.lru_cache(maxsize=MEMO_SIZE, typed=True)  # typed: str(1) != str(True)
+@memoised
 def _signature(
-    secret: str, owner: str, address: str, incarnation: int,
+    secret: str, owner: str, address: str, incarnation: str,
     names: typing.Tuple[typing.Tuple[str, str], ...],
 ) -> int:
-    canonical = "|".join(
-        (secret, owner, address, str(incarnation), encode_data(dict(names)))
-    )
+    # the incarnation comes as text: 1 and True are one key but two str()s
+    canonical = "|".join((secret, owner, address, incarnation, encode_data(dict(names))))
     return zlib.crc32(canonical.encode("utf-8")) & 0xFFFFFFFF
 
 
@@ -86,7 +84,7 @@ class PresenceBeacon(WireMessage):
         which may have changed since another listener asked); the
         signature itself is the memo's."""
         return self.signature == _signature(
-            secret, self.owner, self.address, self.incarnation,
+            secret, self.owner, self.address, str(self.incarnation),
             tuple(self.names.items()),
         )
 

@@ -34,7 +34,7 @@ from repro.resolution import (
     ReplicaPolicy,
     UpdatePolicy,
 )
-from repro.sim.kernel import Environment
+from repro.sim.kernel import Environment, run_process
 
 if typing.TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.process import ProcessGenerator
@@ -58,17 +58,13 @@ def percentile(samples: typing.Sequence[float], p: float) -> typing.Optional[flo
     return ordered[lo] + (ordered[hi] - ordered[lo]) * (k - lo)
 
 
-def _run(env: Environment, gen: "ProcessGenerator") -> object:
-    return env.run(until=env.process(gen))
-
-
 def _idle(env: Environment, ms: float) -> None:
     """Advance simulated time by ``ms`` alongside whatever is scheduled."""
 
     def sleeper() -> "ProcessGenerator":
         yield env.timeout(ms)
 
-    _run(env, sleeper())
+    run_process(env, sleeper())
 
 
 # ----------------------------------------------------------------------
@@ -108,7 +104,7 @@ def run_fast_path(
         for i in range(contexts):
             yield from admin.register_context(f"zipf-ctx-{i}", BIND_NS)
 
-    _run(env, register_contexts())
+    run_process(env, register_contexts())
     names = [
         HNSName(f"zipf-ctx-{i}", "fiji.cs.washington.edu")
         for i in range(contexts)
@@ -119,7 +115,7 @@ def run_fast_path(
         for name in names:
             yield from hns.find_nsm(name, "HRPCBinding")
 
-    _run(env, warm())
+    run_process(env, warm())
     # Degrade the wire only after warm-up so every knob assignment
     # measures the same steady state.
     testbed.internet.segments[0].drop_probability = knobs["drop"]
@@ -270,7 +266,7 @@ def run_replica_scheduling(
             latencies.append(env.now - start)
             yield env.timeout(5.0)
 
-    _run(env, client_loop())
+    run_process(env, client_loop())
     _idle(env, 2_000.0)  # drain hedge-loser legs
     counters = env.stats.counters()
     metrics = {
@@ -371,7 +367,7 @@ def run_update_path(
         pollers = [env.process(poller(i)) for i in range(readers)]
         yield env.all_of(pollers)
 
-    _run(env, drive())
+    run_process(env, drive())
     staleness = [s for s in observed if s is not None]
     assert len(staleness) == readers
 
@@ -402,7 +398,7 @@ def run_update_path(
         ]
         yield storm_env.all_of(writers)
 
-    _run(storm_env, storm())
+    run_process(storm_env, storm())
     storm_counters = storm_env.stats.counters()
     metrics = {
         "staleness_ms_max": max(staleness),

@@ -31,6 +31,7 @@ from repro.harness.ablation import AblationStudy, GridDef, Knob, RunOutput
 from repro.harness.calibration import DEFAULT_CALIBRATION, Calibration
 from repro.harness.gate import PATTERN, load_artifact
 from repro.harness.tables import ComparisonTable, format_table
+from repro.sim.kernel import run_process
 from repro.workloads.scenarios import CREDENTIALS, build_stack, build_testbed
 
 FIJI = HNSName("BIND-cs", "fiji.cs.washington.edu")
@@ -65,13 +66,9 @@ PRELOAD_SWEEP = (
 MEASURED_REMOTE_CALL_MS = 34.2
 
 
-def _run(env, gen):
-    return env.run(until=env.process(gen))
-
-
 def _timed(env, gen) -> float:
     start = env.now
-    _run(env, gen)
+    run_process(env, gen)
     return env.now - start
 
 
@@ -282,7 +279,7 @@ def _local_file_binding(calibration: Calibration) -> float:
     entry = BindingFileEntry(
         "DesiredService", "fiji.cs.washington.edu", str(testbed.fiji.address), 9999
     )
-    _run(env, Replicator(testbed.internet, testbed.udp, [replica]).publish(
+    run_process(env, Replicator(testbed.internet, testbed.udp, [replica]).publish(
         testbed.client, entry
     ))
     binder = LocalFileBinder(testbed.client, replica, calibration)
@@ -300,7 +297,7 @@ def _reregistration_binding(calibration: Calibration) -> float:
         testbed.client, testbed.tcp, testbed.ch_endpoint, CREDENTIALS
     )
     binder = ReregistrationBinder(testbed.client, store, "bindings", calibration)
-    _run(env, binder.reregister(
+    run_process(env, binder.reregister(
         "DesiredService", "fiji.cs.washington.edu", str(testbed.fiji.address), 9999
     ))
     return _timed(env, binder.import_binding("DesiredService", "fiji.cs.washington.edu"))
@@ -427,7 +424,7 @@ def cache_capacity_sweep() -> typing.List[Claim]:
         )
         workload = QueryWorkload(env, population, zipf_s=0.8, stream=f"cap{capacity}")
         for event in workload.generate(80):
-            _run(env, resolver.lookup(event.hns_name.name))
+            run_process(env, resolver.lookup(event.hns_name.name))
         label = "unbounded" if capacity is None else capacity
         rows.append((f"cache capacity {label}: hit ratio", cache.hit_ratio))
         rows.append((f"cache capacity {label}: evictions", cache.evictions))
@@ -488,7 +485,7 @@ def cache_format_under_load() -> typing.List[Claim]:
         hns.link_host_address_nsm(
             "CH-hcs", testbed.make_nsm(ClearinghouseHostAddressNSM, testbed.client)
         )
-        _run(env, hns.find_nsm(FIJI, "HRPCBinding"))
+        run_process(env, hns.find_nsm(FIJI, "HRPCBinding"))
         warm = sum(_timed(env, hns.find_nsm(FIJI, "HRPCBinding")) for _ in range(10))
         rows.append((f"warm FindNSM, {fmt.value} meta cache", warm / 10))
     return rows
@@ -529,7 +526,7 @@ def heterogeneity_sweep() -> typing.List[Claim]:
             )
 
         for i in range(extra):
-            _run(testbed.env, add_system(i))
+            run_process(testbed.env, add_system(i))
         hns = testbed.make_hns(testbed.client)
         cold = _timed(testbed.env, hns.find_nsm(FIJI, "HRPCBinding"))
         zone_bytes = testbed.meta_server.zones[0].wire_size()
@@ -658,7 +655,7 @@ def _fleet_find_nsm(
         for i in range(clients * contexts):
             yield from admin.register_context(f"WL{i}", BIND_NS)
 
-    _run(env, register())
+    run_process(env, register())
     if shared:
         hns = testbed.make_hns(testbed.hns_host)
         server = HrpcServer(testbed.hns_host)

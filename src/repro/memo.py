@@ -1,16 +1,13 @@
-"""The one memo for pure functions of immutable input.
+"""The one place memos are built, each of :data:`MEMO_SIZE` entries.
 
-A warm lookup derives the same few hundred values all day: the labels
-of a domain name, the fields of a meta record, the octets of a dotted
-quad.  Each such function is wrapped in :data:`memoised`, an LRU of
-:data:`MEMO_SIZE` entries keyed by the argument *values* — so changed
-input (the new bytes of a re-registered record) is simply another key
-and nothing ever needs invalidating, and a call that raises is not
-remembered and raises again next time.
-
-What a memoised function returns is shared by every caller, so it must
-be immutable: a tuple, a frozen dataclass, a ``MappingProxyType``.
-
+A memo saves the host work and nothing else: the simulation is charged
+as if the work were done every time.  Each memo reads the size when it
+is built, so a process that sets ``repro.memo.MEMO_SIZE = 0`` before it
+imports anything else runs with every memo empty, and must read what a
+memo-on run reads (``tests/test_memo_off.py``).  :func:`memoised` keys
+a pure function of immutable input by the argument *values* (new input
+is a new key; a raise is not remembered; what it returns is shared, so
+immutable); a :class:`Table`'s owner decides when an entry is stale.
 A value an object derives once, on first use, is :class:`first_use`.
 """
 
@@ -22,19 +19,36 @@ import typing
 #: entries per memo; a testbed's working set is a few hundred strings
 MEMO_SIZE = 4096
 
-#: decorator: each function it wraps gets its own LRU of that size
-memoised = functools.lru_cache(maxsize=MEMO_SIZE)
+
+def memoised(func):
+    """Decorator: ``func`` behind its own LRU of :data:`MEMO_SIZE` entries."""
+    return functools.lru_cache(maxsize=MEMO_SIZE)(func)
+
+
+class Table(dict):
+    """A dict read with ``get`` and filled with :meth:`keep`: emptied
+    whole when full, and at size 0 it keeps nothing."""
+
+    __slots__ = ("size",)
+
+    def __init__(self) -> None:
+        self.size = MEMO_SIZE
+
+    def keep(self, key: object, value: typing.Any) -> typing.Any:
+        """Remember ``value`` under ``key``; returns ``value``."""
+        if len(self) >= self.size:
+            self.clear()
+        if self.size:
+            self[key] = value
+        return value
 
 
 class first_use:
     """Decorator: a method whose value becomes an attribute of the
     instance the first time it is read, as ``functools.cached_property``
-    does — a stat counter that exists only once counted, say.
-
-    The value is stored with ``setattr``.  ``cached_property`` writes it
-    through ``__dict__``, and on CPython 3.11 that turns the instance's
-    shared-key attributes into a plain dict, so every later attribute
-    read on it costs about twice as much.
+    does — a stat counter that exists only once counted, say — but with
+    ``setattr``: writing ``__dict__`` makes later attribute reads dearer
+    (docs/architecture.md §2, rule 2).
     """
 
     def __init__(self, func: typing.Callable[[typing.Any], typing.Any]):

@@ -31,6 +31,7 @@ from __future__ import annotations
 import struct
 import typing
 
+from repro.memo import Table
 from repro.serial.generated import DEFAULT_OP_COSTS, GeneratedMarshaller, OpCosts
 from repro.serial.idl import (
     ArrayType,
@@ -155,14 +156,14 @@ def _add(a: Ops, b: Ops) -> Ops:
 
 #: (type, word_bytes, alignment) -> codec.  Keyed on the type object
 #: itself, which the entry keeps alive: an ``id()`` could be reused.
-_CODECS: typing.Dict[typing.Tuple[IdlType, int, int], Codec] = {}
+_CODECS = Table()
 
 
 class StubCompiler:
     """Compiles IDL types for one representation (default Sun XDR).
 
-    Codecs are cached per (type, representation parameters) for the
-    life of the process, as a real stub compiler emits each routine once.
+    Codecs are kept per (type, representation parameters) in a memo
+    table, as a real stub compiler emits each routine once.
     """
 
     def __init__(self, representation: typing.Optional[Representation] = None):
@@ -179,7 +180,7 @@ class StubCompiler:
         key = (idl_type, rep.word_bytes, rep.alignment)
         codec = _CODECS.get(key)
         if codec is None:
-            codec = _CODECS[key] = Codec(idl_type, self._build(idl_type))
+            codec = _CODECS.keep(key, Codec(idl_type, self._build(idl_type)))
         return codec
 
     def marshaller(

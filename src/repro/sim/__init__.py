@@ -30,7 +30,7 @@ from repro.lazy import attach
 
 __getattr__, __dir__, __all__ = attach(__name__, {
     "events": ("AllOf", "AnyOf", "Event", "Interrupt", "Timeout"),
-    "kernel": ("Environment", "SimulationError"),
+    "kernel": ("Environment", "SimulationError", "run_process"),
     "process": ("Process",),
     "resources": ("CPU", "Disk", "Resource"),
     "rng": ("RngRegistry",),

@@ -45,8 +45,30 @@ STANDING_MS = 1_000.0
 _new = object.__new__
 
 
+#: Simulated ms a :func:`run_process` run may last: five times the
+#: longest measured (the ``fast_path`` grid's full-shape 120 s drain).
+RUN_HORIZON_MS = 600_000.0
+
+
 class SimulationError(RuntimeError):
     """Raised for kernel-level misuse (e.g. running into the past)."""
+
+
+def run_process(
+    env: "Environment", generator: ProcessGenerator, name: typing.Optional[str] = None
+) -> object:
+    """``env.run(until=env.process(generator, name))``, bounded: a process
+    still pending :data:`RUN_HORIZON_MS` after it started is a hang."""
+    process = env.process(generator, name)
+    process._add_callback(lambda e: e.defuse() if not e.ok else None)
+    horizon = env.now + RUN_HORIZON_MS
+    env._drain(process, horizon)
+    if not process.processed and env._queue.heap:
+        raise SimulationError(
+            f"{process.name!r} still pending at {env.now!r} ms: the run's "
+            f"horizon is {horizon!r} ms"
+        )
+    return env.run(until=process)
 
 
 class _Lane:

@@ -23,7 +23,7 @@ from repro.discovery.nsm import ADHOC_NS
 from repro.net import DatagramTransport, Internetwork
 from repro.net.host import Host
 from repro.resolution import DEFAULT_DISCOVERY_POLICY, DiscoveryPolicy
-from repro.sim import ConstantLatency, Environment
+from repro.sim import ConstantLatency, Environment, run_process
 from repro.workloads.scenarios import SRV_CONTEXT, scenario, build_testbed
 
 #: the context ad-hoc names resolve under (maps to the ``adhoc`` service)
@@ -142,7 +142,7 @@ def drive_churn(
         query = env.process(querier(), name="adhoc.querier")
         yield env.all_of([churn, query])
 
-    env.run(until=env.process(drive(), name="adhoc.driver"))
+    run_process(env, drive(), "adhoc.driver")
 
     # ---- post-hoc scoring -------------------------------------------------
     def down_during(name: str, at: float) -> bool:
@@ -264,7 +264,7 @@ def _adhoc_partition_heal_scenario(seed: int) -> Environment:
         world.segment.heal()
         yield env.timeout(6_000.0)
 
-    env.run(until=env.process(drive(), name="adhoc.partition_driver"))
+    run_process(env, drive(), "adhoc.partition_driver")
     healed = digests(world.hosts)
     assert len(healed) == 1, f"views did not reconcile after heal: {healed}"
     env.trace.emit(
@@ -318,7 +318,7 @@ def _adhoc_flash_crowd_scenario(seed: int) -> Environment:
             port=0,  # linked-in only: FindNSM returns a local binding
         )
 
-    env.run(until=env.process(register()))
+    run_process(env, register())
     hns = testbed.make_hns(testbed.client)
     hns.link_local_nsm(nsm)
     stub = NsmStub(testbed.client)
@@ -336,7 +336,7 @@ def _adhoc_flash_crowd_scenario(seed: int) -> Environment:
         crowd = [env.process(one_client()) for _ in range(8)]
         yield env.all_of(crowd)
 
-    env.run(until=env.process(drive(), name="adhoc.flash_driver"))
+    run_process(env, drive(), "adhoc.flash_driver")
     assert len(results) == 8
     assert all(r.value["owner"] == testbed.june.name for r in results)  # type: ignore[attr-defined]
     natives = env.stats.counters().get(f"nsm.{nsm.name}.native_queries", 0)

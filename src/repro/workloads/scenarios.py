@@ -64,7 +64,7 @@ from repro.resolution import (
     ReplicaPolicy,
     UpdatePolicy,
 )
-from repro.sim import ConstantLatency, Environment, Interrupt
+from repro.sim import ConstantLatency, Environment, Interrupt, run_process
 
 # Fixed well-known deployment constants for the testbed.
 BIND_NS = "BIND-cs"
@@ -188,10 +188,6 @@ class HcsTestbed:
             self.make_nsm(ClearinghouseHostAddressNSM, host, fast_path=fast_path),
         )
         return hns
-
-
-def _run(env: Environment, gen) -> object:
-    return env.run(until=env.process(gen))
 
 
 def build_testbed(
@@ -365,7 +361,7 @@ def build_testbed(
                 host_address=str(nsm_host.address),
             )
 
-    _run(env, register_everything())
+    run_process(env, register_everything())
     return testbed
 
 
@@ -521,8 +517,8 @@ def _import_scenario(arrangement: Arrangement) -> typing.Callable[[int], Environ
         def do():
             yield from stack.importer.import_binding(TARGET_SERVICE, name)
 
-        env.run(until=env.process(do()))
-        env.run(until=env.process(do()))
+        run_process(env, do())
+        run_process(env, do())
         return env
 
     return build
@@ -558,7 +554,7 @@ def _fast_path_scenario(seed: int) -> Environment:
         waiters = [env.process(one_import()) for _ in range(4)]
         yield env.all_of(waiters)
 
-    env.run(until=env.process(drive()))
+    run_process(env, drive())
     return env
 
 
@@ -582,8 +578,8 @@ def _replica_scenario(seed: int) -> Environment:
     def do():
         yield from stack.hns.find_nsm(name, "HostAddress")
 
-    env.run(until=env.process(do()))
-    env.run(until=env.process(do()))
+    run_process(env, do())
+    run_process(env, do())
     return env
 
 
@@ -611,7 +607,7 @@ def _workload_scenario(seed: int) -> Environment:
                 yield env.timeout(query.at_ms - env.now)
             yield from stack.hns.find_nsm(query.hns_name, query.query_class)
 
-    env.run(until=env.process(drive()))
+    run_process(env, drive())
     return env
 
 
@@ -637,8 +633,8 @@ def _traced_scenario(seed: int) -> Environment:
     def do():
         yield from stack.importer.import_binding(TARGET_SERVICE, name)
 
-    env.run(until=env.process(do()))
-    env.run(until=env.process(do()))
+    run_process(env, do())
+    run_process(env, do())
     return env
 
 
@@ -689,7 +685,7 @@ def _registration_storm_scenario(seed: int) -> Environment:
         ]
         yield env.all_of(wave)
 
-    env.run(until=env.process(drive()))
+    run_process(env, drive())
     return env
 
 
@@ -738,7 +734,7 @@ def _rebinding_wave_scenario(seed: int) -> Environment:
         record = yield from reader.nsm_record(f"HRPCBinding-{BIND_NS}")
         assert record.host_name == "june.cs.washington.edu", record
 
-    env.run(until=env.process(drive()))
+    run_process(env, drive())
     return env
 
 
@@ -773,7 +769,7 @@ def _mass_renumbering_scenario(seed: int) -> Environment:
         # ...until the registrar goes away and the leases lapse.
         yield env.timeout(4_000.0)
 
-    env.run(until=env.process(drive()))
+    run_process(env, drive())
     assert env.stats.counters().get("bind.update.lease_expirations", 0) >= 1
     return env
 
@@ -869,7 +865,7 @@ def build_million_client_zipf(
         yield done
         sweep_proc.interrupt()
 
-    env.run(until=env.process(drive(), name="mclient-driver"))
+    run_process(env, drive(), "mclient-driver")
     return env
 
 

@@ -6,6 +6,8 @@ keeps one query per cache key.  Reuse must never show: a write, a new
 zone or a lease gets a fresh answer, and a caller's records are its own.
 """
 
+import pytest
+
 from repro.bind import (
     BindResolver,
     BindServer,
@@ -36,6 +38,7 @@ def ask(deployment, name, rtype=RRType.A, endpoint=None):
     return run(env, exchange())
 
 
+@pytest.mark.memo
 def test_two_queries_at_one_serial_get_the_same_reply(deployment):
     first = ask(deployment, "gateway.gw.net")
     second = ask(deployment, "gateway.gw.net")
@@ -99,6 +102,7 @@ def test_mutating_returned_records_does_not_change_the_next_answer(deployment):
     assert run(env, resolver.lookup("gateway.gw.net")) == expected
 
 
+@pytest.mark.memo
 def test_a_repeat_lookup_sends_the_same_request_bytes(deployment, monkeypatch):
     env, net, transport, client, server, endpoint = deployment
     resolver = BindResolver(client, transport, endpoint)

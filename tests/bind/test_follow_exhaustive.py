@@ -21,7 +21,9 @@ one, so that run ends with one more write, to a third name.  Checked:
     its live entries is the primary's record set, and once every TTL has
     run out the resolver reads what the primary holds;
 (ii) whenever the follower's serial is written, it has not decreased
-    and is at most the primary's committed serial.
+    and is at most the primary's committed serial;
+(iii) each run as is, traced, reads line for line the same with every
+    memo empty (``tests/test_memo_off.py``).
 """
 
 import dataclasses
@@ -43,11 +45,14 @@ from repro.bind import (
     Zone,
 )
 from repro.bind.messages import NotifyRequest
+from repro.analysis.determinism import run_lines
 from repro.bind.primary import PrimaryClient
 from repro.harness.calibration import DEFAULT_CALIBRATION
 from repro.net import DatagramTransport, Internetwork
 from repro.resolution import UpdatePolicy
 from repro.sim import ConstantLatency, Environment
+
+from tests.test_memo_off import assert_memo_off_reads_the_same, digest, memo_off
 
 CAL = DEFAULT_CALIBRATION
 ORIGIN = "hns"
@@ -108,11 +113,12 @@ class World:
     drop: int
 
 
-def build(perturb_seed=None, drop=0, warm=True) -> World:
+def build(perturb_seed=None, drop=0, warm=True, trace=False) -> World:
     """The world at ``OPEN``: the follower preloaded and subscribed and,
     if ``warm``, the resolver's cache holding both names (one of them
     absent)."""
     env = Environment(seed=11, perturb_seed=perturb_seed)
+    env.trace.enabled = trace
     net = Internetwork(env)
     segment = net.add_segment(
         latency=ConstantLatency(CAL.wire_base_ms, CAL.wire_per_byte_ms)
@@ -182,12 +188,12 @@ def issue(world: World, update: Update, at: float, version: int, closing=False):
     return env.process(write())
 
 
-def run(schedule, perturb_seed=None, drop=0, steps=None, rest=False):
+def run(schedule, perturb_seed=None, drop=0, steps=None, rest=False, trace=False) -> World:
     """Run ``schedule`` (``(update, at)`` pairs) and check it, and with
     ``rest`` what the resolver reads once every TTL has run out; with
     ``steps``, append the instant of each kernel step up to the one
     after which the follower has settled."""
-    world = build(perturb_seed, drop, warm=rest)
+    world = build(perturb_seed, drop, warm=rest, trace=trace)
     env, zone, installer = world.env, world.zone, world.installer
     writes = [
         issue(world, update, at, version)
@@ -210,7 +216,7 @@ def run(schedule, perturb_seed=None, drop=0, steps=None, rest=False):
     for key, entry in world.follower.entries():
         assert list(entry.payload) == authority(zone, key[0]), (schedule, key)
     if not rest:
-        return
+        return world
     # ... and, every TTL run out, so does what the resolver reads
     env.run(until=env.now + INITIAL_TTL)
     for name in NAMES:
@@ -219,6 +225,13 @@ def run(schedule, perturb_seed=None, drop=0, steps=None, rest=False):
         except NameNotFound:
             answer = []
         assert list(answer) == authority(zone, name), (schedule, name)
+    return world
+
+
+def at_rest(schedule) -> bool:
+    """Is the zone at rest checked too?  It depends on which updates ran,
+    not when, so only where the last one ran when the schedule opened."""
+    return not schedule or schedule[-1][1] == OPEN
 
 
 def authority(zone: Zone, name: str) -> typing.List[ResourceRecord]:
@@ -248,22 +261,33 @@ def schedules():
                 yield [(first, OPEN), (second, at)], at in moments
 
 
+def fifo(schedule) -> str:
+    """Run ``schedule`` as is, traced: the digest of its canonical lines."""
+    return digest(run_lines(run(schedule, rest=at_rest(schedule), trace=True).env))
+
+
+def fifo_digests() -> typing.Dict[str, str]:
+    """Every schedule's :func:`fifo` digest, keyed by its place and itself."""
+    return {f"{index} {schedule}": fifo(schedule) for index, (schedule, _) in enumerate(schedules())}
+
+
 def test_every_schedule_of_two_updates_converges():
     """Each schedule as is, and under a perturbed tie-break where its last
     update ties with a kernel step (that instant's order is then in
     question), or with its first push dropped where it lands a tick
-    after one; a schedule of at most one update both ways."""
-    runs = 0
-    for schedule, tied in schedules():
-        # the zone at rest depends on which updates ran, not when
-        run(schedule, rest=not schedule or schedule[-1][1] == OPEN)
-        if tied:
-            run(schedule, perturb_seed=PERTURB_SEED)
-        if not tied or len(schedule) < 2:
-            run(schedule, drop=1)
-        runs += 1
-    print(f"{runs} schedules")
-    assert runs > len(UPDATES) ** 2
+    after one; a schedule of at most one update both ways.  Each run as
+    is must also read the same with every memo empty."""
+    with memo_off("tests.bind.test_follow_exhaustive:fifo_digests") as child:
+        fifos = {}
+        for schedule, tied in schedules():
+            fifos[f"{len(fifos)} {schedule}"] = fifo(schedule)
+            if tied:
+                run(schedule, perturb_seed=PERTURB_SEED)
+            if not tied or len(schedule) < 2:
+                run(schedule, drop=1)
+        print(f"{len(fifos)} schedules")
+        assert len(fifos) > len(UPDATES) ** 2
+        assert_memo_off_reads_the_same(child, fifos)
 
 
 def test_a_follower_that_ignores_its_pushes_fails(monkeypatch):

@@ -227,6 +227,7 @@ def pullers(env, udp, endpoint, count):
     ]
 
 
+@pytest.mark.memo
 def test_four_pulls_of_one_range_are_one_codec_pass_and_four_charges(wired, marshals):
     env, zone, server, resolver, udp, client, endpoint = wired
     sent, passes = marshals
@@ -284,6 +285,7 @@ def write_during_the_walk(server, zone, record):
     return raced
 
 
+@pytest.mark.memo
 def test_a_reply_raced_by_a_write_carries_the_walked_serial(wired, marshals):
     """Two pulls of one range walk the journal at one serial; a write
     that lands before the first answer is sent is not in either answer,
@@ -382,6 +384,7 @@ def test_a_delta_and_a_snapshot_never_share_the_slot(wired, marshals):
         assert (wire, cost) == fresh_marshal(reply)
 
 
+@pytest.mark.memo
 def test_the_memo_holds_at_most_one_reply_per_zone(wired):
     env, zone, server, resolver, udp, client, endpoint = wired
     other = Zone("alt")

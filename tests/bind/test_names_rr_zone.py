@@ -53,6 +53,7 @@ def test_trailing_dot_tolerated():
     assert DomainName("a.b.") == DomainName("a.b")
 
 
+@pytest.mark.memo
 def test_parsing_is_memoised_and_errors_are_not():
     # same text, one validated label tuple shared by both instances
     assert DomainName("Fiji.CS.washington.edu").labels is DomainName(

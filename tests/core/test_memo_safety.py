@@ -9,21 +9,22 @@ was looked up.
 """
 
 import dataclasses
+import pathlib
 import pickle
+import re
 
 import pytest
 
+import repro
 from repro.bind import DomainName, ResolverCache, RRType
-from repro.bind.names import _parse
 from repro.bind.resolver import cache_key
 from repro.core import HNSName, NsmRecord
 from repro.core.hns import remote_binding
-from repro.core.metastore import MetaStore, decode_fields, encode_fields
+from repro.core.metastore import decode_fields, encode_fields
 from repro.hrpc import HRPCBinding
-from repro.memo import MEMO_SIZE, first_use
+from repro.memo import first_use
 from repro.net import Endpoint, NetworkAddress
 from repro.resolution import DEFAULT_RESOLUTION_POLICY, FastPathPolicy, PolicySet
-from repro.net.addresses import _octets
 from repro.sim import Environment
 
 from tests.core.conftest import run
@@ -109,6 +110,7 @@ NSM_HOST = "nsmhost.cs.washington.edu"
 FAST = PolicySet(resolution=DEFAULT_RESOLUTION_POLICY, fast_path=FastPathPolicy())
 
 
+@pytest.mark.memo
 def test_two_warm_find_nsms_return_the_same_binding(testbed):
     hns = testbed.make_hns(testbed.client)
     cold = run(testbed.env, hns.find_nsm(FIJI, "HRPCBinding"))
@@ -138,6 +140,7 @@ def test_a_shared_binding_refuses_assignment(testbed):
         made.metadata["k"] = "w"
 
 
+@pytest.mark.memo
 def test_a_reregistered_address_yields_a_new_binding(testbed):
     env = testbed.env
     hns = testbed.make_hns(testbed.client, policies=FAST)
@@ -174,17 +177,22 @@ def test_an_invalid_address_raises_on_every_find_nsm_and_is_never_remembered(tes
     assert run(env, hns.find_nsm(FIJI, "HRPCBinding")) == good
 
 
-def test_every_memo_has_the_one_shared_size():
-    memos = [
-        _parse,
-        _octets,
-        cache_key,
-        decode_fields,
-        NsmRecord.from_fields,
-        MetaStore.host_label,
-        remote_binding,
+def test_every_memo_is_built_by_repro_memo():
+    # Outside repro.memo no module builds a memo of its own, or bounds a
+    # table by MEMO_SIZE itself, so a memo-off run empties every one.
+    built = re.compile(
+        r"\b(lru_cache|functools\.cache|cached_property|MEMO_SIZE)\b"
+        r"|from functools import .*\bcache\b"
+    )
+    src = pathlib.Path(repro.__file__).parent
+    found = [
+        f"{path.relative_to(src)}:{number} {line.strip()}"
+        for path in sorted(src.rglob("*.py"))
+        if path != src / "memo.py"
+        for number, line in enumerate(path.read_text().splitlines(), 1)
+        if built.search(line)
     ]
-    assert [memo.cache_info().maxsize for memo in memos] == [MEMO_SIZE] * len(memos)
+    assert found == []
 
 
 def test_cache_key_is_the_canonical_owner_and_wire_type():
@@ -197,6 +205,7 @@ def test_cache_key_is_the_canonical_owner_and_wire_type():
     assert cache_key(".", RRType.A)[0] == str(DomainName("."))
 
 
+@pytest.mark.memo
 def test_an_rrtype_hashes_by_identity_and_still_hits_the_memo():
     # Members are singletons, so identity is the hash equality needs —
     # and it is computed in C, not in a frame per memoised call.

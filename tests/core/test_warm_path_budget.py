@@ -95,6 +95,7 @@ def host_and_kernel_cost(make, calls=CALLS):
         pytest.param(lookup_hit, 17.5, 2, id="lookup-hit"),
     ],
 )
+@pytest.mark.memo
 def test_warm_find_nsm_host_and_kernel_budget(make, max_python_calls, heap_entries):
     python_calls, c_calls, entries, _ = host_and_kernel_cost(make)
     print(
@@ -130,6 +131,7 @@ def test_warm_find_nsm_host_and_kernel_budget(make, max_python_calls, heap_entri
         ),
     ],
 )
+@pytest.mark.memo
 def test_cold_import_host_and_kernel_budget(make, max_python_calls, heap_entries):
     python_calls, c_calls, entries, handlers = host_and_kernel_cost(
         make, calls=COLD_CALLS

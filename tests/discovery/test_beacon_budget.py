@@ -42,6 +42,7 @@ def _beacon_round_trip(hosts, secret=SEGMENT_SECRET):
     return window(world.env, step, ROUNDS), world
 
 
+@pytest.mark.memo
 def test_a_broadcast_beacon_costs_what_differs_per_listener():
     eleven, world = _beacon_round_trip(12)
     one, _ = _beacon_round_trip(2)
@@ -79,6 +80,7 @@ def test_a_forged_beacon_is_a_counted_drop_at_every_listener():
 
 
 @pytest.mark.parametrize("listeners", [1, 11])
+@pytest.mark.memo
 def test_signing_is_shared_by_the_sender_and_every_listener(listeners):
     _signature.cache_clear()
     _beacon_round_trip(listeners + 1)
@@ -110,6 +112,7 @@ def test_a_watchdog_sweep_pass_costs_nothing_per_quiet_entry(entries):
     assert cost.python_calls <= 2.5
 
 
+@pytest.mark.memo
 def test_a_beacon_loop_round_reads_what_the_host_already_holds():
     """A lone host's beacon loop, woken once per period: the beacon's
     source text is the address's own field and the sent count is bound

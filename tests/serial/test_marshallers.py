@@ -128,6 +128,7 @@ def test_custom_op_costs_ablation(generated):
     assert cost < 1.0
 
 
+@pytest.mark.memo
 def test_compiler_caches_plans():
     comp = StubCompiler()
     assert comp.compile(RESPONSE) is comp.compile(RESPONSE)

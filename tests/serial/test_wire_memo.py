@@ -94,6 +94,7 @@ def calls(memo):
 
 @pytest.mark.parametrize("rep", REPS, ids=lambda r: r.name)
 @pytest.mark.parametrize("style", STYLES)
+@pytest.mark.memo
 def test_a_hit_a_miss_and_a_fresh_codec_agree_to_the_bit(style, rep):
     keyed = 0
     for idl_type, value, message in corpus():
@@ -175,6 +176,7 @@ def test_a_call_that_raises_is_not_remembered(style):
 
 @pytest.mark.parametrize("rep", REPS, ids=lambda r: r.name)
 @pytest.mark.parametrize("style", STYLES)
+@pytest.mark.memo
 def test_damaged_copies_of_a_remembered_reply_reach_the_decoder(style, rep):
     sender = HandcodedMarshaller(QueryResponse.idl_type, representation=rep)
     wire, _ = sender.encode(QueryResponse(STATUS_OK, RECORDS[:2]))

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.sim import Environment, SimulationError
+from repro.sim import Environment, SimulationError, run_process
+from repro.sim.kernel import RUN_HORIZON_MS
 
 
 def test_clock_starts_at_zero():
@@ -101,6 +102,53 @@ def test_run_until_event_deadlock_detected():
     env.process(proc())
     with pytest.raises(SimulationError):
         env.run(until=never)
+
+
+def test_a_bounded_run_returns_what_its_process_returns():
+    env = Environment()
+    env.run(until=RUN_HORIZON_MS)  # the horizon counts from the run's start
+
+    def proc():
+        yield env.timeout(RUN_HORIZON_MS)
+        return "done"
+
+    assert run_process(env, proc()) == "done"
+    assert env.now == 2 * RUN_HORIZON_MS
+
+    def fails():
+        yield env.timeout(1)
+        raise KeyError("the process's own error")
+
+    with pytest.raises(KeyError):
+        run_process(env, fails())
+
+
+def test_a_poll_that_never_succeeds_stops_at_the_horizon():
+    env = Environment()
+    polls = []
+
+    def poller():
+        while True:  # waits for a value that never comes
+            polls.append(env.now)
+            yield env.timeout(250.0)
+
+    with pytest.raises(SimulationError) as raised:
+        run_process(env, poller(), "update_path.poller")
+    message = str(raised.value)
+    assert "'update_path.poller' still pending" in message
+    assert f"at {env.now!r} ms" in message
+    assert f"horizon is {RUN_HORIZON_MS!r} ms" in message
+    assert env.now == polls[-1] <= RUN_HORIZON_MS < env.peek()
+
+
+def test_a_bounded_run_that_drains_is_a_deadlock():
+    env = Environment()
+
+    def proc():
+        yield env.event()
+
+    with pytest.raises(SimulationError, match="deadlock"):
+        run_process(env, proc())
 
 
 def test_negative_delay_rejected():
