@@ -132,11 +132,10 @@ class ResolverCache:
             self.misses += 1
             self._count("misses")
             return None, cost
-        # The clock's slot, not its property: this runs on every hit.
-        if entry.expires_at <= self.env._now:
+        if entry.expires_at <= self.env.now:
             # Within the stale-retention window the entry stays resident
             # (a fallback for serve-stale); it still reads as a miss.
-            if self.env._now - entry.expires_at >= self.stale_retention_ms:
+            if self.env.now - entry.expires_at >= self.stale_retention_ms:
                 del self._entries[key]
                 self.expirations += 1
                 self._count("expirations")
@@ -294,7 +293,7 @@ class ResolverCache:
         ttl = entry.expires_at - entry.inserted_at
         if ttl <= 0:
             return False
-        return (entry.expires_at - self.env._now) <= fraction * ttl
+        return (entry.expires_at - self.env.now) <= fraction * ttl
 
     def record_coalesced(self) -> None:
         """Count a lookup that joined another caller's in-flight fetch."""

@@ -20,6 +20,7 @@ import typing
 
 from repro.core import Arrangement, HNSName, LocalNsmBinding, nsms
 from repro.harness.grids import GRIDS
+from repro.sim import run_process
 from repro.workloads import build_stack, build_testbed
 
 
@@ -53,7 +54,7 @@ def cmd_import(args: argparse.Namespace) -> int:
         binding = yield from stack.importer.import_binding(args.service, name)
         return binding, env.now - start
 
-    binding, elapsed = env.run(until=env.process(do()))
+    binding, elapsed = run_process(env, do())
     print(binding.describe())
     print(f"resolved in {elapsed:.1f} simulated ms (cold caches)")
     return 0
@@ -82,7 +83,7 @@ def cmd_resolve(args: argparse.Namespace) -> int:
         )
         return which, result, env.now - start
 
-    which, result, elapsed = env.run(until=env.process(do()))
+    which, result, elapsed = run_process(env, do())
     print(f"NSM:    {which}")
     for field, value in sorted(result.value.items(), key=lambda kv: kv[0]):
         print(f"{field + ':':<8}{value}")
@@ -125,7 +126,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
         binding = yield from stack.importer.import_binding(args.service, name)
         return binding
 
-    binding = env.run(until=env.process(do()))
+    binding = run_process(env, do())
     for record in env.trace.records:
         print(record)
     roots = env.obs.roots()
@@ -252,7 +253,7 @@ def cmd_list(args: argparse.Namespace) -> int:
     testbed = build_testbed(seed=args.seed)
     metastore = testbed.make_metastore(testbed.client)
     env = testbed.env
-    listing = env.run(until=env.process(metastore.directory()))
+    listing = run_process(env, metastore.directory())
     print(listing.render())
     return 0
 

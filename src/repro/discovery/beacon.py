@@ -131,7 +131,7 @@ class DiscoveryCache:
                     self._evict(key, "retracted")
         # The policy is frozen: both deadlines are read off it here, the
         # watchdog's as ``watchdog_deadline_ms()`` computes it.
-        now = self.env._now
+        now = self.env.now
         policy = self.policy
         ttl_deadline = now + policy.entry_ttl_ms
         watchdog_deadline = now + policy.beacon_period_ms * policy.watchdog_multiplier
@@ -367,7 +367,7 @@ class BeaconService(Service):
         entry before evicting it.  The clock and the (frozen) policy's
         liveness are read once per pass, and the view's table directly,
         so an entry nothing happens to costs no call."""
-        now = self.env._now
+        now = self.env.now
         liveness = self.policy.liveness
         table = self.cache._entries
         for entry in list(table.values()):

@@ -207,7 +207,7 @@ class Span:
     ) -> None:
         owner = self._owner
         env = owner.env
-        self.end_ms = env._now
+        self.end_ms = env.now
         if exc is not None and self.status == "ok":
             self.status = "error"
             self.error = type(exc).__name__
@@ -355,7 +355,7 @@ class Observability:
             span_id,
             parent_id,
             name,
-            env._now,
+            env.now,
             "main" if process is None else process.name,
             attrs,
         )

@@ -106,7 +106,7 @@ class Event:
         env = self.env
         eid = env._eid
         env._eid = eid + 1
-        env._push((env._now, eid, self))
+        env._push((env.now, eid, self))
         return self
 
     def fail(self, exception: BaseException) -> "Event":
@@ -124,7 +124,7 @@ class Event:
         env = self.env
         eid = env._eid
         env._eid = eid + 1
-        env._push((env._now, eid, self))
+        env._push((env.now, eid, self))
         return self
 
     def succeed_now(self, value: object = None) -> "Event":

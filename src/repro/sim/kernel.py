@@ -16,6 +16,7 @@ from __future__ import annotations
 import collections
 import typing
 from heapq import heappop
+from types import GeneratorType
 
 from repro.obs.span import Observability
 from repro.sim.events import _PENDING, AllOf, AnyOf, Event, Timeout
@@ -123,7 +124,10 @@ class Environment:
         seed: int = 0,
         perturb_seed: typing.Optional[int] = None,
     ):
-        self._now: float = 0.0
+        #: Current simulated time in milliseconds.  A plain field, read
+        #: at every ``env.now`` in a process body; only the kernel
+        #: writes it (:meth:`_drain`, :meth:`step`, :meth:`run`).
+        self.now: float = 0.0
         if perturb_seed is None:
             perturb_seed = DEFAULT_PERTURB_SEED
         self.perturb_seed = perturb_seed
@@ -156,11 +160,6 @@ class Environment:
     # Clock
     # ------------------------------------------------------------------
     @property
-    def now(self) -> float:
-        """Current simulated time in milliseconds."""
-        return self._now
-
-    @property
     def active_process(self) -> typing.Optional[Process]:
         """The process currently executing, if any."""
         return self._active_process
@@ -186,10 +185,20 @@ class Environment:
         timeout._value = value
         eid = self._eid
         self._eid = eid + 1
-        if delay >= self._standing_ms:
-            self._arm_standing(delay, (self._now + delay, eid, timeout))
+        entry = (self.now + delay, eid, timeout)
+        if delay < self._standing_ms:
+            self._push(entry)
+            return timeout
+        # A standing timer queues behind its lane's head, or heads a new lane.
+        lane = self._lanes.get(delay)
+        if lane is None:
+            lane = self._lanes[delay] = _Lane(self, delay)
+            timeout.callbacks = [lane.advance]
+            self._push(entry)
+        elif lane.waiting is None:
+            lane.waiting = collections.deque((entry,))
         else:
-            self._push((self._now + delay, eid, timeout))
+            lane.waiting.append(entry)
         return timeout
 
     def call_later(
@@ -225,7 +234,11 @@ class Environment:
         :class:`Process` is built: it and its start event (its first
         target, which an interrupt detaches) are filled in place.
         """
-        if not hasattr(generator, "send") or not hasattr(generator, "throw"):
+        if generator.__class__ is GeneratorType:
+            name = name or generator.__name__
+        elif hasattr(generator, "send") and hasattr(generator, "throw"):
+            name = name or getattr(generator, "__name__", "process")
+        else:
             raise TypeError(
                 f"Process requires a generator, got {type(generator).__name__}"
             )
@@ -236,7 +249,7 @@ class Environment:
         process._exception = None
         process._defused = False
         process.generator = generator
-        process.name = name or getattr(generator, "__name__", "process")
+        process.name = name
         process._span = None
         if inline:
             process._target = None
@@ -250,7 +263,7 @@ class Environment:
         start._defused = False
         eid = self._eid
         self._eid = eid + 1
-        self._push((self._now, eid, start))
+        self._push((self.now, eid, start))
         return process
 
     def any_of(self, events: typing.Sequence[Event]) -> AnyOf:
@@ -273,7 +286,7 @@ class Environment:
         entry = self._queue.pop()
         if entry is None:
             raise SimulationError("step() on an empty event queue")
-        self._now = entry[0]
+        self.now = entry[0]
         entry[2]._process()
 
     def run(
@@ -303,9 +316,9 @@ class Environment:
             horizon = float(until)
             if horizon != horizon:
                 raise ValueError("run(until=nan): NaN orders against no time")
-            if horizon < self._now:
+            if horizon < self.now:
                 raise SimulationError(
-                    f"run(until={horizon}) is in the past (now={self._now})"
+                    f"run(until={horizon}) is in the past (now={self.now})"
                 )
         self._drain(target, horizon)
         if target is not None:
@@ -316,21 +329,8 @@ class Environment:
                 )
             return target.value
         if until is not None:
-            self._now = horizon
+            self.now = horizon
         return None
-
-    def _arm_standing(self, delay: float, entry: Entry) -> None:
-        """Schedule a new ``Timeout`` of at least :data:`STANDING_MS`."""
-        lane = self._lanes.get(delay)
-        if lane is not None:
-            waiting = lane.waiting
-            if waiting is None:
-                waiting = lane.waiting = collections.deque()
-            waiting.append(entry)
-        else:  # first of its delay: straight into the heap, as head
-            lane = self._lanes[delay] = _Lane(self, delay)
-            entry[2].callbacks = [lane.advance]
-            self._push(entry)
 
     def _drain(self, target: typing.Optional[Event], horizon: float) -> None:
         """The run loop: pop the heap, run callbacks inline.
@@ -340,12 +340,12 @@ class Environment:
         queue drains, when the next entry lies past ``horizon``, or —
         with ``target`` — as soon as ``target`` has been processed.  An
         unhandled failed event raises from here (the inlined equivalent
-        of :meth:`Event._process`'s re-raise).  ``_now`` is left at the
+        of :meth:`Event._process`'s re-raise).  ``now`` is left at the
         last processed entry.
         """
         heap = self._queue.heap
         while heap and heap[0][0] <= horizon:
-            self._now, _, event = heappop(heap)
+            self.now, _, event = heappop(heap)
             callbacks = event.callbacks
             event.callbacks = None
             if callbacks:

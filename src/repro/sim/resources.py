@@ -157,7 +157,7 @@ class Resource:
         if holder is not None and holder.callbacks is not None:
             # Busy: queue, and make sure the hold ends by handing on.
             if background and service_ms > 0:
-                deadline = env._now + BACKGROUND_PATIENCE * max(service_ms, 1.0)
+                deadline = env.now + BACKGROUND_PATIENCE * max(service_ms, 1.0)
                 charge.deadline = deadline
                 if deadline < self._next_deadline:
                     self._next_deadline = deadline
@@ -174,7 +174,7 @@ class Resource:
             self._free()
             charge.succeed_now()
         elif background:
-            deadline = env._now + BACKGROUND_PATIENCE * max(service_ms, 1.0)
+            deadline = env.now + BACKGROUND_PATIENCE * max(service_ms, 1.0)
             charge.deadline = deadline
             if deadline < self._next_deadline:
                 self._next_deadline = deadline
@@ -198,7 +198,7 @@ class Resource:
                 self._armed = False
             eid = env._eid
             env._eid = eid + 1
-            env._push((env._now + service_ms, eid, charge))
+            env._push((env.now + service_ms, eid, charge))
         return charge
 
     def _hold(self, charge: Charge) -> None:
@@ -217,13 +217,13 @@ class Resource:
             timer._defused = False
             eid = env._eid
             env._eid = eid + 1
-            env._push((env._now + BACKGROUND_SLICE_MS, eid, timer))
+            env._push((env.now + BACKGROUND_SLICE_MS, eid, timer))
             return
         charge._value = None
         charge.callbacks.insert(0, self._free)
         eid = env._eid
         env._eid = eid + 1
-        env._push((env._now + remaining, eid, charge))
+        env._push((env.now + remaining, eid, charge))
 
     def _on_slice_end(self, timer: Event) -> None:
         charge = timer._value
@@ -236,7 +236,7 @@ class Resource:
         # Give way: the freed unit goes to the foreground waiter, and
         # the charge queues again ahead of later background arrivals.
         self._free()
-        if self.env._now < charge.deadline:
+        if self.env.now < charge.deadline:
             self._background.appendleft(charge)
             if charge.deadline < self._next_deadline:
                 self._next_deadline = charge.deadline
@@ -271,7 +271,7 @@ class Resource:
         """
         self._holder = None
         background = self._background
-        if background and self._next_deadline <= self.env._now:
+        if background and self._next_deadline <= self.env.now:
             self._promote_lapsed()
         waiting = self._waiting
         if not waiting:
@@ -293,13 +293,13 @@ class Resource:
             self._armed = False
         eid = env._eid
         env._eid = eid + 1
-        env._push((env._now + charge.remaining, eid, charge))
+        env._push((env.now + charge.remaining, eid, charge))
 
     def _promote_lapsed(self) -> None:
         """Move each background charge whose patience has run out to the
         foreground FIFO, in lane order, and note the next deadline."""
         background = self._background
-        now = self.env._now
+        now = self.env.now
         for charge in [c for c in background if c.deadline <= now]:
             background.remove(charge)
             self._waiting.append(charge)
@@ -313,7 +313,7 @@ class Resource:
             env = self.env
             eid = env._eid
             env._eid = eid + 1
-            env._push((env._now, eid, check))
+            env._push((env.now, eid, check))
         check.callbacks = self._check_armed
 
     def _on_idle_check(self, _check: Event) -> None:

@@ -4,49 +4,42 @@ protocol, enumerated.
 A NOTIFY-subscribed cache follows one primary zone by pulling IXFR
 deltas, and a TTL resolver reads the same zone through its own cache.
 The follow protocol's past faults each needed a write to land at one
-particular instant (inside a journal walk's charge, between a push and
-its pull) that hand-written scenarios do not produce, and sampling finds
-such an instant only by luck.  So the instants are enumerated: the
-first update is issued when the schedule opens, and a reference run of
-it fixes every instant at which a kernel step happens; the second update
-is issued at each of them and one tick after each.
+instant (inside a journal walk's charge, between a push and its pull)
+that neither hand-written scenarios nor sampling reliably produce.  So
+the instants are enumerated: the first update is issued when the
+schedule opens, and the second at each instant of a kernel step in a
+reference run of the first, and one tick after each.
 
-Every schedule runs as is and once more: under a perturbed tie-break
-where its last update ties with a kernel step, and with the follower's
-first NOTIFY dropped where it lands a tick after one (a schedule of one
-update runs all three ways).  A dropped push is repaired by the next
-one, so that run ends with one more write, to a third name.  Checked:
+Every schedule runs as is, and under a perturbed tie-break where its
+last update ties with a kernel step, or, where it lands a tick after
+one, with the follower's first NOTIFY dropped and again with the reply
+to its first IXFR pull lost (a schedule of one update runs all four
+ways).  Those two end with a write to a third name: a dropped push is
+repaired only by the next one, and a lost reply's pull retransmits
+after ``XFER_TIMEOUT_MS``, before that write.  Checked:
 
 (i) at quiescence the follower is at the primary's serial and each of
     its live entries is the primary's record set, and once every TTL has
     run out the resolver reads what the primary holds;
 (ii) whenever the follower's serial is written, it has not decreased
     and is at most the primary's committed serial;
-(iii) each run as is, traced, reads line for line the same with every
-    memo empty (``tests/test_memo_off.py``).
+(iii) each run as is or with a lost reply, traced, reads line for line
+    the same with every memo empty (``tests/test_memo_off.py``).
 """
 
+import collections
 import dataclasses
 import typing
 
 import pytest
 
 from repro.bind import (
-    BindResolver,
-    BindServer,
-    CacheInstaller,
-    DomainName,
-    NameNotFound,
-    ResolverCache,
-    ResourceRecord,
-    RRType,
-    UpdateMode,
-    UpdateOp,
-    Zone,
+    BindResolver, BindServer, CacheInstaller, DomainName, NameNotFound, ResolverCache,
+    ResourceRecord, RRType, UpdateMode, UpdateOp, Zone,
 )
 from repro.bind.messages import NotifyRequest
 from repro.analysis.determinism import run_lines
-from repro.bind.primary import PrimaryClient
+from repro.bind.primary import XFER_TIMEOUT_MS, PrimaryClient
 from repro.harness.calibration import DEFAULT_CALIBRATION
 from repro.net import DatagramTransport, Internetwork
 from repro.resolution import UpdatePolicy
@@ -94,9 +87,8 @@ class CheckedSerials(dict):
         self.zone = zone
 
     def __setitem__(self, origin, serial):
-        assert self.get(origin, 0) <= serial <= self.zone.serial, (
-            self.get(origin), serial, self.zone.serial,
-        )
+        have, committed = self.get(origin, 0), self.zone.serial
+        assert have <= serial <= committed, (have, serial, committed)
         super().__setitem__(origin, serial)
 
 
@@ -108,30 +100,31 @@ class World:
     follower: ResolverCache
     reader: BindResolver
     writer: PrimaryClient
-    #: NOTIFYs sent to the follower, and how many of the first to drop
-    pushes: int
-    drop: int
+    #: what the run loses the first of, "notify" or "reply" ("" nothing),
+    #: and how many of each were sent to the follower
+    drop: str
+    sent: typing.Counter[str] = dataclasses.field(default_factory=collections.Counter)
+
+    def lost(self, kind: str) -> bool:
+        """Count one ``kind`` sent; is it the first, in a run that drops it?"""
+        self.sent[kind] += 1
+        return self.drop == kind and self.sent[kind] == 1
 
 
-def build(perturb_seed=None, drop=0, warm=True, trace=False) -> World:
+def build(perturb_seed=None, drop="", warm=True, trace=False) -> World:
     """The world at ``OPEN``: the follower preloaded and subscribed and,
     if ``warm``, the resolver's cache holding both names (one of them
     absent)."""
     env = Environment(seed=11, perturb_seed=perturb_seed)
     env.trace.enabled = trace
     net = Internetwork(env)
-    segment = net.add_segment(
-        latency=ConstantLatency(CAL.wire_base_ms, CAL.wire_per_byte_ms)
-    )
+    segment = net.add_segment(latency=ConstantLatency(CAL.wire_base_ms, CAL.wire_per_byte_ms))
     udp = DatagramTransport(net)
     zone = Zone(ORIGIN)
     zone.add(record(NAMES[0], "v0", INITIAL_TTL))
     server = BindServer(
-        net.add_host("ns", segment),
-        zones=[zone],
-        allow_dynamic_update=True,
-        update_policy=UpdatePolicy(invalidation="notify"),
-        transport=udp,
+        net.add_host("ns", segment), zones=[zone], allow_dynamic_update=True,
+        update_policy=UpdatePolicy(invalidation="notify"), transport=udp,
     )
     endpoint = server.listen()
     follower = BindResolver(
@@ -145,17 +138,21 @@ def build(perturb_seed=None, drop=0, warm=True, trace=False) -> World:
         cache=ResolverCache(env, name="reader"), name="reader",
     )
     writer = BindResolver(net.add_host("writer", segment), udp, endpoint).primary
-    world = World(env, zone, installer, follower.cache, reader, writer, 0, drop)
-    handle = installer.handle
+    world = World(env, zone, installer, follower.cache, reader, writer, drop)
+    handle, send_ixfr = installer.handle, server._send_ixfr
 
     def dropping(datagram, responder):
-        if isinstance(datagram.payload, NotifyRequest):
-            world.pushes += 1
-            if world.pushes <= world.drop:
-                return None
+        if isinstance(datagram.payload, NotifyRequest) and world.lost("notify"):
+            return None
         return handle(datagram, responder)
 
-    installer.handle = dropping
+    def losing(zone, walked, deltas, records, responder):
+        if world.lost("reply"):  # marshalled and paid for, then lost on the wire
+            after, responder = responder.after, lambda reply, size: None
+            responder.after = after
+        send_ixfr(zone, walked, deltas, records, responder)
+
+    installer.handle, server._send_ixfr = dropping, losing
 
     def setup():
         yield from installer.preload(ORIGIN)
@@ -173,7 +170,7 @@ def build(perturb_seed=None, drop=0, warm=True, trace=False) -> World:
 
 def issue(world: World, update: Update, at: float, version: int, closing=False):
     """Start ``update`` as its own writer process at ``at``; a closing
-    write's push is never dropped."""
+    write's push and pull are never dropped."""
     mode, name, ttl = update
     env = world.env
     records = () if ttl is None else (record(name, f"v{version}", ttl),)
@@ -182,28 +179,24 @@ def issue(world: World, update: Update, at: float, version: int, closing=False):
     def write():
         yield env.timeout(at - env.now)
         if closing:
-            world.drop = 0
+            world.drop = ""
         yield from world.writer.update_batch([op])
 
     return env.process(write())
 
 
-def run(schedule, perturb_seed=None, drop=0, steps=None, rest=False, trace=False) -> World:
+def run(schedule, perturb_seed=None, drop="", steps=None, rest=False, trace=False) -> World:
     """Run ``schedule`` (``(update, at)`` pairs) and check it, and with
     ``rest`` what the resolver reads once every TTL has run out; with
     ``steps``, append the instant of each kernel step up to the one
     after which the follower has settled."""
     world = build(perturb_seed, drop, warm=rest, trace=trace)
     env, zone, installer = world.env, world.zone, world.installer
-    writes = [
-        issue(world, update, at, version)
-        for version, (update, at) in enumerate(schedule, start=1)
-    ]
+    writes = [issue(world, update, at, n) for n, (update, at) in enumerate(schedule, start=1)]
     last = max((at for _, at in schedule), default=OPEN)
     if drop:
-        closing = (UpdateMode.REPLACE, CLOSING, SHORT_TTL)
-        issue(world, closing, last + SETTLE_MS, 0, closing=True)
-        last += SETTLE_MS
+        last += SETTLE_MS + (XFER_TIMEOUT_MS if drop == "reply" else 0)
+        issue(world, (UpdateMode.REPLACE, CLOSING, SHORT_TTL), last, 0, closing=True)
     while steps is not None and env.peek() <= last + SETTLE_MS:
         env.step()
         steps.append(env.now)
@@ -261,31 +254,40 @@ def schedules():
                 yield [(first, OPEN), (second, at)], at in moments
 
 
-def fifo(schedule) -> str:
-    """Run ``schedule`` as is, traced: the digest of its canonical lines."""
-    return digest(run_lines(run(schedule, rest=at_rest(schedule), trace=True).env))
+def dropped(schedule, tied) -> bool:
+    """Does ``schedule`` run with a push dropped, and with a reply lost?"""
+    return not tied or len(schedule) < 2
+
+
+def fifo(schedule, drop="") -> str:
+    """Run ``schedule`` in FIFO order, traced: the digest of its lines."""
+    world = run(schedule, drop=drop, rest=at_rest(schedule), trace=True)
+    return digest(run_lines(world.env))
 
 
 def fifo_digests() -> typing.Dict[str, str]:
-    """Every schedule's :func:`fifo` digest, keyed by its place and itself."""
-    return {f"{index} {schedule}": fifo(schedule) for index, (schedule, _) in enumerate(schedules())}
+    """The :func:`fifo` digest of every schedule as is, and with a lost
+    reply where it runs so, keyed by its place and itself."""
+    digests = {}
+    for index, (schedule, tied) in enumerate(schedules()):
+        digests[f"{index} {schedule}"] = fifo(schedule)
+        if dropped(schedule, tied):
+            digests[f"{index} {schedule} reply lost"] = fifo(schedule, "reply")
+    return digests
 
 
 def test_every_schedule_of_two_updates_converges():
-    """Each schedule as is, and under a perturbed tie-break where its last
-    update ties with a kernel step (that instant's order is then in
-    question), or with its first push dropped where it lands a tick
-    after one; a schedule of at most one update both ways.  Each run as
-    is must also read the same with every memo empty."""
+    """Each schedule, run each way the module docstring lists (a perturbed
+    tie-break where that instant's order is in question); each FIFO run
+    must also read the same with every memo empty."""
     with memo_off("tests.bind.test_follow_exhaustive:fifo_digests") as child:
-        fifos = {}
+        fifos = fifo_digests()
         for schedule, tied in schedules():
-            fifos[f"{len(fifos)} {schedule}"] = fifo(schedule)
             if tied:
                 run(schedule, perturb_seed=PERTURB_SEED)
-            if not tied or len(schedule) < 2:
-                run(schedule, drop=1)
-        print(f"{len(fifos)} schedules")
+            if dropped(schedule, tied):
+                run(schedule, drop="notify")
+        print(f"{len(fifos)} FIFO runs")
         assert len(fifos) > len(UPDATES) ** 2
         assert_memo_off_reads_the_same(child, fifos)
 

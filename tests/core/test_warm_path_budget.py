@@ -109,23 +109,24 @@ def test_warm_find_nsm_host_and_kernel_budget(make, max_python_calls, heap_entri
 @pytest.mark.parametrize(
     "make, max_python_calls, heap_entries",
     [
-        # 1 134.0 / 665.1 C calls: each query and answer is recalled
+        # 1 115.0 / 665.1 C calls: each query and answer is recalled
         # by its wire key after the warm-ups, span sites with tracing
         # off are an attribute test, every server answers from its
         # charges' callbacks, with no handler process, no uncontended
         # charge runs anything when it ends, each wire hop is one
         # route with its values filled in place, and a host's liveness
-        # is an attribute and its address-table entry a dict read
+        # is an attribute and its address-table entry a dict read, and
+        # so is the clock
         pytest.param(
             cold_import("BIND-cs", "DesiredService", NAME),
-            1_140,
+            1_120,
             80,
             id="bind-cs",
         ),
-        # 1 147.6 / 733.5, likewise through the Clearinghouse
+        # 1 122.6 / 733.5, likewise through the Clearinghouse
         pytest.param(
             cold_import("CH-hcs", "PrintService", HNSName("CH-hcs", "dlion:hcs:uw")),
-            1_150,
+            1_125,
             81,
             id="ch-hcs",
         ),

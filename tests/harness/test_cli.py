@@ -1,8 +1,14 @@
 """The command-line interface."""
 
+import ast
+import pathlib
+import types
+
 import pytest
 
+import repro.cli
 from repro.cli import main
+from repro.sim import SimulationError
 
 
 def test_import_command(capsys):
@@ -94,3 +100,43 @@ def test_unknown_grid_is_a_usage_error(capsys):
     assert "invalid choice: 'nosuch'" in err
     for grid in ("fast_path", "replica_scheduling", "update_path", "discovery", "all"):
         assert grid in err
+
+
+def test_a_command_that_never_finishes_stops_at_the_horizon(monkeypatch):
+    """Each command drives its process through ``run_process``: an
+    import that polls for ever fails at the run's horizon."""
+
+    def never_answering(testbed):
+        env = testbed.env
+
+        def import_binding(_service, _name):
+            while True:
+                yield env.timeout(1_000.0)
+
+        return types.SimpleNamespace(
+            importer=types.SimpleNamespace(import_binding=import_binding)
+        )
+
+    monkeypatch.setattr(repro.cli, "_stack_with_all_nsms", never_answering)
+    with pytest.raises(SimulationError, match="'do' still pending"):
+        main(["import", "DesiredService", "BIND-cs::fiji.cs.washington.edu"])
+
+
+def test_no_command_runs_a_process_unbounded():
+    """No ``env.run(until=env.process(...))`` in ``repro/cli.py``: a
+    bare run has no horizon, so a poll that never succeeds spins."""
+    source = pathlib.Path(repro.cli.__file__).read_text()
+    bare = [
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "run"
+        and any(
+            isinstance(k.value, ast.Call)
+            and isinstance(k.value.func, ast.Attribute)
+            and k.value.func.attr == "process"
+            for k in node.keywords
+        )
+    ]
+    assert bare == []

@@ -332,8 +332,8 @@ def test_retransmit_pays_the_attempt_again_and_ignores_the_late_reply():
         # the reply read the address table directly (no host_at); the
         # rest is the kernel's and the handler's
         pytest.param("udp", 27, 3, id="udp"),
-        # 40.0 — likewise, plus the connect's two hops and its checks
-        pytest.param("tcp", 41, 4, id="tcp"),
+        # 37.0 — likewise, plus the connect's two hops and its checks
+        pytest.param("tcp", 37.5, 4, id="tcp"),
     ],
 )
 def test_an_exchange_host_budget(transport, max_python_calls, heap_entries):

@@ -1,9 +1,14 @@
 """Kernel clock/queue behaviour."""
 
+import ast
+import pathlib
+
 import pytest
 
 from repro.sim import Environment, SimulationError, run_process
 from repro.sim.kernel import RUN_HORIZON_MS
+
+SRC = pathlib.Path(__file__).resolve().parents[2] / "src" / "repro"
 
 
 def test_clock_starts_at_zero():
@@ -208,3 +213,75 @@ def test_two_environments_are_independent():
     env1.run()
     assert env1.now == 4.0
     assert env2.now == 0.0
+
+
+@pytest.mark.parametrize("not_a_generator", [lambda: None, [1, 2], 3, iter(())])
+def test_process_of_a_non_generator_raises_the_same_type_error(not_a_generator):
+    env = Environment()
+    with pytest.raises(
+        TypeError,
+        match=f"^Process requires a generator, got {type(not_a_generator).__name__}$",
+    ):
+        env.process(not_a_generator)  # type: ignore[arg-type]
+    assert env.kernel_counters()["sim.kernel.events_scheduled"] == 0
+
+
+class _GeneratorLike:
+    """Has ``send`` and ``throw`` but is no ``types.GeneratorType``."""
+
+    def __init__(self, generator, name=None):
+        self._generator = generator
+        if name is not None:
+            self.__name__ = name
+
+    def send(self, value):
+        return self._generator.send(value)
+
+    def throw(self, exception):
+        return self._generator.throw(exception)
+
+
+@pytest.mark.parametrize(
+    "name, given, expected",
+    [(None, None, "process"), ("own", None, "own"), ("own", "given", "given")],
+)
+def test_a_generator_like_still_starts(name, given, expected):
+    env = Environment()
+
+    def body():
+        yield env.timeout(2.0)
+        return env.now
+
+    process = env.process(_GeneratorLike(body(), name), given)
+    assert process.name == expected
+    assert env.run(until=process) == 2.0
+
+
+def _now_targets(node):
+    """The ``<x>.now`` attributes an assignment target writes."""
+    if isinstance(node, ast.Attribute):
+        return [node] if node.attr == "now" else []
+    if isinstance(node, (ast.Tuple, ast.List)):
+        return [a for element in node.elts for a in _now_targets(element)]
+    if isinstance(node, ast.Starred):
+        return _now_targets(node.value)
+    return []
+
+
+def test_only_the_kernel_writes_the_clock():
+    """``Environment.now`` is a plain field, so nothing stops a write;
+    under ``src/repro`` only ``repro/sim/kernel.py`` makes one."""
+    writers = {}
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, (ast.AugAssign, ast.AnnAssign, ast.For, ast.comprehension)):
+                targets = [node.target]
+            else:
+                continue
+            for target in targets:
+                for attribute in _now_targets(target):
+                    where = path.relative_to(SRC.parent).as_posix()
+                    writers.setdefault(where, []).append(attribute.lineno)
+    assert set(writers) == {"repro/sim/kernel.py"}, writers

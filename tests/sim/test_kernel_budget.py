@@ -70,6 +70,39 @@ def _standing_arm_beside_a_round_trip():
     return window(env, step, ROUNDS)
 
 
+def _clock_reads_beside_a_round_trip():
+    """Each round reads ``env.now`` twice, as a process body timing its
+    own wait does, then the timeout round trip."""
+    env = Environment()
+    seen = []
+
+    def step():
+        seen.append(env.now - env.now)
+        return env.timeout(1.0)
+
+    return window(env, step, ROUNDS)
+
+
+def _open_loop_client():
+    """Each round is one ``mclient_zipf`` op: an arrival starts a client
+    that times one lookup with two clock reads, then arms a no-waiter
+    standing lease (the lease counts as scheduled from its arming)."""
+    env = Environment()
+    latencies = []
+
+    def client():
+        started = env.now
+        yield env.timeout(0.5)
+        latencies.append(env.now - started)
+        env.timeout(2 * STANDING_MS)
+
+    def step():
+        env.process(client())
+        return env.timeout(1.0)
+
+    return window(env, step, ROUNDS)
+
+
 def _process_start_to_unwaited_exit():
     env = Environment()
 
@@ -105,9 +138,16 @@ def _process_start_to_unwaited_exit():
         pytest.param(
             _process_start_to_unwaited_exit, 10.5, 3, id="process-start-to-exit"
         ),
-        # 6.0 — the round trip's 4.0 plus env.timeout, _arm_standing:
-        # arming is 2 calls and no heap push
-        pytest.param(_standing_arm_beside_a_round_trip, 6.5, 2, id="standing-arm"),
+        # 5.0 — the round trip's 4.0 plus env.timeout: arming is the
+        # call itself (a lane append) and no heap push
+        pytest.param(_standing_arm_beside_a_round_trip, 5.5, 2, id="standing-arm"),
+        # 4.0, a timeout round trip's — the clock is a field, so a read
+        # of env.now enters no frame
+        pytest.param(_clock_reads_beside_a_round_trip, 4.5, 1, id="clock-reads"),
+        # 11.0 — the round trip's 4.0, env.process, and the client's two
+        # segments (_resume and its frame each), its timeout and its
+        # lease: a ledger op is this less the round's own frame
+        pytest.param(_open_loop_client, 11.5, 4, id="open-loop-client"),
     ],
 )
 def test_kernel_primitive_budget(measure, max_python_calls, heap_entries):

@@ -551,7 +551,7 @@ class CountedResource:
         charge.held = False
         charge.remaining = service_ms
         if background and service_ms > 0:
-            deadline = env._now + BACKGROUND_PATIENCE * max(service_ms, 1.0)
+            deadline = env.now + BACKGROUND_PATIENCE * max(service_ms, 1.0)
             charge.deadline = deadline
             if deadline < self._next_deadline:
                 self._next_deadline = deadline
@@ -569,7 +569,7 @@ class CountedResource:
             charge.callbacks.append(self._free)
             eid = env._eid
             env._eid = eid + 1
-            env._push((env._now + service_ms, eid, charge))
+            env._push((env.now + service_ms, eid, charge))
         else:
             self._in_use += 1
             self._free()
@@ -587,7 +587,7 @@ class CountedResource:
         charge.callbacks.insert(0, self._free)
         eid = env._eid
         env._eid = eid + 1
-        env._push((env._now + remaining, eid, charge))
+        env._push((env.now + remaining, eid, charge))
 
     def _on_slice_end(self, timer):
         charge = timer._value
@@ -598,7 +598,7 @@ class CountedResource:
             return
         charge.held = False
         self._free()
-        if self.env._now < charge.deadline:
+        if self.env.now < charge.deadline:
             self._background.appendleft(charge)
             if charge.deadline < self._next_deadline:
                 self._next_deadline = charge.deadline
@@ -619,7 +619,7 @@ class CountedResource:
     def _free(self, _hold=None):
         self._in_use -= 1
         background = self._background
-        if background and self._next_deadline <= self.env._now:
+        if background and self._next_deadline <= self.env.now:
             self._promote_lapsed()
         waiting = self._waiting
         if not waiting:
@@ -637,11 +637,11 @@ class CountedResource:
             charge.callbacks.insert(0, self._free)
             eid = env._eid
             env._eid = eid + 1
-            env._push((env._now + charge.remaining, eid, charge))
+            env._push((env.now + charge.remaining, eid, charge))
 
     def _promote_lapsed(self):
         background = self._background
-        now = self.env._now
+        now = self.env.now
         for charge in [c for c in background if c.deadline <= now]:
             background.remove(charge)
             self._waiting.append(charge)

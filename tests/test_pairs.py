@@ -1,9 +1,10 @@
 """The pairs tool (``tools/pairs.py``): its statistics, on synthetic
-numbers."""
+numbers, and the environment its runs get."""
 
 import importlib.util
 import json
 import pathlib
+import subprocess
 
 import pytest
 
@@ -83,3 +84,27 @@ def test_each_ledger_workload_has_a_default_duration_and_a_flag_overrides_it():
         assert pairs.seconds_for(name, 1.0) == 1.0
     with pytest.raises(KeyError):
         pairs.seconds_for("no_such_workload")
+
+
+def test_both_trees_run_from_source_in_one_environment(monkeypatch, tmp_path):
+    """A tree's ``__pycache__`` is neither read nor written: each run gets
+    the same environment, whichever tree it is in."""
+    seen = []
+
+    def fake_run(argv, cwd, env, capture_output, text):
+        seen.append((cwd, env))
+        line = json.dumps({"failed": 0, "correct": True, "metrics": {}})
+        return subprocess.CompletedProcess(argv, 0, stdout=line + "\n", stderr="")
+
+    monkeypatch.setenv("PYTHONPATH", "src")
+    monkeypatch.setattr(pairs.subprocess, "run", fake_run)
+    pycache = tmp_path / "pycache"
+    pycache.mkdir()
+    for tree in (tmp_path / "parent", ROOT):
+        assert pairs.run_once(tree, "mclient_zipf", 7, 1.0, pycache)["rc"] == 0
+    (parent_tree, parent_env), (change_tree, change_env) = seen
+    assert (parent_tree, change_tree) == (tmp_path / "parent", ROOT)
+    assert parent_env == change_env
+    assert parent_env["PYTHONDONTWRITEBYTECODE"] == "1"
+    assert parent_env["PYTHONPYCACHEPREFIX"] == str(pycache)
+    assert "PYTHONPATH" not in parent_env

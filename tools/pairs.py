@@ -16,7 +16,11 @@ on both trees, one after the other: the parent first on even *i*, the
 change first on odd ones.  S defaults to the workload's entry in
 ``SECONDS``, so two claims on one workload answer the same question.  ``--first-seed`` (F, default 7) lets a
 claim's pairs run on seeds the change was not written against.  Each run is a child process with no
-``PYTHONPATH``, so each tree imports its own ``src/``.
+``PYTHONPATH``, so each tree imports its own ``src/``, and each compiles
+it from source: ``PYTHONDONTWRITEBYTECODE=1`` and a ``PYTHONPYCACHEPREFIX``
+at one empty temporary directory, so bytecode a tree already holds (the
+change's ``__pycache__``; the parent's worktree has none) cannot bias
+``setup_s`` or ``peak_rss_mb``.
 
 Prints JSON: for every end-to-end metric in ``BENCHMARK.json``, each
 side's median and quartiles, the Δ of each pair (change − parent), the
@@ -141,9 +145,21 @@ def row(workload: str, seeds: typing.Sequence[int], metric: typing.Dict) -> str:
     )
 
 
-def run_once(tree: pathlib.Path, workload: str, seed: int, seconds: float) -> dict:
-    """One ledger run on ``tree``: its last stdout line, parsed."""
+def child_env(pycache: pathlib.Path) -> typing.Dict[str, str]:
+    """A run's environment, the same for both trees: no ``PYTHONPATH``,
+    no bytecode read from a tree or written anywhere (``pycache`` is
+    empty and stays so)."""
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    env["PYTHONDONTWRITEBYTECODE"] = "1"
+    env["PYTHONPYCACHEPREFIX"] = str(pycache)
+    return env
+
+
+def run_once(
+    tree: pathlib.Path, workload: str, seed: int, seconds: float, pycache: pathlib.Path
+) -> dict:
+    """One ledger run on ``tree``, from source: its last stdout line, parsed."""
+    env = child_env(pycache)
     argv = [sys.executable, "benchmarks/e2e/run.py", "--workload", workload,
             "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
     done = subprocess.run(argv, cwd=tree, env=env, capture_output=True, text=True)
@@ -181,13 +197,16 @@ def main(argv: typing.Optional[typing.Sequence[str]] = None) -> int:
     runs: typing.Dict[str, typing.List[dict]] = {"parent": [], "change": []}
     with tempfile.TemporaryDirectory() as scratch:
         parent = pathlib.Path(scratch) / "parent"
+        pycache = pathlib.Path(scratch) / "pycache"
+        pycache.mkdir()
         git = ["git", "-C", str(ROOT), "worktree"]
         subprocess.run(git + ["add", "--detach", "--quiet", str(parent), args.against], check=True)
         try:
             trees = {"parent": parent, "change": ROOT}
             for seed, order in plan:
                 for side in order:
-                    runs[side].append(run_once(trees[side], args.workload, seed, seconds))
+                    runs[side].append(
+                        run_once(trees[side], args.workload, seed, seconds, pycache))
         finally:
             subprocess.run(git + ["remove", "--force", str(parent)], check=True)
     ok = all(r["rc"] == 0 and r["correct"] and r["failed"] == 0
