@@ -31,7 +31,6 @@ from __future__ import annotations
 import struct
 import typing
 
-from repro.memo import Table
 from repro.serial.generated import DEFAULT_OP_COSTS, GeneratedMarshaller, OpCosts
 from repro.serial.idl import (
     ArrayType,
@@ -154,16 +153,11 @@ def _add(a: Ops, b: Ops) -> Ops:
     return a[0] + b[0], a[1] + b[1], a[2] + b[2]
 
 
-#: (type, word_bytes, alignment) -> codec.  Keyed on the type object
-#: itself, which the entry keeps alive: an ``id()`` could be reused.
-_CODECS = Table()
-
-
 class StubCompiler:
     """Compiles IDL types for one representation (default Sun XDR).
 
-    Codecs are kept per (type, representation parameters) in a memo
-    table, as a real stub compiler emits each routine once.
+    A codec is kept on its type, per representation parameters, as a
+    real stub compiler emits each routine once: a definition, not a memo.
     """
 
     def __init__(self, representation: typing.Optional[Representation] = None):
@@ -174,13 +168,12 @@ class StubCompiler:
             # only right while every item starts on a boundary.
             raise ValueError(f"{rep.name}: words must be multiples of the alignment")
         self._word = struct.Struct({2: ">H", 4: ">I"}[rep.word_bytes])
+        self._key = (rep.word_bytes, rep.alignment)
 
     def compile(self, idl_type: IdlType) -> Codec:
-        rep = self.representation
-        key = (idl_type, rep.word_bytes, rep.alignment)
-        codec = _CODECS.get(key)
+        codec = idl_type.codecs.get(self._key)
         if codec is None:
-            codec = _CODECS.keep(key, Codec(idl_type, self._build(idl_type)))
+            codec = idl_type.codecs[self._key] = Codec(idl_type, self._build(idl_type))
         return codec
 
     def marshaller(

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import typing
 
+from repro.memo import first_use
+
 
 class IdlError(Exception):
     """A value does not conform to its declared IDL type."""
@@ -27,6 +29,11 @@ class IdlType:
 
     def describe(self) -> str:
         return self.name
+
+    @first_use
+    def codecs(self) -> dict:
+        """(word bytes, alignment) -> this type's compiled codec."""
+        return {}
 
     def __repr__(self) -> str:
         return f"<idl {self.describe()}>"

@@ -1,13 +1,17 @@
 """What a piece of simulated code costs the host and the kernel, counted.
 
-The host-cost budget tests measure through :func:`window`: Python frames
-entered or resumed (``sys.setprofile`` ``call`` events), C calls, heap
-entries and the processes started, per round.  Counted, not timed, so
-a figure reads the same on any machine.
+Every count here comes from one ``sys.setprofile`` hook, :class:`Calls`:
+Python frames entered or resumed (``call`` events) and C calls.  A
+probe measures through :func:`window` — per round, with the heap
+entries and the processes started — and registers with :func:`probe`
+as one row of ``COSTS`` (``tests/test_costs.py``), where its figures
+are pinned.  Counted, not timed, so a figure reads the same on any
+machine.
 """
 
 import collections
 import dataclasses
+import functools
 import gc
 import sys
 import types
@@ -15,6 +19,42 @@ import typing
 
 #: unmeasured rounds before the window: first-use paths, attribute caches
 WARM_UPS = 3
+
+
+class Calls:
+    """The profile hook: ``call`` events per code object, and C calls.
+    It stands in for a ``cProfile.Profile``: its ``enable`` and
+    ``disable`` are C calls, so neither is a counted frame."""
+
+    def __init__(self) -> None:
+        self.frames: typing.Counter[types.CodeType] = collections.Counter()
+        self.c_calls = 0
+        self.enable = functools.partial(sys.setprofile, self)
+        self.disable = functools.partial(sys.setprofile, sys.getprofile())
+
+    def __call__(self, frame, event, _arg):
+        if event == "call":
+            self.frames[frame.f_code] += 1
+        elif event == "c_call":
+            self.c_calls += 1
+
+
+#: ``COSTS``' row id -> the probe that measures it (``tests/test_costs.py``)
+PROBES: typing.Dict[str, typing.Callable[[], "Cost"]] = {}
+
+
+def probe(name: str, memo: bool = False):
+    """Decorator: the function measures ``COSTS[name]``, once per
+    process, so the table's test and the probe's own tests read one
+    window.  ``memo``: its Python calls count on a ``repro.memo`` memo
+    (CI's memo-off run skips that pin, never the heap entries)."""
+
+    def register(measure):
+        PROBES[name] = once = functools.lru_cache(maxsize=None)(measure)
+        once.memo = memo
+        return once
+
+    return register
 
 
 def watch_processes(env) -> typing.List[typing.Optional[str]]:
@@ -38,7 +78,8 @@ class Cost:
 
     python_calls: float
     c_calls: float
-    heap_entries: float
+    #: ``None`` where the probe counts calls only
+    heap_entries: typing.Optional[float]
     #: names of the processes the measured rounds started
     started: typing.List[typing.Optional[str]]
     rounds: int
@@ -84,17 +125,8 @@ def window(env, step, rounds, prepare=None) -> Cost:
     tests' garbage as frames.
     """
     env.run(until=env.process(_drive(env, step, WARM_UPS, prepare, sys.getprofile())))
-    frames: typing.Counter[types.CodeType] = collections.Counter()
-    c_calls = 0
-
-    def profile(frame, event, _arg):
-        nonlocal c_calls
-        if event == "call":
-            frames[frame.f_code] += 1
-        elif event == "c_call":
-            c_calls += 1
-
-    driver = env.process(_drive(env, step, rounds, prepare, profile))
+    calls = Calls()
+    driver = env.process(_drive(env, step, rounds, prepare, calls))
     started = watch_processes(env)
     collecting = gc.isenabled()
     gc.collect()
@@ -106,10 +138,10 @@ def window(env, step, rounds, prepare=None) -> Cost:
             gc.enable()
     # less the recorder's frame and its append per start
     return Cost(
-        (sum(frames.values()) - len(started)) / rounds,
-        (c_calls - len(started)) / rounds,
+        (sum(calls.frames.values()) - len(started)) / rounds,
+        (calls.c_calls - len(started)) / rounds,
         entries / rounds,
         started,
         rounds,
-        frames,
+        calls.frames,
     )

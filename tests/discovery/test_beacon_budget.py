@@ -1,13 +1,15 @@
-"""What one beacon costs the host, per broadcast and per listener, pinned.
+"""What one beacon costs the host, per broadcast and per listener.
 
 A broadcast's price in simulated ms is the model; its price in Python
 calls should follow what differs per listener — a datagram, a wire trip,
 a delivery, one charge, its own verify and the absorb — not re-derive
 what the broadcast fixed (the route, the segment's loss rule, the
-signature, the policy's deadlines).  Counted with ``tests/cost.py``
-(Python frames per round, heap entries exact), so the test reads the
-same on any machine.
+signature, the policy's deadlines).  The figures are ``COSTS``'
+``beacon/*`` rows (``tests/test_costs.py``).
 """
+
+import dataclasses
+import functools
 
 import pytest
 
@@ -17,7 +19,7 @@ from repro.net.addresses import NetworkAddress
 from repro.resolution import DiscoveryPolicy
 from repro.sim.stats import StatsRegistry
 from repro.workloads.adhoc import build_adhoc_world
-from tests.cost import window
+from tests.cost import PROBES, probe, window
 
 #: The beacon and watchdog loops start, then sleep past every round.
 QUIET = DiscoveryPolicy(beacon_period_ms=1e9)
@@ -42,32 +44,42 @@ def _beacon_round_trip(hosts, secret=SEGMENT_SECRET):
     return window(world.env, step, ROUNDS), world
 
 
-@pytest.mark.memo
-def test_a_broadcast_beacon_costs_what_differs_per_listener():
-    eleven, world = _beacon_round_trip(12)
-    one, _ = _beacon_round_trip(2)
-    per_listener = (eleven.python_calls - one.python_calls) / 10
-    print(
-        f"11-target broadcast: {eleven.python_calls:.1f} python calls, "
-        f"{eleven.c_calls:.1f} C calls, {eleven.heap_entries:g} heap entries; "
-        f"per listener {per_listener:.1f} python calls, "
-        f"{(eleven.c_calls - one.c_calls) / 10:.1f} C calls"
+@functools.lru_cache(maxsize=None)
+def _broadcast(listeners):
+    cost, world = _beacon_round_trip(listeners + 1)
+    assert [len(beacon.cache) for beacon in world.beacons] == [0] + [1] * listeners
+    return cost
+
+
+@probe("beacon/11-targets", memo=True)
+def _eleven_targets():
+    """One wire callback (every listener hears it at one instant), a
+    charge per listener, the sender's wait."""
+    return _broadcast(11)
+
+
+@probe("beacon/per-listener", memo=True)
+def _per_listener():
+    """An 11-target round less a 1-target one, per listener: its
+    datagram (endpoint, reply endpoint), its delay drawn from the
+    segment's latency model, the delivery, one charge, its own verify
+    (the signature a memo hit) and the absorb (the entry and the
+    delivered and observed counts).  The route, the drop rule of a whole
+    loss-free segment, the host table, the clock and the policy's
+    deadlines cost no frame; a handler process alone would add 6, and
+    the charge's end runs no ``_free``."""
+    eleven, one = _broadcast(11), _broadcast(1)
+    return dataclasses.replace(
+        eleven,
+        python_calls=(eleven.python_calls - one.python_calls) / 10,
+        c_calls=(eleven.c_calls - one.c_calls) / 10,
+        heap_entries=(eleven.heap_entries - one.heap_entries) / 10,
     )
-    assert [len(beacon.cache) for beacon in world.beacons] == [0] + [1] * 11
-    assert eleven.started == []
-    # one wire callback (every listener hears it at one instant), a
-    # charge per listener, the sender's wait
-    assert (one.heap_entries, eleven.heap_entries) == (3, 13)
-    # 12.0 per listener: its datagram (endpoint, reply endpoint), its
-    # delay drawn from the segment's latency model, the delivery, one
-    # charge, its own verify (the signature a memo hit) and the absorb
-    # (the entry and the delivered and observed counts).  The route,
-    # the drop rule of a whole loss-free segment, the host table, the
-    # clock and the policy's deadlines cost no frame; a handler process
-    # alone would add 6, and the charge's end runs no _free.  149.0 per
-    # 11-target round
-    assert per_listener <= 12.5
-    assert eleven.python_calls <= 149.5
+
+
+def test_a_broadcast_beacon_costs_what_differs_per_listener():
+    """Every listener absorbs the beacon, and none starts a process."""
+    assert _broadcast(11).started == _broadcast(1).started == []
 
 
 def test_a_forged_beacon_is_a_counted_drop_at_every_listener():
@@ -88,10 +100,11 @@ def test_signing_is_shared_by_the_sender_and_every_listener(listeners):
     assert info.misses == 1 and info.hits >= listeners
 
 
-@pytest.mark.parametrize("entries", [1, 11])
-def test_a_watchdog_sweep_pass_costs_nothing_per_quiet_entry(entries):
+def _sweep(entries):
     """One pass over a view where nothing lapsed: the pass's own frame and
-    one read of the policy's liveness, whatever the view holds."""
+    one read of the policy's liveness, whatever the view holds.  The
+    table is read directly and the clock and liveness once per pass, so
+    a quiet entry is two C calls (its key and its get)."""
     world = build_adhoc_world(3, policy=QUIET, host_count=entries + 1)
     listener = world.beacons[0]
     for index, owner in enumerate(world.hosts[1:]):
@@ -101,31 +114,35 @@ def test_a_watchdog_sweep_pass_costs_nothing_per_quiet_entry(entries):
             )
         )
     cost = window(world.env, listener._sweep, ROUNDS)
-    print(
-        f"sweep over {entries} entries: {cost.python_calls:.1f} python calls, "
-        f"{cost.c_calls:.1f} C calls"
-    )
     assert len(listener.cache) == entries
-    assert (cost.heap_entries, cost.started) == (0, [])
-    # 2.0: the table is read directly and the clock and liveness once
-    # per pass, so a quiet entry is two C calls (its key and its get)
-    assert cost.python_calls <= 2.5
+    return cost
 
 
-@pytest.mark.memo
-def test_a_beacon_loop_round_reads_what_the_host_already_holds():
-    """A lone host's beacon loop, woken once per period: the beacon's
-    source text is the address's own field and the sent count is bound
-    once, so a round enters neither ``NetworkAddress.__str__`` nor the
-    stats registry."""
+for _entries in (1, 11):
+    probe(f"beacon/sweep-{_entries}")(functools.partial(_sweep, _entries))
+
+
+@pytest.mark.parametrize("entries", [1, 11])
+def test_a_watchdog_sweep_pass_costs_nothing_per_quiet_entry(entries):
+    assert PROBES[f"beacon/sweep-{entries}"]().started == []
+
+
+@probe("beacon/loop", memo=True)
+def _beacon_loop():
+    """A lone host's beacon loop, woken once per (jittered) period: a
+    beacon's signing and its broadcast to nobody, the watchdog's sweep,
+    and the two loops' wake-ups and jittered periods."""
     world = build_adhoc_world(3, host_count=1)
     period = world.beacons[0].policy.beacon_period_ms
     cost = window(world.env, lambda: world.env.timeout(period), ROUNDS)
-    sent = world.env.stats.counter("discovery.beacons_sent").value
-    print(f"beacon loop: {sent} beacons, {cost.python_calls:.1f} python calls a period")
-    assert sent > 0.9 * ROUNDS  # the period is jittered
+    assert world.env.stats.counter("discovery.beacons_sent").value > 0.9 * ROUNDS
+    return cost
+
+
+def test_a_beacon_loop_round_reads_what_the_host_already_holds():
+    """The beacon's source text is the address's own field and the sent
+    count is bound once, so a round enters neither
+    ``NetworkAddress.__str__`` nor the stats registry."""
+    cost = PROBES["beacon/loop"]()
     assert cost.calls_to(NetworkAddress.__str__) == 0
     assert cost.calls_to(StatsRegistry.counter) == 0
-    # 32.8: a beacon's signing and its broadcast to nobody, the
-    # watchdog's sweep, and the two loops' wake-ups and jittered periods
-    assert cost.python_calls <= 33.0

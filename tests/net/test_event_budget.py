@@ -5,7 +5,8 @@ requester yields, starting a handler and finishing a process nobody
 waits on are not.  A request starts no process of its own, and a
 handler that returns ``None`` none either — same entries, same instants.
 Counts are ``env.kernel_counters()`` deltas taken outside the run, with
-the queue drained on both sides.
+the queue drained on both sides.  An exchange's Python calls are the
+``exchange/*`` rows of ``COSTS`` (``tests/test_costs.py``).
 """
 
 import functools
@@ -35,7 +36,7 @@ from repro.net import DatagramTransport, Internetwork, Service, StreamTransport
 from repro.net.transport import RemoteCallError
 from repro.serial import CourierRepresentation, HandcodedMarshaller
 from repro.sim import ConstantLatency, Environment, Interrupt
-from tests.cost import watch_processes, window
+from tests.cost import PROBES, probe, watch_processes, window
 
 WIRE_MS = 2.0
 
@@ -320,36 +321,33 @@ def test_retransmit_pays_the_attempt_again_and_ignores_the_late_reply():
     assert env.stats.counter("net.udp.retransmits").value == 1
 
 
-@pytest.mark.parametrize(
-    "transport, max_python_calls, heap_entries",
-    [
-        # 26.4 — request fills the call, its reply endpoint and each
-        # attempt's datagram in place (no _Call, Endpoint or Datagram
-        # constructor frame, no __post_init__), and each hop is one
-        # Internetwork.hop: its loss decision and delay, the route
-        # resolved once (no segment_would_drop, path_delay or _route
-        # frames); a host's is_up is an attribute and the delivery and
-        # the reply read the address table directly (no host_at); the
-        # rest is the kernel's and the handler's
-        pytest.param("udp", 27, 3, id="udp"),
-        # 37.0 — likewise, plus the connect's two hops and its checks
-        pytest.param("tcp", 37.5, 4, id="tcp"),
-    ],
-)
-def test_an_exchange_host_budget(transport, max_python_calls, heap_entries):
+def _exchange(transport):
     """One request/response to a process-less server that answers at
-    once, in Python calls per exchange (``tests/cost.py``)."""
+    once, per exchange.  ``request`` fills the call, its reply endpoint
+    and each attempt's datagram in place (no ``_Call``, ``Endpoint`` or
+    ``Datagram`` constructor frame, no ``__post_init__``), and each hop
+    is one ``Internetwork.hop``: its loss decision and delay, the route
+    resolved once (no ``segment_would_drop``, ``path_delay`` or
+    ``_route`` frames); a host's ``is_up`` is an attribute and the
+    delivery and the reply read the address table directly (no
+    ``host_at``); the rest is the kernel's and the handler's.  A TCP
+    exchange adds the connect's two hops and its checks."""
     world = World()
     client, server = world.hosts
     endpoint = server.bind(9000, ChargingResponder(server, 0))
     request = getattr(world, transport).request
-    cost = window(world.env, lambda: request(client, endpoint, "q", 64), 200)
-    print(
-        f"{transport} exchange: {cost.python_calls:.1f} python calls, "
-        f"{cost.c_calls:.1f} C calls, {cost.heap_entries:g} heap entries"
-    )
-    assert cost.heap_entries == heap_entries
-    assert cost.python_calls <= max_python_calls
+    return window(world.env, lambda: request(client, endpoint, "q", 64), 200)
+
+
+for _transport in ("udp", "tcp"):
+    probe(f"exchange/{_transport}")(functools.partial(_exchange, _transport))
+
+
+@pytest.mark.parametrize("transport", ["udp", "tcp"])
+def test_an_exchange_host_budget(transport):
+    """An exchange with a process-less server starts no process: its
+    Python calls and heap entries are the ``COSTS`` row."""
+    assert PROBES[f"exchange/{transport}"]().started == []
 
 
 def test_yield_from_a_call_returns_the_reply():

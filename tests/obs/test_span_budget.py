@@ -1,23 +1,20 @@
-"""What one span costs the host, counted and pinned.
+"""What one span costs the host, counted.
 
 Tracing is worth leaving on only while a span stays a handful of calls:
 ``span()``, the ``Span`` constructor, the ``with`` protocol, one
-``SpanMetrics.observe`` and one ``Histogram.record``.  Counted with
-``tests/cost.py`` (Python frames entered per span, with headroom
-between interpreter versions), so the test says the same thing on any
-machine.
-
-Off, it is worth leaving in only while a site costs nothing: every site
-is written ``with (obs.span(...) if obs.enabled else NULL_SPAN) as
-span:``, so it is one attribute test and a no-op enter/exit on the
-shared span — never a call into ``Observability.span``, whose kwargs
-dict and attribute arguments would be built for nobody.  A hot site
-sets attributes only on a recording span (``if span.recording:
-span.set(...)``), so with tracing off it builds no attribute dict and
-enters no ``set``: 2.0 Python calls a site.
+``SpanMetrics.observe`` and one ``Histogram.record``.  Off, it is worth
+leaving in only while a site costs nothing: every site is written
+``with (obs.span(...) if obs.enabled else NULL_SPAN) as span:``, so it
+is one attribute test and a no-op enter/exit on the shared span — never
+a call into ``Observability.span``, whose kwargs dict and attribute
+arguments would be built for nobody.  A hot site sets attributes only
+on a recording span (``if span.recording: span.set(...)``), so with
+tracing off it builds no attribute dict and enters no ``set``.  Both
+counts are ``COSTS``' ``span/*`` rows (``tests/test_costs.py``).
 """
 
 import ast
+import dataclasses
 import functools
 import pathlib
 
@@ -26,16 +23,16 @@ from repro.obs import NULL_SPAN, Observability, SpanMetrics
 from repro.obs.span import NullSpan
 from repro.sim import Environment
 from repro.workloads import build_stack, build_testbed
-from tests.cost import WARM_UPS, window
+from tests.cost import PROBES, WARM_UPS, probe, window
 
 PAIRS = 200
 SRC = pathlib.Path(__file__).resolve().parents[2] / "src" / "repro"
 
 
 def calls_per_span(traced):
-    """(python calls, C calls) per span over nested outer/inner pairs,
-    run inside a process, where every instrumented site runs; the
-    warm-ups bind the histograms and fill the exemplar buckets."""
+    """The cost per span over nested outer/inner pairs, run inside a
+    process, where every instrumented site runs; the warm-ups bind the
+    histograms and fill the exemplar buckets."""
     env = Environment(seed=0)
     if traced:
         env.obs.enable(metrics=SpanMetrics(env))
@@ -50,26 +47,41 @@ def calls_per_span(traced):
                     inner.set(outcome="hit")
 
     cost = window(env, pair, PAIRS)
-    expected = 2 * (WARM_UPS + PAIRS) if traced else 0
-    assert len(env.obs.spans) == expected
+    assert len(env.obs.spans) == (2 * (WARM_UPS + PAIRS) if traced else 0)
     # pair() itself is one of the counted frames, and not a span's cost
-    return (cost.python_calls - 1) / 2, cost.c_calls / 2
+    return dataclasses.replace(
+        cost,
+        python_calls=(cost.python_calls - 1) / 2,
+        c_calls=cost.c_calls / 2,
+        heap_entries=cost.heap_entries / 2,
+    )
+
+
+@probe("span/on")
+def _recorded_span():
+    """``span()``, ``Span.__init__``, ``__enter__``, ``__exit__``,
+    ``observe``, ``record`` and, on every second span, ``set()`` and an
+    exemplar's RNG stream."""
+    return calls_per_span(traced=True)
+
+
+@probe("span/off")
+def _disabled_span_site():
+    """``__enter__`` and ``__exit__`` on the shared no-op span: no site
+    calls ``span()`` to be handed it, nor ``set()`` on it."""
+    return calls_per_span(traced=False)
 
 
 def test_recorded_span_stays_within_ten_python_calls():
-    python_calls, c_calls = calls_per_span(traced=True)
-    print(f"span on: {python_calls:.1f} python calls, {c_calls:.1f} C calls")
-    # 7.0: span(), Span.__init__, __enter__, __exit__, observe, record
-    # and, on every second span, set() and an exemplar's RNG stream
-    assert python_calls <= 10
+    """One ``span()`` a span, and no process started."""
+    cost = PROBES["span/on"]()
+    assert (cost.calls_to(Observability.span), cost.started) == (2, [])
 
 
 def test_disabled_span_site_is_an_attribute_test_and_a_no_op_with():
-    python_calls, c_calls = calls_per_span(traced=False)
-    print(f"span off: {python_calls:.1f} python calls, {c_calls:.1f} C calls")
-    # __enter__ and __exit__: no site calls span() to be handed the
-    # shared no-op span, nor set() on it
-    assert python_calls == 2.0
+    cost = PROBES["span/off"]()
+    assert cost.calls_to(Observability.span) == cost.calls_to(NullSpan.set) == 0
+    assert cost.calls_to(NullSpan.__enter__) == cost.calls_to(NullSpan.__exit__) == 2
 
 
 def test_a_tracing_off_mapping_hit_sets_nothing_on_its_span():

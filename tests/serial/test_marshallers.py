@@ -128,10 +128,11 @@ def test_custom_op_costs_ablation(generated):
     assert cost < 1.0
 
 
-@pytest.mark.memo
 def test_compiler_caches_plans():
-    comp = StubCompiler()
-    assert comp.compile(RESPONSE) is comp.compile(RESPONSE)
+    # a codec is kept on its type, a definition: every memo empty keeps it too
+    assert StubCompiler().compile(RESPONSE) is StubCompiler().compile(RESPONSE)
+    courier = StubCompiler(CourierRepresentation()).compile(RESPONSE)
+    assert courier is not StubCompiler().compile(RESPONSE)
 
 
 def test_courier_backend_roundtrip():

@@ -1,14 +1,13 @@
-"""What the kernel's primitives cost the host, pinned.
+"""What the kernel's primitives cost the host.
 
 Every simulated cost in this repository is a heap entry and a wake-up,
 so their fixed Python overhead is paid tens of times per operation.
-Counted with ``tests/cost.py`` (Python frames entered or resumed per
-primitive, with an upper bound that leaves headroom between interpreter
-versions), so the test says the same thing on any machine.  C calls are
-printed, not asserted (they differ between 3.9 and 3.12); heap entries
-are exact.  Each round is one frame of its own (a lambda or a function
-returning the event the driver waits on), resumed never: the driver's
-frame is the one resumption per wake-up.
+Each probe below is a ``kernel/*`` row of ``COSTS``
+(``tests/test_costs.py``), which pins its Python calls and heap entries
+per round exactly; its docstring says why the count is what it is.
+Each round is one frame of its own (a lambda or a function returning
+the event the driver waits on), resumed never: the driver's frame is
+the one resumption per wake-up.
 """
 
 import pytest
@@ -17,34 +16,50 @@ from repro.sim import CPU, Environment
 from repro.sim.events import Timeout
 from repro.sim.kernel import STANDING_MS
 from repro.sim.process import Process
-from tests.cost import window
+from tests.cost import PROBES, probe, window
 
 ROUNDS = 200
 
 
+@probe("kernel/timeout-round-trip")
 def _timeout_round_trip():
+    """The round, ``env.timeout`` (building the ``Timeout`` in place) |
+    ``_resume``, the driver."""
     env = Environment()
     return window(env, lambda: env.timeout(1.0), ROUNDS)
 
 
+@probe("kernel/call-later")
 def _call_later_round():
     """Each round: one timed callback (a C-level ``list.append``, so the
-    figure is the kernel's alone) on the timeout the driver waits on."""
+    figure is the kernel's alone) on the timeout the driver waits on.
+    The round, ``call_later``, ``env.timeout`` | ``_resume``, the
+    driver."""
     env = Environment()
     fired = []
     return window(env, lambda: env.call_later(1.0, fired.append), ROUNDS)
 
 
+@probe("kernel/uncontended-charge")
 def _uncontended_charge():
+    """A timeout round trip's count: the round, ``use`` (bound as
+    ``compute`` at speed 1.0, building its ``Charge`` in place) |
+    ``_resume``, the driver.  Nothing runs when a hold nobody waits
+    behind ends."""
     env = Environment()
     cpu = CPU(env)
     return window(env, lambda: cpu.compute(1.0), ROUNDS)
 
 
+@probe("kernel/contended-charge")
 def _contended_charge():
     """Each round: a rival takes the CPU first, the measured charge
     queues behind it (the rival's own cost is in the figure too: one
-    process, one uncontended charge)."""
+    process, one uncontended charge).  The rival's inline process
+    (``env.process`` builds it in place) and charge, then the measured
+    one: it puts ``_free`` on the rival's hold, which hands it the unit
+    and its hold with no grant event, and its own hold ends with nobody
+    to hand on to."""
     env = Environment()
     cpu = CPU(env)
 
@@ -58,9 +73,12 @@ def _contended_charge():
     return window(env, step, ROUNDS)
 
 
+@probe("kernel/standing-arm")
 def _standing_arm_beside_a_round_trip():
     """Each round arms one no-waiter standing timer behind its lane's
-    head (the warm rounds open the lane), then the timeout round trip."""
+    head (the warm rounds open the lane), then the timeout round trip:
+    its count plus ``env.timeout``, since arming is the call itself (a
+    lane append) and no heap push."""
     env = Environment()
 
     def step():
@@ -70,9 +88,11 @@ def _standing_arm_beside_a_round_trip():
     return window(env, step, ROUNDS)
 
 
+@probe("kernel/clock-reads")
 def _clock_reads_beside_a_round_trip():
     """Each round reads ``env.now`` twice, as a process body timing its
-    own wait does, then the timeout round trip."""
+    own wait does, then the timeout round trip: its count, since the
+    clock is a field and a read enters no frame."""
     env = Environment()
     seen = []
 
@@ -83,10 +103,14 @@ def _clock_reads_beside_a_round_trip():
     return window(env, step, ROUNDS)
 
 
+@probe("kernel/open-loop-client")
 def _open_loop_client():
     """Each round is one ``mclient_zipf`` op: an arrival starts a client
     that times one lookup with two clock reads, then arms a no-waiter
-    standing lease (the lease counts as scheduled from its arming)."""
+    standing lease (the lease counts as scheduled from its arming).  The
+    round trip, ``env.process``, and the client's two segments
+    (``_resume`` and its frame each), its timeout and its lease: a
+    ledger op is this less the round's own frame."""
     env = Environment()
     latencies = []
 
@@ -103,7 +127,11 @@ def _open_loop_client():
     return window(env, step, ROUNDS)
 
 
+@probe("kernel/process-start-to-exit")
 def _process_start_to_unwaited_exit():
+    """A child that waits once and exits unwaited, beside the driver's
+    own timeout: ``env.process`` builds the process and its start event
+    in place."""
     env = Environment()
 
     def child():
@@ -117,47 +145,13 @@ def _process_start_to_unwaited_exit():
 
 
 @pytest.mark.parametrize(
-    "measure, max_python_calls, heap_entries",
-    [
-        # 4.0 — the round, env.timeout (building the Timeout in place) |
-        # _resume, the driver
-        pytest.param(_timeout_round_trip, 4.5, 1, id="timeout-round-trip"),
-        # 5.0 — the round, call_later, env.timeout | _resume, the driver
-        pytest.param(_call_later_round, 5.5, 1, id="call-later"),
-        # 4.0, a timeout round trip's — the round, use (bound as compute
-        # at speed 1.0, building its Charge in place) | _resume, the
-        # driver: nothing runs when a hold nobody waits behind ends
-        pytest.param(_uncontended_charge, 4.5, 1, id="uncontended-charge"),
-        # 11.0 — the rival's inline process (env.process builds it in
-        # place) and charge, then the measured one: it puts _free on the
-        # rival's hold, which hands it the unit and its hold with no
-        # grant event, and its own hold ends with nobody to hand on to
-        pytest.param(_contended_charge, 11.5, 2, id="contended-charge"),
-        # 10.0 with the driver's own timeout: env.process builds the
-        # process and its start event in place
-        pytest.param(
-            _process_start_to_unwaited_exit, 10.5, 3, id="process-start-to-exit"
-        ),
-        # 5.0 — the round trip's 4.0 plus env.timeout: arming is the
-        # call itself (a lane append) and no heap push
-        pytest.param(_standing_arm_beside_a_round_trip, 5.5, 2, id="standing-arm"),
-        # 4.0, a timeout round trip's — the clock is a field, so a read
-        # of env.now enters no frame
-        pytest.param(_clock_reads_beside_a_round_trip, 4.5, 1, id="clock-reads"),
-        # 11.0 — the round trip's 4.0, env.process, and the client's two
-        # segments (_resume and its frame each), its timeout and its
-        # lease: a ledger op is this less the round's own frame
-        pytest.param(_open_loop_client, 11.5, 4, id="open-loop-client"),
-    ],
+    "row", sorted(name.split("/")[1] for name in PROBES if name.startswith("kernel/"))
 )
-def test_kernel_primitive_budget(measure, max_python_calls, heap_entries):
-    cost = measure()
-    print(
-        f"{measure.__name__}: {cost.python_calls:.1f} python calls, "
-        f"{cost.c_calls:.1f} C calls, {cost.heap_entries:g} heap entries"
-    )
-    assert cost.heap_entries == heap_entries
-    assert cost.python_calls <= max_python_calls
+def test_kernel_primitive_budget(row):
+    """Each round starts the one process it is about (the rival, the
+    child, the client) or none."""
+    starts = row in ("contended-charge", "process-start-to-exit", "open-loop-client")
+    assert PROBES[f"kernel/{row}"]().started == [None] * ROUNDS * starts
 
 
 def test_a_full_speed_charge_is_use_and_other_speeds_still_scale():

@@ -16,11 +16,14 @@ it.
 """
 
 import cProfile
+import functools
 import gc
 import json
 import pathlib
 import pprint
 import sys
+
+from tests.cost import Calls, Cost, probe
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "benchmarks" / "e2e"))
@@ -141,6 +144,25 @@ def measure(name):
     for entry, calls in layers.entry_calls(profiler.stats).items():
         metrics[f"{entry}_per_op"] = calls / profiled.ops
     return metrics, checked and profiled_checked
+
+
+def python_calls_per_op(name):
+    """Python calls per op over ``name``'s profiled repetition, counted
+    by ``tests/cost.py``'s hook, after one unprofiled repetition: as a
+    window's warm-ups do, it keeps first-use paths (a module-level memo
+    filled) out of the count, so the row reads the same in any process
+    and after any test."""
+    ops = max(1, round(run.scaled_ops(name, SCALE) * run.TRACED_SCALE))
+    _repetition(name, ops)
+    calls = Calls()
+    prepared, _, _, checked = _repetition(name, ops, calls)
+    assert checked, "a failed op or output check"
+    frames, ops = calls.frames, prepared.ops
+    return Cost(sum(frames.values()) / ops, calls.c_calls / ops, None, [], ops, frames)
+
+
+for _name in LEDGER:
+    probe(f"ledger/{_name}", memo=True)(functools.partial(python_calls_per_op, _name))
 
 
 def test_the_table_covers_every_ledger_workload():

@@ -1,5 +1,5 @@
 """The pairs tool (``tools/pairs.py``): its statistics, on synthetic
-numbers, and the environment its runs get."""
+numbers, and the trees and environment its runs get."""
 
 import importlib.util
 import json
@@ -108,3 +108,20 @@ def test_both_trees_run_from_source_in_one_environment(monkeypatch, tmp_path):
     assert parent_env["PYTHONDONTWRITEBYTECODE"] == "1"
     assert parent_env["PYTHONPYCACHEPREFIX"] == str(pycache)
     assert "PYTHONPATH" not in parent_env
+
+
+def test_the_change_is_the_working_tree_copied_as_it_stands(monkeypatch, tmp_path):
+    """Every file git lists (tracked, or untracked and not ignored) is
+    copied, each to its own path; one deleted from the tree is not."""
+
+    def fake_run(argv, check, capture_output, text):
+        assert argv[-3:] == ["--cached", "--others", "--exclude-standard"]
+        listed = "tools/pairs.py\0no/such/file.py\0"
+        return subprocess.CompletedProcess(argv, 0, stdout=listed, stderr="")
+
+    monkeypatch.setattr(pairs.subprocess, "run", fake_run)
+    change = tmp_path / "change"
+    pairs.copy_change(change)
+    copied = [path.relative_to(change).as_posix() for path in change.rglob("*") if path.is_file()]
+    assert copied == ["tools/pairs.py"]
+    assert (change / copied[0]).read_bytes() == (ROOT / copied[0]).read_bytes()

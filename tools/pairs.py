@@ -8,7 +8,9 @@ how much, against which parent":
 
 The parent, ``<rev>``, is checked out with ``git worktree add --detach``
 into a temporary directory, removed afterwards.  The change is the tree
-this script lives in, as it stands.  Pair *i* runs
+this script lives in, as it stands (its tracked files and the untracked
+ones git does not ignore), copied beside the parent: where a tree sits
+moves ``peak_rss_mb`` by itself.  Pair *i* runs
 
     benchmarks/e2e/run.py --workload <w> --seed F+i --seconds S --trace 0
 
@@ -18,9 +20,8 @@ change first on odd ones.  S defaults to the workload's entry in
 claim's pairs run on seeds the change was not written against.  Each run is a child process with no
 ``PYTHONPATH``, so each tree imports its own ``src/``, and each compiles
 it from source: ``PYTHONDONTWRITEBYTECODE=1`` and a ``PYTHONPYCACHEPREFIX``
-at one empty temporary directory, so bytecode a tree already holds (the
-change's ``__pycache__``; the parent's worktree has none) cannot bias
-``setup_s`` or ``peak_rss_mb``.
+at one empty temporary directory, so no bytecode can bias ``setup_s``
+or ``peak_rss_mb``.
 
 Prints JSON: for every end-to-end metric in ``BENCHMARK.json``, each
 side's median and quartiles, the Δ of each pair (change − parent), the
@@ -37,6 +38,7 @@ import argparse
 import json
 import os
 import pathlib
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -52,14 +54,16 @@ ROW_METRIC = "wall_us_per_op"
 #: interquartile range within 3 % of its median.  ``warm_zipf`` and
 #: ``traced_import`` never got there (3.25 % and 3.35 % at best), so
 #: theirs is the shortest within 0.1 points of their lowest reading.
-#: The readings are in EXPERIMENTS.md.
+#: The readings are in EXPERIMENTS.md.  ``mclient_zipf`` read within 3 %
+#: at 2 s, yet at 2 s four runs of one change resolved its 6 % effect
+#: once; at 12 s, two runs of two resolved it, 10/10 pairs each.
 SECONDS = {
     "cold_import": 16.0,
     "traced_import": 12.0,
     "warm_zipf": 8.0,
     "update_storm": 12.0,
     "adhoc_churn": 8.0,
-    "mclient_zipf": 2.0,
+    "mclient_zipf": 12.0,
 }
 
 
@@ -175,6 +179,20 @@ def run_once(
     return result
 
 
+def copy_change(into: pathlib.Path) -> None:
+    """The working tree as it stands, copied to ``into``: the files git
+    tracks and the untracked ones it does not ignore."""
+    listed = subprocess.run(
+        ["git", "-C", str(ROOT), "ls-files", "-z", "--cached", "--others", "--exclude-standard"],
+        check=True, capture_output=True, text=True,
+    ).stdout
+    for name in filter(None, listed.split("\0")):
+        source = ROOT / name
+        if source.is_file():  # a tracked file deleted in the tree is not there
+            (into / name).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(source, into / name)
+
+
 def main(argv: typing.Optional[typing.Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--against", required=True, help="the parent revision")
@@ -196,13 +214,14 @@ def main(argv: typing.Optional[typing.Sequence[str]] = None) -> int:
     plan = schedule(args.pairs, args.first_seed)
     runs: typing.Dict[str, typing.List[dict]] = {"parent": [], "change": []}
     with tempfile.TemporaryDirectory() as scratch:
-        parent = pathlib.Path(scratch) / "parent"
+        trees = {side: pathlib.Path(scratch) / side for side in ("parent", "change")}
         pycache = pathlib.Path(scratch) / "pycache"
         pycache.mkdir()
+        copy_change(trees["change"])
+        parent = trees["parent"]
         git = ["git", "-C", str(ROOT), "worktree"]
         subprocess.run(git + ["add", "--detach", "--quiet", str(parent), args.against], check=True)
         try:
-            trees = {"parent": parent, "change": ROOT}
             for seed, order in plan:
                 for side in order:
                     runs[side].append(
