@@ -76,7 +76,6 @@ class BindServer(Service):
         zones: typing.Optional[typing.Sequence[Zone]] = None,
         lookup_cost_ms: typing.Optional[float] = None,
         allow_dynamic_update: bool = False,
-        allow_zone_transfer: bool = True,
         calibration: Calibration = DEFAULT_CALIBRATION,
         name: str = "",
         update_policy: UpdatePolicy = UpdatePolicy.disabled(),
@@ -93,7 +92,6 @@ class BindServer(Service):
             else calibration.public_bind_lookup_ms
         )
         self.allow_dynamic_update = allow_dynamic_update
-        self.allow_zone_transfer = allow_zone_transfer
         #: write-pipeline knobs (leases granted, NOTIFY pushed)
         self.update_policy = update_policy
         #: needed only to push NOTIFYs; queries never use it
@@ -625,11 +623,8 @@ class BindServer(Service):
     def _handle_xfer(self, request: XferRequest, responder) -> None:
         self.env.stats.counter(f"bind.{self.name}.xfers").increment()
         zone = self.zone_named(request.origin)
-        if not self.allow_zone_transfer or zone is None:
-            self._reply(
-                XferResponse(STATUS_REFUSED if zone else STATUS_NXDOMAIN, 0, []),
-                responder,
-            )
+        if zone is None:
+            self._reply(XferResponse(STATUS_NXDOMAIN, 0, []), responder)
             return
         records = zone.all_records()
         # Streaming the zone costs setup plus a per-record charge.
@@ -659,13 +654,8 @@ class BindServer(Service):
         never pays an extra round trip to discover truncation."""
         self.env.stats.counter(f"bind.{self.name}.ixfrs").increment()
         zone = self.zone_named(request.origin)
-        if not self.allow_zone_transfer or zone is None:
-            self._reply(
-                IxfrResponse(
-                    STATUS_REFUSED if zone else STATUS_NXDOMAIN, 0, 0, [], []
-                ),
-                responder,
-            )
+        if zone is None:
+            self._reply(IxfrResponse(STATUS_NXDOMAIN, 0, 0, [], []), responder)
             return
         deltas = zone.delta_since(request.serial)
         if deltas is None:

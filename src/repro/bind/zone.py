@@ -39,23 +39,16 @@ class ZoneDelta(WireMessage):
     ]
 
 
+#: how many serial bumps a zone's journal keeps for IXFR
+JOURNAL_LIMIT = 512
+
+
 class Zone:
     """All authoritative data under one origin."""
 
-    def __init__(
-        self,
-        origin: typing.Union[str, DomainName],
-        default_ttl: float = 3_600_000,
-        journal_limit: int = 512,
-    ):
-        if default_ttl < 0:
-            raise ValueError("default TTL must be non-negative")
-        if journal_limit < 0:
-            raise ValueError("journal limit must be non-negative")
+    def __init__(self, origin: typing.Union[str, DomainName]):
         self.origin = DomainName(origin)
-        self.default_ttl = default_ttl
         self.serial = 1
-        self.journal_limit = journal_limit
         self._journal: typing.List[ZoneDelta] = []
         self._records: typing.Dict[
             typing.Tuple[DomainName, RRType], typing.List[ResourceRecord]
@@ -71,8 +64,8 @@ class Zone:
         current serial."""
         records = tuple(self._records.get((name, rtype), ()))
         self._journal.append(ZoneDelta(self.serial, name, rtype, records))
-        if len(self._journal) > self.journal_limit:
-            del self._journal[: len(self._journal) - self.journal_limit]
+        if len(self._journal) > JOURNAL_LIMIT:
+            del self._journal[: len(self._journal) - JOURNAL_LIMIT]
 
     def add(self, record: ResourceRecord) -> None:
         """Add one record (duplicates by exact data are collapsed)."""
@@ -120,7 +113,7 @@ class Zone:
 
         Returns ``[]`` when the requester is already current, and
         ``None`` when the journal no longer reaches back far enough
-        (truncated by ``journal_limit``, or the requester predates the
+        (truncated at :data:`JOURNAL_LIMIT`, or the requester predates the
         journal entirely) — the IXFR signal to fall back to AXFR.
         Serial bumps are one journal entry each, so coverage holds iff
         the oldest entry's serial is ``<= serial + 1``.  The journal is

@@ -85,12 +85,10 @@ class ColocationStack:
     def flush_hns_caches(self) -> None:
         self.hns.metastore.cache.clear()
         for nsm in self.hns._host_address_nsms.values():
-            if nsm.cache is not None:
-                nsm.cache.clear()
+            nsm.cache.clear()
 
     def flush_nsm_caches(self) -> None:
-        if self.binding_nsm.cache is not None:
-            self.binding_nsm.cache.clear()
+        self.binding_nsm.cache.clear()
 
     def describe(self) -> str:
         return f"{self.arrangement.label} (client={self.client_host.name})"

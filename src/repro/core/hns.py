@@ -109,8 +109,8 @@ class HNS:
         self._meta_mappings = (
             metastore.find_nsm_bundle if self._batched else self._sequential_mappings
         )
-        #: one circuit breaker per NSM name, fed by callers reporting
-        #: call outcomes via :meth:`report_nsm_outcome`
+        #: one circuit breaker per NSM name, fed by an importer that
+        #: shares them (:meth:`HrpcImporter.direct` with a local HNS)
         self.nsm_breakers = CircuitBreakerRegistry(
             self.env, policies.resolution
         )
@@ -160,8 +160,8 @@ class HNS:
         HNS never calls NSMs on the client's behalf, since each query
         class has its own interface.
 
-        If the designated NSM's circuit breaker is open (see
-        :meth:`report_nsm_outcome`), FindNSM routes around it to a
+        If the designated NSM's circuit breaker (:attr:`nsm_breakers`)
+        is open, FindNSM routes around it to a
         linked-in copy when one exists, and otherwise fails fast with
         :class:`NsmUnavailable` — no timeouts are burned against a
         server already known to be dead.
@@ -363,30 +363,6 @@ class HNS:
             return typing.cast(str, result.value["address"])
 
     # ------------------------------------------------------------------
-    # Circuit-breaker feedback
-    # ------------------------------------------------------------------
-    def report_nsm_outcome(self, nsm_name: str, ok: bool) -> None:
-        """Feed an NSM call outcome into its circuit breaker.
-
-        The HNS hands out bindings but never calls non-HostAddress NSMs
-        itself, so callers (the importer, NSM stubs) report back whether
-        the designated NSM actually answered.  After
-        ``policy.breaker_threshold`` consecutive failures the breaker
-        opens and :meth:`find_nsm` routes around or fails fast.
-        """
-        if not self.policies.resolution.breaker_threshold:
-            return
-        breaker = self.nsm_breakers.breaker(nsm_name)
-        if ok:
-            breaker.record_success()
-        else:
-            breaker.record_failure()
-            if breaker.state == "open":
-                self.env.trace.emit(
-                    "hns", f"circuit breaker for NSM {nsm_name} tripped"
-                )
-
-    # ------------------------------------------------------------------
     def preload(self) -> typing.Generator:
         """Preload the meta cache by zone transfer (~390 ms for ~2 KB).
 
@@ -407,8 +383,6 @@ class HNS:
         ):
             fields = decode_fields(entry.payload[0].data)
             for nsm in self._host_address_nsms.values():
-                if nsm.cache is None:
-                    continue
                 nsm.cache.insert(
                     ("hostaddr", fields["host"]),
                     {"address": fields["addr"]},

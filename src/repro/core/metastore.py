@@ -63,8 +63,6 @@ META_ORIGIN = "hns"
 BATCH_WINDOW_MS = 5.0
 #: operations per batch datagram (the wire format's cap)
 MAX_BATCH_OPS = 64
-#: a lease is renewed when this fraction of it has elapsed
-LEASE_RENEW_FRACTION = 0.5
 
 
 def encode_fields(**fields: object) -> bytes:
@@ -589,7 +587,6 @@ class MetaStore:
                 self.env,
                 self._send_batched,
                 lease_ms=self.policies.update.lease_ms,
-                renew_fraction=LEASE_RENEW_FRACTION,
                 name=f"meta@{self.host.name}",
             )
         return self._lease_keeper

@@ -76,7 +76,6 @@ class NamingSemanticsManager:
         name_service: str,
         name: str = "",
         calibration: Calibration = DEFAULT_CALIBRATION,
-        cached: bool = True,
         fast_path: FastPathPolicy = FastPathPolicy.disabled(),
     ):
         if not self.query_class:
@@ -101,15 +100,11 @@ class NamingSemanticsManager:
             self.translate_cost_ms = 0.0
             self.standardize_cost_ms = 0.0
             self.cache_hit_extra_ms = 0.0
-        self.cache: typing.Optional[ResolverCache] = (
-            ResolverCache(
-                host.env,
-                name=f"nsm:{self.name}",
-                fmt=CacheFormat.DEMARSHALLED,
-                calibration=calibration,
-            )
-            if cached
-            else None
+        self.cache = ResolverCache(
+            host.env,
+            name=f"nsm:{self.name}",
+            fmt=CacheFormat.DEMARSHALLED,
+            calibration=calibration,
         )
         #: what a miss does: one native call of its own, or a share in
         #: the one already underway for the same key (``fast_path`` is
@@ -185,11 +180,6 @@ class NamingSemanticsManager:
             else NULL_SPAN
         ) as span:
             cache = self.cache
-            if cache is None:
-                result = yield from self._native_query(
-                    hns_name, params, None, span
-                )
-                return result
             key = self._cache_key(hns_name, params)
             entry, probe_cost = cache.probe(key)
             yield self.host.cpu.compute(probe_cost)
@@ -241,7 +231,7 @@ class NamingSemanticsManager:
         self,
         hns_name: HNSName,
         params: typing.Mapping[str, object],
-        key: typing.Optional[object],
+        key: object,
         span: "SpanLike" = NULL_SPAN,
     ) -> typing.Generator:
         """The cache-miss path: translate, resolve natively, insert.
@@ -263,9 +253,8 @@ class NamingSemanticsManager:
             if self.standardize_cost_ms:
                 yield self.host.cpu.compute(self.standardize_cost_ms)
             result = NsmResult(self.query_class, dict(value))
-            if self.cache is not None and key is not None:
-                insert_cost = self.cache.insert(key, dict(value), 1, ttl_ms)
-                yield self.host.cpu.compute(insert_cost)
+            insert_cost = self.cache.insert(key, dict(value), 1, ttl_ms)
+            yield self.host.cpu.compute(insert_cost)
             if self.env.trace.enabled:
                 self.env.trace.emit(
                     "nsm", f"{self.name}: resolved {hns_name}", params=dict(params)
@@ -312,13 +301,17 @@ def serve_nsm(server: HrpcServer, nsm: NamingSemanticsManager) -> str:
     return program_name
 
 
+#: a lease is renewed when this fraction of it has elapsed
+LEASE_RENEW_FRACTION = 0.5
+
+
 class LeaseKeeper:
     """Client-side half of lease-based invalidation.
 
     A write made under an :class:`~repro.resolution.UpdatePolicy` with
     ``invalidation="lease"`` stays registered only as long as its owner
     keeps renewing it; this process re-submits every tracked binding at
-    ``lease_ms * renew_fraction`` so a healthy owner never lets a lease
+    ``lease_ms * LEASE_RENEW_FRACTION`` so a healthy owner never lets a lease
     lapse — while a crashed or retired owner's bindings retract at the
     server within one lease, without any explicit unregister.
     """
@@ -328,16 +321,13 @@ class LeaseKeeper:
         env,
         renew: typing.Callable[[typing.List[UpdateOp]], typing.Generator],
         lease_ms: float,
-        renew_fraction: float = 0.5,
         name: str = "leases",
     ):
         if lease_ms <= 0:
             raise ValueError("lease_ms must be positive")
-        if not 0 < renew_fraction < 1:
-            raise ValueError("renew_fraction must be in (0, 1)")
         self.env = env
         self.name = name
-        self.interval_ms = lease_ms * renew_fraction
+        self.interval_ms = lease_ms * LEASE_RENEW_FRACTION
         self._renew = renew
         self._ops: typing.Dict[object, UpdateOp] = {}
         self._process = None

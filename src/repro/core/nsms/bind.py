@@ -53,11 +53,10 @@ class BindNSM(NamingSemanticsManager):
         transport: Transport,
         bind_server: Endpoint,
         calibration: Calibration = DEFAULT_CALIBRATION,
-        cached: bool = True,
         **kwargs: object,
     ):
         super().__init__(
-            host, name_service, calibration=calibration, cached=cached, **kwargs  # type: ignore[arg-type]
+            host, name_service, calibration=calibration, **kwargs  # type: ignore[arg-type]
         )
         self.resolver = BindResolver(
             host,

@@ -37,11 +37,10 @@ class ClearinghouseNSM(NamingSemanticsManager):
         ch_server: Endpoint,
         credentials: Credentials,
         calibration: Calibration = DEFAULT_CALIBRATION,
-        cached: bool = True,
         **kwargs: object,
     ):
         super().__init__(
-            host, name_service, calibration=calibration, cached=cached, **kwargs  # type: ignore[arg-type]
+            host, name_service, calibration=calibration, **kwargs  # type: ignore[arg-type]
         )
         self.client = ClearinghouseClient(
             host, transport, ch_server, credentials, name=f"{self.client_label}@{host.name}"

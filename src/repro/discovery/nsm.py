@@ -41,7 +41,6 @@ class DiscoveryNsm(NamingSemanticsManager):
         beacon_service: BeaconService,
         name: str = "",
         calibration: Calibration = DEFAULT_CALIBRATION,
-        cached: bool = True,
         fast_path: FastPathPolicy = FastPathPolicy.disabled(),
     ):
         super().__init__(
@@ -49,7 +48,6 @@ class DiscoveryNsm(NamingSemanticsManager):
             ADHOC_NS,
             name=name,
             calibration=calibration,
-            cached=cached,
             fast_path=fast_path,
         )
         self.beacon = beacon_service
@@ -81,8 +79,6 @@ class DiscoveryNsm(NamingSemanticsManager):
 
     def _view_evicted(self, entry: DiscoveryEntry, reason: str) -> None:
         """The passive view dropped a name: drop derived results too."""
-        if self.cache is None:
-            return
         for key in self._keys_for.pop(entry.name.lower(), {}):
             if self.cache.invalidate(key):
                 self.env.stats.counter("discovery.nsm_invalidations").increment()

@@ -79,15 +79,13 @@ class Host:
         name: str,
         address: NetworkAddress,
         system_type: str = "unix",
-        cpu_speed: float = 1.0,
-        disk_access_ms: float = 30.0,
     ):
         self.env = env
         self.name = name
         self.address = address
         self.system_type = system_type
-        self.cpu = CPU(env, name=f"{name}.cpu", speed_factor=cpu_speed)
-        self.disk = Disk(env, name=f"{name}.disk", access_ms=disk_access_ms)
+        self.cpu = CPU(env, name=f"{name}.cpu")
+        self.disk = Disk(env, name=f"{name}.disk")
         self.services: typing.Dict[int, Service] = {}
         self.is_up = True
         self._next_ephemeral = 32768

@@ -16,19 +16,15 @@ from repro.net.ethernet import Ethernet
 from repro.net.host import Host
 from repro.sim.kernel import Environment
 
+#: a gateway's forwarding delay between two segments (ms)
+GATEWAY_HOP_MS = 8.0
+
 
 class Internetwork:
     """Registry of hosts and segments plus the routing function."""
 
-    def __init__(
-        self,
-        env: Environment,
-        gateway_hop_ms: float = 8.0,
-    ):
-        if gateway_hop_ms < 0:
-            raise ValueError("gateway hop delay must be non-negative")
+    def __init__(self, env: Environment):
         self.env = env
-        self.gateway_hop_ms = gateway_hop_ms
         self.segments: typing.List[Ethernet] = []
         self._hosts_by_name: typing.Dict[str, Host] = {}
         # Keyed by dotted text.  A lookup takes ``getattr(address,
@@ -65,7 +61,6 @@ class Internetwork:
         name: str,
         segment: typing.Optional[Ethernet] = None,
         system_type: str = "unix",
-        **host_kwargs: object,
     ) -> Host:
         """Create a host, allocate it an address, attach it to a segment."""
         if name in self._hosts_by_name:
@@ -77,9 +72,7 @@ class Internetwork:
         if segment not in self.segments:
             raise ValueError(f"segment {segment.name} not part of this internet")
         address = self._allocators[segment.name].allocate()
-        host = Host(
-            self.env, name, address, system_type=system_type, **host_kwargs  # type: ignore[arg-type]
-        )
+        host = Host(self.env, name, address, system_type=system_type)
         segment.attach(host)
         self._hosts_by_name[name] = host
         self._hosts_by_address[str(address)] = host
@@ -139,7 +132,7 @@ class Internetwork:
         if src_seg is dst_seg:
             return dropped, delay
         return dropped, delay + (
-            dst_seg.latency.sample(dst_seg._jitter, size_bytes) + self.gateway_hop_ms
+            dst_seg.latency.sample(dst_seg._jitter, size_bytes) + GATEWAY_HOP_MS
         )
 
     def path_delay(

@@ -10,8 +10,7 @@ exporters (:mod:`repro.obs.export`).
 
 Enable per environment::
 
-    env.obs.enable()                        # every trace
-    env.obs.enable(sample_every=16)         # deterministic sampling
+    env.obs.enable()                          # every trace
     env.obs.enable(metrics=SpanMetrics(env))  # + histograms/exemplars
 
 Off by default; when on, runs stay digest-identical to untraced runs

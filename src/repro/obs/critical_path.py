@@ -58,7 +58,7 @@ class CriticalPath:
         """Extract the critical path of ``spans`` (one trace's worth).
 
         ``root`` defaults to the earliest-starting parentless span; if
-        every span has a parent (e.g. the true root was sampled away),
+        every span has a parent (e.g. the true root was left out),
         the earliest-starting span stands in.
         """
         finished = [s for s in spans if s.end_ms is not None]

@@ -22,12 +22,15 @@ if typing.TYPE_CHECKING:  # pragma: no cover
     from repro.sim.kernel import Environment
     from repro.sim.stats import Histogram
 
-#: Default latency bucket bounds (simulated ms): resolution steps range
-#: from sub-ms cache probes to multi-second retry ladders.
+#: Latency bucket bounds (simulated ms): resolution steps range from
+#: sub-ms cache probes to multi-second retry ladders.
 DEFAULT_BOUNDS: typing.Tuple[float, ...] = (
     0.5, 1.0, 2.0, 5.0, 10.0, 20.0, 50.0,
     100.0, 200.0, 500.0, 1_000.0, 2_000.0, 5_000.0,
 )
+
+#: trace ids kept per histogram bucket
+EXEMPLARS_PER_BUCKET = 3
 
 #: What a span name resolves to, once: its histogram and that
 #: histogram's exemplar buckets (bucket index -> sample trace ids).
@@ -37,23 +40,20 @@ _Binding = typing.Tuple["Histogram", typing.Dict[int, typing.List[int]]]
 class ExemplarStore:
     """Per-bucket sample trace ids for each span-name histogram.
 
-    At most ``per_bucket`` trace ids are kept per bucket, first-come —
-    deterministic given a deterministic span stream, and enough to jump
-    from any bucket of ``obs.span.<name>`` to real traces that landed
-    in it.
+    At most :data:`EXEMPLARS_PER_BUCKET` trace ids are kept per bucket,
+    first-come — deterministic given a deterministic span stream, and
+    enough to jump from any bucket of ``obs.span.<name>`` to real traces
+    that landed in it.
     """
 
-    def __init__(self, per_bucket: int = 3):
-        if per_bucket < 1:
-            raise ValueError("per_bucket must be >= 1")
-        self.per_bucket = per_bucket
+    def __init__(self) -> None:
         #: histogram name -> bucket index -> [trace ids]
         self._store: typing.Dict[str, typing.Dict[int, typing.List[int]]] = {}
 
     def record(self, name: str, bucket_index: int, trace_id: int) -> None:
         buckets = self._store.setdefault(name, {})
         ids = buckets.setdefault(bucket_index, [])
-        if len(ids) < self.per_bucket and trace_id not in ids:
+        if len(ids) < EXEMPLARS_PER_BUCKET and trace_id not in ids:
             ids.append(trace_id)
 
     def exemplars(self, name: str) -> typing.Dict[int, typing.List[int]]:
@@ -70,15 +70,9 @@ class ExemplarStore:
 class SpanMetrics:
     """The span->stats pipeline; attach via ``env.obs.enable(metrics=...)``."""
 
-    def __init__(
-        self,
-        env: "Environment",
-        bounds: typing.Sequence[float] = DEFAULT_BOUNDS,
-        exemplars_per_bucket: int = 3,
-    ):
+    def __init__(self, env: "Environment"):
         self.env = env
-        self.bounds = tuple(float(b) for b in bounds)
-        self.exemplars = ExemplarStore(exemplars_per_bucket)
+        self.exemplars = ExemplarStore()
         #: span name -> binding, resolved on the name's first span
         self._bound: typing.Dict[str, _Binding] = {}
 
@@ -90,7 +84,7 @@ class SpanMetrics:
         binding = self._bound.get(span.name)
         if binding is None:
             histogram = self.env.stats.histogram(
-                f"obs.span.{span.name}", self.bounds
+                f"obs.span.{span.name}", DEFAULT_BOUNDS
             )
             binding = self._bound[span.name] = (
                 histogram,
@@ -100,5 +94,5 @@ class SpanMetrics:
         index = histogram.record(end_ms - span.start_ms)
         # A bucket that holds its fill of exemplars takes no more.
         ids = buckets.get(index)
-        if ids is None or len(ids) < self.exemplars.per_bucket:
+        if ids is None or len(ids) < EXEMPLARS_PER_BUCKET:
             self.exemplars.record(histogram.name, index, span.trace_id)

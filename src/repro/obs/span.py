@@ -18,9 +18,11 @@ Determinism contract:
   so with tracing off a site costs one attribute test and a no-op
   enter/exit on the shared :data:`NULL_SPAN`: no call into
   :meth:`Observability.span`, no kwargs dict, no attribute argument
-  evaluated, no allocation (``tests/obs/test_span_budget.py`` pins the
-  figure and fails on an unguarded site).  Called unguarded,
-  ``span`` still answers :data:`NULL_SPAN` while tracing is off.
+  evaluated, no allocation (``COSTS``' ``span/off`` row in
+  ``tests/test_costs.py`` pins the figure, and
+  ``tests/obs/test_span_budget.py`` fails on an unguarded site).
+  Called unguarded, ``span`` still answers :data:`NULL_SPAN` while
+  tracing is off.
 - **Digest-identical when on.**  Spans never emit trace records, never
   touch stats *counters* (they may feed histograms/timers, which are
   outside the determinism digest), never schedule events, and never
@@ -64,17 +66,13 @@ _Owner = typing.Union["Process", "Observability"]
 
 
 class NullSpan:
-    """The do-nothing span: what disabled or sampled-out sites get.
+    """The do-nothing span: what disabled sites get.
 
     The shared :data:`NULL_SPAN` instance absorbs ``set`` and context
     management without allocating or testing anything.
     """
 
     __slots__ = ()
-
-    #: the span displaced on the owner's chain; only an owned no-op span
-    #: (:class:`_OwnedNullSpan`) is ever on a chain and has one
-    _prev: typing.Optional["SpanLike"]
 
     #: no-op spans never carry identity
     trace_id = 0
@@ -91,27 +89,6 @@ class NullSpan:
 
     def __exit__(self, *exc: object) -> None:
         pass
-
-
-class _OwnedNullSpan(NullSpan):
-    """A sampled-out root: a no-op span that holds a place on its
-    owner's chain of open spans, so that its descendants resolve to it —
-    and therefore no-op too — instead of starting fresh traces."""
-
-    __slots__ = ("_owner", "_prev")
-
-    def __init__(self, owner: _Owner):
-        self._owner = owner
-        self._prev = None
-
-    def __enter__(self) -> "NullSpan":
-        owner = self._owner
-        self._prev = owner._span
-        owner._span = self
-        return self
-
-    def __exit__(self, *exc: object) -> None:
-        _unhook(self._owner, self)
 
 
 #: the shared ownerless no-op span
@@ -164,7 +141,7 @@ class Span:
         attrs: typing.Dict[str, AttrValue],
     ):
         self._owner = owner
-        self._prev: typing.Optional[SpanLike] = None
+        self._prev: typing.Optional[Span] = None
         self.trace_id = trace_id
         self.span_id = span_id
         self.parent_id = parent_id
@@ -214,7 +191,14 @@ class Span:
         if owner._span is self:
             owner._span = self._prev
         else:
-            _unhook(owner, self)
+            # Unwound out of order: drop the spans still hanging above
+            # this one; one already dropped that way changes nothing.
+            node = owner._span
+            while node is not None:
+                if node is self:
+                    owner._span = self._prev
+                    break
+                node = node._prev
         obs = env.obs
         # Metrics first: the cap bounds what is retained, not what the
         # O(1) histograms count.
@@ -236,29 +220,12 @@ class Span:
         )
 
 
-def _unhook(owner: _Owner, span: SpanLike) -> None:
-    """Take ``span`` off ``owner``'s chain, with whatever opened above it.
-
-    A span unwound out of order drops the spans still hanging above it;
-    one already dropped that way is no longer on the chain and changes
-    nothing.
-    """
-    node = owner._span
-    while node is not None:
-        if node is span:
-            owner._span = span._prev
-            return
-        node = node._prev
-
-
 class Observability:
     """Per-environment span collector: ``env.obs``.
 
-    Off by default.  :meth:`enable` turns span collection on, with
-    optional deterministic root sampling (``sample_every=n`` keeps every
-    n-th root trace, counted in creation order) and an optional
-    :class:`~repro.obs.metrics.SpanMetrics` pipeline that folds finished
-    spans into the stats registry's histograms.
+    Off by default.  :meth:`enable` turns span collection on, with an
+    optional :class:`~repro.obs.metrics.SpanMetrics` pipeline that folds
+    finished spans into the stats registry's histograms.
     """
 
     #: Test hook: when True, environments construct with tracing
@@ -269,8 +236,6 @@ class Observability:
     def __init__(self, env: "Environment"):
         self.env = env
         self.enabled = bool(type(self).default_enabled)
-        #: keep every ``sample_every``-th root trace (1 = keep all)
-        self.sample_every = 1
         #: hard cap on retained finished spans (drops count below)
         self.max_spans = 100_000
         #: spans dropped once :attr:`max_spans` was reached
@@ -281,23 +246,15 @@ class Observability:
         self.metrics: typing.Optional["SpanMetrics"] = None
         #: innermost open span of code that runs in no process; a
         #: process keeps its own in :attr:`Process._span`
-        self._span: typing.Optional[SpanLike] = None
+        self._span: typing.Optional[Span] = None
         self._next_span_id = 1
-        self._roots_seen = 0
 
     # ------------------------------------------------------------------
     # Control
     # ------------------------------------------------------------------
-    def enable(
-        self,
-        sample_every: int = 1,
-        metrics: typing.Optional["SpanMetrics"] = None,
-    ) -> None:
+    def enable(self, metrics: typing.Optional["SpanMetrics"] = None) -> None:
         """Turn span collection on (idempotent)."""
-        if sample_every < 1:
-            raise ValueError("sample_every must be >= 1")
         self.enabled = True
-        self.sample_every = sample_every
         if metrics is not None:
             self.metrics = metrics
 
@@ -323,7 +280,7 @@ class Observability:
 
         With no explicit ``parent``, the span nests under the current
         span of the active process; with none open it starts a new
-        trace (a *root*), subject to sampling.  Pass ``parent=`` when
+        trace (a *root*).  Pass ``parent=`` when
         the causal parent lives in another process — e.g. a hedged
         replica leg's parent is the exchange that launched it.
         """
@@ -335,17 +292,14 @@ class Observability:
         if parent is _INHERIT:
             parent = owner._span
         if parent is None:
-            self._roots_seen += 1
-            if (self._roots_seen - 1) % self.sample_every != 0:
-                return _OwnedNullSpan(owner)
             trace_id = env.rng.stream("obs.ids").getrandbits(48)
             parent_id = None
         elif parent.recording:
             trace_id = parent.trace_id
             parent_id = parent.span_id
         else:
-            # Descendant of a sampled-out root: stay silent, and hold no
-            # place on the chain (the root's own NullSpan already does).
+            # An explicit no-op parent (a disabled site's span): stay
+            # silent too.
             return NULL_SPAN
         span_id = self._next_span_id
         self._next_span_id = span_id + 1
@@ -360,7 +314,7 @@ class Observability:
             attrs,
         )
 
-    def current(self) -> typing.Optional[SpanLike]:
+    def current(self) -> typing.Optional[Span]:
         """The innermost open span of the active process, if any."""
         process = self.env._active_process
         return self._span if process is None else process._span

@@ -506,7 +506,3 @@ class CircuitBreakerRegistry:
             )
             self._breakers[target] = breaker
         return breaker
-
-    def states(self) -> typing.Dict[str, str]:
-        """target -> breaker state, for observability and tests."""
-        return {name: b.state for name, b in self._breakers.items()}

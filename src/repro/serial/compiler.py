@@ -12,8 +12,8 @@ only in how they *price* the bytes (:mod:`repro.serial.handcoded`:
 base + per byte; :mod:`repro.serial.generated`: the operation counts
 below).
 
-Counting rules for the generated style (priced by
-:class:`~repro.serial.generated.OpCosts`):
+Counting rules for the generated style (priced by the per-operation
+costs in :mod:`repro.serial.generated`):
 
 - entering any node's routine: **1 procedure call**;
 - a parent dispatching to a child routine: **1 indirect call**;
@@ -31,7 +31,7 @@ from __future__ import annotations
 import struct
 import typing
 
-from repro.serial.generated import DEFAULT_OP_COSTS, GeneratedMarshaller, OpCosts
+from repro.serial.generated import GeneratedMarshaller
 from repro.serial.idl import (
     ArrayType,
     BoolType,
@@ -176,11 +176,9 @@ class StubCompiler:
             codec = idl_type.codecs[self._key] = Codec(idl_type, self._build(idl_type))
         return codec
 
-    def marshaller(
-        self, idl_type: IdlType, op_costs: OpCosts = DEFAULT_OP_COSTS
-    ) -> GeneratedMarshaller:
+    def marshaller(self, idl_type: IdlType) -> GeneratedMarshaller:
         """Convenience: compile and wrap in a GeneratedMarshaller."""
-        return GeneratedMarshaller(self.compile(idl_type), op_costs)
+        return GeneratedMarshaller(self.compile(idl_type))
 
     # ------------------------------------------------------------------
     def _build(self, t: IdlType) -> _Routines:

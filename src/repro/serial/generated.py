@@ -31,25 +31,21 @@ if typing.TYPE_CHECKING:  # pragma: no cover
     from repro.serial.compiler import Codec
 
 
-@dataclasses.dataclass
-class OpCosts:
-    """Per-operation simulated CPU costs (ms).
-
-    The defaults are fit so that demarshalling a BIND lookup response
-    through the generated path costs 10.28 ms for 1 resource record and
-    24.95 ms for 6 — the marshalled-cache-hit minus demarshalled-cache-
-    hit deltas of Table 3.2.  See ``repro.harness.calibration``.
-    """
-
-    entry_overhead_ms: float = 5.918
-    per_proc_call_ms: float = 0.25
-    per_indirect_call_ms: float = 0.139
-    per_allocation_ms: float = 0.20
-    per_byte_ms: float = 0.0
-
-
-#: Default cost table used when none is supplied.
-DEFAULT_OP_COSTS = OpCosts()
+# Per-operation simulated CPU costs (ms) of the generated routines, fit
+# so that demarshalling a BIND lookup response through the generated
+# path costs 10.28 ms for 1 resource record and 24.95 ms for 6 — the
+# marshalled-cache-hit minus demarshalled-cache-hit deltas of Table 3.2.
+# See ``repro.harness.calibration``.
+#: entering the generated marshalling code at all
+ENTRY_OVERHEAD_MS = 5.918
+#: one routine's procedure call
+PER_PROC_CALL_MS = 0.25
+#: a parent's indirect call to a child routine
+PER_INDIRECT_CALL_MS = 0.139
+#: one dynamic allocation
+PER_ALLOCATION_MS = 0.20
+#: one byte processed
+PER_BYTE_MS = 0.0
 
 
 @dataclasses.dataclass
@@ -61,14 +57,14 @@ class MarshalCost:
     allocations: int = 0
     bytes_processed: int = 0
 
-    def time_ms(self, costs: OpCosts = DEFAULT_OP_COSTS) -> float:
+    def time_ms(self) -> float:
         """Simulated CPU time implied by the counts."""
         return (
-            costs.entry_overhead_ms
-            + costs.per_proc_call_ms * self.proc_calls
-            + costs.per_indirect_call_ms * self.indirect_calls
-            + costs.per_allocation_ms * self.allocations
-            + costs.per_byte_ms * self.bytes_processed
+            ENTRY_OVERHEAD_MS
+            + PER_PROC_CALL_MS * self.proc_calls
+            + PER_INDIRECT_CALL_MS * self.indirect_calls
+            + PER_ALLOCATION_MS * self.allocations
+            + PER_BYTE_MS * self.bytes_processed
         )
 
     def merge(self, other: "MarshalCost") -> "MarshalCost":
@@ -188,22 +184,18 @@ class GeneratedMarshaller(Marshaller):
     ----------
     codec:
         The compiled codec for one IDL type (from :class:`StubCompiler`).
-    op_costs:
-        Cost table; override to explore "what if the generated code were
-        cheaper" ablations.
     """
 
     style = "generated"
 
-    def __init__(self, codec: "Codec", op_costs: OpCosts = DEFAULT_OP_COSTS):
+    def __init__(self, codec: "Codec"):
         self.codec = codec
-        self.op_costs = op_costs
 
     def _counts(self, value: object, nbytes: int) -> MarshalCost:
         return MarshalCost(*self.codec.count_ops(value), nbytes)
 
     def _price(self, value: object, nbytes: int) -> float:
-        return self._counts(value, nbytes).time_ms(self.op_costs)
+        return self._counts(value, nbytes).time_ms()
 
     def measure_decode(self, data: bytes) -> MarshalCost:
         """Just the operation counts for decoding ``data`` (for tests)."""

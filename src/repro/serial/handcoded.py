@@ -31,14 +31,8 @@ class HandcodedMarshaller(Marshaller):
         self,
         idl_type: IdlType,
         representation: typing.Optional[Representation] = None,
-        base_ms: float = HANDCODED_BASE_MS,
-        per_byte_ms: float = HANDCODED_PER_BYTE_MS,
     ):
-        if base_ms < 0 or per_byte_ms < 0:
-            raise ValueError("costs must be non-negative")
         self.codec = StubCompiler(representation).compile(idl_type)
-        self.base_ms = base_ms
-        self.per_byte_ms = per_byte_ms
 
     def _price(self, value: object, nbytes: int) -> float:
-        return self.base_ms + self.per_byte_ms * nbytes
+        return HANDCODED_BASE_MS + HANDCODED_PER_BYTE_MS * nbytes

@@ -31,7 +31,7 @@ import typing
 from repro.sim.events import Event, Interrupt
 
 if typing.TYPE_CHECKING:  # pragma: no cover
-    from repro.obs.span import SpanLike
+    from repro.obs.span import Span
 
 ProcessGenerator = typing.Generator[Event, object, object]
 
@@ -44,7 +44,7 @@ class Process(Event):
     generator: ProcessGenerator
     name: str
     _target: typing.Optional[Event]  # parked on; the start event at first
-    _span: typing.Optional["SpanLike"]  # innermost open span (repro.obs)
+    _span: typing.Optional["Span"]  # innermost open span (repro.obs)
 
     def __init__(self, *_args: object, **_kwargs: object):
         raise TypeError("a Process is started by env.process(generator)")

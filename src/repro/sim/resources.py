@@ -329,47 +329,27 @@ class Resource:
 class CPU(Resource):
     """A host processor charging compute time in ms.
 
-    ``speed_factor`` scales charged costs, letting scenarios model the
-    mixed hardware of the HCS testbed (a Tektronix workstation is slower
-    than a MicroVAX-II).
+    Every host computes at the speed the calibration was fit to (the
+    paper measured MicroVAX-IIs), so a compute charge is :meth:`use`.
     """
 
-    def __init__(self, env: "Environment", name: str = "", speed_factor: float = 1.0):
-        if speed_factor <= 0:
-            raise ValueError(f"speed_factor must be positive, got {speed_factor}")
-        super().__init__(env, name=name)
-        self.speed_factor = speed_factor
-        if speed_factor == 1.0:
-            # x / 1.0 == x exactly, so a full-speed charge is use() itself.
-            self.compute = self.use  # type: ignore[method-assign]
+    compute = Resource.use
 
-    def compute(self, cost_ms: float, background: bool = False) -> Event:
-        """Charge ``cost_ms`` of compute, scaled by the host's speed:
-        the event to ``yield`` (:meth:`use`)."""
-        return self.use(cost_ms / self.speed_factor, background)
+
+#: a disk's fixed cost per access (ms)
+DISK_ACCESS_MS = 30.0
+#: a disk's transfer cost per KiB (ms)
+DISK_PER_KB_MS = 1.0
 
 
 class Disk(Resource):
     """A disk with per-access latency plus per-byte transfer time."""
-
-    def __init__(
-        self,
-        env: "Environment",
-        name: str = "",
-        access_ms: float = 30.0,
-        per_kb_ms: float = 1.0,
-    ):
-        if access_ms < 0 or per_kb_ms < 0:
-            raise ValueError("disk parameters must be non-negative")
-        super().__init__(env, name=name)
-        self.access_ms = access_ms
-        self.per_kb_ms = per_kb_ms
 
     def read(self, size_bytes: int = 0) -> Event:
         """One disk access transferring ``size_bytes``: the event to
         ``yield`` (:meth:`use`)."""
         if size_bytes < 0:
             raise ValueError(f"negative read size: {size_bytes}")
-        return self.use(self.access_ms + self.per_kb_ms * size_bytes / 1024.0)
+        return self.use(DISK_ACCESS_MS + DISK_PER_KB_MS * size_bytes / 1024.0)
 
     write = read  # Same cost model either direction.

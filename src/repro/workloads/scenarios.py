@@ -128,7 +128,7 @@ class HcsTestbed:
     ) -> _Nsm:
         """An ``nsm_class`` NSM on ``host``, over its family's name
         service here: the public BIND over UDP, or the Clearinghouse
-        over TCP.  ``kwargs`` go to the NSM (``cached``, ``fast_path``)."""
+        over TCP.  ``kwargs`` go to the NSM (``fast_path``)."""
         if issubclass(nsm_class, BindNSM):
             return nsm_class(
                 host,
@@ -774,17 +774,19 @@ def _mass_renumbering_scenario(seed: int) -> Environment:
     return env
 
 
-def build_million_client_zipf(
-    seed: int = 0,
-    clients: int = 1_000_000,
-    contexts: int = 10_000,
-    mean_interarrival_ms: float = 0.05,
-    lookup_min_ms: float = 5.0,
-    lookup_max_ms: float = 40.0,
-    ttl_ms: float = 30_000.0,
-    sweep_interval_ms: float = 60_000.0,
-    zipf_s: float = 1.1,
-) -> Environment:
+# The million-client regime, sampled so the scenario pass's six runs
+# stay fast: ~2k clients over 256 contexts.
+MCLIENT_CLIENTS = 2_000
+MCLIENT_CONTEXTS = 256
+MCLIENT_INTERARRIVAL_MS = 0.5
+MCLIENT_LOOKUP_MIN_MS = 5.0
+MCLIENT_LOOKUP_MAX_MS = 40.0
+MCLIENT_TTL_MS = 300.0
+MCLIENT_SWEEP_MS = 400.0
+MCLIENT_ZIPF_S = 1.1
+
+
+def build_million_client_zipf(seed: int) -> Environment:
     """The million-client regime: Zipf-distributed context lookups.
 
     A closed-form model of the load the ROADMAP's north star implies —
@@ -792,11 +794,10 @@ def build_million_client_zipf(
     over contexts, against a shared TTL cache.  It deliberately skips
     the full testbed (no sockets, no servers): the point is the
     *kernel*, and the event mix spans the queue's whole range —
-    ``delay == 0`` cache hits, millisecond-scale lookups, and
-    minute-scale TTL sweeps.  The registered scenario below runs a
-    sampled size so the scenario pass's six runs stay fast; the
-    perf ledger's ``mclient_zipf`` workload (``benchmarks/e2e``) times
-    the kernel under this kind of load at depth.
+    ``delay == 0`` cache hits, millisecond-scale lookups, and TTL
+    sweeps.  It runs the ``MCLIENT_*`` size; the perf ledger's
+    ``mclient_zipf`` workload (``benchmarks/e2e``) times the kernel
+    under this kind of load at depth.
 
     Clients arrive at exponential interarrivals and live only as long
     as their one request, so the live-process count stays bounded by
@@ -818,8 +819,8 @@ def build_million_client_zipf(
     # Zipf over context ranks: cumulative weights + bisect per draw.
     cums: typing.List[float] = []
     total = 0.0
-    for rank in range(1, contexts + 1):
-        total += rank ** -zipf_s
+    for rank in range(1, MCLIENT_CONTEXTS + 1):
+        total += rank ** -MCLIENT_ZIPF_S
         cums.append(total)
 
     cache: typing.Dict[int, float] = {}
@@ -835,17 +836,17 @@ def build_million_client_zipf(
             yield env.timeout(0.0)
         else:
             misses.increment()
-            yield env.timeout(lookups.uniform(lookup_min_ms, lookup_max_ms))
-            cache[context_id] = env.now + ttl_ms
+            yield env.timeout(lookups.uniform(MCLIENT_LOOKUP_MIN_MS, MCLIENT_LOOKUP_MAX_MS))
+            cache[context_id] = env.now + MCLIENT_TTL_MS
         state["completed"] += 1
-        if state["completed"] == clients:
+        if state["completed"] == MCLIENT_CLIENTS:
             done.succeed(None)
 
     def sweeper():
         # Periodic TTL sweep: the far-future end of the event mix.
         try:
             while True:
-                yield env.timeout(sweep_interval_ms)
+                yield env.timeout(MCLIENT_SWEEP_MS)
                 now = env.now
                 expired = [ctx for ctx, exp in cache.items() if exp <= now]
                 for ctx in expired:
@@ -857,9 +858,9 @@ def build_million_client_zipf(
     def drive():
         sweep_proc = env.process(sweeper(), name="ttl-sweeper")
         expo = arrivals.expovariate
-        rate = 1.0 / mean_interarrival_ms
+        rate = 1.0 / MCLIENT_INTERARRIVAL_MS
         draw = picks.random
-        for _ in range(clients):
+        for _ in range(MCLIENT_CLIENTS):
             yield env.timeout(expo(rate))
             env.process(client(_bisect_left(cums, draw() * total)))
         yield done
@@ -871,20 +872,10 @@ def build_million_client_zipf(
 
 @scenario("million_client_zipf")
 def _million_client_scenario(seed: int) -> Environment:
-    """Sampled million-client run for the determinism gate.
-
-    Same builder, scaled down (~2k clients over 256 contexts) so the
-    checker's repeated runs stay fast.  The summary trace record folds
-    the hit/miss split into the digest alongside the counters.
-    """
-    env = build_million_client_zipf(
-        seed=seed,
-        clients=2_000,
-        contexts=256,
-        mean_interarrival_ms=0.5,
-        ttl_ms=300.0,
-        sweep_interval_ms=400.0,
-    )
+    """Sampled million-client run for the determinism gate.  The
+    summary trace record folds the hit/miss split into the digest
+    alongside the counters."""
+    env = build_million_client_zipf(seed)
     env.trace.enabled = True
     env.trace.emit(
         "mclient",

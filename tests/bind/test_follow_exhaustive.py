@@ -10,13 +10,15 @@ the instants are enumerated: the first update is issued when the
 schedule opens, and the second at each instant of a kernel step in a
 reference run of the first, and one tick after each.
 
-Every schedule runs as is, and under a perturbed tie-break where its
-last update ties with a kernel step, or, where it lands a tick after
-one, with the follower's first NOTIFY dropped and again with the reply
-to its first IXFR pull lost (a schedule of one update runs all four
-ways).  Those two end with a write to a third name: a dropped push is
-repaired only by the next one, and a lost reply's pull retransmits
-after ``XFER_TIMEOUT_MS``, before that write.  Checked:
+Every schedule runs as is, again FIFO with no journal (every pull
+behind the primary is then answered by a snapshot), and under a
+perturbed tie-break where its last update ties with a kernel step, or,
+where it lands a tick after one, with the follower's first NOTIFY
+dropped and again with the reply to its first IXFR pull lost (a
+schedule of one update runs all five ways).  Those two end with a
+write to a third name: a dropped push is repaired only by the next one,
+and a lost reply's pull retransmits after ``XFER_TIMEOUT_MS``, before
+that write.  Checked:
 
 (i) at quiescence the follower is at the primary's serial and each of
     its live entries is the primary's record set, and once every TTL has
@@ -37,6 +39,7 @@ from repro.bind import (
     BindResolver, BindServer, CacheInstaller, DomainName, NameNotFound, ResolverCache,
     ResourceRecord, RRType, UpdateMode, UpdateOp, Zone,
 )
+from repro.bind import zone as zone_module
 from repro.bind.messages import NotifyRequest
 from repro.analysis.determinism import run_lines
 from repro.bind.primary import XFER_TIMEOUT_MS, PrimaryClient
@@ -290,6 +293,15 @@ def test_every_schedule_of_two_updates_converges():
         print(f"{len(fifos)} FIFO runs")
         assert len(fifos) > len(UPDATES) ** 2
         assert_memo_off_reads_the_same(child, fifos)
+
+
+def test_every_schedule_converges_when_every_pull_is_a_snapshot(monkeypatch):
+    """With no journal each pull is answered by the zone's snapshot,
+    which must drop what it lacks: a deleted name is not served on."""
+    monkeypatch.setattr(zone_module, "JOURNAL_LIMIT", 0)
+    runs = [run(schedule, rest=at_rest(schedule)) for schedule, _tied in schedules()]
+    print(f"{len(runs)} snapshot runs")
+    assert len(runs) > len(UPDATES) ** 2
 
 
 def test_a_follower_that_ignores_its_pushes_fails(monkeypatch):

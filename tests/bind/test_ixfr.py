@@ -1,5 +1,7 @@
 """Incremental zone transfer: the journal, the wire, and the preload."""
 
+from unittest import mock
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -15,6 +17,7 @@ from repro.bind import (
     UpdateOp,
     Zone,
 )
+from repro.bind import zone as zone_module
 from repro.bind.messages import IxfrResponse
 from repro.harness.calibration import DEFAULT_CALIBRATION
 from repro.net import DatagramTransport, Internetwork
@@ -63,8 +66,9 @@ def test_delta_since_partial():
     assert [d.serial for d in deltas] == [3]
 
 
-def test_delta_since_truncated_journal_returns_none():
-    zone = Zone("hns", journal_limit=2)
+def test_delta_since_truncated_journal_returns_none(monkeypatch):
+    monkeypatch.setattr(zone_module, "JOURNAL_LIMIT", 2)
+    zone = Zone("hns")
     for i in range(5):
         zone.add(rec(f"x{i}.ctx.hns", f"ns=x{i}"))
     # Journal only holds serials 5 and 6; serial 2 is unreachable.
@@ -104,7 +108,12 @@ _ZONE_OPS = st.one_of(
     ops=st.lists(_ZONE_OPS, max_size=30),
 )
 def test_delta_since_equals_a_scan_of_the_journal(journal_limit, ops):
-    zone = Zone("hns", journal_limit=journal_limit)
+    with mock.patch.object(zone_module, "JOURNAL_LIMIT", journal_limit):
+        check_delta_since_against_a_scan(ops)
+
+
+def check_delta_since_against_a_scan(ops):
+    zone = Zone("hns")
     for op, name, n in ops:
         if op == "add":
             zone.add(rec(name, f"v{n}"))
@@ -359,10 +368,10 @@ def test_a_follower_pulls_a_write_that_raced_its_walk():
         assert [r.text for r in entry.payload] == [text]
 
 
-def test_a_delta_and_a_snapshot_never_share_the_slot(wired, marshals):
+def test_a_delta_and_a_snapshot_never_share_the_slot(wired, marshals, monkeypatch):
     env, zone, server, resolver, udp, client, endpoint = wired
     sent, _passes = marshals
-    zone.journal_limit = 2
+    monkeypatch.setattr(zone_module, "JOURNAL_LIMIT", 2)
     behind = zone.serial
     for i in range(3):
         zone.add(rec(f"x{i}.ctx.hns", f"ns=x{i}"))

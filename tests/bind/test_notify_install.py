@@ -23,6 +23,8 @@ from repro.bind import (
     UpdateOp,
     Zone,
 )
+from repro.bind import zone as zone_module
+from repro.bind.primary import XFER_TIMEOUT_MS
 from repro.harness.calibration import DEFAULT_CALIBRATION
 from repro.net import DatagramTransport, Internetwork
 from repro.resolution import UpdatePolicy
@@ -48,14 +50,14 @@ def run(env, gen):
     return env.run(until=env.process(gen))
 
 
-def build(journal_limit):
+def build():
     env = Environment(seed=5)
     net = Internetwork(env)
     segment = net.add_segment(
         latency=ConstantLatency(CAL.wire_base_ms, CAL.wire_per_byte_ms)
     )
     udp = DatagramTransport(net)
-    zone = Zone("hns", journal_limit=journal_limit)
+    zone = Zone("hns")
     zone.add(
         ResourceRecord.text_record("hot.ctx.hns", "ns=hot", rtype=RRType.UNSPEC, ttl=TTL)
     )
@@ -102,8 +104,9 @@ def replace(*versions):
     [(512, False), (2, True)],
     ids=["ixfr", "axfr_fallback"],
 )
-def test_pushed_install_never_blocks_cache_hits(journal_limit, fallback):
-    env, _meta, subscriber, writer, reference = build(journal_limit)
+def test_pushed_install_never_blocks_cache_hits(journal_limit, fallback, monkeypatch):
+    monkeypatch.setattr(zone_module, "JOURNAL_LIMIT", journal_limit)
+    env, _meta, subscriber, writer, reference = build()
     run(env, subscriber.lookup("hot.ctx.hns", RRType.UNSPEC))  # warm the hit
     run(env, installer(subscriber).subscribe_notify("hns"))
 
@@ -170,11 +173,12 @@ def test_pushed_install_never_blocks_cache_hits(journal_limit, fallback):
     [(512, False), (2, True)],
     ids=["ixfr", "axfr_fallback"],
 )
-def test_pushed_deletion_stops_being_served(journal_limit, fallback):
+def test_pushed_deletion_stops_being_served(journal_limit, fallback, monkeypatch):
     """A deleted record set leaves the subscriber's cache whether the
     pull came back as deltas or, past a truncated journal, as the full
     snapshot: the snapshot does not carry it, so it is dropped."""
-    env, _meta, subscriber, writer, _reference = build(journal_limit)
+    monkeypatch.setattr(zone_module, "JOURNAL_LIMIT", journal_limit)
+    env, _meta, subscriber, writer, _reference = build()
     for i in range(6):
         run(env, subscriber.lookup(owner(i), RRType.UNSPEC))
     run(env, installer(subscriber).subscribe_notify("hns"))
@@ -196,7 +200,7 @@ def test_a_push_during_a_pull_is_pulled_after_it():
     """The second write lands while the first write's pull is still
     installing; its push must not be lost, or the warm owner it
     rewrote is served at its old value until the TTL runs out."""
-    env, _meta, subscriber, writer, _reference = build(512)
+    env, _meta, subscriber, writer, _reference = build()
     run(env, subscriber.lookup(owner(0), RRType.UNSPEC))
     run(env, installer(subscriber).subscribe_notify("hns"))
     pull_ms = (
@@ -217,20 +221,24 @@ def test_a_push_during_a_pull_is_pulled_after_it():
 
 
 def test_a_failed_pull_is_counted_and_the_next_push_pulls_again():
-    env, meta, subscriber, writer, _reference = build(512)
+    env, meta, subscriber, writer, _reference = build()
     run(env, subscriber.lookup(owner(0), RRType.UNSPEC))
     run(env, installer(subscriber).subscribe_notify("hns"))
 
-    meta.allow_zone_transfer = False  # the pull's IXFR is refused
     run(env, writer.primary.update_batch(replace((0, 1))))
-    env.run(until=env.now + 1_000.0)
+    pulls = env.stats.counter(f"bind.{subscriber.name}.notify_pulls")
+    while not pulls.value:
+        env.step()
+    meta.host.crash()  # every attempt of the pull's IXFR finds the primary down
+    attempts = subscriber.primary.transport.retries + 1
+    env.run(until=env.now + attempts * XFER_TIMEOUT_MS + 1_000.0)
     counters = env.stats.counters()
     assert counters[f"bind.{subscriber.name}.notify_pulls"] == 1
     assert counters[f"bind.{subscriber.name}.notify_pull_failures"] == 1
     records = run(env, subscriber.lookup(owner(0), RRType.UNSPEC))
     assert [r.text for r in records] == ["ns=v0"]
 
-    meta.allow_zone_transfer = True
+    meta.host.restart()
     run(env, writer.primary.update_batch(replace((0, 2))))
     env.run(until=env.now + 1_000.0)
     counters = env.stats.counters()
@@ -245,7 +253,7 @@ def test_an_uncacheable_pulled_answer_is_not_served_from_the_old_one():
     drops what the subscriber held for that owner: the pull installs
     nothing for it, so the next read asks the primary, which holds the
     new version, instead of serving the old one for the rest of its TTL."""
-    env, meta, subscriber, writer, _reference = build(512)
+    env, meta, subscriber, writer, _reference = build()
     run(env, subscriber.lookup(owner(0), RRType.UNSPEC))
     run(env, installer(subscriber).subscribe_notify("hns"))
     uncacheable = ResourceRecord.text_record(

@@ -185,21 +185,6 @@ def test_zone_transfer_returns_all_records(deployment):
     }
 
 
-def test_zone_transfer_refused_when_disabled(deployment):
-    env, net, transport, client, _, _ = deployment
-    host = net.add_host("private")
-    server = BindServer(host, zones=[Zone("secret")], allow_zone_transfer=False)
-    ep = server.listen()
-    resolver = BindResolver(client, transport, ep)
-
-    def scenario():
-        with pytest.raises(ZoneNotFound):
-            yield from resolver.primary.zone_transfer("secret")
-        return "done"
-
-    assert run(env, scenario()) == "done"
-
-
 def test_zone_transfer_of_unknown_zone(deployment):
     env, net, transport, client, server, endpoint = deployment
     resolver = BindResolver(client, transport, endpoint)

@@ -92,16 +92,6 @@ def test_nsm_miss_cost_and_hit_cost(testbed):
     assert hit == pytest.approx(3.0, rel=0.02)
 
 
-def test_uncached_nsm_always_does_native_work(testbed):
-    env = testbed.env
-    nsm = testbed.make_nsm(BindBindingNSM, testbed.client, cached=False)
-    run(env, nsm.query(FIJI, service="DesiredService"))
-    start = env.now
-    result = run(env, nsm.query(FIJI, service="DesiredService"))
-    assert not result.from_cache
-    assert env.now - start > 50
-
-
 def test_nsm_cache_respects_ttl(testbed):
     env = testbed.env
     zone = testbed.public_server.zones[0]

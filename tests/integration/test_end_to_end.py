@@ -136,7 +136,7 @@ def test_nsm_host_crash_with_remote_nsms():
         return "failed"
 
     assert run(env, cold()) == "failed"
-    assert stack.hns.nsm_breakers.states()[stack.binding_nsm.name] == "open"
+    assert stack.hns.nsm_breakers.breaker(stack.binding_nsm.name).state == "open"
 
 
 def test_workload_over_hns_achieves_high_hit_ratio():

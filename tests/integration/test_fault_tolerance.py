@@ -289,8 +289,8 @@ def test_breaker_trips_fast_fails_then_recovers():
 
     # The retries exhaust into the breaker tripping.
     assert run(env, failing()) == "done"
-    nsm_name = stack.binding_nsm.name
-    assert stack.hns.nsm_breakers.states()[nsm_name] == "open"
+    breaker = stack.hns.nsm_breakers.breaker(stack.binding_nsm.name)
+    assert breaker.state == "open"
 
     # While open: fail fast, burning no transport timeouts even though
     # the NSM host is actually back up already.
@@ -305,7 +305,7 @@ def test_breaker_trips_fast_fails_then_recovers():
     sleep(env, BREAKER_RESET_MS + 1)
     binding = run(env, stack.importer.import_binding("DesiredService", FIJI))
     assert binding.endpoint.port == 9999
-    assert stack.hns.nsm_breakers.states()[nsm_name] == "closed"
+    assert breaker.state == "closed"
 
 
 def test_half_open_probe_answered_with_an_error_closes_the_breaker():
@@ -324,6 +324,8 @@ def test_half_open_probe_answered_with_an_error_closes_the_breaker():
         return "done"
 
     assert run(env, expect(NsmUnavailable, "DesiredService")) == "done"
+    breaker = stack.hns.nsm_breakers.breaker(stack.binding_nsm.name)
+    assert breaker.state == "open"
     testbed.nsm_host.restart()
     sleep(env, BREAKER_RESET_MS + 1)
 
@@ -331,7 +333,7 @@ def test_half_open_probe_answered_with_an_error_closes_the_breaker():
     assert run(env, expect(BindingProtocolError, "NoSuchService")) == "done"
     binding = run(env, stack.importer.import_binding("DesiredService", FIJI))
     assert binding.endpoint.port == 9999
-    assert "half-open" not in stack.importer.breakers.states().values()
+    assert breaker.state == "closed"
 
 
 def test_open_breaker_routes_to_linked_in_copy():
@@ -341,9 +343,10 @@ def test_open_breaker_routes_to_linked_in_copy():
     hns = testbed.make_hns(testbed.client)
     local = testbed.make_nsm(BindBindingNSM, testbed.client)
     hns.link_local_nsm(local)
+    breaker = hns.nsm_breakers.breaker(local.name)
     for _ in range(hns.policies.resolution.breaker_threshold):
-        hns.report_nsm_outcome(local.name, ok=False)
-    assert hns.nsm_breakers.states()[local.name] == "open"
+        breaker.record_failure()
+    assert breaker.state == "open"
     binding = run(env, hns.find_nsm(FIJI, "HRPCBinding"))
     assert isinstance(binding, LocalNsmBinding)
     assert binding.nsm is local

@@ -133,7 +133,7 @@ def test_findnsm_is_deterministic_and_idempotent():
 )
 @settings(max_examples=50, deadline=None)
 def test_marshal_cost_merge_is_additive(pc, ic, al, by):
-    from repro.serial.generated import OpCosts
+    from repro.serial.generated import ENTRY_OVERHEAD_MS
 
     a = MarshalCost(pc, ic, al, by)
     b = MarshalCost(ic, al, by % 1000, pc)
@@ -142,10 +142,9 @@ def test_marshal_cost_merge_is_additive(pc, ic, al, by):
     assert merged.indirect_calls == a.indirect_calls + b.indirect_calls
     assert merged.allocations == a.allocations + b.allocations
     assert merged.bytes_processed == a.bytes_processed + b.bytes_processed
-    # With no fixed entry overhead, merged time is exactly the sum.
-    flat = OpCosts(entry_overhead_ms=0.0)
-    assert merged.time_ms(flat) == pytest.approx(
-        a.time_ms(flat) + b.time_ms(flat), rel=1e-9
+    # The fixed entry overhead is paid once: merged time is the sum less one.
+    assert merged.time_ms() == pytest.approx(
+        a.time_ms() + b.time_ms() - ENTRY_OVERHEAD_MS, rel=1e-9
     )
 
 

@@ -24,7 +24,7 @@ def two_campus():
     """Two segments joined by a gateway: the meta server and one name
     service on segment A, another department's name service on B."""
     env = Environment(seed=110)
-    net = Internetwork(env, gateway_hop_ms=8.0)
+    net = Internetwork(env)
     seg_a = net.add_segment(latency=ConstantLatency(CAL.wire_base_ms, CAL.wire_per_byte_ms))
     seg_b = net.add_segment(latency=ConstantLatency(CAL.wire_base_ms, CAL.wire_per_byte_ms))
     udp = DatagramTransport(net)

@@ -102,9 +102,3 @@ def test_endpoint_is_built_once_per_port():
     with pytest.raises(ValueError):
         host.endpoint(0)
 
-
-def test_cpu_speed_configurable():
-    env = Environment()
-    slow = Host(env, "tek", NetworkAddress("128.95.1.9"), cpu_speed=0.5)
-    assert slow.cpu.speed_factor == 0.5
-    assert slow.disk.access_ms == 30.0

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.net import DatagramTransport, Internetwork, NoRouteToHost, Service
+from repro.net import internet
 from repro.net.addresses import NetworkAddress
 from repro.sim import ConstantLatency, Environment
 
@@ -52,7 +53,7 @@ def test_foreign_segment_rejected():
 
 def test_route_within_segment_has_no_gateway_cost():
     env = Environment()
-    net = Internetwork(env, gateway_hop_ms=50)
+    net = Internetwork(env)
     seg = net.add_segment(latency=ConstantLatency(2.0))
     a = net.add_host("a", seg)
     b = net.add_host("b", seg)
@@ -61,12 +62,12 @@ def test_route_within_segment_has_no_gateway_cost():
 
 def test_route_across_segments_pays_gateway_hop():
     env = Environment()
-    net = Internetwork(env, gateway_hop_ms=50)
+    net = Internetwork(env)
     seg1 = net.add_segment(latency=ConstantLatency(2.0))
     seg2 = net.add_segment(latency=ConstantLatency(3.0))
     a = net.add_host("a", seg1)
     b = net.add_host("b", seg2)
-    assert net.path_delay(a.address, b.address, 0) == 55.0
+    assert net.path_delay(a.address, b.address, 0) == 5.0 + internet.GATEWAY_HOP_MS
 
 
 def test_no_route_to_unknown_address():
@@ -77,9 +78,10 @@ def test_no_route_to_unknown_address():
         net.path_delay(a.address, NetworkAddress("1.2.3.4"), 0)
 
 
-def test_cross_segment_request_roundtrip():
+def test_cross_segment_request_roundtrip(monkeypatch):
+    monkeypatch.setattr(internet, "GATEWAY_HOP_MS", 10.0)
     env = Environment(seed=3)
-    net = Internetwork(env, gateway_hop_ms=10)
+    net = Internetwork(env)
     seg1 = net.add_segment(latency=ConstantLatency(2.0))
     seg2 = net.add_segment(latency=ConstantLatency(2.0))
     client = net.add_host("client", seg1)
@@ -107,7 +109,3 @@ def test_same_host_detection():
     assert net.same_host(a.address, a.address)
     assert not net.same_host(a.address, b.address)
 
-
-def test_gateway_delay_validation():
-    with pytest.raises(ValueError):
-        Internetwork(Environment(), gateway_hop_ms=-1)

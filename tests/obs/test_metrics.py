@@ -1,8 +1,7 @@
 """The span->stats pipeline: histograms plus exemplar trace ids."""
 
-import pytest
-
 from repro.obs import DEFAULT_BOUNDS, ExemplarStore, SpanMetrics
+from repro.obs import metrics as metrics_module
 from repro.sim import Environment
 
 
@@ -43,8 +42,9 @@ def test_exemplars_map_buckets_back_to_trace_ids():
     assert ids == [trace_id]
 
 
-def test_exemplar_store_caps_per_bucket_first_come():
-    store = ExemplarStore(per_bucket=2)
+def test_exemplar_store_caps_per_bucket_first_come(monkeypatch):
+    monkeypatch.setattr(metrics_module, "EXEMPLARS_PER_BUCKET", 2)
+    store = ExemplarStore()
     store.record("h", 0, 111)
     store.record("h", 0, 222)
     store.record("h", 0, 333)  # over the cap: dropped
@@ -52,11 +52,6 @@ def test_exemplar_store_caps_per_bucket_first_come():
     store.record("h", 5, 444)
     assert store.exemplars("h") == {0: [111, 222], 5: [444]}
     assert store.exemplars("missing") == {}
-
-
-def test_exemplar_store_rejects_non_positive_cap():
-    with pytest.raises(ValueError):
-        ExemplarStore(per_bucket=0)
 
 
 def test_default_bounds_are_sorted_and_span_the_latency_range():

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.obs import DEFAULT_BOUNDS, NULL_SPAN, NullSpan, SpanMetrics
+from repro.obs import DEFAULT_BOUNDS, NULL_SPAN, SpanMetrics
 from repro.sim import Environment
 
 
@@ -170,28 +170,6 @@ def test_explicit_parent_carries_the_trace_across_processes():
 # ----------------------------------------------------------------------
 # Sampling, caps, determinism
 # ----------------------------------------------------------------------
-def test_sampling_keeps_every_nth_root_and_mutes_descendants():
-    env = Environment(seed=10)
-    env.obs.enable(sample_every=2)
-    for _ in range(4):
-        with env.obs.span("root") as root:
-            with env.obs.span("child") as child:
-                if not root.recording:
-                    # Sampled-out root: descendants no-op too.
-                    assert isinstance(root, NullSpan)
-                    assert child is NULL_SPAN
-    # Roots 1 and 3 of 4 are kept, each with its child.
-    assert len(env.obs.roots()) == 2
-    assert len(env.obs.spans_named("child")) == 2
-    assert len(env.obs.spans) == 4
-
-
-def test_sample_every_must_be_positive():
-    env = Environment(seed=11)
-    with pytest.raises(ValueError):
-        env.obs.enable(sample_every=0)
-
-
 def test_max_spans_cap_counts_drops_and_clear_resets():
     env = Environment(seed=12)
     env.obs.enable()

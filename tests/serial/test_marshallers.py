@@ -21,7 +21,6 @@ from repro.serial import (
     U32Type,
     XdrRepresentation,
 )
-from repro.serial.generated import OpCosts
 
 RR = StructType(
     "ResourceRecord",
@@ -114,20 +113,6 @@ def test_op_counts_scale_linearly(generated):
     assert c6.allocations - c1.allocations == 5 * 3
 
 
-def test_custom_op_costs_ablation(generated):
-    """Making generated ops free collapses the gap (the paper's fix-path)."""
-    cheap = OpCosts(
-        entry_overhead_ms=0.2,
-        per_proc_call_ms=0.001,
-        per_indirect_call_ms=0.001,
-        per_allocation_ms=0.002,
-    )
-    m = StubCompiler().marshaller(RESPONSE, op_costs=cheap)
-    data, _ = m.encode(response(6))
-    _, cost = m.decode(data)
-    assert cost < 1.0
-
-
 def test_compiler_caches_plans():
     # a codec is kept on its type, a definition: every memo empty keeps it too
     assert StubCompiler().compile(RESPONSE) is StubCompiler().compile(RESPONSE)
@@ -144,11 +129,6 @@ def test_courier_backend_roundtrip():
     # Different representation, different bytes.
     xdr_bytes, _ = StubCompiler().marshaller(RESPONSE).encode(value)
     assert data != xdr_bytes
-
-
-def test_handcoded_validation():
-    with pytest.raises(ValueError):
-        HandcodedMarshaller(RESPONSE, base_ms=-1)
 
 
 @given(

@@ -154,44 +154,6 @@ def test_kernel_primitive_budget(row):
     assert PROBES[f"kernel/{row}"]().started == [None] * ROUNDS * starts
 
 
-def test_a_full_speed_charge_is_use_and_other_speeds_still_scale():
-    """``CPU.compute`` is ``use`` itself at speed 1.0 (``x / 1.0 == x``
-    exactly), so every charge ends where the scaling method says."""
-    costs = [0.1, 1 / 3, 2.7, 0.0, 1e-9, 12.5]
-
-    def ends(speed, charge):
-        env = Environment()
-        cpu = CPU(env, speed_factor=speed)
-        times = []
-
-        def body():
-            for cost in costs:
-                yield charge(cpu, cost)
-                times.append(env.now)
-
-        env.run(until=env.process(body()))
-        return times
-
-    def bound(cpu, cost):
-        return cpu.compute(cost)
-
-    def scaling(cpu, cost):
-        return CPU.compute(cpu, cost)
-
-    def unscaled(cpu, cost):
-        return cpu.use(cost)
-
-    full = CPU(Environment())
-    assert full.compute == full.use
-    assert ends(1.0, bound) == ends(1.0, scaling) == ends(1.0, unscaled)
-    for speed in (0.5, 2.0):
-        assert CPU(Environment(), speed_factor=speed).compute.__func__ is CPU.compute
-        assert ends(speed, bound) == ends(speed, scaling) != ends(speed, unscaled)
-    for bad in (-1.0, float("nan")):
-        with pytest.raises(ValueError):
-            full.compute(bad)
-
-
 def test_standing_timers_of_one_delay_keep_one_heap_entry():
     env = Environment()
     for _ in range(20_000):

@@ -1,4 +1,4 @@
-"""Resource contention, CPU scaling, disk cost model."""
+"""Resource contention and the disk cost model."""
 
 import collections
 
@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.sim import CPU, Disk, Environment, Interrupt, Resource
 from repro.sim.events import _PENDING, Event, Timeout
+from repro.sim import resources
 from repro.sim.process import Process
 from repro.sim.resources import BACKGROUND_PATIENCE, BACKGROUND_SLICE_MS
 from tests.cost import window
@@ -53,32 +54,10 @@ def test_fifo_ordering_of_waiters():
     assert order == ["first", "second", "third"]
 
 
-def test_cpu_speed_factor_scales_cost():
+def test_disk_read_charges_access_plus_transfer(monkeypatch):
+    monkeypatch.setattr(resources, "DISK_PER_KB_MS", 2.0)
     env = Environment()
-    fast = CPU(env, speed_factor=2.0)
-    slow = CPU(env, speed_factor=0.5)
-    times = {}
-
-    def work(cpu, tag):
-        yield cpu.compute(10)
-        times[tag] = env.now
-
-    env.process(work(fast, "fast"))
-    env.process(work(slow, "slow"))
-    env.run()
-    assert times["fast"] == 5.0
-    assert times["slow"] == 20.0
-
-
-def test_cpu_rejects_bad_speed():
-    env = Environment()
-    with pytest.raises(ValueError):
-        CPU(env, speed_factor=0)
-
-
-def test_disk_read_charges_access_plus_transfer():
-    env = Environment()
-    disk = Disk(env, access_ms=30, per_kb_ms=2)
+    disk = Disk(env)
 
     def reader():
         yield disk.read(2048)
@@ -88,9 +67,10 @@ def test_disk_read_charges_access_plus_transfer():
     assert env.run(until=p) == 34.0  # 30 + 2 KB * 2 ms/KB
 
 
-def test_disk_serialises_concurrent_reads():
+def test_disk_serialises_concurrent_reads(monkeypatch):
+    monkeypatch.setattr(resources, "DISK_ACCESS_MS", 10.0)
     env = Environment()
-    disk = Disk(env, access_ms=10, per_kb_ms=0)
+    disk = Disk(env)
     finish = []
 
     def reader(tag):
