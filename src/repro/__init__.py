@@ -13,8 +13,7 @@ Subpackages
   substrate.
 - :mod:`repro.resolution` — the :class:`~repro.resolution.
   ResolutionPolicy` fault-tolerance layer (retry/backoff, negative
-  caching, serve-stale, circuit breakers) shared by the whole
-  resolution path.
+  caching, serve-stale) shared by the whole resolution path.
 - :mod:`repro.baselines` — the reregistration-based comparison schemes.
 - :mod:`repro.workloads` — the canned HCS testbed and workload
   generators.

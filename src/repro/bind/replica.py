@@ -25,7 +25,6 @@ import collections
 import typing
 
 from repro.net.addresses import Endpoint
-from repro.resolution import CircuitBreaker
 from repro.sim.kernel import Environment
 
 #: weight of the newest latency sample in the per-endpoint EWMA
@@ -49,6 +48,41 @@ HEDGE_MAX_DELAY_MS = 1_000.0
 BREAKER_RESET_MS = 10_000.0
 
 
+class CircuitBreaker:
+    """One replica's consecutive-failure breaker over simulated time.
+
+    Closed until :data:`BREAKER_THRESHOLD` consecutive failures, then
+    open for :data:`BREAKER_RESET_MS`; after that half-open, which the
+    scheduler treats as closed, so the next exchange is the probe whose
+    outcome closes or re-opens it.
+    """
+
+    def __init__(self, env: Environment):
+        self.env = env
+        self.consecutive_failures = 0
+        self.opened_at: typing.Optional[float] = None
+
+    @property
+    def state(self) -> str:
+        """``"closed"``, ``"open"``, or ``"half-open"``."""
+        if self.opened_at is None:
+            return "closed"
+        if self.env.now >= self.opened_at + BREAKER_RESET_MS:
+            return "half-open"
+        return "open"
+
+    def record_success(self) -> None:
+        """The replica answered: close the circuit."""
+        self.consecutive_failures = 0
+        self.opened_at = None
+
+    def record_failure(self) -> None:
+        """The replica failed: maybe trip the circuit."""
+        self.consecutive_failures += 1
+        if self.consecutive_failures >= BREAKER_THRESHOLD:
+            self.opened_at = self.env.now
+
+
 class ReplicaState:
     """Everything the scheduler knows about one replica endpoint."""
 
@@ -60,9 +94,7 @@ class ReplicaState:
         self.ewma_ms: typing.Optional[float] = None
         #: requests currently outstanding against this endpoint
         self.inflight = 0
-        self.breaker = CircuitBreaker(
-            env, self.label, BREAKER_THRESHOLD, BREAKER_RESET_MS
-        )
+        self.breaker = CircuitBreaker(env)
 
     def __repr__(self) -> str:
         ewma = "?" if self.ewma_ms is None else f"{self.ewma_ms:.1f}"

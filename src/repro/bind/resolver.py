@@ -436,11 +436,9 @@ class BindResolver:
             yield charge(self.host, self.per_call_overhead_ms, background)
         request_bytes, marshal_cost = marshaller.encode(value)
         yield charge(self.host, marshal_cost, background)
-        policy = self.policies.resolution
-        timeout_ms = policy.call_timeout_ms
         last_error: typing.Optional[Exception] = None
         obs = self.env.obs
-        for round_index in range(policy.attempts):
+        for round_index in range(self.policies.resolution.attempts):
             if round_index:
                 self.env.stats.counter(f"bind.{self.name}.retries").increment()
                 yield self.env.timeout(
@@ -453,9 +451,7 @@ class BindResolver:
                 obs.span("bind.round", round=round_index) if obs.enabled else NULL_SPAN
             ) as rspan:
                 try:
-                    reply = yield from self._exchange(
-                        request, len(request_bytes), timeout_ms
-                    )
+                    reply = yield from self._exchange(request, len(request_bytes))
                     return reply
                 except NetworkError as err:
                     rspan.set(error_type=type(err).__name__)
@@ -465,9 +461,7 @@ class BindResolver:
         assert last_error is not None
         raise last_error
 
-    def _ordered_exchange(
-        self, payload: object, size_bytes: int, timeout_ms: typing.Optional[float]
-    ) -> typing.Generator:
+    def _ordered_exchange(self, payload: object, size_bytes: int) -> typing.Generator:
         """One round of static failover: the primary, then each secondary.
 
         A plain in-process walk — unlike the hedged exchange it spawns
@@ -482,11 +476,7 @@ class BindResolver:
             ) as leg:
                 try:
                     reply = yield self.transport.request(
-                        self.host,
-                        endpoint,
-                        payload,
-                        size_bytes,
-                        timeout_ms=timeout_ms,
+                        self.host, endpoint, payload, size_bytes
                     )
                 except NetworkError as err:
                     leg.set(outcome="error", error_type=type(err).__name__)
@@ -500,9 +490,7 @@ class BindResolver:
         assert last_error is not None
         raise last_error
 
-    def _hedged_exchange(
-        self, payload: object, size_bytes: int, timeout_ms: typing.Optional[float]
-    ) -> typing.Generator:
+    def _hedged_exchange(self, payload: object, size_bytes: int) -> typing.Generator:
         """One round against the replica set, with hedging.
 
         The scheduler's best replica is tried first.  If no answer has
@@ -549,11 +537,7 @@ class BindResolver:
                 ) as lspan:
                     try:
                         reply = yield self.transport.request(
-                            self.host,
-                            state.endpoint,
-                            payload,
-                            size_bytes,
-                            timeout_ms=timeout_ms,
+                            self.host, state.endpoint, payload, size_bytes
                         )
                     except NetworkError as err:
                         lspan.set(

@@ -28,7 +28,7 @@ __getattr__, __dir__, __all__ = attach(__name__, {
     "names": ("HNSName",),
     "queryclass": ("QUERY_CLASSES", "QueryClass", "query_class_named"),
     "errors": (
-        "ContextNotFound", "HnsError", "NsmNotFound", "NsmUnavailable", "QueryClassUnsupported",
+        "ContextNotFound", "HnsError", "NsmNotFound", "QueryClassUnsupported",
     ),
     "metastore": ("MetaStore", "NsmRecord", "NameServiceRecord"),
     "nsm": ("LocalNsmBinding", "NamingSemanticsManager", "NsmResult", "NsmStub", "serve_nsm"),

@@ -15,11 +15,3 @@ class NsmNotFound(HnsError):
 
 class QueryClassUnsupported(HnsError):
     """The query class itself is unknown to the HNS."""
-
-
-class NsmUnavailable(HnsError):
-    """The designated NSM's circuit breaker is open: fail fast.
-
-    Raised before any network traffic when repeated transient failures
-    have marked the NSM dead and no linked-in copy can stand in.
-    """

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import typing
 
-from repro.core.errors import HnsError, NsmNotFound, NsmUnavailable
+from repro.core.errors import HnsError, NsmNotFound
 from repro.core.metastore import META_ORIGIN, MetaStore, NsmRecord, decode_fields
 from repro.core.names import HNSName
 from repro.core.nsm import LocalNsmBinding, NamingSemanticsManager
@@ -41,7 +41,7 @@ from repro.bind.errors import NameNotFound
 from repro.bind.resolver import cache_key
 from repro.bind.rr import RRType
 from repro.obs.span import NULL_SPAN
-from repro.resolution import CircuitBreakerRegistry, PolicySet, retrying
+from repro.resolution import PolicySet, retrying
 from repro.sim.events import Event
 
 if typing.TYPE_CHECKING:  # pragma: no cover
@@ -97,8 +97,8 @@ class HNS:
         self.calibration = calibration
         # Inherit the metastore's PolicySet unless given one, so one
         # bundle configures the whole stack.  ``resolution`` here covers
-        # FindNSM itself (host resolution retries, per-NSM circuit
-        # breaking); the meta lookups carry the metastore's own.
+        # FindNSM itself (host resolution retries); the meta lookups
+        # carry the metastore's own.
         if policies is None:
             policies = metastore.policies
         self.policies = policies
@@ -108,11 +108,6 @@ class HNS:
         self._batched = policies.fast_path.batch_meta_lookups
         self._meta_mappings = (
             metastore.find_nsm_bundle if self._batched else self._sequential_mappings
-        )
-        #: one circuit breaker per NSM name, fed by an importer that
-        #: shares them (:meth:`HrpcImporter.direct` with a local HNS)
-        self.nsm_breakers = CircuitBreakerRegistry(
-            self.env, policies.resolution
         )
         # Statically linked HostAddress NSMs, one per name service:
         # these cut the FindNSM recursion.
@@ -159,12 +154,6 @@ class HNS:
         a linked-in NSM).  The caller then calls the NSM itself — the
         HNS never calls NSMs on the client's behalf, since each query
         class has its own interface.
-
-        If the designated NSM's circuit breaker (:attr:`nsm_breakers`)
-        is open, FindNSM routes around it to a
-        linked-in copy when one exists, and otherwise fails fast with
-        :class:`NsmUnavailable` — no timeouts are burned against a
-        server already known to be dead.
         """
         query_class_named(query_class)  # fail fast on unknown classes
         env = self.env
@@ -187,15 +176,6 @@ class HNS:
             )
             if span.recording:
                 span.set(ns=ns_name, nsm=nsm_name)
-            # Degradation ladder, last rung: a tripped breaker short-circuits
-            # before anything more is spent on a dead NSM.
-            reroute = self._breaker_reroute(nsm_name)
-            if reroute is not None:
-                span.set(outcome="breaker_reroute")
-                return reroute
-            if record is None:
-                # Mapping 3: NSM name -> NSM binding information.
-                record = yield from self.metastore.nsm_record(nsm_name)
             if env.trace.enabled:
                 env.trace.emit(
                     "hns",
@@ -279,48 +259,18 @@ class HNS:
 
     # Mappings 1-3, picked in the constructor: the meta store's chained
     # batch, or this.  Either returns ``(name service name, NSM name,
-    # NsmRecord)``, which the breaker check follows; the batch has already
-    # carried mapping 3 by then, the sequential path has not.
+    # NsmRecord)``.
     def _sequential_mappings(
         self, context: str, query_class: str
     ) -> typing.Generator:
-        """The prototype's first two meta lookups, one round trip each;
-        the record is None, so mapping 3 waits for the breaker check."""
+        """The prototype's three meta lookups, one round trip each."""
         # Mapping 1: context -> name service name.
         ns_name = yield from self.metastore.context_to_name_service(context)
         # Mapping 2: (name service, query class) -> NSM name.
         nsm_name = yield from self.metastore.nsm_name_for(ns_name, query_class)
-        return ns_name, nsm_name, None
-
-    def _breaker_reroute(
-        self, nsm_name: str
-    ) -> typing.Optional[LocalNsmBinding]:
-        """Apply the circuit-breaker rung of the degradation ladder.
-
-        Strictly-open only: in the half-open state FindNSM lets the
-        caller through so *their* NSM call can be the probe (the
-        importer consumes the single probe slot via ``allow()``).
-        Returns a linked-in reroute, raises :class:`NsmUnavailable`, or
-        returns None to let resolution proceed.
-        """
-        if not self.policies.resolution.breaker_threshold:
-            return None
-        breaker = self.nsm_breakers.breaker(nsm_name)
-        if breaker.state != "open":
-            return None
-        local = self._local_nsms.get(nsm_name)
-        if local is not None:
-            self.env.stats.counter("hns.breaker.rerouted").increment()
-            self.env.trace.emit(
-                "hns",
-                f"{nsm_name} circuit open; routing to linked-in copy",
-            )
-            return LocalNsmBinding(local)
-        self.env.stats.counter("hns.breaker.fast_fails").increment()
-        raise NsmUnavailable(
-            f"NSM {nsm_name} is circuit-broken after "
-            f"{breaker.consecutive_failures} consecutive failures"
-        )
+        # Mapping 3: NSM name -> NSM binding information.
+        record = yield from self.metastore.nsm_record(nsm_name)
+        return ns_name, nsm_name, record
 
     def _resolve_nsm_host_retried(self, record: NsmRecord) -> HostResolveCall:
         """Mappings 4-6 retried as a unit: the native HostAddress lookup

@@ -11,30 +11,23 @@ Importers are built with :meth:`HrpcImporter.direct` (the two-step
 protocol runs in this process) or :meth:`HrpcImporter.via_agent` (both
 steps delegated to a remote agent — Table 3.1 row 2).  Either mode
 consults a :class:`~repro.resolution.ResolutionPolicy`: transient
-transport failures are retried with jittered backoff, and a per-NSM
-circuit breaker fails fast once an NSM is known dead.
+transport failures are retried with jittered backoff.
 """
 
 from __future__ import annotations
 
 import typing
 
-from repro.core.errors import HnsError, NsmUnavailable
+from repro.core.errors import HnsError
 from repro.core.hns import HNS, FindNsmCall
 from repro.core.names import HNSName
-from repro.core.nsm import LocalNsmBinding, NsmResult, NsmStub
+from repro.core.nsm import NsmResult, NsmStub
 from repro.harness.calibration import Calibration, DEFAULT_CALIBRATION
 from repro.hrpc.binding import HRPCBinding
 from repro.hrpc.runtime import HrpcRuntime
-from repro.net.errors import NetworkError
 from repro.net.host import Host
 from repro.obs.span import NULL_SPAN
-from repro.resolution import (
-    DEFAULT_RESOLUTION_POLICY,
-    CircuitBreakerRegistry,
-    ResolutionPolicy,
-    retrying,
-)
+from repro.resolution import DEFAULT_RESOLUTION_POLICY, ResolutionPolicy, retrying
 from repro.sim.events import Event
 
 BINDING_QC = "HRPCBinding"
@@ -118,7 +111,6 @@ class HrpcImporter:
         self.nsm_stub: typing.Optional[NsmStub] = None
         self.agent_binding: typing.Optional[HRPCBinding] = None
         self.runtime: typing.Optional[HrpcRuntime] = None
-        self.breakers = CircuitBreakerRegistry(self.env, policy)
 
     # ------------------------------------------------------------------
     # Construction (the public API)
@@ -132,17 +124,10 @@ class HrpcImporter:
         calibration: Calibration = DEFAULT_CALIBRATION,
         policy: ResolutionPolicy = DEFAULT_RESOLUTION_POLICY,
     ) -> "HrpcImporter":
-        """An importer running the two-step protocol from this process.
-
-        With a :class:`LocalFinder`, the importer shares the HNS's
-        per-NSM circuit breakers, so NSM call failures observed here
-        make the linked-in ``FindNSM`` route around the dead NSM.
-        """
+        """An importer running the two-step protocol from this process."""
         importer = cls(client_host, calibration=calibration, policy=policy)
         importer.finder = finder
         importer.nsm_stub = nsm_stub
-        if isinstance(finder, LocalFinder):
-            importer.breakers = finder.hns.nsm_breakers
         return importer
 
     @classmethod
@@ -197,12 +182,24 @@ class HrpcImporter:
                 self.calibration.import_fixed_ms
             )
             if self.agent_binding is not None:
-                binding = yield from self._import_via_agent(
-                    service_name, hns_name
+                # One HRPC call to the agent, retried by the runtime.
+                assert self.runtime is not None
+                binding = yield from self.runtime.call(
+                    self.agent_binding,
+                    "Import",
+                    service_name,
+                    str(hns_name),
+                    arg_size_bytes=hns_name.wire_size() + len(service_name) + 32,
+                    policy=self.policy,
                 )
             else:
-                binding = yield from self._import_direct(
-                    service_name, hns_name
+                # FindNSM + NSM call, retried as a unit.
+                binding = yield from retrying(
+                    env,
+                    self.policy,
+                    lambda _attempt: self._direct_once(service_name, hns_name),
+                    rng_stream="hrpc.import.backoff",
+                    stat="hrpc.import_retries",
                 )
             if not isinstance(binding, HRPCBinding):
                 raise HnsError(f"Import produced a non-binding {binding!r}")
@@ -213,102 +210,13 @@ class HrpcImporter:
                 )
             return binding
 
-    # ------------------------------------------------------------------
-    def _import_via_agent(
-        self, service_name: str, hns_name: HNSName
-    ) -> ImportCall:
-        """One HRPC call to the agent, breaker-guarded and retried."""
-        assert self.agent_binding is not None and self.runtime is not None
-        breaker = None
-        if self.policy.breaker_threshold:
-            breaker = self.breakers.breaker(
-                f"agent:{self.agent_binding.program}"
-            )
-            if not breaker.allow():
-                self.env.stats.counter("hrpc.import_fast_fails").increment()
-                raise NsmUnavailable(
-                    f"agent {self.agent_binding.program} is circuit-broken"
-                )
-        try:
-            binding = yield from self.runtime.call(
-                self.agent_binding,
-                "Import",
-                service_name,
-                str(hns_name),
-                arg_size_bytes=hns_name.wire_size() + len(service_name) + 32,
-                policy=self.policy,
-            )
-        except NetworkError:
-            if breaker is not None:
-                breaker.record_failure()
-            raise
-        except Exception:
-            # The agent answered, with an error: it is alive.
-            if breaker is not None:
-                breaker.record_success()
-            raise
-        if breaker is not None:
-            breaker.record_success()
-        return binding
-
-    def _import_direct(
-        self, service_name: str, hns_name: HNSName
-    ) -> ImportCall:
-        """FindNSM + NSM call, retried as a unit.
-
-        Re-running the *pair* matters: after the NSM's breaker trips, the
-        next FindNSM can route around the dead NSM (to a linked-in copy)
-        instead of repeating the doomed remote call.
-        """
-        return retrying(
-            self.env,
-            self.policy,
-            lambda _attempt: self._direct_once(service_name, hns_name),
-            rng_stream="hrpc.import.backoff",
-            stat="hrpc.import_retries",
-        )
-
     def _direct_once(self, service_name: str, hns_name: HNSName) -> ImportCall:
         assert self.finder is not None and self.nsm_stub is not None
         nsm_binding = yield from self.finder.find(hns_name, BINDING_QC)
-        # The stub prefers a linked-in copy of the designated NSM; such
-        # calls never cross the wire, so the breaker stays out of them.
-        goes_local = isinstance(nsm_binding, LocalNsmBinding) or (
-            nsm_binding.metadata.get("nsm", "") in self.nsm_stub.local_nsms
+        result = yield from self.nsm_stub.call(
+            nsm_binding, hns_name, service=service_name
         )
-        breaker = None
-        if not goes_local and self.policy.breaker_threshold:
-            breaker = self.breakers.breaker(self._nsm_key(nsm_binding))
-            if not breaker.allow():
-                self.env.stats.counter("hrpc.import_fast_fails").increment()
-                raise NsmUnavailable(
-                    f"NSM {self._nsm_key(nsm_binding)} is circuit-broken"
-                )
-        try:
-            result = yield from self.nsm_stub.call(
-                nsm_binding, hns_name, service=service_name
-            )
-        except NetworkError:
-            if breaker is not None:
-                breaker.record_failure()
-            raise
-        except Exception:
-            # The NSM answered, with an error: it is alive.
-            if breaker is not None:
-                breaker.record_success()
-            raise
-        if breaker is not None:
-            breaker.record_success()
         return result_to_binding(result)
-
-    @staticmethod
-    def _nsm_key(binding: HRPCBinding) -> str:
-        """Breaker key for a remote NSM binding (its registered name)."""
-        nsm = binding.metadata.get("nsm", "")
-        if nsm:
-            return typing.cast(str, nsm)
-        program = binding.program
-        return program[4:] if program.startswith("nsm.") else program
 
 
 def serve_agent(

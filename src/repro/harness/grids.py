@@ -23,6 +23,8 @@ import typing
 from repro.analysis.determinism import run_digest
 from repro.bind.server import BindServer as _BindServer
 from repro.core.admin import HnsAdministrator
+from repro.core.colocation import Arrangement
+from repro.core.errors import ContextNotFound
 from repro.core.names import HNSName
 from repro.harness.ablation import GridDef, Knob, RunOutput
 from repro.harness.calibration import DEFAULT_CALIBRATION
@@ -32,6 +34,7 @@ from repro.resolution import (
     FastPathPolicy,
     PolicySet,
     ReplicaPolicy,
+    ResolutionPolicy,
     UpdatePolicy,
 )
 from repro.sim.kernel import Environment, run_process
@@ -118,7 +121,7 @@ def run_fast_path(
     run_process(env, warm())
     # Degrade the wire only after warm-up so every knob assignment
     # measures the same steady state.
-    testbed.internet.segments[0].drop_probability = knobs["drop"]
+    testbed.internet.segments[0].set_loss(knobs["drop"])
     start_queries = env.stats.counter("bind.meta-bind.queries").value
     rng = env.rng.stream("harness.zipf")
     latencies: typing.List[float] = []
@@ -376,17 +379,12 @@ def run_update_path(
     storm_testbed = build_testbed(seed=seed + 1, update_policy=update)
     storm_env = storm_testbed.env
     # The prototype's single-op updates queue long enough at the server
-    # to blow the default 1 s call timeout; both arms get the same
-    # patient policy so round trips stay the metric, not timeouts.
-    patient = dataclasses.replace(
-        DEFAULT_RESOLUTION_POLICY,
-        call_timeout_ms=30_000.0,
-        breaker_threshold=10_000,
-    )
+    # to blow the transport's retry timer; both arms get the same
+    # patient one so round trips stay the metric, not retransmits.
     storm_testbed.udp.retry_timeout_ms = 60_000.0
     store = storm_testbed.make_metastore(
         storm_testbed.agent_host,
-        policies=PolicySet(resolution=patient, update=update),
+        policies=PolicySet(resolution=DEFAULT_RESOLUTION_POLICY, update=update),
     )
     before = storm_env.stats.counters().get("net.udp.delivered", 0)
     storm_started = storm_env.now
@@ -501,11 +499,154 @@ DISCOVERY_GRID = GridDef(
 )
 
 
+# ----------------------------------------------------------------------
+# resolution grid
+# ----------------------------------------------------------------------
+def run_resolution(
+    knobs: typing.Mapping[str, typing.Any], seed: int, smoke: bool
+) -> RunOutput:
+    """Open-loop Imports through one fault, under one resolution policy.
+
+    Imports of ``DesiredService`` on ``fiji`` arrive at 4 per sim second
+    (Poisson) on a ``REMOTE_NSMS`` stack whose meta cache has a 1 s TTL.
+    The ``fault`` knob: 10 % datagram loss, or a third of the names in
+    one of four unregistered contexts, for the whole run; or, 10 s in,
+    a 30 s partition of the meta primary, a 6 s crash of the meta BIND
+    or an 8 s crash of the NSM host.  An op is answered by a binding or
+    by "no such context".  Availability and the percentiles (answered
+    ops) count the ops issued while the fault stands, the whole run for
+    ``none``: fault-free ops would only dilute what a knob buys.
+    """
+    from repro.workloads.scenarios import TARGET_SERVICE, build_stack, build_testbed
+
+    duration_ms = 50_000.0 if smoke else 120_000.0
+    calibration = dataclasses.replace(DEFAULT_CALIBRATION, meta_ttl_ms=1_000.0)
+    testbed = build_testbed(seed=seed, calibration=calibration)
+    env = testbed.env
+    policy = ResolutionPolicy(
+        attempts=knobs["retry"],
+        negative_ttl_ms=knobs["negative"],
+        stale_window_ms=knobs["stale"],
+    )
+    importer = build_stack(
+        testbed,
+        Arrangement.REMOTE_NSMS,
+        policies=PolicySet(resolution=policy, fast_path=FastPathPolicy()),
+    ).importer
+    run_process(env, importer.import_binding(TARGET_SERVICE, FIJI))  # warm
+    start = env.now
+    window = (start, start + duration_ms)
+    segment = testbed.internet.segments[0]
+    meta, nsm_host = testbed.meta_host, testbed.nsm_host
+    others = [host for host in segment.hosts if host is not meta]
+    # Each outage: how it strikes, how it heals, how long it lasts.
+    outage = {
+        "partition_meta": (lambda: segment.partition([meta], others), segment.heal, 30_000.0),
+        "crash_meta": (meta.crash, meta.restart, 6_000.0),
+        "crash_nsm": (nsm_host.crash, nsm_host.restart, 8_000.0),
+    }.get(knobs["fault"])
+    if knobs["fault"] == "drop_p10":
+        segment.set_loss(0.10)
+    elif outage is not None:
+        strike, heal, outage_ms = outage
+        window = (start + 10_000.0, start + 10_000.0 + outage_ms)
+
+        def inject() -> "ProcessGenerator":
+            yield env.timeout(window[0] - start)
+            strike()
+            yield env.timeout(outage_ms)
+            heal()
+
+        env.process(inject())
+    nxdomain_share = 1.0 / 3.0 if knobs["fault"] == "nxdomain" else 0.0
+    missing = [HNSName(f"nx-{i}", FIJI.name) for i in range(4)]
+    rng = env.rng.stream("harness.resolution")
+    before = env.stats.counters()
+    #: (issued at, latency or None when the op failed), per op
+    ops: typing.List[typing.Tuple[float, typing.Optional[float]]] = []
+
+    def one_import(name: HNSName) -> "ProcessGenerator":
+        t0 = env.now
+        try:
+            yield from importer.import_binding(TARGET_SERVICE, name)
+        except ContextNotFound:
+            pass  # a definitive answer
+        except Exception:
+            ops.append((t0, None))  # retries exhausted: an availability miss
+            return
+        ops.append((t0, env.now - t0))
+
+    def arrivals() -> "ProcessGenerator":
+        while True:
+            yield env.timeout(rng.expovariate(1.0 / 250.0))
+            if env.now >= start + duration_ms:
+                return
+            name = rng.choice(missing) if rng.random() < nxdomain_share else FIJI
+            env.process(one_import(name))
+
+    env.process(arrivals())
+    _idle(env, duration_ms + 60_000.0)
+    grown = {
+        name: value - before.get(name, 0)
+        for name, value in env.stats.counters().items()
+    }
+    faulted = [latency for t0, latency in ops if window[0] <= t0 < window[1]]
+    answered = [latency for latency in faulted if latency is not None]
+    metrics = {
+        "ops": float(len(ops)),
+        "faulted_ops": float(len(faulted)),
+        "availability": len(answered) / max(1, len(faulted)),
+        "p50_ms": percentile(answered, 50),
+        "p99_ms": percentile(answered, 99),
+        "remote_queries_per_op": sum(
+            value for name, value in grown.items() if name.endswith("-bind.requests")
+        ) / max(1, len(ops)),
+        "stale_serves": float(
+            sum(value for name, value in grown.items() if name.endswith(".stale_hits"))
+        ),
+    }
+    return RunOutput(metrics=metrics, digest=run_digest(env), sim_ms=env.now)
+
+
+RESOLUTION_GRID = GridDef(
+    name="resolution",
+    knobs=(
+        # What goes wrong (see run_resolution).
+        Knob(
+            "fault",
+            baseline=("none", "none"),
+            variants=tuple(
+                (fault, fault)
+                for fault in (
+                    "drop_p10", "partition_meta", "crash_meta", "crash_nsm", "nxdomain"
+                )
+            ),
+        ),
+        # Each ResolutionPolicy field: its default, and its .disabled() value.
+        Knob("retry", baseline=("x4", 4), variants=(("x1", 1),)),
+        Knob("negative", baseline=("30s", 30_000.0), variants=(("off", 0.0),)),
+        Knob("stale", baseline=("120s", 120_000.0), variants=(("off", 0.0),)),
+    ),
+    runner=run_resolution,
+    seed=58,
+    extras=(
+        # Each one-off under the faults it exists for.
+        ("retry_x1@crash_meta", (("retry", "x1"), ("fault", "crash_meta"))),
+        ("retry_x1@crash_nsm", (("retry", "x1"), ("fault", "crash_nsm"))),
+        ("retry_x1@drop_p10", (("retry", "x1"), ("fault", "drop_p10"))),
+        ("negative_off@nxdomain", (("negative", "off"), ("fault", "nxdomain"))),
+        ("stale_off@partition_meta", (("stale", "off"), ("fault", "partition_meta"))),
+    ),
+)
+
+
 #: Every registered grid, by name; ``python -m repro.cli bench all`` runs
 #: them all and the CI perf gate compares each against its baseline.
 GRIDS: typing.Dict[str, GridDef] = {
     grid.name: grid
-    for grid in (FAST_PATH_GRID, REPLICA_GRID, UPDATE_GRID, DISCOVERY_GRID)
+    for grid in (
+        FAST_PATH_GRID, REPLICA_GRID, UPDATE_GRID, DISCOVERY_GRID, RESOLUTION_GRID
+    )
 }
 
 

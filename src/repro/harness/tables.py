@@ -43,13 +43,17 @@ class ComparisonTable:
 
     Each row is one figure the paper reports next to what this
     reproduction measures, with the percentage deviation the row may
-    show; ``check`` holds every row to its own bound.
+    show; ``check`` holds every row to its own bound.  A row whose label
+    is in :attr:`fit` is one a constant was chosen to hit; every other
+    row is *predicted*: it follows from constants fit elsewhere.
     """
 
     def __init__(self, title: str, unit: str = "msec"):
         self.title = title
         self.unit = unit
         self.rows: typing.List[ComparisonRow] = []
+        #: labels of the rows a calibration constant was chosen to hit
+        self.fit: typing.Set[str] = set()
 
     def add(
         self, label: str, paper: float, measured: float, tolerance_pct: float
@@ -62,7 +66,7 @@ class ComparisonTable:
 
     def render(self) -> str:
         return format_table(
-            ["quantity", f"paper ({self.unit})", f"measured ({self.unit})", "dev %", "tol %"],
+            ["quantity", f"paper ({self.unit})", f"measured ({self.unit})", "dev %", "tol %", "kind"],
             [
                 (
                     r.label,
@@ -70,6 +74,7 @@ class ComparisonTable:
                     f"{r.measured:.2f}",
                     f"{r.deviation_pct:+.1f}",
                     f"{r.tolerance_pct:g}",
+                    "fit" if r.label in self.fit else "predicted",
                 )
                 for r in self.rows
             ],

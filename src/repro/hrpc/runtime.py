@@ -91,8 +91,6 @@ class HrpcRuntime:
                 suite=binding.suite,
                 arg_size_bytes=arg_size_bytes,
             )
-            if timeout_ms is None:
-                timeout_ms = policy.call_timeout_ms
             attempts = policy.attempts
             self.env.stats.counter(f"hrpc.calls.{binding.suite}").increment()
             for attempt in range(attempts):

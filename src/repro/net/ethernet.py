@@ -2,8 +2,9 @@
 
 The paper's measurements were taken between MicroVAX-IIs "joined by an
 Ethernet" at light load.  The segment charges a latency model per
-message (base propagation + per-byte transfer) and can drop messages
-with a configured probability for failure-injection experiments.
+message (base propagation + per-byte transfer) and, once
+:meth:`Ethernet.set_loss` degrades it, drops datagrams with that
+probability for failure-injection experiments.
 
 Partition/heal: :meth:`Ethernet.partition` installs a deterministic
 segment-level drop rule — hosts assigned to different sides stop
@@ -35,15 +36,14 @@ class Ethernet:
         env: Environment,
         name: str = "ether0",
         latency: typing.Optional[LatencyModel] = None,
-        drop_probability: float = 0.0,
     ):
-        if not 0 <= drop_probability < 1:
-            raise ValueError(f"bad drop probability {drop_probability}")
         self.env = env
         self.name = name
         # Default: ~1 ms propagation + 10 Mbit/s-ish transfer cost.
         self.latency = latency or ConstantLatency(1.0, per_byte_ms=0.0008)
-        self.drop_probability = drop_probability
+        #: each datagram's chance of being lost on this wire; only
+        #: :meth:`set_loss` writes it
+        self.drop_probability = 0.0
         # Keyed by dotted text, looked up as ``getattr(address, "dotted",
         # address)`` (see :class:`~repro.net.internet.Internetwork`).
         self._hosts: typing.Dict[str, Host] = {}
@@ -77,6 +77,13 @@ class Ethernet:
     def transmit_delay(self, datagram: Datagram) -> float:
         """Sample the wire time for one message."""
         return self.latency.sample(self._jitter, datagram.size_bytes)
+
+    def set_loss(self, probability: float) -> None:
+        """From now on, lose each datagram on this wire with ``probability``
+        (0 restores a lossless wire); anything outside ``[0, 1)`` raises."""
+        if not 0 <= probability < 1:
+            raise ValueError(f"bad drop probability {probability}")
+        self.drop_probability = probability
 
     # ------------------------------------------------------------------
     # Partition/heal: deterministic segment-level drop rules

@@ -108,12 +108,13 @@ class Internetwork:
         """One message's trip from ``src`` to ``dst``: (lost on the wire,
         sampled one-way delay), or NoRouteToHost.
 
-        The route is resolved once.  A ``lossy`` message (a datagram)
-        draws each segment's loss decision in route order, the far one
-        only if the near one kept it; then every message draws each
+        The route is resolved once.  A ``lossy`` message (a datagram,
+        request or reply alike) draws each segment's loss decision in
+        route order, the far one only if the near one kept it.  A
+        reliable message (a stream's bytes) draws none, but a partition
+        on its route still severs it.  Then every message draws each
         segment's delay, plus a gateway's forwarding delay between two
-        segments.  A reply or a stream's bytes are not lossy: they are
-        never lost and draw no loss decision.
+        segments.
         """
         segment_of = self._segment_of
         src_seg = segment_of.get(getattr(src, "dotted", src))
@@ -121,13 +122,19 @@ class Internetwork:
         if src_seg is None or dst_seg is None:
             raise NoRouteToHost(f"{src} -> {dst}")
         dropped = False
+        # A whole segment with no loss configured drops nothing, so its
+        # drop rule is asked only when it could say yes.
         if lossy:
-            # A whole segment with no loss configured drops nothing, so
-            # its drop rule is asked only when it could say yes.
             if src_seg._partition_of or src_seg.drop_probability != 0.0:
                 dropped = src_seg.would_drop(src, dst)
-            if not dropped and src_seg is not dst_seg:
+            if not dropped and src_seg is not dst_seg and (
+                dst_seg._partition_of or dst_seg.drop_probability != 0.0
+            ):
                 dropped = dst_seg.would_drop(src, dst)
+        elif src_seg._partition_of or dst_seg._partition_of:
+            dropped = src_seg.crosses_partition(src, dst) or (
+                src_seg is not dst_seg and dst_seg.crosses_partition(src, dst)
+            )
         delay = src_seg.latency.sample(src_seg._jitter, size_bytes)
         if src_seg is dst_seg:
             return dropped, delay

@@ -8,12 +8,14 @@ support request/response with reply correlation, differing in their
 failure behaviour:
 
 - **DatagramTransport**: unreliable; messages to dead hosts or unbound
-  ports vanish; requests retransmit a few times and then raise
+  ports vanish, and a request and its reply each draw the wire's loss
+  decision; requests retransmit a few times and then raise
   :class:`TransportTimeout`.
 - **StreamTransport**: connection-oriented; connecting to a dead host
   raises :class:`HostDown`, to an unbound port :class:`ConnectionRefused`,
   and delivery is reliable once connected (at the cost of an extra
-  round-trip of setup latency on each exchange).
+  round-trip of setup latency on each exchange), unless a partition
+  severs the exchange, which then times out.
 
 An exchange is events, not a process: :meth:`Transport.request` returns
 the call event its caller yields (``reply = yield transport.request(...)``),
@@ -131,6 +133,9 @@ class Transport:
     #: how long an attempt waits for its reply unless the request says
     #: otherwise (ms); a datagram transport sets its own
     retry_timeout_ms = DEFAULT_TIMEOUT_MS
+    #: whether a message may be lost at random (a datagram), or only
+    #: severed by a partition (a stream's bytes)
+    lossy = False
 
     def __init__(self, internet: "Internetwork", name: str):
         self.internet = internet
@@ -272,9 +277,20 @@ class _Exchange:
             raise RuntimeError("service replied twice to one request")
         self.replied = True
         transport = self.transport
-        _, delay = transport.internet.hop(
-            self.dst_host.address, self.datagram.source.address, size_bytes, False
+        # The reply draws the same loss decision its request did: a
+        # datagram's may be lost, a stream's only severed by a partition.
+        # Either way the requester's deadline is what notices.
+        dropped, delay = transport.internet.hop(
+            self.dst_host.address,
+            self.datagram.source.address,
+            size_bytes,
+            transport.lossy,
         )
+        if dropped:
+            env = transport.env
+            if env.trace.enabled:
+                env.trace.emit("net", f"reply dropped on wire: {self.datagram}")
+            return
         transport.env.call_later(delay, self._reply_arrives, payload)
 
     def after(self, event: Event, step: typing.Callable, *args: object) -> None:
@@ -346,6 +362,8 @@ class _Exchange:
 
 class DatagramTransport(Transport):
     """Unreliable datagram delivery with retransmission on request()."""
+
+    lossy = True
 
     def __init__(
         self,
@@ -647,9 +665,14 @@ class StreamTransport(Transport):
         datagram.size_bytes = size_bytes = call.size_bytes
         datagram.reply_to = call.reply_to
         datagram.msg_id = internet.next_msg_id()
-        _, delay = internet.hop(
+        severed, delay = internet.hop(
             call.src_host.address, destination.address, size_bytes, False
         )
+        if severed:
+            # A partition formed since the connect: the bytes never
+            # arrive, and the call times out as an unanswered one does.
+            self.env.call_later(call.deadline, self._expired, call)
+            return
         self.env.call_later(delay, self._transferred, call)
 
     def _transferred(self, trip: Event) -> None:

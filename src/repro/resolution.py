@@ -7,20 +7,19 @@ missing layer: one declarative policy object that every stage of the
 resolution path (the meta resolver, ``FindNSM``, ``Import``, the HRPC
 runtime) consults to decide
 
-- how many times to try a remote call and with what per-call timeout,
-- how long to back off between attempts (a fixed exponential ladder,
-  :func:`backoff_ms`, jittered from the simulation's named RNG streams
-  so runs stay deterministic),
-- whether to cache negative (NXDOMAIN) answers and for how long,
+- how many times to try a remote call, and how long to back off
+  between attempts (a fixed exponential ladder, :func:`backoff_ms`,
+  jittered from the simulation's named RNG streams so runs stay
+  deterministic),
+- whether to cache negative (NXDOMAIN) answers and for how long, and
 - whether to serve *stale* cached data when the authoritative server is
-  unreachable, and for how long past expiry, and
-- when to trip a per-target circuit breaker and fail fast instead of
-  burning timeouts against a dead server.
+  unreachable, and for how long past expiry.
 
 The degradation ladder is: fresh cache hit -> retry with backoff ->
-stale cache hit -> fail fast (breaker open).  Every rung is observable
-in the stats registry (``*.retries``, ``*.stale_hits``,
-``*.breaker.*``).
+stale cache hit -> the error.  Each knob earns its place in the
+``resolution`` grid (:mod:`repro.harness.grids`) under the fault it
+exists for; every rung is observable in the stats registry
+(``*.retries``, ``*.negative_hits``, ``*.stale_hits``).
 
 The module sits below :mod:`repro.bind`, :mod:`repro.hrpc`, and
 :mod:`repro.core` in the dependency order so all of them can share it.
@@ -57,43 +56,27 @@ class ResolutionPolicy:
     #: total tries per logical operation (1 = no retry); the delays
     #: between them are :func:`backoff_ms`
     attempts: int = 4
-    #: per-call transport timeout; None defers to the transport default
-    call_timeout_ms: typing.Optional[float] = 1_000.0
     #: TTL for cached NXDOMAIN answers (0 disables negative caching)
     negative_ttl_ms: float = 30_000.0
     #: how long past expiry a cached answer may be served when the
     #: authoritative server is unreachable (0 disables serve-stale)
     stale_window_ms: float = 120_000.0
-    #: consecutive failures that trip a per-target circuit breaker
-    #: (0 disables circuit breaking); it re-closes after
-    #: :data:`BREAKER_RESET_MS`
-    breaker_threshold: int = 3
 
     def __post_init__(self) -> None:
         if self.attempts < 1:
             raise ValueError("attempts must be >= 1")
-        if self.call_timeout_ms is not None and self.call_timeout_ms <= 0:
-            raise ValueError("call timeout must be positive or None")
         if self.negative_ttl_ms < 0:
             raise ValueError("negative-cache TTL must be >= 0")
         if self.stale_window_ms < 0:
             raise ValueError("stale window must be >= 0")
-        if self.breaker_threshold < 0:
-            raise ValueError("breaker threshold must be >= 0")
 
     # ------------------------------------------------------------------
     @classmethod
     def disabled(cls) -> "ResolutionPolicy":
         """The pre-fault-tolerance behaviour: one try, no caching of
-        failures, no stale serving, no breaker.  Benchmarks use this as
-        the ablation baseline."""
-        return cls(
-            attempts=1,
-            call_timeout_ms=None,
-            negative_ttl_ms=0.0,
-            stale_window_ms=0.0,
-            breaker_threshold=0,
-        )
+        failures, no stale serving.  Benchmarks use this as the
+        ablation baseline."""
+        return cls(attempts=1, negative_ttl_ms=0.0, stale_window_ms=0.0)
 
 
 #: The backoff ladder: first delay, growth per retry, ceiling on any one
@@ -102,8 +85,6 @@ BACKOFF_BASE_MS = 50.0
 BACKOFF_MULTIPLIER = 2.0
 BACKOFF_MAX_MS = 2_000.0
 BACKOFF_JITTER = 0.5
-#: How long a tripped per-target breaker stays open before one probe.
-BREAKER_RESET_MS = 30_000.0
 
 
 def backoff_ms(retry_index: int, rng: random.Random) -> float:
@@ -418,91 +399,3 @@ def retrying(
                 env.stats.counter(stat).increment()
             yield env.timeout(backoff_ms(i, env.rng.stream(rng_stream)))
     raise AssertionError("unreachable")  # pragma: no cover
-
-
-class CircuitBreaker:
-    """Consecutive-failure circuit breaker over simulated time.
-
-    Closed until ``threshold`` consecutive recorded failures, then open
-    for ``reset_ms``; after that, half-open: one probe call is allowed
-    through, and its outcome closes or re-opens the circuit.  A
-    ``threshold`` of 0 disables the breaker entirely (always closed).
-    """
-
-    def __init__(
-        self,
-        env: Environment,
-        target: str,
-        threshold: int,
-        reset_ms: float,
-    ):
-        if threshold < 0:
-            raise ValueError("threshold must be >= 0")
-        self.env = env
-        self.target = target
-        self.threshold = threshold
-        self.reset_ms = reset_ms
-        self.consecutive_failures = 0
-        self.opened_at: typing.Optional[float] = None
-        self._probe_outstanding = False
-
-    # ------------------------------------------------------------------
-    @property
-    def state(self) -> str:
-        """``"closed"``, ``"open"``, or ``"half-open"``."""
-        if self.opened_at is None:
-            return "closed"
-        if self.env.now >= self.opened_at + self.reset_ms:
-            return "half-open"
-        return "open"
-
-    def allow(self) -> bool:
-        """May a call proceed right now?
-
-        In the half-open state only the first caller gets through (the
-        probe); concurrent callers are refused until its outcome lands.
-        """
-        if self.threshold == 0:
-            return True
-        state = self.state
-        if state == "closed":
-            return True
-        if state == "half-open" and not self._probe_outstanding:
-            self._probe_outstanding = True
-            return True
-        return False
-
-    def record_success(self) -> None:
-        """A call to the target completed: close the circuit."""
-        self.consecutive_failures = 0
-        self.opened_at = None
-        self._probe_outstanding = False
-
-    def record_failure(self) -> None:
-        """A call to the target failed: maybe trip the circuit."""
-        self._probe_outstanding = False
-        self.consecutive_failures += 1
-        if self.threshold and self.consecutive_failures >= self.threshold:
-            self.opened_at = self.env.now
-
-
-class CircuitBreakerRegistry:
-    """Lazily creates one :class:`CircuitBreaker` per target name."""
-
-    def __init__(self, env: Environment, policy: ResolutionPolicy):
-        self.env = env
-        self.policy = policy
-        self._breakers: typing.Dict[str, CircuitBreaker] = {}
-
-    def breaker(self, target: str) -> CircuitBreaker:
-        """The breaker guarding ``target``, created on first use."""
-        breaker = self._breakers.get(target)
-        if breaker is None:
-            breaker = CircuitBreaker(
-                self.env,
-                target,
-                self.policy.breaker_threshold,
-                BREAKER_RESET_MS,
-            )
-            self._breakers[target] = breaker
-        return breaker

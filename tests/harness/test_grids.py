@@ -1,6 +1,6 @@
 """CI's ``perf-gate`` job in-process, plus what each gated grid claims.
 
-One fixture runs the four gated grids the way CI does (``repro.cli
+One fixture runs the five gated grids the way CI does (``repro.cli
 bench all --smoke``); the first test gates the fresh artifacts against
 the committed ``BENCH_ablation_*.json`` baselines, the rest assert each
 extension's acceptance claims on the fresh rows (the runner docstrings
@@ -117,3 +117,32 @@ def test_discovery_claims(fresh_dir):
     # The watchdog actually fired: evictions happened before any TTL
     # could expire (the TTL-only arm never evicts mid-outage).
     assert live["evictions"] > 0
+
+
+def test_resolution_claims(fresh_dir):
+    """Each surviving ResolutionPolicy knob buys something under the
+    fault it exists for (keys: ``fault=<fault>`` is the whole policy,
+    ``<knob>_<value>@<fault>`` that one knob at its disabled value)."""
+    grid = rows(fresh_dir, "resolution")
+    # Retry (attempts 4): an 8 s NSM-host crash is ridden out; one try
+    # loses most of the Imports issued while the host is down.
+    assert grid["fault=crash_nsm"]["availability"] >= 0.99
+    assert grid["retry_x1@crash_nsm"]["availability"] <= 0.5
+    # Serve-stale (120 s): a 30 s partition of the meta primary outlasts
+    # the retry ladder; stale answers keep every Import answered and
+    # shorten the wait, where without them a quarter or more fail.
+    stale, no_stale = grid["fault=partition_meta"], grid["stale_off@partition_meta"]
+    assert stale["stale_serves"] > 0 and no_stale["stale_serves"] == 0
+    assert stale["availability"] >= 0.99
+    assert no_stale["availability"] <= 0.9 * stale["availability"]
+    assert no_stale["p99_ms"] >= 1.1 * stale["p99_ms"]
+    # Negative caching (30 s): when a third of the names do not exist,
+    # the misses stop costing a meta round trip each.
+    assert (
+        grid["negative_off@nxdomain"]["remote_queries_per_op"]
+        >= 1.2 * grid["fault=nxdomain"]["remote_queries_per_op"]
+    )
+    # Every fault-free cell answers everything; 10 % loss each way is
+    # the transport's to absorb, with or without policy retries.
+    for key in ("baseline", "fault=drop_p10", "retry_x1@drop_p10"):
+        assert grid[key]["availability"] == 1.0, key

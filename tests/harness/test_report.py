@@ -6,7 +6,7 @@ import json
 import pytest
 
 from repro.harness import report
-from repro.harness.calibration import Calibration
+from repro.harness.calibration import DEFAULT_CALIBRATION, Calibration
 from repro.harness.report import (
     CLAIMS,
     PAPER_TABLES,
@@ -15,6 +15,7 @@ from repro.harness.report import (
     calibration_table,
     claims_table,
     main,
+    remote_call,
     table_3_1,
 )
 
@@ -162,6 +163,39 @@ def test_every_calibration_constant_earns_a_figure(tables, calibration_matrix):
     assert [name for name in UNCONSTRAINED if name not in moved] == []
     assert [name for name in UNCONSTRAINED if moved.get(name)] == []
     assert [name for name in fields if not moved[name] and name not in UNCONSTRAINED] == []
+
+
+def test_equation_1_numerator_follows_the_calibration(calibration_matrix):
+    """C(remote call) is measured under the calibration the equation (1)
+    rows run with: the Raw-HRPC control plus a round trip on the wire,
+    so both rows move with those constants through their numerator too."""
+    rows, moved = calibration_matrix
+    equation = {row for row in rows if row.startswith("equation_1: ")}
+    assert len(equation) == 2
+    default = remote_call(DEFAULT_CALIBRATION)
+    assert default == pytest.approx(34.2, abs=0.1)  # the paper estimates 33
+    for name in ("hrpc_meta_call_ms", "wire_base_ms", "wire_per_byte_ms"):
+        assert equation <= set(moved[name]), name
+        raised = getattr(DEFAULT_CALIBRATION, name) * 1.1
+        shift = remote_call(dataclasses.replace(DEFAULT_CALIBRATION, **{name: raised}))
+        assert shift > default, name
+    # the control counts once: raising it by x raises the call by x
+    more = dataclasses.replace(DEFAULT_CALIBRATION, hrpc_meta_call_ms=42.16)
+    assert remote_call(more) - default == pytest.approx(10.0)
+    # and the call is the only part of a meta miss it keeps: a free one
+    free = dataclasses.replace(
+        DEFAULT_CALIBRATION, hrpc_meta_call_ms=0.0, wire_base_ms=0.0, wire_per_byte_ms=0.0
+    )
+    assert remote_call(free) == 0.0
+
+
+def test_every_paper_row_is_fit_or_predicted(tables, generated_report):
+    """A table marks only its own rows fit; the rest are predicted, and
+    equation (1) is all prediction."""
+    for table in tables.values():
+        assert table.fit <= {row.label for row in table.rows}
+    assert not tables["equation_1"].fit
+    assert report.fit_summary(list(tables.values())) in generated_report
 
 
 @pytest.fixture

@@ -229,8 +229,8 @@ def test_transient_failure_is_retried_after_backoff(world):
     binding = HRPCBinding(endpoint, "testprog", suite="sunrpc")
     server_host.crash()
 
-    def come_back():  # after the first attempt's four 1 s datagram tries
-        yield env.timeout(4_500.0)
+    def come_back():  # after the first attempt's four 500 ms datagram tries
+        yield env.timeout(2_500.0)
         server_host.restart()
 
     env.process(come_back())

@@ -100,7 +100,7 @@ def test_workload_survives_packet_loss():
     testbed = build_testbed(seed=131)
     env = testbed.env
     # Inject loss into the single segment.
-    testbed.internet.segments[0].drop_probability = 0.10
+    testbed.internet.segments[0].set_loss(0.10)
     stack = build_stack(testbed, Arrangement.ALL_LOCAL)
 
     def client_loop():

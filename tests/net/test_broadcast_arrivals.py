@@ -25,10 +25,11 @@ class Recorder(Service):
         self.log.append((datagram.payload, self.host.name, self.host.env.now))
 
 
-def world(latency, hosts=6, perturb_seed=None, **segment_kwargs):
+def world(latency, hosts=6, perturb_seed=None, loss=0.0):
     env = Environment(seed=SEED, perturb_seed=perturb_seed)
     net = Internetwork(env)
-    segment = net.add_segment(latency=latency, **segment_kwargs)
+    segment = net.add_segment(latency=latency)
+    segment.set_loss(loss)
     members = [net.add_host(f"h{i}", segment) for i in range(hosts)]
     log = []
     for host in members:
@@ -66,7 +67,7 @@ def test_a_jittered_segment_keeps_an_entry_per_target():
 
 def test_one_instant_lands_as_one_entry_admitted_by_drop_rule_and_liveness():
     env, segment, hosts, udp, log = world(
-        ConstantLatency(2.0), hosts=8, drop_probability=0.3
+        ConstantLatency(2.0), hosts=8, loss=0.3
     )
     h0, h1, h2, h3, h4 = hosts[:5]
     segment.partition([h0, h1, h2], [h3, h4])  # h5-h7 hear both sides

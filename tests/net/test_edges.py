@@ -120,12 +120,16 @@ def test_ethernet_attach_detach():
 
 def test_ethernet_drop_probability_validation():
     env = Environment()
-    with pytest.raises(ValueError):
-        Ethernet(env, drop_probability=1.0)
-    with pytest.raises(ValueError):
-        Ethernet(env, drop_probability=-0.1)
-    quiet = Ethernet(env, drop_probability=0.0)
-    assert not quiet.would_drop()
+    ether = Ethernet(env)
+    for bad in (1.0, -0.1):
+        with pytest.raises(ValueError):
+            ether.set_loss(bad)
+    assert ether.drop_probability == 0.0
+    assert not ether.would_drop()
+    ether.set_loss(0.25)
+    assert ether.drop_probability == 0.25
+    ether.set_loss(0.0)
+    assert not ether.would_drop()
 
 
 def test_ethernet_transmit_delay_scales_with_size():
@@ -144,7 +148,8 @@ def test_loss_stream_is_seeded_by_the_wires_name_not_by_its_first_draw():
     reference = Environment(seed=9).rng.stream("ether-drop:lossy")
     expected = [reference.random() < 0.5 for _ in range(50)]
     env = Environment(seed=9)
-    ether = Ethernet(env, name="lossy", drop_probability=0.5)
+    ether = Ethernet(env, name="lossy")
+    ether.set_loss(0.5)
     env.rng.stream("ether:lossy").random()  # another stream drawn first
     env.run(until=env.timeout(10.0))
     assert [ether.would_drop() for _ in range(50)] == expected
@@ -157,7 +162,8 @@ def test_loss_stream_is_seeded_by_the_wires_name_not_by_its_first_draw():
 
 def test_lossy_ethernet_drops_sometimes():
     env = Environment(seed=9)
-    ether = Ethernet(env, drop_probability=0.5)
+    ether = Ethernet(env)
+    ether.set_loss(0.5)
     outcomes = {ether.would_drop() for _ in range(100)}
     assert outcomes == {True, False}
 

@@ -55,7 +55,8 @@ class FaultyService(Service):
 def build_net(env=None, drop=0.0):
     env = env or Environment(seed=42)
     net = Internetwork(env)
-    seg = net.add_segment(latency=ConstantLatency(5.0), drop_probability=drop)
+    seg = net.add_segment(latency=ConstantLatency(5.0))
+    seg.set_loss(drop)
     client = net.add_host("client", seg)
     server = net.add_host("server", seg)
     return env, net, client, server

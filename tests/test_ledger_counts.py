@@ -55,7 +55,7 @@ COUNTS = {'adhoc_churn': {'discovery.stale_serve_share': 0.03,
  'cold_import': {'net.datagrams_per_op': 8.5,
                  'serial.decodes_per_op': 6.5,
                  'serial.encodes_per_op': 14.0,
-                 'sim.events_per_op': 81.82,
+                 'sim.events_per_op': 81.92,
                  'sim.processes_per_op': 0.08333333333,
                  'sim_ms_mean': 523.2637247,
                  'sim_ms_p99': 587.4755809,
@@ -67,7 +67,7 @@ COUNTS = {'adhoc_churn': {'discovery.stale_serve_share': 0.03,
                   'sim_ops_per_s': 15406.99903},
  'traced_import': {'obs.dropped_spans': 0.0,
                    'obs.spans_per_op': 34.94285714,
-                   'sim.events_per_op': 81.97142857,
+                   'sim.events_per_op': 82.11428571,
                    'sim_ms_mean': 525.1221029,
                    'sim_ms_p99': 587.4755809,
                    'sim_ops_per_s': 1.760190043},
@@ -76,12 +76,12 @@ COUNTS = {'adhoc_churn': {'discovery.stale_serve_share': 0.03,
                   'core.read_sim_ms_p99': 4.812690506,
                   'core.stale_read_share': 0.02175925926,
                   'core.write_sim_ms_p50': 96.328,
-                  'sim.events_per_op': 3.98714539,
+                  'sim.events_per_op': 3.982712766,
                   'sim_ms_mean': 5.462727898,
                   'sim_ms_p99': 96.328,
                   'sim_ops_per_s': 179.361245},
  'warm_zipf': {'bind.cache_hit_ratio': 1.0,
-               'sim.events_per_op': 11.8125,
+               'sim.events_per_op': 11.79166667,
                'sim.processes_per_op': 0.3333333333,
                'sim_ms_mean': 6.601287554,
                'sim_ms_p99': 13.20019944,
