@@ -312,9 +312,6 @@ class ResolverCache:
     def clear(self) -> None:
         self._entries.clear()
 
-    def __len__(self) -> int:
-        return len(self._entries)
-
     def __contains__(self, key: object) -> bool:
         entry = self._entries.get(key)
         return entry is not None and entry.expires_at > self.env.now

@@ -52,24 +52,11 @@ class DomainName:
         else:
             self.labels = _checked(tuple(text), text)
 
-    @property
-    def is_root(self) -> bool:
-        return not self.labels
-
-    @property
-    def parent(self) -> "DomainName":
-        if self.is_root:
-            raise ValueError("the root has no parent")
-        return DomainName(self.labels[1:])
-
     def is_subdomain_of(self, other: "DomainName") -> bool:
         """True if ``self`` equals or falls under ``other``."""
         if len(other.labels) > len(self.labels):
             return False
         return self.labels[len(self.labels) - len(other.labels):] == other.labels
-
-    def child(self, label: str) -> "DomainName":
-        return DomainName((label.lower(),) + self.labels)
 
     def __str__(self) -> str:
         return ".".join(self.labels) if self.labels else "."

@@ -144,12 +144,6 @@ class Zone:
             raise NameNotFound(f"{name} {rtype} in zone {self.origin}")
         return list(records)
 
-    def contains(self, name: typing.Union[str, DomainName], rtype: RRType) -> bool:
-        return (DomainName(name), rtype) in self._records
-
-    def names(self) -> typing.Set[DomainName]:
-        return {name for name, _ in self._records}
-
     def all_records(self) -> typing.List[ResourceRecord]:
         """Every record in the zone, in stable order (for AXFR)."""
         out: typing.List[ResourceRecord] = []
@@ -157,13 +151,9 @@ class Zone:
             out.extend(self._records[key])
         return out
 
-    @property
-    def record_count(self) -> int:
-        return sum(len(v) for v in self._records.values())
-
     def wire_size(self) -> int:
         """Approximate transfer size of the whole zone (bytes)."""
         return sum(r.wire_size() for r in self.all_records())
 
     def __repr__(self) -> str:
-        return f"<Zone {self.origin} serial={self.serial} records={self.record_count}>"
+        return f"<Zone {self.origin} serial={self.serial} records={sum(map(len, self._records.values()))}>"

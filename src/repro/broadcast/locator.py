@@ -58,9 +58,6 @@ class NameOwnerService(Service):
     def disown(self, name: str) -> bool:
         return self._owned.pop(name.lower(), None) is not None
 
-    def owns(self, name: str) -> bool:
-        return name.lower() in self._owned
-
     def handle(self, datagram, responder):
         request = datagram.payload
         if not isinstance(request, NameQuery):

@@ -39,9 +39,6 @@ class CredentialStore:
             raise ValueError("empty user name")
         self._proofs[user] = _digest(user, secret)
 
-    def revoke(self, user: str) -> bool:
-        return self._proofs.pop(user, None) is not None
-
     def verify(self, credentials: typing.Optional[Credentials]) -> bool:
         """Check credentials against the store (pure check, no costs)."""
         if credentials is None:

@@ -21,7 +21,6 @@ from repro.clearinghouse.names import CHName
 from repro.clearinghouse.server import (
     AddItem,
     CHReply,
-    DeleteItem,
     RETRIEVE_REQUEST_IDL,
     RetrieveItem,
     STATUS_OK,
@@ -111,7 +110,3 @@ class ClearinghouseClient:
             AddItem(name, prop, value, self.credentials), size + len(value)
         )
 
-    def delete(self, name: typing.Union[str, CHName], prop: str) -> typing.Generator:
-        name = name if isinstance(name, CHName) else CHName.parse(name)
-        size = yield from self._request_size(name, prop)
-        yield from self._roundtrip(DeleteItem(name, prop, self.credentials), size)

@@ -36,36 +36,6 @@ class PropertyDatabase:
             raise NoSuchProperty(f"{name} has no property {prop!r}")
         return obj[prop]
 
-    def delete_property(self, name: CHName, prop: str) -> None:
-        obj = self._objects.get(name)
-        if obj is None:
-            raise NoSuchObject(str(name))
-        if prop not in obj:
-            raise NoSuchProperty(f"{name} has no property {prop!r}")
-        del obj[prop]
-        if not obj:
-            del self._objects[name]
-
-    def delete_object(self, name: CHName) -> None:
-        if name not in self._objects:
-            raise NoSuchObject(str(name))
-        del self._objects[name]
-
-    def contains(self, name: CHName) -> bool:
-        return name in self._objects
-
-    def properties_of(self, name: CHName) -> typing.List[str]:
-        obj = self._objects.get(name)
-        if obj is None:
-            raise NoSuchObject(str(name))
-        return sorted(obj)
-
-    def objects_in_domain(
-        self, domain: str, organization: str
-    ) -> typing.List[CHName]:
-        key = (domain.lower(), organization.lower())
-        return sorted(n for n in self._objects if n.domain_key == key)
-
     def record_size(self, name: CHName, prop: str) -> int:
         """Bytes read from disk for one retrieval (value + overhead)."""
         return len(self.retrieve(name, prop)) + 64

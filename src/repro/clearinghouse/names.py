@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import dataclasses
-import typing
 
 MAX_PART = 40  # Clearinghouse limits name parts to 40 characters
 
@@ -41,11 +40,6 @@ class CHName:
                 f"Clearinghouse name needs 3 colon-separated parts: {text!r}"
             )
         return cls(*parts)
-
-    @property
-    def domain_key(self) -> typing.Tuple[str, str]:
-        """(domain, organization): the administration unit."""
-        return (self.domain, self.organization)
 
     def __str__(self) -> str:
         return f"{self.object_part}:{self.domain}:{self.organization}"

@@ -72,14 +72,6 @@ class AddItem:
 
 
 @dataclasses.dataclass
-class DeleteItem:
-    """Remove one property from an object."""
-    name: CHName
-    prop: str
-    credentials: typing.Optional[Credentials]
-
-
-@dataclasses.dataclass
 class CHReply:
     """Status plus (for retrieves) the property value."""
     status: int
@@ -164,8 +156,6 @@ class ClearinghouseServer(Service):
             kind = "retrieves"
         elif isinstance(request, AddItem):
             kind = "adds"
-        elif isinstance(request, DeleteItem):
-            kind = "deletes"
         else:
             responder(CHReply(CHError.status), 8)
             return
@@ -194,10 +184,8 @@ class ClearinghouseServer(Service):
             if isinstance(request, RetrieveItem):
                 value = database.retrieve(request.name, request.prop)
                 size = database.record_size(request.name, request.prop)
-            elif isinstance(request, AddItem):
-                database.register(request.name, {request.prop: request.value})
             else:
-                database.delete_property(request.name, request.prop)
+                database.register(request.name, {request.prop: request.value})
         except CHError as err:
             self._refuse(err, responder)
             return

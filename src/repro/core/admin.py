@@ -80,12 +80,3 @@ class HnsAdministrator:
                 host_name, host_address
             )
 
-    def unregister_nsm(
-        self, nsm_name: str, query_class: str, name_service: str
-    ) -> typing.Generator:
-        from repro.core.metastore import META_ORIGIN
-
-        yield from self.metastore.unregister(f"{nsm_name}.nsm.{META_ORIGIN}")
-        yield from self.metastore.unregister(
-            f"{query_class}.{name_service}.q.{META_ORIGIN}"
-        )

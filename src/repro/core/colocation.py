@@ -46,17 +46,6 @@ class Arrangement(enum.Enum):
             Arrangement.ALL_REMOTE: "[Client] [HNS] [NSMs]",
         }[self]
 
-    @property
-    def remote_calls(self) -> int:
-        """Inter-process calls per import under this arrangement."""
-        return {
-            Arrangement.ALL_LOCAL: 0,
-            Arrangement.AGENT: 1,
-            Arrangement.REMOTE_HNS: 1,
-            Arrangement.REMOTE_NSMS: 1,
-            Arrangement.ALL_REMOTE: 2,
-        }[self]
-
 
 @dataclasses.dataclass
 class ColocationStack:
@@ -90,5 +79,3 @@ class ColocationStack:
     def flush_nsm_caches(self) -> None:
         self.binding_nsm.cache.clear()
 
-    def describe(self) -> str:
-        return f"{self.arrangement.label} (client={self.client_host.name})"

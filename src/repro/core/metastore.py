@@ -464,15 +464,6 @@ class MetaStore:
                 NsmRecord.from_fields(nsm_name, answers[-1].records[0].data),
             )
 
-    def name_service_record(self, ns_name: str) -> typing.Generator:
-        """Descriptor lookup (used by admin tooling and NSM bootstrap)."""
-        owner = f"{ns_name}.ns.{META_ORIGIN}"
-        try:
-            records = yield from self.resolver.lookup(owner, RRType.UNSPEC)
-        except NameNotFound as err:
-            raise HnsError(f"unknown name service {ns_name!r}") from err
-        return NameServiceRecord.from_fields(ns_name, records[0].data)
-
     @staticmethod
     @memoised
     def host_label(host_name: str) -> str:

@@ -190,9 +190,6 @@ class DiscoveryCache:
     def entries(self) -> typing.List[DiscoveryEntry]:
         return list(self._entries.values())
 
-    def __len__(self) -> int:
-        return len(self._entries)
-
     def remaining_ms(self, entry: DiscoveryEntry) -> float:
         """Time until the effective deadline (may be <= 0)."""
         return entry.deadline(self.policy.liveness) - self.env.now

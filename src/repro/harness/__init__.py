@@ -7,6 +7,6 @@ __getattr__, __dir__, __all__ = attach(__name__, {
     "tables": ("ComparisonTable", "format_table"),
     "ablation": (
         "AblationStudy", "GridDef", "Knob", "RunResult", "RunSpec", "SCHEMA_VERSION",
-        "strip_wall_clock", "study_payload",
+        "study_payload",
     ),
 })

@@ -345,23 +345,6 @@ def study_payload(
     }
 
 
-def strip_wall_clock(value: object) -> object:
-    """A deep copy with every wall-clock field removed.
-
-    This is the equality (and gate-comparison) view of an artifact:
-    identical across host speeds.
-    """
-    if isinstance(value, dict):
-        return {
-            key: strip_wall_clock(item)
-            for key, item in value.items()
-            if key not in WALL_CLOCK_FIELDS
-        }
-    if isinstance(value, list):
-        return [strip_wall_clock(item) for item in value]
-    return value
-
-
 def dump_payload(payload: typing.Mapping[str, object]) -> str:
     """Canonical JSON serialization for BENCH artifacts.
 

@@ -769,6 +769,11 @@ UNCONSTRAINED = {
 #: an exact test would count float residue as movement.
 MOVE_TOLERANCE = 1e-9
 
+#: (constant, factor) steps past the matrix's that move the preload
+#: break-even, a count no +10 % step moves: the two smallest of a 1 %
+#: sweep of every constant to ±50 % (the third is xfer_per_record_ms ×1.33).
+BREAK_EVEN_STEPS = (("xfer_install_per_record_ms", 1.2), ("hrpc_meta_call_ms", 0.83))
+
 
 def _paper_rows(
     knobs: typing.Mapping[str, typing.Any], seed: int, smoke: bool
@@ -833,13 +838,31 @@ def calibration_table(
         lines,
         title="== Calibration — paper rows each constant moves ==",
     )
+    steps = ", ".join(
+        f"{name} x{factor:g} reads {break_even}"
+        for (name, factor), break_even in zip(BREAK_EVEN_STEPS, break_even_steps())
+    )
     return (
         f"{table}\n\nEach constant raised on its own (+10 %, a count +1); a row "
         f"moves when it shifts by more than {MOVE_TOLERANCE:g}.  "
         f"{sum(map(bool, moved.values()))} of {len(moved)} constants move at "
         f"least one of {len(rows)} paper rows; rows no constant moves: "
-        f"{', '.join(unmoved) or 'none'}."
+        f"{', '.join(unmoved) or 'none'}.  The preload break-even is a count, so "
+        f"no such step moves it; it is still a prediction a constant can fail, "
+        f"robust to each constant's +10 %: {steps}."
     )
+
+
+def break_even_steps() -> typing.List[int]:
+    """The preload break-even under each of :data:`BREAK_EVEN_STEPS`."""
+    return [
+        _preload_break_even(
+            dataclasses.replace(
+                DEFAULT_CALIBRATION, **{name: getattr(DEFAULT_CALIBRATION, name) * factor}
+            )
+        )
+        for name, factor in BREAK_EVEN_STEPS
+    ]
 
 
 #: Metric display order for the ablation tables; anything else a grid

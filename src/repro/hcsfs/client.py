@@ -19,9 +19,8 @@ class HcsFileSystem:
     A *file name* here is an HNS name for the volume plus a path inside
     it: the FileService NSM for the volume's name service returns the
     server binding and native volume identifier.  The client holds that
-    binding until told otherwise (:meth:`invalidate`) — like any HRPC
-    client holding a Binding — while the NSM- and HNS-level caches
-    underneath it expire on their own TTLs.
+    binding for good — like any HRPC client holding a Binding — while
+    the NSM- and HNS-level caches underneath it expire on their own TTLs.
     """
 
     def __init__(
@@ -51,10 +50,6 @@ class HcsFileSystem:
         located = (binding, typing.cast(str, result.value["volume"]))
         self._bindings[key] = located
         return located
-
-    def invalidate(self, volume_name: HNSName) -> None:
-        """Drop the cached binding (e.g. after a location change)."""
-        self._bindings.pop(str(volume_name), None)
 
     # ------------------------------------------------------------------
     def fetch(self, volume_name: HNSName, path: str) -> typing.Generator:
@@ -86,12 +81,6 @@ class HcsFileSystem:
             binding, "listdir", volume, prefix, arg_size_bytes=64 + len(prefix)
         )
         return typing.cast(typing.List[str], names)
-
-    def remove(self, volume_name: HNSName, path: str) -> typing.Generator:
-        binding, volume = yield from self._locate(volume_name)
-        yield from self.runtime.call(
-            binding, "remove", volume, path, arg_size_bytes=64 + len(path)
-        )
 
     def copy(
         self,

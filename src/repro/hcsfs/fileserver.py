@@ -38,14 +38,7 @@ class FileServer:
         program.procedure("fetch", self._fetch)
         program.procedure("store", self._store)
         program.procedure("listdir", self._listdir)
-        program.procedure("remove", self._remove)
         self.endpoint = self.server.listen(port)
-
-    # ------------------------------------------------------------------
-    def create_volume(self, volume: str) -> None:
-        if not volume:
-            raise ValueError("volume needs a name")
-        self._volumes.setdefault(volume, {})
 
     def _volume(self, volume: str) -> typing.Dict[str, bytes]:
         files = self._volumes.get(volume)
@@ -87,10 +80,3 @@ class FileServer:
         names = sorted(p for p in files if p.startswith(prefix))
         return RpcReply(names, result_size_bytes=16 * max(1, len(names)))
 
-    def _remove(self, ctx, volume: str, path: str):
-        files = self._volume(volume)
-        if path not in files:
-            raise FileServerError(f"{volume}:{path} not found")
-        yield self.host.disk.write(64)
-        del files[path]
-        return RpcReply({"removed": True}, result_size_bytes=16)

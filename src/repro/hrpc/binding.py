@@ -47,8 +47,3 @@ class HRPCBinding:
             f"system={self.system_type})"
         )
 
-    def wire_size(self) -> int:
-        """Approximate marshalled size of the binding structure."""
-        return 48 + len(self.program) + sum(
-            len(k) + len(v) for k, v in self.metadata.items()
-        )

@@ -25,13 +25,6 @@ class LocateService:
 
 
 @dataclasses.dataclass
-class AdvertiseService:
-    """A server advertises (or withdraws) its port."""
-    service: str
-    port: int  # 0 withdraws
-
-
-@dataclasses.dataclass
 class LocateReply:
     """The advertised port (0 = unknown)."""
     port: int
@@ -68,12 +61,6 @@ class CourierBinder(Service):
     def _serve(self, request, responder) -> None:
         if isinstance(request, LocateService):
             responder(LocateReply(self._services.get(request.service, 0)), 16)
-        elif isinstance(request, AdvertiseService):
-            if request.port == 0:
-                self._services.pop(request.service, None)
-            else:
-                self._services[request.service] = request.port
-            responder(LocateReply(request.port), 16)
         else:
             responder(LocateReply(0), 16)
 
@@ -101,11 +88,3 @@ class CourierBinderClient:
             )
         return reply.port
 
-    def advertise(self, server_address, service: str, port: int) -> typing.Generator:
-        endpoint = Endpoint(server_address, WELL_KNOWN_PORTS["courier-binder"])
-        reply = yield self.transport.request(
-            self.host, endpoint, AdvertiseService(service, port), 48
-        )
-        if not isinstance(reply, LocateReply):
-            raise BindingProtocolError(f"malformed binder reply {reply!r}")
-        return reply.port

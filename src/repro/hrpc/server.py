@@ -67,10 +67,6 @@ class RpcProgram:
             raise NoSuchProcedure(f"{self.name}.{name}")
         return handler
 
-    @property
-    def procedures(self) -> typing.List[str]:
-        return sorted(self._procedures)
-
 
 class HrpcServer(Service):
     """Dispatches :class:`RpcRequest` messages to registered programs."""
@@ -86,19 +82,11 @@ class HrpcServer(Service):
         self.endpoint = self.host.bind(port, self)
         return self.endpoint
 
-    def register_program(self, program: RpcProgram) -> None:
-        if program.name in self._programs:
-            raise ValueError(f"program {program.name!r} already registered")
-        self._programs[program.name] = program
-
     def program(self, name: str) -> RpcProgram:
         """Get-or-create a program (convenient for incremental setup)."""
         if name not in self._programs:
             self._programs[name] = RpcProgram(name)
         return self._programs[name]
-
-    def has_program(self, name: str) -> bool:
-        return name in self._programs
 
     # ------------------------------------------------------------------
     def handle(self, datagram, responder):

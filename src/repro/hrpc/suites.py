@@ -36,11 +36,6 @@ class ProtocolSuite:
     client_control_ms: float
     server_control_ms: float
 
-    @property
-    def call_cpu_overhead_ms(self) -> float:
-        """Total per-call control CPU, both sides."""
-        return self.client_control_ms + self.server_control_ms
-
 
 PROTOCOL_SUITES: typing.Dict[str, ProtocolSuite] = {
     suite.name: suite

@@ -48,18 +48,9 @@ class LocalBindingFile:
         self._entries[(entry.service, entry.host_name)] = entry
         self.version += 1
 
-    def withdraw(self, service: str, host_name: str) -> bool:
-        removed = self._entries.pop((service, host_name), None) is not None
-        if removed:
-            self.version += 1
-        return removed
-
     @property
     def size_bytes(self) -> int:
         return sum(e.size_bytes for e in self._entries.values())
-
-    def __len__(self) -> int:
-        return len(self._entries)
 
     # -- costed read --------------------------------------------------------
     def lookup(self, service: str, host_name: str) -> typing.Generator:
@@ -98,12 +89,6 @@ class Replicator:
         self.transport = transport
         self.files = list(files)
 
-    def file_on(self, host: Host) -> typing.Optional[LocalBindingFile]:
-        for file in self.files:
-            if file.host is host:
-                return file
-        return None
-
     def publish(self, origin: Host, entry: BindingFileEntry) -> typing.Generator:
         """Install ``entry`` on every replica; returns replicas updated.
 
@@ -118,8 +103,8 @@ class Replicator:
                 continue
             if not file.host.is_up:
                 continue  # stale replica: the consistency problem, live
-            delay = self.internet.path_delay(
-                origin.address, file.host.address, entry.size_bytes
+            _lost, delay = self.internet.hop(
+                origin.address, file.host.address, entry.size_bytes, lossy=False
             )
             yield self.env.timeout(delay)
             yield file.host.disk.write(max(file.size_bytes, 512))

@@ -49,11 +49,6 @@ class NetworkAddress:
     def octets(self) -> typing.Tuple[int, int, int, int]:
         return _octets(self.dotted)
 
-    @property
-    def network(self) -> typing.Tuple[int, int, int]:
-        """Class-C style network prefix, used for segment assignment."""
-        return self.octets[:3]
-
     def __str__(self) -> str:
         return self.dotted
 

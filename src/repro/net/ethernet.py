@@ -19,7 +19,6 @@ import typing
 
 from repro.memo import first_use
 from repro.net.host import Host
-from repro.net.messages import Datagram
 from repro.sim.kernel import Environment
 from repro.sim.latency import ConstantLatency, LatencyModel
 from repro.sim.stats import Counter
@@ -55,28 +54,15 @@ class Ethernet:
             raise ValueError(f"address {host.address} already on {self.name}")
         self._hosts[str(host.address)] = host
 
-    def detach(self, host: Host) -> None:
-        self._hosts.pop(str(host.address), None)
-
-    def host_for(self, address: typing.Union[str, object]) -> typing.Optional[Host]:
-        return self._hosts.get(getattr(address, "dotted", address))
-
     @property
     def hosts(self) -> typing.List[Host]:
         return list(self._hosts.values())
-
-    def carries(self, address: object) -> bool:
-        return getattr(address, "dotted", address) in self._hosts
 
     @first_use
     def _jitter(self) -> "random.Random":
         """This wire's latency stream (seeded from the name, not from
         when it is first drawn)."""
         return self.env.rng.stream(f"ether:{self.name}")
-
-    def transmit_delay(self, datagram: Datagram) -> float:
-        """Sample the wire time for one message."""
-        return self.latency.sample(self._jitter, datagram.size_bytes)
 
     def set_loss(self, probability: float) -> None:
         """From now on, lose each datagram on this wire with ``probability``
@@ -128,10 +114,6 @@ class Ethernet:
             return
         self._partition_of = {}
         self.env.trace.emit("net", f"segment {self.name} healed")
-
-    @property
-    def partitioned(self) -> bool:
-        return bool(self._partition_of)
 
     def crosses_partition(
         self, src: typing.Union[str, object], dst: typing.Union[str, object]

@@ -114,11 +114,6 @@ class Host:
         self.services[port] = service
         return self.endpoint(port)
 
-    def unbind(self, port: int) -> None:
-        if port not in self.services:
-            raise KeyError(f"{self.name}:{port} is not bound")
-        del self.services[port]
-
     def service_at(self, port: int) -> typing.Optional[Service]:
         return self.services.get(port)
 

@@ -80,15 +80,6 @@ class Internetwork:
         return host
 
     # ------------------------------------------------------------------
-    # Lookup
-    # ------------------------------------------------------------------
-    def host_named(self, name: str) -> typing.Optional[Host]:
-        return self._hosts_by_name.get(name)
-
-    def host_at(self, address: typing.Union[str, NetworkAddress]) -> typing.Optional[Host]:
-        return self._hosts_by_address.get(getattr(address, "dotted", address))
-
-    # ------------------------------------------------------------------
     # Routing
     # ------------------------------------------------------------------
     def segment_of(self, address: typing.Union[str, NetworkAddress]) -> Ethernet:
@@ -142,14 +133,3 @@ class Internetwork:
             dst_seg.latency.sample(dst_seg._jitter, size_bytes) + GATEWAY_HOP_MS
         )
 
-    def path_delay(
-        self,
-        src: typing.Union[str, NetworkAddress],
-        dst: typing.Union[str, NetworkAddress],
-        size_bytes: int,
-    ) -> float:
-        """Sampled one-way delay between two attached addresses."""
-        return self.hop(src, dst, size_bytes, lossy=False)[1]
-
-    def same_host(self, a: typing.Union[str, NetworkAddress], b: typing.Union[str, NetworkAddress]) -> bool:
-        return str(a) == str(b)

@@ -614,35 +614,6 @@ class StreamTransport(Transport):
             return HostDown(f"{address} died mid-transfer")
         return None
 
-    def send(
-        self,
-        src_host: Host,
-        destination: Endpoint,
-        payload: object,
-        size_bytes: int = 0,
-    ) -> typing.Generator:
-        if size_bytes < 0:
-            raise ValueError(f"negative message size: {size_bytes}")
-        yield self.env.timeout(self._connect_rtt(src_host, destination))
-        refusal = self._refusal(destination)
-        if refusal is not None:
-            raise refusal
-        datagram = Datagram(
-            src_host.ephemeral_endpoint(),
-            destination,
-            payload,
-            size_bytes,
-            None,
-            self.internet.next_msg_id(),
-        )
-        yield self.env.timeout(
-            self.internet.path_delay(src_host.address, destination.address, size_bytes)
-        )
-        died = self._died(destination)
-        if died is not None:
-            raise died
-        self._deliver(datagram, None)
-
     def _start(self, call: _Call) -> None:
         self.env.call_later(
             self._connect_rtt(call.src_host, call.destination), self._connected, call

@@ -165,10 +165,6 @@ class Span:
             return 0.0
         return self.end_ms - self.start_ms
 
-    @property
-    def finished(self) -> bool:
-        return self.end_ms is not None
-
     # ------------------------------------------------------------------
     def __enter__(self) -> "Span":
         owner = self._owner

@@ -53,8 +53,11 @@ class ResolutionPolicy:
     layers degrade coherently.
     """
 
-    #: total tries per logical operation (1 = no retry); the delays
-    #: between them are :func:`backoff_ms`
+    #: tries per operation at each layer that retries (1 = no retry),
+    #: :func:`backoff_ms` apart.  Four layers apply it, nested: the
+    #: importer, the HNS's host-address step, the meta resolver's rounds
+    #: and each HRPC call, and each of their tries is up to four
+    #: transport tries, so one failing Import can send dozens of datagrams
     attempts: int = 4
     #: TTL for cached NXDOMAIN answers (0 disables negative caching)
     negative_ttl_ms: float = 30_000.0

@@ -77,7 +77,3 @@ class RemoteExecutor:
         assert last_error is not None
         raise last_error
 
-    def catalogue(self, compute_host: HNSName) -> typing.Generator:
-        binding = yield from self._binding_for(compute_host)
-        names = yield from self.runtime.call(binding, "catalogue")
-        return typing.cast(typing.List[str], names)

@@ -24,18 +24,12 @@ def _checksum(payload: bytes) -> object:
     return {"sha256": hashlib.sha256(payload).hexdigest()}
 
 
-def _sort(payload: bytes) -> object:
-    lines = payload.decode("utf-8").splitlines()
-    return {"sorted": sorted(lines)}
-
-
 #: job name -> (function, CPU ms per KB of input)
 JOB_CATALOGUE: typing.Dict[
     str, typing.Tuple[typing.Callable[[bytes], object], float]
 ] = {
     "wordcount": (_wordcount, 2.0),
     "checksum": (_checksum, 5.0),
-    "sort": (_sort, 8.0),
 }
 
 
@@ -55,7 +49,6 @@ class RexecServer:
         self.server = HrpcServer(host, name=f"rexec@{host.name}")
         program = self.server.program(REXEC_PROGRAM)
         program.procedure("submit", self._submit)
-        program.procedure("catalogue", self._catalogue)
         self.endpoint = self.server.listen(port)
 
     def _submit(self, ctx, job_name: str, payload: bytes):
@@ -78,6 +71,3 @@ class RexecServer:
             result_size_bytes=128,
         )
 
-    def _catalogue(self, ctx):
-        yield self.host.cpu.compute(0.5)
-        return RpcReply(sorted(self.jobs), result_size_bytes=64)

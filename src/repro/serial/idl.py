@@ -27,16 +27,13 @@ class IdlType:
         """Raise :class:`IdlError` if ``value`` does not fit this type."""
         raise NotImplementedError
 
-    def describe(self) -> str:
-        return self.name
-
     @first_use
     def codecs(self) -> dict:
         """(word bytes, alignment) -> this type's compiled codec."""
         return {}
 
     def __repr__(self) -> str:
-        return f"<idl {self.describe()}>"
+        return f"<idl {self.name}>"
 
 
 class U32Type(IdlType):
@@ -79,9 +76,6 @@ class StringType(IdlType):
                 f"string of {len(value)} chars exceeds max {self.max_length}"
             )
 
-    def describe(self) -> str:
-        return f"string<{self.max_length}>"
-
 
 class OpaqueType(IdlType):
     """Length-prefixed uninterpreted bytes (BIND resource record data)."""
@@ -100,9 +94,6 @@ class OpaqueType(IdlType):
             raise IdlError(
                 f"opaque of {len(value)} bytes exceeds max {self.max_length}"
             )
-
-    def describe(self) -> str:
-        return f"opaque<{self.max_length}>"
 
 
 class ArrayType(IdlType):
@@ -130,9 +121,6 @@ class ArrayType(IdlType):
                 self.element.validate(item)
             except IdlError as err:
                 raise IdlError(f"array[{i}]: {err}") from err
-
-    def describe(self) -> str:
-        return f"array<{self.element.describe()}>"
 
 
 class StructType(IdlType):
@@ -173,10 +161,6 @@ class StructType(IdlType):
             except IdlError as err:
                 raise IdlError(f"{self.struct_name}.{field_name}: {err}") from err
 
-    def describe(self) -> str:
-        inner = ", ".join(f"{n}: {t.describe()}" for n, t in self.fields)
-        return f"struct {self.struct_name} {{{inner}}}"
-
 
 class OptionalType(IdlType):
     """Value-or-absent, encoded as a presence flag (XDR 'pointer')."""
@@ -193,5 +177,3 @@ class OptionalType(IdlType):
             return
         self.inner.validate(value)
 
-    def describe(self) -> str:
-        return f"optional<{self.inner.describe()}>"

@@ -44,7 +44,6 @@ from repro.serial.idl import (
 )
 
 _Convert = typing.Optional[typing.Callable[[typing.Any], typing.Any]]
-_M = typing.TypeVar("_M", bound="WireMessage")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -103,7 +102,7 @@ def _converters(py_type: typing.Any, idl: IdlType) -> typing.Tuple[_Convert, _Co
     if sequence and isinstance(idl, ArrayType):
         to_wire, from_wire = _converters(args[0], idl.element)
         return _each(to_wire, list), _each(from_wire, origin)
-    raise TypeError(f"no converter carries {py_type!r} as {idl.describe()}")
+    raise TypeError(f"no converter carries {py_type!r} as {idl!r}")
 
 
 #: scalar IDL type -> the one Python type its valid wire values have
@@ -250,20 +249,14 @@ class WireMessage:
     #: never re-encodes what it received.
     wire: typing.Optional[bytes] = None
 
+    # Generated per subclass by :func:`_derive`: the message as the dict
+    # value ``idl_type`` describes, the message a decoded dict stands
+    # for, and ``to_idl()``'s value as an exactly typed tuple (``None``
+    # when a scalar in it is not of its IDL type's exact Python type).
+    to_idl: typing.Callable[[], typing.Dict[str, typing.Any]]
+    from_idl: typing.ClassVar[typing.Callable[[typing.Mapping[str, typing.Any]], typing.Any]]
+    wire_key: typing.Callable[[], typing.Optional[tuple]]
+
     def __init_subclass__(cls, **kwargs: typing.Any) -> None:
         super().__init_subclass__(**kwargs)
         _derive(cls)
-
-    def to_idl(self) -> typing.Dict[str, typing.Any]:
-        """This message as the dict value ``idl_type`` describes."""
-        raise NotImplementedError  # generated per subclass
-
-    @classmethod
-    def from_idl(cls: typing.Type[_M], value: typing.Mapping[str, typing.Any]) -> _M:
-        """The message a decoded dict value stands for."""
-        raise NotImplementedError  # generated per subclass
-
-    def wire_key(self) -> typing.Optional[tuple]:
-        """``to_idl()``'s value as an exactly typed tuple, or ``None``
-        when a scalar in it is not of its IDL type's exact Python type."""
-        raise NotImplementedError  # generated per subclass

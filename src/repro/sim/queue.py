@@ -45,9 +45,6 @@ class HeapQueue:
             heappush, self.heap
         )
 
-    def push(self, time: float, eid: int, event: "Event") -> None:
-        self.heappush((time, eid, event))
-
     def pop(self) -> typing.Optional[Entry]:
         heap = self.heap
         if not heap:

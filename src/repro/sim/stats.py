@@ -5,7 +5,7 @@ All statistics live in a per-environment :class:`StatsRegistry` so that
 independent simulation runs never share state.
 
 Hot-path notes: every class here is ``__slots__``-backed, and
-:meth:`Histogram.bucket_index` / :meth:`Histogram.percentile` use
+:meth:`Histogram.record` / :meth:`Histogram.percentile` use
 ``bisect`` over a linear scan — with arithmetic chosen to be
 bit-identical to the original scans (the regression tests pin that).
 """
@@ -60,15 +60,6 @@ class Histogram:
         self.counts = [0] * (len(self.bounds) + 1)
         self._min: typing.Optional[float] = None
         self._max: typing.Optional[float] = None
-
-    def bucket_index(self, value: float) -> int:
-        """Index of the bucket ``value`` falls in (last = overflow).
-
-        ``bisect_left`` returns the first index whose bound is >= value
-        — exactly the first ``value <= bound`` the original linear scan
-        found, in O(log buckets).
-        """
-        return bisect_left(self.bounds, value)
 
     def record(self, value: float) -> int:
         """Count ``value``; returns the index of the bucket it fell in."""

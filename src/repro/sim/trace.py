@@ -54,13 +54,6 @@ class Tracer:
             TraceRecord(self._env.now, category, message, dict(data))
         )
 
-    def filter(self, category: str) -> typing.List[TraceRecord]:
-        """All records in ``category``, in time order."""
-        return [r for r in self.records if r.category == category]
-
-    def clear(self) -> None:
-        self.records.clear()
-
     def format(self) -> str:
         """Human-readable rendering of the whole trace."""
         return "\n".join(str(r) for r in self.records)

@@ -60,9 +60,3 @@ class QueryWorkload:
             events.append(QueryEvent(at, name, query_class, dict(params)))
         return events
 
-    def unique_fraction(self, events: typing.Sequence[QueryEvent]) -> float:
-        """Fraction of distinct (name, query class) pairs: cold misses."""
-        if not events:
-            return 0.0
-        distinct = {(str(e.hns_name), e.query_class) for e in events}
-        return len(distinct) / len(events)

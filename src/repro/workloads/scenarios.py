@@ -560,13 +560,25 @@ def _fast_path_scenario(seed: int) -> Environment:
 
 @scenario("replica_scheduling")
 def _replica_scenario(seed: int) -> Environment:
-    """Meta reads through the adaptive replica scheduler (hedging on)."""
+    """Meta reads through the adaptive replica scheduler (hedging on),
+    choosing between the meta-BIND and a second server holding a copy
+    of its zone."""
     from repro.core.names import HNSName
 
     testbed = build_testbed(seed=seed)
-    stack = build_stack(
-        testbed,
-        Arrangement.ALL_LOCAL,
+    meta_copy = Zone("hns")
+    for record in testbed.meta_server.zones[0].all_records():
+        meta_copy.add(record)
+    replica = BindServer(
+        testbed.internet.add_host("metans2", testbed.internet.segments[0]),
+        zones=[meta_copy],
+        lookup_cost_ms=testbed.calibration.meta_bind_lookup_ms,
+        calibration=testbed.calibration,
+        name="meta-bind-2",
+    )
+    hns = testbed.make_hns(
+        testbed.client,
+        secondaries=[replica.listen()],
         policies=PolicySet(
             resolution=DEFAULT_RESOLUTION_POLICY, replica=ReplicaPolicy()
         ),
@@ -576,7 +588,7 @@ def _replica_scenario(seed: int) -> Environment:
     name = HNSName(BIND_CONTEXT, "june.cs.washington.edu")
 
     def do():
-        yield from stack.hns.find_nsm(name, "HostAddress")
+        yield from hns.find_nsm(name, "HostAddress")
 
     run_process(env, do())
     run_process(env, do())
@@ -885,12 +897,6 @@ def _million_client_scenario(seed: int) -> Environment:
         misses=env.stats.counters()["sim.mclient.cache_misses"],
     )
     return env
-
-
-def iter_scenarios() -> typing.Iterator[typing.Tuple[str, typing.Callable]]:
-    """Registered scenarios in a stable order."""
-    for name in sorted(SCENARIOS):
-        yield name, SCENARIOS[name]
 
 
 # Ad-hoc discovery scenarios live in their own module; importing it

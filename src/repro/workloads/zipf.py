@@ -36,14 +36,3 @@ class ZipfDistribution:
         index = bisect.bisect_left(self._cumulative, u)
         return min(index, self.n - 1)
 
-    def probability(self, rank: int) -> float:
-        """P(rank), rank in [0, n)."""
-        if not 0 <= rank < self.n:
-            raise ValueError(f"rank out of range: {rank}")
-        prev = self._cumulative[rank - 1] if rank else 0.0
-        return self._cumulative[rank] - prev
-
-    def choose(self, rng: random.Random, items: typing.Sequence) -> object:
-        if len(items) != self.n:
-            raise ValueError(f"expected {self.n} items, got {len(items)}")
-        return items[self.sample(rng)]

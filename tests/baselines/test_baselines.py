@@ -77,7 +77,7 @@ def test_localfile_replication_updates_all_replicas(testbed):
     files, replicator = make_files(testbed)
     updated = run(env, replicator.publish(testbed.client, entry_for(testbed)))
     assert updated == 3
-    assert all(len(f) == 1 for f in files)
+    assert all(f.version == 1 for f in files)
 
 
 def test_localfile_stale_replica_on_down_host(testbed):
@@ -88,9 +88,9 @@ def test_localfile_stale_replica_on_down_host(testbed):
     updated = run(env, replicator.publish(testbed.client, entry_for(testbed)))
     assert updated == 2
     stale = [f for f in files if f.host is testbed.nsm_host][0]
-    assert len(stale) == 0  # permanently stale until re-pushed
+    assert stale.version == 0  # permanently stale until re-pushed
     testbed.nsm_host.restart()
-    assert len(stale) == 0
+    assert stale.version == 0
 
 
 def test_localfile_replication_cost_scales_with_hosts(testbed):

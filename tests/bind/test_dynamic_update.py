@@ -250,12 +250,13 @@ def test_unregister_is_not_undone_by_a_renewal_in_flight(batch, offset_ms):
     )
     run(env, store.register_context("leased", "BIND-cs"))
     zone = testbed.meta_server.zones[0]
-    assert zone.contains("leased.ctx.hns", RRType.UNSPEC)
+    assert zone.lookup("leased.ctx.hns", RRType.UNSPEC)
     idle(env, 1_000.0 - offset_ms)  # renewals tick every lease_ms / 2
     run(env, store.unregister("leased.ctx.hns"))
     for settle_ms in (50.0, 950.0, 900.0):  # 50, 1 000, 1 900 ms after
         idle(env, settle_ms)
-        assert not zone.contains("leased.ctx.hns", RRType.UNSPEC)
+        with pytest.raises(NameNotFound):
+            zone.lookup("leased.ctx.hns", RRType.UNSPEC)
 
 
 # ----------------------------------------------------------------------

@@ -424,7 +424,7 @@ def test_preload_cache_without_policy_always_full(wired):
         installer = CacheInstaller(preloader.primary, cache)
         run(env, installer.preload("hns"))
         zone.add(rec(f"b{i}.ctx.hns", "ns=two"))
-        assert run(env, installer.preload("hns")) == zone.record_count
+        assert run(env, installer.preload("hns")) == len(zone.all_records())
     counters = env.stats.counters()
     assert counters[f"bind.{server.name}.xfers"] == 4
     assert counters.get(f"bind.{server.name}.ixfrs", 0) == 0

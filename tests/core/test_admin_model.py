@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.core import ColocationModel, HNSName, HnsAdministrator
+from repro.core import ColocationModel, HNSName, HnsAdministrator, NsmNotFound
+from repro.core.metastore import META_ORIGIN
 from repro.core.nsms import BindHostAddressNSM
 from repro.workloads.scenarios import BIND_NS
 
@@ -112,14 +113,15 @@ def test_admin_validation(testbed):
 
 
 def test_unregister_nsm(testbed):
+    """An NSM withdrawn from the meta zone (its record and its query
+    mapping) is no longer found."""
     env = testbed.env
-    admin = HnsAdministrator(testbed.make_metastore(testbed.meta_host))
-    run(env, admin.unregister_nsm(f"MailboxLocation-{BIND_NS}", "MailboxLocation", BIND_NS))
+    metastore = testbed.make_metastore(testbed.meta_host)
+    run(env, metastore.unregister(f"MailboxLocation-{BIND_NS}.nsm.{META_ORIGIN}"))
+    run(env, metastore.unregister(f"MailboxLocation.{BIND_NS}.q.{META_ORIGIN}"))
     hns = testbed.make_hns(testbed.client)
 
     def scenario():
-        from repro.core import NsmNotFound
-
         with pytest.raises(NsmNotFound):
             yield from hns.find_nsm(
                 HNSName("BIND-cs", "schwartz.cs.washington.edu"), "MailboxLocation"

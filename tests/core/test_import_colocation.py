@@ -112,13 +112,8 @@ def test_importer_must_be_wired_via_classmethods():
 
 
 def test_arrangement_metadata():
-    assert Arrangement.ALL_LOCAL.remote_calls == 0
-    assert Arrangement.ALL_REMOTE.remote_calls == 2
     for arrangement in Arrangement:
         assert "[" in arrangement.label
-    testbed = build_testbed(seed=3)
-    stack = build_stack(testbed, Arrangement.AGENT)
-    assert "agent" in stack.describe() or "[Client]" in stack.describe()
 
 
 def test_import_records_latency_stats():

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.bind import RRType
 from repro.bind.resolver import cache_key
-from repro.core import ContextNotFound, HNSName, HnsError, NsmNotFound, NsmRecord
+from repro.core import ContextNotFound, HNSName, NsmNotFound, NsmRecord
 from repro.core.metastore import MetaStore, decode_fields, encode_fields
 from repro.resolution import DEFAULT_RESOLUTION_POLICY, FastPathPolicy, PolicySet
 from repro.workloads.scenarios import BIND_NS, CH_NS
@@ -91,20 +91,9 @@ def test_unknown_query_mapping_raises(testbed):
             yield from ms.nsm_name_for(BIND_NS, "MailboxLocation2")
         with pytest.raises(NsmNotFound):
             yield from ms.nsm_record("ghost-nsm")
-        with pytest.raises(HnsError):
-            yield from ms.name_service_record("ghost-ns")
         return "done"
 
     assert run(testbed.env, scenario()) == "done"
-
-
-def test_name_service_record(testbed):
-    ms = testbed.make_metastore(testbed.client)
-    record = run(testbed.env, ms.name_service_record(BIND_NS))
-    assert record.kind == "bind"
-    assert record.port == 53
-    ch = run(testbed.env, ms.name_service_record(CH_NS))
-    assert ch.kind == "clearinghouse"
 
 
 def test_nsm_host_address(testbed):

@@ -47,7 +47,7 @@ def _beacon_round_trip(hosts, secret=SEGMENT_SECRET):
 @functools.lru_cache(maxsize=None)
 def _broadcast(listeners):
     cost, world = _beacon_round_trip(listeners + 1)
-    assert [len(beacon.cache) for beacon in world.beacons] == [0] + [1] * listeners
+    assert [len(beacon.cache.entries()) for beacon in world.beacons] == [0] + [1] * listeners
     return cost
 
 
@@ -88,7 +88,7 @@ def test_a_forged_beacon_is_a_counted_drop_at_every_listener():
     # one charged for, counted and dropped, none absorbed, none raised
     counters = world.env.stats.counters()
     assert counters["discovery.bad_signatures"] == counters["net.udp.delivered"] > 0
-    assert [len(beacon.cache) for beacon in world.beacons] == [0] * 4
+    assert [len(beacon.cache.entries()) for beacon in world.beacons] == [0] * 4
 
 
 @pytest.mark.parametrize("listeners", [1, 11])
@@ -114,7 +114,7 @@ def _sweep(entries):
             )
         )
     cost = window(world.env, listener._sweep, ROUNDS)
-    assert len(listener.cache) == entries
+    assert len(listener.cache.entries()) == entries
     return cost
 
 

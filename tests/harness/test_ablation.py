@@ -17,9 +17,9 @@ from repro.harness.ablation import (
     RunResult,
     RunSpec,
     derive_seed,
-    strip_wall_clock,
     study_payload,
 )
+from repro.harness.gate import _numeric_leaves
 from repro.harness.grids import percentile
 
 
@@ -214,10 +214,11 @@ def test_payload_shape_and_wall_clock_stripping():
     assert [row["key"] for row in payload["runs"]] == [s.key for s in specs]
     # The artifact records variant names, never the values.
     assert payload["runs"][0]["knobs"] == {"ticks": "few", "mode": "steady"}
-    stripped = strip_wall_clock(payload)
-    assert "wall_s" not in stripped
-    for row in stripped["runs"]:
-        assert "wall_s" not in row
+    # The gate compares every numeric leaf but the wall clock.
+    leaves = dict(_numeric_leaves(payload))
+    assert "runs.0.seed" in leaves
+    assert not any(path.endswith("wall_s") for path in leaves)
+    for row in payload["runs"]:
         assert "seed" in row and "digest" in row
 
 

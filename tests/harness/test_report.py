@@ -280,3 +280,21 @@ def test_ablation_tables_skips_what_the_gate_refuses(tmp_path):
     text = ablation_tables(str(tmp_path))
     assert "Ablation grid" not in text
     assert "non-finite value NaN" in text and "skipped" in text
+
+
+def test_preload_break_even_is_a_prediction_a_constant_can_fail(tables, calibration_matrix):
+    """No +10 % step moves the count, but each step past the matrix
+    named in the report does, and a +10 % of either constant does not."""
+    rows, moved = calibration_matrix
+    label = "headline_figures: preload break-even (distinct FindNSMs, a count)"
+    assert label in rows and not any(label in hit for hit in moved.values())
+    count = next(
+        row.measured for row in tables["headline_figures"].rows
+        if row.label.startswith("preload break-even")
+    )
+    assert all(moved_count != count for moved_count in report.break_even_steps())
+    for name, _factor in report.BREAK_EVEN_STEPS:
+        for factor in (0.9, 1.1):
+            scaled = getattr(DEFAULT_CALIBRATION, name) * factor
+            calibration = dataclasses.replace(DEFAULT_CALIBRATION, **{name: scaled})
+            assert report._preload_break_even(calibration) == count, (name, factor)

@@ -236,7 +236,7 @@ def test_trace_shows_figure_2_1_flow():
     assert "hns" in categories      # FindNSM decision
     assert "nsm" in categories      # NSM native resolution
     assert "import" in categories   # the import wrapper
-    hns_messages = [r.message for r in env.trace.filter("hns")]
+    hns_messages = [r.message for r in env.trace.records if r.category == "hns"]
     assert any("FindNSM" in m for m in hns_messages)
     assert any("HRPCBinding-CH-hcs" in m for m in hns_messages)
     assert any("HRPCBinding-BIND-cs" in m for m in hns_messages)

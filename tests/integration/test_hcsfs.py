@@ -82,21 +82,6 @@ def test_cross_system_copy(fs_world):
     )
 
 
-def test_remove(fs_world):
-    testbed, fs, fiji_fs, dlion_fs = fs_world
-    env = testbed.env
-    run(env, fs.store(SRC_VOLUME, "tmp.o", b"x"))
-    run(env, fs.remove(SRC_VOLUME, "tmp.o"))
-    assert "tmp.o" not in fiji_fs.files_in("/projects/src")
-
-    def scenario():
-        with pytest.raises(FileServerError):
-            yield from fs.fetch(SRC_VOLUME, "tmp.o")
-        return "done"
-
-    assert run(env, scenario()) == "done"
-
-
 def test_binding_cache_avoids_repeat_resolution(fs_world):
     testbed, fs, fiji_fs, dlion_fs = fs_world
     env = testbed.env
@@ -105,9 +90,6 @@ def test_binding_cache_avoids_repeat_resolution(fs_world):
     run(env, fs.fetch(SRC_VOLUME, "hns/findnsm.c"))
     after = env.stats.counters().get("hns.find_nsm", 0)
     assert after == before  # served from the volume-binding cache
-    fs.invalidate(SRC_VOLUME)
-    run(env, fs.fetch(SRC_VOLUME, "hns/findnsm.c"))
-    assert env.stats.counters()["hns.find_nsm"] == after + 1
 
 
 def test_unknown_volume_surfaces(fs_world):
@@ -126,12 +108,8 @@ def test_unknown_volume_surfaces(fs_world):
 
 def test_fileserver_validation(fs_world):
     testbed, fs, fiji_fs, dlion_fs = fs_world
-    with pytest.raises(ValueError):
-        fiji_fs.create_volume("")
     with pytest.raises(FileServerError):
         fiji_fs.files_in("/nope")
-    fiji_fs.create_volume("/extra")
-    assert fiji_fs.files_in("/extra") == {}
 
 
 def test_large_files_cost_more(fs_world):

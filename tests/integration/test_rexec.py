@@ -6,7 +6,7 @@ from repro.core import HNSName, NsmStub
 from repro.core.import_call import HrpcImporter, LocalFinder
 from repro.core.nsms import BindBindingNSM, ClearinghouseBindingNSM
 from repro.hrpc import HrpcRuntime
-from repro.rexec import JOB_CATALOGUE, REXEC_PROGRAM, RexecError, RexecServer
+from repro.rexec import REXEC_PROGRAM, RexecError, RexecServer
 from repro.rexec.client import RemoteExecutor
 from repro.workloads import build_testbed
 
@@ -76,18 +76,6 @@ def test_job_on_xerox_host_same_client_code(rexec_world):
     reply = run(testbed.env, executor.run_on(DLION, "checksum", b"hcs"))
     assert reply["host"] == "dlion"
     assert len(reply["result"]["sha256"]) == 64
-
-
-def test_sort_job(rexec_world):
-    testbed, executor, workers = rexec_world
-    reply = run(testbed.env, executor.run_on(FIJI, "sort", b"b\na\nc"))
-    assert reply["result"]["sorted"] == ["a", "b", "c"]
-
-
-def test_catalogue(rexec_world):
-    testbed, executor, workers = rexec_world
-    names = run(testbed.env, executor.catalogue(FIJI))
-    assert names == sorted(JOB_CATALOGUE)
 
 
 def test_unknown_job_raises(rexec_world):

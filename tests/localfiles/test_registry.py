@@ -26,17 +26,6 @@ def test_entry_line_format():
     assert e.size_bytes == len(e.line()) + 1
 
 
-def test_install_and_withdraw(world):
-    env, net, a, b = world
-    f = LocalBindingFile(a)
-    f.install(entry())
-    assert len(f) == 1
-    assert f.version == 1
-    assert f.withdraw("svc", "h1")
-    assert not f.withdraw("svc", "h1")
-    assert len(f) == 0
-
-
 def test_lookup_charges_disk_and_parse(world):
     env, net, a, b = world
     f = LocalBindingFile(a)
@@ -64,21 +53,11 @@ def test_lookup_missing_raises_after_scan(world):
     assert when > 30  # the scan happened anyway
 
 
-def test_replicator_file_on(world):
-    env, net, a, b = world
-    fa, fb = LocalBindingFile(a), LocalBindingFile(b)
-    rep = Replicator(net, None, [fa, fb])
-    assert rep.file_on(a) is fa
-    assert rep.file_on(b) is fb
-    c = net.add_host("c")
-    assert rep.file_on(c) is None
-
-
 def test_publish_reaches_remote_replica(world):
     env, net, a, b = world
     fa, fb = LocalBindingFile(a), LocalBindingFile(b)
     rep = Replicator(net, None, [fa, fb])
     updated = env.run(until=env.process(rep.publish(a, entry())))
     assert updated == 2
-    assert len(fa) == 1 and len(fb) == 1
+    assert fa.version == 1 and fb.version == 1
     assert env.now > 0  # network + disk time was charged

@@ -11,7 +11,6 @@ def test_valid_address_roundtrip():
     addr = NetworkAddress("128.95.1.4")
     assert str(addr) == "128.95.1.4"
     assert addr.octets == (128, 95, 1, 4)
-    assert addr.network == (128, 95, 1)
 
 
 @pytest.mark.parametrize(

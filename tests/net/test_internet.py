@@ -24,8 +24,7 @@ def test_add_host_auto_creates_segment():
     net = Internetwork(env)
     host = net.add_host("alpha")
     assert net.segments
-    assert net.host_named("alpha") is host
-    assert net.host_at(host.address) is host
+    assert net.segment_of(host.address) is net.segments[0]
 
 
 def test_duplicate_host_name_rejected():
@@ -57,7 +56,7 @@ def test_route_within_segment_has_no_gateway_cost():
     seg = net.add_segment(latency=ConstantLatency(2.0))
     a = net.add_host("a", seg)
     b = net.add_host("b", seg)
-    assert net.path_delay(a.address, b.address, 0) == 2.0
+    assert net.hop(a.address, b.address, 0, lossy=False)[1] == 2.0
 
 
 def test_route_across_segments_pays_gateway_hop():
@@ -67,7 +66,7 @@ def test_route_across_segments_pays_gateway_hop():
     seg2 = net.add_segment(latency=ConstantLatency(3.0))
     a = net.add_host("a", seg1)
     b = net.add_host("b", seg2)
-    assert net.path_delay(a.address, b.address, 0) == 5.0 + internet.GATEWAY_HOP_MS
+    assert net.hop(a.address, b.address, 0, lossy=False)[1] == 5.0 + internet.GATEWAY_HOP_MS
 
 
 def test_no_route_to_unknown_address():
@@ -75,7 +74,7 @@ def test_no_route_to_unknown_address():
     net = Internetwork(env)
     a = net.add_host("a")
     with pytest.raises(NoRouteToHost):
-        net.path_delay(a.address, NetworkAddress("1.2.3.4"), 0)
+        net.hop(a.address, NetworkAddress("1.2.3.4"), 0)
 
 
 def test_cross_segment_request_roundtrip(monkeypatch):
@@ -99,13 +98,4 @@ def test_cross_segment_request_roundtrip(monkeypatch):
     assert reply == "ok"
     assert when == 28.0  # (2+2+10) each way
     assert sink.got == ["cross"]
-
-
-def test_same_host_detection():
-    env = Environment()
-    net = Internetwork(env)
-    a = net.add_host("a")
-    b = net.add_host("b")
-    assert net.same_host(a.address, a.address)
-    assert not net.same_host(a.address, b.address)
 

@@ -48,7 +48,6 @@ def test_partition_rejects_double_assignment(world):
 def test_rule_fires_only_across_sides(world):
     env, seg, hosts, udp = world
     seg.partition(hosts[:2], hosts[2:])
-    assert seg.partitioned
     assert seg.crosses_partition(hosts[0].address, hosts[2].address)
     assert not seg.crosses_partition(hosts[0].address, hosts[1].address)
     assert seg.would_drop(hosts[0].address, hosts[3].address)
@@ -67,7 +66,6 @@ def test_heal_restores_the_segment(world):
     env, seg, hosts, udp = world
     seg.partition(hosts[:2], hosts[2:])
     seg.heal()
-    assert not seg.partitioned
     assert not seg.would_drop(hosts[0].address, hosts[2].address)
 
 

@@ -48,7 +48,7 @@ def test_span_records_simulated_times_attrs_and_status():
     assert span.start_ms == 0.0
     assert span.end_ms == 5.0
     assert span.duration_ms == 5.0
-    assert span.finished
+    assert span.end_ms is not None
     assert span.attrs == {"kind": "test", "outcome": "done"}
     assert span.status == "ok" and span.error == ""
     assert span.parent_id is None
@@ -107,7 +107,7 @@ def test_exception_marks_the_span_as_error_and_still_records():
     (span,) = env.obs.spans
     assert span.status == "error"
     assert span.error == "ValueError"
-    assert span.finished
+    assert span.end_ms is not None
 
 
 def test_current_returns_the_innermost_open_span():

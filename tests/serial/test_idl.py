@@ -82,9 +82,3 @@ def test_optional_accepts_none():
     t.validate(7)
     with pytest.raises(IdlError):
         t.validate("x")
-
-
-def test_describe_strings():
-    t = StructType("S", [("xs", ArrayType(OptionalType(StringType(10))))])
-    d = t.describe()
-    assert "struct S" in d and "array<optional<string<10>>>" in d

@@ -115,7 +115,3 @@ def test_tracer_disabled_by_default():
     rec = env.trace.records[0]
     assert rec.category == "cat" and rec.data == {"key": 1}
     assert "cat" in str(rec)
-    assert env.trace.filter("cat") == [rec]
-    assert env.trace.filter("other") == []
-    env.trace.clear()
-    assert env.trace.records == []

@@ -101,9 +101,9 @@ def test_histogram_still_counts_negative_values():
 
 def test_histogram_bucket_index():
     h = Histogram("lat", [10, 20])
-    assert h.bucket_index(10) == 0
-    assert h.bucket_index(10.1) == 1
-    assert h.bucket_index(21) == 2  # overflow
+    assert h.record(10) == 0
+    assert h.record(10.1) == 1
+    assert h.record(21) == 2  # overflow
 
 
 # ----------------------------------------------------------------------

@@ -43,7 +43,7 @@ def test_histogram_bucket_index_matches_linear_scan():
     probes = [0.0, 1.0, 1.5, 5.0, 624.9, 625.0, 10_000.0]
     probes += [rng.random() * 700 for _ in range(200)]
     for value in probes:
-        assert hist.bucket_index(value) == linear(value)
+        assert hist.record(value) == linear(value)
 
 
 def test_registry_memoizes_by_name():

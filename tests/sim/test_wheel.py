@@ -51,7 +51,7 @@ def test_random_schedule_pops_identically(seed):
             [0.0, rng.random(), rng.random() * 250, rng.random() * 3_000,
              rng.random() * 900_000]
         )
-        queue.push(now + delay, eid, STUB)
+        queue.heappush((now + delay, eid, STUB))
         pending.append((now + delay, eid))
         eid += 1
         if rng.random() < 0.3:
@@ -72,7 +72,7 @@ def test_random_schedule_peeks_identically(seed):
     now = 0.0
     for eid in range(300):
         delay = rng.random() * rng.choice([1.0, 100.0, 500_000.0])
-        queue.push(now + delay, eid, STUB)
+        queue.heappush((now + delay, eid, STUB))
         pending.append((now + delay, eid))
         assert queue.peek() == min(pending)[0]
         if rng.random() < 0.4:
@@ -86,7 +86,7 @@ def test_random_schedule_peeks_identically(seed):
 def test_same_time_entries_pop_fifo():
     queue = HeapQueue()
     for eid in range(20):
-        queue.push(7.5, eid, STUB)
+        queue.heappush((7.5, eid, STUB))
     assert _drain_order(queue) == [(7.5, eid) for eid in range(20)]
 
 

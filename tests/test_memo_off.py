@@ -41,12 +41,12 @@ from repro.bind import (
     UpdateOp,
     Zone,
 )
-from repro.harness.ablation import AblationStudy, strip_wall_clock, study_payload
+from repro.harness.ablation import WALL_CLOCK_FIELDS, AblationStudy, study_payload
 from repro.harness.calibration import DEFAULT_CALIBRATION as CAL
 from repro.harness.grids import GRIDS
 from repro.net import DatagramTransport, Internetwork
 from repro.sim import ConstantLatency, Environment
-from repro.workloads.scenarios import iter_scenarios
+from repro.workloads.scenarios import SCENARIOS
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 NAME = "x.ctx.hns"
@@ -100,14 +100,13 @@ def digest(lines: typing.List[str]) -> str:
 def digests() -> typing.Dict[str, str]:
     """Run name -> its :func:`digest`, in this process."""
     out = {}
-    for name, builder in iter_scenarios():
+    for name, builder in sorted(SCENARIOS.items()):
         out[f"scenario {name}"] = digest(run_lines(builder(0)))
     for grid, definition in sorted(GRIDS.items()):
         study = AblationStudy(definition, smoke=True)
         for row in study_payload(study, study.execute(study.expand()), 0.0)["runs"]:
-            out[f"grid {grid} {row['key']}"] = digest(
-                [json.dumps(strip_wall_clock(row), sort_keys=True)]
-            )
+            kept = {key: value for key, value in row.items() if key not in WALL_CLOCK_FIELDS}
+            out[f"grid {grid} {row['key']}"] = digest([json.dumps(kept, sort_keys=True)])
     out["two rtypes"] = digest(run_lines(two_rtypes()))
     return out
 

@@ -18,24 +18,33 @@ def test_zipf_validation():
         ZipfDistribution(5, s=-1)
 
 
+def probabilities(z):
+    """P(rank) for each rank, read off the sampler's cumulative table."""
+    edges = [0.0, *z._cumulative]
+    return [b - a for a, b in zip(edges, edges[1:])]
+
+
+def unique_fraction(events):
+    """Fraction of distinct (name, query class) pairs: cold misses."""
+    return len({(str(e.hns_name), e.query_class) for e in events}) / len(events)
+
+
 def test_zipf_probabilities_sum_to_one():
     z = ZipfDistribution(10, s=1.2)
-    assert sum(z.probability(r) for r in range(10)) == pytest.approx(1.0)
-    with pytest.raises(ValueError):
-        z.probability(10)
+    assert len(probabilities(z)) == 10
+    assert sum(probabilities(z)) == pytest.approx(1.0)
 
 
 def test_zipf_rank_zero_most_popular():
     z = ZipfDistribution(20, s=1.0)
-    probs = [z.probability(r) for r in range(20)]
+    probs = probabilities(z)
     assert probs == sorted(probs, reverse=True)
     assert probs[0] > 3 * probs[9]
 
 
 def test_zipf_s_zero_is_uniform():
     z = ZipfDistribution(4, s=0.0)
-    for r in range(4):
-        assert z.probability(r) == pytest.approx(0.25)
+    assert probabilities(z) == pytest.approx([0.25] * 4)
 
 
 def test_zipf_sampling_matches_distribution():
@@ -46,14 +55,6 @@ def test_zipf_sampling_matches_distribution():
     for _ in range(5000):
         counts[z.sample(rng)] += 1
     assert counts[0] > counts[1] > counts[4]
-
-
-def test_zipf_choose():
-    env = Environment(seed=4)
-    z = ZipfDistribution(3)
-    assert z.choose(env.rng.stream("c"), ["a", "b", "c"]) in {"a", "b", "c"}
-    with pytest.raises(ValueError):
-        z.choose(env.rng.stream("c"), ["a"])
 
 
 @given(st.integers(min_value=1, max_value=50), st.floats(min_value=0, max_value=3))
@@ -111,14 +112,11 @@ def test_workload_locality():
     env = Environment(seed=3)
     wl = QueryWorkload(env, population(20), zipf_s=1.5)
     events = wl.generate(200)
-    assert wl.unique_fraction(events) < 0.2
-    assert wl.unique_fraction([]) == 0.0
+    assert unique_fraction(events) < 0.2
 
 
 def test_uniform_workload_has_higher_unique_fraction():
     env = Environment(seed=3)
     local = QueryWorkload(env, population(50), zipf_s=1.5, stream="a")
     uniform = QueryWorkload(env, population(50), zipf_s=0.0, stream="b")
-    assert uniform.unique_fraction(uniform.generate(100)) > local.unique_fraction(
-        local.generate(100)
-    )
+    assert unique_fraction(uniform.generate(100)) > unique_fraction(local.generate(100))

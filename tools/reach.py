@@ -75,7 +75,7 @@ TESTS = PYTEST + ["--rootdir", str(ROOT), "-c", str(ROOT / "pyproject.toml"), st
 
 def surfaces(tmp: str) -> dict:
     """Product surface -> argv, in run order."""
-    cli = [PY, "-m", "repro.cli"]
+    cli, check = [PY, "-m", "repro.cli"], [PY, "-m", "repro.analysis", "src/repro"]
     trace = cli + ["trace", "PrintService", "CH-hcs::dlion:hcs:uw"]
     runs = {"scenarios": [PY, "-c", SCENARIOS]}
     runs.update((f"example {p.stem}", [PY, str(p)]) for p in sorted(ROOT.glob("examples/*.py")))
@@ -87,8 +87,8 @@ def surfaces(tmp: str) -> dict:
             "cli table31": cli + ["table31"], "cli list": cli + ["list"], "cli trace": trace,
             "cli trace --json": trace + ["--json", f"{tmp}/spans.json"],
             "cli trace --perfetto": trace + ["--perfetto", f"{tmp}/trace.json"],
-            "report": [PY, "-m", "repro.harness.report"],
-            "check": [PY, "-m", "repro.analysis", "src/repro", "--scenarios"]}
+            "report": [PY, "-m", "repro.harness.report"], "lint": check,
+            "check": check + ["--scenarios", "--format", "json"]}  # as CI runs it
 
 
 def trace(argv: list, tmp: str, cwd: pathlib.Path = ROOT) -> dict:
