@@ -12,8 +12,8 @@ Either style can run with no cache, a marshalled cache, or a
 demarshalled cache — the three columns of Table 3.2.
 
 This class is a read path only: cache probe → coalesce
-(:mod:`repro.singleflight`) → retry rounds over a per-round replica
-exchange → serve-stale.  Writes and transfers go to the primary alone,
+(:mod:`repro.singleflight`) → one exchange with the replica set →
+serve-stale.  Writes and transfers go to the primary alone,
 through :class:`~repro.bind.primary.PrimaryClient` (``resolver.primary``),
 and what a transfer brings back is written into a cache by
 :class:`~repro.bind.primary.CacheInstaller`.
@@ -47,7 +47,7 @@ from repro.net.errors import NetworkError, is_transient
 from repro.net.host import Host
 from repro.net.transport import Transport
 from repro.obs.span import NULL_SPAN
-from repro.resolution import PolicySet, backoff_ms
+from repro.resolution import PolicySet
 from repro.serial import Encoded, HandcodedMarshaller, StubCompiler
 from repro.singleflight import SingleFlight
 
@@ -120,7 +120,7 @@ class BindResolver:
             else self._nothing_stale
         )
         self._scheduler: typing.Optional[ReplicaScheduler] = None
-        #: what one retry round does against the replica set
+        #: what one read does against the replica set
         self._exchange = self._ordered_exchange
         if policies.replica.enabled:
             self._scheduler = ReplicaScheduler(
@@ -348,9 +348,9 @@ class BindResolver:
                     request, value, self._hand_request, background
                 )
             except NetworkError as err:
-                # Degradation ladder, rung 3: every replica unreachable and
-                # retries exhausted — serve an expired entry if one is still
-                # within the stale window.
+                # Degradation ladder, last rung: every replica unreachable
+                # — serve an expired entry if one is still within the
+                # stale window.
                 stale = yield from self._serve_stale(key, err)
                 if stale is None:
                     raise
@@ -419,50 +419,25 @@ class BindResolver:
         marshaller: typing.Any,
         background: bool = False,
     ) -> typing.Generator:
-        """One read request against the replica set, with retry rounds;
-        ``value`` is what ``marshaller`` encodes for ``request``.
+        """One read request against the replica set; ``value`` is what
+        ``marshaller`` encodes for ``request``.
 
-        The per-call control overhead and the request marshalling are
-        paid once, before the first round.  One *round* is one exchange with the replica set — the
-        prototype's static primary-then-secondaries walk, or, with an
-        enabled :class:`~repro.resolution.ReplicaPolicy`, the
-        replica-aware hedged exchange (picked once, in the
-        constructor).  With a :class:`~repro.resolution.ResolutionPolicy`,
-        transiently failed rounds repeat up to ``attempts`` times with
-        jittered exponential backoff between rounds.  Raises the last
-        network error if all rounds fail.
+        Pays the per-call control overhead and the request marshalling,
+        then runs one exchange with the replica set — the prototype's
+        static primary-then-secondaries walk, or, with an enabled
+        :class:`~repro.resolution.ReplicaPolicy`, the replica-aware
+        hedged exchange (picked once, in the constructor).  Raises the
+        last network error if every replica failed; the caller's next
+        rung is serve-stale.
         """
         if self.per_call_overhead_ms:
             yield charge(self.host, self.per_call_overhead_ms, background)
         request_bytes, marshal_cost = marshaller.encode(value)
         yield charge(self.host, marshal_cost, background)
-        last_error: typing.Optional[Exception] = None
-        obs = self.env.obs
-        for round_index in range(self.policies.resolution.attempts):
-            if round_index:
-                self.env.stats.counter(f"bind.{self.name}.retries").increment()
-                yield self.env.timeout(
-                    backoff_ms(
-                        round_index - 1,
-                        self.env.rng.stream(f"bind.backoff:{self.name}"),
-                    )
-                )
-            with (
-                obs.span("bind.round", round=round_index) if obs.enabled else NULL_SPAN
-            ) as rspan:
-                try:
-                    reply = yield from self._exchange(request, len(request_bytes))
-                    return reply
-                except NetworkError as err:
-                    rspan.set(error_type=type(err).__name__)
-                    last_error = err
-                    if not is_transient(err):
-                        raise
-        assert last_error is not None
-        raise last_error
+        return (yield from self._exchange(request, len(request_bytes)))
 
     def _ordered_exchange(self, payload: object, size_bytes: int) -> typing.Generator:
-        """One round of static failover: the primary, then each secondary.
+        """Static failover: the primary, then each secondary.
 
         A plain in-process walk — unlike the hedged exchange it spawns
         no leg processes.  Raises the last leg's network error when
@@ -491,7 +466,7 @@ class BindResolver:
         raise last_error
 
     def _hedged_exchange(self, payload: object, size_bytes: int) -> typing.Generator:
-        """One round against the replica set, with hedging.
+        """One exchange with the replica set, with hedging.
 
         The scheduler's best replica is tried first.  If no answer has
         arrived after the hedge delay (a quantile of recent latencies),
@@ -640,7 +615,7 @@ class BindResolver:
                 request, request, self._hand_batch_request
             )
         except NetworkError as err:
-            # The same rung 3 as a single lookup, one question at a time.
+            # The same serve-stale rung as a lookup, one question at a time.
             answers = yield from self._stale_answers(questions, err)
             if answers is None:
                 raise

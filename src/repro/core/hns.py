@@ -41,7 +41,7 @@ from repro.bind.errors import NameNotFound
 from repro.bind.resolver import cache_key
 from repro.bind.rr import RRType
 from repro.obs.span import NULL_SPAN
-from repro.resolution import PolicySet, retrying
+from repro.resolution import PolicySet
 from repro.sim.events import Event
 
 if typing.TYPE_CHECKING:  # pragma: no cover
@@ -96,9 +96,8 @@ class HNS:
         self.env = metastore.env
         self.calibration = calibration
         # Inherit the metastore's PolicySet unless given one, so one
-        # bundle configures the whole stack.  ``resolution`` here covers
-        # FindNSM itself (host resolution retries); the meta lookups
-        # carry the metastore's own.
+        # bundle configures the whole stack.  FindNSM reads only its
+        # ``fast_path``; the meta lookups carry the metastore's own.
         if policies is None:
             policies = metastore.policies
         self.policies = policies
@@ -197,7 +196,7 @@ class HNS:
             # be used — the six-mapping cost structure of the paper's
             # measurements.
             if not self._batched:
-                address = yield from self._resolve_nsm_host_retried(record)
+                address = yield from self._resolve_nsm_host(record)
             else:
                 # The batched path reads the host's meta address record
                 # (what preloading warms) in this frame, in the hit idiom
@@ -246,7 +245,7 @@ class HNS:
                     except NameNotFound:
                         host_span.set(fallback=True)
                         env.stats.counter("hns.fast_path.addr_fallbacks").increment()
-                        address = yield from self._resolve_nsm_host_retried(record)
+                        address = yield from self._resolve_nsm_host(record)
             binding = remote_binding(address, record, nsm_name, ns_name)
             local = self._local_nsms.get(nsm_name)
             if local is not None:
@@ -271,18 +270,6 @@ class HNS:
         # Mapping 3: NSM name -> NSM binding information.
         record = yield from self.metastore.nsm_record(nsm_name)
         return ns_name, nsm_name, record
-
-    def _resolve_nsm_host_retried(self, record: NsmRecord) -> HostResolveCall:
-        """Mappings 4-6 retried as a unit: the native HostAddress lookup
-        is the one remote call here that the meta resolver's policy
-        cannot cover."""
-        return retrying(
-            self.env,
-            self.policies.resolution,
-            lambda _attempt: self._resolve_nsm_host(record),
-            rng_stream="hns.backoff",
-            stat="hns.find_nsm.retries",
-        )
 
     def _resolve_nsm_host(self, record: NsmRecord) -> HostResolveCall:
         """Mappings 4-6: host name -> network address.

@@ -10,8 +10,11 @@ call that returns a ready-to-use :class:`HRPCBinding`.
 Importers are built with :meth:`HrpcImporter.direct` (the two-step
 protocol runs in this process) or :meth:`HrpcImporter.via_agent` (both
 steps delegated to a remote agent — Table 3.1 row 2).  Either mode
-consults a :class:`~repro.resolution.ResolutionPolicy`: transient
-transport failures are retried with jittered backoff.
+tries the whole Import up to ``ResolutionPolicy.attempts`` times, with
+jittered backoff after a transient failure.  No layer under it retries:
+an HRPC call is one transport exchange and a meta read is one exchange
+with the replica set, each transport absorbing datagram loss with its
+own tries.
 """
 
 from __future__ import annotations
@@ -25,9 +28,10 @@ from repro.core.nsm import NsmResult, NsmStub
 from repro.harness.calibration import Calibration, DEFAULT_CALIBRATION
 from repro.hrpc.binding import HRPCBinding
 from repro.hrpc.runtime import HrpcRuntime
+from repro.net.errors import is_transient
 from repro.net.host import Host
 from repro.obs.span import NULL_SPAN
-from repro.resolution import DEFAULT_RESOLUTION_POLICY, ResolutionPolicy, retrying
+from repro.resolution import DEFAULT_RESOLUTION_POLICY, ResolutionPolicy, backoff_ms
 from repro.sim.events import Event
 
 BINDING_QC = "HRPCBinding"
@@ -35,6 +39,9 @@ BINDING_QC = "HRPCBinding"
 #: An ``Import`` in flight: a simulation process generator returning
 #: the ready-to-use binding for the requested service.
 ImportCall = typing.Generator[Event, typing.Any, HRPCBinding]
+
+#: the named RNG stream an Import's backoff delays are drawn from
+BACKOFF_STREAM = "hrpc.import.backoff"
 
 
 class LocalFinder:
@@ -51,15 +58,9 @@ class LocalFinder:
 class RemoteFinder:
     """FindNSM via an HRPC call to a remote HNS service."""
 
-    def __init__(
-        self,
-        runtime: HrpcRuntime,
-        hns_binding: HRPCBinding,
-        policy: ResolutionPolicy = DEFAULT_RESOLUTION_POLICY,
-    ):
+    def __init__(self, runtime: HrpcRuntime, hns_binding: HRPCBinding):
         self.runtime = runtime
         self.hns_binding = hns_binding
-        self.policy = policy
 
     def find(self, hns_name: HNSName, query_class: str) -> FindNsmCall:
         """Call the remote HNS service's ``FindNSM`` procedure."""
@@ -69,7 +70,6 @@ class RemoteFinder:
             str(hns_name),
             query_class,
             arg_size_bytes=hns_name.wire_size() + 32,
-            policy=self.policy,
         )
 
 
@@ -142,8 +142,9 @@ class HrpcImporter:
         """An importer delegating both steps to a remote agent.
 
         "a single process remote from the client acted as the client's
-        agent" — the client pays one HRPC call; the agent's own HNS and
-        NSM stacks handle (and fault-tolerate) the rest.
+        agent" — the client pays one HRPC call per try; the agent's own
+        HNS and NSM stacks run the rest, and a transient failure there
+        comes back to be tried again here.
         """
         importer = cls(client_host, calibration=calibration, policy=policy)
         importer.agent_binding = agent_binding
@@ -181,26 +182,9 @@ class HrpcImporter:
             yield self.client_host.cpu.compute(
                 self.calibration.import_fixed_ms
             )
-            if self.agent_binding is not None:
-                # One HRPC call to the agent, retried by the runtime.
-                assert self.runtime is not None
-                binding = yield from self.runtime.call(
-                    self.agent_binding,
-                    "Import",
-                    service_name,
-                    str(hns_name),
-                    arg_size_bytes=hns_name.wire_size() + len(service_name) + 32,
-                    policy=self.policy,
-                )
-            else:
-                # FindNSM + NSM call, retried as a unit.
-                binding = yield from retrying(
-                    env,
-                    self.policy,
-                    lambda _attempt: self._direct_once(service_name, hns_name),
-                    rng_stream="hrpc.import.backoff",
-                    stat="hrpc.import_retries",
-                )
+            # One try: FindNSM + the NSM call, or the one call to the agent.
+            once = self._direct_once if self.agent_binding is None else self._agent_once
+            binding = yield from self._tried(lambda: once(service_name, hns_name))
             if not isinstance(binding, HRPCBinding):
                 raise HnsError(f"Import produced a non-binding {binding!r}")
             if env.trace.enabled:
@@ -210,6 +194,34 @@ class HrpcImporter:
                 )
             return binding
 
+    def _tried(self, attempt: typing.Callable[[], ImportCall]) -> ImportCall:
+        """Drive ``attempt()`` up to ``policy.attempts`` times.
+
+        The resolution path's one retry loop.  ``attempt`` must return a
+        fresh generator per call (generators are single-use).  Only
+        failures :func:`~repro.net.errors.is_transient` accepts are tried
+        again, :func:`~repro.resolution.backoff_ms` later; anything else
+        — and the last try's failure — raises to the caller.
+        """
+        env = self.env
+        obs = env.obs
+        attempts = self.policy.attempts
+        for i in range(attempts):
+            try:
+                with (
+                    obs.span("resolution.attempt", attempt=i)
+                    if obs.enabled
+                    else NULL_SPAN
+                ):
+                    result = yield from attempt()
+                return result
+            except Exception as err:  # noqa: BLE001 - classified below
+                if i == attempts - 1 or not is_transient(err):
+                    raise
+                env.stats.counter("hrpc.import_retries").increment()
+                yield env.timeout(backoff_ms(i, env.rng.stream(BACKOFF_STREAM)))
+        raise AssertionError("unreachable")  # pragma: no cover
+
     def _direct_once(self, service_name: str, hns_name: HNSName) -> ImportCall:
         assert self.finder is not None and self.nsm_stub is not None
         nsm_binding = yield from self.finder.find(hns_name, BINDING_QC)
@@ -217,6 +229,16 @@ class HrpcImporter:
             nsm_binding, hns_name, service=service_name
         )
         return result_to_binding(result)
+
+    def _agent_once(self, service_name: str, hns_name: HNSName) -> ImportCall:
+        assert self.runtime is not None and self.agent_binding is not None
+        return self.runtime.call(
+            self.agent_binding,
+            "Import",
+            service_name,
+            str(hns_name),
+            arg_size_bytes=hns_name.wire_size() + len(service_name) + 32,
+        )
 
 
 def serve_agent(

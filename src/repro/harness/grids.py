@@ -216,7 +216,6 @@ def run_replica_scheduling(
     from repro.sim.latency import ConstantLatency
 
     lookups = 120 if smoke else 500
-    stall_ms = 400.0
     cal = DEFAULT_CALIBRATION
 
     env = Environment(seed=seed)
@@ -240,7 +239,6 @@ def run_replica_scheduling(
         hosts[0],
         zones=[make_zone()],
         lookup_cost_ms=cal.meta_bind_lookup_ms,
-        stall_ms=stall_ms,
         stall_probability=knobs["primary"],
     )
     replicas = [
@@ -650,18 +648,21 @@ GRIDS: typing.Dict[str, GridDef] = {
 }
 
 
+#: how long the flaky primary holds a stalled datagram: past the replica
+#: grid's 100 ms transport timeout
+STALL_MS = 400.0
+
+
 class _FlakyBindServer(_BindServer):
     """A BindServer that intermittently stalls past the client timeout."""
 
     def __init__(
         self,
         *args: typing.Any,
-        stall_ms: float = 0.0,
         stall_probability: float = 0.0,
         **kwargs: typing.Any,
     ) -> None:
         super().__init__(*args, **kwargs)
-        self.stall_ms = stall_ms
         self.stall_probability = stall_probability
         self._rng = self.env.rng.stream(f"harness.stall:{self.name}")
 
@@ -669,12 +670,12 @@ class _FlakyBindServer(_BindServer):
         self, datagram: typing.Any, responder: typing.Any
     ) -> typing.Any:
         """Serve one datagram, sometimes after the injected stall."""
-        if self.stall_ms and self._rng.random() < self.stall_probability:
+        if self._rng.random() < self.stall_probability:
             return self._stalled(datagram, responder)
         return super().handle(datagram, responder)
 
     def _stalled(self, datagram: typing.Any, responder: typing.Any) -> typing.Any:
-        yield self.env.timeout(self.stall_ms)
+        yield self.env.timeout(STALL_MS)
         handler = super().handle(datagram, responder)
         if handler is not None:
             yield from handler

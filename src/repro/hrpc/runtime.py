@@ -15,7 +15,6 @@ from repro.hrpc.binding import HRPCBinding
 from repro.hrpc.errors import HrpcError
 from repro.hrpc.server import RpcReply, RpcRequest
 from repro.hrpc.suites import suite_named
-from repro.net.errors import is_transient
 from repro.net.host import Host
 from repro.net.internet import Internetwork
 from repro.net.transport import (
@@ -25,7 +24,6 @@ from repro.net.transport import (
     Transport,
 )
 from repro.obs.span import NULL_SPAN
-from repro.resolution import ResolutionPolicy, backoff_ms
 
 
 class HrpcRuntime:
@@ -53,7 +51,6 @@ class HrpcRuntime:
         *args: object,
         arg_size_bytes: int = 128,
         timeout_ms: typing.Optional[float] = None,
-        policy: ResolutionPolicy = ResolutionPolicy.disabled(),
     ) -> typing.Generator:
         """Invoke ``procedure`` on the program the binding points at.
 
@@ -62,12 +59,11 @@ class HrpcRuntime:
         control cost), and control protocol all come from the suite.
         Remote exceptions re-raise in the caller.
 
-        With a :class:`ResolutionPolicy`, transport-level failures that
-        :func:`~repro.net.errors.is_transient` accepts (timeout, crashed
-        host, refused connection) are retried with jittered exponential
-        backoff.  A :class:`RemoteCallError` — the remote service itself
-        raising — means the call was delivered and answered, so it is
-        re-raised as the remote exception and never retried.
+        One call is one transport exchange; the transport's own tries
+        absorb datagram loss, and a failure that outlasts them raises
+        to the caller (the importer is the layer that tries again).  A
+        :class:`RemoteCallError` — the remote service itself raising —
+        re-raises as the remote exception.
         """
         suite = suite_named(binding.suite)
         transport = self.transport_named(suite.transport)
@@ -91,40 +87,19 @@ class HrpcRuntime:
                 suite=binding.suite,
                 arg_size_bytes=arg_size_bytes,
             )
-            attempts = policy.attempts
             self.env.stats.counter(f"hrpc.calls.{binding.suite}").increment()
-            for attempt in range(attempts):
-                if attempt:
-                    self.env.stats.counter("hrpc.retries").increment()
-                    yield self.env.timeout(
-                        backoff_ms(attempt - 1, self.env.rng.stream("hrpc.backoff"))
-                    )
-                with (
-                    obs.span("hrpc.attempt", attempt=attempt) if obs.enabled else NULL_SPAN
-                ) as aspan:
-                    try:
-                        reply = yield transport.request(
-                            self.host,
-                            binding.endpoint,
-                            request,
-                            arg_size_bytes,
-                            timeout_ms=timeout_ms,
-                        )
-                    except RemoteCallError as err:
-                        # Surface the remote exception as if raised
-                        # locally, which is what an RPC control protocol's
-                        # error path does.  Never retried: the call
-                        # reached the service.
-                        raise err.remote_exception from err
-                    except Exception as err:  # noqa: BLE001 - classified below
-                        if attempt == attempts - 1 or not is_transient(err):
-                            raise
-                        aspan.set(
-                            outcome="retried",
-                            error_type=type(err).__name__,
-                        )
-                        continue
-                if not isinstance(reply, RpcReply):
-                    raise HrpcError(f"malformed reply {reply!r}")
-                return reply.result
-            raise AssertionError("unreachable")  # pragma: no cover
+            try:
+                reply = yield transport.request(
+                    self.host,
+                    binding.endpoint,
+                    request,
+                    arg_size_bytes,
+                    timeout_ms=timeout_ms,
+                )
+            except RemoteCallError as err:
+                # Surface the remote exception as if raised locally,
+                # which is what an RPC control protocol's error path does.
+                raise err.remote_exception from err
+            if not isinstance(reply, RpcReply):
+                raise HrpcError(f"malformed reply {reply!r}")
+            return reply.result

@@ -3,26 +3,27 @@
 The paper leans on replicated meta-storage ("a modified BIND") and
 specialized caching for availability, but says little about what a
 client should *do* when a lookup fails mid-flight.  This module is that
-missing layer: one declarative policy object that every stage of the
-resolution path (the meta resolver, ``FindNSM``, ``Import``, the HRPC
-runtime) consults to decide
+missing layer: one declarative policy object that decides
 
-- how many times to try a remote call, and how long to back off
-  between attempts (a fixed exponential ladder, :func:`backoff_ms`,
-  jittered from the simulation's named RNG streams so runs stay
-  deterministic),
-- whether to cache negative (NXDOMAIN) answers and for how long, and
-- whether to serve *stale* cached data when the authoritative server is
+- how many times an ``Import`` is tried, and how long to back off
+  between tries (a fixed exponential ladder, :func:`backoff_ms`,
+  jittered from a named RNG stream so runs stay deterministic) — read
+  by :class:`~repro.core.import_call.HrpcImporter` alone, the one layer
+  that retries,
+- whether the meta resolver caches negative (NXDOMAIN) answers and for
+  how long, and
+- whether it serves *stale* cached data when every replica is
   unreachable, and for how long past expiry.
 
-The degradation ladder is: fresh cache hit -> retry with backoff ->
-stale cache hit -> the error.  Each knob earns its place in the
-``resolution`` grid (:mod:`repro.harness.grids`) under the fault it
-exists for; every rung is observable in the stats registry
-(``*.retries``, ``*.negative_hits``, ``*.stale_hits``).
+A meta read's ladder is: fresh cache hit -> one exchange with the
+replica set -> stale cache hit -> the error, and the Import around it
+tries again.  Each knob earns its place in the ``resolution`` grid
+(:mod:`repro.harness.grids`) under the fault it exists for; every rung
+is observable in the stats registry (``hrpc.import_retries``,
+``*.negative_hits``, ``*.stale_hits``).
 
-The module sits below :mod:`repro.bind`, :mod:`repro.hrpc`, and
-:mod:`repro.core` in the dependency order so all of them can share it.
+The module sits below :mod:`repro.bind` and :mod:`repro.core` in the
+dependency order so both can share it.
 
 Its sibling :class:`FastPathPolicy` governs the *performance* side of
 the same path: single-flight coalescing of identical in-flight lookups,
@@ -36,11 +37,6 @@ from __future__ import annotations
 
 import dataclasses
 import random
-import typing
-
-from repro.net.errors import is_transient
-from repro.obs.span import NULL_SPAN
-from repro.sim.kernel import Environment
 
 
 @dataclasses.dataclass(frozen=True)
@@ -48,16 +44,15 @@ class ResolutionPolicy:
     """Declarative fault-tolerance knobs for the whole resolution path.
 
     One instance is typically shared by a :class:`~repro.core.metastore.
-    MetaStore`, its :class:`~repro.core.hns.HNS`, and the
-    :class:`~repro.core.import_call.HrpcImporter` built on top, so the
-    layers degrade coherently.
+    MetaStore` (whose resolver reads the two cache knobs) and the
+    :class:`~repro.core.import_call.HrpcImporter` built on top (which
+    reads ``attempts``), so the layers degrade coherently.
     """
 
-    #: tries per operation at each layer that retries (1 = no retry),
-    #: :func:`backoff_ms` apart.  Four layers apply it, nested: the
-    #: importer, the HNS's host-address step, the meta resolver's rounds
-    #: and each HRPC call, and each of their tries is up to four
-    #: transport tries, so one failing Import can send dozens of datagrams
+    #: tries per Import (1 = no retry), :func:`backoff_ms` apart.  Only
+    #: the importer reads it; each try's datagrams are the transport's
+    #: own tries, so a failing Import sends ``attempts`` times what one
+    #: try sends
     attempts: int = 4
     #: TTL for cached NXDOMAIN answers (0 disables negative caching)
     negative_ttl_ms: float = 30_000.0
@@ -180,9 +175,10 @@ class ReplicaPolicy:
       distribution, the same question is re-issued once to the
       next-best replica; the first answer wins and the loser's result is
       discarded.  Hedging composes with single-flight coalescing (only
-      the coalescing leader ever hedges) and with the
-      :class:`ResolutionPolicy` retry ladder (each retry round hedges
-      independently).
+      the coalescing leader ever hedges) and applies within one
+      exchange with the replica set; a failed exchange goes to the
+      :class:`ResolutionPolicy` serve-stale rung, and the Import's next
+      try hedges afresh.
 
     Reads only: a cache preload is one AXFR either way, and the
     incremental transfers a NOTIFY push triggers follow
@@ -365,40 +361,3 @@ class PolicySet:
         tolerance on, the opt-in mechanisms (fast path, replica
         scheduling, write pipeline) off."""
         return cls(resolution=DEFAULT_RESOLUTION_POLICY)
-
-
-def retrying(
-    env: Environment,
-    policy: ResolutionPolicy,
-    attempt: typing.Callable[[int], typing.Generator],
-    classify: typing.Callable[[BaseException], bool] = is_transient,
-    rng_stream: str = "resolution.backoff",
-    stat: str = "",
-) -> typing.Generator:
-    """Drive ``attempt(i)`` up to ``policy.attempts`` times.
-
-    ``attempt`` must return a *fresh* generator per call (generators are
-    single-use).  Only exceptions ``classify`` deems transient are
-    retried; everything else — and the final exhausted attempt — raises
-    to the caller.  Backoff delays are simulated time, jittered from the
-    ``rng_stream`` named stream.  ``stat``, if given, names a counter
-    incremented once per retry.
-    """
-    attempts = policy.attempts
-    obs = env.obs
-    for i in range(attempts):
-        try:
-            with (
-                obs.span("resolution.attempt", op=rng_stream, attempt=i)
-                if obs.enabled
-                else NULL_SPAN
-            ):
-                result = yield from attempt(i)
-            return result
-        except Exception as err:  # noqa: BLE001 - classified below
-            if i == attempts - 1 or not classify(err):
-                raise
-            if stat:
-                env.stats.counter(stat).increment()
-            yield env.timeout(backoff_ms(i, env.rng.stream(rng_stream)))
-    raise AssertionError("unreachable")  # pragma: no cover

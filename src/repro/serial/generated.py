@@ -67,14 +67,6 @@ class MarshalCost:
             + PER_BYTE_MS * self.bytes_processed
         )
 
-    def merge(self, other: "MarshalCost") -> "MarshalCost":
-        return MarshalCost(
-            self.proc_calls + other.proc_calls,
-            self.indirect_calls + other.indirect_calls,
-            self.allocations + other.allocations,
-            self.bytes_processed + other.bytes_processed,
-        )
-
 
 @memoised
 def _encoded(marshaller: "Marshaller", key: tuple) -> typing.List[typing.Tuple[bytes, float]]:

@@ -32,8 +32,3 @@ class RngRegistry:
             stream = random.Random(int.from_bytes(digest[:8], "big"))
             self._streams[name] = stream
         return stream
-
-    def fork(self, name: str) -> "RngRegistry":
-        """A child registry whose streams are independent of this one's."""
-        digest = hashlib.sha256(f"{self.seed}:fork:{name}".encode()).digest()
-        return RngRegistry(int.from_bytes(digest[:8], "big"))

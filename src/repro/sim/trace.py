@@ -54,10 +54,6 @@ class Tracer:
             TraceRecord(self._env.now, category, message, dict(data))
         )
 
-    def format(self) -> str:
-        """Human-readable rendering of the whole trace."""
-        return "\n".join(str(r) for r in self.records)
-
     # ------------------------------------------------------------------
     # Canonical serialization (determinism checking)
     # ------------------------------------------------------------------

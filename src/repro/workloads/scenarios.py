@@ -445,7 +445,7 @@ def build_stack(
         hns_binding = HRPCBinding(
             Endpoint(hns_host.address, HNS_PORT), "hns", suite="sunrpc"
         )
-        finder = RemoteFinder(runtime, hns_binding, policy=policy)
+        finder = RemoteFinder(runtime, hns_binding)
     else:
         finder = LocalFinder(hns)
 

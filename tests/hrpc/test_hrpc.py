@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.core import HNSName
+from repro.core.import_call import HrpcImporter
 from repro.hrpc import (
     BindingProtocolError,
     CourierBinder,
@@ -215,29 +217,46 @@ def test_program_registration_rules(world):
 
 
 # ----------------------------------------------------------------------
-# Retries under a ResolutionPolicy
+# Retries: a call is one exchange, the importer tries again
 # ----------------------------------------------------------------------
+FIJI = HNSName("BIND-cs", "fiji.cs.washington.edu")
+
+
+def agent_importer(client, net, binding):
+    """An importer whose every try is one HRPC call to ``binding``,
+    under the default :class:`ResolutionPolicy`."""
+    return HrpcImporter.via_agent(
+        client, binding, HrpcRuntime(client, net), policy=ResolutionPolicy()
+    )
+
+
 def test_transient_failure_is_retried_after_backoff(world):
     env, net, client, server_host = world
-    _, endpoint = build_echo_server(env, server_host)
-    runtime = HrpcRuntime(client, net)
-    binding = HRPCBinding(endpoint, "testprog", suite="sunrpc")
+    server = HrpcServer(server_host)
+    answer = HRPCBinding(server_host.ephemeral_endpoint(), "service")
+
+    def import_proc(ctx, service_name, hns_name_text):
+        yield ctx.host.cpu.compute(1.0)
+        return answer
+
+    server.program("hnsagent").procedure("Import", import_proc)
+    binding = HRPCBinding(server.listen(9000), "hnsagent", suite="sunrpc")
     server_host.crash()
 
-    def come_back():  # after the first attempt's four 500 ms datagram tries
+    def come_back():  # after the first try's four 500 ms datagram tries
         yield env.timeout(2_500.0)
         server_host.restart()
 
     env.process(come_back())
     env.obs.enable()
-    result = run(env, runtime.call(binding, "echo", 7, policy=ResolutionPolicy()))
-    assert result == ("echo", 7)
-    assert env.stats.counters()["hrpc.retries"] == 1
-    first, second = env.obs.spans_named("hrpc.attempt")
-    assert first.attrs["outcome"] == "retried"
-    assert first.attrs["error_type"] == "TransportTimeout"
-    assert "outcome" not in second.attrs
-    # The second attempt waited out the first rung of the backoff ladder.
+    importer = agent_importer(client, net, binding)
+    assert run(env, importer.import_binding("DesiredService", FIJI)) == answer
+    assert env.stats.counters()["hrpc.import_retries"] == 1
+    first, second = env.obs.spans_named("resolution.attempt")
+    assert first.status == "error" and second.status == "ok"
+    # One HRPC call per try: the call itself does not try again.
+    assert len(env.obs.spans_named("hrpc.call")) == 2
+    # The second try waited out the first rung of the backoff ladder.
     assert second.start_ms - first.end_ms >= BACKOFF_BASE_MS * (1 - BACKOFF_JITTER)
 
 
@@ -246,39 +265,39 @@ def test_remote_error_is_raised_once_and_never_retried(world):
     server = HrpcServer(server_host)
     served = []
 
-    def fail(ctx):
+    def fail(ctx, service_name, hns_name_text):
         served.append(env.now)
         raise LookupError("remote failure")
         yield  # pragma: no cover
 
-    server.program("flaky").procedure("fail", fail)
+    server.program("flaky").procedure("Import", fail)
     binding = HRPCBinding(server.listen(9100), "flaky", suite="sunrpc")
-    runtime = HrpcRuntime(client, net)
+    importer = agent_importer(client, net, binding)
 
     def scenario():
         with pytest.raises(LookupError, match="remote failure") as caught:
-            yield from runtime.call(binding, "fail", policy=ResolutionPolicy())
+            yield from importer.import_binding("DesiredService", FIJI)
         return caught.value
 
     error = run(env, scenario())
     assert len(served) == 1
     assert isinstance(error.__cause__, RemoteCallError)
-    assert "hrpc.retries" not in env.stats.counters()
+    assert "hrpc.import_retries" not in env.stats.counters()
 
 
 def test_permanent_network_error_is_not_retried(world):
     env, net, client, server_host = world
-    runtime = HrpcRuntime(client, net)
     nowhere = Endpoint(NetworkAddress("10.9.9.9"), 9000)  # on no segment
-    binding = HRPCBinding(nowhere, "testprog", suite="sunrpc")
+    binding = HRPCBinding(nowhere, "hnsagent", suite="sunrpc")
+    importer = agent_importer(client, net, binding)
 
     def scenario():
         with pytest.raises(NoRouteToHost):
-            yield from runtime.call(binding, "echo", policy=ResolutionPolicy())
+            yield from importer.import_binding("DesiredService", FIJI)
         return "done"
 
     assert run(env, scenario()) == "done"
-    assert "hrpc.retries" not in env.stats.counters()
+    assert "hrpc.import_retries" not in env.stats.counters()
 
 
 # ----------------------------------------------------------------------

@@ -1,6 +1,5 @@
 """Property-based tests of system-level invariants the paper relies on."""
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.bind import (
@@ -11,7 +10,6 @@ from repro.bind import (
 )
 from repro.core import HNSName
 from repro.net import DatagramTransport, Internetwork
-from repro.serial.generated import MarshalCost
 from repro.sim import ConstantLatency, Environment
 
 
@@ -120,32 +118,6 @@ def test_findnsm_is_deterministic_and_idempotent():
         return str(first.endpoint), first.program
 
     assert binding_endpoint(1) == binding_endpoint(1)
-
-
-# ----------------------------------------------------------------------
-# MarshalCost arithmetic.
-# ----------------------------------------------------------------------
-@given(
-    st.integers(min_value=0, max_value=1000),
-    st.integers(min_value=0, max_value=1000),
-    st.integers(min_value=0, max_value=1000),
-    st.integers(min_value=0, max_value=100_000),
-)
-@settings(max_examples=50, deadline=None)
-def test_marshal_cost_merge_is_additive(pc, ic, al, by):
-    from repro.serial.generated import ENTRY_OVERHEAD_MS
-
-    a = MarshalCost(pc, ic, al, by)
-    b = MarshalCost(ic, al, by % 1000, pc)
-    merged = a.merge(b)
-    assert merged.proc_calls == a.proc_calls + b.proc_calls
-    assert merged.indirect_calls == a.indirect_calls + b.indirect_calls
-    assert merged.allocations == a.allocations + b.allocations
-    assert merged.bytes_processed == a.bytes_processed + b.bytes_processed
-    # The fixed entry overhead is paid once: merged time is the sum less one.
-    assert merged.time_ms() == pytest.approx(
-        a.time_ms() + b.time_ms() - ENTRY_OVERHEAD_MS, rel=1e-9
-    )
 
 
 # ----------------------------------------------------------------------

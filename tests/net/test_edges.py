@@ -161,13 +161,3 @@ def test_lossy_ethernet_drops_sometimes():
     ether.set_loss(0.5)
     outcomes = {ether.would_drop() for _ in range(100)}
     assert outcomes == {True, False}
-
-
-def test_trace_format_renders_all_records():
-    env = Environment()
-    env.trace.enabled = True
-    env.trace.emit("a", "first")
-    env.trace.emit("b", "second", key="v")
-    text = env.trace.format()
-    assert "first" in text and "second" in text
-    assert text.count("\n") == 1

@@ -1,8 +1,8 @@
 """Trace propagation across the failure paths (PR 5 satellite).
 
 Degraded resolutions must trace as *one* causally linked story: the
-retry rounds, the stale answer that masked an outage, the hedge leg
-that lost — all annotated spans under the trace id of the operation
+Import's retried tries, the stale answer that masked an outage, the
+hedge leg that lost — all annotated spans under the trace id of the operation
 that triggered them.
 """
 
@@ -10,12 +10,12 @@ import dataclasses
 
 from repro.bind import BindResolver, BindServer, ResourceRecord, RRType, Zone
 from repro.bind.replica import HEDGE_MIN_SAMPLES
-from repro.core import HNSName
+from repro.core import Arrangement, HNSName
 from repro.harness.calibration import DEFAULT_CALIBRATION
 from repro.net import DatagramTransport, Internetwork
 from repro.resolution import PolicySet, ReplicaPolicy
 from repro.sim import ConstantLatency, Environment
-from repro.workloads import build_testbed
+from repro.workloads import build_stack, build_testbed
 from repro.workloads.scenarios import BIND_CONTEXT, BIND_NS
 from tests.bind.stall import StallServer
 
@@ -34,39 +34,42 @@ def sleep(env, ms):
 
 
 # ----------------------------------------------------------------------
-# Retried FindNSM: the outage and the recovery in one trace
+# An Import retried past a failed FindNSM: the outage and the recovery
+# in one trace
 # ----------------------------------------------------------------------
 def test_find_nsm_retry_rounds_trace_under_one_root():
     testbed = build_testbed(seed=18)
     env = testbed.env
-    hns = testbed.make_hns(testbed.client)
+    stack = build_stack(testbed, Arrangement.ALL_LOCAL)
     env.obs.enable()
     # The public BIND answers the native HostAddress lookup (mapping 6);
     # killing it fails FindNSM after the meta mappings have succeeded.
     testbed.public_host.crash()
 
     def medic():
-        while env.stats.counter("hns.find_nsm.retries").value < 1:
+        while env.stats.counter("hrpc.import_retries").value < 1:
             yield env.timeout(100.0)
         testbed.public_host.restart()
 
     env.process(medic())
-    binding = run(env, hns.find_nsm(FIJI, "HRPCBinding"))
-    assert binding.program == "nsm.HRPCBinding-BIND-cs"
+    binding = run(env, stack.importer.import_binding("DesiredService", FIJI))
+    assert binding.endpoint.port == 9999
 
     roots = env.obs.roots()
     assert len(roots) == 1, [r.name for r in roots]
     root = roots[0]
-    assert root.name == "hns.find_nsm"
-    assert root.attrs["name"] == FIJI.name
+    assert root.name == "hrpc.import"
+    assert root.attrs["name"] == str(FIJI)
     assert {s.trace_id for s in env.obs.spans} == {root.trace_id}
 
     attempts = env.obs.spans_named("resolution.attempt")
     failed = [s for s in attempts if s.status == "error"]
     succeeded = [s for s in attempts if s.status == "ok"]
     assert failed and succeeded
-    # The retry is visible as attempt indices, not just a counter.
+    # The retry is visible as attempt indices, not just a counter, and
+    # each try ran FindNSM once.
     assert {s.attrs["attempt"] for s in attempts} >= {0, 1}
+    assert len(env.obs.spans_named("hns.find_nsm")) == len(attempts)
 
 
 # ----------------------------------------------------------------------
@@ -96,8 +99,8 @@ def test_stale_meta_read_is_annotated_after_failed_rounds():
         if s.attrs.get("served_stale")
     ]
     assert len(stale) == 1
-    # The stale answer came *after* real retry rounds against the dead
-    # server: every leg errored, and the rounds preceded the serve.
+    # The stale answer came *after* a real exchange with the dead
+    # server: every leg errored, and the legs preceded the serve.
     legs = env.obs.spans_named("bind.leg")
     assert legs
     assert all(s.attrs.get("outcome") == "error" for s in legs)

@@ -32,14 +32,6 @@ def test_new_stream_does_not_perturb_existing():
     assert a.stream("net").random() == b.stream("net").random()
 
 
-def test_fork_is_deterministic_and_distinct():
-    reg = RngRegistry(3)
-    f1, f2 = reg.fork("child"), reg.fork("child")
-    assert f1.seed == f2.seed
-    assert f1.seed != reg.seed
-    assert reg.fork("other").seed != f1.seed
-
-
 # ----------------------------------------------------------------------
 # Latency models
 # ----------------------------------------------------------------------

@@ -29,8 +29,8 @@ COSTS = {'beacon/11-targets': {'heap_entries': 13.0, 'python_calls': 149.0},
  'beacon/per-listener': {'heap_entries': 1.0, 'python_calls': 12.0},
  'beacon/sweep-1': {'heap_entries': 0.0, 'python_calls': 2.0},
  'beacon/sweep-11': {'heap_entries': 0.0, 'python_calls': 2.0},
- 'cold-import/bind-cs': {'heap_entries': 80.0, 'python_calls': 1112.0},
- 'cold-import/ch-hcs': {'heap_entries': 81.0, 'python_calls': 1119.6},
+ 'cold-import/bind-cs': {'heap_entries': 80.0, 'python_calls': 1076.0},
+ 'cold-import/ch-hcs': {'heap_entries': 81.0, 'python_calls': 1085.6},
  'exchange/tcp': {'heap_entries': 4.0, 'python_calls': 37.0},
  'exchange/udp': {'heap_entries': 3.0, 'python_calls': 26.39},
  'kernel/call-later': {'heap_entries': 1.0, 'python_calls': 5.0},
@@ -42,16 +42,16 @@ COSTS = {'beacon/11-targets': {'heap_entries': 13.0, 'python_calls': 149.0},
  'kernel/timeout-round-trip': {'heap_entries': 1.0, 'python_calls': 4.0},
  'kernel/uncontended-charge': {'heap_entries': 1.0, 'python_calls': 4.0},
  'ledger/adhoc_churn': {'python_calls': 92.61111111},
- 'ledger/cold_import': {'python_calls': 1196.0},
+ 'ledger/cold_import': {'python_calls': 1161.0},
  'ledger/mclient_zipf': {'python_calls': 10.04982206},
- 'ledger/traced_import': {'python_calls': 1389.555556},
+ 'ledger/traced_import': {'python_calls': 1321.888889},
  'ledger/update_storm': {'python_calls': 23.41755319},
  'ledger/warm_zipf': {'python_calls': 86.66666667},
  'span/off': {'heap_entries': 0.0, 'python_calls': 2.0},
  'span/on': {'heap_entries': 0.0, 'python_calls': 7.0},
  'warm/fast-path': {'heap_entries': 9.0, 'python_calls': 79.36},
  'warm/lookup-hit': {'heap_entries': 2.0, 'python_calls': 17.0},
- 'warm/six-mappings': {'heap_entries': 13.0, 'python_calls': 159.52}}
+ 'warm/six-mappings': {'heap_entries': 13.0, 'python_calls': 148.52}}
 
 
 def measured(row):

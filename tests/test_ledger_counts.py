@@ -66,7 +66,7 @@ COUNTS = {'adhoc_churn': {'discovery.stale_serve_share': 0.03,
                   'sim_ms_p99': 39.11729294,
                   'sim_ops_per_s': 15406.99903},
  'traced_import': {'obs.dropped_spans': 0.0,
-                   'obs.spans_per_op': 34.94285714,
+                   'obs.spans_per_op': 27.45714286,
                    'sim.events_per_op': 82.11428571,
                    'sim_ms_mean': 525.1221029,
                    'sim_ms_p99': 587.4755809,

@@ -38,6 +38,16 @@ def test_check_fails_when_a_surface_fails(monkeypatch, capsys):
     assert reach.main(["--check"]) == 0
 
 
+def test_check_fails_when_src_changes_during_the_run(monkeypatch, capsys):
+    """Function keys read at the start no longer match a tree edited
+    mid-run, so the census reports the edit instead of miscounting."""
+    trees = iter([({}, {}), ({"repro.new": 1}, {})])
+    monkeypatch.setattr(reach, "defined", lambda: next(trees))
+    monkeypatch.setattr(reach, "surfaces", lambda tmp: {"ok": [sys.executable, "-c", "pass"]})
+    assert reach.main(["--check"]) == 1
+    assert "reach: src/repro changed during the run" in capsys.readouterr().err
+
+
 def test_a_traced_run_records_each_defaulted_parameters_values(tmp_path):
     """A function's and a ``repro`` dataclass's defaulted parameters are
     recorded on each fresh entry, as reprs."""

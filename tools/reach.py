@@ -190,7 +190,8 @@ def main(argv: list) -> int:
     print(f"settable values no product surface varies: {len(single)}")
     print("".join(f"  {key:<72}{value[:48]}\n" for key, value in single.items()))
     found = [f"{m}: no product surface imports it" for m in unimported] + [
-        f"{name} exited {rc}" for name, rc in exits.items() if rc]
+        f"{name} exited {rc}" for name, rc in exits.items() if rc] + [
+        "src/repro changed during the run"] * (defined() != (modules, functions))
     print("".join(f"reach: {problem}\n" for problem in found), end="", file=sys.stderr)
     return 1 if args.check and found else 0
 
