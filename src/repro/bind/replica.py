@@ -1,22 +1,22 @@
 """Adaptive replica selection state for the meta read path.
 
 The :class:`ReplicaScheduler` keeps, per replica endpoint, an EWMA of
-observed request latency, an in-flight counter, and a circuit breaker,
-and turns them into an ordered try-plan for each exchange:
+observed request latency and an in-flight counter, and drives the two
+mechanisms of a replica-aware exchange:
 
-- endpoints whose breaker is **open** are skipped up front (instead of
-  being timed out in static order, which is what the prototype's
-  failover list does);
-- among the healthy endpoints, the first to try is the better-scored of
-  two picked at random (power-of-two-choices, from a named RNG stream
-  so runs stay deterministic), and the rest follow in score order;
-- a bounded window of recent successful latencies yields the hedge
-  delay: the :data:`HEDGE_QUANTILE` of that distribution.
+- **selection**: the first replica to try is the better-scored of two
+  picked at random (power-of-two-choices, from a named RNG stream so
+  runs stay deterministic), and the rest follow in score order, so a
+  slow or dead replica drifts to the back of every plan; an exchange
+  still walks the whole plan before it fails;
+- **hedging**: a bounded window of recent successful latencies yields
+  the hedge delay, just past the :data:`HEDGE_QUANTILE` of that
+  distribution.
 
 Every counter is mirrored into the stats registry as
 ``bind.replica.<endpoint>.<counter>`` (``requests``, ``hedges``,
-``wins``, ``errors``, ``skipped``), matching the ``cache.<name>.*``
-convention; the latency estimate is the state's ``ewma_ms``.
+``wins``, ``errors``), matching the ``cache.<name>.*`` convention; the
+latency estimate is the state's ``ewma_ms``.
 """
 
 from __future__ import annotations
@@ -32,8 +32,6 @@ EWMA_ALPHA = 0.3
 #: hedge once a lookup is outstanding past this quantile of the recent
 #: successful-latency window
 HEDGE_QUANTILE = 0.95
-#: consecutive failures that trip a replica's breaker
-BREAKER_THRESHOLD = 3
 #: score penalty per outstanding request on an endpoint, so load
 #: spreads even while latency estimates are equal
 INFLIGHT_PENALTY_MS = 25.0
@@ -41,52 +39,16 @@ INFLIGHT_PENALTY_MS = 25.0
 MAX_HEDGES = 1
 #: successful samples required before hedging arms
 HEDGE_MIN_SAMPLES = 8
-#: floor and ceiling on the computed hedge delay
+#: how far past the quantile the hedge timer waits (so also its floor),
+#: and its ceiling
 HEDGE_MIN_DELAY_MS = 1.0
 HEDGE_MAX_DELAY_MS = 1_000.0
-#: how long a tripped replica stays skipped before one probe
-BREAKER_RESET_MS = 10_000.0
-
-
-class CircuitBreaker:
-    """One replica's consecutive-failure breaker over simulated time.
-
-    Closed until :data:`BREAKER_THRESHOLD` consecutive failures, then
-    open for :data:`BREAKER_RESET_MS`; after that half-open, which the
-    scheduler treats as closed, so the next exchange is the probe whose
-    outcome closes or re-opens it.
-    """
-
-    def __init__(self, env: Environment):
-        self.env = env
-        self.consecutive_failures = 0
-        self.opened_at: typing.Optional[float] = None
-
-    @property
-    def state(self) -> str:
-        """``"closed"``, ``"open"``, or ``"half-open"``."""
-        if self.opened_at is None:
-            return "closed"
-        if self.env.now >= self.opened_at + BREAKER_RESET_MS:
-            return "half-open"
-        return "open"
-
-    def record_success(self) -> None:
-        """The replica answered: close the circuit."""
-        self.consecutive_failures = 0
-        self.opened_at = None
-
-    def record_failure(self) -> None:
-        """The replica failed: maybe trip the circuit."""
-        self.consecutive_failures += 1
-        if self.consecutive_failures >= BREAKER_THRESHOLD:
-            self.opened_at = self.env.now
 
 
 class ReplicaState:
     """Everything the scheduler knows about one replica endpoint."""
 
-    def __init__(self, env: Environment, endpoint: Endpoint):
+    def __init__(self, endpoint: Endpoint):
         self.endpoint = endpoint
         #: stable stat label, e.g. ``"10.0.0.2:530"``
         self.label = str(endpoint)
@@ -94,13 +56,12 @@ class ReplicaState:
         self.ewma_ms: typing.Optional[float] = None
         #: requests currently outstanding against this endpoint
         self.inflight = 0
-        self.breaker = CircuitBreaker(env)
 
     def __repr__(self) -> str:
         ewma = "?" if self.ewma_ms is None else f"{self.ewma_ms:.1f}"
         return (
             f"<ReplicaState {self.label} ewma={ewma}ms "
-            f"inflight={self.inflight} breaker={self.breaker.state}>"
+            f"inflight={self.inflight}>"
         )
 
 
@@ -125,7 +86,7 @@ class ReplicaScheduler:
             raise ValueError("scheduler needs at least one endpoint")
         self.env = env
         self.name = name
-        self.states = [ReplicaState(env, ep) for ep in endpoints]
+        self.states = [ReplicaState(ep) for ep in endpoints]
         self._window: typing.Deque[float] = collections.deque(maxlen=self.WINDOW)
 
     # ------------------------------------------------------------------
@@ -143,33 +104,25 @@ class ReplicaScheduler:
     # ------------------------------------------------------------------
     def plan(self) -> typing.List[ReplicaState]:
         """The ordered list of replicas to try for one exchange."""
-        states = list(self.states)
-        candidates = states
-        healthy = [s for s in states if s.breaker.state != "open"]
-        if healthy:
-            for state in states:
-                if state.breaker.state == "open":
-                    self._count(state, "skipped")
-            candidates = healthy
-        # else: every breaker is open — fall through with the full
-        # static order rather than refuse outright.
-        if len(candidates) < 2:
-            return candidates
+        states = self.states
+        if len(states) < 2:
+            return list(states)
         rng = self.env.rng.stream(f"bind.replica.p2c:{self.name}")
-        i, j = rng.sample(range(len(candidates)), 2)
-        a, b = candidates[i], candidates[j]
+        i, j = rng.sample(range(len(states)), 2)
+        a, b = states[i], states[j]
         first = a if self._score(a) <= self._score(b) else b
-        rest = sorted(
-            (s for s in candidates if s is not first), key=self._score
-        )
+        rest = sorted((s for s in states if s is not first), key=self._score)
         return [first] + rest
 
     def hedge_delay_ms(self) -> typing.Optional[float]:
         """How long to wait before hedging, or None to not hedge.
 
-        The :data:`HEDGE_QUANTILE` of the recent successful-latency
-        window, clamped to ``[HEDGE_MIN_DELAY_MS, HEDGE_MAX_DELAY_MS]``;
-        no hedging until ``HEDGE_MIN_SAMPLES`` samples have accumulated.
+        :data:`HEDGE_MIN_DELAY_MS` past the :data:`HEDGE_QUANTILE` of
+        the recent successful-latency window, capped at
+        :data:`HEDGE_MAX_DELAY_MS`; no hedging until
+        ``HEDGE_MIN_SAMPLES`` samples have accumulated.  Past, not at:
+        under steady latency every reply lands at the quantile itself,
+        and a timer that ties with it would hedge nearly every lookup.
         """
         if len(self._window) < HEDGE_MIN_SAMPLES:
             return None
@@ -178,7 +131,7 @@ class ReplicaScheduler:
         lo = int(k)
         hi = min(lo + 1, len(ordered) - 1)
         q = ordered[lo] + (ordered[hi] - ordered[lo]) * (k - lo)
-        return min(max(q, HEDGE_MIN_DELAY_MS), HEDGE_MAX_DELAY_MS)
+        return min(q + HEDGE_MIN_DELAY_MS, HEDGE_MAX_DELAY_MS)
 
     # ------------------------------------------------------------------
     def record_start(self, state: ReplicaState, hedge: bool = False) -> None:
@@ -196,7 +149,6 @@ class ReplicaScheduler:
         state.inflight = max(0, state.inflight - 1)
         self._observe(state, latency_ms)
         self._window.append(latency_ms)
-        state.breaker.record_success()
         if won:
             self._count(state, "wins")
 
@@ -206,7 +158,6 @@ class ReplicaScheduler:
         so it feeds the EWMA too."""
         state.inflight = max(0, state.inflight - 1)
         self._observe(state, latency_ms)
-        state.breaker.record_failure()
         self._count(state, "errors")
 
     def _observe(self, state: ReplicaState, latency_ms: float) -> None:

@@ -469,13 +469,13 @@ class BindResolver:
         """One exchange with the replica set, with hedging.
 
         The scheduler's best replica is tried first.  If no answer has
-        arrived after the hedge delay (a quantile of recent latencies),
-        the same request is re-issued to the next replica in the plan —
-        first answer wins, the loser's reply is discarded
+        arrived after the hedge delay (just past a quantile of recent
+        latencies), the same request is re-issued to the next replica in
+        the plan — first answer wins, the loser's reply is discarded
         (its latency still feeds the scheduler).  A failed leg falls
-        through to the next unplanned replica immediately, exactly like
+        through to the next untried replica immediately, exactly like
         the static failover walk; the exchange fails only when every
-        planned replica has failed.
+        replica has failed.
         """
         env = self.env
         scheduler = self._scheduler

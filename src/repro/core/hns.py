@@ -41,7 +41,6 @@ from repro.bind.errors import NameNotFound
 from repro.bind.resolver import cache_key
 from repro.bind.rr import RRType
 from repro.obs.span import NULL_SPAN
-from repro.resolution import PolicySet
 from repro.sim.events import Event
 
 if typing.TYPE_CHECKING:  # pragma: no cover
@@ -89,22 +88,18 @@ class HNS:
         self,
         metastore: MetaStore,
         calibration: Calibration = DEFAULT_CALIBRATION,
-        policies: typing.Optional[PolicySet] = None,
     ):
         self.metastore = metastore
         self.host = metastore.host
         self.env = metastore.env
         self.calibration = calibration
-        # Inherit the metastore's PolicySet unless given one, so one
-        # bundle configures the whole stack.  FindNSM reads only its
-        # ``fast_path``; the meta lookups carry the metastore's own.
-        if policies is None:
-            policies = metastore.policies
-        self.policies = policies
+        # The metastore's PolicySet configures the whole stack; FindNSM
+        # reads only its ``fast_path``.
+        self.policies = metastore.policies
         #: how FindNSM reaches the NSM's record and its host's address:
         #: the paper's six sequential mappings, or two batched round trips
         #: (the second one the NSM host's meta address record)
-        self._batched = policies.fast_path.batch_meta_lookups
+        self._batched = self.policies.fast_path.batch_meta_lookups
         self._meta_mappings = (
             metastore.find_nsm_bundle if self._batched else self._sequential_mappings
         )

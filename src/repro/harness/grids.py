@@ -80,12 +80,13 @@ def run_fast_path(
 
     Concurrent clients resolve Zipf-distributed contexts against a
     short meta TTL; refresh-ahead keeps the tail at cache-hit cost,
-    batching cuts meta queries per find, and the drop knob degrades
+    batching cuts meta queries per find, a herd of clients gives
+    coalescing concurrent misses to merge, and the drop knob degrades
     the wire so availability becomes a real metric.
     """
     from repro.workloads.scenarios import BIND_NS, build_testbed
 
-    clients = 8 if smoke else 16
+    clients = knobs["load"](smoke)
     contexts = 16 if smoke else 32
     duration_ms = 20_000.0 if smoke else 90_000.0
     think_mean_ms = 150.0
@@ -181,6 +182,12 @@ FAST_PATH_GRID = GridDef(
         ),
         # Wire loss on the testbed segment.
         Knob("drop", baseline=("none", 0.0), variants=(("p10", 0.10),)),
+        # Closed-loop clients (by smoke), or a herd whose misses overlap.
+        Knob(
+            "load",
+            baseline=("light", lambda smoke: 8 if smoke else 16),
+            variants=(("herd", lambda smoke: 64),),
+        ),
     ),
     runner=run_fast_path,
     seed=33,
@@ -191,6 +198,8 @@ FAST_PATH_GRID = GridDef(
             "reference",
             (("fast_path", "disabled"), ("meta_ttl", "all_hit")),
         ),
+        # Coalescing under the load it exists for.
+        ("no_coalescing@herd", (("fast_path", "no_coalescing"), ("load", "herd"))),
     ),
 )
 
@@ -201,22 +210,28 @@ FAST_PATH_GRID = GridDef(
 def run_replica_scheduling(
     knobs: typing.Mapping[str, typing.Any], seed: int, smoke: bool
 ) -> RunOutput:
-    """Closed-loop lookups against a three-replica set.
+    """Closed-loop lookups against a three-replica set under one fault.
 
-    The primary intermittently stalls past the transport timeout (the
-    ``primary`` knob), and the ``replica`` knob swaps hedged adaptive
-    scheduling against the prototype's ordered failover.
+    The ``fault`` knob: the primary (the ordered walk's first replica)
+    stalls 15 % of its datagrams past the transport timeout, answers
+    30 ms slower than the others, or is down from the tenth to the
+    seventieth percent of the lookups; or every replica stalls 5 % of
+    its datagrams; or nothing goes wrong.  The ``replica`` knob swaps
+    the replica-aware exchange against the prototype's ordered
+    failover.  ``legs_per_lookup`` counts the requests the servers
+    received, so both exchanges count alike.
     """
     from repro.bind.resolver import BindResolver
     from repro.bind.rr import ResourceRecord, RRType
-    from repro.bind.server import BindServer
     from repro.bind.zone import Zone
+    from repro.net.errors import NetworkError
     from repro.net.internet import Internetwork
     from repro.net.transport import DatagramTransport
     from repro.sim.latency import ConstantLatency
 
     lookups = 120 if smoke else 500
     cal = DEFAULT_CALIBRATION
+    fault = knobs["fault"]
 
     env = Environment(seed=seed)
     net = Internetwork(env)
@@ -235,20 +250,21 @@ def run_replica_scheduling(
         )
         return zone
 
-    primary = _FlakyBindServer(
-        hosts[0],
-        zones=[make_zone()],
-        lookup_cost_ms=cal.meta_bind_lookup_ms,
-        stall_probability=knobs["primary"],
-    )
-    replicas = [
-        BindServer(
-            host, zones=[make_zone()], lookup_cost_ms=cal.meta_bind_lookup_ms
+    servers = [
+        _FlakyBindServer(
+            host,
+            zones=[make_zone()],
+            lookup_cost_ms=cal.meta_bind_lookup_ms
+            + (30.0 if fault == "slow_primary" and i == 0 else 0.0),
+            stall_probability=(
+                0.05 if fault == "stall_all"
+                else 0.15 if fault == "stall_primary" and i == 0
+                else 0.0
+            ),
         )
-        for host in hosts[1:]
+        for i, host in enumerate(hosts)
     ]
-    primary_ep = primary.listen()
-    secondary_eps = [replica.listen() for replica in replicas]
+    primary_ep, *secondary_eps = [server.listen() for server in servers]
     udp = DatagramTransport(net, retries=0, retry_timeout_ms=100)
     resolver = BindResolver(
         client,
@@ -258,45 +274,69 @@ def run_replica_scheduling(
         policies=PolicySet(replica=knobs["replica"]),
         name="harness",
     )
+    crash_at, restart_at = (
+        (lookups // 10, lookups * 7 // 10) if fault == "crash_primary" else (-1, -1)
+    )
     latencies: typing.List[float] = []
 
     def client_loop() -> "ProcessGenerator":
-        for _ in range(lookups):
+        for i in range(lookups):
+            if i == crash_at:
+                hosts[0].crash()
+            elif i == restart_at:
+                hosts[0].restart()
             start = env.now
-            yield from resolver.lookup("a.ctx.hns", RRType.UNSPEC)
-            latencies.append(env.now - start)
+            try:
+                yield from resolver.lookup("a.ctx.hns", RRType.UNSPEC)
+            except NetworkError:
+                pass  # every replica failed: an availability miss
+            else:
+                latencies.append(env.now - start)
             yield env.timeout(5.0)
 
     run_process(env, client_loop())
-    _idle(env, 2_000.0)  # drain hedge-loser legs
+    _idle(env, 2_000.0)  # drain hedge-loser legs and stalled datagrams
     counters = env.stats.counters()
     metrics = {
-        "lookups": float(len(latencies)),
+        "lookups": float(lookups),
         "p50_ms": percentile(latencies, 50),
         "p99_ms": percentile(latencies, 99),
-        "max_ms": max(latencies),
+        "max_ms": max(latencies, default=None),
         "hedges": float(counters.get("bind.harness.hedges", 0)),
         "failovers": float(counters.get("bind.harness.failovers", 0)),
-        "availability": 1.0,
+        "legs_per_lookup": sum(
+            counters.get(f"bind.{server.name}.requests", 0) for server in servers
+        ) / lookups,
+        "availability": len(latencies) / lookups,
     }
     return RunOutput(metrics=metrics, digest=run_digest(env), sim_ms=env.now)
 
 
+#: the replica grid's faults (see run_replica_scheduling), baseline first
+REPLICA_FAULTS = ("stall_primary", "healthy", "slow_primary", "crash_primary", "stall_all")
+
 REPLICA_GRID = GridDef(
     name="replica_scheduling",
     knobs=(
-        # Adaptive hedged scheduling vs the prototype's ordered failover.
+        # The replica-aware exchange vs the prototype's ordered failover.
         Knob(
             "replica",
             baseline=("hedged", ReplicaPolicy()),
             variants=(("ordered", ReplicaPolicy.disabled()),),
         ),
-        # How often the (always-first) replica stalls past the
-        # transport timeout.
-        Knob("primary", baseline=("degraded", 0.15), variants=(("healthy", 0.0),)),
+        Knob(
+            "fault",
+            baseline=(REPLICA_FAULTS[0], REPLICA_FAULTS[0]),
+            variants=tuple((fault, fault) for fault in REPLICA_FAULTS[1:]),
+        ),
     ),
     runner=run_replica_scheduling,
     seed=61,
+    # The ordered walk under each fault, beside the hedged one-off.
+    extras=tuple(
+        (f"ordered@{fault}", (("replica", "ordered"), ("fault", fault)))
+        for fault in REPLICA_FAULTS[1:]
+    ),
 )
 
 

@@ -161,17 +161,17 @@ class ReplicaPolicy:
     walks its replicas as a static ordered failover list: the primary is
     tried first, every time, and a dead or slow replica is only
     discovered by burning a full timeout against it.  This policy is one
-    switch for the mechanisms that make reads replica-aware (their
-    constants live in :mod:`repro.bind.replica`):
+    switch for the two mechanisms that make reads replica-aware (their
+    constants live in :mod:`repro.bind.replica`), each with its own
+    fault cell in the ``replica_scheduling`` grid:
 
     - **adaptive replica selection**: per-endpoint EWMA latency and
       in-flight counters; the first replica tried is the better of two
       sampled at random (power-of-two-choices), the rest are ordered by
-      score.
-    - **per-replica circuit breakers**: an endpoint whose breaker is
-      open is skipped up front instead of timed out in order.
-    - **hedged queries**: once a lookup has been outstanding for the
-      ``HEDGE_QUANTILE`` of the observed per-replica latency
+      score, so a slow or crashed replica drifts to the back.  An
+      exchange still tries every replica before it fails.
+    - **hedged queries**: once a lookup has been outstanding just past
+      the ``HEDGE_QUANTILE`` of the observed per-replica latency
       distribution, the same question is re-issued once to the
       next-best replica; the first answer wins and the loser's result is
       discarded.  Hedging composes with single-flight coalescing (only
@@ -185,15 +185,14 @@ class ReplicaPolicy:
     :class:`UpdatePolicy`.
     """
 
-    #: all three mechanisms; False keeps the prototype's static
+    #: both mechanisms; False keeps the prototype's static
     #: ``[primary] + secondaries`` walk
     enabled: bool = True
 
     @classmethod
     def disabled(cls) -> "ReplicaPolicy":
         """The prototype behaviour: static primary-then-secondaries
-        failover, no hedging, no per-replica breakers.  The ablation
-        baseline."""
+        failover, no hedging.  The ablation baseline."""
         return cls(enabled=False)
 
 

@@ -1,9 +1,9 @@
-"""Replica-aware meta reads: adaptive selection, hedging, breaker skip."""
+"""Replica-aware meta reads: adaptive selection and hedging."""
 
 import pytest
 
 from repro.bind import BindResolver, BindServer, ReplicaScheduler, ResourceRecord, RRType, Zone
-from repro.bind.replica import BREAKER_THRESHOLD, HEDGE_MAX_DELAY_MS, HEDGE_MIN_SAMPLES
+from repro.bind.replica import HEDGE_MAX_DELAY_MS, HEDGE_MIN_SAMPLES
 from repro.harness.calibration import DEFAULT_CALIBRATION
 from repro.net import DatagramTransport, Internetwork
 from repro.net.addresses import Endpoint, NetworkAddress
@@ -82,33 +82,6 @@ def test_scheduler_inflight_penalty_sheds_load():
     for _ in range(3):
         sched.record_start(a)
     assert sched.plan()[0] is b
-
-
-def test_scheduler_skips_open_breaker():
-    env = Environment(seed=3)
-    sched = ReplicaScheduler(env, endpoints(2), name="r")
-    dead, live = sched.states
-    for _ in range(BREAKER_THRESHOLD):
-        sched.record_start(dead)
-        sched.record_failure(dead, 100.0)
-    assert dead.breaker.state == "open"
-    plan = sched.plan()
-    assert plan == [live]
-    assert env.stats.counters()[f"bind.replica.{dead.label}.skipped"] == 1
-
-
-def test_scheduler_falls_back_when_all_breakers_open():
-    env = Environment(seed=4)
-    sched = ReplicaScheduler(env, endpoints(2), name="r")
-    for state in sched.states:
-        for _ in range(BREAKER_THRESHOLD):
-            sched.record_start(state)
-            sched.record_failure(state, 100.0)
-    assert all(state.breaker.state == "open" for state in sched.states)
-    # Refusing outright would turn a brown-out into a black-out: every
-    # replica is still offered.
-    plan = sched.plan()
-    assert len(plan) == 2 and set(plan) == set(sched.states)
 
 
 def test_hedge_delay_needs_samples_then_tracks_quantile():
@@ -264,30 +237,58 @@ def test_ordered_failover_eats_the_stall_without_hedging():
     assert elapsed >= 100.0
 
 
-def test_breaker_skip_spares_cold_lookups_the_timeout():
-    env, resolver, primary, secondary, primary_host = make_cluster(
-        ReplicaPolicy(), secondary_cost=60.0
-    )
+def crash_until_demoted(env, resolver, primary_host):
+    """Crash the faster primary and look up until its EWMA passes the
+    slow secondary's; returns the lookups that paid the timeout."""
     for _ in range(2):  # one exploration probe each: the primary is faster
         lookup_once(env, resolver)
     primary_host.crash()
-    primary_label = str(resolver.server)
-    # Until its breaker trips, the dead primary's EWMA still undercuts
-    # the slow secondary, so each lookup pays the transport timeout
-    # before it fails over.
-    for failures in range(1, BREAKER_THRESHOLD + 1):
+    timed_out = 0
+    while True:
         records, elapsed = lookup_once(env, resolver)
         assert records[0].text == "ns=one"
-        assert elapsed >= 100.0
-        counters = env.stats.counters()
-        assert counters[f"bind.replica.{primary_label}.errors"] == failures
-    # The next lookup skips the open breaker: no timeout in its path.
+        if elapsed < 100.0:
+            return timed_out
+        timed_out += 1
+
+
+def test_ewma_spares_cold_lookups_the_timeout():
+    env, resolver, primary, secondary, primary_host = make_cluster(
+        ReplicaPolicy(), secondary_cost=60.0
+    )
+    primary_state, secondary_state = resolver._scheduler.states
+    # Until its EWMA passes the slow secondary's, the dead primary is
+    # tried first and each lookup pays the transport timeout before it
+    # fails over: three 100 ms failure samples take it from ~7 ms to
+    # ~69 ms, past the secondary's ~63 ms.
+    assert crash_until_demoted(env, resolver, primary_host) == 3
+    assert primary_state.ewma_ms == pytest.approx(69, abs=1)
+    assert primary_state.ewma_ms > secondary_state.ewma_ms
+    counters = env.stats.counters()
+    assert counters[f"bind.replica.{primary_state.label}.errors"] == 3
+    # From then on the secondary leads: no timeout in any lookup's path.
+    for _ in range(3):
+        _records, elapsed = lookup_once(env, resolver)
+        assert elapsed < 100.0
+    assert env.stats.counters()[f"bind.replica.{primary_state.label}.errors"] == 3
+
+
+def test_exchange_tries_every_replica_that_is_up():
+    env, resolver, primary, secondary, primary_host = make_cluster(
+        ReplicaPolicy(), secondary_cost=60.0
+    )
+    crash_until_demoted(env, resolver, primary_host)
+    primary_host.restart()
+    secondary.host.crash()
+    wins = f"bind.replica.{resolver.server}.wins"
+    before = env.stats.counters()[wins]
+    # The demoted primary is back and the secondary now leads the plan
+    # into a dead host: the exchange fails over to the primary rather
+    # than give up on a replica that failed before.
     records, elapsed = lookup_once(env, resolver)
     assert records[0].text == "ns=one"
-    assert elapsed < 100.0
-    counters = env.stats.counters()
-    assert counters[f"bind.replica.{primary_label}.skipped"] >= 1
-    assert counters[f"bind.replica.{primary_label}.errors"] == BREAKER_THRESHOLD
+    assert elapsed >= 100.0
+    assert env.stats.counters()[wins] == before + 1
 
 
 def test_static_failover_pays_the_timeout_every_time():

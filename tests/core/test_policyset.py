@@ -104,14 +104,6 @@ def test_policyset_round_trips_through_metastore_and_hns(testbed):
     assert hns.policies == policies  # inherited from the metastore
 
 
-def test_hns_policyset_overrides_the_metastore_bundle(testbed):
-    store = testbed.make_metastore(testbed.client)
-    override = PolicySet()
-    hns = HNS(store, calibration=testbed.calibration, policies=override)
-    assert hns.policies == override
-    assert store.policies != override  # the metastore keeps its own
-
-
 # ----------------------------------------------------------------------
 # The prototype contract
 # ----------------------------------------------------------------------
